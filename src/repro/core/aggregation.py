@@ -14,7 +14,7 @@ plugged into the switch pipeline as an extern action by the controller.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain as _chain
 from typing import Any, Iterable
 
@@ -863,12 +863,19 @@ class DaietAggregationEngine:
         include_end: bool,
     ) -> list[tuple[int, Any]]:
         pair_list = pairs if type(pairs) is list else list(pairs)
+        # The switch is itself a reliable sender towards its parent: its
+        # emissions carry sequence numbers and stay buffered until the
+        # parent acknowledges them (retransmission is ACK/pull-driven
+        # because switches have no timers). Best-effort trees skip this
+        # entirely: plain unsequenced flushes, nothing buffered.
+        seq_start = state._next_seq if state._reliable_emit else None
         packets = fast_data_packets(
             pair_list,
             tree_id=state.tree_id,
             src=self.switch_name,
             dst=state.next_hop_dst,
             config=state.config,
+            seq_start=seq_start,
         )
         if packets is None:
             # Keys outside the intern pool's domain (or oversized fixed-width
@@ -881,6 +888,7 @@ class DaietAggregationEngine:
                     dst=state.next_hop_dst,
                     config=state.config,
                     include_end=False,
+                    seq_start=seq_start,
                 )
             )
         if include_end:
@@ -890,21 +898,13 @@ class DaietAggregationEngine:
                     src=self.switch_name,
                     dst=state.next_hop_dst,
                     config=state.config,
+                    seq=None if seq_start is None else seq_start + len(packets),
                 )
             )
-        if state._reliable_emit:
-            # The switch is itself a reliable sender towards its parent: its
-            # emissions carry sequence numbers and stay buffered until the
-            # parent acknowledges them (retransmission is ACK/pull-driven
-            # because switches have no timers). Best-effort trees skip this
-            # entirely: plain unsequenced flushes, nothing buffered.
-            sequenced = []
+        if seq_start is not None:
+            state._next_seq += len(packets)
             for packet in packets:
-                packet = replace(packet, seq=state._next_seq)
-                state._next_seq += 1
                 state._unacked[packet.seq] = packet
-                sequenced.append(packet)
-            packets = sequenced
         state.counters.packets_emitted += len(packets)
         state.counters.pairs_emitted += sum(p.num_pairs for p in packets)
         return [(state.egress_port, packet) for packet in packets]

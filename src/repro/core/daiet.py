@@ -17,7 +17,7 @@ aggregation with a handful of calls:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.aggregation import DaietAggregationEngine
@@ -283,17 +283,7 @@ class DaietSystem:
         policy = self.tree_policy(tree.tree_id)
         if self.config.reliability and policy != "best_effort":
             channel = self._agent(mapper).sender(tree.tree_id, policy=policy)
-            packets = [
-                replace(packet, seq=channel.take_seq())
-                for packet in packetize_pairs(
-                    pairs,
-                    tree_id=tree.tree_id,
-                    src=mapper,
-                    dst=reducer,
-                    config=self.config,
-                    include_end=include_end,
-                )
-            ]
+            packets = channel.packetize(pairs, reducer, self.config, include_end)
             count = channel.send(packets)
             # The reducer starts pulling so even a fully-lost flush recovers.
             self._agent(reducer).arm(tree.tree_id)

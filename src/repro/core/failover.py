@@ -30,7 +30,7 @@ overloaded switch flagged by the hotspot detector
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.controller import InstalledJob
@@ -257,7 +257,7 @@ class FailoverManager:
             channel = mapper_agent.sender(tree.tree_id, policy=policy)
             channel.send(
                 [
-                    replace(packet, tree_id=tree.tree_id, seq=channel.take_seq())
+                    packet.restamped(tree.tree_id, channel.take_seq())
                     for packet in history
                 ]
             )

@@ -223,6 +223,33 @@ class DaietPacket:
         object.__setattr__(self, "_vec_cache", result)
         return result
 
+    def restamped(self, tree_id: int, seq: int) -> "DaietPacket":
+        """This packet under another tree id and sequence number.
+
+        Failover replay sends a retained packet again through a re-planned
+        tree. The pairs are unchanged, so the copy keeps the measured sizes
+        and the vector view; only the sequence field may be new on the wire.
+        """
+        if tree_id < 0:
+            raise PacketFormatError("tree_id must be non-negative")
+        if not 0 <= seq < 2**32:
+            raise PacketFormatError("seq must fit an unsigned 32-bit field")
+        unsequenced = self.seq is None
+        return _assemble(
+            tree_id,
+            self.src,
+            self.dst,
+            self.packet_type,
+            self.pairs,
+            self.config,
+            seq,
+            self.ecn,
+            self._keylen_needed,
+            self._payload_bytes + (SEQ_BYTES if unsequenced else 0),
+            None if unsequenced else self._header_sizes,
+            self._vec_cache,
+        )
+
     # ------------------------------------------------------------------ #
     # Sizes
     # ------------------------------------------------------------------ #
@@ -438,6 +465,42 @@ def _decode_value(data: bytes) -> int:
     return int.from_bytes(data, "big", signed=True)
 
 
+def _assemble(
+    tree_id: int,
+    src: str,
+    dst: str,
+    packet_type: DaietPacketType,
+    pairs: tuple[tuple[str, int], ...],
+    config: DaietConfig,
+    seq: int | None,
+    ecn: bool,
+    keylen_needed: bool,
+    payload_bytes: int,
+    header_sizes: tuple[tuple[str, int], ...] | None = None,
+    vec_cache: Any = _VEC_UNSET,
+) -> DaietPacket:
+    """Build a packet without ``__post_init__``.
+
+    For callers that already hold what validation would establish and
+    measurement would compute: every field is taken as given.
+    """
+    packet = object.__new__(DaietPacket)
+    set_attr = object.__setattr__
+    set_attr(packet, "tree_id", tree_id)
+    set_attr(packet, "src", src)
+    set_attr(packet, "dst", dst)
+    set_attr(packet, "packet_type", packet_type)
+    set_attr(packet, "pairs", pairs)
+    set_attr(packet, "config", config)
+    set_attr(packet, "seq", seq)
+    set_attr(packet, "ecn", ecn)
+    set_attr(packet, "_keylen_needed", keylen_needed)
+    set_attr(packet, "_payload_bytes", payload_bytes)
+    set_attr(packet, "_header_sizes", header_sizes)
+    set_attr(packet, "_vec_cache", vec_cache)
+    return packet
+
+
 # ---------------------------------------------------------------------- #
 # Packetization helpers
 # ---------------------------------------------------------------------- #
@@ -506,18 +569,20 @@ def fast_data_packets(
     src: str,
     dst: str,
     config: DaietConfig,
+    seq_start: int | None = None,
 ) -> list[DaietPacket] | None:
-    """Packetize ``pairs`` into unsequenced DATA packets via interned metadata.
+    """Packetize ``pairs`` into DATA packets via interned key metadata.
 
     The switch flush path builds thousands of emission packets whose keys
     have all travelled through the intern pool already, so re-validating and
     re-measuring every key in ``DaietPacket.__post_init__`` is pure overhead.
-    This builder chunks exactly like :func:`packetize_pairs` (without the END
-    packet) but takes key lengths and NUL-suffix flags from the intern pool
-    and assembles each packet with ``object.__new__``. Returns ``None`` — and
-    interns nothing observable — when any key is outside the pool's domain or
-    exceeds the fixed key width, in which case the caller must fall back to
-    :func:`packetize_pairs`, whose error behaviour is the contract.
+    This builder chunks and numbers exactly like :func:`packetize_pairs`
+    (without the END packet) but takes key lengths and NUL-suffix flags from
+    the intern pool. Returns ``None`` — and interns nothing observable — when
+    any key is outside the pool's domain or exceeds the fixed key width, or a
+    sequence number would not fit its field, in which case the caller must
+    fall back to :func:`packetize_pairs`, whose error behaviour is the
+    contract.
     """
     if tree_id < 0:
         return None
@@ -530,8 +595,11 @@ def fast_data_packets(
     value_width = config.value_width
     per_packet = config.pairs_per_packet
     data_type = DaietPacketType.DATA
-    set_attr = object.__setattr__
-    new = object.__new__
+    seq = seq_start
+    num_packets = -(-len(pairs) // per_packet)
+    if seq is not None and not 0 <= seq <= 2**32 - num_packets:
+        return None
+    base_bytes = DAIET_PREAMBLE_BYTES + (0 if seq is None else SEQ_BYTES)
     packets: list[DaietPacket] = []
     for start in range(0, len(pairs), per_packet):
         chunk = tuple(pairs[start : start + per_packet])
@@ -552,20 +620,22 @@ def fast_data_packets(
                 pair_bytes = num * fixed_pair_bytes + (num if keylen_needed else 0)
         except TypeError:
             return None
-        packet = new(DaietPacket)
-        set_attr(packet, "tree_id", tree_id)
-        set_attr(packet, "src", src)
-        set_attr(packet, "dst", dst)
-        set_attr(packet, "packet_type", data_type)
-        set_attr(packet, "pairs", chunk)
-        set_attr(packet, "config", config)
-        set_attr(packet, "seq", None)
-        set_attr(packet, "ecn", False)
-        set_attr(packet, "_keylen_needed", keylen_needed)
-        set_attr(packet, "_payload_bytes", DAIET_PREAMBLE_BYTES + pair_bytes)
-        set_attr(packet, "_header_sizes", None)
-        set_attr(packet, "_vec_cache", _VEC_UNSET)
-        packets.append(packet)
+        packets.append(
+            _assemble(
+                tree_id,
+                src,
+                dst,
+                data_type,
+                chunk,
+                config,
+                seq,
+                False,
+                keylen_needed,
+                base_bytes + pair_bytes,
+            )
+        )
+        if seq is not None:
+            seq += 1
     return packets
 
 

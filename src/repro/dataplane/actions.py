@@ -135,9 +135,13 @@ class SetMetadataAction(Action):
         ctx.metadata[self.key] = self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardAction(Action):
-    """Set the egress port of the packet (the basic L2/L3 forwarding action)."""
+    """Set the egress port of the packet (the basic L2/L3 forwarding action).
+
+    Immutable: a bulk install binds one instance to every rule of the batch
+    that forwards out of the same port.
+    """
 
     egress_port: int = 0
     cost: int = 1

@@ -93,9 +93,18 @@ class ProgrammableSwitch:
         table.install(rule)
 
     def install_rules(self, rules: list[FlowRule]) -> int:
-        """Install a batch of rules; returns the number installed."""
+        """Install a batch of rules; returns the number installed.
+
+        Each table receives its rules as one all-or-nothing batch (see
+        :meth:`MatchActionTable.install_batch`); every table name is resolved
+        before the first table is touched.
+        """
+        by_table: dict[str, list[FlowRule]] = {}
         for rule in rules:
-            self.install_rule(rule)
+            by_table.setdefault(rule.table, []).append(rule)
+        batches = [(self._table(name), batch) for name, batch in by_table.items()]
+        for table, batch in batches:
+            table.install_batch(batch)
         return len(rules)
 
     def remove_rule(self, table_name: str, match: dict[str, Any]) -> bool:

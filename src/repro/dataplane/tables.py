@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.core.errors import TableError
-from repro.dataplane.actions import Action, NoAction, PacketContext
+from repro.dataplane.actions import Action, ForwardAction, NoAction, PacketContext
 
 #: Wildcard marker usable in ternary match keys.
 WILDCARD = "*"
@@ -91,7 +91,7 @@ class FlowRule:
         return dict(self.action_params)
 
 
-@dataclass
+@dataclass(slots=True)
 class TableEntry:
     """An installed table entry: match key, bound action, priority."""
 
@@ -166,34 +166,79 @@ class MatchActionTable:
 
     def install(self, rule: FlowRule) -> TableEntry:
         """Install a control-plane rule, returning the created entry."""
-        if rule.table != self.name:
+        return self.install_batch((rule,))[0]
+
+    def install_batch(self, rules: Iterable[FlowRule]) -> list[TableEntry]:
+        """Install a rule set pushed as one batch, all or nothing.
+
+        Table name, capacity, match fields, action resolution and duplicates
+        (inside the batch and against the installed entries) are checked for
+        every rule before anything is mutated, so a rejected batch leaves
+        the entries and ``version`` untouched. Rules forwarding out of the
+        same port share one (immutable) :class:`ForwardAction`, and
+        ``version`` is bumped once; entries and lookups are otherwise those
+        of one :meth:`install` per rule, in order.
+        """
+        rules = tuple(rules)
+        name = self.name
+        for rule in rules:
+            if rule.table != name:
+                raise TableError(
+                    f"rule for table {rule.table!r} installed into table {name!r}"
+                )
+        if len(self._entries) + len(rules) > self.max_entries:
             raise TableError(
-                f"rule for table {rule.table!r} installed into table {self.name!r}"
+                f"table {name!r} is full ({self.max_entries} entries): "
+                f"{len(self._entries)} installed, {len(rules)} more requested"
             )
-        if len(self._entries) >= self.max_entries:
-            raise TableError(f"table {self.name!r} is full ({self.max_entries} entries)")
-        missing = set(self.match_fields) - set(rule.match_dict())
-        if missing:
-            raise TableError(
-                f"rule for table {self.name!r} missing match fields {sorted(missing)}"
-            )
-        action = self._resolve_action(rule)
-        entry = TableEntry(match=rule.match_dict(), action=action, priority=rule.priority)
-        if self.match_kind == "exact" and self._find_exact(entry.match) is not None:
-            raise TableError(
-                f"duplicate exact-match entry in table {self.name!r}: {entry.match}"
-            )
-        self._entries.append(entry)
-        self.version += 1
-        if self.match_kind == "exact":
-            key = _canonical_key(entry.match)
-            if key is None:
-                self._unindexed.append(entry)
+        exact = self.match_kind == "exact"
+        fields = set(self.match_fields)
+        exact_index = self._exact_index
+        installed_unindexed = self._unindexed
+        forwards: dict[tuple, ForwardAction] = {}
+        entries: list[TableEntry] = []
+        indexed: dict[tuple, TableEntry] = {}
+        unindexed: list[TableEntry] = []
+        for rule in rules:
+            match = dict(rule.match)
+            if not match.keys() >= fields:
+                raise TableError(
+                    f"rule for table {name!r} missing match fields "
+                    f"{sorted(fields - match.keys())}"
+                )
+            if self._actions.get(rule.action_name) is ForwardAction:
+                action = forwards.get(rule.action_params)
+                if action is None:
+                    action = forwards[rule.action_params] = self._resolve_action(rule)
             else:
-                self._exact_index[key] = entry
-        if self.match_kind == "ternary":
+                action = self._resolve_action(rule)
+            entry = TableEntry(match, action, rule.priority)
+            if exact:
+                key = _canonical_key(match)
+                if key is not None and not (installed_unindexed or unindexed):
+                    duplicate = key in exact_index or key in indexed
+                else:  # unhashable match values are compared entry by entry
+                    duplicate = self._find_exact(match) is not None or any(
+                        staged.match == match for staged in entries
+                    )
+                if duplicate:
+                    raise TableError(
+                        f"duplicate exact-match entry in table {name!r}: {match}"
+                    )
+                if key is None:
+                    unindexed.append(entry)
+                else:
+                    indexed[key] = entry
+            entries.append(entry)
+        if not entries:
+            return entries
+        self._entries.extend(entries)
+        self._exact_index.update(indexed)
+        self._unindexed.extend(unindexed)
+        self.version += 1
+        if not exact:
             self._entries.sort(key=lambda e: -e.priority)
-        return entry
+        return entries
 
     def remove(self, match: Mapping[str, Any]) -> bool:
         """Remove the entry with the given match key; returns ``True`` if found."""

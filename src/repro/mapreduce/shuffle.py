@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.config import DaietConfig
@@ -231,28 +231,23 @@ class DaietShuffle(ShuffleTransport):
                     self.accounting.local_pairs += len(pairs)
                     continue
                 self.accounting.network_pairs += len(pairs)
-                packets = list(
-                    packetize_pairs(
-                        pairs,
-                        tree_id=tree.tree_id,
-                        src=mapper_host,
-                        dst=reducer_host,
-                        config=self.config,
-                        include_end=True,
-                    )
-                )
                 if self.config.reliability:
                     channel = self._agent(mapper_host).sender(tree.tree_id)
-                    sequenced = [
-                        replace(packet, seq=channel.take_seq()) for packet in packets
-                    ]
-                    channel.send(sequenced)
+                    packets = channel.packetize(pairs, reducer_host, self.config)
+                    channel.send(packets)
                     self._agent(reducer_host).arm(tree.tree_id)
-                    for packet in sequenced:
-                        self.accounting.packets_sent += 1
-                        self.accounting.payload_bytes_sent += packet.payload_bytes()
-                    continue
-                self.cluster.simulator.send_burst(mapper_host, packets)
+                else:
+                    packets = list(
+                        packetize_pairs(
+                            pairs,
+                            tree_id=tree.tree_id,
+                            src=mapper_host,
+                            dst=reducer_host,
+                            config=self.config,
+                            include_end=True,
+                        )
+                    )
+                    self.cluster.simulator.send_burst(mapper_host, packets)
                 for packet in packets:
                     self.accounting.packets_sent += 1
                     self.accounting.payload_bytes_sent += packet.payload_bytes()

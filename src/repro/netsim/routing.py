@@ -6,14 +6,16 @@ table. Equal-cost multipath is resolved deterministically (lexicographically
 smallest next hop) unless a flow label is provided, in which case the next hop
 is picked by hashing the label — mirroring ECMP hashing in real fabrics.
 
-Implementation note: routes are derived from **one BFS per destination host**
-over the shortest-path DAG, not from per-(source, destination) path
-enumeration. Counting the equal-cost paths through each DAG successor lets the
-hash index select the k-th lexicographic path without materializing the path
-set, so the result is bit-identical to sorting ``all_shortest_paths`` and
-indexing into it — the previous implementation — while route installation for
-a 1000-host fabric drops from minutes to about a second. The aggregation-tree
-builder (:mod:`repro.core.tree`) reuses the same per-destination machinery via
+Implementation note: routes are derived from **one BFS per attachment switch**,
+not one per destination host and not from per-(source, destination) path
+enumeration. A host with a single neighbour has the shortest-path DAG of that
+neighbour (its ToR) plus one hop, so every host of a rack walks one shared
+DAG; only the ECMP hash, which names the host, is computed per (switch, host).
+Multi-homed hosts get a DAG of their own. Counting the equal-cost paths
+through each DAG successor lets the hash index select the k-th lexicographic
+path without materializing the path set, so the result is bit-identical to
+sorting ``all_shortest_paths`` and indexing into it. The aggregation-tree
+builder (:mod:`repro.core.tree`) reuses the same machinery via
 :func:`paths_towards`.
 """
 
@@ -86,17 +88,22 @@ class _DestinationDag:
         self.succs = succs
         self.counts = counts
 
-    def path_index(self, src: str, seed: int) -> int:
-        """The deterministic ECMP index for traffic ``src`` -> ``dst``."""
+    def path_index(self, src: str, seed: int, towards: str | None = None) -> int:
+        """The deterministic ECMP index for traffic ``src`` -> ``dst``.
+
+        ``towards`` names a single-homed host hanging off ``dst``: its own DAG
+        has the same successors and path counts at every other node, so only
+        the hash label changes.
+        """
         total = self.counts[src]
         if total == 1:
             return 0
-        digest = hashlib.sha256(f"{seed}:{src}->{self.dst}".encode()).digest()
+        digest = hashlib.sha256(f"{seed}:{src}->{towards or self.dst}".encode()).digest()
         return int.from_bytes(digest[:4], "big") % total
 
-    def first_hop(self, src: str, seed: int) -> str:
+    def first_hop(self, src: str, seed: int, towards: str | None = None) -> str:
         """First hop of the selected shortest path from ``src``."""
-        index = self.path_index(src, seed)
+        index = self.path_index(src, seed, towards)
         for succ in self.succs[src]:
             count = self.counts[succ]
             if index < count:
@@ -177,21 +184,32 @@ def compute_routes(
     """
     excluded = set(exclude) if exclude else set()
     adjacency = _sorted_adjacency(topology, excluded)
-    switches = [s for s in topology.switches() if s.name not in excluded]
+    switches = [s.name for s in topology.switches() if s.name not in excluded]
     state = RoutingState()
     for switch in switches:
-        state.next_hops[switch.name] = {}
+        state.next_hops[switch] = {}
+    shared: dict[str, _DestinationDag] = {}
     for host in topology.hosts():
         dst = host.name
-        if dst not in adjacency:
+        neighbors = adjacency.get(dst)
+        if neighbors is None:
             continue
-        dag = _DestinationDag(adjacency, dst)
+        if len(neighbors) == 1:
+            # Every path to a single-homed host ends "attachment switch ->
+            # host": walk the attachment's DAG, built once for its whole rack.
+            root = neighbors[0]
+            dag = shared.get(root)
+            if dag is None:
+                dag = shared[root] = _DestinationDag(adjacency, root)
+        else:
+            root = dst
+            dag = _DestinationDag(adjacency, dst)
         for switch in switches:
-            if switch.name not in dag.counts:
-                raise RoutingError(
-                    f"host {dst!r} unreachable from switch {switch.name!r}"
-                )
-            state.next_hops[switch.name][dst] = dag.first_hop(switch.name, ecmp_seed)
+            if switch not in dag.counts:
+                raise RoutingError(f"host {dst!r} unreachable from switch {switch!r}")
+            state.next_hops[switch][dst] = (
+                dst if switch == root else dag.first_hop(switch, ecmp_seed, dst)
+            )
     return state
 
 
@@ -214,6 +232,10 @@ def install_forwarding_rules(
     routes = routes or compute_routes(topology)
     skipped = set(skip)
     installed = 0
+    # Rules are immutable, so switches reaching ``dst`` through the same port
+    # number (every spine does) are handed the same rule object: building one
+    # costs more than installing it.
+    rules: dict[tuple[str, int], FlowRule] = {}
     for switch in topology.switches():
         if switch.name in skipped:
             continue
@@ -222,16 +244,23 @@ def install_forwarding_rules(
             continue
         if clear_first:
             switch.forwarding_table.clear()
+        ports = {
+            neighbor: topology.port_towards(switch.name, neighbor)
+            for neighbor in dict.fromkeys(next_hops.values())
+        }
+        batch = []
         for dst, next_hop in next_hops.items():
-            port = topology.port_towards(switch.name, next_hop)
-            rule = FlowRule.create(
-                table=FORWARDING_TABLE,
-                match={"dst": dst},
-                action_name="forward",
-                action_params={"egress_port": port},
-            )
-            switch.switch.install_rule(rule)
-            installed += 1
+            port = ports[next_hop]
+            rule = rules.get((dst, port))
+            if rule is None:
+                rule = rules[dst, port] = FlowRule.create(
+                    table=FORWARDING_TABLE,
+                    match={"dst": dst},
+                    action_name="forward",
+                    action_params={"egress_port": port},
+                )
+            batch.append(rule)
+        installed += switch.switch.install_rules(batch)
     return installed
 
 

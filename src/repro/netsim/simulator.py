@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
-from repro.core.errors import SimulationError, TopologyError
+from repro.core.errors import SimulationError, TableError, TopologyError
 from repro.core.packet import DaietPacket, DaietPacketType
 from repro.netsim.devices import (
     Device,
@@ -785,7 +785,21 @@ class NetworkSimulator:
     # Control plane
     # ------------------------------------------------------------------ #
     def install_routes(self) -> int:
-        """Compute shortest-path routes and populate every forwarding table."""
+        """Compute shortest-path routes and populate every forwarding table.
+
+        Every switch gets one entry per host, so a forwarding table too small
+        for the fabric fails here, before a route is computed or a switch
+        programmed.
+        """
+        needed = len(self.topology.hosts())
+        for switch in self.topology.switches():
+            table = switch.forwarding_table
+            if needed > table.max_entries:
+                raise TableError(
+                    f"switch {switch.name!r}: table {table.name!r} holds at most "
+                    f"{table.max_entries} entries but routing needs {needed}, "
+                    "one per host"
+                )
         self.routes = compute_routes(self.topology)
         return install_forwarding_rules(self.topology, self.routes)
 

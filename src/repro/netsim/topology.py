@@ -1,8 +1,9 @@
 """Data-center topologies.
 
-A :class:`Topology` holds named devices and the links between them, plus a
-`networkx` view used for route and aggregation-tree computation. Builders are
-provided for the three shapes used in the paper's context:
+A :class:`Topology` holds named devices and the links between them, plus an
+on-demand `networkx` view (:meth:`Topology.graph`) for analysis and the test
+oracles. Builders are provided for the three shapes used in the paper's
+context:
 
 * :func:`single_rack` — hosts behind one ToR switch (the paper's evaluation
   setup: one bmv2 switch, worker containers attached to it),
@@ -14,12 +15,14 @@ provided for the three shapes used in the paper's context:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.errors import TopologyError
 from repro.netsim.devices import Device, Host, SwitchDevice
 from repro.netsim.links import DEFAULT_BANDWIDTH_BPS, DEFAULT_PROPAGATION_S, Endpoint, Link
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is only imported by graph()
+    import networkx as nx
 
 
 @dataclass
@@ -133,8 +136,10 @@ class Topology:
         """The port ``from_device`` uses to reach its neighbour ``to_device``."""
         return self.link_between(from_device, to_device).port_of(from_device)
 
-    def graph(self) -> nx.Graph:
+    def graph(self) -> "nx.Graph":
         """A networkx view of the topology (nodes carry a ``kind`` attribute)."""
+        import networkx as nx  # here, not at module scope: ~0.1 s of import time
+
         g = nx.Graph()
         for name, device in self.devices.items():
             kind = "host" if isinstance(device, Host) else "switch"
@@ -147,8 +152,15 @@ class Topology:
         """Check that the topology is connected and every host has an uplink."""
         if not self.devices:
             raise TopologyError("topology has no devices")
-        g = self.graph()
-        if len(self.devices) > 1 and not nx.is_connected(g):
+        start = next(iter(self.devices))
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            for neighbor in self._adjacency[frontier.pop()]:
+                if neighbor not in reached:
+                    reached.add(neighbor)
+                    frontier.append(neighbor)
+        if len(reached) != len(self.devices):
             raise TopologyError("topology is not connected")
         for host in self.hosts():
             if self._ports_in_use[host.name] == 0:

@@ -36,8 +36,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.core.config import DaietConfig
 from repro.core.errors import TransportError
-from repro.core.packet import DaietAck, DaietPacket, DaietPacketType, SeenWindow
+from repro.core.packet import (
+    DaietAck,
+    DaietPacket,
+    DaietPacketType,
+    SeenWindow,
+    packetize_pairs,
+)
 from repro.transport.window import (
     MAX_BACKOFF_FACTOR,
     TransportTuning,
@@ -167,6 +174,28 @@ class ReliableSenderChannel:
         seq = self._next_seq
         self._next_seq += 1
         return seq
+
+    def packetize(
+        self,
+        pairs: Iterable[tuple[str, int]],
+        dst: str,
+        config: DaietConfig,
+        include_end: bool = True,
+    ) -> list[DaietPacket]:
+        """Frame ``pairs`` as this stream's next packets, numbered as built."""
+        packets = list(
+            packetize_pairs(
+                pairs,
+                tree_id=self.tree_id,
+                src=self.host,
+                dst=dst,
+                config=config,
+                include_end=include_end,
+                seq_start=self._next_seq,
+            )
+        )
+        self._next_seq += len(packets)
+        return packets
 
     def send(self, packets: Iterable[DaietPacket]) -> int:
         """Buffer sequenced packets and inject them up to the send window.

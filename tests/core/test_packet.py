@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.core.packet import (
     DaietPacketType,
     SeenWindow,
     end_packet,
+    fast_data_packets,
     packetize_pairs,
 )
 
@@ -231,3 +234,116 @@ class TestPacketize:
         assert reassembled == pairs
         assert packets[-1].packet_type is DaietPacketType.END
         assert all(p.num_pairs <= DaietConfig().pairs_per_packet for p in packets)
+
+
+def _observables(packet: DaietPacket, config: DaietConfig) -> dict:
+    """Everything a packet can be asked, cached sizes included."""
+    return {
+        "fields": (
+            packet.tree_id, packet.src, packet.dst, packet.packet_type,
+            packet.pairs, packet.config, packet.seq, packet.ecn,
+        ),
+        "keylen": packet._needs_keylens(),
+        "payload_bytes": packet.payload_bytes(),
+        "wire_bytes": packet.wire_bytes(),
+        "parse_depth_bytes": packet.parse_depth_bytes(),
+        "header_sizes": packet.header_sizes(),
+        "header_stack": packet.header_stack(),
+        "vector_pairs": packet.vector_pairs(),
+        "encoded": packet.encode(),
+        "decoded": DaietPacket.decode(packet.encode(), packet.src, packet.dst, config),
+    }
+
+
+class TestPacketsBuiltOnce:
+    """A packet stamped at construction, or re-stamped from its cached sizes,
+    is the packet ``dataclasses.replace`` would rebuild and re-measure."""
+
+    CONFIGS = {
+        "fixed": DaietConfig(pairs_per_packet=3),
+        "variable": DaietConfig(pairs_per_packet=3, variable_length_keys=True),
+    }
+    PAIRS = [("ant", 1), ("bee\x00", -2), ("cat", 3), ("dragonfly", 4), ("e", 2**31 - 1)]
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    def test_seq_start_equals_replace(self, kind):
+        config = self.CONFIGS[kind]
+        plain = list(packetize_pairs(self.PAIRS, tree_id=4, src="m", dst="r", config=config))
+        stamped = list(
+            packetize_pairs(
+                self.PAIRS, tree_id=4, src="m", dst="r", config=config, seq_start=7
+            )
+        )
+        assert len(plain) == len(stamped) == 3
+        for offset, (packet, built) in enumerate(zip(plain, stamped)):
+            reference = replace(packet, seq=7 + offset)
+            assert built == reference
+            assert _observables(built, config) == _observables(reference, config)
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    @pytest.mark.parametrize("seq_start", [None, 0, 2**32 - 2])
+    def test_fast_data_packets_equal_packetize(self, kind, seq_start):
+        config = self.CONFIGS[kind]
+        fast = fast_data_packets(
+            self.PAIRS, tree_id=4, src="sw", dst="r", config=config, seq_start=seq_start
+        )
+        slow = list(
+            packetize_pairs(
+                self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
+                include_end=False, seq_start=seq_start,
+            )
+        )
+        assert fast == slow
+        for built, reference in zip(fast, slow):
+            assert _observables(built, config) == _observables(reference, config)
+
+    def test_fast_data_packets_leave_seq_overflow_to_packetize(self):
+        config = self.CONFIGS["fixed"]
+        assert (
+            fast_data_packets(
+                self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
+                seq_start=2**32 - 1,
+            )
+            is None
+        )
+        with pytest.raises(PacketFormatError, match="32-bit"):
+            list(
+                packetize_pairs(
+                    self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
+                    seq_start=2**32 - 1,
+                )
+            )
+
+    @pytest.mark.parametrize("kind", ["fixed", "variable"])
+    @pytest.mark.parametrize("old_seq", [None, 5])
+    def test_restamped_equals_replace(self, kind, old_seq):
+        config = self.CONFIGS[kind]
+        originals = list(
+            packetize_pairs(
+                self.PAIRS, tree_id=4, src="m", dst="r", config=config, seq_start=old_seq
+            )
+        )
+        for warm in (False, True):
+            for offset, packet in enumerate(originals):
+                if warm:  # the copy inherits caches: fill them first
+                    packet.header_sizes()
+                    packet.vector_pairs()
+                    object.__setattr__(packet, "ecn", True)
+                restamped = packet.restamped(9, 100 + offset)
+                reference = replace(packet, tree_id=9, seq=100 + offset)
+                assert restamped == reference
+                assert restamped.ecn is warm
+                assert _observables(restamped, config) == _observables(reference, config)
+                # The original is untouched.
+                assert (packet.tree_id, packet.seq) == (
+                    4, None if old_seq is None else old_seq + offset,
+                )
+
+    def test_restamped_validates_like_the_constructor(self):
+        packet = end_packet(tree_id=1, src="m", dst="r")
+        assert packet.restamped(1, 2**32 - 1).seq == 2**32 - 1
+        for tree_id, seq in ((1, 2**32), (1, -1), (-1, 0)):
+            with pytest.raises(PacketFormatError):
+                packet.restamped(tree_id, seq)
+            with pytest.raises(PacketFormatError):
+                replace(packet, tree_id=tree_id, seq=seq)

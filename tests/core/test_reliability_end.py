@@ -158,6 +158,41 @@ class TestSequencedStreams:
         assert engine.handle_ack(done) == []
         assert state._unacked == {}
 
+    def test_flushes_are_numbered_at_construction_across_rounds(self):
+        """Spillover flushes and the final flush share one sequence space;
+        each emission is the packet the validating constructor would build."""
+        engine, config = make_engine(num_children=1, reliability=True, slots=2)
+        emitted: list[DaietPacket] = []
+        keys = [f"key{i}" for i in range(40)]
+        for seq, start in enumerate(range(0, len(keys), 10)):
+            out = engine.handle_packet(
+                data([(k, 1) for k in keys[start : start + 10]], config, seq=seq)
+            )
+            emitted += [p for _port, p in out if isinstance(p, DaietPacket)]
+        assert emitted, "two slots cannot hold forty keys: spillover must flush"
+        out = engine.handle_packet(
+            DaietPacket(
+                tree_id=1, src="m0", dst="r0",
+                packet_type=DaietPacketType.END, config=config, seq=4,
+            )
+        )
+        emitted += [p for _port, p in out if isinstance(p, DaietPacket)]
+        assert [p.seq for p in emitted] == list(range(len(emitted)))
+        assert emitted[-1].packet_type is DaietPacketType.END
+        state = engine.tree(1)
+        assert list(state._unacked) == list(range(len(emitted)))
+        assert all(state._unacked[p.seq] is p for p in emitted)
+        assert flushed_pairs([(9, p) for p in emitted]) == {k: 1 for k in keys}
+        for packet in emitted:
+            rebuilt = DaietPacket(
+                tree_id=1, src="sw0", dst="r0", packet_type=packet.packet_type,
+                pairs=packet.pairs, config=config, seq=packet.seq,
+            )
+            assert packet == rebuilt
+            assert packet.wire_bytes() == rebuilt.wire_bytes()
+            assert packet.header_sizes() == rebuilt.header_sizes()
+            assert packet.encode() == rebuilt.encode()
+
     def test_gap_fill_is_suppressed_until_progress(self):
         engine, config = make_engine(num_children=1, reliability=True)
         engine.handle_packet(data([("k", 7)], config, seq=0))

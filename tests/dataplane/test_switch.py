@@ -43,6 +43,20 @@ class TestControlPlane:
             for i in range(4)
         ]
         assert switch.install_rules(rules) == 4
+        table = switch.pipeline.tables()["l3"]
+        assert [e.match["dst"] for e in table.entries()] == ["h0", "h1", "h2", "h3"]
+        assert table.version == 1
+
+    def test_install_rules_resolves_every_table_before_installing(self):
+        switch = build_switch()
+        rules = [
+            FlowRule.create("l3", {"dst": "h1"}, "forward", {"egress_port": 1}),
+            FlowRule.create("nope", {"dst": "h2"}, "forward", {"egress_port": 2}),
+        ]
+        with pytest.raises(TableError, match="no table named 'nope'"):
+            switch.install_rules(rules)
+        table = switch.pipeline.tables()["l3"]
+        assert (len(table), table.version) == (0, 0)
 
     def test_unknown_table_rejected(self):
         switch = build_switch()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import TableError
@@ -117,6 +119,181 @@ class TestExactMatchTable:
     def test_unsupported_match_kind(self):
         with pytest.raises(TableError):
             MatchActionTable("t", match_fields=("k",), match_kind="lpm")
+
+
+class TestBatchInstall:
+    """``install_batch`` is N x ``install`` that lands whole or not at all."""
+
+    @staticmethod
+    def make_table(max_entries: int = 4096) -> MatchActionTable:
+        table = MatchActionTable("l3", match_fields=("dst",), max_entries=max_entries)
+        table.register_action("forward", ForwardAction)
+        return table
+
+    @staticmethod
+    def rules(count: int, ports: int = 3) -> list[FlowRule]:
+        return [
+            FlowRule.create("l3", {"dst": f"h{i}"}, "forward", {"egress_port": i % ports})
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def snapshot(table: MatchActionTable):
+        return (
+            [(e.match, e.action, e.priority) for e in table.entries()],
+            dict(table._exact_index),
+            list(table._unindexed),
+            table.version,
+        )
+
+    def test_twin_tables_are_indistinguishable(self):
+        rules = self.rules(40)
+        one_by_one, batched = self.make_table(), self.make_table()
+        for rule in rules:
+            one_by_one.install(rule)
+        entries = batched.install_batch(rules)
+
+        assert entries == list(batched.entries())
+        assert [(e.match, e.action) for e in batched.entries()] == [
+            (e.match, e.action) for e in one_by_one.entries()
+        ]
+        assert list(batched._exact_index) == list(one_by_one._exact_index)
+        assert (one_by_one.version, batched.version) == (40, 1)
+        for dst in ("h0", "h17", "h39", "h40", "nope"):
+            assert (batched.lookup({"dst": dst}) is None) == (
+                one_by_one.lookup({"dst": dst}) is None
+            )
+            contexts = [make_ctx(dst=dst), make_ctx(dst=dst)]
+            assert batched.apply(contexts[0]) == one_by_one.apply(contexts[1])
+            assert contexts[0].metadata == contexts[1].metadata
+        assert (batched.hit_count, batched.miss_count) == (3, 2)
+        assert (one_by_one.hit_count, one_by_one.miss_count) == (3, 2)
+
+    def test_ternary_batch_orders_by_priority_like_installs(self):
+        def table() -> MatchActionTable:
+            acl = MatchActionTable("acl", match_fields=("src",), match_kind="ternary")
+            acl.register_action("mark", SetMetadataAction)
+            return acl
+
+        rules = [
+            FlowRule.create(
+                "acl", {"src": src}, "mark", {"key": "class", "value": i}, priority=prio
+            )
+            for i, (src, prio) in enumerate(
+                [(WILDCARD, 1), ("h0", 5), ("h1", 5), (WILDCARD, 9), ("h0", 1)]
+            )
+        ]
+        one_by_one, batched = table(), table()
+        for rule in rules:
+            one_by_one.install(rule)
+        batched.install_batch(rules)
+        assert [e.action for e in batched.entries()] == [
+            e.action for e in one_by_one.entries()
+        ]
+        assert batched.version == 1
+
+    def test_forward_actions_are_shared_per_port_and_immutable(self):
+        table = self.make_table()
+        table.install_batch(self.rules(9, ports=3))
+        actions = {id(e.action) for e in table.entries()}
+        assert len(actions) == 3
+        shared = table.lookup({"dst": "h0"}).action
+        assert shared is table.lookup({"dst": "h3"}).action
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.egress_port = 7
+
+    def test_mutable_actions_are_never_shared(self):
+        table = MatchActionTable("acl", match_fields=("src",))
+        table.register_action("mark", SetMetadataAction)
+        first, second = table.install_batch(
+            FlowRule.create("acl", {"src": src}, "mark", {"key": "class", "value": 1})
+            for src in ("h0", "h1")
+        )
+        assert first.action == second.action and first.action is not second.action
+        first.action.value = 2
+        ctx = make_ctx(src="h1")
+        table.apply(ctx)
+        assert ctx.metadata["class"] == 1
+
+    def test_wrong_table_is_reported_before_a_full_table(self):
+        table = self.make_table(max_entries=1)
+        table.install_batch(self.rules(1))
+        with pytest.raises(TableError, match="installed into table 'l3'"):
+            table.install(FlowRule.create("other", {"dst": "x"}, "forward"))
+        with pytest.raises(TableError, match="is full"):
+            table.install(FlowRule.create("l3", {"dst": "x"}, "forward"))
+
+    def test_removing_one_rule_leaves_its_port_mate_forwarding(self):
+        table = self.make_table()
+        table.install_batch(self.rules(2, ports=1))
+        assert table.remove({"dst": "h0"}) is True
+        ctx = make_ctx(dst="h1")
+        assert table.apply(ctx) is True
+        assert ctx.metadata["egress_port"] == 0
+        assert table.apply(make_ctx(dst="h0")) is False
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(
+                lambda rules: rules + [rules[1]], id="duplicate-inside-the-batch"
+            ),
+            pytest.param(
+                lambda rules: rules
+                + [FlowRule.create("l3", {"dst": "old"}, "forward", {"egress_port": 9})],
+                id="duplicate-of-an-installed-entry",
+            ),
+            pytest.param(
+                lambda rules: rules + [FlowRule.create("other", {"dst": "x"}, "forward")],
+                id="wrong-table",
+            ),
+            pytest.param(
+                lambda rules: rules + [FlowRule.create("l3", {"src": "x"}, "forward")],
+                id="missing-match-field",
+            ),
+            pytest.param(
+                lambda rules: rules + [FlowRule.create("l3", {"dst": "x"}, "mystery")],
+                id="unknown-action",
+            ),
+            pytest.param(
+                lambda rules: rules
+                + [
+                    FlowRule.create("l3", {"dst": f"extra{i}"}, "forward", {"egress_port": 1})
+                    for i in range(6)
+                ],
+                id="over-capacity",
+            ),
+        ],
+    )
+    def test_rejected_batch_leaves_the_table_untouched(self, bad):
+        table = self.make_table(max_entries=8)
+        table.install(FlowRule.create("l3", {"dst": "old"}, "forward", {"egress_port": 5}))
+        before = self.snapshot(table)
+        with pytest.raises(TableError):
+            table.install_batch(bad(self.rules(3)))
+        assert self.snapshot(table) == before
+        assert table.lookup({"dst": "h0"}) is None
+
+    def test_capacity_error_names_table_and_counts(self):
+        table = self.make_table(max_entries=4)
+        with pytest.raises(TableError, match=r"'l3' is full \(4 entries\).*5 more"):
+            table.install_batch(self.rules(5))
+
+    def test_unhashable_match_values_still_deduplicate(self):
+        table = self.make_table()
+        unhashable = FlowRule("l3", (("dst", ["a", "b"]),), "forward", (("egress_port", 1),))
+        with pytest.raises(TableError, match="duplicate"):
+            table.install_batch([unhashable, unhashable])
+        assert len(table) == 0
+        table.install_batch([unhashable])
+        assert table.lookup({"dst": ["a", "b"]}) is not None
+        with pytest.raises(TableError, match="duplicate"):
+            table.install_batch([unhashable])
+
+    def test_empty_batch_is_a_no_op(self):
+        table = self.make_table()
+        assert table.install_batch([]) == []
+        assert table.version == 0
 
 
 class TestTernaryTable:

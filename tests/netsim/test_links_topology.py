@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.errors import TopologyError
@@ -99,6 +103,23 @@ class TestTopology:
         topo.add_switch("s0")
         with pytest.raises(TopologyError):
             topo.validate()
+
+    def test_validate_detects_two_islands(self):
+        topo = Topology()
+        for island in ("a", "b"):
+            topo.add_switch(f"s_{island}")
+            topo.add_host(f"h_{island}")
+            topo.connect(f"h_{island}", f"s_{island}")
+        with pytest.raises(TopologyError, match="^topology is not connected$"):
+            topo.validate()
+        topo.connect("s_a", "s_b")
+        topo.validate()
+
+    def test_importing_repro_does_not_import_networkx(self):
+        """networkx serves ``graph()`` only; every run would pay its import."""
+        code = "import repro, repro.netsim.topology, sys; sys.exit('networkx' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_graph_view_labels_kinds(self):
         topo = single_rack(num_hosts=2)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import RoutingError, SimulationError
+from repro.core.errors import RoutingError, SimulationError, TableError
+from repro.dataplane.tables import FlowRule
+from repro.netsim.devices import FORWARDING_TABLE
 from repro.netsim.routing import (
     compute_routes,
     host_uplink_switch,
@@ -53,6 +55,58 @@ class TestRouting:
         # Every switch gets one entry per host.
         assert installed == len(topo.switches()) * len(topo.hosts())
 
+    def test_installed_tables_equal_one_rule_at_a_time(self):
+        """The per-switch batch leaves what N ``install`` calls would."""
+
+        def fabric():
+            return leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3)
+
+        batched, reference = fabric(), fabric()
+        routes = compute_routes(batched, ecmp_seed=5)
+        install_forwarding_rules(batched, routes)
+        for switch in reference.switches():
+            for dst, next_hop in routes.next_hops[switch.name].items():
+                switch.forwarding_table.install(
+                    FlowRule.create(
+                        table=FORWARDING_TABLE,
+                        match={"dst": dst},
+                        action_name="forward",
+                        action_params={
+                            "egress_port": reference.port_towards(switch.name, next_hop)
+                        },
+                    )
+                )
+        for got, want in zip(batched.switches(), reference.switches()):
+            assert [(e.match, e.action) for e in got.forwarding_table.entries()] == [
+                (e.match, e.action) for e in want.forwarding_table.entries()
+            ]
+            assert got.forwarding_table.version == 1
+
+    def test_reinstall_skips_and_clears(self):
+        """The failover reinstall: ``skip`` untouched, the rest replaced."""
+        topo = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=2)
+        install_forwarding_rules(topo)
+        before = {s.name: s.forwarding_table.entries() for s in topo.switches()}
+        routes = compute_routes(topo, exclude=["spine1"])
+        installed = install_forwarding_rules(
+            topo, routes, skip=["spine1"], clear_first=True
+        )
+        assert installed == (len(topo.switches()) - 1) * len(topo.hosts())
+        for switch in topo.switches():
+            table = switch.forwarding_table
+            if switch.name == "spine1":
+                assert table.entries() == before["spine1"]
+                continue
+            assert len(table) == len(topo.hosts())
+            spine1_port = (
+                topo.port_towards(switch.name, "spine1")
+                if switch.name.startswith("leaf")
+                else None
+            )
+            assert all(e.action.egress_port != spine1_port for e in table.entries())
+        with pytest.raises(TableError, match="duplicate"):
+            install_forwarding_rules(topo, routes, skip=["spine1"])
+
 
 class TestNetworkSimulator:
     def test_host_to_host_delivery(self):
@@ -87,6 +141,20 @@ class TestNetworkSimulator:
         sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=10))
         sim.run()
         assert received == [1400, 10]
+
+    def test_forwarding_table_too_small_fails_before_routing(self, monkeypatch):
+        topo = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=3)
+        topo.get("leaf1").forwarding_table.max_entries = 5
+        monkeypatch.setattr(
+            "repro.netsim.simulator.compute_routes",
+            lambda *args, **kwargs: pytest.fail("routes computed before the capacity check"),
+        )
+        with pytest.raises(TableError) as raised:
+            NetworkSimulator(topo)
+        message = str(raised.value)
+        assert "'leaf1'" in message and "'l3_forward'" in message
+        assert "5 entries" in message and "needs 6" in message
+        assert all(len(s.forwarding_table) == 0 for s in topo.switches())
 
     def test_send_from_switch_rejected(self):
         sim = NetworkSimulator(single_rack(num_hosts=2))

@@ -95,6 +95,30 @@ class TestSenderChannel:
         with pytest.raises(TransportError):
             channel.send([DaietPacket(tree_id=1, src="h0", dst="h1", pairs=(("k", 1),))])
 
+    def test_packetize_numbers_packets_where_reservations_left_off(self):
+        """``channel.packetize`` builds the stream's next packets already
+        numbered; single reservations before and after stay consecutive."""
+        sim, sender, receiver = make_agents(0.0)
+        got: list[DaietPacket] = []
+        receiver.attach_tree(1, children=["h0"], inner=got.append)
+        config = DaietConfig(pairs_per_packet=2, reliability=True)
+        channel = sender.sender(1)
+        assert channel.take_seq() == 0
+        first = DaietPacket(tree_id=1, src="h0", dst="h1", pairs=(("a", 1),), config=config, seq=0)
+        pairs = [(f"k{i}", i) for i in range(5)]
+        rest = channel.packetize(pairs, "h1", config)
+        plain = list(packetize_pairs(pairs, tree_id=1, src="h0", dst="h1", config=config))
+        assert [p.seq for p in rest] == [1, 2, 3, 4]
+        assert [(p.tree_id, p.src, p.dst, p.packet_type, p.pairs) for p in rest] == [
+            (p.tree_id, p.src, p.dst, p.packet_type, p.pairs) for p in plain
+        ]
+        assert channel.take_seq() == 5
+        channel.send([first, *rest])
+        receiver.arm(1)
+        sim.run()
+        assert channel.done
+        assert [p.seq for p in got] == [0, 1, 2, 3, 4]
+
 
 class TestReliableUdpTransport:
     def run_udp(self, loss_rate: float, messages: int = 30, seed: int = 9):
