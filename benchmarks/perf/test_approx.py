@@ -1,34 +1,30 @@
-"""Wall-clock perf floor for the degraded-mode aggregation machinery.
+"""Perf floor for the degraded-mode aggregation machinery.
 
 The full approximation sweep exercises everything the selective-reliability
 work adds to the hot path at once: the policy-aware receive dispatch, the
 strided-ACK cadence, the error-tracker transmit wrapper on every hop, and
 the stranded-mass register walks at bound time. Its throughput is recorded
 as ``approx_sweep`` in ``BENCH_simcore.json`` and gated at half the
-recorded trajectory (seed floor on a fresh checkout) — the same generous
-pattern as the other simulator benches, so the gate catches a tracker
-wrapper turning into a per-packet slow path without flaking on loaded
-machines.
+recorded trajectory, in CPU seconds — the same generous pattern as the
+other simulator benches, so the gate catches a tracker wrapper turning into
+a per-packet slow path without flaking on loaded machines.
 """
 
 from __future__ import annotations
 
-import json
-import time
-
 import pytest
 
-from bench_common import BENCH_JSON, MacroBenchResult, current_rss_bytes, record_bench
+from bench_common import (
+    MacroBenchResult,
+    bench_clock,
+    current_rss_bytes,
+    record_bench,
+    recorded_floor,
+)
 
 from repro.experiments.figure_approx import ApproxSweepSettings, run_approx_sweep
 
 pytestmark = [pytest.mark.perf, pytest.mark.approx]
-
-#: Absolute fallback floor for a fresh checkout (no recorded trajectory):
-#: the sweep arms are small runs, so anything below this is a pathological
-#: slowdown (e.g. the tracker falling off its observer-only path), not
-#: machine noise.
-APPROX_FLOOR_EVENTS_PER_SEC = 10_000
 
 
 class TestApproxThroughput:
@@ -37,9 +33,9 @@ class TestApproxThroughput:
         best: MacroBenchResult | None = None
         for _ in range(3):
             rss_before = current_rss_bytes()
-            start = time.perf_counter()
+            start = bench_clock()
             result = run_approx_sweep(settings)
-            wall = time.perf_counter() - start
+            wall = bench_clock() - start
             assert result.gate_holds, "degraded arms failed the byte gate"
             assert result.all_bounds_contain, "an error bound undershot"
             events = sum(run.events for run in result.runs)
@@ -57,13 +53,7 @@ class TestApproxThroughput:
             if best is None or measured.events_per_sec > best.events_per_sec:
                 best = measured
         assert best is not None
-        floor = APPROX_FLOOR_EVENTS_PER_SEC
-        if BENCH_JSON.exists():
-            recorded = json.loads(BENCH_JSON.read_text())
-            floor = max(
-                floor,
-                recorded.get("approx_sweep", {}).get("events_per_sec", 0.0) / 2,
-            )
+        floor = recorded_floor("approx_sweep")
         record_bench("approx_sweep", best)
         print(
             f"\napprox sweep bench: {best.events_per_sec:,.0f} events/s "

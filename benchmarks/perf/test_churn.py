@@ -1,33 +1,31 @@
-"""Wall-clock perf floor for the fault-churn machinery.
+"""Perf floor for the fault-churn machinery.
 
 The spine-kill scenario exercises everything churn adds to the hot path at
 once: the compiled fault gate on every transmission, a mid-round switch
 wipe, heartbeat ticks, tree re-planning and a full replay. Its throughput
 is recorded as ``churn_spine_kill`` in ``BENCH_simcore.json`` and gated at
-half the recorded trajectory (seed floor on a fresh checkout) — the same
-generous pattern as the simulator-core benches, so the gate catches a gate
-compiled into a slow path without flaking on loaded machines.
+half the recorded trajectory, in CPU seconds — the same generous pattern as
+the simulator-core benches, so the gate catches a gate compiled into a slow
+path without flaking on loaded machines.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
 
 import pytest
 
-from bench_common import BENCH_JSON, MacroBenchResult, current_rss_bytes, record_bench
+from bench_common import (
+    MacroBenchResult,
+    bench_clock,
+    current_rss_bytes,
+    record_bench,
+    recorded_floor,
+)
 
 from repro.experiments.figure_churn import ChurnSettings, run_churn
 
 pytestmark = pytest.mark.perf
-
-#: Absolute fallback floor for a fresh checkout (no recorded trajectory):
-#: the three spine-kill arms are small runs, so anything below this is a
-#: pathological slowdown (e.g. the fault gate falling off its compiled path),
-#: not machine noise.
-CHURN_FLOOR_EVENTS_PER_SEC = 10_000
 
 
 class TestChurnThroughput:
@@ -36,9 +34,9 @@ class TestChurnThroughput:
         best: MacroBenchResult | None = None
         for _ in range(3):
             rss_before = current_rss_bytes()
-            start = time.perf_counter()
+            start = bench_clock()
             result = run_churn(settings, ("spine-kill",))
-            wall = time.perf_counter() - start
+            wall = bench_clock() - start
             assert result.recovery_exact, "spine-kill recovery diverged"
             scenario = result.results["spine-kill"]
             events = scenario.events
@@ -56,13 +54,7 @@ class TestChurnThroughput:
             if best is None or measured.events_per_sec > best.events_per_sec:
                 best = measured
         assert best is not None
-        floor = CHURN_FLOOR_EVENTS_PER_SEC
-        if BENCH_JSON.exists():
-            recorded = json.loads(BENCH_JSON.read_text())
-            floor = max(
-                floor,
-                recorded.get("churn_spine_kill", {}).get("events_per_sec", 0.0) / 2,
-            )
+        floor = recorded_floor("churn_spine_kill")
         record_bench("churn_spine_kill", best)
         print(
             f"\nchurn spine-kill bench: {best.events_per_sec:,.0f} events/s "

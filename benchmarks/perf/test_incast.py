@@ -1,4 +1,4 @@
-"""Wall-clock perf floor for the adaptive-transport incast path.
+"""Perf floor for the adaptive-transport incast path.
 
 A 256-way fan-in through the AIMD arm exercises everything the adaptive
 transport adds to the hot path at once: the unified windowed sender, the
@@ -6,30 +6,28 @@ RTT estimator on every ACK, congestion-window pacing and its pending
 queue, switch-egress ECN marking and tail-drop checks on every switch
 transmission, and the mark-echo plumbing in the receivers. Its throughput
 is recorded as ``incast_256`` in ``BENCH_simcore.json`` and gated at half
-the recorded trajectory (seed floor on a fresh checkout) — the same
-generous pattern as the other simulator-core benches, so the gate catches
-the sender falling off its compiled path without flaking on loaded
-machines.
+the recorded trajectory, in CPU seconds — the same generous pattern as the
+other simulator-core benches, so the gate catches the sender falling off
+its compiled path without flaking on loaded machines.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
 
 import pytest
 
-from bench_common import BENCH_JSON, MacroBenchResult, current_rss_bytes, record_bench
+from bench_common import (
+    MacroBenchResult,
+    bench_clock,
+    current_rss_bytes,
+    record_bench,
+    recorded_floor,
+)
 
 from repro.experiments.figure_incast import IncastSettings, _run_arm
 
 pytestmark = pytest.mark.perf
-
-#: Absolute fallback floor for a fresh checkout (no recorded trajectory):
-#: anything below this is a pathological slowdown (e.g. the windowed sender
-#: or the ECN gate compiled into a slow path), not machine noise.
-INCAST_FLOOR_EVENTS_PER_SEC = 10_000
 
 
 class TestIncastThroughput:
@@ -38,9 +36,9 @@ class TestIncastThroughput:
         best: MacroBenchResult | None = None
         for _ in range(3):
             rss_before = current_rss_bytes()
-            start = time.perf_counter()
+            start = bench_clock()
             run = _run_arm(settings, "udp-aimd", 256, settings.switch_buffer_bytes)
-            wall = time.perf_counter() - start
+            wall = bench_clock() - start
             assert run.exact, "incast aggregate diverged from ground truth"
             measured = MacroBenchResult(
                 events=run.events,
@@ -59,13 +57,7 @@ class TestIncastThroughput:
             if best is None or measured.events_per_sec > best.events_per_sec:
                 best = measured
         assert best is not None
-        floor = INCAST_FLOOR_EVENTS_PER_SEC
-        if BENCH_JSON.exists():
-            recorded = json.loads(BENCH_JSON.read_text())
-            floor = max(
-                floor,
-                recorded.get("incast_256", {}).get("events_per_sec", 0.0) / 2,
-            )
+        floor = recorded_floor("incast_256")
         record_bench("incast_256", best)
         print(
             f"\nincast 256-way bench: {best.events_per_sec:,.0f} events/s "

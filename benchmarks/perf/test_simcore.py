@@ -15,16 +15,15 @@ the trajectory.
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
 
 from bench_common import (
-    BENCH_JSON,
     MacroBenchResult,
     current_rss_bytes,
     record_bench,
+    recorded_floor,
     run_wordcount_macro,
 )
 
@@ -99,11 +98,7 @@ class TestSimulatorCoreThroughput:
         back to the seed-era smoke floor on a fresh checkout).
         """
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        floor = SMOKE_FLOOR_EVENTS_PER_SEC
-        if BENCH_JSON.exists():
-            recorded = json.loads(BENCH_JSON.read_text())
-            macro = recorded.get("wordcount_macro", {})
-            floor = max(floor, macro.get("events_per_sec", 0.0) / 2)
+        floor = max(SMOKE_FLOOR_EVENTS_PER_SEC, recorded_floor("wordcount_macro"))
         result = _best_of(
             3,
             num_mappers=16,
@@ -169,11 +164,9 @@ class TestSimulatorCoreThroughput:
         """
         from repro.experiments.figure_scale import ScaleSettings, run_scale_once
 
-        floor = SCALE_1024_FLOOR_EVENTS_PER_SEC
-        if BENCH_JSON.exists():
-            recorded = json.loads(BENCH_JSON.read_text())
-            entry = recorded.get("scale_1024_leaf_spine", {})
-            floor = max(floor, entry.get("events_per_sec", 0.0) / 2)
+        floor = max(
+            SCALE_1024_FLOOR_EVENTS_PER_SEC, recorded_floor("scale_1024_leaf_spine")
+        )
         settings = ScaleSettings()
         rss_before = current_rss_bytes()
         start = time.perf_counter()

@@ -6,7 +6,7 @@ drives the fast path and the generic path side by side. This checker
 imports the known fast-path modules (registration happens at import time),
 then verifies:
 
-* every *required* fast path name is registered (the nine compiled paths
+* every *required* fast path name is registered (the seven compiled paths
   the repo ships today are hard-required, so deleting a decorator fails
   lint rather than silently dropping coverage);
 * every registered fast path's oracle module exists on disk;
@@ -40,10 +40,8 @@ REQUIRED_FASTPATHS: frozenset[str] = frozenset(
     {
         "calendar-queue",
         "switch-delivery",
-        "switch-batch-delivery",
         "switch-burst-delivery",
         "forwarding-cache",
-        "sum-register-loop",
         "vector-register-kernel",
         "fault-gate",
         "window-advance",

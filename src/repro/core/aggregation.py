@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain as _chain
 from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
@@ -23,8 +22,8 @@ from repro.core.config import DaietConfig
 from repro.core.errors import AggregationError
 from repro.core.functions import SUM, AggregationFunction, get as get_function
 
-#: The sum combiner, identity-compared in the data-plane hot loop so the
-#: dominant workload merges with an inline ``+`` instead of a lambda call.
+#: The sum combiner: only trees that merge with it (integer ``+``) are
+#: eligible for the vectorized scatter-add kernel.
 _SUM_COMBINE = SUM.combine
 from repro.core.packet import (
     DaietAck,
@@ -191,16 +190,9 @@ class TreeState:
         self._apply_policy()
 
     def _apply_policy(self) -> None:
-        stride = (
-            getattr(self.config, "sampled_ack_stride", 4)
-            if self.policy == "sampled"
-            else 1
-        )
+        stride = self.config.sampled_ack_stride if self.policy == "sampled" else 1
         self._ack_every = self.config.ack_window * stride
-        self._reliable_emit = (
-            getattr(self.config, "reliability", False)
-            and self.policy != "best_effort"
-        )
+        self._reliable_emit = self.config.reliability and self.policy != "best_effort"
 
     def occupancy(self) -> int:
         """Number of register slots currently holding an aggregated pair."""
@@ -300,9 +292,7 @@ class DaietAggregationEngine:
             switch_name=self.switch_name,
             child_ports=dict(child_ports or {}),
             switch_children=tuple(sorted(switch_children)),
-            policy=policy
-            if policy is not None
-            else getattr(cfg, "reliability_policy", "exact"),
+            policy=policy if policy is not None else cfg.reliability_policy,
         )
         self._trees[tree_id] = state
         return state
@@ -337,25 +327,8 @@ class DaietAggregationEngine:
         The incoming DAIET packet (or ACK) is consumed — it never continues
         to the forwarding stage. Flushed aggregates go out on the tree's
         egress port; reliability ACKs go out on the originating child's port.
-
-        This is :meth:`handle_packet` inlined (shared hot path): the tree
-        lookup and DATA/END dispatch happen directly on the context.
         """
         packet = ctx.packet
-        if type(packet) is DaietPacket:
-            ctx.metadata["consumed"] = True
-            # Charge one operation per pair, modelling the per-stage ALU work.
-            npairs = len(packet.pairs)
-            ctx.charge(npairs if npairs > 1 else 1)
-            state = self.tree(packet.tree_id)
-            state.counters.packets_received += 1
-            if packet.packet_type is DaietPacketType.DATA:
-                out = self._process_data(state, packet)
-            else:
-                out = self._process_end(state, packet)
-            if out:
-                ctx.emitted.extend(out)
-            return
         if isinstance(packet, DaietAck):
             ctx.metadata["consumed"] = True
             ctx.charge(1)
@@ -459,7 +432,6 @@ class DaietAggregationEngine:
     # ------------------------------------------------------------------ #
     # Algorithm 1
     # ------------------------------------------------------------------ #
-    @fastpath("sum-register-loop", oracle="tests/core/test_aggregation_properties.py")
     def _process_data(self, state: TreeState, packet: DaietPacket) -> list[tuple[int, Any]]:
         emitted: list[tuple[int, Any]] = []
         if packet.seq is not None:
@@ -483,54 +455,30 @@ class DaietAggregationEngine:
         pairs = packet.pairs
         inserted = 0
         aggregated = 0
-        if combine is _SUM_COMBINE:
-            # The sum function (WordCount, gradient aggregation — the
-            # dominant workloads) gets its own loop: the merge happens
-            # inline and key->slot resolution is a plain subscript (the
-            # KeyError path only runs on a key's first appearance).
-            for key, value in pairs:
-                try:
-                    idx = hash_cache[key]
-                except KeyError:
-                    idx = hash_cache[key] = hash_key(key, slots)
-                cell_key = key_cells[idx]
-                if cell_key == key:
-                    value_cells[idx] = value_cells[idx] + value
-                    aggregated += 1
-                elif cell_key is None:
-                    key_cells[idx] = key
-                    value_cells[idx] = value
-                    index_stack.push(idx)
-                    inserted += 1
+        # Hit first: repeated keys are the whole point of aggregation, and
+        # key->slot resolution is a plain subscript (the KeyError path only
+        # runs on a key's first appearance).
+        for key, value in pairs:
+            try:
+                idx = hash_cache[key]
+            except KeyError:
+                idx = hash_cache[key] = hash_key(key, slots)
+            cell_key = key_cells[idx]
+            if cell_key == key:
+                value_cells[idx] = combine(value_cells[idx], value)
+                aggregated += 1
+            elif cell_key is None:
+                key_cells[idx] = key
+                value_cells[idx] = value
+                index_stack.push(idx)
+                inserted += 1
+            else:
+                counters.collisions += 1
+                if spillover.store(key, value, state.function):
+                    if spillover.is_full:
+                        emitted.extend(self._flush_spillover(state))
                 else:
-                    counters.collisions += 1
-                    if spillover.store(key, value, state.function):
-                        if spillover.is_full:
-                            emitted.extend(self._flush_spillover(state))
-                    else:
-                        counters.spillover_merges += 1
-        else:
-            for key, value in pairs:
-                try:
-                    idx = hash_cache[key]
-                except KeyError:
-                    idx = hash_cache[key] = hash_key(key, slots)
-                cell_key = key_cells[idx]
-                if cell_key is None:
-                    key_cells[idx] = key
-                    value_cells[idx] = value
-                    index_stack.push(idx)
-                    inserted += 1
-                elif cell_key == key:
-                    value_cells[idx] = combine(value_cells[idx], value)
-                    aggregated += 1
-                else:
-                    counters.collisions += 1
-                    if spillover.store(key, value, state.function):
-                        if spillover.is_full:
-                            emitted.extend(self._flush_spillover(state))
-                    else:
-                        counters.spillover_merges += 1
+                    counters.spillover_merges += 1
         counters.pairs_received += len(pairs)
         counters.pairs_inserted += inserted
         counters.pairs_aggregated += aggregated
@@ -567,53 +515,6 @@ class DaietAggregationEngine:
         "vector-register-kernel",
         oracle="tests/core/test_vector_kernel_equivalence.py",
     )
-    def _process_data_batch(
-        self, state: TreeState, packets: list[DaietPacket]
-    ) -> list[tuple[int, int, Any]] | None:
-        """Apply a burst of unsequenced DATA packets as one vectorized op.
-
-        The caller (the simulator's batch delivery handler) guarantees every
-        packet is an unsequenced DATA packet with a non-``None``
-        ``vector_pairs()`` cache, targeting this ``_vec`` tree. The burst is
-        concatenated into one kid/value array pair; resident keys resolve to
-        register slots through the ``_vec_kid_slot`` memo and are
-        scatter-added into ``_vec_delta`` in one ``np.add.at``. Unresolved or
-        colliding occurrences take an ordered Python walk that replicates the
-        per-pair loop exactly — same insertion winners, same collision
-        counters, same ``SpilloverBucket`` store/flush order.
-
-        Returns emissions as ``(packet_index, egress_port, packet)`` so the
-        caller can restore each spillover flush to its packet's delivery
-        time, or ``None`` when the burst's value mass alone could overflow
-        the int64 delta array — the caller then replays the burst through the
-        per-pair oracle path.
-        """
-        n = len(packets)
-        if n == 1:
-            kid_list, val_list, mass = packets[0].vector_pairs()
-            total = len(kid_list)
-            kids = _np.array(kid_list, dtype=_np.int64)
-            vals = _np.array(val_list, dtype=_np.int64)
-            bounds = _np.array([total], dtype=_np.int64)
-        else:
-            caches = [p._vec_cache for p in packets]
-            bounds_list = []
-            mass = 0
-            total = 0
-            for c in caches:
-                total += len(c[0])
-                mass += c[2]
-                bounds_list.append(total)
-            chain = _chain.from_iterable
-            kids = _np.fromiter(
-                chain(c[0] for c in caches), dtype=_np.int64, count=total
-            )
-            vals = _np.fromiter(
-                chain(c[1] for c in caches), dtype=_np.int64, count=total
-            )
-            bounds = _np.array(bounds_list, dtype=_np.int64)
-        return self._vector_apply(state, kids, vals, mass, n, bounds)
-
     def _vector_apply(
         self,
         state: TreeState,
@@ -623,15 +524,27 @@ class DaietAggregationEngine:
         n: int,
         bounds: Any,
     ) -> list[tuple[int, int, Any]] | None:
-        """Array core of the vectorized kernel.
+        """Apply a burst of unsequenced DATA packets as one vectorized op.
 
         ``kids``/``vals`` are the burst's interned key ids and values as
-        int64 arrays in packet order, ``bounds`` the cumulative per-packet
-        pair counts (so emissions can be tagged with the packet index they
-        followed), ``mass`` the exact sum of absolute values. Called by
-        :meth:`_process_data_batch` and directly by the simulator's burst
-        delivery handler, which assembles the arrays from send-time
-        precomputed burst plans without touching packet objects.
+        int64 arrays in packet order, ``n`` the number of packets, ``bounds``
+        their cumulative pair counts (so emissions can be tagged with the
+        packet index they followed), ``mass`` the exact sum of absolute
+        values. The simulator's burst plan assembles these at send time
+        (``_BurstPlan.kernel_input``); the caller guarantees every packet is
+        an unsequenced DATA packet of this ``_vec`` tree.
+
+        Resident keys resolve to register slots through the ``_vec_kid_slot``
+        memo and are scatter-added into ``_vec_delta`` in one ``np.add.at``.
+        Unresolved or colliding occurrences take an ordered Python walk that
+        replicates the per-pair loop exactly — same insertion winners, same
+        collision counters, same ``SpilloverBucket`` store/flush order.
+
+        Returns emissions as ``(packet_index, egress_port, packet)`` so the
+        caller can restore each spillover flush to its packet's delivery
+        time, or ``None`` when the burst's value mass alone could overflow
+        the int64 delta array — the caller then replays the burst through the
+        per-pair oracle path.
         """
         if state._vec_mass + mass >= _VEC_MASS_LIMIT:
             state.materialize()

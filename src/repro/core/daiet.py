@@ -191,7 +191,7 @@ class DaietSystem:
         the reliability layer to be enabled.
         """
         if policy is None:
-            policy = getattr(self.config, "reliability_policy", "exact")
+            policy = self.config.reliability_policy
         if policy not in ("exact", "sampled", "best_effort"):
             raise ConfigurationError(
                 f"unknown reliability policy {policy!r}; "

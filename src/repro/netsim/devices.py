@@ -243,43 +243,42 @@ class SwitchDevice(Device):
             and s2.steps[0] is self._fwd_tbl
         )
 
-    def _batch_tree_state(self, packet: Any) -> tuple[Any, Any] | None:
-        """Resolve ``(engine, state)`` for the vectorized batch delivery path.
+    def _resolve_steering(self, tree_id: int) -> Any:
+        """What ``daiet_steer`` does with one tree, for the compiled paths.
 
-        Mirrors :meth:`deliver`'s shape guard and memoized steering
-        resolution (sharing ``_fast_cache``), then additionally requires the
-        tree state to exist and be vectorizable (``TreeState._vec``). Any
-        miss returns ``None`` and the caller delivers per packet, which
-        reproduces the generic behaviour exactly.
+        Returns the aggregation engine the tree's entry dispatches to,
+        :data:`_NO_STEERING_ENTRY` when the table has no entry for it, or
+        ``None`` when the packet must take the generic pipeline (the shape
+        guard failed, or the entry is not the standard aggregate action).
+        The resolution is memoized against the table's mutation version:
+        one dict probe + one int compare on the hot path.
         """
-        stages = self._sw_pipeline._stages
-        if len(stages) != 3:
+        if not self._pipeline_is_standard():
             return None
-        s0, s1, s2 = stages
-        if not (
-            len(s0.steps) == 1
-            and s0.steps[0] is _extract_packet_metadata
-            and len(s1.steps) == 1
-            and s1.steps[0] is self._daiet_tbl
-            and len(s2.steps) == 1
-            and s2.steps[0] is self._fwd_tbl
-        ):
-            return None
-        tree_id = packet.tree_id
         table = self._daiet_tbl
         cached = self._fast_cache.get(tree_id)
         if cached is not None and cached[0] == table.version:
-            engine = cached[1]
+            return cached[1]
+        if table._unindexed:
+            engine = None  # unhashable steering entries: generic path
         else:
-            if table._unindexed:
-                engine = None
+            entry = table._exact_index.get((("tree_id", tree_id),))
+            if entry is None:
+                engine = _NO_STEERING_ENTRY
             else:
-                entry = table._exact_index.get((("tree_id", tree_id),))
-                if entry is None:
-                    engine = _NO_STEERING_ENTRY
-                else:
-                    engine = self._steering_engine(entry)
-            self._fast_cache[tree_id] = (table.version, engine)
+                engine = self._steering_engine(entry)
+        self._fast_cache[tree_id] = (table.version, engine)
+        return engine
+
+    def _batch_tree_state(self, tree_id: int) -> tuple[Any, Any] | None:
+        """Resolve ``(engine, state)`` for the vectorized burst delivery path.
+
+        Shares :meth:`deliver`'s steering resolution, then additionally
+        requires the tree state to exist and be vectorizable
+        (``TreeState._vec``). Any miss returns ``None`` and the caller
+        delivers per packet, which reproduces the generic behaviour exactly.
+        """
+        engine = self._resolve_steering(tree_id)
         if engine is None or engine is _NO_STEERING_ENTRY:
             return None
         state = engine._trees.get(tree_id)
@@ -303,39 +302,8 @@ class SwitchDevice(Device):
         switch = self.switch
         packet_type = type(packet)
         if packet_type is DaietPacket or packet_type is DaietAck:
-            # Shape guard (_pipeline_is_standard, inlined on the hottest
-            # branch): verify the pipeline is still the standard three
-            # single-step stages before trusting the fast path.
-            stages = self._sw_pipeline._stages
-            if len(stages) != 3:
-                return switch.receive(packet, ingress_port, nbytes)
-            s0, s1, s2 = stages
-            if not (
-                len(s0.steps) == 1
-                and s0.steps[0] is _extract_packet_metadata
-                and len(s1.steps) == 1
-                and s1.steps[0] is self._daiet_tbl
-                and len(s2.steps) == 1
-                and s2.steps[0] is self._fwd_tbl
-            ):
-                return switch.receive(packet, ingress_port, nbytes)
             tree_id = packet.tree_id
-            table = self._daiet_tbl
-            # Steering resolution, memoized against the table's mutation
-            # version: one dict probe + one int compare on the hot path.
-            cached = self._fast_cache.get(tree_id)
-            if cached is not None and cached[0] == table.version:
-                engine = cached[1]
-            else:
-                if table._unindexed:
-                    engine = None  # unhashable steering entries: generic path
-                else:
-                    entry = table._exact_index.get((("tree_id", tree_id),))
-                    if entry is None:
-                        engine = _NO_STEERING_ENTRY
-                    else:
-                        engine = self._steering_engine(entry)
-                self._fast_cache[tree_id] = (table.version, engine)
+            engine = self._resolve_steering(tree_id)
             if engine is _NO_STEERING_ENTRY:
                 # No aggregation rule for this tree (baseline traffic, or
                 # ACKs crossing a switch outside their tree): forward by dst.
@@ -367,7 +335,7 @@ class SwitchDevice(Device):
                     else:
                         self._sw_parser.charge(packet)  # raises the exact error
                     self._sw_pipeline.packets_processed += 1
-                    table.hit_count += 1
+                    self._daiet_tbl.hit_count += 1
                     # DaietAggregationEngine.handle_packet, inlined.
                     state = engine._trees.get(tree_id)
                     if state is None:

@@ -15,6 +15,9 @@ share one contract:
 Both backends dispatch events in identical ``(time, seq)`` order, so a run
 is bit-for-bit reproducible regardless of which backend (or migration point)
 it used; ``tests/netsim/test_calendar_queue.py`` holds the property tests.
+Which backend is active is this module's business alone: a caller that
+builds its own entries (the simulator's burst delivery) goes through
+``reserve_seqs`` / ``push_entry`` / ``peek_entry`` / ``pop_entry``.
 
 Cancellation is tracked in a side set of sequence numbers instead of
 per-event flag objects. Cancelled entries are removed lazily: they are
@@ -199,8 +202,8 @@ class CalendarQueue:
                 cur = best_index
                 scanned = 0
 
-    def peek(self, cancelled: set[int]) -> float | None:
-        """Timestamp of the earliest pending entry, or ``None`` when empty.
+    def peek(self, cancelled: set[int]) -> tuple | None:
+        """The earliest pending entry (not removed), or ``None`` when empty.
 
         Cancelled litter is discarded as it surfaces. The scan position is
         *not* advanced (only an executed pop may advance it): peeking does
@@ -224,7 +227,7 @@ class CalendarQueue:
                     heappop(bucket)
                     self.count -= 1
                     continue
-                return bucket[0][0]
+                return bucket[0]
             if self.count == 0:
                 return None
             cur = (cur + 1) & mask
@@ -239,7 +242,7 @@ class CalendarQueue:
                         self.count -= 1
                     if candidate and (best is None or candidate[0] < best):
                         best = candidate[0]
-                return best[0] if best is not None else None
+                return best
 
     def compact(self, cancelled: set[int]) -> None:
         """Drop every cancelled entry and rebuild the buckets in place."""
@@ -316,9 +319,9 @@ class EventScheduler:
         #: callback -> batch handler. When ``run()`` pops an entry whose
         #: callback has a registered handler, it delegates the entry — and
         #: implicitly any same-callback entries at the queue head — to the
-        #: handler, which returns how many entries it consumed (>= 1). The
-        #: simulator registers its switch-delivery sinks here so a burst of
-        #: deliveries to one switch becomes one vectorized kernel call. The
+        #: handler, which returns how many events it consumed (>= 1). The
+        #: simulator registers its per-switch burst sinks here so concurrent
+        #: send windows into one switch become one vectorized kernel call. The
         #: dict is mutated in place (cleared/refilled on topology rebuilds)
         #: so the alias held by a running ``run()`` loop stays current.
         self._batch_handlers: dict[Callable[..., None], Any] = {}
@@ -347,8 +350,13 @@ class EventScheduler:
         self._queue.clear()
         self._cal = CalendarQueue(entries, self.now)
 
-    def _push(self, entry: tuple) -> None:
-        """Route one entry to the active backend (cold-path helper)."""
+    def push_entry(self, entry: tuple) -> None:
+        """Queue a ready-made ``(time, seq, callback, args)`` entry.
+
+        The sequence number must come from :meth:`reserve_seqs` (or from an
+        entry :meth:`pop_entry` returned), and ``time`` must not lie in the
+        past.
+        """
         cal = self._cal
         if cal is not None:
             cal.push(entry)
@@ -356,6 +364,17 @@ class EventScheduler:
             heappush(self._queue, entry)
             if len(self._queue) >= self._threshold:
                 self._activate_calendar()
+
+    def reserve_seqs(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; returns the first.
+
+        A burst entry stands for ``count`` packets and re-enqueues its tail
+        under the number each packet would have drawn from ``push_at``, so
+        the global ``(time, seq)`` order matches a per-packet schedule.
+        """
+        seq = self._seq
+        self._seq = seq + count
+        return seq
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -372,7 +391,7 @@ class EventScheduler:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        self._push((time, seq, callback, args))
+        self.push_entry((time, seq, callback, args))
         self._pending_handles.add(seq)
         return Event(self, time, seq)
 
@@ -389,7 +408,7 @@ class EventScheduler:
             )
         seq = self._seq
         self._seq = seq + 1
-        self._push((time, seq, callback, args))
+        self.push_entry((time, seq, callback, args))
         self._pending_handles.add(seq)
         return Event(self, time, seq)
 
@@ -399,11 +418,6 @@ class EventScheduler:
         The simulator's per-packet transmissions never cancel, so skipping the
         handle allocation (and the delay validation already done by the
         caller) is free throughput. ``time`` must not lie in the past.
-
-        ``NetworkSimulator._transmit`` inlines this push — including the
-        calendar branch and threshold migration; any change to the entry
-        shape, sequence handling or backend selection must be mirrored
-        there.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -454,8 +468,13 @@ class EventScheduler:
         backlog = cal.count if cal is not None else len(self._queue)
         return backlog - len(self._cancelled)
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the next pending event, or ``None`` when idle."""
+    def peek_entry(self) -> tuple | None:
+        """The next pending entry, left in the queue; ``None`` when idle.
+
+        Cancelled litter is discarded as it surfaces. Peeking never moves
+        the clock or the calendar's scan position, so entries pushed
+        afterwards may still sort before the peeked one.
+        """
         cal = self._cal
         if cal is not None:
             return cal.peek(self._cancelled)
@@ -464,38 +483,38 @@ class EventScheduler:
         while queue and queue[0][1] in cancelled:
             cancelled.discard(queue[0][1])
             heappop(queue)
-        return queue[0][0] if queue else None
+        return queue[0] if queue else None
+
+    def pop_entry(self) -> tuple | None:
+        """Remove and return the next pending entry; ``None`` when idle."""
+        cal = self._cal
+        if cal is not None:
+            entry = cal.pop(None, self._cancelled)
+        else:
+            entry = self.peek_entry()
+            if entry is not None:
+                heappop(self._queue)
+        if entry is not None and self._pending_handles:
+            # A handle-carrying entry left the queue: a later cancel() of
+            # its handle must be a no-op, not queue litter.
+            self._pending_handles.discard(entry[1])
+        return entry
+
+    def peek_time(self) -> float | None:
+        """Timestamp of the next pending event, or ``None`` when idle."""
+        entry = self.peek_entry()
+        return entry[0] if entry is not None else None
 
     def step(self) -> bool:
         """Execute the next pending event; returns ``False`` when idle."""
-        cal = self._cal
-        pending = self._pending_handles
-        if cal is not None:
-            entry = cal.pop(None, self._cancelled)
-            if entry is None:
-                return False
-            time, seq, callback, args = entry
-            if pending:
-                pending.discard(seq)
-            self.now = time
-            callback(*args)
-            self.events_executed += 1
-            return True
-        queue = self._queue
-        cancelled = self._cancelled
-        pop = heappop
-        while queue:
-            time, seq, callback, args = pop(queue)
-            if seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            if pending:
-                pending.discard(seq)
-            self.now = time
-            callback(*args)
-            self.events_executed += 1
-            return True
-        return False
+        entry = self.pop_entry()
+        if entry is None:
+            return False
+        time, _seq, callback, args = entry
+        self.now = time
+        callback(*args)
+        self.events_executed += 1
+        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Drain the queue.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
@@ -70,20 +69,46 @@ class _BurstPlan:
         "ingress",
     )
 
+    def kernel_input(self, offset: int, count: int) -> tuple[Any, Any, int, int, Any]:
+        """``_vector_apply``'s arguments for items ``offset .. offset + count``.
+
+        ``(kids, vals, mass, count, bounds)``; every item in the range must
+        be shape-eligible.
+        """
+        end = offset + count
+        kids, vals, bounds = _gather_pairs(
+            self.kids, self.vals, self.pair_start[offset:end], self.npairs[offset:end]
+        )
+        return kids, vals, self.mass_cum[end] - self.mass_cum[offset], count, bounds
+
+
+def _gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, Any, Any]:
+    """Pull packets' pairs out of concatenated plan arrays, in packet order.
+
+    ``starts``/``lens`` are each packet's extent in ``kids``/``vals``.
+    Returns the gathered key ids and values plus the cumulative per-packet
+    pair counts (``bounds``) the register kernel tags emissions with.
+    """
+    bounds = _np.cumsum(lens)
+    pair_idx = _np.repeat(starts - (bounds - lens), lens) + _np.arange(
+        int(bounds[-1]), dtype=_np.int64
+    )
+    return kids[pair_idx], vals[pair_idx], bounds
+
 
 def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
     """Precompute a :class:`_BurstPlan` for ``items``, or ``None``.
 
     An item is *shape-eligible* when it is an unsequenced DAIET DATA packet
-    of the burst's (single) tree with a usable ``vector_pairs`` cache — the
-    same shape predicate the per-entry batch handler applies, minus the
-    switch-specific budget checks, which the burst handler applies once per
-    burst via the precomputed ``max_nbytes``/``max_cost``. Items of a
+    of the burst's (single) tree with a usable ``vector_pairs`` cache. The
+    switch-specific budget checks are applied once per burst by the burst
+    handler via the precomputed ``max_nbytes``/``max_cost``. Items of a
     different tree are simply marked ineligible (they replay through the
     per-packet sink), so a mixed burst still fast-paths its majority tree.
+    ``None`` means no item is eligible (or numpy is missing).
     """
     n = len(items)
-    if _np is None or n < 2:
+    if _np is None:
         return None
     shape_ok = _np.zeros(n, dtype=_np.bool_)
     kid_list: list[int] = []
@@ -252,8 +277,7 @@ class NetworkSimulator:
         for name in self.topology.devices:
             self._port_links[name] = {}
             self._port_info[name] = {}
-        # The vectorized fast machinery (batch delivery handlers, the inlined
-        # burst transmit) bypasses ``self._transmit`` and per-packet sink
+        # Burst delivery bypasses ``self._transmit`` and per-packet sink
         # dispatch, so it must stand down whenever any observer is watching
         # individual transmissions: the sanitizer, the fault injector and the
         # error tracker all install an instance-level ``_transmit`` wrapper
@@ -267,9 +291,8 @@ class NetworkSimulator:
         batch_handlers = self.scheduler._batch_handlers
         batch_handlers.clear()
         # One compiled sink per receiving device (not per link end): the
-        # batch delivery path collects consecutive queue entries by callback
-        # identity, so all links into one switch must share its sink (and
-        # its burst sink).
+        # burst handler collects consecutive queue entries by burst-sink
+        # identity, so all links into one switch must share its sinks.
         sinks: dict[str, Any] = {}
         burst_sinks: dict[str, Any] = {}
         for link in self.topology.links:
@@ -294,10 +317,7 @@ class NetworkSimulator:
                             device
                         )
                         if batch_ok:
-                            batch_handlers[callback] = self._compile_switch_batch(
-                                device, callback
-                            )
-                            bsink = self._compile_burst_sink(device, callback)
+                            bsink = self._compile_burst_sink(callback)
                             burst_sinks[other.device] = bsink
                             batch_handlers[bsink] = self._compile_switch_burst(
                                 device, callback, bsink
@@ -361,172 +381,25 @@ class NetworkSimulator:
 
         return sink
 
-    @fastpath("switch-batch-delivery", oracle="tests/netsim/test_batch_delivery.py")
-    def _compile_switch_batch(self, device: SwitchDevice, sink: Any) -> Any:
-        """A batch delivery handler for one switch (vectorized hot path).
+    def _compile_burst_sink(self, sink: Any) -> Any:
+        """The callback of a burst entry: one item through the per-packet sink.
 
-        Registered in the scheduler's ``_batch_handlers`` under the switch's
-        compiled sink. When the scheduler pops a delivery for this switch, the
-        handler collects every consecutive queue-head entry that is (a) the
-        same sink, (b) an unsequenced DAIET DATA packet for the same ``_vec``
-        tree within op/parse budgets, and (c) within the run's ``until``/
-        ``max_events`` bounds, then applies the whole burst through
-        ``DaietAggregationEngine._process_data_batch`` with *batched* stats
-        updates. Spillover-flush emissions are transmitted at their packet's
-        delivery time, preserving busy-chain times and loss-draw order
-        exactly. Ineligible heads fall through to the per-packet sink.
+        Delivers the entry's head item and re-enqueues the rest of the window
+        at its own ``(time, seq)``, so foreign events interleave exactly as
+        they would against a per-packet schedule. The burst handler
+        (``_compile_switch_burst`` below) calls it for items the kernel
+        cannot take; the scheduler calls it directly when the handler
+        registry was rebuilt while burst entries were queued.
         """
         scheduler = self.scheduler
-        switch_traffic = self._switch_stats
-        name = device.name
-        transmit = self._transmit
-        resolve = device._batch_tree_state
-        num_ports = device.switch.num_ports
-        max_ops = device._max_ops
-        max_parse = device._max_parse
-        counters = device._sw_counters
-        parser = device._sw_parser
-        pipeline = device._sw_pipeline
-        daiet_tbl = device._daiet_tbl
-
-        def handler(
-            time: float, args: tuple, until: float | None, budget: int | None
-        ) -> int:
-            packet = args[2]
-            if (
-                type(packet) is not DaietPacket
-                or packet.seq is not None
-                or packet.packet_type is not _DAIET_DATA
-                or args[3] > max_parse
-                or not 0 <= args[1] < num_ports
-                or packet.vector_pairs() is None
-            ):
-                sink(*args)
-                return 1
-            npairs = len(packet.pairs)
-            if 3 + (npairs if npairs > 1 else 1) > max_ops:
-                sink(*args)
-                return 1
-            resolved = resolve(packet)
-            if resolved is None:
-                sink(*args)
-                return 1
-            engine, state = resolved
-            tree_id = packet.tree_id
-            entries: list[tuple[float, tuple]] = [(time, args)]
-            limit = budget if budget is not None else 1 << 62
-            cal = scheduler._cal
-            if cal is None:
-                queue = scheduler._queue
-                while len(entries) < limit and queue:
-                    head = queue[0]
-                    if head[2] is not sink:
-                        break
-                    if until is not None and head[0] > until:
-                        break
-                    a = head[3]
-                    p = a[2]
-                    if (
-                        type(p) is not DaietPacket
-                        or p.tree_id != tree_id
-                        or p.seq is not None
-                        or p.packet_type is not _DAIET_DATA
-                        or a[3] > max_parse
-                        or not 0 <= a[1] < num_ports
-                        or p.vector_pairs() is None
-                    ):
-                        break
-                    npairs = len(p.pairs)
-                    if 3 + (npairs if npairs > 1 else 1) > max_ops:
-                        break
-                    heappop(queue)
-                    entries.append((head[0], a))
-            else:
-                cancelled = scheduler._cancelled
-                while len(entries) < limit:
-                    entry = cal.pop(until, cancelled)
-                    if entry is None:
-                        break
-                    a = entry[3]
-                    p = a[2]
-                    if (
-                        entry[2] is not sink
-                        or type(p) is not DaietPacket
-                        or p.tree_id != tree_id
-                        or p.seq is not None
-                        or p.packet_type is not _DAIET_DATA
-                        or a[3] > max_parse
-                        or not 0 <= a[1] < num_ports
-                        or p.vector_pairs() is None
-                        or 3 + (len(p.pairs) if len(p.pairs) > 1 else 1) > max_ops
-                    ):
-                        cal.push(entry)
-                        break
-                    entries.append((entry[0], a))
-            n = len(entries)
-            if n == 1:
-                sink(*args)
-                return 1
-            result = engine._process_data_batch(state, [a[2] for _t, a in entries])
-            if result is None:
-                # int64 overflow guard tripped on this burst: replay it
-                # through the per-packet path, which is exact for any mass.
-                for t, a in entries:
-                    scheduler.now = t
-                    sink(*a)
-                return n
-            nbytes_total = 0
-            for _t, a in entries:
-                nbytes_total += a[3]
-            traffic = switch_traffic.get(name)
-            if traffic is None:
-                traffic = switch_traffic[name] = PerDeviceTraffic()
-            traffic.packets += n
-            traffic.bytes += nbytes_total
-            counters.packets_in += n
-            counters.bytes_in += nbytes_total
-            # DaietPacket.parse_depth_bytes() equals its wire size, which is
-            # what travels in the entry (and max_parse was checked above).
-            parser.packets_parsed += n
-            parser.bytes_parsed += nbytes_total
-            pipeline.packets_processed += n
-            daiet_tbl.hit_count += n
-            if result:
-                for pkt_i, port, out_packet in result:
-                    scheduler.now = entries[pkt_i][0]
-                    counters.packets_generated += 1
-                    counters.packets_out += 1
-                    counters.bytes_out += _switch_packet_bytes(out_packet, counters)
-                    transmit(name, port, out_packet, packet_wire_bytes(out_packet))
-            scheduler.now = entries[-1][0]
-            return n
-
-        return handler
-
-    def _compile_burst_sink(self, device: SwitchDevice, sink: Any) -> Any:
-        """The standalone callback of a burst delivery entry.
-
-        Normally a burst entry is intercepted by the scheduler's batch
-        dispatch (``_compile_switch_burst`` below). This plain callback is
-        the safety net for the one way that interception can disappear —
-        the handler registry being rebuilt mid-run — and simply replays
-        every remaining item through the per-packet sink at its own
-        arrival time.
-        """
-        scheduler = self.scheduler
-        sim = self
 
         def burst_sink(plan: _BurstPlan, offset: int) -> None:
-            packets = plan.packets
-            nbytes = plan.nbytes
-            times = plan.times
-            target = plan.target
-            ingress = plan.ingress
-            last = len(packets)
-            for i in range(offset, last):
-                scheduler.now = times[i]
-                sink(target, ingress, packets[i], nbytes[i])
-            sim._synthetic_events += last - offset - 1
+            sink(plan.target, plan.ingress, plan.packets[offset], plan.nbytes[offset])
+            nxt = offset + 1
+            if nxt < len(plan.packets):
+                scheduler.push_entry(
+                    (plan.times[nxt], plan.seq0 + nxt, burst_sink, (plan, nxt))
+                )
 
         return burst_sink
 
@@ -559,85 +432,38 @@ class NetworkSimulator:
         pipeline = device._sw_pipeline
         daiet_tbl = device._daiet_tbl
 
-        def push_entry(entry: tuple) -> None:
-            cal = scheduler._cal
-            if cal is not None:
-                cal.push(entry)
-            else:
-                queue = scheduler._queue
-                heappush(queue, entry)
-                if len(queue) >= scheduler._threshold:
-                    scheduler._activate_calendar()
-
-        def fall_back(plan: _BurstPlan, offset: int) -> int:
-            # Head item is not kernel-eligible: deliver it through the
-            # per-packet sink and re-enqueue the rest of the burst.
-            sink(plan.target, plan.ingress, plan.packets[offset], plan.nbytes[offset])
-            nxt = offset + 1
-            if nxt < len(plan.packets):
-                push_entry((plan.times[nxt], plan.seq0 + nxt, burst_sink, (plan, nxt)))
-            return 1
+        def within_budgets(plan: _BurstPlan) -> bool:
+            return (
+                plan.max_nbytes <= max_parse
+                and plan.max_cost <= max_ops
+                and 0 <= plan.ingress < num_ports
+            )
 
         def handler(
             time: float, args: tuple, until: float | None, budget: int | None
         ) -> int:
             plan, offset = args
-            if not plan.shape_ok[offset]:
-                return fall_back(plan, offset)
-            resolved = resolve(plan.packets[offset])
-            if (
-                resolved is None
-                or plan.max_nbytes > max_parse
-                or plan.max_cost > max_ops
-                or not 0 <= plan.ingress < num_ports
-            ):
-                return fall_back(plan, offset)
+            resolved = resolve(plan.tree_id) if plan.shape_ok[offset] else None
+            if resolved is None or not within_budgets(plan):
+                # Head item is not kernel-eligible: per-packet delivery.
+                burst_sink(plan, offset)
+                return 1
             engine, state = resolved
             tree_id = plan.tree_id
             bursts: list[tuple[_BurstPlan, int]] = [(plan, offset)]
-            cutoff = None  # first queue entry NOT collected, or None
-            cal = scheduler._cal
-            if cal is None:
-                queue = scheduler._queue
-                while queue:
-                    head = queue[0]
-                    if head[2] is not burst_sink or (
-                        until is not None and head[0] > until
-                    ):
-                        cutoff = head
-                        break
-                    p2, o2 = head[3]
-                    if (
-                        p2.tree_id != tree_id
-                        or p2.max_nbytes > max_parse
-                        or p2.max_cost > max_ops
-                        or not 0 <= p2.ingress < num_ports
-                    ):
-                        cutoff = head
-                        break
-                    heappop(queue)
-                    bursts.append((p2, o2))
-            else:
-                cancelled = scheduler._cancelled
-                while True:
-                    entry = cal.pop(until, cancelled)
-                    if entry is None:
-                        break
-                    if entry[2] is not burst_sink:
-                        cal.push(entry)
-                        cutoff = entry
-                        break
-                    p2, o2 = entry[3]
-                    if (
-                        p2.tree_id != tree_id
-                        or p2.max_nbytes > max_parse
-                        or p2.max_cost > max_ops
-                        or not 0 <= p2.ingress < num_ports
-                    ):
-                        cal.push(entry)
-                        cutoff = entry
-                        break
-                    bursts.append((p2, o2))
+            while True:
+                cutoff = scheduler.peek_entry()  # first entry NOT collected
+                if (
+                    cutoff is None
+                    or cutoff[2] is not burst_sink
+                    or (until is not None and cutoff[0] > until)
+                ):
+                    break
+                p2, o2 = cutoff[3]
+                if p2.tree_id != tree_id or not within_budgets(p2):
+                    break
+                scheduler.pop_entry()
+                bursts.append((p2, o2))
             # Merge the collected bursts' remaining items by (time, seq).
             # Each burst's internal order is already sorted, so the stable
             # lexsort preserves it and every burst's consumed share is a
@@ -691,13 +517,11 @@ class NetworkSimulator:
             if cut == 0:
                 # Unreachable in practice: the scheduler dispatched this
                 # entry as the global minimum, so its head item is eligible.
-                return fall_back(plan, offset)
+                burst_sink(plan, offset)
+                return 1
             if k == 1:
                 counts = [cut]
-                starts_m = bursts[0][0].pair_start[o0 : o0 + cut]
-                lens_m = bursts[0][0].npairs[o0 : o0 + cut]
-                kids_g = bursts[0][0].kids
-                vals_g = bursts[0][0].vals
+                kernel_input = p0.kernel_input(o0, cut)
             else:
                 sel = perm[:cut]
                 counts = _np.bincount(bid[sel], minlength=k).tolist()
@@ -706,24 +530,17 @@ class NetworkSimulator:
                 for p, o in bursts:
                     starts_parts.append(p.pair_start[o:] + base)
                     base += len(p.kids)
-                starts_m = _np.concatenate(starts_parts)[sel]
-                lens_m = _np.concatenate([p.npairs[o:] for p, o in bursts])[sel]
-                kids_g = _np.concatenate([p.kids for p, _o in bursts])
-                vals_g = _np.concatenate([p.vals for p, _o in bursts])
-            bounds = _np.cumsum(lens_m)
-            total_pairs = int(bounds[-1])
-            pair_idx = _np.repeat(starts_m - (bounds - lens_m), lens_m) + _np.arange(
-                total_pairs, dtype=_np.int64
-            )
-            mass = 0
-            for j in range(k):
-                p, o = bursts[j]
-                c = counts[j]
-                if c:
+                kids, vals, bounds = _gather_pairs(
+                    _np.concatenate([p.kids for p, _o in bursts]),
+                    _np.concatenate([p.vals for p, _o in bursts]),
+                    _np.concatenate(starts_parts)[sel],
+                    _np.concatenate([p.npairs[o:] for p, o in bursts])[sel],
+                )
+                mass = 0
+                for (p, o), c in zip(bursts, counts):
                     mass += p.mass_cum[o + c] - p.mass_cum[o]
-            result = engine._vector_apply(
-                state, kids_g[pair_idx], vals_g[pair_idx], mass, cut, bounds
-            )
+                kernel_input = (kids, vals, mass, cut, bounds)
+            result = engine._vector_apply(state, *kernel_input)
             if result is None:
                 # int64 overflow guard tripped: replay the consumed prefix
                 # through the per-packet path, which is exact for any mass.
@@ -775,7 +592,9 @@ class NetworkSimulator:
                 p, o = bursts[j]
                 nxt = o + counts[j]
                 if nxt < len(p.packets):
-                    push_entry((p.times[nxt], p.seq0 + nxt, burst_sink, (p, nxt)))
+                    scheduler.push_entry(
+                        (p.times[nxt], p.seq0 + nxt, burst_sink, (p, nxt))
+                    )
             scheduler.now = times_m[cut - 1].item()
             return cut
 
@@ -861,7 +680,7 @@ class NetworkSimulator:
             return 0
         # The burst plan is computed here — at send time, outside any timed
         # hot region — so the delivery fast path pays nothing per packet.
-        plan = _plan_burst(items) if self._fast_burst else None
+        plan = _plan_burst(items) if self._fast_burst and len(items) > 1 else None
         self.scheduler.push_at(
             self.scheduler.now + delay, self._transmit_burst, (src_host, items, plan)
         )
@@ -875,32 +694,31 @@ class NetworkSimulator:
     ) -> None:
         """Put a whole window of packets on a host's uplink, in order.
 
-        When no observer needs to see individual transmissions (see the
-        ``_fast_burst`` gate in ``_build_port_maps``) and the uplink is
-        lossless, the per-packet ``_transmit`` calls are inlined into one
-        loop with batched stats: the busy-chain arithmetic, entry tuples and
-        backend migration checks are operation-for-operation the ones
-        ``_transmit`` performs, so arrival times and event order are
-        bit-identical. Hosts are never congestion-modelled, so the congestion
-        branch is statically dead here.
+        A window with a burst plan, on a lossless uplink into a switch that
+        still has its burst sink (no observer is watching individual
+        transmissions, see ``_build_port_maps``), becomes ONE queue entry:
+        arrival times come from the same busy-chain arithmetic ``_transmit``
+        performs and the window consumes the same sequence-number range, so
+        global event order is bit-identical to a per-packet schedule; the
+        burst handler re-expands any tail that foreign events interleave.
+        Hosts are never congestion-modelled, so that branch of ``_transmit``
+        is statically dead here. Every other window goes through
+        ``_transmit`` packet by packet.
         """
         n = len(items)
-        if n > 1 and self._fast_burst:
-            info = self._port_info[src_host].get(0)
-            if info is not None and info[0].loss_rate == 0.0:
-                (
-                    link,
-                    link_name,
-                    callback,
-                    target,
-                    other_port,
-                    direction,
-                    busy_key,
-                    burst_sink,
-                ) = info
-                total_bytes = 0
-                for _packet, nbytes in items:
-                    total_bytes += nbytes
+        if plan is not None:
+            (
+                link,
+                link_name,
+                _callback,
+                target,
+                other_port,
+                direction,
+                busy_key,
+                burst_sink,
+            ) = self._port_info[src_host][0]
+            if burst_sink is not None and link.loss_rate == 0.0:
+                total_bytes = plan.nbytes_cum[n]
                 direction.packets += n
                 direction.bytes += total_bytes
                 link_traffic = self._link_stats
@@ -917,55 +735,16 @@ class NetworkSimulator:
                     busy_end = now
                 bandwidth = link.bandwidth_bps
                 propagation = link.propagation_s
-                seq = scheduler._seq
-                threshold = scheduler._threshold
-                if plan is not None and burst_sink is not None:
-                    # Burst delivery entry: ONE queue entry stands for the
-                    # whole window. Arrival times come from the same
-                    # busy-chain arithmetic as the per-packet schedule, and
-                    # the window consumes the same sequence-number range, so
-                    # global event order is bit-identical; the burst handler
-                    # re-expands any tail that foreign events interleave.
-                    times: list[float] = []
-                    for _packet, nbytes in items:
-                        busy_end = busy_end + nbytes / bandwidth
-                        times.append(busy_end + propagation)
-                    plan.times = times
-                    plan.seq0 = seq
-                    plan.target = target
-                    plan.ingress = other_port
-                    entry = (times[0], seq, burst_sink, (plan, 0))
-                    scheduler._seq = seq + n
-                    cal = scheduler._cal
-                    if cal is not None:
-                        cal.push(entry)
-                    else:
-                        queue = scheduler._queue
-                        heappush(queue, entry)
-                        if len(queue) >= threshold:
-                            scheduler._activate_calendar()
-                    busy[busy_key] = busy_end
-                    self._synthetic_events += n - 1
-                    return
-                for packet, nbytes in items:
+                times: list[float] = []
+                for nbytes in plan.nbytes:
                     busy_end = busy_end + nbytes / bandwidth
-                    entry = (
-                        busy_end + propagation,
-                        seq,
-                        callback,
-                        (target, other_port, packet, nbytes),
-                    )
-                    seq += 1
-                    cal = scheduler._cal
-                    if cal is not None:
-                        cal.push(entry)
-                    else:
-                        queue = scheduler._queue
-                        heappush(queue, entry)
-                        if len(queue) >= threshold:
-                            scheduler._activate_calendar()
-                scheduler._seq = seq
+                    times.append(busy_end + propagation)
                 busy[busy_key] = busy_end
+                plan.times = times
+                plan.seq0 = seq = scheduler.reserve_seqs(n)
+                plan.target = target
+                plan.ingress = other_port
+                scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
                 self._synthetic_events += n - 1
                 return
         transmit = self._transmit
@@ -1018,7 +797,8 @@ class NetworkSimulator:
         # still occupied the sender's NIC and the link for its serialization
         # time, so losses contribute to congestion like any other packet.
         busy = self._link_busy_until
-        now = self.scheduler.now
+        scheduler = self.scheduler
+        now = scheduler.now
         start = busy.get(busy_key, 0.0)
         if now > start:
             start = now
@@ -1028,58 +808,24 @@ class NetworkSimulator:
             # The packet is lost in flight: it never reaches the other end.
             self.stats.record_loss(link_name)
             return
-        # scheduler.push_at, inlined (one schedule per packet per hop); the
-        # calendar branch mirrors EventScheduler.push_at exactly.
-        scheduler = self.scheduler
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        entry = (
+        scheduler.push_at(
             start + serialization + link.propagation_s,
-            seq,
             callback,
             (target, other_port, packet, nbytes),
         )
-        cal = scheduler._cal
-        if cal is not None:
-            cal.push(entry)
-        else:
-            queue = scheduler._queue
-            heappush(queue, entry)
-            if len(queue) >= scheduler._threshold:
-                scheduler._activate_calendar()
 
     def _deliver(self, device_name: str, ingress_port: int, packet: Any, nbytes: int) -> None:
+        """Generic delivery to a subclassed device, through ``handle_packet``.
+
+        Exact :class:`Host` and :class:`SwitchDevice` instances never get
+        here: ``_build_port_maps`` compiles them a sink.
+        """
         device = self._devices[device_name]
-        device_type = type(device)
-        if device_type is Host:
-            # Hosts never forward; deliver straight to the application.
-            # stats.record_host_received, inlined.
-            host_received = self._host_recv_stats
-            traffic = host_received.get(device_name)
-            if traffic is None:
-                traffic = host_received[device_name] = PerDeviceTraffic()
-            traffic.packets += 1
-            traffic.bytes += nbytes
-            device.deliver(packet, nbytes)
-            return
-        if device_type is SwitchDevice:
-            # Direct dispatch into the switch model, skipping the
-            # handle_packet wrapper and re-derived packet sizing.
-            # stats.record_switch, inlined.
-            switch_traffic = self._switch_stats
-            traffic = switch_traffic.get(device_name)
-            if traffic is None:
-                traffic = switch_traffic[device_name] = PerDeviceTraffic()
-            traffic.packets += 1
-            traffic.bytes += nbytes
-            outputs = device.deliver(packet, ingress_port, nbytes)
-        else:
-            if isinstance(device, Host):
-                self.stats.record_host_received(device_name, nbytes)
-            elif isinstance(device, SwitchDevice):
-                self.stats.record_switch(device_name, nbytes)
-            outputs = device.handle_packet(packet, ingress_port)
-        for egress_port, out_packet in outputs:
+        if isinstance(device, Host):
+            self.stats.record_host_received(device_name, nbytes)
+        elif isinstance(device, SwitchDevice):
+            self.stats.record_switch(device_name, nbytes)
+        for egress_port, out_packet in device.handle_packet(packet, ingress_port):
             self._transmit(
                 device_name, egress_port, out_packet, packet_wire_bytes(out_packet)
             )

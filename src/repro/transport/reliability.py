@@ -362,9 +362,9 @@ class HostReliabilityAgent:
             retransmit_timeout=config.retransmit_timeout,
             ack_window=config.ack_window,
             max_retransmits=config.max_retransmits,
-            retain_for_replay=getattr(config, "retain_for_replay", False),
+            retain_for_replay=config.retain_for_replay,
             tuning=tuning_from_config(config),
-            sampled_ack_stride=getattr(config, "sampled_ack_stride", 4),
+            sampled_ack_stride=config.sampled_ack_stride,
         )
 
     # ------------------------------------------------------------------ #

@@ -314,19 +314,17 @@ def tuning_from_config(config: Any) -> TransportTuning:
     """Extract a :class:`TransportTuning` from a configuration object.
 
     Reads the adaptive-transport attributes of
-    :class:`~repro.core.config.DaietConfig` (or anything duck-typed like
-    it); missing attributes fall back to the byte-identical defaults, so
-    older ad-hoc config objects keep working.
+    :class:`~repro.core.config.DaietConfig`, which owns their defaults.
     """
     return TransportTuning(
-        adaptive_rto=getattr(config, "adaptive_rto", False),
-        rto_floor=getattr(config, "rto_floor", None),
-        rto_ceiling=getattr(config, "rto_ceiling", 0.25),
-        congestion_control=getattr(config, "congestion_control", "none"),
-        initial_cwnd=getattr(config, "initial_cwnd", 10),
-        min_cwnd=getattr(config, "min_cwnd", 2),
-        dctcp_gain=getattr(config, "dctcp_gain", 0.0625),
-        initial_inflight_cap=getattr(config, "initial_inflight_cap", None),
+        adaptive_rto=config.adaptive_rto,
+        rto_floor=config.rto_floor,
+        rto_ceiling=config.rto_ceiling,
+        congestion_control=config.congestion_control,
+        initial_cwnd=config.initial_cwnd,
+        min_cwnd=config.min_cwnd,
+        dctcp_gain=config.dctcp_gain,
+        initial_inflight_cap=config.initial_inflight_cap,
     )
 
 

@@ -8,8 +8,10 @@ pipeline) fails the test suite, not just the CLI.
 
 from __future__ import annotations
 
+import ast
+
 from repro.checks.lint import run_lint
-from repro.checks.parity import REQUIRED_FASTPATHS, check_fastpath_parity
+from repro.checks.parity import REQUIRED_FASTPATHS, check_fastpath_parity, repo_root
 from repro.checks.registry import registered_fastpaths
 from repro.cli import main
 
@@ -26,7 +28,30 @@ class TestCleanTree:
 
     def test_all_shipped_fastpaths_are_registered(self):
         assert check_fastpath_parity() == []
-        assert REQUIRED_FASTPATHS <= set(registered_fastpaths())
+        registry = set(registered_fastpaths())
+        assert REQUIRED_FASTPATHS <= registry
+        assert len(REQUIRED_FASTPATHS) == 7
+        # The one optional path: SpilloverBucket's slot index.
+        assert registry - REQUIRED_FASTPATHS == {"spillover-slot-index"}
+
+    def test_event_queue_backend_stays_inside_the_scheduler(self):
+        # Which backend holds the queue (heap or calendar) and when it
+        # migrates is EventScheduler's decision alone: everyone else goes
+        # through push_at / push_entry / reserve_seqs / peek_entry /
+        # pop_entry. The sanitizer checks the backends' structure, so it may
+        # look.
+        private = {"_cal", "_queue", "_threshold", "_cancelled", "_activate_calendar"}
+        allowed = {"netsim/events.py", "checks/sanitize.py"}
+        package = repo_root() / "src" / "repro"
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            relative = path.relative_to(package).as_posix()
+            if relative in allowed:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    offenders.append(f"{relative}:{node.lineno} .{node.attr}")
+        assert offenders == []
 
     def test_cli_lint_exits_zero(self, capsys):
         assert main(["lint"]) == 0

@@ -1,14 +1,17 @@
 """Twin-switch equivalence: the vectorized register kernel vs the per-pair oracle.
 
-The ``vector-register-kernel`` fast path (`DaietAggregationEngine.
-_process_data_batch` / ``_vector_apply``) applies a whole burst of DATA
-packets with numpy array operations — gather, first-occurrence resolve,
-scatter-add — while the original per-pair loop (``_process_data``) remains
-the bit-exactness oracle. These tests drive two identically configured
-engines, one through the batch kernel and one through the per-pair path,
-and require *bit-identical* observable state: register cells, spillover
-bucket order, index-stack order (via the final flush), per-tree counters
-and the exact emission sequence.
+The ``vector-register-kernel`` fast path (``DaietAggregationEngine.
+_vector_apply``) applies a whole burst of DATA packets with numpy array
+operations — gather, first-occurrence resolve, scatter-add — while the
+original per-pair loop (``_process_data``) remains the bit-exactness oracle.
+These tests drive two identically configured engines, one through the
+kernel and one through the per-pair path, and require *bit-identical*
+observable state: register cells, spillover bucket order, index-stack order
+(via the final flush), per-tree counters and the exact emission sequence.
+
+The kernel's input arrays come from the simulator's burst plan
+(``_plan_burst`` / ``_BurstPlan.kernel_input``), the one assembler of that
+format, exactly as ``send_burst`` builds them.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pytest
 from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.packet import DaietPacket, DaietPacketType, packetize_pairs
+from repro.netsim.simulator import _plan_burst
 
 np = pytest.importorskip("numpy")
 
@@ -52,14 +56,33 @@ def data_packets(pairs, config: DaietConfig) -> list[DaietPacket]:
     return packets
 
 
-def feed_fast(engine: DaietAggregationEngine, bursts) -> list:
-    """Apply bursts through the batch kernel; returns (port, packet) emissions."""
+def kernel_apply(engine: DaietAggregationEngine, burst, slices=None):
+    """One kernel call per slice of ``burst`` (default: the whole burst).
+
+    Returns the calls' results; a slice is ``(offset, count)`` into the plan.
+    """
+    plan = _plan_burst([(packet, packet.wire_bytes()) for packet in burst])
+    assert plan is not None and plan.shape_ok.all()
     state = engine.tree(7)
+    return [
+        engine._vector_apply(state, *plan.kernel_input(offset, count))
+        for offset, count in slices or [(0, len(burst))]
+    ]
+
+
+def feed_fast(engine: DaietAggregationEngine, bursts, split: bool = False) -> list:
+    """Apply bursts through the kernel; returns (port, packet) emissions.
+
+    With ``split`` a multi-packet burst takes two calls — its first packet
+    alone, then the rest from a non-zero plan offset — the way an ``until``
+    bound or an interleaved foreign event cuts a window in the simulator.
+    """
     emitted = []
     for burst in bursts:
-        result = engine._process_data_batch(state, burst)
-        assert result is not None
-        emitted.extend((port, packet) for _pkt_i, port, packet in result)
+        slices = [(0, 1), (1, len(burst) - 1)] if split and len(burst) > 1 else None
+        for result in kernel_apply(engine, burst, slices):
+            assert result is not None
+            emitted.extend((port, packet) for _pkt_i, port, packet in result)
     return emitted
 
 
@@ -93,10 +116,12 @@ def end_packet_for(config: DaietConfig) -> DaietPacket:
 
 
 class TestVectorKernelEquivalence:
-    def run_twins(self, pair_bursts, config: DaietConfig, finish: bool = True):
+    def run_twins(
+        self, pair_bursts, config: DaietConfig, finish: bool = True, split: bool = False
+    ):
         fast, slow = make_engine(config), make_engine(config)
         bursts = [data_packets(pairs, config) for pairs in pair_bursts]
-        fast_out = feed_fast(fast, bursts)
+        fast_out = feed_fast(fast, bursts, split)
         slow_out = feed_slow(slow, bursts)
         assert fast_out == slow_out  # same emissions, same order
         assert_twins_identical(fast, slow)
@@ -109,7 +134,8 @@ class TestVectorKernelEquivalence:
             assert_twins_identical(fast, slow)
         return fast, slow
 
-    def test_random_bursts(self):
+    @pytest.mark.parametrize("split", [False, True])
+    def test_random_bursts(self, split):
         rng = random.Random(2017)
         config = DaietConfig(register_slots=64, pairs_per_packet=8)
         bursts = [
@@ -119,7 +145,7 @@ class TestVectorKernelEquivalence:
             ]
             for _ in range(12)
         ]
-        self.run_twins(bursts, config)
+        self.run_twins(bursts, config, split=split)
 
     def test_collision_heavy_keys(self):
         # 4 slots against a 50-word vocabulary: nearly everything collides,
@@ -204,8 +230,7 @@ class TestVectorKernelEquivalence:
         ]
         for packet in huge:
             assert packet.vector_pairs() is not None  # per-value eligible
-        result = fast._process_data_batch(state, huge)
-        assert result is None  # cumulative-mass guard tripped
+        assert kernel_apply(fast, huge) == [None]  # cumulative-mass guard tripped
         assert state._vec_mass == 0  # pending deltas were folded, not lost
         fast_out = feed_slow(fast, [huge])  # handler fallback: per-pair replay
         slow_out = feed_slow(slow, [huge])

@@ -92,6 +92,54 @@ class TestBackendEquivalence:
 
         _assert_equivalent(workload)
 
+    def test_window_entry_reexpands_like_per_entry_pushes(self):
+        """The burst-delivery contract: a window pushed as ONE entry that
+        re-enqueues its tail under reserved sequence numbers dispatches
+        exactly like one ``push_at`` per item — also against a foreign event
+        sharing a timestamp — and ``peek_entry`` shows the same head."""
+        times = [1.0, 1.0, 2.0, 2.0, 3.0]
+
+        def note(scheduler, trace, label):
+            head = scheduler.peek_entry()
+            trace.append((scheduler.now, label, head and head[:2]))
+
+        def per_entry(scheduler, trace):
+            for i, t in enumerate(times):
+                scheduler.push_at(t, note, (scheduler, trace, i))
+            scheduler.push_at(2.0, note, (scheduler, trace, "foreign"))
+
+        def windowed(scheduler, trace):
+            seq0 = scheduler.reserve_seqs(len(times))
+
+            def item(i):
+                nxt = i + 1
+                if nxt < len(times):
+                    scheduler.push_entry((times[nxt], seq0 + nxt, item, (nxt,)))
+                note(scheduler, trace, i)
+
+            scheduler.push_entry((times[0], seq0, item, (0,)))
+            scheduler.push_at(2.0, note, (scheduler, trace, "foreign"))
+
+        reference = _trace_of(EventScheduler(calendar_threshold=HEAP_ONLY), per_entry)
+        assert [label for _now, label, _head in reference] == [0, 1, 2, 3, "foreign", 4]
+        for threshold in (HEAP_ONLY, 1, 3):
+            trace = _trace_of(EventScheduler(calendar_threshold=threshold), windowed)
+            assert trace == reference
+
+    def test_pop_entry_takes_heads_in_dispatch_order(self):
+        for threshold in (HEAP_ONLY, 1):
+            scheduler = EventScheduler(calendar_threshold=threshold)
+            events = [scheduler.schedule(t, lambda: None) for t in (3.0, 1.0, 2.0, 1.0)]
+            events[2].cancel()
+            taken = []
+            while (entry := scheduler.pop_entry()) is not None:
+                taken.append(entry[:2])
+            assert taken == [(1.0, 1), (1.0, 3), (3.0, 0)]
+            assert scheduler.peek_entry() is None
+            # A taken entry is gone: cancelling its handle later is a no-op.
+            events[0].cancel()
+            assert len(scheduler) == 0
+
     def test_sparse_far_future_events(self):
         """Events separated by thousands of empty bucket-days."""
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.errors import RoutingError, SimulationError, TableError
 from repro.dataplane.tables import FlowRule
-from repro.netsim.devices import FORWARDING_TABLE
+from repro.netsim.devices import FORWARDING_TABLE, Host, SwitchDevice
 from repro.netsim.routing import (
     compute_routes,
     host_uplink_switch,
@@ -15,7 +15,7 @@ from repro.netsim.routing import (
     shortest_path,
 )
 from repro.netsim.simulator import NetworkSimulator
-from repro.netsim.topology import leaf_spine, single_rack
+from repro.netsim.topology import Topology, leaf_spine, single_rack
 from repro.transport.packets import UdpDatagram
 
 
@@ -120,6 +120,46 @@ class TestNetworkSimulator:
         assert sim.stats.received_packets("h1") == 1
         assert sim.stats.received_bytes("h1") == packet.wire_bytes()
         assert sim.now > 0.0
+
+    def test_subclassed_devices_take_the_generic_route_identically(self):
+        # Exact Host/SwitchDevice instances get a compiled sink; a subclass
+        # is delivered through NetworkSimulator._deliver -> handle_packet.
+        # Same traffic, same statistics, same clock either way.
+        class MyHost(Host):
+            pass
+
+        class MySwitch(SwitchDevice):
+            pass
+
+        def rack(host_type, switch_type) -> NetworkSimulator:
+            topo = Topology(name="rack")
+            topo.add_device(switch_type("tor"))
+            for name in ("h0", "h1"):
+                topo.add_device(host_type(name))
+                topo.connect(name, "tor")
+            return NetworkSimulator(topo)
+
+        runs = []
+        for sim in (rack(Host, SwitchDevice), rack(MyHost, MySwitch)):
+            received = []
+            sim.host("h1").set_receiver(received.append)
+            sim.send_burst(
+                "h0",
+                [UdpDatagram(src="h0", dst="h1", payload_bytes=64 + i) for i in range(5)],
+            )
+            events = sim.run()
+            runs.append(
+                (
+                    events,
+                    sim.now,
+                    [p.payload_bytes for p in received],
+                    sim.stats.snapshot(),
+                    sim.host("h1").counters,
+                    sim.switch("tor").switch.counters,
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][2] == [64, 65, 66, 67, 68]
 
     def test_delivery_across_fabric(self):
         sim = NetworkSimulator(leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2))

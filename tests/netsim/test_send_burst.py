@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import DaietConfig
 from repro.core.errors import SimulationError, TopologyError
+from repro.core.packet import packetize_pairs
+from repro.netsim.devices import packet_wire_bytes
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import single_rack
 from repro.transport.packets import UdpDatagram
@@ -24,9 +27,27 @@ def _simulator(loss_rate: float = 0.0) -> NetworkSimulator:
     return NetworkSimulator(topo, SimulatorConfig(loss_seed=11))
 
 
-def _window(n: int) -> list[UdpDatagram]:
+def _window(n: int, kind: str = "udp") -> list:
+    if kind == "udp":
+        return [
+            UdpDatagram(src="h0", dst="h1", dport=7, payload_bytes=100 + i)
+            for i in range(n)
+        ]
+    # A reliable sender's window: sequenced DAIET packets of varying size
+    # (no burst plan admits them, so they go through ``_transmit`` one by one).
+    config = DaietConfig(pairs_per_packet=8, reliability=True)
     return [
-        UdpDatagram(src="h0", dst="h1", dport=7, payload_bytes=100 + i)
+        next(
+            packetize_pairs(
+                [(f"k{j}", j) for j in range(i % 8 + 1)],
+                tree_id=3,
+                src="h0",
+                dst="h1",
+                config=config,
+                include_end=False,
+                seq_start=i,
+            )
+        )
         for i in range(n)
     ]
 
@@ -34,25 +55,28 @@ def _window(n: int) -> list[UdpDatagram]:
 def _arrivals(sim: NetworkSimulator) -> list[tuple[float, int]]:
     seen: list[tuple[float, int]] = []
     sim.host("h1").set_receiver(
-        lambda packet: seen.append((sim.now, packet.payload_bytes))
+        lambda packet: seen.append((sim.now, packet_wire_bytes(packet)))
     )
     return seen
 
 
 class TestSendBurstEquivalence:
-    @pytest.mark.parametrize("loss_rate", [0.0, 0.2])
-    def test_burst_matches_per_packet_sends(self, loss_rate):
+    @pytest.mark.parametrize(
+        "loss_rate, kind", [(0.0, "udp"), (0.2, "udp"), (0.0, "daiet-seq")]
+    )
+    def test_burst_matches_per_packet_sends(self, loss_rate, kind):
         solo = _simulator(loss_rate)
         solo_seen = _arrivals(solo)
-        for packet in _window(25):
+        for packet in _window(25, kind):
             solo.send("h0", packet)
         solo_events = solo.run()
 
         burst = _simulator(loss_rate)
         burst_seen = _arrivals(burst)
-        assert burst.send_burst("h0", _window(25)) == 25
+        assert burst.send_burst("h0", _window(25, kind)) == 25
         burst_events = burst.run()
 
+        assert len(solo_seen) == 25 or loss_rate
         assert burst_seen == solo_seen
         assert burst_events == solo_events  # burst members count as events
         assert burst.stats.snapshot() == solo.stats.snapshot()
