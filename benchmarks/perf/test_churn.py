@@ -1,7 +1,7 @@
 """Perf floor for the fault-churn machinery.
 
 The spine-kill scenario exercises everything churn adds to the hot path at
-once: the compiled fault gate on every transmission, a mid-round switch
+once: the fault gate's veto on every transmission, a mid-round switch
 wipe, heartbeat ticks, tree re-planning and a full replay. Its throughput
 is recorded as ``churn_spine_kill`` in ``BENCH_simcore.json`` and gated at
 half the recorded trajectory, in CPU seconds — the same generous pattern as

@@ -23,13 +23,12 @@ never undershoot it. Soundness rests on linearity of SUM: every lost pair
 (original contribution or partial aggregate) maps its value onto exactly
 one key's deficit, and ``|sum of losses| <= sum of |losses|``.
 
-Loss capture mirrors the sanitizer's technique: a wrapper around
-``NetworkSimulator._transmit`` detects a sunk packet by the scheduler
-backlog *not* growing across the call. Install the tracker **after** any
-:class:`~repro.netsim.faults.FaultInjector` so the wrapper sits outside
-the fault gate and fault-destroyed packets are captured too; the tracker
-additionally hooks the injector's switch wipe so register mass destroyed
-by a crash (which never touches a link) still enters the ledger.
+Loss capture is the simulator's: the tracker is an observer
+(:meth:`NetworkSimulator.add_observer`) told of every drop, whatever its
+reason (loss draw, full buffer, unconnected port, crashed device or downed
+link), and of a switch about to lose its registers to a crash (which never
+touches a link). It reads the same whether it is attached before or after
+the fault injector and the sanitizer.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ def true_error_l1(
 class ErrorBoundTracker:
     """Per-tree loss ledgers and error bounds for one :class:`DaietSystem`.
 
-    Pure observer: wrappers only ever *watch* the packet stream, so a
+    Pure observer: its hooks only ever *watch* the packet stream, so a
     tracked run is event-for-event identical to an untracked one.
     """
 
@@ -144,78 +143,17 @@ class ErrorBoundTracker:
     # Installation
     # ------------------------------------------------------------------ #
     def install(self) -> "ErrorBoundTracker":
-        """Wrap the transmit path (and the fault wipe, when faults exist).
-
-        Install after the sanitizer and the fault injector: the transmit
-        wrapper must be outermost so drops from *any* cause — loss draw,
-        full buffer, fault gate — are observed.
-        """
+        """Attach to the simulator's drop and wipe notices and to teardowns."""
         if self._installed:
             return self
-        sim = self.sim
-        real_transmit = sim._transmit
-        scheduler = sim.scheduler
-
-        def transmit(from_device: str, egress_port: int, packet: Any, nbytes: int) -> None:
-            before = len(scheduler)
-            real_transmit(from_device, egress_port, packet, nbytes)
-            if len(scheduler) == before and type(packet) is DaietPacket:
-                if packet.packet_type is DaietPacketType.DATA and packet.pairs:
-                    ledger = self._ledger(packet.tree_id)
-                    if ledger is not None:
-                        ledger.record_lost_packet(packet.pairs)
-
-        sim._transmit = transmit
-        injector = getattr(sim, "fault_injector", None)
-        if injector is not None:
-            self._hook_injector(injector)
+        self.sim.add_observer(self)
         self._hook_teardown(self.system.controller)
-        # The compiled per-link sinks captured the previous bound methods;
-        # rebuild so they re-capture the wrappers.
-        sim._build_port_maps()
         self.system.error_tracker = self
         self._installed = True
         return self
 
-    def _hook_injector(self, injector: Any) -> None:
-        """Capture fault damage the transmit wrapper cannot see.
-
-        Two blind spots: register mass a switch crash destroys (never a
-        link event at all), and packets already in flight *towards* a
-        crashed device, which the injector destroys in its deliver wrapper.
-        """
-        real_wipe = injector._wipe_switch
-
-        def wipe(device: Any) -> None:
-            self._record_register_mass(device)
-            real_wipe(device)
-
-        injector._wipe_switch = wipe
-        down_devices = injector.down_devices
-        for name in injector.plan.crash_targets():
-            self._watch_deliver(self.sim.topology.get(name), name, down_devices)
-
-    def _watch_deliver(self, device: Any, name: str, down_devices: set) -> None:
-        """Record DATA mass the injector destroys at ``device``'s deliver."""
-        inner = device.deliver
-        if hasattr(device, "switch"):
-
-            def switch_deliver(packet: Any, ingress_port: int, nbytes: int) -> Any:
-                if name in down_devices:
-                    self._record_destroyed(packet)
-                return inner(packet, ingress_port, nbytes)
-
-            device.deliver = switch_deliver
-        else:
-
-            def deliver(packet: Any, nbytes: int) -> None:
-                if name in down_devices:
-                    self._record_destroyed(packet)
-                inner(packet, nbytes)
-
-            device.deliver = deliver
-
-    def _record_destroyed(self, packet: Any) -> None:
+    def on_drop(self, reason: str, where: str, packet: Any) -> None:
+        """A packet died in the network: book a DATA packet's mass as lost."""
         if type(packet) is DaietPacket:
             if packet.packet_type is DaietPacketType.DATA and packet.pairs:
                 ledger = self._ledger(packet.tree_id)
@@ -267,7 +205,8 @@ class ErrorBoundTracker:
         pairs.extend(state.spillover.peek())
         return pairs
 
-    def _record_register_mass(self, device: Any) -> None:
+    def on_wipe(self, device: Any) -> None:
+        """A crash is about to destroy ``device``'s registers: book their mass."""
         engine = device.switch.externs.get("daiet")
         if engine is None:
             return

@@ -1,16 +1,17 @@
 """Runtime sanitizer: conservation ledger, scheduler and register checks.
 
 Enabled with ``REPRO_SANITIZE=1`` (or ``repro <experiment> --sanitize``),
-the sanitizer wraps one :class:`~repro.netsim.simulator.NetworkSimulator`
-instance with:
+the sanitizer attaches to one :class:`~repro.netsim.simulator.NetworkSimulator`
+instance:
 
 * a **conservation ledger** asserting, per packet class, that
   ``sent + switch_out == delivered + lost_or_dropped + switch_in + faulted
   + unprotected`` once the event queue drains (and that in-flight never goes
-  negative mid-run); the ``faulted`` bucket is fed by the fault injector
-  (:mod:`repro.netsim.faults`) for packets destroyed by crashed devices or
-  downed links, and ``unprotected`` counts drops on trees deliberately run
-  under a reduced reliability policy (``sampled`` / ``best_effort``);
+  negative mid-run); ``faulted`` holds the simulator's ``fault`` drops
+  (packets destroyed by crashed devices or downed links, see
+  :mod:`repro.netsim.faults`), and ``unprotected`` counts drops on trees
+  deliberately run under a reduced reliability policy (``sampled`` /
+  ``best_effort``);
 * **sim-time monotonicity** and **dispatch-order** checks on every event,
   plus periodic **backend structural invariants** (binary-heap property on
   the heap backend; bucket filing and per-bucket heap property on the
@@ -19,23 +20,20 @@ instance with:
   match the index stack, and after a round completes (final flush done, no
   round in progress) every slot must have rearmed to empty.
 
-Cost model: everything here lives on *wrappers installed onto one opted-in
-simulator instance*. When the sanitizer is off, no wrapper exists, no flag
-is consulted and no per-event branch is executed anywhere in the hot path —
-the mode is compiled out by construction, not by an ``if``.
-
-The wrappers replace *instance attributes* (``sim.send``, ``sim._transmit``,
-``host.deliver``...) and then rebuild the simulator's compiled port maps so
-the per-link delivery closures re-capture the wrapped bound methods.
+The ledger is an observer (:meth:`NetworkSimulator.add_observer`): the
+simulator tells it of every send, delivery, switch pass, drop (with its
+reason) and ECN mark, so it infers nothing and wraps nothing, and it reads
+the same whatever else is attached and in whatever order. Cost model: when
+the sanitizer is off no observer exists and the per-packet path consults
+none — the mode is compiled out by construction, not by an ``if``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import SanitizerError
-from repro.netsim.devices import Host, SwitchDevice
 
 __all__ = [
     "ConservationLedger",
@@ -84,15 +82,17 @@ class ConservationLedger:
         #: ordinary congestion loss; the conservation equation still closes
         #: at quiescence with it on the consumed side.
         self.unprotected: dict[str, int] = {}
-        #: Packets ECN-marked in flight (CE False->True transitions observed
-        #: at the transmit wrapper). Marked packets still flow to a consumer
-        #: bucket, so this tally sits *outside* the conservation equation —
+        #: Packets ECN-marked in flight (the simulator's ``on_mark`` notices,
+        #: one per CE False->True transition). Marked packets still flow to a
+        #: consumer bucket, so this tally sits *outside* the conservation equation —
         #: it is cross-checked against ``TrafficStats.ecn_marked`` instead,
         #: so a mark the stats missed (or vice versa) is never silent.
         self.marked: dict[str, int] = {}
 
     @staticmethod
-    def _bump(table: dict[str, int], cls: str) -> None:
+    def count(table: dict[str, int], packet: Any) -> None:
+        """Add ``packet`` to one counter table, under its class name."""
+        cls = type(packet).__name__
         table[cls] = table.get(cls, 0) + 1
 
     def classes(self) -> list[str]:
@@ -175,123 +175,45 @@ class SimulatorSanitizer:
     # Installation
     # ------------------------------------------------------------------ #
     def install(self) -> "SimulatorSanitizer":
-        """Wrap the simulator's injection, transport and delivery paths."""
+        """Attach the ledger to the simulator and take over its run loop."""
         if self._installed:
             return self
         sim = self.sim
-        ledger = self.ledger
-        bump = ConservationLedger._bump
-        scheduler = sim.scheduler
-
-        real_send = sim.send
-        real_send_burst = sim.send_burst
-        real_transmit = sim._transmit
-
-        def send(src_host: str, packet: Any, delay: float = 0.0) -> None:
-            real_send(src_host, packet, delay)
-            bump(ledger.sent, type(packet).__name__)
-
-        def send_burst(src_host: str, packets: Iterable[Any], delay: float = 0.0) -> int:
-            window = list(packets)
-            injected = real_send_burst(src_host, window, delay)
-            for packet in window[:injected] if injected else []:
-                bump(ledger.sent, type(packet).__name__)
-            return injected
-
-        def transmit(from_device: str, egress_port: int, packet: Any, nbytes: int) -> None:
-            # A transmission either schedules exactly one delivery event or
-            # sinks the packet (loss draw, unconnected port, full egress
-            # buffer): the scheduler backlog delta tells the two apart
-            # without duplicating the drop/loss logic here. ECN marking is
-            # likewise observed from outside: a CE False->True transition
-            # across the call is tallied per packet class and cross-checked
-            # against ``TrafficStats.ecn_marked`` at quiescence.
-            was_unmarked = getattr(packet, "ecn", None) is False
-            before = len(scheduler)
-            real_transmit(from_device, egress_port, packet, nbytes)
-            if was_unmarked and packet.ecn:
-                bump(ledger.marked, type(packet).__name__)
-            if len(scheduler) == before:
-                # Drops on a tree that *chose* reduced reliability file under
-                # ``unprotected`` — accepted approximation loss, not damage.
-                # The policy registry is shared onto the simulator by
-                # DaietSystem; absent registry (bare simulators) means every
-                # drop is ordinary loss.
-                policies = getattr(sim, "tree_policies", None)
-                tree_id = getattr(packet, "tree_id", None)
-                if (
-                    policies is not None
-                    and tree_id is not None
-                    and policies.get(tree_id, "exact") != "exact"
-                ):
-                    bump(ledger.unprotected, type(packet).__name__)
-                else:
-                    bump(ledger.lost_or_dropped, type(packet).__name__)
-
-        sim.send = send
-        sim.send_burst = send_burst
-        sim._transmit = transmit
-
-        for device in sim.topology.devices.values():
-            self._wrap_device(device)
-
-        # The compiled per-link sinks captured the *original* bound methods
-        # (host.deliver / device.deliver / sim._transmit) at construction;
-        # rebuilding the port maps makes them re-capture the wrappers.
-        sim._build_port_maps()
-
+        sim.add_observer(self)
         sim.run = self._run
         sim.sanitizer = self
         self._installed = True
         return self
 
-    def _wrap_device(self, device: Any) -> None:
+    # ------------------------------------------------------------------ #
+    # Observer hooks feeding the conservation ledger
+    # ------------------------------------------------------------------ #
+    def on_send(self, packet: Any) -> None:
+        self.ledger.count(self.ledger.sent, packet)
+
+    def on_deliver(self, packet: Any) -> None:
+        self.ledger.count(self.ledger.delivered, packet)
+
+    def on_switch(self, packet: Any, outputs: Any) -> None:
         ledger = self.ledger
-        bump = ConservationLedger._bump
+        ledger.count(ledger.switch_in, packet)
+        for _port, out_packet in outputs:
+            ledger.count(ledger.switch_out, out_packet)
 
-        if isinstance(device, Host):
-            # Every path into a host application funnels through
-            # ``deliver`` (the compiled sink, the generic path and
-            # Host.handle_packet all call it).
-            real_deliver = device.deliver
+    def on_drop(self, reason: str, where: str, packet: Any) -> None:
+        ledger = self.ledger
+        policy = self.sim.tree_policies.get(getattr(packet, "tree_id", None), "exact")
+        if reason == "fault":
+            ledger.count(ledger.faulted, packet)
+        elif policy != "exact":
+            # Drops on a tree that *chose* reduced reliability file under
+            # ``unprotected`` — accepted approximation loss, not damage.
+            ledger.count(ledger.unprotected, packet)
+        else:
+            ledger.count(ledger.lost_or_dropped, packet)
 
-            def deliver(packet: Any, nbytes: int) -> None:
-                bump(ledger.delivered, type(packet).__name__)
-                real_deliver(packet, nbytes)
-
-            device.deliver = deliver
-            return
-
-        if type(device) is SwitchDevice:
-            # Exact switches are entered via ``deliver`` (compiled sink
-            # and generic path both dispatch to it directly).
-            real_switch_deliver = device.deliver
-
-            def switch_deliver(
-                packet: Any, ingress_port: int, nbytes: int
-            ) -> list[tuple[int, Any]]:
-                bump(ledger.switch_in, type(packet).__name__)
-                outputs = real_switch_deliver(packet, ingress_port, nbytes)
-                for _port, out_packet in outputs:
-                    bump(ledger.switch_out, type(out_packet).__name__)
-                return outputs
-
-            device.deliver = switch_deliver
-            return
-
-        # Subclassed switches and any other device type take the generic
-        # ``handle_packet`` path (the simulator never compiles a sink for
-        # them); packets they absorb count as switch-consumed.
-        real_handle = device.handle_packet
-
-        def handle_packet(packet: Any, ingress_port: int) -> list[tuple[int, Any]]:
-            bump(ledger.switch_in, type(packet).__name__)
-            outputs = real_handle(packet, ingress_port)
-            for _port, out_packet in outputs:
-                bump(ledger.switch_out, type(out_packet).__name__)
-            return outputs
-
-        device.handle_packet = handle_packet
+    def on_mark(self, link_name: str, packet: Any) -> None:
+        self.ledger.count(self.ledger.marked, packet)
 
     # ------------------------------------------------------------------ #
     # Sanitized run loop
@@ -450,7 +372,7 @@ class SimulatorSanitizer:
         stats_marks = self.sim.stats.total_ecn_marked()
         if ledger_marks != stats_marks:
             raise SanitizerError(
-                f"ECN mark accounting diverged: the transmit wrapper observed "
+                f"ECN mark accounting diverged: the ledger was told of "
                 f"{ledger_marks} CE transitions but TrafficStats recorded "
                 f"{stats_marks} marks"
             )

@@ -126,13 +126,12 @@ class DaietSystem:
         self._receivers: dict[str, DaietReceiver] = {}
         self._jobs: list[InstalledJob] = []
         self._agents: dict[str, "HostReliabilityAgent"] = {}
-        # Per-tree reliability policy registry. Shared by *reference* with
-        # the simulator so observers that only see the simulator (the
-        # sanitizer's drop classifier, the error-bound tracker) can map a
-        # dropped packet's tree id back to its policy. Old epochs are kept
-        # after failover so stray old-epoch drops still classify correctly.
-        self._tree_policies: dict[int, str] = {}
-        self.simulator.tree_policies = self._tree_policies
+        # Per-tree reliability policy registry: the simulator's own table,
+        # so observers that only see the simulator (the sanitizer's drop
+        # classifier) can map a dropped packet's tree id back to its policy.
+        # Old epochs are kept after failover so stray old-epoch drops still
+        # classify correctly.
+        self._tree_policies = self.simulator.tree_policies
         #: Optional :class:`~repro.analysis.error_bounds.ErrorBoundTracker`;
         #: when set, ``send_pairs`` reports injected mass to it.
         self.error_tracker: Any = None

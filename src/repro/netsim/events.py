@@ -320,10 +320,9 @@ class EventScheduler:
         #: callback has a registered handler, it delegates the entry — and
         #: implicitly any same-callback entries at the queue head — to the
         #: handler, which returns how many events it consumed (>= 1). The
-        #: simulator registers its per-switch burst sinks here so concurrent
-        #: send windows into one switch become one vectorized kernel call. The
-        #: dict is mutated in place (cleared/refilled on topology rebuilds)
-        #: so the alias held by a running ``run()`` loop stays current.
+        #: simulator registers its per-switch burst sinks here (see
+        #: :meth:`set_batch_handlers`) so concurrent send windows into one
+        #: switch become one vectorized kernel call.
         self._batch_handlers: dict[Callable[..., None], Any] = {}
         self._seq = 0
         self.now = 0.0
@@ -364,6 +363,15 @@ class EventScheduler:
             heappush(self._queue, entry)
             if len(self._queue) >= self._threshold:
                 self._activate_calendar()
+
+    def set_batch_handlers(self, handlers: dict[Callable[..., None], Any]) -> None:
+        """Replace the callback -> batch handler map.
+
+        The map is refilled in place, so the alias a running ``run()`` loop
+        holds stays current.
+        """
+        self._batch_handlers.clear()
+        self._batch_handlers.update(handlers)
 
     def reserve_seqs(self, count: int) -> int:
         """Reserve ``count`` consecutive sequence numbers; returns the first.

@@ -19,18 +19,16 @@ scheduler and enforces it on the data path:
 * **straggler slowdown** — a per-link latency multiplier: bandwidth is
   divided and propagation multiplied by ``factor`` for the fault window.
   The simulator reads link attributes live on every transmission, so the
-  mutation needs no wrapper and costs nothing per packet.
+  mutation needs no hook and costs nothing per packet.
 
-Every packet destroyed by a fault is *counted*, never silently dropped:
-it lands in ``TrafficStats.fault_drops`` and — when the runtime sanitizer
-is installed — in the conservation ledger's ``faulted`` bucket, so
-``REPRO_SANITIZE=1`` churn runs still balance exactly.
-
-Install order matters and is asserted by construction: the sanitizer (if
-any) wraps the simulator at construction time, the injector wraps it
-afterwards, so the fault gate is the *outermost* layer. A gated packet is
-accounted as faulted and the inner (sanitizer, then real) paths never see
-it.
+The injector enforces the plan as a simulator observer
+(:meth:`NetworkSimulator.add_observer`) holding the two veto hooks: the
+simulator asks it before every transmission and every delivery, and turns
+a veto into a ``fault`` drop. Every packet destroyed by a fault is thus
+*counted*, never silently dropped: it lands in ``TrafficStats.fault_drops``
+and every other observer is told (the sanitizer files it under ``faulted``,
+so ``REPRO_SANITIZE=1`` churn runs still balance exactly; the error-bound
+tracker adds its mass to the tree's deficit).
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError
 from repro.netsim.devices import Host, SwitchDevice
+from repro.netsim.links import Link
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.simulator import NetworkSimulator
@@ -270,16 +269,11 @@ class FaultInjector:
     # Installation
     # ------------------------------------------------------------------ #
     def install(self) -> "FaultInjector":
-        """Wrap the data path and schedule every planned fault."""
+        """Attach the vetoes to the data path and schedule every planned fault."""
         if self._installed:
             return self
         sim = self.sim
-        sim._transmit = self._compile_transmit_gate()
-        for name in self.plan.crash_targets():
-            self._wrap_device(sim.topology.get(name))
-        # The compiled per-link sinks captured the pre-fault bound methods;
-        # rebuilding makes them re-capture the gate and deliver wrappers.
-        sim._build_port_maps()
+        sim.add_observer(self)
         for event in self.plan.sorted_events():
             sim.scheduler.push_at(event.time, self._apply, (event,))
         sim.fault_injector = self
@@ -287,86 +281,21 @@ class FaultInjector:
         return self
 
     @fastpath("fault-gate", oracle="tests/netsim/test_fault_churn.py")
-    def _compile_transmit_gate(self) -> Any:
-        """Compile the outermost ``_transmit`` wrapper.
+    def veto_transmit(self, from_device: str, link: Link | None) -> str | None:
+        """Where a transmission from ``from_device`` onto ``link`` dies.
 
-        The gate destroys (and accounts) packets leaving a crashed device
-        or entering a downed link, and passes everything else through to
-        the inner transmit path unchanged. All lookups are pre-bound; the
-        healthy-path cost is two set probes and one dict probe per hop.
-        The twin-path oracle (``tests/netsim/test_fault_churn.py``) holds
-        that a run with an *empty* plan is byte-identical to an uninstalled
-        run, and that every gated packet is conserved in ``fault_drops`` /
-        the sanitizer's ``faulted`` bucket.
+        The crashed sender or the downed link, else ``None``: the healthy
+        path costs one set probe and one emptiness test per hop. The oracle
+        (``tests/netsim/test_fault_churn.py``) holds that a run with an
+        *empty* plan is byte-identical to an uninstalled run, and that every
+        vetoed packet is conserved in ``fault_drops`` / the sanitizer's
+        ``faulted`` bucket.
         """
-        inner_transmit = self.sim._transmit
-        down_devices = self.down_devices
-        down_links = self.down_links
-        port_links = self.sim._port_links
-        record_fault_drop = self.sim.stats.record_fault_drop
-        sanitizer = self.sim.sanitizer
-        ledger_faulted = sanitizer.ledger.faulted if sanitizer is not None else None
-
-        def transmit(from_device: str, egress_port: int, packet: Any, nbytes: int) -> None:
-            if from_device in down_devices:
-                record_fault_drop(from_device)
-                if ledger_faulted is not None:
-                    cls = type(packet).__name__
-                    ledger_faulted[cls] = ledger_faulted.get(cls, 0) + 1
-                return
-            if down_links:
-                link = port_links[from_device].get(egress_port)
-                if link is not None and link.name in down_links:
-                    record_fault_drop(link.name)
-                    if ledger_faulted is not None:
-                        cls = type(packet).__name__
-                        ledger_faulted[cls] = ledger_faulted.get(cls, 0) + 1
-                    return
-            inner_transmit(from_device, egress_port, packet, nbytes)
-
-        return transmit
-
-    def _wrap_device(self, device: Any) -> None:
-        """Wrap the deliver path of a crash-target device.
-
-        Needed for packets already in flight *towards* the device when it
-        crashes (the sender-side gate cannot see those).
-        """
-        down_devices = self.down_devices
-        record_fault_drop = self.sim.stats.record_fault_drop
-        sanitizer = self.sim.sanitizer
-        ledger_faulted = sanitizer.ledger.faulted if sanitizer is not None else None
-        name = device.name
-
-        def account(packet: Any) -> None:
-            record_fault_drop(name)
-            if ledger_faulted is not None:
-                cls = type(packet).__name__
-                ledger_faulted[cls] = ledger_faulted.get(cls, 0) + 1
-
-        if isinstance(device, Host):
-            inner_deliver = device.deliver
-
-            def deliver(packet: Any, nbytes: int) -> None:
-                if name in down_devices:
-                    account(packet)
-                    return
-                inner_deliver(packet, nbytes)
-
-            device.deliver = deliver
-            return
-
-        inner_switch_deliver = device.deliver
-
-        def switch_deliver(
-            packet: Any, ingress_port: int, nbytes: int
-        ) -> list[tuple[int, Any]]:
-            if name in down_devices:
-                account(packet)
-                return []
-            return inner_switch_deliver(packet, ingress_port, nbytes)
-
-        device.deliver = switch_deliver
+        if from_device in self.down_devices:
+            return from_device
+        if self.down_links and link is not None and link.name in self.down_links:
+            return link.name
+        return None
 
     # ------------------------------------------------------------------ #
     # Fault application
@@ -406,6 +335,7 @@ class FaultInjector:
 
     def _wipe_switch(self, device: SwitchDevice) -> None:
         """Volatile-state loss on crash: tables, caches and extern trees."""
+        self.sim.notify_wipe(device)
         engine = device.switch.externs.get("daiet")
         if engine is not None:
             engine._trees.clear()
@@ -420,6 +350,10 @@ class FaultInjector:
     def is_down(self, name: str) -> bool:
         """True while device ``name`` is crashed."""
         return name in self.down_devices
+
+    #: The delivery veto: a packet in flight towards a device when it
+    #: crashed (the sender-side veto cannot see those) dies on arrival.
+    veto_deliver = is_down
 
     def down_switch_names(self) -> list[str]:
         """Sorted names of currently crashed switches."""

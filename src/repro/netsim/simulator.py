@@ -5,6 +5,14 @@ packet from a host schedules its arrival at the attached switch after the
 link's store-and-forward delay; every switch output is likewise scheduled on
 the corresponding link until the packet reaches a host, whose application
 receiver is then invoked.
+
+Checkers (the conservation sanitizer, the fault gate, the error-bound
+tracker) attach through one seam, :meth:`NetworkSimulator.add_observer`. An
+observer is any object defining some of the hooks in :data:`OBSERVER_HOOKS`.
+The simulator fixes the order they run in, whatever order they were added
+in: a host's ``on_send`` notice, then the vetoes, then the transmission or
+delivery itself, then the notices of what became of the packet. With no
+observer attached none of this exists on the per-packet path.
 """
 
 from __future__ import annotations
@@ -35,6 +43,21 @@ except ImportError:  # pragma: no cover - the toolchain bakes numpy in
     _np = None
 
 _DAIET_DATA = DaietPacketType.DATA
+
+#: Every hook an observer may define (``src/repro/netsim/README.md`` lists
+#: who consumes each). ``veto_transmit(from_device, link)`` names the device
+#: or link a transmission dies at (or ``None``) and ``veto_deliver(device)``
+#: says whether a device is down; the rest return nothing.
+OBSERVER_HOOKS = (
+    "veto_transmit",
+    "veto_deliver",
+    "on_send",
+    "on_deliver",
+    "on_switch",
+    "on_drop",
+    "on_mark",
+    "on_wipe",
+)
 
 
 class _BurstPlan:
@@ -182,7 +205,7 @@ class SimulatorConfig:
     #: Run with the runtime invariant sanitizer installed (conservation
     #: ledger, scheduler and register-leak checks). ``None`` defers to the
     #: ``REPRO_SANITIZE`` environment variable; the sanitizer costs nothing
-    #: when disabled (no wrapper is installed, no flag is checked per event).
+    #: when disabled (no observer is attached, no flag is checked per event).
     sanitize: bool | None = None
     #: ECN marking threshold: when a switch egress queue (the serialized-but-
     #: not-yet-sent backlog of one link direction) exceeds this many bytes,
@@ -254,11 +277,24 @@ class NetworkSimulator:
         #: schedule would have produced (reports and benches stay
         #: comparable across PRs).
         self._synthetic_events = 0
-        #: Installed :class:`~repro.checks.sanitize.SimulatorSanitizer`, or
-        #: ``None`` on an ordinary (unsanitized) simulator.
+        #: Attached observers and, per hook name, their bound hooks (see
+        #: :meth:`add_observer`).
+        self._observers: list[Any] = []
+        self._hooks: dict[str, list[Any]] = {name: [] for name in OBSERVER_HOOKS}
+        stats = self.stats
+        self._drop_recorders = {
+            "loss": stats.record_loss,
+            "queue": stats.record_queue_drop,
+            "unconnected": stats.record_drop,
+            "fault": stats.record_fault_drop,
+        }
+        #: tree id -> reliability policy, filled by ``DaietSystem``: lets an
+        #: observer that only sees the simulator classify a dropped packet.
+        self.tree_policies: dict[int, str] = {}
+        #: The installed :class:`~repro.checks.sanitize.SimulatorSanitizer`
+        #: and :class:`~repro.netsim.faults.FaultInjector`, for callers that
+        #: want their ledgers and logs; ``None`` when not installed.
         self.sanitizer = None
-        #: Installed :class:`~repro.netsim.faults.FaultInjector`, or ``None``
-        #: on a fault-free simulator. Set by ``FaultInjector.install``.
         self.fault_injector = None
         self._build_port_maps()
         if self.config.auto_install_routes:
@@ -273,23 +309,32 @@ class NetworkSimulator:
 
             install_sanitizer(self)
 
+    def add_observer(self, observer: Any) -> None:
+        """Attach ``observer``: each :data:`OBSERVER_HOOKS` method it defines.
+
+        Attach before injecting traffic: events already queued keep the
+        callbacks they were scheduled with.
+        """
+        self._observers.append(observer)
+        for name, hooks in self._hooks.items():
+            hook = getattr(observer, name, None)
+            if hook is not None:
+                hooks.append(hook)
+        self._build_port_maps()
+
     def _build_port_maps(self) -> None:
         for name in self.topology.devices:
             self._port_links[name] = {}
             self._port_info[name] = {}
-        # Burst delivery bypasses ``self._transmit`` and per-packet sink
-        # dispatch, so it must stand down whenever any observer is watching
-        # individual transmissions: the sanitizer, the fault injector and the
-        # error tracker all install an instance-level ``_transmit`` wrapper
-        # (and rebuild these maps), which this gate detects.
-        batch_ok = (
-            "_transmit" not in self.__dict__
-            and self.sanitizer is None
-            and self.fault_injector is None
-        )
-        self._fast_burst = batch_ok
-        batch_handlers = self.scheduler._batch_handlers
-        batch_handlers.clear()
+        # The one place that decides what being observed costs. Observers see
+        # individual transmissions and deliveries, so with any attached every
+        # device is delivered through ``_deliver``, transmissions enter
+        # through ``_observed_transmit``, and burst delivery (which bypasses
+        # both) stands down. With none, nothing below consults an observer.
+        observed = bool(self._observers)
+        self._fast_burst = not observed
+        self._transmit_entry = self._observed_transmit if observed else self._transmit
+        batch_handlers: dict[Any, Any] = {}
         # One compiled sink per receiving device (not per link end): the
         # burst handler collects consecutive queue entries by burst-sink
         # identity, so all links into one switch must share its sinks.
@@ -305,27 +350,25 @@ class NetworkSimulator:
                 # Subclassed devices use the generic path.
                 device = self.topology.devices[other.device]
                 device_type = type(device)
-                if device_type is Host:
+                target: Any = device
+                if observed or device_type not in (Host, SwitchDevice):
+                    callback = self._deliver
+                    target = other.device
+                elif device_type is Host:
                     callback = sinks.get(other.device)
                     if callback is None:
                         callback = sinks[other.device] = self._compile_host_sink(device)
-                    target: Any = device
-                elif device_type is SwitchDevice:
+                else:
                     callback = sinks.get(other.device)
                     if callback is None:
                         callback = sinks[other.device] = self._compile_switch_sink(
                             device
                         )
-                        if batch_ok:
-                            bsink = self._compile_burst_sink(callback)
-                            burst_sinks[other.device] = bsink
-                            batch_handlers[bsink] = self._compile_switch_burst(
-                                device, callback, bsink
-                            )
-                    target = device
-                else:
-                    callback = self._deliver
-                    target = other.device
+                        bsink = self._compile_burst_sink(callback)
+                        burst_sinks[other.device] = bsink
+                        batch_handlers[bsink] = self._compile_switch_burst(
+                            device, callback, bsink
+                        )
                 self._port_info[end.device][end.port] = (
                     link,
                     link.name,
@@ -336,6 +379,7 @@ class NetworkSimulator:
                     (link.name, end.device),
                     burst_sinks.get(other.device),
                 )
+        self.scheduler.set_batch_handlers(batch_handlers)
 
     def _compile_host_sink(self, host: Host) -> Any:
         """A delivery closure for one host: stats recording + app delivery.
@@ -643,7 +687,9 @@ class NetworkSimulator:
         device.note_sent(packet, nbytes)
         self.stats.record_host_sent(src_host, nbytes)
         self.scheduler.push_at(
-            self.scheduler.now + delay, self._transmit, (src_host, 0, packet, nbytes)
+            self.scheduler.now + delay,
+            self._transmit_entry,
+            (src_host, 0, packet, nbytes),
         )
 
     def send_burst(self, src_host: str, packets: Iterable[Any], delay: float = 0.0) -> int:
@@ -747,17 +793,65 @@ class NetworkSimulator:
                 scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
                 self._synthetic_events += n - 1
                 return
-        transmit = self._transmit
+        transmit = self._transmit_entry
         for packet, nbytes in items:
             transmit(src_host, 0, packet, nbytes)
         self._synthetic_events += n - 1
+
+    def _observed_transmit(
+        self, from_device: str, egress_port: int, packet: Any, nbytes: int
+    ) -> None:
+        """The transmit entry while observers are attached.
+
+        A transmission by anything but a switch is a host handing the packet
+        to its NIC, the ``on_send`` notice. A veto naming where the packet
+        dies makes it a ``fault`` drop; otherwise ``_transmit`` runs and
+        reports what became of the packet through ``_drop`` / ``_mark``.
+        """
+        hooks = self._hooks
+        if from_device not in self._switch_names:
+            for on_send in hooks["on_send"]:
+                on_send(packet)
+        for veto in hooks["veto_transmit"]:
+            where = veto(from_device, self._port_links[from_device].get(egress_port))
+            if where is not None:
+                self._drop("fault", where, packet)
+                return
+        self._transmit(from_device, egress_port, packet, nbytes)
+
+    def _drop(self, reason: str, where: str, packet: Any) -> None:
+        """Count a packet that leaves the network at ``where``, and tell why.
+
+        Every way a packet can die reports here: ``loss`` (the link's loss
+        draw), ``queue`` (a full switch egress buffer), ``unconnected`` (no
+        link on the egress port) and ``fault`` (a crashed device or downed
+        link, see ``veto_transmit`` / ``veto_deliver``).
+        """
+        self._drop_recorders[reason](where)
+        for on_drop in self._hooks["on_drop"]:
+            on_drop(reason, where, packet)
+
+    def _mark(self, link_name: str, packet: Any) -> None:
+        """Set the CE bit of ``packet`` on the congested ``link_name``."""
+        object.__setattr__(packet, "ecn", True)
+        self.stats.record_ecn_mark(link_name)
+        for on_mark in self._hooks["on_mark"]:
+            on_mark(link_name, packet)
+
+    def notify_wipe(self, device: SwitchDevice) -> None:
+        """Tell observers ``device`` is about to lose its volatile state.
+
+        Called by whoever clears it (the fault injector on a switch crash),
+        *before* clearing, so ``on_wipe`` hooks can still read the registers.
+        """
+        for on_wipe in self._hooks["on_wipe"]:
+            on_wipe(device)
 
     def _transmit(self, from_device: str, egress_port: int, packet: Any, nbytes: int) -> None:
         """Put a packet on the link attached to ``(from_device, egress_port)``."""
         info = self._port_info[from_device].get(egress_port)
         if info is None:
-            # Transmissions towards unconnected ports are counted as drops.
-            self.stats.record_drop(from_device)
+            self._drop("unconnected", from_device, packet)
             return
         link, link_name, callback, target, other_port, direction, busy_key, _burst = info
         if self._congestion_enabled and from_device in self._switch_names:
@@ -772,7 +866,7 @@ class NetworkSimulator:
                 backlog_bytes = backlog_s * link.bandwidth_bps
                 limit = self._switch_buffer
                 if limit is not None and backlog_bytes > limit:
-                    self.stats.record_queue_drop(link_name)
+                    self._drop("queue", link_name, packet)
                     return
                 threshold = self._ecn_threshold
                 if (
@@ -780,8 +874,7 @@ class NetworkSimulator:
                     and backlog_bytes > threshold
                     and getattr(packet, "ecn", None) is False
                 ):
-                    object.__setattr__(packet, "ecn", True)
-                    self.stats.record_ecn_mark(link_name)
+                    self._mark(link_name, packet)
         direction.packets += 1
         direction.bytes += nbytes
         # stats.record_link, inlined (one call per packet per hop).
@@ -806,7 +899,7 @@ class NetworkSimulator:
         busy[busy_key] = start + serialization
         if link.loss_rate > 0.0 and self._loss_rng.random() < link.loss_rate:
             # The packet is lost in flight: it never reaches the other end.
-            self.stats.record_loss(link_name)
+            self._drop("loss", link_name, packet)
             return
         scheduler.push_at(
             start + serialization + link.propagation_s,
@@ -815,20 +908,43 @@ class NetworkSimulator:
         )
 
     def _deliver(self, device_name: str, ingress_port: int, packet: Any, nbytes: int) -> None:
-        """Generic delivery to a subclassed device, through ``handle_packet``.
+        """Delivery without a compiled sink, through the observer hooks.
 
-        Exact :class:`Host` and :class:`SwitchDevice` instances never get
-        here: ``_build_port_maps`` compiles them a sink.
+        Subclassed devices always arrive here (via ``handle_packet``); while
+        observers are attached every device does, exact :class:`Host` and
+        :class:`SwitchDevice` instances through the same ``deliver`` their
+        compiled sink calls. A packet reaching a device a ``veto_deliver``
+        hook reports down was carried by the link, so it is counted as
+        received, and then dies there as a ``fault`` drop.
         """
         device = self._devices[device_name]
-        if isinstance(device, Host):
+        is_host = isinstance(device, Host)
+        if is_host:
             self.stats.record_host_received(device_name, nbytes)
         elif isinstance(device, SwitchDevice):
             self.stats.record_switch(device_name, nbytes)
-        for egress_port, out_packet in device.handle_packet(packet, ingress_port):
-            self._transmit(
-                device_name, egress_port, out_packet, packet_wire_bytes(out_packet)
-            )
+        hooks = self._hooks
+        for is_down in hooks["veto_deliver"]:
+            if is_down(device_name):
+                self._drop("fault", device_name, packet)
+                return
+        device_type = type(device)
+        if device_type is Host:
+            device.deliver(packet, nbytes)
+            outputs: Any = ()
+        elif device_type is SwitchDevice:
+            outputs = device.deliver(packet, ingress_port, nbytes)
+        else:
+            outputs = device.handle_packet(packet, ingress_port)
+        if is_host:
+            for on_deliver in hooks["on_deliver"]:
+                on_deliver(packet)
+        else:
+            for on_switch in hooks["on_switch"]:
+                on_switch(packet, outputs)
+        transmit = self._transmit_entry
+        for egress_port, out_packet in outputs:
+            transmit(device_name, egress_port, out_packet, packet_wire_bytes(out_packet))
 
     # ------------------------------------------------------------------ #
     # Execution

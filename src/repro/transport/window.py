@@ -368,7 +368,7 @@ class WindowedSender:
     __slots__ = (
         "base_timeout",
         "max_retransmits",
-        "_transmit",
+        "_emit",
         "_on_timeout_stat",
         "_give_up",
         "_clock",
@@ -404,7 +404,7 @@ class WindowedSender:
             raise TransportError("retransmit_timeout must be positive")
         self.base_timeout = base_timeout
         self.max_retransmits = max_retransmits
-        self._transmit = transmit
+        self._emit = transmit
         self._on_timeout_stat = on_timeout_stat
         self._give_up = give_up
         self._clock = clock
@@ -517,7 +517,7 @@ class WindowedSender:
             sent_at = self._sent_at
             for seq, _packet in batch:
                 sent_at[seq] = now
-        self._transmit([packet for _seq, packet in batch], retransmit)
+        self._emit([packet for _seq, packet in batch], retransmit)
 
     def _release_pending(self) -> None:
         """Inject queued packets as acknowledgements open the window."""
@@ -610,7 +610,7 @@ class WindowedSender:
         if sent_at:
             for seq in seqs:
                 sent_at.pop(seq, None)
-        self._transmit([unacked[seq] for seq in seqs], True)
+        self._emit([unacked[seq] for seq in seqs], True)
 
     # ------------------------------------------------------------------ #
     # Timeout path

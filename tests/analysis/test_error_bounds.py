@@ -13,7 +13,7 @@ from repro.analysis.error_bounds import (
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.functions import SUM, aggregate_pairs
-from repro.netsim.faults import FaultPlan, install_faults
+from repro.netsim.faults import FaultPlan
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import Topology
 
@@ -107,15 +107,22 @@ class TestTrackerLifecycle:
         assert tracker.install() is tracker
         assert system.error_tracker is tracker
 
-    def test_tracker_is_transparent(self):
-        def outcome(tracked: bool):
-            system = build_system("best_effort", loss_rate=0.05)
-            if tracked:
-                install_error_tracker(system)
-            result = run_job(system)
-            return result, system.simulator.stats.snapshot()
+    @staticmethod
+    def outcome(attach=None):
+        system = build_system("best_effort", loss_rate=0.05)
+        attached = attach(system) if attach is not None else None
+        result = run_job(system)
+        return (result, system.simulator.stats.snapshot()), attached
 
-        assert outcome(False) == outcome(True)
+    def test_tracker_is_transparent(self):
+        assert self.outcome()[0] == self.outcome(install_error_tracker)[0]
+
+    def test_tracker_is_transparent_in_every_add_order(self, attach_observers):
+        alone, tracker_alone = self.outcome(install_error_tracker)
+        observed, (_sanitizer, _injector, tracker) = self.outcome(attach_observers)
+        assert observed == alone == self.outcome()[0]
+        assert tracker.ledgers == tracker_alone.ledgers
+        assert tracker.bounds() == tracker_alone.bounds()
 
 
 class TestBoundSoundness:
@@ -152,22 +159,27 @@ class TestBoundSoundness:
                 bound.abs_bound / expected
             )
 
-    def test_switch_crash_mass_is_wiped_into_the_ledger(self):
+    def test_switch_crash_mass_is_wiped_into_the_ledger(self, attach_observers):
         system = build_system("best_effort")
         # Crash the ToR mid-round: whatever its registers held is destroyed
-        # without any link drop — the wipe hook must capture it — and the
-        # packets still in flight towards it die at the deliver wrapper.
-        install_faults(
-            system.simulator, FaultPlan().switch_crash(2.1e-6, "tor")
+        # without any link drop — the wipe notice must capture it — and the
+        # packets still in flight towards it die at the delivery veto. The
+        # tracker hears of both even when it was attached before the injector
+        # (at the parent of this change it then reported a bound of zero).
+        sanitizer, _injector, tracker = attach_observers(
+            system, FaultPlan().switch_crash(2.1e-6, "tor")
         )
-        tracker = install_error_tracker(system)
         result = run_job(system)
         bound = tracker.bound(system.tree_for("h3").tree_id)
         error = true_error_l1(truth(), result)
         assert bound.contains(error)
         assert error > 0  # the crash really did destroy contributions
-        assert bound.wiped_pairs > 0  # register mass entered the ledger
-        assert bound.lost_pairs > 0  # so did the in-flight packets
+        # The same ledger in every add order: register mass and in-flight
+        # packets, each counted once, and every destroyed packet conserved.
+        assert (bound.wiped_pairs, bound.lost_pairs, bound.abs_bound) == (12, 36, 744)
+        assert sum(sanitizer.ledger.faulted.values()) == (
+            system.simulator.stats.total_fault_drops()
+        )
 
     def test_bounds_reads_are_idempotent(self):
         system = build_system("best_effort", loss_rate=0.08)

@@ -16,6 +16,16 @@ from repro.checks.registry import registered_fastpaths
 from repro.cli import main
 
 
+def _package_trees():
+    """``(path relative to src/repro, parsed module)`` for every source file."""
+    package = repo_root() / "src" / "repro"
+    for path in sorted(package.rglob("*.py")):
+        yield (
+            path.relative_to(package).as_posix(),
+            ast.parse(path.read_text(encoding="utf-8")),
+        )
+
+
 class TestCleanTree:
     def test_repo_tree_lints_clean(self):
         report = run_lint()
@@ -40,17 +50,56 @@ class TestCleanTree:
         # through push_at / push_entry / reserve_seqs / peek_entry /
         # pop_entry. The sanitizer checks the backends' structure, so it may
         # look.
-        private = {"_cal", "_queue", "_threshold", "_cancelled", "_activate_calendar"}
+        private = {
+            "_cal",
+            "_queue",
+            "_threshold",
+            "_cancelled",
+            "_activate_calendar",
+            "_batch_handlers",
+            "_seq",
+            "_pending_handles",
+        }
         allowed = {"netsim/events.py", "checks/sanitize.py"}
-        package = repo_root() / "src" / "repro"
         offenders = []
-        for path in sorted(package.rglob("*.py")):
-            relative = path.relative_to(package).as_posix()
+        for relative, tree in _package_trees():
             if relative in allowed:
                 continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute) and node.attr in private:
                     offenders.append(f"{relative}:{node.lineno} .{node.attr}")
+        assert offenders == []
+
+    def test_the_data_path_is_observed_not_wrapped(self):
+        # Checkers reach the data path through NetworkSimulator.add_observer.
+        # Nobody replaces another object's transmit, delivery or send entry,
+        # and only the simulator rebuilds its own port maps. (The parent of
+        # the change that added this gate had 15 hits: 12 such assignments in
+        # checks/sanitize.py, netsim/faults.py and analysis/error_bounds.py,
+        # and one _build_port_maps() call in each.)
+        wrapped = {"_transmit", "deliver", "handle_packet", "send", "send_burst"}
+        offenders = []
+        for relative, tree in _package_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and target.attr in wrapped
+                            and not (
+                                isinstance(target.value, ast.Name)
+                                and target.value.id == "self"
+                            )
+                        ):
+                            offenders.append(f"{relative}:{node.lineno} .{target.attr} =")
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_build_port_maps"
+                    and relative != "netsim/simulator.py"
+                ):
+                    offenders.append(f"{relative}:{node.lineno} ._build_port_maps()")
         assert offenders == []
 
     def test_cli_lint_exits_zero(self, capsys):

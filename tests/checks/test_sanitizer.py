@@ -15,8 +15,13 @@ from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import SanitizerError
 from repro.core.packet import DaietPacket
+from repro.dataplane.tables import FlowRule
+from repro.netsim.devices import FORWARDING_TABLE
+from repro.netsim.faults import FaultPlan, install_faults
+from repro.netsim.links import DEFAULT_BANDWIDTH_BPS
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, single_rack
+from repro.transport.packets import UdpDatagram
 
 
 def build_system(sanitize: bool | None, **config_kwargs) -> DaietSystem:
@@ -46,6 +51,16 @@ class TestTransparency:
         sanitized = run_job(build_system(sanitize=True, reliability=True))
         assert plain == sanitized
 
+    def test_every_observer_add_order_is_byte_identical(self, attach_observers):
+        plain = run_job(build_system(sanitize=False, reliability=True))
+        system = build_system(sanitize=False, reliability=True)
+        sanitizer, _injector, _tracker = attach_observers(system)
+        assert run_job(system) == plain
+        # ... and the ledger reads the same as when the sanitizer is alone.
+        alone = build_system(sanitize=True, reliability=True)
+        run_job(alone)
+        assert sanitizer.ledger.snapshot() == alone.simulator.sanitizer.ledger.snapshot()
+
     def test_sanitizer_attribute_reflects_mode(self):
         assert build_system(sanitize=False).simulator.sanitizer is None
         system = build_system(sanitize=True)
@@ -71,13 +86,12 @@ class TestConservationLedger:
     def test_phantom_delivery_is_detected(self):
         system = build_system(sanitize=True)
         sanitizer = system.simulator.sanitizer
-        host = system.simulator.host("h3")
         packet = DaietPacket(
             tree_id=1, src="h0", dst="h3", pairs=(("k", 1),),
             config=system.config,
         )
-        # A delivery with no matching send: negative in-flight balance.
-        host.deliver(packet, 64)
+        # A delivery event with no matching send: negative in-flight balance.
+        system.simulator._deliver("h3", 0, packet, 64)
         with pytest.raises(SanitizerError, match="conservation violated"):
             sanitizer.check()
 
@@ -100,6 +114,87 @@ class TestConservationLedger:
         system = build_system(sanitize=True)
         run_job(system)
         system.simulator.sanitizer.check()  # must not raise
+
+
+def _datagrams(count: int, dst: str = "h1") -> list[UdpDatagram]:
+    """``count`` 1000-byte frames from ``h0``."""
+    return [UdpDatagram(src="h0", dst=dst, payload_bytes=958) for _ in range(count)]
+
+
+def _dead_port_rule(sim: NetworkSimulator) -> None:
+    sim.switch("tor").switch.install_rules(
+        [
+            FlowRule.create(
+                table=FORWARDING_TABLE,
+                match={"dst": "ghost"},
+                action_name="forward",
+                action_params={"egress_port": 40},
+            )
+        ]
+    )
+
+
+#: One row per way a packet can leave the network (plus the ECN mark):
+#: (exit, simulator config, h0 uplink loss rate, fault plan, set-up,
+#: frames sent, TrafficStats table, where it is counted, ledger bucket).
+#: The h1 downlink is ten times slower than the h0 uplink, so three
+#: back-to-back frames queue 900 then 1800 bytes at the ToR's egress.
+DROP_EXITS = [
+    ("unconnected-port", {}, 0.0, None, _dead_port_rule, _datagrams(1, "ghost"),
+     "drops", "tor", "lost_or_dropped"),
+    ("tail-drop", {"switch_buffer_bytes": 1000}, 0.0, None, None, _datagrams(3),
+     "queue_drops", ("h1", "tor"), "lost_or_dropped"),
+    ("loss-draw", {"loss_seed": 0}, 0.9, None, None, _datagrams(1),
+     "losses", ("h0", "tor"), "lost_or_dropped"),
+    ("downed-link", {}, 0.0, FaultPlan().link_down(0.0, "h0", "tor"), None,
+     _datagrams(1), "fault_drops", ("h0", "tor"), "faulted"),
+    ("crashed-sender", {}, 0.0, FaultPlan().host_crash(0.0, "h0"), None,
+     _datagrams(1), "fault_drops", "h0", "faulted"),
+    ("delivery-to-crashed-host", {}, 0.0, FaultPlan().host_crash(3e-6, "h1"), None,
+     _datagrams(1), "fault_drops", "h1", "faulted"),
+    ("delivery-to-crashed-switch", {}, 0.0, FaultPlan().switch_crash(1e-6, "tor"),
+     None, _datagrams(1), "fault_drops", "tor", "faulted"),
+    ("ecn-mark", {"ecn_threshold_bytes": 1000}, 0.0, None, None, _datagrams(3),
+     "ecn_marked", ("h1", "tor"), "marked"),
+]
+
+
+class TestDropReasons:
+    @pytest.mark.parametrize("row", DROP_EXITS, ids=[row[0] for row in DROP_EXITS])
+    def test_every_exit_is_counted_once_and_told_to_the_ledger(self, row):
+        _exit, config, loss_rate, plan, setup, frames, table, where, bucket = row
+        topo = Topology(name="rack")
+        topo.add_switch("tor")
+        topo.add_host("h0")
+        topo.add_host("h1")
+        topo.connect("h0", "tor", loss_rate=loss_rate)
+        topo.connect("h1", "tor", bandwidth_bps=DEFAULT_BANDWIDTH_BPS / 10)
+        sim = NetworkSimulator(topo, SimulatorConfig(sanitize=True, **config))
+        if plan is not None:
+            install_faults(sim, plan)
+        if setup is not None:
+            setup(sim)
+        sim.send_burst("h0", frames)
+        sim.run()  # the sanitized run loop checks conservation at quiescence
+        if isinstance(where, tuple):
+            where = topo.link_between(*where).name
+        counted = {
+            name: counts
+            for name, counts in sim.stats.snapshot().items()
+            if name in ("drops", "queue_drops", "losses", "fault_drops", "ecn_marked")
+            and counts
+        }
+        assert counted == {table: {where: 1}}
+        told = {
+            name: counts
+            for name, counts in sim.sanitizer.ledger.snapshot().items()
+            if name in ("lost_or_dropped", "faulted", "unprotected", "marked")
+            and counts
+        }
+        assert told == {bucket: {"UdpDatagram": 1}}
+        # Only a marked frame still reaches the application.
+        delivered = sim.sanitizer.ledger.delivered.get("UdpDatagram", 0)
+        assert delivered == len(frames) - (bucket != "marked")
 
 
 def build_lossy_system(policy: str, loss_rate: float = 0.05) -> DaietSystem:

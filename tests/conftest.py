@@ -2,14 +2,42 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
+from repro.analysis.error_bounds import install_error_tracker
+from repro.checks.sanitize import install_sanitizer
 from repro.core.config import DaietConfig
 from repro.graph.generators import livejournal_like, ring_graph
 from repro.mapreduce.cluster import build_cluster
 from repro.mapreduce.wordcount import generate_corpus
 from repro.mlsys.datasets import generate_synthetic_mnist
+from repro.netsim.faults import FaultPlan, install_faults
 from repro.netsim.topology import leaf_spine, single_rack
+
+
+@pytest.fixture(
+    params=list(permutations(("sanitizer", "faults", "tracker"))), ids="-".join
+)
+def attach_observers(request):
+    """Installs all three simulator observers, in each of the six add orders.
+
+    ``attach(system, plan=None)`` returns ``(sanitizer, injector, tracker)``;
+    whatever they report must not depend on the order they were added in.
+    """
+
+    def attach(system, plan=None):
+        sim = system.simulator
+        installers = {
+            "sanitizer": lambda: install_sanitizer(sim),
+            "faults": lambda: install_faults(sim, plan or FaultPlan()),
+            "tracker": lambda: install_error_tracker(system),
+        }
+        installed = {name: installers[name]() for name in request.param}
+        return installed["sanitizer"], installed["faults"], installed["tracker"]
+
+    return attach
 
 
 @pytest.fixture()

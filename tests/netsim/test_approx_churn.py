@@ -107,9 +107,11 @@ def _crash_schedule() -> tuple[str, float, str, float]:
     return first_spine, first_crash, replacement_spine, replay_time + 5e-7
 
 
-def _run_double_crash(policy: str):
+def _run_double_crash(policy: str, tracker_first: bool = False):
     first_spine, first_crash, replacement_spine, second_crash = _crash_schedule()
     system = _system(policy)
+    if tracker_first:
+        tracker = install_error_tracker(system)
     injector = install_faults(
         system.simulator,
         FaultPlan()
@@ -120,7 +122,8 @@ def _run_double_crash(policy: str):
         system, injector, FailoverConfig(heartbeat_interval=HEARTBEAT)
     )
     manager.start()
-    tracker = install_error_tracker(system)
+    if not tracker_first:
+        tracker = install_error_tracker(system)
     _send(system)
     system.run()  # terminating at all is part of the contract
     return system, manager, tracker
@@ -139,8 +142,12 @@ class TestCrashDuringReplay:
         final_spine = _tree_spine(system)
         assert final_spine not in system.simulator.fault_injector.down_switch_names()
 
-    def test_best_effort_terminates_with_bounded_deficit(self):
-        system, manager, tracker = _run_double_crash("best_effort")
+    @pytest.mark.parametrize("tracker_first", [False, True])
+    def test_best_effort_terminates_with_bounded_deficit(self, tracker_first):
+        # Attached before or after the injector, the tracker hears of every
+        # fault drop and wipe (attached first, it used to hear of neither and
+        # report a bound below the true error).
+        system, manager, tracker = _run_double_crash("best_effort", tracker_first)
         receiver = system.receiver("h3")
         truth = _truth()
         received = receiver.result()
@@ -157,6 +164,7 @@ class TestCrashDuringReplay:
         error = true_error_l1(truth, received)
         assert error > 0  # the crashes really cost contributions
         assert bound.contains(error)
+        assert (bound.wiped_pairs, bound.lost_pairs, bound.abs_bound) == (40, 60, 4100)
 
     def test_sampled_tree_composes_with_churn(self):
         # Sampled keeps the full seq/dedup/replay machinery (only the ACK

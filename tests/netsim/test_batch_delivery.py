@@ -7,8 +7,9 @@ vectorized register kernel. Everything else — sequenced packets, switch to
 switch flushes, windows over lossy uplinks — is one queue entry per packet
 through the compiled per-packet sink.
 
-Standing burst delivery down (the ``_fast_burst`` gate: no plan is built, so
-no burst entry is ever queued) must change *nothing* observable: aggregation
+Standing burst delivery down (the ``_fast_burst`` gate, what attaching an
+observer does: no plan is built, so no burst entry is ever queued) must
+change *nothing* observable: aggregation
 results, TrafficStats, per-tree counters, event totals and simulated time.
 """
 
@@ -126,7 +127,7 @@ class TestBatchDeliveryEquivalence:
         assert results[0] == results[1]
 
     @staticmethod
-    def collision_heavy_run(fast: bool, rebuild_at: float | None = None) -> dict:
+    def collision_heavy_run(fast: bool, observe_at: float | None = None) -> dict:
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
         system = DaietSystem.single_rack(num_hosts=4, config=config)
         if not fast:
@@ -140,20 +141,20 @@ class TestBatchDeliveryEquivalence:
                 [(f"k{rng.randrange(40)}", 1) for _ in range(120)],
             )
         events = 0
-        if rebuild_at is not None:
-            events += system.run(until=rebuild_at)
-            system.simulator._build_port_maps()
+        if observe_at is not None:
+            events += system.run(until=observe_at)
+            system.simulator.add_observer(object())
         events += system.run()
         return observables(system, "h3", events)
 
-    @pytest.mark.parametrize("rebuild_at", [0.5e-6, 1e-6, 2e-6, 4e-6])
-    def test_port_map_rebuild_mid_burst_keeps_order(self, rebuild_at):
-        # Installing the sanitizer, the fault injector or the error tracker
-        # rebuilds the port maps, which orphans queued burst entries from
-        # their handler. Each must then deliver ONE item and re-enqueue its
-        # tail, or concurrent mappers' packets leave (time, seq) order.
-        fast = self.collision_heavy_run(True, rebuild_at)
-        slow = self.collision_heavy_run(False, rebuild_at)
+    @pytest.mark.parametrize("observe_at", [0.5e-6, 1e-6, 2e-6, 4e-6])
+    def test_port_map_rebuild_mid_burst_keeps_order(self, observe_at):
+        # Adding an observer (the sanitizer, the fault injector, the error
+        # tracker) rebuilds the port maps, which orphans queued burst entries
+        # from their handler. Each must then deliver ONE item and re-enqueue
+        # its tail, or concurrent mappers' packets leave (time, seq) order.
+        fast = self.collision_heavy_run(True, observe_at)
+        slow = self.collision_heavy_run(False, observe_at)
         assert fast == slow
 
     def test_vector_ineligible_packets_identical(self):

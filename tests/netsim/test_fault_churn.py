@@ -13,9 +13,9 @@ goes further on two axes:
   replay from :mod:`repro.core.failover`, and the twin-run oracle that a
   reliability-on churn run produces the fault-free aggregate bit for bit.
 
-This module is also the registered oracle of the ``fault-gate`` compiled
-fast path: ``TestFaultGateParity`` drives a gated (empty-plan) run and an
-ungated run side by side and requires byte-identical outcomes.
+This module is also the registered oracle of the ``fault-gate`` veto:
+``TestFaultGateParity`` drives a gated (empty-plan) run and an ungated run
+side by side and requires byte-identical outcomes.
 """
 
 from __future__ import annotations
@@ -283,12 +283,12 @@ class TestFaultPlan:
 
 
 class TestFaultGateParity:
-    """Twin-path oracle of the ``fault-gate`` compiled fast path."""
+    """Twin-path oracle of the ``fault-gate`` veto."""
 
-    def _run(self, install_empty_gate: bool) -> tuple[dict, float, int, int]:
+    def _run(self, attach=None) -> tuple[dict, float, int, int]:
         system, _job = _churn_system(reliability=True)
-        if install_empty_gate:
-            install_faults(system.simulator, FaultPlan())
+        if attach is not None:
+            attach(system)
         _send_partitions(system)
         events = system.run()
         stats = system.simulator.stats
@@ -303,7 +303,13 @@ class TestFaultGateParity:
         # The gate with nothing down must be byte-identical to no gate at
         # all: same aggregate, same completion time, same event and packet
         # counts.
-        assert self._run(True) == self._run(False)
+        gated = self._run(lambda system: install_faults(system.simulator, FaultPlan()))
+        assert gated == self._run()
+
+    def test_empty_plan_is_pass_through_in_every_add_order(self, attach_observers):
+        # ... and so it must be next to the sanitizer and the error tracker,
+        # whichever of the three was added first.
+        assert self._run(attach_observers) == self._run()
 
     def test_gated_drops_are_counted_never_silent(self):
         system, _job = _churn_system(reliability=False)
@@ -516,7 +522,7 @@ class TestSanitizedChurn:
 class TestHostCrash:
     def test_crashed_reducer_drops_are_counted(self):
         # Crash the reducer host mid-round: packets already in flight
-        # towards it are destroyed by the device wrap and must be counted,
+        # towards it are destroyed by the delivery veto and must be counted,
         # never silently vanish.
         t_free = _fault_free_time(reliability=False)
         system, _job = _churn_system(reliability=False)

@@ -482,13 +482,13 @@ class TestTwinPathOracle:
         ref = ReferenceSender(1e-3, 50)
 
         live_log: list = []
-        real_transmit = h.sender._transmit
+        real_transmit = h.sender._emit
 
         def spy(packets, retransmit):
             live_log.append(("tx", tuple(packets), retransmit))
             real_transmit(packets, retransmit)
 
-        h.sender._transmit = spy
+        h.sender._emit = spy
         orig_start = h.sender._timer.start
 
         def spy_start(delay):
