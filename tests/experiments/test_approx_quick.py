@@ -9,6 +9,8 @@ wordcount class never runs a degraded arm, and the report is deterministic.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.experiments.figure_approx import (
@@ -72,6 +74,13 @@ class TestApproxQuick:
         second = run_approx_sweep(ApproxSweepSettings().quick())
         assert quick_result.report == second.report
         assert "Verdict:" in quick_result.report
+
+    def test_quick_report_is_pinned(self, quick_result):
+        # `repro approx-sweep --quick`, byte for byte.
+        digest = hashlib.sha256(quick_result.report.encode()).hexdigest()
+        assert digest == (
+            "22dd97b0c0b965974caf9a1f37ae956da6b6f2d9569304c1e68a4d0f2a9ce018"
+        )
 
     def test_quick_settings_are_small(self):
         quick = ApproxSweepSettings().quick()

@@ -9,6 +9,7 @@ reported with it off, and the rendered report is deterministic.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -46,6 +47,19 @@ class TestChurnQuick:
         first = run_churn(settings, ("spine-kill",)).report
         second = run_churn(settings, ("spine-kill",)).report
         assert first == second
+
+    @pytest.mark.parametrize(
+        ("reliability", "digest"),
+        [
+            (False, "e85385b93048637093ad731a1da74aad228358183cf6e99f13f3ebca62d4488c"),
+            (True, "753caf29669cdfe2be4046cf267fd5c359d78a60ad79185fdb8119aa7053760c"),
+        ],
+    )
+    def test_quick_report_is_pinned(self, reliability, digest):
+        # `repro churn --quick [--reliability]`, all four scenarios, byte for
+        # byte (fault and control-plane logs included).
+        report = run_churn(_quick(reliability)).report
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
     def test_quick_settings_are_small(self):
         quick = ChurnSettings().quick()

@@ -8,6 +8,8 @@ paper's bands. The paper-scale runs live in the benchmark harness.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.experiments.figure1_graph import Figure1GraphSettings, run_figure1c
@@ -107,6 +109,14 @@ class TestFigure3:
     def test_report_contains_paper_references(self, figure3_result):
         assert "[paper:" in figure3_result.report
         assert "Data volume" in figure3_result.report
+
+    def test_quick_report_is_pinned(self, figure3_result):
+        # `repro fig3 --quick`, byte for byte. A change that means to alter
+        # the report re-pins this digest and says so.
+        digest = hashlib.sha256(figure3_result.report.encode()).hexdigest()
+        assert digest == (
+            "8630efed21c84094115356bf49abae6c0a42308cae0c29853e52e46567a8b7f3"
+        )
 
     def test_summary_exposes_medians(self, figure3_result):
         summary = figure3_result.summary()

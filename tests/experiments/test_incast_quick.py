@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 from repro.experiments.figure_incast import (
     ARMS,
@@ -64,3 +65,11 @@ class TestIncastQuick:
         assert [dataclasses.astuple(run) for run in first.runs] == [
             dataclasses.astuple(run) for run in second.runs
         ]
+
+    def test_quick_report_is_pinned(self):
+        # `repro incast --quick` (fan-in sweep and buffer ablation), byte for
+        # byte.
+        report = run_incast(IncastSettings().quick()).report
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "d55f15ac8a9c528f8f20fb864e786ffd9949cfacc1db603fed06ae3c3b31732d"
+        )

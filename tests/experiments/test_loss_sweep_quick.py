@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.experiments.figure_loss_sweep import LossSweepSettings, run_loss_sweep
 
 
@@ -22,6 +24,13 @@ class TestLossSweepQuick:
         assert "wordcount" in result.report
         assert "ml_training" in result.report
         assert "bit-identical" in result.report
+
+    def test_quick_report_is_pinned(self):
+        # `repro loss-sweep --quick`, byte for byte.
+        report = run_loss_sweep(LossSweepSettings().quick()).report
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "7801f226882ada11b5c3a31cb6d7c88c39a9dc1e1260d254c3f4e52f98b8ece2"
+        )
 
     def test_quick_settings_are_small(self):
         quick = LossSweepSettings().quick()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import re
 
 import pytest
 
@@ -14,7 +16,47 @@ from repro.experiments.figure_scale import (
 )
 
 
+def _masked_digest(report: str, columns=("wall-s", "events/s")) -> str:
+    """sha256 of ``report`` with the wall-clock columns of its tables blanked.
+
+    A column runs from the end of the header word before it to the end of
+    its own header word (every column is right-aligned); rows are the
+    indented lines up to the next blank line.
+    """
+    lines, spans = [], []
+    for line in report.splitlines():
+        if line.lstrip().startswith("workers"):
+            words = list(re.finditer(r"\S+", line))
+            spans = [
+                (words[i - 1].end(), word.end())
+                for i, word in enumerate(words)
+                if word.group() in columns
+            ]
+        elif not line.strip():
+            spans = []
+        elif line.startswith(" "):
+            for start, end in spans:
+                line = line[:start] + "#" * (end - start) + line[end:]
+        lines.append(line)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 class TestScaleSweepQuick:
+    @pytest.mark.parametrize(
+        ("compare_baselines", "digest"),
+        [
+            (False, "3887e4e923ded2f9e64e61c1456be521acf522f532d989bbf4403db840ce5378"),
+            (True, "d6f307f36b7fe106d1db935e769a88f1753395f2c61b4206e6555cb2488bc5a5"),
+        ],
+    )
+    def test_quick_report_is_pinned(self, compare_baselines, digest):
+        # `repro scale --quick [--compare-baselines]`, byte for byte outside
+        # the two wall-clock columns.
+        settings = dataclasses.replace(
+            ScaleSettings().quick(), compare_baselines=compare_baselines
+        )
+        assert _masked_digest(run_scale(settings).report) == digest
+
     def test_quick_sweep_is_exact(self):
         result = run_scale(ScaleSettings().quick())
         assert result.all_exact
