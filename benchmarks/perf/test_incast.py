@@ -25,7 +25,7 @@ from bench_common import (
     recorded_floor,
 )
 
-from repro.experiments.figure_incast import IncastSettings, _run_arm
+from repro.experiments.figure_incast import IncastSettings, run_incast_arm
 
 pytestmark = pytest.mark.perf
 
@@ -37,7 +37,7 @@ class TestIncastThroughput:
         for _ in range(3):
             rss_before = current_rss_bytes()
             start = bench_clock()
-            run = _run_arm(settings, "udp-aimd", 256, settings.switch_buffer_bytes)
+            run = run_incast_arm(settings, "udp-aimd", 256, settings.switch_buffer_bytes)
             wall = bench_clock() - start
             assert run.exact, "incast aggregate diverged from ground truth"
             measured = MacroBenchResult(

@@ -21,6 +21,8 @@ from repro.analysis.reporting import (
     render_comparison_table,
     render_series_table,
     render_summary_row,
+    render_table,
+    yes_no,
 )
 
 __all__ = [
@@ -40,4 +42,6 @@ __all__ = [
     "render_comparison_table",
     "render_series_table",
     "render_summary_row",
+    "render_table",
+    "yes_no",
 ]

@@ -7,15 +7,51 @@ series for Figure 1 and box-plot rows for Figure 3. Keeping the renderers here
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import re
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.metrics import BoxplotStats
+
+#: Alignment and width at the front of a format spec (``">8"`` of ``">8.2f"``).
+_ALIGN_WIDTH = re.compile(r"([<>^]?)(\d+)")
 
 
 def format_percent(value: float, decimals: int = 1) -> str:
     """Format a fraction (0.869) or percentage (86.9) consistently as percent."""
     percent = value * 100.0 if -1.0 <= value <= 1.0 else value
     return f"{percent:.{decimals}f}%"
+
+
+def yes_no(flag: bool, no: str = "NO") -> str:
+    """A verdict cell: ``yes``, or a ``no`` that stands out in a column."""
+    return "yes" if flag else no
+
+
+def render_table(columns: Sequence[tuple[Any, ...]], records: Iterable[Any]) -> str:
+    """Aligned columns: a header line, a dashed rule, then one line per record.
+
+    A column is ``(title, spec, value_of)``: ``value_of(record)`` is the
+    cell. Numbers are formatted with ``spec`` (``">8d"``, ``">6.1%"``); the
+    title and any string cell (``"yes"``, ``"-"``) are padded to the
+    alignment and width ``spec`` starts with. A fourth element,
+    ``(title, spec, value_of, text_width)``, gives the title and strings a
+    width of their own: a few report columns have always had a header one
+    character wider than their numbers.
+    """
+    prepared = []
+    for title, spec, value_of, *text_width in columns:
+        align, width = _ALIGN_WIDTH.match(spec).groups()
+        text_spec = f"{align}{text_width[0] if text_width else width}s"
+        prepared.append((title, spec, value_of, text_spec))
+    header = " ".join(format(title, text_spec) for title, _, _, text_spec in prepared)
+    lines = [header, "-" * len(header)]
+    for record in records:
+        cells = []
+        for _title, spec, value_of, text_spec in prepared:
+            value = value_of(record)
+            cells.append(format(value, text_spec if isinstance(value, str) else spec))
+        lines.append(" ".join(cells))
+    return "\n".join(lines)
 
 
 def render_series_table(

@@ -13,91 +13,27 @@ per se.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterator
 
-from repro.core.config import DEFAULT_TCP_MSS
-from repro.core.errors import JobError
+from repro.baselines.tcp_shuffle import TcpShuffle
 from repro.core.functions import aggregate_pairs
 from repro.mapreduce.mapper import MapOutput
-from repro.mapreduce.shuffle import ShuffleTransport
-from repro.transport.packets import MessagePayload
-from repro.transport.tcp import TcpTransport
 
 #: Destination port reducers listen on for combined shuffle streams.
 SHUFFLE_PORT = 7071
 
 
-@dataclass
-class _HostAggReducerBuffer:
-    """Pre-combined, sorted runs buffered for one reducer."""
-
-    runs: list[list[tuple[str, int]]] = field(default_factory=list)
-    payload_bytes: int = 0
-
-
-class HostAggregationShuffle(ShuffleTransport):
+class HostAggregationShuffle(TcpShuffle):
     """Worker-level combiners over TCP (NetAgg/worker-combiner style baseline)."""
 
     name = "host_agg"
+    port = SHUFFLE_PORT
 
-    def __init__(self, mss: int = DEFAULT_TCP_MSS) -> None:
-        super().__init__()
-        self.mss = mss
-        self.transport: TcpTransport | None = None
-        self._buffers: dict[int, _HostAggReducerBuffer] = {}
-
-    def _prepare(self) -> None:
-        self.transport = TcpTransport(self.cluster.simulator, mss=self.mss)
-        for reducer_id, host in enumerate(self.placement.reducer_hosts):
-            buffer = _HostAggReducerBuffer()
-            self._buffers[reducer_id] = buffer
-            self.transport.listen(host, SHUFFLE_PORT, self._make_listener(buffer))
-
-    @staticmethod
-    def _make_listener(buffer: _HostAggReducerBuffer):
-        def on_message(src: str, payload: MessagePayload) -> None:
-            if payload.kind != "combined_output":
-                return
-            buffer.runs.append(list(payload.data))
-            buffer.payload_bytes += payload.meta.get("serialized_bytes", 0)
-
-        return on_message
-
-    def transfer(self, map_outputs: list[MapOutput]) -> None:
-        if self.transport is None:
-            raise JobError("HostAggregationShuffle.transfer() called before prepare()")
+    def _streams(
+        self, map_outputs: list[MapOutput]
+    ) -> Iterator[tuple[str, int, list[tuple[str, int]]]]:
+        """One stream per worker host and reducer: the host's combined output."""
         function = self.spec.aggregation_function()
-        pair_bytes = self.spec.daiet.pair_bytes
-        for reducer_id, reducer_host in enumerate(self.placement.reducer_hosts):
-            for mapper_host, pairs in self.pairs_by_host(map_outputs, reducer_id).items():
-                if not pairs:
-                    continue
-                # Worker-level combiner: aggregate the local map output first.
-                combined = sorted(aggregate_pairs(pairs, function).items())
-                serialized_bytes = len(combined) * pair_bytes
-                if mapper_host == reducer_host:
-                    self.reduce_task(reducer_id).add_sorted_run(combined, from_network=False)
-                    self.accounting.local_pairs += len(combined)
-                    continue
-                self.accounting.network_pairs += len(combined)
-                payload = MessagePayload(
-                    kind="combined_output",
-                    data=combined,
-                    meta={"serialized_bytes": serialized_bytes},
-                )
-                segments = self.transport.send_message(
-                    src=mapper_host,
-                    dst=reducer_host,
-                    message_bytes=serialized_bytes,
-                    payload=payload,
-                    dport=SHUFFLE_PORT,
-                )
-                self.accounting.packets_sent += segments
-                self.accounting.payload_bytes_sent += serialized_bytes
-
-    def finalize(self) -> None:
-        for reducer_id, buffer in self._buffers.items():
-            task = self.reduce_task(reducer_id)
-            for run in buffer.runs:
-                task.add_sorted_run(run, from_network=True)
-            task.metrics.payload_bytes_received += buffer.payload_bytes
+        for reducer_id in range(len(self.placement.reducer_hosts)):
+            for host, pairs in self.pairs_by_host(map_outputs, reducer_id).items():
+                yield host, reducer_id, sorted(aggregate_pairs(pairs, function).items())

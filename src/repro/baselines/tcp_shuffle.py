@@ -9,12 +9,12 @@ reduce function itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.config import DEFAULT_TCP_MSS
 from repro.core.errors import JobError
 from repro.mapreduce.mapper import MapOutput
-from repro.mapreduce.shuffle import ShuffleTransport
+from repro.mapreduce.shuffle import ReducerBuffer, ShuffleTransport
 from repro.transport.packets import MessagePayload
 from repro.transport.tcp import TcpTransport
 
@@ -22,80 +22,58 @@ from repro.transport.tcp import TcpTransport
 SHUFFLE_PORT = 7070
 
 
-@dataclass
-class _TcpReducerBuffer:
-    """Sorted runs buffered for one reducer until the run completes."""
-
-    runs: list[list[tuple[str, int]]] = field(default_factory=list)
-    payload_bytes: int = 0
-    messages: int = 0
-
-
 class TcpShuffle(ShuffleTransport):
     """The unmodified MapReduce shuffle over (modelled) TCP."""
 
     name = "tcp"
+    port = SHUFFLE_PORT
 
     def __init__(self, mss: int = DEFAULT_TCP_MSS) -> None:
         super().__init__()
         self.mss = mss
         self.transport: TcpTransport | None = None
-        self._buffers: dict[int, _TcpReducerBuffer] = {}
 
     def _prepare(self) -> None:
         self.transport = TcpTransport(self.cluster.simulator, mss=self.mss)
         for reducer_id, host in enumerate(self.placement.reducer_hosts):
-            buffer = _TcpReducerBuffer()
-            self._buffers[reducer_id] = buffer
-            self.transport.listen(host, SHUFFLE_PORT, self._make_listener(buffer))
+            buffer = self._buffers[reducer_id] = ReducerBuffer()
+            self.transport.listen(host, self.port, buffer.receive_run)
 
-    @staticmethod
-    def _make_listener(buffer: _TcpReducerBuffer):
-        def on_message(src: str, payload: MessagePayload) -> None:
-            if payload.kind != "map_output":
-                return
-            buffer.runs.append(list(payload.data))
-            buffer.payload_bytes += payload.meta.get("serialized_bytes", 0)
-            buffer.messages += 1
+    def _streams(
+        self, map_outputs: list[MapOutput]
+    ) -> Iterator[tuple[str, int, list[tuple[str, int]]]]:
+        """``(sending host, reducer id, sorted run)`` per stream, in send order.
 
-        return on_message
+        Here one stream per map task and reducer; a combiner overrides this.
+        """
+        for output in map_outputs:
+            for reducer_id in range(len(self.placement.reducer_hosts)):
+                yield output.host, reducer_id, output.sorted_partition(reducer_id)
 
     def transfer(self, map_outputs: list[MapOutput]) -> None:
         if self.transport is None:
-            raise JobError("TcpShuffle.transfer() called before prepare()")
+            raise JobError(f"{type(self).__name__}.transfer() called before prepare()")
         pair_bytes = self.spec.daiet.pair_bytes
-        for output in map_outputs:
-            for reducer_id, reducer_host in enumerate(self.placement.reducer_hosts):
-                pairs = output.sorted_partition(reducer_id)
-                if not pairs:
-                    continue
-                serialized_bytes = len(pairs) * pair_bytes
-                if output.host == reducer_host:
-                    self.reduce_task(reducer_id).add_sorted_run(pairs, from_network=False)
-                    self.accounting.local_pairs += len(pairs)
-                    continue
-                self.accounting.network_pairs += len(pairs)
-                payload = MessagePayload(
+        reducer_hosts = self.placement.reducer_hosts
+        for host, reducer_id, run in self._streams(map_outputs):
+            if not run:
+                continue
+            if host == reducer_hosts[reducer_id]:
+                self.reduce_task(reducer_id).add_sorted_run(run, from_network=False)
+                self.accounting.local_pairs += len(run)
+                continue
+            self.accounting.network_pairs += len(run)
+            serialized_bytes = len(run) * pair_bytes
+            segments = self.transport.send_message(
+                src=host,
+                dst=reducer_hosts[reducer_id],
+                message_bytes=serialized_bytes,
+                payload=MessagePayload(
                     kind="map_output",
-                    data=pairs,
-                    meta={
-                        "mapper_id": output.mapper_id,
-                        "serialized_bytes": serialized_bytes,
-                    },
-                )
-                segments = self.transport.send_message(
-                    src=output.host,
-                    dst=reducer_host,
-                    message_bytes=serialized_bytes,
-                    payload=payload,
-                    dport=SHUFFLE_PORT,
-                )
-                self.accounting.packets_sent += segments
-                self.accounting.payload_bytes_sent += serialized_bytes
-
-    def finalize(self) -> None:
-        for reducer_id, buffer in self._buffers.items():
-            task = self.reduce_task(reducer_id)
-            for run in buffer.runs:
-                task.add_sorted_run(run, from_network=True)
-            task.metrics.payload_bytes_received += buffer.payload_bytes
+                    data=run,
+                    meta={"serialized_bytes": serialized_bytes},
+                ),
+                dport=self.port,
+            )
+            self.accounting.packets_sent += segments
+            self.accounting.payload_bytes_sent += serialized_bytes

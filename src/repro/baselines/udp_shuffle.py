@@ -10,28 +10,11 @@ which is how the paper separates the two packet-count reductions in Figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.config import DaietConfig
 from repro.core.errors import JobError
-from repro.core.packet import DaietPacket, DaietPacketType, packetize_pairs
+from repro.core.packet import packetize_pairs
 from repro.mapreduce.mapper import MapOutput
-from repro.mapreduce.shuffle import ShuffleTransport
-
-
-@dataclass
-class _UdpReducerBuffer:
-    """Unsorted pairs buffered for one reducer."""
-
-    tree_id: int
-    expected_ends: int = 0
-    pairs: list[tuple[str, int]] = field(default_factory=list)
-    payload_bytes: int = 0
-    ends_seen: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.ends_seen >= self.expected_ends
+from repro.mapreduce.shuffle import ReducerBuffer, ShuffleTransport
 
 
 class UdpShuffle(ShuffleTransport):
@@ -42,29 +25,14 @@ class UdpShuffle(ShuffleTransport):
     def __init__(self, config: DaietConfig | None = None) -> None:
         super().__init__()
         self.config = config or DaietConfig()
-        self._buffers: dict[int, _UdpReducerBuffer] = {}
 
     def _prepare(self) -> None:
         # Tree ids are still assigned (the packet format requires one), but no
         # controller state is installed, so the daiet_steer tables stay empty
         # and every switch simply forwards by destination.
         for reducer_id, host in enumerate(self.placement.reducer_hosts):
-            buffer = _UdpReducerBuffer(tree_id=reducer_id + 1)
-            self._buffers[reducer_id] = buffer
-            self.cluster.simulator.host(host).set_receiver(self._make_receiver(buffer))
-
-    @staticmethod
-    def _make_receiver(buffer: _UdpReducerBuffer):
-        def receive(packet) -> None:
-            if not isinstance(packet, DaietPacket) or packet.tree_id != buffer.tree_id:
-                return
-            buffer.payload_bytes += packet.payload_bytes()
-            if packet.packet_type is DaietPacketType.END:
-                buffer.ends_seen += 1
-                return
-            buffer.pairs.extend(packet.pairs)
-
-        return receive
+            buffer = self._buffers[reducer_id] = ReducerBuffer(tree_id=reducer_id + 1)
+            self.cluster.simulator.host(host).set_receiver(buffer.receive_packet)
 
     def transfer(self, map_outputs: list[MapOutput]) -> None:
         if not self._buffers:
@@ -94,14 +62,3 @@ class UdpShuffle(ShuffleTransport):
                 for packet in packets:
                     self.accounting.packets_sent += 1
                     self.accounting.payload_bytes_sent += packet.payload_bytes()
-
-    def finalize(self) -> None:
-        for reducer_id, buffer in self._buffers.items():
-            if not buffer.done:
-                raise JobError(
-                    f"reducer {reducer_id} saw {buffer.ends_seen} END packets, "
-                    f"expected {buffer.expected_ends}"
-                )
-            task = self.reduce_task(reducer_id)
-            task.add_unsorted_pairs(buffer.pairs, from_network=True)
-            task.metrics.payload_bytes_received += buffer.payload_bytes

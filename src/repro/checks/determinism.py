@@ -9,8 +9,8 @@ Python simulators are each a mechanical pattern:
   explicit ``random.Random(seed)`` instance per stream.
 * ``wall-clock`` — ``time.time()`` / ``time.perf_counter()`` and friends
   feeding simulation state. Wall-clock reads are only legitimate in the
-  allowlisted measurement sites (reducer wall-time metrics, the
-  figure_scale throughput timer).
+  allowlisted measurement sites (reducer wall-time metrics, the round
+  runner's throughput timer).
 * ``set-iteration`` — iterating a ``set`` literal/constructor (directly or
   via a set-valued local) drives callbacks in hash order, which is stable
   per process but not a contract; repo idiom is ``sorted(...)`` first.
@@ -38,7 +38,7 @@ RULE_MUTABLE_DEFAULT = "mutable-default"
 #: they measure host-side wall time and never feed simulation state.
 WALL_CLOCK_ALLOWLIST: tuple[str, ...] = (
     "repro/mapreduce/reducer.py",
-    "repro/experiments/figure_scale.py",
+    "repro/experiments/rounds.py",
 )
 
 #: Wall-clock functions of the :mod:`time` module.

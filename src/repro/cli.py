@@ -49,6 +49,22 @@ from repro.experiments.figure_loss_sweep import LossSweepSettings, run_loss_swee
 from repro.experiments.figure_scale import ScaleSettings, run_scale
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer of at least 1 (workers, senders)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _loss_rate(text: str) -> float:
+    """argparse type: a drop probability in [0, 1)."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
 def _ml_settings(quick: bool) -> Figure1MlSettings:
     settings = Figure1MlSettings()
     return settings.quick() if quick else settings
@@ -239,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "incast":
             sub.add_argument(
                 "--fanin",
-                type=int,
+                type=_count,
                 default=None,
                 help="run a single fan-in instead of the default sweep "
                 "(e.g. --fanin 1024)",
@@ -247,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "approx-sweep":
             sub.add_argument(
                 "--loss",
-                type=float,
+                type=_loss_rate,
                 default=None,
                 help="sweep a single loss rate instead of the default set "
                 "(e.g. --loss 0.01)",
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sub.add_argument(
                 "--workers",
-                type=int,
+                type=_count,
                 default=None,
                 help="run a single worker count instead of the default sweep "
                 "(e.g. --workers 1024)",

@@ -34,16 +34,26 @@ Verdict gates (enforced by the tier-1 quick test and the benchmark):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.error_bounds import (
     TreeErrorBound,
     install_error_tracker,
     true_error_l1,
 )
+from repro.analysis.reporting import render_table, yes_no
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import ReproError
+from repro.experiments.rounds import (
+    Partition,
+    find,
+    gradient_partitions,
+    reliable_daiet_config,
+    run_daiet_round,
+    truth_of,
+    wordcount_partitions,
+)
 from repro.graph.generators import random_graph
 from repro.graph.algorithms.pagerank import PageRankProgram
 from repro.graph.pregel import (
@@ -56,7 +66,7 @@ from repro.mlsys.training import (
     measure_convergence_impact as training_convergence_impact,
 )
 from repro.netsim.simulator import SimulatorConfig
-from repro.netsim.topology import Topology
+from repro.netsim.topology import single_rack
 
 #: Reliability policies swept (in report order).
 POLICIES = ("exact", "sampled", "best_effort")
@@ -95,7 +105,8 @@ class ApproxSweepSettings:
 
     def quick(self) -> "ApproxSweepSettings":
         """A fast variant used by unit tests and smoke runs."""
-        return ApproxSweepSettings(
+        return replace(
+            self,
             loss_rates=(GATE_LOSS_RATE,),
             num_workers=4,
             wordcount_pairs_per_worker=120,
@@ -105,14 +116,6 @@ class ApproxSweepSettings:
             pagerank_vertices=100,
             pagerank_contribs_per_worker=60,
             register_slots=64,
-            pairs_per_packet=self.pairs_per_packet,
-            retransmit_timeout=self.retransmit_timeout,
-            ack_window=self.ack_window,
-            sampled_ack_stride=self.sampled_ack_stride,
-            max_retransmits=self.max_retransmits,
-            loss_seed=self.loss_seed,
-            seed=self.seed,
-            impact_drop_rate=self.impact_drop_rate,
             sgd_steps=10,
             sgd_workers=3,
             pregel_vertices=30,
@@ -122,15 +125,8 @@ class ApproxSweepSettings:
 
     def daiet_config(self, policy: str) -> DaietConfig:
         """The DAIET configuration of one policy arm."""
-        return DaietConfig(
-            register_slots=self.register_slots,
-            pairs_per_packet=self.pairs_per_packet,
-            reliability=True,
-            retransmit_timeout=self.retransmit_timeout,
-            ack_window=self.ack_window,
-            max_retransmits=self.max_retransmits,
-            reliability_policy=policy,
-            sampled_ack_stride=self.sampled_ack_stride,
+        return reliable_daiet_config(
+            self, reliability_policy=policy, sampled_ack_stride=self.sampled_ack_stride
         )
 
 
@@ -170,15 +166,12 @@ class ApproxSweepResult:
 
     def arm(self, workload: str, loss_rate: float, policy: str) -> ApproxRun:
         """One arm of the sweep, by coordinates."""
-        for run in self.runs:
-            if (
-                run.workload == workload
-                and run.loss_rate == loss_rate
-                and run.policy == policy
-            ):
-                return run
-        raise ReproError(
-            f"no {workload!r} arm at loss {loss_rate} under policy {policy!r}"
+        return find(
+            self.runs,
+            f"{workload!r} arm at loss {loss_rate} under policy {policy!r}",
+            workload=workload,
+            loss_rate=loss_rate,
+            policy=policy,
         )
 
     @property
@@ -204,39 +197,7 @@ class ApproxSweepResult:
 # ---------------------------------------------------------------------- #
 # Workload inputs
 # ---------------------------------------------------------------------- #
-def _lossy_rack(num_hosts: int, loss_rate: float) -> Topology:
-    """A single rack whose host uplinks drop packets in both directions."""
-    topo = Topology(name=f"approx_rack_{loss_rate:g}")
-    topo.add_switch("tor")
-    for i in range(num_hosts):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", "tor", loss_rate=loss_rate)
-    topo.validate()
-    return topo
-
-
-def _wordcount_partitions(settings: ApproxSweepSettings) -> list[list[tuple[str, int]]]:
-    rng = random.Random(settings.seed)
-    vocabulary = [f"word{i:04d}" for i in range(settings.vocabulary_size)]
-    return [
-        [(rng.choice(vocabulary), 1) for _ in range(settings.wordcount_pairs_per_worker)]
-        for _ in range(settings.num_workers)
-    ]
-
-
-def _gradient_partitions(settings: ApproxSweepSettings) -> list[list[tuple[str, int]]]:
-    """Quantized sparse gradient pushes (signed values) per worker."""
-    rng = random.Random(settings.seed + 1000)
-    partitions = []
-    for _worker in range(settings.num_workers):
-        indices = rng.sample(range(settings.ml_params), settings.ml_updates_per_worker)
-        partitions.append(
-            [(f"w:{index}", rng.randint(-(2**20), 2**20)) for index in indices]
-        )
-    return partitions
-
-
-def _pagerank_partitions(settings: ApproxSweepSettings) -> list[list[tuple[str, int]]]:
+def _pagerank_partitions(settings: ApproxSweepSettings) -> list[Partition]:
     """Rank-contribution pairs (positive fixed-point values) per worker."""
     rng = random.Random(settings.seed + 2000)
     partitions = []
@@ -250,62 +211,36 @@ def _pagerank_partitions(settings: ApproxSweepSettings) -> list[list[tuple[str, 
     return partitions
 
 
-def _truth(partitions: list[list[tuple[str, int]]]) -> dict[str, int]:
-    truth: dict[str, int] = {}
-    for partition in partitions:
-        for key, value in partition:
-            truth[key] = truth.get(key, 0) + value
-    return truth
-
-
 # ---------------------------------------------------------------------- #
 # One arm
 # ---------------------------------------------------------------------- #
 def _run_arm(
     settings: ApproxSweepSettings,
     workload: str,
-    partitions: list[list[tuple[str, int]]],
+    partitions: list[Partition],
     truth: dict[str, int],
     loss_rate: float,
     policy: str,
 ) -> ApproxRun:
     system = DaietSystem(
-        _lossy_rack(settings.num_workers + 1, loss_rate),
+        single_rack(settings.num_workers + 1, loss_rate=loss_rate),
         settings.daiet_config(policy),
         SimulatorConfig(loss_seed=settings.loss_seed),
     )
     tracker = install_error_tracker(system)
     reducer = f"h{settings.num_workers}"
     mappers = [f"h{i}" for i in range(settings.num_workers)]
-    system.install_job(mappers=mappers, reducers=[reducer], policy=policy)
-    for mapper, pairs in zip(mappers, partitions):
-        system.send_pairs(mapper, reducer, pairs)
-    events = system.run()
-    receiver = system.receiver(reducer)
-    result = receiver.result()
+    round_ = run_daiet_round(system, mappers, reducer, partitions, truth, policy)
     bound = tracker.bound(system.tree_for(reducer).tree_id)
-    error = true_error_l1(truth, result)
-    stats = system.simulator.stats
-    rel = list(system.reliability_stats().values())
-    engine_counters = [
-        counters for _key, counters in system.controller.tree_counters().items()
-    ]
-    return ApproxRun(
+    error = true_error_l1(truth, round_.result)
+    return round_.into(
+        ApproxRun,
         workload=workload,
         loss_rate=loss_rate,
         policy=policy,
-        completed=receiver.done,
-        link_bytes=stats.total_link_bytes(),
-        acks=sum(s["acks_sent"] for s in rel)
-        + sum(c.acks_sent for c in engine_counters),
-        retransmissions=sum(s["retransmissions"] for s in rel)
-        + sum(c.retransmitted_packets for c in engine_counters),
-        losses=stats.total_losses(),
         true_error=error,
         bound=bound,
         bound_contains=bound.contains(error),
-        events=events,
-        link_packets=stats.total_link_packets(),
     )
 
 
@@ -317,37 +252,49 @@ def run_approx_sweep(settings: ApproxSweepSettings | None = None) -> ApproxSweep
     settings = settings or ApproxSweepSettings()
     result = ApproxSweepResult(settings=settings)
 
-    workloads: list[tuple[str, list[list[tuple[str, int]]], bool]] = [
-        # (name, partitions, exact_only_gate)
-        ("wordcount", _wordcount_partitions(settings), True),
-        ("sgd_gradients", _gradient_partitions(settings), False),
-        ("pagerank", _pagerank_partitions(settings), False),
+    workers = settings.num_workers
+    # The grid: (workload, partitions, policies). wordcount is the per-class
+    # policy gate: counting is pinned to exact reliability, so no degraded
+    # arm is even attempted.
+    workloads: list[tuple[str, list[Partition], tuple[str, ...]]] = [
+        (
+            "wordcount",
+            wordcount_partitions(
+                settings.seed,
+                workers,
+                settings.wordcount_pairs_per_worker,
+                settings.vocabulary_size,
+            ),
+            POLICIES[:1],
+        ),
+        (
+            "sgd_gradients",
+            gradient_partitions(
+                settings.seed + 1000,
+                workers,
+                settings.ml_params,
+                settings.ml_updates_per_worker,
+            ),
+            POLICIES,
+        ),
+        ("pagerank", _pagerank_partitions(settings), POLICIES),
     ]
-    for workload, partitions, exact_only in workloads:
-        truth = _truth(partitions)
+    for workload, partitions, policies in workloads:
+        truth = truth_of(partitions)
         for loss_rate in settings.loss_rates:
-            exact_arm = _run_arm(
-                settings, workload, partitions, truth, loss_rate, "exact"
-            )
-            if not exact_arm.bound_contains or exact_arm.true_error != 0:
-                raise ReproError(
-                    f"the exact {workload} arm at loss {loss_rate} diverged "
-                    "from ground truth"
-                )
-            result.runs.append(exact_arm)
-            if exact_only:
-                # The per-class policy gate: this traffic class is pinned to
-                # exact reliability, no degraded arms are even attempted.
-                continue
-            for policy in POLICIES[1:]:
-                run = _run_arm(
-                    settings, workload, partitions, truth, loss_rate, policy
-                )
-                run.bytes_vs_exact = (
-                    run.link_bytes / exact_arm.link_bytes
-                    if exact_arm.link_bytes
-                    else 0.0
-                )
+            for policy in policies:
+                run = _run_arm(settings, workload, partitions, truth, loss_rate, policy)
+                if policy == "exact":
+                    exact_arm = run
+                    if not run.bound_contains or run.true_error != 0:
+                        raise ReproError(
+                            f"the exact {workload} arm at loss {loss_rate} diverged "
+                            "from ground truth"
+                        )
+                elif exact_arm.link_bytes:
+                    run.bytes_vs_exact = run.link_bytes / exact_arm.link_bytes
+                else:
+                    run.bytes_vs_exact = 0.0
                 result.runs.append(run)
 
     result.sgd_impact = training_convergence_impact(
@@ -375,6 +322,22 @@ def run_approx_sweep(settings: ApproxSweepSettings | None = None) -> ApproxSweep
     return result
 
 
+_COLUMNS = [
+    ("workload", "<14s", lambda run: run.workload),
+    ("loss", ">6.1%", lambda run: run.loss_rate),
+    ("policy", "<12s", lambda run: run.policy),
+    ("done", ">5s", lambda run: yes_no(run.completed, no="no")),
+    ("acks", ">6d", lambda run: run.acks),
+    ("retr", ">6d", lambda run: run.retransmissions),
+    ("link-KB", ">8.1f", lambda run: run.link_bytes / 1024),
+    ("vs-exact", ">9s", lambda run: f"{run.bytes_vs_exact:.2f}x"),
+    ("true-err", ">10d", lambda run: run.true_error),
+    ("bound", ">10d", lambda run: run.bound.abs_bound),
+    ("rel", ">6.1%", lambda run: run.bound.relative_bound, 7),
+    ("contains", ">9s", lambda run: yes_no(run.bound_contains)),
+]
+
+
 def _render_report(result: ApproxSweepResult) -> str:
     settings = result.settings
     lines = [
@@ -394,23 +357,7 @@ def _render_report(result: ApproxSweepResult) -> str:
         "conservative: recovered retransmissions are never subtracted.",
         "",
     ]
-    header = (
-        f"{'workload':<14s} {'loss':>6s} {'policy':<12s} {'done':>5s} "
-        f"{'acks':>6s} {'retr':>6s} {'link-KB':>8s} {'vs-exact':>9s} "
-        f"{'true-err':>10s} {'bound':>10s} {'rel':>7s} {'contains':>9s}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for run in result.runs:
-        bound = run.bound
-        lines.append(
-            f"{run.workload:<14s} {run.loss_rate:>6.1%} {run.policy:<12s} "
-            f"{'yes' if run.completed else 'no':>5s} {run.acks:>6d} "
-            f"{run.retransmissions:>6d} {run.link_bytes / 1024:>8.1f} "
-            f"{run.bytes_vs_exact:>8.2f}x {run.true_error:>10d} "
-            f"{bound.abs_bound:>10d} {bound.relative_bound:>6.1%} "
-            f"{'yes' if run.bound_contains else 'NO':>9s}"
-        )
+    lines.append(render_table(_COLUMNS, result.runs))
     lines.append("")
     lines.append("Convergence impact of dropped contributions "
                  f"(drop rate {settings.impact_drop_rate:.1%}, exact twins "
@@ -437,11 +384,12 @@ def _render_report(result: ApproxSweepResult) -> str:
             f"Gate {GATE_LOSS_RATE:.1%} {workload}/{policy}: "
             f"{ratio:.2f}x exact bytes ({'saves' if ratio < 1.0 else 'COSTS'})"
         )
-    verdict_bytes = (
-        "every degraded arm undercuts exact at the gate loss"
-        if result.gate_holds
-        else "SOME DEGRADED ARM SPENT MORE BYTES THAN EXACT AT THE GATE LOSS"
-    )
+    if not savings:
+        verdict_bytes = f"the {GATE_LOSS_RATE:.1%} gate loss was not swept"
+    elif result.gate_holds:
+        verdict_bytes = "every degraded arm undercuts exact at the gate loss"
+    else:
+        verdict_bytes = "SOME DEGRADED ARM SPENT MORE BYTES THAN EXACT AT THE GATE LOSS"
     verdict_bounds = (
         "every reported bound contains its true error"
         if result.all_bounds_contain

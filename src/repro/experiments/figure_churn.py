@@ -33,14 +33,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 
 from repro.analysis.hotspots import HotspotConfig, HotspotDetector, HotspotEvent
+from repro.analysis.reporting import render_table, yes_no
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import ReproError
 from repro.core.failover import FailoverConfig, FailoverManager
-from repro.core.functions import SUM, aggregate_pairs
+from repro.experiments.rounds import (
+    Partition,
+    Round,
+    find,
+    read_daiet_round,
+    run_daiet_round,
+    truth_of,
+)
 from repro.netsim.faults import SLOWDOWN_START, FaultPlan, install_faults
 from repro.netsim.simulator import SimulatorConfig
-from repro.netsim.topology import Topology, leaf_spine
+from repro.netsim.topology import leaf_spine
 
 #: Scenario names in canonical run/report order.
 SCENARIOS = ("spine-kill", "flap", "straggler", "hotspot")
@@ -142,10 +150,7 @@ class ScenarioResult:
 
     def arm(self, name: str) -> ArmResult:
         """The named arm."""
-        for arm in self.arms:
-            if arm.name == name:
-                return arm
-        raise ReproError(f"scenario {self.scenario!r} has no arm {name!r}")
+        return find(self.arms, f"arm {name!r} in scenario {self.scenario!r}", name=name)
 
 
 @dataclass
@@ -168,38 +173,23 @@ class ChurnResult:
 
 
 # ---------------------------------------------------------------------- #
-# Workload and builders
+# Workload and arms
 # ---------------------------------------------------------------------- #
-def _partitions(settings: ChurnSettings) -> dict[str, list[tuple[str, int]]]:
-    """Three overlapping partitions; overlap makes deficits value-visible."""
+def _partitions(settings: ChurnSettings) -> list[Partition]:
+    """One partition per mapper; their overlap makes deficits value-visible."""
     k = settings.keys_per_mapper
-    return {
-        "h0": [(f"k{i}", i) for i in range(k)],
-        "h1": [(f"k{i}", 2 * i) for i in range(k // 2, k + k // 2)],
-        "h2": [(f"k{i}", 3) for i in range(0, 2 * k, 2)],
-    }
+    return [
+        [(f"k{i}", i) for i in range(k)],
+        [(f"k{i}", 2 * i) for i in range(k // 2, k + k // 2)],
+        [(f"k{i}", 3) for i in range(0, 2 * k, 2)],
+    ]
 
 
-def _fabric() -> Topology:
-    return leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
-
-
-def _build(settings: ChurnSettings):
-    system = DaietSystem(_fabric(), settings.daiet_config(), SimulatorConfig())
-    job = system.install_job(mappers=list(MAPPERS), reducers=[REDUCER])
-    return system, job
-
-
-def _send_all(settings: ChurnSettings, system: DaietSystem) -> None:
-    partitions = _partitions(settings)
-    for mapper in MAPPERS:
-        system.send_pairs(mapper, REDUCER, partitions[mapper])
-
-
-def _truth(settings: ChurnSettings) -> dict[str, int]:
-    partitions = _partitions(settings)
-    return aggregate_pairs(
-        [pair for mapper in MAPPERS for pair in partitions[mapper]], SUM
+def _system(settings: ChurnSettings) -> DaietSystem:
+    return DaietSystem(
+        leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2),
+        settings.daiet_config(),
+        SimulatorConfig(),
     )
 
 
@@ -224,23 +214,30 @@ def _trunk_links(system: DaietSystem) -> list[tuple[str, str]]:
     )
 
 
-def _arm(
+def _arm_result(name: str, round_: Round, truth: dict[str, int]) -> ArmResult:
+    return round_.into(
+        ArmResult,
+        name=name,
+        done=round_.completed,
+        keys=len(round_.result),
+        value_deficit=sum(truth.values()) - sum(round_.result.values()),
+    )
+
+
+def _run_arm(
+    scenario: ScenarioResult,
     name: str,
+    settings: ChurnSettings,
     system: DaietSystem,
     truth: dict[str, int],
-    reducer: str = REDUCER,
 ) -> ArmResult:
-    receiver = system.receiver(reducer)
-    received = receiver.result()
-    return ArmResult(
-        name=name,
-        exact=receiver.done and received == truth,
-        done=receiver.done,
-        keys=len(received),
-        value_deficit=sum(truth.values()) - sum(received.values()),
-        sim_seconds=system.simulator.now,
-        fault_drops=system.simulator.stats.total_fault_drops(),
-    )
+    """Run the round on ``system`` (its faults already attached) as arm ``name``."""
+    round_ = run_daiet_round(system, MAPPERS, REDUCER, _partitions(settings), truth)
+    scenario.events += round_.events
+    scenario.link_packets += round_.link_packets
+    arm = _arm_result(name, round_, truth)
+    scenario.arms.append(arm)
+    return arm
 
 
 @dataclass
@@ -248,28 +245,33 @@ class _Baseline:
     """Fault-free reference shared by the fault-schedule scenarios."""
 
     truth: dict[str, int]
-    sim_seconds: float
     arm: ArmResult
+    #: The spine the tree crosses. Placement depends only on the fabric, so
+    #: every arm's tree will cross it too, and an arm can aim its faults at
+    #: it before the round installs the job.
+    spine: str
     events: int
     link_packets: int
+
+    def scenario(self, name: str) -> ScenarioResult:
+        """A scenario whose first arm is the fault-free run."""
+        return ScenarioResult(
+            scenario=name,
+            arms=[self.arm],
+            events=self.events,
+            link_packets=self.link_packets,
+        )
 
 
 def run_fault_free(settings: ChurnSettings) -> _Baseline:
     """The fault-free run: ground truth and the timing base for schedules."""
-    system, _job = _build(settings)
-    truth = _truth(settings)
-    _send_all(settings, system)
-    events = system.run()
-    arm = _arm("fault-free", system, truth)
+    truth = truth_of(_partitions(settings))
+    run = ScenarioResult(scenario="fault-free")
+    system = _system(settings)
+    arm = _run_arm(run, "fault-free", settings, system, truth)
     if not arm.exact:
         raise ReproError("the fault-free churn baseline diverged from ground truth")
-    return _Baseline(
-        truth=truth,
-        sim_seconds=system.simulator.now,
-        arm=arm,
-        events=events,
-        link_packets=system.simulator.stats.total_link_packets(),
-    )
+    return _Baseline(truth, arm, _tree_spine(system), run.events, run.link_packets)
 
 
 # ---------------------------------------------------------------------- #
@@ -280,24 +282,18 @@ def run_spine_kill(
 ) -> ScenarioResult:
     """Crash the tree's spine mid-round; compare static vs failover."""
     baseline = baseline or run_fault_free(settings)
-    crash_time = settings.crash_fraction * baseline.sim_seconds
-    result = ScenarioResult(scenario="spine-kill", arms=[baseline.arm])
-    result.events += baseline.events
-    result.link_packets += baseline.link_packets
+    spine = baseline.spine
+    crash_time = settings.crash_fraction * baseline.arm.sim_seconds
+    result = baseline.scenario("spine-kill")
 
     # Static arm: no failover manager; the crash is absorbed as a bounded
     # deficit (reliability on terminates via the reducer's pull give-up).
-    system, _job = _build(settings)
-    spine = _tree_spine(system)
+    system = _system(settings)
     install_faults(system.simulator, FaultPlan().switch_crash(crash_time, spine))
-    _send_all(settings, system)
-    result.events += system.run()
-    result.link_packets += system.simulator.stats.total_link_packets()
-    result.arms.append(_arm("static", system, baseline.truth))
+    _run_arm(result, "static", settings, system, baseline.truth)
 
     # Recover arm: heartbeat detection, reroute, re-plan, replay.
-    system, _job = _build(settings)
-    spine = _tree_spine(system)
+    system = _system(settings)
     injector = install_faults(
         system.simulator, FaultPlan().switch_crash(crash_time, spine)
     )
@@ -310,10 +306,7 @@ def run_spine_kill(
         ),
     )
     manager.start()
-    _send_all(settings, system)
-    result.events += system.run()
-    result.link_packets += system.simulator.stats.total_link_packets()
-    result.arms.append(_arm("recover", system, baseline.truth))
+    _run_arm(result, "recover", settings, system, baseline.truth)
     result.control_log = list(manager.log)
     result.fault_log = list(injector.log)
     result.notes.append(f"crashed {spine} at t={crash_time:.6f}")
@@ -325,14 +318,12 @@ def run_flap(
 ) -> ScenarioResult:
     """Seeded random trunk-link flaps, swept over ``settings.flap_seeds``."""
     baseline = baseline or run_fault_free(settings)
-    start = settings.flap_start_fraction * baseline.sim_seconds
-    window = settings.flap_window_fraction * baseline.sim_seconds
-    duration = settings.flap_duration_fraction * baseline.sim_seconds
-    result = ScenarioResult(scenario="flap", arms=[baseline.arm])
-    result.events += baseline.events
-    result.link_packets += baseline.link_packets
+    start = settings.flap_start_fraction * baseline.arm.sim_seconds
+    window = settings.flap_window_fraction * baseline.arm.sim_seconds
+    duration = settings.flap_duration_fraction * baseline.arm.sim_seconds
+    result = baseline.scenario("flap")
     for seed in settings.flap_seeds:
-        system, _job = _build(settings)
+        system = _system(settings)
         plan = FaultPlan.random_flaps(
             _trunk_links(system),
             seed=seed,
@@ -342,11 +333,7 @@ def run_flap(
             duration=duration,
         )
         injector = install_faults(system.simulator, plan)
-        _send_all(settings, system)
-        result.events += system.run()
-        result.link_packets += system.simulator.stats.total_link_packets()
-        arm = _arm(f"flap seed={seed}", system, baseline.truth)
-        result.arms.append(arm)
+        arm = _run_arm(result, f"flap seed={seed}", settings, system, baseline.truth)
         result.notes.append(
             f"seed {seed}: {len(plan.sorted_events())} flap events, "
             f"{arm.fault_drops} gated drops"
@@ -362,44 +349,36 @@ def run_straggler(
 ) -> ScenarioResult:
     """Slow the tree spine's uplinks; recover by rebalancing off it."""
     baseline = baseline or run_fault_free(settings)
-    slow_time = settings.slowdown_fraction * baseline.sim_seconds
-    result = ScenarioResult(scenario="straggler", arms=[baseline.arm])
-    result.events += baseline.events
-    result.link_packets += baseline.link_packets
+    spine = baseline.spine
+    slow_time = settings.slowdown_fraction * baseline.arm.sim_seconds
+    result = baseline.scenario("straggler")
 
-    def _plan(spine: str) -> FaultPlan:
+    def _plan() -> FaultPlan:
         plan = FaultPlan()
         for leaf in ("leaf0", "leaf1"):
             plan.slowdown(slow_time, leaf, spine, factor=settings.slowdown_factor)
         return plan
 
     # Static arm: the round crawls through the slow spine.
-    system, _job = _build(settings)
-    spine = _tree_spine(system)
-    install_faults(system.simulator, _plan(spine))
-    _send_all(settings, system)
-    result.events += system.run()
-    result.link_packets += system.simulator.stats.total_link_packets()
-    result.arms.append(_arm("static", system, baseline.truth))
+    system = _system(settings)
+    install_faults(system.simulator, _plan())
+    _run_arm(result, "static", settings, system, baseline.truth)
 
     # Recover arm: the injector observer stands in for slowdown telemetry;
     # the first report triggers a rebalance off the straggling spine.
-    system, job = _build(settings)
-    spine = _tree_spine(system)
-    injector = install_faults(system.simulator, _plan(spine))
+    system = _system(settings)
+    injector = install_faults(system.simulator, _plan())
     manager = FailoverManager(system, injector)
     rebalanced: list[str] = []
 
     def _on_fault(event) -> None:
         if event.kind == SLOWDOWN_START and not rebalanced:
             rebalanced.append(spine)
+            job = system.controller.jobs[-1]  # the round's, installed by now
             manager.move_tree(job, REDUCER, exclude={spine})
 
     injector.observers.append(_on_fault)
-    _send_all(settings, system)
-    result.events += system.run()
-    result.link_packets += system.simulator.stats.total_link_packets()
-    result.arms.append(_arm("recover", system, baseline.truth))
+    _run_arm(result, "recover", settings, system, baseline.truth)
     result.control_log = list(manager.log)
     result.fault_log = list(injector.log)
     result.notes.append(
@@ -409,8 +388,12 @@ def run_straggler(
 
 
 def run_hotspot(settings: ChurnSettings) -> ScenarioResult:
-    """Concentrate two trees on one spine; detect and rebalance online."""
-    system = DaietSystem(_fabric(), settings.daiet_config(), SimulatorConfig())
+    """Concentrate two trees on one spine; detect and rebalance online.
+
+    The one round driven by hand: two reducers, and both trees are moved
+    between install and send.
+    """
+    system = _system(settings)
     job = system.install_job(
         mappers=list(HOTSPOT_MAPPERS), reducers=list(HOTSPOT_REDUCERS)
     )
@@ -446,7 +429,7 @@ def run_hotspot(settings: ChurnSettings) -> ScenarioResult:
     detector.start()
 
     pairs = [(f"w{i}", i + 1) for i in range(settings.hotspot_pairs)]
-    truth = aggregate_pairs(pairs + pairs, SUM)  # both mappers send the same
+    truth = truth_of([pairs, pairs])  # both mappers send the same
     for mapper in HOTSPOT_MAPPERS:
         for reducer in HOTSPOT_REDUCERS:
             system.send_pairs(mapper, reducer, pairs)
@@ -454,11 +437,17 @@ def run_hotspot(settings: ChurnSettings) -> ScenarioResult:
 
     result = ScenarioResult(
         scenario="hotspot",
+        arms=[
+            _arm_result(
+                f"hotspot {reducer}",
+                read_daiet_round(system, reducer, truth, events),
+                truth,
+            )
+            for reducer in HOTSPOT_REDUCERS
+        ],
         events=events,
         link_packets=system.simulator.stats.total_link_packets(),
     )
-    for reducer in HOTSPOT_REDUCERS:
-        result.arms.append(_arm(f"hotspot {reducer}", system, truth, reducer))
     result.control_log = list(manager.log)
     for event in detector.events[:4]:
         result.notes.append(event.describe())
@@ -505,6 +494,17 @@ def run_churn(
     return result
 
 
+_COLUMNS = [
+    ("arm", ">14s", lambda arm: arm.name),
+    ("exact", ">6s", lambda arm: yes_no(arm.exact)),
+    ("done", ">5s", lambda arm: yes_no(arm.done)),
+    ("keys", ">6d", lambda arm: arm.keys),
+    ("deficit", ">8d", lambda arm: arm.value_deficit),
+    ("sim-us", ">10.3f", lambda arm: arm.sim_seconds * 1e6),
+    ("drops", ">6d", lambda arm: arm.fault_drops),
+]
+
+
 def _render_report(result: ChurnResult) -> str:
     settings = result.settings
     mode = "ON (replay retained)" if settings.reliability else "OFF (degraded mode)"
@@ -519,19 +519,7 @@ def _render_report(result: ChurnResult) -> str:
     for name, scenario in result.results.items():
         lines.append("")
         lines.append(f"== {name} ==")
-        header = (
-            f"{'arm':>14s} {'exact':>6s} {'done':>5s} {'keys':>6s} "
-            f"{'deficit':>8s} {'sim-us':>10s} {'drops':>6s}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for arm in scenario.arms:
-            lines.append(
-                f"{arm.name:>14s} {'yes' if arm.exact else 'NO':>6s} "
-                f"{'yes' if arm.done else 'NO':>5s} {arm.keys:>6d} "
-                f"{arm.value_deficit:>8d} {arm.sim_seconds * 1e6:>10.3f} "
-                f"{arm.fault_drops:>6d}"
-            )
+        lines.append(render_table(_COLUMNS, scenario.arms))
         for note in scenario.notes:
             lines.append(f"  note: {note}")
         if scenario.fault_log:

@@ -32,17 +32,23 @@ queue drops per arm.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 
+from repro.analysis.reporting import render_table, yes_no
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
-from repro.core.errors import ReproError, TransportError
-from repro.core.functions import SUM, aggregate_pairs
+from repro.core.errors import ReproError
+from repro.experiments.rounds import (
+    find,
+    reliability_knobs,
+    reliable_daiet_config,
+    run_daiet_round,
+    run_datagram_round,
+    truth_of,
+    wordcount_partitions,
+)
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
-from repro.netsim.topology import Topology, single_rack
-from repro.transport.packets import MessagePayload
-from repro.transport.udp import ReliableUdpTransport
+from repro.netsim.topology import single_rack
 from repro.transport.window import TransportTuning
 
 #: Application bytes per (key, value) pair, matching the scale experiment.
@@ -141,14 +147,7 @@ class IncastSettings:
 
     def daiet_config(self) -> DaietConfig:
         """The DAIET configuration implied by these settings."""
-        return DaietConfig(
-            register_slots=self.register_slots,
-            pairs_per_packet=self.pairs_per_packet,
-            reliability=True,
-            retransmit_timeout=self.retransmit_timeout,
-            ack_window=self.ack_window,
-            max_retransmits=self.max_retransmits,
-        )
+        return reliable_daiet_config(self)
 
 
 @dataclass
@@ -183,168 +182,59 @@ class IncastResult:
 
     def run_for(self, arm: str, fanin: int) -> IncastRun:
         """The sweep run of ``arm`` at ``fanin``."""
-        for run in self.runs:
-            if run.arm == arm and run.fanin == fanin:
-                return run
-        raise ReproError(f"no {arm!r} run at fan-in {fanin}")
+        return find(self.runs, f"{arm!r} run at fan-in {fanin}", arm=arm, fanin=fanin)
 
 
 # ---------------------------------------------------------------------- #
-# Workload
+# One arm
 # ---------------------------------------------------------------------- #
-def _sender_partitions(
-    settings: IncastSettings, fanin: int
-) -> list[list[tuple[str, int]]]:
-    """WordCount-shaped (word, 1) streams, one per sender."""
-    rng = random.Random(settings.seed)
-    vocabulary = [f"word{i:04d}" for i in range(settings.vocabulary_size)]
-    return [
-        [(rng.choice(vocabulary), 1) for _ in range(settings.pairs_per_sender)]
-        for _ in range(fanin)
-    ]
-
-
-def _chunked(pairs: list[tuple[str, int]], size: int) -> list[list[tuple[str, int]]]:
-    return [pairs[i : i + size] for i in range(0, len(pairs), size)]
-
-
-def _rack(settings: IncastSettings, fanin: int) -> Topology:
-    return single_rack(fanin + 1, bandwidth_bps=settings.bandwidth_bps)
-
-
-# ---------------------------------------------------------------------- #
-# Arms
-# ---------------------------------------------------------------------- #
-def _run_daiet(
-    settings: IncastSettings,
-    fanin: int,
-    buffer_bytes: int,
-    partitions: list[list[tuple[str, int]]],
-    truth: dict[str, int],
+def run_incast_arm(
+    settings: IncastSettings, arm: str, fanin: int, buffer_bytes: int
 ) -> IncastRun:
-    system = DaietSystem(
-        _rack(settings, fanin),
-        settings.daiet_config(),
-        settings.simulator_config(buffer_bytes),
+    """One arm at one fan-in and switch buffer depth."""
+    partitions = wordcount_partitions(
+        settings.seed, fanin, settings.pairs_per_sender, settings.vocabulary_size
     )
-    reducer = f"h{fanin}"
-    mappers = [f"h{i}" for i in range(fanin)]
-    system.install_job(mappers=mappers, reducers=[reducer])
-    for mapper, pairs in zip(mappers, partitions):
-        system.send_pairs(mapper, reducer, pairs)
-    events = system.run()
-    receiver = system.receiver(reducer)
-    exact = receiver.done and receiver.result() == truth
-    stats = system.simulator.stats
-    rel = list(system.reliability_stats().values())
-    engine_counters = list(system.controller.tree_counters().values())
-    offered = fanin * settings.pairs_per_sender * INCAST_PAIR_BYTES
-    sim_seconds = system.simulator.now
-    sent = sum(s["packets_sent"] for s in rel)
-    retrans = sum(s["retransmissions"] for s in rel) + sum(
-        c.retransmitted_packets for c in engine_counters
-    )
-    return IncastRun(
-        arm="daiet",
-        fanin=fanin,
-        buffer_bytes=buffer_bytes,
-        completed=receiver.done,
-        exact=exact,
-        events=events,
-        sim_seconds=sim_seconds,
-        goodput_bps=(offered * 8 / sim_seconds) if (exact and sim_seconds) else 0.0,
-        datagrams_sent=sent,
-        retransmissions=retrans,
-        retransmit_overhead=retrans / (sent + retrans) if sent else 0.0,
-        ecn_marks=stats.total_ecn_marked(),
-        queue_drops=stats.total_queue_drops(),
-    )
-
-
-def _run_udp(
-    settings: IncastSettings,
-    arm: str,
-    fanin: int,
-    buffer_bytes: int,
-    partitions: list[list[tuple[str, int]]],
-    truth: dict[str, int],
-) -> IncastRun:
-    simulator = NetworkSimulator(
-        _rack(settings, fanin), settings.simulator_config(buffer_bytes))
-    reliable = ReliableUdpTransport(
-        simulator,
-        retransmit_timeout=(
-            settings.fixed_rto if arm == "udp-fixed" else settings.retransmit_timeout
-        ),
-        ack_window=settings.ack_window,
-        max_retransmits=settings.max_retransmits,
-        tuning=settings.tuning(arm),
-    )
-    reducer = f"h{fanin}"
-    aggregate: dict[str, int] = {}
-    delivered_pairs = 0
-
-    def on_message(_src: str, payload: MessagePayload) -> None:
-        nonlocal delivered_pairs
-        if payload.kind != "pairs":
-            return
-        delivered_pairs += len(payload.data)
-        for key, value in payload.data:
-            aggregate[key] = aggregate.get(key, 0) + value
-
-    reliable.listen_reliable(reducer, INCAST_PORT, on_message)
+    truth = truth_of(partitions)
     senders = [f"h{i}" for i in range(fanin)]
-    for sender, pairs in zip(senders, partitions):
-        for chunk in _chunked(pairs, settings.pairs_per_packet):
-            reliable.send_reliable(
-                sender,
-                reducer,
-                MessagePayload(kind="pairs", data=chunk),
-                len(chunk) * INCAST_PAIR_BYTES,
-                port=INCAST_PORT,
-            )
-    completed = True
-    events = 0
-    try:
-        events = simulator.run()
-    except TransportError:
-        completed = False  # a flow gave up: the arm collapsed outright
-    completed = completed and all(
-        reliable.flow_done(sender, reducer, INCAST_PORT) for sender in senders
-    )
-    exact = completed and aggregate == truth
-    stats = simulator.stats
-    sim_seconds = simulator.now
-    sent = reliable.stats.datagrams_sent
-    retrans = reliable.stats.retransmissions
-    delivered = delivered_pairs * INCAST_PAIR_BYTES
-    return IncastRun(
+    reducer = f"h{fanin}"
+    rack = single_rack(fanin + 1, bandwidth_bps=settings.bandwidth_bps)
+    simulator_config = settings.simulator_config(buffer_bytes)
+    if arm == "daiet":
+        system = DaietSystem(rack, settings.daiet_config(), simulator_config)
+        round_ = run_daiet_round(system, senders, reducer, partitions, truth)
+        # Every offered pair reached the aggregate, or the run does not count.
+        delivered_pairs = fanin * settings.pairs_per_sender if round_.exact else 0
+    else:
+        transport = dict(reliability_knobs(settings), tuning=settings.tuning(arm))
+        if arm == "udp-fixed":
+            transport["retransmit_timeout"] = settings.fixed_rto
+        round_ = run_datagram_round(
+            NetworkSimulator(rack, simulator_config),
+            transport,
+            senders,
+            reducer,
+            partitions,
+            truth,
+            pairs_per_packet=settings.pairs_per_packet,
+            pair_bytes=INCAST_PAIR_BYTES,
+            port=INCAST_PORT,
+        )
+        delivered_pairs = round_.pairs_delivered
+    sent, retrans = round_.packets_sent, round_.retransmissions
+    return round_.into(
+        IncastRun,
         arm=arm,
         fanin=fanin,
         buffer_bytes=buffer_bytes,
-        completed=completed,
-        exact=exact,
-        events=events,
-        sim_seconds=sim_seconds,
-        goodput_bps=(delivered * 8 / sim_seconds) if sim_seconds else 0.0,
+        goodput_bps=(
+            delivered_pairs * INCAST_PAIR_BYTES * 8 / round_.sim_seconds
+            if round_.sim_seconds
+            else 0.0
+        ),
         datagrams_sent=sent,
-        retransmissions=retrans,
         retransmit_overhead=retrans / (sent + retrans) if sent else 0.0,
-        ecn_marks=stats.total_ecn_marked(),
-        queue_drops=stats.total_queue_drops(),
     )
-
-
-def _run_arm(
-    settings: IncastSettings, arm: str, fanin: int, buffer_bytes: int
-) -> IncastRun:
-    partitions = _sender_partitions(settings, fanin)
-    truth = aggregate_pairs(
-        [pair for partition in partitions for pair in partition], SUM
-    )
-    if arm == "daiet":
-        return _run_daiet(settings, fanin, buffer_bytes, partitions, truth)
-    return _run_udp(settings, arm, fanin, buffer_bytes, partitions, truth)
 
 
 # ---------------------------------------------------------------------- #
@@ -357,31 +247,29 @@ def run_incast(settings: IncastSettings | None = None) -> IncastResult:
     for fanin in settings.fanins:
         for arm in ARMS:
             result.runs.append(
-                _run_arm(settings, arm, fanin, settings.switch_buffer_bytes)
+                run_incast_arm(settings, arm, fanin, settings.switch_buffer_bytes)
             )
     for buffer_bytes in settings.ablation_buffers:
         for arm in ARMS[1:]:  # the UDP arms; DAIET barely touches the buffer
             result.ablation.append(
-                _run_arm(settings, arm, settings.ablation_fanin, buffer_bytes)
+                run_incast_arm(settings, arm, settings.ablation_fanin, buffer_bytes)
             )
     result.report = _render_report(result)
     return result
 
 
-def _format_row(run: IncastRun) -> str:
-    return (
-        f"{run.arm:<10s} {run.fanin:>6d} {run.buffer_bytes // 1024:>6d} "
-        f"{'yes' if run.exact else 'NO':>6s} {run.sim_seconds * 1e3:>8.3f} "
-        f"{run.goodput_bps / 1e9:>9.3f} {run.retransmissions:>8d} "
-        f"{run.retransmit_overhead:>8.1%} {run.ecn_marks:>7d} "
-        f"{run.queue_drops:>7d}"
-    )
-
-
-_HEADER = (
-    f"{'arm':<10s} {'fanin':>6s} {'buf-KB':>6s} {'exact':>6s} {'sim-ms':>8s} "
-    f"{'Gbit/s':>9s} {'retrans':>8s} {'rtx-ovh':>8s} {'marks':>7s} {'qdrops':>7s}"
-)
+_COLUMNS = [
+    ("arm", "<10s", lambda run: run.arm),
+    ("fanin", ">6d", lambda run: run.fanin),
+    ("buf-KB", ">6d", lambda run: run.buffer_bytes // 1024),
+    ("exact", ">6s", lambda run: yes_no(run.exact)),
+    ("sim-ms", ">8.3f", lambda run: run.sim_seconds * 1e3),
+    ("Gbit/s", ">9.3f", lambda run: run.goodput_bps / 1e9),
+    ("retrans", ">8d", lambda run: run.retransmissions),
+    ("rtx-ovh", ">8.1%", lambda run: run.retransmit_overhead),
+    ("marks", ">7d", lambda run: run.ecn_marks),
+    ("qdrops", ">7d", lambda run: run.queue_drops),
+]
 
 
 def _render_report(result: IncastResult) -> str:
@@ -398,20 +286,14 @@ def _render_report(result: IncastResult) -> str:
         "simulated time; rtx-ovh is the retransmitted fraction of all "
         "datagrams sent.",
         "",
-        _HEADER,
-        "-" * len(_HEADER),
+        render_table(_COLUMNS, result.runs),
     ]
-    for run in result.runs:
-        lines.append(_format_row(run))
     if result.ablation:
         lines.append("")
         lines.append(
             f"Buffer ablation at fan-in {settings.ablation_fanin} (UDP arms):"
         )
-        lines.append(_HEADER)
-        lines.append("-" * len(_HEADER))
-        for run in result.ablation:
-            lines.append(_format_row(run))
+        lines.append(render_table(_COLUMNS, result.ablation))
     lines.append("")
     verdicts = []
     for fanin in settings.fanins:

@@ -16,15 +16,24 @@ benchmark gate keeps below 2x at 1% loss.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.analysis.reporting import render_table, yes_no
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import ReproError
-from repro.core.functions import SUM, aggregate_pairs
+from repro.experiments.rounds import (
+    Partition,
+    exactness_verdict,
+    find,
+    gradient_partitions,
+    reliable_daiet_config,
+    run_daiet_round,
+    truth_of,
+    wordcount_partitions,
+)
 from repro.netsim.simulator import SimulatorConfig
-from repro.netsim.topology import Topology
+from repro.netsim.topology import single_rack
 
 #: The loss rates swept by the paper-scale run (0 = sanity baseline).
 DEFAULT_LOSS_RATES = (0.0, 0.001, 0.01, 0.05)
@@ -55,7 +64,8 @@ class LossSweepSettings:
 
     def quick(self) -> "LossSweepSettings":
         """A fast variant used by unit tests and smoke runs."""
-        return LossSweepSettings(
+        return replace(
+            self,
             loss_rates=(0.0, 0.01),
             num_workers=4,
             wordcount_pairs_per_worker=150,
@@ -64,24 +74,11 @@ class LossSweepSettings:
             ml_updates_per_worker=60,
             ml_steps=2,
             register_slots=64,
-            pairs_per_packet=self.pairs_per_packet,
-            retransmit_timeout=self.retransmit_timeout,
-            ack_window=self.ack_window,
-            max_retransmits=self.max_retransmits,
-            loss_seed=self.loss_seed,
-            seed=self.seed,
         )
 
     def daiet_config(self, reliability: bool) -> DaietConfig:
         """The DAIET configuration implied by these settings."""
-        return DaietConfig(
-            register_slots=self.register_slots,
-            pairs_per_packet=self.pairs_per_packet,
-            reliability=reliability,
-            retransmit_timeout=self.retransmit_timeout,
-            ack_window=self.ack_window,
-            max_retransmits=self.max_retransmits,
-        )
+        return reliable_daiet_config(self, reliability=reliability)
 
 
 @dataclass
@@ -120,134 +117,67 @@ class LossSweepResult:
 
     def overhead_at(self, workload: str, loss_rate: float) -> float:
         """Overhead ratio of one workload at one swept loss rate."""
-        for run in self.runs.get(workload, []):
-            if run.loss_rate == loss_rate:
-                return run.overhead
-        raise ReproError(f"no {workload!r} run at loss rate {loss_rate}")
+        return find(
+            self.runs.get(workload, []),
+            f"{workload!r} run at loss rate {loss_rate}",
+            loss_rate=loss_rate,
+        ).overhead
 
 
 # ---------------------------------------------------------------------- #
-# Workload inputs
+# Workloads: one round of wordcount, one round per training step
 # ---------------------------------------------------------------------- #
-def _lossy_rack(num_hosts: int, loss_rate: float) -> Topology:
-    """A single rack whose host uplinks drop packets in both directions."""
-    topo = Topology(name=f"lossy_rack_{loss_rate:g}")
-    topo.add_switch("tor")
-    for i in range(num_hosts):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", "tor", loss_rate=loss_rate)
-    topo.validate()
-    return topo
+def _workloads(settings: LossSweepSettings) -> dict[str, list[list[Partition]]]:
+    """Per workload, the partitions of each of its rounds."""
+    workers = settings.num_workers
+    return {
+        "wordcount": [
+            wordcount_partitions(
+                settings.seed,
+                workers,
+                settings.wordcount_pairs_per_worker,
+                settings.vocabulary_size,
+            )
+        ],
+        "ml_training": [
+            gradient_partitions(
+                settings.seed + 1000 * (step + 1),
+                workers,
+                settings.ml_params,
+                settings.ml_updates_per_worker,
+            )
+            for step in range(settings.ml_steps)
+        ],
+    }
 
 
-def _wordcount_partitions(settings: LossSweepSettings) -> list[list[tuple[str, int]]]:
-    """Raw (word, 1) streams per mapper, WordCount's map output shape."""
-    rng = random.Random(settings.seed)
-    vocabulary = [f"word{i:04d}" for i in range(settings.vocabulary_size)]
-    return [
-        [(rng.choice(vocabulary), 1) for _ in range(settings.wordcount_pairs_per_worker)]
-        for _ in range(settings.num_workers)
-    ]
-
-
-def _ml_partitions(settings: LossSweepSettings, step: int) -> list[list[tuple[str, int]]]:
-    """Quantized sparse gradient updates per worker for one training step."""
-    rng = random.Random(settings.seed + 1000 * (step + 1))
-    partitions = []
-    for _worker in range(settings.num_workers):
-        indices = rng.sample(range(settings.ml_params), settings.ml_updates_per_worker)
-        partitions.append(
-            [(f"w:{index}", rng.randint(-(2**20), 2**20)) for index in indices]
-        )
-    return partitions
-
-
-# ---------------------------------------------------------------------- #
-# Runners
-# ---------------------------------------------------------------------- #
-def _collect_run(
-    workload: str,
-    loss_rate: float,
-    reliability: bool,
-    system: DaietSystem,
-    exact: bool,
-    completed: bool,
-) -> LossSweepRun:
-    stats = system.simulator.stats
-    rel = system.reliability_stats().values()
-    engine_counters = [
-        counters for _key, counters in system.controller.tree_counters().items()
-    ]
-    return LossSweepRun(
-        workload=workload,
-        loss_rate=loss_rate,
-        reliability=reliability,
-        exact=exact,
-        completed=completed,
-        link_bytes=stats.total_link_bytes(),
-        link_packets=stats.total_link_packets(),
-        losses=stats.total_losses(),
-        retransmissions=sum(s["retransmissions"] for s in rel)
-        + sum(c.retransmitted_packets for c in engine_counters),
-        duplicates_filtered=sum(c.duplicate_packets for c in engine_counters),
-        acks=sum(s["acks_sent"] for s in system.reliability_stats().values())
-        + sum(c.acks_sent for c in engine_counters),
-        sim_seconds=system.simulator.now,
-    )
-
-
-def _run_wordcount(
+def _run(
     settings: LossSweepSettings,
+    workload: str,
+    rounds: list[tuple[list[Partition], dict[str, int]]],
     loss_rate: float,
     reliability: bool,
-    truth: dict[str, int],
 ) -> LossSweepRun:
-    partitions = _wordcount_partitions(settings)
+    """Every (partitions, truth) round of ``workload`` on one system, like a training loop."""
     system = DaietSystem(
-        _lossy_rack(settings.num_workers + 1, loss_rate),
+        single_rack(settings.num_workers + 1, loss_rate=loss_rate),
         settings.daiet_config(reliability),
         SimulatorConfig(loss_seed=settings.loss_seed),
     )
     reducer = f"h{settings.num_workers}"
     mappers = [f"h{i}" for i in range(settings.num_workers)]
-    system.install_job(mappers=mappers, reducers=[reducer])
-    for mapper, pairs in zip(mappers, partitions):
-        system.send_pairs(mapper, reducer, pairs)
-    system.run()
-    receiver = system.receiver(reducer)
-    exact = receiver.done and receiver.result() == truth
-    return _collect_run(
-        "wordcount", loss_rate, reliability, system, exact, receiver.done
-    )
-
-
-def _run_ml_training(
-    settings: LossSweepSettings,
-    loss_rate: float,
-    reliability: bool,
-    truths: list[dict[str, int]],
-) -> LossSweepRun:
-    system = DaietSystem(
-        _lossy_rack(settings.num_workers + 1, loss_rate),
-        settings.daiet_config(reliability),
-        SimulatorConfig(loss_seed=settings.loss_seed),
-    )
-    reducer = f"h{settings.num_workers}"
-    workers = [f"h{i}" for i in range(settings.num_workers)]
-    exact = True
-    completed = True
-    for step in range(settings.ml_steps):
-        # One fresh aggregation round per synchronous training step, exactly
-        # like examples/ml_training_daiet.py drives the parameter server.
-        system.install_job(mappers=workers, reducers=[reducer])
-        for worker, pairs in zip(workers, _ml_partitions(settings, step)):
-            system.send_pairs(worker, reducer, pairs)
-        system.run()
-        receiver = system.receiver(reducer)
-        completed = completed and receiver.done
-        exact = exact and receiver.done and receiver.result() == truths[step]
-    return _collect_run(
-        "ml_training", loss_rate, reliability, system, exact, completed
+    done = [
+        run_daiet_round(system, mappers, reducer, partitions, truth)
+        for partitions, truth in rounds
+    ]
+    # The last round's counters are the system's totals over all of them.
+    return done[-1].into(
+        LossSweepRun,
+        workload=workload,
+        loss_rate=loss_rate,
+        reliability=reliability,
+        exact=all(round_.exact for round_ in done),
+        completed=all(round_.completed for round_ in done),
     )
 
 
@@ -257,29 +187,10 @@ def _run_ml_training(
 def run_loss_sweep(settings: LossSweepSettings | None = None) -> LossSweepResult:
     """Sweep ``loss_rate`` for both workloads and report exactness + cost."""
     settings = settings or LossSweepSettings()
-    wordcount_truth = aggregate_pairs(
-        [pair for partition in _wordcount_partitions(settings) for pair in partition],
-        SUM,
-    )
-    ml_truths = [
-        aggregate_pairs(
-            [pair for partition in _ml_partitions(settings, step) for pair in partition],
-            SUM,
-        )
-        for step in range(settings.ml_steps)
-    ]
-
     result = LossSweepResult(settings=settings)
-    runners = {
-        "wordcount": lambda rate, rel: _run_wordcount(
-            settings, rate, rel, wordcount_truth
-        ),
-        "ml_training": lambda rate, rel: _run_ml_training(
-            settings, rate, rel, ml_truths
-        ),
-    }
-    for workload, runner in runners.items():
-        baseline = runner(0.0, False)
+    for workload, partitions_per_round in _workloads(settings).items():
+        rounds = [(partitions, truth_of(partitions)) for partitions in partitions_per_round]
+        baseline = _run(settings, workload, rounds, 0.0, False)
         if not baseline.exact:
             raise ReproError(
                 f"the lossless {workload} baseline disagrees with ground truth"
@@ -288,7 +199,7 @@ def run_loss_sweep(settings: LossSweepSettings | None = None) -> LossSweepResult
         result.baselines[workload] = baseline
         swept = []
         for rate in settings.loss_rates:
-            run = runner(rate, True)
+            run = _run(settings, workload, rounds, rate, True)
             run.overhead = (
                 run.link_bytes / baseline.link_bytes if baseline.link_bytes else 0.0
             )
@@ -296,6 +207,24 @@ def run_loss_sweep(settings: LossSweepSettings | None = None) -> LossSweepResult
         result.runs[workload] = swept
     result.report = _render_report(result)
     return result
+
+
+def _if_reliable(value_of):
+    """The baseline row (reliability off) shows a dash in this column."""
+    return lambda run: value_of(run) if run.reliability else "-"
+
+
+_COLUMNS = [
+    ("workload", "<12s", lambda run: run.workload),
+    ("loss", ">6.1%", lambda run: run.loss_rate if run.reliability else "none*", 7),
+    ("exact", ">6s", lambda run: yes_no(run.exact)),
+    ("losses", ">7d", lambda run: run.losses),
+    ("retrans", ">8d", _if_reliable(lambda run: run.retransmissions)),
+    ("dups", ">6d", _if_reliable(lambda run: run.duplicates_filtered)),
+    ("acks", ">6d", _if_reliable(lambda run: run.acks)),
+    ("link-KB", ">9.1f", lambda run: run.link_bytes / 1024),
+    ("overhead", ">9s", lambda run: f"{run.overhead:.2f}x"),
+]
 
 
 def _render_report(result: LossSweepResult) -> str:
@@ -311,32 +240,11 @@ def _render_report(result: LossSweepResult) -> str:
         "reliability layer (seq numbers, ACKs, retransmissions included).",
         "",
     ]
-    header = (
-        f"{'workload':<12s} {'loss':>7s} {'exact':>6s} {'losses':>7s} "
-        f"{'retrans':>8s} {'dups':>6s} {'acks':>6s} {'link-KB':>9s} {'overhead':>9s}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
+    rows = []
     for workload, runs in result.runs.items():
-        baseline = result.baselines[workload]
-        lines.append(
-            f"{workload:<12s} {'none*':>7s} {'yes':>6s} {baseline.losses:>7d} "
-            f"{'-':>8s} {'-':>6s} {'-':>6s} {baseline.link_bytes / 1024:>9.1f} "
-            f"{baseline.overhead:>8.2f}x"
-        )
-        for run in runs:
-            lines.append(
-                f"{run.workload:<12s} {run.loss_rate:>6.1%} "
-                f"{'yes' if run.exact else 'NO':>6s} {run.losses:>7d} "
-                f"{run.retransmissions:>8d} {run.duplicates_filtered:>6d} "
-                f"{run.acks:>6d} {run.link_bytes / 1024:>9.1f} {run.overhead:>8.2f}x"
-            )
+        rows += [result.baselines[workload], *runs]
+    lines.append(render_table(_COLUMNS, rows))
     lines.append("")
     lines.append("* lossless run without the reliability layer (goodput baseline)")
-    verdict = (
-        "all runs bit-identical to the lossless ground truth"
-        if result.all_exact
-        else "SOME RUNS DIVERGED FROM GROUND TRUTH"
-    )
-    lines.append(f"Verdict: {verdict}.")
+    lines.append(exactness_verdict(result.all_exact))
     return "\n".join(lines)

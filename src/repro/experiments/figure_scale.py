@@ -27,23 +27,33 @@ runs double as a coarse perf canary.
 
 from __future__ import annotations
 
-import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.analysis.reporting import render_table, yes_no
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import ReproError
-from repro.core.functions import SUM, aggregate_pairs
+from repro.experiments.rounds import (
+    Partition,
+    exactness_verdict,
+    find,
+    reliability_knobs,
+    reliable_daiet_config,
+    run_daiet_round,
+    run_datagram_round,
+    truth_of,
+    wordcount_partitions,
+)
 from repro.netsim.devices import Host
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, fat_tree, leaf_spine
-from repro.transport.packets import MessagePayload
-from repro.transport.udp import ReliableUdpTransport
 from repro.transport.window import TransportTuning
 
 #: Worker counts swept by the paper-scale run.
 DEFAULT_WORKER_COUNTS = (16, 64, 128, 256)
+
+#: The reducer host of every run; the workers are ``h1`` .. ``hN``.
+REDUCER = "h0"
 
 #: Destination port of the baseline shuffle streams.
 BASELINE_PORT = 9090
@@ -94,36 +104,20 @@ class ScaleSettings:
 
     def quick(self) -> "ScaleSettings":
         """A fast variant used by unit tests and smoke runs."""
-        return ScaleSettings(
+        return replace(
+            self,
             worker_counts=(8, 16),
-            compare_baselines=self.compare_baselines,
-            fabric=self.fabric,
             workers_per_leaf=4,
             spines=2,
             fat_tree_k=4,
-            loss_rate=self.loss_rate,
             pairs_per_worker=120,
             vocabulary_size=300,
             register_slots=1024,
-            pairs_per_packet=self.pairs_per_packet,
-            retransmit_timeout=self.retransmit_timeout,
-            ack_window=self.ack_window,
-            max_retransmits=self.max_retransmits,
-            rto_floor=self.rto_floor,
-            loss_seed=self.loss_seed,
-            seed=self.seed,
         )
 
     def daiet_config(self) -> DaietConfig:
         """The DAIET configuration implied by these settings."""
-        return DaietConfig(
-            register_slots=self.register_slots,
-            pairs_per_packet=self.pairs_per_packet,
-            reliability=True,
-            retransmit_timeout=self.retransmit_timeout,
-            ack_window=self.ack_window,
-            max_retransmits=self.max_retransmits,
-        )
+        return reliable_daiet_config(self)
 
 
 @dataclass
@@ -183,10 +177,7 @@ class ScaleResult:
 
     def run_at(self, workers: int) -> ScaleRun:
         """The run for one swept worker count."""
-        for run in self.runs:
-            if run.workers == workers:
-                return run
-        raise ReproError(f"no scale run with {workers} workers")
+        return find(self.runs, f"scale run with {workers} workers", workers=workers)
 
 
 # ---------------------------------------------------------------------- #
@@ -220,16 +211,19 @@ def _build_fabric(settings: ScaleSettings, num_workers: int) -> Topology:
     return topo
 
 
-def _worker_partitions(
+def _workload(
     settings: ScaleSettings, num_workers: int
-) -> list[list[tuple[str, int]]]:
-    """Deterministic wordcount-shaped map output, one partition per worker."""
-    rng = random.Random(settings.seed)
-    vocabulary = [f"word{i:05d}" for i in range(settings.vocabulary_size)]
-    return [
-        [(rng.choice(vocabulary), 1) for _ in range(settings.pairs_per_worker)]
-        for _ in range(num_workers)
-    ]
+) -> tuple[list[str], list[Partition], dict[str, int]]:
+    """Mapper hosts, their wordcount partitions and the ground truth."""
+    partitions = wordcount_partitions(
+        settings.seed,
+        num_workers,
+        settings.pairs_per_worker,
+        settings.vocabulary_size,
+        digits=5,
+    )
+    mappers = [f"h{i}" for i in range(1, num_workers + 1)]
+    return mappers, partitions, truth_of(partitions)
 
 
 # ---------------------------------------------------------------------- #
@@ -237,53 +231,22 @@ def _worker_partitions(
 # ---------------------------------------------------------------------- #
 def run_scale_once(settings: ScaleSettings, num_workers: int) -> ScaleRun:
     """One reliability-on aggregation round with ``num_workers`` mappers."""
-    partitions = _worker_partitions(settings, num_workers)
-    truth = aggregate_pairs(
-        [pair for partition in partitions for pair in partition], SUM
-    )
+    mappers, partitions, truth = _workload(settings, num_workers)
     topology = _build_fabric(settings, num_workers)
     system = DaietSystem(
         topology,
         settings.daiet_config(),
         SimulatorConfig(loss_seed=settings.loss_seed),
     )
-    reducer = "h0"
-    mappers = [f"h{i}" for i in range(1, num_workers + 1)]
-    system.install_job(mappers=mappers, reducers=[reducer])
-    for mapper, pairs in zip(mappers, partitions):
-        system.send_pairs(mapper, reducer, pairs)
-
-    start = time.perf_counter()
-    events = system.run()
-    wall = time.perf_counter() - start
-
-    receiver = system.receiver(reducer)
-    exact = receiver.done and receiver.result() == truth
-    stats = system.simulator.stats
-    engine_counters = list(system.controller.tree_counters().values())
-    reliability = system.reliability_stats().values()
-    return ScaleRun(
+    round_ = run_daiet_round(system, mappers, REDUCER, partitions, truth)
+    return round_.into(
+        ScaleRun,
         workers=num_workers,
         fabric=settings.fabric,
         switches=len(topology.switches()),
         hosts=len(topology.hosts()),
-        exact=exact,
-        events=events,
-        wall_seconds=wall,
-        events_per_sec=events / wall if wall > 0 else 0.0,
-        link_packets=stats.total_link_packets(),
-        link_bytes=stats.total_link_bytes(),
-        losses=stats.total_losses(),
-        retransmissions=sum(s["retransmissions"] for s in reliability)
-        + sum(c.retransmitted_packets for c in engine_counters),
-        duplicates_filtered=sum(c.duplicate_packets for c in engine_counters),
-        sim_seconds=system.simulator.now,
-        reducer_packets=system.simulator.host(reducer).counters.packets_received,
+        events_per_sec=round_.events_per_sec,
     )
-
-
-def _chunked(pairs: list[tuple[str, int]], size: int) -> list[list[tuple[str, int]]]:
-    return [pairs[i : i + size] for i in range(0, len(pairs), size)]
 
 
 def run_baseline_once(
@@ -304,64 +267,29 @@ def run_baseline_once(
         pairs_per_packet = BASELINE_TCP_SEGMENT_BYTES // BASELINE_PAIR_BYTES
     else:
         raise ReproError(f"unknown baseline transport {transport!r}")
-    partitions = _worker_partitions(settings, num_workers)
-    truth = aggregate_pairs(
-        [pair for partition in partitions for pair in partition], SUM
+    mappers, partitions, truth = _workload(settings, num_workers)
+    round_ = run_datagram_round(
+        NetworkSimulator(
+            _build_fabric(settings, num_workers),
+            SimulatorConfig(loss_seed=settings.loss_seed),
+        ),
+        dict(
+            reliability_knobs(settings),
+            tuning=TransportTuning(rto_floor=settings.rto_floor),
+        ),
+        mappers,
+        REDUCER,
+        partitions,
+        truth,
+        pairs_per_packet=pairs_per_packet,
+        pair_bytes=BASELINE_PAIR_BYTES,
+        port=BASELINE_PORT,
     )
-    topology = _build_fabric(settings, num_workers)
-    simulator = NetworkSimulator(
-        topology, SimulatorConfig(loss_seed=settings.loss_seed)
-    )
-    reliable = ReliableUdpTransport(
-        simulator,
-        retransmit_timeout=settings.retransmit_timeout,
-        ack_window=settings.ack_window,
-        max_retransmits=settings.max_retransmits,
-        tuning=TransportTuning(rto_floor=settings.rto_floor),
-    )
-    reducer = "h0"
-    aggregate: dict[str, int] = {}
-
-    def on_message(_src: str, payload: MessagePayload) -> None:
-        if payload.kind != "pairs":
-            return
-        for key, value in payload.data:
-            aggregate[key] = aggregate.get(key, 0) + value
-
-    reliable.listen_reliable(reducer, BASELINE_PORT, on_message)
-    mappers = [f"h{i}" for i in range(1, num_workers + 1)]
-    for mapper, pairs in zip(mappers, partitions):
-        for chunk in _chunked(pairs, pairs_per_packet):
-            reliable.send_reliable(
-                mapper,
-                reducer,
-                MessagePayload(kind="pairs", data=chunk),
-                len(chunk) * BASELINE_PAIR_BYTES,
-                port=BASELINE_PORT,
-            )
-
-    start = time.perf_counter()
-    events = simulator.run()
-    wall = time.perf_counter() - start
-
-    delivered = all(
-        reliable.flow_done(mapper, reducer, BASELINE_PORT) for mapper in mappers
-    )
-    exact = delivered and aggregate == truth
-    stats = simulator.stats
-    return BaselineRun(
+    return round_.into(
+        BaselineRun,
         transport=transport,
         workers=num_workers,
-        exact=exact,
-        events=events,
-        wall_seconds=wall,
-        events_per_sec=events / wall if wall > 0 else 0.0,
-        link_packets=stats.total_link_packets(),
-        link_bytes=stats.total_link_bytes(),
-        losses=stats.total_losses(),
-        retransmissions=reliable.stats.retransmissions,
-        reducer_packets=simulator.host(reducer).counters.packets_received,
-        sim_seconds=simulator.now,
+        events_per_sec=round_.events_per_sec,
     )
 
 
@@ -390,6 +318,47 @@ def run_scale(settings: ScaleSettings | None = None) -> ScaleResult:
     return result
 
 
+#: One row per (path, its run, packet reduction vs that run) of the comparison.
+_COMPARISON_COLUMNS = [
+    ("workers", ">8d", lambda row: row[1].workers),
+    ("path", ">6s", lambda row: row[0]),
+    ("exact", ">6s", lambda row: yes_no(row[1].exact)),
+    ("events", ">9d", lambda row: row[1].events),
+    ("wall-s", ">8.2f", lambda row: row[1].wall_seconds),
+    ("link-pkts", ">10d", lambda row: row[1].link_packets),
+    ("losses", ">7d", lambda row: row[1].losses),
+    ("retrans", ">8d", lambda row: row[1].retransmissions),
+    ("rx-pkts", ">8d", lambda row: row[1].reducer_packets),
+    ("pkt-reduction", ">13.1%", lambda row: row[2], 14),
+]
+
+_SWEEP_COLUMNS = [
+    ("workers", ">8d", lambda run: run.workers),
+    ("switches", ">9d", lambda run: run.switches),
+    ("exact", ">6s", lambda run: yes_no(run.exact)),
+    ("events", ">9d", lambda run: run.events),
+    ("wall-s", ">8.2f", lambda run: run.wall_seconds),
+    ("events/s", ">10,.0f", lambda run: run.events_per_sec),
+    ("link-pkts", ">10d", lambda run: run.link_packets),
+    ("losses", ">7d", lambda run: run.losses),
+    ("retrans", ">8d", lambda run: run.retransmissions),
+    ("sim-ms", ">8.2f", lambda run: run.sim_seconds * 1e3),
+]
+
+
+def _comparison_rows(result: ScaleResult):
+    """The DAIET row of every run, then its baselines with their reduction."""
+    for run in result.runs:
+        yield "daiet", run, "-"
+        for transport, baseline in run.baselines.items():
+            packets = baseline.reducer_packets
+            yield (
+                transport,
+                baseline,
+                1.0 - run.reducer_packets / packets if packets else 0.0,
+            )
+
+
 def _render_report(result: ScaleResult) -> str:
     settings = result.settings
     lines = [
@@ -400,68 +369,17 @@ def _render_report(result: ScaleResult) -> str:
         f"{settings.vocabulary_size}-word vocabulary.",
         "Every run is checked bit-exact against the lossless ground truth.",
         "",
+        render_table(_SWEEP_COLUMNS, result.runs),
     ]
-    header = (
-        f"{'workers':>8s} {'switches':>9s} {'exact':>6s} {'events':>9s} "
-        f"{'wall-s':>8s} {'events/s':>10s} {'link-pkts':>10s} {'losses':>7s} "
-        f"{'retrans':>8s} {'sim-ms':>8s}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for run in result.runs:
-        lines.append(
-            f"{run.workers:>8d} {run.switches:>9d} "
-            f"{'yes' if run.exact else 'NO':>6s} {run.events:>9d} "
-            f"{run.wall_seconds:>8.2f} {run.events_per_sec:>10,.0f} "
-            f"{run.link_packets:>10d} {run.losses:>7d} "
-            f"{run.retransmissions:>8d} {run.sim_seconds * 1e3:>8.2f}"
-        )
     if settings.compare_baselines:
-        lines.append("")
-        lines.append(
+        lines += [
+            "",
             "Baseline comparison (identical workload and lossy fabric, "
-            "reliability on for every path):"
-        )
-        header = (
-            f"{'workers':>8s} {'path':>6s} {'exact':>6s} {'events':>9s} "
-            f"{'wall-s':>8s} {'link-pkts':>10s} {'losses':>7s} {'retrans':>8s} "
-            f"{'rx-pkts':>8s} {'pkt-reduction':>14s}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for run in result.runs:
-            lines.append(
-                f"{run.workers:>8d} {'daiet':>6s} {'yes' if run.exact else 'NO':>6s} "
-                f"{run.events:>9d} {run.wall_seconds:>8.2f} {run.link_packets:>10d} "
-                f"{run.losses:>7d} {run.retransmissions:>8d} "
-                f"{run.reducer_packets:>8d} {'-':>14s}"
-            )
-            for transport in ("udp", "tcp"):
-                baseline = run.baselines.get(transport)
-                if baseline is None:
-                    continue
-                reduction = (
-                    1.0 - run.reducer_packets / baseline.reducer_packets
-                    if baseline.reducer_packets
-                    else 0.0
-                )
-                lines.append(
-                    f"{baseline.workers:>8d} {transport:>6s} "
-                    f"{'yes' if baseline.exact else 'NO':>6s} "
-                    f"{baseline.events:>9d} {baseline.wall_seconds:>8.2f} "
-                    f"{baseline.link_packets:>10d} {baseline.losses:>7d} "
-                    f"{baseline.retransmissions:>8d} {baseline.reducer_packets:>8d} "
-                    f"{reduction:>13.1%}"
-                )
-        lines.append(
+            "reliability on for every path):",
+            render_table(_COMPARISON_COLUMNS, _comparison_rows(result)),
             "pkt-reduction: fewer packets into the reducer with in-network "
-            "aggregation vs the baseline."
-        )
+            "aggregation vs the baseline.",
+        ]
     lines.append("")
-    verdict = (
-        "all runs bit-identical to the lossless ground truth"
-        if result.all_exact
-        else "SOME RUNS DIVERGED FROM GROUND TRUTH"
-    )
-    lines.append(f"Verdict: {verdict}.")
+    lines.append(exactness_verdict(result.all_exact))
     return "\n".join(lines)

@@ -35,6 +35,7 @@ from repro.mapreduce.mapper import MapOutput
 from repro.mapreduce.reducer import ReduceTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core <-> transport)
+    from repro.transport.packets import MessagePayload
     from repro.transport.reliability import HostReliabilityAgent
 
 
@@ -46,6 +47,41 @@ class ShuffleAccounting:
     payload_bytes_sent: int = 0
     local_pairs: int = 0
     network_pairs: int = 0
+
+
+@dataclass
+class ReducerBuffer:
+    """Network input buffered for one reducer until the simulation has run.
+
+    Datagram transports (DAIET, the UDP baseline) collect unsorted ``pairs``
+    and count END markers against ``expected_ends``; stream transports (TCP,
+    with or without a worker-level combiner) collect one pre-sorted run per
+    message and expect no END.
+    """
+
+    tree_id: int = 0
+    expected_ends: int = 0
+    ends_seen: int = 0
+    pairs: list[tuple[str, int]] = field(default_factory=list)
+    runs: list[list[tuple[str, int]]] = field(default_factory=list)
+    payload_bytes: int = 0
+
+    def receive_packet(self, packet) -> None:
+        """Host receiver of a datagram transport: this tree's DAIET packets."""
+        if not isinstance(packet, DaietPacket) or packet.tree_id != self.tree_id:
+            return
+        self.payload_bytes += packet.payload_bytes()
+        if packet.packet_type is DaietPacketType.END:
+            self.ends_seen += 1
+        else:
+            self.pairs.extend(packet.pairs)
+
+    def receive_run(self, _src: str, payload: "MessagePayload") -> None:
+        """Listener of a stream transport: one sorted run per message."""
+        if payload.kind != "map_output":
+            return
+        self.runs.append(list(payload.data))
+        self.payload_bytes += payload.meta.get("serialized_bytes", 0)
 
 
 class ShuffleTransport(ABC):
@@ -60,6 +96,8 @@ class ShuffleTransport(ABC):
         self._spec: JobSpec | None = None
         self._placement: TaskPlacement | None = None
         self._reduce_tasks: dict[int, ReduceTask] = {}
+        #: Network input per reducer id, filled while the simulation runs.
+        self._buffers: dict[int, ReducerBuffer] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -86,9 +124,19 @@ class ShuffleTransport(ABC):
     def transfer(self, map_outputs: list[MapOutput]) -> None:
         """Inject the map output into the network (and local hand-offs)."""
 
-    @abstractmethod
     def finalize(self) -> None:
         """Deliver buffered network input to the reduce tasks after the run."""
+        for reducer_id, buffer in self._buffers.items():
+            if buffer.ends_seen < buffer.expected_ends:
+                raise JobError(
+                    f"reducer {reducer_id} finished with {buffer.ends_seen} END "
+                    f"packets out of {buffer.expected_ends} expected"
+                )
+            task = self.reduce_task(reducer_id)
+            for run in buffer.runs:
+                task.add_sorted_run(run, from_network=True)
+            task.add_unsorted_pairs(buffer.pairs, from_network=True)
+            task.metrics.payload_bytes_received += buffer.payload_bytes
 
     # ------------------------------------------------------------------ #
     # Shared helpers
@@ -139,22 +187,6 @@ class ShuffleTransport(ABC):
         return dict(grouped)
 
 
-@dataclass
-class _DaietReducerBuffer:
-    """Per-reducer network input buffered by the DAIET shuffle."""
-
-    tree_id: int
-    expected_ends: int
-    pairs: list[tuple[str, int]] = field(default_factory=list)
-    payload_bytes: int = 0
-    ends_seen: int = 0
-    data_packets: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.ends_seen >= self.expected_ends
-
-
 class DaietShuffle(ShuffleTransport):
     """The paper's shuffle: DAIET packets aggregated inside the switches."""
 
@@ -165,7 +197,6 @@ class DaietShuffle(ShuffleTransport):
         self.config = config or DaietConfig()
         self.controller: DaietController | None = None
         self.job: InstalledJob | None = None
-        self._buffers: dict[int, _DaietReducerBuffer] = {}
         self._agents: dict[str, "HostReliabilityAgent"] = {}
 
     def _agent(self, host: str) -> "HostReliabilityAgent":
@@ -189,7 +220,7 @@ class DaietShuffle(ShuffleTransport):
         )
         for reducer_id, host in enumerate(reducer_hosts):
             tree = self.job.tree_for_reducer(host)
-            buffer = _DaietReducerBuffer(
+            buffer = ReducerBuffer(
                 tree_id=tree.tree_id,
                 expected_ends=tree.children_count(host),
             )
@@ -198,26 +229,10 @@ class DaietShuffle(ShuffleTransport):
                 self._agent(host).attach_tree(
                     tree.tree_id,
                     children=tree.node(host).children,
-                    inner=self._make_receiver(buffer),
+                    inner=buffer.receive_packet,
                 )
             else:
-                self.cluster.simulator.host(host).set_receiver(
-                    self._make_receiver(buffer)
-                )
-
-    @staticmethod
-    def _make_receiver(buffer: _DaietReducerBuffer):
-        def receive(packet) -> None:
-            if not isinstance(packet, DaietPacket) or packet.tree_id != buffer.tree_id:
-                return
-            buffer.payload_bytes += packet.payload_bytes()
-            if packet.packet_type is DaietPacketType.END:
-                buffer.ends_seen += 1
-                return
-            buffer.data_packets += 1
-            buffer.pairs.extend(packet.pairs)
-
-        return receive
+                self.cluster.simulator.host(host).set_receiver(buffer.receive_packet)
 
     def transfer(self, map_outputs: list[MapOutput]) -> None:
         if self.job is None:
@@ -251,14 +266,3 @@ class DaietShuffle(ShuffleTransport):
                 for packet in packets:
                     self.accounting.packets_sent += 1
                     self.accounting.payload_bytes_sent += packet.payload_bytes()
-
-    def finalize(self) -> None:
-        for reducer_id, buffer in self._buffers.items():
-            if not buffer.done:
-                raise JobError(
-                    f"reducer {reducer_id} finished with {buffer.ends_seen} END "
-                    f"packets out of {buffer.expected_ends} expected"
-                )
-            task = self.reduce_task(reducer_id)
-            task.add_unsorted_pairs(buffer.pairs, from_network=True)
-            task.metrics.payload_bytes_received += buffer.payload_bytes

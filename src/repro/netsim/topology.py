@@ -175,15 +175,21 @@ def single_rack(
     switch_name: str = "tor",
     host_prefix: str = "h",
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
+    loss_rate: float = 0.0,
 ) -> Topology:
-    """Hosts attached to a single top-of-rack switch (the paper's testbed shape)."""
+    """Hosts attached to a single top-of-rack switch (the paper's testbed shape).
+
+    ``loss_rate`` is the per-direction drop probability of every host uplink.
+    """
     if num_hosts <= 0:
         raise TopologyError("single_rack needs at least one host")
     topo = Topology(name="single_rack")
     topo.add_switch(switch_name, num_ports=max(64, num_hosts + 4))
     for i in range(num_hosts):
         host = topo.add_host(f"{host_prefix}{i}")
-        topo.connect(host.name, switch_name, bandwidth_bps=bandwidth_bps)
+        topo.connect(
+            host.name, switch_name, bandwidth_bps=bandwidth_bps, loss_rate=loss_rate
+        )
     topo.validate()
     return topo
 

@@ -15,19 +15,9 @@ from repro.core.daiet import DaietSystem
 from repro.core.functions import SUM, aggregate_pairs
 from repro.netsim.faults import FaultPlan
 from repro.netsim.simulator import SimulatorConfig
-from repro.netsim.topology import Topology
+from repro.netsim.topology import single_rack
 
 pytestmark = pytest.mark.approx
-
-
-def lossy_rack(num_hosts: int, loss_rate: float) -> Topology:
-    topo = Topology(name="lossy_rack")
-    topo.add_switch("tor")
-    for i in range(num_hosts):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", "tor", loss_rate=loss_rate)
-    topo.validate()
-    return topo
 
 
 def build_system(policy: str, loss_rate: float = 0.0, **config_kwargs) -> DaietSystem:
@@ -40,7 +30,7 @@ def build_system(policy: str, loss_rate: float = 0.0, **config_kwargs) -> DaietS
         **config_kwargs,
     )
     system = DaietSystem(
-        lossy_rack(4, loss_rate), config, SimulatorConfig(loss_seed=17)
+        single_rack(4, loss_rate=loss_rate), config, SimulatorConfig(loss_seed=17)
     )
     system.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"], policy=policy)
     return system

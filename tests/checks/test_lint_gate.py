@@ -102,6 +102,36 @@ class TestCleanTree:
                     offenders.append(f"{relative}:{node.lineno} ._build_port_maps()")
         assert offenders == []
 
+    def test_experiment_arms_go_through_the_round_runner(self):
+        # experiments/rounds.py is the one place that builds the datagram
+        # baseline and sums host and switch counters; a driver is a grid of
+        # arms over it. Only a round no runner fits (churn's hotspot: two
+        # reducers, trees moved between install and send) may send by hand.
+        # (The parent of the change that added this gate had 2 transport
+        # constructions, 9 counter scrapes and 7 send_pairs call sites in
+        # five drivers.)
+        runner_only = {
+            "ReliableUdpTransport",
+            "listen_reliable",
+            "tree_counters",
+            "reliability_stats",
+        }
+        offenders, senders = [], set()
+        for relative, tree in _package_trees():
+            if not relative.startswith("experiments/"):
+                continue
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "send_pairs":
+                    senders.add(relative)
+                elif name in runner_only and relative != "experiments/rounds.py":
+                    offenders.append(f"{relative}:{node.lineno} {name}()")
+        assert offenders == []
+        assert senders <= {"experiments/rounds.py", "experiments/figure_churn.py"}
+
     def test_cli_lint_exits_zero(self, capsys):
         assert main(["lint"]) == 0
         assert "repro lint: clean" in capsys.readouterr().out

@@ -198,12 +198,7 @@ class TestDropReasons:
 
 
 def build_lossy_system(policy: str, loss_rate: float = 0.05) -> DaietSystem:
-    topo = Topology(name="lossy_rack")
-    topo.add_switch("tor")
-    for i in range(4):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", "tor", loss_rate=loss_rate)
-    topo.validate()
+    topo = single_rack(4, loss_rate=loss_rate)
     config = DaietConfig(
         register_slots=64,
         pairs_per_packet=4,

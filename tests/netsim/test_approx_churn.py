@@ -18,7 +18,7 @@ from repro.analysis.error_bounds import install_error_tracker, true_error_l1
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.failover import FailoverConfig, FailoverManager
-from repro.core.functions import SUM, aggregate_pairs
+from repro.experiments.rounds import truth_of
 from repro.netsim.faults import FaultPlan, install_faults
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine
@@ -54,12 +54,6 @@ def _partitions() -> dict[str, list[tuple[str, int]]]:
 def _send(system: DaietSystem) -> None:
     for mapper, pairs in sorted(_partitions().items()):
         system.send_pairs(mapper, "h3", pairs)
-
-
-def _truth() -> dict[str, int]:
-    return aggregate_pairs(
-        [pair for pairs in _partitions().values() for pair in pairs], SUM
-    )
 
 
 def _tree_spine(system: DaietSystem) -> str:
@@ -134,7 +128,7 @@ class TestCrashDuringReplay:
         system, manager, _tracker = _run_double_crash("exact")
         receiver = system.receiver("h3")
         assert receiver.done
-        assert receiver.result() == _truth()
+        assert receiver.result() == truth_of(_partitions().values())
         replans = [entry for _t, entry in manager.log if "re-planned" in entry]
         assert len(replans) == 2  # both crashes forced a fresh epoch
         assert len(system.simulator.fault_injector.down_switch_names()) == 2
@@ -149,7 +143,7 @@ class TestCrashDuringReplay:
         # report a bound below the true error).
         system, manager, tracker = _run_double_crash("best_effort", tracker_first)
         receiver = system.receiver("h3")
-        truth = _truth()
+        truth = truth_of(_partitions().values())
         received = receiver.result()
         # Bounded degradation: nothing invented, per-key mass only missing.
         for key, value in received.items():
@@ -173,7 +167,7 @@ class TestCrashDuringReplay:
         system, manager, _tracker = _run_double_crash("sampled")
         receiver = system.receiver("h3")
         assert receiver.done
-        assert receiver.result() == _truth()
+        assert receiver.result() == truth_of(_partitions().values())
         assert any("replayed" in entry for _t, entry in manager.log)
 
     def test_double_crash_is_deterministic(self):

@@ -15,17 +15,7 @@ from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.functions import SUM, aggregate_pairs
 from repro.netsim.simulator import SimulatorConfig
-from repro.netsim.topology import Topology, leaf_spine, single_rack
-
-
-def _lossy_rack(num_hosts: int, loss_rate: float) -> Topology:
-    topo = Topology(name="determinism_rack")
-    topo.add_switch("tor")
-    for i in range(num_hosts):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", "tor", loss_rate=loss_rate)
-    topo.validate()
-    return topo
+from repro.netsim.topology import leaf_spine, single_rack
 
 
 def _partitions(num_workers: int, pairs_per_worker: int, seed: int):
@@ -47,7 +37,7 @@ def _run_once(reliability: bool, loss_rate: float, seed: int):
         retransmit_timeout=1e-4,
     )
     system = DaietSystem(
-        _lossy_rack(num_workers + 1, loss_rate),
+        single_rack(num_workers + 1, loss_rate=loss_rate),
         config,
         SimulatorConfig(loss_seed=seed),
     )

@@ -38,19 +38,8 @@ from repro.netsim.faults import (
 )
 from repro.netsim.links import Endpoint, Link
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
-from repro.netsim.topology import Topology, leaf_spine
+from repro.netsim.topology import leaf_spine, single_rack
 from repro.transport.packets import UdpDatagram
-
-
-def lossy_rack(num_hosts: int, loss_rate: float) -> Topology:
-    """A single-rack topology whose host uplinks drop packets."""
-    topo = Topology(name="lossy_rack")
-    topo.add_switch("tor")
-    for i in range(num_hosts):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", "tor", loss_rate=loss_rate)
-    topo.validate()
-    return topo
 
 
 class TestLossyLinks:
@@ -61,7 +50,7 @@ class TestLossyLinks:
             Link(a=Endpoint("a", 0), b=Endpoint("b", 0), loss_rate=-0.1)
 
     def test_lossless_by_default(self):
-        topo = lossy_rack(2, loss_rate=0.0)
+        topo = single_rack(2, loss_rate=0.0)
         sim = NetworkSimulator(topo)
         for _ in range(50):
             sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=10))
@@ -70,7 +59,7 @@ class TestLossyLinks:
         assert sim.stats.total_losses() == 0
 
     def test_half_loss_drops_roughly_half(self):
-        topo = lossy_rack(2, loss_rate=0.5)
+        topo = single_rack(2, loss_rate=0.5)
         sim = NetworkSimulator(topo, SimulatorConfig(loss_seed=7))
         for _ in range(400):
             sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=10))
@@ -85,7 +74,7 @@ class TestLossyLinks:
 
     def test_loss_is_deterministic_given_seed(self):
         def run(seed: int) -> int:
-            topo = lossy_rack(2, loss_rate=0.3)
+            topo = single_rack(2, loss_rate=0.3)
             sim = NetworkSimulator(topo, SimulatorConfig(loss_seed=seed))
             for _ in range(100):
                 sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=10))
@@ -99,7 +88,7 @@ class TestLossyLinks:
         # serialization time; the link's busy horizon must advance exactly as
         # in a lossless run, or drops would erase congestion.
         def busy_until(loss_rate: float, seed: int) -> float:
-            topo = lossy_rack(2, loss_rate=loss_rate)
+            topo = single_rack(2, loss_rate=loss_rate)
             sim = NetworkSimulator(topo, SimulatorConfig(loss_seed=seed))
             for _ in range(50):
                 sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=1000))
@@ -114,7 +103,7 @@ class TestDaietUnderLoss:
     def _run_daiet(self, loss_rate: float, seed: int = 1) -> tuple[dict, dict]:
         """Send three mappers' pairs over a (possibly lossy) rack; return
         (received aggregate, ground-truth aggregate)."""
-        topo = lossy_rack(4, loss_rate=loss_rate)
+        topo = single_rack(4, loss_rate=loss_rate)
         sim = NetworkSimulator(topo, SimulatorConfig(loss_seed=seed))
         config = DaietConfig(register_slots=1024, reliable_end=True)
         controller = DaietController(topo, config)
@@ -168,7 +157,7 @@ class TestDaietReliableUnderLoss:
     def _run(self, loss_rate: float, seed: int) -> None:
         config = DaietConfig(register_slots=128, reliability=True)
         system = DaietSystem(
-            lossy_rack(4, loss_rate), config, SimulatorConfig(loss_seed=seed)
+            single_rack(4, loss_rate=loss_rate), config, SimulatorConfig(loss_seed=seed)
         )
         system.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"])
         all_pairs = []
