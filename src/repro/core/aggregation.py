@@ -14,6 +14,7 @@ plugged into the switch pipeline as an extern action by the controller.
 from __future__ import annotations
 
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -29,6 +30,7 @@ from repro.core.packet import (
     DaietAck,
     DaietPacket,
     DaietPacketType,
+    RetransmitBuffer,
     SeenWindow,
     end_packet,
     fast_data_packets,
@@ -126,24 +128,17 @@ class TreeState:
     counters: TreeCounters = field(default_factory=TreeCounters)
     #: Children whose END was accepted in the current round (idempotence).
     _ended_sources: set[str] = field(default_factory=set, repr=False)
-    #: Per-child duplicate filter over sequence numbers (reliability layer).
-    _seen: dict[str, SeenWindow] = field(default_factory=dict, repr=False)
-    #: In-order packets received per child since the last ACK was emitted.
-    _since_ack: dict[str, int] = field(default_factory=dict, repr=False)
-    #: Fresh packets per child that arrived ECN-marked since the last ACK;
-    #: echoed (and reset) by ``_ack_child`` so host senders see the mark rate
-    #: of the congested hop below this switch.
-    _ecn_since_ack: dict[str, int] = field(default_factory=dict, repr=False)
+    #: One stream window per child, made on first use: the duplicate filter
+    #: over sequence numbers plus what the next ACK for the child owes (the
+    #: cadence count, CE marks to echo so host senders see the mark rate of
+    #: the congested hop below this switch, the gap-episode flag).
+    _seen: defaultdict[str, SeenWindow] = field(
+        default_factory=lambda: defaultdict(SeenWindow), repr=False
+    )
     #: Flush packets emitted towards the parent and not yet acknowledged.
-    _unacked: dict[int, DaietPacket] = field(default_factory=dict, repr=False)
+    _sent: RetransmitBuffer = field(default_factory=RetransmitBuffer, repr=False)
     #: Next sequence number for the switch's own emissions towards the parent.
     _next_seq: int = field(default=0, repr=False)
-    #: Sequence numbers already retransmitted since the last ACK progress,
-    #: so duplicate ACKs do not trigger a retransmission storm.
-    _retransmitted: set[int] = field(default_factory=set, repr=False)
-    #: Children whose current gap episode was already announced with an
-    #: immediate SACK (sampled policy only).
-    _gapped: set[str] = field(default_factory=set, repr=False)
     #: Steady in-order ACK cadence (ack_window, strided under ``sampled``).
     _ack_every: int = field(default=0, repr=False)
     #: Whether emissions towards the parent are sequenced and buffered.
@@ -200,8 +195,6 @@ class TreeState:
 
     def window(self, src: str) -> SeenWindow:
         """The sequence-number window tracking one child's stream."""
-        if src not in self._seen:
-            self._seen[src] = SeenWindow()
         return self._seen[src]
 
     def materialize(self) -> None:
@@ -379,32 +372,21 @@ class DaietAggregationEngine:
             port = state.child_ports.get(ack.dst)
             return [(port, ack)] if port is not None else []
         state.counters.acks_received += 1
+        sent = state._sent
         sacked = set(ack.sack)
-        acked = [s for s in state._unacked if s < ack.cumulative or s in sacked]
-        for seq in acked:
-            del state._unacked[seq]
-        if acked:
-            # Progress: previously retransmitted packets may be resent again
-            # if a later ACK still reports them missing.
-            state._retransmitted.clear()
+        sent.acknowledge(ack.cumulative, sacked)
         if ack.pull:
-            missing = sorted(state._unacked)
+            # Tail losses leave no SACK gap; the receiver's pull asks for
+            # everything still outstanding.
+            missing = sorted(sent.unacked)
+            sent.resent.update(missing)
         else:
-            # Gap-fill: everything the receiver provably overtook is resent
-            # (at most once per ACK progress, so duplicate ACKs cannot cause
-            # a storm); tail losses are recovered by the receiver's pull.
-            horizon = max(sacked) if sacked else -1
-            missing = sorted(
-                s
-                for s in state._unacked
-                if s < horizon and s not in state._retransmitted
-            )
-        out: list[tuple[int, Any]] = []
-        for seq in missing:
-            state._retransmitted.add(seq)
-            state.counters.retransmitted_packets += 1
-            out.append((state.egress_port, state._unacked[seq]))
-        if ack.pull and not state._unacked:
+            missing = sent.holes(sacked)
+        state.counters.retransmitted_packets += len(missing)
+        out: list[tuple[int, Any]] = [
+            (state.egress_port, sent.unacked[seq]) for seq in missing
+        ]
+        if ack.pull and not sent.unacked:
             # Nothing buffered here, yet the receiver is still missing data:
             # the hole is above this switch (e.g. a whole flush burst lost on
             # a downed trunk link, which leaves no SACK gap anywhere below
@@ -436,10 +418,10 @@ class DaietAggregationEngine:
         emitted: list[tuple[int, Any]] = []
         if packet.seq is not None:
             window = state.window(packet.src)
-            if not window.observe(packet.seq):
+            if not window.observe(packet.seq, packet.ecn):
                 # Retransmission of something already aggregated: idempotent.
                 state.counters.duplicate_packets += 1
-                return self._ack_child(state, packet.src)
+                return self._ack_child(state, packet.src, window)
         # Hot loop of Algorithm 1. Register cells are accessed directly (the
         # hash already guarantees a valid index), the per-key CRC32 is
         # memoized on the tree, and ``combine`` skips the AggregationFunction
@@ -484,27 +466,17 @@ class DaietAggregationEngine:
         counters.pairs_aggregated += aggregated
         if packet.seq is not None:
             src = packet.src
-            window = state.window(src)
-            if packet.ecn:
-                state._ecn_since_ack[src] = state._ecn_since_ack.get(src, 0) + 1
-            state._since_ack[src] = state._since_ack.get(src, 0) + 1
             # DCTCP cadence: a CE-marked fresh packet is acknowledged
             # immediately, and each ACK echoes at most one mark (see
-            # _ack_child) — the sender's alpha estimator needs the per-ACK
-            # mark *rate*, which batching several CE marks into one delayed
-            # ACK under-reports.
-            ack_now = packet.ecn or state._since_ack[src] >= state._ack_every
-            if not ack_now and state.policy == "sampled":
-                # A fresh hole is still announced immediately (one early
-                # SACK per gap episode) so the sender's gap-fill beats its
-                # retransmission timer despite the strided cadence.
-                if window.has_gaps:
-                    ack_now = src not in state._gapped
-                    state._gapped.add(src)
-                else:
-                    state._gapped.discard(src)
+            # SeenWindow.take_ack).
+            ack_now = window.count_arrival() >= state._ack_every or packet.ecn
+            # On a sampled tree a fresh hole is still announced immediately
+            # (one early SACK per gap episode) so the sender's gap-fill
+            # beats its retransmission timer despite the strided cadence.
+            if state.policy == "sampled" and window.fresh_gap():
+                ack_now = True
             if ack_now:
-                emitted.extend(self._ack_child(state, src))
+                emitted.extend(self._ack_child(state, src, window))
             if window.complete and src not in state._ended_sources:
                 # A retransmitted DATA packet filled the last gap before a
                 # previously stashed END: the child's stream is now complete.
@@ -660,16 +632,11 @@ class DaietAggregationEngine:
         state.counters.end_packets_received += 1
         if packet.seq is not None:
             window = state.window(packet.src)
-            fresh = window.observe(packet.seq)
-            if fresh:
+            if window.observe(packet.seq, packet.ecn):
                 window.end_seq = packet.seq
-                if packet.ecn:
-                    state._ecn_since_ack[packet.src] = (
-                        state._ecn_since_ack.get(packet.src, 0) + 1
-                    )
             else:
                 state.counters.duplicate_packets += 1
-            emitted = self._ack_child(state, packet.src)
+            emitted = self._ack_child(state, packet.src, window)
             if window.complete and packet.src not in state._ended_sources:
                 emitted.extend(self._accept_end(state, packet.src))
             # An incomplete stream stashes the END: the decrement happens
@@ -708,28 +675,19 @@ class DaietAggregationEngine:
         state.rearm()
         return emitted
 
-    def _ack_child(self, state: TreeState, src: str) -> list[tuple[int, Any]]:
+    def _ack_child(
+        self, state: TreeState, src: str, window: SeenWindow
+    ) -> list[tuple[int, Any]]:
         """Build the cumulative+selective ACK for one child's stream."""
-        window = state._seen.get(src)
-        if window is None:
-            return []
-        state._since_ack[src] = 0
         port = state.child_ports.get(src)
         if port is None:
             # No known port towards the child (e.g. a tree configured without
             # child ports): the sender's own timeout still recovers losses.
+            window.restart_cadence()
             state.counters.ack_port_misses += 1
             return []
-        cumulative, sack = window.ack_state()
+        cumulative, sack, echo = window.take_ack()
         state.counters.acks_sent += 1
-        # One mark per ACK, per the DCTCP spec: leftover marks (e.g. several
-        # CE-marked packets racing one delayed ACK) drain on subsequent ACKs
-        # instead of being batched into a single echo count.
-        pending = state._ecn_since_ack.get(src, 0)
-        echo = 0
-        if pending:
-            echo = 1
-            state._ecn_since_ack[src] = pending - 1
         ack = DaietAck(
             tree_id=state.tree_id,
             src=self.switch_name,
@@ -816,8 +774,9 @@ class DaietAggregationEngine:
             )
         if seq_start is not None:
             state._next_seq += len(packets)
+            unacked = state._sent.unacked
             for packet in packets:
-                state._unacked[packet.seq] = packet
+                unacked[packet.seq] = packet
         state.counters.packets_emitted += len(packets)
         state.counters.pairs_emitted += sum(p.num_pairs for p in packets)
         return [(state.egress_port, packet) for packet in packets]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, TransportError
 
 #: Default number of key/value register slots per aggregation tree (paper: 16K).
 DEFAULT_REGISTER_SLOTS = 16 * 1024
@@ -39,6 +39,97 @@ TCP_HEADER_BYTES = 20
 #: Default TCP maximum segment size used by the TCP baseline (standard 1500 B
 #: MTU minus IP and TCP headers).
 DEFAULT_TCP_MSS = 1460
+
+
+#: Congestion-controller names a :class:`TransportTuning` accepts.
+CONGESTION_CONTROLLERS = ("none", "aimd", "dctcp")
+
+
+@dataclass(frozen=True)
+class TransportTuning:
+    """Adaptive-transport knobs shared by every windowed sender.
+
+    The defaults reproduce the historical transport exactly: fixed
+    retransmission timeout, no congestion window, no ECN reaction.
+
+    Parameters
+    ----------
+    adaptive_rto:
+        Estimate the RTO from SRTT/RTTVAR samples (RFC 6298) instead of
+        using the base timeout as a fixed RTO.
+    rto_floor:
+        Lower clamp on the retransmission timeout. In fixed-RTO mode a floor
+        above the base timeout simply raises the fixed RTO (this is how the
+        baseline comparison's historical 2 ms constant is expressed); in
+        adaptive mode it bounds how aggressively the estimator may retransmit.
+        ``None`` leaves the base timeout unclamped.
+    rto_ceiling:
+        Upper clamp on the (adaptive, backed-off) retransmission timeout.
+    congestion_control:
+        ``"none"`` (unlimited window), ``"aimd"`` (slow start + additive
+        increase, multiplicative decrease on loss) or ``"dctcp"`` (AIMD
+        whose decrease scales with the EWMA fraction of ECN-marked ACKs).
+    initial_cwnd:
+        Initial congestion window in packets.
+    min_cwnd:
+        Smallest window the controller may shrink to.
+    dctcp_gain:
+        EWMA gain ``g`` of the DCTCP mark-fraction estimate.
+    initial_inflight_cap:
+        First-RTT pacing: at most this many packets may be in flight before
+        the sender has seen its first ACK progress, whatever the congestion
+        window says. Once the first acknowledgement arrives the cap lifts
+        and the configured window (or the unlimited historical window)
+        takes over. ``None`` disables the cap — the historical behaviour.
+    """
+
+    adaptive_rto: bool = False
+    rto_floor: float | None = None
+    rto_ceiling: float = 0.25
+    congestion_control: str = "none"
+    initial_cwnd: int = 10
+    min_cwnd: int = 2
+    dctcp_gain: float = 0.0625
+    initial_inflight_cap: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.congestion_control not in CONGESTION_CONTROLLERS:
+            raise TransportError(
+                f"unknown congestion controller {self.congestion_control!r}; "
+                f"expected one of {CONGESTION_CONTROLLERS}"
+            )
+        if self.rto_floor is not None and self.rto_floor <= 0:
+            raise TransportError("rto_floor must be positive when set")
+        if self.rto_ceiling <= 0:
+            raise TransportError("rto_ceiling must be positive")
+        if self.initial_cwnd <= 0:
+            raise TransportError("initial_cwnd must be positive")
+        if self.min_cwnd <= 0:
+            raise TransportError("min_cwnd must be positive")
+        if not 0.0 < self.dctcp_gain <= 1.0:
+            raise TransportError("dctcp_gain must lie in (0, 1]")
+        if self.initial_inflight_cap is not None and self.initial_inflight_cap <= 0:
+            raise TransportError("initial_inflight_cap must be positive when set")
+
+    @property
+    def is_default(self) -> bool:
+        """True when the tuning changes nothing over the historical transport."""
+        return (
+            not self.adaptive_rto
+            and self.congestion_control == "none"
+            and self.initial_inflight_cap is None
+        )
+
+    def base_timeout(self, retransmit_timeout: float) -> float:
+        """The base timeout of a sender configured with ``retransmit_timeout``.
+
+        In fixed-RTO mode a floor above it raises it (and with it whatever
+        else the owner paces by the timeout, such as a delayed ACK); in
+        adaptive mode the estimator clamps against the floor instead.
+        """
+        if not self.adaptive_rto and self.rto_floor is not None:
+            return max(retransmit_timeout, self.rto_floor)
+        return retransmit_timeout
 
 
 @dataclass(frozen=True)
@@ -95,29 +186,10 @@ class DaietConfig:
         stream through a re-planned aggregation tree after a switch crash.
         The map-output buffer doubles as the recovery log; requires
         ``reliability`` to be effective.
-    adaptive_rto:
-        Estimate the retransmission timeout from SRTT/RTTVAR samples (RFC
-        6298, Karn's rule on retransmitted packets) instead of using
-        ``retransmit_timeout`` as a fixed RTO. Off by default — the fixed
-        RTO is the historical, byte-identical behaviour.
-    rto_floor:
-        Lower clamp on the retransmission timeout in seconds. In fixed-RTO
-        mode a floor above ``retransmit_timeout`` simply raises the fixed
-        RTO; in adaptive mode it bounds how aggressively the estimator may
-        retransmit. ``None`` leaves the timeout unclamped.
-    rto_ceiling:
-        Upper clamp on the (adaptive, backed-off) retransmission timeout.
-    congestion_control:
-        Sender window policy: ``"none"`` (unlimited in-flight window, the
-        historical behaviour), ``"aimd"`` (slow start + additive increase,
-        multiplicative decrease on loss) or ``"dctcp"`` (AIMD whose decrease
-        scales with the EWMA fraction of ECN-marked acknowledgements).
-    initial_cwnd:
-        Initial congestion window in packets (ignored for ``"none"``).
-    min_cwnd:
-        Smallest window the congestion controller may shrink to.
-    dctcp_gain:
-        EWMA gain ``g`` of the DCTCP mark-fraction estimate.
+    tuning:
+        The :class:`TransportTuning` every host sender of this deployment
+        runs with (adaptive RTO, congestion window, first-RTT pacing). The
+        default is the historical fixed-RTO, unlimited-window transport.
     reliability_policy:
         Per-tree reliability class (SAP-inspired selective reliability):
         ``"exact"`` keeps the full PR 1 protocol (the default, byte-identical
@@ -137,12 +209,6 @@ class DaietConfig:
         Under the ``"sampled"`` policy, acknowledge every k-th ack window
         instead of every one (and stretch the receiver pull timer by the
         same factor), cutting steady-state ACK traffic to ~1/k.
-    initial_inflight_cap:
-        First-RTT pacing cap on every windowed sender: at most this many
-        packets may be in flight before the first ACK (or first timeout)
-        is observed, after which the configured congestion window governs.
-        Protects shallow switch buffers from the connection-setup burst at
-        high fan-in. ``None`` (default) keeps the historical unpaced burst.
     """
 
     register_slots: int = DEFAULT_REGISTER_SLOTS
@@ -157,16 +223,9 @@ class DaietConfig:
     ack_window: int = 8
     max_retransmits: int = 30
     retain_for_replay: bool = False
-    adaptive_rto: bool = False
-    rto_floor: float | None = None
-    rto_ceiling: float = 0.25
-    congestion_control: str = "none"
-    initial_cwnd: int = 10
-    min_cwnd: int = 2
-    dctcp_gain: float = 0.0625
     reliability_policy: str = "exact"
     sampled_ack_stride: int = 4
-    initial_inflight_cap: int | None = None
+    tuning: TransportTuning = TransportTuning()
 
     def __post_init__(self) -> None:
         if self.register_slots <= 0:
@@ -185,21 +244,6 @@ class DaietConfig:
             raise ConfigurationError("ack_window must be positive")
         if self.max_retransmits <= 0:
             raise ConfigurationError("max_retransmits must be positive")
-        if self.congestion_control not in ("none", "aimd", "dctcp"):
-            raise ConfigurationError(
-                f"unknown congestion_control {self.congestion_control!r}; "
-                "expected 'none', 'aimd' or 'dctcp'"
-            )
-        if self.rto_floor is not None and self.rto_floor <= 0:
-            raise ConfigurationError("rto_floor must be positive when set")
-        if self.rto_ceiling <= 0:
-            raise ConfigurationError("rto_ceiling must be positive")
-        if self.initial_cwnd <= 0:
-            raise ConfigurationError("initial_cwnd must be positive")
-        if self.min_cwnd <= 0:
-            raise ConfigurationError("min_cwnd must be positive")
-        if not 0.0 < self.dctcp_gain <= 1.0:
-            raise ConfigurationError("dctcp_gain must lie in (0, 1]")
         if self.reliability_policy not in ("exact", "sampled", "best_effort"):
             raise ConfigurationError(
                 f"unknown reliability_policy {self.reliability_policy!r}; "
@@ -213,10 +257,6 @@ class DaietConfig:
             )
         if self.sampled_ack_stride <= 0:
             raise ConfigurationError("sampled_ack_stride must be positive")
-        if self.initial_inflight_cap is not None and self.initial_inflight_cap <= 0:
-            raise ConfigurationError(
-                "initial_inflight_cap must be positive when set"
-            )
 
     @property
     def effective_spillover_capacity(self) -> int:

@@ -662,7 +662,7 @@ def end_packet(
 # Reliability primitives (sequence tracking and ACK packets)
 # ---------------------------------------------------------------------- #
 class SeenWindow:
-    """Receiver-side view of one (tree, sender) sequence-number stream.
+    """Receiver-side state of one (tree, sender) sequence-number stream.
 
     Tracks the cumulative ACK point (every sequence number below
     ``cumulative`` has been received) plus the set of out-of-order sequence
@@ -671,17 +671,35 @@ class SeenWindow:
     the END packet's sequence number so END handling can be deferred until
     the stream has no gaps — the property that makes aggregation
     loss-survivable rather than merely loss-tolerant.
+
+    It is also the one place that decides what the next ACK for the stream
+    says and when one is owed: the arrivals counted since the last ACK (the
+    cadence), the CE marks not yet echoed, and whether the current hole was
+    already announced. The switch engine, the host agent and the reliable
+    datagram transport each keep one window per source and add only what is
+    theirs: which arrivals they count, what they do with an END, which timer
+    recovers a lost tail and how the ACK is framed.
     """
 
-    __slots__ = ("cumulative", "out_of_order", "end_seq")
+    __slots__ = ("cumulative", "out_of_order", "end_seq", "since_ack", "ecn_since_ack", "gapped")
 
     def __init__(self) -> None:
         self.cumulative = 0
         self.out_of_order: set[int] = set()
         self.end_seq: int | None = None
+        #: Arrivals counted towards the ACK cadence since the last ACK.
+        self.since_ack = 0
+        #: Fresh packets that arrived CE-marked and were not echoed yet.
+        self.ecn_since_ack = 0
+        #: The hole the stream has now was already seen by :meth:`fresh_gap`.
+        self.gapped = False
 
-    def observe(self, seq: int) -> bool:
-        """Record one received sequence number; ``False`` for duplicates."""
+    def observe(self, seq: int, ecn: bool = False) -> bool:
+        """Record one received sequence number; ``False`` for duplicates.
+
+        ``ecn`` is the packet's CE bit. Only a fresh packet's mark is owed an
+        echo: the retransmitted copy of a marked packet must not count twice.
+        """
         if seq < 0:
             raise PacketFormatError("sequence numbers must be non-negative")
         if seq < self.cumulative or seq in self.out_of_order:
@@ -690,6 +708,8 @@ class SeenWindow:
         while self.cumulative in self.out_of_order:
             self.out_of_order.discard(self.cumulative)
             self.cumulative += 1
+        if ecn:
+            self.ecn_since_ack += 1
         return True
 
     @property
@@ -702,6 +722,29 @@ class SeenWindow:
         """True once the END marker and every packet before it have arrived."""
         return self.end_seq is not None and self.cumulative > self.end_seq
 
+    def count_arrival(self) -> int:
+        """Count one arrival towards the cadence; the count since the last ACK."""
+        self.since_ack += 1
+        return self.since_ack
+
+    def restart_cadence(self) -> None:
+        """Start counting arrivals afresh (an ACK went out, or could not)."""
+        self.since_ack = 0
+
+    def fresh_gap(self) -> bool:
+        """True on the first look at a hole, ``False`` until it has closed.
+
+        Receivers on a strided (``sampled``) cadence announce each gap
+        episode with one early SACK, so the sender's gap-fill beats its
+        retransmission timer without an ACK for every out-of-order packet of
+        the episode. Every look records the episode, whatever else made the
+        caller acknowledge.
+        """
+        holes = self.has_gaps
+        fresh = holes and not self.gapped
+        self.gapped = holes
+        return fresh
+
     def ack_state(self, max_sack: int = DAIET_ACK_MAX_SACK) -> tuple[int, tuple[int, ...]]:
         """The ``(cumulative, sack)`` pair an ACK for this stream carries.
 
@@ -709,6 +752,69 @@ class SeenWindow:
         the ACK always fits the switch parser's parse-depth budget.
         """
         return self.cumulative, tuple(sorted(self.out_of_order)[:max_sack])
+
+    def take_ack(self) -> tuple[int, tuple[int, ...], int]:
+        """The ``(cumulative, sack, echo)`` of the ACK going out now.
+
+        Restarts the cadence and drains exactly one pending CE mark: the
+        sender's DCTCP estimator needs the per-ACK mark *rate*, which several
+        marks batched into one echo count under-report. A backlog of marks
+        drains one echo per ACK over the following ACKs.
+        """
+        self.since_ack = 0
+        echo = min(self.ecn_since_ack, 1)
+        self.ecn_since_ack -= echo
+        return (*self.ack_state(), echo)
+
+
+class RetransmitBuffer:
+    """Sender-side state of one sequence-number stream: what is still owed.
+
+    ``unacked`` maps each sent and not yet acknowledged sequence number to
+    its (opaque) packet; ``resent`` holds the sequence numbers retransmitted
+    since the last ACK progress, so duplicate ACKs that report the same
+    holes cannot cause a retransmission storm. Host senders
+    (``WindowedSender``) and switches (which resend their buffered flushes
+    without timers) apply every ACK through the two methods below. Both
+    containers are only ever mutated in place, so an owner may hold on to
+    them.
+    """
+
+    __slots__ = ("unacked", "resent")
+
+    def __init__(self) -> None:
+        self.unacked: dict[int, Any] = {}
+        self.resent: set[int] = set()
+
+    def acknowledge(self, cumulative: int, sacked: set[int]) -> list[int]:
+        """Drop everything the ACK covers; the sequence numbers dropped.
+
+        Progress allows another retransmission round, should a later ACK
+        still report holes.
+        """
+        unacked = self.unacked
+        acked = [s for s in unacked if s < cumulative or s in sacked]
+        for seq in acked:
+            del unacked[seq]
+        if acked:
+            self.resent.clear()
+        return acked
+
+    def holes(self, sacked: set[int]) -> list[int]:
+        """Gap-fill: what the receiver provably overtook, each at most once.
+
+        Everything unacknowledged below the highest selectively acknowledged
+        sequence number is missing at the receiver; it is returned (sorted)
+        and marked resent until the next ACK progress. A lost tail leaves no
+        such proof and is recovered by a timeout or a pull.
+        """
+        if not sacked:
+            return []
+        horizon = max(sacked)
+        resent = self.resent
+        missing = sorted(s for s in self.unacked if s < horizon and s not in resent)
+        resent.update(missing)
+        return missing
 
 
 @dataclass(frozen=True, slots=True)

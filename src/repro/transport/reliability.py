@@ -33,6 +33,7 @@ to the loss actually experienced.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -49,9 +50,7 @@ from repro.transport.window import (
     MAX_BACKOFF_FACTOR,
     TransportTuning,
     WindowedSender,
-    make_congestion_controller,
-    make_rtt_estimator,
-    tuning_from_config,
+    sender_on,
 )
 
 __all__ = [
@@ -125,14 +124,7 @@ class ReliableSenderChannel:
         #: count them) instead of raising: an approximate tree must never
         #: abort the run over loss it has chosen to tolerate.
         self.policy = policy
-        self.tuning = tuning = tuning if tuning is not None else TransportTuning()
-        # In fixed-RTO mode the floor simply raises the base timeout (this is
-        # how the baseline comparison's historical 2 ms constant is spelled);
-        # in adaptive mode the estimator clamps against it instead.
-        base = retransmit_timeout
-        if not tuning.adaptive_rto and tuning.rto_floor is not None:
-            base = max(base, tuning.rto_floor)
-        self.retransmit_timeout = base
+        self.tuning = tuning if tuning is not None else TransportTuning()
         self.max_retransmits = max_retransmits
         self.stats = stats
         #: Keep every packet ever sent (not just the unacknowledged ones) so
@@ -140,19 +132,18 @@ class ReliableSenderChannel:
         #: re-planned tree. The map-output buffer is the recovery log.
         self.retain_for_replay = retain_for_replay
         self._next_seq = 0
-        self._engine = WindowedSender(
-            timer_factory=simulator.timer,
-            transmit=self._transmit,
-            base_timeout=base,
+        self._engine = sender_on(
+            simulator,
+            self.tuning,
+            retransmit_timeout=retransmit_timeout,
             max_retransmits=max_retransmits,
+            transmit=self._transmit,
             give_up=self._give_up,
             on_timeout_stat=self._count_timeout,
-            clock=lambda: simulator.now,
-            rtt=make_rtt_estimator(tuning, base),
-            congestion=make_congestion_controller(tuning),
-            initial_inflight_cap=tuning.initial_inflight_cap,
             retain_history=retain_for_replay,
         )
+        #: The engine's base timeout (a fixed-mode ``rto_floor`` raises it).
+        self.retransmit_timeout = self._engine.base_timeout
 
     @property
     def done(self) -> bool:
@@ -284,21 +275,18 @@ class _TreeReceiveState:
     children: tuple[str, ...]
     inner: Callable[[Any], None]
     #: Reliability policy of this tree (``"exact"`` | ``"sampled"`` |
-    #: ``"best_effort"``); ``"sampled"`` strides the steady ACK cadence
-    #: and the pull timer (see ``sampled_ack_stride``).
+    #: ``"best_effort"``).
     policy: str = "exact"
-    windows: dict[str, SeenWindow] = field(default_factory=dict)
-    since_ack: dict[str, int] = field(default_factory=dict)
-    #: Fresh packets per child that arrived ECN-marked since the last ACK.
-    #: A marked arrival forces an immediate ACK and each ACK echoes at most
-    #: one mark (DCTCP cadence); leftovers drain on subsequent ACKs.
-    ecn_since_ack: dict[str, int] = field(default_factory=dict)
+    #: ``sampled_ack_stride`` on a sampled tree, else 1: stretches the steady
+    #: ACK cadence and the pull timer alike.
+    stride: int = 1
+    #: One stream window per child, made on first use: dedup, the ACK
+    #: cadence, pending CE echoes and the gap-episode flag all live there.
+    windows: defaultdict[str, SeenWindow] = field(
+        default_factory=lambda: defaultdict(SeenWindow)
+    )
     ended: set[str] = field(default_factory=set)
     pending_end: dict[str, DaietPacket] = field(default_factory=dict)
-    #: Children whose current gap episode has already been announced with
-    #: an immediate SACK (sampled policy): one early ACK per fresh hole,
-    #: the rest of the repair rides the strided cadence and pulls.
-    gapped: set[str] = field(default_factory=set)
     pull_timer: Any = None
     pulls_without_progress: int = 0
 
@@ -363,7 +351,7 @@ class HostReliabilityAgent:
             ack_window=config.ack_window,
             max_retransmits=config.max_retransmits,
             retain_for_replay=config.retain_for_replay,
-            tuning=tuning_from_config(config),
+            tuning=config.tuning,
             sampled_ack_stride=config.sampled_ack_stride,
         )
 
@@ -404,6 +392,7 @@ class HostReliabilityAgent:
             children=tuple(children),
             inner=inner,
             policy=policy,
+            stride=self.sampled_ack_stride if policy == "sampled" else 1,
         )
         state.pull_timer = self.simulator.timer(lambda: self._on_pull(tree_id))
         self._recv[tree_id] = state
@@ -474,31 +463,23 @@ class HostReliabilityAgent:
 
     def _receive_sequenced(self, state: _TreeReceiveState, packet: DaietPacket) -> None:
         src = packet.src
-        window = state.windows.setdefault(src, SeenWindow())
-        if not window.observe(packet.seq):
+        window = state.windows[src]
+        if not window.observe(packet.seq, packet.ecn):
             self.stats.duplicates_received += 1
             self._send_ack(state, src)
             return
         state.pulls_without_progress = 0
-        if packet.ecn:
-            state.ecn_since_ack[src] = state.ecn_since_ack.get(src, 0) + 1
-        fresh_gap = False
-        if state.policy == "sampled":
-            # Sampled cadence still announces a *fresh* hole immediately —
-            # one early SACK per gap episode keeps the sender's gap-fill
-            # ahead of its retransmission timer without re-ACKing every
-            # out-of-order packet of the episode.
-            if window.has_gaps:
-                fresh_gap = src not in state.gapped
-                state.gapped.add(src)
-            else:
-                state.gapped.discard(src)
+        # Sampled cadence still announces a *fresh* hole immediately — one
+        # early SACK per gap episode keeps the sender's gap-fill ahead of its
+        # retransmission timer without re-ACKing every out-of-order packet
+        # of the episode.
+        fresh_gap = state.policy == "sampled" and window.fresh_gap()
         if packet.packet_type is DaietPacketType.END:
             window.end_seq = packet.seq
             state.pending_end[src] = packet
         else:
             state.inner(packet)
-            state.since_ack[src] = state.since_ack.get(src, 0) + 1
+            window.count_arrival()
         if window.complete and src not in state.ended:
             # The child's stream is whole: deliver its END exactly once.
             state.ended.add(src)
@@ -511,8 +492,9 @@ class HostReliabilityAgent:
             packet.packet_type is DaietPacketType.END
             or packet.ecn
             or fresh_gap
-            or state.since_ack.get(src, 0) >= self._ack_window_for(state)
+            or window.since_ack >= self.ack_window * state.stride
         ):
+            # ENDs and CE-marked arrivals (DCTCP cadence) never wait.
             self._send_ack(state, src)
         if state.done:
             state.pull_timer.cancel()
@@ -524,30 +506,11 @@ class HostReliabilityAgent:
     # ------------------------------------------------------------------ #
     # ACK/pull generation
     # ------------------------------------------------------------------ #
-    def _ack_window_for(self, state: _TreeReceiveState) -> int:
-        """Steady in-order ACK cadence for one tree (strided when sampled)."""
-        if state.policy == "sampled":
-            return self.ack_window * self.sampled_ack_stride
-        return self.ack_window
-
-    def _pull_interval(self, state: _TreeReceiveState | None = None) -> float:
-        interval = 2 * self.retransmit_timeout
-        if state is not None and state.policy == "sampled":
-            interval *= self.sampled_ack_stride
-        return interval
+    def _pull_interval(self, state: _TreeReceiveState) -> float:
+        return 2 * self.retransmit_timeout * state.stride
 
     def _send_ack(self, state: _TreeReceiveState, src: str, pull: bool = False) -> None:
-        window = state.windows.setdefault(src, SeenWindow())
-        cumulative, sack = window.ack_state()
-        state.since_ack[src] = 0
-        # One mark per ACK, per the DCTCP spec: a burst of CE-marked packets
-        # drains one echo at a time over subsequent ACKs instead of being
-        # batched into a single inflated echo count.
-        pending = state.ecn_since_ack.get(src, 0)
-        echo = 0
-        if pending:
-            echo = 1
-            state.ecn_since_ack[src] = pending - 1
+        cumulative, sack, echo = state.windows[src].take_ack()
         ack = DaietAck(
             tree_id=state.tree_id,
             src=self.host,

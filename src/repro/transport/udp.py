@@ -9,7 +9,8 @@ baselines and control traffic; the DAIET-specific packet layout lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.errors import TransportError
@@ -17,12 +18,7 @@ from repro.core.packet import SeenWindow
 from repro.netsim.events import Timer
 from repro.netsim.simulator import NetworkSimulator
 from repro.transport.packets import MessagePayload, UdpDatagram
-from repro.transport.window import (
-    TransportTuning,
-    WindowedSender,
-    make_congestion_controller,
-    make_rtt_estimator,
-)
+from repro.transport.window import TransportTuning, WindowedSender, sender_on
 
 #: A conventional MTU-limited UDP payload (1500 B MTU minus IP and UDP headers).
 DEFAULT_UDP_PAYLOAD_LIMIT = 1472
@@ -186,17 +182,16 @@ class ReliableUdpTransport(UdpTransport):
             raise TransportError("retransmit_timeout must be positive")
         if ack_window <= 0:
             raise TransportError("ack_window must be positive")
-        self.tuning = tuning = tuning if tuning is not None else TransportTuning()
-        if not tuning.adaptive_rto and tuning.rto_floor is not None:
-            retransmit_timeout = max(retransmit_timeout, tuning.rto_floor)
-        self.retransmit_timeout = retransmit_timeout
+        self.tuning = tuning if tuning is not None else TransportTuning()
+        self.retransmit_timeout = self.tuning.base_timeout(retransmit_timeout)
         self.ack_window = ack_window
         self.max_retransmits = max_retransmits
         self.stats = ReliableUdpStats()
         self._flows: dict[tuple[str, str, int], _UdpFlow] = {}
-        self._windows: dict[tuple[str, str, int], SeenWindow] = {}
-        self._since_ack: dict[tuple[str, str, int], int] = {}
-        self._ecn_since_ack: dict[tuple[str, str, int], int] = {}
+        #: One stream window per (host, peer, port), made on first use.
+        self._windows: defaultdict[tuple[str, str, int], SeenWindow] = defaultdict(
+            SeenWindow
+        )
         self._delayed_acks: dict[tuple[str, str, int], Timer] = {}
         self._apps: dict[tuple[str, int], Callable[[str, MessagePayload], None]] = {}
         #: CE bit of the datagram currently being dispatched (the listener
@@ -246,10 +241,8 @@ class ReliableUdpTransport(UdpTransport):
     def _handle_data(self, host: str, port: int, src: str, payload: MessagePayload) -> None:
         seq = payload.meta["seq"]
         key = (host, src, port)
-        window = self._windows.setdefault(key, SeenWindow())
-        fresh = window.observe(seq)
-        if fresh and self._rx_ecn:
-            self._ecn_since_ack[key] = self._ecn_since_ack.get(key, 0) + 1
+        window = self._windows[key]
+        fresh = window.observe(seq, self._rx_ecn)
         if not fresh:
             self.stats.duplicates_received += 1
         else:
@@ -259,11 +252,12 @@ class ReliableUdpTransport(UdpTransport):
                 if not isinstance(inner, MessagePayload):
                     inner = MessagePayload(kind="raw", data=inner)
                 app(src, inner)
-        self._since_ack[key] = self._since_ack.get(key, 0) + 1
-        # A CE-marked arrival is acknowledged immediately (DCTCP cadence):
-        # the sender's mark-fraction estimate needs the echo now, not after
-        # the delayed-ACK window fills.
-        if not fresh or self._rx_ecn or self._since_ack[key] >= self.ack_window:
+        # Every arrival counts towards the cadence, duplicates included. A
+        # CE-marked arrival is acknowledged immediately (DCTCP cadence): the
+        # sender's mark-fraction estimate needs the echo now, not after the
+        # delayed-ACK window fills.
+        due = window.count_arrival() >= self.ack_window
+        if due or not fresh or self._rx_ecn:
             self._send_ack(host, src, port, window)
         else:
             # Delayed ACK for the stream tail: datagrams short of a full
@@ -278,22 +272,13 @@ class ReliableUdpTransport(UdpTransport):
                 self._delayed_acks[key].start(self.retransmit_timeout / 2)
 
     def _flush_delayed_ack(self, host: str, peer: str, port: int) -> None:
-        key = (host, peer, port)
-        if self._since_ack.get(key, 0) > 0:
-            self._send_ack(host, peer, port, self._windows[key])
+        window = self._windows[(host, peer, port)]
+        if window.since_ack > 0:
+            self._send_ack(host, peer, port, window)
 
     def _send_ack(self, host: str, peer: str, port: int, window: SeenWindow) -> None:
-        cumulative, sack = window.ack_state()
-        key = (host, peer, port)
-        self._since_ack[key] = 0
-        # One mark per ACK, per the DCTCP spec; leftover marks drain on
-        # subsequent ACKs rather than batching into one echo count.
-        pending = self._ecn_since_ack.get(key, 0)
-        echo = 0
-        if pending:
-            echo = 1
-            self._ecn_since_ack[key] = pending - 1
-        timer = self._delayed_acks.get(key)
+        cumulative, sack, echo = window.take_ack()
+        timer = self._delayed_acks.get((host, peer, port))
         if timer is not None:
             timer.cancel()
         ack = MessagePayload(
@@ -351,9 +336,6 @@ class ReliableUdpTransport(UdpTransport):
         return datagram
 
     def _make_engine(self, flow: _UdpFlow) -> WindowedSender:
-        tuning = self.tuning
-        base = self.retransmit_timeout
-
         def give_up(_outstanding: int) -> None:
             raise TransportError(
                 f"reliable UDP flow {flow.src!r}->{flow.dst!r} gave up after "
@@ -363,19 +345,16 @@ class ReliableUdpTransport(UdpTransport):
         def count_timeout() -> None:
             self.stats.timeouts += 1
 
-        return WindowedSender(
-            timer_factory=lambda cb: Timer(self.simulator.scheduler, cb),
+        return sender_on(
+            self.simulator,
+            self.tuning,
+            retransmit_timeout=self.retransmit_timeout,
+            max_retransmits=self.max_retransmits,
             transmit=lambda datagrams, retransmit: self._flow_transmit(
                 flow, datagrams, retransmit
             ),
-            base_timeout=base,
-            max_retransmits=self.max_retransmits,
             give_up=give_up,
             on_timeout_stat=count_timeout,
-            clock=lambda: self.simulator.now,
-            rtt=make_rtt_estimator(tuning, base),
-            congestion=make_congestion_controller(tuning),
-            initial_inflight_cap=tuning.initial_inflight_cap,
         )
 
     def _flow_transmit(

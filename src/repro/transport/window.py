@@ -1,26 +1,25 @@
-"""Unified windowed sender: one retransmission engine for every transport.
+"""The windowed sender: one retransmission engine for every transport.
 
-Before this module existed the repository carried two parallel sender state
-machines — :class:`~repro.transport.reliability.ReliableSenderChannel` for
-DAIET aggregation traffic and ``_UdpFlow`` inside
-:class:`~repro.transport.udp.ReliableUdpTransport` for the baselines — each
-with its own retransmit buffer, timer and gap-fill logic, and both pinned to
-a *fixed* retransmission timeout. :class:`WindowedSender` subsumes both:
+:class:`~repro.transport.reliability.ReliableSenderChannel` (DAIET
+aggregation traffic) and the flows of
+:class:`~repro.transport.udp.ReliableUdpTransport` (the baselines) each own
+one :class:`WindowedSender`, built by :func:`sender_on`. The engine holds
 
-* a shared **retransmit buffer** (sequence number -> opaque packet) with
-  cumulative+selective acknowledgement processing, one-shot gap-filling per
-  ACK progress and go-back-N retransmission on timeout;
+* a :class:`~repro.core.packet.RetransmitBuffer` (sequence number -> opaque
+  packet) that applies cumulative+selective acknowledgements and names the
+  holes to gap-fill, once per ACK progress; a timeout resends go-back-N;
 * an optional **RTT estimator** (:class:`RttEstimator`, RFC 6298 SRTT/RTTVAR
   with Karn's rule on retransmitted samples and exponential backoff clamped
-  to a configurable floor/ceiling) replacing the fixed timeout;
+  to a configurable floor/ceiling) in place of the fixed timeout;
 * an optional **congestion controller** (:class:`AimdController` or the
   DCTCP-style :class:`DctcpController` driven by ECN marks echoed on ACKs)
   that bounds the number of in-flight packets; excess packets queue in the
   sender and are released as acknowledgements open the window.
 
-With neither estimator nor controller installed (the default), the sender
-reproduces the historical fixed-RTO, unlimited-window behaviour event for
-event — every existing experiment stays byte-identical.
+With neither estimator nor controller installed (the default
+:class:`~repro.core.config.TransportTuning`, which lives beside
+``DaietConfig`` and is re-exported here), the timeout is fixed and the
+window unlimited.
 
 The owner supplies the environment through three callbacks: ``timer_factory``
 (a restartable one-shot timer on the simulation clock), ``clock`` (current
@@ -33,94 +32,16 @@ which is exactly what lets DAIET channels and UDP flows share it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.checks.registry import fastpath
+from repro.core.config import TransportTuning
 from repro.core.errors import TransportError
+from repro.core.packet import RetransmitBuffer
 
 #: Backoff cap for the fixed-RTO mode: a retransmission timeout never grows
 #: beyond this multiple of the base timeout (the historical behaviour).
 MAX_BACKOFF_FACTOR = 8
-
-#: Congestion-controller names accepted by :func:`make_congestion_controller`.
-CONGESTION_CONTROLLERS = ("none", "aimd", "dctcp")
-
-
-@dataclass(frozen=True)
-class TransportTuning:
-    """Adaptive-transport knobs shared by every windowed sender.
-
-    The defaults reproduce the historical transport exactly: fixed
-    retransmission timeout, no congestion window, no ECN reaction.
-
-    Parameters
-    ----------
-    adaptive_rto:
-        Estimate the RTO from SRTT/RTTVAR samples (RFC 6298) instead of
-        using the base timeout as a fixed RTO.
-    rto_floor:
-        Lower clamp on the retransmission timeout. In fixed-RTO mode a floor
-        above the base timeout simply raises the fixed RTO (this is how the
-        baseline comparison's historical 2 ms constant is expressed); in
-        adaptive mode it bounds how aggressively the estimator may retransmit.
-        ``None`` leaves the base timeout unclamped.
-    rto_ceiling:
-        Upper clamp on the (adaptive, backed-off) retransmission timeout.
-    congestion_control:
-        ``"none"`` (unlimited window), ``"aimd"`` (slow start + additive
-        increase, multiplicative decrease on loss) or ``"dctcp"`` (AIMD
-        whose decrease scales with the EWMA fraction of ECN-marked ACKs).
-    initial_cwnd:
-        Initial congestion window in packets.
-    min_cwnd:
-        Smallest window the controller may shrink to.
-    dctcp_gain:
-        EWMA gain ``g`` of the DCTCP mark-fraction estimate.
-    initial_inflight_cap:
-        First-RTT pacing: at most this many packets may be in flight before
-        the sender has seen its first ACK progress, whatever the congestion
-        window says. Once the first acknowledgement arrives the cap lifts
-        and the configured window (or the unlimited historical window)
-        takes over. ``None`` disables the cap — the historical behaviour.
-    """
-
-    adaptive_rto: bool = False
-    rto_floor: float | None = None
-    rto_ceiling: float = 0.25
-    congestion_control: str = "none"
-    initial_cwnd: int = 10
-    min_cwnd: int = 2
-    dctcp_gain: float = 0.0625
-    initial_inflight_cap: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.congestion_control not in CONGESTION_CONTROLLERS:
-            raise TransportError(
-                f"unknown congestion controller {self.congestion_control!r}; "
-                f"expected one of {CONGESTION_CONTROLLERS}"
-            )
-        if self.rto_floor is not None and self.rto_floor <= 0:
-            raise TransportError("rto_floor must be positive when set")
-        if self.rto_ceiling <= 0:
-            raise TransportError("rto_ceiling must be positive")
-        if self.initial_cwnd <= 0:
-            raise TransportError("initial_cwnd must be positive")
-        if self.min_cwnd <= 0:
-            raise TransportError("min_cwnd must be positive")
-        if not 0.0 < self.dctcp_gain <= 1.0:
-            raise TransportError("dctcp_gain must lie in (0, 1]")
-        if self.initial_inflight_cap is not None and self.initial_inflight_cap <= 0:
-            raise TransportError("initial_inflight_cap must be positive when set")
-
-    @property
-    def is_default(self) -> bool:
-        """True when the tuning changes nothing over the historical transport."""
-        return (
-            not self.adaptive_rto
-            and self.congestion_control == "none"
-            and self.initial_inflight_cap is None
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -310,24 +231,6 @@ def make_congestion_controller(tuning: TransportTuning) -> CongestionController 
     return None
 
 
-def tuning_from_config(config: Any) -> TransportTuning:
-    """Extract a :class:`TransportTuning` from a configuration object.
-
-    Reads the adaptive-transport attributes of
-    :class:`~repro.core.config.DaietConfig`, which owns their defaults.
-    """
-    return TransportTuning(
-        adaptive_rto=config.adaptive_rto,
-        rto_floor=config.rto_floor,
-        rto_ceiling=config.rto_ceiling,
-        congestion_control=config.congestion_control,
-        initial_cwnd=config.initial_cwnd,
-        min_cwnd=config.min_cwnd,
-        dctcp_gain=config.dctcp_gain,
-        initial_inflight_cap=config.initial_inflight_cap,
-    )
-
-
 def make_rtt_estimator(
     tuning: TransportTuning, base_timeout: float
 ) -> RttEstimator | None:
@@ -374,10 +277,10 @@ class WindowedSender:
         "_clock",
         "_rtt",
         "_cc",
+        "_buffer",
         "_unacked",
         "_pending",
         "_history",
-        "_retransmitted",
         "_sent_at",
         "_consecutive_timeouts",
         "_timer",
@@ -412,14 +315,16 @@ class WindowedSender:
         if rtt is not None and clock is None:
             raise TransportError("adaptive RTO requires a clock callback")
         self._cc = congestion
-        #: seq -> packet, in-flight (injected and not yet acknowledged).
-        self._unacked: dict[int, Any] = {}
+        #: In-flight packets (injected and not yet acknowledged) and which of
+        #: them were resent since the last ACK progress.
+        self._buffer = RetransmitBuffer()
+        #: The buffer's seq -> packet map itself: the send path reads it on
+        #: every call.
+        self._unacked = self._buffer.unacked
         #: (seq, packet) accepted but still waiting for window space.
         self._pending: deque[tuple[int, Any]] = deque()
         #: seq -> packet for every packet ever accepted (replay log).
         self._history: dict[int, Any] = {}
-        #: Sequence numbers retransmitted since the last ACK progress.
-        self._retransmitted: set[int] = set()
         #: seq -> injection time for RTT sampling (Karn: a retransmission
         #: deletes the entry, so the sample is never taken).
         self._sent_at: dict[int, float] = {}
@@ -481,28 +386,16 @@ class WindowedSender:
         """Accept sequenced packets; inject up to the window, queue the rest.
 
         Returns the number of packets accepted. With no congestion
-        controller installed every packet is injected immediately as one
-        burst — byte-identical to the historical unwindowed senders.
+        controller and no first-RTT cap every packet is injected immediately,
+        the whole call as one burst.
         """
         window = list(items)
-        if window:
-            if self.retain_history:
-                for seq, packet in window:
-                    self._history[seq] = packet
-            cc = self._cc
-            cap = self._initial_cap
-            if cc is None and cap is None:
-                allowance = len(window)
-            else:
-                limit = cc.window() if cc is not None else len(window) + len(self._unacked)
-                if cap is not None and cap < limit:
-                    limit = cap
-                allowance = max(0, limit - len(self._unacked))
-            now_batch = window[:allowance]
-            for seq, packet in window[allowance:]:
-                self._pending.append((seq, packet))
-            if now_batch:
-                self._inject(now_batch, retransmit=False)
+        if self.retain_history:
+            self._history.update(window)
+        # One admission path: whatever is waiting for window space already
+        # goes first (it can only be waiting because the window is full).
+        self._pending.extend(window)
+        self._release_pending()
         if self._unacked and not self._timer.active:
             self._timer.start(self.current_rto())
         return len(window)
@@ -520,7 +413,7 @@ class WindowedSender:
         self._emit([packet for _seq, packet in batch], retransmit)
 
     def _release_pending(self) -> None:
-        """Inject queued packets as acknowledgements open the window."""
+        """Inject queued packets, oldest first, as far as the window allows."""
         cc = self._cc
         cap = self._initial_cap
         if not self._pending:
@@ -556,47 +449,33 @@ class WindowedSender:
         into the opened window. ``marked`` is the count of ECN-marked
         packets the receiver echoed on this ACK.
         """
-        unacked = self._unacked
-        acked = [s for s in unacked if s < cumulative or s in sacked]
-        sample_ts: float | None = None
+        acked = self._buffer.acknowledge(cumulative, sacked)
         if acked:
             sent_at = self._sent_at
             if self._rtt is not None:
+                sample_ts: float | None = None
                 for seq in acked:
                     ts = sent_at.pop(seq, None)
                     if ts is not None:
                         sample_ts = ts
+                if sample_ts is not None:
+                    self._rtt.observe(self._clock() - sample_ts)
             elif sent_at:
                 for seq in acked:
                     sent_at.pop(seq, None)
-            for seq in acked:
-                del unacked[seq]
             self._consecutive_timeouts = 0
             # The first-RTT pacing cap lifts on first ACK progress: the
             # path's feedback loop is now live and the window takes over.
             self._initial_cap = None
-            # Progress: allow another retransmission round if later ACKs
-            # still report holes.
-            self._retransmitted.clear()
-            if sample_ts is not None:
-                self._rtt.observe(self._clock() - sample_ts)
             if self._cc is not None:
                 self._cc.on_ack(len(acked), marked)
-        if sacked:
-            # Gap-fill at most once per ACK progress: duplicate ACKs carrying
-            # the same holes must not trigger a retransmission storm.
-            horizon = max(sacked)
-            retransmitted = self._retransmitted
-            missing = sorted(
-                s for s in unacked if s < horizon and s not in retransmitted
-            )
-            if missing:
-                retransmitted.update(missing)
-                self.retransmit(missing)
-                if self._cc is not None:
-                    self._cc.on_gap()
+        missing = self._buffer.holes(sacked)
+        if missing:
+            self.retransmit(missing)
+            if self._cc is not None:
+                self._cc.on_gap()
         self._release_pending()
-        if unacked:
+        if self._unacked:
             self._timer.start(self.current_rto())
         else:
             self._timer.cancel()
@@ -641,6 +520,42 @@ class WindowedSender:
         """Cancel the timer and drop every buffer except the replay log."""
         self._timer.cancel()
         self._unacked.clear()
+        self._buffer.resent.clear()
         self._pending.clear()
-        self._retransmitted.clear()
         self._sent_at.clear()
+
+
+def sender_on(
+    simulator: Any,
+    tuning: TransportTuning,
+    *,
+    retransmit_timeout: float,
+    max_retransmits: int,
+    transmit: Callable[[list[Any], bool], None],
+    give_up: Callable[[int], None],
+    on_timeout_stat: Callable[[], None],
+    retain_history: bool = False,
+) -> WindowedSender:
+    """A :class:`WindowedSender` on ``simulator``'s clock, tuned by ``tuning``.
+
+    The one place that turns a tuning into an engine: timers and RTT samples
+    run on the simulation clock, the base timeout is
+    ``tuning.base_timeout(retransmit_timeout)``, and the estimator, the
+    controller and the first-RTT cap are the ones the tuning asks for. The
+    owner keeps what is its own: framing and accounting (``transmit``,
+    ``on_timeout_stat``) and what giving up means (``give_up``).
+    """
+    base = tuning.base_timeout(retransmit_timeout)
+    return WindowedSender(
+        timer_factory=simulator.timer,
+        transmit=transmit,
+        base_timeout=base,
+        max_retransmits=max_retransmits,
+        give_up=give_up,
+        on_timeout_stat=on_timeout_stat,
+        clock=lambda: simulator.now,
+        rtt=make_rtt_estimator(tuning, base),
+        congestion=make_congestion_controller(tuning),
+        initial_inflight_cap=tuning.initial_inflight_cap,
+        retain_history=retain_history,
+    )

@@ -132,6 +132,48 @@ class TestCleanTree:
         assert offenders == []
         assert senders <= {"experiments/rounds.py", "experiments/figure_churn.py"}
 
+    def test_hop_reliability_has_one_definition(self):
+        # The hop protocol's state lives in core/packet.py: SeenWindow holds
+        # the ACK cadence count, the CE marks still to echo and the
+        # gap-episode flag and builds (cumulative, sack, echo); the
+        # RetransmitBuffer holds the resent-since-progress set. The switch
+        # engine, the host agent and the datagram transport keep one window
+        # per source and no counter of their own, and transport/ builds its
+        # WindowedSender in one place (window.sender_on). (The parent of the
+        # change that added this gate had 6 + 2 + 2 such definitions in five
+        # classes, 3 ack_state() calls and 2 constructions.)
+        primitives = "core/packet.py"
+        owned = {
+            "since_ack",
+            "_since_ack",
+            "ecn_since_ack",
+            "_ecn_since_ack",
+            "gapped",
+            "_gapped",
+            "_retransmitted",
+        }
+        offenders, constructions = [], []
+        for relative, tree in _package_trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Attribute) and func.attr == "ack_state":
+                        if relative != primitives:
+                            offenders.append(f"{relative}:{node.lineno} .ack_state()")
+                    elif getattr(func, "id", "") == "WindowedSender":
+                        if relative.startswith("transport/"):
+                            constructions.append(f"{relative}:{node.lineno}")
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    if relative == primitives:
+                        continue
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        name = getattr(target, "attr", getattr(target, "id", ""))
+                        if name in owned:
+                            offenders.append(f"{relative}:{node.lineno} {name} =")
+        assert offenders == []
+        assert len(constructions) == 1, constructions
+
     def test_cli_lint_exits_zero(self, capsys):
         assert main(["lint"]) == 0
         assert "repro lint: clean" in capsys.readouterr().out

@@ -147,7 +147,7 @@ class TestSequencedStreams:
         flushes = [p for _port, p in out if isinstance(p, DaietPacket)]
         assert all(p.seq is not None for p in flushes)
         state = engine.tree(1)
-        assert len(state._unacked) == len(flushes)
+        assert len(state._sent.unacked) == len(flushes)
         # A pull ACK from the parent resends everything still outstanding.
         pull = DaietAck(tree_id=1, src="r0", dst="sw0", cumulative=0, pull=True)
         resent = engine.handle_ack(pull)
@@ -156,7 +156,7 @@ class TestSequencedStreams:
         # A cumulative ACK releases the buffer.
         done = DaietAck(tree_id=1, src="r0", dst="sw0", cumulative=len(flushes))
         assert engine.handle_ack(done) == []
-        assert state._unacked == {}
+        assert state._sent.unacked == {}
 
     def test_flushes_are_numbered_at_construction_across_rounds(self):
         """Spillover flushes and the final flush share one sequence space;
@@ -180,8 +180,8 @@ class TestSequencedStreams:
         assert [p.seq for p in emitted] == list(range(len(emitted)))
         assert emitted[-1].packet_type is DaietPacketType.END
         state = engine.tree(1)
-        assert list(state._unacked) == list(range(len(emitted)))
-        assert all(state._unacked[p.seq] is p for p in emitted)
+        assert list(state._sent.unacked) == list(range(len(emitted)))
+        assert all(state._sent.unacked[p.seq] is p for p in emitted)
         assert flushed_pairs([(9, p) for p in emitted]) == {k: 1 for k in keys}
         for packet in emitted:
             rebuilt = DaietPacket(

@@ -1,4 +1,4 @@
-"""Scripted-trace oracle for the DCTCP mark-echo cadence.
+"""Scripted-trace oracle for the hop-reliability receiver, at every endpoint.
 
 The DCTCP spec requires two things of a receiver observing CE marks:
 
@@ -9,194 +9,274 @@ The DCTCP spec requires two things of a receiver observing CE marks:
   per ACK over subsequent ACKs instead of being batched into a single
   inflated echo count.
 
-These tests replay fixed packet traces against all three receiver
-implementations (host reliability agent, switch aggregation engine,
-reliable UDP transport) and assert the exact per-ACK echo sequence.
+One stream state (:class:`~repro.core.packet.SeenWindow`) decides both for
+the host reliability agent, the switch aggregation engine and the reliable
+UDP transport. The traces below are replayed against all three through the
+entry points the network uses (the host receiver, ``handle_packet``, the
+NIC), and every ACK that leaves the endpoint is read back as
+``(cumulative, sack, echo)``. A Hypothesis property then checks the window
+alone against a sorted-set reference.
 """
 
 from __future__ import annotations
 
+from itertools import count
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
-from repro.core.packet import DaietAck, DaietPacket, DaietPacketType
+from repro.core.packet import (
+    DAIET_ACK_MAX_SACK,
+    DaietAck,
+    DaietPacket,
+    DaietPacketType,
+    SeenWindow,
+)
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
-from repro.netsim.topology import Topology
-from repro.transport.packets import MessagePayload
+from repro.netsim.topology import single_rack
+from repro.transport.packets import MessagePayload, UdpDatagram
 from repro.transport.reliability import HostReliabilityAgent
 from repro.transport.udp import ReliableUdpTransport
 
-
-def rack(num_hosts: int = 2) -> Topology:
-    topo = Topology(name="dctcp_rack")
-    topo.add_switch("tor")
-    for i in range(num_hosts):
-        topo.add_host(f"h{i}")
-        topo.connect(f"h{i}", "tor")
-    topo.validate()
-    return topo
+SENDER, RECEIVER = "h0", "h1"
 
 
-CONFIG = DaietConfig(pairs_per_packet=4, reliability=True)
-
-
-def data_packet(seq: int, ecn: bool) -> DaietPacket:
+def data_packet(seq: int, ecn: bool, config: DaietConfig) -> DaietPacket:
     return DaietPacket(
         tree_id=1,
-        src="h0",
-        dst="h1",
+        src=SENDER,
+        dst=RECEIVER,
         packet_type=DaietPacketType.DATA,
         pairs=((f"k{seq}", 1),),
-        config=CONFIG,
+        config=config,
         seq=seq,
         ecn=ecn,
     )
 
 
-class TestHostAgentEchoCadence:
-    """Trace oracle for ``HostReliabilityAgent._receive_sequenced``."""
+class Endpoint:
+    """One receiver of the ``h0`` stream; ``acks`` is every ACK it emitted."""
 
-    def make_receiver(self, ack_window: int = 4):
-        sim = NetworkSimulator(rack(), SimulatorConfig())
-        agent = HostReliabilityAgent(
-            sim,
-            "h1",
+    def __init__(self) -> None:
+        self.acks: list[tuple[int, tuple[int, ...], int]] = []
+
+    @property
+    def echoes(self) -> list[int]:
+        return [echo for _cumulative, _sack, echo in self.acks]
+
+    def deliver(self, seq: int, ecn: bool = False) -> None:
+        raise NotImplementedError
+
+    def stream_window(self) -> SeenWindow:
+        """The endpoint's window for the ``h0`` stream."""
+        raise NotImplementedError
+
+    def _capture_sends(self, simulator: NetworkSimulator) -> None:
+        """Record what the endpoint hands its NIC instead of simulating it."""
+
+        def capture(_host: str, packet) -> None:
+            if isinstance(packet, DaietAck):
+                self.acks.append((packet.cumulative, packet.sack, packet.ecn_echo))
+            elif packet.payload.kind == "udp-rel-ack":
+                meta = packet.payload.meta
+                self.acks.append((meta["cumulative"], meta["sack"], meta["ecn"]))
+
+        simulator.send = capture
+
+
+class HostAgentEndpoint(Endpoint):
+    def __init__(self, ack_window: int, policy: str) -> None:
+        super().__init__()
+        self.config = DaietConfig(pairs_per_packet=4, reliability=True)
+        simulator = NetworkSimulator(single_rack(2), SimulatorConfig())
+        self._capture_sends(simulator)
+        self.agent = HostReliabilityAgent(
+            simulator,
+            RECEIVER,
             ack_window=ack_window,
             retransmit_timeout=1e-4,
             max_retransmits=30,
+            sampled_ack_stride=1,
         )
-        agent.attach_tree(1, children=["h0"], inner=lambda packet: None)
-        acks: list[DaietAck] = []
-        original_send = sim.send
+        self.agent.attach_tree(
+            1, children=[SENDER], inner=lambda packet: None, policy=policy
+        )
 
-        def capture(host: str, packet) -> None:
-            if isinstance(packet, DaietAck):
-                acks.append(packet)
-                return
-            original_send(host, packet)
+    def deliver(self, seq: int, ecn: bool = False) -> None:
+        self.agent.receive(data_packet(seq, ecn, self.config))
 
-        sim.send = capture
-        return agent, acks
-
-    def test_marked_packet_acked_immediately_with_one_echo(self):
-        agent, acks = self.make_receiver(ack_window=4)
-        agent.receive(data_packet(0, ecn=False))
-        assert acks == []  # below the ACK window, nothing marked
-        agent.receive(data_packet(1, ecn=True))
-        assert len(acks) == 1  # the mark forces an immediate ACK
-        assert acks[0].ecn_echo == 1
-
-    def test_mark_burst_echoes_one_per_ack(self):
-        agent, acks = self.make_receiver(ack_window=8)
-        for seq in range(3):
-            agent.receive(data_packet(seq, ecn=True))
-        # Every marked arrival produced its own ACK carrying exactly one
-        # echo — the old behaviour was one delayed ACK with ecn_echo == 3.
-        assert [ack.ecn_echo for ack in acks] == [1, 1, 1]
-
-    def test_duplicate_ack_does_not_re_echo(self):
-        agent, acks = self.make_receiver(ack_window=8)
-        agent.receive(data_packet(0, ecn=True))
-        assert [ack.ecn_echo for ack in acks] == [1]
-        # Retransmitted copy of the marked packet: the duplicate triggers an
-        # ACK, but the mark was already echoed and must not count twice.
-        agent.receive(data_packet(0, ecn=True))
-        assert [ack.ecn_echo for ack in acks] == [1, 0]
-
-    def test_mark_backlog_drains_one_echo_per_ack(self):
-        agent, acks = self.make_receiver(ack_window=2)
-        agent.receive(data_packet(0, ecn=True))
-        # Simulate a mark backlog (e.g. marks raced a single delayed ACK):
-        # subsequent window-driven ACKs drain it one echo at a time.
-        state = agent._recv[1]
-        state.ecn_since_ack["h0"] = 3
-        for seq in range(1, 9):
-            agent.receive(data_packet(seq, ecn=False))
-        echoes = [ack.ecn_echo for ack in acks]
-        assert echoes[0] == 1  # the immediate ACK for the marked packet
-        assert all(echo <= 1 for echo in echoes)
-        assert echoes[1:] == [1, 1, 1, 0]  # backlog of 3 drains, then clean
+    def stream_window(self) -> SeenWindow:
+        return self.agent._recv[1].windows[SENDER]
 
 
-class TestSwitchEngineEchoCadence:
-    """Trace oracle for the switch-side ACK builder in the aggregation engine."""
-
-    def make_engine(self):
-        from repro.core.aggregation import DaietAggregationEngine
-
-        engine = DaietAggregationEngine("tor")
-        engine.configure_tree(
+class SwitchEngineEndpoint(Endpoint):
+    def __init__(self, ack_window: int, policy: str) -> None:
+        super().__init__()
+        self.config = DaietConfig(
+            pairs_per_packet=4,
+            reliability=True,
+            ack_window=ack_window,
+            sampled_ack_stride=1,
+        )
+        self.engine = DaietAggregationEngine("tor")
+        self.engine.configure_tree(
             tree_id=1,
             function="sum",
             num_children=1,
             egress_port=0,
-            next_hop_dst="h1",
-            config=CONFIG,
-            child_ports={"h0": 1},
+            next_hop_dst=RECEIVER,
+            config=self.config,
+            child_ports={SENDER: 1},
+            policy=policy,
         )
-        return engine
 
-    def test_marked_data_acked_immediately_with_one_echo(self):
-        engine = self.make_engine()
-        emitted = engine.handle_packet(data_packet(0, ecn=True))
-        acks = [pkt for _port, pkt in emitted if isinstance(pkt, DaietAck)]
-        assert len(acks) == 1
-        assert acks[0].ecn_echo == 1
+    def deliver(self, seq: int, ecn: bool = False) -> None:
+        for port, out in self.engine.handle_packet(data_packet(seq, ecn, self.config)):
+            if isinstance(out, DaietAck):
+                assert port == 1
+                self.acks.append((out.cumulative, out.sack, out.ecn_echo))
 
-    def test_switch_ack_never_batches_echoes(self):
-        engine = self.make_engine()
-        echoes = []
-        for seq in range(4):
-            emitted = engine.handle_packet(data_packet(seq, ecn=seq % 2 == 0))
-            echoes.extend(
-                pkt.ecn_echo for _port, pkt in emitted if isinstance(pkt, DaietAck)
-            )
-        assert echoes and all(echo <= 1 for echo in echoes)
-        # Two marked packets → exactly two echoes across the whole trace.
-        assert sum(echoes) == 2
+    def stream_window(self) -> SeenWindow:
+        return self.engine.tree(1).window(SENDER)
 
 
-class TestReliableUdpEchoCadence:
-    """Trace oracle for ``ReliableUdpTransport._handle_data``."""
+class ReliableUdpEndpoint(Endpoint):
+    PORT = 9
 
-    def make_transport(self, ack_window: int = 4):
-        sim = NetworkSimulator(rack(), SimulatorConfig())
-        transport = ReliableUdpTransport(sim, ack_window=ack_window)
-        transport.listen_reliable("h1", 9, lambda src, payload: None)
-        echoes: list[int] = []
-        original = transport.send_datagram
+    def __init__(self, ack_window: int, policy: str) -> None:
+        super().__init__()
+        assert policy == "exact", "datagram flows have no reliability policy"
+        self.simulator = NetworkSimulator(single_rack(2), SimulatorConfig())
+        self._capture_sends(self.simulator)
+        self.transport = ReliableUdpTransport(self.simulator, ack_window=ack_window)
+        self.transport.listen_reliable(RECEIVER, self.PORT, lambda src, payload: None)
 
-        def capture(host, dst, payload, size, sport=0, dport=0):
-            if isinstance(payload, MessagePayload) and payload.kind == "udp-rel-ack":
-                echoes.append(payload.meta["ecn"])
-                return 1
-            return original(host, dst, payload, size, sport=sport, dport=dport)
-
-        transport.send_datagram = capture
-        return transport, echoes
-
-    def deliver(self, transport, seq: int, ecn: bool) -> None:
-        payload = MessagePayload(
-            kind="udp-rel-data",
-            data=MessagePayload(kind="raw", data=seq),
-            meta={"seq": seq},
+    def deliver(self, seq: int, ecn: bool = False) -> None:
+        datagram = UdpDatagram(
+            src=SENDER,
+            dst=RECEIVER,
+            sport=self.PORT,
+            dport=self.PORT,
+            payload=MessagePayload(kind="udp-rel-data", data=seq, meta={"seq": seq}),
+            payload_bytes=8,
+            ecn=ecn,
         )
-        transport._rx_ecn = ecn
-        transport._handle_data("h1", 9, "h0", payload)
+        self.simulator.host(RECEIVER).deliver(datagram, datagram.wire_bytes())
 
-    def test_marked_datagram_acked_immediately(self):
-        transport, echoes = self.make_transport(ack_window=4)
-        self.deliver(transport, 0, ecn=False)
-        assert echoes == []
-        self.deliver(transport, 1, ecn=True)
-        assert echoes == [1]
+    def stream_window(self) -> SeenWindow:
+        return self.transport._windows[(RECEIVER, SENDER, self.PORT)]
 
-    def test_udp_mark_burst_one_echo_per_ack(self):
-        transport, echoes = self.make_transport(ack_window=8)
+
+ENDPOINTS = [HostAgentEndpoint, SwitchEngineEndpoint, ReliableUdpEndpoint]
+
+
+@pytest.fixture(params=ENDPOINTS, ids=lambda cls: cls.__name__)
+def make_endpoint(request):
+    def make(ack_window: int, policy: str = "exact") -> Endpoint:
+        return request.param(ack_window, policy)
+
+    return make
+
+
+class TestEchoCadence:
+    def test_marked_arrival_acked_immediately_with_one_echo(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=4)
+        endpoint.deliver(0)
+        assert endpoint.acks == []  # below the ACK window, nothing marked
+        endpoint.deliver(1, ecn=True)
+        assert endpoint.echoes == [1]  # the mark forces an immediate ACK
+
+    def test_mark_burst_echoes_one_per_ack(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=8)
         for seq in range(3):
-            self.deliver(transport, seq, ecn=True)
-        assert echoes == [1, 1, 1]
+            endpoint.deliver(seq, ecn=True)
+        # Every marked arrival produced its own ACK carrying exactly one
+        # echo, never one delayed ACK with an echo count of 3.
+        assert endpoint.echoes == [1, 1, 1]
 
-    def test_udp_duplicate_does_not_re_echo(self):
-        transport, echoes = self.make_transport(ack_window=8)
-        self.deliver(transport, 0, ecn=True)
-        self.deliver(transport, 0, ecn=True)
-        assert echoes == [1, 0]
+    def test_duplicate_does_not_re_echo(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=8)
+        endpoint.deliver(0, ecn=True)
+        assert endpoint.echoes == [1]
+        # Retransmitted copy of the marked packet: the duplicate triggers an
+        # ACK, but the mark was already echoed and must not count twice.
+        endpoint.deliver(0, ecn=True)
+        assert endpoint.echoes == [1, 0]
+
+    def test_mark_backlog_drains_one_echo_per_ack(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=2)
+        endpoint.deliver(0, ecn=True)
+        # Three more marked packets reach the stream while no ACK goes out
+        # (marks racing a single delayed ACK): the cadence ACKs that follow
+        # drain the backlog one echo at a time.
+        window = endpoint.stream_window()
+        for seq in (1, 2, 3):
+            assert window.observe(seq, ecn=True)
+        for seq in range(4, 12):
+            endpoint.deliver(seq)
+        assert endpoint.echoes == [1, 1, 1, 1, 0]
+        assert endpoint.acks[-1][:2] == (12, ())
+
+
+@pytest.mark.parametrize(
+    "endpoint_class",
+    [HostAgentEndpoint, SwitchEngineEndpoint],
+    ids=lambda cls: cls.__name__,
+)
+def test_sampled_tree_announces_a_gap_episode_once(endpoint_class):
+    """A hole that opens on a cadence ACK is that episode's announcement.
+
+    The switch used to look for a fresh hole only when nothing else had made
+    it acknowledge, so seq 3 below announced the same episode a second time
+    with ``(1, (2, 3))``; the host agent always recorded the episode.
+    """
+    endpoint = endpoint_class(ack_window=2, policy="sampled")
+    for seq in (0, 2, 3):
+        endpoint.deliver(seq)
+    assert endpoint.acks == [(1, (2,), 0)]
+    # The episode ends when the hole closes; the next one is announced again.
+    endpoint.deliver(1)
+    endpoint.deliver(5)
+    assert endpoint.acks[-1] == (4, (5,), 0)
+
+
+arrival_scripts = st.lists(
+    st.tuples(st.integers(0, 40), st.booleans(), st.booleans()), max_size=120
+)
+
+
+class TestSeenWindowAgainstSortedSetReference:
+    @settings(max_examples=200)
+    @given(script=arrival_scripts)
+    def test_any_arrival_order_with_duplicates_and_marks(self, script):
+        """``script`` is ``(seq, CE-marked, ACK goes out afterwards)`` rows."""
+        window = SeenWindow()
+        seen: set[int] = set()
+        owed = echoed = counted = 0
+        announced = False
+        for seq, ecn, ack in script:
+            fresh = window.observe(seq, ecn)
+            assert fresh == (seq not in seen)
+            seen.add(seq)
+            owed += fresh and ecn
+            cumulative = next(i for i in count() if i not in seen)
+            holes = any(s > cumulative for s in seen)
+            assert window.has_gaps == holes
+            assert window.fresh_gap() == (holes and not announced)
+            announced = holes
+            counted += 1
+            assert window.count_arrival() == counted
+            if ack:
+                expected_echo = int(owed > echoed)
+                assert window.take_ack() == (
+                    cumulative,
+                    tuple(sorted(s for s in seen if s > cumulative))[:DAIET_ACK_MAX_SACK],
+                    expected_echo,
+                )
+                echoed += expected_echo
+                counted = 0
+        while window.take_ack()[2]:
+            echoed += 1
+        assert echoed == owed

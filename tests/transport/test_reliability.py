@@ -12,6 +12,7 @@ from repro.netsim.topology import Topology
 from repro.transport.packets import MessagePayload
 from repro.transport.reliability import HostReliabilityAgent
 from repro.transport.udp import ReliableUdpTransport
+from repro.transport.window import AimdController, TransportTuning
 
 
 def rack(loss_rate: float = 0.0, num_hosts: int = 2) -> Topology:
@@ -118,6 +119,35 @@ class TestSenderChannel:
         sim.run()
         assert channel.done
         assert [p.seq for p in got] == [0, 1, 2, 3, 4]
+
+
+class TestTuning:
+    def test_daiet_config_tuning_reaches_the_sender_engine(self):
+        tuning = TransportTuning(
+            adaptive_rto=True, rto_floor=5e-5, congestion_control="aimd", initial_cwnd=3
+        )
+        config = DaietConfig(reliability=True, tuning=tuning)
+        sim = NetworkSimulator(rack(), SimulatorConfig())
+        engine = HostReliabilityAgent.from_config(sim, "h0", config).sender(1).engine
+        assert isinstance(engine.congestion, AimdController)
+        assert engine.congestion.window() == 3
+        assert engine.rtt.floor == 5e-5
+        assert DaietConfig().tuning.is_default
+
+    def test_fixed_mode_floor_raises_the_base_timeout_of_both_owners(self):
+        floored = TransportTuning(rto_floor=2e-3)
+        assert floored.base_timeout(1e-4) == 2e-3
+        assert floored.base_timeout(5e-3) == 5e-3
+        assert TransportTuning(adaptive_rto=True, rto_floor=2e-3).base_timeout(1e-4) == 1e-4
+        sim = NetworkSimulator(rack(), SimulatorConfig())
+        agent = HostReliabilityAgent(
+            sim, "h0", retransmit_timeout=1e-4, ack_window=4, max_retransmits=3,
+            tuning=floored,
+        )
+        channel = agent.sender(1)
+        assert channel.retransmit_timeout == channel.engine.base_timeout == 2e-3
+        transport = ReliableUdpTransport(sim, retransmit_timeout=1e-4, tuning=floored)
+        assert transport.retransmit_timeout == 2e-3
 
 
 class TestReliableUdpTransport:

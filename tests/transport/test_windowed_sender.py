@@ -8,7 +8,9 @@ Three layers:
 * behavioural parity of :class:`WindowedSender` in default tuning against a
   straight-line reference reimplementation of the historical sender state
   machine (go-back-N on timeout, capped exponential backoff, one gap-fill
-  per ACK progress), driven over randomized seeded ACK scripts.
+  per ACK progress), driven over randomized seeded ACK scripts; the
+  :class:`~repro.core.packet.RetransmitBuffer` the sender (and the switch
+  engine) applies ACKs through is held to the same reference on its own.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import TransportError
+from repro.core.packet import RetransmitBuffer
 from repro.transport.window import (
     MAX_BACKOFF_FACTOR,
     AimdController,
@@ -533,3 +537,44 @@ class TestTwinPathOracle:
                     ref.on_timeout()
         assert live_log == [e for e in ref.log if e[0] != "give-up"]
         assert sorted(h.sender._unacked) == sorted(ref.unacked)
+
+
+buffer_scripts = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(1, 5)),
+        st.tuples(
+            st.just("ack"),
+            st.integers(0, 60),
+            st.sets(st.integers(0, 60), max_size=4),
+        ),
+    ),
+    max_size=80,
+)
+
+
+class TestRetransmitBufferAgainstReference:
+    @settings(max_examples=200)
+    @given(script=buffer_scripts)
+    def test_acked_and_resent_sets_match_the_reference_machine(self, script):
+        buffer = RetransmitBuffer()
+        ref = ReferenceSender(1e-3, 50)
+        next_seq = 0
+        for op in script:
+            if op[0] == "send":
+                batch = list(range(next_seq, next_seq + op[1]))
+                next_seq += len(batch)
+                for seq in batch:
+                    buffer.unacked[seq] = seq
+                ref.send(batch)
+            else:
+                _, cumulative, sacked = op
+                outstanding = set(ref.unacked)
+                logged = len(ref.log)
+                acked = buffer.acknowledge(cumulative, sacked)
+                missing = buffer.holes(sacked)
+                ref.on_ack(cumulative, sacked)
+                assert set(acked) == outstanding - set(ref.unacked)
+                resends = [entry for entry in ref.log[logged:] if entry[0] == "tx"]
+                assert resends == ([("tx", tuple(missing), True)] if missing else [])
+            assert list(buffer.unacked) == list(ref.unacked)
+            assert buffer.resent == ref.retransmitted
