@@ -8,6 +8,7 @@ paper's bands. The paper-scale runs live in the benchmark harness.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -116,6 +117,15 @@ class TestFigure3:
         digest = hashlib.sha256(figure3_result.report.encode()).hexdigest()
         assert digest == (
             "8630efed21c84094115356bf49abae6c0a42308cae0c29853e52e46567a8b7f3"
+        )
+
+    def test_quick_reliability_report_is_pinned(self):
+        # `repro fig3 --quick --reliability`, byte for byte: the DAIET arm
+        # runs sequenced, with dedup windows and ACKs crossing reducer NICs.
+        settings = dataclasses.replace(Figure3Settings().quick(), reliability=True)
+        digest = hashlib.sha256(run_figure3(settings).report.encode()).hexdigest()
+        assert digest == (
+            "16188501d5bb845c0ed8ea95bee95c6decb4258abbf454ce7cf9a2afa6b90ece"
         )
 
     def test_summary_exposes_medians(self, figure3_result):
