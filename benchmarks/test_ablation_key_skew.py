@@ -42,7 +42,7 @@ def _run_distribution(distribution: str):
     daiet = run_transport(SETTINGS, shuffle, splits)
     udp = run_transport(SETTINGS, UdpShuffle(config=config), splits)
     assert daiet.output == corpus.word_counts()
-    counters = shuffle.controller.tree_counters() if shuffle.controller else {}
+    counters = shuffle.system.controller.tree_counters()
     pairs = sum(c.pairs_received for c in counters.values())
     collisions = sum(c.collisions for c in counters.values())
     packet_reduction = 1.0 - daiet.total_reducer_packets() / udp.total_reducer_packets()

@@ -51,7 +51,7 @@ def _sweep() -> list[tuple[int, float, float]]:
         shuffle = DaietShuffle(config=config)
         result = run_transport(SETTINGS, shuffle, splits)
         assert result.output == corpus.word_counts()
-        counters = shuffle.controller.tree_counters() if shuffle.controller else {}
+        counters = shuffle.system.controller.tree_counters()
         pairs = sum(c.pairs_received for c in counters.values())
         collisions = sum(c.collisions for c in counters.values())
         collision_rate = collisions / pairs if pairs else 0.0

@@ -1,24 +1,32 @@
-"""High-level DAIET facade.
+"""High-level DAIET facade: the one host-side DAIET stack.
 
 :class:`DaietSystem` wires together a topology, the network simulator, the
-DAIET controller and the host-side helpers (:class:`DaietSender` on mappers,
-:class:`DaietReceiver` on reducers), so that an application can offload its
-aggregation with a handful of calls:
+DAIET controller and the host shim (:meth:`DaietSystem.send_pairs` on
+mappers, a :class:`DaietReceiver` on every reducer, one reliability agent per
+host when ``config.reliability`` is on), so that an application can offload
+its aggregation with a handful of calls:
 
 >>> system = DaietSystem.single_rack(num_hosts=4)
 >>> job = system.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"])
->>> system.send_pairs("h0", "h3", [("ant", 1), ("bee", 2)])
->>> system.send_pairs("h1", "h3", [("ant", 5)])
->>> system.send_pairs("h2", "h3", [("cat", 7)])
->>> system.run()
+>>> len(system.send_pairs("h0", "h3", [("ant", 1), ("bee", 2)]))  # DATA + END
+2
+>>> _ = system.send_pairs("h1", "h3", [("ant", 5)])
+>>> _ = system.send_pairs("h2", "h3", [("cat", 7)])
+>>> system.run() > 0  # events processed
+True
 >>> system.receiver("h3").result()
 {'ant': 6, 'bee': 2, 'cat': 7}
+
+The facade builds its own simulator by default. An application that already
+owns one (the MapReduce cluster, shared with the TCP and UDP shuffles) passes
+it as ``simulator=`` and swaps the reducer-side collector for its own callback
+with :meth:`DaietSystem.attach_receiver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
@@ -118,10 +126,18 @@ class DaietSystem:
         topology: Topology,
         config: DaietConfig | None = None,
         simulator_config: SimulatorConfig | None = None,
+        simulator: NetworkSimulator | None = None,
     ) -> None:
+        if simulator is None:
+            simulator = NetworkSimulator(topology, simulator_config)
+        elif simulator_config is not None or simulator.topology is not topology:
+            raise ConfigurationError(
+                "a DaietSystem given its simulator takes no simulator_config "
+                "and must be built on that simulator's topology"
+            )
         self.topology = topology
         self.config = config or DaietConfig()
-        self.simulator = NetworkSimulator(topology, simulator_config)
+        self.simulator = simulator
         self.controller = DaietController(topology, self.config)
         self._receivers: dict[str, DaietReceiver] = {}
         self._jobs: list[InstalledJob] = []
@@ -146,11 +162,13 @@ class DaietSystem:
         """Convenience constructor: ``num_hosts`` hosts behind one ToR switch."""
         return cls(single_rack(num_hosts), config=config, simulator_config=simulator_config)
 
-    def _agent(self, host: str) -> "HostReliabilityAgent":
+    def agent(self, host: str) -> "HostReliabilityAgent":
         """The reliability endpoint of ``host`` (created on first use).
 
-        Imported lazily: :mod:`repro.transport` itself imports the simulator,
-        so a module-level import here would close an import cycle.
+        The failover manager reaches sender histories through it when a tree
+        is re-planned. Imported lazily: :mod:`repro.transport` itself imports
+        the simulator, so a module-level import here would close an import
+        cycle.
         """
         from repro.transport.reliability import HostReliabilityAgent
 
@@ -159,14 +177,6 @@ class DaietSystem:
                 self.simulator, host, self.config
             )
         return self._agents[host]
-
-    def agent(self, host: str) -> "HostReliabilityAgent":
-        """Public accessor for a host's reliability endpoint.
-
-        The failover manager uses this to reach sender histories and to
-        re-attach receive state when a tree is re-planned.
-        """
-        return self._agent(host)
 
     def reliability_stats(self) -> dict[str, dict[str, int]]:
         """Per-host reliability counters (empty when reliability is off)."""
@@ -211,23 +221,37 @@ class DaietSystem:
                 expected_ends=tree.children_count(reducer),
             )
             self._receivers[reducer] = receiver
-            if self.config.reliability:
-                # The reliability agent owns the host NIC: it dedups sequenced
-                # packets, acknowledges the tree's children and hands clean
-                # packets to the application receiver. Best-effort trees ride
-                # the same dispatch but their packets carry no sequence
-                # numbers, so they pass straight through — no dedup, no ACKs,
-                # and the pull timer is never armed.
-                self._agent(reducer).attach_tree(
-                    tree.tree_id,
-                    children=tree.node(reducer).children,
-                    inner=receiver.receive,
-                    policy=policy,
-                )
-            else:
-                self.simulator.host(reducer).set_receiver(receiver.receive)
+            self.attach_receiver(tree, receiver.receive)
         self._jobs.append(job)
         return job
+
+    def attach_receiver(self, tree: AggregationTree, inner: Callable[[Any], None]) -> None:
+        """Deliver the packets of ``tree`` arriving at its reducer to ``inner``.
+
+        ``install_job`` attaches a :class:`DaietReceiver`; failover re-attaches
+        it to the replacement epoch, and an application that collects for
+        itself (the MapReduce shuffle buffers raw pairs) passes its own
+        callback, after which :meth:`receiver` no longer answers for that host.
+        """
+        reducer = tree.reducer
+        collector = self._receivers.get(reducer)
+        if collector is not None and inner != collector.receive:
+            del self._receivers[reducer]
+        if self.config.reliability:
+            # The reliability agent owns the host NIC: it dedups sequenced
+            # packets, acknowledges the tree's children and hands clean
+            # packets to the application receiver. Best-effort trees ride
+            # the same dispatch but their packets carry no sequence
+            # numbers, so they pass straight through — no dedup, no ACKs,
+            # and the pull timer is never armed.
+            self.agent(reducer).attach_tree(
+                tree.tree_id,
+                children=tree.node(reducer).children,
+                inner=inner,
+                policy=self.tree_policy(tree.tree_id),
+            )
+        else:
+            self.simulator.host(reducer).set_receiver(inner)
 
     def tree_policy(self, tree_id: int) -> str:
         """The reliability policy a tree was installed under."""
@@ -264,10 +288,10 @@ class DaietSystem:
         reducer: str,
         pairs: Iterable[tuple[str, int]],
         include_end: bool = True,
-    ) -> int:
+    ) -> list[DaietPacket]:
         """Packetize and send a mapper's partition towards a reducer.
 
-        Returns the number of packets injected (including the END marker).
+        Returns the packets injected (including the END marker).
         """
         tree = self.tree_for(reducer)
         if mapper not in tree.mappers:
@@ -281,12 +305,12 @@ class DaietSystem:
             self.error_tracker.record_injected(tree.tree_id, pairs)
         policy = self.tree_policy(tree.tree_id)
         if self.config.reliability and policy != "best_effort":
-            channel = self._agent(mapper).sender(tree.tree_id, policy=policy)
+            channel = self.agent(mapper).sender(tree.tree_id, policy=policy)
             packets = channel.packetize(pairs, reducer, self.config, include_end)
-            count = channel.send(packets)
+            channel.send(packets)
             # The reducer starts pulling so even a fully-lost flush recovers.
-            self._agent(reducer).arm(tree.tree_id)
-            return count
+            self.agent(reducer).arm(tree.tree_id)
+            return packets
         # Unreliable path — either the reliability layer is off, or the tree
         # runs best-effort: unsequenced packets, no retransmit buffer, no
         # ACK/pull machinery, guaranteed termination.
@@ -305,7 +329,8 @@ class DaietSystem:
                 # Warm the vectorized-kernel cache outside the timed run()
                 # region; arrival-time computation would pay for it instead.
                 packet.vector_pairs()
-        return self.simulator.send_burst(mapper, packets)
+        self.simulator.send_burst(mapper, packets)
+        return packets
 
     def run(self, until: float | None = None) -> int:
         """Run the simulation until all in-flight traffic is delivered."""

@@ -212,16 +212,9 @@ class FailoverManager:
         config = system.config
         receiver = system.receiver(reducer)
         if config.reliability:
-            reducer_agent = system.agent(reducer)
-            reducer_agent.detach_tree(old_id)
+            system.agent(reducer).detach_tree(old_id)
         receiver.reset(tree.tree_id, tree.children_count(reducer))
-        if config.reliability:
-            reducer_agent.attach_tree(
-                tree.tree_id,
-                children=tree.node(reducer).children,
-                inner=receiver.receive,
-                policy=policy,
-            )
+        system.attach_receiver(tree, receiver.receive)
         if policy == "best_effort":
             # A best-effort tree chose to tolerate loss: recovery re-plans
             # the topology but never replays — no replay storms, the run
@@ -263,7 +256,7 @@ class FailoverManager:
             )
             replayed += len(history)
         if replayed:
-            reducer_agent.arm(tree.tree_id)
+            system.agent(reducer).arm(tree.tree_id)
         self.log.append(
             (now, f"tree {tree.tree_id} ({reducer}): replayed {replayed} packets")
         )

@@ -44,7 +44,6 @@ from repro.experiments.rounds import (
     truth_of,
     wordcount_partitions,
 )
-from repro.netsim.devices import Host
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, fat_tree, leaf_spine
 from repro.transport.window import TransportTuning
@@ -202,12 +201,8 @@ def _build_fabric(settings: ScaleSettings, num_workers: int) -> Topology:
         topo = fat_tree(k)
     else:
         raise ReproError(f"unknown fabric {settings.fabric!r}")
-    if settings.loss_rate:
-        for link in topo.links:
-            if isinstance(topo.get(link.a.device), Host) or isinstance(
-                topo.get(link.b.device), Host
-            ):
-                link.loss_rate = settings.loss_rate
+    for link in topo.host_uplinks():
+        link.loss_rate = settings.loss_rate
     return topo
 
 

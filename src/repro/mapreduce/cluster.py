@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.core.errors import JobError
 from repro.mapreduce.job import TaskPlacement
-from repro.netsim.devices import Host
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, leaf_spine, single_rack
 
@@ -64,7 +63,7 @@ def build_cluster(
         raise JobError("num_workers must be positive")
     worker_names = [f"w{i}" for i in range(num_workers)]
     if fabric == "single_rack":
-        topology = single_rack(num_hosts=num_workers, host_prefix="w")
+        topology = single_rack(num_hosts=num_workers, host_prefix="w", loss_rate=loss_rate)
         master = topology.add_host("master")
         topology.connect("master", "tor")
     elif fabric == "leaf_spine":
@@ -81,14 +80,10 @@ def build_cluster(
         # last leaf is not full) simply stay idle.
         master = topology.add_host("master")
         topology.connect("master", "leaf0")
+        for link in topology.host_uplinks():
+            link.loss_rate = loss_rate
     else:
         raise JobError(f"unknown fabric {fabric!r}")
-    if loss_rate:
-        for link in topology.links:
-            if isinstance(topology.get(link.a.device), Host) or isinstance(
-                topology.get(link.b.device), Host
-            ):
-                link.loss_rate = loss_rate
     topology.validate()
     simulator = NetworkSimulator(topology, SimulatorConfig(loss_seed=loss_seed))
     return Cluster(

@@ -16,6 +16,14 @@ Figure 3 from the per-reducer metrics.
 Map output destined to a reducer co-located on the same worker host never
 crosses the network (it is handed over locally), consistently across all
 transports, so comparisons stay fair.
+
+Who owns what: the master hands out tasks and never touches a transport; a
+shuffle owns what is MapReduce's (one stream per worker host and reducer,
+local hand-offs, one raw :class:`ReducerBuffer` per reducer, the
+:class:`ShuffleAccounting`); the wire belongs to the transport underneath.
+For DAIET that is a :class:`~repro.core.daiet.DaietSystem` on the cluster's
+simulator, the same host shim every other experiment drives, so
+:class:`DaietShuffle` builds no controller, agent, channel or packet itself.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.config import DaietConfig
-from repro.core.controller import DaietController, InstalledJob
+from repro.core.daiet import DaietSystem
 from repro.core.errors import JobError
-from repro.core.packet import DaietPacket, DaietPacketType, packetize_pairs
+from repro.core.packet import DaietPacket, DaietPacketType
 from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.job import JobSpec, TaskPlacement
 from repro.mapreduce.mapper import MapOutput
@@ -36,7 +44,6 @@ from repro.mapreduce.reducer import ReduceTask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core <-> transport)
     from repro.transport.packets import MessagePayload
-    from repro.transport.reliability import HostReliabilityAgent
 
 
 @dataclass
@@ -188,57 +195,44 @@ class ShuffleTransport(ABC):
 
 
 class DaietShuffle(ShuffleTransport):
-    """The paper's shuffle: DAIET packets aggregated inside the switches."""
+    """The paper's shuffle: DAIET packets aggregated inside the switches.
+
+    The host shim is a :class:`~repro.core.daiet.DaietSystem` running on the
+    cluster's simulator; what stays here is MapReduce's: one stream per
+    (worker host, reducer), local partitions, raw-pair buffers, accounting.
+    """
 
     name = "daiet"
 
     def __init__(self, config: DaietConfig | None = None) -> None:
         super().__init__()
         self.config = config or DaietConfig()
-        self.controller: DaietController | None = None
-        self.job: InstalledJob | None = None
-        self._agents: dict[str, "HostReliabilityAgent"] = {}
-
-    def _agent(self, host: str) -> "HostReliabilityAgent":
-        """Reliability endpoint of one worker host (created on first use)."""
-        from repro.transport.reliability import HostReliabilityAgent
-
-        if host not in self._agents:
-            self._agents[host] = HostReliabilityAgent.from_config(
-                self.cluster.simulator, host, self.config
-            )
-        return self._agents[host]
+        #: The DAIET stack of the running job (``None`` before ``prepare``).
+        self.system: DaietSystem | None = None
 
     def _prepare(self) -> None:
-        self.controller = DaietController(self.cluster.topology, self.config)
-        mapper_hosts = sorted(set(self.placement.mapper_hosts))
-        reducer_hosts = list(self.placement.reducer_hosts)
-        self.job = self.controller.install_job(
-            mappers=mapper_hosts,
+        cluster = self.cluster
+        self.system = DaietSystem(cluster.topology, self.config, simulator=cluster.simulator)
+        reducer_hosts = self.placement.reducer_hosts
+        job = self.system.install_job(
+            mappers=sorted(set(self.placement.mapper_hosts)),
             reducers=reducer_hosts,
             function=self.spec.aggregation,
         )
         for reducer_id, host in enumerate(reducer_hosts):
-            tree = self.job.tree_for_reducer(host)
-            buffer = ReducerBuffer(
+            tree = job.tree_for_reducer(host)
+            buffer = self._buffers[reducer_id] = ReducerBuffer(
                 tree_id=tree.tree_id,
                 expected_ends=tree.children_count(host),
             )
-            self._buffers[reducer_id] = buffer
-            if self.config.reliability:
-                self._agent(host).attach_tree(
-                    tree.tree_id,
-                    children=tree.node(host).children,
-                    inner=buffer.receive_packet,
-                )
-            else:
-                self.cluster.simulator.host(host).set_receiver(buffer.receive_packet)
+            # The reduce-time model charges the sort of the pairs a reducer
+            # *received*, so the job collects them raw instead of combined.
+            self.system.attach_receiver(tree, buffer.receive_packet)
 
     def transfer(self, map_outputs: list[MapOutput]) -> None:
-        if self.job is None:
+        if self.system is None:
             raise JobError("DaietShuffle.transfer() called before prepare()")
         for reducer_id, reducer_host in enumerate(self.placement.reducer_hosts):
-            tree = self.job.tree_for_reducer(reducer_host)
             for mapper_host, pairs in self.pairs_by_host(map_outputs, reducer_id).items():
                 if mapper_host == reducer_host:
                     # Local partition: handed to the reduce task directly.
@@ -246,23 +240,6 @@ class DaietShuffle(ShuffleTransport):
                     self.accounting.local_pairs += len(pairs)
                     continue
                 self.accounting.network_pairs += len(pairs)
-                if self.config.reliability:
-                    channel = self._agent(mapper_host).sender(tree.tree_id)
-                    packets = channel.packetize(pairs, reducer_host, self.config)
-                    channel.send(packets)
-                    self._agent(reducer_host).arm(tree.tree_id)
-                else:
-                    packets = list(
-                        packetize_pairs(
-                            pairs,
-                            tree_id=tree.tree_id,
-                            src=mapper_host,
-                            dst=reducer_host,
-                            config=self.config,
-                            include_end=True,
-                        )
-                    )
-                    self.cluster.simulator.send_burst(mapper_host, packets)
-                for packet in packets:
+                for packet in self.system.send_pairs(mapper_host, reducer_host, pairs):
                     self.accounting.packets_sent += 1
                     self.accounting.payload_bytes_sent += packet.payload_bytes()

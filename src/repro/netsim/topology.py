@@ -119,6 +119,16 @@ class Topology:
         """All switches, in insertion order."""
         return [d for d in self.devices.values() if isinstance(d, SwitchDevice)]
 
+    def host_uplinks(self) -> list[Link]:
+        """The links with a host on either end, in insertion order."""
+        devices = self.devices
+        return [
+            link
+            for link in self.links
+            if isinstance(devices[link.a.device], Host)
+            or isinstance(devices[link.b.device], Host)
+        ]
+
     def link_between(self, a: str, b: str) -> Link:
         """The link directly connecting ``a`` and ``b``."""
         link = self._adjacency.get(a, {}).get(b)

@@ -174,6 +174,45 @@ class TestCleanTree:
         assert offenders == []
         assert len(constructions) == 1, constructions
 
+    def test_host_stack_has_one_home(self):
+        # The end-host shim is DaietSystem's alone: it builds the controller
+        # and one reliability agent per host and decides how a reducer's NIC
+        # is attached. The MapReduce shuffle and the failover manager go
+        # through it (install_job / attach_receiver / send_pairs / agent), so
+        # a reliability policy, a fault plan or a tracker reaches every job
+        # the same way. (The parent of the change that added this gate had six
+        # offenders: the shuffle built a second controller and its own agents,
+        # attached its own trees and imported the agent's module twice, and
+        # failover attached the re-planned tree for itself.)
+        home = "core/daiet.py"
+        offenders = []
+        for relative, tree in _package_trees():
+            if relative == home:
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "id", "") == "DaietController":
+                        offenders.append(f"{relative}:{node.lineno} DaietController()")
+                    elif getattr(func, "attr", "") == "attach_tree":
+                        offenders.append(f"{relative}:{node.lineno} .attach_tree()")
+                    elif (
+                        getattr(func, "attr", "") == "from_config"
+                        and getattr(func.value, "id", "") == "HostReliabilityAgent"
+                    ):
+                        offenders.append(f"{relative}:{node.lineno} agent construction")
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    if relative.startswith("transport/"):
+                        continue
+                    module = getattr(node, "module", None)
+                    for alias in node.names:
+                        name = f"{module}.{alias.name}" if module else alias.name
+                        if name.startswith("repro.transport.reliability") or (
+                            name == "repro.transport.HostReliabilityAgent"
+                        ):
+                            offenders.append(f"{relative}:{node.lineno} imports the agent")
+        assert offenders == []
+
     def test_cli_lint_exits_zero(self, capsys):
         assert main(["lint"]) == 0
         assert "repro lint: clean" in capsys.readouterr().out

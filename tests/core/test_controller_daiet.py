@@ -7,7 +7,8 @@ import pytest
 from repro.core.config import DaietConfig
 from repro.core.controller import DaietController
 from repro.core.daiet import DaietSystem
-from repro.core.errors import ControllerError
+from repro.core.errors import ConfigurationError, ControllerError
+from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
 
 
@@ -128,6 +129,37 @@ class TestDaietSystemFacade:
         system = DaietSystem.single_rack(num_hosts=3)
         with pytest.raises(ControllerError):
             system.receiver("h0")
+
+    def test_runs_on_the_simulator_its_caller_owns(self):
+        topo = single_rack(4)
+        simulator = NetworkSimulator(topo, SimulatorConfig(loss_seed=5))
+        system = DaietSystem(topo, simulator=simulator)
+        assert system.simulator is simulator
+        system.install_job(mappers=["h0", "h1"], reducers=["h3"])
+        assert simulator.tree_policies == {1: "exact"}
+        with pytest.raises(ConfigurationError):
+            DaietSystem(topo, simulator_config=SimulatorConfig(), simulator=simulator)
+        with pytest.raises(ConfigurationError):
+            DaietSystem(single_rack(4), simulator=simulator)
+
+    @pytest.mark.parametrize("reliability", [False, True])
+    def test_an_application_attaches_its_own_collector(self, reliability):
+        system = DaietSystem.single_rack(4, DaietConfig(reliability=reliability))
+        job = system.install_job(mappers=["h0", "h1"], reducers=["h3"])
+        collector = system.receiver("h3")
+        tree = job.tree_for_reducer("h3")
+        # Re-attaching the installed collector (what failover does) keeps it.
+        system.attach_receiver(tree, collector.receive)
+        assert system.receiver("h3") is collector
+        seen = []
+        system.attach_receiver(tree, seen.append)
+        with pytest.raises(ControllerError):
+            system.receiver("h3")
+        sent = system.send_pairs("h0", "h3", [("a", 1)]) + system.send_pairs("h1", "h3", [("a", 2)])
+        system.run()
+        assert len(sent) == 4
+        assert [p.pairs for p in seen if p.pairs] == [(("a", 3),)]
+        assert collector.counters.packets == 0
 
     def test_multi_level_aggregation_correctness(self):
         topo = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)

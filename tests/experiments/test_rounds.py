@@ -26,6 +26,7 @@ from repro.experiments.rounds import (
     truth_of,
     wordcount_partitions,
 )
+from repro.mapreduce.shuffle import DaietShuffle
 from repro.mapreduce.wordcount import generate_corpus
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, single_rack
@@ -226,4 +227,24 @@ class TestHostAggregationIsTcpWithACombiner:
             1: (42, 41740, 2087, 705),
             2: (44, 43300, 2165, 709),
             3: (42, 40600, 2030, 674),
+        }
+
+
+class TestDaietShuffleAccountsWhatTheSystemInjected:
+    @pytest.mark.parametrize(
+        "reliability, payload_bytes_sent", [(False, 467688), (True, 476752)]
+    )
+    def test_fig3_quick_job_accounting_is_the_parents(self, reliability, payload_bytes_sent):
+        # Recorded from the DaietShuffle that packetized for itself, on the
+        # `repro fig3 --quick` job; a sequenced packet carries 4 more bytes.
+        settings = dataclasses.replace(Figure3Settings().quick(), reliability=reliability)
+        corpus = generate_corpus(settings.corpus_spec())
+        shuffle = DaietShuffle(settings.daiet_config())
+        result = run_transport(settings, shuffle, corpus.splits(settings.num_mappers))
+        assert result.output == corpus.word_counts()
+        assert dataclasses.asdict(shuffle.accounting) == {
+            "packets_sent": 2266,
+            "payload_bytes_sent": payload_bytes_sent,
+            "local_pairs": 7522,
+            "network_pairs": 22478,
         }
