@@ -361,9 +361,11 @@ class DaietAggregationEngine:
         """Process a reliability ACK arriving at this switch.
 
         ACKs addressed to this switch release buffered flush packets and
-        trigger retransmissions (gap-filling on selective ACKs, a full resend
-        on ``pull`` ACKs). ACKs addressed elsewhere are forwarded towards the
-        child when a port is known, or silently dropped otherwise.
+        trigger retransmissions: the holes a selective ACK proves, and on a
+        ``pull`` ACK also the two ends of what is still buffered (a switch
+        has no timer; the receiver's pull is its timeout). ACKs addressed
+        elsewhere are forwarded towards the child when a port is known, or
+        silently dropped otherwise.
         """
         state = self._trees.get(ack.tree_id)
         if state is None:
@@ -376,10 +378,12 @@ class DaietAggregationEngine:
         sacked = set(ack.sack)
         sent.acknowledge(ack.cumulative, sacked)
         if ack.pull:
-            # Tail losses leave no SACK gap; the receiver's pull asks for
-            # everything still outstanding.
-            missing = sorted(sent.unacked)
-            sent.resent.update(missing)
+            # Tail losses leave no SACK gap: the probes make one, and the
+            # holes this pull already proves go out with them. Probes first:
+            # they leave ``resent``, so a proven hole among them is marked
+            # again and the next plain ACK does not fill it twice.
+            probes = sent.probes()
+            missing = sorted({*probes, *sent.holes(sacked)})
         else:
             missing = sent.holes(sacked)
         state.counters.retransmitted_packets += len(missing)
@@ -468,14 +472,13 @@ class DaietAggregationEngine:
             src = packet.src
             # DCTCP cadence: a CE-marked fresh packet is acknowledged
             # immediately, and each ACK echoes at most one mark (see
-            # SeenWindow.take_ack).
-            ack_now = window.count_arrival() >= state._ack_every or packet.ecn
-            # On a sampled tree a fresh hole is still announced immediately
-            # (one early SACK per gap episode) so the sender's gap-fill
-            # beats its retransmission timer despite the strided cadence.
-            if state.policy == "sampled" and window.fresh_gap():
-                ack_now = True
-            if ack_now:
+            # SeenWindow.take_ack). An arrival that opens or closes a hole
+            # does not wait for the cadence either, strided or not.
+            if (
+                window.count_arrival() >= state._ack_every
+                or packet.ecn
+                or window.edge
+            ):
                 emitted.extend(self._ack_child(state, src, window))
             if window.complete and src not in state._ended_sources:
                 # A retransmitted DATA packet filled the last gap before a

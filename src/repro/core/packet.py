@@ -674,14 +674,14 @@ class SeenWindow:
 
     It is also the one place that decides what the next ACK for the stream
     says and when one is owed: the arrivals counted since the last ACK (the
-    cadence), the CE marks not yet echoed, and whether the current hole was
-    already announced. The switch engine, the host agent and the reliable
-    datagram transport each keep one window per source and add only what is
-    theirs: which arrivals they count, what they do with an END, which timer
-    recovers a lost tail and how the ACK is framed.
+    cadence), the CE marks not yet echoed, and whether the last arrival
+    opened a hole or closed one. The switch engine, the host agent and the
+    reliable datagram transport each keep one window per source and add only
+    what is theirs: which arrivals they count, what they do with an END,
+    which timer recovers a lost tail and how the ACK is framed.
     """
 
-    __slots__ = ("cumulative", "out_of_order", "end_seq", "since_ack", "ecn_since_ack", "gapped")
+    __slots__ = ("cumulative", "out_of_order", "end_seq", "since_ack", "ecn_since_ack", "edge")
 
     def __init__(self) -> None:
         self.cumulative = 0
@@ -691,23 +691,39 @@ class SeenWindow:
         self.since_ack = 0
         #: Fresh packets that arrived CE-marked and were not echoed yet.
         self.ecn_since_ack = 0
-        #: The hole the stream has now was already seen by :meth:`fresh_gap`.
-        self.gapped = False
+        #: The arrival :meth:`observe` saw last opened a hole or closed one.
+        self.edge = False
 
     def observe(self, seq: int, ecn: bool = False) -> bool:
         """Record one received sequence number; ``False`` for duplicates.
 
         ``ecn`` is the packet's CE bit. Only a fresh packet's mark is owed an
         echo: the retransmitted copy of a marked packet must not count twice.
+
+        Sets :attr:`edge`, the one rule for an ACK ahead of the cadence: the
+        arrival opened a hole (out of order with nothing buffered, so the
+        sender's gap-fill need not wait for the cadence) or closed one (the
+        cumulative point jumped over buffered arrivals, so the sender learns
+        at once that its repair landed and which hole is next). The
+        out-of-order arrivals in between tell the sender nothing new.
         """
         if seq < 0:
             raise PacketFormatError("sequence numbers must be non-negative")
-        if seq < self.cumulative or seq in self.out_of_order:
+        cumulative = self.cumulative
+        buffered = self.out_of_order
+        if seq == cumulative:
+            cumulative += 1
+            while cumulative in buffered:
+                buffered.discard(cumulative)
+                cumulative += 1
+            self.cumulative = cumulative
+            self.edge = cumulative > seq + 1
+        elif seq < cumulative or seq in buffered:
+            self.edge = False
             return False
-        self.out_of_order.add(seq)
-        while self.cumulative in self.out_of_order:
-            self.out_of_order.discard(self.cumulative)
-            self.cumulative += 1
+        else:
+            self.edge = not buffered
+            buffered.add(seq)
         if ecn:
             self.ecn_since_ack += 1
         return True
@@ -730,20 +746,6 @@ class SeenWindow:
     def restart_cadence(self) -> None:
         """Start counting arrivals afresh (an ACK went out, or could not)."""
         self.since_ack = 0
-
-    def fresh_gap(self) -> bool:
-        """True on the first look at a hole, ``False`` until it has closed.
-
-        Receivers on a strided (``sampled``) cadence announce each gap
-        episode with one early SACK, so the sender's gap-fill beats its
-        retransmission timer without an ACK for every out-of-order packet of
-        the episode. Every look records the episode, whatever else made the
-        caller acknowledge.
-        """
-        holes = self.has_gaps
-        fresh = holes and not self.gapped
-        self.gapped = holes
-        return fresh
 
     def ack_state(self, max_sack: int = DAIET_ACK_MAX_SACK) -> tuple[int, tuple[int, ...]]:
         """The ``(cumulative, sack)`` pair an ACK for this stream carries.
@@ -771,13 +773,16 @@ class RetransmitBuffer:
     """Sender-side state of one sequence-number stream: what is still owed.
 
     ``unacked`` maps each sent and not yet acknowledged sequence number to
-    its (opaque) packet; ``resent`` holds the sequence numbers retransmitted
-    since the last ACK progress, so duplicate ACKs that report the same
-    holes cannot cause a retransmission storm. Host senders
-    (``WindowedSender``) and switches (which resend their buffered flushes
-    without timers) apply every ACK through the two methods below. Both
-    containers are only ever mutated in place, so an owner may hold on to
-    them.
+    its (opaque) packet, in the order sent, which is ascending: a stream
+    numbers its packets as it sends them. ``resent`` holds the sequence
+    numbers whose gap-fill is on its way; a number leaves it when it is
+    acknowledged or when a timeout probes it, so ACKs that report the same
+    hole again cannot cause a retransmission storm.
+    Host senders (``WindowedSender``) and switches (which resend their
+    buffered flushes without timers) apply every ACK through
+    :meth:`acknowledge` and :meth:`holes` and answer a timeout or a pull
+    with :meth:`probes`. Both containers are only ever mutated in place, so
+    an owner may hold on to them.
     """
 
     __slots__ = ("unacked", "resent")
@@ -789,32 +794,65 @@ class RetransmitBuffer:
     def acknowledge(self, cumulative: int, sacked: set[int]) -> list[int]:
         """Drop everything the ACK covers; the sequence numbers dropped.
 
-        Progress allows another retransmission round, should a later ACK
-        still report holes.
+        The acknowledged prefix comes off the front of ``unacked`` and the
+        selectively acknowledged numbers are looked up, so an ACK costs what
+        it acknowledges, not what is outstanding.
         """
         unacked = self.unacked
-        acked = [s for s in unacked if s < cumulative or s in sacked]
+        acked = []
+        for seq in unacked:
+            if seq >= cumulative:
+                break
+            acked.append(seq)
         for seq in acked:
             del unacked[seq]
-        if acked:
-            self.resent.clear()
+        for seq in sorted(sacked):
+            if seq in unacked:
+                del unacked[seq]
+                acked.append(seq)
+        if acked and self.resent:
+            self.resent.difference_update(acked)
         return acked
 
     def holes(self, sacked: set[int]) -> list[int]:
         """Gap-fill: what the receiver provably overtook, each at most once.
 
         Everything unacknowledged below the highest selectively acknowledged
-        sequence number is missing at the receiver; it is returned (sorted)
-        and marked resent until the next ACK progress. A lost tail leaves no
-        such proof and is recovered by a timeout or a pull.
+        sequence number is missing at the receiver (the SACK list is the
+        *lowest* out-of-order numbers, so nothing below its top was left
+        out); it is returned in order and marked resent. A lost tail leaves
+        no such proof: :meth:`probes` turns it into one.
         """
         if not sacked:
             return []
         horizon = max(sacked)
         resent = self.resent
-        missing = sorted(s for s in self.unacked if s < horizon and s not in resent)
+        missing = []
+        for seq in self.unacked:
+            if seq >= horizon:
+                break
+            if seq not in resent:
+                missing.append(seq)
         resent.update(missing)
         return missing
+
+    def probes(self) -> list[int]:
+        """What a timeout (or a pull) resends: the two ends of what is owed.
+
+        The lowest number repairs a hole whose gap-fill was itself lost; the
+        highest turns a lost tail into a SACK-proven gap that :meth:`holes`
+        then fills in one burst. Both leave ``resent``: links deliver in
+        order, so an ACK drawn by the high probe that still reports the low
+        one missing proves the low probe lost, and :meth:`holes` may fill it
+        again.
+        """
+        unacked = self.unacked
+        if not unacked:
+            return []
+        low = next(iter(unacked))
+        high = next(reversed(unacked))
+        self.resent.difference_update((low, high))
+        return [low] if low == high else [low, high]
 
 
 @dataclass(frozen=True, slots=True)
@@ -824,8 +862,9 @@ class DaietAck:
     ACKs are addressed to the device (host or switch) named ``dst``; on-tree
     switches consume ACKs destined to them and forward any other. ``pull``
     marks timeout-driven ACKs sent by a receiver that is still missing data —
-    the addressee responds by retransmitting everything unacknowledged, which
-    is how tail losses are recovered without switch-side timers.
+    the addressee answers as a sender answers its own timeout, with the holes
+    the ACK proves plus the two ends of what it still buffers, which is how
+    tail losses are recovered without switch-side timers.
     """
 
     tree_id: int

@@ -94,8 +94,8 @@ class ScaleSettings:
     #: keeps per-hop RTTs tiny, but the baselines funnel the whole
     #: cluster's traffic into one reducer NIC, so their end-to-end RTT
     #: includes the full incast backlog: an RTO below the transfer duration
-    #: would retransmit spuriously (a go-back-N storm), which no sane TCP
-    #: stack does. The 2 ms default models a TCP-like minimum RTO at this
+    #: would time out spuriously on every flow, which no sane TCP stack
+    #: does. The 2 ms default models a TCP-like minimum RTO at this
     #: scale and keeps prior reports byte-identical.
     rto_floor: float = 2e-3
     loss_seed: int = 17

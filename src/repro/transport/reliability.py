@@ -12,15 +12,19 @@ into a register:
   sequence number (:class:`~repro.core.packet.DaietPacket.seq`);
 * the parent deduplicates via a :class:`~repro.core.packet.SeenWindow` and
   answers with cumulative+selective :class:`~repro.core.packet.DaietAck`
-  packets (every ``ack_window`` packets, plus immediately on duplicates and
-  END markers; gaps ride in those ACKs' SACK fields);
-* host senders keep unacknowledged packets in a retransmit buffer driven by
-  a timeout :class:`~repro.netsim.events.Timer` with exponential backoff;
+  packets (every ``ack_window`` packets, plus immediately on duplicates,
+  END markers and the arrival that opens a hole or closes one; gaps ride in
+  those ACKs' SACK fields);
+* host senders keep unacknowledged packets in a retransmit buffer, fill the
+  holes an ACK proves, and on a timeout
+  (:class:`~repro.netsim.events.Timer`, exponential backoff that ACK
+  progress ends) resend two probes, the lowest and the highest
+  unacknowledged packet, never the whole window;
 * switches have no timers, so their buffered flush packets are retransmitted
   reactively — the *receiving host* runs a pull timer that re-ACKs (with
-  ``pull=True``) while its streams are incomplete, and the switch resends
-  whatever is still outstanding (see
-  :meth:`~repro.core.aggregation.DaietAggregationEngine.handle_ack`).
+  ``pull=True``) while its streams are incomplete, and the switch answers
+  as a host answers its own timeout: the proven holes plus the two probes
+  (see :meth:`~repro.core.aggregation.DaietAggregationEngine.handle_ack`).
 
 END markers carry the final sequence number of their stream, so a parent
 never counts a child as finished while any of its DATA packets are missing —
@@ -34,7 +38,7 @@ to the loss actually experienced.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from repro.core.config import DaietConfig
@@ -94,11 +98,9 @@ class ReliableSenderChannel:
     packet framing and statistics; buffering, ACK processing, gap-fill,
     timeout retransmission, RTT estimation and congestion-window pacing all
     live in the shared :class:`~repro.transport.window.WindowedSender`
-    engine (the same one driving the reliable-UDP baseline flows). With the
-    default :class:`~repro.transport.window.TransportTuning` the behaviour —
-    fixed RTO with capped exponential backoff, unlimited window, go-back-N
-    on timeout, one gap-fill per ACK progress — is event-for-event identical
-    to the historical standalone implementation.
+    engine (the same one driving the reliable-UDP baseline flows). The
+    default :class:`~repro.transport.window.TransportTuning` is a fixed RTO
+    with capped exponential backoff and an unlimited window.
     """
 
     def __init__(
@@ -366,6 +368,17 @@ class HostReliabilityAgent:
         of raising when the sender exhausts its retries).
         """
         if tree_id not in self._senders:
+            # The parent is a switch, which acknowledges on its cadence and
+            # has no delayed-ACK timer: a congestion window below the cadence
+            # would wait out a retransmission timeout every round.
+            cadence = self.ack_window * (
+                self.sampled_ack_stride if policy == "sampled" else 1
+            )
+            tuning = replace(
+                self.tuning,
+                min_cwnd=max(self.tuning.min_cwnd, cadence),
+                initial_cwnd=max(self.tuning.initial_cwnd, cadence),
+            )
             self._senders[tree_id] = ReliableSenderChannel(
                 self.simulator,
                 self.host,
@@ -374,7 +387,7 @@ class HostReliabilityAgent:
                 max_retransmits=self.max_retransmits,
                 stats=self.stats,
                 retain_for_replay=self.retain_for_replay,
-                tuning=self.tuning,
+                tuning=tuning,
                 policy=policy,
             )
         return self._senders[tree_id]
@@ -469,11 +482,6 @@ class HostReliabilityAgent:
             self._send_ack(state, src)
             return
         state.pulls_without_progress = 0
-        # Sampled cadence still announces a *fresh* hole immediately — one
-        # early SACK per gap episode keeps the sender's gap-fill ahead of its
-        # retransmission timer without re-ACKing every out-of-order packet
-        # of the episode.
-        fresh_gap = state.policy == "sampled" and window.fresh_gap()
         if packet.packet_type is DaietPacketType.END:
             window.end_seq = packet.seq
             state.pending_end[src] = packet
@@ -491,10 +499,11 @@ class HostReliabilityAgent:
         elif (
             packet.packet_type is DaietPacketType.END
             or packet.ecn
-            or fresh_gap
+            or window.edge
             or window.since_ack >= self.ack_window * state.stride
         ):
-            # ENDs and CE-marked arrivals (DCTCP cadence) never wait.
+            # ENDs, CE-marked arrivals (DCTCP cadence) and arrivals that
+            # open or close a hole never wait for the cadence.
             self._send_ack(state, src)
         if state.done:
             state.pull_timer.cancel()

@@ -155,17 +155,18 @@ class ReliableUdpTransport(UdpTransport):
     aggregation traffic, applied to plain datagrams: senders number each
     datagram per (src, dst, port) flow and retransmit on timeout; receivers
     deduplicate with a :class:`~repro.core.packet.SeenWindow` and acknowledge
-    every ``ack_window``-th datagram (plus immediately on gaps/duplicates).
+    every ``ack_window``-th datagram (plus immediately on duplicates and on
+    the arrival that opens a hole or closes one).
     Both endpoints must use this transport; ACKs travel on the same port.
 
     ``tuning`` selects the adaptive-transport features of the shared
     :class:`~repro.transport.window.WindowedSender` engine (SRTT/RTTVAR
     retransmission timeouts, AIMD/DCTCP congestion windows); the default
-    tuning reproduces the historical fixed-RTO, unlimited-window behaviour
-    byte for byte. A fixed-mode ``rto_floor`` raises the *effective* base
-    timeout for the whole transport — retransmission timers and delayed-ACK
-    pacing alike — which is how the baseline comparison's historical 2 ms
-    incast guard is expressed.
+    tuning is a fixed RTO and an unlimited window. A fixed-mode
+    ``rto_floor`` raises the *effective* base timeout for the whole
+    transport — retransmission timers and delayed-ACK pacing alike — which
+    is how the baseline comparison's historical 2 ms incast guard is
+    expressed.
     """
 
     def __init__(
@@ -255,9 +256,9 @@ class ReliableUdpTransport(UdpTransport):
         # Every arrival counts towards the cadence, duplicates included. A
         # CE-marked arrival is acknowledged immediately (DCTCP cadence): the
         # sender's mark-fraction estimate needs the echo now, not after the
-        # delayed-ACK window fills.
+        # delayed-ACK window fills; so is one that opens or closes a hole.
         due = window.count_arrival() >= self.ack_window
-        if due or not fresh or self._rx_ecn:
+        if due or not fresh or self._rx_ecn or window.edge:
             self._send_ack(host, src, port, window)
         else:
             # Delayed ACK for the stream tail: datagrams short of a full

@@ -7,7 +7,9 @@ one :class:`WindowedSender`, built by :func:`sender_on`. The engine holds
 
 * a :class:`~repro.core.packet.RetransmitBuffer` (sequence number -> opaque
   packet) that applies cumulative+selective acknowledgements and names the
-  holes to gap-fill, once per ACK progress; a timeout resends go-back-N;
+  holes to gap-fill, each once until it is acknowledged or a timeout probes
+  it; a timeout resends two probes, the lowest and the highest
+  unacknowledged number, never the window;
 * an optional **RTT estimator** (:class:`RttEstimator`, RFC 6298 SRTT/RTTVAR
   with Karn's rule on retransmitted samples and exponential backoff clamped
   to a configurable floor/ceiling) in place of the fixed timeout;
@@ -55,8 +57,9 @@ class RttEstimator:
       ``SRTT = (1-alpha)*SRTT + alpha*R`` with ``alpha = 1/8``,
       ``beta = 1/4``;
     * ``RTO = SRTT + K*RTTVAR`` (``K = 4``), clamped to ``[floor, ceiling]``;
-    * :meth:`backoff` doubles the RTO (timer backoff); the next valid sample
-      recomputes it from SRTT, which is what ends a backoff episode.
+    * :meth:`backoff` doubles the RTO (timer backoff); :meth:`end_backoff`
+      (the caller saw ACK progress) or the next valid sample recomputes it
+      from SRTT, which is what ends a backoff episode.
 
     Karn's rule lives in the caller (:class:`WindowedSender`): samples are
     simply never taken for retransmitted packets, so this class only ever
@@ -67,7 +70,7 @@ class RttEstimator:
     BETA = 0.25
     K = 4
 
-    __slots__ = ("floor", "ceiling", "srtt", "rttvar", "_rto", "samples")
+    __slots__ = ("floor", "ceiling", "srtt", "rttvar", "_initial", "_rto", "samples")
 
     def __init__(self, *, initial_rto: float, floor: float, ceiling: float) -> None:
         if floor <= 0:
@@ -78,7 +81,7 @@ class RttEstimator:
         self.ceiling = ceiling
         self.srtt: float | None = None
         self.rttvar: float | None = None
-        self._rto = self._clamp(initial_rto)
+        self._initial = self._rto = self._clamp(initial_rto)
         self.samples = 0
 
     def _clamp(self, value: float) -> float:
@@ -106,11 +109,23 @@ class RttEstimator:
             )
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * sample
         self.samples += 1
-        self._rto = self._clamp(self.srtt + self.K * self.rttvar)
+        self.end_backoff()
 
     def backoff(self) -> None:
         """Double the RTO (exponential timer backoff, ceiling-clamped)."""
         self._rto = self._clamp(self._rto * 2)
+
+    def end_backoff(self) -> None:
+        """Back to ``SRTT + K*RTTVAR`` (the initial RTO before any sample).
+
+        Karn's rule voids the samples of exactly the packets a timeout
+        touched, so waiting for a valid sample to end the episode can wait
+        for ever: ACK progress is the evidence that the path is alive.
+        """
+        if self.srtt is None:
+            self._rto = self._initial
+        else:
+            self._rto = self._clamp(self.srtt + self.K * self.rttvar)
 
 
 # ---------------------------------------------------------------------- #
@@ -316,7 +331,7 @@ class WindowedSender:
             raise TransportError("adaptive RTO requires a clock callback")
         self._cc = congestion
         #: In-flight packets (injected and not yet acknowledged) and which of
-        #: them were resent since the last ACK progress.
+        #: them have a gap-fill on its way.
         self._buffer = RetransmitBuffer()
         #: The buffer's seq -> packet map itself: the send path reads it on
         #: every call.
@@ -443,26 +458,25 @@ class WindowedSender:
         """Advance the window for one cumulative+selective acknowledgement.
 
         Drops everything the ACK covers, samples the RTT from the newest
-        freshly-acknowledged packet (Karn's rule: never from a retransmitted
-        one), gap-fills once per ACK progress when the SACK set proves a
-        hole, feeds the congestion controller and releases queued packets
-        into the opened window. ``marked`` is the count of ECN-marked
+        freshly-acknowledged packet (Karn's rule: never from an ACK that
+        covers a retransmitted one), ends a timer backoff on progress,
+        gap-fills what the SACK set proves missing and is not already being
+        repaired, feeds the congestion controller and releases queued
+        packets into the opened window. ``marked`` is the count of ECN-marked
         packets the receiver echoed on this ACK.
         """
         acked = self._buffer.acknowledge(cumulative, sacked)
         if acked:
-            sent_at = self._sent_at
             if self._rtt is not None:
-                sample_ts: float | None = None
-                for seq in acked:
-                    ts = sent_at.pop(seq, None)
-                    if ts is not None:
-                        sample_ts = ts
-                if sample_ts is not None:
-                    self._rtt.observe(self._clock() - sample_ts)
-            elif sent_at:
-                for seq in acked:
-                    sent_at.pop(seq, None)
+                if self._consecutive_timeouts:
+                    self._rtt.end_backoff()
+                # No sample from an ACK that also covers a retransmitted
+                # packet: whatever a cumulative jump releases with it waited
+                # for the repair, not for the path.
+                sent_at = self._sent_at
+                stamps = [sent_at.pop(seq, None) for seq in acked]
+                if None not in stamps:
+                    self._rtt.observe(self._clock() - stamps[-1])
             self._consecutive_timeouts = 0
             # The first-RTT pacing cap lifts on first ACK progress: the
             # path's feedback loop is now live and the window takes over.
@@ -503,7 +517,7 @@ class WindowedSender:
         if self._consecutive_timeouts > self.max_retransmits:
             self._give_up(self.outstanding)
             return
-        self.retransmit(sorted(self._unacked))
+        self.retransmit(self._buffer.probes())
         if self._cc is not None:
             self._cc.on_timeout()
         if self._rtt is not None:

@@ -169,6 +169,30 @@ class TestReliabilityPrimitives:
         assert window.observe(1)
         assert window.cumulative == 3 and not window.has_gaps
 
+    def test_seen_window_flags_the_arrivals_that_open_and_close_a_hole(self):
+        window = SeenWindow()
+        edges = []
+        #            in order | opens | in between | partial | closes | next hole
+        for seq in (0, 1,       4,      5, 7,        2,        3,       9, 9, 6):
+            fresh = window.observe(seq)
+            edges.append((seq, fresh, window.edge))
+            # The flag rides beside the cadence count, which it never resets.
+            assert window.count_arrival() == len(edges)
+        assert edges == [
+            (0, True, False),
+            (1, True, False),
+            (4, True, True),  # out of order with nothing buffered
+            (5, True, False),
+            (7, True, False),  # a second hole behind the first: nothing new
+            (2, True, False),  # the hole is two wide: not closed yet
+            (3, True, True),  # cumulative jumps to 6
+            (9, True, False),  # 7 is still buffered
+            (9, False, False),  # a duplicate is acknowledged for being one
+            (6, True, True),  # jumps over 7, and 9 keeps a hole open behind it
+        ]
+        assert window.take_ack() == (8, (9,), 0)
+        assert window.since_ack == 0
+
     def test_seen_window_completeness_requires_end_and_no_gaps(self):
         window = SeenWindow()
         window.observe(0)

@@ -148,7 +148,8 @@ class TestSequencedStreams:
         assert all(p.seq is not None for p in flushes)
         state = engine.tree(1)
         assert len(state._sent.unacked) == len(flushes)
-        # A pull ACK from the parent resends everything still outstanding.
+        # A pull ACK from the parent probes both ends of what is outstanding
+        # (all of it, when that is two packets).
         pull = DaietAck(tree_id=1, src="r0", dst="sw0", cumulative=0, pull=True)
         resent = engine.handle_ack(pull)
         assert [p.seq for _port, p in resent] == [p.seq for p in flushes]
@@ -210,6 +211,56 @@ class TestSequencedStreams:
         assert first, "holes below the SACK horizon must be retransmitted"
         # ...but an identical duplicate ACK does not resend them again.
         assert engine.handle_ack(nack) == []
+
+    def test_pull_resends_the_proven_holes_and_both_ends_not_the_buffer(self):
+        engine, config = make_engine(num_children=1, reliability=True)
+        for seq in range(6):
+            engine.handle_packet(
+                data([(f"k{seq}{i}", 1) for i in range(10)], config, seq=seq)
+            )
+        out = engine.handle_packet(
+            DaietPacket(
+                tree_id=1, src="m0", dst="r0",
+                packet_type=DaietPacketType.END, config=config, seq=6,
+            )
+        )
+        flushes = [p for _port, p in out if isinstance(p, DaietPacket)]
+        assert [p.seq for p in flushes] == list(range(7))  # 6 DATA + END
+        state = engine.tree(1)
+        # The parent holds 0 and 3: 1 and 2 are proven holes, 4..6 a lost
+        # tail whose two ends (1 again, and 6) are the probes.
+        pull = DaietAck(tree_id=1, src="r0", dst="sw0", cumulative=1, sack=(3,), pull=True)
+        resent = engine.handle_ack(pull)
+        assert [(port, p.seq) for port, p in resent] == [(9, 1), (9, 2), (9, 6)]
+        assert state.counters.retransmitted_packets == 3
+        assert sorted(state._sent.unacked) == [1, 2, 4, 5, 6]
+        # A plain ACK repeating the hole resends nothing: the repair is out.
+        again = DaietAck(tree_id=1, src="r0", dst="sw0", cumulative=1, sack=(3,))
+        assert engine.handle_ack(again) == []
+        # The next pull is the switch's timeout: it probes both ends again,
+        # and the repair of 2 stays out until an ACK or a probe takes it up.
+        assert [p.seq for _port, p in engine.handle_ack(pull)] == [1, 6]
+
+    def test_pull_with_nothing_buffered_climbs_to_the_switch_children(self):
+        config = DaietConfig(register_slots=128, reliability=True)
+        engine = DaietAggregationEngine("sw0")
+        engine.configure_tree(
+            tree_id=1,
+            function="sum",
+            num_children=3,
+            egress_port=9,
+            next_hop_dst="r0",
+            config=config,
+            child_ports={"m0": 3, "leaf1": 4, "leaf0": 5},
+            switch_children=("leaf1", "leaf0"),
+        )
+        pull = DaietAck(tree_id=1, src="r0", dst="sw0", pull=True)
+        out = engine.handle_ack(pull)
+        assert out == [
+            (5, DaietAck(tree_id=1, src="sw0", dst="leaf0", pull=True)),
+            (4, DaietAck(tree_id=1, src="sw0", dst="leaf1", pull=True)),
+        ]
+        assert engine.tree(1).counters.acks_sent == 2
 
     def test_ack_for_other_destination_is_forwarded_to_child(self):
         engine, _config = make_engine(num_children=1, reliability=True)

@@ -79,7 +79,7 @@ class TestApproxQuick:
         # `repro approx-sweep --quick`, byte for byte.
         digest = hashlib.sha256(quick_result.report.encode()).hexdigest()
         assert digest == (
-            "22dd97b0c0b965974caf9a1f37ae956da6b6f2d9569304c1e68a4d0f2a9ce018"
+            "3b4797e3325c2e52812996402683947360f228a348200b9c61dced3746d4e567"
         )
 
     def test_quick_settings_are_small(self):

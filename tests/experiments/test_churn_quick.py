@@ -52,7 +52,7 @@ class TestChurnQuick:
         ("reliability", "digest"),
         [
             (False, "e85385b93048637093ad731a1da74aad228358183cf6e99f13f3ebca62d4488c"),
-            (True, "753caf29669cdfe2be4046cf267fd5c359d78a60ad79185fdb8119aa7053760c"),
+            (True, "0567ee8c8ac9d0f1c12e0c0d7c7bdf644b58a9465fe8cf561d03bf432e57e777"),
         ],
     )
     def test_quick_report_is_pinned(self, reliability, digest):

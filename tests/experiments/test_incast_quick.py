@@ -71,5 +71,5 @@ class TestIncastQuick:
         # byte.
         report = run_incast(IncastSettings().quick()).report
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "d55f15ac8a9c528f8f20fb864e786ffd9949cfacc1db603fed06ae3c3b31732d"
+            "30babaeda116e3e9c47b89682ee8e600c998220e47ac057030010066738a49f4"
         )

@@ -29,7 +29,7 @@ class TestLossSweepQuick:
         # `repro loss-sweep --quick`, byte for byte.
         report = run_loss_sweep(LossSweepSettings().quick()).report
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "7801f226882ada11b5c3a31cb6d7c88c39a9dc1e1260d254c3f4e52f98b8ece2"
+            "97490166684dfed825d0665e21539f9893b328265d532368457ea671384480e0"
         )
 
     def test_quick_settings_are_small(self):

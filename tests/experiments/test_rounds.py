@@ -10,14 +10,16 @@ single rack, and worker-level aggregation as a TCP shuffle with a combiner.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
 from repro.baselines import HostAggregationShuffle
-from repro.core.config import DaietConfig
+from repro.core.config import CONGESTION_CONTROLLERS, DaietConfig, TransportTuning
 from repro.core.daiet import DaietSystem
 from repro.core.errors import TopologyError
 from repro.experiments.figure3_wordcount import Figure3Settings, run_transport
+from repro.experiments.figure_incast import IncastSettings, run_incast_arm
 from repro.experiments.rounds import (
     Round,
     gradient_partitions,
@@ -134,6 +136,79 @@ class TestDaietRound:
         )
         arm = round_.into(Arm, name="a", losses=5)
         assert arm == Arm("a", round_.exact, round_.link_bytes, losses=5)
+
+
+# ---------------------------------------------------------------------- #
+# Recovery costs what the loss costs
+# ---------------------------------------------------------------------- #
+RACK_MAPPERS = [f"h{i}" for i in range(16)]
+
+
+@functools.lru_cache(maxsize=None)
+def _rack_input(pairs: int):
+    partitions = wordcount_partitions(2017, 16, pairs, 8_000, digits=5)
+    return partitions, truth_of(partitions)
+
+
+@functools.lru_cache(maxsize=None)
+def _rack_round(pairs: int, loss_rate: float, controller: str, adaptive_rto: bool) -> Round:
+    """16 mappers -> 1 reducer behind one ToR, every link losing ``loss_rate``."""
+    partitions, truth = _rack_input(pairs)
+    system = DaietSystem(
+        single_rack(17, loss_rate=loss_rate),
+        DaietConfig(
+            reliability=True,
+            retransmit_timeout=1e-4,
+            tuning=TransportTuning(
+                adaptive_rto=adaptive_rto, congestion_control=controller
+            ),
+        ),
+        SimulatorConfig(loss_seed=2017),
+    )
+    return run_daiet_round(system, RACK_MAPPERS, "h16", partitions, truth)
+
+
+class TestRecoveryCostsWhatTheLossCosts:
+    """Retransmissions and simulated time are bounded by the loss itself.
+
+    Go-back-N on timeout resent ~32 packets per loss on the large round at
+    default tuning, and the adaptive transport stalled the same round for
+    130 simulated seconds; neither showed in any exactness check.
+    """
+
+    @pytest.mark.parametrize("adaptive_rto", [False, True], ids=["fixed", "rto"])
+    @pytest.mark.parametrize("controller", CONGESTION_CONTROLLERS)
+    @pytest.mark.parametrize(
+        "loss_rate, slowdown", [(0.01, 15), (0.05, 40)], ids=["1pct", "5pct"]
+    )
+    @pytest.mark.parametrize("pairs", [2_000, 18_000])
+    def test_every_tuning_recovers_in_proportion(
+        self, pairs, loss_rate, slowdown, controller, adaptive_rto
+    ):
+        # A lossless round never times out, so it reads the same either way.
+        lossless = _rack_round(pairs, 0.0, controller, False)
+        lossy = _rack_round(pairs, loss_rate, controller, adaptive_rto)
+        assert lossless.exact and lossless.retransmissions == 0
+        assert lossy.exact and lossy.losses > 0
+        assert lossy.retransmissions <= 1.5 * lossy.losses + 64
+        assert lossy.sim_seconds <= slowdown * lossless.sim_seconds
+
+    def test_default_tuning_carries_little_beyond_the_lossless_round(self):
+        lossless = _rack_round(18_000, 0.0, "none", False)
+        lossy = _rack_round(18_000, 0.01, "none", False)
+        assert lossy.link_bytes <= 1.2 * lossless.link_bytes
+        assert lossy.duplicates_filtered <= 0.05 * lossy.packets_sent
+
+    def test_datagram_baseline_recovers_in_proportion_too(self):
+        # The `repro incast --quick` fan-in-16 point: its losses are tail
+        # drops at the 24 KB reducer-port buffer, none at the deep one.
+        settings = IncastSettings().quick()
+        shallow = run_incast_arm(settings, "udp-aimd", 16, settings.switch_buffer_bytes)
+        deep = run_incast_arm(settings, "udp-aimd", 16, 10_000_000)
+        assert shallow.exact and deep.exact
+        assert deep.queue_drops == 0 < shallow.queue_drops
+        assert shallow.retransmissions <= 1.5 * shallow.queue_drops + 64
+        assert shallow.sim_seconds <= 15 * deep.sim_seconds
 
 
 class TestDatagramRound:

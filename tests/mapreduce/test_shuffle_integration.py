@@ -189,13 +189,15 @@ class TestReliabilityPolicyReachesTheHosts:
     """``config.reliability_policy`` is one decision for switches *and* hosts."""
 
     #: (policy, loss) -> (output exact, packets into reducers, switch ACKs,
-    #: duplicates dropped at the switch). The ``exact`` rows are what the
-    #: shuffle's own stack gave before it moved onto ``DaietSystem``.
+    #: duplicates dropped at the switch). The lossless ``exact`` row is what
+    #: the shuffle's own stack gave before it moved onto ``DaietSystem``; the
+    #: two lossy reliable rows read 779 / 461 / 176 and 557 / 254 / 172 while
+    #: a timeout resent everything outstanding instead of repairing holes.
     ROWS = {
         ("exact", 0.0): (True, 595, 289, 0),
-        ("exact", 0.01): (True, 779, 461, 176),
+        ("exact", 0.01): (True, 615, 313, 0),
         ("sampled", 0.0): (True, 380, 74, 0),
-        ("sampled", 0.01): (True, 557, 254, 172),
+        ("sampled", 0.01): (True, 410, 106, 0),
         ("best_effort", 0.0): (True, 306, 0, 0),
         ("best_effort", 0.01): (False, 302, 0, 0),
     }

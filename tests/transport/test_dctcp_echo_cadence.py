@@ -220,6 +220,34 @@ class TestEchoCadence:
         assert endpoint.acks[-1][:2] == (12, ())
 
 
+class TestHoleEdges:
+    def test_opening_and_closing_arrivals_are_acked_ahead_of_the_cadence(
+        self, make_endpoint
+    ):
+        endpoint = make_endpoint(ack_window=8)
+        for seq in (0, 1):
+            endpoint.deliver(seq)
+        assert endpoint.acks == []
+        endpoint.deliver(3)  # opens the hole: the sender's gap-fill can start
+        assert endpoint.acks == [(2, (3,), 0)]
+        for seq in (4, 5):
+            endpoint.deliver(seq)  # out of order, nothing new to say
+        assert len(endpoint.acks) == 1
+        endpoint.deliver(2)  # closes it: the repair is announced at once
+        assert endpoint.acks[-1] == (6, (), 0) and len(endpoint.acks) == 2
+
+    @pytest.mark.parametrize(
+        "endpoint_class",
+        [HostAgentEndpoint, SwitchEngineEndpoint],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_one_rule_for_strided_trees_too(self, endpoint_class):
+        endpoint = endpoint_class(ack_window=8, policy="sampled")
+        for seq in (0, 2, 3, 1):
+            endpoint.deliver(seq)
+        assert endpoint.acks == [(1, (2,), 0), (4, (), 0)]
+
+
 @pytest.mark.parametrize(
     "endpoint_class",
     [HostAgentEndpoint, SwitchEngineEndpoint],
@@ -255,8 +283,9 @@ class TestSeenWindowAgainstSortedSetReference:
         window = SeenWindow()
         seen: set[int] = set()
         owed = echoed = counted = 0
-        announced = False
         for seq, ecn, ack in script:
+            before = next(i for i in count() if i not in seen)
+            buffered = any(s > before for s in seen)
             fresh = window.observe(seq, ecn)
             assert fresh == (seq not in seen)
             seen.add(seq)
@@ -264,8 +293,11 @@ class TestSeenWindowAgainstSortedSetReference:
             cumulative = next(i for i in count() if i not in seen)
             holes = any(s > cumulative for s in seen)
             assert window.has_gaps == holes
-            assert window.fresh_gap() == (holes and not announced)
-            announced = holes
+            # Opens a hole: out of order with nothing buffered. Closes one:
+            # the cumulative point jumped over buffered arrivals.
+            opens = fresh and seq != before and not buffered
+            closes = fresh and seq == before and cumulative > seq + 1
+            assert window.edge == (opens or closes)
             counted += 1
             assert window.count_arrival() == counted
             if ack:

@@ -124,15 +124,36 @@ class TestSenderChannel:
 class TestTuning:
     def test_daiet_config_tuning_reaches_the_sender_engine(self):
         tuning = TransportTuning(
-            adaptive_rto=True, rto_floor=5e-5, congestion_control="aimd", initial_cwnd=3
+            adaptive_rto=True, rto_floor=5e-5, congestion_control="aimd", initial_cwnd=12
         )
         config = DaietConfig(reliability=True, tuning=tuning)
         sim = NetworkSimulator(rack(), SimulatorConfig())
         engine = HostReliabilityAgent.from_config(sim, "h0", config).sender(1).engine
         assert isinstance(engine.congestion, AimdController)
-        assert engine.congestion.window() == 3
+        assert engine.congestion.window() == 12
         assert engine.rtt.floor == 5e-5
         assert DaietConfig().tuning.is_default
+
+    def test_daiet_window_never_sits_below_the_switch_ack_cadence(self):
+        # A switch acknowledges every ack_window arrivals (every
+        # ack_window * stride on a sampled tree) and has no delayed-ACK
+        # timer, so a smaller window would wait out an RTO each round. The
+        # datagram baseline's receiver has that timer and keeps its tuning.
+        tuning = TransportTuning(congestion_control="aimd", initial_cwnd=3, min_cwnd=2)
+        config = DaietConfig(reliability=True, ack_window=8, tuning=tuning)
+        sim = NetworkSimulator(rack(), SimulatorConfig())
+        agent = HostReliabilityAgent.from_config(sim, "h0", config)
+        exact = agent.sender(1).engine.congestion
+        sampled = agent.sender(2, policy="sampled").engine.congestion
+        assert exact.window() == 8 and sampled.window() == 8 * config.sampled_ack_stride
+        exact.on_timeout()
+        assert exact.window() == 8
+        transport = ReliableUdpTransport(sim, ack_window=8, tuning=tuning)
+        transport.send_reliable("h0", "h1", None, 10)
+        (flow,) = transport._flows.values()
+        assert flow.engine.congestion.window() == 3
+        flow.engine.congestion.on_timeout()
+        assert flow.engine.congestion.window() == 2
 
     def test_fixed_mode_floor_raises_the_base_timeout_of_both_owners(self):
         floored = TransportTuning(rto_floor=2e-3)

@@ -6,11 +6,14 @@ Three layers:
   the sender, exponential backoff doubling, floor/ceiling clamps);
 * scripted ACK/mark traces for the AIMD and DCTCP congestion controllers;
 * behavioural parity of :class:`WindowedSender` in default tuning against a
-  straight-line reference reimplementation of the historical sender state
-  machine (go-back-N on timeout, capped exponential backoff, one gap-fill
-  per ACK progress), driven over randomized seeded ACK scripts; the
+  straight-line reference reimplementation of the sender state machine (a
+  timeout probes the lowest and the highest unacknowledged number, capped
+  exponential backoff, a gap-filled number waits for its ACK or a timeout),
+  driven over randomized seeded ACK scripts; the
   :class:`~repro.core.packet.RetransmitBuffer` the sender (and the switch
-  engine) applies ACKs through is held to the same reference on its own.
+  engine) applies ACKs through is held to the same reference on its own;
+* hole repair end to end: the sender against a :class:`SeenWindow` receiver
+  on the 8-packet cadence, with chosen packets lost.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import TransportError
-from repro.core.packet import RetransmitBuffer
+from repro.core.packet import RetransmitBuffer, SeenWindow
 from repro.transport.window import (
     MAX_BACKOFF_FACTOR,
     AimdController,
@@ -149,6 +152,18 @@ class TestRttEstimator:
         est.observe(0.2)
         assert est.rto < inflated * 2  # backoff episode over
 
+    def test_end_backoff_returns_to_the_estimate(self):
+        est = RttEstimator(initial_rto=0.5, floor=1e-4, ceiling=100.0)
+        est.backoff()
+        est.end_backoff()
+        assert est.rto == pytest.approx(0.5)  # no sample yet: the initial RTO
+        est.observe(0.2)
+        estimate = est.rto
+        est.backoff()
+        est.backoff()
+        est.end_backoff()
+        assert est.rto == pytest.approx(estimate)
+
     def test_invalid_construction_and_samples(self):
         with pytest.raises(TransportError):
             RttEstimator(initial_rto=1.0, floor=0.0, ceiling=1.0)
@@ -176,6 +191,25 @@ class TestKarnsRule:
         h.sender.on_ack(1, set())
         assert h.sender.rtt.samples == 1
         assert h.sender.rtt.srtt == pytest.approx(0.03)
+
+    def test_no_sample_from_an_ack_that_also_covers_a_retransmitted_packet(self):
+        h = Harness(tuning=TransportTuning(adaptive_rto=True, rto_floor=1e-4))
+        h.send_seqs(0, 1, 2)
+        h.now = 0.01
+        h.sender.on_ack(0, {1})  # gap-fill of 0 voids its timestamp
+        h.now = 0.50
+        h.sender.on_ack(3, set())  # 2 was fresh, but it waited for the repair
+        assert h.sender.rtt.samples == 1  # the SACK of 1 alone
+
+    def test_ack_progress_ends_the_backoff_without_a_sample(self):
+        h = Harness(tuning=TransportTuning(adaptive_rto=True, rto_floor=1e-4))
+        h.send_seqs(0, 1)
+        h.timer.fire()
+        h.timer.fire()
+        assert h.sender.rtt.rto == pytest.approx(4e-3)
+        h.sender.on_ack(1, set())  # Karn voids the sample; progress is enough
+        assert h.sender.rtt.samples == 0
+        assert h.timer.starts[-1] == h.sender.rtt.rto == pytest.approx(1e-3)
 
     def test_adaptive_timer_uses_estimator_rto(self):
         h = Harness(tuning=TransportTuning(adaptive_rto=True, rto_floor=1e-4))
@@ -283,26 +317,38 @@ class TestWindowedSenderDefaults:
         h.sender.on_ack(0, set())  # no progress
         assert h.timer.starts == [1e-3, 1e-3]
 
-    def test_gap_fill_once_per_ack_progress(self):
+    def test_gap_filled_number_waits_for_its_ack_or_a_timeout(self):
         h = Harness()
-        h.send_seqs(0, 1, 2, 3)
+        h.send_seqs(0, 1, 2, 3, 4)
         h.sender.on_ack(0, {2})  # hole at 0,1 below horizon 2
         assert h.sent[-1] == ([0, 1], True)
         h.sender.on_ack(0, {2})  # duplicate ACK: no progress, no refill
         assert len(h.sent) == 2
-        h.sender.on_ack(1, {3})  # progress reopens the gap-fill budget
-        assert h.sent[-1] == ([1], True)  # 2 was already SACKed away
+        h.sender.on_ack(1, {3})  # progress: 1 is still on its way, 2 is gone
+        assert len(h.sent) == 2
+        h.timer.fire()  # the timeout probes both ends: 1 may be filled again
+        assert h.sent[-1] == ([1, 4], True)
+        h.sender.on_ack(1, {3, 4})  # the high probe's ACK proves 1 missing again
+        assert h.sent[-1] == ([1], True)
+        h.sender.on_ack(5, set())
+        assert h.sender.done and not h.sender._buffer.resent
 
-    def test_timeout_go_back_n_with_capped_backoff(self):
+    def test_timeout_probes_both_ends_with_capped_backoff(self):
         h = Harness()
-        h.send_seqs(0, 1)
+        h.send_seqs(0, 1, 2, 3)
         expected = [1e-3]
         for n in (1, 2, 3, 4, 5):
             h.timer.fire()
-            assert h.sent[-1] == ([0, 1], True)
+            assert h.sent[-1] == ([0, 3], True)
             expected.append(1e-3 * min(2**n, MAX_BACKOFF_FACTOR))
         assert h.timer.starts == expected
         assert h.timeouts == 5
+
+    def test_timeout_with_one_packet_owed_sends_it_once(self):
+        h = Harness()
+        h.send_seqs(0)
+        h.timer.fire()
+        assert h.sent[-1] == ([0], True)
 
     def test_give_up_after_max_consecutive_timeouts(self):
         h = Harness(max_retransmits=2)
@@ -387,7 +433,7 @@ class TestInitialInflightCap:
     def test_cap_survives_timeout_without_progress(self):
         h = Harness(tuning=TransportTuning(initial_inflight_cap=2))
         h.send_seqs(*range(6))
-        h.timer.fire()  # go-back-N retransmit, still no ACK progress
+        h.timer.fire()  # two probes, still no ACK progress
         assert h.sender._initial_cap == 2
         assert h.sender.in_flight == 2
 
@@ -420,10 +466,77 @@ class TestInitialInflightCap:
 
 
 # ---------------------------------------------------------------------- #
-# Twin-path oracle: default tuning vs the historical reference machine
+# Hole repair: the sender against a SeenWindow receiver on the 8-cadence
+# ---------------------------------------------------------------------- #
+class Hop:
+    """One sender and one receiver window; the test says what the wire loses."""
+
+    def __init__(self, packets: int):
+        self.h = Harness()
+        self.window = SeenWindow()
+        self.h.send_seqs(*range(packets))
+
+    def carry(self, lost: frozenset[int] | set[int] = frozenset()) -> None:
+        """Deliver what was sent since the last call, then the ACKs it drew."""
+        batches, self.h.sent = self.h.sent, []
+        acks = []
+        for batch, _retransmit in batches:
+            for seq in batch:
+                if seq in lost:
+                    continue
+                fresh = self.window.observe(seq)
+                if not fresh or self.window.edge or self.window.count_arrival() >= 8:
+                    acks.append(self.window.take_ack())
+        for cumulative, sack, _echo in acks:
+            self.h.sender.on_ack(cumulative, set(sack))
+
+    def resent(self) -> list[int]:
+        return [seq for batch, retransmit in self.h.sent if retransmit for seq in batch]
+
+
+class TestHoleRepair:
+    def test_lost_tail_costs_its_length_and_one_rto(self):
+        hop = Hop(20)
+        hop.carry(lost={16, 17, 18, 19})  # cadence ACKs at 8 and 16: no proof
+        assert hop.h.sender.in_flight == 4 and not hop.resent()
+        hop.h.timer.fire()
+        assert hop.resent() == [16, 19]
+        hop.carry()  # 19 opens a hole: its ACK proves 17 and 18 missing
+        assert hop.resent() == [17, 18]
+        hop.carry()
+        assert hop.h.sender.done and hop.h.timeouts == 1
+
+    def test_lost_gap_fill_is_repaired_by_the_low_probe_alone(self):
+        hop = Hop(16)
+        hop.carry(lost={5})  # 6 opens the hole; the cadence ACKs repeat it
+        assert hop.resent() == [5]
+        hop.carry(lost={5})  # the gap-fill is lost too: nothing says so
+        assert not hop.resent() and hop.h.sender.in_flight
+        hop.h.timer.fire()
+        (probes, _), = hop.h.sent
+        assert probes[0] == 5 and len(probes) == 2
+        hop.h.sent = [([5], True)]  # the low probe alone reaches the receiver
+        hop.carry()
+        assert hop.h.sender.done and not hop.h.sent
+
+    def test_truncated_sack_proves_only_what_lies_below_its_top(self):
+        # The receiver holds 0..99 and 101..1799; its SACK list is the lowest
+        # eight out-of-order numbers, so nothing below 108 was left out of it
+        # and everything above may well have arrived.
+        hop = Hop(1800)
+        hop.h.sender.on_ack(100, set())
+        hop.h.timer.fire()
+        assert hop.resent() == [100, 1799]
+        hop.h.sent = []
+        hop.h.sender.on_ack(100, set(range(101, 109)))  # the answer to 1799
+        assert hop.h.sent == [([100], True)]
+
+
+# ---------------------------------------------------------------------- #
+# Twin-path oracle: default tuning vs the reference machine
 # ---------------------------------------------------------------------- #
 class ReferenceSender:
-    """Straight-line reimplementation of the pre-unification sender."""
+    """Straight-line reimplementation of the sender: scans, sorts, no buffer."""
 
     def __init__(self, base_timeout: float, max_retransmits: int):
         self.base = base_timeout
@@ -448,7 +561,7 @@ class ReferenceSender:
             del self.unacked[s]
         if acked:
             self.consecutive = 0
-            self.retransmitted.clear()
+            self.retransmitted -= set(acked)
         if sacked:
             horizon = max(sacked)
             missing = sorted(
@@ -471,7 +584,9 @@ class ReferenceSender:
         if self.consecutive > self.max_retransmits:
             self.log.append(("give-up", len(self.unacked)))
             return
-        self.log.append(("tx", tuple(sorted(self.unacked)), True))
+        probes = sorted({min(self.unacked), max(self.unacked)})
+        self.retransmitted -= set(probes)
+        self.log.append(("tx", tuple(probes), True))
         self.timer_active = True
         self.log.append(
             ("timer", self.base * min(2**self.consecutive, MAX_BACKOFF_FACTOR))
@@ -552,7 +667,31 @@ buffer_scripts = st.lists(
 )
 
 
+class CountingDict(dict):
+    """Counts the entries handed out by iteration (the buffer's scans)."""
+
+    touched = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.touched += 1
+            yield key
+
+
 class TestRetransmitBufferAgainstReference:
+    def test_an_ack_costs_what_it_acknowledges(self):
+        packets = 10_000
+        buffer = RetransmitBuffer()
+        buffer.unacked = CountingDict((seq, seq) for seq in range(packets))
+        for cumulative in range(8, packets + 1, 8):
+            sacked = {cumulative + 2} if cumulative + 2 < packets else set()
+            assert buffer.acknowledge(cumulative, sacked)
+            assert buffer.holes(sacked) == ([cumulative, cumulative + 1] if sacked else [])
+        assert not buffer.unacked and not buffer.resent
+        # Every entry is handed out a bounded number of times, whatever the
+        # number outstanding (a scan per ACK would touch 6 million).
+        assert buffer.unacked.touched <= 4 * packets
+
     @settings(max_examples=200)
     @given(script=buffer_scripts)
     def test_acked_and_resent_sets_match_the_reference_machine(self, script):
