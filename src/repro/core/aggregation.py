@@ -32,8 +32,6 @@ from repro.core.packet import (
     DaietPacketType,
     RetransmitBuffer,
     SeenWindow,
-    end_packet,
-    fast_data_packets,
     packetize_pairs,
 )
 from repro.dataplane import interning as _interning
@@ -736,45 +734,23 @@ class DaietAggregationEngine:
         pairs: Iterable[tuple[str, int]],
         include_end: bool,
     ) -> list[tuple[int, Any]]:
-        pair_list = pairs if type(pairs) is list else list(pairs)
         # The switch is itself a reliable sender towards its parent: its
         # emissions carry sequence numbers and stay buffered until the
         # parent acknowledges them (retransmission is ACK/pull-driven
         # because switches have no timers). Best-effort trees skip this
         # entirely: plain unsequenced flushes, nothing buffered.
         seq_start = state._next_seq if state._reliable_emit else None
-        packets = fast_data_packets(
-            pair_list,
-            tree_id=state.tree_id,
-            src=self.switch_name,
-            dst=state.next_hop_dst,
-            config=state.config,
-            seq_start=seq_start,
+        packets = list(
+            packetize_pairs(
+                pairs,
+                tree_id=state.tree_id,
+                src=self.switch_name,
+                dst=state.next_hop_dst,
+                config=state.config,
+                include_end=include_end,
+                seq_start=seq_start,
+            )
         )
-        if packets is None:
-            # Keys outside the intern pool's domain (or oversized fixed-width
-            # keys, which must raise): packetize with full validation.
-            packets = list(
-                packetize_pairs(
-                    pair_list,
-                    tree_id=state.tree_id,
-                    src=self.switch_name,
-                    dst=state.next_hop_dst,
-                    config=state.config,
-                    include_end=False,
-                    seq_start=seq_start,
-                )
-            )
-        if include_end:
-            packets.append(
-                end_packet(
-                    tree_id=state.tree_id,
-                    src=self.switch_name,
-                    dst=state.next_hop_dst,
-                    config=state.config,
-                    seq=None if seq_start is None else seq_start + len(packets),
-                )
-            )
         if seq_start is not None:
             state._next_seq += len(packets)
             unacked = state._sent.unacked

@@ -299,37 +299,37 @@ class DaietSystem:
                 f"host {mapper!r} is not a mapper of the tree rooted at {reducer!r}"
             )
         pairs = list(pairs)
-        if self.error_tracker is not None:
-            # Original application sends only — retransmissions re-inject the
-            # same pairs and must not inflate the injected-mass ledger.
-            self.error_tracker.record_injected(tree.tree_id, pairs)
         policy = self.tree_policy(tree.tree_id)
-        if self.config.reliability and policy != "best_effort":
+        reliable = self.config.reliability and policy != "best_effort"
+        if reliable:
             channel = self.agent(mapper).sender(tree.tree_id, policy=policy)
             packets = channel.packetize(pairs, reducer, self.config, include_end)
+        else:
+            # Unreliable path — either the reliability layer is off, or the
+            # tree runs best-effort: unsequenced packets, no retransmit
+            # buffer, no ACK/pull machinery, guaranteed termination.
+            packets = list(
+                packetize_pairs(
+                    pairs,
+                    tree_id=tree.tree_id,
+                    src=mapper,
+                    dst=reducer,
+                    config=self.config,
+                    include_end=include_end,
+                )
+            )
+        if self.error_tracker is not None:
+            # Only what was framed is injected mass: a partition the
+            # packetizer rejects never reaches the wire. Original application
+            # sends only — retransmissions re-inject the same pairs and must
+            # not inflate the ledger.
+            self.error_tracker.record_injected(tree.tree_id, pairs)
+        if reliable:
             channel.send(packets)
             # The reducer starts pulling so even a fully-lost flush recovers.
             self.agent(reducer).arm(tree.tree_id)
-            return packets
-        # Unreliable path — either the reliability layer is off, or the tree
-        # runs best-effort: unsequenced packets, no retransmit buffer, no
-        # ACK/pull machinery, guaranteed termination.
-        packets = list(
-            packetize_pairs(
-                pairs,
-                tree_id=tree.tree_id,
-                src=mapper,
-                dst=reducer,
-                config=self.config,
-                include_end=include_end,
-            )
-        )
-        for packet in packets:
-            if packet.pairs:
-                # Warm the vectorized-kernel cache outside the timed run()
-                # region; arrival-time computation would pay for it instead.
-                packet.vector_pairs()
-        self.simulator.send_burst(mapper, packets)
+        else:
+            self.simulator.send_burst(mapper, packets)
         return packets
 
     def run(self, until: float | None = None) -> int:

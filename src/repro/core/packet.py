@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from typing import Any, Iterable, Iterator
 
 from repro.core.config import (
     DAIET_PREAMBLE_BYTES,
@@ -39,7 +40,7 @@ try:  # The vectorized kernel needs numpy; everything else works without it.
 except ImportError:  # pragma: no cover - the toolchain bakes numpy in
     _np = None
 
-#: Sentinel marking a packet whose vector cache has not been computed yet.
+#: Sentinel marking a packet that belongs to no partition's columns (yet).
 _VEC_UNSET = object()
 
 #: Values outside this open interval make a packet ineligible for the
@@ -47,6 +48,68 @@ _VEC_UNSET = object()
 #: kernel's overflow guard (see ``TreeState._vec_mass``) needs per-value
 #: magnitudes comfortably below 2**63.
 _VEC_VALUE_LIMIT = 1 << 62
+
+
+class PairColumns:
+    """One partition's pairs as the register kernel reads them.
+
+    ``kids`` and ``vals`` are int64 arrays over the partition's pairs in
+    order (interned key ids, see :mod:`repro.dataplane.interning`, and
+    values); packet ``i`` of the partition owns the ``per`` pairs from
+    ``i * per`` on (fewer in the last packet). ``mass_cum[i]`` is the exact
+    sum of ``|value|`` over the packets before ``i`` (Python ints: the
+    kernel's int64-overflow guard then costs one subtraction per window,
+    whatever the values).
+
+    The arrays are built by the first reader, not by the packetizer: a
+    sequenced packet, a switch flush and every packet an observer watches
+    are never asked. ``ready()`` is ``False``, permanently, when any pair is
+    ineligible: a key the intern pool rejects (not exact ``str``/``bytes``)
+    or a value that is not a plain ``int`` within ±2**62 (bools and floats
+    must keep their exact types through the per-pair oracle path). The
+    packets of such a partition then answer one by one, each a partition of
+    its own (see :meth:`DaietPacket.vector_columns`).
+    """
+
+    __slots__ = ("kids", "vals", "mass_cum", "per", "_source")
+
+    def __init__(self, pairs: Any, kids: list[int] | None, per: int) -> None:
+        #: ``(pairs, kids)`` until the first reader asks; ``kids`` is
+        #: ``None`` when the keys were not interned yet.
+        self._source: Any = (pairs, kids)
+        #: Pairs per packet (the last packet may carry fewer).
+        self.per = per
+        self.kids: Any = None
+
+    def ready(self) -> bool:
+        """Build the columns on the first call; ``True`` when they exist."""
+        if self._source is not None:
+            source, self._source = self._source, None
+            self._build(*source)
+        return self.kids is not None
+
+    def _build(self, pairs: Any, kids: list[int] | None) -> None:
+        values = [value for _key, value in pairs]
+        if _np is None or not values or set(map(type, values)) != {int}:
+            return
+        try:
+            if kids is None:
+                kids = _interning.intern_keys([key for key, _value in pairs])[0]
+            vals = _np.array(values, dtype=_np.int64)
+        except (TypeError, OverflowError):
+            return
+        if vals.min() <= -_VEC_VALUE_LIMIT or vals.max() >= _VEC_VALUE_LIMIT:
+            return
+        # An int64 running sum could overflow near the ±2**62 edge, so the
+        # ledger sums 31-bit limbs (exact below 2**32 pairs) and recombines
+        # them as Python ints, at packet boundaries only.
+        magnitude = _np.abs(vals)
+        ends = _np.append(_np.arange(self.per, len(values), self.per), len(values)) - 1
+        highs = _np.cumsum(magnitude >> 31)[ends].tolist()
+        lows = _np.cumsum(magnitude & 0x7FFFFFFF)[ends].tolist()
+        self.mass_cum = [0, *((high << 31) + low for high, low in zip(highs, lows))]
+        self.vals = vals
+        self.kids = _np.array(kids, dtype=_np.int64)
 
 #: UDP destination port reserved for DAIET traffic in the simulation.
 DAIET_UDP_PORT = 5555
@@ -123,8 +186,11 @@ class DaietPacket:
     _header_sizes: tuple[tuple[str, int], ...] | None = field(
         init=False, repr=False, compare=False
     )
-    #: Cached lazily on first ``vector_pairs()`` call (see that method).
+    #: The :class:`PairColumns` this packet's pairs are part of and the
+    #: packet's index in it (see ``vector_columns()``); ``None`` once the
+    #: packet is known to be ineligible.
     _vec_cache: Any = field(init=False, repr=False, compare=False)
+    _vec_at: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tree_id < 0:
@@ -179,49 +245,49 @@ class DaietPacket:
         )
         object.__setattr__(self, "_header_sizes", None)
         object.__setattr__(self, "_vec_cache", _VEC_UNSET)
+        object.__setattr__(self, "_vec_at", 0)
 
     # ------------------------------------------------------------------ #
     # Vectorized-kernel view
     # ------------------------------------------------------------------ #
-    def vector_pairs(self):
-        """The packet's pairs as ``(kid_list, value_list, mass)``, or ``None``.
+    def vector_columns(self) -> tuple[PairColumns, int] | None:
+        """``(columns, index)``: where the kernel finds this packet's pairs.
 
-        The vectorized register kernel consumes bursts of packets as interned
-        key-id / value lists (see :mod:`repro.dataplane.interning`); the
-        burst is concatenated and converted to int64 arrays in one go, which
-        is far cheaper than carrying a tiny ndarray per packet. ``mass`` is
-        the sum of absolute values, precomputed so the kernel's
-        int64-overflow guard costs one comparison per burst. Returns ``None``
-        — permanently, per packet — when any pair is ineligible: a key the
-        intern pool rejects (not exact ``str``/``bytes``) or a value that is
-        not a plain ``int`` within ±2**62 (bools and floats must keep their
-        exact types through the per-pair oracle path). The result is cached;
-        packets are immutable.
+        A packet cut by :func:`packetize_pairs` points into its partition's
+        columns; any other packet (and every packet of a partition whose
+        columns refused an ineligible pair) is a partition of one, built
+        here on first use. ``None``, permanently, when the packet has no
+        pairs or an ineligible one (see :class:`PairColumns`). Packets are
+        immutable, so the answer never changes.
         """
-        cache = self._vec_cache
-        if cache is not _VEC_UNSET:
-            return cache
-        result = None
-        pairs = self.pairs
-        if _np is not None and pairs:
-            intern = _interning.intern_key
-            limit = _VEC_VALUE_LIMIT
-            kids: list[int] = []
-            vals: list[int] = []
-            mass = 0
-            try:
-                for key, value in pairs:
-                    if type(value) is not int or not -limit < value < limit:
-                        break
-                    kids.append(intern(key))
-                    vals.append(value)
-                    mass += value if value >= 0 else -value
-                else:
-                    result = (kids, vals, mass)
-            except TypeError:
-                result = None
-        object.__setattr__(self, "_vec_cache", result)
-        return result
+        columns = self._vec_cache
+        if columns is None:
+            return None
+        if columns is _VEC_UNSET or not columns.ready():
+            columns = PairColumns(self.pairs, None, max(len(self.pairs), 1))
+            if not columns.ready():
+                columns = None
+            object.__setattr__(self, "_vec_cache", columns)
+            object.__setattr__(self, "_vec_at", 0)
+            if columns is None:
+                return None
+        return columns, self._vec_at
+
+    def vector_pairs(self):
+        """The packet's pairs as ``(kids, vals, mass)``, or ``None``.
+
+        ``kids`` and ``vals`` are this packet's slices of its partition's
+        int64 columns (views, not copies) and ``mass`` is the exact sum of
+        absolute values; ``None`` exactly when :meth:`vector_columns` is.
+        """
+        view = self.vector_columns()
+        if view is None:
+            return None
+        columns, index = view
+        lo = index * columns.per
+        hi = lo + len(self.pairs)
+        ledger = columns.mass_cum
+        return columns.kids[lo:hi], columns.vals[lo:hi], ledger[index + 1] - ledger[index]
 
     def restamped(self, tree_id: int, seq: int) -> "DaietPacket":
         """This packet under another tree id and sequence number.
@@ -248,6 +314,7 @@ class DaietPacket:
             self._payload_bytes + (SEQ_BYTES if unsequenced else 0),
             None if unsequenced else self._header_sizes,
             self._vec_cache,
+            self._vec_at,
         )
 
     # ------------------------------------------------------------------ #
@@ -465,6 +532,26 @@ def _decode_value(data: bytes) -> int:
     return int.from_bytes(data, "big", signed=True)
 
 
+#: Each slot's own setter, in field order. A frozen dataclass refuses
+#: ``setattr`` and ``object.__setattr__`` looks the name up on every call;
+#: :func:`_assemble` runs once per packet of every partition.
+(
+    _set_tree_id,
+    _set_src,
+    _set_dst,
+    _set_packet_type,
+    _set_pairs,
+    _set_config,
+    _set_seq,
+    _set_ecn,
+    _set_keylen_needed,
+    _set_payload_bytes,
+    _set_header_sizes,
+    _set_vec_cache,
+    _set_vec_at,
+) = (vars(DaietPacket)[spec.name].__set__ for spec in fields(DaietPacket))
+
+
 def _assemble(
     tree_id: int,
     src: str,
@@ -478,6 +565,7 @@ def _assemble(
     payload_bytes: int,
     header_sizes: tuple[tuple[str, int], ...] | None = None,
     vec_cache: Any = _VEC_UNSET,
+    vec_at: int = 0,
 ) -> DaietPacket:
     """Build a packet without ``__post_init__``.
 
@@ -485,19 +573,19 @@ def _assemble(
     measurement would compute: every field is taken as given.
     """
     packet = object.__new__(DaietPacket)
-    set_attr = object.__setattr__
-    set_attr(packet, "tree_id", tree_id)
-    set_attr(packet, "src", src)
-    set_attr(packet, "dst", dst)
-    set_attr(packet, "packet_type", packet_type)
-    set_attr(packet, "pairs", pairs)
-    set_attr(packet, "config", config)
-    set_attr(packet, "seq", seq)
-    set_attr(packet, "ecn", ecn)
-    set_attr(packet, "_keylen_needed", keylen_needed)
-    set_attr(packet, "_payload_bytes", payload_bytes)
-    set_attr(packet, "_header_sizes", header_sizes)
-    set_attr(packet, "_vec_cache", vec_cache)
+    _set_tree_id(packet, tree_id)
+    _set_src(packet, src)
+    _set_dst(packet, dst)
+    _set_packet_type(packet, packet_type)
+    _set_pairs(packet, pairs)
+    _set_config(packet, config)
+    _set_seq(packet, seq)
+    _set_ecn(packet, ecn)
+    _set_keylen_needed(packet, keylen_needed)
+    _set_payload_bytes(packet, payload_bytes)
+    _set_header_sizes(packet, header_sizes)
+    _set_vec_cache(packet, vec_cache)
+    _set_vec_at(packet, vec_at)
     return packet
 
 
@@ -505,7 +593,7 @@ def _assemble(
 # Packetization helpers
 # ---------------------------------------------------------------------- #
 def packetize_pairs(
-    pairs: Sequence[tuple[str, int]] | Iterable[tuple[str, int]],
+    pairs: Iterable[tuple[str, int]],
     tree_id: int,
     src: str,
     dst: str,
@@ -513,130 +601,100 @@ def packetize_pairs(
     include_end: bool = True,
     seq_start: int | None = None,
 ) -> Iterator[DaietPacket]:
-    """Split a stream of key-value pairs into DAIET DATA packets (plus END).
+    """Split a partition of key-value pairs into DAIET DATA packets (plus END).
 
     This is the mapper-side packetization described in the paper: the map
     output is written so that packets always carry complete pairs; the final
     END packet marks the end of the partition. When ``seq_start`` is given,
     the packets (END included) carry consecutive sequence numbers starting
     there, as required by the reliability layer.
+
+    The one packetizer: hosts (reliable or not), the UDP baseline and the
+    switch flush path all cut their packets here. The partition is
+    materialised and cut in bulk (:func:`_bulk_data_packets`) when the intern
+    pool can vouch for every key; otherwise each packet goes through the
+    validating :class:`DaietPacket` constructor, which is the oracle: its
+    packets and its errors are the contract.
     """
     config = config or DaietConfig()
-    seq = seq_start
-    batch: list[tuple[str, int]] = []
-    for pair in pairs:
-        batch.append(pair)
-        if len(batch) == config.pairs_per_packet:
-            yield DaietPacket(
+    pairs = list(pairs)
+    per_packet = config.pairs_per_packet
+    packets = _bulk_data_packets(pairs, tree_id, src, dst, config, seq_start)
+    if packets is None:
+        packets = (
+            DaietPacket(
                 tree_id=tree_id,
                 src=src,
                 dst=dst,
                 packet_type=DaietPacketType.DATA,
-                pairs=tuple(batch),
+                pairs=tuple(pairs[start : start + per_packet]),
                 config=config,
-                seq=seq,
+                seq=None if seq_start is None else seq_start + start // per_packet,
             )
-            if seq is not None:
-                seq += 1
-            batch = []
-    if batch:
-        yield DaietPacket(
-            tree_id=tree_id,
-            src=src,
-            dst=dst,
-            packet_type=DaietPacketType.DATA,
-            pairs=tuple(batch),
-            config=config,
-            seq=seq,
+            for start in range(0, len(pairs), per_packet)
         )
-        if seq is not None:
-            seq += 1
+    yield from packets
     if include_end:
-        yield DaietPacket(
-            tree_id=tree_id,
-            src=src,
-            dst=dst,
-            packet_type=DaietPacketType.END,
-            pairs=(),
-            config=config,
-            seq=seq,
+        count = -(-len(pairs) // per_packet)
+        yield end_packet(
+            tree_id, src, dst, config, None if seq_start is None else seq_start + count
         )
 
 
-def fast_data_packets(
-    pairs: Sequence[tuple[str, int]],
+def _bulk_data_packets(
+    pairs: list[tuple[str, int]],
     tree_id: int,
     src: str,
     dst: str,
     config: DaietConfig,
-    seq_start: int | None = None,
+    seq_start: int | None,
 ) -> list[DaietPacket] | None:
-    """Packetize ``pairs`` into DATA packets via interned key metadata.
+    """The DATA packets of a partition, sized from interned key metadata.
 
-    The switch flush path builds thousands of emission packets whose keys
-    have all travelled through the intern pool already, so re-validating and
-    re-measuring every key in ``DaietPacket.__post_init__`` is pure overhead.
-    This builder chunks and numbers exactly like :func:`packetize_pairs`
-    (without the END packet) but takes key lengths and NUL-suffix flags from
-    the intern pool. Returns ``None`` — and interns nothing observable — when
-    any key is outside the pool's domain or exceeds the fixed key width, or a
-    sequence number would not fit its field, in which case the caller must
-    fall back to :func:`packetize_pairs`, whose error behaviour is the
-    contract.
+    Each distinct key is measured once, when the pool first interns it, and
+    every packet's size follows arithmetically; the packets are what
+    ``DaietPacket(...)`` would build. Unsequenced packets share one
+    :class:`PairColumns` (built only if the burst planner asks); sequenced
+    ones never reach the kernel and get none. Returns ``None`` for anything
+    the constructor must judge instead: a negative tree id, a sequence number
+    that would not fit its field, malformed pairs, keys outside the pool's
+    domain and, with fixed-width keys, an over-wide or NUL-suffixed key.
     """
-    if tree_id < 0:
-        return None
-    intern = _interning.intern_key
-    enc_len_of = _interning.enc_len_of
-    ends_nul_of = _interning.ends_nul_of
-    variable = config.variable_length_keys
-    key_width = config.key_width
-    fixed_pair_bytes = config.pair_bytes
-    value_width = config.value_width
     per_packet = config.pairs_per_packet
-    data_type = DaietPacketType.DATA
-    seq = seq_start
-    num_packets = -(-len(pairs) // per_packet)
-    if seq is not None and not 0 <= seq <= 2**32 - num_packets:
+    count = -(-len(pairs) // per_packet)
+    if tree_id < 0 or (seq_start is not None and not 0 <= seq_start <= 2**32 - count):
         return None
-    base_bytes = DAIET_PREAMBLE_BYTES + (0 if seq is None else SEQ_BYTES)
-    packets: list[DaietPacket] = []
-    for start in range(0, len(pairs), per_packet):
-        chunk = tuple(pairs[start : start + per_packet])
-        num = len(chunk)
-        keylen_needed = False
-        try:
-            if variable:
-                pair_bytes = num * (1 + value_width)
-                for key, _value in chunk:
-                    pair_bytes += enc_len_of(intern(key))
-            else:
-                for key, _value in chunk:
-                    kid = intern(key)
-                    if enc_len_of(kid) > key_width:
-                        return None
-                    if ends_nul_of(kid):
-                        keylen_needed = True
-                pair_bytes = num * fixed_pair_bytes + (num if keylen_needed else 0)
-        except TypeError:
-            return None
-        packets.append(
-            _assemble(
-                tree_id,
-                src,
-                dst,
-                data_type,
-                chunk,
-                config,
-                seq,
-                False,
-                keylen_needed,
-                base_bytes + pair_bytes,
-            )
+    try:
+        kids, widest, any_nul = _interning.intern_keys([key for key, _value in pairs])
+    except (TypeError, ValueError):
+        return None
+    variable = config.variable_length_keys
+    if not variable and (widest > config.key_width or any_nul):
+        return None
+    base = DAIET_PREAMBLE_BYTES + (0 if seq_start is None else SEQ_BYTES)
+    pair_bytes = 1 + config.value_width if variable else config.pair_bytes
+    starts = range(0, len(pairs), per_packet)
+    sizes = [base + min(per_packet, len(pairs) - at) * pair_bytes for at in starts]
+    if variable:
+        enc_len_of = _interning.enc_len_of
+        sizes = [
+            size + sum(map(enc_len_of, kids[at : at + per_packet]))
+            for size, at in zip(sizes, starts)
+        ]
+    if seq_start is None:
+        seqs, places = repeat(None), range(count)
+        columns = PairColumns(pairs, kids, per_packet)
+    else:  # never planned: no columns, and no index object per packet
+        seqs, places = range(seq_start, seq_start + count), repeat(0)
+        columns = _VEC_UNSET
+    data = DaietPacketType.DATA
+    return [
+        _assemble(
+            tree_id, src, dst, data, tuple(pairs[at : at + per_packet]), config, seq,
+            False, False, size, None, columns, place,
         )
-        if seq is not None:
-            seq += 1
-    return packets
+        for at, size, seq, place in zip(starts, sizes, seqs, places)
+    ]
 
 
 def end_packet(

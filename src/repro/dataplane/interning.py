@@ -13,17 +13,26 @@ scatter-added with numpy array operations. This module owns the process-wide
   that forces per-pair key-length bytes on the wire).
 
 Interning is append-only and process-global: kids are stable for the
-lifetime of the process, which is what lets immutable packets cache their
-kid arrays and per-tree state memoize ``kid -> register slot``. Only exact
+lifetime of the process, which is what lets a partition keep its kid column
+and per-tree state memoize ``kid -> register slot``. Only exact
 ``str``/``bytes`` keys are interned — anything else makes a packet
 ineligible for the vectorized path and it falls back, per pair, to the
 bit-exact Algorithm 1 loop.
+
+Two callers. The packetizer (``core/packet.py::packetize_pairs``) interns a
+whole partition through :func:`intern_keys`, which also answers the two
+questions packet sizing asks (widest key, any NUL suffix) from the metadata
+of each *distinct* key, and a lone packet's vector view interns through the
+same function. The register kernel (``core/aggregation.py``) reads ``crc`` and
+the key object back by kid. The containers below are named nowhere else
+(``tests/checks/test_lint_gate.py`` holds that), so the pool can be re-homed
+by editing this file alone.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from typing import Any, Sequence
 
 #: key object -> kid (dense, append-only).
 _key_to_kid: dict[Any, int] = {}
@@ -62,6 +71,27 @@ def intern_key(key: Any) -> int:
     return kid
 
 
+def intern_keys(keys: Sequence[Any]) -> tuple[list[int], int, bool]:
+    """Intern a partition's keys in one pass: ``(kids, widest, any_nul)``.
+
+    ``kids`` are the keys' ids in order; ``widest`` is the largest encoded
+    length and ``any_nul`` whether any encoded key ends in a NUL byte, both
+    read once per *distinct* key. A key is encoded and hashed only the first
+    time the process sees it. Raises ``TypeError`` like :func:`intern_key`,
+    and for an unhashable key.
+    """
+    kid_of = _key_to_kid.__getitem__
+    try:
+        kids = list(map(kid_of, keys))
+    except KeyError:  # first sight of some key: intern each distinct key once
+        for key in dict.fromkeys(keys):
+            intern_key(key)
+        kids = list(map(kid_of, keys))
+    distinct = dict.fromkeys(kids)
+    widest = max(map(_kid_enc_len.__getitem__, distinct), default=0)
+    return kids, widest, any(map(_kid_ends_nul.__getitem__, distinct))
+
+
 def key_of(kid: int) -> Any:
     """The key object a kid stands for."""
     return _kid_key[kid]
@@ -75,11 +105,6 @@ def crc_of(kid: int) -> int:
 def enc_len_of(kid: int) -> int:
     """Encoded byte length of a kid's key."""
     return _kid_enc_len[kid]
-
-
-def ends_nul_of(kid: int) -> bool:
-    """True when the kid's encoded key ends in a NUL byte."""
-    return _kid_ends_nul[kid]
 
 
 def pool_size() -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
@@ -63,11 +64,12 @@ OBSERVER_HOOKS = (
 class _BurstPlan:
     """Send-time precomputation for one burst's delivery fast path.
 
-    Built by :meth:`NetworkSimulator.send_burst` (outside any timed hot
-    region) so that the burst delivery handler can batch a whole window of
-    DAIET DATA packets without touching the packet objects: per-item
-    eligibility, the concatenated interned-key/value arrays, per-packet pair
-    extents and exact cumulative mass/byte ledgers are all ready-made. The
+    Built by :meth:`NetworkSimulator.send_burst` so that the burst delivery
+    handler can batch a whole window of DAIET DATA packets without touching
+    the packet objects: per-item eligibility, the window's interned-key/value
+    arrays (views of the sender's partition columns where the window is one
+    run of them), per-packet pair extents and exact cumulative mass/byte
+    ledgers are all ready-made. The
     wire-dependent fields (arrival ``times``, the ``seq0`` base, delivery
     ``target``/``ingress``) are filled in by ``_transmit_burst`` when the
     burst hits its uplink.
@@ -96,13 +98,14 @@ class _BurstPlan:
         """``_vector_apply``'s arguments for items ``offset .. offset + count``.
 
         ``(kids, vals, mass, count, bounds)``; every item in the range must
-        be shape-eligible.
+        be shape-eligible, so their pairs are one slice of the plan's arrays.
         """
         end = offset + count
-        kids, vals, bounds = _gather_pairs(
-            self.kids, self.vals, self.pair_start[offset:end], self.npairs[offset:end]
-        )
-        return kids, vals, self.mass_cum[end] - self.mass_cum[offset], count, bounds
+        bounds = _np.cumsum(self.npairs[offset:end])
+        lo = self.pair_start[offset]
+        hi = lo + bounds[-1]
+        mass = self.mass_cum[end] - self.mass_cum[offset]
+        return self.kids[lo:hi], self.vals[lo:hi], mass, count, bounds
 
 
 def _gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, Any, Any]:
@@ -123,7 +126,10 @@ def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
     """Precompute a :class:`_BurstPlan` for ``items``, or ``None``.
 
     An item is *shape-eligible* when it is an unsequenced DAIET DATA packet
-    of the burst's (single) tree with a usable ``vector_pairs`` cache. The
+    of the burst's (single) tree whose pairs have columns
+    (``DaietPacket.vector_columns``). The plan's pair arrays are stitched
+    from those columns run by run; a window that is one contiguous run of
+    one partition, which is what a mapper sends, takes them as views. The
     switch-specific budget checks are applied once per burst by the burst
     handler via the precomputed ``max_nbytes``/``max_cost``. Items of a
     different tree are simply marked ineligible (they replay through the
@@ -133,57 +139,49 @@ def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
     n = len(items)
     if _np is None:
         return None
-    shape_ok = _np.zeros(n, dtype=_np.bool_)
-    kid_list: list[int] = []
-    val_list: list[int] = []
-    pair_start = _np.zeros(n, dtype=_np.int64)
-    npairs = _np.zeros(n, dtype=_np.int64)
-    mass_cum = [0] * (n + 1)
-    nbytes_cum = [0] * (n + 1)
+    npairs = [0] * n
+    masses = [0] * n
+    #: Maximal runs of consecutive packets of one partition:
+    #: ``[columns, first pair, one past the last pair]``.
+    runs: list[list[Any]] = []
     tree_id = -1
-    max_nbytes = 0
-    max_npairs = 1
-    any_ok = False
-    for i, (packet, nbytes) in enumerate(items):
-        nbytes_cum[i + 1] = nbytes_cum[i] + nbytes
-        mass = 0
+    for i, (packet, _nbytes) in enumerate(items):
         if (
             type(packet) is DaietPacket
             and packet.seq is None
             and packet.packet_type is _DAIET_DATA
-            and (cache := packet.vector_pairs()) is not None
+            and (tree_id < 0 or packet.tree_id == tree_id)
+            and (view := packet.vector_columns()) is not None
         ):
-            if tree_id < 0:
-                tree_id = packet.tree_id
-            if packet.tree_id == tree_id:
-                shape_ok[i] = True
-                any_ok = True
-                pair_start[i] = len(kid_list)
-                kid_list.extend(cache[0])
-                val_list.extend(cache[1])
-                count = len(cache[0])
-                npairs[i] = count
-                mass = cache[2]
-                if nbytes > max_nbytes:
-                    max_nbytes = nbytes
-                if count > max_npairs:
-                    max_npairs = count
-        mass_cum[i + 1] = mass_cum[i] + mass
-    if not any_ok:
+            tree_id = packet.tree_id
+            columns, at = view
+            npairs[i] = count = len(packet.pairs)
+            lo = at * columns.per
+            if runs and runs[-1][0] is columns and runs[-1][2] == lo:
+                runs[-1][2] = lo + count
+            else:
+                runs.append([columns, lo, lo + count])
+            ledger = columns.mass_cum
+            masses[i] = ledger[at + 1] - ledger[at]
+    if not runs:
         return None
     plan = _BurstPlan()
     plan.packets = [packet for packet, _nbytes in items]
     plan.nbytes = [nbytes for _packet, nbytes in items]
-    plan.shape_ok = shape_ok
+    plan.npairs = _np.array(npairs, dtype=_np.int64)
+    # An eligible packet carries at least one pair, and the pairs of the
+    # eligible packets sit in the plan's arrays back to back.
+    plan.shape_ok = plan.npairs > 0
+    plan.pair_start = _np.cumsum(plan.npairs) - plan.npairs
     plan.tree_id = tree_id
-    plan.max_nbytes = max_nbytes
-    plan.max_cost = 3 + max_npairs
-    plan.kids = _np.array(kid_list, dtype=_np.int64)
-    plan.vals = _np.array(val_list, dtype=_np.int64)
-    plan.pair_start = pair_start
-    plan.npairs = npairs
-    plan.mass_cum = mass_cum
-    plan.nbytes_cum = nbytes_cum
+    plan.max_nbytes = int(_np.array(plan.nbytes)[plan.shape_ok].max())
+    plan.max_cost = 3 + int(plan.npairs.max())
+    kid_parts = [columns.kids[lo:hi] for columns, lo, hi in runs]
+    val_parts = [columns.vals[lo:hi] for columns, lo, hi in runs]
+    plan.kids = kid_parts[0] if len(runs) == 1 else _np.concatenate(kid_parts)
+    plan.vals = val_parts[0] if len(runs) == 1 else _np.concatenate(val_parts)
+    plan.mass_cum = list(accumulate(masses, initial=0))
+    plan.nbytes_cum = list(accumulate(plan.nbytes, initial=0))
     plan.times = None
     plan.seq0 = -1
     plan.target = None
@@ -715,17 +713,17 @@ class NetworkSimulator:
             raise TopologyError(f"host {src_host!r} has no uplink")
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        record_sent = self.stats.record_host_sent
-        items: list[tuple[Any, int]] = []
-        for packet in packets:
-            nbytes = packet_wire_bytes(packet)
-            device.note_sent(packet, nbytes)
-            record_sent(src_host, nbytes)
-            items.append((packet, nbytes))
+        items = [(packet, packet_wire_bytes(packet)) for packet in packets]
         if not items:
             return 0
-        # The burst plan is computed here — at send time, outside any timed
-        # hot region — so the delivery fast path pays nothing per packet.
+        # The window is accounted once (integer counters, so exactly what
+        # per-packet accounting would add up to).
+        total = sum(nbytes for _packet, nbytes in items)
+        device.counters.packets_sent += len(items)
+        device.counters.bytes_sent += total
+        self.stats.record_host_sent(src_host, total, packets=len(items))
+        # The burst plan is computed here, at send time, so the delivery
+        # fast path pays nothing per packet.
         plan = _plan_burst(items) if self._fast_burst and len(items) > 1 else None
         self.scheduler.push_at(
             self.scheduler.now + delay, self._transmit_burst, (src_host, items, plan)

@@ -59,12 +59,12 @@ class TrafficStats:
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record_host_sent(self, host: str, nbytes: int) -> None:
-        """Account a packet injected by a host."""
+    def record_host_sent(self, host: str, nbytes: int, packets: int = 1) -> None:
+        """Account a packet (or a window of ``packets``) injected by a host."""
         traffic = self.host_sent.get(host)
         if traffic is None:
             traffic = self.host_sent[host] = PerDeviceTraffic()
-        traffic.packets += 1
+        traffic.packets += packets
         traffic.bytes += nbytes
 
     def record_host_received(self, host: str, nbytes: int) -> None:

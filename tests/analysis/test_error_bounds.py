@@ -12,6 +12,7 @@ from repro.analysis.error_bounds import (
 )
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
+from repro.core.errors import PacketFormatError
 from repro.core.functions import SUM, aggregate_pairs
 from repro.netsim.faults import FaultPlan
 from repro.netsim.simulator import SimulatorConfig
@@ -148,6 +149,24 @@ class TestBoundSoundness:
             assert bound.relative_bound == pytest.approx(
                 bound.abs_bound / expected
             )
+
+    @pytest.mark.parametrize("policy", ["sampled", "best_effort"])
+    def test_a_rejected_partition_injects_no_mass(self, policy):
+        # The ledger records what was framed, not what was offered: a
+        # partition the packetizer refuses never reaches the wire, and mass
+        # counted for it would understate relative_bound. (The parent of this
+        # change recorded before packetizing: injected_abs 8 over 4 pairs.)
+        system = build_system(policy)
+        tracker = install_error_tracker(system)
+        with pytest.raises(PacketFormatError):
+            system.send_pairs("h0", "h3", [("ok", 1), ("x" * 40, 5)])
+        system.send_pairs("h0", "h3", [("ok", 1)])
+        system.send_pairs("h1", "h3", [("ok", 1)])
+        system.send_pairs("h2", "h3", [])
+        system.run()
+        assert system.receiver("h3").result() == {"ok": 2}
+        ledger = tracker.ledgers[system.tree_for("h3").tree_id]
+        assert (ledger.injected_abs, ledger.injected_pairs) == (2, 2)
 
     def test_switch_crash_mass_is_wiped_into_the_ledger(self, attach_observers):
         system = build_system("best_effort")

@@ -222,3 +222,32 @@ class TestCleanTree:
         assert report.render().endswith(
             "repro lint: clean (determinism, fastpath-parity, dataplane-config)"
         )
+
+    def test_the_intern_pool_is_reached_through_its_functions(self):
+        # The pool's containers are named in dataplane/interning.py and
+        # nowhere else: packetizers and kernels go through intern_key /
+        # intern_keys / key_of / crc_of / enc_len_of / pool_size, so the pool
+        # can be re-homed (ROADMAP item 4) by editing one file.
+        containers = {
+            "_key_to_kid",
+            "_kid_key",
+            "_kid_crc",
+            "_kid_enc_len",
+            "_kid_ends_nul",
+        }
+        offenders = []
+        for relative, tree in _package_trees():
+            if relative == "dataplane/interning.py":
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.alias):  # from ... import _kid_key
+                    name = node.name
+                else:
+                    continue
+                if name in containers:
+                    offenders.append(f"{relative}:{node.lineno} {name}")
+        assert offenders == []

@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import gc
+import random
 from dataclasses import replace
 
 import pytest
+import test_vector_kernel_equivalence as kernel_harness
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DaietConfig
+from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError
+from repro.core.functions import SUM, aggregate_pairs
 from repro.core.packet import (
     DaietAck,
     DaietPacket,
     DaietPacketType,
+    PairColumns,
     SeenWindow,
     end_packet,
-    fast_data_packets,
     packetize_pairs,
 )
+from repro.dataplane import interning
 
 #: Keys valid under the fixed-size 16-byte representation.
 key_strategy = st.text(
@@ -260,6 +266,59 @@ class TestPacketize:
         assert all(p.num_pairs <= DaietConfig().pairs_per_packet for p in packets)
 
 
+def _vector_view(packet: DaietPacket):
+    """``vector_pairs()`` with its array slices as lists, so views compare."""
+    view = packet.vector_pairs()
+    if view is None:
+        return None
+    kids, vals, mass = view
+    return kids.tolist(), vals.tolist(), mass
+
+
+def _loop_view(packet: DaietPacket):
+    """The per-pair loop the columns replaced, kept as their reference:
+    Python ints all the way, so nothing can wrap."""
+    kids, vals, mass = [], [], 0
+    for key, value in packet.pairs:
+        if type(value) is not int or not -(2**62) < value < 2**62:
+            return None
+        if type(key) not in (str, bytes):
+            return None
+        kids.append(interning.intern_key(key))
+        vals.append(value)
+        mass += abs(value)
+    return (kids, vals, mass) if kids else None
+
+
+def _one_by_one(pairs, tree_id, src, dst, config, include_end=True, seq_start=None):
+    """The packetizer's oracle: every packet through ``DaietPacket(...)``."""
+    seq = seq_start
+    per_packet = config.pairs_per_packet
+    for start in range(0, len(pairs), per_packet):
+        yield DaietPacket(
+            tree_id=tree_id, src=src, dst=dst,
+            pairs=tuple(pairs[start : start + per_packet]), config=config, seq=seq,
+        )
+        if seq is not None:
+            seq += 1
+    if include_end:
+        yield DaietPacket(
+            tree_id=tree_id, src=src, dst=dst, packet_type=DaietPacketType.END,
+            config=config, seq=seq,
+        )
+
+
+def _drain(packets):
+    """``(packets built, (exception type, message) or None)`` of a packet stream."""
+    built = []
+    try:
+        for packet in packets:
+            built.append(packet)
+    except Exception as exc:  # the twin must fail the same way, whatever way
+        return built, (type(exc), str(exc))
+    return built, None
+
+
 def _observables(packet: DaietPacket, config: DaietConfig) -> dict:
     """Everything a packet can be asked, cached sizes included."""
     return {
@@ -273,7 +332,7 @@ def _observables(packet: DaietPacket, config: DaietConfig) -> dict:
         "parse_depth_bytes": packet.parse_depth_bytes(),
         "header_sizes": packet.header_sizes(),
         "header_stack": packet.header_stack(),
-        "vector_pairs": packet.vector_pairs(),
+        "vector_pairs": _vector_view(packet),
         "encoded": packet.encode(),
         "decoded": DaietPacket.decode(packet.encode(), packet.src, packet.dst, config),
     }
@@ -306,37 +365,31 @@ class TestPacketsBuiltOnce:
 
     @pytest.mark.parametrize("kind", ["fixed", "variable"])
     @pytest.mark.parametrize("seq_start", [None, 0, 2**32 - 2])
-    def test_fast_data_packets_equal_packetize(self, kind, seq_start):
+    def test_packetizer_equals_constructor(self, kind, seq_start):
+        # PAIRS holds a NUL-suffixed key: with fixed-width keys the whole
+        # partition is the constructor's; with variable-length keys it is cut
+        # in bulk. Either way the packets are the ones built one by one.
         config = self.CONFIGS[kind]
-        fast = fast_data_packets(
-            self.PAIRS, tree_id=4, src="sw", dst="r", config=config, seq_start=seq_start
-        )
-        slow = list(
+        built = list(
             packetize_pairs(
                 self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
                 include_end=False, seq_start=seq_start,
             )
         )
-        assert fast == slow
-        for built, reference in zip(fast, slow):
-            assert _observables(built, config) == _observables(reference, config)
-
-    def test_fast_data_packets_leave_seq_overflow_to_packetize(self):
-        config = self.CONFIGS["fixed"]
-        assert (
-            fast_data_packets(
-                self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
-                seq_start=2**32 - 1,
-            )
-            is None
+        reference = list(
+            _one_by_one(self.PAIRS, 4, "sw", "r", config, False, seq_start)
         )
-        with pytest.raises(PacketFormatError, match="32-bit"):
-            list(
-                packetize_pairs(
-                    self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
-                    seq_start=2**32 - 1,
-                )
-            )
+        assert built == reference
+        for packet, twin in zip(built, reference):
+            assert _observables(packet, config) == _observables(twin, config)
+
+    def test_packetizer_leaves_seq_overflow_to_the_constructor(self):
+        config = self.CONFIGS["fixed"]
+        arguments = dict(tree_id=4, src="sw", dst="r", config=config, seq_start=2**32 - 1)
+        built, error = _drain(packetize_pairs(self.PAIRS, **arguments))
+        assert (built, error) == _drain(_one_by_one(self.PAIRS, **arguments))
+        assert [packet.seq for packet in built] == [2**32 - 1]
+        assert error[0] is PacketFormatError and "32-bit" in error[1]
 
     @pytest.mark.parametrize("kind", ["fixed", "variable"])
     @pytest.mark.parametrize("old_seq", [None, 5])
@@ -371,3 +424,257 @@ class TestPacketsBuiltOnce:
                 packet.restamped(tree_id, seq)
             with pytest.raises(PacketFormatError):
                 replace(packet, tree_id=tree_id, seq=seq)
+
+
+#: Keys on both sides of everything the packetizer asks the intern pool:
+#: ASCII and non-ASCII ``str``, ``bytes``, NUL-suffixed, exactly as wide as
+#: the key field, and wider.
+twin_key_strategy = st.one_of(
+    key_strategy,
+    st.text(
+        alphabet=st.characters(min_codepoint=0x80, max_codepoint=0x2FF), min_size=1, max_size=9
+    ),
+    st.binary(max_size=17),
+    key_strategy.map(lambda key: key[:15] + "\x00"),
+    st.sampled_from(["k" * 16, "w" * 17, "é" * 8, "é" * 9]),
+)
+#: Values on both sides of what the vector view admits.
+twin_value_strategy = st.one_of(
+    value_strategy,
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.sampled_from([2**62 - 1, 1 - 2**62, 2**62, -(2**62), 2**63, -(2**63) - 1]),
+)
+TWIN_CONFIGS = st.sampled_from(
+    [
+        DaietConfig(pairs_per_packet=3),
+        DaietConfig(pairs_per_packet=3, variable_length_keys=True),
+    ]
+)
+
+
+def _wire_view(packet: DaietPacket):
+    """What a packet says about its wire form; ``encode`` may refuse a value."""
+    try:
+        encoded = packet.encode()
+    except PacketFormatError as exc:
+        encoded = str(exc)
+    return (
+        packet.seq, packet.wire_bytes(), packet.payload_bytes(),
+        packet.header_sizes(), encoded,
+    )
+
+
+def _assert_twins(pairs, config, **arguments):
+    """``packetize_pairs`` against the same packets built one by one."""
+    built, error = _drain(packetize_pairs(pairs, config=config, **arguments))
+    reference, reference_error = _drain(_one_by_one(pairs, config=config, **arguments))
+    assert error == reference_error
+    assert built == reference
+    assert [_wire_view(packet) for packet in built] == [
+        _wire_view(packet) for packet in reference
+    ]
+    assert (
+        [_vector_view(packet) for packet in built]
+        == [_vector_view(packet) for packet in reference]
+        == [_loop_view(packet) for packet in reference]
+    )
+    return built, error
+
+
+class TestPacketizerTwin:
+    """The bulk packetizer against its oracle, the validating constructor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(twin_key_strategy, twin_value_strategy), max_size=14),
+        config=TWIN_CONFIGS,
+        seq_start=st.sampled_from([None, 0, 2**32 - 1, 2**32 - 3, 2**32 - 6]),
+        include_end=st.booleans(),
+    )
+    def test_packets_views_and_errors_equal_the_constructors(
+        self, pairs, config, seq_start, include_end
+    ):
+        _assert_twins(
+            pairs, config, tree_id=3, src="m", dst="r",
+            include_end=include_end, seq_start=seq_start,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(key_strategy, value_strategy), min_size=1, max_size=40),
+        config=TWIN_CONFIGS,
+        seq_start=st.sampled_from([None, 7]),
+    )
+    def test_partitions_the_pool_vouches_for(self, pairs, config, seq_start):
+        # Every input here takes the bulk path, and every packet has a view.
+        built, error = _assert_twins(
+            pairs, config, tree_id=3, src="m", dst="r", seq_start=seq_start
+        )
+        assert error is None
+        assert all(packet.vector_pairs() is not None for packet in built[:-1])
+        assert built[-1].vector_pairs() is None  # END carries no pairs
+
+    @pytest.mark.parametrize(
+        "pairs, arguments",
+        [
+            ([("a", 1), ("b", 2, 3)], {}),  # malformed pair
+            ([("a", 1), ("b",)], {}),
+            ([("a", 1), 7], {}),
+            ([(None, 1)], {}),  # keys outside the pool's domain
+            ([(("t",), 1)], {}),
+            ([(["unhashable"], 1)], {}),
+            ([(5, 1), ("a", 2)], {}),  # bytes(5): a legal five-NUL key
+            ([("a", 1)], {"tree_id": -1}),
+            ([], {"tree_id": -1}),
+            ([("a", 1)] * 7, {"seq_start": -1}),
+            ([("a", 1)] * 7, {"seq_start": 2**32 - 2}),
+            ([], {"seq_start": 2**32}),
+        ],
+    )
+    def test_what_the_pool_cannot_vouch_for_is_the_constructors(self, pairs, arguments):
+        arguments = {"tree_id": 3, "src": "m", "dst": "r", **arguments}
+        _assert_twins(pairs, DaietConfig(pairs_per_packet=3), **arguments)
+
+    def test_the_mass_ledger_is_exact_where_int64_would_wrap(self):
+        # 40 values of magnitude 2**62 - 1: any int64 running sum wraps by the
+        # third pair; the ledger must not.
+        config = DaietConfig(pairs_per_packet=7)
+        edge = 2**62 - 1
+        pairs = [(f"edge{i % 5}", edge if i % 3 else -edge) for i in range(40)]
+        built, _error = _assert_twins(pairs, config, tree_id=3, src="m", dst="r")
+        assert [packet.vector_pairs()[2] for packet in built[:-1]] == [
+            7 * edge, 7 * edge, 7 * edge, 7 * edge, 7 * edge, 5 * edge,
+        ]
+
+    def test_a_partition_with_one_ineligible_packet_keeps_the_other_views(self):
+        config = DaietConfig(pairs_per_packet=2)
+        pairs = [("a", 1), ("b", 2), ("c", 3.5), ("d", 4), ("e", True), ("f", 6), ("g", 7)]
+        built, _error = _assert_twins(pairs, config, tree_id=3, src="m", dst="r")
+        assert [_vector_view(packet) is None for packet in built] == [
+            False, True, True, False, True,
+        ]
+
+
+class _CountingList(list):
+    """A pool metadata list that counts how often it is read by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _vocabulary_partition(prefix: str, pairs: int, vocabulary: int):
+    """A wordcount-shaped partition over words no other test interns.
+
+    The intern pool is process-global and append-only (ROADMAP item 4), and
+    every tree built later in the process sizes a memo by it, so these tests
+    keep their vocabularies small: the later perf floors pay for every key.
+    """
+    rng = random.Random(2017)
+    words = [f"{prefix}{i:05d}" for i in range(vocabulary)]
+    return [(rng.choice(words), 1) for _ in range(pairs)]
+
+
+class TestPacketizerCounts:
+    """What packetizing costs, as counts: objects kept, columns built, keys
+    measured. Wall-clock is the benchmark's business."""
+
+    CONFIG = DaietConfig(pairs_per_packet=10)
+
+    def test_a_packet_with_a_view_is_one_tracked_object(self):
+        pairs = _vocabulary_partition("tracked-", pairs=60_000, vocabulary=16)
+        gc.collect()
+        before = len(gc.get_objects())
+        packets = list(packetize_pairs(pairs, tree_id=1, src="m", dst="r", config=self.CONFIG))
+        assert all(packet.vector_pairs() is not None for packet in packets[:-1])
+        gc.collect()
+        per_packet = (len(gc.get_objects()) - before) / len(packets)
+        # 4.00 when every packet kept a tuple and two lists of its own.
+        assert per_packet <= 1.5
+
+    def test_only_a_planned_window_builds_columns(self, monkeypatch):
+        built = []
+        build = PairColumns._build
+
+        def counting_build(self, pairs, kids):
+            built.append(len(pairs))
+            return build(self, pairs, kids)
+
+        monkeypatch.setattr(PairColumns, "_build", counting_build)
+        partitions = [[(f"w{(i * 7 + m) % 50}", 1) for i in range(400)] for m in range(3)]
+
+        def run_round(**config) -> DaietSystem:
+            system = DaietSystem.single_rack(
+                4, DaietConfig(register_slots=16, pairs_per_packet=4, **config)
+            )
+            system.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"])
+            for mapper, pairs in zip(("h0", "h1", "h2"), partitions):
+                system.send_pairs(mapper, "h3", pairs)
+            system.run()
+            assert system.receiver("h3").result() == aggregate_pairs(
+                [pair for pairs in partitions for pair in pairs], SUM
+            )
+            return system
+
+        # Sequenced partitions and the sequenced flushes of the switch.
+        run_round(reliability=True, retransmit_timeout=1e-4)
+        assert built == []
+        # Unsequenced: one record per mapper window; the switch's spillover
+        # and final flushes (hundreds of small partitions) build none.
+        system = run_round()
+        state = system.engine("tor").tree(system.tree_for("h3").tree_id)
+        assert state.counters.spillover_flushes > 0
+        assert built == [400, 400, 400]
+
+    def test_keys_are_measured_once_per_distinct_key(self):
+        # The benchmark's 7.5 pairs per word, at a quarter of its size.
+        pairs = _vocabulary_partition("measured-", pairs=15_000, vocabulary=2_000)
+        distinct = len({key for key, _value in pairs})
+        arguments = dict(tree_id=1, src="m", dst="r", config=self.CONFIG)
+        before = interning.pool_size()
+        first = list(packetize_pairs(pairs, **arguments))
+        assert interning.pool_size() == before + distinct
+        # One record for the whole partition: the bulk path ran.
+        assert first[0].vector_columns()[0] is first[-2].vector_columns()[0]
+        lengths, nuls = interning._kid_enc_len, interning._kid_ends_nul
+        counting = _CountingList(lengths), _CountingList(nuls)
+        interning._kid_enc_len, interning._kid_ends_nul = counting
+        try:
+            second = list(packetize_pairs(pairs, **arguments))
+            reads = [stand_in.reads for stand_in in counting]
+        finally:
+            for original, stand_in in zip((lengths, nuls), counting):
+                original.extend(stand_in[len(original) :])
+            interning._kid_enc_len, interning._kid_ends_nul = lengths, nuls
+        # Nothing was encoded or hashed again, and each distinct key's
+        # metadata was read at most once: 2,000 reads, not 15,000.
+        assert interning.pool_size() == before + distinct
+        assert 0 < reads[0] <= distinct and reads[1] <= distinct
+        assert second == first
+
+    def test_a_partition_packetizes_the_same_after_the_pool_grew(self):
+        # In miniature, the regression ROADMAP item 4 wants at system level:
+        # the same input twice in one process, other keys interned in between.
+        config = DaietConfig(register_slots=8, pairs_per_packet=4, spillover_capacity=3)
+        rng = random.Random(4)
+        pairs = [(f"again{rng.randrange(30)}", rng.randrange(-9, 9)) for _ in range(120)]
+        first = kernel_harness.data_packets(pairs, config)
+        fast_first = kernel_harness.make_engine(config)
+        out_first = kernel_harness.feed_fast(fast_first, [first])
+        before = interning.pool_size()
+        kernel_harness.data_packets([(f"unrelated{i}", i) for i in range(500)], config)
+        assert interning.pool_size() == before + 500
+        second = kernel_harness.data_packets(pairs, config)
+        assert second == first
+        assert [packet.encode() for packet in second] == [packet.encode() for packet in first]
+        assert [_vector_view(packet) for packet in second] == [
+            _vector_view(packet) for packet in first
+        ]
+        fast_second, slow = kernel_harness.make_engine(config), kernel_harness.make_engine(config)
+        assert kernel_harness.feed_fast(fast_second, [second]) == out_first
+        assert kernel_harness.feed_slow(slow, [second]) == out_first
+        kernel_harness.assert_twins_identical(fast_first, slow)
+        kernel_harness.assert_twins_identical(fast_second, slow)
