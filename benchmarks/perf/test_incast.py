@@ -4,7 +4,7 @@ A 256-way fan-in through the AIMD arm exercises everything the adaptive
 transport adds to the hot path at once: the unified windowed sender, the
 RTT estimator on every ACK, congestion-window pacing and its pending
 queue, switch-egress ECN marking and tail-drop checks on every switch
-transmission, and the mark-echo plumbing in the receivers. Its throughput
+transmission, and the CE-triggered ACKs in the receivers. Its throughput
 is recorded as ``incast_256`` in ``BENCH_simcore.json`` and gated at half
 the recorded trajectory, in CPU seconds — the same generous pattern as the
 other simulator-core benches, so the gate catches the sender falling off

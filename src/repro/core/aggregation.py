@@ -128,8 +128,7 @@ class TreeState:
     _ended_sources: set[str] = field(default_factory=set, repr=False)
     #: One stream window per child, made on first use: the duplicate filter
     #: over sequence numbers plus what the next ACK for the child owes (the
-    #: cadence count, CE marks to echo so host senders see the mark rate of
-    #: the congested hop below this switch, the gap-episode flag).
+    #: cadence count and the gap-episode flag).
     _seen: defaultdict[str, SeenWindow] = field(
         default_factory=lambda: defaultdict(SeenWindow), repr=False
     )
@@ -420,7 +419,7 @@ class DaietAggregationEngine:
         emitted: list[tuple[int, Any]] = []
         if packet.seq is not None:
             window = state.window(packet.src)
-            if not window.observe(packet.seq, packet.ecn):
+            if not window.observe(packet.seq):
                 # Retransmission of something already aggregated: idempotent.
                 state.counters.duplicate_packets += 1
                 return self._ack_child(state, packet.src, window)
@@ -468,10 +467,10 @@ class DaietAggregationEngine:
         counters.pairs_aggregated += aggregated
         if packet.seq is not None:
             src = packet.src
-            # DCTCP cadence: a CE-marked fresh packet is acknowledged
-            # immediately, and each ACK echoes at most one mark (see
-            # SeenWindow.take_ack). An arrival that opens or closes a hole
-            # does not wait for the cadence either, strided or not.
+            # A CE-marked fresh packet is acknowledged immediately: the
+            # sender's timer and window hear of the queue one cadence
+            # earlier. An arrival that opens or closes a hole does not wait
+            # for the cadence either, strided or not.
             if (
                 window.count_arrival() >= state._ack_every
                 or packet.ecn
@@ -633,7 +632,7 @@ class DaietAggregationEngine:
         state.counters.end_packets_received += 1
         if packet.seq is not None:
             window = state.window(packet.src)
-            if window.observe(packet.seq, packet.ecn):
+            if window.observe(packet.seq):
                 window.end_seq = packet.seq
             else:
                 state.counters.duplicate_packets += 1
@@ -643,12 +642,8 @@ class DaietAggregationEngine:
             # An incomplete stream stashes the END: the decrement happens
             # when retransmissions fill the gaps (see _process_data).
             return emitted
-        if state.config.reliable_end:
-            if packet.src in state._ended_sources:
-                # Retransmitted END: idempotent, no double decrement.
-                return []
-            return self._accept_end(state, packet.src)
-        return self._count_end(state)
+        # Unsequenced END: idempotent, a duplicate never double-decrements.
+        return self._accept_end(state, packet.src)
 
     def _accept_end(self, state: TreeState, src: str) -> list[tuple[int, Any]]:
         """Count one child's END exactly once; flush when it was the last."""
@@ -687,7 +682,7 @@ class DaietAggregationEngine:
             window.restart_cadence()
             state.counters.ack_port_misses += 1
             return []
-        cumulative, sack, echo = window.take_ack()
+        cumulative, sack = window.take_ack()
         state.counters.acks_sent += 1
         ack = DaietAck(
             tree_id=state.tree_id,
@@ -695,7 +690,6 @@ class DaietAggregationEngine:
             dst=src,
             cumulative=cumulative,
             sack=sack,
-            ecn_echo=echo,
         )
         return [(port, ack)]
 

@@ -42,7 +42,7 @@ DEFAULT_TCP_MSS = 1460
 
 
 #: Congestion-controller names a :class:`TransportTuning` accepts.
-CONGESTION_CONTROLLERS = ("none", "aimd", "dctcp")
+CONGESTION_CONTROLLERS = ("none", "aimd")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class TransportTuning:
     """Adaptive-transport knobs shared by every windowed sender.
 
     The defaults reproduce the historical transport exactly: fixed
-    retransmission timeout, no congestion window, no ECN reaction.
+    retransmission timeout, no congestion window.
 
     Parameters
     ----------
@@ -66,21 +66,12 @@ class TransportTuning:
     rto_ceiling:
         Upper clamp on the (adaptive, backed-off) retransmission timeout.
     congestion_control:
-        ``"none"`` (unlimited window), ``"aimd"`` (slow start + additive
-        increase, multiplicative decrease on loss) or ``"dctcp"`` (AIMD
-        whose decrease scales with the EWMA fraction of ECN-marked ACKs).
+        ``"none"`` (unlimited window) or ``"aimd"`` (slow start + additive
+        increase, multiplicative decrease on loss).
     initial_cwnd:
         Initial congestion window in packets.
     min_cwnd:
         Smallest window the controller may shrink to.
-    dctcp_gain:
-        EWMA gain ``g`` of the DCTCP mark-fraction estimate.
-    initial_inflight_cap:
-        First-RTT pacing: at most this many packets may be in flight before
-        the sender has seen its first ACK progress, whatever the congestion
-        window says. Once the first acknowledgement arrives the cap lifts
-        and the configured window (or the unlimited historical window)
-        takes over. ``None`` disables the cap — the historical behaviour.
     """
 
     adaptive_rto: bool = False
@@ -89,8 +80,6 @@ class TransportTuning:
     congestion_control: str = "none"
     initial_cwnd: int = 10
     min_cwnd: int = 2
-    dctcp_gain: float = 0.0625
-    initial_inflight_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.congestion_control not in CONGESTION_CONTROLLERS:
@@ -106,19 +95,6 @@ class TransportTuning:
             raise TransportError("initial_cwnd must be positive")
         if self.min_cwnd <= 0:
             raise TransportError("min_cwnd must be positive")
-        if not 0.0 < self.dctcp_gain <= 1.0:
-            raise TransportError("dctcp_gain must lie in (0, 1]")
-        if self.initial_inflight_cap is not None and self.initial_inflight_cap <= 0:
-            raise TransportError("initial_inflight_cap must be positive when set")
-
-    @property
-    def is_default(self) -> bool:
-        """True when the tuning changes nothing over the historical transport."""
-        return (
-            not self.adaptive_rto
-            and self.congestion_control == "none"
-            and self.initial_inflight_cap is None
-        )
 
     def base_timeout(self, retransmit_timeout: float) -> float:
         """The base timeout of a sender configured with ``retransmit_timeout``.
@@ -156,12 +132,6 @@ class DaietConfig:
     variable_length_keys:
         Extension flag (paper future work): serialize keys with a one-byte
         length prefix instead of fixed-size padding.
-    reliable_end:
-        Idempotent END-packet handling: retransmitted or duplicated END
-        packets from a child never double-decrement the remaining-children
-        counter. The paper leaves loss handling as future work; the
-        reproduction promotes idempotent ENDs to the default path (disable
-        only to demonstrate the historical failure mode).
     reliability:
         Enable the full end-host reliability layer: per-(tree, sender)
         sequence numbers on every DATA/END packet, cumulative+selective ACKs,
@@ -188,7 +158,7 @@ class DaietConfig:
         ``reliability`` to be effective.
     tuning:
         The :class:`TransportTuning` every host sender of this deployment
-        runs with (adaptive RTO, congestion window, first-RTT pacing). The
+        runs with (adaptive RTO, congestion window). The
         default is the historical fixed-RTO, unlimited-window transport.
     reliability_policy:
         Per-tree reliability class (SAP-inspired selective reliability):
@@ -217,7 +187,6 @@ class DaietConfig:
     pairs_per_packet: int = DEFAULT_PAIRS_PER_PACKET
     spillover_capacity: int | None = None
     variable_length_keys: bool = False
-    reliable_end: bool = True
     reliability: bool = False
     retransmit_timeout: float = 1e-4
     ack_window: int = 8

@@ -132,10 +132,6 @@ DAIET_ACK_BASE_BYTES = DAIET_PREAMBLE_BYTES + 7
 #: Serialized size of one SACK entry in a DAIET ACK.
 DAIET_ACK_SACK_BYTES = 4
 
-#: Serialized size of the optional ECN-echo counter in a DAIET ACK (16-bit,
-#: only present when the echoed count is non-zero — see ``DaietAck.ecn_echo``).
-DAIET_ACK_ECN_BYTES = 2
-
 #: Maximum SACK entries one ACK may carry: the ACK must stay within the
 #: switch parser's bounded parse depth (~300 B), exactly like DATA packets
 #: are limited to ~10 pairs. Receivers report the lowest out-of-order
@@ -732,14 +728,14 @@ class SeenWindow:
 
     It is also the one place that decides what the next ACK for the stream
     says and when one is owed: the arrivals counted since the last ACK (the
-    cadence), the CE marks not yet echoed, and whether the last arrival
-    opened a hole or closed one. The switch engine, the host agent and the
-    reliable datagram transport each keep one window per source and add only
-    what is theirs: which arrivals they count, what they do with an END,
-    which timer recovers a lost tail and how the ACK is framed.
+    cadence) and whether the last arrival opened a hole or closed one. The
+    switch engine, the host agent and the reliable datagram transport each
+    keep one window per source and add only what is theirs: which arrivals
+    they count, reading the CE bit, what they do with an END, which timer
+    recovers a lost tail and how the ACK is framed.
     """
 
-    __slots__ = ("cumulative", "out_of_order", "end_seq", "since_ack", "ecn_since_ack", "edge")
+    __slots__ = ("cumulative", "out_of_order", "end_seq", "since_ack", "edge")
 
     def __init__(self) -> None:
         self.cumulative = 0
@@ -747,16 +743,11 @@ class SeenWindow:
         self.end_seq: int | None = None
         #: Arrivals counted towards the ACK cadence since the last ACK.
         self.since_ack = 0
-        #: Fresh packets that arrived CE-marked and were not echoed yet.
-        self.ecn_since_ack = 0
         #: The arrival :meth:`observe` saw last opened a hole or closed one.
         self.edge = False
 
-    def observe(self, seq: int, ecn: bool = False) -> bool:
+    def observe(self, seq: int) -> bool:
         """Record one received sequence number; ``False`` for duplicates.
-
-        ``ecn`` is the packet's CE bit. Only a fresh packet's mark is owed an
-        echo: the retransmitted copy of a marked packet must not count twice.
 
         Sets :attr:`edge`, the one rule for an ACK ahead of the cadence: the
         arrival opened a hole (out of order with nothing buffered, so the
@@ -782,8 +773,6 @@ class SeenWindow:
         else:
             self.edge = not buffered
             buffered.add(seq)
-        if ecn:
-            self.ecn_since_ack += 1
         return True
 
     @property
@@ -813,18 +802,10 @@ class SeenWindow:
         """
         return self.cumulative, tuple(sorted(self.out_of_order)[:max_sack])
 
-    def take_ack(self) -> tuple[int, tuple[int, ...], int]:
-        """The ``(cumulative, sack, echo)`` of the ACK going out now.
-
-        Restarts the cadence and drains exactly one pending CE mark: the
-        sender's DCTCP estimator needs the per-ACK mark *rate*, which several
-        marks batched into one echo count under-report. A backlog of marks
-        drains one echo per ACK over the following ACKs.
-        """
+    def take_ack(self) -> tuple[int, tuple[int, ...]]:
+        """The ``(cumulative, sack)`` of the ACK going out now; restarts the cadence."""
         self.since_ack = 0
-        echo = min(self.ecn_since_ack, 1)
-        self.ecn_since_ack -= echo
-        return (*self.ack_state(), echo)
+        return self.ack_state()
 
 
 class RetransmitBuffer:
@@ -931,26 +912,16 @@ class DaietAck:
     cumulative: int = 0
     sack: tuple[int, ...] = ()
     pull: bool = False
-    #: Number of ECN-marked packets the receiver saw since its previous ACK
-    #: for this stream (DCTCP-style echo). Zero — the only value ever
-    #: produced without ECN marking enabled — keeps the historical wire
-    #: format byte-for-byte; a non-zero echo adds a 16-bit counter field.
-    ecn_echo: int = 0
 
     def __post_init__(self) -> None:
         if self.tree_id < 0:
             raise PacketFormatError("tree_id must be non-negative")
         if self.cumulative < 0:
             raise PacketFormatError("cumulative ACK must be non-negative")
-        if self.ecn_echo < 0:
-            raise PacketFormatError("ECN echo count must be non-negative")
 
     def payload_bytes(self) -> int:
         """Serialized ACK payload size."""
-        base = DAIET_ACK_BASE_BYTES + DAIET_ACK_SACK_BYTES * len(self.sack)
-        if self.ecn_echo:
-            base += DAIET_ACK_ECN_BYTES
-        return base
+        return DAIET_ACK_BASE_BYTES + DAIET_ACK_SACK_BYTES * len(self.sack)
 
     def wire_bytes(self) -> int:
         """Full frame size (Ethernet + IPv4 + UDP + ACK payload)."""
@@ -974,7 +945,6 @@ class DaietAck:
                     "cumulative": self.cumulative,
                     "sack": self.sack,
                     "pull": self.pull,
-                    "ecn_echo": self.ecn_echo,
                 },
                 self.payload_bytes(),
             ),

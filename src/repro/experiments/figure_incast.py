@@ -9,7 +9,7 @@ aggregating *inside* the switch, so the reducer-facing link carries one
 combined stream instead of N.
 
 This experiment makes that comparison quantitative. For each fan-in it runs
-four arms over the same single-rack fabric with a finite switch egress
+three arms over the same single-rack fabric with a finite switch egress
 buffer and an ECN marking threshold:
 
 * ``daiet`` — in-network aggregation with hop reliability (the paper's
@@ -19,9 +19,7 @@ buffer and an ECN marking threshold:
   Every drop costs a multi-millisecond stall on a sub-millisecond transfer:
   the classic incast goodput collapse;
 * ``udp-aimd`` — the same transfers with SRTT/RTTVAR-driven timeouts and an
-  AIMD congestion window;
-* ``udp-dctcp`` — adaptive RTO plus the DCTCP-style controller that scales
-  its decrease by the ECN-marked fraction.
+  AIMD congestion window.
 
 Alongside the fan-in sweep, a buffer-size ablation re-runs the UDP arms at
 one fan-in across shallow/default/deep switch buffers to show the
@@ -57,8 +55,8 @@ INCAST_PAIR_BYTES = 20
 #: UDP port the incast transfers run on.
 INCAST_PORT = 9191
 
-#: The four arms, in report order.
-ARMS = ("daiet", "udp-fixed", "udp-aimd", "udp-dctcp")
+#: The three arms, in report order.
+ARMS = ("daiet", "udp-fixed", "udp-aimd")
 
 #: Fan-ins swept by the paper-scale run (override with ``--fanin``).
 DEFAULT_FANINS = (16, 64, 256)
@@ -87,7 +85,8 @@ class IncastSettings:
     #: Generous so the fixed arm degrades (collapsed goodput) rather than
     #: aborting with a give-up error mid-measurement.
     max_retransmits: int = 200
-    #: Switch egress marks CE above this backlog (DCTCP's shallow K).
+    #: Switch egress marks CE above this backlog; a marked arrival is ACKed
+    #: at once.
     ecn_threshold_bytes: int = 15_000
     #: Finite switch egress buffer; tail-drop above this backlog.
     switch_buffer_bytes: int = 100_000
@@ -102,7 +101,6 @@ class IncastSettings:
     rto_ceiling: float = 2e-3
     initial_cwnd: int = 10
     min_cwnd: int = 2
-    dctcp_gain: float = 0.0625
     seed: int = 2017
 
     def quick(self) -> "IncastSettings":
@@ -124,16 +122,15 @@ class IncastSettings:
         """The transport tuning of one UDP arm."""
         if arm == "udp-fixed":
             return TransportTuning()
-        if arm not in ("udp-aimd", "udp-dctcp"):
+        if arm != "udp-aimd":
             raise ReproError(f"unknown incast arm {arm!r}")
         return TransportTuning(
             adaptive_rto=True,
             rto_floor=self.rto_floor,
             rto_ceiling=self.rto_ceiling,
-            congestion_control="aimd" if arm == "udp-aimd" else "dctcp",
+            congestion_control="aimd",
             initial_cwnd=self.initial_cwnd,
             min_cwnd=self.min_cwnd,
-            dctcp_gain=self.dctcp_gain,
         )
 
     def simulator_config(self, buffer_bytes: int | None = None) -> SimulatorConfig:
@@ -241,7 +238,7 @@ def run_incast_arm(
 # The sweep
 # ---------------------------------------------------------------------- #
 def run_incast(settings: IncastSettings | None = None) -> IncastResult:
-    """Sweep fan-in across the four arms, then ablate the buffer depth."""
+    """Sweep fan-in across the three arms, then ablate the buffer depth."""
     settings = settings or IncastSettings()
     result = IncastResult(settings=settings)
     for fanin in settings.fanins:
@@ -298,20 +295,17 @@ def _render_report(result: IncastResult) -> str:
     verdicts = []
     for fanin in settings.fanins:
         fixed = result.run_for("udp-fixed", fanin)
-        adaptive = max(
-            (result.run_for(a, fanin) for a in ("udp-aimd", "udp-dctcp")),
-            key=lambda run: run.goodput_bps,
-        )
+        adaptive = result.run_for("udp-aimd", fanin)
         if fixed.goodput_bps:
             ratio = adaptive.goodput_bps / fixed.goodput_bps
             verdicts.append(
-                f"fan-in {fanin}: best adaptive arm ({adaptive.arm}) delivers "
+                f"fan-in {fanin}: udp-aimd delivers "
                 f"{ratio:.1f}x the fixed-RTO goodput"
             )
         else:
             verdicts.append(
                 f"fan-in {fanin}: fixed-RTO arm collapsed outright; "
-                f"{adaptive.arm} completed at "
+                f"udp-aimd completed at "
                 f"{adaptive.goodput_bps / 1e9:.3f} Gbit/s"
             )
     lines.extend(f"Verdict: {v}." for v in verdicts)

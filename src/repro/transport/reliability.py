@@ -78,9 +78,6 @@ class ReliabilityStats:
     pulls_sent: int = 0
     wire_bytes_sent: int = 0
     wire_bytes_retransmitted: int = 0
-    #: ECN marks echoed back by receivers on this host's streams (sender
-    #: side) — the congestion signal a DCTCP-style controller reacts to.
-    ecn_marks_echoed: int = 0
     #: Packets a degraded (non-exact policy) sender stopped retransmitting
     #: after exhausting its retries: the stream terminates with a measured
     #: deficit instead of raising (see ``reliability_policy``).
@@ -214,12 +211,8 @@ class ReliableSenderChannel:
 
     def on_ack(self, ack: DaietAck) -> None:
         """Drop acknowledged packets; gap-fill when the ACK proves a hole."""
-        stats = self.stats
-        stats.acks_received += 1
-        echo = ack.ecn_echo
-        if echo:
-            stats.ecn_marks_echoed += echo
-        self._engine.on_ack(ack.cumulative, set(ack.sack), echo)
+        self.stats.acks_received += 1
+        self._engine.on_ack(ack.cumulative, set(ack.sack))
 
     def _transmit(self, packets: list[DaietPacket], retransmit: bool) -> None:
         """Engine callback: account one batch and put it on the wire."""
@@ -283,7 +276,7 @@ class _TreeReceiveState:
     #: ACK cadence and the pull timer alike.
     stride: int = 1
     #: One stream window per child, made on first use: dedup, the ACK
-    #: cadence, pending CE echoes and the gap-episode flag all live there.
+    #: cadence and the gap-episode flag live there.
     windows: defaultdict[str, SeenWindow] = field(
         default_factory=lambda: defaultdict(SeenWindow)
     )
@@ -477,7 +470,7 @@ class HostReliabilityAgent:
     def _receive_sequenced(self, state: _TreeReceiveState, packet: DaietPacket) -> None:
         src = packet.src
         window = state.windows[src]
-        if not window.observe(packet.seq, packet.ecn):
+        if not window.observe(packet.seq):
             self.stats.duplicates_received += 1
             self._send_ack(state, src)
             return
@@ -502,8 +495,8 @@ class HostReliabilityAgent:
             or window.edge
             or window.since_ack >= self.ack_window * state.stride
         ):
-            # ENDs, CE-marked arrivals (DCTCP cadence) and arrivals that
-            # open or close a hole never wait for the cadence.
+            # ENDs, CE-marked arrivals and arrivals that open or close a
+            # hole never wait for the cadence.
             self._send_ack(state, src)
         if state.done:
             state.pull_timer.cancel()
@@ -519,7 +512,7 @@ class HostReliabilityAgent:
         return 2 * self.retransmit_timeout * state.stride
 
     def _send_ack(self, state: _TreeReceiveState, src: str, pull: bool = False) -> None:
-        cumulative, sack, echo = state.windows[src].take_ack()
+        cumulative, sack = state.windows[src].take_ack()
         ack = DaietAck(
             tree_id=state.tree_id,
             src=self.host,
@@ -527,7 +520,6 @@ class HostReliabilityAgent:
             cumulative=cumulative,
             sack=sack,
             pull=pull,
-            ecn_echo=echo,
         )
         self.simulator.send(self.host, ack)
         self.stats.acks_sent += 1

@@ -126,9 +126,6 @@ class ReliableUdpStats(UdpStats):
     acks_sent: int = 0
     acks_received: int = 0
     duplicates_received: int = 0
-    #: ECN marks echoed back on ACKs (sender side) — the congestion signal
-    #: a DCTCP-style controller reacts to.
-    ecn_marks_echoed: int = 0
 
 
 @dataclass
@@ -161,7 +158,7 @@ class ReliableUdpTransport(UdpTransport):
 
     ``tuning`` selects the adaptive-transport features of the shared
     :class:`~repro.transport.window.WindowedSender` engine (SRTT/RTTVAR
-    retransmission timeouts, AIMD/DCTCP congestion windows); the default
+    retransmission timeouts, an AIMD congestion window); the default
     tuning is a fixed RTO and an unlimited window. A fixed-mode
     ``rto_floor`` raises the *effective* base timeout for the whole
     transport — retransmission timers and delayed-ACK pacing alike — which
@@ -243,7 +240,7 @@ class ReliableUdpTransport(UdpTransport):
         seq = payload.meta["seq"]
         key = (host, src, port)
         window = self._windows[key]
-        fresh = window.observe(seq, self._rx_ecn)
+        fresh = window.observe(seq)
         if not fresh:
             self.stats.duplicates_received += 1
         else:
@@ -254,8 +251,7 @@ class ReliableUdpTransport(UdpTransport):
                     inner = MessagePayload(kind="raw", data=inner)
                 app(src, inner)
         # Every arrival counts towards the cadence, duplicates included. A
-        # CE-marked arrival is acknowledged immediately (DCTCP cadence): the
-        # sender's mark-fraction estimate needs the echo now, not after the
+        # CE-marked arrival is acknowledged immediately, not after the
         # delayed-ACK window fills; so is one that opens or closes a hole.
         due = window.count_arrival() >= self.ack_window
         if due or not fresh or self._rx_ecn or window.edge:
@@ -278,13 +274,13 @@ class ReliableUdpTransport(UdpTransport):
             self._send_ack(host, peer, port, window)
 
     def _send_ack(self, host: str, peer: str, port: int, window: SeenWindow) -> None:
-        cumulative, sack, echo = window.take_ack()
+        cumulative, sack = window.take_ack()
         timer = self._delayed_acks.get((host, peer, port))
         if timer is not None:
             timer.cancel()
         ack = MessagePayload(
             kind=_REL_ACK,
-            meta={"cumulative": cumulative, "sack": sack, "ecn": echo},
+            meta={"cumulative": cumulative, "sack": sack},
         )
         self.send_datagram(
             host, peer, ack, RELIABLE_UDP_ACK_BYTES, sport=port, dport=port
@@ -384,9 +380,4 @@ class ReliableUdpTransport(UdpTransport):
         if flow is None:
             return
         self.stats.acks_received += 1
-        echo = payload.meta.get("ecn", 0)
-        if echo:
-            self.stats.ecn_marks_echoed += echo
-        flow.engine.on_ack(
-            payload.meta["cumulative"], set(payload.meta.get("sack", ())), echo
-        )
+        flow.engine.on_ack(payload.meta["cumulative"], set(payload.meta.get("sack", ())))

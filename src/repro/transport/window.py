@@ -13,9 +13,8 @@ one :class:`WindowedSender`, built by :func:`sender_on`. The engine holds
 * an optional **RTT estimator** (:class:`RttEstimator`, RFC 6298 SRTT/RTTVAR
   with Karn's rule on retransmitted samples and exponential backoff clamped
   to a configurable floor/ceiling) in place of the fixed timeout;
-* an optional **congestion controller** (:class:`AimdController` or the
-  DCTCP-style :class:`DctcpController` driven by ECN marks echoed on ACKs)
-  that bounds the number of in-flight packets; excess packets queue in the
+* an optional **congestion controller** (:class:`AimdController`) that
+  bounds the number of in-flight packets; excess packets queue in the
   sender and are released as acknowledgements open the window.
 
 With neither estimator nor controller installed (the default
@@ -131,39 +130,16 @@ class RttEstimator:
 # ---------------------------------------------------------------------- #
 # Congestion control
 # ---------------------------------------------------------------------- #
-class CongestionController:
-    """Interface every pluggable congestion controller implements.
-
-    The windowed sender reports three events — acknowledged packets (with
-    the count of ECN marks echoed on the ACK), a SACK-proven hole that
-    triggered a gap-fill, and a retransmission timeout — and reads back
-    :meth:`window`, the number of packets allowed in flight.
-    """
-
-    def window(self) -> int:
-        """Current congestion window in whole packets (>= 1)."""
-        raise NotImplementedError
-
-    def on_ack(self, acked: int, marked: int) -> None:
-        """``acked`` fresh packets acknowledged, ``marked`` of them ECN-marked."""
-        raise NotImplementedError
-
-    def on_gap(self) -> None:
-        """A selective ACK proved a hole (fast-retransmit-grade loss signal)."""
-        raise NotImplementedError
-
-    def on_timeout(self) -> None:
-        """The retransmission timer fired (severe loss signal)."""
-        raise NotImplementedError
-
-
-class AimdController(CongestionController):
+class AimdController:
     """Slow start + AIMD, the classic TCP-style controller.
 
-    Below ``ssthresh`` every acknowledged packet grows the window by one
-    (slow start); above it the window grows by ``1/cwnd`` per acknowledged
-    packet (congestion avoidance). A SACK hole halves the window; a timeout
-    collapses it to ``min_cwnd`` and re-enters slow start.
+    The windowed sender reports three events — acknowledged packets, a
+    SACK-proven hole that triggered a gap-fill, and a retransmission
+    timeout — and reads back :meth:`window`, the number of packets allowed
+    in flight. Below ``ssthresh`` every acknowledged packet grows the window
+    by one (slow start); above it the window grows by ``1/cwnd`` per
+    acknowledged packet (congestion avoidance). A SACK hole halves the
+    window; a timeout collapses it to ``min_cwnd`` and re-enters slow start.
     """
 
     __slots__ = ("cwnd", "ssthresh", "min_cwnd")
@@ -174,74 +150,32 @@ class AimdController(CongestionController):
         self.min_cwnd = float(min_cwnd)
 
     def window(self) -> int:
+        """Current congestion window in whole packets (>= 1)."""
         return max(1, int(self.cwnd))
 
-    def on_ack(self, acked: int, marked: int) -> None:
+    def on_ack(self, acked: int) -> None:
+        """``acked`` fresh packets acknowledged."""
         if self.cwnd < self.ssthresh:
             self.cwnd += acked
         else:
             self.cwnd += acked / self.cwnd
 
     def on_gap(self) -> None:
+        """A selective ACK proved a hole (fast-retransmit-grade loss signal)."""
         self.ssthresh = max(self.min_cwnd, self.cwnd / 2)
         self.cwnd = self.ssthresh
 
     def on_timeout(self) -> None:
+        """The retransmission timer fired (severe loss signal)."""
         self.ssthresh = max(self.min_cwnd, self.cwnd / 2)
         self.cwnd = self.min_cwnd
 
 
-class DctcpController(AimdController):
-    """DCTCP-style controller: scale the decrease by the ECN-marked fraction.
-
-    The controller keeps an EWMA ``alpha`` of the fraction of acknowledged
-    packets that carried an ECN mark (gain ``g``), updated once per window
-    of acknowledgements, and on a marked window shrinks the congestion
-    window by ``alpha/2`` instead of the blanket AIMD halving — small
-    persistent queues yield gentle, proportional decreases. Loss events
-    (SACK holes, timeouts) still react like AIMD.
-    """
-
-    __slots__ = ("gain", "alpha", "_acked_in_round", "_marked_in_round")
-
-    def __init__(
-        self,
-        *,
-        initial_cwnd: int = 10,
-        min_cwnd: int = 2,
-        gain: float = 0.0625,
-    ) -> None:
-        super().__init__(initial_cwnd=initial_cwnd, min_cwnd=min_cwnd)
-        self.gain = gain
-        self.alpha = 0.0
-        self._acked_in_round = 0
-        self._marked_in_round = 0
-
-    def on_ack(self, acked: int, marked: int) -> None:
-        super().on_ack(acked, 0)
-        self._acked_in_round += acked
-        self._marked_in_round += marked
-        if self._acked_in_round >= self.window():
-            fraction = self._marked_in_round / self._acked_in_round
-            self.alpha = (1 - self.gain) * self.alpha + self.gain * fraction
-            if self._marked_in_round:
-                self.cwnd = max(self.min_cwnd, self.cwnd * (1 - self.alpha / 2))
-                self.ssthresh = max(self.min_cwnd, self.cwnd)
-            self._acked_in_round = 0
-            self._marked_in_round = 0
-
-
-def make_congestion_controller(tuning: TransportTuning) -> CongestionController | None:
+def make_congestion_controller(tuning: TransportTuning) -> AimdController | None:
     """Build the controller the tuning asks for (``None`` for ``"none"``)."""
     if tuning.congestion_control == "aimd":
         return AimdController(
             initial_cwnd=tuning.initial_cwnd, min_cwnd=tuning.min_cwnd
-        )
-    if tuning.congestion_control == "dctcp":
-        return DctcpController(
-            initial_cwnd=tuning.initial_cwnd,
-            min_cwnd=tuning.min_cwnd,
-            gain=tuning.dctcp_gain,
         )
     return None
 
@@ -299,7 +233,6 @@ class WindowedSender:
         "_sent_at",
         "_consecutive_timeouts",
         "_timer",
-        "_initial_cap",
         "retain_history",
     )
 
@@ -314,8 +247,7 @@ class WindowedSender:
         on_timeout_stat: Callable[[], None] | None = None,
         clock: Callable[[], float] | None = None,
         rtt: RttEstimator | None = None,
-        congestion: CongestionController | None = None,
-        initial_inflight_cap: int | None = None,
+        congestion: AimdController | None = None,
         retain_history: bool = False,
     ) -> None:
         if base_timeout <= 0:
@@ -345,10 +277,6 @@ class WindowedSender:
         self._sent_at: dict[int, float] = {}
         self._consecutive_timeouts = 0
         self._timer = timer_factory(self._on_timeout)
-        if initial_inflight_cap is not None and initial_inflight_cap <= 0:
-            raise TransportError("initial_inflight_cap must be positive when set")
-        #: First-RTT pacing cap; set to ``None`` (lifted) on first ACK progress.
-        self._initial_cap = initial_inflight_cap
         self.retain_history = retain_history
 
     # ------------------------------------------------------------------ #
@@ -380,7 +308,7 @@ class WindowedSender:
         return self._rtt
 
     @property
-    def congestion(self) -> CongestionController | None:
+    def congestion(self) -> AimdController | None:
         """The installed congestion controller, if any."""
         return self._cc
 
@@ -401,7 +329,7 @@ class WindowedSender:
         """Accept sequenced packets; inject up to the window, queue the rest.
 
         Returns the number of packets accepted. With no congestion
-        controller and no first-RTT cap every packet is injected immediately,
+        controller every packet is injected immediately,
         the whole call as one burst.
         """
         window = list(items)
@@ -430,16 +358,12 @@ class WindowedSender:
     def _release_pending(self) -> None:
         """Inject queued packets, oldest first, as far as the window allows."""
         cc = self._cc
-        cap = self._initial_cap
         if not self._pending:
             return
-        if cc is None and cap is None:
+        if cc is None:
             allowance = len(self._pending)
         else:
-            limit = cc.window() if cc is not None else len(self._pending) + len(self._unacked)
-            if cap is not None and cap < limit:
-                limit = cap
-            allowance = limit - len(self._unacked)
+            allowance = cc.window() - len(self._unacked)
         if allowance <= 0:
             return
         pending = self._pending
@@ -454,7 +378,7 @@ class WindowedSender:
     # ACK path
     # ------------------------------------------------------------------ #
     @fastpath("window-advance", oracle="tests/transport/test_windowed_sender.py")
-    def on_ack(self, cumulative: int, sacked: set[int], marked: int = 0) -> None:
+    def on_ack(self, cumulative: int, sacked: set[int]) -> None:
         """Advance the window for one cumulative+selective acknowledgement.
 
         Drops everything the ACK covers, samples the RTT from the newest
@@ -462,8 +386,7 @@ class WindowedSender:
         covers a retransmitted one), ends a timer backoff on progress,
         gap-fills what the SACK set proves missing and is not already being
         repaired, feeds the congestion controller and releases queued
-        packets into the opened window. ``marked`` is the count of ECN-marked
-        packets the receiver echoed on this ACK.
+        packets into the opened window.
         """
         acked = self._buffer.acknowledge(cumulative, sacked)
         if acked:
@@ -478,11 +401,8 @@ class WindowedSender:
                 if None not in stamps:
                     self._rtt.observe(self._clock() - stamps[-1])
             self._consecutive_timeouts = 0
-            # The first-RTT pacing cap lifts on first ACK progress: the
-            # path's feedback loop is now live and the window takes over.
-            self._initial_cap = None
             if self._cc is not None:
-                self._cc.on_ack(len(acked), marked)
+                self._cc.on_ack(len(acked))
         missing = self._buffer.holes(sacked)
         if missing:
             self.retransmit(missing)
@@ -554,8 +474,8 @@ def sender_on(
 
     The one place that turns a tuning into an engine: timers and RTT samples
     run on the simulation clock, the base timeout is
-    ``tuning.base_timeout(retransmit_timeout)``, and the estimator, the
-    controller and the first-RTT cap are the ones the tuning asks for. The
+    ``tuning.base_timeout(retransmit_timeout)``, and the estimator and the
+    controller are the ones the tuning asks for. The
     owner keeps what is its own: framing and accounting (``transmit``,
     ``on_timeout_stat``) and what giving up means (``give_up``).
     """
@@ -570,6 +490,5 @@ def sender_on(
         clock=lambda: simulator.now,
         rtt=make_rtt_estimator(tuning, base),
         congestion=make_congestion_controller(tuning),
-        initial_inflight_cap=tuning.initial_inflight_cap,
         retain_history=retain_history,
     )

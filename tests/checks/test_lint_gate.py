@@ -9,11 +9,13 @@ pipeline) fails the test suite, not just the CLI.
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 
 from repro.checks.lint import run_lint
 from repro.checks.parity import REQUIRED_FASTPATHS, check_fastpath_parity, repo_root
 from repro.checks.registry import registered_fastpaths
 from repro.cli import main
+from repro.core.config import DaietConfig, TransportTuning
 
 
 def _package_trees():
@@ -134,9 +136,9 @@ class TestCleanTree:
 
     def test_hop_reliability_has_one_definition(self):
         # The hop protocol's state lives in core/packet.py: SeenWindow holds
-        # the ACK cadence count, the CE marks still to echo and the
-        # gap-episode flag and builds (cumulative, sack, echo); the
-        # RetransmitBuffer holds the resent-since-progress set. The switch
+        # the ACK cadence count and the gap-episode flag and builds
+        # (cumulative, sack); the RetransmitBuffer holds the
+        # resent-since-progress set. The switch
         # engine, the host agent and the datagram transport keep one window
         # per source and no counter of their own, and transport/ builds its
         # WindowedSender in one place (window.sender_on). (The parent of the
@@ -146,8 +148,6 @@ class TestCleanTree:
         owned = {
             "since_ack",
             "_since_ack",
-            "ecn_since_ack",
-            "_ecn_since_ack",
             "gapped",
             "_gapped",
             "_retransmitted",
@@ -212,6 +212,37 @@ class TestCleanTree:
                         ):
                             offenders.append(f"{relative}:{node.lineno} imports the agent")
         assert offenders == []
+
+    def test_every_config_knob_is_set_outside_the_tests(self):
+        # A DaietConfig or TransportTuning field earns its place by an
+        # experiment, example or benchmark setting it; a field only the
+        # tests set is a dead rule and goes. "Set" means the field's name is
+        # a keyword argument or a dict key somewhere in those trees.
+        allowed_unset = {
+            "value_width": "the paper's 4 B value; every run keeps the wire format it sizes",
+            "spillover_capacity": "None is the paper's one-packet spillover; no run resizes it",
+            "variable_length_keys": "waits on a padded-vs-variable bytes row in fig3",
+        }
+        root = repo_root()
+        trees = [
+            root / "src/repro/experiments",
+            root / "src/repro/cli.py",
+            root / "src/repro/mapreduce",
+            root / "examples",
+            root / "benchmarks/e2e",
+        ]
+        named: set[str] = set()
+        for tree in trees:
+            for path in [tree] if tree.is_file() else sorted(tree.rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.keyword) and node.arg:
+                        named.add(node.arg)
+                    elif isinstance(node, ast.Dict):
+                        named.update(
+                            key.value for key in node.keys if isinstance(key, ast.Constant)
+                        )
+        knobs = {f.name for cls in (DaietConfig, TransportTuning) for f in fields(cls)}
+        assert knobs - named == set(allowed_unset)
 
     def test_cli_lint_exits_zero(self, capsys):
         assert main(["lint"]) == 0

@@ -14,14 +14,12 @@ def make_engine(
     slots: int = 256,
     num_children: int = 2,
     function: str = "sum",
-    reliable_end: bool = False,
     pairs_per_packet: int = 10,
     spillover_capacity: int | None = None,
 ) -> tuple[DaietAggregationEngine, DaietConfig]:
     config = DaietConfig(
         register_slots=slots,
         pairs_per_packet=pairs_per_packet,
-        reliable_end=reliable_end,
         spillover_capacity=spillover_capacity,
     )
     engine = DaietAggregationEngine("sw0")
@@ -107,8 +105,8 @@ class TestAlgorithm1:
         assert [p.packet_type for p in second] == [DaietPacketType.END]
         assert engine.tree(1).occupancy() == 0
 
-    def test_reliable_end_ignores_duplicate_sources(self):
-        engine, config = make_engine(num_children=2, reliable_end=True)
+    def test_duplicate_end_from_one_source_is_ignored(self):
+        engine, config = make_engine(num_children=2)
         engine.process_packet(data_packet([("k", 1)], config, src="m0"))
         assert engine.process_packet(end_packet(1, "m0", "r0", config)) == []
         # Retransmitted END from the same mapper must not trigger the flush.

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import DaietConfig, ExperimentConfig
-from repro.core.errors import ConfigurationError
+from repro.core.config import DaietConfig, ExperimentConfig, TransportTuning
+from repro.core.errors import ConfigurationError, TransportError
 
 
 class TestDaietConfig:
@@ -50,6 +50,22 @@ class TestDaietConfig:
         config = DaietConfig()
         with pytest.raises(Exception):
             config.register_slots = 1  # type: ignore[misc]
+
+
+class TestTransportTuning:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"congestion_control": "dctcp"},
+            {"rto_floor": 0.0},
+            {"rto_ceiling": 0.0},
+            {"initial_cwnd": 0},
+            {"min_cwnd": 0},
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(TransportError):
+            TransportTuning(**kwargs)
 
 
 class TestExperimentConfig:

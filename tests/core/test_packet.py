@@ -196,7 +196,7 @@ class TestReliabilityPrimitives:
             (9, False, False),  # a duplicate is acknowledged for being one
             (6, True, True),  # jumps over 7, and 9 keeps a hole open behind it
         ]
-        assert window.take_ack() == (8, (9,), 0)
+        assert window.take_ack() == (8, (9,))
         assert window.since_ack == 0
 
     def test_seen_window_completeness_requires_end_and_no_gaps(self):

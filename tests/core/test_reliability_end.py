@@ -9,14 +9,12 @@ from repro.core.packet import DaietAck, DaietPacket, DaietPacketType, end_packet
 
 def make_engine(
     num_children: int = 1,
-    reliable_end: bool = True,
     reliability: bool = False,
     ack_window: int = 8,
     slots: int = 128,
 ) -> tuple[DaietAggregationEngine, DaietConfig]:
     config = DaietConfig(
         register_slots=slots,
-        reliable_end=reliable_end,
         reliability=reliability,
         ack_window=ack_window,
     )
@@ -50,23 +48,14 @@ def flushed_pairs(emissions) -> dict[str, int]:
 
 class TestEndEdgeCases:
     def test_duplicate_end_idempotent_by_default(self):
-        # reliable_end is now the default path: a duplicated END from the
-        # same child never double-decrements or flushes a partial aggregate.
+        # A duplicated END from the same child never double-decrements or
+        # flushes a partial aggregate.
         engine, config = make_engine(num_children=2)
         engine.handle_packet(data([("k", 1)], config, src="m0"))
         assert engine.handle_packet(end_packet(1, "m0", "r0", config)) == []
         assert engine.handle_packet(end_packet(1, "m0", "r0", config)) == []
         out = engine.handle_packet(end_packet(1, "m1", "r0", config))
         assert flushed_pairs(out) == {"k": 1}
-
-    def test_duplicate_end_double_decrements_without_reliable_end(self):
-        # The historical failure mode, kept reachable for ablation: with the
-        # flag off, a duplicated END flushes after the *first* child ends.
-        engine, config = make_engine(num_children=2, reliable_end=False)
-        engine.handle_packet(data([("k", 1)], config, src="m0"))
-        engine.handle_packet(end_packet(1, "m0", "r0", config))
-        out = engine.handle_packet(end_packet(1, "m0", "r0", config))
-        assert flushed_pairs(out) == {"k": 1}, "partial flush: m1 never ended"
 
     def test_end_before_any_data(self):
         engine, config = make_engine(num_children=1)

@@ -105,7 +105,7 @@ class TestDaietUnderLoss:
         (received aggregate, ground-truth aggregate)."""
         topo = single_rack(4, loss_rate=loss_rate)
         sim = NetworkSimulator(topo, SimulatorConfig(loss_seed=seed))
-        config = DaietConfig(register_slots=1024, reliable_end=True)
+        config = DaietConfig(register_slots=1024)
         controller = DaietController(topo, config)
         job = controller.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"])
         tree = job.tree_for_reducer("h3")
@@ -123,8 +123,8 @@ class TestDaietUnderLoss:
                 pairs, tree_id=tree.tree_id, src=mapper, dst="h3", config=config
             ):
                 sim.send(mapper, packet)
-            # Application-level END retransmission (the reliable_end extension
-            # makes duplicates idempotent at the switch).
+            # Application-level END retransmission (END handling makes
+            # duplicates idempotent at the switch).
             sim.send(mapper, end_packet(tree.tree_id, mapper, "h3", config))
         sim.run()
         return receiver.result(), aggregate_pairs(all_pairs, SUM)
@@ -135,8 +135,7 @@ class TestDaietUnderLoss:
 
     def test_duplicate_ends_are_idempotent_without_loss(self):
         # The helper always sends each END twice (original + retransmission);
-        # with reliable_end the switch must flush exactly once and the result
-        # stays exact.
+        # the switch must flush exactly once and the result stays exact.
         received, truth = self._run_daiet(loss_rate=0.0, seed=9)
         assert received == truth
 

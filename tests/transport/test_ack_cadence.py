@@ -1,21 +1,15 @@
 """Scripted-trace oracle for the hop-reliability receiver, at every endpoint.
 
-The DCTCP spec requires two things of a receiver observing CE marks:
-
-* a marked arrival is acknowledged *immediately* (the sender's
-  mark-fraction estimator needs the echo now, not after the delayed-ACK
-  window fills), and
-* each ACK echoes at most *one* mark — a backlog of marks drains one echo
-  per ACK over subsequent ACKs instead of being batched into a single
-  inflated echo count.
-
-One stream state (:class:`~repro.core.packet.SeenWindow`) decides both for
-the host reliability agent, the switch aggregation engine and the reliable
-UDP transport. The traces below are replayed against all three through the
-entry points the network uses (the host receiver, ``handle_packet``, the
-NIC), and every ACK that leaves the endpoint is read back as
-``(cumulative, sack, echo)``. A Hypothesis property then checks the window
-alone against a sorted-set reference.
+A receiver acknowledges ahead of its cadence when an arrival is CE-marked,
+is a duplicate, or opens or closes a hole. One stream state
+(:class:`~repro.core.packet.SeenWindow`) decides this for the host
+reliability agent, the switch aggregation engine and the reliable UDP
+transport; each reads the packet's CE bit itself. The traces below are
+replayed against all three through the entry points the network uses (the
+host receiver, ``handle_packet``, the NIC), and every ACK that leaves the
+endpoint is read back as ``(cumulative, sack)``. Hypothesis properties then
+check the window alone, and each endpoint's early ACKs, against a sorted-set
+reference.
 """
 
 from __future__ import annotations
@@ -60,17 +54,9 @@ class Endpoint:
     """One receiver of the ``h0`` stream; ``acks`` is every ACK it emitted."""
 
     def __init__(self) -> None:
-        self.acks: list[tuple[int, tuple[int, ...], int]] = []
-
-    @property
-    def echoes(self) -> list[int]:
-        return [echo for _cumulative, _sack, echo in self.acks]
+        self.acks: list[tuple[int, tuple[int, ...]]] = []
 
     def deliver(self, seq: int, ecn: bool = False) -> None:
-        raise NotImplementedError
-
-    def stream_window(self) -> SeenWindow:
-        """The endpoint's window for the ``h0`` stream."""
         raise NotImplementedError
 
     def _capture_sends(self, simulator: NetworkSimulator) -> None:
@@ -78,10 +64,10 @@ class Endpoint:
 
         def capture(_host: str, packet) -> None:
             if isinstance(packet, DaietAck):
-                self.acks.append((packet.cumulative, packet.sack, packet.ecn_echo))
+                self.acks.append((packet.cumulative, packet.sack))
             elif packet.payload.kind == "udp-rel-ack":
                 meta = packet.payload.meta
-                self.acks.append((meta["cumulative"], meta["sack"], meta["ecn"]))
+                self.acks.append((meta["cumulative"], meta["sack"]))
 
         simulator.send = capture
 
@@ -106,9 +92,6 @@ class HostAgentEndpoint(Endpoint):
 
     def deliver(self, seq: int, ecn: bool = False) -> None:
         self.agent.receive(data_packet(seq, ecn, self.config))
-
-    def stream_window(self) -> SeenWindow:
-        return self.agent._recv[1].windows[SENDER]
 
 
 class SwitchEngineEndpoint(Endpoint):
@@ -136,10 +119,7 @@ class SwitchEngineEndpoint(Endpoint):
         for port, out in self.engine.handle_packet(data_packet(seq, ecn, self.config)):
             if isinstance(out, DaietAck):
                 assert port == 1
-                self.acks.append((out.cumulative, out.sack, out.ecn_echo))
-
-    def stream_window(self) -> SeenWindow:
-        return self.engine.tree(1).window(SENDER)
+                self.acks.append((out.cumulative, out.sack))
 
 
 class ReliableUdpEndpoint(Endpoint):
@@ -165,9 +145,6 @@ class ReliableUdpEndpoint(Endpoint):
         )
         self.simulator.host(RECEIVER).deliver(datagram, datagram.wire_bytes())
 
-    def stream_window(self) -> SeenWindow:
-        return self.transport._windows[(RECEIVER, SENDER, self.PORT)]
-
 
 ENDPOINTS = [HostAgentEndpoint, SwitchEngineEndpoint, ReliableUdpEndpoint]
 
@@ -180,44 +157,63 @@ def make_endpoint(request):
     return make
 
 
-class TestEchoCadence:
-    def test_marked_arrival_acked_immediately_with_one_echo(self, make_endpoint):
+class TestEarlyAcks:
+    def test_marked_arrival_acked_immediately(self, make_endpoint):
         endpoint = make_endpoint(ack_window=4)
         endpoint.deliver(0)
         assert endpoint.acks == []  # below the ACK window, nothing marked
         endpoint.deliver(1, ecn=True)
-        assert endpoint.echoes == [1]  # the mark forces an immediate ACK
+        assert endpoint.acks == [(2, ())]  # the mark forces an immediate ACK
 
-    def test_mark_burst_echoes_one_per_ack(self, make_endpoint):
+    def test_three_marked_arrivals_draw_three_acks(self, make_endpoint):
         endpoint = make_endpoint(ack_window=8)
         for seq in range(3):
             endpoint.deliver(seq, ecn=True)
-        # Every marked arrival produced its own ACK carrying exactly one
-        # echo, never one delayed ACK with an echo count of 3.
-        assert endpoint.echoes == [1, 1, 1]
+        # Every marked arrival produced its own ACK, never one delayed ACK.
+        assert endpoint.acks == [(1, ()), (2, ()), (3, ())]
 
-    def test_duplicate_does_not_re_echo(self, make_endpoint):
+    def test_duplicate_is_re_acked(self, make_endpoint):
         endpoint = make_endpoint(ack_window=8)
-        endpoint.deliver(0, ecn=True)
-        assert endpoint.echoes == [1]
-        # Retransmitted copy of the marked packet: the duplicate triggers an
-        # ACK, but the mark was already echoed and must not count twice.
-        endpoint.deliver(0, ecn=True)
-        assert endpoint.echoes == [1, 0]
+        endpoint.deliver(0)
+        assert endpoint.acks == []
+        # A retransmitted copy tells the receiver its ACK was lost or late:
+        # it is acknowledged at once.
+        endpoint.deliver(0)
+        assert endpoint.acks == [(1, ())]
 
-    def test_mark_backlog_drains_one_echo_per_ack(self, make_endpoint):
-        endpoint = make_endpoint(ack_window=2)
-        endpoint.deliver(0, ecn=True)
-        # Three more marked packets reach the stream while no ACK goes out
-        # (marks racing a single delayed ACK): the cadence ACKs that follow
-        # drain the backlog one echo at a time.
-        window = endpoint.stream_window()
-        for seq in (1, 2, 3):
-            assert window.observe(seq, ecn=True)
-        for seq in range(4, 12):
+    def test_unmarked_arrivals_wait_for_the_cadence(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=4)
+        for seq in range(3):
             endpoint.deliver(seq)
-        assert endpoint.echoes == [1, 1, 1, 1, 0]
-        assert endpoint.acks[-1][:2] == (12, ())
+        assert endpoint.acks == []
+        endpoint.deliver(3)  # the fourth in-order arrival fills the window
+        assert endpoint.acks == [(4, ())]
+
+    def test_a_marked_ack_restarts_the_cadence(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=4)
+        endpoint.deliver(0, ecn=True)
+        assert endpoint.acks == [(1, ())]
+        for seq in (1, 2, 3):
+            endpoint.deliver(seq)
+        # The early ACK covered seq 0: the window counts afresh from seq 1.
+        assert len(endpoint.acks) == 1
+        endpoint.deliver(4)
+        assert endpoint.acks == [(1, ()), (5, ())]
+
+    def test_marked_duplicate_draws_one_ack(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=8)
+        endpoint.deliver(0)
+        endpoint.deliver(0, ecn=True)
+        # Both rules ask for an ACK; the arrival still sends only one.
+        assert endpoint.acks == [(1, ())]
+
+    def test_marked_out_of_order_arrival_carries_its_sack(self, make_endpoint):
+        endpoint = make_endpoint(ack_window=8)
+        endpoint.deliver(0)
+        endpoint.deliver(2)  # opens the hole at 1
+        assert endpoint.acks == [(1, (2,))]
+        endpoint.deliver(4, ecn=True)
+        assert endpoint.acks == [(1, (2,)), (1, (2, 4))]
 
 
 class TestHoleEdges:
@@ -229,12 +225,12 @@ class TestHoleEdges:
             endpoint.deliver(seq)
         assert endpoint.acks == []
         endpoint.deliver(3)  # opens the hole: the sender's gap-fill can start
-        assert endpoint.acks == [(2, (3,), 0)]
+        assert endpoint.acks == [(2, (3,))]
         for seq in (4, 5):
             endpoint.deliver(seq)  # out of order, nothing new to say
         assert len(endpoint.acks) == 1
         endpoint.deliver(2)  # closes it: the repair is announced at once
-        assert endpoint.acks[-1] == (6, (), 0) and len(endpoint.acks) == 2
+        assert endpoint.acks[-1] == (6, ()) and len(endpoint.acks) == 2
 
     @pytest.mark.parametrize(
         "endpoint_class",
@@ -245,7 +241,7 @@ class TestHoleEdges:
         endpoint = endpoint_class(ack_window=8, policy="sampled")
         for seq in (0, 2, 3, 1):
             endpoint.deliver(seq)
-        assert endpoint.acks == [(1, (2,), 0), (4, (), 0)]
+        assert endpoint.acks == [(1, (2,)), (4, ())]
 
 
 @pytest.mark.parametrize(
@@ -263,33 +259,30 @@ def test_sampled_tree_announces_a_gap_episode_once(endpoint_class):
     endpoint = endpoint_class(ack_window=2, policy="sampled")
     for seq in (0, 2, 3):
         endpoint.deliver(seq)
-    assert endpoint.acks == [(1, (2,), 0)]
+    assert endpoint.acks == [(1, (2,))]
     # The episode ends when the hole closes; the next one is announced again.
     endpoint.deliver(1)
     endpoint.deliver(5)
-    assert endpoint.acks[-1] == (4, (5,), 0)
+    assert endpoint.acks[-1] == (4, (5,))
 
 
-arrival_scripts = st.lists(
-    st.tuples(st.integers(0, 40), st.booleans(), st.booleans()), max_size=120
-)
+arrival_scripts = st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=120)
 
 
 class TestSeenWindowAgainstSortedSetReference:
     @settings(max_examples=200)
     @given(script=arrival_scripts)
-    def test_any_arrival_order_with_duplicates_and_marks(self, script):
-        """``script`` is ``(seq, CE-marked, ACK goes out afterwards)`` rows."""
+    def test_any_arrival_order_with_duplicates(self, script):
+        """``script`` is ``(seq, ACK goes out afterwards)`` rows."""
         window = SeenWindow()
         seen: set[int] = set()
-        owed = echoed = counted = 0
-        for seq, ecn, ack in script:
+        counted = 0
+        for seq, ack in script:
             before = next(i for i in count() if i not in seen)
             buffered = any(s > before for s in seen)
-            fresh = window.observe(seq, ecn)
+            fresh = window.observe(seq)
             assert fresh == (seq not in seen)
             seen.add(seq)
-            owed += fresh and ecn
             cumulative = next(i for i in count() if i not in seen)
             holes = any(s > cumulative for s in seen)
             assert window.has_gaps == holes
@@ -301,14 +294,45 @@ class TestSeenWindowAgainstSortedSetReference:
             counted += 1
             assert window.count_arrival() == counted
             if ack:
-                expected_echo = int(owed > echoed)
                 assert window.take_ack() == (
                     cumulative,
                     tuple(sorted(s for s in seen if s > cumulative))[:DAIET_ACK_MAX_SACK],
-                    expected_echo,
                 )
-                echoed += expected_echo
                 counted = 0
-        while window.take_ack()[2]:
-            echoed += 1
-        assert echoed == owed
+
+
+marked_scripts = st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=60)
+
+
+class TestEndpointsAgainstSortedSetReference:
+    @pytest.mark.parametrize("endpoint_class", ENDPOINTS, ids=lambda cls: cls.__name__)
+    @settings(max_examples=40, deadline=None)
+    @given(script=marked_scripts)
+    def test_early_acks_report_the_reference_state(self, endpoint_class, script):
+        """``script`` is ``(seq, CE-marked)`` rows delivered to one endpoint.
+
+        An arrival sends at most one ACK; a marked, duplicate or hole-edge
+        arrival always sends one; and every ACK states the sorted-set
+        reference as it stands after that arrival.
+        """
+        endpoint = endpoint_class(ack_window=8, policy="exact")
+        seen: set[int] = set()
+        for seq, marked in script:
+            before = next(i for i in count() if i not in seen)
+            buffered = any(s > before for s in seen)
+            fresh = seq not in seen
+            seen.add(seq)
+            cumulative = next(i for i in count() if i not in seen)
+            opens = fresh and seq != before and not buffered
+            closes = fresh and seq == before and cumulative > seq + 1
+            sent_before = len(endpoint.acks)
+            endpoint.deliver(seq, ecn=marked)
+            new = endpoint.acks[sent_before:]
+            assert len(new) <= 1
+            if marked or not fresh or opens or closes:
+                assert len(new) == 1
+            if new:
+                assert new[0] == (
+                    cumulative,
+                    tuple(sorted(s for s in seen if s > cumulative))[:DAIET_ACK_MAX_SACK],
+                )

@@ -132,7 +132,6 @@ class TestTuning:
         assert isinstance(engine.congestion, AimdController)
         assert engine.congestion.window() == 12
         assert engine.rtt.floor == 5e-5
-        assert DaietConfig().tuning.is_default
 
     def test_daiet_window_never_sits_below_the_switch_ack_cadence(self):
         # A switch acknowledges every ack_window arrivals (every

@@ -4,7 +4,7 @@ Three layers:
 
 * unit tests for the RFC 6298 RTT estimator (sample folding, Karn's rule via
   the sender, exponential backoff doubling, floor/ceiling clamps);
-* scripted ACK/mark traces for the AIMD and DCTCP congestion controllers;
+* scripted ACK traces for the AIMD congestion controller;
 * behavioural parity of :class:`WindowedSender` in default tuning against a
   straight-line reference reimplementation of the sender state machine (a
   timeout probes the lowest and the highest unacknowledged number, capped
@@ -28,7 +28,6 @@ from repro.core.packet import RetransmitBuffer, SeenWindow
 from repro.transport.window import (
     MAX_BACKOFF_FACTOR,
     AimdController,
-    DctcpController,
     RttEstimator,
     TransportTuning,
     WindowedSender,
@@ -61,8 +60,7 @@ class Harness:
     """Owner-side environment for a WindowedSender under test."""
 
     def __init__(self, *, tuning: TransportTuning | None = None,
-                 base_timeout: float = 1e-3, max_retransmits: int = 5,
-                 initial_inflight_cap: int | None = None):
+                 base_timeout: float = 1e-3, max_retransmits: int = 5):
         tuning = tuning or TransportTuning()
         self.now = 0.0
         self.timer: FakeTimer | None = None
@@ -91,9 +89,6 @@ class Harness:
             clock=lambda: self.now,
             rtt=make_rtt_estimator(tuning, base_timeout),
             congestion=make_congestion_controller(tuning),
-            initial_inflight_cap=initial_inflight_cap
-            if initial_inflight_cap is not None
-            else tuning.initial_inflight_cap,
         )
 
     def _count_timeout(self):
@@ -220,19 +215,19 @@ class TestKarnsRule:
 
 
 # ---------------------------------------------------------------------- #
-# Congestion controllers under scripted traces
+# The congestion controller under scripted traces
 # ---------------------------------------------------------------------- #
 class TestAimdController:
     def test_slow_start_doubles_per_window(self):
         cc = AimdController(initial_cwnd=4, min_cwnd=2)
-        cc.on_ack(4, 0)
+        cc.on_ack(4)
         assert cc.window() == 8
 
     def test_congestion_avoidance_grows_linearly(self):
         cc = AimdController(initial_cwnd=8, min_cwnd=2)
         cc.on_gap()  # ssthresh = cwnd/2 = 4, cwnd = 4
         start = cc.cwnd
-        cc.on_ack(4, 0)  # +4/cwnd each ~ +1 per full window
+        cc.on_ack(4)  # +4/cwnd each ~ +1 per full window
         assert cc.cwnd == pytest.approx(start + sum(
             [4 / start]))  # one on_ack(4) = +4/cwnd
         assert cc.cwnd < start + 4  # no slow-start jump
@@ -245,49 +240,25 @@ class TestAimdController:
         assert cc.window() == 2
         assert cc.ssthresh == pytest.approx(4)
 
+    def test_timeout_re_enters_slow_start_up_to_half_the_old_window(self):
+        cc = AimdController(initial_cwnd=32, min_cwnd=2)
+        cc.on_timeout()  # ssthresh = 16, cwnd = 2
+        cc.on_ack(14)
+        assert cc.cwnd == pytest.approx(16)  # slow start: +1 per packet
+        cc.on_ack(16)
+        assert cc.cwnd == pytest.approx(17)  # avoidance: +1 per full window
+
+    def test_gap_never_cuts_below_min_cwnd(self):
+        cc = AimdController(initial_cwnd=3, min_cwnd=2)
+        cc.on_gap()
+        assert cc.cwnd == pytest.approx(2)
+        assert cc.ssthresh == pytest.approx(2)
+
     def test_window_never_below_one(self):
         cc = AimdController(initial_cwnd=2, min_cwnd=2)
         for _ in range(10):
             cc.on_timeout()
         assert cc.window() >= 1
-
-
-class TestDctcpController:
-    def test_unmarked_windows_leave_alpha_at_zero(self):
-        cc = DctcpController(initial_cwnd=4, min_cwnd=2, gain=0.0625)
-        cc.on_ack(4, 0)
-        assert cc.alpha == 0.0
-        assert cc.window() >= 4  # still grows like AIMD
-
-    def test_fully_marked_window_raises_alpha_by_gain(self):
-        cc = DctcpController(initial_cwnd=16, min_cwnd=2, gain=0.25)
-        cc.on_gap()  # leave slow start so a round of ACKs can close
-        w = cc.window()
-        cc.on_ack(2 * w, 2 * w)  # a full, fully-marked round
-        assert cc.alpha == pytest.approx(0.25)
-
-    def test_marked_window_scales_decrease_by_alpha(self):
-        cc = DctcpController(initial_cwnd=100, min_cwnd=2, gain=1.0)
-        cc.on_gap()  # cwnd = 50, congestion avoidance
-        w = cc.window()
-        cc.on_ack(2 * w, 2 * w)  # gain 1.0: alpha -> 1.0, cwnd *= (1 - 1/2)
-        grown = 50.0 + (2 * w) / 50.0  # avoidance growth before the cut
-        assert cc.cwnd == pytest.approx(grown * 0.5)
-
-    def test_partial_marks_cut_less_than_aimd_halving(self):
-        gentle = DctcpController(initial_cwnd=64, min_cwnd=2, gain=1.0)
-        w = gentle.window()
-        marked = max(1, w // 8)  # 12.5% marked
-        gentle.on_ack(w, marked)
-        aimd = AimdController(initial_cwnd=64, min_cwnd=2)
-        aimd.on_ack(w, 0)
-        aimd.on_gap()
-        assert gentle.cwnd > aimd.cwnd
-
-    def test_loss_still_reacts_like_aimd(self):
-        cc = DctcpController(initial_cwnd=32, min_cwnd=2)
-        cc.on_timeout()
-        assert cc.window() == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -387,6 +358,36 @@ class TestWindowedSenderDefaults:
 
 
 class TestWindowedSenderPacing:
+    def test_default_tuning_sends_everything_at_once(self):
+        h = Harness()
+        assert h.sender.congestion is None
+        h.send_seqs(*range(64))
+        assert h.wire() == list(range(64))
+        assert h.sender.in_flight == 64
+
+    def test_sack_hole_halves_the_window(self):
+        tuning = TransportTuning(congestion_control="aimd", initial_cwnd=8)
+        h = Harness(tuning=tuning)
+        h.send_seqs(*range(12))
+        assert h.wire() == list(range(8))
+        h.sender.on_ack(0, {1, 2, 3})  # three acked: slow start takes cwnd to 11
+        assert h.sent[-1] == ([0], True)  # the proven hole is gap-filled
+        # ... and halves the window: 0, 4, 5, 6, 7 already fill it.
+        assert h.sender.congestion.window() == 5
+        assert h.sender.in_flight == 5
+        assert h.sender.outstanding == 9
+
+    def test_timeout_collapses_the_window_to_min_cwnd(self):
+        tuning = TransportTuning(congestion_control="aimd", initial_cwnd=8, min_cwnd=2)
+        h = Harness(tuning=tuning)
+        h.send_seqs(*range(12))
+        h.timer.fire()
+        assert h.sent[-1] == ([0, 7], True)  # probes only, nothing fresh
+        assert h.sender.congestion.window() == 2
+        h.sender.on_ack(8, set())  # slow start from 2: cwnd 10
+        assert sorted(h.wire()[-4:]) == [8, 9, 10, 11]
+        assert h.sender.in_flight == 4
+
     def test_congestion_window_queues_excess(self):
         tuning = TransportTuning(congestion_control="aimd", initial_cwnd=2)
         h = Harness(tuning=tuning)
@@ -401,7 +402,7 @@ class TestWindowedSenderPacing:
         assert h.sender.done is False
 
     def test_everything_drains_under_acks(self):
-        tuning = TransportTuning(congestion_control="dctcp", initial_cwnd=2)
+        tuning = TransportTuning(congestion_control="aimd", initial_cwnd=2)
         h = Harness(tuning=tuning)
         h.send_seqs(*range(20))
         guard = 0
@@ -411,58 +412,6 @@ class TestWindowedSenderPacing:
             guard += 1
             assert guard < 100
         assert sorted(h.wire()) == sorted(range(20))
-
-
-class TestInitialInflightCap:
-    def test_first_burst_is_capped(self):
-        h = Harness(tuning=TransportTuning(initial_inflight_cap=3))
-        h.send_seqs(*range(10))
-        assert h.wire() == [0, 1, 2]
-        assert h.sender.in_flight == 3
-        assert h.sender.outstanding == 10
-
-    def test_cap_lifts_on_first_ack_progress(self):
-        h = Harness(tuning=TransportTuning(initial_inflight_cap=2))
-        h.send_seqs(*range(8))
-        assert h.wire() == [0, 1]
-        h.sender.on_ack(2, set())
-        # Feedback loop is live: the full backlog drains in one release.
-        assert sorted(h.wire()) == sorted(range(8))
-        assert h.sender._initial_cap is None
-
-    def test_cap_survives_timeout_without_progress(self):
-        h = Harness(tuning=TransportTuning(initial_inflight_cap=2))
-        h.send_seqs(*range(6))
-        h.timer.fire()  # two probes, still no ACK progress
-        assert h.sender._initial_cap == 2
-        assert h.sender.in_flight == 2
-
-    def test_cap_composes_with_congestion_window(self):
-        tuning = TransportTuning(
-            congestion_control="aimd", initial_cwnd=8, initial_inflight_cap=3
-        )
-        h = Harness(tuning=tuning)
-        h.send_seqs(*range(10))
-        # min(cwnd=8, cap=3) governs the first burst.
-        assert h.wire() == [0, 1, 2]
-        h.sender.on_ack(3, set())
-        # Cap lifted; cwnd alone (grown by slow start) paces from here on.
-        assert h.sender.in_flight <= h.sender._cc.window()
-
-    def test_uncapped_default_sends_everything_at_once(self):
-        h = Harness()
-        h.send_seqs(*range(10))
-        assert h.wire() == list(range(10))
-
-    def test_tuning_with_cap_is_not_default(self):
-        assert TransportTuning().is_default
-        assert not TransportTuning(initial_inflight_cap=4).is_default
-
-    def test_cap_must_be_positive(self):
-        with pytest.raises(TransportError, match="initial_inflight_cap"):
-            TransportTuning(initial_inflight_cap=0)
-        with pytest.raises(TransportError, match="initial_inflight_cap"):
-            Harness(initial_inflight_cap=-1)
 
 
 # ---------------------------------------------------------------------- #
@@ -487,7 +436,7 @@ class Hop:
                 fresh = self.window.observe(seq)
                 if not fresh or self.window.edge or self.window.count_arrival() >= 8:
                     acks.append(self.window.take_ack())
-        for cumulative, sack, _echo in acks:
+        for cumulative, sack in acks:
             self.h.sender.on_ack(cumulative, set(sack))
 
     def resent(self) -> list[int]:
