@@ -6,7 +6,7 @@ drives the fast path and the generic path side by side. This checker
 imports the known fast-path modules (registration happens at import time),
 then verifies:
 
-* every *required* fast path name is registered (the seven compiled paths
+* every *required* fast path name is registered (the six compiled paths
   the repo ships today are hard-required, so deleting a decorator fails
   lint rather than silently dropping coverage);
 * every registered fast path's oracle module exists on disk;
@@ -29,9 +29,7 @@ FASTPATH_MODULES: tuple[str, ...] = (
     "repro.netsim.devices",
     "repro.netsim.faults",
     "repro.netsim.simulator",
-    "repro.dataplane.registers",
     "repro.core.aggregation",
-    "repro.transport.window",
 )
 
 #: Fast paths that must exist in the registry. Keep in sync with the
@@ -41,10 +39,9 @@ REQUIRED_FASTPATHS: frozenset[str] = frozenset(
         "calendar-queue",
         "switch-delivery",
         "switch-burst-delivery",
-        "forwarding-cache",
+        "switch-forwarding",
         "vector-register-kernel",
         "fault-gate",
-        "window-advance",
     }
 )
 

@@ -129,9 +129,6 @@ class DaietConfig:
         Number of pairs held in the spillover bucket before it is flushed to
         the next node. The paper sizes it as "as many entries as the number of
         pairs that can fit in one packet"; ``None`` keeps that behaviour.
-    variable_length_keys:
-        Extension flag (paper future work): serialize keys with a one-byte
-        length prefix instead of fixed-size padding.
     reliability:
         Enable the full end-host reliability layer: per-(tree, sender)
         sequence numbers on every DATA/END packet, cumulative+selective ACKs,
@@ -186,7 +183,6 @@ class DaietConfig:
     value_width: int = DEFAULT_VALUE_WIDTH
     pairs_per_packet: int = DEFAULT_PAIRS_PER_PACKET
     spillover_capacity: int | None = None
-    variable_length_keys: bool = False
     reliability: bool = False
     retransmit_timeout: float = 1e-4
     ack_window: int = 8

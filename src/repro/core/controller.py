@@ -190,11 +190,10 @@ class DaietController:
     def _teardown_tree(self, tree: AggregationTree) -> None:
         """Release everything one tree holds on its switches.
 
-        Engine state, the steering entry, the SRAM allocation *and* the
-        compiled-path steering memo are all dropped, so repeated
-        install/teardown cycles (failover re-plans) leak nothing. Safe on
-        crashed switches whose tables were already wiped: every removal is
-        idempotent.
+        Engine state, the steering entry and the SRAM allocation are all
+        dropped, so repeated install/teardown cycles (failover re-plans)
+        leak nothing. Safe on crashed switches whose tables were already
+        wiped: every removal is idempotent.
         """
         for node in tree.switches():
             device = self.topology.get(node.name)
@@ -205,10 +204,6 @@ class DaietController:
                 engine.remove_tree(tree.tree_id)
             device.daiet_table.remove({"tree_id": tree.tree_id})
             device.switch.ledger.release_sram(f"tree{tree.tree_id}")
-            # The steering memo is keyed by tree id; version bumps already
-            # invalidate stale entries, but dead ids would otherwise pile up
-            # across re-plan cycles.
-            device._fast_cache.pop(tree.tree_id, None)
 
     def remove_job(self, job: InstalledJob) -> None:
         """Remove a job's trees, rules and SRAM allocations."""

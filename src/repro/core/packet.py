@@ -205,10 +205,8 @@ class DaietPacket:
         # three separate loops (width validation, the key-length flag and the
         # serialized pair bytes). ASCII ``str`` keys — the overwhelmingly
         # common case — never touch ``str.encode``.
-        variable = config.variable_length_keys
         key_width = config.key_width
         keylen_needed = False
-        var_key_bytes = 0
         for key, _value in self.pairs:
             if type(key) is str and key.isascii():
                 encoded_len = len(key)
@@ -217,23 +215,17 @@ class DaietPacket:
                 encoded = key.encode() if isinstance(key, str) else bytes(key)
                 encoded_len = len(encoded)
                 ends_nul = encoded.endswith(b"\x00")
-            if variable:
-                var_key_bytes += encoded_len
-            else:
-                if encoded_len > key_width:
-                    raise PacketFormatError(
-                        f"key {key!r} is {encoded_len} B, exceeding the fixed key "
-                        f"width of {key_width} B"
-                    )
-                if ends_nul:
-                    keylen_needed = True
+            if encoded_len > key_width:
+                raise PacketFormatError(
+                    f"key {key!r} is {encoded_len} B, exceeding the fixed key "
+                    f"width of {key_width} B"
+                )
+            if ends_nul:
+                keylen_needed = True
         num_pairs = len(self.pairs)
-        if variable:
-            pair_bytes = num_pairs * (1 + config.value_width) + var_key_bytes
-        else:
-            pair_bytes = num_pairs * config.pair_bytes
-            if keylen_needed:
-                pair_bytes += num_pairs
+        pair_bytes = num_pairs * config.pair_bytes
+        if keylen_needed:
+            pair_bytes += num_pairs
         extra = SEQ_BYTES if self.seq is not None else 0
         object.__setattr__(self, "_keylen_needed", keylen_needed)
         object.__setattr__(
@@ -371,12 +363,9 @@ class DaietPacket:
                 + (self.num_pairs if self._needs_keylens() else 0),
             ),
         ]
+        pair_bytes = self.config.pair_bytes
         for i, (key, value) in enumerate(self.pairs):
-            if self.config.variable_length_keys:
-                nbytes = 1 + _key_bytes_len(key, self.config) + self.config.value_width
-            else:
-                nbytes = self.config.pair_bytes
-            stack.append((f"kv_{i}", {"key": key, "value": value}, nbytes))
+            stack.append((f"kv_{i}", {"key": key, "value": value}, pair_bytes))
         return stack
 
     def header_sizes(self) -> tuple[tuple[str, int], ...]:
@@ -431,13 +420,7 @@ class DaietPacket:
             )
         for key, value in self.pairs:
             key_bytes = key.encode() if isinstance(key, str) else bytes(key)
-            if self.config.variable_length_keys:
-                if len(key_bytes) > 255:
-                    raise PacketFormatError("variable-length keys are limited to 255 B")
-                chunks.append(struct.pack("!B", len(key_bytes)))
-                chunks.append(key_bytes)
-            else:
-                chunks.append(key_bytes.ljust(self.config.key_width, b"\x00"))
+            chunks.append(key_bytes.ljust(self.config.key_width, b"\x00"))
             chunks.append(_encode_value(value, self.config.value_width))
         return b"".join(chunks)
 
@@ -469,29 +452,19 @@ class DaietPacket:
             offset += num_pairs
         pairs: list[tuple[str, int]] = []
         for i in range(num_pairs):
-            if config.variable_length_keys:
-                if offset >= len(data):
-                    raise PacketFormatError("truncated variable-length key")
-                key_len = data[offset]
-                offset += 1
-                key_bytes = data[offset : offset + key_len]
-                if len(key_bytes) != key_len:
-                    raise PacketFormatError("truncated variable-length key body")
-                offset += key_len
+            key_bytes = data[offset : offset + config.key_width]
+            if len(key_bytes) != config.key_width:
+                raise PacketFormatError("truncated fixed-size key")
+            offset += config.key_width
+            if key_lens is not None:
+                # The exact key length travelled with the packet: strip only
+                # the padding bytes appended by ``ljust``, preserving keys
+                # that legitimately end in NUL bytes.
+                if key_lens[i] > config.key_width:
+                    raise PacketFormatError("key length exceeds the key width")
+                key_bytes = key_bytes[: key_lens[i]]
             else:
-                key_bytes = data[offset : offset + config.key_width]
-                if len(key_bytes) != config.key_width:
-                    raise PacketFormatError("truncated fixed-size key")
-                offset += config.key_width
-                if key_lens is not None:
-                    # The exact key length travelled with the packet: strip
-                    # only the padding bytes appended by ``ljust``, preserving
-                    # keys that legitimately end in NUL bytes.
-                    if key_lens[i] > config.key_width:
-                        raise PacketFormatError("key length exceeds the key width")
-                    key_bytes = key_bytes[: key_lens[i]]
-                else:
-                    key_bytes = key_bytes.rstrip(b"\x00")
+                key_bytes = key_bytes.rstrip(b"\x00")
             value_bytes = data[offset : offset + config.value_width]
             if len(value_bytes) != config.value_width:
                 raise PacketFormatError("truncated value")
@@ -654,7 +627,7 @@ def _bulk_data_packets(
     ones never reach the kernel and get none. Returns ``None`` for anything
     the constructor must judge instead: a negative tree id, a sequence number
     that would not fit its field, malformed pairs, keys outside the pool's
-    domain and, with fixed-width keys, an over-wide or NUL-suffixed key.
+    domain and an over-wide or NUL-suffixed key.
     """
     per_packet = config.pairs_per_packet
     count = -(-len(pairs) // per_packet)
@@ -664,19 +637,11 @@ def _bulk_data_packets(
         kids, widest, any_nul = _interning.intern_keys([key for key, _value in pairs])
     except (TypeError, ValueError):
         return None
-    variable = config.variable_length_keys
-    if not variable and (widest > config.key_width or any_nul):
+    if widest > config.key_width or any_nul:
         return None
     base = DAIET_PREAMBLE_BYTES + (0 if seq_start is None else SEQ_BYTES)
-    pair_bytes = 1 + config.value_width if variable else config.pair_bytes
     starts = range(0, len(pairs), per_packet)
-    sizes = [base + min(per_packet, len(pairs) - at) * pair_bytes for at in starts]
-    if variable:
-        enc_len_of = _interning.enc_len_of
-        sizes = [
-            size + sum(map(enc_len_of, kids[at : at + per_packet]))
-            for size, at in zip(sizes, starts)
-        ]
+    sizes = [base + min(per_packet, len(pairs) - at) * config.pair_bytes for at in starts]
     if seq_start is None:
         seqs, places = repeat(None), range(count)
         columns = PairColumns(pairs, kids, per_packet)

@@ -102,11 +102,6 @@ def crc_of(kid: int) -> int:
     return _kid_crc[kid]
 
 
-def enc_len_of(kid: int) -> int:
-    """Encoded byte length of a kid's key."""
-    return _kid_enc_len[kid]
-
-
 def pool_size() -> int:
     """Number of kids interned so far (exclusive upper bound of every kid)."""
     return len(_kid_key)

@@ -5,6 +5,10 @@ match-action stages; each stage holds one or more tables and has a bounded
 amount of work it can do. :class:`Pipeline` models that: stages are applied in
 order, the total number of stages is limited by the target resources, and the
 per-packet operation counter is threaded through every action.
+
+A compiled P4 program fixes the stage layout; after that the control plane
+only pushes rules into the tables. :meth:`Pipeline.seal` models the compile
+step: a sealed pipeline accepts no further stages, tables or externs.
 """
 
 from __future__ import annotations
@@ -21,31 +25,29 @@ from repro.dataplane.tables import MatchActionTable
 StageStep = MatchActionTable | Callable[[PacketContext], None]
 
 
-def _charged_extern(step: Callable[[PacketContext], None]) -> Callable[[PacketContext], None]:
-    """Bind an extern step with its one-op charge (pipeline compilation)."""
-
-    def run(ctx: PacketContext) -> None:
-        ctx.charge(1)
-        step(ctx)
-
-    return run
-
-
 @dataclass
 class PipelineStage:
-    """One physical stage of the pipeline, holding an ordered list of steps."""
+    """One physical stage of the pipeline, holding an ordered list of steps.
+
+    ``steps`` becomes a tuple when the pipeline is sealed.
+    """
 
     name: str
-    steps: list[StageStep] = field(default_factory=list)
+    steps: list[StageStep] | tuple[StageStep, ...] = field(default_factory=list)
 
     def add_table(self, table: MatchActionTable) -> MatchActionTable:
         """Place a match-action table in this stage."""
-        self.steps.append(table)
+        self._append(table)
         return table
 
     def add_extern(self, func: Callable[[PacketContext], None]) -> None:
         """Place an extern (stateful black box, e.g. the DAIET aggregator)."""
-        self.steps.append(func)
+        self._append(func)
+
+    def _append(self, step: StageStep) -> None:
+        if isinstance(self.steps, tuple):
+            raise PipelineError(f"stage {self.name!r} is sealed")
+        self.steps.append(step)
 
     def apply(self, ctx: PacketContext) -> None:
         """Run every step of the stage unless the packet was dropped/consumed."""
@@ -66,20 +68,14 @@ class Pipeline:
     def __init__(self, resources: SwitchResources | None = None, name: str = "ingress") -> None:
         self.name = name
         self.resources = resources or SwitchResources()
-        self._stages: list[PipelineStage] = []
+        self._stages: list[PipelineStage] | tuple[PipelineStage, ...] = []
         self.packets_processed = 0
         self.packets_dropped = 0
-        #: Compiled per-step callables flattened across every stage, and the
-        #: source steps they were compiled from. The source list is identity-
-        #: compared on every packet, so appends, removals *and* in-place step
-        #: replacements all invalidate the compilation. Processing checks
-        #: drop/consumed before every step either way, so stage boundaries
-        #: carry no extra semantics on the hot path.
-        self._flat_ops: list[Callable[[PacketContext], None]] = []
-        self._flat_src: list[StageStep] = []
 
     def add_stage(self, name: str | None = None) -> PipelineStage:
-        """Append a new stage; fails when the target has no stage left."""
+        """Append a new stage; fails when sealed or out of stages."""
+        if isinstance(self._stages, tuple):
+            raise PipelineError(f"pipeline {self.name!r} is sealed")
         if len(self._stages) >= self.resources.pipeline_stages:
             raise PipelineError(
                 f"pipeline {self.name!r} exceeds the target's "
@@ -88,6 +84,17 @@ class Pipeline:
         stage = PipelineStage(name=name or f"stage{len(self._stages)}")
         self._stages.append(stage)
         return stage
+
+    def seal(self) -> None:
+        """Fix the stage layout, as compiling the P4 program does.
+
+        Afterwards :meth:`add_stage`, :meth:`PipelineStage.add_table` and
+        :meth:`PipelineStage.add_extern` raise :class:`PipelineError`, and
+        every stage's ``steps`` is a tuple. Table entries stay mutable.
+        """
+        for stage in self._stages:
+            stage.steps = tuple(stage.steps)
+        self._stages = tuple(self._stages)
 
     @property
     def stages(self) -> tuple[PipelineStage, ...]:
@@ -105,52 +112,14 @@ class Pipeline:
                     found[step.name] = step
         return found
 
-    def process(
-        self, packet: Any, ingress_port: int, _ctx: PacketContext | None = None
-    ) -> PacketContext:
-        """Run one packet through every stage and return the final context.
-
-        ``_ctx`` is a recycled context provided by a trusted caller (the
-        switch fast path); its metadata dict and emitted list must already be
-        fresh. External callers omit it and receive a brand-new context.
-        """
+    def process(self, packet: Any, ingress_port: int) -> PacketContext:
+        """Run one packet through every stage and return the final context."""
         metadata = {"ingress_port": ingress_port, "drop": False, "consumed": False}
-        if _ctx is None:
-            ctx = PacketContext(
-                packet=packet,
-                metadata=metadata,
-                ops=PacketOpCounter(limit=self.resources.max_ops_per_packet),
-            )
-        else:
-            ctx = _ctx
-            ctx.packet = packet
-            ctx.metadata = metadata
-        src = self._flat_src
-        n_src = len(src)
-        index = 0
-        stale = False
+        ctx = PacketContext(
+            packet, metadata, PacketOpCounter(self.resources.max_ops_per_packet)
+        )
         for stage in self._stages:
-            for step in stage.steps:
-                if index >= n_src or src[index] is not step:
-                    stale = True
-                    break
-                index += 1
-            if stale:
-                break
-        if stale or index != n_src:
-            self._flat_src = [
-                step for stage in self._stages for step in stage.steps
-            ]
-            self._flat_ops = [
-                step.apply
-                if isinstance(step, MatchActionTable)
-                else _charged_extern(step)
-                for step in self._flat_src
-            ]
-        for op in self._flat_ops:
-            if metadata["drop"] or metadata["consumed"]:
-                break
-            op(ctx)
+            stage.apply(ctx)
         self.packets_processed += 1
         if metadata["drop"]:
             self.packets_dropped += 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.checks.registry import fastpath
 from repro.core.errors import AggregationError, ResourceExhaustedError
 
 
@@ -163,7 +162,6 @@ class SpilloverBucket:
         """``True`` when the next :meth:`store` would exceed capacity."""
         return len(self._pairs) >= self.capacity
 
-    @fastpath("spillover-slot-index", oracle="tests/dataplane/test_registers.py")
     def store(self, key: Any, value: Any, combine: Any = None) -> bool:
         """Buffer a colliding pair, aggregating repeats of the same key.
 
@@ -171,26 +169,11 @@ class SpilloverBucket:
         the bucket already holds an entry for ``key``, the values are merged
         in place instead of appending a duplicate entry — repeated collisions
         of one key must not inflate spillover flushes. Returns ``True`` when a
-        new entry was appended and ``False`` when the pair was merged.
+        new entry was appended and ``False`` when the pair was merged. Keys
+        must be hashable (``TypeError`` otherwise): the engine has already
+        hashed every key into a register index before it gets here.
         """
-        try:
-            slot = self._slots.get(key)
-        except TypeError:
-            # Unhashable key: preserve the original linear-scan behaviour.
-            slot = next(
-                (i for i, (stored, _v) in enumerate(self._pairs) if stored == key),
-                None,
-            )
-            if combine is not None and slot is not None:
-                stored_key, stored_value = self._pairs[slot]
-                self._pairs[slot] = (stored_key, combine(stored_value, value))
-                return False
-            if len(self._pairs) >= self.capacity:
-                raise ResourceExhaustedError(
-                    f"spillover bucket overflow (capacity {self.capacity})"
-                ) from None
-            self._pairs.append((key, value))
-            return True
+        slot = self._slots.get(key)
         if combine is not None and slot is not None:
             stored_key, stored_value = self._pairs[slot]
             self._pairs[slot] = (stored_key, combine(stored_value, value))

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.errors import PacketFormatError, PipelineError, TableError
-from repro.dataplane.actions import PacketContext
 from repro.dataplane.parser import HeaderParser, ParseResult
 from repro.dataplane.pipeline import Pipeline
-from repro.dataplane.resources import PacketOpCounter, ResourceLedger, SwitchResources
+from repro.dataplane.resources import ResourceLedger, SwitchResources
 from repro.dataplane.tables import FlowRule, MatchActionTable
 
 #: Egress port value meaning "broadcast to every port except the ingress one".
@@ -79,10 +78,6 @@ class ProgrammableSwitch:
         self.pipeline = Pipeline(self.resources, name=f"{name}.ingress")
         self.counters = SwitchCounters()
         self.externs: dict[str, Any] = {}
-        #: Recycled per-packet context (one packet in flight per switch at a
-        #: time in the discrete-event model); the metadata dict and emitted
-        #: list are refreshed per packet, only the shells are reused.
-        self._ctx = PacketContext(packet=None, ops=PacketOpCounter(limit=self.resources.max_ops_per_packet))
 
     # ------------------------------------------------------------------ #
     # Control-plane interface
@@ -160,10 +155,7 @@ class ProgrammableSwitch:
         # full header extraction (ParseResult) stays available via
         # :meth:`parse_only` for tests and diagnostics.
         parsed_bytes = self.parser.charge(packet)
-        ctx = self._ctx
-        ctx.ops.used = 0
-        ctx.emitted = []
-        ctx = self.pipeline.process(packet, ingress_port, _ctx=ctx)
+        ctx = self.pipeline.process(packet, ingress_port)
         metadata = ctx.metadata
         metadata["parsed_bytes"] = parsed_bytes
 

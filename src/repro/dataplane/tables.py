@@ -137,16 +137,13 @@ class MatchActionTable:
         self._actions: dict[str, type[Action] | Action] = {}
         self.hit_count = 0
         self.miss_count = 0
-        # Exact-match acceleration: entries whose match values are hashable
-        # live in a dict keyed by their canonical (sorted-by-field) item
-        # tuple, so a lookup is O(1) instead of a scan over every installed
-        # entry (the forwarding table holds one entry per reachable host, so
-        # the scan was O(hosts) per packet at cluster scale). Entries with
-        # unhashable match values fall back to the linear list.
+        # Exact-match entries live in a dict keyed by their canonical
+        # (sorted-by-field) item tuple, so a lookup is O(1) instead of a scan
+        # over every installed entry (the forwarding table holds one entry
+        # per reachable host). Match values must therefore be hashable:
+        # install rejects any other with a TableError.
         self._exact_index: dict[tuple, TableEntry] = {}
-        self._unindexed: list[TableEntry] = []
-        #: Bumped on every control-plane mutation; lets callers cache lookup
-        #: results and revalidate with a single integer comparison.
+        #: Bumped on every control-plane mutation.
         self.version = 0
         self._sorted_fields = tuple(sorted(self.match_fields))
         #: Single-field exact tables (the common case: ``dst`` forwarding,
@@ -171,8 +168,9 @@ class MatchActionTable:
     def install_batch(self, rules: Iterable[FlowRule]) -> list[TableEntry]:
         """Install a rule set pushed as one batch, all or nothing.
 
-        Table name, capacity, match fields, action resolution and duplicates
-        (inside the batch and against the installed entries) are checked for
+        Table name, capacity, match fields, action resolution, hashable
+        exact-match values and duplicates (inside the batch and against the
+        installed entries) are checked for
         every rule before anything is mutated, so a rejected batch leaves
         the entries and ``version`` untouched. Rules forwarding out of the
         same port share one (immutable) :class:`ForwardAction`, and
@@ -194,11 +192,9 @@ class MatchActionTable:
         exact = self.match_kind == "exact"
         fields = set(self.match_fields)
         exact_index = self._exact_index
-        installed_unindexed = self._unindexed
         forwards: dict[tuple, ForwardAction] = {}
         entries: list[TableEntry] = []
         indexed: dict[tuple, TableEntry] = {}
-        unindexed: list[TableEntry] = []
         for rule in rules:
             match = dict(rule.match)
             if not match.keys() >= fields:
@@ -215,26 +211,20 @@ class MatchActionTable:
             entry = TableEntry(match, action, rule.priority)
             if exact:
                 key = _canonical_key(match)
-                if key is not None and not (installed_unindexed or unindexed):
-                    duplicate = key in exact_index or key in indexed
-                else:  # unhashable match values are compared entry by entry
-                    duplicate = self._find_exact(match) is not None or any(
-                        staged.match == match for staged in entries
+                if key is None:
+                    raise TableError(
+                        f"exact-match table {name!r} needs hashable match values: {match}"
                     )
-                if duplicate:
+                if key in exact_index or key in indexed:
                     raise TableError(
                         f"duplicate exact-match entry in table {name!r}: {match}"
                     )
-                if key is None:
-                    unindexed.append(entry)
-                else:
-                    indexed[key] = entry
+                indexed[key] = entry
             entries.append(entry)
         if not entries:
             return entries
         self._entries.extend(entries)
-        self._exact_index.update(indexed)
-        self._unindexed.extend(unindexed)
+        exact_index.update(indexed)
         self.version += 1
         if not exact:
             self._entries.sort(key=lambda e: -e.priority)
@@ -247,11 +237,7 @@ class MatchActionTable:
             if entry.match == target:
                 del self._entries[i]
                 self.version += 1
-                key = _canonical_key(entry.match)
-                if key is not None:
-                    self._exact_index.pop(key, None)
-                elif entry in self._unindexed:
-                    self._unindexed.remove(entry)
+                self._exact_index.pop(_canonical_key(target), None)
                 return True
         return False
 
@@ -259,7 +245,6 @@ class MatchActionTable:
         """Remove every installed entry."""
         self._entries.clear()
         self._exact_index.clear()
-        self._unindexed.clear()
         self.version += 1
 
     def __len__(self) -> int:
@@ -300,8 +285,6 @@ class MatchActionTable:
                     )
             except TypeError:  # unhashable metadata value
                 entry = None
-            if entry is None and self._unindexed:
-                entry = self._scan_exact({f: metadata.get(f) for f in self.match_fields})
         else:
             key = {f: metadata.get(f) for f in self.match_fields}
             entry = self.lookup(key)
@@ -330,19 +313,7 @@ class MatchActionTable:
 
     def _find_exact(self, key: dict[str, Any]) -> TableEntry | None:
         canonical = _canonical_key(key)
-        if canonical is not None:
-            entry = self._exact_index.get(canonical)
-            if entry is not None:
-                return entry
-            if not self._unindexed:
-                return None
-        return self._scan_exact(key)
-
-    def _scan_exact(self, key: dict[str, Any]) -> TableEntry | None:
-        for entry in self._entries:
-            if entry.match == key:
-                return entry
-        return None
+        return None if canonical is None else self._exact_index.get(canonical)
 
     @staticmethod
     def _ternary_matches(entry_match: Mapping[str, Any], key: Mapping[str, Any]) -> bool:

@@ -15,7 +15,7 @@ from typing import Any, Callable
 from repro.checks.registry import fastpath
 from repro.core.errors import PipelineError, TopologyError
 from repro.core.packet import DaietAck, DaietPacket, DaietPacketType
-from repro.dataplane.actions import ForwardAction, NoAction, PacketContext
+from repro.dataplane.actions import CallableAction, ForwardAction, NoAction, PacketContext
 from repro.dataplane.switch import ProgrammableSwitch, _packet_bytes as _switch_packet_bytes
 from repro.dataplane.tables import MatchActionTable
 
@@ -31,31 +31,34 @@ DAIET_TABLE = "daiet_steer"
 #: Hoisted enum member for the fast-path DATA/END dispatch.
 _DAIET_DATA = DaietPacketType.DATA
 
-#: Steering-cache sentinel: the tree id has *no* entry in ``daiet_steer``, so
-#: the packet is plain traffic for the compiled forwarding path (distinct
-#: from ``None``, which means "entry present but not the standard aggregate
+#: Steering sentinel: the tree id has *no* entry in ``daiet_steer``, so the
+#: packet is plain traffic for the compiled forwarding path (distinct from
+#: ``None``, which means "entry present but not the standard aggregate
 #: action" and forces the generic pipeline).
 _NO_STEERING_ENTRY = object()
 
-#: Forwarding-cache sentinel: this destination cannot take the compiled
-#: forwarding path (non-standard action, broadcast port, unhashable key...).
-_GENERIC_FORWARD = object()
-
-#: Transport packet classes eligible for the compiled forwarding path.
-#: Resolved lazily (see :func:`_forwarding_packet_types`) because importing
-#: :mod:`repro.transport` at module scope would close an import cycle while
-#: :mod:`repro.netsim` is still initializing.
-_FORWARD_TYPES: tuple[type, ...] = ()
+#: What the compiled paths compare against: the transport packet classes the
+#: forwarding path takes, and the function the standard aggregate action is
+#: bound to. Resolved lazily (see :func:`_compiled_path_names`) because
+#: importing :mod:`repro.transport` or :mod:`repro.core.aggregation` at module
+#: scope would close an import cycle while :mod:`repro.netsim` is still
+#: initializing.
+_COMPILED_PATH_NAMES: tuple[Any, ...] = ()
 
 
-def _forwarding_packet_types() -> tuple[type, ...]:
-    """The (lazily imported) transport packet types the fast path forwards."""
-    global _FORWARD_TYPES
-    if not _FORWARD_TYPES:
+def _compiled_path_names() -> tuple[Any, ...]:
+    """``(UdpDatagram, TcpSegment, DaietAggregationEngine.pipeline_action)``."""
+    global _COMPILED_PATH_NAMES
+    if not _COMPILED_PATH_NAMES:
+        from repro.core.aggregation import DaietAggregationEngine
         from repro.transport.packets import TcpSegment, UdpDatagram
 
-        _FORWARD_TYPES = (UdpDatagram, TcpSegment)
-    return _FORWARD_TYPES
+        _COMPILED_PATH_NAMES = (
+            UdpDatagram,
+            TcpSegment,
+            DaietAggregationEngine.pipeline_action,
+        )
+    return _COMPILED_PATH_NAMES
 
 
 @dataclass(slots=True)
@@ -141,29 +144,21 @@ class SwitchDevice(Device):
     * ``l3_forward`` — exact match on ``dst``; the routing module installs one
       entry per reachable host.
 
-    Because this shape is fixed, :meth:`deliver` runs a *compiled* fast path
-    for DAIET traffic: when the pipeline is verifiably still in its standard
-    form, it performs exactly the counter updates, parse charges and
-    emissions the generic pipeline would, without building the per-packet
-    context/metadata machinery. Any deviation (extra stages or steps, a
-    non-standard steering action, an oversized op charge) falls back to the
-    generic :meth:`ProgrammableSwitch.receive`.
+    The pipeline is sealed when it is built, as a compiled P4 program is:
+    from then on only table entries change. So :meth:`deliver` runs
+    *compiled* paths that perform exactly the counter updates, parse charges
+    and emissions the generic pipeline would, without building the
+    per-packet context/metadata machinery. Per packet they probe one table
+    and check that the entry's action is the standard one. An entry with
+    another action, a broadcast port, an oversized op charge or a default
+    action other than ``NoAction`` on a table that missed goes to the generic
+    :meth:`ProgrammableSwitch.receive`.
     """
 
-    def __init__(self, name: str, num_ports: int = 64, switch: ProgrammableSwitch | None = None) -> None:
+    def __init__(self, name: str, num_ports: int = 64) -> None:
         super().__init__(name)
-        self.switch = switch or ProgrammableSwitch(name=name, num_ports=num_ports)
-        #: tree_id -> (table version, engine | _NO_STEERING_ENTRY | None);
-        #: revalidated against the steering table's mutation counter, so rule
-        #: changes invalidate the memo naturally.
-        self._fast_cache: dict[int, tuple[int, Any]] = {}
-        #: dst -> (daiet version, forward version, egress | None |
-        #: _GENERIC_FORWARD): the compiled forwarding closure data for
-        #: baseline/ACK traffic. ``None`` caches a forwarding miss (drop).
-        #: Both table versions take part in validation because the fast path
-        #: replicates *both* tables' hit/miss accounting.
-        self._fwd_cache: dict[Any, tuple[int, int, Any]] = {}
-        self._udp_type, self._tcp_type = _forwarding_packet_types()
+        self.switch = ProgrammableSwitch(name=name, num_ports=num_ports)
+        self._udp_type, self._tcp_type, self._aggregate_fn = _compiled_path_names()
         self._build_standard_pipeline()
 
     def _build_standard_pipeline(self) -> None:
@@ -179,6 +174,7 @@ class SwitchDevice(Device):
         forward_table = MatchActionTable(FORWARDING_TABLE, match_fields=("dst",), match_kind="exact")
         forward_table.register_action("forward", ForwardAction)
         forward_stage.add_table(forward_table)
+        pipeline.seal()
 
         self._daiet_tbl = daiet_table
         self._fwd_tbl = forward_table
@@ -186,19 +182,19 @@ class SwitchDevice(Device):
         # ProgrammableSwitch instance).
         self._sw_counters = self.switch.counters
         self._sw_parser = self.switch.parser
-        self._sw_pipeline = self.switch.pipeline
+        self._sw_pipeline = pipeline
         self._max_ops = self.switch.resources.max_ops_per_packet
         self._max_parse = self.switch.resources.max_parse_bytes
 
     @property
     def daiet_table(self) -> MatchActionTable:
         """The DAIET steering table."""
-        return self.switch.pipeline.tables()[DAIET_TABLE]
+        return self._daiet_tbl
 
     @property
     def forwarding_table(self) -> MatchActionTable:
         """The destination-based forwarding table."""
-        return self.switch.pipeline.tables()[FORWARDING_TABLE]
+        return self._fwd_tbl
 
     def handle_packet(self, packet: Any, ingress_port: int) -> list[tuple[int, Any]]:
         return self.switch.receive(packet, ingress_port)
@@ -206,69 +202,23 @@ class SwitchDevice(Device):
     # ------------------------------------------------------------------ #
     # Compiled fast path
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _steering_engine(entry: Any) -> Any:
-        """The aggregation engine a steering entry dispatches to, or ``None``.
-
-        ``None`` means the entry is not the standard aggregate action and the
-        packet must go through the generic pipeline.
-        """
-        from repro.core.aggregation import DaietAggregationEngine
-        from repro.dataplane.actions import CallableAction
-
-        action = entry.action
-        if type(action) is CallableAction and action.cost == 1:
-            func = action.func
-            if getattr(func, "__func__", None) is DaietAggregationEngine.pipeline_action:
-                return func.__self__
-        return None
-
-    def _pipeline_is_standard(self) -> bool:
-        """Per-packet shape guard: the pipeline is still the standard three
-        single-step stages (metadata extract -> daiet_steer -> l3_forward).
-
-        Verified by identity on every packet because stage step lists can be
-        mutated in place without bumping any counter.
-        """
-        stages = self._sw_pipeline._stages
-        if len(stages) != 3:
-            return False
-        s0, s1, s2 = stages
-        return (
-            len(s0.steps) == 1
-            and s0.steps[0] is _extract_packet_metadata
-            and len(s1.steps) == 1
-            and s1.steps[0] is self._daiet_tbl
-            and len(s2.steps) == 1
-            and s2.steps[0] is self._fwd_tbl
-        )
-
     def _resolve_steering(self, tree_id: int) -> Any:
         """What ``daiet_steer`` does with one tree, for the compiled paths.
 
         Returns the aggregation engine the tree's entry dispatches to,
         :data:`_NO_STEERING_ENTRY` when the table has no entry for it, or
-        ``None`` when the packet must take the generic pipeline (the shape
-        guard failed, or the entry is not the standard aggregate action).
-        The resolution is memoized against the table's mutation version:
-        one dict probe + one int compare on the hot path.
+        ``None`` when the entry is not the standard aggregate action and the
+        packet must take the generic pipeline.
         """
-        if not self._pipeline_is_standard():
-            return None
-        table = self._daiet_tbl
-        cached = self._fast_cache.get(tree_id)
-        if cached is not None and cached[0] == table.version:
-            return cached[1]
-        if table._unindexed:
-            engine = None  # unhashable steering entries: generic path
-        else:
-            entry = table._exact_index.get((("tree_id", tree_id),))
-            if entry is None:
-                engine = _NO_STEERING_ENTRY
-            else:
-                engine = self._steering_engine(entry)
-        self._fast_cache[tree_id] = (table.version, engine)
-        return engine
+        entry = self._daiet_tbl._exact_index.get((("tree_id", tree_id),))
+        if entry is None:
+            return _NO_STEERING_ENTRY
+        action = entry.action
+        if type(action) is CallableAction and action.cost == 1:
+            func = action.func
+            if getattr(func, "__func__", None) is self._aggregate_fn:
+                return func.__self__
+        return None
 
     def _batch_tree_state(self, tree_id: int) -> tuple[Any, Any] | None:
         """Resolve ``(engine, state)`` for the vectorized burst delivery path.
@@ -286,7 +236,7 @@ class SwitchDevice(Device):
             return None
         return engine, state
 
-    @fastpath("switch-delivery", oracle="tests/netsim/test_devices_stats.py")
+    @fastpath("switch-delivery", oracle="tests/netsim/test_steered_delivery.py")
     def deliver(self, packet: Any, ingress_port: int, nbytes: int) -> list[tuple[int, Any]]:
         """Process one packet whose wire size is already known.
 
@@ -294,10 +244,9 @@ class SwitchDevice(Device):
         compiled aggregation fast path; DAIET traffic *without* a steering
         entry (the UDP baseline) and plain transport packets (TCP segments,
         UDP datagrams — baseline shuffles and host-level ACK/retransmit
-        traffic) take the compiled forwarding path. Everything else (and
-        every non-standard pipeline configuration) is handled by the generic
-        pipeline. All paths produce identical emissions and identical
-        counter/parse-budget effects.
+        traffic) take the compiled forwarding path. Everything else is
+        handled by the generic pipeline. All paths produce identical
+        emissions and identical counter/parse-budget effects.
         """
         switch = self.switch
         packet_type = type(packet)
@@ -362,42 +311,13 @@ class SwitchDevice(Device):
                             )
                     return out
         elif packet_type is self._udp_type or packet_type is self._tcp_type:
-            if self._pipeline_is_standard():
-                return self._fast_forward(packet, ingress_port, nbytes)
+            return self._fast_forward(packet, ingress_port, nbytes)
         return switch.receive(packet, ingress_port, nbytes)
 
     # ------------------------------------------------------------------ #
     # Compiled forwarding path
     # ------------------------------------------------------------------ #
-    def _resolve_forward(self, dst: Any) -> Any:
-        """Resolve one destination against ``l3_forward`` for the fast path.
-
-        Returns the egress port, ``None`` for a cacheable miss (drop), or
-        :data:`_GENERIC_FORWARD` when the destination must take the generic
-        pipeline (unhashable key, unindexed entries, a non-standard action,
-        a broadcast port, or a non-trivial default action on either table —
-        the generic pipeline runs the default action on every miss, and the
-        fast path only replicates the standard free ``NoAction``).
-        """
-        table = self._fwd_tbl
-        if (
-            table._unindexed
-            or type(table.default_action) is not NoAction
-            or type(self._daiet_tbl.default_action) is not NoAction
-        ):
-            return _GENERIC_FORWARD
-        try:
-            entry = table._exact_index.get((("dst", dst),))
-        except TypeError:  # unhashable destination
-            return _GENERIC_FORWARD
-        if entry is None:
-            return None
-        action = entry.action
-        if type(action) is ForwardAction and action.cost == 1 and action.egress_port >= 0:
-            return action.egress_port
-        return _GENERIC_FORWARD
-
-    @fastpath("forwarding-cache", oracle="tests/netsim/test_forwarding_fastpath.py")
+    @fastpath("switch-forwarding", oracle="tests/netsim/test_forwarding_fastpath.py")
     def _fast_forward(self, packet: Any, ingress_port: int, nbytes: int) -> list[tuple[int, Any]]:
         """Compiled L3 forwarding for packets that miss the steering table.
 
@@ -405,29 +325,31 @@ class SwitchDevice(Device):
         plain forwarded traffic — switch counters, parser charges,
         ``packets_processed``, the steering table's miss count, the
         forwarding table's hit/miss count, and the drop accounting on a
-        forwarding miss — without building the per-packet context. Falls
-        back to the generic pipeline whenever the memoized resolution says
-        the destination is not plainly forwardable.
+        forwarding miss — without building the per-packet context. The
+        generic pipeline takes the packet when the ``l3_forward`` entry is
+        not a plain :class:`ForwardAction` to one port, when the charge
+        exceeds the op budget, or when a table that missed has a default
+        action other than the free ``NoAction``: the generic pipeline runs
+        the default action on every miss, and this path does not.
         """
         switch = self.switch
-        dst = getattr(packet, "dst", None)
+        # Every packet here misses daiet_steer.
+        if type(self._daiet_tbl.default_action) is not NoAction:
+            return switch.receive(packet, ingress_port, nbytes)
+        fwd = self._fwd_tbl
         try:
-            cached = self._fwd_cache.get(dst)
-        except TypeError:  # unhashable destination: generic pipeline
-            return switch.receive(packet, ingress_port, nbytes)
-        daiet_version = self._daiet_tbl.version
-        fwd_version = self._fwd_tbl.version
-        if (
-            cached is not None
-            and cached[0] == daiet_version
-            and cached[1] == fwd_version
-        ):
-            egress = cached[2]
+            entry = fwd._exact_index.get((("dst", packet.dst),))
+        except TypeError:  # unhashable destination: a miss, as in table.apply
+            entry = None
+        if entry is None:
+            if type(fwd.default_action) is not NoAction:
+                return switch.receive(packet, ingress_port, nbytes)
+            egress = None
         else:
-            egress = self._resolve_forward(dst)
-            self._fwd_cache[dst] = (daiet_version, fwd_version, egress)
-        if egress is _GENERIC_FORWARD:
-            return switch.receive(packet, ingress_port, nbytes)
+            action = entry.action
+            if type(action) is not ForwardAction or action.cost != 1 or action.egress_port < 0:
+                return switch.receive(packet, ingress_port, nbytes)
+            egress = action.egress_port
         # Charge the generic path would make: extract extern (1) +
         # daiet_steer miss (1) + l3_forward (1) + ForwardAction (1 on a hit,
         # nothing on a miss — the default action is a free NoAction).
@@ -450,7 +372,6 @@ class SwitchDevice(Device):
             self._sw_parser.charge(packet)  # raises the exact error
         self._sw_pipeline.packets_processed += 1
         self._daiet_tbl.miss_count += 1
-        fwd = self._fwd_tbl
         if egress is None:
             fwd.miss_count += 1
             counters.packets_dropped += 1

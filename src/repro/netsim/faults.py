@@ -334,15 +334,13 @@ class FaultInjector:
         return self.sim.topology.link_between(*event.target)
 
     def _wipe_switch(self, device: SwitchDevice) -> None:
-        """Volatile-state loss on crash: tables, caches and extern trees."""
+        """Volatile-state loss on crash: tables and extern trees."""
         self.sim.notify_wipe(device)
         engine = device.switch.externs.get("daiet")
         if engine is not None:
             engine._trees.clear()
         device.daiet_table.clear()
         device.forwarding_table.clear()
-        device._fast_cache.clear()
-        device._fwd_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Queries

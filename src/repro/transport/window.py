@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Iterable
 
-from repro.checks.registry import fastpath
 from repro.core.config import TransportTuning
 from repro.core.errors import TransportError
 from repro.core.packet import RetransmitBuffer
@@ -377,7 +376,6 @@ class WindowedSender:
     # ------------------------------------------------------------------ #
     # ACK path
     # ------------------------------------------------------------------ #
-    @fastpath("window-advance", oracle="tests/transport/test_windowed_sender.py")
     def on_ack(self, cumulative: int, sacked: set[int]) -> None:
         """Advance the window for one cumulative+selective acknowledgement.
 

@@ -1,11 +1,12 @@
 """Resource accounting across install / teardown / re-plan cycles.
 
 Failover re-plans trees at runtime; every cycle must return the fabric to
-a clean state or long churn runs leak switch SRAM, steering entries,
-engine tree state and compiled-path memo entries. These tests pin the
-full ledger — :meth:`ResourceLedger.allocations`, ``daiet_table``
-entries, ``engine._trees`` and ``device._fast_cache`` — across
-``remove_job``, ``replan_tree`` and crash teardown.
+a clean state or long churn runs leak switch SRAM, steering entries and
+engine tree state. These tests pin the full ledger —
+:meth:`ResourceLedger.allocations`, ``daiet_table`` entries and
+``engine._trees`` — across ``remove_job``, ``replan_tree`` and crash
+teardown. The switch's compiled paths keep no lookup memo of their own
+(they probe the tables), so there is no cache left to leak from.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ def _switches(controller: DaietController) -> list[SwitchDevice]:
 
 
 def _assert_clean(controller: DaietController) -> None:
-    """No switch anywhere holds SRAM, steering state or cached trees."""
+    """No switch anywhere holds SRAM, steering state or tree state."""
     for device in _switches(controller):
         assert device.switch.ledger.allocations() == {}
         assert len(device.daiet_table) == 0
-        assert device._fast_cache == {}
         engine = controller.engines.get(device.name)
         if engine is not None:
             assert engine._trees == {}
@@ -117,7 +117,6 @@ class TestReplanTree:
             # At most the live epoch — every dead epoch fully released.
             assert set(allocations) <= {live}
             assert len(device.daiet_table) <= 1
-            assert set(device._fast_cache) <= {tree.tree_id}
             engine = controller.engines.get(device.name)
             if engine is not None:
                 assert set(engine._trees) <= {tree.tree_id}
@@ -156,8 +155,7 @@ class TestCrashTeardown:
         _assert_clean(system.controller)
 
     def test_traffic_populated_caches_are_released(self):
-        # Drive real traffic so the compiled path materialises its steering
-        # memo, then tear down and check the memo went with it.
+        # Drive real traffic through the compiled path, then tear down.
         topo = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
         system = DaietSystem(topo, DaietConfig(), SimulatorConfig())
         job = system.install_job(mappers=MAPPERS, reducers=[REDUCER])
@@ -165,8 +163,7 @@ class TestCrashTeardown:
             system.send_pairs(mapper, REDUCER, [(f"{mapper}k{i}", 1) for i in range(8)])
         system.run()
         assert any(
-            device._fast_cache
-            for device in _switches(system.controller)
+            device.daiet_table.hit_count for device in _switches(system.controller)
         )
         system.controller.remove_job(job)
         _assert_clean(system.controller)

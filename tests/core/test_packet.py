@@ -82,14 +82,6 @@ class TestDaietPacket:
         names = [name for name, _, _ in packet.header_stack()]
         assert names == ["ethernet", "ipv4", "udp", "daiet", "kv_0", "kv_1"]
 
-    def test_variable_length_keys_shrink_payload(self):
-        fixed = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("ab", 1),))
-        variable = DaietPacket(
-            tree_id=1, src="a", dst="b", pairs=(("ab", 1),),
-            config=DaietConfig(variable_length_keys=True),
-        )
-        assert variable.payload_bytes() < fixed.payload_bytes()
-
     def test_value_overflow_detected_at_encode(self):
         packet = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 2**40),))
         with pytest.raises(PacketFormatError):
@@ -119,14 +111,6 @@ class TestEncodeDecode:
         decoded = DaietPacket.decode(packet.encode(), src="a", dst="b")
         assert decoded.pairs == tuple(pairs)
         assert decoded.tree_id == tree_id
-
-    @settings(max_examples=60)
-    @given(pairs=pairs_strategy)
-    def test_round_trip_property_variable_keys(self, pairs):
-        config = DaietConfig(variable_length_keys=True)
-        packet = DaietPacket(tree_id=5, src="a", dst="b", pairs=tuple(pairs), config=config)
-        decoded = DaietPacket.decode(packet.encode(), src="a", dst="b", config=config)
-        assert decoded.pairs == tuple(pairs)
 
     def test_nul_suffixed_keys_round_trip(self):
         # Keys that legitimately end in NUL bytes must survive the fixed-width
@@ -342,15 +326,11 @@ class TestPacketsBuiltOnce:
     """A packet stamped at construction, or re-stamped from its cached sizes,
     is the packet ``dataclasses.replace`` would rebuild and re-measure."""
 
-    CONFIGS = {
-        "fixed": DaietConfig(pairs_per_packet=3),
-        "variable": DaietConfig(pairs_per_packet=3, variable_length_keys=True),
-    }
+    CONFIG = DaietConfig(pairs_per_packet=3)
     PAIRS = [("ant", 1), ("bee\x00", -2), ("cat", 3), ("dragonfly", 4), ("e", 2**31 - 1)]
 
-    @pytest.mark.parametrize("kind", ["fixed", "variable"])
-    def test_seq_start_equals_replace(self, kind):
-        config = self.CONFIGS[kind]
+    def test_seq_start_equals_replace(self):
+        config = self.CONFIG
         plain = list(packetize_pairs(self.PAIRS, tree_id=4, src="m", dst="r", config=config))
         stamped = list(
             packetize_pairs(
@@ -363,13 +343,11 @@ class TestPacketsBuiltOnce:
             assert built == reference
             assert _observables(built, config) == _observables(reference, config)
 
-    @pytest.mark.parametrize("kind", ["fixed", "variable"])
     @pytest.mark.parametrize("seq_start", [None, 0, 2**32 - 2])
-    def test_packetizer_equals_constructor(self, kind, seq_start):
-        # PAIRS holds a NUL-suffixed key: with fixed-width keys the whole
-        # partition is the constructor's; with variable-length keys it is cut
-        # in bulk. Either way the packets are the ones built one by one.
-        config = self.CONFIGS[kind]
+    def test_packetizer_equals_constructor(self, seq_start):
+        # PAIRS holds a NUL-suffixed key, so the whole partition is the
+        # constructor's: the packets are the ones built one by one.
+        config = self.CONFIG
         built = list(
             packetize_pairs(
                 self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
@@ -384,17 +362,16 @@ class TestPacketsBuiltOnce:
             assert _observables(packet, config) == _observables(twin, config)
 
     def test_packetizer_leaves_seq_overflow_to_the_constructor(self):
-        config = self.CONFIGS["fixed"]
+        config = self.CONFIG
         arguments = dict(tree_id=4, src="sw", dst="r", config=config, seq_start=2**32 - 1)
         built, error = _drain(packetize_pairs(self.PAIRS, **arguments))
         assert (built, error) == _drain(_one_by_one(self.PAIRS, **arguments))
         assert [packet.seq for packet in built] == [2**32 - 1]
         assert error[0] is PacketFormatError and "32-bit" in error[1]
 
-    @pytest.mark.parametrize("kind", ["fixed", "variable"])
     @pytest.mark.parametrize("old_seq", [None, 5])
-    def test_restamped_equals_replace(self, kind, old_seq):
-        config = self.CONFIGS[kind]
+    def test_restamped_equals_replace(self, old_seq):
+        config = self.CONFIG
         originals = list(
             packetize_pairs(
                 self.PAIRS, tree_id=4, src="m", dst="r", config=config, seq_start=old_seq
@@ -445,12 +422,7 @@ twin_value_strategy = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from([2**62 - 1, 1 - 2**62, 2**62, -(2**62), 2**63, -(2**63) - 1]),
 )
-TWIN_CONFIGS = st.sampled_from(
-    [
-        DaietConfig(pairs_per_packet=3),
-        DaietConfig(pairs_per_packet=3, variable_length_keys=True),
-    ]
-)
+TWIN_CONFIG = DaietConfig(pairs_per_packet=3)
 
 
 def _wire_view(packet: DaietPacket):
@@ -488,28 +460,26 @@ class TestPacketizerTwin:
     @settings(max_examples=150, deadline=None)
     @given(
         pairs=st.lists(st.tuples(twin_key_strategy, twin_value_strategy), max_size=14),
-        config=TWIN_CONFIGS,
         seq_start=st.sampled_from([None, 0, 2**32 - 1, 2**32 - 3, 2**32 - 6]),
         include_end=st.booleans(),
     )
     def test_packets_views_and_errors_equal_the_constructors(
-        self, pairs, config, seq_start, include_end
+        self, pairs, seq_start, include_end
     ):
         _assert_twins(
-            pairs, config, tree_id=3, src="m", dst="r",
+            pairs, TWIN_CONFIG, tree_id=3, src="m", dst="r",
             include_end=include_end, seq_start=seq_start,
         )
 
     @settings(max_examples=60, deadline=None)
     @given(
         pairs=st.lists(st.tuples(key_strategy, value_strategy), min_size=1, max_size=40),
-        config=TWIN_CONFIGS,
         seq_start=st.sampled_from([None, 7]),
     )
-    def test_partitions_the_pool_vouches_for(self, pairs, config, seq_start):
+    def test_partitions_the_pool_vouches_for(self, pairs, seq_start):
         # Every input here takes the bulk path, and every packet has a view.
         built, error = _assert_twins(
-            pairs, config, tree_id=3, src="m", dst="r", seq_start=seq_start
+            pairs, TWIN_CONFIG, tree_id=3, src="m", dst="r", seq_start=seq_start
         )
         assert error is None
         assert all(packet.vector_pairs() is not None for packet in built[:-1])

@@ -148,8 +148,8 @@ class TestPipeline:
         assert ctx.metadata["egress_port"] == 6
 
     def test_in_place_step_replacement_recompiles(self):
-        # The compiled flat-op cache must notice a step being *replaced* in
-        # place (not just appended), or a stale extern would keep running.
+        # An unsealed pipeline runs whatever its steps are now: a step
+        # replaced in place (not just appended) takes effect at once.
         pipeline = Pipeline()
         stage = pipeline.add_stage("probe")
         seen = []

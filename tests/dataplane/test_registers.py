@@ -170,9 +170,8 @@ class TestSpilloverBucket:
         assert bucket.store("a", 7, add) is True  # fresh entry, not a merge
         assert bucket.flush() == [("a", 7)]
 
-    def test_unhashable_keys_fall_back_to_linear_scan(self):
+    def test_unhashable_keys_are_rejected(self):
         bucket = SpilloverBucket(capacity=3)
-        key = ["unhashable"]
-        assert bucket.store(key, 1, lambda a, b: a + b) is True
-        assert bucket.store(key, 2, lambda a, b: a + b) is False
-        assert bucket.flush() == [(key, 3)]
+        with pytest.raises(TypeError):
+            bucket.store(["unhashable"], 1, lambda a, b: a + b)
+        assert bucket.flush() == []

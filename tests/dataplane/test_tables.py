@@ -142,7 +142,6 @@ class TestBatchInstall:
         return (
             [(e.match, e.action, e.priority) for e in table.entries()],
             dict(table._exact_index),
-            list(table._unindexed),
             table.version,
         )
 
@@ -279,16 +278,15 @@ class TestBatchInstall:
         with pytest.raises(TableError, match=r"'l3' is full \(4 entries\).*5 more"):
             table.install_batch(self.rules(5))
 
-    def test_unhashable_match_values_still_deduplicate(self):
+    def test_unhashable_match_values_are_rejected(self):
         table = self.make_table()
+        table.install(FlowRule.create("l3", {"dst": "old"}, "forward", {"egress_port": 5}))
+        before = self.snapshot(table)
         unhashable = FlowRule("l3", (("dst", ["a", "b"]),), "forward", (("egress_port", 1),))
-        with pytest.raises(TableError, match="duplicate"):
-            table.install_batch([unhashable, unhashable])
-        assert len(table) == 0
-        table.install_batch([unhashable])
-        assert table.lookup({"dst": ["a", "b"]}) is not None
-        with pytest.raises(TableError, match="duplicate"):
-            table.install_batch([unhashable])
+        with pytest.raises(TableError, match="hashable"):
+            table.install_batch([*self.rules(2), unhashable])
+        assert self.snapshot(table) == before
+        assert table.lookup({"dst": ["a", "b"]}) is None
 
     def test_empty_batch_is_a_no_op(self):
         table = self.make_table()

@@ -2,11 +2,11 @@
 generic pipeline.
 
 ``SwitchDevice.deliver`` forwards baseline traffic (UDP datagrams, TCP
-segments, DAIET packets with no steering entry) through a version-validated
-``dst -> egress`` cache instead of the generic pipeline. Every counter the
-generic path touches — switch packets/bytes in/out, drops, parser charges,
-``packets_processed``, both tables' hit/miss counts — must come out the
-same, and control-plane mutations must invalidate the cache.
+segments, DAIET packets with no steering entry) with one probe of
+``l3_forward``'s exact index instead of the generic pipeline. Every counter
+the generic path touches — switch packets/bytes in/out, drops, parser
+charges, ``packets_processed``, both tables' hit/miss counts — must come out
+the same, and the next packet after a control-plane mutation must see it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class TestForwardingFastPathEquivalence:
     def test_cache_invalidated_by_rule_install(self):
         device = _forwarding_switch()
         packet = UdpDatagram(src="h0", dst="h9", payload_bytes=4)
-        # First delivery: miss -> drop (and the miss is cached).
+        # First delivery: miss -> drop.
         assert device.deliver(packet, 3, packet.wire_bytes()) == []
         assert device.switch.counters.packets_dropped == 1
         device.switch.install_rule(

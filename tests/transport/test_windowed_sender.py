@@ -1,4 +1,4 @@
-"""Oracle tests for the unified windowed sender (`window-advance` fast path).
+"""Tests for the unified windowed sender.
 
 Three layers:
 
