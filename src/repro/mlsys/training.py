@@ -205,16 +205,18 @@ def measure_convergence_impact(
 ) -> ConvergenceImpact:
     """Run the exact twin and a degraded twin; quantify the convergence cost.
 
-    Both runs share every seed, so the *only* difference is the dropped
-    updates — the measured gap is attributable to the degraded policy alone.
+    Both runs share every seed and one generated dataset, so the *only*
+    difference is the dropped updates — the measured gap is attributable to
+    the degraded policy alone.
     """
     if drop_rate <= 0.0:
         raise TrainingError("measure_convergence_impact needs a positive drop_rate")
     allowance = (
         extra_step_allowance if extra_step_allowance is not None else config.num_steps
     )
+    dataset = generate_synthetic_mnist(seed=config.seed)
     exact = DistributedTrainingJob(
-        replace(config, update_drop_rate=0.0)
+        replace(config, update_drop_rate=0.0), dataset=dataset
     ).run()
     degraded_config = replace(
         config,
@@ -222,7 +224,7 @@ def measure_convergence_impact(
         update_drop_seed=drop_seed,
         num_steps=config.num_steps + allowance,
     )
-    degraded = DistributedTrainingJob(degraded_config).run()
+    degraded = DistributedTrainingJob(degraded_config, dataset=dataset).run()
 
     # Loss checkpoints land every 10 steps plus the final step; rebuild the
     # step index of each checkpoint to translate "which checkpoint reached

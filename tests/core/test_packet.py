@@ -327,10 +327,17 @@ class TestPacketsBuiltOnce:
     is the packet ``dataclasses.replace`` would rebuild and re-measure."""
 
     CONFIG = DaietConfig(pairs_per_packet=3)
+    #: The default field widths, and wider ones: the stamped sizes and the
+    #: encoding follow the config's key and value widths.
+    CONFIGS = {
+        "default": CONFIG,
+        "wide": DaietConfig(pairs_per_packet=3, key_width=24, value_width=8),
+    }
     PAIRS = [("ant", 1), ("bee\x00", -2), ("cat", 3), ("dragonfly", 4), ("e", 2**31 - 1)]
 
-    def test_seq_start_equals_replace(self):
-        config = self.CONFIG
+    @pytest.mark.parametrize("kind", ["default", "wide"])
+    def test_seq_start_equals_replace(self, kind):
+        config = self.CONFIGS[kind]
         plain = list(packetize_pairs(self.PAIRS, tree_id=4, src="m", dst="r", config=config))
         stamped = list(
             packetize_pairs(
@@ -343,11 +350,12 @@ class TestPacketsBuiltOnce:
             assert built == reference
             assert _observables(built, config) == _observables(reference, config)
 
+    @pytest.mark.parametrize("kind", ["default", "wide"])
     @pytest.mark.parametrize("seq_start", [None, 0, 2**32 - 2])
-    def test_packetizer_equals_constructor(self, seq_start):
+    def test_packetizer_equals_constructor(self, seq_start, kind):
         # PAIRS holds a NUL-suffixed key, so the whole partition is the
         # constructor's: the packets are the ones built one by one.
-        config = self.CONFIG
+        config = self.CONFIGS[kind]
         built = list(
             packetize_pairs(
                 self.PAIRS, tree_id=4, src="sw", dst="r", config=config,
@@ -369,9 +377,10 @@ class TestPacketsBuiltOnce:
         assert [packet.seq for packet in built] == [2**32 - 1]
         assert error[0] is PacketFormatError and "32-bit" in error[1]
 
+    @pytest.mark.parametrize("kind", ["default", "wide"])
     @pytest.mark.parametrize("old_seq", [None, 5])
-    def test_restamped_equals_replace(self, old_seq):
-        config = self.CONFIG
+    def test_restamped_equals_replace(self, old_seq, kind):
+        config = self.CONFIGS[kind]
         originals = list(
             packetize_pairs(
                 self.PAIRS, tree_id=4, src="m", dst="r", config=config, seq_start=old_seq

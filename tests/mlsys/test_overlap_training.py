@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.errors import TrainingError
 from repro.mlsys.model import GradientUpdate
+from repro.mlsys import training
 from repro.mlsys.overlap import OverlapSeries, measure_step_overlap
 from repro.mlsys.training import (
     DistributedTrainingJob,
     TrainingConfig,
+    measure_convergence_impact,
     run_overlap_experiment,
 )
 from repro.mlsys.worker import Worker
@@ -130,3 +134,18 @@ class TestDistributedTraining:
         result = DistributedTrainingJob(config, dataset=tiny_dataset).run()
         assert result.losses[-1] < result.losses[0]
         assert result.final_accuracy > 0.2
+
+    def test_convergence_twins_share_one_dataset(self, tiny_dataset, monkeypatch):
+        generated = []
+
+        def generate(**overrides):
+            generated.append(overrides)
+            return tiny_dataset
+
+        monkeypatch.setattr(training, "generate_synthetic_mnist", generate)
+        config = TrainingConfig(optimizer="sgd", batch_size=3, num_workers=3, num_steps=5, seed=1)
+        impact = measure_convergence_impact(config, drop_rate=0.5, drop_seed=3)
+        assert generated == [{"seed": 1}]
+        exact = DistributedTrainingJob(replace(config), dataset=tiny_dataset).run()
+        assert impact.exact_final_loss == exact.losses[-1]
+        assert impact.updates_dropped > 0
