@@ -7,7 +7,9 @@ loss or resource corruption long before any assertion fires:
 
 * steering-table (``daiet_steer``) entries must reference a configured
   aggregation tree whose egress and child ports are live (cabled) ports;
-* forwarding entries must emit on live ports (broadcast excepted);
+* forwarding entries and ECMP group members must emit on live ports
+  (broadcast excepted), and no per-host entry may overlap its rack's
+  aggregate entry;
 * exact-match tables must have no duplicate canonical keys, and ternary
   tables no entry fully shadowed by a higher-priority one;
 * the parser byte budget must cover the largest DAIET packet the
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.checks.findings import Finding
-from repro.dataplane.actions import CallableAction, ForwardAction
+from repro.dataplane.actions import CallableAction, EcmpAction, ForwardAction
 from repro.dataplane.switch import BROADCAST_PORT
 from repro.dataplane.tables import WILDCARD, MatchActionTable, _canonical_key
 
@@ -81,6 +83,57 @@ def check_table(table: MatchActionTable, *, path: str) -> list[Finding]:
                         )
                     )
                     break
+    return findings
+
+
+def _decision(action: Any, dst: Any) -> Any:
+    """The egress port ``action`` picks for ``dst`` (the action, if not a forward)."""
+    if isinstance(action, ForwardAction):
+        return action.egress_port
+    if isinstance(action, EcmpAction):
+        return action.select(dst)
+    return action
+
+
+def _check_forwarding_overlap(table: MatchActionTable, *, path: str) -> list[Finding]:
+    """Per-host entries that an aggregate entry of the same table also covers.
+
+    The address plan maps a host to its rack's prefix. A table holding an
+    entry for the host *and* one for its prefix decides the host's traffic
+    twice: redundantly when both entries pick the same egress, in conflict
+    otherwise (the overlap classes of conflict-aware ACL checking). Hosts
+    the plan does not map (multi-homed ones) keep per-host entries by
+    design and are exempt.
+    """
+    plan = table.address_plan
+    if not plan:
+        return []
+    field = table.match_fields[0]
+    findings: list[Finding] = []
+    for entry in table._entries:
+        value = entry.match.get(field)
+        try:
+            covering = plan.get(value)
+        except TypeError:
+            continue
+        aggregate = None if covering is None else table.lookup({field: covering})
+        if aggregate is None:
+            continue
+        mine, theirs = _decision(entry.action, value), _decision(aggregate.action, value)
+        verdict = (
+            "decides the same way (redundant)"
+            if mine == theirs
+            else f"decides {mine!r} where the aggregate decides {theirs!r} (conflict)"
+        )
+        findings.append(
+            Finding(
+                rule="forwarding-overlap",
+                path=path,
+                line=0,
+                message=f"table {table.name!r}: the entry for {value!r} overlaps "
+                f"the aggregate entry for {covering!r} and {verdict}",
+            )
+        )
     return findings
 
 
@@ -192,20 +245,24 @@ def check_switch(
                 )
             )
 
-    # Forwarding actions must emit on live ports.
+    # Forwarding actions, every ECMP group member included, must emit on
+    # live ports.
     for table in tables.values():
-        forward_ports = [
-            entry.action.egress_port
-            for entry in table._entries
-            if isinstance(entry.action, ForwardAction)
-        ]
-        findings += _check_ports(
-            forward_ports,
-            what=f"table {table.name!r} forward entry",
-            num_ports=switch.num_ports,
-            live_ports=live_ports,
-            path=path,
-        )
+        actions = [entry.action for entry in table._entries]
+        # Entries share group instances: check each distinct group once.
+        groups = dict.fromkeys(a for a in actions if isinstance(a, EcmpAction))
+        for kind, ports in (
+            ("forward entry", [a.egress_port for a in actions if isinstance(a, ForwardAction)]),
+            ("ECMP group member", [port for group in groups for port in group.ports]),
+        ):
+            findings += _check_ports(
+                ports,
+                what=f"table {table.name!r} {kind}",
+                num_ports=switch.num_ports,
+                live_ports=live_ports,
+                path=path,
+            )
+        findings += _check_forwarding_overlap(table, path=path)
 
     # Per-tree register/parser/ledger consistency.
     for tree_id in sorted(trees):

@@ -1,9 +1,10 @@
 """The ``repro lint`` driver: determinism + parity + dataplane checks.
 
 The default run lints the whole ``src/repro`` tree with the determinism
-linter, verifies fast-path/oracle parity, and builds two small reference
-DAIET systems (unreliable and reliable single-rack jobs) to run the
-dataplane config checker against real constructed pipelines. Passing an
+linter, verifies fast-path/oracle parity, and builds three small reference
+DAIET systems (unreliable and reliable single-rack jobs, and a leaf-spine
+job) to run the dataplane config checker against real constructed
+pipelines. Passing an
 explicit ``root`` restricts the run to the determinism linter over that
 file or directory — that is what the fixture tests use.
 """
@@ -43,13 +44,16 @@ class LintReport:
 
 
 def _check_reference_dataplanes() -> list[Finding]:
-    """Build canonical single-rack jobs and validate their pipelines.
+    """Build canonical jobs and validate their pipelines.
 
-    One unreliable and one reliable configuration, covering both wire
-    formats the parser budget has to absorb and both steering layouts.
+    One unreliable and one reliable single-rack configuration, covering
+    both wire formats the parser budget has to absorb and both steering
+    layouts, and one leaf-spine job whose forwarding tables hold rack
+    entries and ECMP groups.
     """
     from repro.core.config import DaietConfig
     from repro.core.daiet import DaietSystem
+    from repro.netsim.topology import leaf_spine
 
     findings: list[Finding] = []
     for label, config in (
@@ -62,6 +66,12 @@ def _check_reference_dataplanes() -> list[Finding]:
         system = DaietSystem.single_rack(4, config=config)
         system.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"])
         findings += check_simulator(system.simulator, label=label)
+    fabric = DaietSystem(
+        leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=2),
+        config=DaietConfig(register_slots=256, pairs_per_packet=4),
+    )
+    fabric.install_job(mappers=["h0", "h2", "h3"], reducers=["h5"])
+    findings += check_simulator(fabric.simulator, label="fabric-sum")
     return findings
 
 

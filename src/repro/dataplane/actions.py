@@ -9,11 +9,27 @@ the architectural constraint discussed in Section 2 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.errors import PipelineError, ResourceExhaustedError
 from repro.dataplane.resources import PacketOpCounter
+
+
+def ecmp_path_index(seed: int, src: str, dst: Any, paths: int) -> int:
+    """Which of ``paths`` equal-cost shortest paths ``src`` -> ``dst`` takes.
+
+    The fabric's one ECMP hash: the index into the lexicographically sorted
+    path set is ``sha256(f"{seed}:{src}->{dst}")`` modulo the path count.
+    Route computation (and through it the aggregation-tree builder) and the
+    ECMP group action both call it, so a tree's path and a forwarded
+    packet's path cannot drift apart.
+    """
+    if paths == 1:
+        return 0
+    digest = hashlib.sha256(f"{seed}:{src}->{dst}".encode()).digest()
+    return int.from_bytes(digest[:4], "big") % paths
 
 
 class PacketContext:
@@ -148,6 +164,46 @@ class ForwardAction(Action):
 
     def apply(self, ctx: PacketContext) -> None:
         ctx.metadata["egress_port"] = self.egress_port
+
+
+@dataclass(frozen=True)
+class EcmpAction(Action):
+    """An ECMP group: one of several next hops, chosen per destination.
+
+    ``ports[i]`` leads to ``paths[i]`` of ``switch``'s equal-cost shortest
+    paths towards the entry's destinations, in lexicographic path order. A
+    packet for ``dst`` takes path :func:`ecmp_path_index` ``(seed, switch,
+    dst, sum(paths))`` and so leaves by the port whose range of paths holds
+    that index. Immutable, like :class:`ForwardAction`: a bulk install
+    binds one instance to every entry with the same members.
+    """
+
+    ports: tuple[int, ...] = ()
+    paths: tuple[int, ...] = ()
+    seed: int = 0
+    switch: str = ""
+    cost: int = 1
+    _total: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ports, paths = self.ports, self.paths
+        if not ports or len(ports) != len(paths) or min(ports) < 0 or min(paths) < 1:
+            raise PipelineError(
+                f"an ECMP group needs one path count >= 1 per port >= 0: {ports} / {paths}"
+            )
+        object.__setattr__(self, "_total", sum(paths))
+
+    def select(self, dst: Any) -> int:
+        """The member port traffic for ``dst`` leaves by."""
+        index = ecmp_path_index(self.seed, self.switch, dst, self._total)
+        for port, paths in zip(self.ports, self.paths):
+            if index < paths:
+                return port
+            index -= paths
+        raise PipelineError("ECMP path index outside the group")  # pragma: no cover
+
+    def apply(self, ctx: PacketContext) -> None:
+        ctx.metadata["egress_port"] = self.select(ctx.metadata.get("dst"))
 
 
 @dataclass

@@ -13,10 +13,14 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.core.errors import TableError
-from repro.dataplane.actions import Action, ForwardAction, NoAction, PacketContext
+from repro.dataplane.actions import Action, EcmpAction, ForwardAction, NoAction, PacketContext
 
 #: Wildcard marker usable in ternary match keys.
 WILDCARD = "*"
+
+#: Immutable actions: a batch binds one instance to every rule with the same
+#: action and parameters.
+_SHARED_ACTIONS = (ForwardAction, EcmpAction)
 
 
 def _canonical_key(match: Mapping[str, Any]) -> tuple | None:
@@ -139,10 +143,14 @@ class MatchActionTable:
         self.miss_count = 0
         # Exact-match entries live in a dict keyed by their canonical
         # (sorted-by-field) item tuple, so a lookup is O(1) instead of a scan
-        # over every installed entry (the forwarding table holds one entry
-        # per reachable host). Match values must therefore be hashable:
-        # install rejects any other with a TableError.
+        # over every installed entry. Match values must therefore be
+        # hashable: install rejects any other with a TableError.
         self._exact_index: dict[tuple, TableEntry] = {}
+        #: The address plan of a single-field exact table: maps a match value
+        #: to the key of the aggregate entry covering it (a host to its rack
+        #: prefix). A lookup that misses the value itself probes that key
+        #: once more. The control plane hands every switch the same mapping.
+        self.address_plan: Mapping[Any, Any] | None = None
         #: Bumped on every control-plane mutation.
         self.version = 0
         self._sorted_fields = tuple(sorted(self.match_fields))
@@ -161,6 +169,15 @@ class MatchActionTable:
         self.default_action = action
         self.version += 1
 
+    def set_address_plan(self, plan: Mapping[Any, Any] | None) -> None:
+        """Install the covering-key map a missed exact lookup falls back to."""
+        if plan is not None and (self.match_kind != "exact" or self._single_field is None):
+            raise TableError(
+                f"table {self.name!r}: an address plan needs a single-field exact table"
+            )
+        self.address_plan = plan
+        self.version += 1
+
     def install(self, rule: FlowRule) -> TableEntry:
         """Install a control-plane rule, returning the created entry."""
         return self.install_batch((rule,))[0]
@@ -172,10 +189,11 @@ class MatchActionTable:
         exact-match values and duplicates (inside the batch and against the
         installed entries) are checked for
         every rule before anything is mutated, so a rejected batch leaves
-        the entries and ``version`` untouched. Rules forwarding out of the
-        same port share one (immutable) :class:`ForwardAction`, and
-        ``version`` is bumped once; entries and lookups are otherwise those
-        of one :meth:`install` per rule, in order.
+        the entries and ``version`` untouched. Rules with the same immutable
+        action (:class:`ForwardAction` out of one port, :class:`EcmpAction`
+        over one member set) share one instance, and ``version`` is bumped
+        once; entries and lookups are otherwise those of one
+        :meth:`install` per rule, in order.
         """
         rules = tuple(rules)
         name = self.name
@@ -192,7 +210,7 @@ class MatchActionTable:
         exact = self.match_kind == "exact"
         fields = set(self.match_fields)
         exact_index = self._exact_index
-        forwards: dict[tuple, ForwardAction] = {}
+        shared: dict[tuple, Action] = {}
         entries: list[TableEntry] = []
         indexed: dict[tuple, TableEntry] = {}
         for rule in rules:
@@ -202,10 +220,11 @@ class MatchActionTable:
                     f"rule for table {name!r} missing match fields "
                     f"{sorted(fields - match.keys())}"
                 )
-            if self._actions.get(rule.action_name) is ForwardAction:
-                action = forwards.get(rule.action_params)
+            if self._actions.get(rule.action_name) in _SHARED_ACTIONS:
+                key = (rule.action_name, rule.action_params)
+                action = shared.get(key)
                 if action is None:
-                    action = forwards[rule.action_params] = self._resolve_action(rule)
+                    action = shared[key] = self._resolve_action(rule)
             else:
                 action = self._resolve_action(rule)
             entry = TableEntry(match, action, rule.priority)
@@ -242,9 +261,10 @@ class MatchActionTable:
         return False
 
     def clear(self) -> None:
-        """Remove every installed entry."""
+        """Remove every installed entry and the address plan."""
         self._entries.clear()
         self._exact_index.clear()
+        self.address_plan = None
         self.version += 1
 
     def __len__(self) -> int:
@@ -257,7 +277,10 @@ class MatchActionTable:
     def lookup(self, key: Mapping[str, Any]) -> TableEntry | None:
         """Find the matching entry for a lookup key (no side effects)."""
         if self.match_kind == "exact":
-            return self._find_exact(dict(key))
+            entry = self._find_exact(dict(key))
+            if entry is None and self.address_plan is not None:
+                entry = self._aggregate_entry(key.get(self._single_field))
+            return entry
         for entry in self._entries:
             if self._ternary_matches(entry.match, key):
                 return entry
@@ -268,17 +291,21 @@ class MatchActionTable:
 
         Builds the lookup key from ``ctx.metadata`` using the declared match
         fields, executes the matching entry's action (or the default action on
-        a miss), and returns whether the lookup hit.
+        a miss), and returns whether the lookup hit. A hit on the aggregate
+        entry the address plan names is a hit like any other.
         """
         ctx.charge(1)
         metadata = ctx.metadata
         if self.match_kind == "exact":
-            # Hot path: one dict probe against the canonical key; no
-            # intermediate lookup dictionary is built.
+            # Hot path: one dict probe against the canonical key (two with an
+            # address plan); no intermediate lookup dictionary is built.
             field = self._single_field
             try:
                 if field is not None:
-                    entry = self._exact_index.get(((field, metadata.get(field)),))
+                    value = metadata.get(field)
+                    entry = self._exact_index.get(((field, value),))
+                    if entry is None and self.address_plan is not None:
+                        entry = self._aggregate_entry(value)
                 else:
                     entry = self._exact_index.get(
                         tuple((f, metadata.get(f)) for f in self._sorted_fields)
@@ -314,6 +341,16 @@ class MatchActionTable:
     def _find_exact(self, key: dict[str, Any]) -> TableEntry | None:
         canonical = _canonical_key(key)
         return None if canonical is None else self._exact_index.get(canonical)
+
+    def _aggregate_entry(self, value: Any) -> TableEntry | None:
+        """The entry the address plan says covers ``value``, if installed."""
+        try:
+            covering = self.address_plan.get(value)
+        except TypeError:  # unhashable value: covered by nothing
+            return None
+        if covering is None:
+            return None
+        return self._exact_index.get(((self._single_field, covering),))
 
     @staticmethod
     def _ternary_matches(entry_match: Mapping[str, Any], key: Mapping[str, Any]) -> bool:

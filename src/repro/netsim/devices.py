@@ -15,7 +15,13 @@ from typing import Any, Callable
 from repro.checks.registry import fastpath
 from repro.core.errors import PipelineError, TopologyError
 from repro.core.packet import DaietAck, DaietPacket, DaietPacketType
-from repro.dataplane.actions import CallableAction, ForwardAction, NoAction, PacketContext
+from repro.dataplane.actions import (
+    CallableAction,
+    EcmpAction,
+    ForwardAction,
+    NoAction,
+    PacketContext,
+)
 from repro.dataplane.switch import ProgrammableSwitch, _packet_bytes as _switch_packet_bytes
 from repro.dataplane.tables import MatchActionTable
 
@@ -142,14 +148,17 @@ class SwitchDevice(Device):
       installs rules here that hand matching packets to the per-switch
       aggregation extern.
     * ``l3_forward`` — exact match on ``dst``; the routing module installs one
-      entry per reachable host.
+      entry per directly attached host and one per remote rack (attachment
+      switch), a plain forward or an ECMP group. A lookup that misses
+      ``dst`` probes the rack prefix the fabric's address plan gives it.
 
     The pipeline is sealed when it is built, as a compiled P4 program is:
     from then on only table entries change. So :meth:`deliver` runs
     *compiled* paths that perform exactly the counter updates, parse charges
     and emissions the generic pipeline would, without building the
-    per-packet context/metadata machinery. Per packet they probe one table
-    and check that the entry's action is the standard one. An entry with
+    per-packet context/metadata machinery. Per packet they look up one
+    table (forwarding probes ``dst``, then its rack prefix) and check that
+    the entry's action is a standard one. An entry with
     another action, a broadcast port, an oversized op charge or a default
     action other than ``NoAction`` on a table that missed goes to the generic
     :meth:`ProgrammableSwitch.receive`.
@@ -173,6 +182,7 @@ class SwitchDevice(Device):
         forward_stage = pipeline.add_stage("forward")
         forward_table = MatchActionTable(FORWARDING_TABLE, match_fields=("dst",), match_kind="exact")
         forward_table.register_action("forward", ForwardAction)
+        forward_table.register_action("ecmp", EcmpAction)
         forward_stage.add_table(forward_table)
         pipeline.seal()
 
@@ -326,19 +336,24 @@ class SwitchDevice(Device):
         ``packets_processed``, the steering table's miss count, the
         forwarding table's hit/miss count, and the drop accounting on a
         forwarding miss — without building the per-packet context. The
-        generic pipeline takes the packet when the ``l3_forward`` entry is
-        not a plain :class:`ForwardAction` to one port, when the charge
-        exceeds the op budget, or when a table that missed has a default
-        action other than the free ``NoAction``: the generic pipeline runs
-        the default action on every miss, and this path does not.
+        lookup is the table's: ``dst`` exactly, then the rack prefix the
+        address plan names. The generic pipeline takes the packet when the
+        ``l3_forward`` entry is neither a plain :class:`ForwardAction` to
+        one port nor an :class:`EcmpAction`, when the charge exceeds the op
+        budget, or when a table that missed has a default action other than
+        the free ``NoAction``: the generic pipeline runs the default action
+        on every miss, and this path does not.
         """
         switch = self.switch
         # Every packet here misses daiet_steer.
         if type(self._daiet_tbl.default_action) is not NoAction:
             return switch.receive(packet, ingress_port, nbytes)
         fwd = self._fwd_tbl
+        dst = packet.dst
         try:
-            entry = fwd._exact_index.get((("dst", packet.dst),))
+            entry = fwd._exact_index.get((("dst", dst),))
+            if entry is None and fwd.address_plan is not None:
+                entry = fwd._aggregate_entry(dst)
         except TypeError:  # unhashable destination: a miss, as in table.apply
             entry = None
         if entry is None:
@@ -347,12 +362,18 @@ class SwitchDevice(Device):
             egress = None
         else:
             action = entry.action
-            if type(action) is not ForwardAction or action.cost != 1 or action.egress_port < 0:
+            if type(action) is ForwardAction:
+                egress = action.egress_port
+            elif type(action) is EcmpAction:
+                egress = action.select(dst)
+            else:
                 return switch.receive(packet, ingress_port, nbytes)
-            egress = action.egress_port
+            if action.cost != 1 or egress < 0:
+                return switch.receive(packet, ingress_port, nbytes)
         # Charge the generic path would make: extract extern (1) +
-        # daiet_steer miss (1) + l3_forward (1) + ForwardAction (1 on a hit,
-        # nothing on a miss — the default action is a free NoAction).
+        # daiet_steer miss (1) + l3_forward (1) + the forward or ECMP action
+        # (1 on a hit, nothing on a miss — the default action is a free
+        # NoAction).
         charge = 3 if egress is None else 4
         if charge > self._max_ops:
             return switch.receive(packet, ingress_port, nbytes)

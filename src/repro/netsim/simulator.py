@@ -34,7 +34,12 @@ from repro.netsim.devices import (
 )
 from repro.netsim.events import Event, EventScheduler, Timer
 from repro.netsim.links import DirectionCounters, Link
-from repro.netsim.routing import RoutingState, compute_routes, install_forwarding_rules
+from repro.netsim.routing import (
+    RoutingState,
+    compute_routes,
+    install_forwarding_rules,
+    planned_forwarding_entries,
+)
 from repro.netsim.stats import PerDeviceTraffic, TrafficStats
 from repro.netsim.topology import Topology
 
@@ -648,18 +653,18 @@ class NetworkSimulator:
     def install_routes(self) -> int:
         """Compute shortest-path routes and populate every forwarding table.
 
-        Every switch gets one entry per host, so a forwarding table too small
-        for the fabric fails here, before a route is computed or a switch
-        programmed.
+        A forwarding table too small for its switch's planned entries (its
+        attached hosts, the multi-homed hosts and the remote racks) fails
+        here, before a route is computed or a switch programmed.
         """
-        needed = len(self.topology.hosts())
+        planned = planned_forwarding_entries(self.topology)
         for switch in self.topology.switches():
             table = switch.forwarding_table
+            needed = planned[switch.name]
             if needed > table.max_entries:
                 raise TableError(
                     f"switch {switch.name!r}: table {table.name!r} holds at most "
-                    f"{table.max_entries} entries but routing needs {needed}, "
-                    "one per host"
+                    f"{table.max_entries} entries but routing needs {needed}"
                 )
         self.routes = compute_routes(self.topology)
         return install_forwarding_rules(self.topology, self.routes)

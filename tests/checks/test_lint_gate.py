@@ -287,6 +287,32 @@ class TestCleanTree:
             "repro lint: clean (determinism, fastpath-parity, dataplane-config)"
         )
 
+    def test_ecmp_has_one_hash(self):
+        # The sha256 path index is computed in dataplane/actions.py's
+        # ecmp_path_index and nowhere else: route computation (and through
+        # it the aggregation-tree builder) and the ECMP group action call it,
+        # so a tree's path and a forwarded packet's path cannot drift apart.
+        # (The parent of the change that added this gate had its one call in
+        # netsim/routing.py, and forwarding read per-host rules built from it.)
+        home = ("dataplane/actions.py", "ecmp_path_index")
+        found = []
+        for relative, tree in _package_trees():
+            owner: dict[int, str] = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    for line in range(node.lineno, node.end_lineno + 1):
+                        owner.setdefault(line, node.name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                    found.append((relative, f"from hashlib import line {node.lineno}"))
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sha256"
+                ):
+                    found.append((relative, owner.get(node.lineno, "<module>")))
+        assert found == [home]
+
     def test_the_intern_pool_is_reached_through_its_functions(self):
         # The pool's containers are named in dataplane/interning.py and
         # nowhere else: packetizers and kernels go through intern_key /

@@ -9,10 +9,12 @@ from repro.dataplane.actions import (
     ActionSequence,
     CallableAction,
     DropAction,
+    EcmpAction,
     ForwardAction,
     NoAction,
     PacketContext,
     SetMetadataAction,
+    ecmp_path_index,
 )
 from repro.dataplane.resources import PacketOpCounter
 
@@ -92,3 +94,22 @@ class TestPrimitives:
         DropAction()(ctx)
         assert ctx.ops is not None
         assert ctx.ops.used == 2
+
+    def test_ecmp_group_weights_members_by_their_paths(self):
+        group = EcmpAction(ports=(4, 9), paths=(1, 3), seed=0, switch="leaf0")
+        chosen = []
+        for i in range(64):
+            dst = f"h{i}"
+            index = ecmp_path_index(0, "leaf0", dst, 4)
+            ctx = PacketContext(packet=None, metadata={"dst": dst})
+            group(ctx)
+            chosen.append(ctx.metadata["egress_port"])
+            assert ctx.metadata["egress_port"] == (4 if index == 0 else 9)
+        assert set(chosen) == {4, 9}
+
+    @pytest.mark.parametrize(
+        ("ports", "paths"), [((), ()), ((1, 2), (1,)), ((-1, 2), (1, 1)), ((1, 2), (0, 1))]
+    )
+    def test_malformed_ecmp_group_is_rejected(self, ports, paths):
+        with pytest.raises(PipelineError, match="ECMP group"):
+            EcmpAction(ports=ports, paths=paths)

@@ -56,6 +56,32 @@ class TestExactMatchTable:
         assert ctx.metadata["egress_port"] == 7
         assert table.hit_count == 1
 
+    def test_address_plan_is_the_second_probe(self):
+        table = self.make_table()
+        table.install(FlowRule.create("l3", {"dst": "h1"}, "forward", {"egress_port": 7}))
+        table.install(FlowRule.create("l3", {"dst": ("rack", 1)}, "forward", {"egress_port": 2}))
+        table.set_address_plan({"h1": ("rack", 1), "h2": ("rack", 1), "h3": ("rack", 9)})
+        ports = []
+        for dst in ("h1", "h2", "h3", ["unhashable"]):
+            ctx = make_ctx(dst=dst)
+            table.apply(ctx)
+            ports.append(ctx.metadata.get("egress_port"))
+        # The exact entry wins; a planned host takes its aggregate; an
+        # aggregate with no entry, like an unhashable value, is a miss.
+        assert ports == [7, 2, None, None]
+        assert (table.hit_count, table.miss_count) == (2, 2)
+        assert table.lookup({"dst": "h2"}).action.egress_port == 2
+        table.clear()
+        assert table.address_plan is None and table.lookup({"dst": "h2"}) is None
+
+    def test_address_plan_needs_a_single_field_exact_table(self):
+        for table in (
+            MatchActionTable("acl", match_fields=("dst",), match_kind="ternary"),
+            MatchActionTable("pair", match_fields=("src", "dst")),
+        ):
+            with pytest.raises(TableError, match="address plan"):
+                table.set_address_plan({"h1": "rack"})
+
     def test_apply_miss_runs_default_action(self):
         table = self.make_table()
         table.set_default_action(DropAction())

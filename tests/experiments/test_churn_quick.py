@@ -51,8 +51,8 @@ class TestChurnQuick:
     @pytest.mark.parametrize(
         ("reliability", "digest"),
         [
-            (False, "e85385b93048637093ad731a1da74aad228358183cf6e99f13f3ebca62d4488c"),
-            (True, "0567ee8c8ac9d0f1c12e0c0d7c7bdf644b58a9465fe8cf561d03bf432e57e777"),
+            (False, "64ea2aafa05629ae0ec79d856ea44d021f334c25fe7cc4774f2b0489c404efe7"),
+            (True, "72bd55d9fcf5ec3ebaafef6f96d31d53e4d834514e2bffceb44578c636cd4997"),
         ],
     )
     def test_quick_report_is_pinned(self, reliability, digest):

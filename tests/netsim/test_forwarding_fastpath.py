@@ -15,6 +15,7 @@ from repro.core.packet import DaietPacket, DaietPacketType
 from repro.dataplane.actions import SetMetadataAction
 from repro.dataplane.tables import FlowRule
 from repro.netsim.devices import FORWARDING_TABLE, SwitchDevice
+from repro.netsim.routing import RackPrefix
 from repro.transport.packets import TcpSegment, UdpDatagram
 
 
@@ -67,6 +68,30 @@ def _packets() -> list:
     ]
 
 
+def _aggregated_switch() -> SwitchDevice:
+    """``_forwarding_switch`` plus two rack entries: an ECMP group towards
+    rack B (four paths over three ports) and a plain forward towards rack C.
+    Rack D is in the address plan but has no entry."""
+    device = _forwarding_switch()
+    device.switch.install_rules(
+        [
+            FlowRule.create(
+                FORWARDING_TABLE,
+                {"dst": RackPrefix("leafB")},
+                "ecmp",
+                {"ports": (4, 5, 6), "paths": (1, 2, 1), "seed": 3, "switch": "sw"},
+            ),
+            FlowRule.create(
+                FORWARDING_TABLE, {"dst": RackPrefix("leafC")}, "forward", {"egress_port": 7}
+            ),
+        ]
+    )
+    plan = {f"b{i}": RackPrefix("leafB") for i in range(12)}
+    plan.update(c0=RackPrefix("leafC"), d0=RackPrefix("leafD"))
+    device.forwarding_table.set_address_plan(plan)
+    return device
+
+
 class TestForwardingFastPathEquivalence:
     def test_fast_path_matches_generic_pipeline(self):
         fast = _forwarding_switch()
@@ -77,6 +102,32 @@ class TestForwardingFastPathEquivalence:
             out_slow = slow.switch.receive(packet, 3, nbytes)
             assert out_fast == out_slow
         assert _observable_state(fast) == _observable_state(slow)
+
+    def test_rack_entries_and_ecmp_groups_match_generic_pipeline(self):
+        fast = _aggregated_switch()
+        slow = _aggregated_switch()
+        packets = _packets() + [
+            UdpDatagram(src="h0", dst=f"b{i}", payload_bytes=i) for i in range(12)
+        ]
+        packets += [
+            TcpSegment(src="h0", dst="c0", payload_bytes=5),
+            # Planned, but rack D has no entry: a miss.
+            UdpDatagram(src="h0", dst="d0", payload_bytes=5),
+            # A switch's own name is not its rack's prefix: a miss.
+            UdpDatagram(src="h0", dst="leafB", payload_bytes=5),
+        ]
+        ports = []
+        for packet in packets:
+            nbytes = packet.wire_bytes()
+            out_fast = fast.deliver(packet, 3, nbytes)
+            assert out_fast == slow.switch.receive(packet, 3, nbytes)
+            ports.append(out_fast[0][0] if out_fast else None)
+        assert _observable_state(fast) == _observable_state(slow)
+        group = fast.forwarding_table.lookup({"dst": "b0"}).action
+        assert ports[-15:-3] == [group.select(f"b{i}") for i in range(12)]
+        assert set(ports[-15:-3]) == {4, 5, 6}
+        assert ports[-3:] == [7, None, None]
+        assert fast.forwarding_table.miss_count == 3  # nowhere, d0, leafB
 
     def test_cache_invalidated_by_rule_install(self):
         device = _forwarding_switch()

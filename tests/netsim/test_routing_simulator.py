@@ -5,13 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import RoutingError, SimulationError, TableError
+from repro.dataplane.actions import EcmpAction, ForwardAction
 from repro.dataplane.tables import FlowRule
 from repro.netsim.devices import FORWARDING_TABLE, Host, SwitchDevice
 from repro.netsim.routing import (
+    RackPrefix,
     compute_routes,
     host_uplink_switch,
     install_forwarding_rules,
     path_switches,
+    planned_forwarding_entries,
     shortest_path,
 )
 from repro.netsim.simulator import NetworkSimulator
@@ -51,9 +54,13 @@ class TestRouting:
 
     def test_install_forwarding_rules_counts(self):
         topo = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+        planned = planned_forwarding_entries(topo)
         installed = install_forwarding_rules(topo)
-        # Every switch gets one entry per host.
-        assert installed == len(topo.switches()) * len(topo.hosts())
+        # A leaf holds its own two hosts and the other rack; a spine, both
+        # racks.
+        assert planned == {"spine0": 2, "spine1": 2, "leaf0": 3, "leaf1": 3}
+        assert {s.name: len(s.forwarding_table) for s in topo.switches()} == planned
+        assert installed == 10
 
     def test_installed_tables_equal_one_rule_at_a_time(self):
         """The per-switch batch leaves what N ``install`` calls would."""
@@ -65,22 +72,55 @@ class TestRouting:
         routes = compute_routes(batched, ecmp_seed=5)
         install_forwarding_rules(batched, routes)
         for switch in reference.switches():
-            for dst, next_hop in routes.next_hops[switch.name].items():
-                switch.forwarding_table.install(
+            name = switch.name
+            table = switch.forwarding_table
+            for host in routes.racks.get(name, ()):
+                table.install(
                     FlowRule.create(
-                        table=FORWARDING_TABLE,
-                        match={"dst": dst},
-                        action_name="forward",
-                        action_params={
-                            "egress_port": reference.port_towards(switch.name, next_hop)
-                        },
+                        FORWARDING_TABLE,
+                        {"dst": host},
+                        "forward",
+                        {"egress_port": reference.port_towards(name, host)},
+                    )
+                )
+            for root in routes.racks:
+                if root == name:
+                    continue
+                members = routes.group(name, root)
+                ports = tuple(reference.port_towards(name, hop) for hop, _ in members)
+                table.install(
+                    FlowRule.create(
+                        FORWARDING_TABLE,
+                        {"dst": RackPrefix(root)},
+                        *(
+                            ("forward", {"egress_port": ports[0]})
+                            if len(ports) == 1
+                            else (
+                                "ecmp",
+                                {
+                                    "ports": ports,
+                                    "paths": tuple(paths for _, paths in members),
+                                    "seed": 5,
+                                    "switch": name,
+                                },
+                            )
+                        ),
                     )
                 )
         for got, want in zip(batched.switches(), reference.switches()):
             assert [(e.match, e.action) for e in got.forwarding_table.entries()] == [
                 (e.match, e.action) for e in want.forwarding_table.entries()
             ]
-            assert got.forwarding_table.version == 1
+            # One batch and one address plan.
+            assert got.forwarding_table.version == 2
+            assert got.forwarding_table.address_plan is routes.address_plan
+        # A leaf reaches both remote racks through one shared group.
+        groups = [
+            e.action
+            for e in batched.get("leaf0").forwarding_table.entries()
+            if isinstance(e.action, EcmpAction)
+        ]
+        assert len(groups) == 2 and groups[0] is groups[1]
 
     def test_reinstall_skips_and_clears(self):
         """The failover reinstall: ``skip`` untouched, the rest replaced."""
@@ -91,19 +131,26 @@ class TestRouting:
         installed = install_forwarding_rules(
             topo, routes, skip=["spine1"], clear_first=True
         )
-        assert installed == (len(topo.switches()) - 1) * len(topo.hosts())
+        # Three leaves with two hosts and two remote racks each; spine0 with
+        # three racks.
+        assert installed == 3 * 4 + 3
         for switch in topo.switches():
             table = switch.forwarding_table
             if switch.name == "spine1":
                 assert table.entries() == before["spine1"]
                 continue
-            assert len(table) == len(topo.hosts())
+            assert len(table) == planned_forwarding_entries(topo)[switch.name]
+            assert table.address_plan is routes.address_plan
             spine1_port = (
                 topo.port_towards(switch.name, "spine1")
                 if switch.name.startswith("leaf")
                 else None
             )
-            assert all(e.action.egress_port != spine1_port for e in table.entries())
+            # With one spine left, every rack entry is a plain forward.
+            assert all(
+                type(e.action) is ForwardAction and e.action.egress_port != spine1_port
+                for e in table.entries()
+            )
         with pytest.raises(TableError, match="duplicate"):
             install_forwarding_rules(topo, routes, skip=["spine1"])
 
@@ -184,7 +231,8 @@ class TestNetworkSimulator:
 
     def test_forwarding_table_too_small_fails_before_routing(self, monkeypatch):
         topo = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=3)
-        topo.get("leaf1").forwarding_table.max_entries = 5
+        # leaf1 plans its three hosts and one remote rack.
+        topo.get("leaf1").forwarding_table.max_entries = 3
         monkeypatch.setattr(
             "repro.netsim.simulator.compute_routes",
             lambda *args, **kwargs: pytest.fail("routes computed before the capacity check"),
@@ -193,8 +241,23 @@ class TestNetworkSimulator:
             NetworkSimulator(topo)
         message = str(raised.value)
         assert "'leaf1'" in message and "'l3_forward'" in message
-        assert "5 entries" in message and "needs 6" in message
+        assert "3 entries" in message and "needs 4" in message
         assert all(len(s.forwarding_table) == 0 for s in topo.switches())
+
+    def test_a_4096_worker_fabric_fits_its_tables_and_forwards(self):
+        # 257 racks of 16: per-host rules would need 4,112 entries per switch.
+        topo = leaf_spine(num_leaves=257, num_spines=4, hosts_per_leaf=16)
+        sim = NetworkSimulator(topo)
+        assert max(len(s.forwarding_table) for s in topo.switches()) <= 16 + 256
+        received = []
+        sim.host("h4111").set_receiver(received.append)
+        sim.send("h1", UdpDatagram(src="h1", dst="h4111", payload_bytes=64))
+        sim.run()
+        assert [p.dst for p in received] == ["h4111"]
+        assert sim.stats.total_link_packets() == 4
+        assert len(shortest_path(topo, "h1", "h4111")) == 5
+        crossed = {s.name for s in topo.switches() if s.switch.counters.packets_in}
+        assert crossed == {"leaf0", sim.routes.next_hop("leaf0", "h4111"), "leaf256"}
 
     def test_send_from_switch_rejected(self):
         sim = NetworkSimulator(single_rack(num_hosts=2))
