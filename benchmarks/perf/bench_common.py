@@ -14,12 +14,15 @@ perf tests here guard the throughput trajectory.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import resource
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +40,24 @@ BENCH_JSON = Path(__file__).resolve().parents[2] / "BENCH_simcore.json"
 #: wall-clock throughput (8.7k-18k events/s seen on ``approx_sweep``) and
 #: leaves this one where it was.
 bench_clock = time.process_time
+
+
+@contextmanager
+def frozen_heap() -> Iterator[None]:
+    """Hide every object alive on entry from the garbage collector.
+
+    Inside a full ``pytest`` run the process still holds some 650k objects
+    from earlier tests; one full collection that lands in a 20 ms timed
+    region walks them all and can double the sample. Frozen, they are out
+    of the collector's view, so a collection costs what the bench itself
+    allocated, as it would in a fresh process.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def recorded_floor(name: str) -> float:

@@ -22,7 +22,7 @@ together with every substrate its evaluation depends on:
 
 __version__ = "1.0.0"
 
-from repro.core.config import DaietConfig, ExperimentConfig
+from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 
-__all__ = ["DaietConfig", "ExperimentConfig", "DaietSystem", "__version__"]
+__all__ = ["DaietConfig", "DaietSystem", "__version__"]

@@ -3,12 +3,14 @@
 The O&M traffic-hotspot-localization line of work (see PAPERS.md) detects
 overloaded aggregation points from periodically sampled per-device
 counters. This module reproduces that control-loop shape against the
-simulator: a :class:`HotspotDetector` samples
-:class:`~repro.netsim.stats.TrafficStats` snapshots of a monitored switch
-set on the simulation clock, computes each switch's share of the traffic
-observed *in the last window*, and flags a switch whose share exceeds a
+simulator: a :class:`HotspotDetector` samples the ``packets_in`` counter
+(:class:`~repro.dataplane.switch.SwitchCounters`) of each monitored switch
+on the simulation clock, computes each switch's share of the packets it
+processed *in the last window*, and flags a switch whose share exceeds a
 threshold — typically an aggregation switch that ECMP or naive tree
-placement concentrated too many trees onto.
+placement concentrated too many trees onto. A packet that dies at a
+crashed switch is a ``fault_drops`` entry, not a packet the switch
+processed, so it does not count toward the switch's share.
 
 A flagged hotspot is reported through the ``on_hotspot`` callback, which
 the churn experiment wires to
@@ -89,8 +91,9 @@ class HotspotDetector:
         self.switches = sorted(switches)
         if not self.switches:
             raise SimulationError("hotspot detector needs at least one switch")
-        for name in self.switches:
-            sim.topology.get(name)  # raises TopologyError on unknowns
+        #: Each monitored switch's counters; ``sim.switch`` raises on a name
+        #: that is unknown or not a switch.
+        self._counters = {name: sim.switch(name).switch.counters for name in self.switches}
         self.config = config or HotspotConfig()
         self.on_hotspot = on_hotspot
         #: Every flagged hotspot, in detection order.
@@ -105,23 +108,18 @@ class HotspotDetector:
         if self._started:
             return
         self._started = True
-        self._snapshot_baseline()
+        self._last_packets = self._packets_in()
         self.sim.scheduler.schedule(self.config.sample_interval, self._tick)
 
-    def _snapshot_baseline(self) -> None:
-        switch_traffic = self.sim.stats.switch_traffic
-        for name in self.switches:
-            traffic = switch_traffic.get(name)
-            self._last_packets[name] = traffic.packets if traffic is not None else 0
+    def _packets_in(self) -> dict[str, int]:
+        """Each monitored switch's ``SwitchCounters.packets_in`` right now."""
+        return {name: counters.packets_in for name, counters in self._counters.items()}
 
     def _tick(self) -> None:
         self._samples += 1
-        switch_traffic = self.sim.stats.switch_traffic
         deltas: dict[str, int] = {}
         total = 0
-        for name in self.switches:
-            traffic = switch_traffic.get(name)
-            packets = traffic.packets if traffic is not None else 0
+        for name, packets in self._packets_in().items():
             deltas[name] = packets - self._last_packets[name]
             self._last_packets[name] = packets
             total += deltas[name]
@@ -149,13 +147,7 @@ class HotspotDetector:
 
     def shares(self) -> dict[str, float]:
         """Cumulative per-switch share of all monitored packets so far."""
-        switch_traffic = self.sim.stats.switch_traffic
-        counts = {
-            name: (
-                switch_traffic[name].packets if name in switch_traffic else 0
-            )
-            for name in self.switches
-        }
+        counts = self._packets_in()
         total = sum(counts.values())
         if total == 0:
             return {name: 0.0 for name in self.switches}

@@ -34,6 +34,7 @@ import os
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import SanitizerError
+from repro.netsim.simulator import MAX_EVENTS
 
 __all__ = [
     "ConservationLedger",
@@ -222,17 +223,16 @@ class SimulatorSanitizer:
         """Step-by-step replacement for :meth:`NetworkSimulator.run`.
 
         Mirrors the scheduler's ``run`` semantics (stop past ``until``,
-        honour ``max_events``, advance the clock to ``until`` at the end)
+        honour ``MAX_EVENTS``, advance the clock to ``until`` at the end)
         while checking monotonicity and dispatch order on every event and
         the backend structure periodically.
         """
         sim = self.sim
         scheduler = sim.scheduler
-        max_events = sim.config.max_events
         interval = self.heap_check_interval
         executed = 0
         last_time = scheduler.now
-        while executed < max_events:
+        while executed < MAX_EVENTS:
             next_time = scheduler.peek_time()
             if next_time is None:
                 break

@@ -8,7 +8,7 @@ trees (:mod:`tree`), the network controller (:mod:`controller`) and the
 """
 
 from repro.core.aggregation import DaietAggregationEngine, TreeCounters, TreeState, hash_key
-from repro.core.config import DaietConfig, ExperimentConfig
+from repro.core.config import DaietConfig
 from repro.core.controller import (
     AGGREGATE_ACTION,
     DaietController,
@@ -50,7 +50,6 @@ __all__ = [
     "TreeState",
     "hash_key",
     "DaietConfig",
-    "ExperimentConfig",
     "AGGREGATE_ACTION",
     "DaietController",
     "InstalledJob",

@@ -8,7 +8,7 @@ hardware, roughly 200-300 B per packet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError, TransportError
 
@@ -249,26 +249,3 @@ class DaietConfig:
         """
         per_slot = self.key_width + self.value_width + 4
         return self.register_slots * per_slot
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs shared by the benchmark harness.
-
-    These mirror the paper's testbed scale and can be scaled down for quick
-    runs: 24 mappers, 12 reducers, 500 MB of random words, one bmv2 switch.
-    """
-
-    num_mappers: int = 24
-    num_reducers: int = 12
-    corpus_bytes: int = 5_000_000
-    seed: int = 2017
-    daiet: DaietConfig = field(default_factory=DaietConfig)
-
-    def __post_init__(self) -> None:
-        if self.num_mappers <= 0:
-            raise ConfigurationError("num_mappers must be positive")
-        if self.num_reducers <= 0:
-            raise ConfigurationError("num_reducers must be positive")
-        if self.corpus_bytes <= 0:
-            raise ConfigurationError("corpus_bytes must be positive")

@@ -19,7 +19,6 @@ from repro.netsim.events import Event, EventScheduler, Timer
 from repro.netsim.links import (
     DEFAULT_BANDWIDTH_BPS,
     DEFAULT_PROPAGATION_S,
-    DirectionCounters,
     Endpoint,
     Link,
 )
@@ -32,7 +31,7 @@ from repro.netsim.routing import (
     shortest_path,
 )
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
-from repro.netsim.stats import PerDeviceTraffic, TrafficStats
+from repro.netsim.stats import LinkTraffic, TrafficStats
 from repro.netsim.topology import Topology, fat_tree, leaf_spine, single_rack
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "Timer",
     "DEFAULT_BANDWIDTH_BPS",
     "DEFAULT_PROPAGATION_S",
-    "DirectionCounters",
     "Endpoint",
     "Link",
     "RoutingState",
@@ -59,7 +57,7 @@ __all__ = [
     "shortest_path",
     "NetworkSimulator",
     "SimulatorConfig",
-    "PerDeviceTraffic",
+    "LinkTraffic",
     "TrafficStats",
     "Topology",
     "fat_tree",

@@ -1,10 +1,11 @@
 """Network devices: hosts and switches.
 
 Devices are passive objects driven by the :class:`~repro.netsim.simulator.
-NetworkSimulator`: the simulator delivers a packet to a device's
-:meth:`handle_packet` and transmits whatever the device returns. Hosts deliver
-packets to a registered application receiver; switch devices wrap a
-:class:`~repro.dataplane.switch.ProgrammableSwitch`.
+NetworkSimulator`: the simulator hands a packet to a device's ``deliver`` and
+transmits whatever a switch returns. Hosts count what their NIC sends and
+receives and deliver packets to a registered application receiver; switch
+devices wrap a :class:`~repro.dataplane.switch.ProgrammableSwitch`, whose
+counters say what crossed it.
 """
 
 from __future__ import annotations
@@ -83,14 +84,6 @@ class Device:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def handle_packet(self, packet: Any, ingress_port: int) -> list[tuple[int, Any]]:
-        """Consume a packet arriving on ``ingress_port``.
-
-        Returns a list of ``(egress_port, packet)`` transmissions the device
-        wants to make in response.
-        """
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}({self.name!r})"
 
@@ -110,10 +103,6 @@ class Host(Device):
     def set_receiver(self, receiver: PacketReceiver) -> None:
         """Install the application callback invoked for every delivered packet."""
         self._receiver = receiver
-
-    def handle_packet(self, packet: Any, ingress_port: int) -> list[tuple[int, Any]]:
-        self.deliver(packet, packet_wire_bytes(packet))
-        return []
 
     def deliver(self, packet: Any, nbytes: int) -> None:
         """Deliver one packet whose wire size was already computed.
@@ -205,9 +194,6 @@ class SwitchDevice(Device):
     def forwarding_table(self) -> MatchActionTable:
         """The destination-based forwarding table."""
         return self._fwd_tbl
-
-    def handle_packet(self, packet: Any, ingress_port: int) -> list[tuple[int, Any]]:
-        return self.switch.receive(packet, ingress_port)
 
     # ------------------------------------------------------------------ #
     # Compiled fast path

@@ -1,14 +1,14 @@
 """Point-to-point link model.
 
-Links connect a port on one device to a port on another. Each direction keeps
-its own byte and packet counters (which is what the evaluation reads to compute
-traffic-reduction ratios) and a simple store-and-forward latency model:
-``delay = propagation + size / bandwidth``.
+Links connect a port on one device to a port on another with a simple
+store-and-forward latency model: ``delay = propagation + size / bandwidth``.
+What a link carries is counted by the simulator, in
+:attr:`~repro.netsim.stats.TrafficStats.link_traffic`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import TopologyError
 
@@ -17,19 +17,6 @@ DEFAULT_BANDWIDTH_BPS = 40e9 / 8
 
 #: Intra-data-center propagation delay (a few microseconds).
 DEFAULT_PROPAGATION_S = 2e-6
-
-
-@dataclass
-class DirectionCounters:
-    """Per-direction traffic counters."""
-
-    packets: int = 0
-    bytes: int = 0
-
-    def record(self, nbytes: int) -> None:
-        """Account one packet of ``nbytes`` bytes."""
-        self.packets += 1
-        self.bytes += nbytes
 
 
 @dataclass
@@ -56,7 +43,6 @@ class Link:
     propagation_s: float = DEFAULT_PROPAGATION_S
     loss_rate: float = 0.0
     name: str = ""
-    _counters: dict[str, DirectionCounters] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
@@ -69,7 +55,6 @@ class Link:
             raise TopologyError(f"link endpoints must differ (got {self.a.device!r} twice)")
         if not self.name:
             self.name = f"{self.a.device}:{self.a.port}<->{self.b.device}:{self.b.port}"
-        self._counters = {self.a.device: DirectionCounters(), self.b.device: DirectionCounters()}
 
     def other_end(self, device: str) -> Endpoint:
         """The endpoint opposite to ``device``."""
@@ -90,27 +75,3 @@ class Link:
     def transmission_delay(self, nbytes: int) -> float:
         """Store-and-forward latency for a packet of ``nbytes`` bytes."""
         return self.propagation_s + nbytes / self.bandwidth_bps
-
-    def record_transmission(self, from_device: str, nbytes: int) -> None:
-        """Account a packet sent by ``from_device`` over this link."""
-        if from_device not in self._counters:
-            raise TopologyError(
-                f"device {from_device!r} is not attached to link {self.name!r}"
-            )
-        self._counters[from_device].record(nbytes)
-
-    def counters(self, from_device: str) -> DirectionCounters:
-        """Counters for the direction whose sender is ``from_device``."""
-        if from_device not in self._counters:
-            raise TopologyError(
-                f"device {from_device!r} is not attached to link {self.name!r}"
-            )
-        return self._counters[from_device]
-
-    def total_bytes(self) -> int:
-        """Bytes carried in both directions."""
-        return sum(c.bytes for c in self._counters.values())
-
-    def total_packets(self) -> int:
-        """Packets carried in both directions."""
-        return sum(c.packets for c in self._counters.values())

@@ -33,14 +33,14 @@ from repro.netsim.devices import (
     packet_wire_bytes,
 )
 from repro.netsim.events import Event, EventScheduler, Timer
-from repro.netsim.links import DirectionCounters, Link
+from repro.netsim.links import Link
 from repro.netsim.routing import (
     RoutingState,
     compute_routes,
     install_forwarding_rules,
     planned_forwarding_entries,
 )
-from repro.netsim.stats import PerDeviceTraffic, TrafficStats
+from repro.netsim.stats import LinkTraffic, TrafficStats
 from repro.netsim.topology import Topology
 
 try:  # The burst delivery fast path needs numpy; the simulator does not.
@@ -49,6 +49,9 @@ except ImportError:  # pragma: no cover - the toolchain bakes numpy in
     _np = None
 
 _DAIET_DATA = DaietPacketType.DATA
+
+#: Safety valve: the most events a single ``run`` may execute.
+MAX_EVENTS = 50_000_000
 
 #: Every hook an observer may define (``src/repro/netsim/README.md`` lists
 #: who consumes each). ``veto_transmit(from_device, link)`` names the device
@@ -198,10 +201,6 @@ def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
 class SimulatorConfig:
     """Tunables of a simulation run."""
 
-    #: Safety valve: maximum number of events a single ``run`` may execute.
-    max_events: int = 50_000_000
-    #: Automatically compute routes and install forwarding rules on start.
-    auto_install_routes: bool = True
     #: Seed of the random stream deciding per-link packet drops (only used on
     #: links whose ``loss_rate`` is non-zero).
     loss_seed: int = 0
@@ -235,8 +234,8 @@ class NetworkSimulator:
         self.routes: RoutingState | None = None
         self._port_links: dict[str, dict[int, Link]] = {}
         #: Hot-path lookup: device -> port -> (link, link name, delivery
-        #: callback, delivery target, neighbour port, per-direction byte
-        #: counters, busy key, burst delivery callback or ``None``).
+        #: callback, delivery target, neighbour port, the link's traffic
+        #: record, busy key, burst delivery callback or ``None``).
         #: Everything static about a hop — including which specialized
         #: delivery routine the far end needs — is resolved once here
         #: instead of on every transmission.
@@ -244,16 +243,11 @@ class NetworkSimulator:
             str,
             dict[
                 int,
-                tuple[Link, str, Any, Any, int, DirectionCounters, tuple[str, str], Any],
+                tuple[Link, str, Any, Any, int, LinkTraffic, tuple[str, str], Any],
             ],
         ] = {}
         #: Direct reference to the topology's device table (hot-path lookup).
         self._devices = topology.devices
-        #: Bound references to the hot stats tables. ``TrafficStats.reset``
-        #: clears these dicts in place, so the bindings stay valid.
-        self._link_stats = self.stats.link_traffic
-        self._host_recv_stats = self.stats.host_received
-        self._switch_stats = self.stats.switch_traffic
         #: Per-direction link occupancy: (link name, sender) -> time the link
         #: becomes free. Transmissions on the same direction are serialized so
         #: packets cannot overtake each other (FIFO links).
@@ -300,8 +294,7 @@ class NetworkSimulator:
         self.sanitizer = None
         self.fault_injector = None
         self._build_port_maps()
-        if self.config.auto_install_routes:
-            self.install_routes()
+        self.install_routes()
         sanitize = self.config.sanitize
         if sanitize is None:
             from repro.checks.sanitize import sanitize_enabled_in_env
@@ -337,6 +330,7 @@ class NetworkSimulator:
         observed = bool(self._observers)
         self._fast_burst = not observed
         self._transmit_entry = self._observed_transmit if observed else self._transmit
+        link_traffic = self.stats.link_traffic
         batch_handlers: dict[Any, Any] = {}
         # One compiled sink per receiving device (not per link end): the
         # burst handler collects consecutive queue entries by burst-sink
@@ -344,81 +338,62 @@ class NetworkSimulator:
         sinks: dict[str, Any] = {}
         burst_sinks: dict[str, Any] = {}
         for link in self.topology.links:
+            # The link's one traffic record, bound into both directions' port
+            # info and kept across rebuilds.
+            traffic = link_traffic.get(link.name)
+            if traffic is None:
+                traffic = link_traffic[link.name] = LinkTraffic()
             for end, other in ((link.a, link.b), (link.b, link.a)):
                 self._port_links[end.device][end.port] = link
                 # The delivery callback is compiled per receiver at build
-                # time — a closure binding the receiver's stats slot and
-                # delivery routine — so per-packet delivery needs no device
-                # lookup, type dispatch or simulator attribute traffic.
-                # Subclassed devices use the generic path.
+                # time — a closure binding the receiver's delivery routine —
+                # so per-packet delivery needs no device lookup, type
+                # dispatch or simulator attribute traffic.
                 device = self.topology.devices[other.device]
-                device_type = type(device)
                 target: Any = device
-                if observed or device_type not in (Host, SwitchDevice):
+                callback = sinks.get(other.device)
+                if observed:
                     callback = self._deliver
                     target = other.device
-                elif device_type is Host:
-                    callback = sinks.get(other.device)
-                    if callback is None:
-                        callback = sinks[other.device] = self._compile_host_sink(device)
-                else:
-                    callback = sinks.get(other.device)
-                    if callback is None:
-                        callback = sinks[other.device] = self._compile_switch_sink(
-                            device
-                        )
+                elif callback is None:
+                    if isinstance(device, Host):
+                        callback = self._compile_host_sink(device)
+                    else:
+                        callback = self._compile_switch_sink(device)
                         bsink = self._compile_burst_sink(callback)
                         burst_sinks[other.device] = bsink
                         batch_handlers[bsink] = self._compile_switch_burst(
                             device, callback, bsink
                         )
+                    sinks[other.device] = callback
                 self._port_info[end.device][end.port] = (
                     link,
                     link.name,
                     callback,
                     target,
                     other.port,
-                    link.counters(end.device),
+                    traffic,
                     (link.name, end.device),
                     burst_sinks.get(other.device),
                 )
         self.scheduler.set_batch_handlers(batch_handlers)
 
     def _compile_host_sink(self, host: Host) -> Any:
-        """A delivery closure for one host: stats recording + app delivery.
-
-        The per-packet ``self`` attribute loads are resolved at build time.
-        The stats *dict* is bound (not the per-host counter object), so
-        ``TrafficStats.reset`` keeps working — counters are re-created on
-        the next packet.
-        """
-        host_received = self._host_recv_stats
-        name = host.name
+        """A delivery closure for one host (which counts what it receives)."""
         deliver = host.deliver
 
         def sink(_target: Any, _ingress_port: int, packet: Any, nbytes: int) -> None:
-            traffic = host_received.get(name)
-            if traffic is None:
-                traffic = host_received[name] = PerDeviceTraffic()
-            traffic.packets += 1
-            traffic.bytes += nbytes
             deliver(packet, nbytes)
 
         return sink
 
     def _compile_switch_sink(self, device: SwitchDevice) -> Any:
-        """A delivery closure for one switch: stats + deliver + re-transmit."""
-        switch_traffic = self._switch_stats
+        """A delivery closure for one switch: deliver + re-transmit."""
         name = device.name
         deliver = device.deliver
         transmit = self._transmit
 
         def sink(_target: Any, ingress_port: int, packet: Any, nbytes: int) -> None:
-            traffic = switch_traffic.get(name)
-            if traffic is None:
-                traffic = switch_traffic[name] = PerDeviceTraffic()
-            traffic.packets += 1
-            traffic.bytes += nbytes
             outputs = deliver(packet, ingress_port, nbytes)
             if outputs:
                 for egress_port, out_packet in outputs:
@@ -467,7 +442,6 @@ class NetworkSimulator:
         interleave exactly as they would against a per-packet schedule.
         """
         scheduler = self.scheduler
-        switch_traffic = self._switch_stats
         name = device.name
         transmit = self._transmit
         resolve = device._batch_tree_state
@@ -614,11 +588,6 @@ class NetworkSimulator:
                     c = counts[j]
                     if c:
                         nbytes_total += p.nbytes_cum[o + c] - p.nbytes_cum[o]
-                traffic = switch_traffic.get(name)
-                if traffic is None:
-                    traffic = switch_traffic[name] = PerDeviceTraffic()
-                traffic.packets += cut
-                traffic.bytes += nbytes_total
                 counters.packets_in += cut
                 counters.bytes_in += nbytes_total
                 parser.packets_parsed += cut
@@ -688,7 +657,6 @@ class NetworkSimulator:
         # times per hop as before.
         nbytes = packet_wire_bytes(packet)
         device.note_sent(packet, nbytes)
-        self.stats.record_host_sent(src_host, nbytes)
         self.scheduler.push_at(
             self.scheduler.now + delay,
             self._transmit_entry,
@@ -726,7 +694,6 @@ class NetworkSimulator:
         total = sum(nbytes for _packet, nbytes in items)
         device.counters.packets_sent += len(items)
         device.counters.bytes_sent += total
-        self.stats.record_host_sent(src_host, total, packets=len(items))
         # The burst plan is computed here, at send time, so the delivery
         # fast path pays nothing per packet.
         plan = _plan_burst(items) if self._fast_burst and len(items) > 1 else None
@@ -758,24 +725,17 @@ class NetworkSimulator:
         if plan is not None:
             (
                 link,
-                link_name,
+                _link_name,
                 _callback,
                 target,
                 other_port,
-                direction,
+                traffic,
                 busy_key,
                 burst_sink,
             ) = self._port_info[src_host][0]
             if burst_sink is not None and link.loss_rate == 0.0:
-                total_bytes = plan.nbytes_cum[n]
-                direction.packets += n
-                direction.bytes += total_bytes
-                link_traffic = self._link_stats
-                traffic = link_traffic.get(link_name)
-                if traffic is None:
-                    traffic = link_traffic[link_name] = PerDeviceTraffic()
                 traffic.packets += n
-                traffic.bytes += total_bytes
+                traffic.bytes += plan.nbytes_cum[n]
                 busy = self._link_busy_until
                 scheduler = self.scheduler
                 now = scheduler.now
@@ -856,7 +816,7 @@ class NetworkSimulator:
         if info is None:
             self._drop("unconnected", from_device, packet)
             return
-        link, link_name, callback, target, other_port, direction, busy_key, _burst = info
+        link, link_name, callback, target, other_port, traffic, busy_key, _burst = info
         if self._congestion_enabled and from_device in self._switch_names:
             # Switch egress queue model: the backlog is the serialization
             # time already committed to this link direction, expressed in
@@ -878,13 +838,6 @@ class NetworkSimulator:
                     and getattr(packet, "ecn", None) is False
                 ):
                     self._mark(link_name, packet)
-        direction.packets += 1
-        direction.bytes += nbytes
-        # stats.record_link, inlined (one call per packet per hop).
-        link_traffic = self._link_stats
-        traffic = link_traffic.get(link_name)
-        if traffic is None:
-            traffic = link_traffic[link_name] = PerDeviceTraffic()
         traffic.packets += 1
         traffic.bytes += nbytes
         # Serialize transmissions per link direction (FIFO): a packet starts
@@ -911,40 +864,26 @@ class NetworkSimulator:
         )
 
     def _deliver(self, device_name: str, ingress_port: int, packet: Any, nbytes: int) -> None:
-        """Delivery without a compiled sink, through the observer hooks.
+        """Delivery while observers are attached, through the observer hooks.
 
-        Subclassed devices always arrive here (via ``handle_packet``); while
-        observers are attached every device does, exact :class:`Host` and
-        :class:`SwitchDevice` instances through the same ``deliver`` their
-        compiled sink calls. A packet reaching a device a ``veto_deliver``
-        hook reports down was carried by the link, so it is counted as
-        received, and then dies there as a ``fault`` drop.
+        Calls the same ``deliver`` a compiled sink calls. A packet reaching a
+        device a ``veto_deliver`` hook reports down dies there as a ``fault``
+        drop; the device never sees it, so it does not count it.
         """
-        device = self._devices[device_name]
-        is_host = isinstance(device, Host)
-        if is_host:
-            self.stats.record_host_received(device_name, nbytes)
-        elif isinstance(device, SwitchDevice):
-            self.stats.record_switch(device_name, nbytes)
         hooks = self._hooks
         for is_down in hooks["veto_deliver"]:
             if is_down(device_name):
                 self._drop("fault", device_name, packet)
                 return
-        device_type = type(device)
-        if device_type is Host:
+        device = self._devices[device_name]
+        if isinstance(device, Host):
             device.deliver(packet, nbytes)
-            outputs: Any = ()
-        elif device_type is SwitchDevice:
-            outputs = device.deliver(packet, ingress_port, nbytes)
-        else:
-            outputs = device.handle_packet(packet, ingress_port)
-        if is_host:
             for on_deliver in hooks["on_deliver"]:
                 on_deliver(packet)
-        else:
-            for on_switch in hooks["on_switch"]:
-                on_switch(packet, outputs)
+            return
+        outputs = device.deliver(packet, ingress_port, nbytes)
+        for on_switch in hooks["on_switch"]:
+            on_switch(packet, outputs)
         transmit = self._transmit_entry
         for egress_port, out_packet in outputs:
             transmit(device_name, egress_port, out_packet, packet_wire_bytes(out_packet))
@@ -960,7 +899,7 @@ class NetworkSimulator:
         :meth:`send_burst`), so event totals are independent of whether a
         sender batched its window.
         """
-        executed = self.scheduler.run(until=until, max_events=self.config.max_events)
+        executed = self.scheduler.run(until=until, max_events=MAX_EVENTS)
         extra = self._synthetic_events
         if extra:
             self._synthetic_events = 0

@@ -56,6 +56,12 @@ class Topology:
         return device
 
     def _register(self, device: Device) -> None:
+        # The simulator compiles one delivery routine per device type.
+        if type(device) not in (Host, SwitchDevice):
+            raise TopologyError(
+                f"device {device.name!r}: a topology holds Host and SwitchDevice "
+                f"instances, not {type(device).__name__}"
+            )
         if device.name in self.devices:
             raise TopologyError(f"duplicate device name {device.name!r}")
         self.devices[device.name] = device

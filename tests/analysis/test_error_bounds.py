@@ -99,19 +99,24 @@ class TestTrackerLifecycle:
         assert system.error_tracker is tracker
 
     @staticmethod
-    def outcome(attach=None):
+    def outcome(traffic_snapshot, attach=None):
         system = build_system("best_effort", loss_rate=0.05)
         attached = attach(system) if attach is not None else None
         result = run_job(system)
-        return (result, system.simulator.stats.snapshot()), attached
+        return (result, traffic_snapshot(system.simulator)), attached
 
-    def test_tracker_is_transparent(self):
-        assert self.outcome()[0] == self.outcome(install_error_tracker)[0]
+    def test_tracker_is_transparent(self, traffic_snapshot):
+        plain = self.outcome(traffic_snapshot)[0]
+        assert plain == self.outcome(traffic_snapshot, install_error_tracker)[0]
 
-    def test_tracker_is_transparent_in_every_add_order(self, attach_observers):
-        alone, tracker_alone = self.outcome(install_error_tracker)
-        observed, (_sanitizer, _injector, tracker) = self.outcome(attach_observers)
-        assert observed == alone == self.outcome()[0]
+    def test_tracker_is_transparent_in_every_add_order(
+        self, attach_observers, traffic_snapshot
+    ):
+        alone, tracker_alone = self.outcome(traffic_snapshot, install_error_tracker)
+        observed, (_sanitizer, _injector, tracker) = self.outcome(
+            traffic_snapshot, attach_observers
+        )
+        assert observed == alone == self.outcome(traffic_snapshot)[0]
         assert tracker.ledgers == tracker_alone.ledgers
         assert tracker.bounds() == tracker_alone.bounds()
 

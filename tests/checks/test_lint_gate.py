@@ -16,6 +16,7 @@ from repro.checks.parity import REQUIRED_FASTPATHS, check_fastpath_parity, repo_
 from repro.checks.registry import registered_fastpaths
 from repro.cli import main
 from repro.core.config import DaietConfig, TransportTuning
+from repro.netsim.simulator import SimulatorConfig
 
 
 def _package_trees():
@@ -78,7 +79,7 @@ class TestCleanTree:
         # the change that added this gate had 15 hits: 12 such assignments in
         # checks/sanitize.py, netsim/faults.py and analysis/error_bounds.py,
         # and one _build_port_maps() call in each.)
-        wrapped = {"_transmit", "deliver", "handle_packet", "send", "send_burst"}
+        wrapped = {"_transmit", "deliver", "send", "send_burst"}
         offenders = []
         for relative, tree in _package_trees():
             for node in ast.walk(tree):
@@ -248,13 +249,16 @@ class TestCleanTree:
         assert offenders == []
 
     def test_every_config_knob_is_set_outside_the_tests(self):
-        # A DaietConfig or TransportTuning field earns its place by an
-        # experiment, example or benchmark setting it; a field only the
-        # tests set is a dead rule and goes. "Set" means the field's name is
-        # a keyword argument or a dict key somewhere in those trees.
+        # A DaietConfig, TransportTuning or SimulatorConfig field earns its
+        # place by an experiment, example or benchmark setting it; a field
+        # only the tests set is a dead rule and goes. "Set" means the field's
+        # name is a keyword argument or a dict key somewhere in those trees.
+        # (The parent of the change that added SimulatorConfig here had two
+        # such fields: max_events and auto_install_routes.)
         allowed_unset = {
             "value_width": "the paper's 4 B value; every run keeps the wire format it sizes",
             "spillover_capacity": "None is the paper's one-packet spillover; no run resizes it",
+            "sanitize": "None defers to REPRO_SANITIZE, which the CLI's --sanitize sets",
         }
         root = repo_root()
         trees = [
@@ -274,7 +278,11 @@ class TestCleanTree:
                         named.update(
                             key.value for key in node.keys if isinstance(key, ast.Constant)
                         )
-        knobs = {f.name for cls in (DaietConfig, TransportTuning) for f in fields(cls)}
+        knobs = {
+            f.name
+            for cls in (DaietConfig, TransportTuning, SimulatorConfig)
+            for f in fields(cls)
+        }
         assert knobs - named == set(allowed_unset)
 
     def test_cli_lint_exits_zero(self, capsys):

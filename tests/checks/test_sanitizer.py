@@ -37,25 +37,33 @@ def run_job(system: DaietSystem):
     for mapper in ("h0", "h1", "h2"):
         system.send_pairs(mapper, "h3", [(f"key{i}", i + 1) for i in range(24)])
     events = system.run()
-    return events, system.simulator.stats.snapshot(), system.receiver("h3").result()
+    return events, system.receiver("h3").result()
 
 
 class TestTransparency:
-    def test_sanitized_run_is_byte_identical(self):
-        plain = run_job(build_system(sanitize=False))
-        sanitized = run_job(build_system(sanitize=True))
+    @staticmethod
+    def outcome(system: DaietSystem, traffic_snapshot) -> tuple:
+        return run_job(system), traffic_snapshot(system.simulator)
+
+    def test_sanitized_run_is_byte_identical(self, traffic_snapshot):
+        plain = self.outcome(build_system(sanitize=False), traffic_snapshot)
+        sanitized = self.outcome(build_system(sanitize=True), traffic_snapshot)
         assert plain == sanitized
 
-    def test_reliable_sanitized_run_is_byte_identical(self):
-        plain = run_job(build_system(sanitize=False, reliability=True))
-        sanitized = run_job(build_system(sanitize=True, reliability=True))
+    def test_reliable_sanitized_run_is_byte_identical(self, traffic_snapshot):
+        plain = self.outcome(build_system(sanitize=False, reliability=True), traffic_snapshot)
+        sanitized = self.outcome(
+            build_system(sanitize=True, reliability=True), traffic_snapshot
+        )
         assert plain == sanitized
 
-    def test_every_observer_add_order_is_byte_identical(self, attach_observers):
-        plain = run_job(build_system(sanitize=False, reliability=True))
+    def test_every_observer_add_order_is_byte_identical(
+        self, attach_observers, traffic_snapshot
+    ):
+        plain = self.outcome(build_system(sanitize=False, reliability=True), traffic_snapshot)
         system = build_system(sanitize=False, reliability=True)
         sanitizer, _injector, _tracker = attach_observers(system)
-        assert run_job(system) == plain
+        assert self.outcome(system, traffic_snapshot) == plain
         # ... and the ledger reads the same as when the sanitizer is alone.
         alone = build_system(sanitize=True, reliability=True)
         run_job(alone)
@@ -114,6 +122,19 @@ class TestConservationLedger:
         system = build_system(sanitize=True)
         run_job(system)
         system.simulator.sanitizer.check()  # must not raise
+
+    def test_sanitized_run_stops_at_the_event_cap(self, monkeypatch):
+        sim = NetworkSimulator(single_rack(2), SimulatorConfig(sanitize=True))
+        received = []
+        sim.host("h1").set_receiver(received.append)
+        for _ in range(3):
+            sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=64))
+        monkeypatch.setattr("repro.checks.sanitize.MAX_EVENTS", 2)
+        assert sim.run() == 2  # packets still in flight balance the ledger
+        assert received == []
+        monkeypatch.undo()
+        sim.run()
+        assert len(received) == 3
 
 
 def _datagrams(count: int, dst: str = "h1") -> list[UdpDatagram]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from itertools import permutations
 
 import pytest
@@ -38,6 +39,29 @@ def attach_observers(request):
         return installed["sanitizer"], installed["faults"], installed["tracker"]
 
     return attach
+
+
+def _traffic_snapshot(sim) -> dict:
+    """Every traffic counter of a simulator, each read from its one owner.
+
+    The links' traffic and the drop tables come from ``TrafficStats``, each
+    host's NIC traffic from its ``HostCounters`` and each switch's from its
+    ``SwitchCounters``. Twin runs compare this whole dictionary.
+    """
+    return {
+        "stats": sim.stats.snapshot(),
+        "hosts": {host.name: asdict(host.counters) for host in sim.topology.hosts()},
+        "switches": {
+            device.name: device.switch.counters.snapshot()
+            for device in sim.topology.switches()
+        },
+    }
+
+
+@pytest.fixture()
+def traffic_snapshot():
+    """:func:`_traffic_snapshot`: ``traffic_snapshot(sim)`` reads every counter."""
+    return _traffic_snapshot
 
 
 @pytest.fixture()

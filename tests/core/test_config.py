@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import DaietConfig, ExperimentConfig, TransportTuning
+from repro.core.config import DaietConfig, TransportTuning
 from repro.core.errors import ConfigurationError, TransportError
 
 
@@ -67,21 +67,3 @@ class TestTransportTuning:
         with pytest.raises(TransportError):
             TransportTuning(**kwargs)
 
-
-class TestExperimentConfig:
-    def test_paper_scale_defaults(self):
-        config = ExperimentConfig()
-        assert config.num_mappers == 24
-        assert config.num_reducers == 12
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"num_mappers": 0},
-            {"num_reducers": 0},
-            {"corpus_bytes": 0},
-        ],
-    )
-    def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(**kwargs)

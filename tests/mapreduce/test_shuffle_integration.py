@@ -233,7 +233,9 @@ class TestShuffleRunsOnDaietSystem:
     @pytest.mark.parametrize(
         "reliability, loss_rate", [(False, 0.0), (True, 0.0), (True, 0.01)]
     )
-    def test_twin_of_a_hand_driven_system(self, fig3_corpus, reliability, loss_rate):
+    def test_twin_of_a_hand_driven_system(
+        self, fig3_corpus, reliability, loss_rate, traffic_snapshot
+    ):
         # The MapReduce layer adds nothing to the wire: the same placement and
         # partitions through a bare DaietSystem on a second cluster, installed
         # and sent in the same order, leave every counter identical.
@@ -252,7 +254,9 @@ class TestShuffleRunsOnDaietSystem:
             twin.send_pairs(mapper, reducer, pairs)
         twin.run()
 
-        assert twin.simulator.stats.snapshot() == master.cluster.simulator.stats.snapshot()
+        assert traffic_snapshot(twin.simulator) == traffic_snapshot(
+            master.cluster.simulator
+        )
         assert twin.controller.tree_counters() == shuffle.system.controller.tree_counters()
         assert twin.reliability_stats() == shuffle.system.reliability_stats()
         assert bool(twin.reliability_stats()) == reliability

@@ -10,7 +10,7 @@ through the compiled per-packet sink.
 Standing burst delivery down (the ``_fast_burst`` gate, what attaching an
 observer does: no plan is built, so no burst entry is ever queued) must
 change *nothing* observable: aggregation
-results, TrafficStats, per-tree counters, event totals and simulated time.
+results, every traffic counter, per-tree counters, event totals and simulated time.
 """
 
 from __future__ import annotations
@@ -69,26 +69,32 @@ def wordcount_system(
     return system, reducer, truth
 
 
-def observables(system: DaietSystem, reducer: str, events: int) -> dict:
-    counters = {}
-    for name, engine in system.controller.engines.items():
-        for tree_id in engine.tree_ids():
-            counters[name, tree_id] = engine.tree(tree_id).counters
-    return {
-        "events": events,
-        "now": system.simulator.now,
-        "result": system.receiver(reducer).result(),
-        "done": system.receiver(reducer).done,
-        "stats": system.simulator.stats.snapshot(),
-        "counters": counters,
-        "receiver": system.receiver(reducer).counters,
-    }
+@pytest.fixture()
+def observables(traffic_snapshot):
+    """``observables(system, reducer, events)``: everything a twin compares."""
+
+    def read(system: DaietSystem, reducer: str, events: int) -> dict:
+        counters = {}
+        for name, engine in system.controller.engines.items():
+            for tree_id in engine.tree_ids():
+                counters[name, tree_id] = engine.tree(tree_id).counters
+        return {
+            "events": events,
+            "now": system.simulator.now,
+            "result": system.receiver(reducer).result(),
+            "done": system.receiver(reducer).done,
+            "traffic": traffic_snapshot(system.simulator),
+            "counters": counters,
+            "receiver": system.receiver(reducer).counters,
+        }
+
+    return read
 
 
 class TestBatchDeliveryEquivalence:
     @pytest.mark.parametrize("fabric", ["rack", "leaf_spine"])
     @pytest.mark.parametrize("reliability", [False, True])
-    def test_fast_and_slow_runs_identical(self, reliability, fabric):
+    def test_fast_and_slow_runs_identical(self, reliability, fabric, observables):
         fast_sys, reducer, truth = wordcount_system(
             True, reliability=reliability, fabric=fabric
         )
@@ -102,7 +108,7 @@ class TestBatchDeliveryEquivalence:
         if fabric == "leaf_spine":
             assert len(fast_obs["counters"]) > 1  # the tree really has two levels
 
-    def test_calendar_backend_identical(self, monkeypatch):
+    def test_calendar_backend_identical(self, monkeypatch, observables):
         # The burst handler looks at and takes queue heads through the
         # scheduler's own interface; on the calendar backend that must give
         # the same run as the heap twin. Spillover flushes are pushed while
@@ -120,14 +126,16 @@ class TestBatchDeliveryEquivalence:
         assert fast_obs == observables(slow_sys, reducer, slow_events)
         assert fast_obs["result"] == truth
 
-    def test_collision_heavy_tree_identical(self):
+    def test_collision_heavy_tree_identical(self, observables):
         # Tiny registers force in-flight spillover flushes, whose emission
         # packets must interleave with the burst at identical times.
-        results = [self.collision_heavy_run(fast) for fast in (True, False)]
+        results = [self.collision_heavy_run(fast, observables) for fast in (True, False)]
         assert results[0] == results[1]
 
     @staticmethod
-    def collision_heavy_run(fast: bool, observe_at: float | None = None) -> dict:
+    def collision_heavy_run(
+        fast: bool, observables, observe_at: float | None = None
+    ) -> dict:
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
         system = DaietSystem.single_rack(num_hosts=4, config=config)
         if not fast:
@@ -148,16 +156,16 @@ class TestBatchDeliveryEquivalence:
         return observables(system, "h3", events)
 
     @pytest.mark.parametrize("observe_at", [0.5e-6, 1e-6, 2e-6, 4e-6])
-    def test_port_map_rebuild_mid_burst_keeps_order(self, observe_at):
+    def test_port_map_rebuild_mid_burst_keeps_order(self, observe_at, observables):
         # Adding an observer (the sanitizer, the fault injector, the error
         # tracker) rebuilds the port maps, which orphans queued burst entries
         # from their handler. Each must then deliver ONE item and re-enqueue
         # its tail, or concurrent mappers' packets leave (time, seq) order.
-        fast = self.collision_heavy_run(True, observe_at)
-        slow = self.collision_heavy_run(False, observe_at)
+        fast = self.collision_heavy_run(True, observables, observe_at)
+        slow = self.collision_heavy_run(False, observables, observe_at)
         assert fast == slow
 
-    def test_vector_ineligible_packets_identical(self):
+    def test_vector_ineligible_packets_identical(self, observables):
         # Bool values are outside the kernel's domain: the plan marks those
         # packets ineligible and they ride the per-item path mid-burst.
         config = DaietConfig(register_slots=32, pairs_per_packet=2)
@@ -178,7 +186,7 @@ class TestBatchDeliveryEquivalence:
         assert results[0] == results[1]
         assert results[0]["result"] == {"a": 6, "b": 8, "c": 2}
 
-    def test_until_bound_cuts_burst_identically(self):
+    def test_until_bound_cuts_burst_identically(self, observables):
         # A run(until=...) bound lands inside the burst window; the burst
         # handler must stop at the same packet the per-item schedule would.
         fast_sys, reducer, _ = wordcount_system(True, num_mappers=3)

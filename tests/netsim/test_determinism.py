@@ -3,13 +3,16 @@
 Every optimisation in the fast-path PR (tuple-based event heap, cached wire
 sizes, the compiled switch path, dict-indexed tables/spillover) must keep the
 simulation bit-for-bit reproducible: the same seed must produce identical
-``TrafficStats`` snapshots, identical loss draws and identical final
+traffic counters (links, hosts, switches), identical loss draws and identical final
 aggregates on every run, with and without the reliability layer.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
+
+import pytest
 
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
@@ -27,7 +30,13 @@ def _partitions(num_workers: int, pairs_per_worker: int, seed: int):
     ]
 
 
-def _run_once(reliability: bool, loss_rate: float, seed: int):
+@pytest.fixture()
+def run_once(traffic_snapshot):
+    """``run_once(reliability, loss_rate, seed)``: one round's observables."""
+    return partial(_run_once, traffic_snapshot)
+
+
+def _run_once(traffic_snapshot, reliability: bool, loss_rate: float, seed: int):
     """One full aggregation round; returns every observable artefact."""
     num_workers = 6
     partitions = _partitions(num_workers, 200, seed)
@@ -52,7 +61,7 @@ def _run_once(reliability: bool, loss_rate: float, seed: int):
         for key, counters in system.controller.tree_counters().items()
     }
     return {
-        "stats": system.simulator.stats.snapshot(),
+        "traffic": traffic_snapshot(system.simulator),
         "losses": dict(system.simulator.stats.losses),
         "events": events,
         "now": system.simulator.now,
@@ -63,39 +72,39 @@ def _run_once(reliability: bool, loss_rate: float, seed: int):
 
 
 class TestSeededDeterminism:
-    def test_two_runs_identical_without_reliability(self):
-        a = _run_once(reliability=False, loss_rate=0.0, seed=7)
-        b = _run_once(reliability=False, loss_rate=0.0, seed=7)
+    def test_two_runs_identical_without_reliability(self, run_once):
+        a = run_once(reliability=False, loss_rate=0.0, seed=7)
+        b = run_once(reliability=False, loss_rate=0.0, seed=7)
         assert a == b
 
-    def test_two_runs_identical_with_reliability_and_loss(self):
-        a = _run_once(reliability=True, loss_rate=0.03, seed=11)
-        b = _run_once(reliability=True, loss_rate=0.03, seed=11)
+    def test_two_runs_identical_with_reliability_and_loss(self, run_once):
+        a = run_once(reliability=True, loss_rate=0.03, seed=11)
+        b = run_once(reliability=True, loss_rate=0.03, seed=11)
         assert a == b
         # Loss actually happened, so the equality above covered the loss
         # draws, the retransmission schedule and the dedup machinery.
         assert sum(a["losses"].values()) > 0
 
-    def test_loss_draws_follow_the_seed(self):
-        a = _run_once(reliability=True, loss_rate=0.03, seed=11)
-        c = _run_once(reliability=True, loss_rate=0.03, seed=12)
+    def test_loss_draws_follow_the_seed(self, run_once):
+        a = run_once(reliability=True, loss_rate=0.03, seed=11)
+        c = run_once(reliability=True, loss_rate=0.03, seed=12)
         assert a["losses"] != c["losses"]
 
-    def test_aggregate_matches_ground_truth_under_loss(self):
-        run = _run_once(reliability=True, loss_rate=0.03, seed=11)
+    def test_aggregate_matches_ground_truth_under_loss(self, run_once):
+        run = run_once(reliability=True, loss_rate=0.03, seed=11)
         truth = aggregate_pairs(
             [pair for part in _partitions(6, 200, 11) for pair in part], SUM
         )
         assert run["aggregate"] == truth
 
-    def test_reliability_does_not_change_the_lossless_aggregate(self):
-        plain = _run_once(reliability=False, loss_rate=0.0, seed=7)
-        reliable = _run_once(reliability=True, loss_rate=0.0, seed=7)
+    def test_reliability_does_not_change_the_lossless_aggregate(self, run_once):
+        plain = run_once(reliability=False, loss_rate=0.0, seed=7)
+        reliable = run_once(reliability=True, loss_rate=0.0, seed=7)
         assert plain["aggregate"] == reliable["aggregate"]
 
 
 class TestSnapshotDeterminismAtScale:
-    def test_leaf_spine_runs_are_reproducible(self):
+    def test_leaf_spine_runs_are_reproducible(self, traffic_snapshot):
         """A multi-switch fabric (multi-level trees) is equally deterministic."""
 
         def run():
@@ -114,40 +123,42 @@ class TestSnapshotDeterminismAtScale:
                 system.send_pairs(mapper, "h0", pairs)
             system.run()
             return (
-                system.simulator.stats.snapshot(),
+                traffic_snapshot(system.simulator),
                 system.receiver("h0").result(),
                 system.simulator.now,
             )
 
         assert run() == run()
 
-    def test_single_rack_snapshot_insertion_order_is_stable(self):
+    def test_single_rack_snapshot_insertion_order_is_stable(self, run_once):
         """Snapshots compare equal including dict insertion order."""
-        a = _run_once(reliability=False, loss_rate=0.0, seed=3)
-        b = _run_once(reliability=False, loss_rate=0.0, seed=3)
-        assert list(a["stats"]["host_received"]) == list(b["stats"]["host_received"])
-        assert list(a["stats"]["link_traffic"]) == list(b["stats"]["link_traffic"])
+        a = run_once(reliability=True, loss_rate=0.03, seed=3)
+        b = run_once(reliability=True, loss_rate=0.03, seed=3)
+        assert list(a["traffic"]["stats"]["losses"]) == list(b["traffic"]["stats"]["losses"])
+        assert list(a["traffic"]["stats"]["link_traffic"]) == list(
+            b["traffic"]["stats"]["link_traffic"]
+        )
 
 
 class TestSchedulerBackendDeterminism:
     """Heap and calendar backends must produce bit-identical simulations."""
 
-    def test_calendar_backend_matches_heap(self, monkeypatch):
+    def test_calendar_backend_matches_heap(self, monkeypatch, run_once):
         import repro.netsim.events as events_module
 
-        heap_run = _run_once(reliability=True, loss_rate=0.03, seed=11)
+        heap_run = run_once(reliability=True, loss_rate=0.03, seed=11)
         # Force the calendar queue from the very first pending event.
         monkeypatch.setattr(events_module, "CALENDAR_THRESHOLD", 1)
-        calendar_run = _run_once(reliability=True, loss_rate=0.03, seed=11)
+        calendar_run = run_once(reliability=True, loss_rate=0.03, seed=11)
         assert calendar_run == heap_run
 
-    def test_mid_run_migration_matches_heap(self, monkeypatch):
+    def test_mid_run_migration_matches_heap(self, monkeypatch, run_once):
         import repro.netsim.events as events_module
 
-        heap_run = _run_once(reliability=False, loss_rate=0.0, seed=7)
+        heap_run = run_once(reliability=False, loss_rate=0.0, seed=7)
         # A threshold crossed mid-run: the queue migrates while draining.
         monkeypatch.setattr(events_module, "CALENDAR_THRESHOLD", 100)
-        migrated_run = _run_once(reliability=False, loss_rate=0.0, seed=7)
+        migrated_run = run_once(reliability=False, loss_rate=0.0, seed=7)
         assert migrated_run == heap_run
 
 

@@ -12,7 +12,7 @@ from repro.netsim.devices import (
     SwitchDevice,
     packet_wire_bytes,
 )
-from repro.netsim.stats import PerDeviceTraffic, TrafficStats
+from repro.netsim.stats import LinkTraffic, TrafficStats
 from repro.transport.packets import UdpDatagram
 
 
@@ -22,7 +22,7 @@ class TestHost:
         seen = []
         host.set_receiver(seen.append)
         packet = UdpDatagram(src="x", dst="h0", payload_bytes=50)
-        assert host.handle_packet(packet, ingress_port=0) == []
+        host.deliver(packet, packet.wire_bytes())
         assert seen == [packet]
         assert host.counters.packets_received == 1
         assert host.counters.bytes_received == packet.wire_bytes()
@@ -31,7 +31,7 @@ class TestHost:
         host = Host("h0")
         host.record_packets = True
         packet = UdpDatagram(src="x", dst="h0", payload_bytes=1)
-        host.handle_packet(packet, 0)
+        host.deliver(packet, packet.wire_bytes())
         assert host.received_packets == [packet]
 
     def test_note_sent_accounting(self):
@@ -43,7 +43,7 @@ class TestHost:
 
     def test_receiving_without_callback_still_counts(self):
         host = Host("h0")
-        host.handle_packet(UdpDatagram(src="x", dst="h0", payload_bytes=1), 0)
+        host.deliver(UdpDatagram(src="x", dst="h0", payload_bytes=1), 42)
         assert host.counters.packets_received == 1
 
 
@@ -63,12 +63,14 @@ class TestSwitchDevice:
         device.switch.install_rule(
             FlowRule.create(FORWARDING_TABLE, {"dst": "h9"}, "forward", {"egress_port": 4})
         )
-        out = device.handle_packet(UdpDatagram(src="a", dst="h9", payload_bytes=10), 0)
+        out = device.switch.receive(UdpDatagram(src="a", dst="h9", payload_bytes=10), 0)
         assert [port for port, _ in out] == [4]
 
     def test_unrouted_packet_dropped(self):
         device = SwitchDevice("s0")
-        out = device.handle_packet(UdpDatagram(src="a", dst="nowhere", payload_bytes=10), 0)
+        out = device.switch.receive(
+            UdpDatagram(src="a", dst="nowhere", payload_bytes=10), 0
+        )
         assert out == []
         assert device.switch.counters.packets_dropped == 1
 
@@ -91,40 +93,23 @@ class TestPacketWireBytes:
 class TestTrafficStats:
     def test_recording_and_totals(self):
         stats = TrafficStats()
-        stats.record_host_sent("h0", 100)
-        stats.record_host_received("h1", 100)
-        stats.record_host_received("h1", 50)
-        stats.record_switch("s0", 150)
-        stats.record_link("l0", 150)
+        stats.link_traffic["l0"] = LinkTraffic(packets=2, bytes=150)
+        stats.link_traffic["l1"] = LinkTraffic(packets=1, bytes=50)
         stats.record_drop("s0")
         stats.record_loss("l0")
-        assert stats.sent_packets("h0") == 1
-        assert stats.sent_bytes("h0") == 100
-        assert stats.received_packets("h1") == 2
-        assert stats.received_bytes("h1") == 150
-        assert stats.total_received_bytes() == 150
-        assert stats.total_received_packets(["h1", "ghost"]) == 2
-        assert stats.total_link_bytes() == 150
+        stats.record_loss("l0")
+        assert stats.total_link_bytes() == 200
+        assert stats.total_link_packets() == 3
+        assert stats.total_losses() == 2
+        assert stats.drops == {"s0": 1}
+        assert stats.snapshot()["link_traffic"] == {"l0": (2, 150), "l1": (1, 50)}
+
+    def test_snapshot_is_a_copy(self):
+        stats = TrafficStats()
+        stats.link_traffic["l0"] = LinkTraffic(packets=1, bytes=10)
+        stats.record_loss("l0")
+        snapshot = stats.snapshot()
+        snapshot["link_traffic"]["l0"] = (9, 90)
+        snapshot["losses"]["l0"] = 9
         assert stats.total_link_packets() == 1
         assert stats.total_losses() == 1
-        assert stats.drops == {"s0": 1}
-
-    def test_unknown_hosts_default_to_zero(self):
-        stats = TrafficStats()
-        assert stats.received_bytes("nobody") == 0
-        assert stats.sent_packets("nobody") == 0
-
-    def test_per_host_received_copy(self):
-        stats = TrafficStats()
-        stats.record_host_received("h1", 10)
-        snapshot = stats.per_host_received()
-        snapshot["h1"] = PerDeviceTraffic()
-        assert stats.received_bytes("h1") == 10
-
-    def test_reset_clears_everything(self):
-        stats = TrafficStats()
-        stats.record_host_received("h1", 10)
-        stats.record_loss("l0")
-        stats.reset()
-        assert stats.total_received_packets() == 0
-        assert stats.total_losses() == 0

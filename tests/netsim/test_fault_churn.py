@@ -55,7 +55,7 @@ class TestLossyLinks:
         for _ in range(50):
             sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=10))
         sim.run()
-        assert sim.stats.received_packets("h1") == 50
+        assert sim.host("h1").counters.packets_received == 50
         assert sim.stats.total_losses() == 0
 
     def test_half_loss_drops_roughly_half(self):
@@ -64,7 +64,7 @@ class TestLossyLinks:
         for _ in range(400):
             sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=10))
         sim.run()
-        received = sim.stats.received_packets("h1")
+        received = sim.host("h1").counters.packets_received
         lost = sim.stats.total_losses()
         # Every packet is either delivered or lost on exactly one of its hops.
         assert received + lost == 400
@@ -79,7 +79,7 @@ class TestLossyLinks:
             for _ in range(100):
                 sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=10))
             sim.run()
-            return sim.stats.received_packets("h1")
+            return sim.host("h1").counters.packets_received
 
         assert run(3) == run(3)
 

@@ -33,21 +33,10 @@ class TestLink:
         )
         assert link.transmission_delay(1000) == pytest.approx(1.5)
 
-    def test_direction_counters(self):
-        link = self.make_link()
-        link.record_transmission("a", 100)
-        link.record_transmission("a", 200)
-        link.record_transmission("b", 50)
-        assert link.counters("a").packets == 2
-        assert link.counters("a").bytes == 300
-        assert link.counters("b").bytes == 50
-        assert link.total_bytes() == 350
-        assert link.total_packets() == 3
-
     def test_unknown_sender_rejected(self):
         link = self.make_link()
         with pytest.raises(TopologyError):
-            link.record_transmission("zzz", 1)
+            link.port_of("zzz")
 
     def test_invalid_parameters(self):
         with pytest.raises(TopologyError):

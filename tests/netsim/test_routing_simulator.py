@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import RoutingError, SimulationError, TableError
+from repro.core.errors import RoutingError, SimulationError, TableError, TopologyError
 from repro.dataplane.actions import EcmpAction, ForwardAction
 from repro.dataplane.tables import FlowRule
 from repro.netsim.devices import FORWARDING_TABLE, Host, SwitchDevice
@@ -164,49 +164,56 @@ class TestNetworkSimulator:
         sim.send("h0", packet)
         sim.run()
         assert received == [packet]
-        assert sim.stats.received_packets("h1") == 1
-        assert sim.stats.received_bytes("h1") == packet.wire_bytes()
+        assert sim.host("h1").counters.packets_received == 1
+        assert sim.host("h1").counters.bytes_received == packet.wire_bytes()
         assert sim.now > 0.0
 
-    def test_subclassed_devices_take_the_generic_route_identically(self):
-        # Exact Host/SwitchDevice instances get a compiled sink; a subclass
-        # is delivered through NetworkSimulator._deliver -> handle_packet.
-        # Same traffic, same statistics, same clock either way.
+    def test_each_hop_counts_a_packet_once(self):
+        sim = NetworkSimulator(single_rack(num_hosts=2))
+        packet = UdpDatagram(src="h0", dst="h1", payload_bytes=128)
+        size = packet.wire_bytes()
+        sim.send("h0", packet)
+        sim.run()
+        sender, receiver = sim.host("h0").counters, sim.host("h1").counters
+        tor = sim.switch("tor").switch.counters
+        assert (sender.packets_sent, sender.bytes_sent) == (1, size)
+        assert (tor.packets_in, tor.bytes_in, tor.packets_out) == (1, size, 1)
+        assert (receiver.packets_received, receiver.bytes_received) == (1, size)
+        topo = sim.topology
+        assert sim.stats.snapshot()["link_traffic"] == {
+            topo.link_between("h0", "tor").name: (1, size),
+            topo.link_between("h1", "tor").name: (1, size),
+        }
+
+    def test_run_stops_at_the_event_cap(self, monkeypatch):
+        sim = NetworkSimulator(single_rack(num_hosts=2))
+        received = []
+        sim.host("h1").set_receiver(received.append)
+        for _ in range(3):
+            sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=64))
+        monkeypatch.setattr("repro.netsim.simulator.MAX_EVENTS", 2)
+        assert sim.run() == 2
+        assert received == []
+        monkeypatch.undo()
+        sim.run()
+        assert len(received) == 3
+
+    def test_a_subclassed_device_is_rejected(self):
+        # The simulator compiles one delivery routine per device type, so a
+        # topology holds exact Host and SwitchDevice instances only.
         class MyHost(Host):
             pass
 
         class MySwitch(SwitchDevice):
             pass
 
-        def rack(host_type, switch_type) -> NetworkSimulator:
-            topo = Topology(name="rack")
-            topo.add_device(switch_type("tor"))
-            for name in ("h0", "h1"):
-                topo.add_device(host_type(name))
-                topo.connect(name, "tor")
-            return NetworkSimulator(topo)
-
-        runs = []
-        for sim in (rack(Host, SwitchDevice), rack(MyHost, MySwitch)):
-            received = []
-            sim.host("h1").set_receiver(received.append)
-            sim.send_burst(
-                "h0",
-                [UdpDatagram(src="h0", dst="h1", payload_bytes=64 + i) for i in range(5)],
-            )
-            events = sim.run()
-            runs.append(
-                (
-                    events,
-                    sim.now,
-                    [p.payload_bytes for p in received],
-                    sim.stats.snapshot(),
-                    sim.host("h1").counters,
-                    sim.switch("tor").switch.counters,
-                )
-            )
-        assert runs[0] == runs[1]
-        assert runs[0][2] == [64, 65, 66, 67, 68]
+        topo = Topology(name="rack")
+        topo.add_device(SwitchDevice("tor"))
+        topo.add_device(Host("h0"))
+        for device in (MyHost("h1"), MySwitch("spine")):
+            with pytest.raises(TopologyError, match=type(device).__name__):
+                topo.add_device(device)
+        assert list(topo.devices) == ["tor", "h0"]
 
     def test_delivery_across_fabric(self):
         sim = NetworkSimulator(leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2))
@@ -268,7 +275,8 @@ class TestNetworkSimulator:
         sim = NetworkSimulator(single_rack(num_hosts=2))
         sim.send("h0", UdpDatagram(src="h0", dst="nowhere", payload_bytes=1))
         sim.run()
-        assert sim.stats.total_received_packets(["h1"]) == 0
+        assert sim.host("h1").counters.packets_received == 0
+        assert sim.switch("tor").switch.counters.packets_dropped == 1
 
     def test_host_and_switch_accessors(self):
         sim = NetworkSimulator(single_rack(num_hosts=2))
@@ -278,11 +286,3 @@ class TestNetworkSimulator:
             sim.host("tor")
         with pytest.raises(SimulationError):
             sim.switch("h0")
-
-    def test_stats_reset(self):
-        sim = NetworkSimulator(single_rack(num_hosts=2))
-        sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=1))
-        sim.run()
-        sim.stats.reset()
-        assert sim.stats.total_received_packets() == 0
-        assert sim.stats.total_link_bytes() == 0

@@ -64,7 +64,7 @@ class TestSendBurstEquivalence:
     @pytest.mark.parametrize(
         "loss_rate, kind", [(0.0, "udp"), (0.2, "udp"), (0.0, "daiet-seq")]
     )
-    def test_burst_matches_per_packet_sends(self, loss_rate, kind):
+    def test_burst_matches_per_packet_sends(self, loss_rate, kind, traffic_snapshot):
         solo = _simulator(loss_rate)
         solo_seen = _arrivals(solo)
         for packet in _window(25, kind):
@@ -79,7 +79,7 @@ class TestSendBurstEquivalence:
         assert len(solo_seen) == 25 or loss_rate
         assert burst_seen == solo_seen
         assert burst_events == solo_events  # burst members count as events
-        assert burst.stats.snapshot() == solo.stats.snapshot()
+        assert traffic_snapshot(burst) == traffic_snapshot(solo)
         assert burst.now == solo.now
 
     def test_burst_respects_delay(self):

@@ -83,7 +83,7 @@ class TestTransportsOverSimulator:
         assert received == [("h0", payload)]
         assert transport.stats.segments_sent == 3
         assert transport.stats.payload_bytes_sent == 1200
-        assert sim.stats.received_packets("h1") == 3
+        assert sim.host("h1").counters.packets_received == 3
 
     def test_tcp_listener_filters_by_port(self):
         sim = NetworkSimulator(single_rack(num_hosts=2))
@@ -119,4 +119,4 @@ class TestTransportsOverSimulator:
         transport.send_raw(packet, src="h0")
         sim.run()
         assert transport.stats.wire_bytes_sent == packet.wire_bytes()
-        assert sim.stats.received_packets("h1") == 1
+        assert sim.host("h1").counters.packets_received == 1
