@@ -496,15 +496,16 @@ class DaietAggregationEngine:
         n: int,
         bounds: Any,
     ) -> list[tuple[int, int, Any]] | None:
-        """Apply a burst of unsequenced DATA packets as one vectorized op.
+        """Apply the pairs of a burst of DATA packets as one vectorized op.
 
         ``kids``/``vals`` are the burst's interned key ids and values as
-        int64 arrays in packet order, ``n`` the number of packets, ``bounds``
+        integer arrays in packet order, ``n`` the number of packets, ``bounds``
         their cumulative pair counts (so emissions can be tagged with the
         packet index they followed), ``mass`` the exact sum of absolute
         values. The simulator's burst plan assembles these at send time
         (``_BurstPlan.kernel_input``); the caller guarantees every packet is
-        an unsequenced DATA packet of this ``_vec`` tree.
+        a DATA packet of this ``_vec`` tree that :meth:`_fresh_run` admitted,
+        and advances the streams with :meth:`_accept_run` once this returns.
 
         Resident keys resolve to register slots through the ``_vec_kid_slot``
         memo and are scatter-added into ``_vec_delta`` in one ``np.add.at``.
@@ -522,6 +523,10 @@ class DaietAggregationEngine:
             state.materialize()
             if mass >= _VEC_MASS_LIMIT:
                 return None
+        # Columns may be stored narrow; numpy's scatter-add and gathers take
+        # their fast paths on int64.
+        kids = kids.astype(_np.int64, copy=False)
+        vals = vals.astype(_np.int64, copy=False)
         kid_slot = state._vec_kid_slot
         size = kid_slot.shape[0]
         top = int(kids.max())
@@ -627,6 +632,70 @@ class DaietAggregationEngine:
         counters.pairs_inserted += inserted
         counters.pairs_aggregated += total - spilled - inserted
         return emissions
+
+    def _fresh_run(
+        self, state: TreeState, src: str, packets: list[DaietPacket], start: int, stop: int
+    ) -> list[int | None]:
+        """The sequence numbers of the packets the register kernel may take.
+
+        ``packets[start:stop]`` are DATA packets of one source, in arrival
+        order; the kernel may take the longest prefix returned. An
+        unsequenced packet always qualifies. A sequenced one qualifies while
+        it is not CE-marked, its number is above every number the source's
+        stream has seen (its high-water mark, carried along the run) and the
+        stream holds no stashed END: then the stream side of
+        :meth:`_process_data` only records it, counts it towards the cadence
+        and owes an ACK on the cadence or a fresh hole, which
+        :meth:`_accept_run` does for the run. Duplicates, gap-fills and the
+        arrivals that complete a stream stay with :meth:`_process_data`.
+        """
+        seqs = [packet.seq for packet in packets[start:stop]]
+        if seqs.count(None) == len(seqs):
+            return seqs
+        window = state._seen.get(src)
+        high = -1 if window is None else window.high_water
+        ended = window is not None and window.end_seq is not None
+        for index, seq in enumerate(seqs):
+            if seq is None:
+                continue
+            if ended or packets[start + index].ecn or seq <= high:
+                return seqs[:index]
+            high = seq
+        return seqs
+
+    def _accept_run(
+        self, state: TreeState, src: str, seqs: list[int | None]
+    ) -> list[tuple[int, int, DaietAck]]:
+        """Advance ``src``'s stream over packets the kernel just applied.
+
+        ``seqs`` are their sequence numbers, as :meth:`_fresh_run` admitted
+        them. Returns the ACKs :meth:`_process_data` would have emitted for
+        them, as ``(index in seqs, port, ack)``.
+        """
+        unsequenced = seqs.count(None)
+        if unsequenced == len(seqs):
+            return []
+        indexes = range(len(seqs))
+        if unsequenced:
+            indexes = [index for index, seq in enumerate(seqs) if seq is not None]
+            seqs = [seqs[index] for index in indexes]
+        owed = state._seen[src].accept_run(seqs, state._ack_every)
+        port = state.child_ports.get(src)
+        counters = state.counters
+        if port is None:
+            counters.ack_port_misses += len(owed)
+            return []
+        counters.acks_sent += len(owed)
+        tree_id = state.tree_id
+        name = self.switch_name
+        return [
+            (
+                indexes[at],
+                port,
+                DaietAck(tree_id=tree_id, src=name, dst=src, cumulative=cumulative, sack=sack),
+            )
+            for at, cumulative, sack in owed
+        ]
 
     def _process_end(self, state: TreeState, packet: DaietPacket) -> list[tuple[int, Any]]:
         state.counters.end_packets_received += 1

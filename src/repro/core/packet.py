@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Any, Iterable, Iterator
@@ -53,22 +54,23 @@ _VEC_VALUE_LIMIT = 1 << 62
 class PairColumns:
     """One partition's pairs as the register kernel reads them.
 
-    ``kids`` and ``vals`` are int64 arrays over the partition's pairs in
-    order (interned key ids, see :mod:`repro.dataplane.interning`, and
-    values); packet ``i`` of the partition owns the ``per`` pairs from
+    ``kids`` and ``vals`` are integer arrays over the partition's pairs in
+    order (interned key ids, see :mod:`repro.dataplane.interning`, as int32,
+    and values, as int32 when every magnitude is below 2**31 and int64
+    otherwise); packet ``i`` of the partition owns the ``per`` pairs from
     ``i * per`` on (fewer in the last packet). ``mass_cum[i]`` is the exact
     sum of ``|value|`` over the packets before ``i`` (Python ints: the
     kernel's int64-overflow guard then costs one subtraction per window,
     whatever the values).
 
-    The arrays are built by the first reader, not by the packetizer: a
-    sequenced packet, a switch flush and every packet an observer watches
-    are never asked. ``ready()`` is ``False``, permanently, when any pair is
-    ineligible: a key the intern pool rejects (not exact ``str``/``bytes``)
-    or a value that is not a plain ``int`` within ±2**62 (bools and floats
-    must keep their exact types through the per-pair oracle path). The
-    packets of such a partition then answer one by one, each a partition of
-    its own (see :meth:`DaietPacket.vector_columns`).
+    The arrays are built by the first reader, not by the packetizer: only
+    the burst planner asks, so a switch flush and every packet an observer
+    watches never pay for them. ``ready()`` is ``False``, permanently, when
+    any pair is ineligible: a key the intern pool rejects (not exact
+    ``str``/``bytes``) or a value that is not a plain ``int`` within ±2**62
+    (bools and floats must keep their exact types through the per-pair
+    oracle path). The packets of such a partition then answer one by one,
+    each a partition of its own (see :meth:`DaietPacket.vector_columns`).
     """
 
     __slots__ = ("kids", "vals", "mass_cum", "per", "_source")
@@ -100,16 +102,24 @@ class PairColumns:
             return
         if vals.min() <= -_VEC_VALUE_LIMIT or vals.max() >= _VEC_VALUE_LIMIT:
             return
-        # An int64 running sum could overflow near the ±2**62 edge, so the
-        # ledger sums 31-bit limbs (exact below 2**32 pairs) and recombines
-        # them as Python ints, at packet boundaries only.
         magnitude = _np.abs(vals)
         ends = _np.append(_np.arange(self.per, len(values), self.per), len(values)) - 1
+        # The columns live as long as their packets, so they are stored as
+        # narrow as the values allow (key ids always fit: a pool of 2**31
+        # keys would not fit in memory); the kernel widens what it reads.
+        self.kids = _np.array(kids, dtype=_np.int32)
+        if magnitude.max() < 1 << 31:
+            # Below 2**31 an int64 running sum is exact for 2**32 pairs.
+            self.vals = vals.astype(_np.int32)
+            self.mass_cum = [0, *_np.cumsum(magnitude)[ends].tolist()]
+            return
+        # Near the ±2**62 edge an int64 running sum could overflow, so the
+        # ledger sums 31-bit limbs and recombines them as Python ints, at
+        # packet boundaries only.
         highs = _np.cumsum(magnitude >> 31)[ends].tolist()
         lows = _np.cumsum(magnitude & 0x7FFFFFFF)[ends].tolist()
         self.mass_cum = [0, *((high << 31) + low for high, low in zip(highs, lows))]
         self.vals = vals
-        self.kids = _np.array(kids, dtype=_np.int64)
 
 #: UDP destination port reserved for DAIET traffic in the simulation.
 DAIET_UDP_PORT = 5555
@@ -265,7 +275,7 @@ class DaietPacket:
         """The packet's pairs as ``(kids, vals, mass)``, or ``None``.
 
         ``kids`` and ``vals`` are this packet's slices of its partition's
-        int64 columns (views, not copies) and ``mass`` is the exact sum of
+        columns (views, not copies) and ``mass`` is the exact sum of
         absolute values; ``None`` exactly when :meth:`vector_columns` is.
         """
         view = self.vector_columns()
@@ -622,9 +632,8 @@ def _bulk_data_packets(
 
     Each distinct key is measured once, when the pool first interns it, and
     every packet's size follows arithmetically; the packets are what
-    ``DaietPacket(...)`` would build. Unsequenced packets share one
-    :class:`PairColumns` (built only if the burst planner asks); sequenced
-    ones never reach the kernel and get none. Returns ``None`` for anything
+    ``DaietPacket(...)`` would build. They share one :class:`PairColumns`
+    (built only if the burst planner asks). Returns ``None`` for anything
     the constructor must judge instead: a negative tree id, a sequence number
     that would not fit its field, malformed pairs, keys outside the pool's
     domain and an over-wide or NUL-suffixed key.
@@ -642,19 +651,15 @@ def _bulk_data_packets(
     base = DAIET_PREAMBLE_BYTES + (0 if seq_start is None else SEQ_BYTES)
     starts = range(0, len(pairs), per_packet)
     sizes = [base + min(per_packet, len(pairs) - at) * config.pair_bytes for at in starts]
-    if seq_start is None:
-        seqs, places = repeat(None), range(count)
-        columns = PairColumns(pairs, kids, per_packet)
-    else:  # never planned: no columns, and no index object per packet
-        seqs, places = range(seq_start, seq_start + count), repeat(0)
-        columns = _VEC_UNSET
+    seqs = repeat(None) if seq_start is None else range(seq_start, seq_start + count)
+    columns = PairColumns(pairs, kids, per_packet)
     data = DaietPacketType.DATA
     return [
         _assemble(
             tree_id, src, dst, data, tuple(pairs[at : at + per_packet]), config, seq,
             False, False, size, None, columns, place,
         )
-        for at, size, seq, place in zip(starts, sizes, seqs, places)
+        for place, (at, size, seq) in enumerate(zip(starts, sizes, seqs))
     ]
 
 
@@ -684,12 +689,16 @@ class SeenWindow:
     """Receiver-side state of one (tree, sender) sequence-number stream.
 
     Tracks the cumulative ACK point (every sequence number below
-    ``cumulative`` has been received) plus the set of out-of-order sequence
-    numbers above it, which is what the selective-ACK field of
-    :class:`DaietAck` reports back to the sender. The window also remembers
-    the END packet's sequence number so END handling can be deferred until
-    the stream has no gaps — the property that makes aggregation
-    loss-survivable rather than merely loss-tolerant.
+    ``cumulative`` has been received) plus the out-of-order sequence numbers
+    above it, which is what the selective-ACK field of :class:`DaietAck`
+    reports back to the sender. The window also remembers the END packet's
+    sequence number so END handling can be deferred until the stream has no
+    gaps — the property that makes aggregation loss-survivable rather than
+    merely loss-tolerant.
+
+    The out-of-order numbers are kept ascending in one list: a fresh arrival
+    above everything seen (the common case) is an append, the SACK is its
+    first :data:`DAIET_ACK_MAX_SACK` entries and the high-water mark its last.
 
     It is also the one place that decides what the next ACK for the stream
     says and when one is owed: the arrivals counted since the last ACK (the
@@ -704,7 +713,8 @@ class SeenWindow:
 
     def __init__(self) -> None:
         self.cumulative = 0
-        self.out_of_order: set[int] = set()
+        #: Received sequence numbers above ``cumulative``, ascending.
+        self.out_of_order: list[int] = []
         self.end_seq: int | None = None
         #: Arrivals counted towards the ACK cadence since the last ACK.
         self.since_ack = 0
@@ -727,18 +737,65 @@ class SeenWindow:
         buffered = self.out_of_order
         if seq == cumulative:
             cumulative += 1
-            while cumulative in buffered:
-                buffered.discard(cumulative)
+            closed = 0
+            while closed < len(buffered) and buffered[closed] == cumulative:
+                closed += 1
                 cumulative += 1
+            if closed:
+                del buffered[:closed]
             self.cumulative = cumulative
-            self.edge = cumulative > seq + 1
-        elif seq < cumulative or seq in buffered:
+            self.edge = closed > 0
+        elif seq < cumulative:
             self.edge = False
             return False
-        else:
+        elif not buffered or seq > buffered[-1]:
             self.edge = not buffered
-            buffered.add(seq)
+            buffered.append(seq)
+        else:
+            at = bisect_left(buffered, seq)
+            self.edge = False
+            if buffered[at] == seq:
+                return False
+            buffered.insert(at, seq)
         return True
+
+    @property
+    def high_water(self) -> int:
+        """The highest sequence number seen so far (``-1`` before the first)."""
+        buffered = self.out_of_order
+        return buffered[-1] if buffered else self.cumulative - 1
+
+    def accept_run(self, seqs: list[int], every: int) -> list[tuple[int, int, tuple[int, ...]]]:
+        """Observe a run of fresh arrivals at once; the ACKs they owe.
+
+        ``seqs`` ascend and start above :attr:`high_water`, so each one
+        either extends ``cumulative`` or is appended to the out-of-order
+        list, and only the first jump can open a hole. The result is what
+        :meth:`observe`, :meth:`count_arrival` and, whenever the count
+        reaches ``every`` or the arrival opened a hole, :meth:`take_ack`
+        would give arrival by arrival: one ``(index in seqs, cumulative,
+        sack)`` per ACK owed.
+        """
+        owed = []
+        cumulative = self.cumulative
+        buffered = self.out_of_order
+        since = self.since_ack
+        edge = self.edge
+        for index, seq in enumerate(seqs):
+            if seq == cumulative:
+                cumulative += 1
+                edge = False
+            else:
+                edge = not buffered
+                buffered.append(seq)
+            since += 1
+            if since >= every or edge:
+                owed.append((index, cumulative, tuple(buffered[:DAIET_ACK_MAX_SACK])))
+                since = 0
+        self.cumulative = cumulative
+        self.since_ack = since
+        self.edge = edge
+        return owed
 
     @property
     def has_gaps(self) -> bool:
@@ -765,7 +822,7 @@ class SeenWindow:
         The SACK list is truncated to ``max_sack`` entries (lowest first) so
         the ACK always fits the switch parser's parse-depth budget.
         """
-        return self.cumulative, tuple(sorted(self.out_of_order)[:max_sack])
+        return self.cumulative, tuple(self.out_of_order[:max_sack])
 
     def take_ack(self) -> tuple[int, tuple[int, ...]]:
         """The ``(cumulative, sack)`` of the ACK going out now; restarts the cadence."""

@@ -17,7 +17,7 @@ is bit-for-bit reproducible regardless of which backend (or migration point)
 it used; ``tests/netsim/test_calendar_queue.py`` holds the property tests.
 Which backend is active is this module's business alone: a caller that
 builds its own entries (the simulator's burst delivery) goes through
-``reserve_seqs`` / ``push_entry`` / ``peek_entry`` / ``pop_entry``.
+``reserve_seqs`` / ``push_entry`` / ``entries_through``.
 
 Cancellation is tracked in a side set of sequence numbers instead of
 per-event flag objects. Cancelled entries are removed lazily: they are
@@ -243,6 +243,24 @@ class CalendarQueue:
                     if candidate and (best is None or candidate[0] < best):
                         best = candidate[0]
                 return best
+
+    def entries_through(self, limit: float) -> list[tuple]:
+        """Every entry with ``time <= limit``, unordered and left in place.
+
+        Pending entries are never earlier than the day of the last pop, so
+        the days from there to ``limit``'s day hold them all (a span longer
+        than the calendar is one pass over every bucket).
+        """
+        inv = self.inv_width
+        mask = self.mask
+        buckets = self.buckets
+        first = self.cur_day
+        last = int(limit * inv)
+        if last - first >= mask:
+            days = buckets
+        else:
+            days = [buckets[day & mask] for day in range(first, last + 1)]
+        return [entry for bucket in days for entry in bucket if entry[0] <= limit]
 
     def compact(self, cancelled: set[int]) -> None:
         """Drop every cancelled entry and rebuild the buckets in place."""
@@ -475,6 +493,21 @@ class EventScheduler:
         cal = self._cal
         backlog = cal.count if cal is not None else len(self._queue)
         return backlog - len(self._cancelled)
+
+    def entries_through(self, limit: float) -> list[tuple]:
+        """Every pending entry with ``time <= limit``, in no particular order.
+
+        Nothing is removed and the clock does not move.
+        """
+        cal = self._cal
+        if cal is not None:
+            found = cal.entries_through(limit)
+        else:
+            found = [entry for entry in self._queue if entry[0] <= limit]
+        cancelled = self._cancelled
+        if cancelled:
+            found = [entry for entry in found if entry[1] not in cancelled]
+        return found
 
     def peek_entry(self) -> tuple | None:
         """The next pending entry, left in the queue; ``None`` when idle.

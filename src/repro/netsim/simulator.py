@@ -18,13 +18,15 @@ observer attached none of this exists on the per-packet path.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError, TableError, TopologyError
-from repro.core.packet import DaietPacket, DaietPacketType
+from repro.core.packet import DaietAck, DaietPacket, DaietPacketType
 from repro.netsim.devices import (
     Device,
     Host,
@@ -80,7 +82,9 @@ class _BurstPlan:
     ledgers are all ready-made. The
     wire-dependent fields (arrival ``times``, the ``seq0`` base, delivery
     ``target``/``ingress``) are filled in by ``_transmit_burst`` when the
-    burst hits its uplink.
+    burst hits its uplink, which also drops the items lost on it. Items
+    before ``next`` are delivered; a batch stores what such an item emitted
+    in ``deferred`` until the queue reaches the item's own position.
     """
 
     __slots__ = (
@@ -88,6 +92,7 @@ class _BurstPlan:
         "nbytes",
         "shape_ok",
         "tree_id",
+        "src",
         "max_nbytes",
         "max_cost",
         "kids",
@@ -100,20 +105,45 @@ class _BurstPlan:
         "seq0",
         "target",
         "ingress",
+        "next",
+        "deferred",
     )
 
     def kernel_input(self, offset: int, count: int) -> tuple[Any, Any, int, int, Any]:
         """``_vector_apply``'s arguments for items ``offset .. offset + count``.
 
         ``(kids, vals, mass, count, bounds)``; every item in the range must
-        be shape-eligible, so their pairs are one slice of the plan's arrays.
+        be shape-eligible. Their pairs are one slice of the plan's arrays
+        unless a lost item sat between them.
         """
         end = offset + count
-        bounds = _np.cumsum(self.npairs[offset:end])
-        lo = self.pair_start[offset]
-        hi = lo + bounds[-1]
+        lens = self.npairs[offset:end]
+        starts = self.pair_start[offset:end]
         mass = self.mass_cum[end] - self.mass_cum[offset]
-        return self.kids[lo:hi], self.vals[lo:hi], mass, count, bounds
+        bounds = _np.cumsum(lens)
+        lo = int(starts[0])
+        hi = lo + int(bounds[-1])
+        if starts[-1] + lens[-1] == hi:
+            return self.kids[lo:hi], self.vals[lo:hi], mass, count, bounds
+        kids, vals, bounds = _gather_pairs(self.kids, self.vals, starts, lens)
+        return kids, vals, mass, count, bounds
+
+    def drop(self, lost: list[int]) -> None:
+        """Remove the items at the ascending indexes ``lost`` (lost in flight).
+
+        The survivors keep their pair extents in the plan's arrays.
+        """
+        keep = _np.ones(len(self.packets), dtype=bool)
+        keep[lost] = False
+        kept = _np.flatnonzero(keep).tolist()
+        masses = [self.mass_cum[i + 1] - self.mass_cum[i] for i in kept]
+        self.packets = [self.packets[i] for i in kept]
+        self.nbytes = [self.nbytes[i] for i in kept]
+        self.npairs = self.npairs[keep]
+        self.shape_ok = self.shape_ok[keep]
+        self.pair_start = self.pair_start[keep]
+        self.mass_cum = list(accumulate(masses, initial=0))
+        self.nbytes_cum = list(accumulate(self.nbytes, initial=0))
 
 
 def _gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, Any, Any]:
@@ -133,15 +163,17 @@ def _gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, An
 def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
     """Precompute a :class:`_BurstPlan` for ``items``, or ``None``.
 
-    An item is *shape-eligible* when it is an unsequenced DAIET DATA packet
-    of the burst's (single) tree whose pairs have columns
-    (``DaietPacket.vector_columns``). The plan's pair arrays are stitched
-    from those columns run by run; a window that is one contiguous run of
-    one partition, which is what a mapper sends, takes them as views. The
-    switch-specific budget checks are applied once per burst by the burst
-    handler via the precomputed ``max_nbytes``/``max_cost``. Items of a
-    different tree are simply marked ineligible (they replay through the
-    per-packet sink), so a mixed burst still fast-paths its majority tree.
+    An item is *shape-eligible* when it is a DAIET DATA packet of the
+    burst's (single) tree and source whose pairs have columns
+    (``DaietPacket.vector_columns``); sequenced or not, the engine decides
+    at delivery whether its stream lets the kernel take it
+    (``DaietAggregationEngine._fresh_run``). The plan's pair arrays are
+    stitched from those columns run by run; a window that is one contiguous
+    run of one partition, which is what a mapper sends, takes them as views.
+    The switch-specific budget checks are applied once per burst by the
+    burst handler via the precomputed ``max_nbytes``/``max_cost``. Items of
+    another tree or source are simply marked ineligible (they replay through
+    the per-packet sink), so a mixed burst still fast-paths its majority.
     ``None`` means no item is eligible (or numpy is missing).
     """
     n = len(items)
@@ -153,15 +185,16 @@ def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
     #: ``[columns, first pair, one past the last pair]``.
     runs: list[list[Any]] = []
     tree_id = -1
+    src = None
     for i, (packet, _nbytes) in enumerate(items):
         if (
             type(packet) is DaietPacket
-            and packet.seq is None
             and packet.packet_type is _DAIET_DATA
-            and (tree_id < 0 or packet.tree_id == tree_id)
+            and (tree_id < 0 or (packet.tree_id == tree_id and packet.src == src))
             and (view := packet.vector_columns()) is not None
         ):
             tree_id = packet.tree_id
+            src = packet.src
             columns, at = view
             npairs[i] = count = len(packet.pairs)
             lo = at * columns.per
@@ -182,6 +215,7 @@ def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
     plan.shape_ok = plan.npairs > 0
     plan.pair_start = _np.cumsum(plan.npairs) - plan.npairs
     plan.tree_id = tree_id
+    plan.src = src
     plan.max_nbytes = int(_np.array(plan.nbytes)[plan.shape_ok].max())
     plan.max_cost = 3 + int(plan.npairs.max())
     kid_parts = [columns.kids[lo:hi] for columns, lo, hi in runs]
@@ -194,6 +228,8 @@ def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
     plan.seq0 = -1
     plan.target = None
     plan.ingress = -1
+    plan.next = 0
+    plan.deferred = {}
     return plan
 
 
@@ -337,6 +373,10 @@ class NetworkSimulator:
         # identity, so all links into one switch must share its sinks.
         sinks: dict[str, Any] = {}
         burst_sinks: dict[str, Any] = {}
+        #: The callbacks a burst handler may batch past (see
+        #: ``_compile_switch_burst``): every compiled delivery (its own
+        #: excepted), every host transmission and every switch's emissions.
+        transparent: set[Any] = {self._transmit, self._transmit_burst}
         for link in self.topology.links:
             # The link's one traffic record, bound into both directions' port
             # info and kept across rebuilds.
@@ -360,11 +400,10 @@ class NetworkSimulator:
                         callback = self._compile_host_sink(device)
                     else:
                         callback = self._compile_switch_sink(device)
-                        bsink = self._compile_burst_sink(callback)
-                        burst_sinks[other.device] = bsink
-                        batch_handlers[bsink] = self._compile_switch_burst(
-                            device, callback, bsink
+                        bsink, batch_handlers[bsink] = self._compile_switch_burst(
+                            device, callback, transparent
                         )
+                        burst_sinks[other.device] = bsink
                     sinks[other.device] = callback
                 self._port_info[end.device][end.port] = (
                     link,
@@ -376,6 +415,7 @@ class NetworkSimulator:
                     (link.name, end.device),
                     burst_sinks.get(other.device),
                 )
+        transparent.update(sinks.values(), burst_sinks.values())
         self.scheduler.set_batch_handlers(batch_handlers)
 
     def _compile_host_sink(self, host: Host) -> Any:
@@ -403,48 +443,51 @@ class NetworkSimulator:
 
         return sink
 
-    def _compile_burst_sink(self, sink: Any) -> Any:
-        """The callback of a burst entry: one item through the per-packet sink.
-
-        Delivers the entry's head item and re-enqueues the rest of the window
-        at its own ``(time, seq)``, so foreign events interleave exactly as
-        they would against a per-packet schedule. The burst handler
-        (``_compile_switch_burst`` below) calls it for items the kernel
-        cannot take; the scheduler calls it directly when the handler
-        registry was rebuilt while burst entries were queued.
-        """
-        scheduler = self.scheduler
-
-        def burst_sink(plan: _BurstPlan, offset: int) -> None:
-            sink(plan.target, plan.ingress, plan.packets[offset], plan.nbytes[offset])
-            nxt = offset + 1
-            if nxt < len(plan.packets):
-                scheduler.push_entry(
-                    (plan.times[nxt], plan.seq0 + nxt, burst_sink, (plan, nxt))
-                )
-
-        return burst_sink
-
     @fastpath("switch-burst-delivery", oracle="tests/netsim/test_batch_delivery.py")
-    def _compile_switch_burst(self, device: SwitchDevice, sink: Any, burst_sink: Any) -> Any:
-        """The burst-entry delivery handler for one switch.
+    def _compile_switch_burst(
+        self, device: SwitchDevice, sink: Any, transparent: set
+    ) -> tuple[Any, Any]:
+        """The burst-entry callback and delivery handler for one switch.
+
+        The callback (``burst_sink``) takes one item at its own queue
+        position. An item a batch already delivered (before ``plan.next``)
+        only transmits what it emitted. Otherwise the entry's head item goes
+        through the per-packet sink and the rest of the window is
+        re-enqueued at its own ``(time, seq)``, so foreign events interleave
+        exactly as they would against a per-packet schedule. The handler
+        calls it for items the kernel cannot take; the scheduler calls it
+        directly when the handler registry was rebuilt while burst entries
+        were queued.
 
         A burst entry stands for a whole send window: its plan carries the
         send-time precomputed eligibility mask, pair arrays and exact
         cumulative ledgers, and ``_transmit_burst`` filled in per-item
         arrival times plus the reserved sequence-number range. The handler
-        collects every consecutive queue-head burst entry bound for this
-        switch, merges their items into global ``(time, seq)`` order with
-        one lexsort, applies the merged eligible prefix through the
-        vectorized register kernel, and re-enqueues each burst's
-        un-consumed tail at its own position — so foreign events (END
-        markers, ``until`` bounds, event budgets, other trees' traffic)
-        interleave exactly as they would against a per-packet schedule.
+        takes a *batch*: the items of this switch's burst entries that
+        arrive within one lookahead of the head, the shortest propagation
+        delay of the switch's links. Anything not yet queued for this switch
+        arrives later than that, so the queue already holds every event that
+        could touch the switch within the batch. The batch is cut before the
+        first of them (an END, a retransmission, a pull, other trees'
+        traffic, a timer or anything else not in ``transparent``: deliveries
+        to other devices and transmissions, which never read this switch,
+        and plain ACKs, which only release flushes sent before them), before
+        the first item that is not shape-eligible or that its
+        source's stream refuses (``DaietAggregationEngine._fresh_run``), past
+        ``until`` and over the event budget. The merged ``(time, seq)``
+        prefix goes through the vectorized register kernel and each source's
+        stream advances over its share (``_accept_run``). What an item emits
+        (spillover flushes, then its ACK, as ``_process_data`` emits them) is
+        transmitted by an entry at that item's own ``(time, seq)``, so
+        transmissions, their loss draws and everything they cause interleave
+        with the other devices' events exactly as in a per-packet schedule.
+        Each burst's un-consumed tail is re-enqueued at its own position.
         """
         scheduler = self.scheduler
         name = device.name
         transmit = self._transmit
         resolve = device._batch_tree_state
+        links = self._port_links[name]
         num_ports = device.switch.num_ports
         max_ops = device._max_ops
         max_parse = device._max_parse
@@ -460,161 +503,228 @@ class NetworkSimulator:
                 and 0 <= plan.ingress < num_ports
             )
 
+        def burst_sink(plan: _BurstPlan, offset: int) -> None:
+            if offset < plan.next:
+                for port, out_packet in plan.deferred.pop(offset):
+                    counters.packets_generated += 1
+                    counters.packets_out += 1
+                    counters.bytes_out += _switch_packet_bytes(out_packet, counters)
+                    transmit(name, port, out_packet, packet_wire_bytes(out_packet))
+                return
+            sink(plan.target, plan.ingress, plan.packets[offset], plan.nbytes[offset])
+            nxt = plan.next = offset + 1
+            if nxt < len(plan.packets):
+                scheduler.push_entry(
+                    (plan.times[nxt], plan.seq0 + nxt, burst_sink, (plan, nxt))
+                )
+
         def handler(
             time: float, args: tuple, until: float | None, budget: int | None
         ) -> int:
             plan, offset = args
+            if offset < plan.next:
+                burst_sink(plan, offset)
+                return 1
             resolved = resolve(plan.tree_id) if plan.shape_ok[offset] else None
-            if resolved is None or not within_budgets(plan):
+            if (
+                resolved is None
+                or not within_budgets(plan)
+                or not resolved[0]._fresh_run(
+                    resolved[1], plan.src, plan.packets, offset, offset + 1
+                )
+            ):
                 # Head item is not kernel-eligible: per-packet delivery.
                 burst_sink(plan, offset)
                 return 1
             engine, state = resolved
             tree_id = plan.tree_id
+            limit = time + min(link.propagation_s for link in links.values())
+            if until is not None and until < limit:
+                limit = until
+            # The earliest entry due by the limit that could touch the switch
+            # bounds the batch; so does a source's later window, which
+            # queues behind its earlier one on the same uplink.
+            cutoff = None
+            mergeable = []
+            for entry in scheduler.entries_through(limit):
+                callback = entry[2]
+                if callback is burst_sink:
+                    p2, o2 = entry[3]
+                    if o2 < p2.next:
+                        continue  # a delivered item's emissions
+                    if p2.tree_id == tree_id and within_budgets(p2):
+                        mergeable.append(entry)
+                        continue
+                elif callback is sink:
+                    packet = entry[3][2]
+                    if type(packet) is DaietAck and not packet.pull:
+                        continue  # releases flushes the batch cannot have sent
+                elif callback in transparent:
+                    continue
+                if cutoff is None or entry[:2] < cutoff[:2]:
+                    cutoff = entry
             bursts: list[tuple[_BurstPlan, int]] = [(plan, offset)]
-            while True:
-                cutoff = scheduler.peek_entry()  # first entry NOT collected
-                if (
-                    cutoff is None
-                    or cutoff[2] is not burst_sink
-                    or (until is not None and cutoff[0] > until)
-                ):
+            sources = {plan.src}
+            mergeable.sort(key=itemgetter(0, 1))
+            for entry in mergeable:
+                if cutoff is not None and entry[:2] > cutoff[:2]:
                     break
-                p2, o2 = cutoff[3]
-                if p2.tree_id != tree_id or not within_budgets(p2):
+                p2, o2 = entry[3]
+                if p2.src in sources:
+                    cutoff = entry
                     break
-                scheduler.pop_entry()
                 bursts.append((p2, o2))
-            # Merge the collected bursts' remaining items by (time, seq).
+                sources.add(p2.src)
+            stops = [bisect_right(p.times, limit, o) for p, o in bursts]
+            # Merge the collected bursts' candidate items by (time, seq).
             # Each burst's internal order is already sorted, so the stable
             # lexsort preserves it and every burst's consumed share is a
             # prefix of its remaining items.
             k = len(bursts)
             if k == 1:
-                p0, o0 = bursts[0]
-                times_m = _np.array(p0.times[o0:], dtype=_np.float64)
-                seqs_m = _np.arange(
-                    p0.seq0 + o0, p0.seq0 + len(p0.packets), dtype=_np.int64
-                )
-                ok_m = p0.shape_ok[o0:]
-                perm = None
+                stop = stops[0]
+                times_m = _np.array(plan.times[offset:stop], dtype=_np.float64)
+                seqs_m = _np.arange(plan.seq0 + offset, plan.seq0 + stop, dtype=_np.int64)
+                ok_m = plan.shape_ok[offset:stop]
                 bid = None
             else:
                 times_m = _np.concatenate(
-                    [_np.array(p.times[o:], dtype=_np.float64) for p, o in bursts]
+                    [
+                        _np.array(p.times[o:e], dtype=_np.float64)
+                        for (p, o), e in zip(bursts, stops)
+                    ]
                 )
                 seqs_m = _np.concatenate(
                     [
-                        _np.arange(p.seq0 + o, p.seq0 + len(p.packets), dtype=_np.int64)
-                        for p, o in bursts
+                        _np.arange(p.seq0 + o, p.seq0 + e, dtype=_np.int64)
+                        for (p, o), e in zip(bursts, stops)
                     ]
                 )
-                ok_m = _np.concatenate([p.shape_ok[o:] for p, o in bursts])
+                ok_m = _np.concatenate(
+                    [p.shape_ok[o:e] for (p, o), e in zip(bursts, stops)]
+                )
                 bid = _np.concatenate(
                     [
-                        _np.full(len(p.packets) - o, j, dtype=_np.int64)
-                        for j, (p, o) in enumerate(bursts)
+                        _np.full(e - o, j, dtype=_np.int64)
+                        for j, ((p, o), e) in enumerate(zip(bursts, stops))
                     ]
                 )
                 perm = _np.lexsort((seqs_m, times_m))
                 times_m = times_m[perm]
                 seqs_m = seqs_m[perm]
                 ok_m = ok_m[perm]
+                bid = bid[perm]
             eligible = ok_m
-            if until is not None:
-                eligible = eligible & (times_m <= until)
             if cutoff is not None:
                 ct = cutoff[0]
                 cs = cutoff[1]
                 eligible = eligible & (
                     (times_m < ct) | ((times_m == ct) & (seqs_m < cs))
                 )
-            if eligible.all():
-                cut = len(eligible)
-            else:
-                cut = int(_np.argmax(~eligible))
+            cut = len(eligible) if eligible.all() else int(_np.argmax(~eligible))
             if budget is not None and cut > budget:
                 cut = budget
-            if cut == 0:
-                # Unreachable in practice: the scheduler dispatched this
-                # entry as the global minimum, so its head item is eligible.
-                burst_sink(plan, offset)
-                return 1
+            # Each source's stream takes a prefix of its share: cut before
+            # the first item one refuses. The head item was admitted and is
+            # the earliest, so the cut keeps at least one item.
+            counts = [cut] if k == 1 else _np.bincount(bid[:cut], minlength=k).tolist()
+            refused = cut
+            admitted = []
+            for j, (p, o) in enumerate(bursts):
+                c = counts[j]
+                seqs = engine._fresh_run(state, p.src, p.packets, o, o + c) if c else []
+                admitted.append(seqs)
+                fresh = len(seqs)
+                if fresh < c:
+                    at = fresh if k == 1 else int(_np.flatnonzero(bid[:cut] == j)[fresh])
+                    refused = min(refused, at)
+            if refused < cut:
+                cut = refused
+                counts = [cut] if k == 1 else _np.bincount(bid[:cut], minlength=k).tolist()
             if k == 1:
-                counts = [cut]
-                kernel_input = p0.kernel_input(o0, cut)
+                kernel_input = plan.kernel_input(offset, cut)
+                shares = None
             else:
-                sel = perm[:cut]
-                counts = _np.bincount(bid[sel], minlength=k).tolist()
-                base = 0
-                starts_parts = []
-                for p, o in bursts:
-                    starts_parts.append(p.pair_start[o:] + base)
-                    base += len(p.kids)
-                kids, vals, bounds = _gather_pairs(
-                    _np.concatenate([p.kids for p, _o in bursts]),
-                    _np.concatenate([p.vals for p, _o in bursts]),
-                    _np.concatenate(starts_parts)[sel],
-                    _np.concatenate([p.npairs[o:] for p, o in bursts])[sel],
-                )
+                # Each burst's consumed items, by merged position.
+                shares = [bid[:cut] == j for j in range(k)]
+                local = _np.empty(cut, dtype=_np.int64)
+                kid_parts, val_parts, len_parts = [], [], []
                 mass = 0
-                for (p, o), c in zip(bursts, counts):
-                    mass += p.mass_cum[o + c] - p.mass_cum[o]
+                base = 0
+                for (p, o), c, share in zip(bursts, counts, shares):
+                    if c:
+                        kids_j, vals_j, mass_j, _c, _bounds = p.kernel_input(o, c)
+                        kid_parts.append(kids_j)
+                        val_parts.append(vals_j)
+                        len_parts.append(p.npairs[o : o + c])
+                        mass += mass_j
+                        local[share] = _np.arange(base, base + c, dtype=_np.int64)
+                        base += c
+                lens = _np.concatenate(len_parts)
+                starts = _np.cumsum(lens) - lens
+                kids, vals, bounds = _gather_pairs(
+                    _np.concatenate(kid_parts),
+                    _np.concatenate(val_parts),
+                    starts[local],
+                    lens[local],
+                )
                 kernel_input = (kids, vals, mass, cut, bounds)
             result = engine._vector_apply(state, *kernel_input)
             if result is None:
-                # int64 overflow guard tripped: replay the consumed prefix
-                # through the per-packet path, which is exact for any mass.
-                if k == 1:
-                    p0, o0 = bursts[0]
-                    for i in range(o0, o0 + cut):
-                        scheduler.now = p0.times[i]
-                        sink(p0.target, p0.ingress, p0.packets[i], p0.nbytes[i])
-                else:
-                    loc = _np.concatenate(
-                        [
-                            _np.arange(o, len(p.packets), dtype=_np.int64)
-                            for p, o in bursts
-                        ]
-                    )
-                    for b, i in zip(bid[sel].tolist(), loc[sel].tolist()):
-                        p = bursts[b][0]
-                        scheduler.now = p.times[i]
-                        sink(p.target, p.ingress, p.packets[i], p.nbytes[i])
-            else:
-                nbytes_total = 0
-                for j in range(k):
-                    p, o = bursts[j]
-                    c = counts[j]
-                    if c:
-                        nbytes_total += p.nbytes_cum[o + c] - p.nbytes_cum[o]
-                counters.packets_in += cut
-                counters.bytes_in += nbytes_total
-                parser.packets_parsed += cut
-                parser.bytes_parsed += nbytes_total
-                pipeline.packets_processed += cut
-                daiet_tbl.hit_count += cut
-                if result:
-                    for pkt_i, port, out_packet in result:
-                        scheduler.now = times_m[pkt_i].item()
-                        counters.packets_generated += 1
-                        counters.packets_out += 1
-                        counters.bytes_out += _switch_packet_bytes(
-                            out_packet, counters
+                # int64 overflow guard tripped: the head item goes through the
+                # per-packet path, which is exact for any mass, and the rest
+                # stays queued where it was.
+                burst_sink(plan, offset)
+                return 1
+            nbytes_total = 0
+            for (p, o), c in zip(bursts, counts):
+                if c:
+                    nbytes_total += p.nbytes_cum[o + c] - p.nbytes_cum[o]
+                    nxt = p.next = o + c
+                    if nxt < len(p.packets):
+                        scheduler.push_entry(
+                            (p.times[nxt], p.seq0 + nxt, burst_sink, (p, nxt))
                         )
-                        transmit(name, port, out_packet, packet_wire_bytes(out_packet))
-            # Re-enqueue every burst's un-consumed tail at its own position.
-            for j in range(k):
-                p, o = bursts[j]
-                nxt = o + counts[j]
-                if nxt < len(p.packets):
-                    scheduler.push_entry(
-                        (p.times[nxt], p.seq0 + nxt, burst_sink, (p, nxt))
-                    )
-            scheduler.now = times_m[cut - 1].item()
-            return cut
+            counters.packets_in += cut
+            counters.bytes_in += nbytes_total
+            parser.packets_parsed += cut
+            parser.bytes_parsed += nbytes_total
+            pipeline.packets_processed += cut
+            daiet_tbl.hit_count += cut
+            # What each item emits, by merged position: spillover flushes,
+            # then its ACK.
+            emitted: dict[int, list[tuple[int, Any]]] = {}
+            for pkt_i, port, out in result:
+                emitted.setdefault(pkt_i, []).append((port, out))
+            for j, (p, _o) in enumerate(bursts):
+                acks = engine._accept_run(state, p.src, admitted[j][: counts[j]])
+                if acks:
+                    at = range(cut) if k == 1 else _np.flatnonzero(shares[j]).tolist()
+                    for i, port, ack in acks:
+                        emitted.setdefault(at[i], []).append((port, ack))
+            # An item that emits transmits at its own queue position, as the
+            # batch's last item does (so the clock ends where a per-packet
+            # schedule leaves it); that item's event is counted there. A
+            # collected burst's entry already sits at its first item's
+            # position.
+            emitted.setdefault(cut - 1, [])
+            waiting = 0
+            for j in range(1, k):
+                if counts[j]:
+                    first = int(_np.argmax(shares[j]))
+                    bursts[j][0].deferred[bursts[j][1]] = emitted.pop(first, [])
+                    waiting += 1
+            for pkt_i, emissions in emitted.items():
+                if k == 1:
+                    p, i = plan, offset + pkt_i
+                else:
+                    j = int(bid[pkt_i])
+                    p, i = bursts[j][0], int(seqs_m[pkt_i]) - bursts[j][0].seq0
+                p.deferred[i] = emissions
+                scheduler.push_entry((p.times[i], p.seq0 + i, burst_sink, (p, i)))
+            return cut - waiting - len(emitted)
 
-        return handler
+        return burst_sink, handler
 
     # ------------------------------------------------------------------ #
     # Control plane
@@ -710,22 +820,26 @@ class NetworkSimulator:
     ) -> None:
         """Put a whole window of packets on a host's uplink, in order.
 
-        A window with a burst plan, on a lossless uplink into a switch that
-        still has its burst sink (no observer is watching individual
-        transmissions, see ``_build_port_maps``), becomes ONE queue entry:
-        arrival times come from the same busy-chain arithmetic ``_transmit``
-        performs and the window consumes the same sequence-number range, so
-        global event order is bit-identical to a per-packet schedule; the
-        burst handler re-expands any tail that foreign events interleave.
-        Hosts are never congestion-modelled, so that branch of ``_transmit``
-        is statically dead here. Every other window goes through
-        ``_transmit`` packet by packet.
+        A window with a burst plan, into a switch that still has its burst
+        sink (no observer is watching individual transmissions, see
+        ``_build_port_maps``), becomes ONE queue entry: arrival times come
+        from the same busy-chain arithmetic ``_transmit`` performs, the loss
+        decisions are drawn back to back exactly as its per-packet loop draws
+        them (nothing else runs inside this callback), each lost item is
+        charged its serialization and dropped from the plan, and the
+        survivors consume the sequence-number range their per-packet pushes
+        would have, so global event order is bit-identical to a per-packet
+        schedule; the burst handler re-expands any tail that foreign events
+        interleave. Hosts are never congestion-modelled, so that branch of
+        ``_transmit`` is statically dead here. Every other window goes
+        through ``_transmit`` packet by packet.
         """
         n = len(items)
+        self._synthetic_events += n - 1
         if plan is not None:
             (
                 link,
-                _link_name,
+                link_name,
                 _callback,
                 target,
                 other_port,
@@ -733,7 +847,7 @@ class NetworkSimulator:
                 busy_key,
                 burst_sink,
             ) = self._port_info[src_host][0]
-            if burst_sink is not None and link.loss_rate == 0.0:
+            if burst_sink is not None:
                 traffic.packets += n
                 traffic.bytes += plan.nbytes_cum[n]
                 busy = self._link_busy_until
@@ -744,22 +858,30 @@ class NetworkSimulator:
                     busy_end = now
                 bandwidth = link.bandwidth_bps
                 propagation = link.propagation_s
+                loss_rate = link.loss_rate
+                draw = self._loss_rng.random
                 times: list[float] = []
-                for nbytes in plan.nbytes:
+                lost: list[int] = []
+                for i, nbytes in enumerate(plan.nbytes):
                     busy_end = busy_end + nbytes / bandwidth
-                    times.append(busy_end + propagation)
+                    if loss_rate > 0.0 and draw() < loss_rate:
+                        lost.append(i)
+                        self._drop("loss", link_name, items[i][0])
+                    else:
+                        times.append(busy_end + propagation)
                 busy[busy_key] = busy_end
-                plan.times = times
-                plan.seq0 = seq = scheduler.reserve_seqs(n)
-                plan.target = target
-                plan.ingress = other_port
-                scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
-                self._synthetic_events += n - 1
+                if times:
+                    if lost:
+                        plan.drop(lost)
+                    plan.times = times
+                    plan.seq0 = seq = scheduler.reserve_seqs(len(times))
+                    plan.target = target
+                    plan.ingress = other_port
+                    scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
                 return
         transmit = self._transmit_entry
         for packet, nbytes in items:
             transmit(src_host, 0, packet, nbytes)
-        self._synthetic_events += n - 1
 
     def _observed_transmit(
         self, from_device: str, egress_port: int, packet: Any, nbytes: int

@@ -49,9 +49,9 @@ class TestCleanTree:
     def test_event_queue_backend_stays_inside_the_scheduler(self):
         # Which backend holds the queue (heap or calendar) and when it
         # migrates is EventScheduler's decision alone: everyone else goes
-        # through push_at / push_entry / reserve_seqs / peek_entry /
-        # pop_entry. The sanitizer checks the backends' structure, so it may
-        # look.
+        # through push_at / push_entry / reserve_seqs / entries_through /
+        # peek_entry / pop_entry. The sanitizer checks the backends'
+        # structure, so it may look.
         private = {
             "_cal",
             "_queue",
@@ -348,4 +348,39 @@ class TestCleanTree:
                     continue
                 if name in containers:
                     offenders.append(f"{relative}:{node.lineno} {name}")
+        assert offenders == []
+
+    def test_burst_eligibility_is_one_predicate(self):
+        # Whether the register kernel may take a DATA packet is decided at
+        # delivery by its source's stream (DaietAggregationEngine._fresh_run)
+        # and by the burst plan's shape, nowhere else: the simulator's burst
+        # planning and transmit path never ask whether a packet is sequenced
+        # or an uplink lossless. (The parent of the change that added this
+        # gate had one of each: _plan_burst admitted only `packet.seq is
+        # None`, and _transmit_burst only `link.loss_rate == 0.0`.)
+        def names(node):
+            return {getattr(part, "attr", getattr(part, "id", None)) for part in ast.walk(node)}
+
+        def is_zero(node):
+            return isinstance(node, ast.Constant) and node.value == 0
+
+        offenders = []
+        for relative, tree in _package_trees():
+            if relative != "netsim/simulator.py":
+                continue
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Compare):
+                    continue
+                sides = [node.left, *node.comparators]
+                forked = any(
+                    isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                    for op in node.ops
+                ) and (
+                    ("seq" in names(node.left) and any(
+                        isinstance(side, ast.Constant) and side.value is None for side in sides
+                    ))
+                    or ("loss_rate" in names(node) and any(is_zero(side) for side in sides))
+                )
+                if forked:
+                    offenders.append(f"{relative}:{node.lineno} {ast.unparse(node)}")
         assert offenders == []

@@ -598,15 +598,15 @@ class TestPacketizerCounts:
             )
             return system
 
-        # Sequenced partitions and the sequenced flushes of the switch.
-        run_round(reliability=True, retransmit_timeout=1e-4)
-        assert built == []
-        # Unsequenced: one record per mapper window; the switch's spillover
-        # and final flushes (hundreds of small partitions) build none.
-        system = run_round()
-        state = system.engine("tor").tree(system.tree_for("h3").tree_id)
-        assert state.counters.spillover_flushes > 0
-        assert built == [400, 400, 400]
+        # Sequenced or not: one record per mapper window; the switch's
+        # spillover and final flushes (hundreds of small partitions, sequenced
+        # on the reliable round) build none.
+        for config in (dict(reliability=True, retransmit_timeout=1e-4), {}):
+            built.clear()
+            system = run_round(**config)
+            state = system.engine("tor").tree(system.tree_for("h3").tree_id)
+            assert state.counters.spillover_flushes > 0
+            assert built == [400, 400, 400]
 
     def test_keys_are_measured_once_per_distinct_key(self):
         # The benchmark's 7.5 pairs per word, at a quarter of its size.

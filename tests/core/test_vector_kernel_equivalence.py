@@ -236,3 +236,86 @@ class TestVectorKernelEquivalence:
         slow_out = feed_slow(slow, [huge])
         assert fast_out == slow_out
         assert_twins_identical(fast, slow)
+
+
+def sequenced_packets(pairs, config: DaietConfig, seq_start: int = 0) -> list[DaietPacket]:
+    return list(
+        packetize_pairs(
+            pairs,
+            tree_id=7,
+            src="h0",
+            dst="h1",
+            config=config,
+            include_end=False,
+            seq_start=seq_start,
+        )
+    )
+
+
+class TestSequencedStreamAdmission:
+    """What the kernel may take from a sequenced stream, and the ACKs owed."""
+
+    CONFIG = DaietConfig(register_slots=16, pairs_per_packet=2, reliability=True)
+
+    def test_fresh_run_is_the_stream_predicate(self):
+        engine = make_engine(self.CONFIG)
+        state = engine.tree(7)
+        window = state.window("h0")
+        for seq in (0, 1, 2, 3, 4, 7):
+            window.observe(seq)
+        by_seq = {
+            packet.seq: packet
+            for packet in sequenced_packets([("k", 1)] * 40, self.CONFIG)
+        }
+
+        def admitted(*seqs):
+            packets = [by_seq[seq] for seq in seqs]
+            return len(engine._fresh_run(state, "h0", packets, 0, len(packets)))
+
+        assert window.high_water == 7
+        assert admitted(8, 9, 12) == 3
+        assert admitted(7) == 0  # the highest number seen: a duplicate
+        assert admitted(5, 8) == 0  # a gap-fill
+        assert admitted(8, 8) == 1
+        assert admitted(8, 6) == 1
+        unsequenced = data_packets([("k", 1)] * 6, self.CONFIG)
+        assert engine._fresh_run(state, "h0", unsequenced, 0, 3) == [None] * 3
+        marked = by_seq[10]
+        object.__setattr__(marked, "ecn", True)
+        assert admitted(8, 10, 11) == 1
+        window.end_seq = 15  # a stashed END: the stream waits for its gap
+        assert admitted(8) == 0
+
+    @pytest.mark.parametrize("ack_window", [1, 3, 8])
+    def test_kernel_plus_accept_run_is_process_data(self, ack_window):
+        # A window that starts behind a hole (seq 0 lost) and has a second
+        # hole further on; small registers so spillover flushes interleave
+        # with the ACKs.
+        config = DaietConfig(
+            register_slots=8, pairs_per_packet=3, reliability=True, ack_window=ack_window
+        )
+        rng = random.Random(ack_window)
+        pairs = [(f"k{rng.randrange(40)}", rng.randrange(-9, 9)) for _ in range(150)]
+        burst = [p for p in sequenced_packets(pairs, config) if p.seq not in (0, 17)]
+        fast, slow = make_engine(config), make_engine(config)
+        slow_out = []
+        for packet in burst:
+            slow_out.extend(slow.handle_packet(packet))
+        state = fast.tree(7)
+        # Holes do not stop a run: every number is above the ones before it.
+        seqs = fast._fresh_run(state, "h0", burst, 0, len(burst))
+        assert seqs == [packet.seq for packet in burst]
+        plan = _plan_burst([(packet, packet.wire_bytes()) for packet in burst])
+        result = fast._vector_apply(state, *plan.kernel_input(0, len(burst)))
+        emitted = [(i, 0, port, out) for i, port, out in result]
+        emitted += [(i, 1, port, ack) for i, port, ack in fast._accept_run(state, "h0", seqs)]
+        fast_out = [(port, out) for _i, _kind, port, out in sorted(emitted, key=lambda e: e[:2])]
+        assert fast_out == slow_out
+        assert any(out.__class__.__name__ == "DaietAck" for _port, out in fast_out)
+        assert_twins_identical(fast, slow)
+        fast_window, slow_window = state.window("h0"), slow.tree(7).window("h0")
+        assert (fast_window.cumulative, fast_window.out_of_order, fast_window.since_ack) == (
+            slow_window.cumulative,
+            slow_window.out_of_order,
+            slow_window.since_ack,
+        )

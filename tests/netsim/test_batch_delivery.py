@@ -3,14 +3,18 @@
 ``switch-burst-delivery``: a whole send window rides ONE queue entry carrying
 a send-time precomputed :class:`_BurstPlan`; the handler merges concurrent
 bursts by ``(time, seq)`` and feeds the pair arrays straight into the
-vectorized register kernel. Everything else — sequenced packets, switch to
-switch flushes, windows over lossy uplinks — is one queue entry per packet
-through the compiled per-packet sink.
+vectorized register kernel. Sequenced windows ride it as unsequenced ones
+do, over lossy uplinks too: the uplink's loss draws drop items from the
+plan, and the kernel takes every DATA packet its stream admits (fresh: above
+the stream's high-water mark, not CE-marked, no END stashed) while
+duplicates, gap-fills, ENDs and ACKs go one by one through the compiled
+per-packet sink, as do switch to switch flushes and single-packet sends.
 
 Standing burst delivery down (the ``_fast_burst`` gate, what attaching an
 observer does: no plan is built, so no burst entry is ever queued) must
-change *nothing* observable: aggregation
-results, every traffic counter, per-tree counters, event totals and simulated time.
+change *nothing* observable: aggregation results, every traffic counter,
+per-tree counters, every stream window, event totals, simulated time, the
+loss stream's state and the ACKs each mapper hears, in order and in time.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ import random
 
 import pytest
 
+from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
+from repro.core.packet import DaietAck
+from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
 
 np = pytest.importorskip("numpy")
@@ -203,3 +210,263 @@ class TestBatchDeliveryEquivalence:
         assert observables(fast_sys, reducer, fast_events) == observables(
             slow_sys, reducer, slow_events
         )
+
+
+def sequenced_twin(
+    fast: bool,
+    *,
+    fabric: str = "rack",
+    num_mappers: int = 6,
+    pairs_per_mapper: int = 2_000,
+    loss_rate: float = 0.01,
+    lossy: str = "all",
+    loss_seed: int = 2017,
+    policy: str = "exact",
+    register_slots: int = 256,
+    pairs_per_packet: int = 10,
+    staggered: bool = False,
+):
+    """A reliable wordcount round and the ACK stream each mapper hears.
+
+    ``lossy`` names the links that drop: ``"all"``, ``"uplinks"`` (every
+    host's link) or a host name (that host's link only). ``staggered``
+    gives every other mapper a tenth of the pairs, so its repairs reach the
+    switch while the long windows are still arriving.
+    """
+    hosts = num_mappers + 1
+    if fabric == "rack":
+        topology = single_rack(hosts)
+    else:
+        topology = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=-(-hosts // 3))
+    host_names = {host.name for host in topology.hosts()}
+    for link in topology.links:
+        ends = {link.a.device, link.b.device}
+        if lossy == "all" or (lossy == "uplinks" and ends & host_names) or lossy in ends:
+            link.loss_rate = loss_rate
+    config = DaietConfig(
+        register_slots=register_slots,
+        pairs_per_packet=pairs_per_packet,
+        reliability=True,
+        retransmit_timeout=1e-4,
+        reliability_policy=policy,
+    )
+    system = DaietSystem(topology, config, SimulatorConfig(loss_seed=loss_seed))
+    if not fast:
+        system.simulator._fast_burst = False
+    mappers = [f"h{i}" for i in range(num_mappers)]
+    reducer = f"h{num_mappers}"
+    system.install_job(mappers=mappers, reducers=[reducer])
+    acks: dict[str, list] = {mapper: [] for mapper in mappers}
+    for mapper in mappers:
+        receive = system.agent(mapper).receive
+
+        def heard(packet, receive=receive, log=acks[mapper]):
+            if isinstance(packet, DaietAck):
+                log.append((system.simulator.now, packet.cumulative, packet.sack))
+            receive(packet)
+
+        system.simulator.host(mapper).set_receiver(heard)
+    rng = random.Random(loss_seed)
+    truth: dict[str, int] = {}
+    for index, mapper in enumerate(mappers):
+        size = pairs_per_mapper // 10 if staggered and index % 2 else pairs_per_mapper
+        pairs = [(f"w{rng.randrange(300)}", rng.randrange(1, 9)) for _ in range(size)]
+        for key, value in pairs:
+            truth[key] = truth.get(key, 0) + value
+        system.send_pairs(mapper, reducer, pairs)
+    return system, reducer, truth, acks
+
+
+@pytest.fixture()
+def sequenced_observables(observables):
+    """Everything a sequenced twin compares, beyond :func:`observables`."""
+
+    def read(system: DaietSystem, reducer: str, events: int, acks: dict) -> dict:
+        windows = {}
+        for name, engine in system.controller.engines.items():
+            for tree_id in engine.tree_ids():
+                for src, window in engine.tree(tree_id)._seen.items():
+                    windows[name, tree_id, src] = (
+                        window.cumulative,
+                        tuple(window.out_of_order),
+                        window.end_seq,
+                        window.since_ack,
+                        window.edge,
+                    )
+        return {
+            **observables(system, reducer, events),
+            "windows": windows,
+            "loss_rng": system.simulator._loss_rng.getstate(),
+            "acks": {mapper: list(log) for mapper, log in acks.items()},
+            "reliability": system.reliability_stats(),
+        }
+
+    return read
+
+
+def _twins(sequenced_observables, until: float | None = None, **kwargs) -> list[dict]:
+    """Run the fast and the stood-down twin; their observables, in that order."""
+    results = []
+    for fast in (True, False):
+        system, reducer, truth, acks = sequenced_twin(fast, **kwargs)
+        events = system.run(until=until)
+        results.append(sequenced_observables(system, reducer, events, acks))
+        if until is not None:
+            events = system.run()
+            results.append(sequenced_observables(system, reducer, events, acks))
+        assert results[-1]["result"] == truth
+    return results
+
+
+def _first_draws(predicate, count: int) -> int:
+    """The first loss seed whose first ``count`` draws satisfy ``predicate``."""
+    for seed in range(10_000):
+        draw = random.Random(seed).random
+        if predicate([draw() for _ in range(count)]):
+            return seed
+    raise AssertionError("no seed draws that pattern")
+
+
+class TestSequencedWindowsEquivalence:
+    """Reliable rounds: the kernel takes fresh sequenced DATA, lossy uplinks too."""
+
+    def test_rack_with_loss_on_every_link(self, sequenced_observables):
+        fast, slow = _twins(sequenced_observables)
+        assert fast == slow
+        assert sum(fast["traffic"]["stats"]["losses"].values()) > 5
+
+    def test_leaf_spine_with_lossy_host_uplinks(self, sequenced_observables):
+        fast, slow = _twins(
+            sequenced_observables, fabric="leaf_spine", lossy="uplinks", loss_rate=0.02
+        )
+        assert fast == slow
+        assert len(fast["counters"]) > 1  # leaves and the spine aggregate
+
+    def test_sampled_policy_strides_the_cadence(self, sequenced_observables):
+        fast, slow = _twins(sequenced_observables, policy="sampled")
+        assert fast == slow
+        assert fast["acks"]["h0"]
+
+    @pytest.mark.parametrize("lost", ["first", "last"])
+    def test_a_window_losing_its_first_or_last_data_packet(
+        self, lost, sequenced_observables, monkeypatch
+    ):
+        # Only h0's link drops. Its window is the first thing on it: draw i
+        # decides item i (200 DATA packets, then the END). Losing the last
+        # DATA packet while the END arrives stashes the END until the
+        # gap-fill completes the stream inside ``_process_data``.
+        rate = 0.05
+        n = 201
+        if lost == "first":
+            seed = _first_draws(lambda d: d[0] < rate, n)
+        else:
+            seed = _first_draws(
+                lambda d: d[0] >= rate and d[n - 2] < rate and d[n - 1] >= rate, n
+            )
+        completed, in_data = [], []
+        process_data = DaietAggregationEngine._process_data
+        accept_end = DaietAggregationEngine._accept_end
+
+        def data_spy(engine, state, packet):
+            in_data.append(packet.src)
+            try:
+                return process_data(engine, state, packet)
+            finally:
+                in_data.pop()
+
+        def end_spy(engine, state, src):
+            if in_data:
+                completed.append(src)
+            return accept_end(engine, state, src)
+
+        monkeypatch.setattr(DaietAggregationEngine, "_process_data", data_spy)
+        monkeypatch.setattr(DaietAggregationEngine, "_accept_end", end_spy)
+        fast, slow = _twins(
+            sequenced_observables, lossy="h0", loss_rate=rate, loss_seed=seed
+        )
+        assert fast == slow
+        if lost == "last":
+            assert completed == ["h0", "h0"]  # once in each twin
+
+    @pytest.mark.parametrize("loss_seed", [1, 2, 3])
+    def test_repairs_land_among_other_windows(self, loss_seed, sequenced_observables):
+        # Short windows end early, so their gap-fills, duplicates and ENDs
+        # reach the switch between the long windows' items, and each one
+        # must cut a batch exactly where a per-packet schedule puts it.
+        fast, slow = _twins(
+            sequenced_observables,
+            staggered=True,
+            num_mappers=8,
+            loss_rate=0.05,
+            loss_seed=loss_seed,
+            register_slots=32,
+            pairs_per_packet=4,
+        )
+        assert fast == slow
+        short = ("h1", "h3", "h5", "h7")
+        assert sum(fast["reliability"][host]["retransmissions"] for host in short) > 0
+
+    def test_until_cuts_mid_window(self, sequenced_observables):
+        # 200 packets of ~250 B per mapper take ~10 us on a 40 Gb/s uplink.
+        fast_cut, fast_end, slow_cut, slow_end = _twins(sequenced_observables, until=5e-6)
+        assert fast_cut == slow_cut
+        assert fast_end == slow_end
+        assert not fast_cut["done"]
+
+    def test_collision_heavy_tree(self, sequenced_observables):
+        fast, slow = _twins(
+            sequenced_observables, register_slots=8, pairs_per_packet=4, loss_rate=0.02
+        )
+        assert fast == slow
+        (counters,) = [c for (name, _tree), c in fast["counters"].items() if name == "tor"]
+        assert counters.spillover_flushes > 50
+
+
+class TestWhoTakesThePerPairLoop:
+    def test_only_refused_arrivals_and_lone_retransmissions(self, monkeypatch):
+        """On a lossy reliable rack ``_process_data`` runs for the DATA
+        arrivals the kernel may not take (duplicates, gap-fills: not above
+        the stream's high-water mark) and for retransmissions sent one at a
+        time, which no plan covers. Every DATA arrival took it before."""
+        calls: list[tuple[bool, int]] = []
+        process_data = DaietAggregationEngine._process_data
+
+        def spy(engine, state, packet):
+            window = state._seen.get(packet.src)
+            fresh = window is None or (
+                packet.seq > window.high_water and window.end_seq is None and not packet.ecn
+            )
+            calls.append((fresh, id(packet)))
+            return process_data(engine, state, packet)
+
+        monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
+        counts = {}
+        for fast in (False, True):
+            calls.clear()
+            system, reducer, truth, _acks = sequenced_twin(fast, num_mappers=8)
+            resent: set[int] = set()
+            for mapper in system.tree_for(reducer).mappers:
+                channel = system.agent(mapper).sender(system.tree_for(reducer).tree_id)
+                transmit = channel._transmit
+
+                def spy_transmit(packets, retransmit, transmit=transmit):
+                    if retransmit:
+                        resent.update(map(id, packets))
+                    transmit(packets, retransmit)
+
+                channel._engine._emit = spy_transmit
+            system.run()
+            assert system.receiver(reducer).result() == truth
+            refused = sum(1 for fresh, _id in calls if not fresh)
+            lone = [ident for fresh, ident in calls if fresh]
+            if fast:
+                assert set(lone) <= resent
+            counts[fast] = len(calls), refused, len(lone)
+        (slow_calls, slow_refused, _), (fast_calls, fast_refused, fast_lone) = (
+            counts[False],
+            counts[True],
+        )
+        data_arrivals = slow_calls  # every one took the loop without bursts
+        assert fast_refused == slow_refused
+        assert fast_calls == slow_refused + fast_lone
+        assert fast_calls < data_arrivals // 20

@@ -126,6 +126,34 @@ class TestBackendEquivalence:
             trace = _trace_of(EventScheduler(calendar_threshold=threshold), windowed)
             assert trace == reference
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 4.0, 9.0]), max_size=40),
+        cancel=st.sets(st.integers(0, 39)),
+        pops=st.integers(0, 10),
+        limit=st.sampled_from([0.0, 1.0, 1.7, 4.0, 100.0]),
+    )
+    def test_entries_through_lists_what_is_due(
+        self, times, cancel, pops, limit
+    ):
+        """What the burst handler scans: every live entry due by ``limit``,
+        with nothing taken."""
+        for threshold in (HEAP_ONLY, 1, 7):
+            scheduler = EventScheduler(calendar_threshold=threshold)
+            events = [scheduler.schedule(t, lambda: None) for t in times]
+            for index in cancel:
+                if index < len(events):
+                    events[index].cancel()
+            for _ in range(pops):
+                scheduler.pop_entry()
+            due = sorted(scheduler.entries_through(limit))
+            pending = len(scheduler)
+            rest = []
+            while (entry := scheduler.pop_entry()) is not None:
+                rest.append(entry)
+            assert due == [entry for entry in rest if entry[0] <= limit]
+            assert len(rest) == pending
+
     def test_pop_entry_takes_heads_in_dispatch_order(self):
         for threshold in (HEAP_ONLY, 1):
             scheduler = EventScheduler(calendar_threshold=threshold)

@@ -336,3 +336,89 @@ class TestEndpointsAgainstSortedSetReference:
                     cumulative,
                     tuple(sorted(s for s in seen if s > cumulative))[:DAIET_ACK_MAX_SACK],
                 )
+
+
+class _SetWindow:
+    """The reference: a plain set of out-of-order arrivals, sorted per ACK."""
+
+    def __init__(self) -> None:
+        self.cumulative = 0
+        self.buffered: set[int] = set()
+        self.since_ack = 0
+        self.edge = False
+
+    def observe(self, seq: int) -> bool:
+        if seq == self.cumulative:
+            cumulative = seq + 1
+            while cumulative in self.buffered:
+                self.buffered.discard(cumulative)
+                cumulative += 1
+            self.cumulative = cumulative
+            self.edge = cumulative > seq + 1
+            return True
+        if seq < self.cumulative or seq in self.buffered:
+            self.edge = False
+            return False
+        self.edge = not self.buffered
+        self.buffered.add(seq)
+        return True
+
+    def take_ack(self) -> tuple[int, tuple[int, ...]]:
+        self.since_ack = 0
+        return self.cumulative, tuple(sorted(self.buffered)[:DAIET_ACK_MAX_SACK])
+
+    def high_water(self) -> int:
+        return max(self.buffered, default=self.cumulative - 1)
+
+
+window_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, 60)),
+        st.tuples(st.just("ack"), st.just(0)),
+        # A fresh run: gaps between consecutive arrivals above the mark.
+        st.tuples(st.just("run"), st.lists(st.integers(0, 3), min_size=1, max_size=12)),
+    ),
+    max_size=80,
+)
+
+
+class TestSeenWindowAgainstSetModel:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=window_steps, every=st.integers(1, 9))
+    def test_any_interleaving_matches_the_set_model(self, steps, every):
+        """``observe`` / ``take_ack`` / ``accept_run`` in any order leave the
+        same ``(cumulative, sack, edge, since_ack)`` as a set-based window
+        driven arrival by arrival, and a run owes the ACKs that arrival by
+        arrival owes."""
+        window, model = SeenWindow(), _SetWindow()
+        for step, arg in steps:
+            if step == "observe":
+                assert window.observe(arg) == model.observe(arg)
+                window.count_arrival()
+                model.since_ack += 1
+            elif step == "ack":
+                assert window.take_ack() == model.take_ack()
+            else:
+                seqs, seq = [], model.high_water()
+                for gap in arg:
+                    seq += 1 + gap
+                    seqs.append(seq)
+                owed = []
+                for index, seq in enumerate(seqs):
+                    assert model.observe(seq)
+                    model.since_ack += 1
+                    if model.since_ack >= every or model.edge:
+                        owed.append((index, *model.take_ack()))
+                assert window.accept_run(seqs, every) == owed
+            assert window.high_water == model.high_water()
+            assert (
+                window.cumulative,
+                window.ack_state()[1],
+                window.edge,
+                window.since_ack,
+            ) == (
+                model.cumulative,
+                tuple(sorted(model.buffered)[:DAIET_ACK_MAX_SACK]),
+                model.edge,
+                model.since_ack,
+            )
