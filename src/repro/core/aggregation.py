@@ -499,7 +499,7 @@ class DaietAggregationEngine:
         """Apply the pairs of a burst of DATA packets as one vectorized op.
 
         ``kids``/``vals`` are the burst's interned key ids and values as
-        integer arrays in packet order, ``n`` the number of packets, ``bounds``
+        int64 arrays in packet order, ``n`` the number of packets, ``bounds``
         their cumulative pair counts (so emissions can be tagged with the
         packet index they followed), ``mass`` the exact sum of absolute
         values. The simulator's burst plan assembles these at send time
@@ -523,10 +523,6 @@ class DaietAggregationEngine:
             state.materialize()
             if mass >= _VEC_MASS_LIMIT:
                 return None
-        # Columns may be stored narrow; numpy's scatter-add and gathers take
-        # their fast paths on int64.
-        kids = kids.astype(_np.int64, copy=False)
-        vals = vals.astype(_np.int64, copy=False)
         kid_slot = state._vec_kid_slot
         size = kid_slot.shape[0]
         top = int(kids.max())
@@ -638,29 +634,33 @@ class DaietAggregationEngine:
     ) -> list[int | None]:
         """The sequence numbers of the packets the register kernel may take.
 
-        ``packets[start:stop]`` are DATA packets of one source, in arrival
-        order; the kernel may take the longest prefix returned. An
-        unsequenced packet always qualifies. A sequenced one qualifies while
-        it is not CE-marked, its number is above every number the source's
-        stream has seen (its high-water mark, carried along the run) and the
-        stream holds no stashed END: then the stream side of
-        :meth:`_process_data` only records it, counts it towards the cadence
-        and owes an ACK on the cadence or a fresh hole, which
-        :meth:`_accept_run` does for the run. Duplicates, gap-fills and the
-        arrivals that complete a stream stay with :meth:`_process_data`.
+        ``packets[start:stop]`` are DATA packets of one source and tree, in
+        arrival order, so either all of them are sequenced or none is; the
+        kernel may take the longest prefix returned. An unsequenced run
+        always qualifies. A sequenced packet qualifies while it is not
+        CE-marked, its number is above every number the source's stream has
+        seen (its high-water mark, carried along the run) and the stream
+        holds no stashed END: then the stream side of :meth:`_process_data`
+        only records it, counts it towards the cadence and owes an ACK on the
+        cadence or a fresh hole, which :meth:`_accept_run` does for the run.
+        Duplicates, gap-fills and the arrivals that complete a stream stay
+        with :meth:`_process_data`.
         """
-        seqs = [packet.seq for packet in packets[start:stop]]
-        if seqs.count(None) == len(seqs):
+        run = packets[start:stop]
+        seqs = [packet.seq for packet in run]
+        if not seqs or seqs[0] is None:
             return seqs
         window = state._seen.get(src)
-        high = -1 if window is None else window.high_water
-        ended = window is not None and window.end_seq is not None
-        for index, seq in enumerate(seqs):
-            if seq is None:
-                continue
-            if ended or packets[start + index].ecn or seq <= high:
+        if window is None:
+            high = -1
+        elif window.end_seq is not None:
+            return []
+        else:
+            high = window.high_water
+        for index, packet in enumerate(run):
+            if packet.ecn or packet.seq <= high:
                 return seqs[:index]
-            high = seq
+            high = packet.seq
         return seqs
 
     def _accept_run(
@@ -672,13 +672,8 @@ class DaietAggregationEngine:
         them. Returns the ACKs :meth:`_process_data` would have emitted for
         them, as ``(index in seqs, port, ack)``.
         """
-        unsequenced = seqs.count(None)
-        if unsequenced == len(seqs):
+        if not seqs or seqs[0] is None:
             return []
-        indexes = range(len(seqs))
-        if unsequenced:
-            indexes = [index for index, seq in enumerate(seqs) if seq is not None]
-            seqs = [seqs[index] for index in indexes]
         owed = state._seen[src].accept_run(seqs, state._ack_every)
         port = state.child_ports.get(src)
         counters = state.counters
@@ -690,7 +685,7 @@ class DaietAggregationEngine:
         name = self.switch_name
         return [
             (
-                indexes[at],
+                at,
                 port,
                 DaietAck(tree_id=tree_id, src=name, dst=src, cumulative=cumulative, sack=sack),
             )

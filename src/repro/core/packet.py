@@ -54,10 +54,9 @@ _VEC_VALUE_LIMIT = 1 << 62
 class PairColumns:
     """One partition's pairs as the register kernel reads them.
 
-    ``kids`` and ``vals`` are integer arrays over the partition's pairs in
-    order (interned key ids, see :mod:`repro.dataplane.interning`, as int32,
-    and values, as int32 when every magnitude is below 2**31 and int64
-    otherwise); packet ``i`` of the partition owns the ``per`` pairs from
+    ``kids`` and ``vals`` are int64 arrays over the partition's pairs in
+    order (interned key ids, see :mod:`repro.dataplane.interning`, and
+    values); packet ``i`` of the partition owns the ``per`` pairs from
     ``i * per`` on (fewer in the last packet). ``mass_cum[i]`` is the exact
     sum of ``|value|`` over the packets before ``i`` (Python ints: the
     kernel's int64-overflow guard then costs one subtraction per window,
@@ -102,24 +101,16 @@ class PairColumns:
             return
         if vals.min() <= -_VEC_VALUE_LIMIT or vals.max() >= _VEC_VALUE_LIMIT:
             return
+        # An int64 running sum could overflow near the ±2**62 edge, so the
+        # ledger sums 31-bit limbs (exact below 2**32 pairs) and recombines
+        # them as Python ints, at packet boundaries only.
         magnitude = _np.abs(vals)
         ends = _np.append(_np.arange(self.per, len(values), self.per), len(values)) - 1
-        # The columns live as long as their packets, so they are stored as
-        # narrow as the values allow (key ids always fit: a pool of 2**31
-        # keys would not fit in memory); the kernel widens what it reads.
-        self.kids = _np.array(kids, dtype=_np.int32)
-        if magnitude.max() < 1 << 31:
-            # Below 2**31 an int64 running sum is exact for 2**32 pairs.
-            self.vals = vals.astype(_np.int32)
-            self.mass_cum = [0, *_np.cumsum(magnitude)[ends].tolist()]
-            return
-        # Near the ±2**62 edge an int64 running sum could overflow, so the
-        # ledger sums 31-bit limbs and recombines them as Python ints, at
-        # packet boundaries only.
         highs = _np.cumsum(magnitude >> 31)[ends].tolist()
         lows = _np.cumsum(magnitude & 0x7FFFFFFF)[ends].tolist()
         self.mass_cum = [0, *((high << 31) + low for high, low in zip(highs, lows))]
         self.vals = vals
+        self.kids = _np.array(kids, dtype=_np.int64)
 
 #: UDP destination port reserved for DAIET traffic in the simulation.
 DAIET_UDP_PORT = 5555
@@ -275,7 +266,7 @@ class DaietPacket:
         """The packet's pairs as ``(kids, vals, mass)``, or ``None``.
 
         ``kids`` and ``vals`` are this packet's slices of its partition's
-        columns (views, not copies) and ``mass`` is the exact sum of
+        int64 columns (views, not copies) and ``mass`` is the exact sum of
         absolute values; ``None`` exactly when :meth:`vector_columns` is.
         """
         view = self.vector_columns()

@@ -473,8 +473,10 @@ class NetworkSimulator:
         to other devices and transmissions, which never read this switch,
         and plain ACKs, which only release flushes sent before them), before
         the first item that is not shape-eligible or that its
-        source's stream refuses (``DaietAggregationEngine._fresh_run``), past
-        ``until`` and over the event budget. The merged ``(time, seq)``
+        source's stream refuses (``DaietAggregationEngine._fresh_run``) and
+        past ``until``. Within reach of the event budget there is no batch:
+        the head goes alone, so a run cut by the budget stops between whole
+        per-packet events. The merged ``(time, seq)``
         prefix goes through the vectorized register kernel and each source's
         stream advances over its share (``_accept_run``). What an item emits
         (spillover flushes, then its ACK, as ``_process_data`` emits them) is
@@ -546,7 +548,8 @@ class NetworkSimulator:
             # queues behind its earlier one on the same uplink.
             cutoff = None
             mergeable = []
-            for entry in scheduler.entries_through(limit):
+            queued = scheduler.entries_through(limit)
+            for entry in queued:
                 callback = entry[2]
                 if callback is burst_sink:
                     p2, o2 = entry[3]
@@ -576,6 +579,16 @@ class NetworkSimulator:
                 bursts.append((p2, o2))
                 sources.add(p2.src)
             stops = [bisect_right(p.times, limit, o) for p, o in bursts]
+            # The event budget must not run out inside the batch, where its
+            # items are applied but their entries still wait in the queue. It
+            # must cover the items, every entry batched past and one more
+            # event each of those may schedule within the lookahead; short of
+            # that, the head goes alone.
+            if budget is not None and budget < 2 * (
+                len(queued) + sum(stops) - sum(o for _p, o in bursts)
+            ):
+                burst_sink(plan, offset)
+                return 1
             # Merge the collected bursts' candidate items by (time, seq).
             # Each burst's internal order is already sorted, so the stable
             # lexsort preserves it and every burst's consumed share is a
@@ -622,8 +635,6 @@ class NetworkSimulator:
                     (times_m < ct) | ((times_m == ct) & (seqs_m < cs))
                 )
             cut = len(eligible) if eligible.all() else int(_np.argmax(~eligible))
-            if budget is not None and cut > budget:
-                cut = budget
             # Each source's stream takes a prefix of its share: cut before
             # the first item one refuses. The head item was admitted and is
             # the earliest, so the cut keeps at least one item.

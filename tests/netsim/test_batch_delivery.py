@@ -318,6 +318,23 @@ def _twins(sequenced_observables, until: float | None = None, **kwargs) -> list[
     return results
 
 
+def register_contents(system: DaietSystem) -> dict:
+    """Every tree's key and value cells, pending kernel deltas folded in.
+
+    Reads without materializing, so the run it inspects goes on unchanged.
+    """
+    contents = {}
+    for name, engine in system.controller.engines.items():
+        for tree_id in engine.tree_ids():
+            state = engine.tree(tree_id)
+            values = list(state.value_register._cells)
+            if state._vec_mass:
+                for slot in np.flatnonzero(state._vec_delta).tolist():
+                    values[slot] += int(state._vec_delta[slot])
+            contents[name, tree_id] = (list(state.key_register._cells), values)
+    return contents
+
+
 def _first_draws(predicate, count: int) -> int:
     """The first loss seed whose first ``count`` draws satisfy ``predicate``."""
     for seed in range(10_000):
@@ -412,6 +429,29 @@ class TestSequencedWindowsEquivalence:
         assert fast_cut == slow_cut
         assert fast_end == slow_end
         assert not fast_cut["done"]
+
+    def test_event_cap_stops_between_whole_events(self, sequenced_observables, monkeypatch):
+        # run() stops at MAX_EVENTS. A batch must not have applied items
+        # whose events are still queued there: the cut leaves what that many
+        # per-packet events leave, registers included, and the rest of the
+        # run still converges.
+        system, *_ = sequenced_twin(False)
+        total = system.run()
+        finished = []
+        for cap in [total * k // 8 for k in range(1, 8)]:
+            runs = []
+            for fast in (True, False):
+                system, reducer, _truth, acks = sequenced_twin(fast)
+                monkeypatch.setattr("repro.netsim.simulator.MAX_EVENTS", cap)
+                events = system.run()
+                cut = sequenced_observables(system, reducer, events, acks)
+                cut["registers"] = register_contents(system)
+                monkeypatch.undo()
+                events = system.run()
+                runs.append((cut, sequenced_observables(system, reducer, events, acks)))
+            assert runs[0] == runs[1], cap
+            finished.append(runs[0][0]["done"])
+        assert not finished[0]
 
     def test_collision_heavy_tree(self, sequenced_observables):
         fast, slow = _twins(
