@@ -48,17 +48,14 @@ class UdpShuffle(ShuffleTransport):
                 self.accounting.network_pairs += len(pairs)
                 # One burst event per (mapper, reducer) stream: same wire
                 # behaviour as per-packet sends, one scheduler entry.
-                packets = list(
-                    packetize_pairs(
-                        pairs,
-                        tree_id=buffer.tree_id,
-                        src=mapper_host,
-                        dst=reducer_host,
-                        config=self.config,
-                        include_end=True,
-                    )
+                window = packetize_pairs(
+                    pairs,
+                    tree_id=buffer.tree_id,
+                    src=mapper_host,
+                    dst=reducer_host,
+                    config=self.config,
+                    include_end=True,
                 )
-                self.cluster.simulator.send_burst(mapper_host, packets)
-                for packet in packets:
-                    self.accounting.packets_sent += 1
-                    self.accounting.payload_bytes_sent += packet.payload_bytes()
+                self.cluster.simulator.send_burst(mapper_host, window)
+                self.accounting.packets_sent += len(window)
+                self.accounting.payload_bytes_sent += window.payload_bytes()

@@ -14,6 +14,7 @@ plugged into the switch pipeline as an extern action by the controller.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -30,6 +31,7 @@ from repro.core.packet import (
     DaietAck,
     DaietPacket,
     DaietPacketType,
+    PacketWindow,
     RetransmitBuffer,
     SeenWindow,
     packetize_pairs,
@@ -168,23 +170,15 @@ class TreeState:
         self.index_stack = IndexStack(capacity=slots)
         self.spillover = SpilloverBucket(capacity=self.config.effective_spillover_capacity)
         self.remaining_children = self.num_children
-        self._apply_policy()
+        stride = self.config.sampled_ack_stride if self.policy == "sampled" else 1
+        self._ack_every = self.config.ack_window * stride
+        self._reliable_emit = self.config.reliability and self.policy != "best_effort"
         if _np is not None and self.function.combine is _SUM_COMBINE:
             self._vec = True
             self._vec_delta = _np.zeros(slots, dtype=_np.int64)
             self._vec_kid_slot = _np.full(
                 max(64, _interning.pool_size()), _KID_UNKNOWN, dtype=_np.int64
             )
-
-    def set_policy(self, policy: str) -> None:
-        """Change the tree's reliability policy (per-tree overrides, failover)."""
-        self.policy = policy
-        self._apply_policy()
-
-    def _apply_policy(self) -> None:
-        stride = self.config.sampled_ack_stride if self.policy == "sampled" else 1
-        self._ack_every = self.config.ack_window * stride
-        self._reliable_emit = self.config.reliability and self.policy != "best_effort"
 
     def occupancy(self) -> int:
         """Number of register slots currently holding an aggregated pair."""
@@ -629,52 +623,49 @@ class DaietAggregationEngine:
         counters.pairs_aggregated += total - spilled - inserted
         return emissions
 
-    def _fresh_run(
-        self, state: TreeState, src: str, packets: list[DaietPacket], start: int, stop: int
-    ) -> list[int | None]:
-        """The sequence numbers of the packets the register kernel may take.
+    def _fresh_run(self, state: TreeState, window: PacketWindow, items: Any) -> int:
+        """How many of ``window``'s DATA items ``items`` the kernel may take.
 
-        ``packets[start:stop]`` are DATA packets of one source and tree, in
-        arrival order, so either all of them are sequenced or none is; the
-        kernel may take the longest prefix returned. An unsequenced run
+        ``items`` are ascending window indexes, in arrival order; the kernel
+        may take the prefix of the length returned. An unsequenced run
         always qualifies. A sequenced packet qualifies while it is not
         CE-marked, its number is above every number the source's stream has
-        seen (its high-water mark, carried along the run) and the stream
-        holds no stashed END: then the stream side of :meth:`_process_data`
-        only records it, counts it towards the cadence and owes an ACK on the
-        cadence or a fresh hole, which :meth:`_accept_run` does for the run.
-        Duplicates, gap-fills and the arrivals that complete a stream stay
-        with :meth:`_process_data`.
+        seen (its high-water mark) and the stream holds no stashed END: then
+        the stream side of :meth:`_process_data` only records it, counts it
+        towards the cadence and owes an ACK on the cadence or a fresh hole,
+        which :meth:`_accept_run` does for the run. A window's numbers
+        ascend, so only its first item can fall behind the high-water mark,
+        and only a packet already built can carry the CE bit. Duplicates,
+        gap-fills and the arrivals that complete a stream stay with
+        :meth:`_process_data`.
         """
-        run = packets[start:stop]
-        seqs = [packet.seq for packet in run]
-        if not seqs or seqs[0] is None:
-            return seqs
-        window = state._seen.get(src)
-        if window is None:
-            high = -1
-        elif window.end_seq is not None:
-            return []
-        else:
-            high = window.high_water
-        for index, packet in enumerate(run):
-            if packet.ecn or packet.seq <= high:
-                return seqs[:index]
-            high = packet.seq
-        return seqs
+        if window.seq_start is None or not items:
+            return len(items)
+        stream = state._seen.get(window.src)
+        if stream is not None and (
+            stream.end_seq is not None or window.seq_start + items[0] <= stream.high_water
+        ):
+            return 0
+        marked = (i - window.first for i, packet in window.built.items() if packet.ecn)
+        for index in sorted(marked):
+            at = bisect_left(items, index)
+            if at < len(items) and items[at] == index:
+                return at
+        return len(items)
 
     def _accept_run(
-        self, state: TreeState, src: str, seqs: list[int | None]
+        self, state: TreeState, window: PacketWindow, items: Any
     ) -> list[tuple[int, int, DaietAck]]:
-        """Advance ``src``'s stream over packets the kernel just applied.
+        """Advance the source's stream over ``window``'s items the kernel just applied.
 
-        ``seqs`` are their sequence numbers, as :meth:`_fresh_run` admitted
+        ``items`` are their window indexes, as :meth:`_fresh_run` admitted
         them. Returns the ACKs :meth:`_process_data` would have emitted for
-        them, as ``(index in seqs, port, ack)``.
+        them, as ``(position in items, port, ack)``.
         """
-        if not seqs or seqs[0] is None:
+        first, src = window.seq_start, window.src
+        if first is None or not items:
             return []
-        owed = state._seen[src].accept_run(seqs, state._ack_every)
+        owed = state._seen[src].accept_run([first + i for i in items], state._ack_every)
         port = state.child_ports.get(src)
         counters = state.counters
         if port is None:

@@ -33,7 +33,7 @@ from repro.core.config import DaietConfig
 from repro.core.controller import DaietController, InstalledJob
 from repro.core.errors import ConfigurationError, ControllerError
 from repro.core.functions import AggregationFunction, get as get_function
-from repro.core.packet import DaietPacket, DaietPacketType, packetize_pairs
+from repro.core.packet import DaietPacket, DaietPacketType, PacketWindow, packetize_pairs
 from repro.core.tree import AggregationTree
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, single_rack
@@ -288,10 +288,11 @@ class DaietSystem:
         reducer: str,
         pairs: Iterable[tuple[str, int]],
         include_end: bool = True,
-    ) -> list[DaietPacket]:
+    ) -> PacketWindow:
         """Packetize and send a mapper's partition towards a reducer.
 
-        Returns the packets injected (including the END marker).
+        Returns the window injected: its DATA packets and the END marker
+        (``len()`` counts them, and its packets are built when asked for).
         """
         tree = self.tree_for(reducer)
         if mapper not in tree.mappers:
@@ -303,20 +304,18 @@ class DaietSystem:
         reliable = self.config.reliability and policy != "best_effort"
         if reliable:
             channel = self.agent(mapper).sender(tree.tree_id, policy=policy)
-            packets = channel.packetize(pairs, reducer, self.config, include_end)
+            window = channel.packetize(pairs, reducer, self.config, include_end)
         else:
             # Unreliable path — either the reliability layer is off, or the
             # tree runs best-effort: unsequenced packets, no retransmit
             # buffer, no ACK/pull machinery, guaranteed termination.
-            packets = list(
-                packetize_pairs(
-                    pairs,
-                    tree_id=tree.tree_id,
-                    src=mapper,
-                    dst=reducer,
-                    config=self.config,
-                    include_end=include_end,
-                )
+            window = packetize_pairs(
+                pairs,
+                tree_id=tree.tree_id,
+                src=mapper,
+                dst=reducer,
+                config=self.config,
+                include_end=include_end,
             )
         if self.error_tracker is not None:
             # Only what was framed is injected mass: a partition the
@@ -325,12 +324,12 @@ class DaietSystem:
             # not inflate the ledger.
             self.error_tracker.record_injected(tree.tree_id, pairs)
         if reliable:
-            channel.send(packets)
+            channel.send(window)
             # The reducer starts pulling so even a fully-lost flush recovers.
             self.agent(reducer).arm(tree.tree_id)
         else:
-            self.simulator.send_burst(mapper, packets)
-        return packets
+            self.simulator.send_burst(mapper, window)
+        return window
 
     def run(self, until: float | None = None) -> int:
         """Run the simulation until all in-flight traffic is delivered."""

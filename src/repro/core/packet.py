@@ -15,6 +15,11 @@ end of a partition is marked by a special END packet.
   packet is limited on real hardware),
 * ``encode()`` / ``decode()`` — an actual byte-level serialization used by the
   round-trip property tests.
+
+:func:`packetize_pairs` takes the paper at its word: a partition becomes a
+:class:`PacketWindow`, whose sizes, sequence numbers and pair columns are
+arithmetic over the partition. A ``DaietPacket`` is built from it only for a
+consumer that needs one.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from __future__ import annotations
 import enum
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
-from itertools import repeat
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Iterator
 
 from repro.core.config import (
@@ -62,14 +67,15 @@ class PairColumns:
     kernel's int64-overflow guard then costs one subtraction per window,
     whatever the values).
 
-    The arrays are built by the first reader, not by the packetizer: only
-    the burst planner asks, so a switch flush and every packet an observer
-    watches never pay for them. ``ready()`` is ``False``, permanently, when
-    any pair is ineligible: a key the intern pool rejects (not exact
-    ``str``/``bytes``) or a value that is not a plain ``int`` within ±2**62
-    (bools and floats must keep their exact types through the per-pair
-    oracle path). The packets of such a partition then answer one by one,
-    each a partition of its own (see :meth:`DaietPacket.vector_columns`).
+    The arrays are built by the first reader, not by the packetizer: the
+    burst planner asks for a window a host sends, so a switch flush never
+    pays for them. ``ready()`` is ``False``, permanently, when any pair is
+    ineligible: a key the intern pool rejects (not exact ``str``/``bytes``)
+    or a value that is not a plain ``int`` within ±2**62 (bools and floats
+    must keep their exact types through the per-pair oracle path). Such a
+    window gets no burst plan; asked one by one, its packets (and a packet
+    built by the constructor) are each a partition of its own (see
+    :meth:`DaietPacket.vector_pairs`).
     """
 
     __slots__ = ("kids", "vals", "mass_cum", "per", "_source")
@@ -111,6 +117,9 @@ class PairColumns:
         self.mass_cum = [0, *((high << 31) + low for high, low in zip(highs, lows))]
         self.vals = vals
         self.kids = _np.array(kids, dtype=_np.int64)
+
+#: Ethernet + IPv4 + UDP: what every frame carries besides its DAIET payload.
+_FRAME_BYTES = ETHERNET_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES
 
 #: UDP destination port reserved for DAIET traffic in the simulation.
 DAIET_UDP_PORT = 5555
@@ -184,7 +193,7 @@ class DaietPacket:
         init=False, repr=False, compare=False
     )
     #: The :class:`PairColumns` this packet's pairs are part of and the
-    #: packet's index in it (see ``vector_columns()``); ``None`` once the
+    #: packet's index in it (see ``vector_pairs()``); ``None`` once the
     #: packet is known to be ineligible.
     _vec_cache: Any = field(init=False, repr=False, compare=False)
     _vec_at: int = field(init=False, repr=False, compare=False)
@@ -239,44 +248,31 @@ class DaietPacket:
     # ------------------------------------------------------------------ #
     # Vectorized-kernel view
     # ------------------------------------------------------------------ #
-    def vector_columns(self) -> tuple[PairColumns, int] | None:
-        """``(columns, index)``: where the kernel finds this packet's pairs.
-
-        A packet cut by :func:`packetize_pairs` points into its partition's
-        columns; any other packet (and every packet of a partition whose
-        columns refused an ineligible pair) is a partition of one, built
-        here on first use. ``None``, permanently, when the packet has no
-        pairs or an ineligible one (see :class:`PairColumns`). Packets are
-        immutable, so the answer never changes.
-        """
-        columns = self._vec_cache
-        if columns is None:
-            return None
-        if columns is _VEC_UNSET or not columns.ready():
-            columns = PairColumns(self.pairs, None, max(len(self.pairs), 1))
-            if not columns.ready():
-                columns = None
-            object.__setattr__(self, "_vec_cache", columns)
-            object.__setattr__(self, "_vec_at", 0)
-            if columns is None:
-                return None
-        return columns, self._vec_at
-
     def vector_pairs(self):
         """The packet's pairs as ``(kids, vals, mass)``, or ``None``.
 
         ``kids`` and ``vals`` are this packet's slices of its partition's
         int64 columns (views, not copies) and ``mass`` is the exact sum of
-        absolute values; ``None`` exactly when :meth:`vector_columns` is.
+        absolute values. A packet its window built points into the
+        partition's :class:`PairColumns`; any other packet, and every packet
+        of a partition whose columns refused an ineligible pair, is a
+        partition of one, built here on first use. ``None``, permanently,
+        when the packet has no pairs or an ineligible one.
         """
-        view = self.vector_columns()
-        if view is None:
+        columns = self._vec_cache
+        if columns is not None and (columns is _VEC_UNSET or not columns.ready()):
+            columns = PairColumns(self.pairs, None, max(len(self.pairs), 1))
+            if not columns.ready():
+                columns = None
+            object.__setattr__(self, "_vec_cache", columns)
+            object.__setattr__(self, "_vec_at", 0)
+        if columns is None:
             return None
-        columns, index = view
-        lo = index * columns.per
+        at = self._vec_at
+        lo = at * columns.per
         hi = lo + len(self.pairs)
         ledger = columns.mass_cum
-        return columns.kids[lo:hi], columns.vals[lo:hi], ledger[index + 1] - ledger[index]
+        return columns.kids[lo:hi], columns.vals[lo:hi], ledger[at + 1] - ledger[at]
 
     def restamped(self, tree_id: int, seq: int) -> "DaietPacket":
         """This packet under another tree id and sequence number.
@@ -330,12 +326,7 @@ class DaietPacket:
 
     def wire_bytes(self) -> int:
         """Full frame size (Ethernet + IPv4 + UDP + DAIET payload)."""
-        return (
-            ETHERNET_HEADER_BYTES
-            + IP_HEADER_BYTES
-            + UDP_HEADER_BYTES
-            + self._payload_bytes
-        )
+        return _FRAME_BYTES + self._payload_bytes
 
     # ------------------------------------------------------------------ #
     # Parser view
@@ -393,12 +384,7 @@ class DaietPacket:
         (see ``HeaderParser.charge``); the per-header walk only happens when
         the budget is actually exceeded.
         """
-        return (
-            ETHERNET_HEADER_BYTES
-            + IP_HEADER_BYTES
-            + UDP_HEADER_BYTES
-            + self._payload_bytes
-        )
+        return _FRAME_BYTES + self._payload_bytes
 
     # ------------------------------------------------------------------ #
     # Byte-level serialization
@@ -562,6 +548,78 @@ def _assemble(
 # ---------------------------------------------------------------------- #
 # Packetization helpers
 # ---------------------------------------------------------------------- #
+@dataclass(eq=False, repr=False, slots=True)
+class PacketWindow(Sequence):
+    """A partition cut into DAIET packets that are built only when asked for.
+
+    What :func:`packetize_pairs` returns: the partition's DATA packets, then
+    its END if it has one, as a read-only sequence. Every DATA packet carries
+    ``pairs_per_packet`` pairs except the last, and item ``i`` is numbered
+    ``seq_start + i``, so what the send path needs is arithmetic: ``sizes``
+    holds each item's wire size, ``columns`` the partition's pairs as the
+    register kernel reads them. ``window[i]`` builds packet ``i`` the first
+    time and returns that same object afterwards: the simulator sets the CE
+    bit on a packet in flight, and a retransmission resends the marked one.
+    A slice is a view over the same packets.
+    """
+
+    tree_id: int
+    src: str
+    dst: str
+    config: DaietConfig
+    pairs: list[tuple[str, int]]
+    columns: PairColumns
+    #: Sequence number of item 0 (``None``: an unsequenced window).
+    seq_start: int | None
+    #: Wire size of each item.
+    sizes: list[int]
+    #: Partition index -> the packet built for it, shared by every view.
+    built: dict[int, DaietPacket]
+    #: The partition's index of item 0 (non-zero in a view).
+    first: int = 0
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, index: Any) -> Any:
+        count = len(self.sizes)
+        if isinstance(index, slice):
+            lo, hi, step = index.indices(count)
+            if step != 1:
+                raise ValueError("a packet window slices contiguously")
+            if lo == 0 and hi >= count:
+                return self
+            start = self.seq_start
+            return replace(
+                self, sizes=self.sizes[lo:hi], first=self.first + lo,
+                seq_start=None if start is None else start + lo,
+            )
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("packet window index out of range")
+        at = self.first + index
+        packet = self.built.get(at)
+        if packet is None:
+            per = self.config.pairs_per_packet
+            packet = self.built[at] = _assemble(
+                self.tree_id, self.src, self.dst, DaietPacketType.DATA,
+                tuple(self.pairs[at * per : at * per + per]), self.config,
+                None if self.seq_start is None else self.seq_start + index,
+                False, False, self.sizes[index] - _FRAME_BYTES, None, self.columns, at,
+            )
+        return packet
+
+    def __iter__(self) -> Iterator[DaietPacket]:
+        get = self.built.get
+        for index in range(len(self.sizes)):
+            yield get(self.first + index) or self[index]
+
+    def payload_bytes(self) -> int:
+        """Total DAIET payload size of the window's packets."""
+        return sum(self.sizes) - _FRAME_BYTES * len(self.sizes)
+
+
 def packetize_pairs(
     pairs: Iterable[tuple[str, int]],
     tree_id: int,
@@ -570,7 +628,7 @@ def packetize_pairs(
     config: DaietConfig | None = None,
     include_end: bool = True,
     seq_start: int | None = None,
-) -> Iterator[DaietPacket]:
+) -> PacketWindow:
     """Split a partition of key-value pairs into DAIET DATA packets (plus END).
 
     This is the mapper-side packetization described in the paper: the map
@@ -580,78 +638,47 @@ def packetize_pairs(
     there, as required by the reliability layer.
 
     The one packetizer: hosts (reliable or not), the UDP baseline and the
-    switch flush path all cut their packets here. The partition is
-    materialised and cut in bulk (:func:`_bulk_data_packets`) when the intern
-    pool can vouch for every key; otherwise each packet goes through the
-    validating :class:`DaietPacket` constructor, which is the oracle: its
-    packets and its errors are the contract.
+    switch flush path all cut their packets here. When the intern pool can
+    vouch for every key (each distinct key is measured once, when the pool
+    first interns it), sizes follow arithmetically and the DATA packets are
+    built later, if anything asks. Otherwise (a negative tree id, a sequence
+    number that would not fit, malformed pairs, keys outside the pool's
+    domain, an over-wide or NUL-suffixed key) the validating
+    :class:`DaietPacket` constructor builds them here: it is the oracle for
+    packets and for errors.
     """
     config = config or DaietConfig()
     pairs = list(pairs)
     per_packet = config.pairs_per_packet
-    packets = _bulk_data_packets(pairs, tree_id, src, dst, config, seq_start)
-    if packets is None:
-        packets = (
-            DaietPacket(
-                tree_id=tree_id,
-                src=src,
-                dst=dst,
-                packet_type=DaietPacketType.DATA,
-                pairs=tuple(pairs[start : start + per_packet]),
-                config=config,
-                seq=None if seq_start is None else seq_start + start // per_packet,
-            )
-            for start in range(0, len(pairs), per_packet)
-        )
-    yield from packets
-    if include_end:
-        count = -(-len(pairs) // per_packet)
-        yield end_packet(
-            tree_id, src, dst, config, None if seq_start is None else seq_start + count
-        )
-
-
-def _bulk_data_packets(
-    pairs: list[tuple[str, int]],
-    tree_id: int,
-    src: str,
-    dst: str,
-    config: DaietConfig,
-    seq_start: int | None,
-) -> list[DaietPacket] | None:
-    """The DATA packets of a partition, sized from interned key metadata.
-
-    Each distinct key is measured once, when the pool first interns it, and
-    every packet's size follows arithmetically; the packets are what
-    ``DaietPacket(...)`` would build. They share one :class:`PairColumns`
-    (built only if the burst planner asks). Returns ``None`` for anything
-    the constructor must judge instead: a negative tree id, a sequence number
-    that would not fit its field, malformed pairs, keys outside the pool's
-    domain and an over-wide or NUL-suffixed key.
-    """
-    per_packet = config.pairs_per_packet
     count = -(-len(pairs) // per_packet)
-    if tree_id < 0 or (seq_start is not None and not 0 <= seq_start <= 2**32 - count):
-        return None
     try:
         kids, widest, any_nul = _interning.intern_keys([key for key, _value in pairs])
+        vouched = widest <= config.key_width and not any_nul
     except (TypeError, ValueError):
-        return None
-    if widest > config.key_width or any_nul:
-        return None
-    base = DAIET_PREAMBLE_BYTES + (0 if seq_start is None else SEQ_BYTES)
-    starts = range(0, len(pairs), per_packet)
-    sizes = [base + min(per_packet, len(pairs) - at) * config.pair_bytes for at in starts]
-    seqs = repeat(None) if seq_start is None else range(seq_start, seq_start + count)
-    columns = PairColumns(pairs, kids, per_packet)
-    data = DaietPacketType.DATA
-    return [
-        _assemble(
-            tree_id, src, dst, data, tuple(pairs[at : at + per_packet]), config, seq,
-            False, False, size, None, columns, place,
+        kids, vouched = None, False
+    if not vouched or tree_id < 0 or not 0 <= (seq_start or 0) <= 2**32 - count:
+        built = {
+            at: DaietPacket(
+                tree_id, src, dst, DaietPacketType.DATA,
+                tuple(pairs[at * per_packet : at * per_packet + per_packet]), config,
+                None if seq_start is None else seq_start + at,
+            )
+            for at in range(count)
+        }
+        sizes = [packet.wire_bytes() for packet in built.values()]
+    else:
+        built = {}
+        base = _FRAME_BYTES + DAIET_PREAMBLE_BYTES + (0 if seq_start is None else SEQ_BYTES)
+        sizes = [base + per_packet * config.pair_bytes] * count
+        if count:
+            sizes[-1] = base + (len(pairs) - (count - 1) * per_packet) * config.pair_bytes
+    if include_end:
+        built[count] = end = end_packet(
+            tree_id, src, dst, config, None if seq_start is None else seq_start + count
         )
-        for place, (at, size, seq) in enumerate(zip(starts, sizes, seqs))
-    ]
+        sizes.append(end.wire_bytes())
+    columns = PairColumns(pairs, kids, per_packet)
+    return PacketWindow(tree_id, src, dst, config, pairs, columns, seq_start, sizes, built)
 
 
 def end_packet(
@@ -938,12 +965,7 @@ class DaietAck:
 
     def wire_bytes(self) -> int:
         """Full frame size (Ethernet + IPv4 + UDP + ACK payload)."""
-        return (
-            ETHERNET_HEADER_BYTES
-            + IP_HEADER_BYTES
-            + UDP_HEADER_BYTES
-            + self.payload_bytes()
-        )
+        return _FRAME_BYTES + self.payload_bytes()
 
     def header_stack(self) -> list[tuple[str, Any, int]]:
         """Headers visible to the switch parser."""

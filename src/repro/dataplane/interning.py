@@ -21,10 +21,11 @@ bit-exact Algorithm 1 loop.
 
 Two callers. The packetizer (``core/packet.py::packetize_pairs``) interns a
 whole partition through :func:`intern_keys`, which also answers the two
-questions packet sizing asks (widest key, any NUL suffix) from the metadata
-of each *distinct* key, and a lone packet's vector view interns through the
-same function. The register kernel (``core/aggregation.py``) reads ``crc`` and
-the key object back by kid. The containers below are named nowhere else
+questions a window's size arithmetic asks (widest key, any NUL suffix) from
+the metadata of each *distinct* key, and keeps the kids in the partition's
+columns; a lone packet's columns intern through the same function. The
+register kernel (``core/aggregation.py``) reads ``crc`` and the key object back
+by kid. The containers below are named nowhere else
 (``tests/checks/test_lint_gate.py`` holds that), so the pool can be re-homed
 by editing this file alone.
 """

@@ -240,6 +240,6 @@ class DaietShuffle(ShuffleTransport):
                     self.accounting.local_pairs += len(pairs)
                     continue
                 self.accounting.network_pairs += len(pairs)
-                for packet in self.system.send_pairs(mapper_host, reducer_host, pairs):
-                    self.accounting.packets_sent += 1
-                    self.accounting.payload_bytes_sent += packet.payload_bytes()
+                window = self.system.send_pairs(mapper_host, reducer_host, pairs)
+                self.accounting.packets_sent += len(window)
+                self.accounting.payload_bytes_sent += window.payload_bytes()

@@ -26,7 +26,7 @@ from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError, TableError, TopologyError
-from repro.core.packet import DaietAck, DaietPacket, DaietPacketType
+from repro.core.packet import DaietAck, PacketWindow, PairColumns
 from repro.netsim.devices import (
     Device,
     Host,
@@ -34,7 +34,7 @@ from repro.netsim.devices import (
     _switch_packet_bytes,
     packet_wire_bytes,
 )
-from repro.netsim.events import Event, EventScheduler, Timer
+from repro.netsim.events import EventScheduler, Timer
 from repro.netsim.links import Link
 from repro.netsim.routing import (
     RoutingState,
@@ -49,8 +49,6 @@ try:  # The burst delivery fast path needs numpy; the simulator does not.
     import numpy as _np
 except ImportError:  # pragma: no cover - the toolchain bakes numpy in
     _np = None
-
-_DAIET_DATA = DaietPacketType.DATA
 
 #: Safety valve: the most events a single ``run`` may execute.
 MAX_EVENTS = 50_000_000
@@ -72,27 +70,29 @@ OBSERVER_HOOKS = (
 
 
 class _BurstPlan:
-    """Send-time precomputation for one burst's delivery fast path.
+    """Send-time precomputation for one window's burst delivery fast path.
 
-    Built by :meth:`NetworkSimulator.send_burst` so that the burst delivery
-    handler can batch a whole window of DAIET DATA packets without touching
-    the packet objects: per-item eligibility, the window's interned-key/value
-    arrays (views of the sender's partition columns where the window is one
-    run of them), per-packet pair extents and exact cumulative mass/byte
-    ledgers are all ready-made. The
-    wire-dependent fields (arrival ``times``, the ``seq0`` base, delivery
-    ``target``/``ingress``) are filled in by ``_transmit_burst`` when the
-    burst hits its uplink, which also drops the items lost on it. Items
-    before ``next`` are delivered; a batch stores what such an item emitted
-    in ``deferred`` until the queue reaches the item's own position.
+    Built by :meth:`NetworkSimulator.send_burst` from a
+    :class:`~repro.core.packet.PacketWindow` so that the burst delivery
+    handler can batch the window's DATA packets without building them:
+    per-item eligibility (a DATA packet carries pairs, the END does not),
+    the window's interned-key/value arrays (views of its partition's
+    columns), per-item pair extents and exact cumulative mass/byte ledgers
+    all come from the window's arithmetic. ``items`` are the window indexes
+    the plan still carries; ``packet(k)`` builds one only for a consumer
+    that needs it. The wire-dependent fields (arrival ``times``, the
+    ``seq0`` base, delivery ``target``/``ingress``) are filled in by
+    ``_transmit_burst`` when the burst hits its uplink, which also drops the
+    items lost on it. Items before ``next`` are delivered; a batch stores
+    what such an item emitted in ``deferred`` until the queue reaches the
+    item's own position.
     """
 
     __slots__ = (
-        "packets",
+        "window",
+        "items",
         "nbytes",
         "shape_ok",
-        "tree_id",
-        "src",
         "max_nbytes",
         "max_cost",
         "kids",
@@ -108,6 +108,41 @@ class _BurstPlan:
         "next",
         "deferred",
     )
+
+    def __init__(self, window: PacketWindow, columns: PairColumns) -> None:
+        n = len(window)
+        per = columns.per
+        first = window.first
+        # The window's DATA items, then (at most) its END.
+        data_stop = min(first + n, -(-len(window.pairs) // per))
+        ndata = data_stop - first
+        self.npairs = npairs = _np.full(n, per, dtype=_np.int64)
+        npairs[ndata - 1] = min(per, len(window.pairs) - (data_stop - 1) * per)
+        npairs[ndata:] = 0
+        self.shape_ok = npairs > 0
+        self.pair_start = _np.arange(0, n * per, per, dtype=_np.int64)
+        lo = first * per
+        hi = lo + (ndata - 1) * per + int(npairs[ndata - 1])
+        self.kids = columns.kids[lo:hi]
+        self.vals = columns.vals[lo:hi]
+        ledger = columns.mass_cum
+        self.mass_cum = ledger[first : data_stop + 1] + [ledger[data_stop]] * (n - ndata)
+        self.window = window
+        self.items: Any = range(n)
+        self.nbytes = window.sizes
+        self.nbytes_cum = list(accumulate(self.nbytes, initial=0))
+        self.max_nbytes = max(self.nbytes[:ndata])
+        self.max_cost = 3 + int(npairs[0])
+        self.times = None
+        self.seq0 = -1
+        self.target = None
+        self.ingress = -1
+        self.next = 0
+        self.deferred = {}
+
+    def packet(self, offset: int) -> Any:
+        """The packet of item ``offset``, built if nothing built it yet."""
+        return self.window[self.items[offset]]
 
     def kernel_input(self, offset: int, count: int) -> tuple[Any, Any, int, int, Any]:
         """``_vector_apply``'s arguments for items ``offset .. offset + count``.
@@ -133,11 +168,11 @@ class _BurstPlan:
 
         The survivors keep their pair extents in the plan's arrays.
         """
-        keep = _np.ones(len(self.packets), dtype=bool)
+        keep = _np.ones(len(self.items), dtype=bool)
         keep[lost] = False
         kept = _np.flatnonzero(keep).tolist()
         masses = [self.mass_cum[i + 1] - self.mass_cum[i] for i in kept]
-        self.packets = [self.packets[i] for i in kept]
+        self.items = [self.items[i] for i in kept]
         self.nbytes = [self.nbytes[i] for i in kept]
         self.npairs = self.npairs[keep]
         self.shape_ok = self.shape_ok[keep]
@@ -160,77 +195,21 @@ def _gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, An
     return kids[pair_idx], vals[pair_idx], bounds
 
 
-def _plan_burst(items: list[tuple[Any, int]]) -> _BurstPlan | None:
-    """Precompute a :class:`_BurstPlan` for ``items``, or ``None``.
+def _plan_burst(window: PacketWindow) -> _BurstPlan | None:
+    """A :class:`_BurstPlan` for ``window``, or ``None``.
 
-    An item is *shape-eligible* when it is a DAIET DATA packet of the
-    burst's (single) tree and source whose pairs have columns
-    (``DaietPacket.vector_columns``); sequenced or not, the engine decides
-    at delivery whether its stream lets the kernel take it
-    (``DaietAggregationEngine._fresh_run``). The plan's pair arrays are
-    stitched from those columns run by run; a window that is one contiguous
-    run of one partition, which is what a mapper sends, takes them as views.
-    The switch-specific budget checks are applied once per burst by the
-    burst handler via the precomputed ``max_nbytes``/``max_cost``. Items of
-    another tree or source are simply marked ineligible (they replay through
-    the per-packet sink), so a mixed burst still fast-paths its majority.
-    ``None`` means no item is eligible (or numpy is missing).
+    Every DATA item of a window is *shape-eligible* when its partition has
+    columns (``PairColumns.ready``); sequenced or not, the engine decides at
+    delivery whether its stream lets the kernel take it
+    (``DaietAggregationEngine._fresh_run``). The switch-specific budget
+    checks are applied once per burst by the burst handler via the
+    precomputed ``max_nbytes``/``max_cost``. ``None`` for a window without
+    DATA, for a partition with an ineligible pair and when numpy is missing.
     """
-    n = len(items)
-    if _np is None:
+    columns = window.columns
+    if _np is None or window.first * columns.per >= len(window.pairs) or not columns.ready():
         return None
-    npairs = [0] * n
-    masses = [0] * n
-    #: Maximal runs of consecutive packets of one partition:
-    #: ``[columns, first pair, one past the last pair]``.
-    runs: list[list[Any]] = []
-    tree_id = -1
-    src = None
-    for i, (packet, _nbytes) in enumerate(items):
-        if (
-            type(packet) is DaietPacket
-            and packet.packet_type is _DAIET_DATA
-            and (tree_id < 0 or (packet.tree_id == tree_id and packet.src == src))
-            and (view := packet.vector_columns()) is not None
-        ):
-            tree_id = packet.tree_id
-            src = packet.src
-            columns, at = view
-            npairs[i] = count = len(packet.pairs)
-            lo = at * columns.per
-            if runs and runs[-1][0] is columns and runs[-1][2] == lo:
-                runs[-1][2] = lo + count
-            else:
-                runs.append([columns, lo, lo + count])
-            ledger = columns.mass_cum
-            masses[i] = ledger[at + 1] - ledger[at]
-    if not runs:
-        return None
-    plan = _BurstPlan()
-    plan.packets = [packet for packet, _nbytes in items]
-    plan.nbytes = [nbytes for _packet, nbytes in items]
-    plan.npairs = _np.array(npairs, dtype=_np.int64)
-    # An eligible packet carries at least one pair, and the pairs of the
-    # eligible packets sit in the plan's arrays back to back.
-    plan.shape_ok = plan.npairs > 0
-    plan.pair_start = _np.cumsum(plan.npairs) - plan.npairs
-    plan.tree_id = tree_id
-    plan.src = src
-    plan.max_nbytes = int(_np.array(plan.nbytes)[plan.shape_ok].max())
-    plan.max_cost = 3 + int(plan.npairs.max())
-    kid_parts = [columns.kids[lo:hi] for columns, lo, hi in runs]
-    val_parts = [columns.vals[lo:hi] for columns, lo, hi in runs]
-    plan.kids = kid_parts[0] if len(runs) == 1 else _np.concatenate(kid_parts)
-    plan.vals = val_parts[0] if len(runs) == 1 else _np.concatenate(val_parts)
-    plan.mass_cum = list(accumulate(masses, initial=0))
-    plan.nbytes_cum = list(accumulate(plan.nbytes, initial=0))
-    plan.times = None
-    plan.seq0 = -1
-    plan.target = None
-    plan.ingress = -1
-    plan.next = 0
-    plan.deferred = {}
-    return plan
+    return _BurstPlan(window, columns)
 
 
 @dataclass
@@ -513,9 +492,9 @@ class NetworkSimulator:
                     counters.bytes_out += _switch_packet_bytes(out_packet, counters)
                     transmit(name, port, out_packet, packet_wire_bytes(out_packet))
                 return
-            sink(plan.target, plan.ingress, plan.packets[offset], plan.nbytes[offset])
+            sink(plan.target, plan.ingress, plan.packet(offset), plan.nbytes[offset])
             nxt = plan.next = offset + 1
-            if nxt < len(plan.packets):
+            if nxt < len(plan.items):
                 scheduler.push_entry(
                     (plan.times[nxt], plan.seq0 + nxt, burst_sink, (plan, nxt))
                 )
@@ -527,19 +506,19 @@ class NetworkSimulator:
             if offset < plan.next:
                 burst_sink(plan, offset)
                 return 1
-            resolved = resolve(plan.tree_id) if plan.shape_ok[offset] else None
+            resolved = resolve(plan.window.tree_id) if plan.shape_ok[offset] else None
             if (
                 resolved is None
                 or not within_budgets(plan)
                 or not resolved[0]._fresh_run(
-                    resolved[1], plan.src, plan.packets, offset, offset + 1
+                    resolved[1], plan.window, plan.items[offset : offset + 1]
                 )
             ):
                 # Head item is not kernel-eligible: per-packet delivery.
                 burst_sink(plan, offset)
                 return 1
             engine, state = resolved
-            tree_id = plan.tree_id
+            tree_id = plan.window.tree_id
             limit = time + min(link.propagation_s for link in links.values())
             if until is not None and until < limit:
                 limit = until
@@ -555,7 +534,7 @@ class NetworkSimulator:
                     p2, o2 = entry[3]
                     if o2 < p2.next:
                         continue  # a delivered item's emissions
-                    if p2.tree_id == tree_id and within_budgets(p2):
+                    if p2.window.tree_id == tree_id and within_budgets(p2):
                         mergeable.append(entry)
                         continue
                 elif callback is sink:
@@ -567,17 +546,17 @@ class NetworkSimulator:
                 if cutoff is None or entry[:2] < cutoff[:2]:
                     cutoff = entry
             bursts: list[tuple[_BurstPlan, int]] = [(plan, offset)]
-            sources = {plan.src}
+            sources = {plan.window.src}
             mergeable.sort(key=itemgetter(0, 1))
             for entry in mergeable:
                 if cutoff is not None and entry[:2] > cutoff[:2]:
                     break
                 p2, o2 = entry[3]
-                if p2.src in sources:
+                if p2.window.src in sources:
                     cutoff = entry
                     break
                 bursts.append((p2, o2))
-                sources.add(p2.src)
+                sources.add(p2.window.src)
             stops = [bisect_right(p.times, limit, o) for p, o in bursts]
             # The event budget must not run out inside the batch, where its
             # items are applied but their entries still wait in the queue. It
@@ -640,12 +619,9 @@ class NetworkSimulator:
             # the earliest, so the cut keeps at least one item.
             counts = [cut] if k == 1 else _np.bincount(bid[:cut], minlength=k).tolist()
             refused = cut
-            admitted = []
             for j, (p, o) in enumerate(bursts):
                 c = counts[j]
-                seqs = engine._fresh_run(state, p.src, p.packets, o, o + c) if c else []
-                admitted.append(seqs)
-                fresh = len(seqs)
+                fresh = engine._fresh_run(state, p.window, p.items[o : o + c]) if c else 0
                 if fresh < c:
                     at = fresh if k == 1 else int(_np.flatnonzero(bid[:cut] == j)[fresh])
                     refused = min(refused, at)
@@ -692,7 +668,7 @@ class NetworkSimulator:
                 if c:
                     nbytes_total += p.nbytes_cum[o + c] - p.nbytes_cum[o]
                     nxt = p.next = o + c
-                    if nxt < len(p.packets):
+                    if nxt < len(p.items):
                         scheduler.push_entry(
                             (p.times[nxt], p.seq0 + nxt, burst_sink, (p, nxt))
                         )
@@ -707,8 +683,8 @@ class NetworkSimulator:
             emitted: dict[int, list[tuple[int, Any]]] = {}
             for pkt_i, port, out in result:
                 emitted.setdefault(pkt_i, []).append((port, out))
-            for j, (p, _o) in enumerate(bursts):
-                acks = engine._accept_run(state, p.src, admitted[j][: counts[j]])
+            for j, (p, o) in enumerate(bursts):
+                acks = engine._accept_run(state, p.window, p.items[o : o + counts[j]])
                 if acks:
                     at = range(cut) if k == 1 else _np.flatnonzero(shares[j]).tolist()
                     for i, port, ack in acks:
@@ -788,12 +764,19 @@ class NetworkSimulator:
         """Inject a window of packets from one host as a single wire event.
 
         Semantically identical to calling :meth:`send` once per packet — the
-        packets hit the wire in list order at the same simulated time, with
+        packets hit the wire in order at the same simulated time, with
         identical loss draws, link serialization and statistics — but the
         whole window costs one scheduler entry instead of N. Senders with
         bursty windows (map-output packetization, retransmission rounds)
         use this to keep the event queue proportional to in-flight traffic
         rather than to send-call volume.
+
+        ``packets`` is a :class:`~repro.core.packet.PacketWindow` (what the
+        packetizer returns) or any iterable of packets. A window is sized by
+        its own arithmetic and gets the burst plan of the delivery fast
+        path, computed here, at send time, with no per-packet walk; its
+        packets are built only where a per-packet consumer needs one. A
+        plain list (datagrams, retransmissions) gets no plan.
 
         Each burst member still counts as one logical event in the totals
         reported by :meth:`run`. Returns the number of packets injected.
@@ -807,26 +790,30 @@ class NetworkSimulator:
             raise TopologyError(f"host {src_host!r} has no uplink")
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        items = [(packet, packet_wire_bytes(packet)) for packet in packets]
-        if not items:
+        plan = None
+        if isinstance(packets, PacketWindow):
+            sizes = packets.sizes
+            if self._fast_burst and len(sizes) > 1:
+                plan = _plan_burst(packets)
+        else:
+            packets = list(packets)
+            sizes = [packet_wire_bytes(packet) for packet in packets]
+        if not sizes:
             return 0
         # The window is accounted once (integer counters, so exactly what
         # per-packet accounting would add up to).
-        total = sum(nbytes for _packet, nbytes in items)
-        device.counters.packets_sent += len(items)
-        device.counters.bytes_sent += total
-        # The burst plan is computed here, at send time, so the delivery
-        # fast path pays nothing per packet.
-        plan = _plan_burst(items) if self._fast_burst and len(items) > 1 else None
+        device.counters.packets_sent += len(sizes)
+        device.counters.bytes_sent += sum(sizes)
         self.scheduler.push_at(
-            self.scheduler.now + delay, self._transmit_burst, (src_host, items, plan)
+            self.scheduler.now + delay, self._transmit_burst, (src_host, packets, sizes, plan)
         )
-        return len(items)
+        return len(sizes)
 
     def _transmit_burst(
         self,
         src_host: str,
-        items: list[tuple[Any, int]],
+        packets: Any,
+        sizes: list[int],
         plan: _BurstPlan | None = None,
     ) -> None:
         """Put a whole window of packets on a host's uplink, in order.
@@ -845,7 +832,7 @@ class NetworkSimulator:
         ``_transmit`` is statically dead here. Every other window goes
         through ``_transmit`` packet by packet.
         """
-        n = len(items)
+        n = len(sizes)
         self._synthetic_events += n - 1
         if plan is not None:
             (
@@ -873,11 +860,11 @@ class NetworkSimulator:
                 draw = self._loss_rng.random
                 times: list[float] = []
                 lost: list[int] = []
-                for i, nbytes in enumerate(plan.nbytes):
+                for i, nbytes in enumerate(sizes):
                     busy_end = busy_end + nbytes / bandwidth
                     if loss_rate > 0.0 and draw() < loss_rate:
                         lost.append(i)
-                        self._drop("loss", link_name, items[i][0])
+                        self._drop("loss", link_name, packets[i])
                     else:
                         times.append(busy_end + propagation)
                 busy[busy_key] = busy_end
@@ -891,7 +878,7 @@ class NetworkSimulator:
                     scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
                 return
         transmit = self._transmit_entry
-        for packet, nbytes in items:
+        for packet, nbytes in zip(packets, sizes):
             transmit(src_host, 0, packet, nbytes)
 
     def _observed_transmit(
@@ -1042,10 +1029,6 @@ class NetworkSimulator:
     # ------------------------------------------------------------------ #
     # Timer hooks (used by the end-host reliability layer)
     # ------------------------------------------------------------------ #
-    def schedule_timer(self, delay: float, callback: Any, *args: Any) -> Event:
-        """Schedule an application callback (e.g. a retransmit check)."""
-        return self.scheduler.schedule(delay, callback, *args)
-
     def timer(self, callback: Any) -> Timer:
         """A restartable one-shot :class:`Timer` on this simulation's clock."""
         return Timer(self.scheduler, callback)

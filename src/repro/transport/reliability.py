@@ -38,6 +38,7 @@ to the loss actually experienced.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import repeat
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
@@ -47,6 +48,7 @@ from repro.core.packet import (
     DaietAck,
     DaietPacket,
     DaietPacketType,
+    PacketWindow,
     SeenWindow,
     packetize_pairs,
 )
@@ -171,63 +173,75 @@ class ReliableSenderChannel:
         dst: str,
         config: DaietConfig,
         include_end: bool = True,
-    ) -> list[DaietPacket]:
-        """Frame ``pairs`` as this stream's next packets, numbered as built."""
-        packets = list(
-            packetize_pairs(
-                pairs,
-                tree_id=self.tree_id,
-                src=self.host,
-                dst=dst,
-                config=config,
-                include_end=include_end,
-                seq_start=self._next_seq,
-            )
+    ) -> PacketWindow:
+        """Frame ``pairs`` as this stream's next packets, numbered as cut."""
+        window = packetize_pairs(
+            pairs,
+            tree_id=self.tree_id,
+            src=self.host,
+            dst=dst,
+            config=config,
+            include_end=include_end,
+            seq_start=self._next_seq,
         )
-        self._next_seq += len(packets)
-        return packets
+        self._next_seq += len(window)
+        return window
 
     def send(self, packets: Iterable[DaietPacket]) -> int:
         """Buffer sequenced packets and inject them up to the send window.
 
-        Without a congestion controller the whole window is injected as one
-        burst event (see
-        :meth:`~repro.netsim.simulator.NetworkSimulator.send_burst`): the
-        packets hit the wire in order at the same simulated time as
-        per-packet sends would, but cost one scheduler entry instead of N.
-        With a controller, packets beyond the congestion window queue in the
-        engine and follow as acknowledgements open it.
+        ``packets`` is a window from :meth:`packetize`, whose numbering is
+        checked once, or sequenced packets (the failover replay), all
+        checked before anything is buffered. The engine buffers each
+        packet's slot, ``(window, index)``: a packet is built from it only
+        when it is resent, replayed or watched. Without a congestion
+        controller the whole window is injected as one burst event (see
+        :meth:`~repro.netsim.simulator.NetworkSimulator.send_burst`); with
+        one, packets beyond the congestion window queue in the engine and
+        follow as acknowledgements open it.
         """
-        # Validate the whole window before buffering or counting anything:
-        # a bad packet mid-iteration must not leave earlier packets stranded
-        # in the retransmit buffer without ever hitting the wire.
-        window = list(packets)
-        for packet in window:
-            if packet.seq is None:
-                raise TransportError(
-                    "reliable channels require packets with sequence numbers"
-                )
-        return self._engine.send((packet.seq, packet) for packet in window)
+        if isinstance(packets, PacketWindow):
+            source, start = packets, packets.seq_start
+            seqs: Any = None if start is None else range(start, start + len(source))
+        else:
+            source = list(packets)
+            seqs = [packet.seq for packet in source]
+            if None in seqs:
+                seqs = None
+        if seqs is None:
+            raise TransportError("reliable channels require packets with sequence numbers")
+        return self._engine.send(zip(seqs, zip(repeat(source), range(len(seqs)))))
 
     def on_ack(self, ack: DaietAck) -> None:
         """Drop acknowledged packets; gap-fill when the ACK proves a hole."""
         self.stats.acks_received += 1
         self._engine.on_ack(ack.cumulative, set(ack.sack))
 
-    def _transmit(self, packets: list[DaietPacket], retransmit: bool) -> None:
-        """Engine callback: account one batch and put it on the wire."""
+    def _transmit(self, slots: list[tuple[Any, int]], retransmit: bool) -> None:
+        """Engine callback: account one batch and put it on the wire.
+
+        Fresh consecutive slots of one window (all of it, unless a
+        congestion window paces it) go out as a view of that window, sized
+        by its arithmetic; anything else, retransmissions included, as the
+        packets themselves.
+        """
         stats = self.stats
+        source, lo = slots[0]
+        last, hi = slots[-1]
+        contiguous = last is source and hi - lo == len(slots) - 1
+        if not retransmit and contiguous and isinstance(source, PacketWindow):
+            burst: Any = source[lo : hi + 1]
+            wire_bytes = sum(burst.sizes)
+        else:
+            burst = [source[index] for source, index in slots]
+            wire_bytes = sum(packet.wire_bytes() for packet in burst)
+        stats.wire_bytes_sent += wire_bytes
         if retransmit:
-            self.simulator.send_burst(self.host, packets)
-            wire_bytes = sum(packet.wire_bytes() for packet in packets)
-            stats.retransmissions += len(packets)
-            stats.wire_bytes_sent += wire_bytes
+            stats.retransmissions += len(slots)
             stats.wire_bytes_retransmitted += wire_bytes
         else:
-            for packet in packets:
-                stats.packets_sent += 1
-                stats.wire_bytes_sent += packet.wire_bytes()
-            self.simulator.send_burst(self.host, packets)
+            stats.packets_sent += len(slots)
+        self.simulator.send_burst(self.host, burst)
 
     def _count_timeout(self) -> None:
         self.stats.timeouts += 1
@@ -250,7 +264,7 @@ class ReliableSenderChannel:
 
         Empty unless the channel was created with ``retain_for_replay``.
         """
-        return self._engine.history()
+        return [source[index] for source, index in self._engine.history()]
 
     def close(self) -> None:
         """Cancel the retransmit timer and drop the buffers.
@@ -297,8 +311,8 @@ class HostReliabilityAgent:
     A host may simultaneously be a mapper (sender channels) and a reducer
     (receive states) for different trees; the agent owns the host's receiver
     callback and dispatches ACKs to sender channels, sequenced DAIET packets
-    to the dedup/ACK path, and everything else to the per-tree application
-    receiver (or the optional fallback).
+    to the dedup/ACK path, and unsequenced DAIET packets to the per-tree
+    application receiver; anything else is ignored.
     """
 
     def __init__(
@@ -328,7 +342,6 @@ class HostReliabilityAgent:
         self.stats = ReliabilityStats()
         self._senders: dict[int, ReliableSenderChannel] = {}
         self._recv: dict[int, _TreeReceiveState] = {}
-        self._fallback: Callable[[Any], None] | None = None
         simulator.host(host).set_receiver(self.receive)
 
     @classmethod
@@ -426,10 +439,6 @@ class HostReliabilityAgent:
             channel.close()
         return channel
 
-    def set_fallback(self, receiver: Callable[[Any], None] | None) -> None:
-        """Receiver for packets no reliability state claims (e.g. raw UDP)."""
-        self._fallback = receiver
-
     def arm(self, tree_id: int) -> None:
         """Start the pull timer for a tree expecting traffic.
 
@@ -463,9 +472,6 @@ class HostReliabilityAgent:
                     state.inner(packet)
                 else:
                     self._receive_sequenced(state, packet)
-                return
-        if self._fallback is not None:
-            self._fallback(packet)
 
     def _receive_sequenced(self, state: _TreeReceiveState, packet: DaietPacket) -> None:
         src = packet.src

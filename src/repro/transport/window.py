@@ -344,9 +344,7 @@ class WindowedSender:
 
     def _inject(self, batch: list[tuple[int, Any]], retransmit: bool) -> None:
         """Move a batch into the unacked buffer and hand it to the owner."""
-        unacked = self._unacked
-        for seq, packet in batch:
-            unacked[seq] = packet
+        self._unacked.update(batch)
         if self._rtt is not None:
             now = self._clock()
             sent_at = self._sent_at
@@ -366,12 +364,12 @@ class WindowedSender:
         if allowance <= 0:
             return
         pending = self._pending
-        batch = []
-        while pending and allowance > 0:
-            batch.append(pending.popleft())
-            allowance -= 1
-        if batch:
-            self._inject(batch, retransmit=False)
+        if allowance >= len(pending):
+            batch = list(pending)
+            pending.clear()
+        else:
+            batch = [pending.popleft() for _ in range(allowance)]
+        self._inject(batch, retransmit=False)
 
     # ------------------------------------------------------------------ #
     # ACK path

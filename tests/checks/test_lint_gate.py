@@ -384,3 +384,34 @@ class TestCleanTree:
                 if forked:
                     offenders.append(f"{relative}:{node.lineno} {ast.unparse(node)}")
         assert offenders == []
+
+    def test_host_windows_build_no_packets(self):
+        # A partition travels from the packetizer to the register kernel as
+        # one PacketWindow; a DaietPacket is built only for a consumer that
+        # needs one. So the simulator never asks a packet for its pairs' view,
+        # and nothing assembles packets past the validating constructor but
+        # the window's materializer and DaietPacket.restamped.
+        allowed = {"PacketWindow.__getitem__", "DaietPacket.restamped"}
+        per_packet_views = {"vector_columns", "vector_pairs"}
+
+        def references(node, scope=""):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from references(child, f"{scope}.{child.name}".lstrip("."))
+                    continue
+                if isinstance(child, ast.alias):  # from ... import _assemble
+                    yield scope, child.name, child.lineno
+                elif isinstance(child, (ast.Name, ast.Attribute)):
+                    yield scope, getattr(child, "attr", getattr(child, "id", None)), child.lineno
+                yield from references(child, scope)
+
+        offenders = []
+        for relative, tree in _package_trees():
+            for scope, name, line in references(tree):
+                if name in per_packet_views and relative == "netsim/simulator.py":
+                    offenders.append(f"{relative}:{line} {name}")
+                if name == "_assemble" and (
+                    relative != "core/packet.py" or scope not in allowed
+                ):
+                    offenders.append(f"{relative}:{line} {scope} {name}")
+        assert offenders == []

@@ -155,7 +155,10 @@ class TestDaietSystemFacade:
         system.attach_receiver(tree, seen.append)
         with pytest.raises(ControllerError):
             system.receiver("h3")
-        sent = system.send_pairs("h0", "h3", [("a", 1)]) + system.send_pairs("h1", "h3", [("a", 2)])
+        sent = [
+            *system.send_pairs("h0", "h3", [("a", 1)]),
+            *system.send_pairs("h1", "h3", [("a", 2)]),
+        ]
         system.run()
         assert len(sent) == 4
         assert [p.pairs for p in seen if p.pairs] == [(("a", 3),)]

@@ -14,6 +14,7 @@ from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError
 from repro.core.functions import SUM, aggregate_pairs
+from repro.core import packet as packet_module
 from repro.core.packet import (
     DaietAck,
     DaietPacket,
@@ -24,6 +25,9 @@ from repro.core.packet import (
     packetize_pairs,
 )
 from repro.dataplane import interning
+from repro.netsim.devices import packet_wire_bytes
+from repro.netsim.simulator import SimulatorConfig
+from repro.netsim.topology import single_rack
 
 #: Keys valid under the fixed-size 16-byte representation.
 key_strategy = st.text(
@@ -292,11 +296,16 @@ def _one_by_one(pairs, tree_id, src, dst, config, include_end=True, seq_start=No
         )
 
 
-def _drain(packets):
-    """``(packets built, (exception type, message) or None)`` of a packet stream."""
+def _drain(make):
+    """``(packets built, (exception type, message) or None)`` of ``make()``'s packets.
+
+    The packetizer raises before its window exists, the one-by-one oracle
+    after yielding the packets it could build: the first error is the
+    contract, the packets before it only the oracle's.
+    """
     built = []
     try:
-        for packet in packets:
+        for packet in make():
             built.append(packet)
     except Exception as exc:  # the twin must fail the same way, whatever way
         return built, (type(exc), str(exc))
@@ -372,10 +381,13 @@ class TestPacketsBuiltOnce:
     def test_packetizer_leaves_seq_overflow_to_the_constructor(self):
         config = self.CONFIG
         arguments = dict(tree_id=4, src="sw", dst="r", config=config, seq_start=2**32 - 1)
-        built, error = _drain(packetize_pairs(self.PAIRS, **arguments))
-        assert (built, error) == _drain(_one_by_one(self.PAIRS, **arguments))
-        assert [packet.seq for packet in built] == [2**32 - 1]
+        built, error = _drain(lambda: packetize_pairs(self.PAIRS, **arguments))
+        reference, reference_error = _drain(lambda: _one_by_one(self.PAIRS, **arguments))
+        assert error == reference_error
         assert error[0] is PacketFormatError and "32-bit" in error[1]
+        # The oracle built the first packet before failing; no window exists.
+        assert [packet.seq for packet in reference] == [2**32 - 1]
+        assert built == []
 
     @pytest.mark.parametrize("kind", ["default", "wide"])
     @pytest.mark.parametrize("old_seq", [None, 5])
@@ -447,11 +459,23 @@ def _wire_view(packet: DaietPacket):
 
 
 def _assert_twins(pairs, config, **arguments):
-    """``packetize_pairs`` against the same packets built one by one."""
-    built, error = _drain(packetize_pairs(pairs, config=config, **arguments))
-    reference, reference_error = _drain(_one_by_one(pairs, config=config, **arguments))
+    """``packetize_pairs`` against the same packets built one by one.
+
+    The window's own arithmetic must agree with its packets, and a packet
+    it built is the one it hands out again.
+    """
+    built, error = _drain(lambda: packetize_pairs(pairs, config=config, **arguments))
+    reference, reference_error = _drain(lambda: _one_by_one(pairs, config=config, **arguments))
     assert error == reference_error
+    if error is not None:
+        assert built == []
+        return built, error
     assert built == reference
+    window = packetize_pairs(pairs, config=config, **arguments)
+    assert window.sizes == [packet_wire_bytes(packet) for packet in window]
+    assert window.payload_bytes() == sum(packet.payload_bytes() for packet in reference)
+    assert all(window[i] is window[i] is packet for i, packet in enumerate(window))
+    assert list(window[1:]) == reference[1:]
     assert [_wire_view(packet) for packet in built] == [
         _wire_view(packet) for packet in reference
     ]
@@ -535,6 +559,52 @@ class TestPacketizerTwin:
         ]
 
 
+class TestPacketWindow:
+    """The packetizer's window against the packets the constructor builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(twin_key_strategy, twin_value_strategy), max_size=14),
+        edge=st.one_of(st.none(), st.sampled_from([-1, 0, 1])),
+        include_end=st.booleans(),
+    )
+    def test_window_is_the_constructors_packets(self, pairs, edge, include_end):
+        # ``edge`` puts the last DATA packet's number at the top of its field
+        # (0), below it or one past it; the END, when there is one, takes
+        # the number after that.
+        count = -(-len(pairs) // TWIN_CONFIG.pairs_per_packet)
+        seq_start = None if edge is None else 2**32 - count + edge
+        built, error = _assert_twins(
+            pairs, TWIN_CONFIG, tree_id=3, src="m", dst="r",
+            include_end=include_end, seq_start=seq_start,
+        )
+        if error is None:
+            window = packetize_pairs(
+                pairs, tree_id=3, src="m", dst="r", config=TWIN_CONFIG,
+                include_end=include_end, seq_start=seq_start,
+            )
+            for lo in range(len(built)):
+                view = window[lo:]
+                assert view.seq_start == (None if seq_start is None else seq_start + lo)
+                assert list(view) == built[lo:]
+                assert view[0] is window[lo]
+
+    def test_a_view_shares_the_packets_built(self):
+        window = packetize_pairs(
+            [(f"k{i}", i) for i in range(10)], tree_id=1, src="m", dst="r",
+            config=DaietConfig(pairs_per_packet=3), seq_start=4,
+        )
+        view = window[1:3]
+        assert (len(view), view.sizes, view.first) == (2, window.sizes[1:3], 1)
+        assert [packet.seq for packet in view] == [5, 6]
+        assert window[2] is view[1]
+        assert window[:] is window
+        with pytest.raises(IndexError):
+            view[2]
+        with pytest.raises(ValueError):
+            window[::2]
+
+
 class _CountingList(list):
     """A pool metadata list that counts how often it is read by index."""
 
@@ -608,6 +678,67 @@ class TestPacketizerCounts:
             assert state.counters.spillover_flushes > 0
             assert built == [400, 400, 400]
 
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_host_windows_build_packets_only_for_per_packet_consumers(
+        self, lossy, monkeypatch
+    ):
+        # A mapper's DATA packets ride their window from the packetizer to
+        # the register kernel. What is built: every packet a switch flushes
+        # (each flush is a window of its own that the switch iterates), every
+        # END, and on a lossy round each mapper DATA packet a retransmission
+        # resends.
+        built = []
+        assemble = packet_module._assemble
+        construct = DaietPacket.__init__
+
+        def counting_assemble(*args, **kwargs):
+            packet = assemble(*args, **kwargs)
+            built.append(packet)
+            return packet
+
+        def counting_construct(self, *args, **kwargs):
+            construct(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(packet_module, "_assemble", counting_assemble)
+        monkeypatch.setattr(DaietPacket, "__init__", counting_construct)
+        mappers = ["h0", "h1", "h2", "h3"]
+        topology = single_rack(5)
+        if lossy:
+            for link in topology.links:
+                link.loss_rate = 0.02
+        config = DaietConfig(
+            register_slots=16, pairs_per_packet=4, reliability=lossy, retransmit_timeout=1e-4
+        )
+        system = DaietSystem(topology, config, SimulatorConfig(loss_seed=5))
+        system.install_job(mappers=mappers, reducers=["h4"])
+        resent: list[DaietPacket] = []
+        for mapper in mappers if lossy else ():
+            engine = system.agent(mapper).sender(system.tree_for("h4").tree_id).engine
+            emit = engine._emit
+
+            def spy(slots, retransmit, emit=emit):
+                if retransmit:
+                    resent.extend(source[index] for source, index in slots)
+                emit(slots, retransmit)
+
+            engine._emit = spy
+        partitions = [[(f"c{(i * 7 + m) % 40}", 1) for i in range(400)] for m in range(4)]
+        for mapper, pairs in zip(mappers, partitions):
+            system.send_pairs(mapper, "h4", pairs)
+        system.run()
+        assert system.receiver("h4").result() == aggregate_pairs(
+            [pair for pairs in partitions for pair in pairs], SUM
+        )
+        flushed = system.engine("tor").tree(system.tree_for("h4").tree_id).counters
+        assert flushed.spillover_flushes > 0
+        mapper_data = {
+            id(packet) for packet in resent if packet.packet_type is DaietPacketType.DATA
+        }
+        assert len(mapper_data) > 0 if lossy else not resent
+        assert len(set(map(id, built))) == len(built)  # each packet built once
+        assert len(built) == flushed.packets_emitted + len(mappers) + len(mapper_data)
+
     def test_keys_are_measured_once_per_distinct_key(self):
         # The benchmark's 7.5 pairs per word, at a quarter of its size.
         pairs = _vocabulary_partition("measured-", pairs=15_000, vocabulary=2_000)
@@ -617,7 +748,7 @@ class TestPacketizerCounts:
         first = list(packetize_pairs(pairs, **arguments))
         assert interning.pool_size() == before + distinct
         # One record for the whole partition: the bulk path ran.
-        assert first[0].vector_columns()[0] is first[-2].vector_columns()[0]
+        assert first[0].vector_pairs()[0].base is first[-2].vector_pairs()[0].base
         lengths, nuls = interning._kid_enc_len, interning._kid_ends_nul
         counting = _CountingList(lengths), _CountingList(nuls)
         interning._kid_enc_len, interning._kid_ends_nul = counting
@@ -647,7 +778,7 @@ class TestPacketizerCounts:
         kernel_harness.data_packets([(f"unrelated{i}", i) for i in range(500)], config)
         assert interning.pool_size() == before + 500
         second = kernel_harness.data_packets(pairs, config)
-        assert second == first
+        assert list(second) == list(first)
         assert [packet.encode() for packet in second] == [packet.encode() for packet in first]
         assert [_vector_view(packet) for packet in second] == [
             _vector_view(packet) for packet in first

@@ -10,8 +10,8 @@ observable state: register cells, spillover bucket order, index-stack order
 (via the final flush), per-tree counters and the exact emission sequence.
 
 The kernel's input arrays come from the simulator's burst plan
-(``_plan_burst`` / ``_BurstPlan.kernel_input``), the one assembler of that
-format, exactly as ``send_burst`` builds them.
+(``_plan_burst`` / ``_BurstPlan.kernel_input``) of a packet window, the one
+assembler of that format, exactly as ``send_burst`` builds them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
-from repro.core.packet import DaietPacket, DaietPacketType, packetize_pairs
+from repro.core.packet import DaietPacket, DaietPacketType, PacketWindow, packetize_pairs
 from repro.netsim.simulator import _plan_burst
 
 np = pytest.importorskip("numpy")
@@ -42,26 +42,19 @@ def make_engine(config: DaietConfig) -> DaietAggregationEngine:
     return engine
 
 
-def data_packets(pairs, config: DaietConfig) -> list[DaietPacket]:
-    packets = [
-        p
-        for p in packetize_pairs(
-            pairs, tree_id=7, src="h0", dst="h1", config=config, include_end=False
-        )
-    ]
-    for packet in packets:
-        # The burst path consumes the per-packet vector cache, which the
-        # sender warms outside the timed region; mirror that here.
-        packet.vector_pairs()
-    return packets
+def data_packets(pairs, config: DaietConfig) -> PacketWindow:
+    """A mapper's window of DATA packets (no END), as ``send_burst`` takes it."""
+    return packetize_pairs(
+        pairs, tree_id=7, src="h0", dst="h1", config=config, include_end=False
+    )
 
 
-def kernel_apply(engine: DaietAggregationEngine, burst, slices=None):
+def kernel_apply(engine: DaietAggregationEngine, burst: PacketWindow, slices=None):
     """One kernel call per slice of ``burst`` (default: the whole burst).
 
     Returns the calls' results; a slice is ``(offset, count)`` into the plan.
     """
-    plan = _plan_burst([(packet, packet.wire_bytes()) for packet in burst])
+    plan = _plan_burst(burst)
     assert plan is not None and plan.shape_ok.all()
     state = engine.tree(7)
     return [
@@ -217,17 +210,7 @@ class TestVectorKernelEquivalence:
         small = data_packets([("a", 5), ("b", 7)], config)
         assert feed_fast(fast, [small]) == feed_slow(slow, [small])
         state = fast.tree(7)
-        huge = [
-            DaietPacket(
-                tree_id=7,
-                src="h0",
-                dst="h1",
-                packet_type=DaietPacketType.DATA,
-                pairs=((key, 2**62 - 1),),
-                config=config,
-            )
-            for key in ("a", "b")
-        ]
+        huge = data_packets([("a", 2**62 - 1), ("b", 2**62 - 1)], config)
         for packet in huge:
             assert packet.vector_pairs() is not None  # per-value eligible
         assert kernel_apply(fast, huge) == [None]  # cumulative-mass guard tripped
@@ -238,17 +221,15 @@ class TestVectorKernelEquivalence:
         assert_twins_identical(fast, slow)
 
 
-def sequenced_packets(pairs, config: DaietConfig, seq_start: int = 0) -> list[DaietPacket]:
-    return list(
-        packetize_pairs(
-            pairs,
-            tree_id=7,
-            src="h0",
-            dst="h1",
-            config=config,
-            include_end=False,
-            seq_start=seq_start,
-        )
+def sequenced_packets(pairs, config: DaietConfig, seq_start: int = 0) -> PacketWindow:
+    return packetize_pairs(
+        pairs,
+        tree_id=7,
+        src="h0",
+        dst="h1",
+        config=config,
+        include_end=False,
+        seq_start=seq_start,
     )
 
 
@@ -263,26 +244,23 @@ class TestSequencedStreamAdmission:
         window = state.window("h0")
         for seq in (0, 1, 2, 3, 4, 7):
             window.observe(seq)
-        by_seq = {
-            packet.seq: packet
-            for packet in sequenced_packets([("k", 1)] * 40, self.CONFIG)
-        }
+        # One window numbered 0..19: item i carries sequence number i.
+        stream = sequenced_packets([("k", 1)] * 40, self.CONFIG)
 
         def admitted(*seqs):
-            packets = [by_seq[seq] for seq in seqs]
-            return len(engine._fresh_run(state, "h0", packets, 0, len(packets)))
+            return engine._fresh_run(state, stream, list(seqs))
 
         assert window.high_water == 7
-        assert admitted(8, 9, 12) == 3
+        assert admitted(8, 9, 12) == 3  # the items lost in between do not count
+        assert engine._fresh_run(state, stream, range(8, 20)) == 12
         assert admitted(7) == 0  # the highest number seen: a duplicate
         assert admitted(5, 8) == 0  # a gap-fill
-        assert admitted(8, 8) == 1
-        assert admitted(8, 6) == 1
         unsequenced = data_packets([("k", 1)] * 6, self.CONFIG)
-        assert engine._fresh_run(state, "h0", unsequenced, 0, 3) == [None] * 3
-        marked = by_seq[10]
-        object.__setattr__(marked, "ecn", True)
+        assert engine._fresh_run(state, unsequenced, range(3)) == 3
+        assert unsequenced.built == {}  # answered without building a packet
+        object.__setattr__(stream[10], "ecn", True)
         assert admitted(8, 10, 11) == 1
+        assert admitted(8, 9, 11) == 3  # the marked packet is not in this run
         window.end_seq = 15  # a stashed END: the stream waits for its gap
         assert admitted(8) == 0
 
@@ -296,19 +274,21 @@ class TestSequencedStreamAdmission:
         )
         rng = random.Random(ack_window)
         pairs = [(f"k{rng.randrange(40)}", rng.randrange(-9, 9)) for _ in range(150)]
-        burst = [p for p in sequenced_packets(pairs, config) if p.seq not in (0, 17)]
+        window = sequenced_packets(pairs, config)
         fast, slow = make_engine(config), make_engine(config)
         slow_out = []
-        for packet in burst:
-            slow_out.extend(slow.handle_packet(packet))
+        for packet in window:
+            if packet.seq not in (0, 17):
+                slow_out.extend(slow.handle_packet(packet))
         state = fast.tree(7)
+        plan = _plan_burst(window)
+        plan.drop([0, 17])  # lost in flight, as ``_transmit_burst`` drops them
         # Holes do not stop a run: every number is above the ones before it.
-        seqs = fast._fresh_run(state, "h0", burst, 0, len(burst))
-        assert seqs == [packet.seq for packet in burst]
-        plan = _plan_burst([(packet, packet.wire_bytes()) for packet in burst])
-        result = fast._vector_apply(state, *plan.kernel_input(0, len(burst)))
+        assert fast._fresh_run(state, window, plan.items) == len(plan.items)
+        result = fast._vector_apply(state, *plan.kernel_input(0, len(plan.items)))
         emitted = [(i, 0, port, out) for i, port, out in result]
-        emitted += [(i, 1, port, ack) for i, port, ack in fast._accept_run(state, "h0", seqs)]
+        acks = fast._accept_run(state, window, plan.items)
+        emitted += [(i, 1, port, ack) for i, port, ack in acks]
         fast_out = [(port, out) for _i, _kind, port, out in sorted(emitted, key=lambda e: e[:2])]
         assert fast_out == slow_out
         assert any(out.__class__.__name__ == "DaietAck" for _port, out in fast_out)

@@ -225,6 +225,7 @@ def sequenced_twin(
     register_slots: int = 256,
     pairs_per_packet: int = 10,
     staggered: bool = False,
+    ecn_threshold_bytes: int | None = None,
 ):
     """A reliable wordcount round and the ACK stream each mapper hears.
 
@@ -250,7 +251,11 @@ def sequenced_twin(
         retransmit_timeout=1e-4,
         reliability_policy=policy,
     )
-    system = DaietSystem(topology, config, SimulatorConfig(loss_seed=loss_seed))
+    system = DaietSystem(
+        topology,
+        config,
+        SimulatorConfig(loss_seed=loss_seed, ecn_threshold_bytes=ecn_threshold_bytes),
+    )
     if not fast:
         system.simulator._fast_burst = False
     mappers = [f"h{i}" for i in range(num_mappers)]
@@ -466,8 +471,8 @@ class TestWhoTakesThePerPairLoop:
     def test_only_refused_arrivals_and_lone_retransmissions(self, monkeypatch):
         """On a lossy reliable rack ``_process_data`` runs for the DATA
         arrivals the kernel may not take (duplicates, gap-fills: not above
-        the stream's high-water mark) and for retransmissions sent one at a
-        time, which no plan covers. Every DATA arrival took it before."""
+        the stream's high-water mark) and for retransmissions, which go out
+        as packets and so with no plan. Every DATA arrival took it before."""
         calls: list[tuple[bool, int]] = []
         process_data = DaietAggregationEngine._process_data
 
@@ -489,10 +494,10 @@ class TestWhoTakesThePerPairLoop:
                 channel = system.agent(mapper).sender(system.tree_for(reducer).tree_id)
                 transmit = channel._transmit
 
-                def spy_transmit(packets, retransmit, transmit=transmit):
+                def spy_transmit(slots, retransmit, transmit=transmit):
                     if retransmit:
-                        resent.update(map(id, packets))
-                    transmit(packets, retransmit)
+                        resent.update(id(window[index]) for window, index in slots)
+                    transmit(slots, retransmit)
 
                 channel._engine._emit = spy_transmit
             system.run()
@@ -510,3 +515,71 @@ class TestWhoTakesThePerPairLoop:
         assert fast_refused == slow_refused
         assert fast_calls == slow_refused + fast_lone
         assert fast_calls < data_arrivals // 20
+
+
+class TestCeMarkedRetransmissions:
+    def test_marked_data_is_resent_marked(self, sequenced_observables, monkeypatch):
+        """A packet is built once: the simulator sets the CE bit on the live
+        object, and what a retransmission resends is that object. Leaf
+        flushes are marked on congested egress queues and then resent; the
+        fast and the stood-down twin must agree on every register, counter,
+        ACK stream and the result, and every mapper retransmission must
+        resend the very packet its window built for that slot."""
+        resent: dict[tuple[object, int], object] = {}
+        emit = DaietAggregationEngine._emit_pairs
+        flushed = []
+
+        def spy_emit(engine, state, pairs, include_end):
+            emitted = emit(engine, state, pairs, include_end)
+            flushed.extend(packet for _port, packet in emitted)
+            return emitted
+
+        handle_ack = DaietAggregationEngine.handle_ack
+        marked_resends = []
+
+        def spy_ack(engine, ack):
+            out = handle_ack(engine, ack)
+            marked_resends.extend(p for _port, p in out if getattr(p, "ecn", False) and p.pairs)
+            return out
+
+        monkeypatch.setattr(DaietAggregationEngine, "_emit_pairs", spy_emit)
+        monkeypatch.setattr(DaietAggregationEngine, "handle_ack", spy_ack)
+        results = []
+        for fast in (True, False):
+            flushed.clear()
+            marked_resends.clear()
+            system, reducer, truth, acks = sequenced_twin(
+                fast,
+                fabric="leaf_spine",
+                loss_rate=0.02,
+                register_slots=32,
+                pairs_per_packet=4,
+                ecn_threshold_bytes=300,
+            )
+            tree_id = system.tree_for(reducer).tree_id
+            for mapper in system.tree_for(reducer).mappers:
+                engine = system.agent(mapper).sender(tree_id).engine
+                transmit = engine._emit
+
+                def spy(slots, retransmit, transmit=transmit):
+                    if retransmit:
+                        for window, index in slots:
+                            packet = window[index]
+                            assert packet is window[index]
+                            assert resent.setdefault((window, index), packet) is packet
+                    transmit(slots, retransmit)
+
+                engine._emit = spy
+            events = system.run()
+            observed = sequenced_observables(system, reducer, events, acks)
+            observed["registers"] = register_contents(system)
+            assert observed["result"] == truth
+            results.append(observed)
+            stats = observed["traffic"]["stats"]
+            assert sum(stats["ecn_marked"].values()) > 0
+            assert any(packet.ecn and packet.pairs for packet in flushed)
+            assert marked_resends  # marked in flight, then resent as it is
+        fast, slow = results
+        assert fast == slow
+        assert sum(r["retransmissions"] for r in fast["reliability"].values()) > 0
+        assert resent

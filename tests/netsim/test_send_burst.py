@@ -28,26 +28,34 @@ def _simulator(loss_rate: float = 0.0) -> NetworkSimulator:
 
 
 def _window(n: int, kind: str = "udp") -> list:
+    if kind == "daiet-window":
+        # What the packetizer returns: n - 1 DATA packets and the END.
+        return packetize_pairs(
+            [(f"k{j}", j) for j in range(4 * n - 6)],
+            tree_id=3,
+            src="h0",
+            dst="h1",
+            config=DaietConfig(pairs_per_packet=4),
+        )
     if kind == "udp":
         return [
             UdpDatagram(src="h0", dst="h1", dport=7, payload_bytes=100 + i)
             for i in range(n)
         ]
     # A reliable sender's window: sequenced DAIET packets of varying size
-    # (no burst plan admits them, so they go through ``_transmit`` one by one).
+    # (a plain list gets no burst plan, so they go through ``_transmit`` one
+    # by one).
     config = DaietConfig(pairs_per_packet=8, reliability=True)
     return [
-        next(
-            packetize_pairs(
-                [(f"k{j}", j) for j in range(i % 8 + 1)],
-                tree_id=3,
-                src="h0",
-                dst="h1",
-                config=config,
-                include_end=False,
-                seq_start=i,
-            )
-        )
+        packetize_pairs(
+            [(f"k{j}", j) for j in range(i % 8 + 1)],
+            tree_id=3,
+            src="h0",
+            dst="h1",
+            config=config,
+            include_end=False,
+            seq_start=i,
+        )[0]
         for i in range(n)
     ]
 
@@ -62,7 +70,14 @@ def _arrivals(sim: NetworkSimulator) -> list[tuple[float, int]]:
 
 class TestSendBurstEquivalence:
     @pytest.mark.parametrize(
-        "loss_rate, kind", [(0.0, "udp"), (0.2, "udp"), (0.0, "daiet-seq")]
+        "loss_rate, kind",
+        [
+            (0.0, "udp"),
+            (0.2, "udp"),
+            (0.0, "daiet-seq"),
+            (0.0, "daiet-window"),
+            (0.2, "daiet-window"),
+        ],
     )
     def test_burst_matches_per_packet_sends(self, loss_rate, kind, traffic_snapshot):
         solo = _simulator(loss_rate)
