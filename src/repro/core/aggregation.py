@@ -5,7 +5,8 @@ managed as a hash table with single-element buckets, an index stack of used
 slots, and a spillover bucket for colliding pairs. Each received DATA packet
 updates this state pair by pair; an END packet decrements the
 remaining-children counter and, when it reaches zero, the aggregated state is
-flushed towards the next node of the tree.
+flushed towards the next node of the tree, as one
+:class:`~repro.core.packet.PacketWindow`.
 
 :class:`DaietAggregationEngine` hosts the per-tree state of one switch and is
 plugged into the switch pipeline as an extern action by the controller.
@@ -17,6 +18,7 @@ import zlib
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
@@ -34,7 +36,9 @@ from repro.core.packet import (
     PacketWindow,
     RetransmitBuffer,
     SeenWindow,
+    packetize_columns,
     packetize_pairs,
+    packets_of,
 )
 from repro.dataplane import interning as _interning
 from repro.dataplane.actions import PacketContext
@@ -134,7 +138,9 @@ class TreeState:
     _seen: defaultdict[str, SeenWindow] = field(
         default_factory=lambda: defaultdict(SeenWindow), repr=False
     )
-    #: Flush packets emitted towards the parent and not yet acknowledged.
+    #: Flush packets emitted towards the parent and not yet acknowledged:
+    #: a one-packet flush as its packet, a window's as ``(window, index)``
+    #: slots, which build a packet only if it is resent.
     _sent: RetransmitBuffer = field(default_factory=RetransmitBuffer, repr=False)
     #: Next sequence number for the switch's own emissions towards the parent.
     _next_seq: int = field(default=0, repr=False)
@@ -333,13 +339,13 @@ class DaietAggregationEngine:
         """Consume one packet; return ``(egress_port, packet)`` emissions.
 
         This is the full data-plane behaviour: parent-bound flushes plus any
-        child-bound reliability ACKs.
+        child-bound reliability ACKs, each flush window cut into its packets.
         """
         state = self.tree(packet.tree_id)
         state.counters.packets_received += 1
         if packet.packet_type is DaietPacketType.DATA:
-            return self._process_data(state, packet)
-        return self._process_end(state, packet)
+            return packets_of(self._process_data(state, packet))
+        return packets_of(self._process_end(state, packet))
 
     def process_packet(self, packet: DaietPacket) -> list[DaietPacket]:
         """Pure form of Algorithm 1: the packets flushed towards the parent."""
@@ -379,7 +385,8 @@ class DaietAggregationEngine:
             missing = sent.holes(sacked)
         state.counters.retransmitted_packets += len(missing)
         out: list[tuple[int, Any]] = [
-            (state.egress_port, sent.unacked[seq]) for seq in missing
+            (state.egress_port, held if type(held) is DaietPacket else held[0][held[1]])
+            for held in map(sent.unacked.__getitem__, missing)
         ]
         if ack.pull and not sent.unacked:
             # Nothing buffered here, yet the receiver is still missing data:
@@ -761,8 +768,11 @@ class DaietAggregationEngine:
     def _flush_all(self, state: TreeState) -> list[tuple[int, Any]]:
         """Flush spillover first, then the aggregated registers, then END."""
         state.counters.final_flushes += 1
+        pairs: list[tuple[Any, Any]] = state.spillover.flush()
+        columns = self._drain_columns(state, pairs) if state._vec else None
+        if columns is not None:
+            return self._emit_pairs(state, (), include_end=True, columns=columns)
         state.materialize()
-        pairs: list[tuple[str, int]] = list(state.spillover.flush())
         key_cells = state.key_register._cells
         value_cells = state.value_register._cells
         for idx in state.index_stack.drain():
@@ -774,37 +784,97 @@ class DaietAggregationEngine:
             pairs.append((key, value_cells[idx]))
             key_cells[idx] = None
             value_cells[idx] = None
-        emitted = self._emit_pairs(state, pairs, include_end=True)
-        return emitted
+        return self._emit_pairs(state, pairs, include_end=True)
+
+    def _drain_columns(
+        self, state: TreeState, spilled: list[tuple[Any, Any]]
+    ) -> tuple[Any, Any] | None:
+        """The walk's pairs of :meth:`_flush_all`, in its order, as int64 columns.
+
+        Values are cells plus pending kernel deltas; a slot's kid comes from
+        the kernel's kid -> slot memo (a slot only the per-pair loop claimed
+        looks its key up). Drains the registers; ``None``, touching nothing,
+        when a value is not a plain ``int`` within ±2**62 or a key was never
+        interned.
+        """
+        index_stack = state.index_stack
+        key_cells = state.key_register._cells
+        value_cells = state.value_register._cells
+        slots = index_stack.peek_all()[::-1]
+        values = [value for _key, value in spilled]
+        values += map(value_cells.__getitem__, slots)
+        if not values or set(map(type, values)) != {int}:
+            return None
+        try:
+            spilled_kids = _interning.intern_keys([key for key, _value in spilled])[0]
+            vals = _np.array(values, dtype=_np.int64)
+        except (TypeError, OverflowError):
+            return None
+        if vals.min() <= -_VEC_MASS_LIMIT or vals.max() >= _VEC_MASS_LIMIT:
+            return None
+        at = _np.array(slots, dtype=_np.int64)
+        kid_slot = state._vec_kid_slot
+        seen = _np.flatnonzero(kid_slot >= 0)
+        slot_kid = _np.full(state.config.register_slots, -1, dtype=_np.int64)
+        slot_kid[kid_slot[seen]] = seen
+        kids = _np.concatenate((_np.array(spilled_kids, dtype=_np.int64), slot_kid[at]))
+        unseen = _np.flatnonzero(kids < 0)
+        if len(unseen):
+            first = len(spilled)
+            kids[unseen] = [
+                _interning.kid_of(key_cells[slots[i - first]]) for i in unseen.tolist()
+            ]
+            if kids.min() < 0:
+                return None
+        if state._vec_mass:
+            # Cells and deltas are each below 2**62 in magnitude: no overflow.
+            vals[len(spilled) :] += state._vec_delta[at]
+            if vals.min() <= -_VEC_MASS_LIMIT or vals.max() >= _VEC_MASS_LIMIT:
+                return None
+            state._vec_delta[at] = 0
+            state._vec_mass = 0
+        for idx in slots:
+            key_cells[idx] = None
+            value_cells[idx] = None
+        index_stack.clear()
+        return kids, vals
 
     def _emit_pairs(
         self,
         state: TreeState,
         pairs: Iterable[tuple[str, int]],
         include_end: bool,
+        columns: tuple[Any, Any] | None = None,
     ) -> list[tuple[int, Any]]:
+        """Cut one flush (``pairs``, or ``columns``) into ``[(port, window)]``.
+
+        The window is never iterated: its counts are arithmetic, and it is
+        buffered as ``(window, index)`` slots. A one-packet flush gets no
+        burst plan, so it leaves, and is buffered, as its packet.
+        """
         # The switch is itself a reliable sender towards its parent: its
         # emissions carry sequence numbers and stay buffered until the
         # parent acknowledges them (retransmission is ACK/pull-driven
         # because switches have no timers). Best-effort trees skip this
         # entirely: plain unsequenced flushes, nothing buffered.
         seq_start = state._next_seq if state._reliable_emit else None
-        packets = list(
-            packetize_pairs(
-                pairs,
-                tree_id=state.tree_id,
-                src=self.switch_name,
-                dst=state.next_hop_dst,
-                config=state.config,
-                include_end=include_end,
-                seq_start=seq_start,
-            )
-        )
+        header = (state.tree_id, self.switch_name, state.next_hop_dst, state.config)
+        if columns is not None:
+            window = packetize_columns(*columns, *header, include_end, seq_start)
+        else:
+            window = packetize_pairs(pairs, *header, include_end, seq_start)
+        count = len(window)
+        state.counters.packets_emitted += count
+        state.counters.pairs_emitted += len(window.pairs)
+        if count == 1:
+            packet = window[0]
+            if seq_start is not None:
+                state._next_seq += 1
+                state._sent.unacked[seq_start] = packet
+            return [(state.egress_port, packet)]
         if seq_start is not None:
-            state._next_seq += len(packets)
-            unacked = state._sent.unacked
-            for packet in packets:
-                unacked[packet.seq] = packet
-        state.counters.packets_emitted += len(packets)
-        state.counters.pairs_emitted += sum(p.num_pairs for p in packets)
-        return [(state.egress_port, packet) for packet in packets]
+            state._next_seq += count
+            state._sent.unacked.update(
+                zip(range(seq_start, seq_start + count), zip(repeat(window), range(count)))
+            )
+        return [(state.egress_port, window)]

@@ -19,7 +19,7 @@ end of a partition is marked by a special END packet.
 :func:`packetize_pairs` takes the paper at its word: a partition becomes a
 :class:`PacketWindow`, whose sizes, sequence numbers and pair columns are
 arithmetic over the partition. A ``DaietPacket`` is built from it only for a
-consumer that needs one.
+consumer that needs one. A switch flush leaves as such a window too.
 """
 
 from __future__ import annotations
@@ -67,15 +67,16 @@ class PairColumns:
     kernel's int64-overflow guard then costs one subtraction per window,
     whatever the values).
 
-    The arrays are built by the first reader, not by the packetizer: the
-    burst planner asks for a window a host sends, so a switch flush never
-    pays for them. ``ready()`` is ``False``, permanently, when any pair is
-    ineligible: a key the intern pool rejects (not exact ``str``/``bytes``)
-    or a value that is not a plain ``int`` within ±2**62 (bools and floats
-    must keep their exact types through the per-pair oracle path). Such a
-    window gets no burst plan; asked one by one, its packets (and a packet
-    built by the constructor) are each a partition of its own (see
-    :meth:`DaietPacket.vector_pairs`).
+    A host's partition builds its arrays for the first reader, not in the
+    packetizer: the burst planner asks for a window whose next hop is a
+    switch. A switch's final flush already holds them (:meth:`of`: the
+    register kernel's own kids and values). ``ready()`` is ``False``,
+    permanently, when any pair is ineligible: a key the intern pool rejects
+    (not exact ``str``/``bytes``) or a value that is not a plain ``int``
+    within ±2**62 (bools and floats must keep their exact types through the
+    per-pair oracle path). Such a window gets no burst plan; asked one by
+    one, its packets (and a packet built by the constructor) are each a
+    partition of its own (see :meth:`DaietPacket.vector_pairs`).
     """
 
     __slots__ = ("kids", "vals", "mass_cum", "per", "_source")
@@ -87,6 +88,14 @@ class PairColumns:
         #: Pairs per packet (the last packet may carry fewer).
         self.per = per
         self.kids: Any = None
+
+    @classmethod
+    def of(cls, kids: Any, vals: Any, per: int) -> "PairColumns":
+        """Columns over int64 arrays the caller vouches for (values within ±2**62)."""
+        columns = cls((), None, per)
+        columns._source = None
+        columns._adopt(kids, vals)
+        return columns
 
     def ready(self) -> bool:
         """Build the columns on the first call; ``True`` when they exist."""
@@ -107,16 +116,38 @@ class PairColumns:
             return
         if vals.min() <= -_VEC_VALUE_LIMIT or vals.max() >= _VEC_VALUE_LIMIT:
             return
+        self._adopt(kids, vals)
+
+    def _adopt(self, kids: Any, vals: Any) -> None:
         # An int64 running sum could overflow near the ±2**62 edge, so the
         # ledger sums 31-bit limbs (exact below 2**32 pairs) and recombines
         # them as Python ints, at packet boundaries only.
         magnitude = _np.abs(vals)
-        ends = _np.append(_np.arange(self.per, len(values), self.per), len(values)) - 1
+        ends = _np.append(_np.arange(self.per, len(vals), self.per), len(vals)) - 1
         highs = _np.cumsum(magnitude >> 31)[ends].tolist()
         lows = _np.cumsum(magnitude & 0x7FFFFFFF)[ends].tolist()
         self.mass_cum = [0, *((high << 31) + low for high, low in zip(highs, lows))]
         self.vals = vals
-        self.kids = _np.array(kids, dtype=_np.int64)
+        self.kids = _np.asarray(kids, dtype=_np.int64)
+
+
+class _ColumnPairs(Sequence):
+    """A column window's pairs, read back one packet's slice at a time."""
+
+    __slots__ = ("_kids", "_vals")
+
+    def __init__(self, kids: Any, vals: Any) -> None:
+        self._kids = kids
+        self._vals = vals
+
+    def __len__(self) -> int:
+        return len(self._kids)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            keys = _interning.keys_of(self._kids[index].tolist())
+            return list(zip(keys, self._vals[index].tolist()))
+        return _interning.key_of(int(self._kids[index])), int(self._vals[index])
 
 #: Ethernet + IPv4 + UDP: what every frame carries besides its DAIET payload.
 _FRAME_BYTES = ETHERNET_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES
@@ -567,7 +598,8 @@ class PacketWindow(Sequence):
     src: str
     dst: str
     config: DaietConfig
-    pairs: list[tuple[str, int]]
+    #: The partition's pairs (read back from the columns, if cut from them).
+    pairs: Sequence[tuple[Any, int]]
     columns: PairColumns
     #: Sequence number of item 0 (``None``: an unsequenced window).
     seq_start: int | None
@@ -638,9 +670,10 @@ def packetize_pairs(
     there, as required by the reliability layer.
 
     The one packetizer: hosts (reliable or not), the UDP baseline and the
-    switch flush path all cut their packets here. When the intern pool can
-    vouch for every key (each distinct key is measured once, when the pool
-    first interns it), sizes follow arithmetically and the DATA packets are
+    switch flush path all cut their packets here (or, holding columns, in
+    :func:`packetize_columns`). When the intern pool can vouch for every key
+    (each distinct key is measured once, when the pool first interns it),
+    sizes follow arithmetically and the DATA packets are
     built later, if anything asks. Otherwise (a negative tree id, a sequence
     number that would not fit, malformed pairs, keys outside the pool's
     domain, an over-wide or NUL-suffixed key) the validating
@@ -656,6 +689,7 @@ def packetize_pairs(
         vouched = widest <= config.key_width and not any_nul
     except (TypeError, ValueError):
         kids, vouched = None, False
+    built = None
     if not vouched or tree_id < 0 or not 0 <= (seq_start or 0) <= 2**32 - count:
         built = {
             at: DaietPacket(
@@ -665,20 +699,78 @@ def packetize_pairs(
             )
             for at in range(count)
         }
+    columns = PairColumns(pairs, kids, per_packet)
+    return _window(pairs, columns, tree_id, src, dst, config, include_end, seq_start, built)
+
+
+def packetize_columns(
+    kids: Any,
+    vals: Any,
+    tree_id: int,
+    src: str,
+    dst: str,
+    config: DaietConfig,
+    include_end: bool = True,
+    seq_start: int | None = None,
+) -> PacketWindow:
+    """:func:`packetize_pairs` for pairs held as int64 columns (interned
+    kids, values within ±2**62): a switch's final flush, cut without building
+    a pair. What the size arithmetic cannot vouch for goes through
+    :func:`packetize_pairs`.
+    """
+    count = -(-len(kids) // config.pairs_per_packet)
+    widest, any_nul = _interning.measure_kids(kids.tolist())
+    pairs = _ColumnPairs(kids, vals)
+    if (
+        not count
+        or widest > config.key_width
+        or any_nul
+        or tree_id < 0
+        or not 0 <= (seq_start or 0) <= 2**32 - count
+    ):
+        return packetize_pairs(pairs[:], tree_id, src, dst, config, include_end, seq_start)
+    columns = PairColumns.of(kids, vals, config.pairs_per_packet)
+    return _window(pairs, columns, tree_id, src, dst, config, include_end, seq_start)
+
+
+def _window(
+    pairs: Sequence[tuple[Any, int]],
+    columns: PairColumns,
+    tree_id: int,
+    src: str,
+    dst: str,
+    config: DaietConfig,
+    include_end: bool,
+    seq_start: int | None,
+    built: dict[int, DaietPacket] | None = None,
+) -> PacketWindow:
+    """The window over ``pairs``; sized by arithmetic unless the constructor ``built`` it."""
+    if built is not None:
         sizes = [packet.wire_bytes() for packet in built.values()]
     else:
         built = {}
+        per_packet = config.pairs_per_packet
+        count = -(-len(pairs) // per_packet)
         base = _FRAME_BYTES + DAIET_PREAMBLE_BYTES + (0 if seq_start is None else SEQ_BYTES)
         sizes = [base + per_packet * config.pair_bytes] * count
         if count:
             sizes[-1] = base + (len(pairs) - (count - 1) * per_packet) * config.pair_bytes
+    count = len(sizes)
     if include_end:
         built[count] = end = end_packet(
             tree_id, src, dst, config, None if seq_start is None else seq_start + count
         )
         sizes.append(end.wire_bytes())
-    columns = PairColumns(pairs, kids, per_packet)
     return PacketWindow(tree_id, src, dst, config, pairs, columns, seq_start, sizes, built)
+
+
+def packets_of(emissions: Iterable[tuple[int, Any]]) -> list[tuple[int, Any]]:
+    """``(port, packet)`` emissions with each window cut into its packets."""
+    return [
+        (port, packet)
+        for port, out in emissions
+        for packet in (out if type(out) is PacketWindow else (out,))
+    ]
 
 
 def end_packet(

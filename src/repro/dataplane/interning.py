@@ -25,7 +25,8 @@ questions a window's size arithmetic asks (widest key, any NUL suffix) from
 the metadata of each *distinct* key, and keeps the kids in the partition's
 columns; a lone packet's columns intern through the same function. The
 register kernel (``core/aggregation.py``) reads ``crc`` and the key object back
-by kid. The containers below are named nowhere else
+by kid; its final flush measures kids it holds and looks up keys only the
+per-pair loop saw. The containers below are named nowhere else
 (``tests/checks/test_lint_gate.py`` holds that), so the pool can be re-homed
 by editing this file alone.
 """
@@ -33,7 +34,7 @@ by editing this file alone.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 #: key object -> kid (dense, append-only).
 _key_to_kid: dict[Any, int] = {}
@@ -81,21 +82,36 @@ def intern_keys(keys: Sequence[Any]) -> tuple[list[int], int, bool]:
     time the process sees it. Raises ``TypeError`` like :func:`intern_key`,
     and for an unhashable key.
     """
-    kid_of = _key_to_kid.__getitem__
+    lookup = _key_to_kid.__getitem__
     try:
-        kids = list(map(kid_of, keys))
+        kids = list(map(lookup, keys))
     except KeyError:  # first sight of some key: intern each distinct key once
         for key in dict.fromkeys(keys):
             intern_key(key)
-        kids = list(map(kid_of, keys))
-    distinct = dict.fromkeys(kids)
-    widest = max(map(_kid_enc_len.__getitem__, distinct), default=0)
-    return kids, widest, any(map(_kid_ends_nul.__getitem__, distinct))
+        kids = list(map(lookup, keys))
+    return (kids, *measure_kids(dict.fromkeys(kids)))
+
+
+def measure_kids(kids: Iterable[int]) -> tuple[int, bool]:
+    """``(widest, any_nul)`` over kids already interned (see :func:`intern_keys`)."""
+    kids = list(kids)
+    widest = max(map(_kid_enc_len.__getitem__, kids), default=0)
+    return widest, any(map(_kid_ends_nul.__getitem__, kids))
+
+
+def kid_of(key: Any) -> int:
+    """The kid of ``key`` if the pool holds it, else ``-1`` (nothing is interned)."""
+    return _key_to_kid.get(key, -1)
 
 
 def key_of(kid: int) -> Any:
     """The key object a kid stands for."""
     return _kid_key[kid]
+
+
+def keys_of(kids: Iterable[int]) -> list[Any]:
+    """The key objects of ``kids``, in order."""
+    return list(map(_kid_key.__getitem__, kids))
 
 
 def crc_of(kid: int) -> int:

@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 from repro.checks.registry import fastpath
 from repro.core.errors import PipelineError, TopologyError
-from repro.core.packet import DaietAck, DaietPacket, DaietPacketType
+from repro.core.packet import DaietAck, DaietPacket, DaietPacketType, PacketWindow
 from repro.dataplane.actions import (
     CallableAction,
     EcmpAction,
@@ -242,7 +242,8 @@ class SwitchDevice(Device):
         UDP datagrams — baseline shuffles and host-level ACK/retransmit
         traffic) take the compiled forwarding path. Everything else is
         handled by the generic pipeline. All paths produce identical
-        emissions and identical counter/parse-budget effects.
+        emissions and identical counter/parse-budget effects, except that
+        the aggregation path returns a flush as one window, not its packets.
         """
         switch = self.switch
         packet_type = type(packet)
@@ -298,17 +299,24 @@ class SwitchDevice(Device):
                     else:
                         out = engine.handle_ack(packet)
                     if out:
-                        n_out = len(out)
-                        counters.packets_generated += n_out
-                        counters.packets_out += n_out
-                        for _port, out_packet in out:
-                            counters.bytes_out += _switch_packet_bytes(
-                                out_packet, counters
-                            )
+                        self._count_emitted(out)
                     return out
         elif packet_type is self._udp_type or packet_type is self._tcp_type:
             return self._fast_forward(packet, ingress_port, nbytes)
         return switch.receive(packet, ingress_port, nbytes)
+
+    def _count_emitted(self, out: list[tuple[int, Any]]) -> None:
+        """Count what the aggregation extern emitted: a window, each of its packets."""
+        counters = self._sw_counters
+        for _port, out_packet in out:
+            if type(out_packet) is PacketWindow:
+                sizes = out_packet.sizes
+                count, nbytes = len(sizes), sum(sizes)
+            else:
+                count, nbytes = 1, _switch_packet_bytes(out_packet, counters)
+            counters.packets_generated += count
+            counters.packets_out += count
+            counters.bytes_out += nbytes
 
     # ------------------------------------------------------------------ #
     # Compiled forwarding path

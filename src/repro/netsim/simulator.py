@@ -26,12 +26,11 @@ from typing import Any, Iterable
 
 from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError, TableError, TopologyError
-from repro.core.packet import DaietAck, PacketWindow, PairColumns
+from repro.core.packet import DaietAck, PacketWindow, PairColumns, packets_of
 from repro.netsim.devices import (
     Device,
     Host,
     SwitchDevice,
-    _switch_packet_bytes,
     packet_wire_bytes,
 )
 from repro.netsim.events import EventScheduler, Timer
@@ -72,8 +71,9 @@ OBSERVER_HOOKS = (
 class _BurstPlan:
     """Send-time precomputation for one window's burst delivery fast path.
 
-    Built by :meth:`NetworkSimulator.send_burst` from a
-    :class:`~repro.core.packet.PacketWindow` so that the burst delivery
+    Built from a :class:`~repro.core.packet.PacketWindow` a host sends
+    (:meth:`NetworkSimulator.send_burst`) or a switch flushes towards a
+    switch (``_transmit_window``), so that the burst delivery
     handler can batch the window's DATA packets without building them:
     per-item eligibility (a DATA packet carries pairs, the END does not),
     the window's interned-key/value arrays (views of its partition's
@@ -82,10 +82,10 @@ class _BurstPlan:
     the plan still carries; ``packet(k)`` builds one only for a consumer
     that needs it. The wire-dependent fields (arrival ``times``, the
     ``seq0`` base, delivery ``target``/``ingress``) are filled in by
-    ``_transmit_burst`` when the burst hits its uplink, which also drops the
-    items lost on it. Items before ``next`` are delivered; a batch stores
-    what such an item emitted in ``deferred`` until the queue reaches the
-    item's own position.
+    ``_transmit_burst`` when the burst hits its link, which also drops the
+    items lost or tail-dropped on it. Items before ``next`` are delivered; a
+    batch stores what such an item emitted in ``deferred`` until the queue
+    reaches the item's own position.
     """
 
     __slots__ = (
@@ -407,18 +407,28 @@ class NetworkSimulator:
         return sink
 
     def _compile_switch_sink(self, device: SwitchDevice) -> Any:
-        """A delivery closure for one switch: deliver + re-transmit."""
+        """A delivery closure for one switch: deliver + re-transmit.
+
+        Forwarded traffic shares it, so only an output without ``wire_bytes()``
+        (a flush window, a packet sized by ``length``) is asked what it is.
+        """
         name = device.name
         deliver = device.deliver
         transmit = self._transmit
+        transmit_window = self._transmit_window
 
         def sink(_target: Any, ingress_port: int, packet: Any, nbytes: int) -> None:
             outputs = deliver(packet, ingress_port, nbytes)
             if outputs:
                 for egress_port, out_packet in outputs:
-                    transmit(
-                        name, egress_port, out_packet, packet_wire_bytes(out_packet)
-                    )
+                    try:
+                        size = out_packet.wire_bytes()
+                    except AttributeError:
+                        if type(out_packet) is PacketWindow:
+                            transmit_window(name, egress_port, out_packet)
+                            continue
+                        size = packet_wire_bytes(out_packet)
+                    transmit(name, egress_port, out_packet, size)
 
         return sink
 
@@ -438,10 +448,11 @@ class NetworkSimulator:
         directly when the handler registry was rebuilt while burst entries
         were queued.
 
-        A burst entry stands for a whole send window: its plan carries the
-        send-time precomputed eligibility mask, pair arrays and exact
-        cumulative ledgers, and ``_transmit_burst`` filled in per-item
-        arrival times plus the reserved sequence-number range. The handler
+        A burst entry stands for a whole window, a host's partition or a
+        child switch's flush alike: its plan carries the eligibility mask,
+        pair arrays and exact cumulative ledgers computed when the window
+        was sent, and ``_transmit_burst`` filled in per-item arrival times
+        plus the reserved sequence-number range. The handler
         takes a *batch*: the items of this switch's burst entries that
         arrive within one lookahead of the head, the shortest propagation
         delay of the switch's links. Anything not yet queued for this switch
@@ -467,6 +478,8 @@ class NetworkSimulator:
         scheduler = self.scheduler
         name = device.name
         transmit = self._transmit
+        transmit_window = self._transmit_window
+        count_emitted = device._count_emitted
         resolve = device._batch_tree_state
         links = self._port_links[name]
         num_ports = device.switch.num_ports
@@ -486,11 +499,14 @@ class NetworkSimulator:
 
         def burst_sink(plan: _BurstPlan, offset: int) -> None:
             if offset < plan.next:
-                for port, out_packet in plan.deferred.pop(offset):
-                    counters.packets_generated += 1
-                    counters.packets_out += 1
-                    counters.bytes_out += _switch_packet_bytes(out_packet, counters)
-                    transmit(name, port, out_packet, packet_wire_bytes(out_packet))
+                emitted = plan.deferred.pop(offset)
+                if emitted:
+                    count_emitted(emitted)
+                    for port, out in emitted:
+                        if type(out) is PacketWindow:
+                            transmit_window(name, port, out)
+                        else:
+                            transmit(name, port, out, out.wire_bytes())
                 return
             sink(plan.target, plan.ingress, plan.packet(offset), plan.nbytes[offset])
             nxt = plan.next = offset + 1
@@ -805,18 +821,34 @@ class NetworkSimulator:
         device.counters.packets_sent += len(sizes)
         device.counters.bytes_sent += sum(sizes)
         self.scheduler.push_at(
-            self.scheduler.now + delay, self._transmit_burst, (src_host, packets, sizes, plan)
+            self.scheduler.now + delay,
+            self._transmit_burst,
+            (src_host, 0, packets, sizes, plan, len(sizes) - 1),
         )
         return len(sizes)
 
+    def _transmit_window(self, from_device: str, egress_port: int, window: PacketWindow) -> None:
+        """Put a switch's flush window on its egress link, planned if a switch takes it."""
+        plan = None
+        if self._fast_burst:
+            info = self._port_info[from_device].get(egress_port)
+            if info is not None and info[7] is not None:
+                plan = _plan_burst(window)
+        self._transmit_burst(from_device, egress_port, window, window.sizes, plan)
+
     def _transmit_burst(
         self,
-        src_host: str,
+        from_device: str,
+        egress_port: int,
         packets: Any,
         sizes: list[int],
         plan: _BurstPlan | None = None,
+        carried: int = 0,
     ) -> None:
-        """Put a whole window of packets on a host's uplink, in order.
+        """Put a whole window of packets on one link (a host's or a switch's), in order.
+
+        ``carried`` counts the extra logical events the call stands for: a
+        host's burst entry replaces one ``_transmit`` event per packet.
 
         A window with a burst plan, into a switch that still has its burst
         sink (no observer is watching individual transmissions, see
@@ -828,58 +860,66 @@ class NetworkSimulator:
         survivors consume the sequence-number range their per-packet pushes
         would have, so global event order is bit-identical to a per-packet
         schedule; the burst handler re-expands any tail that foreign events
-        interleave. Hosts are never congestion-modelled, so that branch of
-        ``_transmit`` is statically dead here. Every other window goes
-        through ``_transmit`` packet by packet.
+        interleave. On a switch egress it applies ``_transmit``'s congestion
+        model per item: a tail drop leaves the plan as a loss does, and a CE
+        mark builds and marks the packet, which ``_fresh_run`` then refuses.
+        Every other window goes through the per-packet transmit.
         """
         n = len(sizes)
-        self._synthetic_events += n - 1
-        if plan is not None:
-            (
-                link,
-                link_name,
-                _callback,
-                target,
-                other_port,
-                traffic,
-                busy_key,
-                burst_sink,
-            ) = self._port_info[src_host][0]
-            if burst_sink is not None:
-                traffic.packets += n
-                traffic.bytes += plan.nbytes_cum[n]
-                busy = self._link_busy_until
-                scheduler = self.scheduler
-                now = scheduler.now
-                busy_end = busy.get(busy_key, 0.0)
-                if now > busy_end:
-                    busy_end = now
-                bandwidth = link.bandwidth_bps
-                propagation = link.propagation_s
-                loss_rate = link.loss_rate
-                draw = self._loss_rng.random
-                times: list[float] = []
-                lost: list[int] = []
-                for i, nbytes in enumerate(sizes):
-                    busy_end = busy_end + nbytes / bandwidth
-                    if loss_rate > 0.0 and draw() < loss_rate:
+        self._synthetic_events += carried
+        info = self._port_info[from_device].get(egress_port)
+        if plan is not None and info is not None and info[7] is not None:
+            link, link_name, _callback, target, other_port, traffic, busy_key, burst_sink = info
+            busy = self._link_busy_until
+            scheduler = self.scheduler
+            now = scheduler.now
+            busy_end = busy.get(busy_key, 0.0)
+            if now > busy_end:
+                busy_end = now
+            bandwidth = link.bandwidth_bps
+            propagation = link.propagation_s
+            loss_rate = link.loss_rate
+            draw = self._loss_rng.random
+            congested = self._congestion_enabled and from_device in self._switch_names
+            limit = self._switch_buffer
+            threshold = self._ecn_threshold
+            times: list[float] = []
+            lost: list[int] = []
+            tail_dropped = tail_dropped_bytes = 0
+            for i, nbytes in enumerate(sizes):
+                if congested and busy_end > now:
+                    backlog_bytes = (busy_end - now) * bandwidth
+                    if limit is not None and backlog_bytes > limit:
                         lost.append(i)
-                        self._drop("loss", link_name, packets[i])
-                    else:
-                        times.append(busy_end + propagation)
-                busy[busy_key] = busy_end
-                if times:
-                    if lost:
-                        plan.drop(lost)
-                    plan.times = times
-                    plan.seq0 = seq = scheduler.reserve_seqs(len(times))
-                    plan.target = target
-                    plan.ingress = other_port
-                    scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
-                return
+                        tail_dropped += 1
+                        tail_dropped_bytes += nbytes
+                        self._drop("queue", link_name, packets[i])
+                        continue
+                    if threshold is not None and backlog_bytes > threshold:
+                        packet = packets[i]
+                        if packet.ecn is False:
+                            self._mark(link_name, packet)
+                busy_end = busy_end + nbytes / bandwidth
+                if loss_rate > 0.0 and draw() < loss_rate:
+                    lost.append(i)
+                    self._drop("loss", link_name, packets[i])
+                else:
+                    times.append(busy_end + propagation)
+            traffic.packets += n - tail_dropped
+            traffic.bytes += plan.nbytes_cum[n] - tail_dropped_bytes
+            busy[busy_key] = busy_end
+            if times:
+                if lost:
+                    plan.drop(lost)
+                plan.times = times
+                plan.seq0 = seq = scheduler.reserve_seqs(len(times))
+                plan.target = target
+                plan.ingress = other_port
+                scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
+            return
         transmit = self._transmit_entry
-        for packet, nbytes in zip(packets, sizes):
-            transmit(src_host, 0, packet, nbytes)
+        for i, nbytes in enumerate(sizes):
+            transmit(from_device, egress_port, packets[i], nbytes)
 
     def _observed_transmit(
         self, from_device: str, egress_port: int, packet: Any, nbytes: int
@@ -1001,7 +1041,7 @@ class NetworkSimulator:
             for on_deliver in hooks["on_deliver"]:
                 on_deliver(packet)
             return
-        outputs = device.deliver(packet, ingress_port, nbytes)
+        outputs = packets_of(device.deliver(packet, ingress_port, nbytes))
         for on_switch in hooks["on_switch"]:
             on_switch(packet, outputs)
         transmit = self._transmit_entry

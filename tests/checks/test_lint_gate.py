@@ -390,9 +390,48 @@ class TestCleanTree:
         # one PacketWindow; a DaietPacket is built only for a consumer that
         # needs one. So the simulator never asks a packet for its pairs' view,
         # and nothing assembles packets past the validating constructor but
-        # the window's materializer and DaietPacket.restamped.
+        # the window's materializer and DaietPacket.restamped. A switch flush
+        # travels the same way: the engine (core/aggregation.py) never walks
+        # a window it cut, so it neither iterates nor list()s what
+        # packetize_pairs / packetize_columns return, directly or through a
+        # name bound to it. (The parent of the change that widened this gate
+        # had one hit: `packets = list(packetize_pairs(...))` in _emit_pairs.)
         allowed = {"PacketWindow.__getitem__", "DaietPacket.restamped"}
         per_packet_views = {"vector_columns", "vector_pairs"}
+        packetizers = {"packetize_pairs", "packetize_columns"}
+        walkers = {
+            "list", "tuple", "set", "sorted", "sum", "iter", "enumerate", "map",
+            "filter", "any", "all", "min", "max", "zip", "reversed",
+        }
+
+        def called(node):
+            func = getattr(node, "func", None)
+            return getattr(func, "id", getattr(func, "attr", None))
+
+        def walked_windows(tree):
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                bound = {
+                    target.id
+                    for node in ast.walk(function)
+                    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+                    and any(called(part) in packetizers for part in ast.walk(node.value))
+                    for target in getattr(node, "targets", [getattr(node, "target", None)])
+                    if isinstance(target, ast.Name)
+                }
+                for node in ast.walk(function):
+                    if isinstance(node, (ast.For, ast.comprehension)):
+                        walked = [node.iter]
+                    elif isinstance(node, ast.Starred):
+                        walked = [node.value]
+                    elif isinstance(node, ast.Call) and called(node) in walkers:
+                        walked = node.args
+                    else:
+                        continue
+                    for part in walked:
+                        if called(part) in packetizers or getattr(part, "id", None) in bound:
+                            yield part.lineno
 
         def references(node, scope=""):
             for child in ast.iter_child_nodes(node):
@@ -414,4 +453,6 @@ class TestCleanTree:
                     relative != "core/packet.py" or scope not in allowed
                 ):
                     offenders.append(f"{relative}:{line} {scope} {name}")
+            if relative == "core/aggregation.py":
+                offenders += [f"{relative}:{line} walks a window" for line in walked_windows(tree)]
         assert offenders == []

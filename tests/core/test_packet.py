@@ -11,6 +11,7 @@ import test_vector_kernel_equivalence as kernel_harness
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DaietConfig
+from repro.core.aggregation import DaietAggregationEngine
 from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError
 from repro.core.functions import SUM, aggregate_pairs
@@ -19,6 +20,7 @@ from repro.core.packet import (
     DaietAck,
     DaietPacket,
     DaietPacketType,
+    PacketWindow,
     PairColumns,
     SeenWindow,
     end_packet,
@@ -27,7 +29,7 @@ from repro.core.packet import (
 from repro.dataplane import interning
 from repro.netsim.devices import packet_wire_bytes
 from repro.netsim.simulator import SimulatorConfig
-from repro.netsim.topology import single_rack
+from repro.netsim.topology import leaf_spine, single_rack
 
 #: Keys valid under the fixed-size 16-byte representation.
 key_strategy = st.text(
@@ -684,9 +686,8 @@ class TestPacketizerCounts:
     ):
         # A mapper's DATA packets ride their window from the packetizer to
         # the register kernel. What is built: every packet a switch flushes
-        # (each flush is a window of its own that the switch iterates), every
-        # END, and on a lossy round each mapper DATA packet a retransmission
-        # resends.
+        # to the reducer host (a per-packet consumer), every END, and on a
+        # lossy round each mapper DATA packet a retransmission resends.
         built = []
         assemble = packet_module._assemble
         construct = DaietPacket.__init__
@@ -738,6 +739,76 @@ class TestPacketizerCounts:
         assert len(mapper_data) > 0 if lossy else not resent
         assert len(set(map(id, built))) == len(built)  # each packet built once
         assert len(built) == flushed.packets_emitted + len(mappers) + len(mapper_data)
+
+    def test_switch_flushes_build_packets_only_for_the_reducer(self, monkeypatch):
+        # Lossless leaf-spine: a leaf's flush rides to the spine's register
+        # kernel as one window, like a mapper's partition. What is built:
+        # every END, every one-packet flush (it leaves as its packet) and
+        # the flush packets the reducer host receives. No DATA packet of a
+        # multi-packet switch-to-switch flush is built.
+        built = []
+        assemble = packet_module._assemble
+        construct = DaietPacket.__init__
+
+        def counting_assemble(*args, **kwargs):
+            packet = assemble(*args, **kwargs)
+            built.append(packet)
+            return packet
+
+        def counting_construct(self, *args, **kwargs):
+            construct(self, *args, **kwargs)
+            built.append(self)
+
+        windows, lone = [], []
+        emit = DaietAggregationEngine._emit_pairs
+
+        def spy_emit(engine, state, pairs, include_end, columns=None):
+            emitted = emit(engine, state, pairs, include_end, columns)
+            for _port, out in emitted:
+                (windows if type(out) is PacketWindow else lone).append(out)
+            return emitted
+
+        monkeypatch.setattr(packet_module, "_assemble", counting_assemble)
+        monkeypatch.setattr(DaietPacket, "__init__", counting_construct)
+        monkeypatch.setattr(DaietAggregationEngine, "_emit_pairs", spy_emit)
+        mappers = [f"h{i}" for i in range(8)]
+        config = DaietConfig(
+            register_slots=16, pairs_per_packet=4, reliability=True, retransmit_timeout=1.0
+        )
+        system = DaietSystem(leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3), config)
+        system.install_job(mappers=mappers, reducers=["h8"])
+        reducer = system.simulator.host("h8")
+        reducer.record_packets = True
+        partitions = [[(f"s{(i * 7 + m) % 40}", 1) for i in range(400)] for m in range(8)]
+        for mapper, pairs in zip(mappers, partitions):
+            system.send_pairs(mapper, "h8", pairs)
+        system.run()
+        assert system.receiver("h8").result() == aggregate_pairs(
+            [pair for pairs in partitions for pair in pairs], SUM
+        )
+        assert system.reliability_stats()["h8"]["pulls_sent"] == 0
+        tree = system.tree_for("h8")
+        to_switch = [w for w in windows if tree.node(tree.parent(w.src)).is_switch]
+        multi = [w for w in to_switch if len(w) > 2]
+        assert multi  # the leaves' final flushes
+        assert not any(
+            packet.packet_type is DaietPacketType.DATA
+            for window in multi
+            for packet in window.built.values()
+        )
+        assert all(len(window) > 1 for window in windows)
+        ends = [packet for packet in built if packet.packet_type is DaietPacketType.END]
+        lone_data = {id(p) for p in lone if p.packet_type is DaietPacketType.DATA}
+        delivered = [
+            packet
+            for packet in reducer.received_packets
+            if type(packet) is DaietPacket and packet.packet_type is DaietPacketType.DATA
+        ]
+        assert lone_data and delivered
+        assert len(set(map(id, built))) == len(built)  # each packet built once
+        assert len(built) == len(ends) + len(lone_data) + len(
+            [packet for packet in delivered if id(packet) not in lone_data]
+        )
 
     def test_keys_are_measured_once_per_distinct_key(self):
         # The benchmark's 7.5 pairs per word, at a quarter of its size.

@@ -19,10 +19,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
-from repro.core.packet import DaietPacket, DaietPacketType, PacketWindow, packetize_pairs
+from repro.core.packet import (
+    DaietPacket,
+    DaietPacketType,
+    PacketWindow,
+    packetize_pairs,
+    packets_of,
+)
+from repro.dataplane import interning
 from repro.netsim.simulator import _plan_burst
 
 np = pytest.importorskip("numpy")
@@ -66,6 +75,9 @@ def kernel_apply(engine: DaietAggregationEngine, burst: PacketWindow, slices=Non
 def feed_fast(engine: DaietAggregationEngine, bursts, split: bool = False) -> list:
     """Apply bursts through the kernel; returns (port, packet) emissions.
 
+    The kernel emits each spillover flush as a window; it is cut into its
+    packets here, as the per-pair oracle's ``handle_packet`` cuts them.
+
     With ``split`` a multi-packet burst takes two calls — its first packet
     alone, then the rest from a non-zero plan offset — the way an ``until``
     bound or an interleaved foreign event cuts a window in the simulator.
@@ -75,7 +87,7 @@ def feed_fast(engine: DaietAggregationEngine, bursts, split: bool = False) -> li
         slices = [(0, 1), (1, len(burst) - 1)] if split and len(burst) > 1 else None
         for result in kernel_apply(engine, burst, slices):
             assert result is not None
-            emitted.extend((port, packet) for _pkt_i, port, packet in result)
+            emitted.extend(packets_of((port, out) for _pkt_i, port, out in result))
     return emitted
 
 
@@ -289,7 +301,9 @@ class TestSequencedStreamAdmission:
         emitted = [(i, 0, port, out) for i, port, out in result]
         acks = fast._accept_run(state, window, plan.items)
         emitted += [(i, 1, port, ack) for i, port, ack in acks]
-        fast_out = [(port, out) for _i, _kind, port, out in sorted(emitted, key=lambda e: e[:2])]
+        fast_out = packets_of(
+            (port, out) for _i, _kind, port, out in sorted(emitted, key=lambda e: e[:2])
+        )
         assert fast_out == slow_out
         assert any(out.__class__.__name__ == "DaietAck" for _port, out in fast_out)
         assert_twins_identical(fast, slow)
@@ -299,3 +313,83 @@ class TestSequencedStreamAdmission:
             slow_window.out_of_order,
             slow_window.since_ack,
         )
+
+
+def register_walk(engine: DaietAggregationEngine) -> list:
+    """The pairs the final flush's walk emits, read without touching the state.
+
+    Spillover first, then each occupied slot from the last one claimed down,
+    valued at its cell plus its pending kernel delta.
+    """
+    state = engine.tree(7)
+    keys, cells = state.key_register._cells, state.value_register._cells
+    return list(state.spillover.peek()) + [
+        (keys[slot], cells[slot] + int(state._vec_delta[slot]))
+        for slot in reversed(state.index_stack.peek_all())
+    ]
+
+
+def flushed_pairs(emissions) -> list:
+    return [
+        pair
+        for _port, packet in packets_of(emissions)
+        if packet.packet_type is DaietPacketType.DATA
+        for pair in packet.pairs
+    ]
+
+
+class TestColumnFlush:
+    """A ``_vec`` tree's final flush is cut from the kernel's own columns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        slots=st.integers(1, 16),
+        per=st.integers(1, 5),
+        bursts=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.tuples(st.integers(0, 30), st.integers(-(2**40), 2**40)),
+                    min_size=1,
+                    max_size=12,
+                ),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_column_flush_emits_what_the_walk_emits(self, slots, per, bursts):
+        # Kernel bursts and per-pair packets claim slots in any mix; the
+        # flush emits the walk's pairs in the walk's order, and leaves the
+        # registers as the walk leaves them.
+        config = DaietConfig(register_slots=slots, pairs_per_packet=per)
+        engine = make_engine(config)
+        for through_kernel, pairs in bursts:
+            window = data_packets([(f"col{k}", v) for k, v in pairs], config)
+            if through_kernel:
+                assert kernel_apply(engine, window) != [None]
+            else:
+                feed_slow(engine, [window])
+        state = engine.tree(7)
+        walk = register_walk(engine)
+        out = engine._flush_all(state)
+        [(_port, window)] = out
+        if type(window) is PacketWindow:  # not the lone END of empty registers
+            assert window.columns.kids is not None  # cut from columns, not pairs
+        assert flushed_pairs(out) == walk
+        assert state.occupancy() == 0 and state._vec_mass == 0
+        assert set(state.key_register._cells) == set(state.value_register._cells) == {None}
+
+    def test_a_key_never_interned_takes_the_walk(self):
+        config = DaietConfig(register_slots=8, pairs_per_packet=4)
+        engine = make_engine(config)
+        fresh = "unseen-col-key"
+        assert interning.kid_of(fresh) == -1
+        engine.handle_packet(
+            DaietPacket(tree_id=7, src="h0", dst="h1", pairs=((fresh, 3),), config=config)
+        )
+        feed_slow(engine, [data_packets([("col1", 2), ("col2", 5)], config)])
+        walk = register_walk(engine)
+        out = engine._flush_all(engine.tree(7))
+        [(_port, window)] = out
+        assert window.columns.kids is None  # built from pairs by the walk
+        assert flushed_pairs(out) == walk

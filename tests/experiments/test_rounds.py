@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import random
 
 import pytest
 
@@ -31,7 +32,8 @@ from repro.experiments.rounds import (
 from repro.mapreduce.shuffle import DaietShuffle
 from repro.mapreduce.wordcount import generate_corpus
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
-from repro.netsim.topology import Topology, single_rack
+from repro.netsim.devices import Host
+from repro.netsim.topology import Topology, leaf_spine, single_rack
 
 WORKERS = 4
 MAPPERS = [f"h{i}" for i in range(WORKERS)]
@@ -166,6 +168,38 @@ def _rack_round(pairs: int, loss_rate: float, controller: str, adaptive_rto: boo
         SimulatorConfig(loss_seed=2017),
     )
     return run_daiet_round(system, RACK_MAPPERS, "h16", partitions, truth)
+
+
+class TestTheRoundItself:
+    def test_4096_workers_on_a_257_leaf_fabric(self):
+        """A 4,096-worker leaf-spine round, reliable and exact end to end.
+
+        Every leaf flushes towards a spine as one window, which the spine's
+        register kernel takes; host uplinks drop 0.1% of what they carry. The
+        whole round, set-up included, takes about 3 s on a 2-vCPU VM.
+        """
+        topology = leaf_spine(num_leaves=257, num_spines=4, hosts_per_leaf=16)
+        for link in topology.links:
+            if any(isinstance(topology.get(end.device), Host) for end in (link.a, link.b)):
+                link.loss_rate = 0.001
+        system = DaietSystem(
+            topology,
+            DaietConfig(register_slots=1024, reliability=True, retransmit_timeout=1e-4),
+            SimulatorConfig(loss_seed=4096),
+        )
+        mappers = [f"h{i}" for i in range(1, 4097)]
+        rng = random.Random(4096)
+        partitions = [
+            [(f"w{rng.randrange(2_000)}", rng.randrange(1, 9)) for _ in range(5)]
+            for _ in mappers
+        ]
+        truth: dict[str, int] = {}
+        for pairs in partitions:
+            for key, value in pairs:
+                truth[key] = truth.get(key, 0) + value
+        round_ = run_daiet_round(system, mappers, "h0", partitions, truth)
+        assert round_.completed and round_.exact
+        assert round_.losses > 0
 
 
 class TestRecoveryCostsWhatTheLossCosts:

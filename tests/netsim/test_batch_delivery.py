@@ -1,14 +1,16 @@
 """Twin-run equivalence for burst delivery, the one vectorized way into a switch.
 
-``switch-burst-delivery``: a whole send window rides ONE queue entry carrying
-a send-time precomputed :class:`_BurstPlan`; the handler merges concurrent
-bursts by ``(time, seq)`` and feeds the pair arrays straight into the
-vectorized register kernel. Sequenced windows ride it as unsequenced ones
-do, over lossy uplinks too: the uplink's loss draws drop items from the
-plan, and the kernel takes every DATA packet its stream admits (fresh: above
-the stream's high-water mark, not CE-marked, no END stashed) while
-duplicates, gap-fills, ENDs and ACKs go one by one through the compiled
-per-packet sink, as do switch to switch flushes and single-packet sends.
+``switch-burst-delivery``: a whole window rides ONE queue entry carrying a
+precomputed :class:`_BurstPlan`; the handler merges concurrent bursts by
+``(time, seq)`` and feeds the pair arrays straight into the vectorized
+register kernel. A mapper's send window and a child switch's flush window
+ride it alike. Sequenced windows ride it as unsequenced ones do, over lossy
+links too: the link's loss draws (and, on a congested switch egress, its
+tail drops) drop items from the plan, and the kernel takes every DATA packet
+its stream admits (fresh: above the stream's high-water mark, not CE-marked,
+no END stashed) while duplicates, gap-fills, ENDs and ACKs go one by one
+through the compiled per-packet sink, as do single-packet windows and
+retransmissions.
 
 Standing burst delivery down (the ``_fast_burst`` gate, what attaching an
 observer does: no plan is built, so no burst entry is ever queued) must
@@ -26,7 +28,7 @@ import pytest
 from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
-from repro.core.packet import DaietAck
+from repro.core.packet import DaietAck, DaietPacket, PacketWindow
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
 
@@ -51,7 +53,7 @@ def wordcount_system(
         topology = single_rack(num_mappers + 1)
     else:
         # Two-level tree: mappers spread over three leaves, so every leaf's
-        # flush travels switch -> switch as per-packet entries.
+        # flush travels switch -> switch as one window.
         topology = leaf_spine(
             num_leaves=3, num_spines=2, hosts_per_leaf=(num_mappers + 3) // 3
         )
@@ -226,6 +228,7 @@ def sequenced_twin(
     pairs_per_packet: int = 10,
     staggered: bool = False,
     ecn_threshold_bytes: int | None = None,
+    switch_buffer_bytes: int | None = None,
 ):
     """A reliable wordcount round and the ACK stream each mapper hears.
 
@@ -254,7 +257,11 @@ def sequenced_twin(
     system = DaietSystem(
         topology,
         config,
-        SimulatorConfig(loss_seed=loss_seed, ecn_threshold_bytes=ecn_threshold_bytes),
+        SimulatorConfig(
+            loss_seed=loss_seed,
+            ecn_threshold_bytes=ecn_threshold_bytes,
+            switch_buffer_bytes=switch_buffer_bytes,
+        ),
     )
     if not fast:
         system.simulator._fast_burst = False
@@ -517,6 +524,91 @@ class TestWhoTakesThePerPairLoop:
         assert fast_calls < data_arrivals // 20
 
 
+    def test_switch_flushes_ride_the_parents_kernel(self, monkeypatch):
+        """On a lossy reliable leaf-spine round ``_process_data`` runs for an
+        item of a child switch's flush only when the flush is a one-packet
+        window (a spillover flush), when the item's stream refuses it (a
+        duplicate, a gap-fill, CE-marked, behind a stashed END) or when the
+        child resent it. A fresh item of a multi-packet flush always rides
+        the parent's register kernel; without bursts every item took the
+        per-pair loop."""
+        flushes: dict[str, list] = {}  # a switch's flush windows
+        # One-packet flushes, which leave as packets, and what the children
+        # resent, by id (holding them keeps their ids from being reused).
+        lone: dict[int, DaietPacket] = {}
+        emit = DaietAggregationEngine._emit_pairs
+
+        def spy_emit(engine, state, pairs, include_end, columns=None):
+            emitted = emit(engine, state, pairs, include_end, columns)
+            for _port, out in emitted:
+                if type(out) is PacketWindow:
+                    flushes.setdefault(engine.switch_name, []).append(out)
+                else:
+                    lone[id(out)] = out
+            return emitted
+
+        resent: dict[int, DaietPacket] = {}
+        handle_ack = DaietAggregationEngine.handle_ack
+
+        def spy_ack(engine, ack):
+            out = handle_ack(engine, ack)
+            resent.update((id(p), p) for _port, p in out if type(p) is DaietPacket)
+            return out
+
+        calls: list[tuple[int, bool, bool]] = []
+        process_data = DaietAggregationEngine._process_data
+
+        def spy(engine, state, packet):
+            sizes = [1] if id(packet) in lone else [
+                len(window)
+                for window in flushes.get(packet.src, ())
+                if any(built is packet for built in window.built.values())
+            ]
+            if sizes:  # an item of a switch's flush
+                stream = state._seen.get(packet.src)
+                refused = packet.ecn or (
+                    stream is not None
+                    and (packet.seq <= stream.high_water or stream.end_seq is not None)
+                )
+                calls.append((sizes[0], refused, id(packet) in resent))
+            return process_data(engine, state, packet)
+
+        monkeypatch.setattr(DaietAggregationEngine, "_emit_pairs", spy_emit)
+        monkeypatch.setattr(DaietAggregationEngine, "handle_ack", spy_ack)
+        monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
+        counts = {}
+        for fast in (False, True):
+            flushes.clear()
+            lone.clear()
+            resent.clear()
+            calls.clear()
+            system, reducer, truth, _acks = sequenced_twin(
+                fast, fabric="leaf_spine", num_mappers=8, loss_rate=0.02, register_slots=256
+            )
+            system.run()
+            assert system.receiver(reducer).result() == truth
+            fresh_multi = [c for c in calls if c[0] > 1 and not c[1] and not c[2]]
+            if fast:
+                assert fresh_multi == []
+                assert any(size == 1 for size, _r, _s in calls)  # spillover flushes
+                assert any(refused or again for _n, refused, again in calls)  # repairs
+            counts[fast] = len(calls), len(fresh_multi)
+        tree = system.tree_for(reducer)
+        multi_to_switch = [
+            window
+            for name, windows in flushes.items()
+            if tree.node(tree.parent(name)).is_switch
+            for window in windows
+            if len(window) > 2
+        ]
+        assert multi_to_switch  # leaves flush multi-packet windows to the spine
+        (slow_calls, slow_fresh), (fast_calls, _) = counts[False], counts[True]
+        # The twins see the same losses, repairs and spillover flushes: the
+        # fresh items of multi-packet flushes are all the kernel took over.
+        assert slow_fresh > 0
+        assert fast_calls == slow_calls - slow_fresh
+
+
 class TestCeMarkedRetransmissions:
     def test_marked_data_is_resent_marked(self, sequenced_observables, monkeypatch):
         """A packet is built once: the simulator sets the CE bit on the live
@@ -529,9 +621,9 @@ class TestCeMarkedRetransmissions:
         emit = DaietAggregationEngine._emit_pairs
         flushed = []
 
-        def spy_emit(engine, state, pairs, include_end):
-            emitted = emit(engine, state, pairs, include_end)
-            flushed.extend(packet for _port, packet in emitted)
+        def spy_emit(engine, state, pairs, include_end, columns=None):
+            emitted = emit(engine, state, pairs, include_end, columns)
+            flushed.extend(out for _port, out in emitted)
             return emitted
 
         handle_ack = DaietAggregationEngine.handle_ack
@@ -577,9 +669,161 @@ class TestCeMarkedRetransmissions:
             results.append(observed)
             stats = observed["traffic"]["stats"]
             assert sum(stats["ecn_marked"].values()) > 0
-            assert any(packet.ecn and packet.pairs for packet in flushed)
+            # A flush window builds a packet only to mark it (or for another
+            # per-packet consumer): the marked ones are among those built.
+            assert any(
+                packet.ecn and packet.pairs
+                for out in flushed
+                for packet in (out.built.values() if type(out) is PacketWindow else [out])
+            )
             assert marked_resends  # marked in flight, then resent as it is
         fast, slow = results
         assert fast == slow
         assert sum(r["retransmissions"] for r in fast["reliability"].values()) > 0
         assert resent
+
+
+def _switch_links(system: DaietSystem) -> set[str]:
+    """Names of the links between two switches."""
+    switches = {device.name for device in system.simulator.topology.switches()}
+    return {
+        link.name
+        for link in system.simulator.topology.links
+        if {link.a.device, link.b.device} <= switches
+    }
+
+
+_DRAIN_COLUMNS = DaietAggregationEngine._drain_columns
+
+
+def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_snapshot):
+    """One reliable leaf-spine job, several rounds on the same install.
+
+    ``rounds`` is one ``(values, lone)`` per round: ``values(rng)`` draws a
+    value, and ``lone`` sends each mapper's pairs one packet per window (no
+    plan: the per-pair loop claims the slots) instead of as one window.
+    ``flushed`` collects ``(round, took the column flush)`` per final flush
+    of a non-empty register file. Returns the observables after each round.
+    """
+    drain = _DRAIN_COLUMNS
+    current = [0]
+
+    def spy_drain(engine, state, spilled):
+        occupied = state.occupancy()
+        columns = drain(engine, state, spilled)
+        if occupied:
+            flushed.append((current[0], columns is not None))
+        return columns
+
+    monkeypatch.setattr(DaietAggregationEngine, "_drain_columns", spy_drain)
+    config = DaietConfig(
+        register_slots=32, pairs_per_packet=4, reliability=True, retransmit_timeout=1e-4
+    )
+    topology = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3)
+    for link in topology.links:
+        link.loss_rate = 0.01
+    system = DaietSystem(topology, config, SimulatorConfig(loss_seed=11))
+    if not fast:
+        system.simulator._fast_burst = False
+    mappers = [f"h{i}" for i in range(6)]
+    system.install_job(mappers=mappers, reducers=["h6"])
+    rng = random.Random(3)
+    truth: dict = {}
+    observed = []
+    for index, (values, lone) in enumerate(rounds):
+        current[0] = index
+        for mapper in mappers:
+            pairs = [(f"k{rng.randrange(40)}", values(rng)) for _ in range(24)]
+            for key, value in pairs:
+                truth[key] = truth.get(key, 0) + value
+            if lone:
+                for at in range(0, len(pairs), config.pairs_per_packet):
+                    chunk = pairs[at : at + config.pairs_per_packet]
+                    system.send_pairs(mapper, "h6", chunk, include_end=False)
+                system.send_pairs(mapper, "h6", [], include_end=True)
+            else:
+                system.send_pairs(mapper, "h6", pairs)
+        events = system.run()
+        result = system.receiver("h6").result()
+        assert result == truth
+        observed.append(
+            {
+                "events": events,
+                "now": system.simulator.now,
+                "result": result,
+                "traffic": traffic_snapshot(system.simulator),
+                "registers": register_contents(system),
+                "counters": {
+                    (name, tree_id): engine.tree(tree_id).counters.snapshot()
+                    for name, engine in system.controller.engines.items()
+                    for tree_id in engine.tree_ids()
+                },
+                "loss_rng": system.simulator._loss_rng.getstate(),
+                "reliability": system.reliability_stats(),
+            }
+        )
+    return observed
+
+
+class TestSwitchFlushWindows:
+    """A flush leaves its switch as one window: twins against per-packet delivery."""
+
+    def test_congested_flush_windows_are_marked_and_tail_dropped(self, sequenced_observables):
+        # Leaf flushes queue on the leaf -> spine egress: past the ECN
+        # threshold their items are CE-marked (built and marked in the
+        # window loop, then refused by the spine's kernel), past the buffer
+        # they are tail-dropped out of the plan and recovered by reliability.
+        results = []
+        for fast in (True, False):
+            system, reducer, truth, acks = sequenced_twin(
+                fast,
+                fabric="leaf_spine",
+                loss_rate=0.0,
+                ecn_threshold_bytes=500,
+                switch_buffer_bytes=4_000,
+            )
+            events = system.run()
+            observed = sequenced_observables(system, reducer, events, acks)
+            observed["registers"] = register_contents(system)
+            assert observed["result"] == truth
+            results.append(observed)
+            stats = observed["traffic"]["stats"]
+            trunks = _switch_links(system)
+            assert sum(stats["queue_drops"].get(name, 0) for name in trunks) > 0
+            assert sum(stats["ecn_marked"].get(name, 0) for name in trunks) > 0
+        fast, slow = results
+        assert fast == slow
+
+    def test_slots_change_hands_across_rounds(self, monkeypatch, traffic_snapshot):
+        # The kid the final flush reads for a slot is that of whatever
+        # claimed it this round: the per-pair loop (one-packet windows), the
+        # kernel (a window), or nothing the columns can hold (float values:
+        # the fallback walk). No kid may outlive its round.
+        def ints(rng):
+            return rng.randrange(-9, 9)
+
+        def halves(rng):
+            return rng.randrange(-9, 9) / 2
+
+        rounds = [(ints, True), (ints, False), (halves, False), (ints, False), (ints, True)]
+        flushed = {True: [], False: []}
+        fast = _multi_round_twin(True, rounds, monkeypatch, flushed[True], traffic_snapshot)
+        slow = _multi_round_twin(False, rounds, monkeypatch, flushed[False], traffic_snapshot)
+        assert fast == slow
+        assert flushed[True] == flushed[False]
+        by_round = {}
+        for index, columns in flushed[True]:
+            by_round.setdefault(index, set()).add(columns)
+        assert by_round == {0: {True}, 1: {True}, 2: {False}, 3: {True}, 4: {True}}
+
+    def test_float_and_bool_values_take_the_fallback_flush(self, monkeypatch, traffic_snapshot):
+        def mixed(rng):
+            return rng.choice([True, False, 0.5, 2, -1.5])
+
+        flushed = {True: [], False: []}
+        rounds = [(mixed, False)]
+        fast = _multi_round_twin(True, rounds, monkeypatch, flushed[True], traffic_snapshot)
+        slow = _multi_round_twin(False, rounds, monkeypatch, flushed[False], traffic_snapshot)
+        assert fast == slow
+        assert flushed[True] == flushed[False]
+        assert flushed[True] and not any(columns for _round, columns in flushed[True])

@@ -3,8 +3,8 @@ pipeline.
 
 ``SwitchDevice.deliver`` hands DAIET packets and ACKs whose tree has a
 steering entry straight to the aggregation engine. A twin switch runs the
-same sequence through ``ProgrammableSwitch.receive``: the emissions,
-``SwitchCounters``, the parser's charges, ``packets_processed``, both tables'
+same sequence through ``ProgrammableSwitch.receive``: the emissions (the
+compiled path's flush windows cut into their packets), ``SwitchCounters``, the parser's charges, ``packets_processed``, both tables'
 hit/miss counts and the tree's ``TreeCounters`` must agree after every
 packet. The sequence covers a spillover flush, a sequenced duplicate, the END
 that completes the round, an ACK addressed to the switch, an ACK forwarded to
@@ -20,7 +20,7 @@ from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.controller import AGGREGATE_ACTION
 from repro.core.errors import PipelineError, ResourceExhaustedError
-from repro.core.packet import DaietAck, DaietPacket, end_packet
+from repro.core.packet import DaietAck, DaietPacket, end_packet, packets_of
 from repro.dataplane import switch as switch_module
 from repro.dataplane.actions import CallableAction
 from repro.dataplane.resources import SwitchResources
@@ -119,7 +119,9 @@ class TestSteeredDeliveryTwin:
         outputs = []
         for port, packet in _sequence():
             nbytes = packet.wire_bytes()
-            out = fast.deliver(packet, port, nbytes)
+            # The compiled path emits each flush as one window; the generic
+            # pipeline emits its packets.
+            out = packets_of(fast.deliver(packet, port, nbytes))
             assert out == slow.switch.receive(packet, port, nbytes)
             assert _observe(fast, fast_engine) == _observe(slow, slow_engine)
             outputs.append(out)
