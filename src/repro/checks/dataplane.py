@@ -298,27 +298,15 @@ def _check_tree_resources(
                 f"{state.index_stack.capacity} != register slots {slots}",
             )
         )
-    expected_spill = config.effective_spillover_capacity
-    if state.spillover.capacity != expected_spill:
+    if state.spillover.capacity != config.pairs_per_packet:
         findings.append(
             Finding(
                 rule="spillover-capacity-mismatch",
                 path=path,
                 line=0,
                 message=f"tree {tree_id} spillover capacity "
-                f"{state.spillover.capacity} != configured "
-                f"{expected_spill}",
-            )
-        )
-    if state.spillover.capacity > config.pairs_per_packet:
-        findings.append(
-            Finding(
-                rule="spillover-capacity-mismatch",
-                path=path,
-                line=0,
-                message=f"tree {tree_id} spillover capacity "
-                f"{state.spillover.capacity} exceeds pairs_per_packet "
-                f"{config.pairs_per_packet}; a flush could overflow one packet",
+                f"{state.spillover.capacity} != pairs_per_packet "
+                f"{config.pairs_per_packet}: a flush must be one whole packet",
             )
         )
 

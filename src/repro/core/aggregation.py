@@ -138,9 +138,9 @@ class TreeState:
     _seen: defaultdict[str, SeenWindow] = field(
         default_factory=lambda: defaultdict(SeenWindow), repr=False
     )
-    #: Flush packets emitted towards the parent and not yet acknowledged:
-    #: a one-packet flush as its packet, a window's as ``(window, index)``
-    #: slots, which build a packet only if it is resent.
+    #: Flush packets emitted towards the parent and not yet acknowledged, as
+    #: ``(window, index)`` slots: ``window[index]`` is the packet that went
+    #: out (built then, or on a resend).
     _sent: RetransmitBuffer = field(default_factory=RetransmitBuffer, repr=False)
     #: Next sequence number for the switch's own emissions towards the parent.
     _next_seq: int = field(default=0, repr=False)
@@ -174,7 +174,7 @@ class TreeState:
         self.key_register = RegisterArray(slots, name=f"tree{self.tree_id}.keys")
         self.value_register = RegisterArray(slots, name=f"tree{self.tree_id}.values")
         self.index_stack = IndexStack(capacity=slots)
-        self.spillover = SpilloverBucket(capacity=self.config.effective_spillover_capacity)
+        self.spillover = SpilloverBucket(capacity=self.config.pairs_per_packet)
         self.remaining_children = self.num_children
         stride = self.config.sampled_ack_stride if self.policy == "sampled" else 1
         self._ack_every = self.config.ack_window * stride
@@ -385,8 +385,8 @@ class DaietAggregationEngine:
             missing = sent.holes(sacked)
         state.counters.retransmitted_packets += len(missing)
         out: list[tuple[int, Any]] = [
-            (state.egress_port, held if type(held) is DaietPacket else held[0][held[1]])
-            for held in map(sent.unacked.__getitem__, missing)
+            (state.egress_port, window[index])
+            for window, index in map(sent.unacked.__getitem__, missing)
         ]
         if ack.pull and not sent.unacked:
             # Nothing buffered here, yet the receiver is still missing data:
@@ -510,15 +510,16 @@ class DaietAggregationEngine:
 
         Resident keys resolve to register slots through the ``_vec_kid_slot``
         memo and are scatter-added into ``_vec_delta`` in one ``np.add.at``.
-        Unresolved or colliding occurrences take an ordered Python walk that
-        replicates the per-pair loop exactly — same insertion winners, same
-        collision counters, same ``SpilloverBucket`` store/flush order.
+        Unresolved occurrences take an ordered Python walk that replicates
+        the per-pair loop exactly — same insertion winners, same collision
+        counters — and the colliding ones replay the ``SpilloverBucket``'s
+        store/flush order over kids (:meth:`_spill_columns`).
 
         Returns emissions as ``(packet_index, egress_port, packet)`` so the
-        caller can restore each spillover flush to its packet's delivery
-        time, or ``None`` when the burst's value mass alone could overflow
-        the int64 delta array — the caller then replays the burst through the
-        per-pair oracle path.
+        caller can restore each spillover flush (an item of the call's one
+        flush window) to its packet's delivery time, or ``None`` when the
+        burst's value mass alone could overflow the int64 delta array — the
+        caller then replays the burst through the per-pair oracle path.
         """
         if state._vec_mass + mass >= _VEC_MASS_LIMIT:
             state.materialize()
@@ -578,11 +579,10 @@ class DaietAggregationEngine:
             # maps to its slot or to _KID_COLLIDING.
             st_neg = kid_slot[neg_kids]
             st[neg_pos] = st_neg
-            # Phase C: walk only the true collisions, in original pair
-            # order, replicating SpilloverBucket.store for interned
-            # (always hashable) keys and a SUM combine. The resident
-            # scatter-add and this stream are independent: claims never
-            # read the spillover, collisions never touch the cells.
+            # Phase C: the true collisions, in original pair order, through
+            # the spillover bucket. The resident scatter-add and this stream
+            # are independent: claims never read the spillover, collisions
+            # never touch the cells.
             coll_rel = _np.flatnonzero(st_neg == _KID_COLLIDING)
             spilled = len(coll_rel)
             if spilled:
@@ -595,29 +595,10 @@ class DaietAggregationEngine:
                     coll_pkt = _np.searchsorted(
                         bounds, coll_pos, side="right"
                     ).tolist()
-                spillover = state.spillover
-                capacity = spillover.capacity
-                spairs = spillover._pairs
-                sslots = spillover._slots
-                merges = 0
-                for j in range(spilled):
-                    key = key_of(coll_kids[j])
-                    held = sslots.get(key)
-                    if held is not None:
-                        stored_key, stored_value = spairs[held]
-                        spairs[held] = (stored_key, stored_value + coll_vals[j])
-                        merges += 1
-                        continue
-                    sslots[key] = len(spairs)
-                    spairs.append((key, coll_vals[j]))
-                    if len(spairs) >= capacity:
-                        pkt_i = coll_pkt[j]
-                        for port, out in self._flush_spillover(state):
-                            emissions.append((pkt_i, port, out))
-                        spairs = spillover._pairs
-                        sslots = spillover._slots
+                emissions = self._spill_columns(state, coll_kids, coll_vals, coll_pkt)
+                if emissions is None:
+                    emissions = self._spill_pairs(state, coll_kids, coll_vals, coll_pkt)
                 counters.collisions += spilled
-                counters.spillover_merges += merges
             resident = st >= 0
             _np.add.at(state._vec_delta, st[resident], vals[resident])
         else:
@@ -628,6 +609,95 @@ class DaietAggregationEngine:
         counters.pairs_received += total
         counters.pairs_inserted += inserted
         counters.pairs_aggregated += total - spilled - inserted
+        return emissions
+
+    def _spill_columns(
+        self, state: TreeState, kids: list[int], vals: list[int], at: list[int]
+    ) -> list[tuple[int, int, Any]] | None:
+        """Phase C of :meth:`_vector_apply` in kid space.
+
+        Replays the colliding pairs (``kids``/``vals`` in pair order, ``at``
+        the index of the packet each came in) as ``SpilloverBucket.store``
+        does for a SUM tree: a kid already held merges into its entry, a new
+        one is appended, and the pair that fills the bucket (one packet's
+        worth) flushes it. The replay starts from what the tree's bucket
+        holds, stores of the per-pair loop included, and leaves the bucket
+        holding what is left over, so both paths keep sharing it. The
+        call's flushes are cut by one :func:`packetize_columns` into one
+        window; flush ``j`` leaves as ``window[j]``, tagged with the packet
+        whose pair filled it.
+
+        ``None``, touching nothing, when the bucket holds a key the pool
+        never interned or a value that is not a plain ``int`` within
+        ±2**62, or when a flushed sum reaches ±2**62: :meth:`_spill_pairs`
+        replays the stream instead.
+        """
+        spillover = state.spillover
+        held = spillover.peek()
+        order = [_interning.kid_of(key) for key, _value in held]
+        sums = [value for _key, value in held]
+        if held and (
+            min(order) < 0
+            or set(map(type, sums)) != {int}
+            or max(map(abs, sums)) >= _VEC_MASS_LIMIT
+        ):
+            return None
+        slot = dict(zip(order, range(len(order))))
+        capacity = spillover.capacity
+        cut_kids: list[int] = []
+        cut_vals: list[int] = []
+        cut_at: list[int] = []
+        merges = 0
+        for kid, value, pkt_i in zip(kids, vals, at):
+            i = slot.get(kid)
+            if i is not None:
+                sums[i] += value
+                merges += 1
+                continue
+            slot[kid] = len(order)
+            order.append(kid)
+            sums.append(value)
+            if len(order) == capacity:
+                cut_kids += order
+                cut_vals += sums
+                cut_at.append(pkt_i)
+                order, sums, slot = [], [], {}
+        if cut_at:
+            # A flushed sum is a held value plus this call's values, each
+            # part below 2**62 in magnitude (the kernel's mass guard): the
+            # int64 conversion cannot overflow.
+            flushed = _np.array(cut_vals, dtype=_np.int64)
+            if flushed.min() <= -_VEC_MASS_LIMIT or flushed.max() >= _VEC_MASS_LIMIT:
+                return None
+        spillover.flush()
+        for key, value in zip(_interning.keys_of(order), sums):
+            spillover.store(key, value)
+        state.counters.spillover_merges += merges
+        if not cut_at:
+            return []
+        columns = (_np.array(cut_kids, dtype=_np.int64), flushed)
+        window = self._packetize(state, False, columns=columns)
+        state.counters.spillover_flushes += len(cut_at)
+        port = state.egress_port
+        return [(cut_at[j], port, window[j]) for j in range(len(cut_at))]
+
+    def _spill_pairs(
+        self, state: TreeState, kids: list[int], vals: list[int], at: list[int]
+    ) -> list[tuple[int, int, Any]]:
+        """Phase C over keys, one store and one flush at a time, as the
+        per-pair loop does it: for a bucket :meth:`_spill_columns` refuses."""
+        spillover = state.spillover
+        function = state.function
+        key_of = _interning.key_of
+        emissions = []
+        merges = 0
+        for kid, value, pkt_i in zip(kids, vals, at):
+            if not spillover.store(key_of(kid), value, function):
+                merges += 1
+            elif spillover.is_full:
+                for port, out in self._flush_spillover(state):
+                    emissions.append((pkt_i, port, out))
+        state.counters.spillover_merges += merges
         return emissions
 
     def _fresh_run(self, state: TreeState, window: PacketWindow, items: Any) -> int:
@@ -817,7 +887,7 @@ class DaietAggregationEngine:
         seen = _np.flatnonzero(kid_slot >= 0)
         slot_kid = _np.full(state.config.register_slots, -1, dtype=_np.int64)
         slot_kid[kid_slot[seen]] = seen
-        kids = _np.concatenate((_np.array(spilled_kids, dtype=_np.int64), slot_kid[at]))
+        kids = _np.concatenate((spilled_kids, slot_kid[at]))
         unseen = _np.flatnonzero(kids < 0)
         if len(unseen):
             first = len(spilled)
@@ -848,9 +918,23 @@ class DaietAggregationEngine:
     ) -> list[tuple[int, Any]]:
         """Cut one flush (``pairs``, or ``columns``) into ``[(port, window)]``.
 
+        A one-packet flush gets no burst plan, so it leaves as its packet.
+        """
+        window = self._packetize(state, include_end, pairs, columns)
+        return [(state.egress_port, window[0] if len(window) == 1 else window)]
+
+    def _packetize(
+        self,
+        state: TreeState,
+        include_end: bool,
+        pairs: Iterable[tuple[str, int]] = (),
+        columns: tuple[Any, Any] | None = None,
+    ) -> PacketWindow:
+        """Cut flushed ``pairs`` (or ``columns``) into one window; count and buffer it.
+
         The window is never iterated: its counts are arithmetic, and it is
-        buffered as ``(window, index)`` slots. A one-packet flush gets no
-        burst plan, so it leaves, and is buffered, as its packet.
+        buffered as ``(window, index)`` slots, which give back the packet
+        that went out, or build it for a resend.
         """
         # The switch is itself a reliable sender towards its parent: its
         # emissions carry sequence numbers and stay buffered until the
@@ -866,15 +950,9 @@ class DaietAggregationEngine:
         count = len(window)
         state.counters.packets_emitted += count
         state.counters.pairs_emitted += len(window.pairs)
-        if count == 1:
-            packet = window[0]
-            if seq_start is not None:
-                state._next_seq += 1
-                state._sent.unacked[seq_start] = packet
-            return [(state.egress_port, packet)]
         if seq_start is not None:
             state._next_seq += count
             state._sent.unacked.update(
                 zip(range(seq_start, seq_start + count), zip(repeat(window), range(count)))
             )
-        return [(state.egress_port, window)]
+        return window

@@ -124,11 +124,9 @@ class DaietConfig:
     value_width:
         Serialized width of a value in bytes.
     pairs_per_packet:
-        Maximum number of key-value pairs per DAIET data packet.
-    spillover_capacity:
-        Number of pairs held in the spillover bucket before it is flushed to
-        the next node. The paper sizes it as "as many entries as the number of
-        pairs that can fit in one packet"; ``None`` keeps that behaviour.
+        Maximum number of key-value pairs per DAIET data packet. Also the
+        capacity of a tree's spillover bucket: the paper sizes it as "as
+        many entries as the number of pairs that can fit in one packet".
     reliability:
         Enable the full end-host reliability layer: per-(tree, sender)
         sequence numbers on every DATA/END packet, cumulative+selective ACKs,
@@ -182,7 +180,6 @@ class DaietConfig:
     key_width: int = DEFAULT_KEY_WIDTH
     value_width: int = DEFAULT_VALUE_WIDTH
     pairs_per_packet: int = DEFAULT_PAIRS_PER_PACKET
-    spillover_capacity: int | None = None
     reliability: bool = False
     retransmit_timeout: float = 1e-4
     ack_window: int = 8
@@ -201,8 +198,6 @@ class DaietConfig:
             raise ConfigurationError("value_width must be positive")
         if self.pairs_per_packet <= 0:
             raise ConfigurationError("pairs_per_packet must be positive")
-        if self.spillover_capacity is not None and self.spillover_capacity <= 0:
-            raise ConfigurationError("spillover_capacity must be positive when set")
         if self.retransmit_timeout <= 0:
             raise ConfigurationError("retransmit_timeout must be positive")
         if self.ack_window <= 0:
@@ -222,13 +217,6 @@ class DaietConfig:
             )
         if self.sampled_ack_stride <= 0:
             raise ConfigurationError("sampled_ack_stride must be positive")
-
-    @property
-    def effective_spillover_capacity(self) -> int:
-        """Spillover bucket capacity in pairs (defaults to one packet's worth)."""
-        if self.spillover_capacity is not None:
-            return self.spillover_capacity
-        return self.pairs_per_packet
 
     @property
     def pair_bytes(self) -> int:

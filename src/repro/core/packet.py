@@ -67,23 +67,25 @@ class PairColumns:
     kernel's int64-overflow guard then costs one subtraction per window,
     whatever the values).
 
-    A host's partition builds its arrays for the first reader, not in the
-    packetizer: the burst planner asks for a window whose next hop is a
-    switch. A switch's final flush already holds them (:meth:`of`: the
-    register kernel's own kids and values). ``ready()`` is ``False``,
-    permanently, when any pair is ineligible: a key the intern pool rejects
-    (not exact ``str``/``bytes``) or a value that is not a plain ``int``
-    within ±2**62 (bools and floats must keep their exact types through the
-    per-pair oracle path). Such a window gets no burst plan; asked one by
-    one, its packets (and a packet built by the constructor) are each a
-    partition of its own (see :meth:`DaietPacket.vector_pairs`).
+    A host's partition adopts the kid column the packetizer interned and
+    converts its values for the first reader, not in the packetizer: the
+    burst planner asks for a window whose next hop is a switch. A switch's
+    flushes already hold both arrays (:meth:`of`: the register kernel's own
+    kids and values, for its final flush and for the spillover flushes of
+    one kernel call). ``ready()`` is ``False``, permanently, when any pair
+    is ineligible: a key the intern pool rejects (not exact ``str``/
+    ``bytes``) or a value that is not a plain ``int`` within ±2**62 (bools
+    and floats must keep their exact types through the per-pair oracle
+    path). Such a window gets no burst plan; asked one by one, its packets
+    (and a packet built by the constructor) are each a partition of its own
+    (see :meth:`DaietPacket.vector_pairs`).
     """
 
     __slots__ = ("kids", "vals", "mass_cum", "per", "_source")
 
-    def __init__(self, pairs: Any, kids: list[int] | None, per: int) -> None:
-        #: ``(pairs, kids)`` until the first reader asks; ``kids`` is
-        #: ``None`` when the keys were not interned yet.
+    def __init__(self, pairs: Any, kids: Any, per: int) -> None:
+        #: ``(pairs, kids)`` until the first reader asks; ``kids`` (the int64
+        #: kid column) is ``None`` when the keys were not interned yet.
         self._source: Any = (pairs, kids)
         #: Pairs per packet (the last packet may carry fewer).
         self.per = per
@@ -104,14 +106,14 @@ class PairColumns:
             self._build(*source)
         return self.kids is not None
 
-    def _build(self, pairs: Any, kids: list[int] | None) -> None:
+    def _build(self, pairs: Any, kids: Any) -> None:
         values = [value for _key, value in pairs]
         if _np is None or not values or set(map(type, values)) != {int}:
             return
         try:
             if kids is None:
                 kids = _interning.intern_keys([key for key, _value in pairs])[0]
-            vals = _np.array(values, dtype=_np.int64)
+            vals = _np.fromiter(values, dtype=_np.int64, count=len(values))
         except (TypeError, OverflowError):
             return
         if vals.min() <= -_VEC_VALUE_LIMIT or vals.max() >= _VEC_VALUE_LIMIT:
@@ -128,26 +130,33 @@ class PairColumns:
         lows = _np.cumsum(magnitude & 0x7FFFFFFF)[ends].tolist()
         self.mass_cum = [0, *((high << 31) + low for high, low in zip(highs, lows))]
         self.vals = vals
-        self.kids = _np.asarray(kids, dtype=_np.int64)
+        self.kids = kids
 
 
 class _ColumnPairs(Sequence):
-    """A column window's pairs, read back one packet's slice at a time."""
+    """A column window's pairs, read back from the columns when first asked.
 
-    __slots__ = ("_kids", "_vals")
+    All at once: a flush whose packets are built (a spillover flush, one
+    towards a host) builds every one of them.
+    """
+
+    __slots__ = ("_kids", "_vals", "_pairs")
 
     def __init__(self, kids: Any, vals: Any) -> None:
         self._kids = kids
         self._vals = vals
+        self._pairs: list[tuple[Any, int]] | None = None
 
     def __len__(self) -> int:
         return len(self._kids)
 
     def __getitem__(self, index: Any) -> Any:
-        if isinstance(index, slice):
-            keys = _interning.keys_of(self._kids[index].tolist())
-            return list(zip(keys, self._vals[index].tolist()))
-        return _interning.key_of(int(self._kids[index])), int(self._vals[index])
+        pairs = self._pairs
+        if pairs is None:
+            keys = _interning.keys_of(self._kids.tolist())
+            pairs = self._pairs = list(zip(keys, self._vals.tolist()))
+        return pairs[index]
+
 
 #: Ethernet + IPv4 + UDP: what every frame carries besides its DAIET payload.
 _FRAME_BYTES = ETHERNET_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES
@@ -671,10 +680,11 @@ def packetize_pairs(
 
     The one packetizer: hosts (reliable or not), the UDP baseline and the
     switch flush path all cut their packets here (or, holding columns, in
-    :func:`packetize_columns`). When the intern pool can vouch for every key
-    (each distinct key is measured once, when the pool first interns it),
-    sizes follow arithmetically and the DATA packets are
-    built later, if anything asks. Otherwise (a negative tree id, a sequence
+    :func:`packetize_columns`). The keys are interned in one pass into the
+    partition's kid column, which its :class:`PairColumns` adopts. When the
+    intern pool can vouch for every key (a key is measured once, when the
+    pool first interns it), sizes follow arithmetically and the DATA packets
+    are built later, if anything asks. Otherwise (a negative tree id, a sequence
     number that would not fit, malformed pairs, keys outside the pool's
     domain, an over-wide or NUL-suffixed key) the validating
     :class:`DaietPacket` constructor builds them here: it is the oracle for
@@ -714,12 +724,12 @@ def packetize_columns(
     seq_start: int | None = None,
 ) -> PacketWindow:
     """:func:`packetize_pairs` for pairs held as int64 columns (interned
-    kids, values within ±2**62): a switch's final flush, cut without building
-    a pair. What the size arithmetic cannot vouch for goes through
-    :func:`packetize_pairs`.
+    kids, values within ±2**62): a switch's final flush, or the spillover
+    flushes of one register-kernel call, cut without building a pair. What
+    the size arithmetic cannot vouch for goes through :func:`packetize_pairs`.
     """
     count = -(-len(kids) // config.pairs_per_packet)
-    widest, any_nul = _interning.measure_kids(kids.tolist())
+    widest, any_nul = _interning.measure_kids(kids)
     pairs = _ColumnPairs(kids, vals)
     if (
         not count

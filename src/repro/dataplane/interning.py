@@ -20,15 +20,16 @@ ineligible for the vectorized path and it falls back, per pair, to the
 bit-exact Algorithm 1 loop.
 
 Two callers. The packetizer (``core/packet.py::packetize_pairs``) interns a
-whole partition through :func:`intern_keys`, which also answers the two
-questions a window's size arithmetic asks (widest key, any NUL suffix) from
-the metadata of each *distinct* key, and keeps the kids in the partition's
-columns; a lone packet's columns intern through the same function. The
-register kernel (``core/aggregation.py``) reads ``crc`` and the key object back
-by kid; its final flush measures kids it holds and looks up keys only the
-per-pair loop saw. The containers below are named nowhere else
-(``tests/checks/test_lint_gate.py`` holds that), so the pool can be re-homed
-by editing this file alone.
+whole partition in one pass through :func:`intern_keys`, which returns the
+partition's kid column as an int64 array and answers the two questions a
+window's size arithmetic asks (widest key, any NUL suffix) by array lookups
+in the pool's per-kid metadata; a lone packet's columns intern through the
+same function. The register kernel (``core/aggregation.py``) reads ``crc``
+and the key object back by kid; a flush it cuts from kids (its spillover
+stream, its final flush) is measured by :func:`measure_kids` and interns
+nothing but keys only the per-pair loop saw. The containers below are named
+nowhere else (``tests/checks/test_lint_gate.py`` holds that), so the pool
+can be re-homed by editing this file alone.
 """
 
 from __future__ import annotations
@@ -36,16 +37,22 @@ from __future__ import annotations
 import zlib
 from typing import Any, Iterable, Sequence
 
+try:  # Kid columns are numpy arrays; without numpy nothing is interned.
+    import numpy as _np
+except ImportError:  # pragma: no cover - the toolchain bakes numpy in
+    _np = None
+
 #: key object -> kid (dense, append-only).
 _key_to_kid: dict[Any, int] = {}
 #: kid -> the interned key object (first object interned for that key).
 _kid_key: list[Any] = []
 #: kid -> crc32 of the encoded key.
 _kid_crc: list[int] = []
-#: kid -> encoded byte length of the key.
-_kid_enc_len: list[int] = []
-#: kid -> True when the encoded key ends in a NUL byte.
-_kid_ends_nul: list[bool] = []
+#: kid -> encoded byte length of the key, as an int64 array whose capacity
+#: doubles when the pool outgrows it (entries past the pool size are unused).
+_kid_enc_len: Any = None if _np is None else _np.zeros(1024, dtype=_np.int64)
+#: kid -> True when the encoded key ends in a NUL byte (same capacity).
+_kid_ends_nul: Any = None if _np is None else _np.zeros(1024, dtype=bool)
 
 
 def intern_key(key: Any) -> int:
@@ -55,6 +62,7 @@ def intern_key(key: Any) -> int:
     callers treat that as "not vectorizable" and fall back to the per-pair
     path, which supports anything the wire format supports.
     """
+    global _kid_enc_len, _kid_ends_nul
     kid = _key_to_kid.get(key)
     if kid is not None:
         return kid
@@ -64,39 +72,49 @@ def intern_key(key: Any) -> int:
         encoded = key
     else:
         raise TypeError(f"only str/bytes keys are interned, got {type(key).__name__}")
+    if _np is None:  # pragma: no cover - the toolchain bakes numpy in
+        raise TypeError("interning needs numpy")
     kid = len(_kid_key)
+    if kid == len(_kid_enc_len):
+        _kid_enc_len = _np.concatenate((_kid_enc_len, _np.zeros_like(_kid_enc_len)))
+        _kid_ends_nul = _np.concatenate((_kid_ends_nul, _np.zeros_like(_kid_ends_nul)))
     _key_to_kid[key] = kid
     _kid_key.append(key)
     _kid_crc.append(zlib.crc32(encoded))
-    _kid_enc_len.append(len(encoded))
-    _kid_ends_nul.append(encoded.endswith(b"\x00"))
+    _kid_enc_len[kid] = len(encoded)
+    _kid_ends_nul[kid] = encoded.endswith(b"\x00")
     return kid
 
 
-def intern_keys(keys: Sequence[Any]) -> tuple[list[int], int, bool]:
+def intern_keys(keys: Sequence[Any]) -> tuple[Any, int, bool]:
     """Intern a partition's keys in one pass: ``(kids, widest, any_nul)``.
 
-    ``kids`` are the keys' ids in order; ``widest`` is the largest encoded
-    length and ``any_nul`` whether any encoded key ends in a NUL byte, both
-    read once per *distinct* key. A key is encoded and hashed only the first
-    time the process sees it. Raises ``TypeError`` like :func:`intern_key`,
-    and for an unhashable key.
+    ``kids`` is the keys' int64 kid column, in order; ``widest`` is the
+    largest encoded length and ``any_nul`` whether any encoded key ends in a
+    NUL byte (see :func:`measure_kids`). A key is encoded and hashed only the
+    first time the process sees it. Raises ``TypeError`` like
+    :func:`intern_key`, and for an unhashable key.
     """
+    if _np is None:  # pragma: no cover - the toolchain bakes numpy in
+        raise TypeError("interning needs numpy")
     lookup = _key_to_kid.__getitem__
     try:
-        kids = list(map(lookup, keys))
+        kids = _np.fromiter(map(lookup, keys), dtype=_np.int64, count=len(keys))
     except KeyError:  # first sight of some key: intern each distinct key once
         for key in dict.fromkeys(keys):
             intern_key(key)
-        kids = list(map(lookup, keys))
-    return (kids, *measure_kids(dict.fromkeys(kids)))
+        kids = _np.fromiter(map(lookup, keys), dtype=_np.int64, count=len(keys))
+    return (kids, *measure_kids(kids))
 
 
-def measure_kids(kids: Iterable[int]) -> tuple[int, bool]:
-    """``(widest, any_nul)`` over kids already interned (see :func:`intern_keys`)."""
-    kids = list(kids)
-    widest = max(map(_kid_enc_len.__getitem__, kids), default=0)
-    return widest, any(map(_kid_ends_nul.__getitem__, kids))
+def measure_kids(kids: Any) -> tuple[int, bool]:
+    """``(widest, any_nul)`` over an int64 column of interned kids.
+
+    Two array lookups in the per-kid metadata: no key is encoded again.
+    """
+    if not len(kids):
+        return 0, False
+    return int(_kid_enc_len[kids].max()), bool(_kid_ends_nul[kids].any())
 
 
 def kid_of(key: Any) -> int:

@@ -135,14 +135,19 @@ class IndexStack:
 class SpilloverBucket:
     """Queue of key-value pairs that collided in the hash-indexed registers.
 
-    The bucket holds as many pairs as fit in one DAIET packet; when full, its
-    contents must be flushed (sent to the next node in the aggregation tree).
+    The bucket holds as many pairs as fit in one DAIET packet (a tree's
+    capacity is its ``pairs_per_packet``); when full, its contents must be
+    flushed (sent to the next node in the aggregation tree) as one packet.
     The paper sends spillover pairs *first* so the next hop can still aggregate
     them if it has spare memory.
 
     A key → slot dictionary rides alongside the FIFO pair list so that the
     merge check in :meth:`store` is O(1) instead of a scan over the whole
-    bucket on every collision; flush order stays strictly FIFO.
+    bucket on every collision; flush order stays strictly FIFO. The per-pair
+    loop stores into it one pair at a time; the register kernel replays a
+    whole call's collisions over key ids with the same rules, starting from
+    what the bucket holds (:meth:`peek`), and leaves it holding what is left
+    over (``DaietAggregationEngine._spill_columns``).
     """
 
     capacity: int

@@ -257,7 +257,6 @@ class TestCleanTree:
         # such fields: max_events and auto_install_routes.)
         allowed_unset = {
             "value_width": "the paper's 4 B value; every run keeps the wire format it sizes",
-            "spillover_capacity": "None is the paper's one-packet spillover; no run resizes it",
             "sanitize": "None defers to REPRO_SANITIZE, which the CLI's --sanitize sets",
         }
         root = repo_root()
@@ -324,8 +323,10 @@ class TestCleanTree:
     def test_the_intern_pool_is_reached_through_its_functions(self):
         # The pool's containers are named in dataplane/interning.py and
         # nowhere else: packetizers and kernels go through intern_key /
-        # intern_keys / key_of / crc_of / pool_size, so the pool
-        # can be re-homed (ROADMAP item 4) by editing one file.
+        # intern_keys / measure_kids / key_of / crc_of / pool_size, so the
+        # pool can be re-homed (ROADMAP item 4) by editing one file. The
+        # width and NUL-suffix metadata are numpy arrays, which intern_keys
+        # and measure_kids read by kid column.
         containers = {
             "_key_to_kid",
             "_kid_key",
@@ -349,6 +350,29 @@ class TestCleanTree:
                 if name in containers:
                     offenders.append(f"{relative}:{node.lineno} {name}")
         assert offenders == []
+
+    def test_the_kernel_cuts_its_spillover_in_kid_space(self):
+        # The register kernel replays its collisions over kids and cuts all
+        # of a call's spillover flushes as one window from kid and value
+        # columns: _vector_apply neither flushes the bucket a packet at a
+        # time nor packetizes pairs. (The parent of the change that added
+        # this gate called _flush_spillover, which packetizes the bucket's
+        # pairs, once per full bucket.)
+        found = []
+        for relative, tree in _package_trees():
+            if relative != "core/aggregation.py":
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_vector_apply":
+                    found += [
+                        f"{relative}:{call.lineno} {name}"
+                        for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        for name in [getattr(call.func, "attr", getattr(call.func, "id", None))]
+                        if name in {"_flush_spillover", "packetize_pairs"}
+                    ]
+                    found.append("_vector_apply")
+        assert found == ["_vector_apply"]
 
     def test_burst_eligibility_is_one_predicate(self):
         # Whether the register kernel may take a DATA packet is decided at

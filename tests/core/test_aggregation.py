@@ -15,13 +15,8 @@ def make_engine(
     num_children: int = 2,
     function: str = "sum",
     pairs_per_packet: int = 10,
-    spillover_capacity: int | None = None,
 ) -> tuple[DaietAggregationEngine, DaietConfig]:
-    config = DaietConfig(
-        register_slots=slots,
-        pairs_per_packet=pairs_per_packet,
-        spillover_capacity=spillover_capacity,
-    )
+    config = DaietConfig(register_slots=slots, pairs_per_packet=pairs_per_packet)
     engine = DaietAggregationEngine("sw0")
     engine.configure_tree(
         tree_id=1,
@@ -166,14 +161,12 @@ class TestSpillover:
     def test_full_spillover_is_flushed_immediately(self):
         slots = 8
         keys = self.find_colliding_keys(slots, 4)
-        engine, config = make_engine(
-            slots=slots, num_children=1, pairs_per_packet=10, spillover_capacity=2
-        )
+        # The bucket holds one packet's pairs: two.
+        engine, config = make_engine(slots=slots, num_children=1, pairs_per_packet=2)
         # First key occupies the register; the next two fill the 2-entry
         # spillover bucket, which must flush as soon as it is full.
-        out = engine.process_packet(
-            data_packet([(keys[0], 1), (keys[1], 2), (keys[2], 3)], config)
-        )
+        assert engine.process_packet(data_packet([(keys[0], 1), (keys[1], 2)], config)) == []
+        out = engine.process_packet(data_packet([(keys[2], 3)], config))
         assert out, "a full spillover bucket must be flushed immediately"
         assert collect_pairs(out) == {keys[1]: 2, keys[2]: 3}
         assert engine.tree(1).counters.spillover_flushes == 1
@@ -190,15 +183,12 @@ class TestSpillover:
     def test_repeated_collisions_of_same_key_merge_in_spillover(self):
         slots = 8
         keys = self.find_colliding_keys(slots, 2)
-        engine, config = make_engine(
-            slots=slots, num_children=1, pairs_per_packet=10, spillover_capacity=2
-        )
+        engine, config = make_engine(slots=slots, num_children=1, pairs_per_packet=2)
         # keys[0] takes the register slot; keys[1] collides three times and
         # must occupy ONE spillover entry holding the aggregated value, not
         # three entries (which would trigger a premature flush).
-        out = engine.process_packet(
-            data_packet([(keys[0], 1), (keys[1], 2), (keys[1], 3), (keys[1], 4)], config)
-        )
+        out = engine.process_packet(data_packet([(keys[0], 1), (keys[1], 2)], config))
+        out += engine.process_packet(data_packet([(keys[1], 3), (keys[1], 4)], config))
         state = engine.tree(1)
         assert out == [], "the 2-entry bucket never filled"
         assert len(state.spillover) == 1

@@ -27,10 +27,12 @@ class TestDaietConfig:
         sram_mb = config.sram_bytes() / (1024 * 1024)
         assert 0.3 <= sram_mb <= 10.0
 
-    def test_spillover_defaults_to_one_packet(self):
-        config = DaietConfig(pairs_per_packet=7)
-        assert config.effective_spillover_capacity == 7
-        assert DaietConfig(spillover_capacity=3).effective_spillover_capacity == 3
+    def test_spillover_holds_one_packet(self):
+        from repro.core.aggregation import DaietAggregationEngine
+
+        engine = DaietAggregationEngine("sw")
+        state = engine.configure_tree(1, "sum", 1, 0, "r", DaietConfig(pairs_per_packet=7))
+        assert state.spillover.capacity == 7
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -39,7 +41,6 @@ class TestDaietConfig:
             {"key_width": 0},
             {"value_width": -1},
             {"pairs_per_packet": 0},
-            {"spillover_capacity": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

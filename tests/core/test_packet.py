@@ -27,9 +27,11 @@ from repro.core.packet import (
     packetize_pairs,
 )
 from repro.dataplane import interning
-from repro.netsim.devices import packet_wire_bytes
+from repro.netsim.devices import SwitchDevice, packet_wire_bytes
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
+
+np = pytest.importorskip("numpy")
 
 #: Keys valid under the fixed-size 16-byte representation.
 key_strategy = st.text(
@@ -607,16 +609,6 @@ class TestPacketWindow:
             window[::2]
 
 
-class _CountingList(list):
-    """A pool metadata list that counts how often it is read by index."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
 def _vocabulary_partition(prefix: str, pairs: int, vocabulary: int):
     """A wordcount-shaped partition over words no other test interns.
 
@@ -743,9 +735,10 @@ class TestPacketizerCounts:
     def test_switch_flushes_build_packets_only_for_the_reducer(self, monkeypatch):
         # Lossless leaf-spine: a leaf's flush rides to the spine's register
         # kernel as one window, like a mapper's partition. What is built:
-        # every END, every one-packet flush (it leaves as its packet) and
-        # the flush packets the reducer host receives. No DATA packet of a
-        # multi-packet switch-to-switch flush is built.
+        # every END, every flush packet a switch puts on the link as its own
+        # queue entry (a spillover flush, a one-packet flush) and the flush
+        # packets the reducer host receives. No DATA packet of a flush that
+        # crossed a switch-to-switch link as a window is built.
         built = []
         assemble = packet_module._assemble
         construct = DaietPacket.__init__
@@ -759,18 +752,17 @@ class TestPacketizerCounts:
             construct(self, *args, **kwargs)
             built.append(self)
 
-        windows, lone = [], []
-        emit = DaietAggregationEngine._emit_pairs
+        windows, alone = [], []
+        count_emitted = SwitchDevice._count_emitted
 
-        def spy_emit(engine, state, pairs, include_end, columns=None):
-            emitted = emit(engine, state, pairs, include_end, columns)
-            for _port, out in emitted:
-                (windows if type(out) is PacketWindow else lone).append(out)
-            return emitted
+        def spy_emitted(device, out):
+            for _port, item in out:
+                (windows if type(item) is PacketWindow else alone).append(item)
+            return count_emitted(device, out)
 
         monkeypatch.setattr(packet_module, "_assemble", counting_assemble)
         monkeypatch.setattr(DaietPacket, "__init__", counting_construct)
-        monkeypatch.setattr(DaietAggregationEngine, "_emit_pairs", spy_emit)
+        monkeypatch.setattr(SwitchDevice, "_count_emitted", spy_emitted)
         mappers = [f"h{i}" for i in range(8)]
         config = DaietConfig(
             register_slots=16, pairs_per_packet=4, reliability=True, retransmit_timeout=1.0
@@ -789,28 +781,55 @@ class TestPacketizerCounts:
         assert system.reliability_stats()["h8"]["pulls_sent"] == 0
         tree = system.tree_for("h8")
         to_switch = [w for w in windows if tree.node(tree.parent(w.src)).is_switch]
-        multi = [w for w in to_switch if len(w) > 2]
-        assert multi  # the leaves' final flushes
+        assert any(len(w) > 2 for w in to_switch)  # the leaves' final flushes
         assert not any(
             packet.packet_type is DaietPacketType.DATA
-            for window in multi
+            for window in to_switch
             for packet in window.built.values()
         )
         assert all(len(window) > 1 for window in windows)
         ends = [packet for packet in built if packet.packet_type is DaietPacketType.END]
-        lone_data = {id(p) for p in lone if p.packet_type is DaietPacketType.DATA}
+        alone_data = {
+            id(p) for p in alone if type(p) is DaietPacket and p.packet_type is DaietPacketType.DATA
+        }
         delivered = [
             packet
             for packet in reducer.received_packets
             if type(packet) is DaietPacket and packet.packet_type is DaietPacketType.DATA
         ]
-        assert lone_data and delivered
+        assert alone_data and delivered
         assert len(set(map(id, built))) == len(built)  # each packet built once
-        assert len(built) == len(ends) + len(lone_data) + len(
-            [packet for packet in delivered if id(packet) not in lone_data]
+        assert len(built) == len(ends) + len(alone_data) + len(
+            [packet for packet in delivered if id(packet) not in alone_data]
         )
 
-    def test_keys_are_measured_once_per_distinct_key(self):
+    def test_a_collision_heavy_round_interns_once_per_final_flush(self, monkeypatch):
+        # Lossless rack, 16-slot registers against a 300-word vocabulary:
+        # hundreds of spillover flushes, all cut by the register kernel
+        # from kids. Once the partitions are packetized, the round calls
+        # the pool's interning entry point at most once per final flush
+        # (the walk's leftover bucket), not once per spillover flush.
+        calls = []
+        intern_keys = interning.intern_keys
+        monkeypatch.setattr(
+            interning, "intern_keys", lambda keys: calls.append(len(keys)) or intern_keys(keys)
+        )
+        mappers = ["h0", "h1", "h2", "h3"]
+        system = DaietSystem.single_rack(5, DaietConfig(register_slots=16, pairs_per_packet=4))
+        system.install_job(mappers=mappers, reducers=["h4"])
+        partitions = [[(f"heavy{(i * 7 + m) % 300}", 1) for i in range(1_500)] for m in range(4)]
+        for mapper, pairs in zip(mappers, partitions):
+            system.send_pairs(mapper, "h4", pairs)
+        calls.clear()
+        system.run()
+        assert system.receiver("h4").result() == aggregate_pairs(
+            [pair for pairs in partitions for pair in pairs], SUM
+        )
+        counters = system.engine("tor").tree(system.tree_for("h4").tree_id).counters
+        assert counters.spillover_flushes > 100
+        assert len(calls) <= counters.final_flushes == 1
+
+    def test_keys_are_measured_once_per_distinct_key(self, monkeypatch):
         # The benchmark's 7.5 pairs per word, at a quarter of its size.
         pairs = _vocabulary_partition("measured-", pairs=15_000, vocabulary=2_000)
         distinct = len({key for key, _value in pairs})
@@ -820,26 +839,56 @@ class TestPacketizerCounts:
         assert interning.pool_size() == before + distinct
         # One record for the whole partition: the bulk path ran.
         assert first[0].vector_pairs()[0].base is first[-2].vector_pairs()[0].base
-        lengths, nuls = interning._kid_enc_len, interning._kid_ends_nul
-        counting = _CountingList(lengths), _CountingList(nuls)
-        interning._kid_enc_len, interning._kid_ends_nul = counting
-        try:
-            second = list(packetize_pairs(pairs, **arguments))
-            reads = [stand_in.reads for stand_in in counting]
-        finally:
-            for original, stand_in in zip((lengths, nuls), counting):
-                original.extend(stand_in[len(original) :])
-            interning._kid_enc_len, interning._kid_ends_nul = lengths, nuls
-        # Nothing was encoded or hashed again, and each distinct key's
-        # metadata was read at most once: 2,000 reads, not 15,000.
+        # The second time no key is encoded or hashed (none reaches
+        # intern_key), and the widest-key and NUL answers are array lookups
+        # in the pool's metadata, which stays where it was.
+        metadata = interning._kid_enc_len, interning._kid_ends_nul
+        encoded = []
+        intern_key = interning.intern_key
+        monkeypatch.setattr(
+            interning, "intern_key", lambda key: encoded.append(key) or intern_key(key)
+        )
+        second = list(packetize_pairs(pairs, **arguments))
+        assert encoded == []
         assert interning.pool_size() == before + distinct
-        assert 0 < reads[0] <= distinct and reads[1] <= distinct
+        assert interning._kid_enc_len is metadata[0]
+        assert interning._kid_ends_nul is metadata[1]
         assert second == first
+
+    def test_the_pool_metadata_grows_by_doubling(self, monkeypatch):
+        # On a pool of its own (the process's pool is append-only and every
+        # tree sizes a memo by it): the per-kid width and NUL arrays are
+        # reallocated only when the pool outgrows them, doubling, and keep
+        # what they held; intern_keys answers from them.
+        monkeypatch.setattr(interning, "_key_to_kid", {})
+        monkeypatch.setattr(interning, "_kid_key", [])
+        monkeypatch.setattr(interning, "_kid_crc", [])
+        monkeypatch.setattr(interning, "_kid_enc_len", np.zeros(4, dtype=np.int64))
+        monkeypatch.setattr(interning, "_kid_ends_nul", np.zeros(4, dtype=bool))
+        capacities = [4]
+        keys = []
+        for batch in range(10):
+            last = f"g{batch}-nul\x00" if batch % 2 == 0 else f"g{batch}-end"
+            fresh = [f"g{batch}-" + "x" * i for i in range(9)] + [last]
+            for key in fresh:
+                interning.intern_key(key)
+                if len(interning._kid_enc_len) != capacities[-1]:
+                    capacities.append(len(interning._kid_enc_len))
+            kids, widest, any_nul = interning.intern_keys(fresh)
+            keys += fresh
+            assert kids.tolist() == list(range(len(keys) - 10, len(keys)))
+            assert (widest, any_nul) == (11, batch % 2 == 0)
+        assert capacities == [4, 8, 16, 32, 64, 128]
+        assert len(interning._kid_ends_nul) == 128
+        assert interning._kid_enc_len[:100].tolist() == [len(key) for key in keys]
+        assert interning._kid_ends_nul[:100].tolist() == [key.endswith("\x00") for key in keys]
+        assert interning.intern_keys(keys[10:20])[1:] == (11, False)
+        assert interning.intern_keys(keys[5:15])[1:] == (11, True)
 
     def test_a_partition_packetizes_the_same_after_the_pool_grew(self):
         # In miniature, the regression ROADMAP item 4 wants at system level:
         # the same input twice in one process, other keys interned in between.
-        config = DaietConfig(register_slots=8, pairs_per_packet=4, spillover_capacity=3)
+        config = DaietConfig(register_slots=8, pairs_per_packet=3)
         rng = random.Random(4)
         pairs = [(f"again{rng.randrange(30)}", rng.randrange(-9, 9)) for _ in range(120)]
         first = kernel_harness.data_packets(pairs, config)

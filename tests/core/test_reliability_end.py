@@ -171,14 +171,11 @@ class TestSequencedStreams:
         assert emitted[-1].packet_type is DaietPacketType.END
         state = engine.tree(1)
         assert list(state._sent.unacked) == list(range(len(emitted)))
-        # A one-packet flush is buffered as the packet that went out; a
-        # window's packets as (window, index) slots, which give back the
-        # very packet that went out.
+        # Every flush is buffered as (window, index) slots, which give back
+        # the very packet that went out.
         buffered = state._sent.unacked
         assert all(
-            held is p if type(held) is DaietPacket else held[0][held[1]] is p
-            for p in emitted
-            for held in [buffered[p.seq]]
+            window[index] is p for p in emitted for window, index in [buffered[p.seq]]
         )
         assert flushed_pairs([(9, p) for p in emitted]) == {k: 1 for k in keys}
         for packet in emitted:

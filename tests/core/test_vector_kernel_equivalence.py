@@ -16,13 +16,14 @@ assembler of that format, exactly as ``send_burst`` builds them.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregation import DaietAggregationEngine
+from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
 from repro.core.packet import (
     DaietPacket,
@@ -156,7 +157,7 @@ class TestVectorKernelEquivalence:
         # 4 slots against a 50-word vocabulary: nearly everything collides,
         # exercising the Phase C spillover stream and its merge handling.
         rng = random.Random(7)
-        config = DaietConfig(register_slots=4, pairs_per_packet=4, spillover_capacity=3)
+        config = DaietConfig(register_slots=4, pairs_per_packet=3)
         bursts = [
             [(f"key{rng.randrange(50)}", rng.randrange(1, 10)) for _ in range(30)]
             for _ in range(8)
@@ -167,7 +168,7 @@ class TestVectorKernelEquivalence:
     def test_spillover_overflow_emission_order(self):
         # Force many in-burst flushes and check the emitted flush packets
         # come out identically (content *and* position in the stream).
-        config = DaietConfig(register_slots=2, pairs_per_packet=4, spillover_capacity=2)
+        config = DaietConfig(register_slots=2, pairs_per_packet=2)
         bursts = [[(f"k{i % 17}", 1) for i in range(64)]]
         fast, _slow = self.run_twins(bursts, config)
         assert fast.tree(7).counters.collisions > 0
@@ -230,6 +231,114 @@ class TestVectorKernelEquivalence:
         fast_out = feed_slow(fast, [huge])  # handler fallback: per-pair replay
         slow_out = feed_slow(slow, [huge])
         assert fast_out == slow_out
+        assert_twins_identical(fast, slow)
+
+
+def resident_keys(slots: int) -> list[str]:
+    """One key per register slot: once they are in, every other key collides."""
+    found: dict[int, str] = {}
+    for i in itertools.count():
+        found.setdefault(hash_key(f"resident{i}", slots), f"resident{i}")
+        if len(found) == slots:
+            return list(found.values())
+
+
+_fresh_names = itertools.count()
+
+#: What a seeded bucket may hold besides interned keys with plain ints:
+#: each of these makes the kernel replay the call's collisions per pair.
+BUCKET_SEEDS = {
+    "plain ints": None,
+    "a key never interned": lambda: (f"unseen{next(_fresh_names)}", 1),
+    "a bool value": lambda: ("spill1", True),
+    "a float value": lambda: ("spill2", 2.5),
+    "a value at 2**62": lambda: ("spill3", 2**62),
+    "a value below -(2**62)": lambda: ("spill4", -(2**62) - 7),
+    "a flushed sum reaching 2**62": lambda: ("spill0", 2**62 - 1),
+}
+
+
+def strict(pairs) -> list:
+    """Pairs with their value types, so ``True`` and ``1`` differ."""
+    return [(key, type(value), value) for key, value in pairs]
+
+
+class TestSpillStream:
+    """The kernel's Phase C in kid space against the per-pair replay."""
+
+    @pytest.mark.parametrize("seeded_with", list(BUCKET_SEEDS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        per=st.integers(2, 5),
+        slots=st.integers(1, 4),
+        reliable=st.booleans(),
+        seed=st.lists(st.tuples(st.integers(0, 11), st.integers(-50, 50)), max_size=4),
+        stream=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(-50, 50)), min_size=1, max_size=80
+        ),
+    )
+    def test_kid_space_phase_c_is_the_per_pair_replay(
+        self, seeded_with, per, slots, reliable, seed, stream
+    ):
+        # Residents claim every slot through the per-pair loop, whose stores
+        # then seed the bucket (less than a packet's worth, so it holds them
+        # when the kernel starts); every pair of the kernel's burst collides.
+        interning.intern_keys([f"spill{k}" for k in range(12)])
+        config = DaietConfig(register_slots=slots, pairs_per_packet=per, reliability=reliable)
+        fast, slow = make_engine(config), make_engine(config)
+        trigger = BUCKET_SEEDS[seeded_with]
+        held = dict([trigger()] if trigger is not None else [])
+        for k, value in seed:
+            held.setdefault(f"spill{k}", value)
+        held = list(held.items())[: per - 1]
+        if seeded_with == "a flushed sum reaching 2**62":
+            # spill0 merges and its entry flushes within the call.
+            stream = [(0, 1), *((k, 1) for k in range(1, per + 1)), *stream]
+        fallbacks = []
+        spill_pairs = fast._spill_pairs
+        fast._spill_pairs = lambda *args: fallbacks.append(1) or spill_pairs(*args)
+        residents = resident_keys(slots)
+        for engine in (fast, slow):
+            for start in range(0, slots, per):
+                engine.handle_packet(
+                    DaietPacket(
+                        tree_id=7, src="h0", dst="h1", config=config,
+                        pairs=tuple((key, 1) for key in residents[start : start + per]),
+                    )
+                )
+            if held:
+                engine.handle_packet(
+                    DaietPacket(tree_id=7, src="h0", dst="h1", pairs=tuple(held), config=config)
+                )
+        assert strict(fast.tree(7).spillover.peek()) == strict(held)
+        window = data_packets([(f"spill{k}", v) for k, v in stream], config)
+        (result,) = kernel_apply(fast, window)
+        fast_out = [(i, port, out) for i, port, out in result]
+        slow_out = [
+            (i, port, out)
+            for i, packet in enumerate(window)
+            for port, out in slow.handle_packet(packet)
+        ]
+        # Positions, packets and their order; values with their types.
+        assert fast_out == slow_out
+        assert [strict(out.pairs) for _i, _port, out in fast_out] == [
+            strict(out.pairs) for _i, _port, out in slow_out
+        ]
+        assert len(fallbacks) == (trigger is not None)
+        fast_state, slow_state = fast.tree(7), slow.tree(7)
+        assert strict(fast_state.spillover.peek()) == strict(slow_state.spillover.peek())
+        assert_twins_identical(fast, slow)
+        assert fast_state._next_seq == slow_state._next_seq
+        assert {seq: w[i] for seq, (w, i) in fast_state._sent.unacked.items()} == {
+            seq: w[i] for seq, (w, i) in slow_state._sent.unacked.items()
+        }
+        for _i, _port, out in fast_out:  # what is buffered is what went out
+            if reliable:
+                window_of, index = fast_state._sent.unacked[out.seq]
+                assert window_of[index] is out
+        assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
+            end_packet_for(config)
+        )
         assert_twins_identical(fast, slow)
 
 

@@ -29,6 +29,7 @@ from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.packet import DaietAck, DaietPacket, PacketWindow
+from repro.netsim.devices import SwitchDevice
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
 
@@ -526,85 +527,75 @@ class TestWhoTakesThePerPairLoop:
 
     def test_switch_flushes_ride_the_parents_kernel(self, monkeypatch):
         """On a lossy reliable leaf-spine round ``_process_data`` runs for an
-        item of a child switch's flush only when the flush is a one-packet
-        window (a spillover flush), when the item's stream refuses it (a
-        duplicate, a gap-fill, CE-marked, behind a stashed END) or when the
-        child resent it. A fresh item of a multi-packet flush always rides
-        the parent's register kernel; without bursts every item took the
-        per-pair loop."""
-        flushes: dict[str, list] = {}  # a switch's flush windows
-        # One-packet flushes, which leave as packets, and what the children
-        # resent, by id (holding them keeps their ids from being reused).
-        lone: dict[int, DaietPacket] = {}
-        emit = DaietAggregationEngine._emit_pairs
+        item of a child switch's flush only when the item crossed the link
+        as its own queue entry (a spillover flush, a one-packet flush, a
+        resend: the switch emitted it as a packet) or when its stream
+        refuses it (a duplicate, a gap-fill, CE-marked, behind a stashed
+        END). A fresh item of a flush the switch emitted as a window, and so
+        put on the link as one burst entry, always rides the parent's
+        register kernel; without bursts every item took the per-pair loop."""
+        # What each switch put on its links: windows, and packets by id
+        # (holding them keeps their ids from being reused).
+        windows: dict[str, list] = {}
+        alone: dict[int, DaietPacket] = {}
+        count_emitted = SwitchDevice._count_emitted
 
-        def spy_emit(engine, state, pairs, include_end, columns=None):
-            emitted = emit(engine, state, pairs, include_end, columns)
-            for _port, out in emitted:
-                if type(out) is PacketWindow:
-                    flushes.setdefault(engine.switch_name, []).append(out)
-                else:
-                    lone[id(out)] = out
-            return emitted
+        def spy_emitted(device, out):
+            for _port, item in out:
+                if type(item) is PacketWindow:
+                    windows.setdefault(device.name, []).append(item)
+                elif type(item) is DaietPacket:
+                    alone[id(item)] = item
+            return count_emitted(device, out)
 
-        resent: dict[int, DaietPacket] = {}
-        handle_ack = DaietAggregationEngine.handle_ack
-
-        def spy_ack(engine, ack):
-            out = handle_ack(engine, ack)
-            resent.update((id(p), p) for _port, p in out if type(p) is DaietPacket)
-            return out
-
-        calls: list[tuple[int, bool, bool]] = []
+        calls: list[tuple[bool, bool]] = []
         process_data = DaietAggregationEngine._process_data
 
         def spy(engine, state, packet):
-            sizes = [1] if id(packet) in lone else [
-                len(window)
-                for window in flushes.get(packet.src, ())
-                if any(built is packet for built in window.built.values())
-            ]
-            if sizes:  # an item of a switch's flush
+            if packet.src in windows or id(packet) in alone:  # a switch's flush
+                window_item = id(packet) not in alone and any(
+                    built is packet
+                    for window in windows.get(packet.src, ())
+                    for built in window.built.values()
+                )
                 stream = state._seen.get(packet.src)
                 refused = packet.ecn or (
                     stream is not None
                     and (packet.seq <= stream.high_water or stream.end_seq is not None)
                 )
-                calls.append((sizes[0], refused, id(packet) in resent))
+                calls.append((window_item, refused))
             return process_data(engine, state, packet)
 
-        monkeypatch.setattr(DaietAggregationEngine, "_emit_pairs", spy_emit)
-        monkeypatch.setattr(DaietAggregationEngine, "handle_ack", spy_ack)
+        monkeypatch.setattr(SwitchDevice, "_count_emitted", spy_emitted)
         monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
         counts = {}
         for fast in (False, True):
-            flushes.clear()
-            lone.clear()
-            resent.clear()
+            windows.clear()
+            alone.clear()
             calls.clear()
             system, reducer, truth, _acks = sequenced_twin(
                 fast, fabric="leaf_spine", num_mappers=8, loss_rate=0.02, register_slots=256
             )
             system.run()
             assert system.receiver(reducer).result() == truth
-            fresh_multi = [c for c in calls if c[0] > 1 and not c[1] and not c[2]]
+            fresh_window_items = [c for c in calls if c[0] and not c[1]]
             if fast:
-                assert fresh_multi == []
-                assert any(size == 1 for size, _r, _s in calls)  # spillover flushes
-                assert any(refused or again for _n, refused, again in calls)  # repairs
-            counts[fast] = len(calls), len(fresh_multi)
+                assert fresh_window_items == []
+                assert any(not item for item, _refused in calls)  # spillover flushes
+                assert any(refused for _item, refused in calls)  # repairs
+            counts[fast] = len(calls), len(fresh_window_items)
         tree = system.tree_for(reducer)
         multi_to_switch = [
             window
-            for name, windows in flushes.items()
+            for name, flushes in windows.items()
             if tree.node(tree.parent(name)).is_switch
-            for window in windows
+            for window in flushes
             if len(window) > 2
         ]
         assert multi_to_switch  # leaves flush multi-packet windows to the spine
         (slow_calls, slow_fresh), (fast_calls, _) = counts[False], counts[True]
         # The twins see the same losses, repairs and spillover flushes: the
-        # fresh items of multi-packet flushes are all the kernel took over.
+        # fresh items of flush windows are all the kernel took over.
         assert slow_fresh > 0
         assert fast_calls == slow_calls - slow_fresh
 
@@ -763,6 +754,63 @@ def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_sn
             }
         )
     return observed
+
+
+class TestKernelSpillWindows:
+    def test_lost_spill_packets_are_resent_as_their_window_items(
+        self, sequenced_observables, monkeypatch
+    ):
+        """The spillover flushes of one kernel call are the packets of one
+        window, each leaving as its own queue entry. On a lossy reliable
+        rack whose registers are small enough that a batch spills several
+        flushes, a lost one is resent by ``handle_ack`` as the memoized
+        ``window[j]``, CE bit and all, and the fast twin leaves registers,
+        counters, ACK streams and the loss stream as the stood-down one."""
+        spilled: dict[int, DaietPacket] = {}  # items of multi-flush windows, by id
+        spill_columns = DaietAggregationEngine._spill_columns
+
+        def spy_spill(engine, state, kids, vals, at):
+            out = spill_columns(engine, state, kids, vals, at)
+            for _pkt_i, _port, packet in out or ():
+                window, index = state._sent.unacked[packet.seq]
+                assert window[index] is packet
+                if len(window) > 1:
+                    spilled[id(packet)] = packet
+            return out
+
+        resent: list[DaietPacket] = []
+        handle_ack = DaietAggregationEngine.handle_ack
+
+        def spy_ack(engine, ack):
+            out = handle_ack(engine, ack)
+            resent.extend(p for _port, p in out if type(p) is DaietPacket)
+            return out
+
+        monkeypatch.setattr(DaietAggregationEngine, "_spill_columns", spy_spill)
+        monkeypatch.setattr(DaietAggregationEngine, "handle_ack", spy_ack)
+        results = []
+        for fast in (True, False):
+            spilled.clear()
+            resent.clear()
+            system, reducer, truth, acks = sequenced_twin(
+                fast,
+                register_slots=8,
+                pairs_per_packet=4,
+                loss_rate=0.03,
+                ecn_threshold_bytes=300,
+            )
+            events = system.run()
+            observed = sequenced_observables(system, reducer, events, acks)
+            observed["registers"] = register_contents(system)
+            assert observed["result"] == truth
+            results.append(observed)
+            if fast:
+                resent_spills = [p for p in resent if id(p) in spilled]
+                assert resent_spills  # lost, then resent as the very packet
+                assert any(packet.ecn for packet in resent_spills)  # marked, and kept
+                assert sum(observed["traffic"]["stats"]["ecn_marked"].values()) > 0
+        fast, slow = results
+        assert fast == slow
 
 
 class TestSwitchFlushWindows:
