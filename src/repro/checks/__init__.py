@@ -6,7 +6,7 @@ The package has two halves:
   ``src/repro`` (:mod:`repro.checks.determinism`), a fast-path parity
   checker tying every compiled hot path to its oracle test module
   (:mod:`repro.checks.parity` + the :func:`fastpath` registry decorator),
-  and a dataplane configuration checker over constructed pipelines
+  and a dataplane configuration checker over constructed switches
   (:mod:`repro.checks.dataplane`). :mod:`repro.checks.lint` drives all
   three for the CLI.
 * **Runtime sanitizer** (``REPRO_SANITIZE=1`` or ``--sanitize``):

@@ -1,17 +1,15 @@
 """Dataplane configuration checker.
 
-Validates *constructed* pipelines — a :class:`~repro.netsim.simulator.
+Validates *constructed* switch programs — a :class:`~repro.netsim.simulator.
 NetworkSimulator` with its switches, tables and aggregation engines wired
 up — against the invariants that, when violated, produce silent packet
 loss or resource corruption long before any assertion fires:
 
 * steering-table (``daiet_steer``) entries must reference a configured
   aggregation tree whose egress and child ports are live (cabled) ports;
-* forwarding entries and ECMP group members must emit on live ports
-  (broadcast excepted), and no per-host entry may overlap its rack's
-  aggregate entry;
-* exact-match tables must have no duplicate canonical keys, and ternary
-  tables no entry fully shadowed by a higher-priority one;
+* forwarding entries and ECMP group members must emit on live ports, and
+  no per-host entry may overlap its rack's aggregate entry;
+* tables must have no duplicate canonical keys;
 * the parser byte budget must cover the largest DAIET packet the
   configured job can produce (``parse_depth_bytes``);
 * register-file and spillover capacities must agree with the
@@ -25,64 +23,33 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.checks.findings import Finding
-from repro.dataplane.actions import CallableAction, EcmpAction, ForwardAction
-from repro.dataplane.switch import BROADCAST_PORT
-from repro.dataplane.tables import WILDCARD, MatchActionTable, _canonical_key
+from repro.dataplane.actions import EcmpAction, ForwardAction
+from repro.dataplane.tables import MatchActionTable, _canonical_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.simulator import NetworkSimulator
 
 
-def _shadows(higher: dict[str, Any], lower: dict[str, Any]) -> bool:
-    """True if ternary match ``higher`` matches every key ``lower`` matches."""
-    for field, low_value in lower.items():
-        high_value = higher.get(field, WILDCARD)
-        if high_value == WILDCARD:
-            continue
-        if low_value == WILDCARD or high_value != low_value:
-            return False
-    return True
-
-
 def check_table(table: MatchActionTable, *, path: str) -> list[Finding]:
-    """Duplicate-key and shadowing checks on one match-action table."""
+    """Duplicate-key check on one match-action table."""
     findings: list[Finding] = []
-    if table.match_kind == "exact":
-        seen: dict[tuple, int] = {}
-        for entry in table._entries:
-            key = _canonical_key(entry.match)
-            if key is None:
-                continue
-            if key in seen:
-                findings.append(
-                    Finding(
-                        rule="table-duplicate-key",
-                        path=path,
-                        line=0,
-                        message=f"exact table {table.name!r} holds duplicate "
-                        f"entries for match {entry.match}",
-                    )
+    seen: set[tuple] = set()
+    for entry in table._entries:
+        key = _canonical_key(entry.match)
+        if key is None:
+            continue
+        if key in seen:
+            findings.append(
+                Finding(
+                    rule="table-duplicate-key",
+                    path=path,
+                    line=0,
+                    message=f"table {table.name!r} holds duplicate entries for "
+                    f"match {entry.match}",
                 )
-            else:
-                seen[key] = 1
-    else:
-        # _entries is sorted by descending priority; an entry is dead if any
-        # earlier (>= priority) entry matches its entire match space.
-        entries = table._entries
-        for i, low in enumerate(entries):
-            for high in entries[:i]:
-                if high.priority >= low.priority and _shadows(high.match, low.match):
-                    findings.append(
-                        Finding(
-                            rule="table-shadowed-entry",
-                            path=path,
-                            line=0,
-                            message=f"ternary table {table.name!r} entry "
-                            f"{low.match} (priority {low.priority}) is shadowed "
-                            f"by {high.match} (priority {high.priority})",
-                        )
-                    )
-                    break
+            )
+        else:
+            seen.add(key)
     return findings
 
 
@@ -147,8 +114,6 @@ def _check_ports(
 ) -> list[Finding]:
     findings: list[Finding] = []
     for port in ports:
-        if port == BROADCAST_PORT:
-            continue
         if not 0 <= port < num_ports:
             findings.append(
                 Finding(
@@ -180,7 +145,7 @@ def check_switch(
     if path is None:
         path = f"<switch {switch.name}>"
     findings: list[Finding] = []
-    tables = switch.pipeline.tables()
+    tables = switch.tables
     for table in tables.values():
         findings += check_table(table, path=path)
 
@@ -204,17 +169,6 @@ def check_switch(
                     )
                 )
                 continue
-            if not isinstance(entry.action, CallableAction):
-                findings.append(
-                    Finding(
-                        rule="steering-wrong-action",
-                        path=path,
-                        line=0,
-                        message=f"steering entry for tree {tree_id!r} is bound "
-                        f"to {type(entry.action).__name__}, not the aggregation "
-                        "extern",
-                    )
-                )
             findings += _check_ports(
                 [state.egress_port],
                 what=f"tree {tree_id} egress",

@@ -11,7 +11,7 @@ class Finding:
 
     ``path`` is a display path (repo-relative where possible); ``line`` is
     1-based, with 0 meaning the finding has no meaningful line (e.g. a
-    missing registration or a constructed-pipeline violation).
+    missing registration or a constructed-switch violation).
     """
 
     rule: str

@@ -4,7 +4,7 @@ The default run lints the whole ``src/repro`` tree with the determinism
 linter, verifies fast-path/oracle parity, and builds three small reference
 DAIET systems (unreliable and reliable single-rack jobs, and a leaf-spine
 job) to run the dataplane config checker against real constructed
-pipelines. Passing an
+switches. Passing an
 explicit ``root`` restricts the run to the determinism linter over that
 file or directory — that is what the fixture tests use.
 """
@@ -44,7 +44,7 @@ class LintReport:
 
 
 def _check_reference_dataplanes() -> list[Finding]:
-    """Build canonical jobs and validate their pipelines.
+    """Build canonical jobs and validate their switches.
 
     One unreliable and one reliable single-rack configuration, covering
     both wire formats the parser budget has to absorb and both steering

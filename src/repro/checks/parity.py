@@ -2,7 +2,9 @@
 
 Every compiled fast path in the simulator core must be registered with
 :func:`repro.checks.fastpath` and paired with an oracle test module that
-drives the fast path and the generic path side by side. This checker
+drives the fast path side by side with a reference: the generic path it
+shortcuts, or a test-side model of what it implements (the switch program's
+two stages). This checker
 imports the known fast-path modules (registration happens at import time),
 then verifies:
 
@@ -25,6 +27,7 @@ from repro.checks.registry import FastPathInfo, registered_fastpaths
 #: Modules that define compiled fast paths. Imported before reading the
 #: registry so decorators have run even if nothing else touched them.
 FASTPATH_MODULES: tuple[str, ...] = (
+    "repro.dataplane.switch",
     "repro.netsim.events",
     "repro.netsim.devices",
     "repro.netsim.faults",

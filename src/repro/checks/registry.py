@@ -2,8 +2,8 @@
 
 The simulator core carries several *compiled* hot paths — closures and
 specialized loops that replicate the observable behaviour of a generic
-(slow) path. Their correctness rests on twin-path tests that drive both
-implementations and compare every observable effect. The
+(slow) path or of a reference model kept in the tests. Their correctness
+rests on twin tests that drive both and compare every observable effect. The
 :func:`fastpath` decorator makes that pairing explicit and machine
 checkable: decorating the hot path records its name and the repo-relative
 path of its oracle test module, and ``repro lint`` fails when a registered

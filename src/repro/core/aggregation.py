@@ -8,8 +8,9 @@ remaining-children counter and, when it reaches zero, the aggregated state is
 flushed towards the next node of the tree, as one
 :class:`~repro.core.packet.PacketWindow`.
 
-:class:`DaietAggregationEngine` hosts the per-tree state of one switch and is
-plugged into the switch pipeline as an extern action by the controller.
+:class:`DaietAggregationEngine` hosts the per-tree state of one switch; the
+controller binds it as the ``aggregate`` action of the switch's
+``daiet_steer`` table, the extern steered packets are handed to.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.core.packet import (
     packets_of,
 )
 from repro.dataplane import interning as _interning
-from repro.dataplane.actions import PacketContext
+from repro.dataplane.actions import Extern
 from repro.dataplane.registers import IndexStack, RegisterArray, SpilloverBucket
 
 try:  # The vectorized register kernel needs numpy; Algorithm 1 does not.
@@ -242,7 +243,7 @@ class TreeState:
             self._vec_kid_slot.fill(_KID_UNKNOWN)
 
 
-class DaietAggregationEngine:
+class DaietAggregationEngine(Extern):
     """The DAIET extern of one switch: per-tree state plus Algorithm 1."""
 
     def __init__(self, switch_name: str) -> None:
@@ -311,30 +312,6 @@ class DaietAggregationEngine:
     # ------------------------------------------------------------------ #
     # Data-plane entry points
     # ------------------------------------------------------------------ #
-    def pipeline_action(self, ctx: PacketContext) -> None:
-        """Extern entry point used inside the switch pipeline.
-
-        The incoming DAIET packet (or ACK) is consumed — it never continues
-        to the forwarding stage. Flushed aggregates go out on the tree's
-        egress port; reliability ACKs go out on the originating child's port.
-        """
-        packet = ctx.packet
-        if isinstance(packet, DaietAck):
-            ctx.metadata["consumed"] = True
-            ctx.charge(1)
-            for port, out_packet in self.handle_ack(packet):
-                ctx.emit(port, out_packet)
-            return
-        if not isinstance(packet, DaietPacket):
-            raise AggregationError(
-                f"DAIET extern on switch {self.switch_name!r} received a "
-                f"{type(packet).__name__}"
-            )
-        ctx.metadata["consumed"] = True
-        ctx.charge(max(1, packet.num_pairs))
-        for port, out_packet in self.handle_packet(packet):
-            ctx.emit(port, out_packet)
-
     def handle_packet(self, packet: DaietPacket) -> list[tuple[int, Any]]:
         """Consume one packet; return ``(egress_port, packet)`` emissions.
 

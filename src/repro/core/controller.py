@@ -23,14 +23,10 @@ from repro.core.config import DaietConfig
 from repro.core.errors import ControllerError
 from repro.core.functions import AggregationFunction, get as get_function
 from repro.core.tree import AggregationTree
-from repro.dataplane.actions import CallableAction
+from repro.dataplane.switch import AGGREGATE_ACTION
 from repro.dataplane.tables import FlowRule
 from repro.netsim.devices import DAIET_TABLE, SwitchDevice
 from repro.netsim.topology import Topology
-
-#: Action name under which the aggregation extern is registered in the
-#: ``daiet_steer`` table of every switch.
-AGGREGATE_ACTION = "aggregate"
 
 
 @dataclass
@@ -179,9 +175,7 @@ class DaietController:
             engine = DaietAggregationEngine(device.name)
             self.engines[device.name] = engine
             device.switch.register_extern("daiet", engine)
-            device.daiet_table.register_action(
-                AGGREGATE_ACTION, CallableAction(func=engine.pipeline_action, name=AGGREGATE_ACTION)
-            )
+            device.daiet_table.register_action(AGGREGATE_ACTION, engine)
         return self.engines[device.name]
 
     # ------------------------------------------------------------------ #

@@ -26,7 +26,7 @@ class PacketFormatError(ReproError):
 
 
 class PipelineError(ReproError):
-    """A match-action pipeline was misconfigured or violated a constraint."""
+    """A switch program was misconfigured or violated a constraint."""
 
 
 class TableError(PipelineError):

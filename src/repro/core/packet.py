@@ -10,9 +10,9 @@ end of a partition is marked by a special END packet.
 :class:`DaietPacket` models one such UDP packet. It exposes
 
 * ``wire_bytes()`` — full frame size including Ethernet/IP/UDP encapsulation,
-* ``header_stack()`` — the headers visible to the bounded-depth switch parser
-  (preamble plus one header per pair, which is exactly why the pair count per
-  packet is limited on real hardware),
+* ``parse_depth_bytes()`` — how deep the bounded-depth switch parser must
+  read: the whole frame, preamble and every pair header, which is exactly
+  why the pair count per packet is limited on real hardware,
 * ``encode()`` / ``decode()`` — an actual byte-level serialization used by the
   round-trip property tests.
 
@@ -228,10 +228,6 @@ class DaietPacket:
     _keylen_needed: bool = field(init=False, repr=False, compare=False)
     #: Cached DAIET payload size (preamble + pairs).
     _payload_bytes: int = field(init=False, repr=False, compare=False)
-    #: Cached lazily on first ``header_sizes()`` call (see that method).
-    _header_sizes: tuple[tuple[str, int], ...] | None = field(
-        init=False, repr=False, compare=False
-    )
     #: The :class:`PairColumns` this packet's pairs are part of and the
     #: packet's index in it (see ``vector_pairs()``); ``None`` once the
     #: packet is known to be ineligible.
@@ -281,7 +277,6 @@ class DaietPacket:
         object.__setattr__(
             self, "_payload_bytes", DAIET_PREAMBLE_BYTES + extra + pair_bytes
         )
-        object.__setattr__(self, "_header_sizes", None)
         object.__setattr__(self, "_vec_cache", _VEC_UNSET)
         object.__setattr__(self, "_vec_at", 0)
 
@@ -337,7 +332,6 @@ class DaietPacket:
             self.ecn,
             self._keylen_needed,
             self._payload_bytes + (SEQ_BYTES if unsequenced else 0),
-            None if unsequenced else self._header_sizes,
             self._vec_cache,
             self._vec_at,
         )
@@ -368,61 +362,12 @@ class DaietPacket:
         """Full frame size (Ethernet + IPv4 + UDP + DAIET payload)."""
         return _FRAME_BYTES + self._payload_bytes
 
-    # ------------------------------------------------------------------ #
-    # Parser view
-    # ------------------------------------------------------------------ #
-    def header_stack(self) -> list[tuple[str, Any, int]]:
-        """Headers the switch parser must extract, in order.
-
-        Unlike plain UDP traffic, a DAIET switch must parse the preamble *and
-        every key-value pair header*, which is what makes the per-packet pair
-        count a hard constraint on real hardware (~200-300 parseable bytes).
-        """
-        stack: list[tuple[str, Any, int]] = [
-            ("ethernet", {"src": self.src, "dst": self.dst}, ETHERNET_HEADER_BYTES),
-            ("ipv4", {"src": self.src, "dst": self.dst}, IP_HEADER_BYTES),
-            ("udp", {"dport": DAIET_UDP_PORT}, UDP_HEADER_BYTES),
-            (
-                "daiet",
-                {
-                    "tree_id": self.tree_id,
-                    "type": self.packet_type.name,
-                    "num_entries": self.num_pairs,
-                    "seq": self.seq,
-                },
-                DAIET_PREAMBLE_BYTES
-                + (SEQ_BYTES if self.seq is not None else 0)
-                + (self.num_pairs if self._needs_keylens() else 0),
-            ),
-        ]
-        pair_bytes = self.config.pair_bytes
-        for i, (key, value) in enumerate(self.pairs):
-            stack.append((f"kv_{i}", {"key": key, "value": value}, pair_bytes))
-        return stack
-
-    def header_sizes(self) -> tuple[tuple[str, int], ...]:
-        """The ``(name, nbytes)`` profile of :meth:`header_stack`.
-
-        Used by the parser to attribute a parse-depth overflow to the first
-        offending header without building the per-pair metadata dictionaries
-        of :meth:`header_stack`. The profile is cached — a packet may be
-        re-parsed on every switch hop and every retransmission.
-        """
-        cached = self._header_sizes
-        if cached is not None:
-            return cached
-        sizes = tuple((name, nbytes) for name, _header, nbytes in self.header_stack())
-        object.__setattr__(self, "_header_sizes", sizes)
-        return sizes
-
     def parse_depth_bytes(self) -> int:
         """Total bytes a switch parser must inspect for this packet.
 
         Every header of a DAIET packet — encapsulation, preamble *and* all
         pair headers — is parseable, so the parse depth equals the frame
-        size. This single cached integer is the parser's happy-path check
-        (see ``HeaderParser.charge``); the per-header walk only happens when
-        the budget is actually exceeded.
+        size (see ``HeaderParser.charge``).
         """
         return _FRAME_BYTES + self._payload_bytes
 
@@ -542,7 +487,6 @@ def _decode_value(data: bytes) -> int:
     _set_ecn,
     _set_keylen_needed,
     _set_payload_bytes,
-    _set_header_sizes,
     _set_vec_cache,
     _set_vec_at,
 ) = (vars(DaietPacket)[spec.name].__set__ for spec in fields(DaietPacket))
@@ -559,7 +503,6 @@ def _assemble(
     ecn: bool,
     keylen_needed: bool,
     payload_bytes: int,
-    header_sizes: tuple[tuple[str, int], ...] | None = None,
     vec_cache: Any = _VEC_UNSET,
     vec_at: int = 0,
 ) -> DaietPacket:
@@ -579,7 +522,6 @@ def _assemble(
     _set_ecn(packet, ecn)
     _set_keylen_needed(packet, keylen_needed)
     _set_payload_bytes(packet, payload_bytes)
-    _set_header_sizes(packet, header_sizes)
     _set_vec_cache(packet, vec_cache)
     _set_vec_at(packet, vec_at)
     return packet
@@ -647,7 +589,7 @@ class PacketWindow(Sequence):
                 self.tree_id, self.src, self.dst, DaietPacketType.DATA,
                 tuple(self.pairs[at * per : at * per + per]), self.config,
                 None if self.seq_start is None else self.seq_start + index,
-                False, False, self.sizes[index] - _FRAME_BYTES, None, self.columns, at,
+                False, False, self.sizes[index] - _FRAME_BYTES, self.columns, at,
             )
         return packet
 
@@ -1068,33 +1010,6 @@ class DaietAck:
     def wire_bytes(self) -> int:
         """Full frame size (Ethernet + IPv4 + UDP + ACK payload)."""
         return _FRAME_BYTES + self.payload_bytes()
-
-    def header_stack(self) -> list[tuple[str, Any, int]]:
-        """Headers visible to the switch parser."""
-        return [
-            ("ethernet", {"src": self.src, "dst": self.dst}, ETHERNET_HEADER_BYTES),
-            ("ipv4", {"src": self.src, "dst": self.dst}, IP_HEADER_BYTES),
-            ("udp", {"dport": DAIET_UDP_PORT}, UDP_HEADER_BYTES),
-            (
-                "daiet_ack",
-                {
-                    "tree_id": self.tree_id,
-                    "cumulative": self.cumulative,
-                    "sack": self.sack,
-                    "pull": self.pull,
-                },
-                self.payload_bytes(),
-            ),
-        ]
-
-    def header_sizes(self) -> tuple[tuple[str, int], ...]:
-        """The ``(name, nbytes)`` parse profile (parser fast path)."""
-        return (
-            ("ethernet", ETHERNET_HEADER_BYTES),
-            ("ipv4", IP_HEADER_BYTES),
-            ("udp", UDP_HEADER_BYTES),
-            ("daiet_ack", self.payload_bytes()),
-        )
 
     def parse_depth_bytes(self) -> int:
         """Total parseable bytes (every ACK header is parseable)."""

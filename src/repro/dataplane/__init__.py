@@ -2,55 +2,31 @@
 
 This subpackage models the "network machine architecture" the paper targets:
 register arrays, index stacks and spillover buckets (:mod:`registers`), the
-resource limits of the ASIC (:mod:`resources`), match-action tables and flow
-rules (:mod:`tables`), the bounded-depth parser (:mod:`parser`), the
-multi-stage pipeline (:mod:`pipeline`) and the full switch (:mod:`switch`).
+resource limits of the ASIC (:mod:`resources`), exact-match tables with
+declared action sets and flow rules (:mod:`tables`, :mod:`actions`), the
+parse-depth budget (:mod:`parser`) and the switch running DAIET's one
+program, steer then forward (:mod:`switch`).
 """
 
-from repro.dataplane.actions import (
-    Action,
-    ActionSequence,
-    CallableAction,
-    DropAction,
-    ForwardAction,
-    NoAction,
-    PacketContext,
-    SetMetadataAction,
-)
-from repro.dataplane.parser import HeaderParser, ParseResult
-from repro.dataplane.pipeline import Pipeline, PipelineStage
+from repro.dataplane.actions import EcmpAction, Extern, ForwardAction
+from repro.dataplane.parser import HeaderParser
 from repro.dataplane.registers import IndexStack, RegisterArray, SpilloverBucket
-from repro.dataplane.resources import (
-    PacketOpCounter,
-    ResourceLedger,
-    SwitchResources,
-)
-from repro.dataplane.switch import BROADCAST_PORT, ProgrammableSwitch, SwitchCounters
-from repro.dataplane.tables import WILDCARD, FlowRule, MatchActionTable, TableEntry
+from repro.dataplane.resources import ResourceLedger, SwitchResources
+from repro.dataplane.switch import ProgrammableSwitch, SwitchCounters
+from repro.dataplane.tables import FlowRule, MatchActionTable, TableEntry
 
 __all__ = [
-    "Action",
-    "ActionSequence",
-    "CallableAction",
-    "DropAction",
+    "EcmpAction",
+    "Extern",
     "ForwardAction",
-    "NoAction",
-    "PacketContext",
-    "SetMetadataAction",
     "HeaderParser",
-    "ParseResult",
-    "Pipeline",
-    "PipelineStage",
     "IndexStack",
     "RegisterArray",
     "SpilloverBucket",
-    "PacketOpCounter",
     "ResourceLedger",
     "SwitchResources",
-    "BROADCAST_PORT",
     "ProgrammableSwitch",
     "SwitchCounters",
-    "WILDCARD",
     "FlowRule",
     "MatchActionTable",
     "TableEntry",

@@ -1,20 +1,20 @@
-"""Action primitives available to match-action tables.
+"""What the switch program's table entries bind.
 
-A programmable switch supports a small, fixed set of primitive actions (set a
-header field, copy metadata, add, hash, push to a register). Compound actions
-are sequences of primitives. Each primitive charges the per-packet operation
-budget, so pipelines that do "too much work" per packet are rejected, matching
-the architectural constraint discussed in Section 2 of the paper.
+The program (see :mod:`repro.dataplane.switch`) declares three actions: a
+``daiet_steer`` entry hands its packet to an :class:`Extern`, the switch's
+aggregation engine; an ``l3_forward`` entry sends it out of one port
+(:class:`ForwardAction`) or out of one member of an ECMP group
+(:class:`EcmpAction`). What each costs against the per-packet operation
+budget is the switch's op model, not a property of the action.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.core.errors import PipelineError, ResourceExhaustedError
-from repro.dataplane.resources import PacketOpCounter
+from repro.core.errors import TableError
 
 
 def ecmp_path_index(seed: int, src: str, dst: Any, paths: int) -> int:
@@ -32,142 +32,33 @@ def ecmp_path_index(seed: int, src: str, dst: Any, paths: int) -> int:
     return int.from_bytes(digest[:4], "big") % paths
 
 
-class PacketContext:
-    """Mutable state carried by a packet through the pipeline.
+class Extern:
+    """A stateful extern a table entry hands its packet to (a P4 ``extern``).
 
-    A plain ``__slots__`` class (not a dataclass): one context is created per
-    packet per hop, so construction cost matters.
-
-    Attributes
-    ----------
-    packet:
-        The packet object being processed (opaque to the pipeline).
-    metadata:
-        Per-packet metadata fields, equivalent to P4 ``metadata`` structs.
-        Standard fields used by the forwarding pipeline:
-
-        * ``ingress_port`` — port the packet arrived on,
-        * ``egress_port`` — port chosen by the forwarding tables,
-        * ``drop`` — set to ``True`` to drop the packet,
-        * ``consumed`` — set to ``True`` when an extern (e.g. the DAIET
-          aggregator) absorbed the packet and no forwarding should occur.
-    ops:
-        Per-packet operation counter enforcing the line-rate budget.
-    emitted:
-        Packets generated by the pipeline itself (e.g. flushed aggregates),
-        as ``(egress_port, packet)`` tuples.
+    The DAIET aggregation engine is the one the program declares:
+    ``daiet_steer``'s ``aggregate`` entries carry the engine itself.
     """
 
-    __slots__ = ("packet", "metadata", "ops", "emitted")
-
-    def __init__(
-        self,
-        packet: Any,
-        metadata: dict[str, Any] | None = None,
-        ops: PacketOpCounter | None = None,
-        emitted: list[tuple[int, Any]] | None = None,
-    ) -> None:
-        self.packet = packet
-        self.metadata = {} if metadata is None else metadata
-        self.ops = ops
-        self.emitted = [] if emitted is None else emitted
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"PacketContext(packet={self.packet!r}, metadata={self.metadata!r}, "
-            f"ops={self.ops!r}, emitted={self.emitted!r})"
-        )
-
-    def charge(self, ops: int = 1) -> None:
-        """Charge the per-packet operation budget, if one is attached.
-
-        Inlines ``PacketOpCounter.charge`` — this runs several times per
-        packet per hop, so the extra call frame is measurable.
-        """
-        counter = self.ops
-        if counter is None:
-            return
-        if ops < 0:
-            counter.charge(ops)  # delegate the error path
-            return
-        used = counter.used + ops
-        counter.used = used
-        if used > counter.limit:
-            raise ResourceExhaustedError(
-                f"per-packet operation budget exceeded ({used} > {counter.limit})"
-            )
-
-    def emit(self, egress_port: int, packet: Any) -> None:
-        """Queue a switch-generated packet for transmission on ``egress_port``."""
-        self.emitted.append((egress_port, packet))
-
-
-class Action:
-    """Base class for actions executed when a table entry matches."""
-
-    #: Operation cost charged against the per-packet budget.
-    cost: int = 1
-
-    def apply(self, ctx: PacketContext) -> None:
-        """Execute the action against the packet context."""
-        raise NotImplementedError
-
-    def __call__(self, ctx: PacketContext) -> None:
-        ctx.charge(self.cost)
-        self.apply(ctx)
-
-
-@dataclass
-class NoAction(Action):
-    """Do nothing (the P4 ``NoAction`` primitive)."""
-
-    cost: int = 0
-
-    def apply(self, ctx: PacketContext) -> None:  # noqa: D102 - trivially empty
-        return
-
-
-@dataclass
-class DropAction(Action):
-    """Mark the packet to be dropped."""
-
-    cost: int = 1
-
-    def apply(self, ctx: PacketContext) -> None:
-        ctx.metadata["drop"] = True
-
-
-@dataclass
-class SetMetadataAction(Action):
-    """Set a metadata field to a constant value."""
-
-    key: str = ""
-    value: Any = None
-    cost: int = 1
-
-    def apply(self, ctx: PacketContext) -> None:
-        if not self.key:
-            raise PipelineError("SetMetadataAction requires a metadata key")
-        ctx.metadata[self.key] = self.value
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
-class ForwardAction(Action):
-    """Set the egress port of the packet (the basic L2/L3 forwarding action).
+class ForwardAction:
+    """Send the packet out of ``egress_port`` (the basic L2/L3 forward).
 
     Immutable: a bulk install binds one instance to every rule of the batch
     that forwards out of the same port.
     """
 
     egress_port: int = 0
-    cost: int = 1
 
-    def apply(self, ctx: PacketContext) -> None:
-        ctx.metadata["egress_port"] = self.egress_port
+    def __post_init__(self) -> None:
+        if self.egress_port < 0:
+            raise TableError(f"a forward needs an egress port >= 0, not {self.egress_port}")
 
 
 @dataclass(frozen=True)
-class EcmpAction(Action):
+class EcmpAction:
     """An ECMP group: one of several next hops, chosen per destination.
 
     ``ports[i]`` leads to ``paths[i]`` of ``switch``'s equal-cost shortest
@@ -182,13 +73,12 @@ class EcmpAction(Action):
     paths: tuple[int, ...] = ()
     seed: int = 0
     switch: str = ""
-    cost: int = 1
     _total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ports, paths = self.ports, self.paths
         if not ports or len(ports) != len(paths) or min(ports) < 0 or min(paths) < 1:
-            raise PipelineError(
+            raise TableError(
                 f"an ECMP group needs one path count >= 1 per port >= 0: {ports} / {paths}"
             )
         object.__setattr__(self, "_total", sum(paths))
@@ -200,46 +90,4 @@ class EcmpAction(Action):
             if index < paths:
                 return port
             index -= paths
-        raise PipelineError("ECMP path index outside the group")  # pragma: no cover
-
-    def apply(self, ctx: PacketContext) -> None:
-        ctx.metadata["egress_port"] = self.select(ctx.metadata.get("dst"))
-
-
-@dataclass
-class CallableAction(Action):
-    """Adapter turning an arbitrary callable into an action.
-
-    Used to hook externs (such as the DAIET aggregation engine) into the
-    pipeline. The callable receives the :class:`PacketContext`.
-    """
-
-    func: Callable[[PacketContext], None] = None  # type: ignore[assignment]
-    name: str = "callable"
-    cost: int = 1
-
-    def apply(self, ctx: PacketContext) -> None:
-        if self.func is None:
-            raise PipelineError(f"CallableAction {self.name!r} has no function bound")
-        self.func(ctx)
-
-    def __call__(self, ctx: PacketContext) -> None:
-        # Specialized to skip the generic charge->apply double dispatch:
-        # extern actions (e.g. the DAIET aggregator) run once per packet.
-        ctx.charge(self.cost)
-        func = self.func
-        if func is None:
-            raise PipelineError(f"CallableAction {self.name!r} has no function bound")
-        func(ctx)
-
-
-@dataclass
-class ActionSequence(Action):
-    """Execute a list of actions in order (a P4 compound action)."""
-
-    actions: tuple[Action, ...] = ()
-    cost: int = 0
-
-    def apply(self, ctx: PacketContext) -> None:
-        for action in self.actions:
-            action(ctx)
+        raise TableError("ECMP path index outside the group")  # pragma: no cover

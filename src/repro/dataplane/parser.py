@@ -1,145 +1,45 @@
-"""Packet parser model with a bounded parse depth.
+"""Parse-depth budget of the switch parser.
 
 Hardware P4 parsers can only inspect the first few hundred bytes of a packet
 ("around 200-300 B", Section 5), which is why one DAIET packet carries at most
-~10 key-value pairs. The :class:`HeaderParser` here enforces that limit: it
-walks a stack of headers and stops (raising) if the program would need to look
-deeper into the packet than the target allows.
+~10 key-value pairs. Every packet the switch program knows declares how deep
+it must be parsed, ``parse_depth_bytes()``: all of a DAIET packet or ACK (the
+preamble and every pair are headers), only the encapsulation of a transport
+packet. :class:`HeaderParser` charges that depth against the target's budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any
 
-from repro.core.errors import PacketFormatError, ResourceExhaustedError
+from repro.core.errors import ResourceExhaustedError
 from repro.dataplane.resources import SwitchResources
 
 
-class ParsableHeader(Protocol):
-    """Anything exposing a serialized byte length can be parsed."""
-
-    def byte_length(self) -> int:
-        """Serialized length of the header in bytes."""
-        ...
-
-
-@dataclass
-class ParseResult:
-    """Outcome of parsing one packet.
-
-    Attributes
-    ----------
-    headers:
-        Mapping from header name to the extracted header object.
-    parsed_bytes:
-        Total bytes the parser had to look at.
-    """
-
-    headers: dict[str, Any]
-    parsed_bytes: int
-
-    def get(self, name: str) -> Any:
-        """Return a parsed header by name, or ``None``."""
-        return self.headers.get(name)
-
-
 class HeaderParser:
-    """Parser driven by the packets' own self-describing header stacks.
-
-    Simulated packets (see :mod:`repro.core.packet` and
-    :mod:`repro.transport`) expose a ``header_stack()`` method returning an
-    ordered list of ``(name, header, nbytes)`` tuples. The parser extracts them
-    in order while charging the parse-depth budget.
-    """
+    """The switch's parser: the parse-depth budget and the bytes it parsed."""
 
     def __init__(self, resources: SwitchResources | None = None) -> None:
         self.resources = resources or SwitchResources()
-        self.packets_parsed = 0
         self.bytes_parsed = 0
 
-    def parse(self, packet: Any) -> ParseResult:
-        """Parse ``packet`` and return the extracted headers.
+    def charge(self, packet: Any) -> int:
+        """Charge ``packet``'s parse depth; return it.
+
+        The one place an over-budget parse raises. The switch's compiled
+        stages inline the in-budget case and call this for the error.
 
         Raises
         ------
-        PacketFormatError
-            If the packet does not expose a ``header_stack()`` method.
         ResourceExhaustedError
-            If extracting the headers would exceed the target's parse-depth
-            budget (``max_parse_bytes``).
+            If the packet is deeper than the target's ``max_parse_bytes``.
         """
-        stack_fn = getattr(packet, "header_stack", None)
-        if stack_fn is None:
-            raise PacketFormatError(
-                f"object of type {type(packet).__name__} is not a parsable packet"
-            )
-        headers: dict[str, Any] = {}
-        parsed_bytes = 0
-        for name, header, nbytes in stack_fn():
-            if nbytes < 0:
-                raise PacketFormatError(f"header {name!r} reports a negative length")
-            parsed_bytes += nbytes
-            if parsed_bytes > self.resources.max_parse_bytes:
-                raise ResourceExhaustedError(
-                    f"parse depth exceeded: header {name!r} ends at byte "
-                    f"{parsed_bytes}, target limit is {self.resources.max_parse_bytes}"
-                )
-            headers[name] = header
-        self.packets_parsed += 1
-        self.bytes_parsed += parsed_bytes
-        return ParseResult(headers=headers, parsed_bytes=parsed_bytes)
-
-    def charge(self, packet: Any) -> int:
-        """Enforce the parse-depth budget without extracting header objects.
-
-        The data-plane fast path: per-hop processing only needs to know that
-        the packet *would* parse within ``max_parse_bytes``, so packets that
-        expose a cached ``header_sizes()`` profile (see
-        :meth:`repro.core.packet.DaietPacket.header_sizes`) are charged from
-        it directly — no per-header metadata dictionaries are built. Packets
-        without the fast-path method fall through to a full :meth:`parse`.
-
-        Raises the same errors as :meth:`parse` and updates the same
-        ``packets_parsed``/``bytes_parsed`` counters; returns the parsed byte
-        count.
-        """
-        total_fn = getattr(packet, "parse_depth_bytes", None)
-        if total_fn is not None:
-            # Happy path: one cached integer against the budget. Header
-            # sizes are non-negative, so the total fits within the budget
-            # exactly when every prefix does.
-            parsed_bytes = total_fn()
-            if parsed_bytes <= self.resources.max_parse_bytes:
-                self.packets_parsed += 1
-                self.bytes_parsed += parsed_bytes
-                return parsed_bytes
-        sizes_fn = getattr(packet, "header_sizes", None)
-        if sizes_fn is None:
-            return self.parse(packet).parsed_bytes
-        parsed_bytes = 0
+        parsed = packet.parse_depth_bytes()
         limit = self.resources.max_parse_bytes
-        for name, nbytes in sizes_fn():
-            if nbytes < 0:
-                raise PacketFormatError(f"header {name!r} reports a negative length")
-            parsed_bytes += nbytes
-            if parsed_bytes > limit:
-                raise ResourceExhaustedError(
-                    f"parse depth exceeded: header {name!r} ends at byte "
-                    f"{parsed_bytes}, target limit is {limit}"
-                )
-        self.packets_parsed += 1
-        self.bytes_parsed += parsed_bytes
-        return parsed_bytes
-
-    def max_pairs_per_packet(self, preamble_bytes: int, pair_bytes: int) -> int:
-        """How many fixed-size pairs fit within the parse-depth budget.
-
-        Helper used by configuration validation: with a 300 B parse budget,
-        an 8 B preamble and 20 B pairs, at most 14 pairs could ever be parsed;
-        the paper conservatively uses 10.
-        """
-        if pair_bytes <= 0:
-            raise PacketFormatError("pair_bytes must be positive")
-        available = self.resources.max_parse_bytes - preamble_bytes
-        return max(0, available // pair_bytes)
+        if parsed > limit:
+            raise ResourceExhaustedError(
+                f"parse depth exceeded: a {type(packet).__name__} needs {parsed} B, "
+                f"target limit is {limit} B"
+            )
+        self.bytes_parsed += parsed
+        return parsed

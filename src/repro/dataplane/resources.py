@@ -9,8 +9,7 @@ machine architecture" that in-network computation has to live within:
   loops; the parser can only inspect the first ~200-300 bytes of each packet.
 
 This module makes those limits explicit and enforceable, so that the DAIET
-pipeline (and any other program loaded on the simulated switch) fails loudly
-when it would not fit real hardware.
+switch program fails loudly when it would not fit real hardware.
 """
 
 from __future__ import annotations
@@ -23,19 +22,13 @@ from repro.core.errors import ResourceExhaustedError
 #: expected available SRAM is in the range of few tens of MBs").
 DEFAULT_SRAM_BYTES = 32 * 1024 * 1024
 
-#: Number of match-action stages in an RMT-style pipeline.
-DEFAULT_PIPELINE_STAGES = 12
-
 #: Maximum number of bytes the parser may inspect per packet (paper: "current
 #: P4 hardware switches are expected to parse only around 200-300 B").
 DEFAULT_MAX_PARSE_BYTES = 300
 
-#: Maximum ALU operations the pipeline may perform on a single packet. This is
+#: Maximum ALU operations the switch may perform on a single packet. This is
 #: a coarse stand-in for the per-stage VLIW instruction budget.
 DEFAULT_MAX_OPS_PER_PACKET = 512
-
-#: Maximum times a packet may be recirculated through the ingress pipeline.
-DEFAULT_MAX_RECIRCULATIONS = 1
 
 
 @dataclass(frozen=True)
@@ -43,32 +36,27 @@ class SwitchResources:
     """Static resource budget of one switch chip."""
 
     sram_bytes: int = DEFAULT_SRAM_BYTES
-    pipeline_stages: int = DEFAULT_PIPELINE_STAGES
     max_parse_bytes: int = DEFAULT_MAX_PARSE_BYTES
     max_ops_per_packet: int = DEFAULT_MAX_OPS_PER_PACKET
-    max_recirculations: int = DEFAULT_MAX_RECIRCULATIONS
 
     def __post_init__(self) -> None:
         if self.sram_bytes <= 0:
             raise ResourceExhaustedError("sram_bytes must be positive")
-        if self.pipeline_stages <= 0:
-            raise ResourceExhaustedError("pipeline_stages must be positive")
         if self.max_parse_bytes <= 0:
             raise ResourceExhaustedError("max_parse_bytes must be positive")
         if self.max_ops_per_packet <= 0:
             raise ResourceExhaustedError("max_ops_per_packet must be positive")
-        if self.max_recirculations < 0:
-            raise ResourceExhaustedError("max_recirculations must be non-negative")
 
 
 @dataclass
 class ResourceLedger:
     """Tracks how much of a :class:`SwitchResources` budget has been allocated.
 
-    The controller allocates SRAM when it installs per-tree register arrays;
-    the pipeline charges per-packet operations as it executes actions. The
-    ledger raises :class:`ResourceExhaustedError` when a budget is exceeded,
-    mirroring a P4 compiler rejecting a program that does not fit the target.
+    The controller allocates SRAM when it installs per-tree register arrays,
+    and the ledger raises :class:`ResourceExhaustedError` when the budget is
+    exceeded, mirroring a P4 compiler rejecting a program that does not fit
+    the target. (The per-packet parse and op budgets are charged by the
+    switch program itself; see :mod:`repro.dataplane.switch`.)
     """
 
     budget: SwitchResources = field(default_factory=SwitchResources)
@@ -100,30 +88,3 @@ class ResourceLedger:
     def allocations(self) -> dict[str, int]:
         """Copy of the per-owner allocation map."""
         return dict(self._allocations)
-
-
-@dataclass(slots=True)
-class PacketOpCounter:
-    """Per-packet operation counter enforcing the line-rate budget.
-
-    A fresh counter is created for every packet entering the pipeline; each
-    primitive action charges one or more operations. Exceeding the budget
-    models a program that could not run at line rate on the target.
-    """
-
-    limit: int
-    used: int = 0
-
-    def charge(self, ops: int = 1) -> None:
-        """Consume ``ops`` operations from the per-packet budget."""
-        if ops < 0:
-            raise ResourceExhaustedError("cannot charge a negative op count")
-        self.used += ops
-        if self.used > self.limit:
-            raise ResourceExhaustedError(
-                f"per-packet operation budget exceeded ({self.used} > {self.limit})"
-            )
-
-    def remaining(self) -> int:
-        """Operations left in the budget for this packet."""
-        return max(0, self.limit - self.used)

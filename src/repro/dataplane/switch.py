@@ -1,25 +1,48 @@
-"""A programmable switch: parser + pipeline + registers + ports.
+"""The switch program: steer a tree's packets, then forward by destination.
 
 :class:`ProgrammableSwitch` is the functional model of one Tofino/bmv2-class
-device. It is deliberately independent of the network simulator: it consumes a
-packet on an ingress port and returns the list of packets to transmit, so it
-can be unit-tested in isolation and wrapped by
-:class:`repro.netsim.devices.SwitchDevice` for end-to-end runs.
+device running the one P4 program DAIET needs. Its two tables are declared
+when it is built, and from then on the control plane only pushes rules:
+
+* ``daiet_steer`` — exact match on ``tree_id``; an ``aggregate`` entry hands
+  the packet to the switch's aggregation engine (an
+  :class:`~repro.dataplane.actions.Extern` the controller binds);
+* ``l3_forward`` — exact match on ``dst``, then the rack prefix the address
+  plan names; a ``forward`` entry sends the packet out of one port, an
+  ``ecmp`` entry out of one member of its group.
+
+Steering is :class:`repro.netsim.devices.SwitchDevice`'s: the device hands a
+steered packet to the engine. :meth:`ProgrammableSwitch.receive` is the
+forwarding stage every other packet takes.
+
+The per-packet op model (the paper's "few operations per packet"): parsing
+into metadata 1, each table lookup 1, the bound action 1 — plus, for a packet
+the engine takes, one per pair (at least one). A DATA packet costs
+``3 + max(1, npairs)``, a steered ACK 4, a forwarded packet 4 (3 when
+``l3_forward`` misses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
 
-from repro.core.errors import PacketFormatError, PipelineError, TableError
-from repro.dataplane.parser import HeaderParser, ParseResult
-from repro.dataplane.pipeline import Pipeline
+from repro.checks.registry import fastpath
+from repro.core.errors import PacketFormatError, PipelineError, ResourceExhaustedError, TableError
+from repro.dataplane.actions import EcmpAction, Extern, ForwardAction
+from repro.dataplane.parser import HeaderParser
 from repro.dataplane.resources import ResourceLedger, SwitchResources
 from repro.dataplane.tables import FlowRule, MatchActionTable
 
-#: Egress port value meaning "broadcast to every port except the ingress one".
-BROADCAST_PORT = -1
+#: Name of the DAIET steering table (matched on tree id).
+DAIET_TABLE = "daiet_steer"
+
+#: Name of the destination-based forwarding table.
+FORWARDING_TABLE = "l3_forward"
+
+#: The steering table's one action: hand the packet to the aggregation engine.
+AGGREGATE_ACTION = "aggregate"
 
 
 @dataclass
@@ -32,9 +55,6 @@ class SwitchCounters:
     bytes_in: int = 0
     bytes_out: int = 0
     packets_generated: int = 0
-    #: Packets whose on-the-wire size could not be determined; every such
-    #: packet is a ledger warning, because the byte counters undercount it.
-    unsized_packets: int = 0
 
     def snapshot(self) -> dict[str, int]:
         """Return the counters as a plain dictionary."""
@@ -45,12 +65,16 @@ class SwitchCounters:
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "packets_generated": self.packets_generated,
-            "unsized_packets": self.unsized_packets,
         }
 
 
+def over_op_budget(ops: int, limit: int) -> ResourceExhaustedError:
+    """The error a packet costing ``ops`` operations over ``limit`` raises."""
+    return ResourceExhaustedError(f"per-packet operation budget exceeded ({ops} > {limit})")
+
+
 class ProgrammableSwitch:
-    """Functional model of a programmable match-action switch.
+    """Functional model of a programmable switch running the DAIET program.
 
     Parameters
     ----------
@@ -75,17 +99,31 @@ class ProgrammableSwitch:
         self.resources = resources or SwitchResources()
         self.ledger = ResourceLedger(budget=self.resources)
         self.parser = HeaderParser(self.resources)
-        self.pipeline = Pipeline(self.resources, name=f"{name}.ingress")
         self.counters = SwitchCounters()
         self.externs: dict[str, Any] = {}
+        steer = MatchActionTable(
+            DAIET_TABLE, match_fields=("tree_id",), actions={AGGREGATE_ACTION: Extern}
+        )
+        forward = MatchActionTable(
+            FORWARDING_TABLE,
+            match_fields=("dst",),
+            actions={"forward": ForwardAction, "ecmp": EcmpAction},
+        )
+        forward.register_action("forward", ForwardAction)
+        forward.register_action("ecmp", EcmpAction)
+        #: The program's tables, by name; the layout never changes.
+        self.tables = MappingProxyType({DAIET_TABLE: steer, FORWARDING_TABLE: forward})
+        self._steer = steer
+        self._forward = forward
+        self._op_budget = self.resources.max_ops_per_packet
+        self._parse_budget = self.resources.max_parse_bytes
 
     # ------------------------------------------------------------------ #
     # Control-plane interface
     # ------------------------------------------------------------------ #
     def install_rule(self, rule: FlowRule) -> None:
         """Install a flow rule into the named table."""
-        table = self._table(rule.table)
-        table.install(rule)
+        self._table(rule.table).install(rule)
 
     def install_rules(self, rules: list[FlowRule]) -> int:
         """Install a batch of rules; returns the number installed.
@@ -102,120 +140,80 @@ class ProgrammableSwitch:
             table.install_batch(batch)
         return len(rules)
 
-    def remove_rule(self, table_name: str, match: dict[str, Any]) -> bool:
-        """Remove a rule from a table by its match key."""
-        return self._table(table_name).remove(match)
-
     def register_extern(self, name: str, extern: Any) -> None:
         """Attach a stateful extern object (e.g. a DAIET aggregation engine)."""
         self.externs[name] = extern
 
-    def get_extern(self, name: str) -> Any:
-        """Return a previously registered extern."""
-        if name not in self.externs:
-            raise PipelineError(f"switch {self.name!r} has no extern named {name!r}")
-        return self.externs[name]
-
     def _table(self, table_name: str) -> MatchActionTable:
-        tables = self.pipeline.tables()
-        if table_name not in tables:
+        table = self.tables.get(table_name)
+        if table is None:
             raise TableError(
                 f"switch {self.name!r} has no table named {table_name!r}; "
-                f"available: {sorted(tables)}"
+                f"available: {sorted(self.tables)}"
             )
-        return tables[table_name]
+        return table
 
     # ------------------------------------------------------------------ #
     # Data-plane interface
     # ------------------------------------------------------------------ #
-    def receive(
-        self, packet: Any, ingress_port: int, nbytes: int | None = None
-    ) -> list[tuple[int, Any]]:
-        """Process one packet; return ``(egress_port, packet)`` transmissions.
+    @fastpath("switch-forwarding", oracle="tests/netsim/test_forwarding_fastpath.py")
+    def receive(self, packet: Any, ingress_port: int, nbytes: int) -> list[tuple[int, Any]]:
+        """Forward one packet no steering entry took; return its transmissions.
 
-        The returned list contains zero entries when the packet was dropped or
-        fully absorbed by an extern, one entry for plain forwarding, and
-        possibly several entries when the pipeline emitted switch-generated
-        packets (e.g. DAIET flushes) or the packet was broadcast.
+        ``nbytes`` is the packet's wire size. The packet misses
+        ``daiet_steer``; the ``l3_forward`` lookup is the table's: ``dst``
+        exactly, then the rack prefix the address plan names. A hit leaves by
+        the entry's port, or by the ECMP group member ``dst`` hashes to; a
+        miss drops the packet, as real switches do.
 
-        ``nbytes`` is the packet's wire size when the caller (the simulator
-        fast path) already knows it; sizing is re-derived otherwise.
+        Raises
+        ------
+        PacketFormatError
+            If the packet has no ``dst`` or no declared parse depth.
+        ResourceExhaustedError
+            If the packet is deeper than the parse budget, or its op charge
+            (4 on a hit, 3 on a miss) is over ``max_ops_per_packet``.
+        PipelineError
+            If ``ingress_port`` is not one of the switch's ports.
         """
         if not 0 <= ingress_port < self.num_ports:
             raise PipelineError(
                 f"ingress port {ingress_port} out of range for switch {self.name!r}"
             )
+        try:
+            dst = packet.dst
+            parse_depth = packet.parse_depth_bytes
+        except AttributeError:
+            raise PacketFormatError(
+                f"switch {self.name!r} cannot parse an object of type "
+                f"{type(packet).__name__}: it has no dst or parse depth"
+            ) from None
+        forward = self._forward
+        try:
+            entry = forward._exact_index.get((("dst", dst),))
+            if entry is None and forward.address_plan is not None:
+                entry = forward._aggregate_entry(dst)
+        except TypeError:  # unhashable destination: a miss
+            entry = None
         counters = self.counters
         counters.packets_in += 1
-        counters.bytes_in += (
-            nbytes if nbytes is not None else _packet_bytes(packet, counters)
-        )
-
-        # Fast path: the parser only enforces the parse-depth budget here;
-        # full header extraction (ParseResult) stays available via
-        # :meth:`parse_only` for tests and diagnostics.
-        parsed_bytes = self.parser.charge(packet)
-        ctx = self.pipeline.process(packet, ingress_port)
-        metadata = ctx.metadata
-        metadata["parsed_bytes"] = parsed_bytes
-
-        out: list[tuple[int, Any]] = []
-        if not metadata.get("drop") and not metadata.get("consumed"):
-            egress = metadata.get("egress_port")
-            if egress is None:
-                # No forwarding decision: drop, as real switches do on a miss.
-                counters.packets_dropped += 1
-            elif egress == BROADCAST_PORT:
-                for port in range(self.num_ports):
-                    if port != ingress_port:
-                        out.append((port, packet))
-            else:
-                out.append((int(egress), packet))
-        elif metadata.get("drop"):
+        counters.bytes_in += nbytes
+        parsed = parse_depth()
+        if parsed <= self._parse_budget:
+            self.parser.bytes_parsed += parsed
+        else:
+            self.parser.charge(packet)  # raises the parse-depth error
+        ops = 3 if entry is None else 4
+        if ops > self._op_budget:
+            raise over_op_budget(ops, self._op_budget)
+        self._steer.miss_count += 1
+        if entry is None:
+            forward.miss_count += 1
             counters.packets_dropped += 1
-
-        emitted = ctx.emitted
-        if emitted:
-            out.extend(emitted)
-            counters.packets_generated += len(emitted)
-
-        if out:
-            counters.packets_out += len(out)
-            if len(out) == 1 and out[0][1] is packet and nbytes is not None:
-                counters.bytes_out += nbytes
-            else:
-                for _, pkt in out:
-                    counters.bytes_out += _packet_bytes(pkt, counters)
-        return out
-
-    def parse_only(self, packet: Any) -> ParseResult:
-        """Run only the parser (used by tests and diagnostics)."""
-        return self.parser.parse(packet)
-
-
-def _packet_bytes(packet: Any, counters: SwitchCounters | None = None) -> int:
-    """Best-effort serialized size of a packet object.
-
-    Prefers the packet's own ``wire_bytes()``/``length``; packets exposing
-    only ``encode()`` are sized by serializing them. A packet with none of
-    these would silently zero the ``bytes_in``/``bytes_out`` ledgers, so it is
-    recorded as an ``unsized_packets`` warning instead of being ignored.
-    """
-    size_fn = getattr(packet, "wire_bytes", None)
-    if callable(size_fn):
-        return int(size_fn())
-    length = getattr(packet, "length", None)
-    if isinstance(length, int):
-        return length
-    encode = getattr(packet, "encode", None)
-    if callable(encode):
-        # Only the errors a malformed packet's serializer actually raises:
-        # anything else (assertion failures, sanitizer errors, attribute
-        # bugs) must propagate rather than be silently absorbed as "unsized".
-        try:
-            return len(encode())
-        except (TypeError, ValueError, PacketFormatError):
-            pass
-    if counters is not None:
-        counters.unsized_packets += 1
-    return 0
+            return []
+        action = entry.action
+        egress = action.select(dst) if type(action) is EcmpAction else action.egress_port
+        forward.hit_count += 1
+        counters.packets_out += 1
+        counters.bytes_out += nbytes
+        return [(egress, packet)]

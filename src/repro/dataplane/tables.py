@@ -2,21 +2,18 @@
 
 A P4 program declares tables; the control plane populates them with entries at
 run time ("the controller can configure a P4 data plane by pushing flow rules
-to a set of tables", Section 5). This module models exact-match and ternary
-tables with priorities and default actions, plus the :class:`FlowRule`
-representation that the controller pushes.
+to a set of tables", Section 5). This module models exact-match tables, their
+declared action sets and the :class:`FlowRule` representation that the
+controller pushes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.core.errors import TableError
-from repro.dataplane.actions import Action, EcmpAction, ForwardAction, NoAction, PacketContext
-
-#: Wildcard marker usable in ternary match keys.
-WILDCARD = "*"
+from repro.dataplane.actions import EcmpAction, ForwardAction
 
 #: Immutable actions: a batch binds one instance to every rule with the same
 #: action and parameters.
@@ -51,22 +48,18 @@ class FlowRule:
     table:
         Name of the table the rule belongs to.
     match:
-        Mapping from match-field name to the value to match (or
-        :data:`WILDCARD` for ternary tables).
+        Mapping from match-field name to the value to match.
     action_name:
         Name of the action to run, resolved against the table's registered
         action set.
     action_params:
         Parameters bound to the action when the rule is installed.
-    priority:
-        Higher priority wins when several ternary entries match.
     """
 
     table: str
     match: tuple[tuple[str, Any], ...]
     action_name: str
     action_params: tuple[tuple[str, Any], ...] = ()
-    priority: int = 0
 
     @classmethod
     def create(
@@ -75,7 +68,6 @@ class FlowRule:
         match: Mapping[str, Any],
         action_name: str,
         action_params: Mapping[str, Any] | None = None,
-        priority: int = 0,
     ) -> "FlowRule":
         """Build a rule from plain dictionaries (hashable canonical form)."""
         return cls(
@@ -83,7 +75,6 @@ class FlowRule:
             match=tuple(sorted(match.items())),
             action_name=action_name,
             action_params=tuple(sorted((action_params or {}).items())),
-            priority=priority,
         )
 
     def match_dict(self) -> dict[str, Any]:
@@ -97,83 +88,83 @@ class FlowRule:
 
 @dataclass(slots=True)
 class TableEntry:
-    """An installed table entry: match key, bound action, priority."""
+    """An installed table entry: match key and bound action."""
 
     match: dict[str, Any]
-    action: Action
-    priority: int = 0
+    action: Any
 
 
 class MatchActionTable:
-    """An exact-match or ternary match-action table.
+    """An exact-match match-action table.
 
     Parameters
     ----------
     name:
         Table name (used by :class:`FlowRule` routing).
     match_fields:
-        Ordered names of the fields this table matches on. Lookup keys are
-        built from packet metadata using these names.
-    match_kind:
-        ``"exact"`` or ``"ternary"``. Ternary tables honour :data:`WILDCARD`
-        in entry match values and resolve overlaps by priority.
+        Names of the fields this table matches on.
     max_entries:
         Capacity of the table (TCAM/SRAM entries are a scarce resource).
+    actions:
+        The table's declared action set, ``name -> kind``. When given,
+        :meth:`register_action` binds only a declared name, to its kind (the
+        class itself or an instance of it), and refuses anything else, so no
+        rule can install another action. ``None`` leaves the set open.
     """
 
     def __init__(
         self,
         name: str,
         match_fields: Iterable[str],
-        match_kind: str = "exact",
         max_entries: int = 4096,
+        actions: Mapping[str, type] | None = None,
     ) -> None:
-        if match_kind not in ("exact", "ternary"):
-            raise TableError(f"unsupported match kind {match_kind!r}")
         self.name = name
         self.match_fields = tuple(match_fields)
         if not self.match_fields:
             raise TableError(f"table {name!r} must declare at least one match field")
-        self.match_kind = match_kind
         self.max_entries = max_entries
-        self.default_action: Action = NoAction()
+        self._declared = None if actions is None else dict(actions)
         self._entries: list[TableEntry] = []
-        self._actions: dict[str, type[Action] | Action] = {}
+        self._actions: dict[str, Any] = {}
         self.hit_count = 0
         self.miss_count = 0
-        # Exact-match entries live in a dict keyed by their canonical
-        # (sorted-by-field) item tuple, so a lookup is O(1) instead of a scan
-        # over every installed entry. Match values must therefore be
-        # hashable: install rejects any other with a TableError.
+        # Entries live in a dict keyed by their canonical (sorted-by-field)
+        # item tuple, so a lookup is O(1) instead of a scan over every
+        # installed entry. Match values must therefore be hashable: install
+        # rejects any other with a TableError.
         self._exact_index: dict[tuple, TableEntry] = {}
-        #: The address plan of a single-field exact table: maps a match value
-        #: to the key of the aggregate entry covering it (a host to its rack
+        #: The address plan of a single-field table: maps a match value to
+        #: the key of the aggregate entry covering it (a host to its rack
         #: prefix). A lookup that misses the value itself probes that key
         #: once more. The control plane hands every switch the same mapping.
         self.address_plan: Mapping[Any, Any] | None = None
         #: Bumped on every control-plane mutation.
         self.version = 0
-        self._sorted_fields = tuple(sorted(self.match_fields))
-        #: Single-field exact tables (the common case: ``dst`` forwarding,
-        #: ``tree_id`` steering) skip the per-packet key-tuple genexpr.
-        self._single_field = (
-            self._sorted_fields[0] if len(self._sorted_fields) == 1 else None
-        )
+        self._single_field = self.match_fields[0] if len(self.match_fields) == 1 else None
 
-    def register_action(self, name: str, action: type[Action] | Action) -> None:
-        """Make an action available to flow rules under ``name``."""
+    def register_action(self, name: str, action: Any) -> None:
+        """Make an action available to flow rules under ``name``.
+
+        ``action`` is a class, instantiated per rule with the rule's
+        parameters, or an instance every rule shares.
+        """
+        declared = self._declared
+        if declared is not None:
+            kind = declared.get(name)
+            if kind is None or not (action is kind or isinstance(action, kind)):
+                allowed = ", ".join(f"{n} ({k.__name__})" for n, k in declared.items())
+                raise TableError(
+                    f"table {self.name!r} cannot bind {name!r} to {action!r}: "
+                    f"its declared actions are {allowed}"
+                )
         self._actions[name] = action
 
-    def set_default_action(self, action: Action) -> None:
-        """Action executed on a table miss."""
-        self.default_action = action
-        self.version += 1
-
     def set_address_plan(self, plan: Mapping[Any, Any] | None) -> None:
-        """Install the covering-key map a missed exact lookup falls back to."""
-        if plan is not None and (self.match_kind != "exact" or self._single_field is None):
+        """Install the covering-key map a missed lookup falls back to."""
+        if plan is not None and self._single_field is None:
             raise TableError(
-                f"table {self.name!r}: an address plan needs a single-field exact table"
+                f"table {self.name!r}: an address plan needs a single-field table"
             )
         self.address_plan = plan
         self.version += 1
@@ -186,14 +177,14 @@ class MatchActionTable:
         """Install a rule set pushed as one batch, all or nothing.
 
         Table name, capacity, match fields, action resolution, hashable
-        exact-match values and duplicates (inside the batch and against the
-        installed entries) are checked for
-        every rule before anything is mutated, so a rejected batch leaves
-        the entries and ``version`` untouched. Rules with the same immutable
-        action (:class:`ForwardAction` out of one port, :class:`EcmpAction`
-        over one member set) share one instance, and ``version`` is bumped
-        once; entries and lookups are otherwise those of one
-        :meth:`install` per rule, in order.
+        match values and duplicates (inside the batch and against the
+        installed entries) are checked for every rule before anything is
+        mutated, so a rejected batch leaves the entries and ``version``
+        untouched. Rules with the same immutable action
+        (:class:`ForwardAction` out of one port, :class:`EcmpAction` over one
+        member set) share one instance, and ``version`` is bumped once;
+        entries and lookups are otherwise those of one :meth:`install` per
+        rule, in order.
         """
         rules = tuple(rules)
         name = self.name
@@ -207,10 +198,9 @@ class MatchActionTable:
                 f"table {name!r} is full ({self.max_entries} entries): "
                 f"{len(self._entries)} installed, {len(rules)} more requested"
             )
-        exact = self.match_kind == "exact"
         fields = set(self.match_fields)
         exact_index = self._exact_index
-        shared: dict[tuple, Action] = {}
+        shared: dict[tuple, Any] = {}
         entries: list[TableEntry] = []
         indexed: dict[tuple, TableEntry] = {}
         for rule in rules:
@@ -227,26 +217,19 @@ class MatchActionTable:
                     action = shared[key] = self._resolve_action(rule)
             else:
                 action = self._resolve_action(rule)
-            entry = TableEntry(match, action, rule.priority)
-            if exact:
-                key = _canonical_key(match)
-                if key is None:
-                    raise TableError(
-                        f"exact-match table {name!r} needs hashable match values: {match}"
-                    )
-                if key in exact_index or key in indexed:
-                    raise TableError(
-                        f"duplicate exact-match entry in table {name!r}: {match}"
-                    )
-                indexed[key] = entry
+            entry = TableEntry(match, action)
+            key = _canonical_key(match)
+            if key is None:
+                raise TableError(f"table {name!r} needs hashable match values: {match}")
+            if key in exact_index or key in indexed:
+                raise TableError(f"duplicate entry in table {name!r}: {match}")
+            indexed[key] = entry
             entries.append(entry)
         if not entries:
             return entries
         self._entries.extend(entries)
         exact_index.update(indexed)
         self.version += 1
-        if not exact:
-            self._entries.sort(key=lambda e: -e.priority)
         return entries
 
     def remove(self, match: Mapping[str, Any]) -> bool:
@@ -275,61 +258,24 @@ class MatchActionTable:
         return tuple(self._entries)
 
     def lookup(self, key: Mapping[str, Any]) -> TableEntry | None:
-        """Find the matching entry for a lookup key (no side effects)."""
-        if self.match_kind == "exact":
-            entry = self._find_exact(dict(key))
-            if entry is None and self.address_plan is not None:
-                entry = self._aggregate_entry(key.get(self._single_field))
-            return entry
-        for entry in self._entries:
-            if self._ternary_matches(entry.match, key):
-                return entry
-        return None
+        """Find the matching entry for a lookup key (no side effects).
 
-    def apply(self, ctx: PacketContext) -> bool:
-        """Run the table against a packet context.
-
-        Builds the lookup key from ``ctx.metadata`` using the declared match
-        fields, executes the matching entry's action (or the default action on
-        a miss), and returns whether the lookup hit. A hit on the aggregate
-        entry the address plan names is a hit like any other.
+        The key itself first; with an address plan, a miss then probes the
+        aggregate entry the plan says covers the value.
         """
-        ctx.charge(1)
-        metadata = ctx.metadata
-        if self.match_kind == "exact":
-            # Hot path: one dict probe against the canonical key (two with an
-            # address plan); no intermediate lookup dictionary is built.
-            field = self._single_field
-            try:
-                if field is not None:
-                    value = metadata.get(field)
-                    entry = self._exact_index.get(((field, value),))
-                    if entry is None and self.address_plan is not None:
-                        entry = self._aggregate_entry(value)
-                else:
-                    entry = self._exact_index.get(
-                        tuple((f, metadata.get(f)) for f in self._sorted_fields)
-                    )
-            except TypeError:  # unhashable metadata value
-                entry = None
-        else:
-            key = {f: metadata.get(f) for f in self.match_fields}
-            entry = self.lookup(key)
-        if entry is None:
-            self.miss_count += 1
-            self.default_action(ctx)
-            return False
-        self.hit_count += 1
-        entry.action(ctx)
-        return True
+        canonical = _canonical_key(key)
+        entry = None if canonical is None else self._exact_index.get(canonical)
+        if entry is None and self.address_plan is not None:
+            entry = self._aggregate_entry(key.get(self._single_field))
+        return entry
 
-    def _resolve_action(self, rule: FlowRule) -> Action:
+    def _resolve_action(self, rule: FlowRule) -> Any:
         spec = self._actions.get(rule.action_name)
         if spec is None:
             raise TableError(
                 f"table {self.name!r} has no action named {rule.action_name!r}"
             )
-        if isinstance(spec, Action):
+        if not isinstance(spec, type):
             if rule.action_params:
                 raise TableError(
                     f"action {rule.action_name!r} is a shared instance and does not "
@@ -337,10 +283,6 @@ class MatchActionTable:
                 )
             return spec
         return spec(**rule.params_dict())
-
-    def _find_exact(self, key: dict[str, Any]) -> TableEntry | None:
-        canonical = _canonical_key(key)
-        return None if canonical is None else self._exact_index.get(canonical)
 
     def _aggregate_entry(self, value: Any) -> TableEntry | None:
         """The entry the address plan says covers ``value``, if installed."""
@@ -351,12 +293,3 @@ class MatchActionTable:
         if covering is None:
             return None
         return self._exact_index.get(((self._single_field, covering),))
-
-    @staticmethod
-    def _ternary_matches(entry_match: Mapping[str, Any], key: Mapping[str, Any]) -> bool:
-        for field_name, expected in entry_match.items():
-            if expected == WILDCARD:
-                continue
-            if key.get(field_name) != expected:
-                return False
-        return True

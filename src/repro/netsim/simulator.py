@@ -487,7 +487,6 @@ class NetworkSimulator:
         max_parse = device._max_parse
         counters = device._sw_counters
         parser = device._sw_parser
-        pipeline = device._sw_pipeline
         daiet_tbl = device._daiet_tbl
 
         def within_budgets(plan: _BurstPlan) -> bool:
@@ -690,9 +689,7 @@ class NetworkSimulator:
                         )
             counters.packets_in += cut
             counters.bytes_in += nbytes_total
-            parser.packets_parsed += cut
             parser.bytes_parsed += nbytes_total
-            pipeline.packets_processed += cut
             daiet_tbl.hit_count += cut
             # What each item emits, by merged position: spillover flushes,
             # then its ACK.

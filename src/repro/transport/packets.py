@@ -4,8 +4,8 @@ Both packet types expose the two methods the rest of the system relies on:
 
 * ``wire_bytes()`` — the full on-the-wire size including Ethernet/IP/transport
   headers, used by links, hosts and the traffic statistics;
-* ``header_stack()`` — the ordered list of headers the switch parser extracts,
-  used to enforce the bounded parse depth.
+* ``parse_depth_bytes()`` — the headers the switch parser must read (the
+  opaque payload is never parsed), charged against the bounded parse depth.
 
 Payloads are opaque application objects plus an explicit payload size, so that
 applications can attach structured data (e.g. lists of key-value pairs) without
@@ -24,20 +24,6 @@ from repro.core.config import (
     UDP_HEADER_BYTES,
 )
 from repro.core.errors import TransportError
-
-#: Header size profiles are address-independent, so one shared tuple serves
-#: every datagram/segment (parser fast path; see ``HeaderParser.charge``).
-_UDP_HEADER_SIZES = (
-    ("ethernet", ETHERNET_HEADER_BYTES),
-    ("ipv4", IP_HEADER_BYTES),
-    ("udp", UDP_HEADER_BYTES),
-)
-_TCP_HEADER_SIZES = (
-    ("ethernet", ETHERNET_HEADER_BYTES),
-    ("ipv4", IP_HEADER_BYTES),
-    ("tcp", TCP_HEADER_BYTES),
-)
-
 
 @dataclass
 class UdpDatagram:
@@ -78,18 +64,6 @@ class UdpDatagram:
             + self.payload_bytes
         )
 
-    def header_stack(self) -> list[tuple[str, Any, int]]:
-        """Headers visible to the switch parser (payload is not parsed)."""
-        return [
-            ("ethernet", {"src": self.src, "dst": self.dst}, ETHERNET_HEADER_BYTES),
-            ("ipv4", {"src": self.src, "dst": self.dst}, IP_HEADER_BYTES),
-            ("udp", {"sport": self.sport, "dport": self.dport}, UDP_HEADER_BYTES),
-        ]
-
-    def header_sizes(self) -> tuple[tuple[str, int], ...]:
-        """The ``(name, nbytes)`` parse profile (parser fast path)."""
-        return _UDP_HEADER_SIZES
-
     def parse_depth_bytes(self) -> int:
         """Total parseable bytes (the opaque payload is never parsed)."""
         return ETHERNET_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES
@@ -127,18 +101,6 @@ class TcpSegment:
             + TCP_HEADER_BYTES
             + self.payload_bytes
         )
-
-    def header_stack(self) -> list[tuple[str, Any, int]]:
-        """Headers visible to the switch parser."""
-        return [
-            ("ethernet", {"src": self.src, "dst": self.dst}, ETHERNET_HEADER_BYTES),
-            ("ipv4", {"src": self.src, "dst": self.dst}, IP_HEADER_BYTES),
-            ("tcp", {"sport": self.sport, "dport": self.dport, "seq": self.seq}, TCP_HEADER_BYTES),
-        ]
-
-    def header_sizes(self) -> tuple[tuple[str, int], ...]:
-        """The ``(name, nbytes)`` parse profile (parser fast path)."""
-        return _TCP_HEADER_SIZES
 
     def parse_depth_bytes(self) -> int:
         """Total parseable bytes (the opaque payload is never parsed)."""

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checks.dataplane import check_simulator, check_switch, check_table
+from repro.checks.dataplane import check_simulator, check_switch
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.dataplane.actions import EcmpAction, ForwardAction
-from repro.dataplane.tables import FlowRule, MatchActionTable
+from repro.dataplane.tables import FlowRule
 from repro.netsim.devices import FORWARDING_TABLE
 from repro.netsim.simulator import NetworkSimulator
 from repro.netsim.topology import Topology, leaf_spine
@@ -78,29 +78,6 @@ class TestTableChecks:
         table._entries.append(table._entries[0])
         findings = check_switch(device)
         assert any(f.rule == "table-duplicate-key" for f in findings)
-
-    def test_shadowed_ternary_entry_is_flagged(self):
-        table = MatchActionTable("acl", match_fields=("dst",), match_kind="ternary")
-        table.register_action("fwd", ForwardAction)
-        table.install(
-            FlowRule.create("acl", match={"dst": "*"}, action_name="fwd", priority=10)
-        )
-        table.install(
-            FlowRule.create("acl", match={"dst": "h1"}, action_name="fwd", priority=1)
-        )
-        findings = check_table(table, path="<test>")
-        assert [f.rule for f in findings] == ["table-shadowed-entry"]
-
-    def test_non_overlapping_ternary_entries_are_clean(self):
-        table = MatchActionTable("acl", match_fields=("dst",), match_kind="ternary")
-        table.register_action("fwd", ForwardAction)
-        table.install(
-            FlowRule.create("acl", match={"dst": "h1"}, action_name="fwd", priority=5)
-        )
-        table.install(
-            FlowRule.create("acl", match={"dst": "h2"}, action_name="fwd", priority=5)
-        )
-        assert check_table(table, path="<test>") == []
 
     def test_forward_entry_to_dead_port_is_flagged(self, system):
         device = system.simulator.switch("tor")
@@ -231,33 +208,3 @@ class TestResourceChecks:
             f.rule == "sram-ledger-mismatch" and "no SRAM allocation" in f.message
             for f in findings
         )
-
-
-def _shadow_pair(high, low):
-    table = MatchActionTable(
-        "acl", match_fields=("dst", "proto"), match_kind="ternary"
-    )
-    table.register_action("fwd", ForwardAction)
-    table.install(FlowRule.create("acl", match=high, action_name="fwd", priority=2))
-    table.install(FlowRule.create("acl", match=low, action_name="fwd", priority=1))
-    return check_table(table, path="<test>")
-
-
-class TestShadowSemantics:
-    def test_wildcard_field_shadows_specific(self):
-        findings = _shadow_pair(
-            {"dst": "h1", "proto": "*"}, {"dst": "h1", "proto": "udp"}
-        )
-        assert [f.rule for f in findings] == ["table-shadowed-entry"]
-
-    def test_specific_does_not_shadow_wildcard(self):
-        findings = _shadow_pair(
-            {"dst": "h1", "proto": "udp"}, {"dst": "h1", "proto": "*"}
-        )
-        assert findings == []
-
-    def test_disjoint_values_do_not_shadow(self):
-        findings = _shadow_pair(
-            {"dst": "h1", "proto": "udp"}, {"dst": "h1", "proto": "tcp"}
-        )
-        assert findings == []

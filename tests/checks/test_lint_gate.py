@@ -16,6 +16,7 @@ from repro.checks.parity import REQUIRED_FASTPATHS, check_fastpath_parity, repo_
 from repro.checks.registry import registered_fastpaths
 from repro.cli import main
 from repro.core.config import DaietConfig, TransportTuning
+from repro.dataplane.resources import SwitchResources
 from repro.netsim.simulator import SimulatorConfig
 
 
@@ -106,13 +107,14 @@ class TestCleanTree:
 
     def test_switch_device_internals_stay_in_the_device(self):
         # SwitchDevice's private attributes (its bound tables, counters and
-        # budgets, its compiled-path helpers) are read in netsim/devices.py
-        # and in the burst handler that shares the compiled path
+        # budgets, its steering helpers) are read in netsim/devices.py and in
+        # the burst handler that shares the compiled path
         # (NetworkSimulator._compile_switch_burst), nowhere else: the
         # controller and the fault injector change tables, not the device.
         # (The parent of the change that added this gate had three hits: the
         # steering memo cleared in core/controller.py and both lookup memos
-        # cleared in netsim/faults.py.)
+        # cleared in netsim/faults.py.) Forwarding is the switch's own public
+        # stage, ProgrammableSwitch.receive, not a device helper.
         from repro.netsim.devices import SwitchDevice
 
         private = {
@@ -120,7 +122,7 @@ class TestCleanTree:
             for name in (*vars(SwitchDevice), *vars(SwitchDevice("probe")))
             if name.startswith("_") and not name.startswith("__")
         }
-        assert {"_daiet_tbl", "_resolve_steering", "_fast_forward"} <= private
+        assert {"_daiet_tbl", "_resolve_steering", "_batch_tree_state"} <= private
         offenders = []
         for relative, tree in _package_trees():
             if relative == "netsim/devices.py":
@@ -138,6 +140,31 @@ class TestCleanTree:
                 ):
                     offenders.append(f"{relative}:{node.lineno} .{node.attr}")
         assert offenders == []
+
+    def test_one_route_into_a_switch(self):
+        # A packet reaches a switch's forwarding stage one way:
+        # SwitchDevice.deliver steers a tree's packets into the aggregation
+        # engine and hands everything else to ProgrammableSwitch.receive. So
+        # src/ makes exactly one .receive( call, there. (The parent of the
+        # change that added this gate made six, all in netsim/devices.py:
+        # fallbacks from the compiled paths into a generic P4 interpreter.)
+        calls = []
+        for relative, tree in _package_trees():
+            owner: dict[int, str] = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            for line in range(item.lineno, item.end_lineno + 1):
+                                owner[line] = f"{node.name}.{item.name}"
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "receive"
+                ):
+                    calls.append((relative, owner.get(node.lineno, "<module>")))
+        assert calls == [("netsim/devices.py", "SwitchDevice.deliver")]
 
     def test_experiment_arms_go_through_the_round_runner(self):
         # experiments/rounds.py is the one place that builds the datagram
@@ -249,15 +276,24 @@ class TestCleanTree:
         assert offenders == []
 
     def test_every_config_knob_is_set_outside_the_tests(self):
-        # A DaietConfig, TransportTuning or SimulatorConfig field earns its
-        # place by an experiment, example or benchmark setting it; a field
-        # only the tests set is a dead rule and goes. "Set" means the field's
-        # name is a keyword argument or a dict key somewhere in those trees.
-        # (The parent of the change that added SimulatorConfig here had two
-        # such fields: max_events and auto_install_routes.)
+        # A DaietConfig, TransportTuning, SimulatorConfig or SwitchResources
+        # field earns its place by an experiment, example or benchmark
+        # setting it; a field only the tests set is a dead rule and goes.
+        # "Set" means the field's name is a keyword argument or a dict key
+        # somewhere in those trees. (The parent of the change that added
+        # SimulatorConfig here had two such fields: max_events and
+        # auto_install_routes; the parent of the change that added
+        # SwitchResources had two more: pipeline_stages and
+        # max_recirculations.)
         allowed_unset = {
             "value_width": "the paper's 4 B value; every run keeps the wire format it sizes",
             "sanitize": "None defers to REPRO_SANITIZE, which the CLI's --sanitize sets",
+            "sram_bytes": "the paper's SRAM budget; the controller's ledger charges "
+            "every tree's registers against it",
+            "max_parse_bytes": "the paper's parse budget; the checker's "
+            "parser-budget-exceeded rule and the over-budget parse error read it",
+            "max_ops_per_packet": "the paper's per-packet op budget; the switch "
+            "program's over-budget error reads it",
         }
         root = repo_root()
         trees = [
@@ -279,7 +315,7 @@ class TestCleanTree:
                         )
         knobs = {
             f.name
-            for cls in (DaietConfig, TransportTuning, SimulatorConfig)
+            for cls in (DaietConfig, TransportTuning, SimulatorConfig, SwitchResources)
             for f in fields(cls)
         }
         assert knobs - named == set(allowed_unset)

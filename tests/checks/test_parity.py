@@ -27,6 +27,19 @@ class TestRegistry:
             assert oracle.is_file(), info
             assert "def test" in oracle.read_text()
 
+    def test_the_switch_paths_are_the_program_stages(self):
+        # Steering is the device's; forwarding is the switch's own stage.
+        check_fastpath_parity()
+        registry = registered_fastpaths()
+        assert (registry["switch-delivery"].module, registry["switch-delivery"].qualname) == (
+            "repro.netsim.devices",
+            "SwitchDevice.deliver",
+        )
+        assert (registry["switch-forwarding"].module, registry["switch-forwarding"].qualname) == (
+            "repro.dataplane.switch",
+            "ProgrammableSwitch.receive",
+        )
+
     def test_decorator_returns_object_unchanged(self):
         sentinel = object()
         assert fastpath("tmp-path", oracle="tests/nope.py")(sentinel) is sentinel

@@ -205,26 +205,3 @@ class TestSpillover:
             emitted.extend(engine.process_packet(packet))
         totals = collect_pairs(emitted)
         assert totals == {key: value for key, value in pairs}
-
-
-class TestPipelineIntegration:
-    def test_pipeline_action_consumes_and_emits(self):
-        from repro.dataplane.actions import PacketContext
-
-        engine, config = make_engine(num_children=1)
-        data = data_packet([("k", 4)], config)
-        ctx = PacketContext(packet=data)
-        engine.pipeline_action(ctx)
-        assert ctx.metadata["consumed"] is True
-        assert ctx.emitted == []
-        end_ctx = PacketContext(packet=end_packet(1, "m0", "r0", config))
-        engine.pipeline_action(end_ctx)
-        assert end_ctx.emitted
-        assert all(port == 9 for port, _ in end_ctx.emitted)
-
-    def test_pipeline_action_rejects_foreign_packets(self):
-        from repro.dataplane.actions import PacketContext
-
-        engine, _config = make_engine()
-        with pytest.raises(AggregationError):
-            engine.pipeline_action(PacketContext(packet=object()))

@@ -26,6 +26,14 @@ class TestController:
         assert len(tor.daiet_table) == 1
         assert tor.switch.ledger.sram_allocated > 0
 
+    def test_the_steering_entry_carries_the_engine(self):
+        topo = single_rack(num_hosts=3)
+        controller = DaietController(topo, DaietConfig(register_slots=16))
+        job = controller.install_job(mappers=["h0", "h1"], reducers=["h2"])
+        tor = topo.get("tor")
+        entry = tor.daiet_table.lookup({"tree_id": job.tree_for_reducer("h2").tree_id})
+        assert entry.action is controller.engine("tor") is tor.switch.externs["daiet"]
+
     def test_one_tree_per_reducer(self):
         topo = single_rack(num_hosts=5)
         controller = DaietController(topo, DaietConfig(register_slots=64))

@@ -27,7 +27,7 @@ from repro.core.packet import (
     packetize_pairs,
 )
 from repro.dataplane import interning
-from repro.netsim.devices import SwitchDevice, packet_wire_bytes
+from repro.netsim.devices import Host, SwitchDevice, packet_wire_bytes
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
 
@@ -85,10 +85,9 @@ class TestDaietPacket:
         with pytest.raises(PacketFormatError):
             DaietPacket(tree_id=-1, src="a", dst="b")
 
-    def test_header_stack_contains_pairs(self):
+    def test_every_header_is_parsed(self):
         packet = DaietPacket(tree_id=7, src="a", dst="b", pairs=(("k", 1), ("q", 2)))
-        names = [name for name, _, _ in packet.header_stack()]
-        assert names == ["ethernet", "ipv4", "udp", "daiet", "kv_0", "kv_1"]
+        assert packet.parse_depth_bytes() == packet.wire_bytes()
 
     def test_value_overflow_detected_at_encode(self):
         packet = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 2**40),))
@@ -212,7 +211,7 @@ class TestReliabilityPrimitives:
         small = DaietAck(tree_id=1, src="s", dst="d", cumulative=3)
         large = DaietAck(tree_id=1, src="s", dst="d", cumulative=3, sack=(5, 7))
         assert large.wire_bytes() == small.wire_bytes() + 8
-        assert small.header_stack()[-1][0] == "daiet_ack"
+        assert large.parse_depth_bytes() == large.wire_bytes()
 
     def test_packetize_assigns_consecutive_seqs(self):
         config = DaietConfig(pairs_per_packet=2)
@@ -327,8 +326,6 @@ def _observables(packet: DaietPacket, config: DaietConfig) -> dict:
         "payload_bytes": packet.payload_bytes(),
         "wire_bytes": packet.wire_bytes(),
         "parse_depth_bytes": packet.parse_depth_bytes(),
-        "header_sizes": packet.header_sizes(),
-        "header_stack": packet.header_stack(),
         "vector_pairs": _vector_view(packet),
         "encoded": packet.encode(),
         "decoded": DaietPacket.decode(packet.encode(), packet.src, packet.dst, config),
@@ -405,7 +402,6 @@ class TestPacketsBuiltOnce:
         for warm in (False, True):
             for offset, packet in enumerate(originals):
                 if warm:  # the copy inherits caches: fill them first
-                    packet.header_sizes()
                     packet.vector_pairs()
                     object.__setattr__(packet, "ecn", True)
                 restamped = packet.restamped(9, 100 + offset)
@@ -458,7 +454,7 @@ def _wire_view(packet: DaietPacket):
         encoded = str(exc)
     return (
         packet.seq, packet.wire_bytes(), packet.payload_bytes(),
-        packet.header_sizes(), encoded,
+        packet.parse_depth_bytes(), encoded,
     )
 
 
@@ -763,14 +759,21 @@ class TestPacketizerCounts:
         monkeypatch.setattr(packet_module, "_assemble", counting_assemble)
         monkeypatch.setattr(DaietPacket, "__init__", counting_construct)
         monkeypatch.setattr(SwitchDevice, "_count_emitted", spy_emitted)
+        delivered_to_reducer = []
+        host_deliver = Host.deliver
+
+        def spy_delivered(host, packet, nbytes):
+            if host.name == "h8":
+                delivered_to_reducer.append(packet)
+            host_deliver(host, packet, nbytes)
+
+        monkeypatch.setattr(Host, "deliver", spy_delivered)
         mappers = [f"h{i}" for i in range(8)]
         config = DaietConfig(
             register_slots=16, pairs_per_packet=4, reliability=True, retransmit_timeout=1.0
         )
         system = DaietSystem(leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3), config)
         system.install_job(mappers=mappers, reducers=["h8"])
-        reducer = system.simulator.host("h8")
-        reducer.record_packets = True
         partitions = [[(f"s{(i * 7 + m) % 40}", 1) for i in range(400)] for m in range(8)]
         for mapper, pairs in zip(mappers, partitions):
             system.send_pairs(mapper, "h8", pairs)
@@ -794,7 +797,7 @@ class TestPacketizerCounts:
         }
         delivered = [
             packet
-            for packet in reducer.received_packets
+            for packet in delivered_to_reducer
             if type(packet) is DaietPacket and packet.packet_type is DaietPacketType.DATA
         ]
         assert alone_data and delivered

@@ -185,7 +185,7 @@ class TestSequencedStreams:
             )
             assert packet == rebuilt
             assert packet.wire_bytes() == rebuilt.wire_bytes()
-            assert packet.header_sizes() == rebuilt.header_sizes()
+            assert packet.parse_depth_bytes() == rebuilt.parse_depth_bytes()
             assert packet.encode() == rebuilt.encode()
 
     def test_gap_fill_is_suppressed_until_progress(self):

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ResourceExhaustedError
-from repro.dataplane.resources import (
-    PacketOpCounter,
-    ResourceLedger,
-    SwitchResources,
-)
+from repro.dataplane.resources import ResourceLedger, SwitchResources
 
 
 class TestSwitchResources:
@@ -17,17 +13,15 @@ class TestSwitchResources:
         resources = SwitchResources()
         assert resources.sram_bytes >= 10 * 1024 * 1024
         assert resources.max_parse_bytes <= 300
-        assert resources.pipeline_stages >= 4
+        assert resources.max_ops_per_packet >= 3 + 10
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ResourceExhaustedError):
             SwitchResources(sram_bytes=0)
         with pytest.raises(ResourceExhaustedError):
-            SwitchResources(pipeline_stages=0)
-        with pytest.raises(ResourceExhaustedError):
             SwitchResources(max_parse_bytes=-1)
         with pytest.raises(ResourceExhaustedError):
-            SwitchResources(max_recirculations=-1)
+            SwitchResources(max_ops_per_packet=0)
 
 
 class TestResourceLedger:
@@ -62,28 +56,3 @@ class TestResourceLedger:
         ledger.allocate_sram("tree1", 200)
         assert ledger.allocations()["tree1"] == 300
         assert ledger.release_sram("tree1") == 300
-
-
-class TestPacketOpCounter:
-    def test_charges_accumulate(self):
-        counter = PacketOpCounter(limit=10)
-        counter.charge(4)
-        counter.charge(4)
-        assert counter.used == 8
-        assert counter.remaining() == 2
-
-    def test_exceeding_limit_raises(self):
-        counter = PacketOpCounter(limit=3)
-        counter.charge(3)
-        with pytest.raises(ResourceExhaustedError):
-            counter.charge(1)
-
-    def test_negative_charge_rejected(self):
-        counter = PacketOpCounter(limit=3)
-        with pytest.raises(ResourceExhaustedError):
-            counter.charge(-1)
-
-    def test_remaining_never_negative(self):
-        counter = PacketOpCounter(limit=2)
-        counter.charge(2)
-        assert counter.remaining() == 0

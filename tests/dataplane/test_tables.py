@@ -7,18 +7,21 @@ import dataclasses
 import pytest
 
 from repro.core.errors import TableError
-from repro.dataplane.actions import (
-    DropAction,
-    ForwardAction,
-    NoAction,
-    PacketContext,
-    SetMetadataAction,
-)
-from repro.dataplane.tables import WILDCARD, FlowRule, MatchActionTable
+from repro.dataplane.actions import EcmpAction, Extern, ForwardAction
+from repro.dataplane.tables import FlowRule, MatchActionTable
 
 
-def make_ctx(**metadata) -> PacketContext:
-    return PacketContext(packet=object(), metadata=dict(metadata))
+@dataclasses.dataclass
+class Mark:
+    """A mutable action of an open table (one instance per rule)."""
+
+    value: int = 0
+
+
+def egress(table: MatchActionTable, dst) -> int | None:
+    """The port ``table`` forwards ``dst`` out of, or ``None`` on a miss."""
+    entry = table.lookup({"dst": dst})
+    return None if entry is None else entry.action.egress_port
 
 
 class TestFlowRule:
@@ -38,7 +41,6 @@ class TestExactMatchTable:
     def make_table(self) -> MatchActionTable:
         table = MatchActionTable("l3", match_fields=("dst",))
         table.register_action("forward", ForwardAction)
-        table.register_action("drop", DropAction)
         return table
 
     def test_install_and_lookup(self):
@@ -48,47 +50,28 @@ class TestExactMatchTable:
         assert entry is not None
         assert table.lookup({"dst": "h2"}) is None
 
-    def test_apply_hit_sets_egress_port(self):
+    def test_lookup_binds_the_rule_parameters(self):
         table = self.make_table()
         table.install(FlowRule.create("l3", {"dst": "h1"}, "forward", {"egress_port": 7}))
-        ctx = make_ctx(dst="h1")
-        assert table.apply(ctx) is True
-        assert ctx.metadata["egress_port"] == 7
-        assert table.hit_count == 1
+        assert egress(table, "h1") == 7
+        assert (table.hit_count, table.miss_count) == (0, 0)  # lookup has no side effects
 
     def test_address_plan_is_the_second_probe(self):
         table = self.make_table()
         table.install(FlowRule.create("l3", {"dst": "h1"}, "forward", {"egress_port": 7}))
         table.install(FlowRule.create("l3", {"dst": ("rack", 1)}, "forward", {"egress_port": 2}))
         table.set_address_plan({"h1": ("rack", 1), "h2": ("rack", 1), "h3": ("rack", 9)})
-        ports = []
-        for dst in ("h1", "h2", "h3", ["unhashable"]):
-            ctx = make_ctx(dst=dst)
-            table.apply(ctx)
-            ports.append(ctx.metadata.get("egress_port"))
         # The exact entry wins; a planned host takes its aggregate; an
         # aggregate with no entry, like an unhashable value, is a miss.
+        ports = [egress(table, dst) for dst in ("h1", "h2", "h3", ["unhashable"])]
         assert ports == [7, 2, None, None]
-        assert (table.hit_count, table.miss_count) == (2, 2)
-        assert table.lookup({"dst": "h2"}).action.egress_port == 2
         table.clear()
         assert table.address_plan is None and table.lookup({"dst": "h2"}) is None
 
-    def test_address_plan_needs_a_single_field_exact_table(self):
-        for table in (
-            MatchActionTable("acl", match_fields=("dst",), match_kind="ternary"),
-            MatchActionTable("pair", match_fields=("src", "dst")),
-        ):
-            with pytest.raises(TableError, match="address plan"):
-                table.set_address_plan({"h1": "rack"})
-
-    def test_apply_miss_runs_default_action(self):
-        table = self.make_table()
-        table.set_default_action(DropAction())
-        ctx = make_ctx(dst="unknown")
-        assert table.apply(ctx) is False
-        assert ctx.metadata["drop"] is True
-        assert table.miss_count == 1
+    def test_address_plan_needs_a_single_field_table(self):
+        table = MatchActionTable("pair", match_fields=("src", "dst"))
+        with pytest.raises(TableError, match="address plan"):
+            table.set_address_plan({"h1": "rack"})
 
     def test_duplicate_exact_entry_rejected(self):
         table = self.make_table()
@@ -134,17 +117,51 @@ class TestExactMatchTable:
 
     def test_shared_action_instance_rejects_params(self):
         table = MatchActionTable("t", match_fields=("k",))
-        table.register_action("shared", NoAction())
+        table.register_action("shared", ForwardAction(egress_port=1))
         with pytest.raises(TableError):
             table.install(FlowRule.create("t", {"k": 1}, "shared", {"p": 2}))
+        entry = table.install(FlowRule.create("t", {"k": 1}, "shared"))
+        assert entry.action is table.lookup({"k": 1}).action
 
     def test_table_requires_match_fields(self):
         with pytest.raises(TableError):
             MatchActionTable("empty", match_fields=())
 
-    def test_unsupported_match_kind(self):
-        with pytest.raises(TableError):
-            MatchActionTable("t", match_fields=("k",), match_kind="lpm")
+
+class TestDeclaredActions:
+    """A table built with its action set accepts nothing else."""
+
+    @staticmethod
+    def make_table() -> MatchActionTable:
+        return MatchActionTable(
+            "l3", match_fields=("dst",), actions={"forward": ForwardAction, "hand": Extern}
+        )
+
+    def test_declared_names_bind_their_kind(self):
+        table = self.make_table()
+        extern = Extern()
+        table.register_action("forward", ForwardAction)
+        table.register_action("hand", extern)
+        table.install(FlowRule.create("l3", {"dst": "h1"}, "forward", {"egress_port": 3}))
+        table.install(FlowRule.create("l3", {"dst": "h2"}, "hand"))
+        assert egress(table, "h1") == 3
+        assert table.lookup({"dst": "h2"}).action is extern
+
+    @pytest.mark.parametrize(
+        ("name", "action"),
+        [
+            ("mark", Mark),
+            ("forward", EcmpAction),
+            ("forward", Mark(1)),
+            ("hand", ForwardAction(egress_port=1)),
+        ],
+    )
+    def test_anything_else_is_refused(self, name, action):
+        table = self.make_table()
+        with pytest.raises(TableError, match="declared actions are forward"):
+            table.register_action(name, action)
+        with pytest.raises(TableError, match=f"no action named {name!r}"):
+            table.install(FlowRule.create("l3", {"dst": "h1"}, name))
 
 
 class TestBatchInstall:
@@ -166,7 +183,7 @@ class TestBatchInstall:
     @staticmethod
     def snapshot(table: MatchActionTable):
         return (
-            [(e.match, e.action, e.priority) for e in table.entries()],
+            [(e.match, e.action) for e in table.entries()],
             dict(table._exact_index),
             table.version,
         )
@@ -185,37 +202,7 @@ class TestBatchInstall:
         assert list(batched._exact_index) == list(one_by_one._exact_index)
         assert (one_by_one.version, batched.version) == (40, 1)
         for dst in ("h0", "h17", "h39", "h40", "nope"):
-            assert (batched.lookup({"dst": dst}) is None) == (
-                one_by_one.lookup({"dst": dst}) is None
-            )
-            contexts = [make_ctx(dst=dst), make_ctx(dst=dst)]
-            assert batched.apply(contexts[0]) == one_by_one.apply(contexts[1])
-            assert contexts[0].metadata == contexts[1].metadata
-        assert (batched.hit_count, batched.miss_count) == (3, 2)
-        assert (one_by_one.hit_count, one_by_one.miss_count) == (3, 2)
-
-    def test_ternary_batch_orders_by_priority_like_installs(self):
-        def table() -> MatchActionTable:
-            acl = MatchActionTable("acl", match_fields=("src",), match_kind="ternary")
-            acl.register_action("mark", SetMetadataAction)
-            return acl
-
-        rules = [
-            FlowRule.create(
-                "acl", {"src": src}, "mark", {"key": "class", "value": i}, priority=prio
-            )
-            for i, (src, prio) in enumerate(
-                [(WILDCARD, 1), ("h0", 5), ("h1", 5), (WILDCARD, 9), ("h0", 1)]
-            )
-        ]
-        one_by_one, batched = table(), table()
-        for rule in rules:
-            one_by_one.install(rule)
-        batched.install_batch(rules)
-        assert [e.action for e in batched.entries()] == [
-            e.action for e in one_by_one.entries()
-        ]
-        assert batched.version == 1
+            assert egress(batched, dst) == egress(one_by_one, dst)
 
     def test_forward_actions_are_shared_per_port_and_immutable(self):
         table = self.make_table()
@@ -229,16 +216,13 @@ class TestBatchInstall:
 
     def test_mutable_actions_are_never_shared(self):
         table = MatchActionTable("acl", match_fields=("src",))
-        table.register_action("mark", SetMetadataAction)
+        table.register_action("mark", Mark)
         first, second = table.install_batch(
-            FlowRule.create("acl", {"src": src}, "mark", {"key": "class", "value": 1})
-            for src in ("h0", "h1")
+            FlowRule.create("acl", {"src": src}, "mark", {"value": 1}) for src in ("h0", "h1")
         )
         assert first.action == second.action and first.action is not second.action
         first.action.value = 2
-        ctx = make_ctx(src="h1")
-        table.apply(ctx)
-        assert ctx.metadata["class"] == 1
+        assert table.lookup({"src": "h1"}).action.value == 1
 
     def test_wrong_table_is_reported_before_a_full_table(self):
         table = self.make_table(max_entries=1)
@@ -252,10 +236,8 @@ class TestBatchInstall:
         table = self.make_table()
         table.install_batch(self.rules(2, ports=1))
         assert table.remove({"dst": "h0"}) is True
-        ctx = make_ctx(dst="h1")
-        assert table.apply(ctx) is True
-        assert ctx.metadata["egress_port"] == 0
-        assert table.apply(make_ctx(dst="h0")) is False
+        assert egress(table, "h1") == 0
+        assert egress(table, "h0") is None
 
     @pytest.mark.parametrize(
         "bad",
@@ -318,38 +300,3 @@ class TestBatchInstall:
         table = self.make_table()
         assert table.install_batch([]) == []
         assert table.version == 0
-
-
-class TestTernaryTable:
-    def make_table(self) -> MatchActionTable:
-        table = MatchActionTable("acl", match_fields=("src", "dst"), match_kind="ternary")
-        table.register_action("drop", DropAction)
-        table.register_action("mark", SetMetadataAction)
-        return table
-
-    def test_wildcard_matches_anything(self):
-        table = self.make_table()
-        table.install(FlowRule.create("acl", {"src": WILDCARD, "dst": "h1"}, "drop"))
-        assert table.lookup({"src": "x", "dst": "h1"}) is not None
-        assert table.lookup({"src": "x", "dst": "h2"}) is None
-
-    def test_priority_orders_overlapping_entries(self):
-        table = self.make_table()
-        table.install(
-            FlowRule.create(
-                "acl", {"src": WILDCARD, "dst": WILDCARD}, "mark",
-                {"key": "class", "value": "default"}, priority=1,
-            )
-        )
-        table.install(
-            FlowRule.create(
-                "acl", {"src": "h0", "dst": WILDCARD}, "mark",
-                {"key": "class", "value": "special"}, priority=10,
-            )
-        )
-        ctx = make_ctx(src="h0", dst="anything")
-        table.apply(ctx)
-        assert ctx.metadata["class"] == "special"
-        ctx2 = make_ctx(src="h9", dst="anything")
-        table.apply(ctx2)
-        assert ctx2.metadata["class"] == "default"

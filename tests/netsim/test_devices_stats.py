@@ -27,13 +27,6 @@ class TestHost:
         assert host.counters.packets_received == 1
         assert host.counters.bytes_received == packet.wire_bytes()
 
-    def test_record_packets_flag(self):
-        host = Host("h0")
-        host.record_packets = True
-        packet = UdpDatagram(src="x", dst="h0", payload_bytes=1)
-        host.deliver(packet, packet.wire_bytes())
-        assert host.received_packets == [packet]
-
     def test_note_sent_accounting(self):
         host = Host("h0")
         packet = UdpDatagram(src="h0", dst="y", payload_bytes=10)
@@ -48,29 +41,27 @@ class TestHost:
 
 
 class TestSwitchDevice:
-    def test_standard_pipeline_tables_exist(self):
+    def test_the_program_tables_exist(self):
         device = SwitchDevice("s0")
-        tables = device.switch.pipeline.tables()
+        tables = device.switch.tables
         assert DAIET_TABLE in tables
         assert FORWARDING_TABLE in tables
         assert device.daiet_table is tables[DAIET_TABLE]
         assert device.forwarding_table is tables[FORWARDING_TABLE]
 
-    def test_metadata_extraction_feeds_forwarding(self):
+    def test_deliver_forwards_by_destination(self):
         device = SwitchDevice("s0")
         from repro.dataplane.tables import FlowRule
 
         device.switch.install_rule(
             FlowRule.create(FORWARDING_TABLE, {"dst": "h9"}, "forward", {"egress_port": 4})
         )
-        out = device.switch.receive(UdpDatagram(src="a", dst="h9", payload_bytes=10), 0)
+        out = device.deliver(UdpDatagram(src="a", dst="h9", payload_bytes=10), 0, 52)
         assert [port for port, _ in out] == [4]
 
     def test_unrouted_packet_dropped(self):
         device = SwitchDevice("s0")
-        out = device.switch.receive(
-            UdpDatagram(src="a", dst="nowhere", payload_bytes=10), 0
-        )
+        out = device.deliver(UdpDatagram(src="a", dst="nowhere", payload_bytes=10), 0, 52)
         assert out == []
         assert device.switch.counters.packets_dropped == 1
 

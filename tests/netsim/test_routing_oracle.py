@@ -9,9 +9,8 @@ equal-cost paths — must match what the enumeration picks, or forwarding
 (and every figure derived from it) silently changes. These tests
 re-implement the enumeration as an oracle, keep a one-BFS-per-host router
 as a second reference, and compare exhaustively on ECMP-heavy fabrics: the
-router's answers and the egress port each installed switch chooses, on the
-compiled forwarding path and on the generic pipeline, before and after a
-failover reinstall.
+router's answers and the egress port each installed switch's forwarding
+stage chooses, before and after a failover reinstall.
 """
 
 from __future__ import annotations
@@ -97,17 +96,15 @@ def _router_answers(topology: Topology, routes) -> dict[str, dict[str, str]]:
 
 
 def _assert_forwarding_matches(topology: Topology, oracle: dict[str, dict[str, str]]) -> None:
-    """Both forwarding paths of every switch send every host's datagram out
-    of the port towards the oracle's next hop."""
+    """Every switch sends every host's datagram out of the port towards the
+    oracle's next hop."""
     for switch_name, hops in oracle.items():
         device = topology.get(switch_name)
         for dst, next_hop in hops.items():
             want = [topology.port_towards(switch_name, next_hop)]
             datagram = UdpDatagram(src="probe", dst=dst, payload_bytes=8)
-            compiled = device._fast_forward(datagram, 0, datagram.wire_bytes())
-            generic = device.switch.receive(datagram, 0)
-            assert [port for port, _ in compiled] == want, (switch_name, dst, "compiled")
-            assert [port for port, _ in generic] == want, (switch_name, dst, "generic")
+            out = device.deliver(datagram, 0, datagram.wire_bytes())
+            assert [port for port, _ in out] == want, (switch_name, dst)
 
 
 class _MultiHomedTopology(Topology):
