@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.analysis.reporting import render_comparison_table
 from repro.mlsys.datasets import generate_synthetic_mnist
-from repro.mlsys.training import run_overlap_experiment
+from repro.mlsys.training import DistributedTrainingJob, TrainingConfig
 
 WORKER_SWEEP = [2, 3, 4, 5]
 NUM_STEPS = 40
@@ -20,11 +20,14 @@ def _sweep():
     dataset = generate_synthetic_mnist(num_samples=4_000, seed=2017)
     rows = []
     for workers in WORKER_SWEEP:
-        sgd = run_overlap_experiment(
-            "sgd", batch_size=3, num_steps=NUM_STEPS, num_workers=workers, dataset=dataset
-        )
-        adam = run_overlap_experiment(
-            "adam", batch_size=100, num_steps=NUM_STEPS, num_workers=workers, dataset=dataset
+        sgd, adam = (
+            DistributedTrainingJob(
+                TrainingConfig(
+                    optimizer, batch_size=batch, num_steps=NUM_STEPS, num_workers=workers
+                ),
+                dataset=dataset,
+            ).run()
+            for optimizer, batch in (("sgd", 3), ("adam", 100))
         )
         rows.append((workers, sgd.average_overlap(), adam.average_overlap()))
     return rows

@@ -320,10 +320,6 @@ class ErrorBoundTracker:
             stranded_pairs=stranded_pairs,
         )
 
-    def bounds(self) -> dict[int, TreeErrorBound]:
-        """Bounds for every tree that ever recorded mass, keyed by tree id."""
-        return {tree_id: self.bound(tree_id) for tree_id in sorted(self.ledgers)}
-
 
 def install_error_tracker(system: "DaietSystem") -> ErrorBoundTracker:
     """Create and install an :class:`ErrorBoundTracker` on ``system``."""

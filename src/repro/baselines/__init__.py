@@ -1,7 +1,6 @@
-"""Comparison systems: the paper's two baselines plus worker-level aggregation."""
+"""Comparison systems: the paper's two baselines."""
 
-from repro.baselines.host_aggregation import HostAggregationShuffle
 from repro.baselines.tcp_shuffle import TcpShuffle
 from repro.baselines.udp_shuffle import UdpShuffle
 
-__all__ = ["HostAggregationShuffle", "TcpShuffle", "UdpShuffle"]
+__all__ = ["TcpShuffle", "UdpShuffle"]

@@ -8,7 +8,7 @@ two stages). This checker
 imports the known fast-path modules (registration happens at import time),
 then verifies:
 
-* every *required* fast path name is registered (the six compiled paths
+* every *required* fast path name is registered (the five compiled paths
   the repo ships today are hard-required, so deleting a decorator fails
   lint rather than silently dropping coverage);
 * every registered fast path's oracle module exists on disk;
@@ -30,7 +30,6 @@ FASTPATH_MODULES: tuple[str, ...] = (
     "repro.dataplane.switch",
     "repro.netsim.events",
     "repro.netsim.devices",
-    "repro.netsim.faults",
     "repro.netsim.simulator",
     "repro.core.aggregation",
 )
@@ -44,7 +43,6 @@ REQUIRED_FASTPATHS: frozenset[str] = frozenset(
         "switch-burst-delivery",
         "switch-forwarding",
         "vector-register-kernel",
-        "fault-gate",
     }
 )
 

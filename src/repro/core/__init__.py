@@ -28,12 +28,9 @@ from repro.core.functions import (
     MAX,
     MIN,
     SUM,
-    VECTOR_SUM,
     AggregationFunction,
     aggregate_pairs,
-    available,
     get,
-    register,
 )
 from repro.core.packet import (
     DAIET_UDP_PORT,
@@ -66,12 +63,9 @@ __all__ = [
     "MAX",
     "MIN",
     "SUM",
-    "VECTOR_SUM",
     "AggregationFunction",
     "aggregate_pairs",
-    "available",
     "get",
-    "register",
     "DAIET_UDP_PORT",
     "DaietPacket",
     "DaietPacketType",

@@ -187,10 +187,6 @@ class TreeState:
                 max(64, _interning.pool_size()), _KID_UNKNOWN, dtype=_np.int64
             )
 
-    def occupancy(self) -> int:
-        """Number of register slots currently holding an aggregated pair."""
-        return len(self.index_stack)
-
     def window(self, src: str) -> SeenWindow:
         """The sequence-number window tracking one child's stream."""
         return self._seen[src]
@@ -301,10 +297,6 @@ class DaietAggregationEngine(Extern):
                 f"switch {self.switch_name!r} has no state for tree {tree_id}"
             ) from exc
 
-    def tree_ids(self) -> list[int]:
-        """Identifiers of every configured tree."""
-        return sorted(self._trees)
-
     def counters(self) -> dict[int, TreeCounters]:
         """Per-tree counters."""
         return {tree_id: state.counters for tree_id, state in self._trees.items()}
@@ -323,13 +315,6 @@ class DaietAggregationEngine(Extern):
         if packet.packet_type is DaietPacketType.DATA:
             return packets_of(self._process_data(state, packet))
         return packets_of(self._process_end(state, packet))
-
-    def process_packet(self, packet: DaietPacket) -> list[DaietPacket]:
-        """Pure form of Algorithm 1: the packets flushed towards the parent."""
-        return [
-            out for _port, out in self.handle_packet(packet)
-            if isinstance(out, DaietPacket)
-        ]
 
     def handle_ack(self, ack: DaietAck) -> list[tuple[int, Any]]:
         """Process a reliability ACK arriving at this switch.

@@ -223,11 +223,6 @@ class DaietConfig:
         """Serialized size of a single fixed-size key-value pair."""
         return self.key_width + self.value_width
 
-    @property
-    def max_payload_bytes(self) -> int:
-        """Largest DAIET payload (preamble plus a full complement of pairs)."""
-        return DAIET_PREAMBLE_BYTES + self.pairs_per_packet * self.pair_bytes
-
     def sram_bytes(self) -> int:
         """Estimate the switch SRAM needed for one aggregation tree.
 

@@ -59,10 +59,6 @@ class InstalledJob:
         except KeyError as exc:
             raise ControllerError(f"no tree installed for reducer {reducer!r}") from exc
 
-    def tree_ids(self) -> dict[str, int]:
-        """Mapping reducer host -> tree id."""
-        return {reducer: tree.tree_id for reducer, tree in self.trees.items()}
-
 
 class DaietController:
     """The SDN controller configuring DAIET state on the simulated fabric."""
@@ -198,13 +194,6 @@ class DaietController:
                 engine.remove_tree(tree.tree_id)
             device.daiet_table.remove({"tree_id": tree.tree_id})
             device.switch.ledger.release_sram(f"tree{tree.tree_id}")
-
-    def remove_job(self, job: InstalledJob) -> None:
-        """Remove a job's trees, rules and SRAM allocations."""
-        for tree in job.trees.values():
-            self._teardown_tree(tree)
-        if job in self.jobs:
-            self.jobs.remove(job)
 
     def replan_tree(
         self,

@@ -54,37 +54,17 @@ class AggregationFunction:
         return accumulator
 
 
-def _vector_sum(left: Any, right: Any) -> Any:
-    """Element-wise addition of two equal-length sequences (or numpy arrays)."""
-    if hasattr(left, "__add__") and not isinstance(left, (list, tuple)):
-        return left + right
-    if len(left) != len(right):
-        raise AggregationError(
-            f"vector_sum requires equal lengths, got {len(left)} and {len(right)}"
-        )
-    return type(left)(a + b for a, b in zip(left, right))
-
-
 SUM = AggregationFunction(name="sum", combine=lambda a, b: a + b, identity=0)
 COUNT = AggregationFunction(name="count", combine=lambda a, b: a + b, identity=0)
 MIN = AggregationFunction(name="min", combine=min)
 MAX = AggregationFunction(name="max", combine=max)
 BITWISE_OR = AggregationFunction(name="or", combine=lambda a, b: a | b, identity=0)
 BITWISE_AND = AggregationFunction(name="and", combine=lambda a, b: a & b)
-VECTOR_SUM = AggregationFunction(name="vector_sum", combine=_vector_sum)
 
 _REGISTRY: dict[str, AggregationFunction] = {
     func.name: func
-    for func in (SUM, COUNT, MIN, MAX, BITWISE_OR, BITWISE_AND, VECTOR_SUM)
+    for func in (SUM, COUNT, MIN, MAX, BITWISE_OR, BITWISE_AND)
 }
-
-
-def register(func: AggregationFunction) -> AggregationFunction:
-    """Add a custom aggregation function to the registry."""
-    if func.name in _REGISTRY:
-        raise AggregationError(f"aggregation function {func.name!r} already registered")
-    _REGISTRY[func.name] = func
-    return func
 
 
 def get(name: str) -> AggregationFunction:
@@ -95,11 +75,6 @@ def get(name: str) -> AggregationFunction:
         raise AggregationError(
             f"unknown aggregation function {name!r}; available: {sorted(_REGISTRY)}"
         ) from exc
-
-
-def available() -> list[str]:
-    """Names of every registered aggregation function."""
-    return sorted(_REGISTRY)
 
 
 def aggregate_pairs(

@@ -13,8 +13,9 @@ end of a partition is marked by a special END packet.
 * ``parse_depth_bytes()`` — how deep the bounded-depth switch parser must
   read: the whole frame, preamble and every pair header, which is exactly
   why the pair count per packet is limited on real hardware,
-* ``encode()`` / ``decode()`` — an actual byte-level serialization used by the
-  round-trip property tests.
+* no byte codec: sizes are arithmetic over the fixed-size pair format, and
+  the tests check them against a reference encoder
+  (``tests/core/daiet_codec.py``).
 
 :func:`packetize_pairs` takes the paper at its word: a partition becomes a
 :class:`PacketWindow`, whose sizes, sequence numbers and pair columns are
@@ -25,7 +26,6 @@ consumer that needs one. A switch flush leaves as such a window too.
 from __future__ import annotations
 
 import enum
-import struct
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
@@ -163,14 +163,6 @@ _FRAME_BYTES = ETHERNET_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES
 
 #: UDP destination port reserved for DAIET traffic in the simulation.
 DAIET_UDP_PORT = 5555
-
-#: Preamble flag: a 32-bit per-tree sequence number follows the preamble.
-FLAG_SEQ = 0x01
-
-#: Preamble flag: one key-length byte per pair follows the (optional) sequence
-#: number. Only emitted for fixed-width packets whose keys end in NUL bytes,
-#: which padding-stripping alone cannot round-trip.
-FLAG_KEYLEN = 0x02
 
 #: Serialized size of the optional per-tree sequence number.
 SEQ_BYTES = 4
@@ -339,21 +331,6 @@ class DaietPacket:
     # ------------------------------------------------------------------ #
     # Sizes
     # ------------------------------------------------------------------ #
-    @property
-    def num_pairs(self) -> int:
-        """Number of key-value pairs carried by the packet."""
-        return len(self.pairs)
-
-    def _needs_keylens(self) -> bool:
-        """True when fixed-width keys require explicit length bytes.
-
-        ``ljust`` pads short keys with NUL bytes; a key that *legitimately*
-        ends in NULs is indistinguishable from padding unless the true length
-        travels with the packet, so such packets carry one length byte per
-        pair (see :data:`FLAG_KEYLEN`).
-        """
-        return self._keylen_needed
-
     def payload_bytes(self) -> int:
         """DAIET payload size: preamble plus the serialized pairs (cached)."""
         return self._payload_bytes
@@ -370,108 +347,6 @@ class DaietPacket:
         size (see ``HeaderParser.charge``).
         """
         return _FRAME_BYTES + self._payload_bytes
-
-    # ------------------------------------------------------------------ #
-    # Byte-level serialization
-    # ------------------------------------------------------------------ #
-    def encode(self) -> bytes:
-        """Serialize the DAIET payload (preamble + pairs) to bytes."""
-        needs_keylens = self._needs_keylens()
-        flags = (FLAG_SEQ if self.seq is not None else 0) | (
-            FLAG_KEYLEN if needs_keylens else 0
-        )
-        preamble = struct.pack(
-            "!IHBB", self.tree_id, self.num_pairs, self.packet_type.value, flags
-        )
-        chunks = [preamble]
-        if self.seq is not None:
-            chunks.append(struct.pack("!I", self.seq))
-        if needs_keylens:
-            chunks.append(
-                bytes(_key_bytes_len(key, self.config) for key, _ in self.pairs)
-            )
-        for key, value in self.pairs:
-            key_bytes = key.encode() if isinstance(key, str) else bytes(key)
-            chunks.append(key_bytes.ljust(self.config.key_width, b"\x00"))
-            chunks.append(_encode_value(value, self.config.value_width))
-        return b"".join(chunks)
-
-    @classmethod
-    def decode(cls, data: bytes, src: str, dst: str, config: DaietConfig | None = None) -> "DaietPacket":
-        """Reconstruct a packet from bytes produced by :meth:`encode`."""
-        config = config or DaietConfig()
-        if len(data) < DAIET_PREAMBLE_BYTES:
-            raise PacketFormatError("payload shorter than the DAIET preamble")
-        tree_id, num_pairs, type_value, flags = struct.unpack(
-            "!IHBB", data[:DAIET_PREAMBLE_BYTES]
-        )
-        try:
-            packet_type = DaietPacketType(type_value)
-        except ValueError as exc:
-            raise PacketFormatError(f"unknown DAIET packet type {type_value}") from exc
-        offset = DAIET_PREAMBLE_BYTES
-        seq: int | None = None
-        if flags & FLAG_SEQ:
-            if len(data) < offset + SEQ_BYTES:
-                raise PacketFormatError("truncated sequence number")
-            (seq,) = struct.unpack("!I", data[offset : offset + SEQ_BYTES])
-            offset += SEQ_BYTES
-        key_lens: bytes | None = None
-        if flags & FLAG_KEYLEN:
-            key_lens = data[offset : offset + num_pairs]
-            if len(key_lens) != num_pairs:
-                raise PacketFormatError("truncated key-length table")
-            offset += num_pairs
-        pairs: list[tuple[str, int]] = []
-        for i in range(num_pairs):
-            key_bytes = data[offset : offset + config.key_width]
-            if len(key_bytes) != config.key_width:
-                raise PacketFormatError("truncated fixed-size key")
-            offset += config.key_width
-            if key_lens is not None:
-                # The exact key length travelled with the packet: strip only
-                # the padding bytes appended by ``ljust``, preserving keys
-                # that legitimately end in NUL bytes.
-                if key_lens[i] > config.key_width:
-                    raise PacketFormatError("key length exceeds the key width")
-                key_bytes = key_bytes[: key_lens[i]]
-            else:
-                key_bytes = key_bytes.rstrip(b"\x00")
-            value_bytes = data[offset : offset + config.value_width]
-            if len(value_bytes) != config.value_width:
-                raise PacketFormatError("truncated value")
-            offset += config.value_width
-            pairs.append((key_bytes.decode(), _decode_value(value_bytes)))
-        return cls(
-            tree_id=tree_id,
-            src=src,
-            dst=dst,
-            packet_type=packet_type,
-            pairs=tuple(pairs),
-            config=config,
-            seq=seq,
-        )
-
-
-def _key_bytes_len(key: str | bytes, config: DaietConfig) -> int:
-    encoded = key.encode() if isinstance(key, str) else bytes(key)
-    return len(encoded)
-
-
-def _encode_value(value: int, width: int) -> bytes:
-    if not isinstance(value, int):
-        raise PacketFormatError(
-            f"fixed-width serialization supports integer values only, got {type(value).__name__}"
-        )
-    try:
-        return value.to_bytes(width, "big", signed=True)
-    except OverflowError as exc:
-        raise PacketFormatError(f"value {value} does not fit in {width} bytes") from exc
-
-
-def _decode_value(data: bytes) -> int:
-    return int.from_bytes(data, "big", signed=True)
-
 
 #: Each slot's own setter, in field order. A frozen dataclass refuses
 #: ``setattr`` and ``object.__setattr__`` looks the name up on every call;
@@ -858,11 +733,6 @@ class SeenWindow:
         self.since_ack = since
         self.edge = edge
         return owed
-
-    @property
-    def has_gaps(self) -> bool:
-        """True while out-of-order packets are waiting on a retransmission."""
-        return bool(self.out_of_order)
 
     @property
     def complete(self) -> bool:

@@ -27,11 +27,6 @@ class TreeNode:
     children: list[str] = field(default_factory=list)
     is_switch: bool = False
 
-    @property
-    def is_leaf(self) -> bool:
-        """Leaves are the mapper hosts feeding the tree."""
-        return not self.children
-
 
 @dataclass
 class AggregationTree:
@@ -84,8 +79,8 @@ class AggregationTree:
         tree = cls(tree_id=tree_id, reducer=reducer, mappers=mapper_list)
         tree.nodes[reducer] = TreeNode(name=reducer, parent=None, is_switch=False)
 
-        # One BFS towards the reducer serves every mapper's path (the paths
-        # are identical to per-mapper shortest_path calls, including the
+        # One BFS towards the reducer serves every mapper's path (each the
+        # one a BFS from that mapper alone would select, including the
         # deterministic ECMP choice).
         paths = paths_towards(topology, reducer, mapper_list, exclude=exclude)
         for mapper in mapper_list:
@@ -131,32 +126,9 @@ class AggregationTree:
         """Switch nodes of the tree (the devices that aggregate)."""
         return [n for n in self.nodes.values() if n.is_switch]
 
-    def parent(self, name: str) -> str | None:
-        """Parent device of ``name`` (``None`` for the reducer root)."""
-        return self.node(name).parent
-
     def children_count(self, name: str) -> int:
         """Number of children feeding traffic into ``name``."""
         return len(self.node(name).children)
-
-    def first_hop_switch(self, mapper: str) -> str | None:
-        """The first switch a mapper's traffic reaches, or ``None`` if direct."""
-        parent = self.node(mapper).parent
-        if parent is None:
-            return None
-        return parent if self.node(parent).is_switch else None
-
-    def depth(self) -> int:
-        """Longest mapper-to-reducer hop count in the tree."""
-        longest = 0
-        for mapper in self.mappers:
-            hops = 0
-            current: str | None = mapper
-            while current is not None and current != self.reducer:
-                current = self.node(current).parent
-                hops += 1
-            longest = max(longest, hops)
-        return longest
 
     def path_to_root(self, name: str) -> list[str]:
         """Devices visited from ``name`` up to (and including) the reducer."""

@@ -44,25 +44,6 @@ class RegisterArray:
     def __len__(self) -> int:
         return self.size
 
-    def read(self, index: int) -> Any:
-        """Return the value stored at ``index`` (``None`` if empty)."""
-        self._check_index(index)
-        return self._cells[index]
-
-    def write(self, index: int, value: Any) -> None:
-        """Store ``value`` at ``index``."""
-        self._check_index(index)
-        self._cells[index] = value
-
-    def clear(self, index: int) -> None:
-        """Reset a single cell to the empty state."""
-        self._check_index(index)
-        self._cells[index] = None
-
-    def reset(self) -> None:
-        """Reset every cell (controller-driven re-initialization)."""
-        self._cells = [None] * self.size
-
     def is_empty(self, index: int) -> bool:
         """Return ``True`` when the cell holds no value."""
         self._check_index(index)
@@ -71,10 +52,6 @@ class RegisterArray:
     def occupied_indices(self) -> list[int]:
         """Indices of non-empty cells (diagnostic; O(size))."""
         return [i for i, cell in enumerate(self._cells) if cell is not None]
-
-    def occupancy(self) -> int:
-        """Number of non-empty cells."""
-        return sum(1 for cell in self._cells if cell is not None)
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.size:
@@ -100,9 +77,6 @@ class IndexStack:
         if self.capacity <= 0:
             raise ResourceExhaustedError("index stack capacity must be positive")
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def push(self, index: int) -> None:
         """Record that ``index`` is now occupied."""
         if len(self._items) >= self.capacity:
@@ -110,12 +84,6 @@ class IndexStack:
                 f"index stack overflow (capacity {self.capacity})"
             )
         self._items.append(index)
-
-    def pop(self) -> int:
-        """Pop and return the most recently pushed index."""
-        if not self._items:
-            raise AggregationError("pop from an empty index stack")
-        return self._items.pop()
 
     def drain(self) -> Iterator[int]:
         """Yield and remove every recorded index (used during flush)."""

@@ -81,10 +81,6 @@ class ResourceLedger:
         self.sram_allocated -= released
         return released
 
-    def sram_available(self) -> int:
-        """Bytes of SRAM still unallocated."""
-        return self.budget.sram_bytes - self.sram_allocated
-
     def allocations(self) -> dict[str, int]:
         """Copy of the per-owner allocation map."""
         return dict(self._allocations)

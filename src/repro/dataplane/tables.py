@@ -77,10 +77,6 @@ class FlowRule:
             action_params=tuple(sorted((action_params or {}).items())),
         )
 
-    def match_dict(self) -> dict[str, Any]:
-        """The match fields as a dictionary."""
-        return dict(self.match)
-
     def params_dict(self) -> dict[str, Any]:
         """The action parameters as a dictionary."""
         return dict(self.action_params)

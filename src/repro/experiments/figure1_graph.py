@@ -60,12 +60,6 @@ class Figure1GraphResult:
         trace = self.results[algorithm].trace
         return [s.reduction_ratio for s in trace.supersteps if s.messages > 0]
 
-    def summary(self) -> dict[str, float]:
-        """Peak reduction ratio per algorithm."""
-        return {
-            name: max(self.reduction_series(name), default=0.0) for name in self.results
-        }
-
 
 def build_graph(settings: Figure1GraphSettings) -> Graph:
     """The scaled LiveJournal-like input graph."""

@@ -112,10 +112,6 @@ class Figure3Result:
     boxplots: dict[str, BoxplotStats] = field(default_factory=dict)
     report: str = ""
 
-    def summary(self) -> dict[str, float]:
-        """Median reductions (the numbers quoted in the paper's abstract)."""
-        return {name: stats.median for name, stats in self.boxplots.items()}
-
 
 def run_transport(
     settings: Figure3Settings,

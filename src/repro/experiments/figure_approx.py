@@ -47,7 +47,6 @@ from repro.core.daiet import DaietSystem
 from repro.core.errors import ReproError
 from repro.experiments.rounds import (
     Partition,
-    find,
     gradient_partitions,
     reliable_daiet_config,
     run_daiet_round,
@@ -163,16 +162,6 @@ class ApproxSweepResult:
     sgd_impact: ConvergenceImpact | None = None
     pagerank_impact: GraphConvergenceImpact | None = None
     report: str = ""
-
-    def arm(self, workload: str, loss_rate: float, policy: str) -> ApproxRun:
-        """One arm of the sweep, by coordinates."""
-        return find(
-            self.runs,
-            f"{workload!r} arm at loss {loss_rate} under policy {policy!r}",
-            workload=workload,
-            loss_rate=loss_rate,
-            policy=policy,
-        )
 
     @property
     def all_bounds_contain(self) -> bool:

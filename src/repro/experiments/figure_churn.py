@@ -41,7 +41,6 @@ from repro.core.failover import FailoverConfig, FailoverManager
 from repro.experiments.rounds import (
     Partition,
     Round,
-    find,
     read_daiet_round,
     run_daiet_round,
     truth_of,
@@ -147,10 +146,6 @@ class ScenarioResult:
     #: (perf-bench packet throughput; every arm uses a fresh simulator, so
     #: per-run totals accumulate without double counting).
     link_packets: int = 0
-
-    def arm(self, name: str) -> ArmResult:
-        """The named arm."""
-        return find(self.arms, f"arm {name!r} in scenario {self.scenario!r}", name=name)
 
 
 @dataclass

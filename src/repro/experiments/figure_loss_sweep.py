@@ -25,7 +25,6 @@ from repro.core.errors import ReproError
 from repro.experiments.rounds import (
     Partition,
     exactness_verdict,
-    find,
     gradient_partitions,
     reliable_daiet_config,
     run_daiet_round,
@@ -114,14 +113,6 @@ class LossSweepResult:
     def all_exact(self) -> bool:
         """True when every reliable run reproduced the lossless aggregate."""
         return all(run.exact for runs in self.runs.values() for run in runs)
-
-    def overhead_at(self, workload: str, loss_rate: float) -> float:
-        """Overhead ratio of one workload at one swept loss rate."""
-        return find(
-            self.runs.get(workload, []),
-            f"{workload!r} run at loss rate {loss_rate}",
-            loss_rate=loss_rate,
-        ).overhead
 
 
 # ---------------------------------------------------------------------- #

@@ -36,7 +36,6 @@ from repro.core.errors import ReproError
 from repro.experiments.rounds import (
     Partition,
     exactness_verdict,
-    find,
     reliability_knobs,
     reliable_daiet_config,
     run_daiet_round,
@@ -173,10 +172,6 @@ class ScaleResult:
     def all_exact(self) -> bool:
         """True when every run reproduced the lossless ground truth."""
         return all(run.exact for run in self.runs)
-
-    def run_at(self, workers: int) -> ScaleRun:
-        """The run for one swept worker count."""
-        return find(self.runs, f"scale run with {workers} workers", workers=workers)
 
 
 # ---------------------------------------------------------------------- #

@@ -14,7 +14,6 @@ from repro.graph.generators import (
     livejournal_like,
     preferential_attachment_graph,
     random_graph,
-    ring_graph,
 )
 from repro.graph.graph import Graph, GraphPartition
 from repro.graph.pregel import (
@@ -40,7 +39,6 @@ __all__ = [
     "livejournal_like",
     "preferential_attachment_graph",
     "random_graph",
-    "ring_graph",
     "Graph",
     "GraphPartition",
     "PregelEngine",

@@ -108,13 +108,3 @@ def random_graph(
         seen.add(key)
         graph.add_edge(u, v)
     return graph
-
-
-def ring_graph(num_vertices: int, name: str = "ring") -> Graph:
-    """A simple cycle, useful for deterministic unit tests."""
-    if num_vertices < 3:
-        raise GraphError("a ring needs at least three vertices")
-    graph = Graph(name=name)
-    for vertex in range(num_vertices):
-        graph.add_edge(vertex, (vertex + 1) % num_vertices)
-    return graph

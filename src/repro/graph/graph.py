@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
 from repro.core.errors import GraphError
 
 
@@ -39,21 +37,6 @@ class Graph:
         self.adjacency[u].append(v)
         self.adjacency[v].append(u)
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]], name: str = "graph") -> "Graph":
-        """Build a graph from an edge list, ignoring duplicates and self-loops."""
-        graph = cls(name=name)
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            graph.add_edge(u, v)
-        return graph
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -68,10 +51,6 @@ class Graph:
         except KeyError as exc:
             raise GraphError(f"unknown vertex {vertex}") from exc
 
-    def degree(self, vertex: int) -> int:
-        """Degree of a vertex."""
-        return len(self.neighbors(vertex))
-
     @property
     def num_vertices(self) -> int:
         """Number of vertices."""
@@ -81,19 +60,6 @@ class Graph:
     def num_edges(self) -> int:
         """Number of undirected edges."""
         return sum(len(neigh) for neigh in self.adjacency.values()) // 2
-
-    def average_degree(self) -> float:
-        """Average vertex degree."""
-        if not self.adjacency:
-            return 0.0
-        return 2.0 * self.num_edges / self.num_vertices
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate over undirected edges once each (u < v)."""
-        for u, neighbors in self.adjacency.items():
-            for v in neighbors:
-                if u < v:
-                    yield (u, v)
 
 
 @dataclass
@@ -120,13 +86,3 @@ class GraphPartition:
             return self.assignment[vertex]
         except KeyError as exc:
             raise GraphError(f"vertex {vertex} is not assigned to any worker") from exc
-
-    def vertices_of(self, worker: int) -> list[int]:
-        """Vertices owned by a worker."""
-        if not 0 <= worker < self.num_workers:
-            raise GraphError(f"worker {worker} out of range")
-        return [v for v, w in self.assignment.items() if w == worker]
-
-    def is_remote(self, src_vertex: int, dst_vertex: int) -> bool:
-        """Whether a message between these vertices crosses workers."""
-        return self.worker_of(src_vertex) != self.worker_of(dst_vertex)

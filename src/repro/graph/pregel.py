@@ -37,10 +37,6 @@ class VertexContext:
     _new_state: Any = None
     _state_changed: bool = False
 
-    def send(self, destination: int, value: Any) -> None:
-        """Send a message to ``destination`` for delivery next superstep."""
-        self._outbox.append((destination, value))
-
     def send_to_neighbors(self, value: Any) -> None:
         """Send the same message to every neighbour."""
         for neighbor in self.neighbors:
@@ -90,13 +86,6 @@ class PregelResult:
     converged: bool = False
     #: Remote messages lost to the engine's ``message_drop_rate``.
     messages_dropped: int = 0
-
-    def state_of(self, vertex: int) -> Any:
-        """Final state of one vertex."""
-        try:
-            return self.states[vertex]
-        except KeyError as exc:
-            raise GraphError(f"unknown vertex {vertex}") from exc
 
 
 class PregelEngine:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import GraphError
-
 
 @dataclass
 class SuperstepTraffic:
@@ -36,13 +34,6 @@ class SuperstepTraffic:
             return 0.0
         return 1.0 - self.distinct_destinations / self.messages
 
-    @property
-    def remote_reduction_ratio(self) -> float:
-        """Traffic-reduction ratio over worker-crossing messages only."""
-        if self.remote_messages == 0:
-            return 0.0
-        return 1.0 - self.distinct_remote_destinations / self.remote_messages
-
 
 @dataclass
 class TrafficTrace:
@@ -55,28 +46,6 @@ class TrafficTrace:
         """Record one superstep."""
         self.supersteps.append(traffic)
 
-    def reduction_series(self, remote_only: bool = False) -> list[float]:
-        """Per-iteration traffic-reduction ratios (Figure 1(c) y-axis)."""
-        if remote_only:
-            return [s.remote_reduction_ratio for s in self.supersteps]
-        return [s.reduction_ratio for s in self.supersteps]
-
     def total_messages(self) -> int:
         """Messages emitted over the whole run."""
         return sum(s.messages for s in self.supersteps)
-
-    def iterations(self) -> int:
-        """Number of recorded supersteps."""
-        return len(self.supersteps)
-
-    def peak_reduction(self) -> float:
-        """Highest per-iteration reduction ratio."""
-        if not self.supersteps:
-            raise GraphError("traffic trace is empty")
-        return max(self.reduction_series())
-
-    def last(self) -> SuperstepTraffic:
-        """The most recent superstep's statistics."""
-        if not self.supersteps:
-            raise GraphError("traffic trace is empty")
-        return self.supersteps[-1]

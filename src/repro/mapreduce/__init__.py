@@ -8,23 +8,13 @@ from repro.mapreduce.job import (
     TaskPlacement,
 )
 from repro.mapreduce.mapper import MapOutput, MapTask
-from repro.mapreduce.master import MapReduceMaster, run_wordcount_job
-from repro.mapreduce.partitioner import HashPartitioner, RangePartitioner
+from repro.mapreduce.master import MapReduceMaster
+from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.reducer import ReduceTask
-from repro.mapreduce.serialization import (
-    SpillFile,
-    decode_pairs,
-    encode_pair,
-    encode_pairs,
-    iter_complete_pairs,
-    serialized_pair_bytes,
-    serialized_size,
-)
 from repro.mapreduce.shuffle import DaietShuffle, ShuffleAccounting, ShuffleTransport
 from repro.mapreduce.wordcount import (
     Corpus,
     CorpusSpec,
-    corpus_for_target_reduction,
     generate_corpus,
     generate_vocabulary,
     make_wordcount_job,
@@ -43,23 +33,13 @@ __all__ = [
     "MapOutput",
     "MapTask",
     "MapReduceMaster",
-    "run_wordcount_job",
     "HashPartitioner",
-    "RangePartitioner",
     "ReduceTask",
-    "SpillFile",
-    "decode_pairs",
-    "encode_pair",
-    "encode_pairs",
-    "iter_complete_pairs",
-    "serialized_pair_bytes",
-    "serialized_size",
     "DaietShuffle",
     "ShuffleAccounting",
     "ShuffleTransport",
     "Corpus",
     "CorpusSpec",
-    "corpus_for_target_reduction",
     "generate_corpus",
     "generate_vocabulary",
     "make_wordcount_job",

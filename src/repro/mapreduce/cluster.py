@@ -25,13 +25,6 @@ class Cluster:
     workers: list[str]
     master_host: str
 
-    def worker(self, index: int) -> str:
-        """Name of the ``index``-th worker host."""
-        try:
-            return self.workers[index]
-        except IndexError as exc:
-            raise JobError(f"cluster has no worker {index}") from exc
-
 
 def build_cluster(
     num_workers: int = 12,

@@ -7,7 +7,6 @@ from typing import Any, Callable, Iterable
 
 from repro.core.config import DaietConfig
 from repro.core.errors import JobError
-from repro.core.functions import AggregationFunction, get as get_function
 
 #: A map function turns one input record into zero or more key-value pairs.
 MapFunction = Callable[[Any], Iterable[tuple[str, int]]]
@@ -52,10 +51,6 @@ class JobSpec:
             raise JobError("num_mappers must be positive")
         if self.num_reducers <= 0:
             raise JobError("num_reducers must be positive")
-
-    def aggregation_function(self) -> AggregationFunction:
-        """The resolved aggregation function object."""
-        return get_function(self.aggregation)
 
 
 @dataclass(frozen=True)
@@ -167,10 +162,3 @@ class JobResult:
     def total_reduce_seconds(self) -> float:
         """Total reduce-phase processing time across reducers."""
         return sum(m.reduce_seconds for m in self.reducer_metrics.values())
-
-    def per_reducer(self, field_name: str) -> list[float]:
-        """A per-reducer list of one metric, ordered by reducer id."""
-        return [
-            getattr(self.reducer_metrics[rid], field_name)
-            for rid in sorted(self.reducer_metrics)
-        ]

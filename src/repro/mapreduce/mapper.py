@@ -1,10 +1,11 @@
 """Map-task execution.
 
-A map task applies the user map function to its input split, partitions the
-emitted pairs among the reducers and stores each partition in a spill file
-using the fixed-size serialization (so the shuffle can packetize without
-deserializing). For the TCP baseline the per-partition output is additionally
-sorted by key, as the original MapReduce does before serving it to reducers.
+A map task applies the user map function to its input split and partitions
+the emitted pairs among the reducers. Every pair must fit the fixed-size
+representation the shuffle puts on the wire (Section 4: ``key_width``-byte
+keys, signed ``value_width``-byte values); a map task refuses one that does
+not. For the TCP baseline the per-partition output is additionally sorted by
+key, as the original MapReduce does before serving it to reducers.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.errors import JobError
+from repro.core.errors import JobError, PacketFormatError
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.partitioner import HashPartitioner
-from repro.mapreduce.serialization import SpillFile
 
 
 @dataclass
@@ -36,14 +36,6 @@ class MapOutput:
         """The partition sorted by key (mapper-side sort of the TCP baseline)."""
         return sorted(self.partition(reducer_id))
 
-    def serialized_bytes(self, reducer_id: int, pair_bytes: int) -> int:
-        """Size of the partition under the fixed-size representation."""
-        return len(self.partition(reducer_id)) * pair_bytes
-
-    def total_bytes(self, pair_bytes: int) -> int:
-        """Serialized size of the whole map output."""
-        return self.pairs_emitted * pair_bytes
-
 
 class MapTask:
     """One map task bound to a host of the simulated cluster."""
@@ -61,30 +53,31 @@ class MapTask:
         self.host = host
         self.spec = spec
         self.partitioner = partitioner or HashPartitioner(spec.num_reducers)
-        self.spill_files: dict[int, SpillFile] = {}
 
     def run(self, records: Iterable[Any]) -> MapOutput:
-        """Execute the map function over the input split."""
+        """Execute the map function over the input split.
+
+        Raises :class:`PacketFormatError` for a key longer than ``key_width``
+        bytes or a value outside ``value_width``'s signed range.
+        """
+        key_width = self.spec.daiet.key_width
+        value_width = self.spec.daiet.value_width
+        limit = 1 << (8 * value_width - 1)
         output = MapOutput(mapper_id=self.mapper_id, host=self.host)
         for record in records:
             output.records_processed += 1
             for key, value in self.spec.map_function(record):
+                key_bytes = len(key.encode())
+                if key_bytes > key_width:
+                    raise PacketFormatError(
+                        f"key {key!r} is {key_bytes} B, exceeding the fixed key width "
+                        f"of {key_width} B"
+                    )
+                if not -limit <= value < limit:
+                    raise PacketFormatError(
+                        f"value {value} does not fit in {value_width} bytes"
+                    )
                 reducer_id = self.partitioner(key)
                 output.partitions.setdefault(reducer_id, []).append((key, value))
                 output.pairs_emitted += 1
-        self._write_spill_files(output)
         return output
-
-    def _write_spill_files(self, output: MapOutput) -> None:
-        """Materialize each partition into a fixed-size-record spill file."""
-        for reducer_id, pairs in output.partitions.items():
-            spill = SpillFile(self.spec.daiet)
-            spill.extend(pairs)
-            self.spill_files[reducer_id] = spill
-
-    def spill_file(self, reducer_id: int) -> SpillFile:
-        """The spill file holding the partition for ``reducer_id``."""
-        if reducer_id not in self.spill_files:
-            # An empty partition still has an (empty) spill file.
-            self.spill_files[reducer_id] = SpillFile(self.spec.daiet)
-        return self.spill_files[reducer_id]

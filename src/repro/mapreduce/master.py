@@ -133,15 +133,3 @@ class MapReduceMaster:
             )
             result.reducer_metrics[reducer_id] = task.metrics
         return result
-
-
-def run_wordcount_job(
-    cluster: Cluster,
-    spec: JobSpec,
-    shuffle: ShuffleTransport,
-    input_splits: Sequence[Iterable[Any]],
-    placement: TaskPlacement | None = None,
-) -> JobResult:
-    """Convenience wrapper: build a master and run the job in one call."""
-    master = MapReduceMaster(cluster, spec, shuffle, placement)
-    return master.run(input_splits)

@@ -30,35 +30,3 @@ class HashPartitioner:
 
     def __call__(self, key: str) -> int:
         return self.partition(key)
-
-    def split(self, pairs: list[tuple[str, int]]) -> dict[int, list[tuple[str, int]]]:
-        """Split a pair list into per-reducer partitions (only non-empty ones)."""
-        partitions: dict[int, list[tuple[str, int]]] = {}
-        for key, value in pairs:
-            index = self.partition(key)
-            partitions.setdefault(index, []).append((key, value))
-        return partitions
-
-
-class RangePartitioner:
-    """Partition keys by lexicographic range boundaries.
-
-    Provided for completeness (some frameworks shuffle with range partitioning
-    to obtain globally sorted output); the DAIET experiments use hashing.
-    """
-
-    def __init__(self, boundaries: list[str]) -> None:
-        if sorted(boundaries) != list(boundaries):
-            raise JobError("range boundaries must be sorted")
-        self.boundaries = list(boundaries)
-        self.num_partitions = len(boundaries) + 1
-
-    def partition(self, key: str) -> int:
-        """Reducer index whose range contains ``key``."""
-        for index, boundary in enumerate(self.boundaries):
-            if key < boundary:
-                return index
-        return len(self.boundaries)
-
-    def __call__(self, key: str) -> int:
-        return self.partition(key)

@@ -115,11 +115,6 @@ class ReduceTask:
         if self._finished:
             raise JobError(f"reduce task {self.reducer_id} already finished")
 
-    @property
-    def pending_pairs(self) -> int:
-        """Number of pairs buffered and not yet reduced."""
-        return sum(len(run) for run in self._sorted_runs) + len(self._unsorted)
-
     # ------------------------------------------------------------------ #
     # Reduce phase
     # ------------------------------------------------------------------ #

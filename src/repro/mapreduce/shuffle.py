@@ -61,9 +61,8 @@ class ReducerBuffer:
     """Network input buffered for one reducer until the simulation has run.
 
     Datagram transports (DAIET, the UDP baseline) collect unsorted ``pairs``
-    and count END markers against ``expected_ends``; stream transports (TCP,
-    with or without a worker-level combiner) collect one pre-sorted run per
-    message and expect no END.
+    and count END markers against ``expected_ends``; the stream transport
+    (TCP) collects one pre-sorted run per message and expects no END.
     """
 
     tree_id: int = 0

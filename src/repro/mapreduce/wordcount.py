@@ -195,29 +195,3 @@ def generate_corpus(spec: CorpusSpec | None = None, **overrides: object) -> Corp
         seed=spec.seed,
         distribution=spec.distribution,
     )
-
-
-def corpus_for_target_reduction(
-    target_reduction: float,
-    total_words: int = 200_000,
-    num_partitions: int = 12,
-    seed: int = 2017,
-    **extra: object,
-) -> Corpus:
-    """Generate a corpus whose ideal traffic-reduction ratio is ``target_reduction``.
-
-    The achievable reduction of WordCount under perfect in-network aggregation
-    is ``1 - vocabulary/total_words`` (every occurrence of a word collapses
-    into one pair per reducer); this helper inverts that relation.
-    """
-    if not 0.0 < target_reduction < 1.0:
-        raise JobError("target_reduction must lie strictly between 0 and 1")
-    vocabulary_size = max(num_partitions, int(round(total_words * (1.0 - target_reduction))))
-    spec = CorpusSpec(
-        total_words=total_words,
-        vocabulary_size=vocabulary_size,
-        num_partitions=num_partitions,
-        seed=seed,
-        **extra,  # type: ignore[arg-type]
-    )
-    return generate_corpus(spec)

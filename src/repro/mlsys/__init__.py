@@ -14,7 +14,6 @@ from repro.mlsys.sparse import (
     DEFAULT_QUANTIZATION_SCALE,
     SparseTensorUpdate,
     SparseUpdate,
-    densify,
     from_key_value_pairs,
     sparsify,
     to_key_value_pairs,
@@ -23,7 +22,6 @@ from repro.mlsys.training import (
     DistributedTrainingJob,
     TrainingConfig,
     TrainingResult,
-    run_overlap_experiment,
 )
 from repro.mlsys.worker import Worker
 
@@ -47,13 +45,11 @@ __all__ = [
     "DEFAULT_QUANTIZATION_SCALE",
     "SparseTensorUpdate",
     "SparseUpdate",
-    "densify",
     "from_key_value_pairs",
     "sparsify",
     "to_key_value_pairs",
     "DistributedTrainingJob",
     "TrainingConfig",
     "TrainingResult",
-    "run_overlap_experiment",
     "Worker",
 ]

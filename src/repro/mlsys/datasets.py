@@ -120,10 +120,6 @@ class Dataset:
         indices = rng.integers(0, len(self), size=batch_size)
         return self.images[indices], self.labels[indices]
 
-    def pixel_activation_frequency(self) -> np.ndarray:
-        """Fraction of samples in which each feature is non-zero."""
-        return (self.images > 0).mean(axis=0)
-
 
 def pixel_activity_profile(
     spec: SyntheticMnistSpec, rng: np.random.Generator

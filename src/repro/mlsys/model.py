@@ -30,11 +30,6 @@ class GradientUpdate:
         grad = self.gradients[tensor]
         return np.flatnonzero(grad)
 
-    def sparsity(self, tensor: str) -> float:
-        """Fraction of elements of ``tensor`` left untouched by this update."""
-        grad = self.gradients[tensor]
-        return 1.0 - np.count_nonzero(grad) / grad.size
-
 
 @dataclass
 class SoftmaxModel:
@@ -120,10 +115,6 @@ class SoftmaxModel:
                     f"{self.parameters[name].shape}"
                 )
             self.parameters[name] = tensor.copy()
-
-    def tensor_sizes(self) -> dict[str, int]:
-        """Number of elements of every parameter tensor."""
-        return {name: tensor.size for name, tensor in self.parameters.items()}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -40,14 +40,6 @@ class StepOverlap:
     total_elements: int
     per_worker_touched: tuple[int, ...] = ()
 
-    @property
-    def traffic_reduction(self) -> float:
-        """Fraction of the step's update traffic that aggregation removes."""
-        total_sent = sum(self.per_worker_touched)
-        if total_sent == 0:
-            return 0.0
-        return 1.0 - self.union_elements / total_sent
-
 
 @dataclass
 class OverlapSeries:
@@ -71,14 +63,6 @@ class OverlapSeries:
         if not self.steps:
             raise TrainingError("overlap series is empty")
         return mean(self.percentages())
-
-    def minimum(self) -> float:
-        """Lowest per-step overlap percentage."""
-        return min(self.percentages())
-
-    def maximum(self) -> float:
-        """Highest per-step overlap percentage."""
-        return max(self.percentages())
 
 
 def measure_step_overlap(

@@ -33,13 +33,6 @@ class SparseTensorUpdate:
         if len(self.indices) != len(self.values):
             raise TrainingError("indices and values must have the same length")
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def nbytes(self, index_bytes: int = 4, value_bytes: int = 4) -> int:
-        """Serialized size of the sparse update."""
-        return len(self) * (index_bytes + value_bytes)
-
 
 @dataclass
 class SparseUpdate:
@@ -48,16 +41,6 @@ class SparseUpdate:
     worker_id: int
     step: int
     tensors: dict[str, SparseTensorUpdate] = field(default_factory=dict)
-
-    def total_elements(self) -> int:
-        """Number of (tensor element, delta) entries across all tensors."""
-        return sum(len(update) for update in self.tensors.values())
-
-    def touched(self, tensor: str) -> set[int]:
-        """The set of flat indices touched in ``tensor``."""
-        if tensor not in self.tensors:
-            return set()
-        return set(int(i) for i in self.tensors[tensor].indices)
 
 
 def sparsify(update: GradientUpdate, threshold: float = 0.0) -> SparseUpdate:
@@ -77,18 +60,6 @@ def sparsify(update: GradientUpdate, threshold: float = 0.0) -> SparseUpdate:
             values=flat[indices].copy(),
         )
     return sparse
-
-
-def densify(sparse: SparseUpdate, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Reconstruct dense gradient tensors from a sparse update."""
-    dense: dict[str, np.ndarray] = {}
-    for tensor, shape in shapes.items():
-        out = np.zeros(int(np.prod(shape)), dtype=np.float64)
-        if tensor in sparse.tensors:
-            update = sparse.tensors[tensor]
-            out[update.indices] = update.values
-        dense[tensor] = out.reshape(shape)
-    return dense
 
 
 def to_key_value_pairs(

@@ -54,16 +54,6 @@ class TrainingConfig:
         if not 0.0 <= self.update_drop_rate < 1.0:
             raise TrainingError("update_drop_rate must lie in [0, 1)")
 
-    @classmethod
-    def paper_sgd(cls, num_steps: int = 200, **overrides: object) -> "TrainingConfig":
-        """The paper's SGD configuration: mini-batch 3, five workers."""
-        return cls(optimizer="sgd", batch_size=3, num_steps=num_steps, **overrides)  # type: ignore[arg-type]
-
-    @classmethod
-    def paper_adam(cls, num_steps: int = 200, **overrides: object) -> "TrainingConfig":
-        """The paper's Adam configuration: mini-batch 100, five workers."""
-        return cls(optimizer="adam", batch_size=100, num_steps=num_steps, **overrides)  # type: ignore[arg-type]
-
 
 @dataclass
 class TrainingResult:
@@ -256,22 +246,3 @@ def measure_convergence_impact(
         updates_dropped=degraded.updates_dropped,
         dropped_fraction=degraded.updates_dropped / total_updates,
     )
-
-
-def run_overlap_experiment(
-    optimizer: str,
-    batch_size: int,
-    num_steps: int = 200,
-    num_workers: int = 5,
-    seed: int = 2017,
-    dataset: Dataset | None = None,
-) -> TrainingResult:
-    """One-call helper used by the Figure 1(a,b) benchmarks and examples."""
-    config = TrainingConfig(
-        optimizer=optimizer,
-        batch_size=batch_size,
-        num_steps=num_steps,
-        num_workers=num_workers,
-        seed=seed,
-    )
-    return DistributedTrainingJob(config, dataset=dataset).run()

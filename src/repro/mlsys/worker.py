@@ -53,11 +53,3 @@ class Worker:
         update.step = step
         self.steps_computed += 1
         return update
-
-    def evaluate(self, dataset: Dataset, parameters: dict[str, np.ndarray]) -> tuple[float, float]:
-        """Loss and accuracy of the given parameters on a dataset."""
-        self.model.set_parameters(parameters)
-        return (
-            self.model.loss(dataset.images, dataset.labels),
-            self.model.accuracy(dataset.images, dataset.labels),
-        )

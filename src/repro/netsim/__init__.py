@@ -25,10 +25,7 @@ from repro.netsim.links import (
 from repro.netsim.routing import (
     RoutingState,
     compute_routes,
-    host_uplink_switch,
     install_forwarding_rules,
-    path_switches,
-    shortest_path,
 )
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.stats import LinkTraffic, TrafficStats
@@ -51,10 +48,7 @@ __all__ = [
     "Link",
     "RoutingState",
     "compute_routes",
-    "host_uplink_switch",
     "install_forwarding_rules",
-    "path_switches",
-    "shortest_path",
     "NetworkSimulator",
     "SimulatorConfig",
     "LinkTraffic",

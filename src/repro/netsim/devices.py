@@ -47,9 +47,6 @@ class Device:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}({self.name!r})"
-
 
 class Host(Device):
     """An end host with a single NIC port and an application receiver."""

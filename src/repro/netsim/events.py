@@ -304,10 +304,6 @@ class Event:
             self._cancelled = True
             self._scheduler._cancel(self.seq)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "cancelled" if self._cancelled else "pending"
-        return f"Event(time={self.time!r}, seq={self.seq}, {state})"
-
 
 class EventScheduler:
     """A deterministic priority-queue event scheduler.
@@ -415,23 +411,6 @@ class EventScheduler:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self.push_entry((time, seq, callback, args))
-        self._pending_handles.add(seq)
-        return Event(self, time, seq)
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule an event at {time} (current time {self.now})"
-            )
         seq = self._seq
         self._seq = seq + 1
         self.push_entry((time, seq, callback, args))
@@ -659,16 +638,6 @@ class EventScheduler:
         if timed and until > self.now:
             self.now = until
         return executed
-
-    def reset(self) -> None:
-        """Discard all pending events and rewind the clock."""
-        self._queue.clear()
-        self._cal = None
-        self._cancelled.clear()
-        self._pending_handles.clear()
-        self._batch_handlers.clear()
-        self.now = 0.0
-        self.events_executed = 0
 
 
 class Timer:

@@ -37,7 +37,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError
 from repro.netsim.devices import Host, SwitchDevice
 from repro.netsim.links import Link
@@ -124,18 +123,6 @@ class FaultPlan:
         """Crash ``switch`` at ``time`` (volatile state is wiped)."""
         return self._add(FaultEvent(time, SWITCH_CRASH, switch))
 
-    def switch_restart(self, time: float, switch: str) -> "FaultPlan":
-        """Restart a crashed ``switch`` at ``time`` (it comes up blank)."""
-        return self._add(FaultEvent(time, SWITCH_RESTART, switch))
-
-    def host_crash(self, time: float, host: str) -> "FaultPlan":
-        """Crash the agent on ``host`` at ``time``."""
-        return self._add(FaultEvent(time, HOST_CRASH, host))
-
-    def host_restart(self, time: float, host: str) -> "FaultPlan":
-        """Restart the agent on ``host`` at ``time``."""
-        return self._add(FaultEvent(time, HOST_RESTART, host))
-
     def link_down(self, time: float, a: str, b: str) -> "FaultPlan":
         """Take the ``a``-``b`` link down at ``time`` (both directions)."""
         return self._add(FaultEvent(time, LINK_DOWN, (a, b)))
@@ -201,16 +188,6 @@ class FaultPlan:
     def sorted_events(self) -> list[FaultEvent]:
         """The plan's events in deterministic application order."""
         return sorted(self.events)
-
-    def crash_targets(self) -> list[str]:
-        """Names of every device the plan ever crashes, sorted."""
-        return sorted(
-            {
-                e.target
-                for e in self.events
-                if e.kind in (SWITCH_CRASH, HOST_CRASH) and isinstance(e.target, str)
-            }
-        )
 
 
 class FaultInjector:
@@ -280,13 +257,13 @@ class FaultInjector:
         self._installed = True
         return self
 
-    @fastpath("fault-gate", oracle="tests/netsim/test_fault_churn.py")
     def veto_transmit(self, from_device: str, link: Link | None) -> str | None:
         """Where a transmission from ``from_device`` onto ``link`` dies.
 
         The crashed sender or the downed link, else ``None``: the healthy
-        path costs one set probe and one emptiness test per hop. The oracle
-        (``tests/netsim/test_fault_churn.py``) holds that a run with an
+        path costs one set probe and one emptiness test per hop. It is the
+        only fault gate, so it is not a registered fast path; its tests
+        (``tests/netsim/test_fault_churn.py``) hold that a run with an
         *empty* plan is byte-identical to an uninstalled run, and that every
         vetoed packet is conserved in ``fault_drops`` / the sanitizer's
         ``faulted`` bucket.

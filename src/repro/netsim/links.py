@@ -56,14 +56,6 @@ class Link:
         if not self.name:
             self.name = f"{self.a.device}:{self.a.port}<->{self.b.device}:{self.b.port}"
 
-    def other_end(self, device: str) -> Endpoint:
-        """The endpoint opposite to ``device``."""
-        if device == self.a.device:
-            return self.b
-        if device == self.b.device:
-            return self.a
-        raise TopologyError(f"device {device!r} is not attached to link {self.name!r}")
-
     def port_of(self, device: str) -> int:
         """The port number ``device`` uses on this link."""
         if device == self.a.device:
@@ -71,7 +63,3 @@ class Link:
         if device == self.b.device:
             return self.b.port
         raise TopologyError(f"device {device!r} is not attached to link {self.name!r}")
-
-    def transmission_delay(self, nbytes: int) -> float:
-        """Store-and-forward latency for a packet of ``nbytes`` bytes."""
-        return self.propagation_s + nbytes / self.bandwidth_bps

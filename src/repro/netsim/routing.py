@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple
 from repro.core.errors import RoutingError
 from repro.dataplane.actions import ecmp_path_index
 from repro.dataplane.tables import FlowRule
-from repro.netsim.devices import FORWARDING_TABLE, Host, SwitchDevice
+from repro.netsim.devices import FORWARDING_TABLE, Host
 from repro.netsim.topology import Topology
 
 
@@ -366,32 +366,3 @@ def install_forwarding_rules(
         installed += switch.switch.install_rules(batch)
         table.set_address_plan(routes.address_plan)
     return installed
-
-
-def shortest_path(topology: Topology, src: str, dst: str) -> list[str]:
-    """The (deterministic) shortest path between two devices, as device names."""
-    if src not in topology.devices:
-        raise RoutingError(f"no path from {src!r} to {dst!r}")
-    dag = _DestinationDag(*_split_links(topology), dst)
-    return dag.path_from(src, 0)
-
-
-def path_switches(topology: Topology, src: str, dst: str) -> list[str]:
-    """Switches traversed on the shortest path from ``src`` to ``dst``."""
-    return [
-        name
-        for name in shortest_path(topology, src, dst)
-        if isinstance(topology.get(name), SwitchDevice)
-    ]
-
-
-def host_uplink_switch(topology: Topology, host_name: str) -> str:
-    """The ToR switch a host is directly attached to."""
-    host = topology.get(host_name)
-    if not isinstance(host, Host):
-        raise RoutingError(f"{host_name!r} is not a host")
-    neighbors = topology.neighbors(host_name)
-    switches = [n for n in neighbors if isinstance(topology.get(n), SwitchDevice)]
-    if not switches:
-        raise RoutingError(f"host {host_name!r} has no switch uplink")
-    return switches[0]

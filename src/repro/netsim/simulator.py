@@ -28,7 +28,6 @@ from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError, TableError, TopologyError
 from repro.core.packet import DaietAck, PacketWindow, PairColumns, packets_of
 from repro.netsim.devices import (
-    Device,
     Host,
     SwitchDevice,
     packet_wire_bytes,
@@ -1074,10 +1073,6 @@ class NetworkSimulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self.scheduler.now
-
-    def device(self, name: str) -> Device:
-        """Convenience accessor for a topology device."""
-        return self.topology.get(name)
 
     def host(self, name: str) -> Host:
         """Return a host device, or raise if ``name`` is not a host."""

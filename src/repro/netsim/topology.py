@@ -1,9 +1,9 @@
 """Data-center topologies.
 
-A :class:`Topology` holds named devices and the links between them, plus an
-on-demand `networkx` view (:meth:`Topology.graph`) for analysis and the test
-oracles. Builders are provided for the three shapes used in the paper's
-context:
+A :class:`Topology` holds named devices (exact :class:`Host` and
+:class:`SwitchDevice` instances: the simulator compiles one delivery routine
+per device type) and the links between them. Builders are provided for the
+three shapes used in the paper's context:
 
 * :func:`single_rack` — hosts behind one ToR switch (the paper's evaluation
   setup: one bmv2 switch, worker containers attached to it),
@@ -15,14 +15,10 @@ context:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.errors import TopologyError
 from repro.netsim.devices import Device, Host, SwitchDevice
 from repro.netsim.links import DEFAULT_BANDWIDTH_BPS, DEFAULT_PROPAGATION_S, Endpoint, Link
-
-if TYPE_CHECKING:  # pragma: no cover - networkx is only imported by graph()
-    import networkx as nx
 
 
 @dataclass
@@ -50,18 +46,7 @@ class Topology:
         self._register(switch)
         return switch
 
-    def add_device(self, device: Device) -> Device:
-        """Register an externally constructed device."""
-        self._register(device)
-        return device
-
     def _register(self, device: Device) -> None:
-        # The simulator compiles one delivery routine per device type.
-        if type(device) not in (Host, SwitchDevice):
-            raise TopologyError(
-                f"device {device.name!r}: a topology holds Host and SwitchDevice "
-                f"instances, not {type(device).__name__}"
-            )
         if device.name in self.devices:
             raise TopologyError(f"duplicate device name {device.name!r}")
         self.devices[device.name] = device
@@ -151,18 +136,6 @@ class Topology:
     def port_towards(self, from_device: str, to_device: str) -> int:
         """The port ``from_device`` uses to reach its neighbour ``to_device``."""
         return self.link_between(from_device, to_device).port_of(from_device)
-
-    def graph(self) -> "nx.Graph":
-        """A networkx view of the topology (nodes carry a ``kind`` attribute)."""
-        import networkx as nx  # here, not at module scope: ~0.1 s of import time
-
-        g = nx.Graph()
-        for name, device in self.devices.items():
-            kind = "host" if isinstance(device, Host) else "switch"
-            g.add_node(name, kind=kind)
-        for link in self.links:
-            g.add_edge(link.a.device, link.b.device, link=link)
-        return g
 
     def validate(self) -> None:
         """Check that the topology is connected and every host has an uplink."""

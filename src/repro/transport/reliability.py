@@ -151,16 +151,6 @@ class ReliableSenderChannel:
         """True once every sent packet has been acknowledged."""
         return self._engine.done
 
-    @property
-    def outstanding(self) -> int:
-        """Number of unacknowledged packets (in flight plus window-queued)."""
-        return self._engine.outstanding
-
-    @property
-    def engine(self) -> WindowedSender:
-        """The underlying windowed sender (diagnostics, tests)."""
-        return self._engine
-
     def take_seq(self) -> int:
         """Reserve the next sequence number."""
         seq = self._next_seq

@@ -96,12 +96,6 @@ class UdpTransport:
         self.stats.wire_bytes_sent += datagram.wire_bytes()
         return datagram
 
-    def send_raw(self, packet: Any, src: str) -> None:
-        """Inject an already-framed packet (e.g. a DAIET packet) from ``src``."""
-        self.simulator.send(src, packet)
-        self.stats.datagrams_sent += 1
-        self.stats.wire_bytes_sent += packet.wire_bytes()
-
 
 # ---------------------------------------------------------------------- #
 # Reliable datagram layer

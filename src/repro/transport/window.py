@@ -286,31 +286,6 @@ class WindowedSender:
         """True once every accepted packet has been acknowledged."""
         return not self._unacked and not self._pending
 
-    @property
-    def outstanding(self) -> int:
-        """Packets accepted and not yet acknowledged (in flight + queued)."""
-        return len(self._unacked) + len(self._pending)
-
-    @property
-    def in_flight(self) -> int:
-        """Packets injected into the network and not yet acknowledged."""
-        return len(self._unacked)
-
-    @property
-    def timer(self) -> Any:
-        """The retransmission timer (owner teardown)."""
-        return self._timer
-
-    @property
-    def rtt(self) -> RttEstimator | None:
-        """The installed RTT estimator, if any."""
-        return self._rtt
-
-    @property
-    def congestion(self) -> AimdController | None:
-        """The installed congestion controller, if any."""
-        return self._cc
-
     def current_rto(self) -> float:
         """The timeout used for the next timer (re)start."""
         if self._rtt is not None:
@@ -431,7 +406,7 @@ class WindowedSender:
         if self._on_timeout_stat is not None:
             self._on_timeout_stat()
         if self._consecutive_timeouts > self.max_retransmits:
-            self._give_up(self.outstanding)
+            self._give_up(len(self._unacked) + len(self._pending))
             return
         self.retransmit(self._buffer.probes())
         if self._cc is not None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.host_aggregation import HostAggregationShuffle
 from repro.baselines.tcp_shuffle import TcpShuffle
 from repro.baselines.udp_shuffle import UdpShuffle
 from repro.core.config import DaietConfig
@@ -67,19 +66,3 @@ class TestUdpShuffle:
     def test_transfer_before_prepare_rejected(self):
         with pytest.raises(JobError):
             UdpShuffle().transfer([])
-
-
-class TestHostAggregationShuffle:
-    def test_host_combiner_reduces_volume_but_less_than_daiet(self, corpus):
-        from repro.mapreduce.shuffle import DaietShuffle
-
-        tcp = run(TcpShuffle(), corpus)
-        host = run(HostAggregationShuffle(), corpus)
-        daiet = run(DaietShuffle(DaietConfig(register_slots=2048)), corpus)
-        assert host.output == corpus.word_counts()
-        assert daiet.total_reducer_bytes() < host.total_reducer_bytes()
-        assert host.total_reducer_bytes() < tcp.total_reducer_bytes()
-
-    def test_transfer_before_prepare_rejected(self):
-        with pytest.raises(JobError):
-            HostAggregationShuffle().transfer([])

@@ -44,7 +44,7 @@ class TestCleanTree:
         assert check_fastpath_parity() == []
         registry = set(registered_fastpaths())
         assert REQUIRED_FASTPATHS <= registry
-        assert len(REQUIRED_FASTPATHS) == 6
+        assert len(REQUIRED_FASTPATHS) == 5
         assert registry == REQUIRED_FASTPATHS
 
     def test_event_queue_backend_stays_inside_the_scheduler(self):

@@ -17,7 +17,7 @@ from repro.core.errors import SanitizerError
 from repro.core.packet import DaietPacket
 from repro.dataplane.tables import FlowRule
 from repro.netsim.devices import FORWARDING_TABLE
-from repro.netsim.faults import FaultPlan, install_faults
+from repro.netsim.faults import HOST_CRASH, FaultEvent, FaultPlan, install_faults
 from repro.netsim.links import DEFAULT_BANDWIDTH_BPS
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, single_rack
@@ -169,9 +169,9 @@ DROP_EXITS = [
      "losses", ("h0", "tor"), "lost_or_dropped"),
     ("downed-link", {}, 0.0, FaultPlan().link_down(0.0, "h0", "tor"), None,
      _datagrams(1), "fault_drops", ("h0", "tor"), "faulted"),
-    ("crashed-sender", {}, 0.0, FaultPlan().host_crash(0.0, "h0"), None,
+    ("crashed-sender", {}, 0.0, FaultPlan([FaultEvent(0.0, HOST_CRASH, "h0")]), None,
      _datagrams(1), "fault_drops", "h0", "faulted"),
-    ("delivery-to-crashed-host", {}, 0.0, FaultPlan().host_crash(3e-6, "h1"), None,
+    ("delivery-to-crashed-host", {}, 0.0, FaultPlan([FaultEvent(3e-6, HOST_CRASH, "h1")]), None,
      _datagrams(1), "fault_drops", "h1", "faulted"),
     ("delivery-to-crashed-switch", {}, 0.0, FaultPlan().switch_crash(1e-6, "tor"),
      None, _datagrams(1), "fault_drops", "tor", "faulted"),
@@ -325,8 +325,8 @@ class TestRegisterLeaks:
     def test_leaked_slot_is_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.key_register.write(7, "leaked-key")
-        tree.value_register.write(7, 1)
+        tree.key_register._cells[7] = "leaked-key"
+        tree.value_register._cells[7] = 1
         with pytest.raises(SanitizerError, match="not recorded on the index stack"):
             system.simulator.sanitizer.check_registers()
 
@@ -340,7 +340,7 @@ class TestRegisterLeaks:
     def test_key_without_value_is_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.key_register.write(2, "k")
+        tree.key_register._cells[2] = "k"
         tree.index_stack.push(2)
         with pytest.raises(SanitizerError, match="holds a key but no value"):
             system.simulator.sanitizer.check_registers()
@@ -353,8 +353,8 @@ class TestRegisterLeaks:
         # The completed round left everything clean...
         system.simulator.sanitizer.check_registers()
         # ...but a slot that failed to rearm is caught.
-        tree.key_register.write(5, "stale")
-        tree.value_register.write(5, 9)
+        tree.key_register._cells[5] = "stale"
+        tree.value_register._cells[5] = 9
         tree.index_stack.push(5)
         with pytest.raises(SanitizerError, match="did not rearm"):
             system.simulator.sanitizer.check_registers()
@@ -370,8 +370,8 @@ class TestRegisterLeaks:
     def test_duplicate_stack_entries_are_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.key_register.write(4, "k")
-        tree.value_register.write(4, 1)
+        tree.key_register._cells[4] = "k"
+        tree.value_register._cells[4] = 1
         tree.index_stack.push(4)
         tree.index_stack.push(4)
         with pytest.raises(SanitizerError, match="duplicate slots"):

@@ -10,7 +10,7 @@ import pytest
 from repro.analysis.error_bounds import install_error_tracker
 from repro.checks.sanitize import install_sanitizer
 from repro.core.config import DaietConfig
-from repro.graph.generators import livejournal_like, ring_graph
+from repro.graph.generators import livejournal_like
 from repro.mapreduce.cluster import build_cluster
 from repro.mapreduce.wordcount import generate_corpus
 from repro.mlsys.datasets import generate_synthetic_mnist
@@ -106,12 +106,6 @@ def tiny_dataset():
 def small_social_graph():
     """A small LiveJournal-like graph shared across graph tests."""
     return livejournal_like(num_vertices=1_500, seed=5)
-
-
-@pytest.fixture(scope="session")
-def small_ring_graph():
-    """A deterministic ring graph for exact-result algorithm tests."""
-    return ring_graph(12)
 
 
 @pytest.fixture()

@@ -29,6 +29,11 @@ def make_engine(
     return engine, config
 
 
+def flushed(engine: DaietAggregationEngine, packet: DaietPacket) -> list[DaietPacket]:
+    """What ``handle_packet`` sends towards the parent (no ACKs: unreliable)."""
+    return [out for _port, out in engine.handle_packet(packet)]
+
+
 def data_packet(pairs, config, src="m0") -> DaietPacket:
     return DaietPacket(tree_id=1, src=src, dst="r0", pairs=tuple(pairs), config=config)
 
@@ -57,69 +62,69 @@ class TestHashKey:
 class TestAlgorithm1:
     def test_insert_then_aggregate_same_key(self):
         engine, config = make_engine(num_children=1)
-        out = engine.process_packet(data_packet([("ant", 2), ("ant", 3)], config))
+        out = flushed(engine, data_packet([("ant", 2), ("ant", 3)], config))
         assert out == []  # nothing emitted before END
         state = engine.tree(1)
-        assert state.occupancy() == 1
+        assert len(state.index_stack.peek_all()) == 1
         assert state.counters.pairs_inserted == 1
         assert state.counters.pairs_aggregated == 1
 
     def test_flush_on_last_end(self):
         engine, config = make_engine(num_children=2)
-        engine.process_packet(data_packet([("a", 1), ("b", 2)], config, src="m0"))
-        engine.process_packet(data_packet([("a", 5)], config, src="m1"))
-        assert engine.process_packet(end_packet(1, "m0", "r0", config)) == []
-        out = engine.process_packet(end_packet(1, "m1", "r0", config))
+        flushed(engine, data_packet([("a", 1), ("b", 2)], config, src="m0"))
+        flushed(engine, data_packet([("a", 5)], config, src="m1"))
+        assert flushed(engine, end_packet(1, "m0", "r0", config)) == []
+        out = flushed(engine, end_packet(1, "m1", "r0", config))
         assert out, "the final END must flush the registers"
         assert out[-1].packet_type is DaietPacketType.END
         assert collect_pairs(out) == {"a": 6, "b": 2}
 
     def test_flush_addresses_packets_to_next_hop(self):
         engine, config = make_engine(num_children=1)
-        engine.process_packet(data_packet([("k", 1)], config))
-        out = engine.process_packet(end_packet(1, "m0", "r0", config))
+        flushed(engine, data_packet([("k", 1)], config))
+        out = flushed(engine, end_packet(1, "m0", "r0", config))
         assert all(p.dst == "r0" and p.src == "sw0" for p in out)
 
     def test_rearm_after_flush_allows_next_round(self):
         engine, config = make_engine(num_children=1)
-        engine.process_packet(data_packet([("k", 1)], config))
-        first = engine.process_packet(end_packet(1, "m0", "r0", config))
+        flushed(engine, data_packet([("k", 1)], config))
+        first = flushed(engine, end_packet(1, "m0", "r0", config))
         assert collect_pairs(first) == {"k": 1}
         # Second round reuses the same tree state.
-        engine.process_packet(data_packet([("k", 10)], config))
-        second = engine.process_packet(end_packet(1, "m0", "r0", config))
+        flushed(engine, data_packet([("k", 10)], config))
+        second = flushed(engine, end_packet(1, "m0", "r0", config))
         assert collect_pairs(second) == {"k": 10}
 
     def test_extra_end_after_rearm_produces_empty_flush(self):
         engine, config = make_engine(num_children=1)
-        first = engine.process_packet(end_packet(1, "m0", "r0", config))
+        first = flushed(engine, end_packet(1, "m0", "r0", config))
         assert [p.packet_type for p in first] == [DaietPacketType.END]
         # After the flush the tree re-arms, so a stray END simply triggers an
         # empty flush rather than corrupting state.
-        second = engine.process_packet(end_packet(1, "m0", "r0", config))
+        second = flushed(engine, end_packet(1, "m0", "r0", config))
         assert [p.packet_type for p in second] == [DaietPacketType.END]
-        assert engine.tree(1).occupancy() == 0
+        assert len(engine.tree(1).index_stack.peek_all()) == 0
 
     def test_duplicate_end_from_one_source_is_ignored(self):
         engine, config = make_engine(num_children=2)
-        engine.process_packet(data_packet([("k", 1)], config, src="m0"))
-        assert engine.process_packet(end_packet(1, "m0", "r0", config)) == []
+        flushed(engine, data_packet([("k", 1)], config, src="m0"))
+        assert flushed(engine, end_packet(1, "m0", "r0", config)) == []
         # Retransmitted END from the same mapper must not trigger the flush.
-        assert engine.process_packet(end_packet(1, "m0", "r0", config)) == []
-        out = engine.process_packet(end_packet(1, "m1", "r0", config))
+        assert flushed(engine, end_packet(1, "m0", "r0", config)) == []
+        out = flushed(engine, end_packet(1, "m1", "r0", config))
         assert collect_pairs(out) == {"k": 1}
 
     def test_min_aggregation_function(self):
         engine, config = make_engine(num_children=1, function="min")
-        engine.process_packet(data_packet([("d", 7), ("d", 3), ("d", 9)], config))
-        out = engine.process_packet(end_packet(1, "m0", "r0", config))
+        flushed(engine, data_packet([("d", 7), ("d", 3), ("d", 9)], config))
+        out = flushed(engine, end_packet(1, "m0", "r0", config))
         assert collect_pairs(out) == {"d": 3}
 
     def test_unknown_tree_rejected(self):
         engine, config = make_engine()
         stray = DaietPacket(tree_id=99, src="m0", dst="r0", pairs=(("x", 1),), config=config)
         with pytest.raises(AggregationError):
-            engine.process_packet(stray)
+            flushed(engine, stray)
 
     def test_remove_tree(self):
         engine, config = make_engine()
@@ -152,11 +157,11 @@ class TestSpillover:
         slots = 8
         keys = self.find_colliding_keys(slots, 2)
         engine, config = make_engine(slots=slots, num_children=1, pairs_per_packet=4)
-        engine.process_packet(data_packet([(keys[0], 1), (keys[1], 2)], config))
+        flushed(engine, data_packet([(keys[0], 1), (keys[1], 2)], config))
         state = engine.tree(1)
         assert state.counters.collisions == 1
         assert len(state.spillover) == 1
-        assert state.occupancy() == 1
+        assert len(state.index_stack.peek_all()) == 1
 
     def test_full_spillover_is_flushed_immediately(self):
         slots = 8
@@ -165,8 +170,8 @@ class TestSpillover:
         engine, config = make_engine(slots=slots, num_children=1, pairs_per_packet=2)
         # First key occupies the register; the next two fill the 2-entry
         # spillover bucket, which must flush as soon as it is full.
-        assert engine.process_packet(data_packet([(keys[0], 1), (keys[1], 2)], config)) == []
-        out = engine.process_packet(data_packet([(keys[2], 3)], config))
+        assert flushed(engine, data_packet([(keys[0], 1), (keys[1], 2)], config)) == []
+        out = flushed(engine, data_packet([(keys[2], 3)], config))
         assert out, "a full spillover bucket must be flushed immediately"
         assert collect_pairs(out) == {keys[1]: 2, keys[2]: 3}
         assert engine.tree(1).counters.spillover_flushes == 1
@@ -175,8 +180,8 @@ class TestSpillover:
         slots = 8
         keys = self.find_colliding_keys(slots, 2)
         engine, config = make_engine(slots=slots, num_children=1, pairs_per_packet=10)
-        engine.process_packet(data_packet([(keys[0], 1), (keys[1], 2)], config))
-        out = engine.process_packet(end_packet(1, "m0", "r0", config))
+        flushed(engine, data_packet([(keys[0], 1), (keys[1], 2)], config))
+        out = flushed(engine, end_packet(1, "m0", "r0", config))
         first_data = out[0]
         assert first_data.pairs[0][0] == keys[1], "spillover pairs are sent first"
 
@@ -187,8 +192,8 @@ class TestSpillover:
         # keys[0] takes the register slot; keys[1] collides three times and
         # must occupy ONE spillover entry holding the aggregated value, not
         # three entries (which would trigger a premature flush).
-        out = engine.process_packet(data_packet([(keys[0], 1), (keys[1], 2)], config))
-        out += engine.process_packet(data_packet([(keys[1], 3), (keys[1], 4)], config))
+        out = flushed(engine, data_packet([(keys[0], 1), (keys[1], 2)], config))
+        out += flushed(engine, data_packet([(keys[1], 3), (keys[1], 4)], config))
         state = engine.tree(1)
         assert out == [], "the 2-entry bucket never filled"
         assert len(state.spillover) == 1
@@ -202,6 +207,6 @@ class TestSpillover:
         pairs = [(f"word{i}", i) for i in range(30)]
         emitted = []
         for packet in packetize_pairs(pairs, tree_id=1, src="m0", dst="r0", config=config):
-            emitted.extend(engine.process_packet(packet))
+            emitted.extend(flushed(engine, packet))
         totals = collect_pairs(emitted)
         assert totals == {key: value for key, value in pairs}

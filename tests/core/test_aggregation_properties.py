@@ -65,7 +65,7 @@ def run_through_switch(
 
     emitted = []
     for packet in packets:
-        emitted.extend(engine.process_packet(packet))
+        emitted.extend(out for _port, out in engine.handle_packet(packet))
 
     # The reducer-side merge: apply the same aggregation function once more.
     function = SUM if function_name == "sum" else MIN
@@ -121,8 +121,8 @@ class TestEndToEndCorrectness:
         )
         emitted = []
         for packet in packetize_pairs(pairs, tree_id=1, src="m", dst="r", config=config):
-            emitted.extend(engine.process_packet(packet))
-        emitted_pairs = sum(p.num_pairs for p in emitted)
+            emitted.extend(out for _port, out in engine.handle_packet(packet))
+        emitted_pairs = sum(len(p.pairs) for p in emitted)
         assert emitted_pairs <= len(pairs)
         counters = engine.tree(1).counters
         assert counters.pairs_emitted == emitted_pairs

@@ -19,7 +19,6 @@ class TestDaietConfig:
     def test_pair_and_payload_sizes(self):
         config = DaietConfig()
         assert config.pair_bytes == 20
-        assert config.max_payload_bytes == 8 + 10 * 20
 
     def test_sram_estimate_close_to_paper(self):
         # The paper estimates ~10 MB for 16K pairs of 16 B keys + 4 B values.
@@ -67,4 +66,3 @@ class TestTransportTuning:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(TransportError):
             TransportTuning(**kwargs)
-

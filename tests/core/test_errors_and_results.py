@@ -65,11 +65,6 @@ class TestJobResult:
         assert result.total_reducer_packets() == 60
         assert result.total_reduce_seconds() == pytest.approx(3.0)
 
-    def test_per_reducer_ordering(self):
-        result = self.make_result()
-        assert result.per_reducer("payload_bytes_received") == [100, 200, 300]
-        assert result.per_reducer("reduce_seconds") == [0.5, 1.0, 1.5]
-
     def test_empty_result_totals_are_zero(self):
         result = JobResult(job_name="empty", shuffle_mode="tcp")
         assert result.total_reducer_bytes() == 0

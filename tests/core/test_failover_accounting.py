@@ -4,8 +4,7 @@ Failover re-plans trees at runtime; every cycle must return the fabric to
 a clean state or long churn runs leak switch SRAM, steering entries and
 engine tree state. These tests pin the full ledger —
 :meth:`ResourceLedger.allocations`, ``daiet_table`` entries and
-``engine._trees`` — across ``remove_job``, ``replan_tree`` and crash
-teardown. The switch's compiled paths keep no lookup memo of their own
+``engine._trees`` — across ``replan_tree`` and crash teardown. The switch's compiled paths keep no lookup memo of their own
 (they probe the tables), so there is no cache left to leak from.
 """
 
@@ -36,14 +35,14 @@ def _switches(controller: DaietController) -> list[SwitchDevice]:
     return controller.topology.switches()
 
 
-def _assert_clean(controller: DaietController) -> None:
-    """No switch anywhere holds SRAM, steering state or tree state."""
+def _assert_released(controller: DaietController, tree_id: int) -> None:
+    """No switch anywhere holds SRAM, steering state or tree state of ``tree_id``."""
     for device in _switches(controller):
-        assert device.switch.ledger.allocations() == {}
-        assert len(device.daiet_table) == 0
+        assert f"tree{tree_id}" not in device.switch.ledger.allocations()
+        assert device.daiet_table.lookup({"tree_id": tree_id}) is None
         engine = controller.engines.get(device.name)
         if engine is not None:
-            assert engine._trees == {}
+            assert tree_id not in engine._trees
 
 
 def _tree_footprint(controller: DaietController, tree_id: int) -> dict[str, int]:
@@ -56,37 +55,19 @@ def _tree_footprint(controller: DaietController, tree_id: int) -> dict[str, int]
     return footprint
 
 
-class TestRemoveJob:
-    def test_install_then_remove_is_clean(self):
-        controller = _controller()
-        job = controller.install_job(MAPPERS, [REDUCER])
-        tree = job.tree_for_reducer(REDUCER)
-        assert _tree_footprint(controller, tree.tree_id)
-        controller.remove_job(job)
-        assert controller.jobs == []
-        _assert_clean(controller)
-
-    def test_remove_is_idempotent(self):
-        controller = _controller()
-        job = controller.install_job(MAPPERS, [REDUCER])
-        controller.remove_job(job)
-        controller.remove_job(job)  # second removal must be a no-op
-        _assert_clean(controller)
-
-    def test_remove_one_job_leaves_the_other_untouched(self):
+class TestReplanTree:
+    def test_replan_one_job_leaves_the_other_untouched(self):
         controller = _controller()
         job_a = controller.install_job(MAPPERS, [REDUCER])
         job_b = controller.install_job(["h1", "h3"], ["h0"])
+        old_id = job_a.tree_for_reducer(REDUCER).tree_id
         before = _tree_footprint(controller, job_b.tree_for_reducer("h0").tree_id)
-        controller.remove_job(job_a)
+        controller.replan_tree(job_a, REDUCER)
         assert _tree_footprint(
             controller, job_b.tree_for_reducer("h0").tree_id
         ) == before
-        controller.remove_job(job_b)
-        _assert_clean(controller)
+        _assert_released(controller, old_id)
 
-
-class TestReplanTree:
     def test_replan_releases_old_epoch_everywhere(self):
         controller = _controller()
         job = controller.install_job(MAPPERS, [REDUCER])
@@ -99,7 +80,7 @@ class TestReplanTree:
         tree = controller.replan_tree(job, REDUCER, exclude={old_spine})
         assert tree.tree_id != old_id
         assert old_spine not in tree.nodes
-        assert _tree_footprint(controller, old_id) == {}
+        _assert_released(controller, old_id)
         # The replacement holds SRAM exactly on its own switches.
         assert set(_tree_footprint(controller, tree.tree_id)) == {
             node.name for node in tree.switches()
@@ -120,8 +101,6 @@ class TestReplanTree:
             engine = controller.engines.get(device.name)
             if engine is not None:
                 assert set(engine._trees) <= {tree.tree_id}
-        controller.remove_job(job)
-        _assert_clean(controller)
 
     def test_failed_replan_leaves_old_tree_released(self):
         controller = _controller()
@@ -141,6 +120,7 @@ class TestCrashTeardown:
         topo = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
         system = DaietSystem(topo, DaietConfig(), SimulatorConfig())
         job = system.install_job(mappers=MAPPERS, reducers=[REDUCER])
+        old_id = job.tree_for_reducer(REDUCER).tree_id
         spine = next(
             node.name
             for node in job.tree_for_reducer(REDUCER).switches()
@@ -151,19 +131,20 @@ class TestCrashTeardown:
         )
         system.run()
         assert injector.is_down(spine)
-        system.controller.remove_job(job)
-        _assert_clean(system.controller)
+        system.controller.replan_tree(job, REDUCER, exclude={spine})
+        _assert_released(system.controller, old_id)
 
     def test_traffic_populated_caches_are_released(self):
         # Drive real traffic through the compiled path, then tear down.
         topo = leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
         system = DaietSystem(topo, DaietConfig(), SimulatorConfig())
         job = system.install_job(mappers=MAPPERS, reducers=[REDUCER])
+        old_id = job.tree_for_reducer(REDUCER).tree_id
         for mapper in MAPPERS:
             system.send_pairs(mapper, REDUCER, [(f"{mapper}k{i}", 1) for i in range(8)])
         system.run()
         assert any(
             device.daiet_table.hit_count for device in _switches(system.controller)
         )
-        system.controller.remove_job(job)
-        _assert_clean(system.controller)
+        system.controller.replan_tree(job, REDUCER)
+        _assert_released(system.controller, old_id)

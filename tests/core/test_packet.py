@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 import test_vector_kernel_equivalence as kernel_harness
+from daiet_codec import decode, encode
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DaietConfig
@@ -55,7 +56,7 @@ binary_pairs_strategy = st.lists(
 class TestDaietPacket:
     def test_data_packet_sizes(self):
         packet = DaietPacket(tree_id=1, src="m0", dst="r0", pairs=(("word", 3),))
-        assert packet.num_pairs == 1
+        assert len(packet.pairs) == 1
         assert packet.payload_bytes() == 8 + 20
         assert packet.wire_bytes() == 14 + 20 + 8 + 8 + 20
 
@@ -92,30 +93,30 @@ class TestDaietPacket:
     def test_value_overflow_detected_at_encode(self):
         packet = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 2**40),))
         with pytest.raises(PacketFormatError):
-            packet.encode()
+            encode(packet)
 
 
 class TestEncodeDecode:
     def test_simple_round_trip(self):
         packet = DaietPacket(tree_id=3, src="m1", dst="r2", pairs=(("hello", 42), ("world", -7)))
-        decoded = DaietPacket.decode(packet.encode(), src="m1", dst="r2")
+        decoded = decode(encode(packet), src="m1", dst="r2")
         assert decoded.tree_id == 3
         assert decoded.pairs == (("hello", 42), ("world", -7))
         assert decoded.packet_type is DaietPacketType.DATA
 
     def test_truncated_payload_rejected(self):
         packet = DaietPacket(tree_id=3, src="a", dst="b", pairs=(("abc", 1),))
-        data = packet.encode()
+        data = encode(packet)
         with pytest.raises(PacketFormatError):
-            DaietPacket.decode(data[:-3], src="a", dst="b")
+            decode(data[:-3], src="a", dst="b")
         with pytest.raises(PacketFormatError):
-            DaietPacket.decode(data[:4], src="a", dst="b")
+            decode(data[:4], src="a", dst="b")
 
     @settings(max_examples=60)
     @given(pairs=pairs_strategy, tree_id=st.integers(0, 2**31 - 1))
     def test_round_trip_property_fixed_keys(self, pairs, tree_id):
         packet = DaietPacket(tree_id=tree_id, src="a", dst="b", pairs=tuple(pairs))
-        decoded = DaietPacket.decode(packet.encode(), src="a", dst="b")
+        decoded = decode(encode(packet), src="a", dst="b")
         assert decoded.pairs == tuple(pairs)
         assert decoded.tree_id == tree_id
 
@@ -124,7 +125,7 @@ class TestEncodeDecode:
         # padding: ``rstrip`` alone would corrupt them.
         pairs = (("ab\x00", 1), ("c\x00\x00", 2), ("\x00", 3), ("plain", 4))
         packet = DaietPacket(tree_id=1, src="a", dst="b", pairs=pairs)
-        decoded = DaietPacket.decode(packet.encode(), src="a", dst="b")
+        decoded = decode(encode(packet), src="a", dst="b")
         assert decoded.pairs == pairs
 
     @settings(max_examples=80)
@@ -134,7 +135,7 @@ class TestEncodeDecode:
     )
     def test_round_trip_property_binary_and_nul_keys(self, pairs, seq):
         packet = DaietPacket(tree_id=2, src="a", dst="b", pairs=tuple(pairs), seq=seq)
-        decoded = DaietPacket.decode(packet.encode(), src="a", dst="b")
+        decoded = decode(encode(packet), src="a", dst="b")
         assert decoded.pairs == tuple(pairs)
         assert decoded.seq == seq
 
@@ -145,15 +146,15 @@ class TestEncodeDecode:
     )
     def test_encode_length_matches_payload_bytes(self, pairs, seq):
         packet = DaietPacket(tree_id=2, src="a", dst="b", pairs=tuple(pairs), seq=seq)
-        assert len(packet.encode()) == packet.payload_bytes()
+        assert len(encode(packet)) == packet.payload_bytes()
 
     def test_seq_round_trip_and_sizes(self):
         plain = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 1),))
         sequenced = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 1),), seq=7)
         assert sequenced.payload_bytes() == plain.payload_bytes() + 4
-        decoded = DaietPacket.decode(sequenced.encode(), src="a", dst="b")
+        decoded = decode(encode(sequenced), src="a", dst="b")
         assert decoded.seq == 7
-        assert DaietPacket.decode(plain.encode(), src="a", dst="b").seq is None
+        assert decode(encode(plain), src="a", dst="b").seq is None
 
 
 class TestReliabilityPrimitives:
@@ -161,10 +162,10 @@ class TestReliabilityPrimitives:
         window = SeenWindow()
         assert window.observe(0) and window.observe(2)
         assert window.cumulative == 1
-        assert window.has_gaps
+        assert window.out_of_order
         assert not window.observe(2), "duplicate detected"
         assert window.observe(1)
-        assert window.cumulative == 3 and not window.has_gaps
+        assert window.cumulative == 3 and not window.out_of_order
 
     def test_seen_window_flags_the_arrivals_that_open_and_close_a_hole(self):
         window = SeenWindow()
@@ -233,7 +234,7 @@ class TestPacketize:
             packetize_pairs(pairs, tree_id=1, src="m", dst="r", config=config)
         )
         data_packets = [p for p in packets if p.packet_type is DaietPacketType.DATA]
-        assert [p.num_pairs for p in data_packets] == [3, 3, 2]
+        assert [len(p.pairs) for p in data_packets] == [3, 3, 2]
         assert packets[-1].packet_type is DaietPacketType.END
 
     def test_packetize_empty_stream_still_emits_end(self):
@@ -254,7 +255,7 @@ class TestPacketize:
         reassembled = [pair for p in packets for pair in p.pairs]
         assert reassembled == pairs
         assert packets[-1].packet_type is DaietPacketType.END
-        assert all(p.num_pairs <= DaietConfig().pairs_per_packet for p in packets)
+        assert all(len(p.pairs) <= DaietConfig().pairs_per_packet for p in packets)
 
 
 def _vector_view(packet: DaietPacket):
@@ -322,13 +323,13 @@ def _observables(packet: DaietPacket, config: DaietConfig) -> dict:
             packet.tree_id, packet.src, packet.dst, packet.packet_type,
             packet.pairs, packet.config, packet.seq, packet.ecn,
         ),
-        "keylen": packet._needs_keylens(),
+        "keylen": packet._keylen_needed,
         "payload_bytes": packet.payload_bytes(),
         "wire_bytes": packet.wire_bytes(),
         "parse_depth_bytes": packet.parse_depth_bytes(),
         "vector_pairs": _vector_view(packet),
-        "encoded": packet.encode(),
-        "decoded": DaietPacket.decode(packet.encode(), packet.src, packet.dst, config),
+        "encoded": encode(packet),
+        "decoded": decode(encode(packet), packet.src, packet.dst, config),
     }
 
 
@@ -449,7 +450,7 @@ TWIN_CONFIG = DaietConfig(pairs_per_packet=3)
 def _wire_view(packet: DaietPacket):
     """What a packet says about its wire form; ``encode`` may refuse a value."""
     try:
-        encoded = packet.encode()
+        encoded = encode(packet)
     except PacketFormatError as exc:
         encoded = str(exc)
     return (
@@ -703,7 +704,7 @@ class TestPacketizerCounts:
         system.install_job(mappers=mappers, reducers=["h4"])
         resent: list[DaietPacket] = []
         for mapper in mappers if lossy else ():
-            engine = system.agent(mapper).sender(system.tree_for("h4").tree_id).engine
+            engine = system.agent(mapper).sender(system.tree_for("h4").tree_id)._engine
             emit = engine._emit
 
             def spy(slots, retransmit, emit=emit):
@@ -783,7 +784,7 @@ class TestPacketizerCounts:
         )
         assert system.reliability_stats()["h8"]["pulls_sent"] == 0
         tree = system.tree_for("h8")
-        to_switch = [w for w in windows if tree.node(tree.parent(w.src)).is_switch]
+        to_switch = [w for w in windows if tree.node(tree.node(w.src).parent).is_switch]
         assert any(len(w) > 2 for w in to_switch)  # the leaves' final flushes
         assert not any(
             packet.packet_type is DaietPacketType.DATA
@@ -902,7 +903,7 @@ class TestPacketizerCounts:
         assert interning.pool_size() == before + 500
         second = kernel_harness.data_packets(pairs, config)
         assert list(second) == list(first)
-        assert [packet.encode() for packet in second] == [packet.encode() for packet in first]
+        assert [encode(packet) for packet in second] == [encode(packet) for packet in first]
         assert [_vector_view(packet) for packet in second] == [
             _vector_view(packet) for packet in first
         ]

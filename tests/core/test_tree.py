@@ -13,12 +13,12 @@ class TestSingleRackTree:
     def test_single_switch_tree_shape(self):
         topo = single_rack(num_hosts=4)
         tree = AggregationTree.build(topo, tree_id=1, reducer="h3", mappers=["h0", "h1", "h2"])
-        assert tree.parent("h0") == "tor"
-        assert tree.parent("tor") == "h3"
-        assert tree.parent("h3") is None
+        assert tree.node("h0").parent == "tor"
+        assert tree.node("tor").parent == "h3"
+        assert tree.node("h3").parent is None
         assert tree.children_count("tor") == 3
         assert tree.children_count("h3") == 1
-        assert tree.depth() == 2
+        assert tree.path_to_root("h0") == ["h0", "tor", "h3"]
         assert [n.name for n in tree.switches()] == ["tor"]
 
     def test_path_to_root(self):
@@ -29,7 +29,7 @@ class TestSingleRackTree:
     def test_first_hop_switch(self):
         topo = single_rack(num_hosts=3)
         tree = AggregationTree.build(topo, tree_id=1, reducer="h2", mappers=["h0", "h1"])
-        assert tree.first_hop_switch("h0") == "tor"
+        assert tree.node(tree.node("h0").parent).is_switch
 
 
 class TestMultiLevelTree:
@@ -41,12 +41,12 @@ class TestMultiLevelTree:
         assert "leaf0" in switch_names and "leaf1" in switch_names
         assert len(switch_names & {"spine0", "spine1"}) == 1
         # Both mappers under leaf0 funnel into the same leaf switch.
-        assert tree.parent("h0") == "leaf0"
-        assert tree.parent("h1") == "leaf0"
+        assert tree.node("h0").parent == "leaf0"
+        assert tree.node("h1").parent == "leaf0"
         assert tree.children_count("leaf0") == 2
         # h2 is under the reducer's own leaf.
-        assert tree.parent("h2") == "leaf1"
-        assert tree.depth() >= 3
+        assert tree.node("h2").parent == "leaf1"
+        assert len(tree.path_to_root("h0")) - 1 >= 3
 
     def test_fat_tree_tree_is_consistent(self):
         topo = fat_tree(4)

@@ -75,7 +75,7 @@ class TestTreeInvariants:
         topo, reducer, mappers = fabric
         tree = AggregationTree.build(topo, tree_id=1, reducer=reducer, mappers=mappers)
         for mapper in mappers:
-            assert tree.node(mapper).is_leaf
+            assert not tree.node(mapper).children
         # The END-countdown invariant: summing the leaf children over all
         # switches accounts for every mapper exactly once.
         leaf_children = 0

@@ -485,7 +485,7 @@ class TestColumnFlush:
         if type(window) is PacketWindow:  # not the lone END of empty registers
             assert window.columns.kids is not None  # cut from columns, not pairs
         assert flushed_pairs(out) == walk
-        assert state.occupancy() == 0 and state._vec_mass == 0
+        assert len(state.index_stack.peek_all()) == 0 and state._vec_mass == 0
         assert set(state.key_register._cells) == set(state.value_register._cells) == {None}
 
     def test_a_key_never_interned_takes_the_walk(self):

@@ -29,11 +29,11 @@ class TestResourceLedger:
         ledger = ResourceLedger(budget=SwitchResources(sram_bytes=1000))
         ledger.allocate_sram("tree1", 400)
         ledger.allocate_sram("tree2", 500)
-        assert ledger.sram_available() == 100
+        assert ledger.sram_allocated == 900
         assert ledger.allocations() == {"tree1": 400, "tree2": 500}
         released = ledger.release_sram("tree1")
         assert released == 400
-        assert ledger.sram_available() == 500
+        assert ledger.sram_allocated == 500
 
     def test_overallocation_raises(self):
         ledger = ResourceLedger(budget=SwitchResources(sram_bytes=100))

@@ -29,7 +29,7 @@ class TestFlowRule:
         rule_a = FlowRule.create("t", {"a": 1, "b": 2}, "fwd", {"x": 1})
         rule_b = FlowRule.create("t", {"b": 2, "a": 1}, "fwd", {"x": 1})
         assert rule_a == rule_b
-        assert rule_a.match_dict() == {"a": 1, "b": 2}
+        assert rule_a.match == (("a", 1), ("b", 2))
         assert rule_a.params_dict() == {"x": 1}
 
     def test_rules_are_hashable(self):

@@ -18,6 +18,7 @@ from repro.experiments.figure_approx import (
     ApproxSweepSettings,
     run_approx_sweep,
 )
+from repro.experiments.rounds import find
 
 pytestmark = pytest.mark.approx
 
@@ -56,7 +57,13 @@ class TestApproxQuick:
 
     def test_best_effort_sends_no_reliability_traffic(self, quick_result):
         for workload in ("sgd_gradients", "pagerank"):
-            run = quick_result.arm(workload, GATE_LOSS_RATE, "best_effort")
+            run = find(
+                quick_result.runs,
+                "the best-effort arm",
+                workload=workload,
+                loss_rate=GATE_LOSS_RATE,
+                policy="best_effort",
+            )
             assert run.acks == 0
             assert run.retransmissions == 0
 

@@ -14,6 +14,7 @@ import hashlib
 import pytest
 
 from repro.experiments.figure_churn import ChurnSettings, run_churn
+from repro.experiments.rounds import find
 
 pytestmark = pytest.mark.churn
 
@@ -26,7 +27,7 @@ class TestChurnQuick:
     def test_spine_kill_recovery_is_exact_with_reliability(self):
         result = run_churn(_quick(reliability=True), ("spine-kill",))
         scenario = result.results["spine-kill"]
-        recover = scenario.arm("recover")
+        recover = find(scenario.arms, "the recover arm", name="recover")
         assert recover.exact and recover.done
         assert recover.value_deficit == 0
         assert result.recovery_exact

@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.baselines import HostAggregationShuffle
 from repro.core.config import CONGESTION_CONTROLLERS, DaietConfig, TransportTuning
 from repro.core.daiet import DaietSystem
 from repro.core.errors import TopologyError
@@ -306,37 +305,6 @@ class TestLossySingleRack:
         with pytest.raises(TopologyError):
             _retired_rack(70, 0.01)
         assert len(single_rack(70, loss_rate=0.01).links) == 70
-
-
-class TestHostAggregationIsTcpWithACombiner:
-    def test_fig3_quick_job_accounting_is_the_parents(self):
-        # Recorded from the standalone HostAggregationShuffle this class
-        # replaced, on the `repro fig3 --quick` job.
-        settings = Figure3Settings().quick()
-        corpus = generate_corpus(settings.corpus_spec())
-        shuffle = HostAggregationShuffle(mss=settings.effective_tcp_mss)
-        result = run_transport(settings, shuffle, corpus.splits(settings.num_mappers))
-        assert result.output == corpus.word_counts()
-        assert dataclasses.asdict(shuffle.accounting) == {
-            "packets_sent": 170,
-            "payload_bytes_sent": 166140,
-            "local_pairs": 2778,
-            "network_pairs": 8307,
-        }
-        assert {
-            reducer_id: (
-                metrics.packets_received,
-                metrics.payload_bytes_received,
-                metrics.pairs_received,
-                metrics.local_pairs,
-            )
-            for reducer_id, metrics in result.reducer_metrics.items()
-        } == {
-            0: (42, 40500, 2025, 690),
-            1: (42, 41740, 2087, 705),
-            2: (44, 43300, 2165, 709),
-            3: (42, 40600, 2030, 674),
-        }
 
 
 class TestDaietShuffleAccountsWhatTheSystemInjected:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import GraphError
 from repro.graph.traffic import SuperstepTraffic, TrafficTrace
 
 
@@ -13,20 +12,9 @@ class TestSuperstepTraffic:
         traffic = SuperstepTraffic(superstep=0, messages=100, distinct_destinations=20)
         assert traffic.reduction_ratio == pytest.approx(0.8)
 
-    def test_remote_reduction_ratio(self):
-        traffic = SuperstepTraffic(
-            superstep=0,
-            messages=100,
-            distinct_destinations=20,
-            remote_messages=60,
-            distinct_remote_destinations=15,
-        )
-        assert traffic.remote_reduction_ratio == pytest.approx(0.75)
-
     def test_zero_message_superstep_has_zero_reduction(self):
         traffic = SuperstepTraffic(superstep=3)
         assert traffic.reduction_ratio == 0.0
-        assert traffic.remote_reduction_ratio == 0.0
 
 
 class TestTrafficTrace:
@@ -38,24 +26,6 @@ class TestTrafficTrace:
                                       remote_messages=70, distinct_remote_destinations=20))
         return trace
 
-    def test_reduction_series(self):
-        trace = self.make_trace()
-        assert trace.reduction_series() == [pytest.approx(0.0), pytest.approx(0.75)]
-        remote = trace.reduction_series(remote_only=True)
-        assert remote[1] == pytest.approx(1 - 20 / 70)
-
     def test_aggregate_queries(self):
         trace = self.make_trace()
         assert trace.total_messages() == 110
-        assert trace.iterations() == 2
-        assert trace.peak_reduction() == pytest.approx(0.75)
-        assert trace.last().superstep == 1
-
-    def test_empty_trace_rejected(self):
-        trace = TrafficTrace(algorithm="empty")
-        with pytest.raises(GraphError):
-            trace.peak_reduction()
-        with pytest.raises(GraphError):
-            trace.last()
-        assert trace.reduction_series() == []
-        assert trace.total_messages() == 0

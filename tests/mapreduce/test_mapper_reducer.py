@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 
-from repro.core.errors import JobError
+from repro.core.errors import JobError, PacketFormatError
 from repro.mapreduce.mapper import MapTask
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.reducer import ReduceTask
@@ -35,19 +38,29 @@ class TestMapTask:
             sorted_pairs = output.sorted_partition(reducer_id)
             assert sorted_pairs == sorted(sorted_pairs)
 
-    def test_spill_files_match_partitions(self, spec):
-        task = MapTask(mapper_id=0, host="w0", spec=spec)
-        output = task.run(["dog cat dog"])
-        for reducer_id, pairs in output.partitions.items():
-            assert task.spill_file(reducer_id).all_pairs() == pairs
-        # A partition with no data still yields an (empty) spill file.
-        empty_id = next(i for i in range(3) if i not in output.partitions)
-        assert task.spill_file(empty_id).all_pairs() == []
+    @pytest.mark.parametrize(
+        ("pair", "message"),
+        [
+            (("x" * 17, 1), "key 'xxxxxxxxxxxxxxxxx' is 17 B, exceeding the fixed key width of 16 B"),
+            (("\u00e9" * 9, 1), "key '\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9\u00e9' is 18 B, exceeding"),
+            (("k", 2**40), "value 1099511627776 does not fit in 4 bytes"),
+            (("k", 2**31), "value 2147483648 does not fit in 4 bytes"),
+            (("k", -(2**31) - 1), "value -2147483649 does not fit in 4 bytes"),
+        ],
+        ids=["long-key", "long-utf8-key", "value-2**40", "value-2**31", "value-below-int32"],
+    )
+    def test_a_pair_outside_the_wire_format_is_refused(self, spec, pair, message):
+        # The shuffle sizes every pair as key_width + value_width bytes, so
+        # the map task is where a pair that does not fit is refused.
+        task = MapTask(mapper_id=0, host="w0", spec=replace(spec, map_function=lambda r: [r]))
+        with pytest.raises(PacketFormatError, match=re.escape(message)):
+            task.run([("ok", 1), pair])
 
-    def test_byte_accounting(self, spec):
-        task = MapTask(mapper_id=0, host="w0", spec=spec)
-        output = task.run(["one two three"])
-        assert output.total_bytes(pair_bytes=20) == 60
+    def test_pairs_at_the_wire_format_limits_are_kept(self, spec):
+        pairs = [("x" * 16, 1), ("k", 2**31 - 1), ("k", -(2**31))]
+        task = MapTask(mapper_id=0, host="w0", spec=replace(spec, map_function=lambda r: [r]))
+        output = task.run(pairs)
+        assert sorted(p for part in output.partitions.values() for p in part) == sorted(pairs)
 
     def test_invalid_mapper_id(self, spec):
         with pytest.raises(JobError):
@@ -95,12 +108,6 @@ class TestReduceTask:
             task.add_unsorted_pairs([("a", 1)])
         with pytest.raises(JobError):
             task.finish()
-
-    def test_pending_pairs(self, spec):
-        task = ReduceTask(reducer_id=0, host="w0", spec=spec)
-        task.add_sorted_run([("a", 1)])
-        task.add_unsorted_pairs([("b", 1), ("c", 1)])
-        assert task.pending_pairs == 3
 
     def test_invalid_reducer_id(self, spec):
         with pytest.raises(JobError):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.errors import JobError
 from repro.mapreduce.job import JobSpec, ReducerMetrics, TaskPlacement
-from repro.mapreduce.partitioner import HashPartitioner, RangePartitioner
+from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.wordcount import make_wordcount_job, wordcount_map, wordcount_reduce
 
 
@@ -18,14 +18,6 @@ class TestHashPartitioner:
             index = partitioner(key)
             assert 0 <= index < 12
             assert index == partitioner(key)
-
-    def test_split_groups_by_partition(self):
-        partitioner = HashPartitioner(3)
-        pairs = [(f"k{i}", i) for i in range(30)]
-        split = partitioner.split(pairs)
-        assert sum(len(v) for v in split.values()) == 30
-        for index, bucket in split.items():
-            assert all(partitioner(key) == index for key, _ in bucket)
 
     def test_roughly_balanced(self):
         partitioner = HashPartitioner(4)
@@ -43,26 +35,12 @@ class TestHashPartitioner:
         assert 0 <= HashPartitioner(partitions)(key) < partitions
 
 
-class TestRangePartitioner:
-    def test_boundaries_define_ranges(self):
-        partitioner = RangePartitioner(["g", "n"])
-        assert partitioner("apple") == 0
-        assert partitioner("house") == 1
-        assert partitioner("zebra") == 2
-        assert partitioner.num_partitions == 3
-
-    def test_unsorted_boundaries_rejected(self):
-        with pytest.raises(JobError):
-            RangePartitioner(["n", "g"])
-
-
 class TestJobSpec:
     def test_wordcount_spec_defaults(self):
         spec = make_wordcount_job()
         assert spec.num_mappers == 24
         assert spec.num_reducers == 12
         assert spec.aggregation == "sum"
-        assert spec.aggregation_function().name == "sum"
 
     def test_map_and_reduce_functions(self):
         assert list(wordcount_map("a b a")) == [("a", 1), ("b", 1), ("a", 1)]

@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.error_bounds import install_error_tracker, true_error_l1
-from repro.baselines import HostAggregationShuffle, TcpShuffle, UdpShuffle
+from repro.baselines import TcpShuffle, UdpShuffle
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import ControllerError, JobError
@@ -54,9 +54,8 @@ class TestCorrectness:
             lambda: TcpShuffle(),
             lambda: UdpShuffle(),
             lambda: DaietShuffle(DaietConfig(register_slots=4096)),
-            lambda: HostAggregationShuffle(),
         ],
-        ids=["tcp", "udp", "daiet", "host_agg"],
+        ids=["tcp", "udp", "daiet"],
     )
     def test_output_matches_ground_truth(self, corpus, shuffle_factory):
         result = run_job(shuffle_factory(), corpus)
@@ -86,7 +85,6 @@ class TestTrafficShape:
             "tcp": run_job(TcpShuffle(), corpus),
             "udp": run_job(UdpShuffle(), corpus),
             "daiet": run_job(DaietShuffle(DaietConfig(register_slots=4096)), corpus),
-            "host_agg": run_job(HostAggregationShuffle(), corpus),
         }
 
     def test_daiet_reduces_data_volume(self, results):
@@ -103,11 +101,6 @@ class TestTrafficShape:
     def test_udp_baseline_has_most_packets(self, results):
         packets = {name: r.total_reducer_packets() for name, r in results.items()}
         assert packets["udp"] == max(packets.values())
-
-    def test_host_aggregation_is_between_tcp_and_daiet(self, results):
-        host_bytes = results["host_agg"].total_reducer_bytes()
-        assert results["daiet"].total_reducer_bytes() < host_bytes
-        assert host_bytes < results["tcp"].total_reducer_bytes()
 
     def test_reducers_receive_unique_keys_only_with_daiet(self, results):
         daiet = results["daiet"]

@@ -10,7 +10,6 @@ from repro.mapreduce.cluster import build_cluster, default_placement
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.wordcount import (
     CorpusSpec,
-    corpus_for_target_reduction,
     generate_corpus,
     generate_vocabulary,
 )
@@ -64,11 +63,6 @@ class TestCorpusGenerator:
         max_zipf = max(zipf.word_counts().values())
         assert max_zipf > 3 * max_uniform
 
-    def test_target_reduction_inversion(self):
-        corpus = corpus_for_target_reduction(0.9, total_words=10_000, num_partitions=4)
-        achievable = 1.0 - len(corpus.vocabulary) / corpus.total_words
-        assert achievable == pytest.approx(0.9, abs=0.01)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -96,7 +90,7 @@ class TestCluster:
         assert len(cluster.workers) == 6
         assert cluster.master_host == "master"
         assert cluster.topology.get("tor") is not None
-        assert cluster.worker(2) == "w2"
+        assert cluster.workers[2] == "w2"
 
     def test_leaf_spine_cluster(self):
         cluster = build_cluster(num_workers=6, fabric="leaf_spine", workers_per_leaf=3)
@@ -121,8 +115,3 @@ class TestCluster:
         cluster = build_cluster(num_workers=4)
         with pytest.raises(JobError):
             default_placement(cluster, num_mappers=8, num_reducers=5)
-
-    def test_unknown_worker_index(self):
-        cluster = build_cluster(num_workers=2)
-        with pytest.raises(JobError):
-            cluster.worker(5)

@@ -31,7 +31,7 @@ class TestSyntheticMnist:
         assert dataset.images.max() <= 1.0
 
     def test_activation_spectrum_is_mnist_like(self, dataset):
-        freq = dataset.pixel_activation_frequency()
+        freq = (dataset.images > 0).mean(axis=0)
         never_active = float((freq == 0).mean())
         commonly_active = float((freq > 0.5).mean())
         assert 0.15 <= never_active <= 0.45, "border/corner pixels should be silent"
@@ -149,5 +149,5 @@ class TestSoftmaxModel:
         model = SoftmaxModel(num_features=6, num_classes=2)
         images = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         update = model.gradients(images, np.array([0]))
-        assert update.sparsity("W") == pytest.approx(5 / 6)
+        assert np.count_nonzero(update.gradients["W"]) / update.gradients["W"].size == pytest.approx(1 / 6)
         assert set(update.touched_indices("W")) == {0, 1}

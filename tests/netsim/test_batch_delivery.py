@@ -86,7 +86,7 @@ def observables(traffic_snapshot):
     def read(system: DaietSystem, reducer: str, events: int) -> dict:
         counters = {}
         for name, engine in system.controller.engines.items():
-            for tree_id in engine.tree_ids():
+            for tree_id in sorted(engine.counters()):
                 counters[name, tree_id] = engine.tree(tree_id).counters
         return {
             "events": events,
@@ -297,7 +297,7 @@ def sequenced_observables(observables):
     def read(system: DaietSystem, reducer: str, events: int, acks: dict) -> dict:
         windows = {}
         for name, engine in system.controller.engines.items():
-            for tree_id in engine.tree_ids():
+            for tree_id in sorted(engine.counters()):
                 for src, window in engine.tree(tree_id)._seen.items():
                     windows[name, tree_id, src] = (
                         window.cumulative,
@@ -338,7 +338,7 @@ def register_contents(system: DaietSystem) -> dict:
     """
     contents = {}
     for name, engine in system.controller.engines.items():
-        for tree_id in engine.tree_ids():
+        for tree_id in sorted(engine.counters()):
             state = engine.tree(tree_id)
             values = list(state.value_register._cells)
             if state._vec_mass:
@@ -588,7 +588,7 @@ class TestWhoTakesThePerPairLoop:
         multi_to_switch = [
             window
             for name, flushes in windows.items()
-            if tree.node(tree.parent(name)).is_switch
+            if tree.node(tree.node(name).parent).is_switch
             for window in flushes
             if len(window) > 2
         ]
@@ -641,7 +641,7 @@ class TestCeMarkedRetransmissions:
             )
             tree_id = system.tree_for(reducer).tree_id
             for mapper in system.tree_for(reducer).mappers:
-                engine = system.agent(mapper).sender(tree_id).engine
+                engine = system.agent(mapper).sender(tree_id)._engine
                 transmit = engine._emit
 
                 def spy(slots, retransmit, transmit=transmit):
@@ -700,7 +700,7 @@ def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_sn
     current = [0]
 
     def spy_drain(engine, state, spilled):
-        occupied = state.occupancy()
+        occupied = len(state.index_stack.peek_all())
         columns = drain(engine, state, spilled)
         if occupied:
             flushed.append((current[0], columns is not None))
@@ -747,7 +747,7 @@ def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_sn
                 "counters": {
                     (name, tree_id): engine.tree(tree_id).counters.snapshot()
                     for name, engine in system.controller.engines.items()
-                    for tree_id in engine.tree_ids()
+                    for tree_id in sorted(engine.counters())
                 },
                 "loss_rng": system.simulator._loss_rng.getstate(),
                 "reliability": system.reliability_stats(),

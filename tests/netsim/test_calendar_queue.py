@@ -173,7 +173,7 @@ class TestBackendEquivalence:
 
         def workload(scheduler, trace):
             for i, t in enumerate([0.0, 1e-6, 1.0, 5e3, 9e5, 9e5 + 1e-9]):
-                scheduler.schedule_at(t, lambda i=i: trace.append((scheduler.now, i)))
+                scheduler.schedule(t, lambda i=i: trace.append((scheduler.now, i)))
 
         _assert_equivalent(workload)
 
@@ -255,17 +255,6 @@ class TestCalendarScheduler:
         assert scheduler._cal is not None and scheduler._cal.count < 200
         scheduler.run()
         assert len(fired) == 1
-
-    def test_reset_returns_to_heap_backend(self):
-        scheduler = self._calendar_scheduler()
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.reset()
-        assert not scheduler.calendar_active
-        assert len(scheduler) == 0
-        seen = []
-        scheduler.schedule(1.0, seen.append, "x")
-        scheduler.run()
-        assert seen == ["x"]
 
     def test_step_on_calendar_backend(self):
         scheduler = self._calendar_scheduler()

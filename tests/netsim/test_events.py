@@ -27,24 +27,10 @@ class TestEventScheduler:
         scheduler.run()
         assert order == [0, 1, 2, 3, 4]
 
-    def test_schedule_at_absolute_time(self):
-        scheduler = EventScheduler()
-        seen = []
-        scheduler.schedule_at(5.0, seen.append, "x")
-        scheduler.run()
-        assert seen == ["x"] and scheduler.now == pytest.approx(5.0)
-
     def test_negative_delay_rejected(self):
         scheduler = EventScheduler()
         with pytest.raises(SimulationError):
             scheduler.schedule(-0.1, lambda: None)
-
-    def test_schedule_in_the_past_rejected(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.run()
-        with pytest.raises(SimulationError):
-            scheduler.schedule_at(0.5, lambda: None)
 
     def test_cancelled_events_are_skipped(self):
         scheduler = EventScheduler()
@@ -96,14 +82,6 @@ class TestEventScheduler:
         scheduler.schedule(3.0, lambda: None)
         assert len(scheduler) == 1
         assert scheduler.peek_time() == pytest.approx(3.0)
-
-    def test_reset(self):
-        scheduler = EventScheduler()
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.run()
-        scheduler.reset()
-        assert scheduler.now == 0.0
-        assert len(scheduler) == 0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=40))
     def test_execution_times_are_monotone(self, delays):
@@ -193,12 +171,3 @@ class TestCancelledEventCompaction:
         assert len(scheduler) == 1
         scheduler.run()
         assert seen == ["later"]
-
-    def test_reset_clears_cancellation_state(self):
-        scheduler = EventScheduler()
-        event = scheduler.schedule(1.0, lambda: None)
-        event.cancel()
-        scheduler.reset()
-        assert len(scheduler) == 0
-        scheduler.schedule(1.0, lambda: None)
-        assert len(scheduler) == 1

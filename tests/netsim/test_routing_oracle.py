@@ -22,17 +22,26 @@ import networkx as nx
 import pytest
 
 from repro.core.errors import RoutingError
+from repro.netsim.devices import Host
 from repro.netsim.routing import (
     _DestinationDag,
     _split_links,
     compute_routes,
     install_forwarding_rules,
     paths_towards,
-    shortest_path,
 )
 from repro.netsim.simulator import NetworkSimulator
 from repro.netsim.topology import Topology, fat_tree, leaf_spine
 from repro.transport.packets import UdpDatagram
+
+
+def _graph(topology: Topology) -> nx.Graph:
+    """The topology as a networkx graph; nodes carry a ``kind`` attribute."""
+    graph = nx.Graph()
+    for name, device in topology.devices.items():
+        graph.add_node(name, kind="host" if isinstance(device, Host) else "switch")
+    graph.add_edges_from((link.a.device, link.b.device) for link in topology.links)
+    return graph
 
 
 def _transit(graph: nx.Graph, *endpoints: str) -> nx.Graph:
@@ -53,14 +62,14 @@ def _oracle_pick(transit: nx.Graph, src: str, dst: str, seed: int) -> list[str]:
 
 
 def _oracle_path(topology: Topology, src: str, dst: str, seed: int = 0) -> list[str]:
-    return _oracle_pick(_transit(topology.graph(), src, dst), src, dst, seed)
+    return _oracle_pick(_transit(_graph(topology), src, dst), src, dst, seed)
 
 
 def _oracle_routes(
     topology: Topology, seed: int = 0, exclude: Iterable[str] = ()
 ) -> dict[str, dict[str, str]]:
     """switch -> host -> next hop, for every surviving (switch, host) pair."""
-    graph = topology.graph()
+    graph = _graph(topology)
     graph.remove_nodes_from(list(exclude))
     switches = [s.name for s in topology.switches() if s.name in graph]
     oracle: dict[str, dict[str, str]] = {switch: {} for switch in switches}
@@ -241,7 +250,7 @@ class TestPathsMatchTheOracle:
         for src in hosts[:4]:
             for dst in hosts:
                 if src != dst:
-                    assert shortest_path(topo, src, dst) == _oracle_path(
+                    assert paths_towards(topo, dst, [src])[src] == _oracle_path(
                         topo, src, dst
                     ), (src, dst)
 
@@ -252,13 +261,13 @@ class TestPathsMatchTheOracle:
         sources = hosts[1:]
         bulk = paths_towards(topo, dst, sources)
         for src in sources:
-            assert bulk[src] == shortest_path(topo, src, dst)
+            assert bulk[src] == paths_towards(topo, dst, [src])[src]
 
     def test_ecmp_actually_exercised(self):
         """The fabrics above really have multiple equal-cost paths, and the
         installed tables really hold ECMP groups."""
         topo = fat_tree(4)
-        graph = topo.graph()
+        graph = _graph(topo)
         hosts = [h.name for h in topo.hosts()]
         assert any(
             len(list(nx.all_shortest_paths(graph, hosts[0], dst))) > 1

@@ -285,7 +285,7 @@ class TestSeenWindowAgainstSortedSetReference:
             seen.add(seq)
             cumulative = next(i for i in count() if i not in seen)
             holes = any(s > cumulative for s in seen)
-            assert window.has_gaps == holes
+            assert bool(window.out_of_order) == holes
             # Opens a hole: out of order with nothing buffered. Closes one:
             # the cumulative point jumped over buffered arrivals.
             opens = fresh and seq != before and not buffered

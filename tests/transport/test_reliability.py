@@ -128,10 +128,10 @@ class TestTuning:
         )
         config = DaietConfig(reliability=True, tuning=tuning)
         sim = NetworkSimulator(rack(), SimulatorConfig())
-        engine = HostReliabilityAgent.from_config(sim, "h0", config).sender(1).engine
-        assert isinstance(engine.congestion, AimdController)
-        assert engine.congestion.window() == 12
-        assert engine.rtt.floor == 5e-5
+        engine = HostReliabilityAgent.from_config(sim, "h0", config).sender(1)._engine
+        assert isinstance(engine._cc, AimdController)
+        assert engine._cc.window() == 12
+        assert engine._rtt.floor == 5e-5
 
     def test_daiet_window_never_sits_below_the_switch_ack_cadence(self):
         # A switch acknowledges every ack_window arrivals (every
@@ -142,17 +142,17 @@ class TestTuning:
         config = DaietConfig(reliability=True, ack_window=8, tuning=tuning)
         sim = NetworkSimulator(rack(), SimulatorConfig())
         agent = HostReliabilityAgent.from_config(sim, "h0", config)
-        exact = agent.sender(1).engine.congestion
-        sampled = agent.sender(2, policy="sampled").engine.congestion
+        exact = agent.sender(1)._engine._cc
+        sampled = agent.sender(2, policy="sampled")._engine._cc
         assert exact.window() == 8 and sampled.window() == 8 * config.sampled_ack_stride
         exact.on_timeout()
         assert exact.window() == 8
         transport = ReliableUdpTransport(sim, ack_window=8, tuning=tuning)
         transport.send_reliable("h0", "h1", None, 10)
         (flow,) = transport._flows.values()
-        assert flow.engine.congestion.window() == 3
-        flow.engine.congestion.on_timeout()
-        assert flow.engine.congestion.window() == 2
+        assert flow.engine._cc.window() == 3
+        flow.engine._cc.on_timeout()
+        assert flow.engine._cc.window() == 2
 
     def test_fixed_mode_floor_raises_the_base_timeout_of_both_owners(self):
         floored = TransportTuning(rto_floor=2e-3)
@@ -165,7 +165,7 @@ class TestTuning:
             tuning=floored,
         )
         channel = agent.sender(1)
-        assert channel.retransmit_timeout == channel.engine.base_timeout == 2e-3
+        assert channel.retransmit_timeout == channel._engine.base_timeout == 2e-3
         transport = ReliableUdpTransport(sim, retransmit_timeout=1e-4, tuning=floored)
         assert transport.retransmit_timeout == 2e-3
 

@@ -111,12 +111,3 @@ class TestTransportsOverSimulator:
         transport = UdpTransport(sim, payload_limit=100)
         with pytest.raises(TransportError):
             transport.send_datagram("h0", "h1", None, payload_bytes=101)
-
-    def test_udp_send_raw_counts_wire_bytes(self):
-        sim = NetworkSimulator(single_rack(num_hosts=2))
-        transport = UdpTransport(sim)
-        packet = UdpDatagram(src="h0", dst="h1", payload_bytes=64)
-        transport.send_raw(packet, src="h0")
-        sim.run()
-        assert transport.stats.wire_bytes_sent == packet.wire_bytes()
-        assert sim.host("h1").counters.packets_received == 1

@@ -177,15 +177,15 @@ class TestKarnsRule:
         h.timer.fire()  # retransmission voids seq 0's timestamp
         h.now = 0.10
         h.sender.on_ack(1, set())
-        assert h.sender.rtt.samples == 0  # Karn: ambiguous ACK never sampled
+        assert h.sender._rtt.samples == 0  # Karn: ambiguous ACK never sampled
 
     def test_fresh_packet_is_sampled(self):
         h = Harness(tuning=TransportTuning(adaptive_rto=True, rto_floor=1e-4))
         h.send_seqs(0)
         h.now = 0.03
         h.sender.on_ack(1, set())
-        assert h.sender.rtt.samples == 1
-        assert h.sender.rtt.srtt == pytest.approx(0.03)
+        assert h.sender._rtt.samples == 1
+        assert h.sender._rtt.srtt == pytest.approx(0.03)
 
     def test_no_sample_from_an_ack_that_also_covers_a_retransmitted_packet(self):
         h = Harness(tuning=TransportTuning(adaptive_rto=True, rto_floor=1e-4))
@@ -194,24 +194,24 @@ class TestKarnsRule:
         h.sender.on_ack(0, {1})  # gap-fill of 0 voids its timestamp
         h.now = 0.50
         h.sender.on_ack(3, set())  # 2 was fresh, but it waited for the repair
-        assert h.sender.rtt.samples == 1  # the SACK of 1 alone
+        assert h.sender._rtt.samples == 1  # the SACK of 1 alone
 
     def test_ack_progress_ends_the_backoff_without_a_sample(self):
         h = Harness(tuning=TransportTuning(adaptive_rto=True, rto_floor=1e-4))
         h.send_seqs(0, 1)
         h.timer.fire()
         h.timer.fire()
-        assert h.sender.rtt.rto == pytest.approx(4e-3)
+        assert h.sender._rtt.rto == pytest.approx(4e-3)
         h.sender.on_ack(1, set())  # Karn voids the sample; progress is enough
-        assert h.sender.rtt.samples == 0
-        assert h.timer.starts[-1] == h.sender.rtt.rto == pytest.approx(1e-3)
+        assert h.sender._rtt.samples == 0
+        assert h.timer.starts[-1] == h.sender._rtt.rto == pytest.approx(1e-3)
 
     def test_adaptive_timer_uses_estimator_rto(self):
         h = Harness(tuning=TransportTuning(adaptive_rto=True, rto_floor=1e-4))
         h.send_seqs(0, 1)
         h.now = 0.03
         h.sender.on_ack(1, set())  # seq 0 acked, seq 1 still out
-        assert h.timer.starts[-1] == pytest.approx(h.sender.rtt.rto)
+        assert h.timer.starts[-1] == pytest.approx(h.sender._rtt.rto)
 
 
 # ---------------------------------------------------------------------- #
@@ -360,10 +360,10 @@ class TestWindowedSenderDefaults:
 class TestWindowedSenderPacing:
     def test_default_tuning_sends_everything_at_once(self):
         h = Harness()
-        assert h.sender.congestion is None
+        assert h.sender._cc is None
         h.send_seqs(*range(64))
         assert h.wire() == list(range(64))
-        assert h.sender.in_flight == 64
+        assert len(h.sender._unacked) == 64
 
     def test_sack_hole_halves_the_window(self):
         tuning = TransportTuning(congestion_control="aimd", initial_cwnd=8)
@@ -373,9 +373,9 @@ class TestWindowedSenderPacing:
         h.sender.on_ack(0, {1, 2, 3})  # three acked: slow start takes cwnd to 11
         assert h.sent[-1] == ([0], True)  # the proven hole is gap-filled
         # ... and halves the window: 0, 4, 5, 6, 7 already fill it.
-        assert h.sender.congestion.window() == 5
-        assert h.sender.in_flight == 5
-        assert h.sender.outstanding == 9
+        assert h.sender._cc.window() == 5
+        assert len(h.sender._unacked) == 5
+        assert len(h.sender._unacked) + len(h.sender._pending) == 9
 
     def test_timeout_collapses_the_window_to_min_cwnd(self):
         tuning = TransportTuning(congestion_control="aimd", initial_cwnd=8, min_cwnd=2)
@@ -383,18 +383,18 @@ class TestWindowedSenderPacing:
         h.send_seqs(*range(12))
         h.timer.fire()
         assert h.sent[-1] == ([0, 7], True)  # probes only, nothing fresh
-        assert h.sender.congestion.window() == 2
+        assert h.sender._cc.window() == 2
         h.sender.on_ack(8, set())  # slow start from 2: cwnd 10
         assert sorted(h.wire()[-4:]) == [8, 9, 10, 11]
-        assert h.sender.in_flight == 4
+        assert len(h.sender._unacked) == 4
 
     def test_congestion_window_queues_excess(self):
         tuning = TransportTuning(congestion_control="aimd", initial_cwnd=2)
         h = Harness(tuning=tuning)
         h.send_seqs(0, 1, 2, 3, 4)
         assert h.sent == [([0, 1], False)]
-        assert h.sender.in_flight == 2
-        assert h.sender.outstanding == 5
+        assert len(h.sender._unacked) == 2
+        assert len(h.sender._unacked) + len(h.sender._pending) == 5
         h.sender.on_ack(2, set())  # two acked; slow start opens the window
         released = h.sent[-1]
         assert released[1] is False
@@ -447,7 +447,7 @@ class TestHoleRepair:
     def test_lost_tail_costs_its_length_and_one_rto(self):
         hop = Hop(20)
         hop.carry(lost={16, 17, 18, 19})  # cadence ACKs at 8 and 16: no proof
-        assert hop.h.sender.in_flight == 4 and not hop.resent()
+        assert len(hop.h.sender._unacked) == 4 and not hop.resent()
         hop.h.timer.fire()
         assert hop.resent() == [16, 19]
         hop.carry()  # 19 opens a hole: its ACK proves 17 and 18 missing
@@ -460,7 +460,7 @@ class TestHoleRepair:
         hop.carry(lost={5})  # 6 opens the hole; the cadence ACKs repeat it
         assert hop.resent() == [5]
         hop.carry(lost={5})  # the gap-fill is lost too: nothing says so
-        assert not hop.resent() and hop.h.sender.in_flight
+        assert not hop.resent() and len(hop.h.sender._unacked)
         hop.h.timer.fire()
         (probes, _), = hop.h.sent
         assert probes[0] == 5 and len(probes) == 2
