@@ -11,7 +11,9 @@ import pytest
 from repro.core.errors import TopologyError
 from repro.netsim.devices import Host, SwitchDevice
 from repro.netsim.links import Endpoint, Link
+from repro.netsim.simulator import NetworkSimulator
 from repro.netsim.topology import Topology, fat_tree, leaf_spine, single_rack
+from repro.transport.packets import UdpDatagram
 
 
 class TestLink:
@@ -22,6 +24,28 @@ class TestLink:
         link = self.make_link()
         assert link.port_of("a") == 0
         assert link.port_of("b") == 3
+
+    def test_transmission_delay_includes_serialization(self):
+        # Each hop costs wire bytes / bandwidth (bytes per second) plus the
+        # propagation delay, and a link serializes one packet at a time.
+        topo = Topology(name="pair")
+        topo.add_switch("tor")
+        for host in ("h0", "h1"):
+            topo.add_host(host)
+        topo.connect("h0", "tor", bandwidth_bps=1000.0, propagation_s=0.5)
+        topo.connect("h1", "tor", bandwidth_bps=2000.0, propagation_s=0.25)
+        sim = NetworkSimulator(topo)
+        arrivals = []
+        sim.host("h1").set_receiver(lambda packet: arrivals.append(sim.now))
+        first = UdpDatagram(src="h0", dst="h1", payload_bytes=100)
+        sim.send("h0", first)
+        sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=100))
+        sim.run()
+        size = first.wire_bytes()
+        hop1, hop2 = size / 1000.0, size / 2000.0
+        assert arrivals[0] == pytest.approx(hop1 + 0.5 + hop2 + 0.25)
+        # The second packet waits for the first to leave h0's NIC.
+        assert arrivals[1] == pytest.approx(2 * hop1 + 0.5 + hop2 + 0.25)
 
     def test_unknown_sender_rejected(self):
         link = self.make_link()
