@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.packet import DaietPacket, DaietPacketType
+from repro.dataplane.interning import keys_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.daiet import DaietSystem
@@ -196,12 +197,9 @@ class ErrorBoundTracker:
         # Vectorized trees park part of each slot's value in a delta array
         # until flush; fold it in before reading the cells.
         state.materialize()
-        value_cells = state.value_register._cells
-        key_cells = state.key_register._cells
-        pairs = [
-            (key_cells[idx], value_cells[idx])
-            for idx in state.index_stack.peek_all()
-        ]
+        slots = state.index_stack.peek_all()
+        keys = keys_of(state.key_register[list(slots)].tolist())
+        pairs = list(zip(keys, map(state.value_register._cells.__getitem__, slots)))
         pairs.extend(state.spillover.peek())
         return pairs
 

@@ -33,6 +33,8 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.core.errors import SanitizerError
 from repro.netsim.simulator import MAX_EVENTS
 
@@ -324,7 +326,7 @@ class SimulatorSanitizer:
             raise SanitizerError(
                 f"{where}: index stack holds duplicate slots ({duplicates})"
             )
-        occupied = set(state.key_register.occupied_indices())
+        occupied = set(np.flatnonzero(state.key_register >= 0).tolist())
         leaked = occupied - stack_set
         if leaked:
             raise SanitizerError(

@@ -1,8 +1,9 @@
 """In-switch aggregation engine (Algorithm 1 of the paper).
 
-For each aggregation tree a switch keeps two register arrays (keys and values)
-managed as a hash table with single-element buckets, an index stack of used
-slots, and a spillover bucket for colliding pairs. Each received DATA packet
+For each aggregation tree a switch keeps two register arrays (keys, as
+interned key ids, and values) managed as a hash table with single-element
+buckets, an index stack of used slots, and a spillover bucket for colliding
+pairs. Each received DATA packet
 updates this state pair by pair; an END packet decrements the
 remaining-children counter and, when it reaches zero, the aggregated state is
 flushed towards the next node of the tree, as one
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Iterable
+
+import numpy as _np
 
 from repro.checks.registry import fastpath
 from repro.core.config import DaietConfig
@@ -45,11 +48,6 @@ from repro.dataplane import interning as _interning
 from repro.dataplane.actions import Extern
 from repro.dataplane.registers import IndexStack, RegisterArray, SpilloverBucket
 
-try:  # The vectorized register kernel needs numpy; Algorithm 1 does not.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
-
 #: Overflow guard for the vectorized kernel's int64 delta array: once the
 #: accumulated absolute mass of applied values reaches this bound the deltas
 #: are folded into the (unbounded Python int) register cells, and a single
@@ -58,8 +56,15 @@ _VEC_MASS_LIMIT = 1 << 62
 
 #: ``_vec_kid_slot`` sentinel: key id not yet resolved for the current round.
 _KID_UNKNOWN = -3
-#: ``_vec_kid_slot`` sentinel: key id collides with a resident key this round.
+#: ``_vec_kid_slot`` / ``_slot_of`` sentinel: the key collides with a resident
+#: key this round.
 _KID_COLLIDING = -1
+#: What an empty key register cell holds (no kid is negative).
+_EMPTY = -1
+
+#: Runs an iterator to its end in C: ``_consume(map(cells.__setitem__, ...))``
+#: writes a column of register cells without a Python-level loop.
+_consume = deque(maxlen=0).extend
 
 
 def hash_key(key: str | bytes, slots: int) -> int:
@@ -125,7 +130,12 @@ class TreeState:
     #: ``"best_effort"``): ``sampled`` strides the switch's ACK cadence,
     #: ``best_effort`` emits plain unsequenced flushes with no buffering.
     policy: str = "exact"
-    key_register: RegisterArray = field(init=False)
+    #: The kid (interned key id, see ``dataplane/interning.py``) each slot
+    #: holds, ``_EMPTY`` (-1) when the slot is free: one int64 array, read
+    #: and written by the per-pair loop and by the register kernel alike.
+    key_register: Any = field(init=False)
+    #: Each occupied slot's aggregated value (``None`` when free). A
+    #: ``_vec`` tree's cells lag by their pending ``_vec_delta``.
     value_register: RegisterArray = field(init=False)
     index_stack: IndexStack = field(init=False)
     spillover: SpilloverBucket = field(init=False)
@@ -149,12 +159,14 @@ class TreeState:
     _ack_every: int = field(default=0, repr=False)
     #: Whether emissions towards the parent are sequenced and buffered.
     _reliable_emit: bool = field(default=False, repr=False)
-    #: Memo of ``hash_key(key, register_slots)`` — the hash is deterministic
-    #: and ``register_slots`` is fixed per tree, so repeated keys (the whole
-    #: point of aggregation) skip the encode+CRC32 on every later packet.
-    _hash_cache: dict[Any, int] = field(default_factory=dict, repr=False)
-    #: True when this tree accepts the vectorized batch kernel (SUM function
-    #: and numpy available). The per-pair path stays valid either way.
+    #: The per-pair loop's memo for the current round: key -> the register
+    #: slot that holds it, or ``_KID_COLLIDING`` when another key holds its
+    #: slot. A verdict cannot change within a round (cells are only freed
+    #: by :meth:`rearm`, which clears the memo), so a repeated key (the whole
+    #: point of aggregation) costs one dict probe and no register read.
+    _slot_of: dict[Any, int] = field(default_factory=dict, repr=False)
+    #: True when this tree accepts the vectorized batch kernel (the SUM
+    #: function). The per-pair path stays valid either way.
     _vec: bool = field(default=False, repr=False)
     #: int64 per-slot value deltas pending materialization into the cells.
     _vec_delta: Any = field(default=None, repr=False)
@@ -172,15 +184,15 @@ class TreeState:
                 "at least one child"
             )
         slots = self.config.register_slots
-        self.key_register = RegisterArray(slots, name=f"tree{self.tree_id}.keys")
         self.value_register = RegisterArray(slots, name=f"tree{self.tree_id}.values")
+        self.key_register = _np.full(slots, _EMPTY, dtype=_np.int64)
         self.index_stack = IndexStack(capacity=slots)
         self.spillover = SpilloverBucket(capacity=self.config.pairs_per_packet)
         self.remaining_children = self.num_children
         stride = self.config.sampled_ack_stride if self.policy == "sampled" else 1
         self._ack_every = self.config.ack_window * stride
         self._reliable_emit = self.config.reliability and self.policy != "best_effort"
-        if _np is not None and self.function.combine is _SUM_COMBINE:
+        if self.function.combine is _SUM_COMBINE:
             self._vec = True
             self._vec_delta = _np.zeros(slots, dtype=_np.int64)
             self._vec_kid_slot = _np.full(
@@ -224,15 +236,17 @@ class TreeState:
         survive rearming: sequence numbers are monotonic across rounds, and
         flush packets from the finished round may still need retransmitting.
         """
-        for idx in self.index_stack.drain():
-            self.key_register.clear(idx)
-            self.value_register.clear(idx)
+        held = list(self.index_stack.drain())
+        self.key_register[held] = _EMPTY
+        _consume(map(self.value_register._cells.__setitem__, held, repeat(None)))
         self.spillover.flush()
         self.remaining_children = self.num_children
         self._ended_sources.clear()
+        # Cells were just released, so every key -> slot verdict is stale.
+        self._slot_of.clear()
         if self._vec:
-            # Cells were just released, so every kid -> slot memo is stale;
-            # discarded deltas (a rearm outside the flush path) die with them.
+            # Discarded deltas (a rearm outside the flush path) die with the
+            # cells they were pending for.
             if self._vec_mass:
                 self._vec_delta.fill(0)
                 self._vec_mass = 0
@@ -386,38 +400,42 @@ class DaietAggregationEngine(Extern):
                 # Retransmission of something already aggregated: idempotent.
                 state.counters.duplicate_packets += 1
                 return self._ack_child(state, packet.src, window)
-        # Hot loop of Algorithm 1. Register cells are accessed directly (the
-        # hash already guarantees a valid index), the per-key CRC32 is
-        # memoized on the tree, and ``combine`` skips the AggregationFunction
-        # __call__ indirection — this loop runs once per pair per hop.
+        # Hot loop of Algorithm 1: it runs once per pair per hop. A key's
+        # verdict for the round (its slot, or a collision) is one subscript
+        # of the tree's memo, and ``combine`` skips the AggregationFunction
+        # __call__ indirection.
         counters = state.counters
-        key_cells = state.key_register._cells
+        key_register = state.key_register
         value_cells = state.value_register._cells
         slots = state.config.register_slots
-        hash_cache = state._hash_cache
+        slot_of = state._slot_of
         combine = state.function.combine
-        index_stack = state.index_stack
         spillover = state.spillover
         pairs = packet.pairs
         inserted = 0
         aggregated = 0
-        # Hit first: repeated keys are the whole point of aggregation, and
-        # key->slot resolution is a plain subscript (the KeyError path only
-        # runs on a key's first appearance).
+        # Hit first: the KeyError path only runs on a key's first appearance
+        # in the round, which interns it, hashes it and reads its cell.
         for key, value in pairs:
             try:
-                idx = hash_cache[key]
+                idx = slot_of[key]
             except KeyError:
-                idx = hash_cache[key] = hash_key(key, slots)
-            cell_key = key_cells[idx]
-            if cell_key == key:
+                kid = _interning.intern_key(key)
+                idx = _interning.crc_of(kid) % slots
+                held = key_register[idx]
+                if held == _EMPTY:
+                    key_register[idx] = kid
+                    value_cells[idx] = value
+                    state.index_stack.push(idx)
+                    slot_of[key] = idx
+                    inserted += 1
+                    continue
+                if held != kid:
+                    idx = _KID_COLLIDING
+                slot_of[key] = idx
+            if idx >= 0:
                 value_cells[idx] = combine(value_cells[idx], value)
                 aggregated += 1
-            elif cell_key is None:
-                key_cells[idx] = key
-                value_cells[idx] = value
-                index_stack.push(idx)
-                inserted += 1
             else:
                 counters.collisions += 1
                 if spillover.store(key, value, state.function):
@@ -472,10 +490,11 @@ class DaietAggregationEngine(Extern):
 
         Resident keys resolve to register slots through the ``_vec_kid_slot``
         memo and are scatter-added into ``_vec_delta`` in one ``np.add.at``.
-        Unresolved occurrences take an ordered Python walk that replicates
-        the per-pair loop exactly — same insertion winners, same collision
-        counters — and the colliding ones replay the ``SpilloverBucket``'s
-        store/flush order over kids (:meth:`_spill_columns`).
+        Kids the memo has no verdict for claim slots, are found resident or
+        collide in array operations that give the per-pair loop's verdicts
+        (:meth:`_claim_slots`), and the colliding pairs replay the
+        ``SpilloverBucket``'s store/flush order over kids
+        (:meth:`_spill_columns`).
 
         Returns emissions as ``(packet_index, egress_port, packet)`` so the
         caller can restore each spillover flush (an item of the call's one
@@ -503,40 +522,12 @@ class DaietAggregationEngine(Extern):
         spilled = 0
         neg_pos = _np.flatnonzero(st < 0)
         if len(neg_pos):
-            key_cells = state.key_register._cells
-            value_cells = state.value_register._cells
-            slots = state.config.register_slots
-            index_stack = state.index_stack
-            crc_of = _interning.crc_of
-            key_of = _interning.key_of
-            # Phase A: resolve each distinct unknown kid exactly once, in
-            # first-occurrence order. That order is what the per-pair loop
-            # uses to pick insertion winners, and a kid's verdict (claimed
-            # slot vs colliding) cannot change mid-round: cells are only
-            # freed by rearm(), which also resets the memo. First-occurrence
-            # positions come from a min-scatter (cheaper than a sort-based
-            # np.unique at this size, and ufunc.at is well-defined under
-            # duplicate indices).
             neg_kids = kids[neg_pos]
-            nneg = len(neg_pos)
-            first_at = _np.full(size, nneg, dtype=_np.int64)
-            _np.minimum.at(first_at, neg_kids, _np.arange(nneg, dtype=_np.int64))
-            uniq = _np.flatnonzero(first_at < nneg)
-            for kid in uniq[_np.argsort(first_at[uniq])].tolist():
-                if kid_slot[kid] != _KID_UNKNOWN:
-                    continue
-                idx = crc_of(kid) % slots
-                cell_key = key_cells[idx]
-                if cell_key is None:
-                    key_cells[idx] = key_of(kid)
-                    value_cells[idx] = 0
-                    index_stack.push(idx)
-                    kid_slot[kid] = idx
-                    inserted += 1
-                elif cell_key == key_of(kid):
-                    kid_slot[kid] = idx
-                else:
-                    kid_slot[kid] = _KID_COLLIDING
+            # Phase A: the kids with no verdict yet claim, find or miss
+            # their slots (colliding kids already have theirs).
+            fresh = neg_kids[kid_slot[neg_kids] == _KID_UNKNOWN]
+            if len(fresh):
+                inserted = self._claim_slots(state, fresh)
             # Phase B: re-gather — every formerly unknown occurrence now
             # maps to its slot or to _KID_COLLIDING.
             st_neg = kid_slot[neg_kids]
@@ -573,6 +564,49 @@ class DaietAggregationEngine(Extern):
         counters.pairs_aggregated += total - spilled - inserted
         return emissions
 
+    def _claim_slots(self, state: TreeState, fresh: Any) -> int:
+        """Phase A of :meth:`_vector_apply`: verdicts for kids the memo lacks.
+
+        ``fresh`` holds the occurrences of those kids in pair order. Each
+        distinct kid is judged once, in first-occurrence order, as the
+        per-pair loop judges a key at its first occurrence: its slot (crc
+        modulo the slots) already holds it (resident), is empty and it is
+        the first of the call to want that slot (it claims it), or else it
+        collides. A verdict cannot change within a round: cells are only
+        freed by ``rearm()``, which also resets the memo. The claimed slots
+        go onto the index stack in claim order, in one push; their value
+        cells start at 0, the values arriving as deltas. Records every
+        verdict in ``_vec_kid_slot`` and returns the number of claims.
+        """
+        kid_slot = state._vec_kid_slot
+        # First occurrences, in order: each occurrence's position goes into
+        # its kid's memo cell by a min-scatter, coded below every sentinel;
+        # an occurrence whose code stuck is its kid's first. The memo is
+        # the work space (no pool-sized array per call), restored at once.
+        n = len(fresh)
+        codes = _np.arange(-n - 4, -4, dtype=_np.int64)
+        _np.minimum.at(kid_slot, fresh, codes)
+        kids = fresh[kid_slot[fresh] == codes]
+        kid_slot[kids] = _KID_UNKNOWN
+        slots = state.config.register_slots
+        home = _interning.crcs_of(kids) % slots
+        register = state.key_register
+        held = register[home]
+        verdict = _np.where(held == kids, home, _KID_COLLIDING)
+        # The first claimant of each empty slot, by the same min-scatter.
+        wanted = _np.flatnonzero(held == _EMPTY)
+        order = _np.arange(len(wanted), dtype=_np.int64)
+        first = _np.full(slots, len(wanted), dtype=_np.int64)
+        _np.minimum.at(first, home[wanted], order)
+        winners = wanted[first[home[wanted]] == order]
+        claimed = home[winners]
+        state.index_stack.push_many(claimed.tolist())
+        register[claimed] = kids[winners]
+        verdict[winners] = claimed
+        kid_slot[kids] = verdict
+        _consume(map(state.value_register._cells.__setitem__, claimed.tolist(), repeat(0)))
+        return len(winners)
+
     def _spill_columns(
         self, state: TreeState, kids: list[int], vals: list[int], at: list[int]
     ) -> list[tuple[int, int, Any]] | None:
@@ -589,21 +623,20 @@ class DaietAggregationEngine(Extern):
         window; flush ``j`` leaves as ``window[j]``, tagged with the packet
         whose pair filled it.
 
-        ``None``, touching nothing, when the bucket holds a key the pool
-        never interned or a value that is not a plain ``int`` within
-        ±2**62, or when a flushed sum reaches ±2**62: :meth:`_spill_pairs`
-        replays the stream instead.
+        ``None``, touching nothing, when the bucket holds a value that is
+        not a plain ``int`` within ±2**62, or when a flushed sum reaches
+        ±2**62: :meth:`_spill_pairs` replays the stream instead.
         """
         spillover = state.spillover
         held = spillover.peek()
-        order = [_interning.kid_of(key) for key, _value in held]
         sums = [value for _key, value in held]
         if held and (
-            min(order) < 0
-            or set(map(type, sums)) != {int}
-            or max(map(abs, sums)) >= _VEC_MASS_LIMIT
+            set(map(type, sums)) != {int} or max(map(abs, sums)) >= _VEC_MASS_LIMIT
         ):
             return None
+        # Every key that reaches a switch is interned (the per-pair loop
+        # interns what it stores), so this looks the held keys up.
+        order = [_interning.intern_key(key) for key, _value in held]
         slot = dict(zip(order, range(len(order))))
         capacity = spillover.capacity
         cut_kids: list[int] = []
@@ -650,11 +683,10 @@ class DaietAggregationEngine(Extern):
         per-pair loop does it: for a bucket :meth:`_spill_columns` refuses."""
         spillover = state.spillover
         function = state.function
-        key_of = _interning.key_of
         emissions = []
         merges = 0
-        for kid, value, pkt_i in zip(kids, vals, at):
-            if not spillover.store(key_of(kid), value, function):
+        for key, value, pkt_i in zip(_interning.keys_of(kids), vals, at):
+            if not spillover.store(key, value, function):
                 merges += 1
             elif spillover.is_full:
                 for port, out in self._flush_spillover(state):
@@ -805,17 +837,16 @@ class DaietAggregationEngine(Extern):
         if columns is not None:
             return self._emit_pairs(state, (), include_end=True, columns=columns)
         state.materialize()
-        key_cells = state.key_register._cells
+        slots = list(state.index_stack.drain())
+        kids = state.key_register[slots]
+        if (kids == _EMPTY).any():
+            raise AggregationError(
+                f"index stack of tree {state.tree_id} pointed at an empty slot"
+            )
         value_cells = state.value_register._cells
-        for idx in state.index_stack.drain():
-            key = key_cells[idx]
-            if key is None:
-                raise AggregationError(
-                    f"index stack of tree {state.tree_id} pointed at an empty slot"
-                )
-            pairs.append((key, value_cells[idx]))
-            key_cells[idx] = None
-            value_cells[idx] = None
+        pairs += zip(_interning.keys_of(kids.tolist()), map(value_cells.__getitem__, slots))
+        state.key_register[slots] = _EMPTY
+        _consume(map(value_cells.__setitem__, slots, repeat(None)))
         return self._emit_pairs(state, pairs, include_end=True)
 
     def _drain_columns(
@@ -823,14 +854,11 @@ class DaietAggregationEngine(Extern):
     ) -> tuple[Any, Any] | None:
         """The walk's pairs of :meth:`_flush_all`, in its order, as int64 columns.
 
-        Values are cells plus pending kernel deltas; a slot's kid comes from
-        the kernel's kid -> slot memo (a slot only the per-pair loop claimed
-        looks its key up). Drains the registers; ``None``, touching nothing,
-        when a value is not a plain ``int`` within ±2**62 or a key was never
-        interned.
+        Values are cells plus pending kernel deltas; kids are the key
+        register's cells. Drains the registers; ``None``, touching nothing,
+        when a value is not a plain ``int`` within ±2**62.
         """
         index_stack = state.index_stack
-        key_cells = state.key_register._cells
         value_cells = state.value_register._cells
         slots = index_stack.peek_all()[::-1]
         values = [value for _key, value in spilled]
@@ -838,26 +866,14 @@ class DaietAggregationEngine(Extern):
         if not values or set(map(type, values)) != {int}:
             return None
         try:
-            spilled_kids = _interning.intern_keys([key for key, _value in spilled])[0]
             vals = _np.array(values, dtype=_np.int64)
-        except (TypeError, OverflowError):
+        except OverflowError:
             return None
         if vals.min() <= -_VEC_MASS_LIMIT or vals.max() >= _VEC_MASS_LIMIT:
             return None
         at = _np.array(slots, dtype=_np.int64)
-        kid_slot = state._vec_kid_slot
-        seen = _np.flatnonzero(kid_slot >= 0)
-        slot_kid = _np.full(state.config.register_slots, -1, dtype=_np.int64)
-        slot_kid[kid_slot[seen]] = seen
-        kids = _np.concatenate((spilled_kids, slot_kid[at]))
-        unseen = _np.flatnonzero(kids < 0)
-        if len(unseen):
-            first = len(spilled)
-            kids[unseen] = [
-                _interning.kid_of(key_cells[slots[i - first]]) for i in unseen.tolist()
-            ]
-            if kids.min() < 0:
-                return None
+        spilled_kids = _interning.intern_keys([key for key, _value in spilled])[0]
+        kids = _np.concatenate((spilled_kids, state.key_register[at]))
         if state._vec_mass:
             # Cells and deltas are each below 2**62 in magnitude: no overflow.
             vals[len(spilled) :] += state._vec_delta[at]
@@ -865,9 +881,8 @@ class DaietAggregationEngine(Extern):
                 return None
             state._vec_delta[at] = 0
             state._vec_mass = 0
-        for idx in slots:
-            key_cells[idx] = None
-            value_cells[idx] = None
+        state.key_register[at] = _EMPTY
+        _consume(map(value_cells.__setitem__, slots, repeat(None)))
         index_stack.clear()
         return kids, vals
 

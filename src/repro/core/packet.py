@@ -31,6 +31,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Iterator
 
+import numpy as _np
+
 from repro.core.config import (
     DAIET_PREAMBLE_BYTES,
     ETHERNET_HEADER_BYTES,
@@ -40,11 +42,6 @@ from repro.core.config import (
 )
 from repro.core.errors import PacketFormatError
 from repro.dataplane import interning as _interning
-
-try:  # The vectorized kernel needs numpy; everything else works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
 
 #: Sentinel marking a packet that belongs to no partition's columns (yet).
 _VEC_UNSET = object()
@@ -72,13 +69,13 @@ class PairColumns:
     burst planner asks for a window whose next hop is a switch. A switch's
     flushes already hold both arrays (:meth:`of`: the register kernel's own
     kids and values, for its final flush and for the spillover flushes of
-    one kernel call). ``ready()`` is ``False``, permanently, when any pair
-    is ineligible: a key the intern pool rejects (not exact ``str``/
-    ``bytes``) or a value that is not a plain ``int`` within ±2**62 (bools
-    and floats must keep their exact types through the per-pair oracle
-    path). Such a window gets no burst plan; asked one by one, its packets
-    (and a packet built by the constructor) are each a partition of its own
-    (see :meth:`DaietPacket.vector_pairs`).
+    one kernel call). Every key has a kid: a packet carries only exact
+    ``str``/``bytes`` keys, which the constructor checks. ``ready()`` is
+    ``False``, permanently, when any value is ineligible: not a plain
+    ``int`` within ±2**62 (bools and floats must keep their exact types
+    through the per-pair oracle path). Such a window gets no burst plan;
+    asked one by one, its packets (and a packet built by the constructor)
+    are each a partition of its own (see :meth:`DaietPacket.vector_pairs`).
     """
 
     __slots__ = ("kids", "vals", "mass_cum", "per", "_source")
@@ -108,13 +105,13 @@ class PairColumns:
 
     def _build(self, pairs: Any, kids: Any) -> None:
         values = [value for _key, value in pairs]
-        if _np is None or not values or set(map(type, values)) != {int}:
+        if not values or set(map(type, values)) != {int}:
             return
+        if kids is None:
+            kids = _interning.intern_keys([key for key, _value in pairs])[0]
         try:
-            if kids is None:
-                kids = _interning.intern_keys([key for key, _value in pairs])[0]
             vals = _np.fromiter(values, dtype=_np.int64, count=len(values))
-        except (TypeError, OverflowError):
+        except OverflowError:
             return
         if vals.min() <= -_VEC_VALUE_LIMIT or vals.max() >= _VEC_VALUE_LIMIT:
             return
@@ -250,7 +247,16 @@ class DaietPacket:
                 encoded_len = len(key)
                 ends_nul = encoded_len > 0 and key[-1] == "\x00"
             else:
-                encoded = key.encode() if isinstance(key, str) else bytes(key)
+                if type(key) is str:
+                    encoded = key.encode()
+                elif type(key) is bytes:
+                    encoded = key
+                else:
+                    # A switch's key register holds interned kids, and only
+                    # exact str/bytes keys are interned.
+                    raise PacketFormatError(
+                        f"key {key!r} is a {type(key).__name__}; keys are str or bytes"
+                    )
                 encoded_len = len(encoded)
                 ends_nul = encoded.endswith(b"\x00")
             if encoded_len > key_width:

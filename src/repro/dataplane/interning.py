@@ -7,27 +7,30 @@ scatter-added with numpy array operations. This module owns the process-wide
 ``key -> kid`` mapping and the per-key metadata the fast paths need:
 
 * ``crc``      — ``zlib.crc32`` of the encoded key, so a register index is
-  one modulo away (``crc % slots``) without re-encoding the key,
+  one modulo away (``crc % slots``) without re-encoding the key; an int64
+  column, so the register kernel hashes a whole column of kids at once,
 * ``enc_len``  — encoded byte length (packet sizing),
 * ``ends_nul`` — whether the encoded key ends in a NUL byte (the condition
   that forces per-pair key-length bytes on the wire).
 
 Interning is append-only and process-global: kids are stable for the
 lifetime of the process, which is what lets a partition keep its kid column
-and per-tree state memoize ``kid -> register slot``. Only exact
-``str``/``bytes`` keys are interned — anything else makes a packet
-ineligible for the vectorized path and it falls back, per pair, to the
-bit-exact Algorithm 1 loop.
+and a switch's key register hold kids instead of key objects. Only exact
+``str``/``bytes`` keys are interned, which is exactly what a
+``DaietPacket`` may carry: every key that reaches a switch has a kid.
 
 Two callers. The packetizer (``core/packet.py::packetize_pairs``) interns a
 whole partition in one pass through :func:`intern_keys`, which returns the
 partition's kid column as an int64 array and answers the two questions a
 window's size arithmetic asks (widest key, any NUL suffix) by array lookups
 in the pool's per-kid metadata; a lone packet's columns intern through the
-same function. The register kernel (``core/aggregation.py``) reads ``crc``
-and the key object back by kid; a flush it cuts from kids (its spillover
-stream, its final flush) is measured by :func:`measure_kids` and interns
-nothing but keys only the per-pair loop saw. The containers below are named
+same function. The per-pair loop (``core/aggregation.py``) interns a key
+the first time a tree's round sees it and reads its ``crc`` with
+:func:`crc_of`; the register kernel hashes a column of kids with
+:func:`crcs_of`. Both store kids in the key register, and read key objects
+back (:func:`keys_of`) only where pairs leave the switch. A flush cut from
+kids (the kernel's spillover stream, a final flush) is measured by
+:func:`measure_kids`. The containers below are named
 nowhere else (``tests/checks/test_lint_gate.py`` holds that), so the pool
 can be re-homed by editing this file alone.
 """
@@ -37,32 +40,29 @@ from __future__ import annotations
 import zlib
 from typing import Any, Iterable, Sequence
 
-try:  # Kid columns are numpy arrays; without numpy nothing is interned.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
+import numpy as _np
 
 #: key object -> kid (dense, append-only).
 _key_to_kid: dict[Any, int] = {}
 #: kid -> the interned key object (first object interned for that key).
 _kid_key: list[Any] = []
-#: kid -> crc32 of the encoded key.
-_kid_crc: list[int] = []
-#: kid -> encoded byte length of the key, as an int64 array whose capacity
+#: kid -> crc32 of the encoded key, as an int64 array whose capacity
 #: doubles when the pool outgrows it (entries past the pool size are unused).
-_kid_enc_len: Any = None if _np is None else _np.zeros(1024, dtype=_np.int64)
+_kid_crc: Any = _np.zeros(1024, dtype=_np.int64)
+#: kid -> encoded byte length of the key (same capacity).
+_kid_enc_len: Any = _np.zeros(1024, dtype=_np.int64)
 #: kid -> True when the encoded key ends in a NUL byte (same capacity).
-_kid_ends_nul: Any = None if _np is None else _np.zeros(1024, dtype=bool)
+_kid_ends_nul: Any = _np.zeros(1024, dtype=bool)
 
 
 def intern_key(key: Any) -> int:
     """Return the stable kid of ``key``, interning it on first sight.
 
-    Raises ``TypeError`` for keys that are not exact ``str``/``bytes`` —
-    callers treat that as "not vectorizable" and fall back to the per-pair
-    path, which supports anything the wire format supports.
+    Raises ``TypeError`` for keys that are not exact ``str``/``bytes``: the
+    packetizer then leaves the pairs to the ``DaietPacket`` constructor,
+    which refuses them.
     """
-    global _kid_enc_len, _kid_ends_nul
+    global _kid_crc, _kid_enc_len, _kid_ends_nul
     kid = _key_to_kid.get(key)
     if kid is not None:
         return kid
@@ -72,15 +72,14 @@ def intern_key(key: Any) -> int:
         encoded = key
     else:
         raise TypeError(f"only str/bytes keys are interned, got {type(key).__name__}")
-    if _np is None:  # pragma: no cover - the toolchain bakes numpy in
-        raise TypeError("interning needs numpy")
     kid = len(_kid_key)
     if kid == len(_kid_enc_len):
+        _kid_crc = _np.concatenate((_kid_crc, _np.zeros_like(_kid_crc)))
         _kid_enc_len = _np.concatenate((_kid_enc_len, _np.zeros_like(_kid_enc_len)))
         _kid_ends_nul = _np.concatenate((_kid_ends_nul, _np.zeros_like(_kid_ends_nul)))
     _key_to_kid[key] = kid
     _kid_key.append(key)
-    _kid_crc.append(zlib.crc32(encoded))
+    _kid_crc[kid] = zlib.crc32(encoded)
     _kid_enc_len[kid] = len(encoded)
     _kid_ends_nul[kid] = encoded.endswith(b"\x00")
     return kid
@@ -95,8 +94,6 @@ def intern_keys(keys: Sequence[Any]) -> tuple[Any, int, bool]:
     first time the process sees it. Raises ``TypeError`` like
     :func:`intern_key`, and for an unhashable key.
     """
-    if _np is None:  # pragma: no cover - the toolchain bakes numpy in
-        raise TypeError("interning needs numpy")
     lookup = _key_to_kid.__getitem__
     try:
         kids = _np.fromiter(map(lookup, keys), dtype=_np.int64, count=len(keys))
@@ -117,16 +114,6 @@ def measure_kids(kids: Any) -> tuple[int, bool]:
     return int(_kid_enc_len[kids].max()), bool(_kid_ends_nul[kids].any())
 
 
-def kid_of(key: Any) -> int:
-    """The kid of ``key`` if the pool holds it, else ``-1`` (nothing is interned)."""
-    return _key_to_kid.get(key, -1)
-
-
-def key_of(kid: int) -> Any:
-    """The key object a kid stands for."""
-    return _kid_key[kid]
-
-
 def keys_of(kids: Iterable[int]) -> list[Any]:
     """The key objects of ``kids``, in order."""
     return list(map(_kid_key.__getitem__, kids))
@@ -134,7 +121,12 @@ def keys_of(kids: Iterable[int]) -> list[Any]:
 
 def crc_of(kid: int) -> int:
     """``zlib.crc32`` of a kid's encoded key (register index = crc % slots)."""
-    return _kid_crc[kid]
+    return int(_kid_crc[kid])
+
+
+def crcs_of(kids: Any) -> Any:
+    """``zlib.crc32`` of each kid's encoded key, as an int64 column."""
+    return _kid_crc[kids]
 
 
 def pool_size() -> int:

@@ -3,7 +3,9 @@
 The DAIET design (Section 4 of the paper) keeps, per aggregation tree:
 
 * a *key register array* and a *value register array*, managed together as a
-  hash table with single-element buckets,
+  hash table with single-element buckets (``core/aggregation.py`` keeps the
+  key register as an int64 array of interned key ids; the value register
+  is a :class:`RegisterArray`),
 * an *index stack* recording which slots are in use, so flushing does not
   require scanning the whole array,
 * a *spillover bucket*, a small queue that absorbs hash collisions and is
@@ -49,10 +51,6 @@ class RegisterArray:
         self._check_index(index)
         return self._cells[index] is None
 
-    def occupied_indices(self) -> list[int]:
-        """Indices of non-empty cells (diagnostic; O(size))."""
-        return [i for i, cell in enumerate(self._cells) if cell is not None]
-
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.size:
             raise AggregationError(
@@ -84,6 +82,14 @@ class IndexStack:
                 f"index stack overflow (capacity {self.capacity})"
             )
         self._items.append(index)
+
+    def push_many(self, indices: list[int]) -> None:
+        """Record ``indices`` as occupied, in order; nothing is pushed on overflow."""
+        if len(self._items) + len(indices) > self.capacity:
+            raise ResourceExhaustedError(
+                f"index stack overflow (capacity {self.capacity})"
+            )
+        self._items.extend(indices)
 
     def drain(self) -> Iterator[int]:
         """Yield and remove every recorded index (used during flush)."""

@@ -24,6 +24,8 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Any, Iterable
 
+import numpy as _np
+
 from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError, TableError, TopologyError
 from repro.core.packet import DaietAck, PacketWindow, PairColumns, packets_of
@@ -42,11 +44,6 @@ from repro.netsim.routing import (
 )
 from repro.netsim.stats import LinkTraffic, TrafficStats
 from repro.netsim.topology import Topology
-
-try:  # The burst delivery fast path needs numpy; the simulator does not.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
 
 #: Safety valve: the most events a single ``run`` may execute.
 MAX_EVENTS = 50_000_000
@@ -203,10 +200,10 @@ def _plan_burst(window: PacketWindow) -> _BurstPlan | None:
     (``DaietAggregationEngine._fresh_run``). The switch-specific budget
     checks are applied once per burst by the burst handler via the
     precomputed ``max_nbytes``/``max_cost``. ``None`` for a window without
-    DATA, for a partition with an ineligible pair and when numpy is missing.
+    DATA and for a partition with an ineligible pair.
     """
     columns = window.columns
-    if _np is None or window.first * columns.per >= len(window.pairs) or not columns.ready():
+    if window.first * columns.per >= len(window.pairs) or not columns.ready():
         return None
     return _BurstPlan(window, columns)
 

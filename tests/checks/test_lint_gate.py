@@ -359,10 +359,10 @@ class TestCleanTree:
     def test_the_intern_pool_is_reached_through_its_functions(self):
         # The pool's containers are named in dataplane/interning.py and
         # nowhere else: packetizers and kernels go through intern_key /
-        # intern_keys / measure_kids / key_of / crc_of / pool_size, so the
-        # pool can be re-homed (ROADMAP item 4) by editing one file. The
-        # width and NUL-suffix metadata are numpy arrays, which intern_keys
-        # and measure_kids read by kid column.
+        # intern_keys / measure_kids / keys_of / crc_of / crcs_of /
+        # pool_size, so the pool can be re-homed (ROADMAP item 4) by editing
+        # one file. The CRC, width and NUL-suffix metadata are numpy arrays,
+        # which crcs_of, intern_keys and measure_kids read by kid column.
         containers = {
             "_key_to_kid",
             "_kid_key",

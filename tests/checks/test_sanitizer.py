@@ -15,6 +15,7 @@ from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import SanitizerError
 from repro.core.packet import DaietPacket
+from repro.dataplane import interning
 from repro.dataplane.tables import FlowRule
 from repro.netsim.devices import FORWARDING_TABLE
 from repro.netsim.faults import HOST_CRASH, FaultEvent, FaultPlan, install_faults
@@ -325,7 +326,7 @@ class TestRegisterLeaks:
     def test_leaked_slot_is_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.key_register._cells[7] = "leaked-key"
+        tree.key_register[7] = interning.intern_key("leaked-key")
         tree.value_register._cells[7] = 1
         with pytest.raises(SanitizerError, match="not recorded on the index stack"):
             system.simulator.sanitizer.check_registers()
@@ -340,7 +341,7 @@ class TestRegisterLeaks:
     def test_key_without_value_is_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.key_register._cells[2] = "k"
+        tree.key_register[2] = interning.intern_key("k")
         tree.index_stack.push(2)
         with pytest.raises(SanitizerError, match="holds a key but no value"):
             system.simulator.sanitizer.check_registers()
@@ -353,7 +354,7 @@ class TestRegisterLeaks:
         # The completed round left everything clean...
         system.simulator.sanitizer.check_registers()
         # ...but a slot that failed to rearm is caught.
-        tree.key_register._cells[5] = "stale"
+        tree.key_register[5] = interning.intern_key("stale")
         tree.value_register._cells[5] = 9
         tree.index_stack.push(5)
         with pytest.raises(SanitizerError, match="did not rearm"):
@@ -370,7 +371,7 @@ class TestRegisterLeaks:
     def test_duplicate_stack_entries_are_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.key_register._cells[4] = "k"
+        tree.key_register[4] = interning.intern_key("k")
         tree.value_register._cells[4] = 1
         tree.index_stack.push(4)
         tree.index_stack.push(4)

@@ -95,6 +95,22 @@ class TestAlgorithm1:
         second = flushed(engine, end_packet(1, "m0", "r0", config))
         assert collect_pairs(second) == {"k": 10}
 
+    @pytest.mark.parametrize("function", ["sum", "max"])
+    def test_rearm_mid_round_frees_the_held_slots(self, function):
+        # A rearm outside the flush path drops the round: the held slots
+        # empty, and a key that collided may claim its slot next round.
+        engine, config = make_engine(slots=1, num_children=1, function=function)
+        flushed(engine, data_packet([("a", 1), ("b", 2)], config))
+        state = engine.tree(1)
+        assert state.key_register.tolist() != [-1] and len(state.spillover) == 1
+        state.rearm()
+        assert state.key_register.tolist() == [-1]
+        assert state.value_register._cells == [None]
+        assert state.index_stack.peek_all() == () and len(state.spillover) == 0
+        flushed(engine, data_packet([("b", 5)], config))
+        out = flushed(engine, end_packet(1, "m0", "r0", config))
+        assert collect_pairs(out) == {"b": 5}
+
     def test_extra_end_after_rearm_produces_empty_flush(self):
         engine, config = make_engine(num_children=1)
         first = flushed(engine, end_packet(1, "m0", "r0", config))

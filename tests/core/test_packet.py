@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -85,6 +86,24 @@ class TestDaietPacket:
     def test_negative_tree_id_rejected(self):
         with pytest.raises(PacketFormatError):
             DaietPacket(tree_id=-1, src="a", dst="b")
+
+    @pytest.mark.parametrize("key", [5, 2.5, bytearray(b"ab"), ("a",)])
+    def test_a_key_that_is_not_str_or_bytes_is_refused(self, key):
+        with pytest.raises(PacketFormatError, match="keys are str or bytes"):
+            DaietPacket(tree_id=1, src="a", dst="b", pairs=(("ok", 1), (key, 1)))
+
+    @pytest.mark.parametrize("reliability", [False, True])
+    def test_send_pairs_refuses_an_int_key(self, reliability):
+        # An int key used to be framed as bytes(5), five NUL bytes, and the
+        # reducer reported {7: 2, 5: 4}. Nothing of the partition is sent.
+        system = DaietSystem.single_rack(3, DaietConfig(reliability=reliability))
+        system.install_job(mappers=["h0", "h1"], reducers=["h2"])
+        with pytest.raises(PacketFormatError, match="keys are str or bytes"):
+            system.send_pairs("h0", "h2", [(5, 1), (7, 2)])
+        system.send_pairs("h0", "h2", [("a", 1)])
+        system.send_pairs("h1", "h2", [("a", 2), (b"b", 3)])
+        system.run()
+        assert system.receiver("h2").result() == {"a": 3, b"b": 3}
 
     def test_every_header_is_parsed(self):
         packet = DaietPacket(tree_id=7, src="a", dst="b", pairs=(("k", 1), ("q", 2)))
@@ -861,12 +880,12 @@ class TestPacketizerCounts:
 
     def test_the_pool_metadata_grows_by_doubling(self, monkeypatch):
         # On a pool of its own (the process's pool is append-only and every
-        # tree sizes a memo by it): the per-kid width and NUL arrays are
-        # reallocated only when the pool outgrows them, doubling, and keep
-        # what they held; intern_keys answers from them.
+        # tree sizes a memo by it): the per-kid CRC, width and NUL arrays
+        # are reallocated only when the pool outgrows them, doubling, and
+        # keep what they held; intern_keys and crcs_of answer from them.
         monkeypatch.setattr(interning, "_key_to_kid", {})
         monkeypatch.setattr(interning, "_kid_key", [])
-        monkeypatch.setattr(interning, "_kid_crc", [])
+        monkeypatch.setattr(interning, "_kid_crc", np.zeros(4, dtype=np.int64))
         monkeypatch.setattr(interning, "_kid_enc_len", np.zeros(4, dtype=np.int64))
         monkeypatch.setattr(interning, "_kid_ends_nul", np.zeros(4, dtype=bool))
         capacities = [4]
@@ -883,7 +902,10 @@ class TestPacketizerCounts:
             assert kids.tolist() == list(range(len(keys) - 10, len(keys)))
             assert (widest, any_nul) == (11, batch % 2 == 0)
         assert capacities == [4, 8, 16, 32, 64, 128]
-        assert len(interning._kid_ends_nul) == 128
+        assert len(interning._kid_ends_nul) == len(interning._kid_crc) == 128
+        crcs = [zlib.crc32(key.encode()) for key in keys]
+        assert interning.crcs_of(np.arange(100)).tolist() == crcs
+        assert [interning.crc_of(kid) for kid in range(100)] == crcs
         assert interning._kid_enc_len[:100].tolist() == [len(key) for key in keys]
         assert interning._kid_ends_nul[:100].tolist() == [key.endswith("\x00") for key in keys]
         assert interning.intern_keys(keys[10:20])[1:] == (11, False)

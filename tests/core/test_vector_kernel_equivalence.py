@@ -6,8 +6,9 @@ operations — gather, first-occurrence resolve, scatter-add — while the
 original per-pair loop (``_process_data``) remains the bit-exactness oracle.
 These tests drive two identically configured engines, one through the
 kernel and one through the per-pair path, and require *bit-identical*
-observable state: register cells, spillover bucket order, index-stack order
-(via the final flush), per-tree counters and the exact emission sequence.
+observable state: register cells (the key register holds kids), spillover
+bucket order, index-stack order, per-tree counters and the exact emission
+sequence.
 
 The kernel's input arrays come from the simulator's burst plan
 (``_plan_burst`` / ``_BurstPlan.kernel_input``) of a packet window, the one
@@ -25,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
+from repro.core.daiet import DaietSystem
+from repro.core.errors import ResourceExhaustedError
 from repro.core.packet import (
     DaietPacket,
     DaietPacketType,
@@ -33,7 +36,9 @@ from repro.core.packet import (
     packets_of,
 )
 from repro.dataplane import interning
+from repro.dataplane.registers import IndexStack
 from repro.netsim.simulator import _plan_burst
+from repro.netsim.topology import leaf_spine
 
 np = pytest.importorskip("numpy")
 
@@ -104,7 +109,7 @@ def feed_slow(engine: DaietAggregationEngine, bursts) -> list:
 def assert_twins_identical(fast: DaietAggregationEngine, slow: DaietAggregationEngine):
     fast_state, slow_state = fast.tree(7), slow.tree(7)
     fast_state.materialize()  # fold pending deltas so cells are comparable
-    assert fast_state.key_register._cells == slow_state.key_register._cells
+    assert fast_state.key_register.tolist() == slow_state.key_register.tolist()
     assert fast_state.value_register._cells == slow_state.value_register._cells
     assert fast_state.spillover._pairs == slow_state.spillover._pairs
     assert fast_state.index_stack._items == slow_state.index_stack._items
@@ -234,6 +239,184 @@ class TestVectorKernelEquivalence:
         assert_twins_identical(fast, slow)
 
 
+def keys_in_one_slot(slots: int, count: int, prefix: str) -> tuple[int, list[str]]:
+    """The first ``count`` keys ``prefix0, prefix1, ...`` that share a slot, and the slot."""
+    groups: dict[int, list[str]] = {}
+    for i in itertools.count():
+        key = f"{prefix}{i}"
+        group = groups.setdefault(hash_key(key, slots), [])
+        group.append(key)
+        if len(group) == count:
+            return hash_key(key, slots), group
+
+
+def held_keys(engine: DaietAggregationEngine) -> dict[int, str]:
+    """Occupied slot -> the key whose kid the key register holds there."""
+    kids = engine.tree(7).key_register.tolist()
+    held = [slot for slot, kid in enumerate(kids) if kid >= 0]
+    return dict(zip(held, interning.keys_of(kids[slot] for slot in held)))
+
+
+class TestPhaseA:
+    """The kernel's slot claims, as array operations, against the per-pair loop.
+
+    Each case ends with the twins agreeing on the kid register, the value
+    cells, the index-stack order, the spillover order, the counters and
+    every emission; the cases also pin who won each contended slot.
+    """
+
+    SLOTS = 16
+
+    def twins(self, per: int = 4):
+        config = DaietConfig(register_slots=self.SLOTS, pairs_per_packet=per)
+        return config, make_engine(config), make_engine(config)
+
+    def test_two_new_kids_contend_for_one_slot_in_one_packet(self):
+        config, fast, slow = self.twins(per=6)
+        slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pa")
+        c = next(f"pc{i}" for i in itertools.count() if hash_key(f"pc{i}", self.SLOTS) != slot)
+        other_slot = hash_key(c, self.SLOTS)
+        # b occurs first, so b claims; c claims its own slot after b.
+        burst = [data_packets([(b, 1), (a, 2), (c, 3), (b, 4), (a, 5)], config)]
+        assert feed_fast(fast, burst) == feed_slow(slow, burst)
+        assert_twins_identical(fast, slow)
+        assert held_keys(fast) == {slot: b, other_slot: c}
+        assert fast.tree(7).index_stack._items == [slot, other_slot]
+        assert fast.tree(7).spillover._pairs == [(a, 7)]
+        counters = fast.tree(7).counters
+        assert (counters.pairs_inserted, counters.collisions) == (2, 2)
+
+    def test_two_new_kids_contend_across_two_packets_of_one_burst(self):
+        slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pb")
+        # Packet 0 carries b's first occurrence; packet 1 brings a, which
+        # collides with b, then b again, which aggregates. Split, the two
+        # packets take two kernel calls.
+        for split in (False, True):
+            config, fast, slow = self.twins(per=2)
+            burst = [data_packets([("pb-other", 1), (b, 2), (a, 3), (b, 4)], config)]
+            assert len(burst[0]) == 2
+            assert feed_fast(fast, burst, split) == feed_slow(slow, burst)
+            assert_twins_identical(fast, slow)
+            assert held_keys(fast)[slot] == b
+            assert fast.tree(7).value_register._cells[slot] == 6
+            assert fast.tree(7).spillover._pairs == [(a, 3)]
+
+    def test_a_slot_the_per_pair_loop_claimed(self):
+        # The per-pair loop claims a's slot; the kernel then finds a resident
+        # (it aggregates) and b, which wants the same slot, colliding.
+        config, fast, slow = self.twins(per=4)
+        slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pp")
+        lone = DaietPacket(tree_id=7, src="h0", dst="h1", pairs=((a, 10),), config=config)
+        for engine in (fast, slow):
+            engine.handle_packet(lone)
+        burst = [data_packets([(b, 1), (a, 2), (b, 3), (a, 4)], config)]
+        assert feed_fast(fast, burst) == feed_slow(slow, burst)
+        assert_twins_identical(fast, slow)
+        assert held_keys(fast) == {slot: a}
+        assert fast.tree(7).value_register._cells[slot] == 16
+        assert fast.tree(7).spillover._pairs == [(b, 4)]
+        # And back: the per-pair loop sees the kernel's verdicts in the cells.
+        after = DaietPacket(tree_id=7, src="h0", dst="h1", pairs=((a, 1), (b, 1)), config=config)
+        assert fast.handle_packet(after) == slow.handle_packet(after)
+        assert_twins_identical(fast, slow)
+        assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
+            end_packet_for(config)
+        )
+        assert_twins_identical(fast, slow)
+
+    def test_a_rearm_between_rounds_frees_the_slots(self):
+        # Round 1: a holds the slot, b collides. Round 2 starts from empty
+        # registers and fresh memos: b occurs first and claims the slot.
+        config, fast, slow = self.twins(per=4)
+        slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pr")
+        round1 = [data_packets([(a, 1), (b, 2), (a, 3)], config)]
+        assert feed_fast(fast, round1) == feed_slow(slow, round1)
+        assert held_keys(fast) == {slot: a}
+        assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
+            end_packet_for(config)
+        )
+        assert_twins_identical(fast, slow)
+        assert held_keys(fast) == {} and fast.tree(7).index_stack._items == []
+        round2 = [data_packets([(b, 5), (a, 6), (b, 7)], config)]
+        assert feed_fast(fast, round2) == feed_slow(slow, round2)
+        assert_twins_identical(fast, slow)
+        assert held_keys(fast) == {slot: b}
+        assert fast.tree(7).spillover._pairs == [(a, 6)]
+        assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
+            end_packet_for(config)
+        )
+        assert_twins_identical(fast, slow)
+
+    def test_a_full_index_stack_refuses_before_any_claim(self):
+        config, fast, _slow = self.twins()
+        state = fast.tree(7)
+        state.index_stack.capacity = 1  # as if every other slot were held
+        burst = data_packets([(f"full{i}", 1) for i in range(4)], config)
+        with pytest.raises(ResourceExhaustedError, match="index stack overflow"):
+            kernel_apply(fast, burst)
+        assert state.index_stack._items == []
+        assert set(state.key_register.tolist()) == {-1}
+        assert set(state._vec_kid_slot.tolist()) == {-3}  # no verdict was kept
+
+
+class TestPhaseAIsArrayWork:
+    def test_the_kernel_calls_no_per_key_function(self, monkeypatch):
+        # A leaf-spine round with reliability on: the kernel claims slots,
+        # finds residents and collides on every switch, and calls neither
+        # the pool's per-kid CRC lookup nor the index stack's one-slot push.
+        # The pool has no kid -> key lookup for one kid any more: a key
+        # comes back only through keys_of, a column at a time.
+        assert not hasattr(interning, "key_of")
+        inside = [0]
+        calls = {"crc_of": 0, "push": 0, "push_many": 0}
+        kernel_calls = [0]
+        apply = DaietAggregationEngine._vector_apply
+
+        def traced_apply(engine, *args):
+            inside[0] += 1
+            kernel_calls[0] += 1
+            try:
+                return apply(engine, *args)
+            finally:
+                inside[0] -= 1
+
+        def counting(name, function):
+            def wrapper(*args):
+                if inside[0]:
+                    calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(DaietAggregationEngine, "_vector_apply", traced_apply)
+        monkeypatch.setattr(interning, "crc_of", counting("crc_of", interning.crc_of))
+        monkeypatch.setattr(IndexStack, "push", counting("push", IndexStack.push))
+        monkeypatch.setattr(IndexStack, "push_many", counting("push_many", IndexStack.push_many))
+        config = DaietConfig(register_slots=64, pairs_per_packet=10, reliability=True)
+        system = DaietSystem(leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3), config)
+        mappers = [f"h{i}" for i in range(8)]
+        system.install_job(mappers=mappers, reducers=["h8"])
+        rng = random.Random(36)
+        truth: dict[str, int] = {}
+        for mapper in mappers:
+            pairs = [(f"fab{rng.randrange(120)}", rng.randrange(1, 9)) for _ in range(400)]
+            for key, value in pairs:
+                truth[key] = truth.get(key, 0) + value
+            system.send_pairs(mapper, "h8", pairs)
+        system.run()
+        assert system.receiver("h8").result() == truth
+        assert kernel_calls[0] > 0
+        counters = [
+            engine.tree(tree_id).counters
+            for engine in system.controller.engines.values()
+            for tree_id in engine.counters()
+        ]
+        assert sum(c.pairs_inserted for c in counters) > 0
+        assert sum(c.collisions for c in counters) > 0
+        assert calls.pop("push_many") > 0  # the kernel claimed slots
+        assert calls == {"crc_of": 0, "push": 0}
+
+
 def resident_keys(slots: int) -> list[str]:
     """One key per register slot: once they are in, every other key collides."""
     found: dict[int, str] = {}
@@ -245,11 +428,13 @@ def resident_keys(slots: int) -> list[str]:
 
 _fresh_names = itertools.count()
 
-#: What a seeded bucket may hold besides interned keys with plain ints:
-#: each of these makes the kernel replay the call's collisions per pair.
+#: What a seeded bucket may hold besides keys the kernel's windows interned
+#: with plain ints. Each value-shaped seed makes the kernel replay the call's
+#: collisions per pair; a key that reached the switch in a packet of its own
+#: does not (the per-pair loop interned it).
 BUCKET_SEEDS = {
     "plain ints": None,
-    "a key never interned": lambda: (f"unseen{next(_fresh_names)}", 1),
+    "a key only the per-pair loop saw": lambda: (f"unseen{next(_fresh_names)}", 1),
     "a bool value": lambda: ("spill1", True),
     "a float value": lambda: ("spill2", 2.5),
     "a value at 2**62": lambda: ("spill3", 2**62),
@@ -324,7 +509,8 @@ class TestSpillStream:
         assert [strict(out.pairs) for _i, _port, out in fast_out] == [
             strict(out.pairs) for _i, _port, out in slow_out
         ]
-        assert len(fallbacks) == (trigger is not None)
+        falls_back = trigger is not None and seeded_with != "a key only the per-pair loop saw"
+        assert len(fallbacks) == falls_back
         fast_state, slow_state = fast.tree(7), slow.tree(7)
         assert strict(fast_state.spillover.peek()) == strict(slow_state.spillover.peek())
         assert_twins_identical(fast, slow)
@@ -431,9 +617,9 @@ def register_walk(engine: DaietAggregationEngine) -> list:
     valued at its cell plus its pending kernel delta.
     """
     state = engine.tree(7)
-    keys, cells = state.key_register._cells, state.value_register._cells
+    kids, cells = state.key_register, state.value_register._cells
     return list(state.spillover.peek()) + [
-        (keys[slot], cells[slot] + int(state._vec_delta[slot]))
+        (interning.keys_of([kids[slot]])[0], cells[slot] + int(state._vec_delta[slot]))
         for slot in reversed(state.index_stack.peek_all())
     ]
 
@@ -486,15 +672,36 @@ class TestColumnFlush:
             assert window.columns.kids is not None  # cut from columns, not pairs
         assert flushed_pairs(out) == walk
         assert len(state.index_stack.peek_all()) == 0 and state._vec_mass == 0
-        assert set(state.key_register._cells) == set(state.value_register._cells) == {None}
+        assert set(state.key_register.tolist()) == {-1}
+        assert set(state.value_register._cells) == {None}
 
-    def test_a_key_never_interned_takes_the_walk(self):
+    def test_a_key_only_the_per_pair_loop_saw_flushes_from_columns(self):
+        # A packet the constructor built (no window interned its keys): the
+        # per-pair loop interns the key as it claims the slot, so the final
+        # flush reads its kid from the key register like any other.
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
         engine = make_engine(config)
-        fresh = "unseen-col-key"
-        assert interning.kid_of(fresh) == -1
+        fresh = f"col-only{next(_fresh_names)}"
         engine.handle_packet(
             DaietPacket(tree_id=7, src="h0", dst="h1", pairs=((fresh, 3),), config=config)
+        )
+        kid = interning.intern_key(fresh)  # already interned: returns its kid
+        assert kid == interning.pool_size() - 1
+        assert kid in engine.tree(7).key_register.tolist()
+        feed_slow(engine, [data_packets([("col1", 2), ("col2", 5)], config)])
+        walk = register_walk(engine)
+        out = engine._flush_all(engine.tree(7))
+        [(_port, window)] = out
+        assert window.columns.kids is not None  # cut from the kid register
+        assert flushed_pairs(out) == walk
+
+    def test_a_float_value_takes_the_walk(self):
+        # A cell the kernel cannot hold as int64 sends the final flush down
+        # the walk over the index stack, which maps each kid to its key.
+        config = DaietConfig(register_slots=8, pairs_per_packet=4)
+        engine = make_engine(config)
+        engine.handle_packet(
+            DaietPacket(tree_id=7, src="h0", dst="h1", pairs=(("colf", 2.5),), config=config)
         )
         feed_slow(engine, [data_packets([("col1", 2), ("col2", 5)], config)])
         walk = register_walk(engine)
@@ -502,3 +709,6 @@ class TestColumnFlush:
         [(_port, window)] = out
         assert window.columns.kids is None  # built from pairs by the walk
         assert flushed_pairs(out) == walk
+        state = engine.tree(7)
+        assert set(state.key_register.tolist()) == {-1}
+        assert set(state.value_register._cells) == {None}

@@ -13,14 +13,12 @@ class TestRegisterArray:
     def test_starts_empty(self):
         array = RegisterArray(8)
         assert len(array) == 8
-        assert array.occupied_indices() == []
         assert all(array.is_empty(i) for i in range(8))
 
     def test_a_written_cell_is_occupied(self):
         array = RegisterArray(4)
         array._cells[2] = "value"
-        assert not array.is_empty(2)
-        assert array.occupied_indices() == [2]
+        assert [i for i in range(4) if not array.is_empty(i)] == [2]
 
     def test_out_of_range_read_raises(self):
         array = RegisterArray(4)
@@ -47,6 +45,17 @@ class TestIndexStack:
         stack.push(1)
         with pytest.raises(ResourceExhaustedError):
             stack.push(2)
+
+    def test_push_many_keeps_order_and_refuses_as_a_whole(self):
+        stack = IndexStack(capacity=4)
+        stack.push(5)
+        stack.push_many([3, 9])
+        assert stack.peek_all() == (5, 3, 9)
+        with pytest.raises(ResourceExhaustedError):
+            stack.push_many([1, 2])
+        assert stack.peek_all() == (5, 3, 9)  # nothing of the refused push
+        stack.push_many([1])
+        assert list(stack.drain()) == [1, 9, 3, 5]
 
     def test_drain_empties_the_stack(self):
         stack = IndexStack(capacity=8)

@@ -344,7 +344,7 @@ def register_contents(system: DaietSystem) -> dict:
             if state._vec_mass:
                 for slot in np.flatnonzero(state._vec_delta).tolist():
                     values[slot] += int(state._vec_delta[slot])
-            contents[name, tree_id] = (list(state.key_register._cells), values)
+            contents[name, tree_id] = (state.key_register.tolist(), values)
     return contents
 
 
