@@ -309,11 +309,10 @@ def _check_tree_resources(
 
 def _max_parse_depth(config: Any) -> int:
     """Parse depth of the largest DAIET data packet the config allows."""
-    from repro.core.packet import DaietPacket
+    from repro.core.packet import VALUE_LIMIT, DaietPacket
 
     pairs = tuple(
-        ("k" * config.key_width, (1 << (8 * config.value_width - 1)) - 1)
-        for _ in range(config.pairs_per_packet)
+        ("k" * config.key_width, VALUE_LIMIT - 1) for _ in range(config.pairs_per_packet)
     )
     packet = DaietPacket(
         tree_id=1,

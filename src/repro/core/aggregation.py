@@ -48,12 +48,6 @@ from repro.dataplane import interning as _interning
 from repro.dataplane.actions import Extern
 from repro.dataplane.registers import IndexStack, RegisterArray, SpilloverBucket
 
-#: Overflow guard for the vectorized kernel's int64 delta array: once the
-#: accumulated absolute mass of applied values reaches this bound the deltas
-#: are folded into the (unbounded Python int) register cells, and a single
-#: burst this massive is rejected outright so the per-pair path handles it.
-_VEC_MASS_LIMIT = 1 << 62
-
 #: ``_vec_kid_slot`` sentinel: key id not yet resolved for the current round.
 _KID_UNKNOWN = -3
 #: ``_vec_kid_slot`` / ``_slot_of`` sentinel: the key collides with a resident
@@ -173,9 +167,10 @@ class TreeState:
     #: kid -> register slot memo for the current round (``_KID_UNKNOWN`` /
     #: ``_KID_COLLIDING`` sentinels); reset by :meth:`rearm`.
     _vec_kid_slot: Any = field(default=None, repr=False)
-    #: Sum of absolute values scatter-added since the last materialization
-    #: (int64 overflow guard; doubles as the "deltas pending" dirty flag).
-    _vec_mass: int = field(default=0, repr=False)
+    #: Whether ``_vec_delta`` holds deltas not yet folded into the cells.
+    #: Every value is a 4-byte int, so an int64 delta would need more than
+    #: 2**32 pairs on one slot in one round to overflow.
+    _vec_pending: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_children <= 0:
@@ -207,13 +202,14 @@ class TreeState:
         """Fold pending vectorized value deltas into the register cells.
 
         The batch kernel scatter-adds into :attr:`_vec_delta` instead of the
-        per-slot cells, so any reader of cell *values* — the final flush, the
-        error tracker, the sanitizer-era direct readers, tests — must fold
-        first. No-op when nothing is pending; the per-pair path never dirties
-        the delta array, so mixed traffic stays exact (integer addition is
-        associative, and only SUM trees are vectorized).
+        per-slot cells, so a reader of cell *values* (the error tracker,
+        tests) must fold first; the final flush adds the deltas itself
+        (:meth:`DaietAggregationEngine._drain_columns`). No-op when nothing
+        is pending; the per-pair path never dirties the delta array, so mixed
+        traffic stays exact (integer addition is associative, and only SUM
+        trees are vectorized).
         """
-        if self._vec_mass == 0:
+        if not self._vec_pending:
             return
         delta = self._vec_delta
         cells = self.value_register._cells
@@ -221,7 +217,7 @@ class TreeState:
         for idx, pending in zip(touched, delta[touched].tolist()):
             cells[idx] = cells[idx] + pending
         delta.fill(0)
-        self._vec_mass = 0
+        self._vec_pending = False
 
     def rearm(self) -> None:
         """Reset the tree state for the next aggregation round.
@@ -247,9 +243,9 @@ class TreeState:
         if self._vec:
             # Discarded deltas (a rearm outside the flush path) die with the
             # cells they were pending for.
-            if self._vec_mass:
+            if self._vec_pending:
                 self._vec_delta.fill(0)
-                self._vec_mass = 0
+                self._vec_pending = False
             self._vec_kid_slot.fill(_KID_UNKNOWN)
 
 
@@ -473,20 +469,19 @@ class DaietAggregationEngine(Extern):
         state: TreeState,
         kids: Any,
         vals: Any,
-        mass: int,
         n: int,
         bounds: Any,
-    ) -> list[tuple[int, int, Any]] | None:
+    ) -> list[tuple[int, int, Any]]:
         """Apply the pairs of a burst of DATA packets as one vectorized op.
 
         ``kids``/``vals`` are the burst's interned key ids and values as
         int64 arrays in packet order, ``n`` the number of packets, ``bounds``
         their cumulative pair counts (so emissions can be tagged with the
-        packet index they followed), ``mass`` the exact sum of absolute
-        values. The simulator's burst plan assembles these at send time
-        (``_BurstPlan.kernel_input``); the caller guarantees every packet is
-        a DATA packet of this ``_vec`` tree that :meth:`_fresh_run` admitted,
-        and advances the streams with :meth:`_accept_run` once this returns.
+        packet index they followed). The simulator's burst plan assembles
+        these at send time (``_BurstPlan.kernel_input``); the caller
+        guarantees every packet is a DATA packet of this ``_vec`` tree that
+        :meth:`_fresh_run` admitted, and advances the streams with
+        :meth:`_accept_run` once this returns.
 
         Resident keys resolve to register slots through the ``_vec_kid_slot``
         memo and are scatter-added into ``_vec_delta`` in one ``np.add.at``.
@@ -498,14 +493,8 @@ class DaietAggregationEngine(Extern):
 
         Returns emissions as ``(packet_index, egress_port, packet)`` so the
         caller can restore each spillover flush (an item of the call's one
-        flush window) to its packet's delivery time, or ``None`` when the
-        burst's value mass alone could overflow the int64 delta array — the
-        caller then replays the burst through the per-pair oracle path.
+        flush window) to its packet's delivery time.
         """
-        if state._vec_mass + mass >= _VEC_MASS_LIMIT:
-            state.materialize()
-            if mass >= _VEC_MASS_LIMIT:
-                return None
         kid_slot = state._vec_kid_slot
         size = kid_slot.shape[0]
         top = int(kids.max())
@@ -549,14 +538,12 @@ class DaietAggregationEngine(Extern):
                         bounds, coll_pos, side="right"
                     ).tolist()
                 emissions = self._spill_columns(state, coll_kids, coll_vals, coll_pkt)
-                if emissions is None:
-                    emissions = self._spill_pairs(state, coll_kids, coll_vals, coll_pkt)
                 counters.collisions += spilled
             resident = st >= 0
             _np.add.at(state._vec_delta, st[resident], vals[resident])
         else:
             _np.add.at(state._vec_delta, st, vals)
-        state._vec_mass += mass
+        state._vec_pending = True
         total = int(bounds[-1])
         counters.packets_received += n
         counters.pairs_received += total
@@ -609,7 +596,7 @@ class DaietAggregationEngine(Extern):
 
     def _spill_columns(
         self, state: TreeState, kids: list[int], vals: list[int], at: list[int]
-    ) -> list[tuple[int, int, Any]] | None:
+    ) -> list[tuple[int, int, Any]]:
         """Phase C of :meth:`_vector_apply` in kid space.
 
         Replays the colliding pairs (``kids``/``vals`` in pair order, ``at``
@@ -621,19 +608,12 @@ class DaietAggregationEngine(Extern):
         holding what is left over, so both paths keep sharing it. The
         call's flushes are cut by one :func:`packetize_columns` into one
         window; flush ``j`` leaves as ``window[j]``, tagged with the packet
-        whose pair filled it.
-
-        ``None``, touching nothing, when the bucket holds a value that is
-        not a plain ``int`` within ±2**62, or when a flushed sum reaches
-        ±2**62: :meth:`_spill_pairs` replays the stream instead.
+        whose pair filled it. A flushed sum outside the value field's
+        range refuses the round there (the register-overflow rule).
         """
         spillover = state.spillover
         held = spillover.peek()
         sums = [value for _key, value in held]
-        if held and (
-            set(map(type, sums)) != {int} or max(map(abs, sums)) >= _VEC_MASS_LIMIT
-        ):
-            return None
         # Every key that reaches a switch is interned (the per-pair loop
         # interns what it stores), so this looks the held keys up.
         order = [_interning.intern_key(key) for key, _value in held]
@@ -657,42 +637,17 @@ class DaietAggregationEngine(Extern):
                 cut_vals += sums
                 cut_at.append(pkt_i)
                 order, sums, slot = [], [], {}
-        if cut_at:
-            # A flushed sum is a held value plus this call's values, each
-            # part below 2**62 in magnitude (the kernel's mass guard): the
-            # int64 conversion cannot overflow.
-            flushed = _np.array(cut_vals, dtype=_np.int64)
-            if flushed.min() <= -_VEC_MASS_LIMIT or flushed.max() >= _VEC_MASS_LIMIT:
-                return None
         spillover.flush()
         for key, value in zip(_interning.keys_of(order), sums):
             spillover.store(key, value)
         state.counters.spillover_merges += merges
         if not cut_at:
             return []
-        columns = (_np.array(cut_kids, dtype=_np.int64), flushed)
+        columns = (_np.array(cut_kids, dtype=_np.int64), _np.array(cut_vals, dtype=_np.int64))
         window = self._packetize(state, False, columns=columns)
         state.counters.spillover_flushes += len(cut_at)
         port = state.egress_port
         return [(cut_at[j], port, window[j]) for j in range(len(cut_at))]
-
-    def _spill_pairs(
-        self, state: TreeState, kids: list[int], vals: list[int], at: list[int]
-    ) -> list[tuple[int, int, Any]]:
-        """Phase C over keys, one store and one flush at a time, as the
-        per-pair loop does it: for a bucket :meth:`_spill_columns` refuses."""
-        spillover = state.spillover
-        function = state.function
-        emissions = []
-        merges = 0
-        for key, value, pkt_i in zip(_interning.keys_of(kids), vals, at):
-            if not spillover.store(key, value, function):
-                merges += 1
-            elif spillover.is_full:
-                for port, out in self._flush_spillover(state):
-                    emissions.append((pkt_i, port, out))
-        state.counters.spillover_merges += merges
-        return emissions
 
     def _fresh_run(self, state: TreeState, window: PacketWindow, items: Any) -> int:
         """How many of ``window``'s DATA items ``items`` the kernel may take.
@@ -832,55 +787,38 @@ class DaietAggregationEngine(Extern):
     def _flush_all(self, state: TreeState) -> list[tuple[int, Any]]:
         """Flush spillover first, then the aggregated registers, then END."""
         state.counters.final_flushes += 1
-        pairs: list[tuple[Any, Any]] = state.spillover.flush()
-        columns = self._drain_columns(state, pairs) if state._vec else None
-        if columns is not None:
-            return self._emit_pairs(state, (), include_end=True, columns=columns)
-        state.materialize()
-        slots = list(state.index_stack.drain())
-        kids = state.key_register[slots]
-        if (kids == _EMPTY).any():
-            raise AggregationError(
-                f"index stack of tree {state.tree_id} pointed at an empty slot"
-            )
-        value_cells = state.value_register._cells
-        pairs += zip(_interning.keys_of(kids.tolist()), map(value_cells.__getitem__, slots))
-        state.key_register[slots] = _EMPTY
-        _consume(map(value_cells.__setitem__, slots, repeat(None)))
-        return self._emit_pairs(state, pairs, include_end=True)
+        columns = self._drain_columns(state, state.spillover.flush())
+        return self._emit_pairs(state, (), include_end=True, columns=columns)
 
     def _drain_columns(
         self, state: TreeState, spilled: list[tuple[Any, Any]]
-    ) -> tuple[Any, Any] | None:
-        """The walk's pairs of :meth:`_flush_all`, in its order, as int64 columns.
+    ) -> tuple[Any, Any]:
+        """The final flush's pairs as int64 columns: ``spilled`` first, then
+        each occupied slot from the last one claimed down.
 
         Values are cells plus pending kernel deltas; kids are the key
-        register's cells. Drains the registers; ``None``, touching nothing,
-        when a value is not a plain ``int`` within ±2**62.
+        register's cells. Drains the registers. Every tree drains here:
+        SUM and COUNT values are sums of 4-byte ints, and MIN, MAX, OR and
+        AND of 4-byte ints stay 4-byte ints, so every value fits int64.
         """
         index_stack = state.index_stack
         value_cells = state.value_register._cells
         slots = index_stack.peek_all()[::-1]
+        at = _np.array(slots, dtype=_np.int64)
+        held = state.key_register[at]
+        if (held == _EMPTY).any():
+            raise AggregationError(
+                f"index stack of tree {state.tree_id} pointed at an empty slot"
+            )
         values = [value for _key, value in spilled]
         values += map(value_cells.__getitem__, slots)
-        if not values or set(map(type, values)) != {int}:
-            return None
-        try:
-            vals = _np.array(values, dtype=_np.int64)
-        except OverflowError:
-            return None
-        if vals.min() <= -_VEC_MASS_LIMIT or vals.max() >= _VEC_MASS_LIMIT:
-            return None
-        at = _np.array(slots, dtype=_np.int64)
+        vals = _np.array(values, dtype=_np.int64)
         spilled_kids = _interning.intern_keys([key for key, _value in spilled])[0]
-        kids = _np.concatenate((spilled_kids, state.key_register[at]))
-        if state._vec_mass:
-            # Cells and deltas are each below 2**62 in magnitude: no overflow.
+        kids = _np.concatenate((spilled_kids, held))
+        if state._vec_pending:
             vals[len(spilled) :] += state._vec_delta[at]
-            if vals.min() <= -_VEC_MASS_LIMIT or vals.max() >= _VEC_MASS_LIMIT:
-                return None
             state._vec_delta[at] = 0
-            state._vec_mass = 0
+            state._vec_pending = False
         state.key_register[at] = _EMPTY
         _consume(map(value_cells.__setitem__, slots, repeat(None)))
         index_stack.clear()

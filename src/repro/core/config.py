@@ -18,8 +18,10 @@ DEFAULT_REGISTER_SLOTS = 16 * 1024
 #: Default fixed key width in bytes (paper: words of maximum 16 characters).
 DEFAULT_KEY_WIDTH = 16
 
-#: Default value width in bytes (paper: 4 B integer value).
-DEFAULT_VALUE_WIDTH = 4
+#: Serialized width of a value in bytes (paper: 4 B integer value). Not a
+#: knob: the packetizer refuses any value outside this signed width, and a
+#: switch register holds one such value (see ``core/packet.py``).
+VALUE_WIDTH = 4
 
 #: Default maximum number of key-value pairs carried by one DAIET packet
 #: (paper: "one DAIET packet can contain at most 10 key-value pairs").
@@ -120,9 +122,9 @@ class DaietConfig:
     key_width:
         Fixed serialized width of a key in bytes. Keys longer than this are
         rejected; shorter keys are padded (the paper notes this padding as an
-        overhead to be removed in future work).
-    value_width:
-        Serialized width of a value in bytes.
+        overhead to be removed in future work). Values have the fixed width
+        :data:`VALUE_WIDTH` (4 B signed), which is the wire contract, not a
+        field.
     pairs_per_packet:
         Maximum number of key-value pairs per DAIET data packet. Also the
         capacity of a tree's spillover bucket: the paper sizes it as "as
@@ -178,7 +180,6 @@ class DaietConfig:
 
     register_slots: int = DEFAULT_REGISTER_SLOTS
     key_width: int = DEFAULT_KEY_WIDTH
-    value_width: int = DEFAULT_VALUE_WIDTH
     pairs_per_packet: int = DEFAULT_PAIRS_PER_PACKET
     reliability: bool = False
     retransmit_timeout: float = 1e-4
@@ -194,8 +195,6 @@ class DaietConfig:
             raise ConfigurationError("register_slots must be positive")
         if self.key_width <= 0:
             raise ConfigurationError("key_width must be positive")
-        if self.value_width <= 0:
-            raise ConfigurationError("value_width must be positive")
         if self.pairs_per_packet <= 0:
             raise ConfigurationError("pairs_per_packet must be positive")
         if self.retransmit_timeout <= 0:
@@ -221,7 +220,7 @@ class DaietConfig:
     @property
     def pair_bytes(self) -> int:
         """Serialized size of a single fixed-size key-value pair."""
-        return self.key_width + self.value_width
+        return self.key_width + VALUE_WIDTH
 
     def sram_bytes(self) -> int:
         """Estimate the switch SRAM needed for one aggregation tree.
@@ -230,5 +229,5 @@ class DaietConfig:
         across the full register/index-stack layout; we account for the two
         register arrays plus the index stack (4 B per slot).
         """
-        per_slot = self.key_width + self.value_width + 4
+        per_slot = self.key_width + VALUE_WIDTH + 4
         return self.register_slots * per_slot

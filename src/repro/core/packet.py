@@ -7,6 +7,15 @@ pairs use a fixed-size representation (16-byte keys, 4-byte integer values in
 the prototype) so that packetization never needs to deserialize the data; the
 end of a partition is marked by a special END packet.
 
+The header is the contract. A pair is an exact ``str``/``bytes`` key of at
+most ``key_width`` encoded bytes and an exact ``int`` value in the signed
+:data:`~repro.core.config.VALUE_WIDTH`-byte range; :func:`check_pair` states
+the rule once. The constructor applies it pair by pair, a map task to each
+pair it emits, and the packetizers once per value column, at send: a pair
+the header cannot carry never becomes a packet. A switch flush's values are
+register contents, so there the same check is the register-overflow rule: a
+round whose flushed value leaves the range is refused.
+
 :class:`DaietPacket` models one such UDP packet. It exposes
 
 * ``wire_bytes()`` — full frame size including Ethernet/IP/UDP encapsulation,
@@ -38,6 +47,7 @@ from repro.core.config import (
     ETHERNET_HEADER_BYTES,
     IP_HEADER_BYTES,
     UDP_HEADER_BYTES,
+    VALUE_WIDTH,
     DaietConfig,
 )
 from repro.core.errors import PacketFormatError
@@ -46,11 +56,70 @@ from repro.dataplane import interning as _interning
 #: Sentinel marking a packet that belongs to no partition's columns (yet).
 _VEC_UNSET = object()
 
-#: Values outside this open interval make a packet ineligible for the
-#: vectorized kernel: the per-tree delta array accumulates in int64, and the
-#: kernel's overflow guard (see ``TreeState._vec_mass``) needs per-value
-#: magnitudes comfortably below 2**63.
-_VEC_VALUE_LIMIT = 1 << 62
+#: The signed range a ``VALUE_WIDTH``-byte value field carries:
+#: ``VALUE_MIN <= value < VALUE_LIMIT``.
+VALUE_LIMIT = 1 << (8 * VALUE_WIDTH - 1)
+VALUE_MIN = -VALUE_LIMIT
+
+
+def check_pair(key: Any, value: Any, key_width: int) -> bool:
+    """Refuse a pair the header cannot carry; whether its key ends in NUL.
+
+    The key must be an exact ``str`` or ``bytes`` of at most ``key_width``
+    encoded bytes, the value an exact ``int`` in ``[VALUE_MIN,
+    VALUE_LIMIT)`` (a ``bool`` or a ``float`` is refused: the value field
+    holds neither). Raises :class:`PacketFormatError` otherwise. A key that
+    ends in a NUL byte is legal but costs an explicit length byte on the
+    wire, hence the answer.
+    """
+    if type(key) is str and key.isascii():
+        encoded_len = len(key)
+        ends_nul = encoded_len > 0 and key[-1] == "\x00"
+    else:
+        if type(key) is str:
+            encoded = key.encode()
+        elif type(key) is bytes:
+            encoded = key
+        else:
+            # A switch's key register holds interned kids, and only exact
+            # str/bytes keys are interned.
+            raise PacketFormatError(
+                f"key {key!r} is a {type(key).__name__}; keys are str or bytes"
+            )
+        encoded_len = len(encoded)
+        ends_nul = encoded.endswith(b"\x00")
+    if encoded_len > key_width:
+        raise PacketFormatError(
+            f"key {key!r} is {encoded_len} B, exceeding the fixed key "
+            f"width of {key_width} B"
+        )
+    if type(value) is not int:
+        raise PacketFormatError(
+            f"value {value!r} is a {type(value).__name__}; values are int"
+        )
+    if not VALUE_MIN <= value < VALUE_LIMIT:
+        raise PacketFormatError(f"value {value} does not fit in {VALUE_WIDTH} bytes")
+    return ends_nul
+
+
+def _fits(vals: Any) -> bool:
+    """Whether every value of the int64 column ``vals`` fits the value field."""
+    return not len(vals) or (vals.min() >= VALUE_MIN and vals.max() < VALUE_LIMIT)
+
+
+def _value_column(values: list[Any]) -> Any:
+    """``values`` as an int64 column; ``None`` when one breaks the contract.
+
+    The bulk form of :func:`check_pair`'s value rule: one type scan, one
+    conversion and one range test per partition.
+    """
+    if values and set(map(type, values)) != {int}:
+        return None
+    try:
+        vals = _np.fromiter(values, dtype=_np.int64, count=len(values))
+    except OverflowError:
+        return None
+    return vals if _fits(vals) else None
 
 
 class PairColumns:
@@ -58,76 +127,20 @@ class PairColumns:
 
     ``kids`` and ``vals`` are int64 arrays over the partition's pairs in
     order (interned key ids, see :mod:`repro.dataplane.interning`, and
-    values); packet ``i`` of the partition owns the ``per`` pairs from
-    ``i * per`` on (fewer in the last packet). ``mass_cum[i]`` is the exact
-    sum of ``|value|`` over the packets before ``i`` (Python ints: the
-    kernel's int64-overflow guard then costs one subtraction per window,
-    whatever the values).
-
-    A host's partition adopts the kid column the packetizer interned and
-    converts its values for the first reader, not in the packetizer: the
-    burst planner asks for a window whose next hop is a switch. A switch's
-    flushes already hold both arrays (:meth:`of`: the register kernel's own
-    kids and values, for its final flush and for the spillover flushes of
-    one kernel call). Every key has a kid: a packet carries only exact
-    ``str``/``bytes`` keys, which the constructor checks. ``ready()`` is
-    ``False``, permanently, when any value is ineligible: not a plain
-    ``int`` within ±2**62 (bools and floats must keep their exact types
-    through the per-pair oracle path). Such a window gets no burst plan;
-    asked one by one, its packets (and a packet built by the constructor)
-    are each a partition of its own (see :meth:`DaietPacket.vector_pairs`).
+    values, each within the value field's range); packet ``i`` of the
+    partition owns the ``per`` pairs from ``i * per`` on (fewer in the last
+    packet). A host's partition holds the kid column the packetizer interned
+    and the value column it checked; a switch's flush holds the register
+    kernel's own kids and values.
     """
 
-    __slots__ = ("kids", "vals", "mass_cum", "per", "_source")
+    __slots__ = ("kids", "vals", "per")
 
-    def __init__(self, pairs: Any, kids: Any, per: int) -> None:
-        #: ``(pairs, kids)`` until the first reader asks; ``kids`` (the int64
-        #: kid column) is ``None`` when the keys were not interned yet.
-        self._source: Any = (pairs, kids)
+    def __init__(self, kids: Any, vals: Any, per: int) -> None:
+        self.kids = kids
+        self.vals = vals
         #: Pairs per packet (the last packet may carry fewer).
         self.per = per
-        self.kids: Any = None
-
-    @classmethod
-    def of(cls, kids: Any, vals: Any, per: int) -> "PairColumns":
-        """Columns over int64 arrays the caller vouches for (values within ±2**62)."""
-        columns = cls((), None, per)
-        columns._source = None
-        columns._adopt(kids, vals)
-        return columns
-
-    def ready(self) -> bool:
-        """Build the columns on the first call; ``True`` when they exist."""
-        if self._source is not None:
-            source, self._source = self._source, None
-            self._build(*source)
-        return self.kids is not None
-
-    def _build(self, pairs: Any, kids: Any) -> None:
-        values = [value for _key, value in pairs]
-        if not values or set(map(type, values)) != {int}:
-            return
-        if kids is None:
-            kids = _interning.intern_keys([key for key, _value in pairs])[0]
-        try:
-            vals = _np.fromiter(values, dtype=_np.int64, count=len(values))
-        except OverflowError:
-            return
-        if vals.min() <= -_VEC_VALUE_LIMIT or vals.max() >= _VEC_VALUE_LIMIT:
-            return
-        self._adopt(kids, vals)
-
-    def _adopt(self, kids: Any, vals: Any) -> None:
-        # An int64 running sum could overflow near the ±2**62 edge, so the
-        # ledger sums 31-bit limbs (exact below 2**32 pairs) and recombines
-        # them as Python ints, at packet boundaries only.
-        magnitude = _np.abs(vals)
-        ends = _np.append(_np.arange(self.per, len(vals), self.per), len(vals)) - 1
-        highs = _np.cumsum(magnitude >> 31)[ends].tolist()
-        lows = _np.cumsum(magnitude & 0x7FFFFFFF)[ends].tolist()
-        self.mass_cum = [0, *((high << 31) + low for high, low in zip(highs, lows))]
-        self.vals = vals
-        self.kids = kids
 
 
 class _ColumnPairs(Sequence):
@@ -218,8 +231,7 @@ class DaietPacket:
     #: Cached DAIET payload size (preamble + pairs).
     _payload_bytes: int = field(init=False, repr=False, compare=False)
     #: The :class:`PairColumns` this packet's pairs are part of and the
-    #: packet's index in it (see ``vector_pairs()``); ``None`` once the
-    #: packet is known to be ineligible.
+    #: packet's index in it (see ``vector_pairs()``).
     _vec_cache: Any = field(init=False, repr=False, compare=False)
     _vec_at: int = field(init=False, repr=False, compare=False)
 
@@ -236,35 +248,12 @@ class DaietPacket:
                 f"packet carries {len(self.pairs)} pairs but the configuration "
                 f"allows at most {config.pairs_per_packet}"
             )
-        # One pass over the pairs computes everything the old code derived in
-        # three separate loops (width validation, the key-length flag and the
-        # serialized pair bytes). ASCII ``str`` keys — the overwhelmingly
-        # common case — never touch ``str.encode``.
+        # One pass over the pairs checks each one against the contract and
+        # finds whether any key needs its explicit length byte.
         key_width = config.key_width
         keylen_needed = False
-        for key, _value in self.pairs:
-            if type(key) is str and key.isascii():
-                encoded_len = len(key)
-                ends_nul = encoded_len > 0 and key[-1] == "\x00"
-            else:
-                if type(key) is str:
-                    encoded = key.encode()
-                elif type(key) is bytes:
-                    encoded = key
-                else:
-                    # A switch's key register holds interned kids, and only
-                    # exact str/bytes keys are interned.
-                    raise PacketFormatError(
-                        f"key {key!r} is a {type(key).__name__}; keys are str or bytes"
-                    )
-                encoded_len = len(encoded)
-                ends_nul = encoded.endswith(b"\x00")
-            if encoded_len > key_width:
-                raise PacketFormatError(
-                    f"key {key!r} is {encoded_len} B, exceeding the fixed key "
-                    f"width of {key_width} B"
-                )
-            if ends_nul:
+        for key, value in self.pairs:
+            if check_pair(key, value, key_width):
                 keylen_needed = True
         num_pairs = len(self.pairs)
         pair_bytes = num_pairs * config.pair_bytes
@@ -282,30 +271,26 @@ class DaietPacket:
     # Vectorized-kernel view
     # ------------------------------------------------------------------ #
     def vector_pairs(self):
-        """The packet's pairs as ``(kids, vals, mass)``, or ``None``.
+        """The packet's pairs as ``(kids, vals)``, or ``None`` when it has none.
 
         ``kids`` and ``vals`` are this packet's slices of its partition's
-        int64 columns (views, not copies) and ``mass`` is the exact sum of
-        absolute values. A packet its window built points into the
-        partition's :class:`PairColumns`; any other packet, and every packet
-        of a partition whose columns refused an ineligible pair, is a
-        partition of one, built here on first use. ``None``, permanently,
-        when the packet has no pairs or an ineligible one.
+        int64 columns (views, not copies). A packet its window built points
+        into the partition's :class:`PairColumns`; any other packet is a
+        partition of one, built here on first use from pairs the
+        constructor checked.
         """
-        columns = self._vec_cache
-        if columns is not None and (columns is _VEC_UNSET or not columns.ready()):
-            columns = PairColumns(self.pairs, None, max(len(self.pairs), 1))
-            if not columns.ready():
-                columns = None
-            object.__setattr__(self, "_vec_cache", columns)
-            object.__setattr__(self, "_vec_at", 0)
-        if columns is None:
+        if not self.pairs:
             return None
-        at = self._vec_at
-        lo = at * columns.per
-        hi = lo + len(self.pairs)
-        ledger = columns.mass_cum
-        return columns.kids[lo:hi], columns.vals[lo:hi], ledger[at + 1] - ledger[at]
+        columns = self._vec_cache
+        if columns is _VEC_UNSET:
+            columns = PairColumns(
+                _interning.intern_keys([key for key, _value in self.pairs])[0],
+                _np.array([value for _key, value in self.pairs], dtype=_np.int64),
+                len(self.pairs),
+            )
+            object.__setattr__(self, "_vec_cache", columns)
+        lo = self._vec_at * columns.per
+        return columns.kids[lo : lo + len(self.pairs)], columns.vals[lo : lo + len(self.pairs)]
 
     def restamped(self, tree_id: int, seq: int) -> "DaietPacket":
         """This packet under another tree id and sequence number.
@@ -502,38 +487,28 @@ def packetize_pairs(
     there, as required by the reliability layer.
 
     The one packetizer: hosts (reliable or not), the UDP baseline and the
-    switch flush path all cut their packets here (or, holding columns, in
-    :func:`packetize_columns`). The keys are interned in one pass into the
-    partition's kid column, which its :class:`PairColumns` adopts. When the
-    intern pool can vouch for every key (a key is measured once, when the
-    pool first interns it), sizes follow arithmetically and the DATA packets
-    are built later, if anything asks. Otherwise (a negative tree id, a sequence
-    number that would not fit, malformed pairs, keys outside the pool's
-    domain, an over-wide or NUL-suffixed key) the validating
-    :class:`DaietPacket` constructor builds them here: it is the oracle for
-    packets and for errors.
+    switch's per-pair spillover flushes all cut their packets here (or,
+    holding columns, in :func:`packetize_columns`). The keys are interned in
+    one pass into the partition's kid column and the values checked in one
+    pass into its value column; the window's :class:`PairColumns` holds
+    both. When the intern pool can vouch for every key (a key is measured
+    once, when the pool first interns it) and every value fits, sizes follow
+    arithmetically and the DATA packets are built later, if anything asks.
+    Otherwise (a pair the header cannot carry, a negative tree id, a
+    sequence number that would not fit, a NUL-suffixed key) the validating
+    :class:`DaietPacket` constructor builds them here: it refuses the first
+    offending pair with :func:`check_pair`'s message, before anything is
+    sent, and measures the rest.
     """
     config = config or DaietConfig()
     pairs = list(pairs)
-    per_packet = config.pairs_per_packet
-    count = -(-len(pairs) // per_packet)
     try:
         kids, widest, any_nul = _interning.intern_keys([key for key, _value in pairs])
-        vouched = widest <= config.key_width and not any_nul
+        vals = _value_column([value for _key, value in pairs])
     except (TypeError, ValueError):
-        kids, vouched = None, False
-    built = None
-    if not vouched or tree_id < 0 or not 0 <= (seq_start or 0) <= 2**32 - count:
-        built = {
-            at: DaietPacket(
-                tree_id, src, dst, DaietPacketType.DATA,
-                tuple(pairs[at * per_packet : at * per_packet + per_packet]), config,
-                None if seq_start is None else seq_start + at,
-            )
-            for at in range(count)
-        }
-    columns = PairColumns(pairs, kids, per_packet)
-    return _window(pairs, columns, tree_id, src, dst, config, include_end, seq_start, built)
+        kids = vals = None
+    vouched = vals is not None and widest <= config.key_width and not any_nul
+    return _window(pairs, kids, vals, vouched, tree_id, src, dst, config, include_end, seq_start)
 
 
 def packetize_columns(
@@ -547,53 +522,63 @@ def packetize_columns(
     seq_start: int | None = None,
 ) -> PacketWindow:
     """:func:`packetize_pairs` for pairs held as int64 columns (interned
-    kids, values within ±2**62): a switch's final flush, or the spillover
-    flushes of one register-kernel call, cut without building a pair. What
-    the size arithmetic cannot vouch for goes through :func:`packetize_pairs`.
+    kids, values): a switch's final flush, or the spillover flushes of one
+    register-kernel call, cut without building a pair.
+
+    The values are register contents, so the value check here is the
+    register-overflow rule: a flushed value outside the value field's range
+    (a SUM that outgrew it) raises :class:`PacketFormatError`, which refuses
+    the round.
     """
-    count = -(-len(kids) // config.pairs_per_packet)
     widest, any_nul = _interning.measure_kids(kids)
+    vouched = _fits(vals) and widest <= config.key_width and not any_nul
     pairs = _ColumnPairs(kids, vals)
-    if (
-        not count
-        or widest > config.key_width
-        or any_nul
-        or tree_id < 0
-        or not 0 <= (seq_start or 0) <= 2**32 - count
-    ):
-        return packetize_pairs(pairs[:], tree_id, src, dst, config, include_end, seq_start)
-    columns = PairColumns.of(kids, vals, config.pairs_per_packet)
-    return _window(pairs, columns, tree_id, src, dst, config, include_end, seq_start)
+    return _window(pairs, kids, vals, vouched, tree_id, src, dst, config, include_end, seq_start)
 
 
 def _window(
     pairs: Sequence[tuple[Any, int]],
-    columns: PairColumns,
+    kids: Any,
+    vals: Any,
+    vouched: bool,
     tree_id: int,
     src: str,
     dst: str,
     config: DaietConfig,
     include_end: bool,
     seq_start: int | None,
-    built: dict[int, DaietPacket] | None = None,
 ) -> PacketWindow:
-    """The window over ``pairs``; sized by arithmetic unless the constructor ``built`` it."""
-    if built is not None:
+    """The window over ``pairs`` and their columns, sized by arithmetic.
+
+    Unless the columns could not vouch for every pair, or the header
+    fields refuse the window (a negative tree id, DATA sequence numbers
+    past the 32-bit field): then the validating constructor builds the
+    DATA packets, refusing the first offending pair or field.
+    """
+    per_packet = config.pairs_per_packet
+    count = -(-len(pairs) // per_packet)
+    if not vouched or tree_id < 0 or not 0 <= (seq_start or 0) <= 2**32 - count:
+        built = {
+            at: DaietPacket(
+                tree_id, src, dst, DaietPacketType.DATA,
+                tuple(pairs[at * per_packet : at * per_packet + per_packet]), config,
+                None if seq_start is None else seq_start + at,
+            )
+            for at in range(count)
+        }
         sizes = [packet.wire_bytes() for packet in built.values()]
     else:
         built = {}
-        per_packet = config.pairs_per_packet
-        count = -(-len(pairs) // per_packet)
         base = _FRAME_BYTES + DAIET_PREAMBLE_BYTES + (0 if seq_start is None else SEQ_BYTES)
         sizes = [base + per_packet * config.pair_bytes] * count
         if count:
             sizes[-1] = base + (len(pairs) - (count - 1) * per_packet) * config.pair_bytes
-    count = len(sizes)
     if include_end:
         built[count] = end = end_packet(
             tree_id, src, dst, config, None if seq_start is None else seq_start + count
         )
         sizes.append(end.wire_bytes())
+    columns = PairColumns(kids, vals, per_packet)
     return PacketWindow(tree_id, src, dst, config, pairs, columns, seq_start, sizes, built)
 
 

@@ -2,10 +2,13 @@
 
 A map task applies the user map function to its input split and partitions
 the emitted pairs among the reducers. Every pair must fit the fixed-size
-representation the shuffle puts on the wire (Section 4: ``key_width``-byte
-keys, signed ``value_width``-byte values); a map task refuses one that does
-not. For the TCP baseline the per-partition output is additionally sorted by
-key, as the original MapReduce does before serving it to reducers.
+representation the shuffle puts on the wire (Section 4: ``str``/``bytes``
+keys of at most ``key_width`` bytes, ``int`` values of 4 signed bytes); a map
+task refuses one that does not, by the packet format's own rule
+(:func:`repro.core.packet.check_pair`), so a bad pair fails where the user's
+map function emitted it rather than at send. For the TCP baseline the
+per-partition output is additionally sorted by key, as the original
+MapReduce does before serving it to reducers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.errors import JobError, PacketFormatError
+from repro.core.errors import JobError
+from repro.core.packet import check_pair
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.partitioner import HashPartitioner
 
@@ -57,26 +61,15 @@ class MapTask:
     def run(self, records: Iterable[Any]) -> MapOutput:
         """Execute the map function over the input split.
 
-        Raises :class:`PacketFormatError` for a key longer than ``key_width``
-        bytes or a value outside ``value_width``'s signed range.
+        Raises :class:`~repro.core.errors.PacketFormatError` for a pair the
+        wire format cannot carry (see :func:`~repro.core.packet.check_pair`).
         """
         key_width = self.spec.daiet.key_width
-        value_width = self.spec.daiet.value_width
-        limit = 1 << (8 * value_width - 1)
         output = MapOutput(mapper_id=self.mapper_id, host=self.host)
         for record in records:
             output.records_processed += 1
             for key, value in self.spec.map_function(record):
-                key_bytes = len(key.encode())
-                if key_bytes > key_width:
-                    raise PacketFormatError(
-                        f"key {key!r} is {key_bytes} B, exceeding the fixed key width "
-                        f"of {key_width} B"
-                    )
-                if not -limit <= value < limit:
-                    raise PacketFormatError(
-                        f"value {value} does not fit in {value_width} bytes"
-                    )
+                check_pair(key, value, key_width)
                 reducer_id = self.partitioner(key)
                 output.partitions.setdefault(reducer_id, []).append((key, value))
                 output.pairs_emitted += 1

@@ -73,8 +73,8 @@ class _BurstPlan:
     handler can batch the window's DATA packets without building them:
     per-item eligibility (a DATA packet carries pairs, the END does not),
     the window's interned-key/value arrays (views of its partition's
-    columns), per-item pair extents and exact cumulative mass/byte ledgers
-    all come from the window's arithmetic. ``items`` are the window indexes
+    columns), per-item pair extents and the cumulative byte ledger all
+    come from the window's arithmetic. ``items`` are the window indexes
     the plan still carries; ``packet(k)`` builds one only for a consumer
     that needs it. The wire-dependent fields (arrival ``times``, the
     ``seq0`` base, delivery ``target``/``ingress``) are filled in by
@@ -95,7 +95,6 @@ class _BurstPlan:
         "vals",
         "pair_start",
         "npairs",
-        "mass_cum",
         "nbytes_cum",
         "times",
         "seq0",
@@ -121,8 +120,6 @@ class _BurstPlan:
         hi = lo + (ndata - 1) * per + int(npairs[ndata - 1])
         self.kids = columns.kids[lo:hi]
         self.vals = columns.vals[lo:hi]
-        ledger = columns.mass_cum
-        self.mass_cum = ledger[first : data_stop + 1] + [ledger[data_stop]] * (n - ndata)
         self.window = window
         self.items: Any = range(n)
         self.nbytes = window.sizes
@@ -140,24 +137,23 @@ class _BurstPlan:
         """The packet of item ``offset``, built if nothing built it yet."""
         return self.window[self.items[offset]]
 
-    def kernel_input(self, offset: int, count: int) -> tuple[Any, Any, int, int, Any]:
+    def kernel_input(self, offset: int, count: int) -> tuple[Any, Any, int, Any]:
         """``_vector_apply``'s arguments for items ``offset .. offset + count``.
 
-        ``(kids, vals, mass, count, bounds)``; every item in the range must
+        ``(kids, vals, count, bounds)``; every item in the range must
         be shape-eligible. Their pairs are one slice of the plan's arrays
         unless a lost item sat between them.
         """
         end = offset + count
         lens = self.npairs[offset:end]
         starts = self.pair_start[offset:end]
-        mass = self.mass_cum[end] - self.mass_cum[offset]
         bounds = _np.cumsum(lens)
         lo = int(starts[0])
         hi = lo + int(bounds[-1])
         if starts[-1] + lens[-1] == hi:
-            return self.kids[lo:hi], self.vals[lo:hi], mass, count, bounds
+            return self.kids[lo:hi], self.vals[lo:hi], count, bounds
         kids, vals, bounds = _gather_pairs(self.kids, self.vals, starts, lens)
-        return kids, vals, mass, count, bounds
+        return kids, vals, count, bounds
 
     def drop(self, lost: list[int]) -> None:
         """Remove the items at the ascending indexes ``lost`` (lost in flight).
@@ -167,13 +163,11 @@ class _BurstPlan:
         keep = _np.ones(len(self.items), dtype=bool)
         keep[lost] = False
         kept = _np.flatnonzero(keep).tolist()
-        masses = [self.mass_cum[i + 1] - self.mass_cum[i] for i in kept]
         self.items = [self.items[i] for i in kept]
         self.nbytes = [self.nbytes[i] for i in kept]
         self.npairs = self.npairs[keep]
         self.shape_ok = self.shape_ok[keep]
         self.pair_start = self.pair_start[keep]
-        self.mass_cum = list(accumulate(masses, initial=0))
         self.nbytes_cum = list(accumulate(self.nbytes, initial=0))
 
 
@@ -194,16 +188,16 @@ def _gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, An
 def _plan_burst(window: PacketWindow) -> _BurstPlan | None:
     """A :class:`_BurstPlan` for ``window``, or ``None``.
 
-    Every DATA item of a window is *shape-eligible* when its partition has
-    columns (``PairColumns.ready``); sequenced or not, the engine decides at
+    Every DATA item of a window is *shape-eligible*: the packetizer checked
+    its partition's columns at send. Sequenced or not, the engine decides at
     delivery whether its stream lets the kernel take it
     (``DaietAggregationEngine._fresh_run``). The switch-specific budget
     checks are applied once per burst by the burst handler via the
     precomputed ``max_nbytes``/``max_cost``. ``None`` for a window without
-    DATA and for a partition with an ineligible pair.
+    DATA.
     """
     columns = window.columns
-    if window.first * columns.per >= len(window.pairs) or not columns.ready():
+    if window.first * columns.per >= len(window.pairs):
         return None
     return _BurstPlan(window, columns)
 
@@ -647,15 +641,13 @@ class NetworkSimulator:
                 shares = [bid[:cut] == j for j in range(k)]
                 local = _np.empty(cut, dtype=_np.int64)
                 kid_parts, val_parts, len_parts = [], [], []
-                mass = 0
                 base = 0
                 for (p, o), c, share in zip(bursts, counts, shares):
                     if c:
-                        kids_j, vals_j, mass_j, _c, _bounds = p.kernel_input(o, c)
+                        kids_j, vals_j, _c, _bounds = p.kernel_input(o, c)
                         kid_parts.append(kids_j)
                         val_parts.append(vals_j)
                         len_parts.append(p.npairs[o : o + c])
-                        mass += mass_j
                         local[share] = _np.arange(base, base + c, dtype=_np.int64)
                         base += c
                 lens = _np.concatenate(len_parts)
@@ -666,14 +658,8 @@ class NetworkSimulator:
                     starts[local],
                     lens[local],
                 )
-                kernel_input = (kids, vals, mass, cut, bounds)
+                kernel_input = (kids, vals, cut, bounds)
             result = engine._vector_apply(state, *kernel_input)
-            if result is None:
-                # int64 overflow guard tripped: the head item goes through the
-                # per-packet path, which is exact for any mass, and the rest
-                # stays queued where it was.
-                burst_sink(plan, offset)
-                return 1
             nbytes_total = 0
             for (p, o), c in zip(bursts, counts):
                 if c:

@@ -7,8 +7,9 @@ import pytest
 from repro.baselines.tcp_shuffle import TcpShuffle
 from repro.baselines.udp_shuffle import UdpShuffle
 from repro.core.config import DaietConfig
-from repro.core.errors import JobError
+from repro.core.errors import JobError, PacketFormatError
 from repro.mapreduce.cluster import build_cluster, default_placement
+from repro.mapreduce.mapper import MapOutput
 from repro.mapreduce.master import MapReduceMaster
 from repro.mapreduce.wordcount import generate_corpus, make_wordcount_job
 
@@ -66,3 +67,21 @@ class TestUdpShuffle:
     def test_transfer_before_prepare_rejected(self):
         with pytest.raises(JobError):
             UdpShuffle().transfer([])
+
+    @pytest.mark.parametrize("value", [2**40, -(2**31) - 1, 2.5, True], ids=repr)
+    def test_a_value_the_field_cannot_hold_is_refused_at_send(self, value):
+        # The baseline frames pairs with the DAIET packetizer, so it refuses
+        # what the 4-byte value field cannot carry before anything is sent.
+        cluster = build_cluster(num_workers=3)
+        spec = make_wordcount_job(num_mappers=3, num_reducers=1)
+        placement = default_placement(cluster, 3, 1)
+        shuffle = UdpShuffle()
+        master = MapReduceMaster(cluster, spec, shuffle, placement)
+        shuffle.prepare(cluster, spec, placement, master.reduce_tasks)
+        sender = placement.mapper_hosts[1]
+        assert sender != placement.reducer_hosts[0]
+        output = MapOutput(mapper_id=1, host=sender, partitions={0: [("ok", 1), ("a", value)]})
+        with pytest.raises(PacketFormatError, match="value"):
+            shuffle.transfer([output])
+        assert shuffle.accounting.packets_sent == 0
+        assert cluster.simulator.stats.total_link_packets() == 0

@@ -10,14 +10,14 @@ Layout: the preamble ``!IHBB`` (tree id, pair count, packet type, flags),
 then a 32-bit sequence number when :data:`FLAG_SEQ` is set, then one
 key-length byte per pair when :data:`FLAG_KEYLEN` is set, then each pair as
 its key NUL-padded to ``key_width`` and its value as a signed big-endian
-``value_width``-byte integer.
+``VALUE_WIDTH``-byte integer.
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.core.config import DAIET_PREAMBLE_BYTES, DaietConfig
+from repro.core.config import DAIET_PREAMBLE_BYTES, VALUE_WIDTH, DaietConfig
 from repro.core.errors import PacketFormatError
 from repro.core.packet import SEQ_BYTES, DaietPacket, DaietPacketType
 
@@ -64,7 +64,7 @@ def encode(packet: DaietPacket) -> bytes:
         chunks.append(bytes(len(_key_bytes(key)) for key, _ in packet.pairs))
     for key, value in packet.pairs:
         chunks.append(_key_bytes(key).ljust(config.key_width, b"\x00"))
-        chunks.append(_encode_value(value, config.value_width))
+        chunks.append(_encode_value(value, VALUE_WIDTH))
     return b"".join(chunks)
 
 
@@ -109,10 +109,10 @@ def decode(
             key_bytes = key_bytes[: key_lens[i]]
         else:
             key_bytes = key_bytes.rstrip(b"\x00")
-        value_bytes = data[offset : offset + config.value_width]
-        if len(value_bytes) != config.value_width:
+        value_bytes = data[offset : offset + VALUE_WIDTH]
+        if len(value_bytes) != VALUE_WIDTH:
             raise PacketFormatError("truncated value")
-        offset += config.value_width
+        offset += VALUE_WIDTH
         pairs.append((key_bytes.decode(), int.from_bytes(value_bytes, "big", signed=True)))
     return DaietPacket(
         tree_id=tree_id,

@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
-from repro.core.errors import AggregationError
+from repro.core.errors import AggregationError, PacketFormatError
+from repro.core.daiet import DaietSystem
 from repro.core.packet import DaietPacket, DaietPacketType, end_packet, packetize_pairs
+from repro.netsim.simulator import SimulatorConfig
+from repro.netsim.topology import single_rack
 
 
 def make_engine(
@@ -226,3 +229,57 @@ class TestSpillover:
             emitted.extend(flushed(engine, packet))
         totals = collect_pairs(emitted)
         assert totals == {key: value for key, value in pairs}
+
+
+class TestRegisterOverflow:
+    """A register holds a 4-byte value: a round whose flushed SUM leaves
+    that range raises from ``run()``, on the kernel and on the per-pair loop."""
+
+    @staticmethod
+    def _round(sanitize: bool, register_slots: int, partitions: list) -> tuple:
+        system = DaietSystem(
+            single_rack(3),
+            DaietConfig(register_slots=register_slots, pairs_per_packet=2),
+            SimulatorConfig(sanitize=sanitize),
+        )
+        system.install_job(mappers=["h0", "h1"], reducers=["h2"])
+        calls = []
+        engine = system.engine("tor")
+        vector_apply = engine._vector_apply
+        engine._vector_apply = lambda *args: calls.append(1) or vector_apply(*args)
+        for mapper, pairs in zip(("h0", "h1"), partitions):
+            system.send_pairs(mapper, "h2", pairs)
+        return system, calls
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["kernel", "per-pair"])
+    def test_a_final_flush_past_the_field_refuses_the_round(self, sanitize):
+        system, calls = self._round(sanitize, 64, [[("a", 2**31 - 1)], [("a", 2**31 - 1)]])
+        with pytest.raises(PacketFormatError, match=f"value {2**32 - 2} does not fit in 4 bytes"):
+            system.run()
+        # The burst kernel took the mappers' windows, or (sanitized) the
+        # per-pair loop took every packet.
+        assert bool(calls) is not sanitize
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["kernel", "per-pair"])
+    def test_a_spillover_flush_past_the_field_refuses_the_round(self, sanitize):
+        # One register slot: "r" holds it, "a" collides and merges in the
+        # bucket past the field, and "b" fills the bucket, which flushes
+        # before any final flush could.
+        partitions = [[("r", 1), ("a", 2**31 - 1)], [("a", 2**31 - 1), ("b", 1)]]
+        system, calls = self._round(sanitize, 1, partitions)
+        engine = system.engine("tor")
+        final_flushes = []
+        flush_all = engine._flush_all
+        engine._flush_all = lambda state: final_flushes.append(1) or flush_all(state)
+        with pytest.raises(PacketFormatError, match=f"value {2**32 - 2} does not fit in 4 bytes"):
+            system.run()
+        assert bool(calls) is not sanitize
+        assert final_flushes == []
+
+    def test_a_sum_back_inside_the_field_flushes_exact(self):
+        # Only the flushed value counts: a sum that passes the edge on its way
+        # and comes back is carried.
+        partitions = [[("a", 2**31 - 1), ("a", 2**31 - 1)], [("a", -(2**31)), ("a", -5)]]
+        system, _calls = self._round(False, 64, partitions)
+        system.run()
+        assert system.receiver("h2").result() == {"a": 2**31 - 1 + 2**31 - 1 - 2**31 - 5}

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import DaietConfig, TransportTuning
+from dataclasses import fields
+
+from repro.core.config import VALUE_WIDTH, DaietConfig, TransportTuning
 from repro.core.errors import ConfigurationError, TransportError
 
 
@@ -13,7 +15,7 @@ class TestDaietConfig:
         config = DaietConfig()
         assert config.register_slots == 16 * 1024
         assert config.key_width == 16
-        assert config.value_width == 4
+        assert VALUE_WIDTH == 4
         assert config.pairs_per_packet == 10
 
     def test_pair_and_payload_sizes(self):
@@ -38,13 +40,24 @@ class TestDaietConfig:
         [
             {"register_slots": 0},
             {"key_width": 0},
-            {"value_width": -1},
             {"pairs_per_packet": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             DaietConfig(**kwargs)
+
+    def test_the_value_width_is_the_wire_contract_not_a_field(self):
+        # A value is 4 signed bytes on the wire and in a switch register;
+        # the packetizer refuses anything wider, so no config can ask for it.
+        with pytest.raises(TypeError):
+            DaietConfig(value_width=8)  # type: ignore[call-arg]
+        assert "value_width" not in {spec.name for spec in fields(DaietConfig)}
+        assert len(fields(DaietConfig)) == 11
+        config = DaietConfig(key_width=24)
+        assert config.pair_bytes == 24 + VALUE_WIDTH
+        # Key, value and index-stack entry per slot: the paper's SRAM budget.
+        assert DaietConfig().sram_bytes() == 16 * 1024 * (16 + 4 + 4)
 
     def test_config_is_frozen(self):
         config = DaietConfig()

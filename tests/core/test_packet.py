@@ -23,7 +23,8 @@ from repro.core.packet import (
     DaietPacket,
     DaietPacketType,
     PacketWindow,
-    PairColumns,
+    VALUE_LIMIT,
+    VALUE_MIN,
     SeenWindow,
     end_packet,
     packetize_pairs,
@@ -109,10 +110,13 @@ class TestDaietPacket:
         packet = DaietPacket(tree_id=7, src="a", dst="b", pairs=(("k", 1), ("q", 2)))
         assert packet.parse_depth_bytes() == packet.wire_bytes()
 
-    def test_value_overflow_detected_at_encode(self):
-        packet = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 2**40),))
-        with pytest.raises(PacketFormatError):
-            encode(packet)
+    def test_value_overflow_detected_at_construction(self):
+        # The constructor refuses what the encoder could not write; the
+        # field's edges encode and decode exactly.
+        with pytest.raises(PacketFormatError, match="value 1099511627776 does not fit in 4 bytes"):
+            DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 2**40),))
+        edges = DaietPacket(tree_id=1, src="a", dst="b", pairs=(("k", 2**31 - 1), ("q", -(2**31))))
+        assert decode(encode(edges), src="a", dst="b").pairs == edges.pairs
 
 
 class TestEncodeDecode:
@@ -282,23 +286,23 @@ def _vector_view(packet: DaietPacket):
     view = packet.vector_pairs()
     if view is None:
         return None
-    kids, vals, mass = view
-    return kids.tolist(), vals.tolist(), mass
+    kids, vals = view
+    return kids.tolist(), vals.tolist()
 
 
 def _loop_view(packet: DaietPacket):
-    """The per-pair loop the columns replaced, kept as their reference:
-    Python ints all the way, so nothing can wrap."""
-    kids, vals, mass = [], [], 0
-    for key, value in packet.pairs:
-        if type(value) is not int or not -(2**62) < value < 2**62:
-            return None
-        if type(key) not in (str, bytes):
-            return None
-        kids.append(interning.intern_key(key))
-        vals.append(value)
-        mass += abs(value)
-    return (kids, vals, mass) if kids else None
+    """The per-pair loop the columns replaced, kept as their reference."""
+    if not packet.pairs:
+        return None
+    return (
+        [interning.intern_key(key) for key, _value in packet.pairs],
+        [value for _key, value in packet.pairs],
+    )
+
+
+def _fits_the_value_field(value) -> bool:
+    """The value rule, restated: an exact int of 4 signed bytes."""
+    return type(value) is int and -(2**31) <= value < 2**31
 
 
 def _one_by_one(pairs, tree_id, src, dst, config, include_end=True, seq_start=None):
@@ -357,11 +361,11 @@ class TestPacketsBuiltOnce:
     is the packet ``dataclasses.replace`` would rebuild and re-measure."""
 
     CONFIG = DaietConfig(pairs_per_packet=3)
-    #: The default field widths, and wider ones: the stamped sizes and the
-    #: encoding follow the config's key and value widths.
+    #: The default key width, and a wider one: the stamped sizes and the
+    #: encoding follow the config's key width (a value is always 4 bytes).
     CONFIGS = {
         "default": CONFIG,
-        "wide": DaietConfig(pairs_per_packet=3, key_width=24, value_width=8),
+        "wide": DaietConfig(pairs_per_packet=3, key_width=24),
     }
     PAIRS = [("ant", 1), ("bee\x00", -2), ("cat", 3), ("dragonfly", 4), ("e", 2**31 - 1)]
 
@@ -456,7 +460,8 @@ twin_key_strategy = st.one_of(
     key_strategy.map(lambda key: key[:15] + "\x00"),
     st.sampled_from(["k" * 16, "w" * 17, "é" * 8, "é" * 9]),
 )
-#: Values on both sides of what the vector view admits.
+#: Values on both sides of what the 4-byte value field holds: the packetizer
+#: must refuse what the constructor refuses, with the same error.
 twin_value_strategy = st.one_of(
     value_strategy,
     st.booleans(),
@@ -519,10 +524,13 @@ class TestPacketizerTwin:
     def test_packets_views_and_errors_equal_the_constructors(
         self, pairs, seq_start, include_end
     ):
-        _assert_twins(
+        _built, error = _assert_twins(
             pairs, TWIN_CONFIG, tree_id=3, src="m", dst="r",
             include_end=include_end, seq_start=seq_start,
         )
+        if not all(_fits_the_value_field(value) for _key, value in pairs):
+            # A value the field cannot hold never becomes a window.
+            assert error is not None and error[0] is PacketFormatError
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -550,6 +558,12 @@ class TestPacketizerTwin:
             ([(5, 1), ("a", 2)], {}),  # bytes(5): a legal five-NUL key
             ([("a", 1)], {"tree_id": -1}),
             ([], {"tree_id": -1}),
+            ([("a", 1), ("b", 2**31)], {}),  # values the field cannot hold
+            ([("a", 1)] * 4 + [("b", -(2**31) - 1)], {}),
+            ([("a", 2.5)], {}),
+            ([("a", 1), ("b", True)], {}),
+            ([("a", 2**63)], {}),  # past int64 too
+            ([("w" * 17, 2.5)], {}),  # the key is refused first
             ([("a", 1)] * 7, {"seq_start": -1}),
             ([("a", 1)] * 7, {"seq_start": 2**32 - 2}),
             ([], {"seq_start": 2**32}),
@@ -559,24 +573,32 @@ class TestPacketizerTwin:
         arguments = {"tree_id": 3, "src": "m", "dst": "r", **arguments}
         _assert_twins(pairs, DaietConfig(pairs_per_packet=3), **arguments)
 
-    def test_the_mass_ledger_is_exact_where_int64_would_wrap(self):
-        # 40 values of magnitude 2**62 - 1: any int64 running sum wraps by the
-        # third pair; the ledger must not.
+    def test_values_at_the_edges_of_the_field_are_held_exactly(self):
+        # 40 values at both edges of the 4-byte field: the value column holds
+        # them exactly; one step past either edge is refused before a window
+        # exists.
         config = DaietConfig(pairs_per_packet=7)
-        edge = 2**62 - 1
-        pairs = [(f"edge{i % 5}", edge if i % 3 else -edge) for i in range(40)]
-        built, _error = _assert_twins(pairs, config, tree_id=3, src="m", dst="r")
-        assert [packet.vector_pairs()[2] for packet in built[:-1]] == [
-            7 * edge, 7 * edge, 7 * edge, 7 * edge, 7 * edge, 5 * edge,
-        ]
+        assert (VALUE_MIN, VALUE_LIMIT) == (-(2**31), 2**31)
+        pairs = [(f"edge{i % 5}", VALUE_LIMIT - 1 if i % 3 else VALUE_MIN) for i in range(40)]
+        built, error = _assert_twins(pairs, config, tree_id=3, src="m", dst="r")
+        assert error is None
+        assert [
+            value for packet in built[:-1] for value in packet.vector_pairs()[1].tolist()
+        ] == [value for _key, value in pairs]
+        for past in (VALUE_LIMIT, VALUE_MIN - 1):
+            _built, error = _assert_twins(
+                [*pairs, ("edge0", past)], config, tree_id=3, src="m", dst="r"
+            )
+            assert error == (PacketFormatError, f"value {past} does not fit in 4 bytes")
 
-    def test_a_partition_with_one_ineligible_packet_keeps_the_other_views(self):
+    def test_one_pair_outside_the_field_refuses_the_whole_partition(self):
+        # One value the field cannot hold refuses the whole partition, at
+        # its first offending pair in pair order: no packet of it is sent.
         config = DaietConfig(pairs_per_packet=2)
         pairs = [("a", 1), ("b", 2), ("c", 3.5), ("d", 4), ("e", True), ("f", 6), ("g", 7)]
-        built, _error = _assert_twins(pairs, config, tree_id=3, src="m", dst="r")
-        assert [_vector_view(packet) is None for packet in built] == [
-            False, True, True, False, True,
-        ]
+        built, error = _assert_twins(pairs, config, tree_id=3, src="m", dst="r")
+        assert built == []
+        assert error == (PacketFormatError, "value 3.5 is a float; values are int")
 
 
 class TestPacketWindow:
@@ -654,15 +676,19 @@ class TestPacketizerCounts:
         # 4.00 when every packet kept a tuple and two lists of its own.
         assert per_packet <= 1.5
 
-    def test_only_a_planned_window_builds_columns(self, monkeypatch):
+    def test_values_are_checked_once_per_host_window(self, monkeypatch):
+        # The value column is built and checked once, at send, for each
+        # mapper window; a switch's flushes are cut from the register
+        # kernel's int64 columns (a range test, no pair walk), so they add
+        # no value-column build.
         built = []
-        build = PairColumns._build
+        value_column = packet_module._value_column
 
-        def counting_build(self, pairs, kids):
-            built.append(len(pairs))
-            return build(self, pairs, kids)
+        def counting_value_column(values):
+            built.append(len(values))
+            return value_column(values)
 
-        monkeypatch.setattr(PairColumns, "_build", counting_build)
+        monkeypatch.setattr(packet_module, "_value_column", counting_value_column)
         partitions = [[(f"w{(i * 7 + m) % 50}", 1) for i in range(400)] for m in range(3)]
 
         def run_round(**config) -> DaietSystem:
@@ -678,7 +704,7 @@ class TestPacketizerCounts:
             )
             return system
 
-        # Sequenced or not: one record per mapper window; the switch's
+        # Sequenced or not: one check per mapper window; the switch's
         # spillover and final flushes (hundreds of small partitions, sequenced
         # on the reliable round) build none.
         for config in (dict(reliability=True, retransmit_timeout=1e-4), {}):
@@ -934,3 +960,43 @@ class TestPacketizerCounts:
         assert kernel_harness.feed_slow(slow, [second]) == out_first
         kernel_harness.assert_twins_identical(fast_first, slow)
         kernel_harness.assert_twins_identical(fast_second, slow)
+
+
+#: Values the 4-byte value field cannot carry, one per way of not fitting.
+UNCARRIED = [2**40, -(2**31) - 1, 2.5, True]
+
+
+class TestEverySenderChecksTheValueField:
+    """A value the header cannot carry is refused where it would be framed."""
+
+    @staticmethod
+    def _rack(reliability: bool) -> DaietSystem:
+        system = DaietSystem.single_rack(num_hosts=3, config=DaietConfig(reliability=reliability))
+        system.install_job(mappers=["h0", "h1"], reducers=["h2"])
+        return system
+
+    @pytest.mark.parametrize("reliability", [False, True])
+    @pytest.mark.parametrize("value", UNCARRIED, ids=repr)
+    def test_send_pairs_refuses_and_sends_nothing(self, reliability, value):
+        system = self._rack(reliability)
+        with pytest.raises(PacketFormatError, match="value"):
+            system.send_pairs("h0", "h2", [("ok", 1), ("a", value)])
+        # Refused before framing: no sequence number taken, nothing injected.
+        if reliability:
+            channel = system.agent("h0").sender(system.tree_for("h2").tree_id)
+            assert channel._next_seq == 0
+        assert system.run() == 0
+        assert system.simulator.stats.total_link_packets() == 0
+        assert all(
+            stats["packets_sent"] == 0 for stats in system.reliability_stats().values()
+        )
+
+    @pytest.mark.parametrize("reliability", [False, True])
+    def test_the_field_edges_arrive_exact(self, reliability):
+        system = self._rack(reliability)
+        system.send_pairs("h0", "h2", [("top", 2**31 - 1), ("bottom", -(2**31))])
+        system.send_pairs("h1", "h2", [("other", 1)])
+        system.run()
+        assert system.receiver("h2").result() == {
+            "top": 2**31 - 1, "bottom": -(2**31), "other": 1,
+        }

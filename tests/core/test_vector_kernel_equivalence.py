@@ -27,9 +27,10 @@ from hypothesis import strategies as st
 from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
-from repro.core.errors import ResourceExhaustedError
+from repro.core.errors import PacketFormatError, ResourceExhaustedError
 from repro.core.packet import (
     DaietPacket,
+    _ColumnPairs,
     DaietPacketType,
     PacketWindow,
     packetize_pairs,
@@ -92,7 +93,6 @@ def feed_fast(engine: DaietAggregationEngine, bursts, split: bool = False) -> li
     for burst in bursts:
         slices = [(0, 1), (1, len(burst) - 1)] if split and len(burst) > 1 else None
         for result in kernel_apply(engine, burst, slices):
-            assert result is not None
             emitted.extend(packets_of((port, out) for _pkt_i, port, out in result))
     return emitted
 
@@ -179,9 +179,10 @@ class TestVectorKernelEquivalence:
         assert fast.tree(7).counters.collisions > 0
 
     def test_mixed_vector_and_per_pair_traffic(self):
-        # A vector-ineligible packet (float values) interleaves with eligible
-        # bursts on the SAME tree: the per-pair path must coexist with the
-        # kernel's pending deltas without losing exactness.
+        # A packet of its own (built by the constructor, handed to
+        # handle_packet: the per-pair loop) interleaves with kernel bursts on
+        # the SAME tree: the per-pair path must coexist with the kernel's
+        # pending deltas without losing exactness.
         config = DaietConfig(register_slots=16, pairs_per_packet=4)
         fast, slow = make_engine(config), make_engine(config)
         eligible_a = data_packets([(f"m{i % 9}", i) for i in range(24)], config)
@@ -190,10 +191,10 @@ class TestVectorKernelEquivalence:
             src="h0",
             dst="h1",
             packet_type=DaietPacketType.DATA,
-            pairs=(("m3", True), ("m4", True)),  # bools ride the oracle path
+            pairs=(("m3", 2**31 - 1), ("m4", -(2**31))),
             config=config,
         )
-        assert oddball.vector_pairs() is None  # ineligible by design
+        assert oddball.vector_pairs() is not None  # a partition of one
         eligible_b = data_packets([(f"m{i % 7}", -i) for i in range(20)], config)
         fast_out = feed_fast(fast, [eligible_a])
         fast_out += fast.handle_packet(oddball)
@@ -218,25 +219,31 @@ class TestVectorKernelEquivalence:
         assert feed_fast(fast, round2) == feed_slow(slow, round2)
         assert_twins_identical(fast, slow)
 
-    def test_int64_overflow_guard_materializes(self):
-        # A burst whose cumulative mass would overflow the int64 delta
-        # accumulator returns None — the caller replays it per-pair, exactly
-        # as the simulator's burst handler does. The guard also folds any
-        # pending deltas first so nothing is lost.
+    def test_a_sum_leaving_the_value_field_refuses_the_round(self):
+        # A value past the 4-byte field never reaches the kernel: it is
+        # refused at send, so the int64 deltas need no guard. In-range values
+        # whose sum outgrows the field are held exactly by the kernel's
+        # int64 deltas and the per-pair loop's cells alike, and the final
+        # flush refuses the round on both (the register-overflow rule).
         config = DaietConfig(register_slots=8, pairs_per_packet=2)
+        for huge in (2**62 - 1, 2**31):
+            with pytest.raises(PacketFormatError, match=f"value {huge} does not fit"):
+                data_packets([("a", huge)], config)
         fast, slow = make_engine(config), make_engine(config)
         small = data_packets([("a", 5), ("b", 7)], config)
         assert feed_fast(fast, [small]) == feed_slow(slow, [small])
-        state = fast.tree(7)
-        huge = data_packets([("a", 2**62 - 1), ("b", 2**62 - 1)], config)
-        for packet in huge:
-            assert packet.vector_pairs() is not None  # per-value eligible
-        assert kernel_apply(fast, huge) == [None]  # cumulative-mass guard tripped
-        assert state._vec_mass == 0  # pending deltas were folded, not lost
-        fast_out = feed_slow(fast, [huge])  # handler fallback: per-pair replay
-        slow_out = feed_slow(slow, [huge])
-        assert fast_out == slow_out
+        top = data_packets([("a", 2**31 - 1), ("b", -(2**31))], config)
+        for _ in range(2):
+            assert feed_fast(fast, [top]) == feed_slow(slow, [top])
         assert_twins_identical(fast, slow)
+        assert fast.tree(7).value_register._cells[hash_key("a", 8)] == 2 * (2**31 - 1) + 5
+        errors = []
+        for engine in (fast, slow):
+            with pytest.raises(PacketFormatError) as refused:
+                engine.handle_packet(end_packet_for(config))
+            errors.append(str(refused.value))
+        # "b" was claimed last, so its sum is the first pair of the flush.
+        assert errors == [f"value {7 - 2**32} does not fit in 4 bytes"] * 2
 
 
 def keys_in_one_slot(slots: int, count: int, prefix: str) -> tuple[int, list[str]]:
@@ -428,19 +435,21 @@ def resident_keys(slots: int) -> list[str]:
 
 _fresh_names = itertools.count()
 
-#: What a seeded bucket may hold besides keys the kernel's windows interned
-#: with plain ints. Each value-shaped seed makes the kernel replay the call's
-#: collisions per pair; a key that reached the switch in a packet of its own
-#: does not (the per-pair loop interned it).
+#: What a seeded bucket may hold besides keys the kernel's windows interned.
+#: A key that reached the switch in a packet of its own was interned by the
+#: per-pair loop; values at the field's edges are held exactly; a sum that
+#: leaves the field refuses the round on both twins, with the same error.
 BUCKET_SEEDS = {
     "plain ints": None,
     "a key only the per-pair loop saw": lambda: (f"unseen{next(_fresh_names)}", 1),
-    "a bool value": lambda: ("spill1", True),
-    "a float value": lambda: ("spill2", 2.5),
-    "a value at 2**62": lambda: ("spill3", 2**62),
-    "a value below -(2**62)": lambda: ("spill4", -(2**62) - 7),
-    "a flushed sum reaching 2**62": lambda: ("spill0", 2**62 - 1),
+    "a value at the field's top": lambda: ("spill3", 2**31 - 1),
+    "a value at the field's bottom": lambda: ("spill4", -(2**31)),
+    "a flushed sum leaving the field": lambda: ("spill0", 2**31 - 1),
 }
+
+#: What the bucket cannot be seeded with: the constructor refuses the packet
+#: that would carry it, so Phase C needs no replay over keys for them.
+UNCARRIED_VALUES = [True, 2.5, 2**62, -(2**62) - 7]
 
 
 def strict(pairs) -> list:
@@ -476,12 +485,14 @@ class TestSpillStream:
         for k, value in seed:
             held.setdefault(f"spill{k}", value)
         held = list(held.items())[: per - 1]
-        if seeded_with == "a flushed sum reaching 2**62":
+        if seeded_with == "a flushed sum leaving the field":
             # spill0 merges and its entry flushes within the call.
             stream = [(0, 1), *((k, 1) for k in range(1, per + 1)), *stream]
-        fallbacks = []
-        spill_pairs = fast._spill_pairs
-        fast._spill_pairs = lambda *args: fallbacks.append(1) or spill_pairs(*args)
+        # Phase C has one path: every collision of the call goes through
+        # one kid-space replay.
+        replays = []
+        spill_columns = fast._spill_columns
+        fast._spill_columns = lambda *args: replays.append(1) or spill_columns(*args)
         residents = resident_keys(slots)
         for engine in (fast, slow):
             for start in range(0, slots, per):
@@ -497,20 +508,29 @@ class TestSpillStream:
                 )
         assert strict(fast.tree(7).spillover.peek()) == strict(held)
         window = data_packets([(f"spill{k}", v) for k, v in stream], config)
-        (result,) = kernel_apply(fast, window)
-        fast_out = [(i, port, out) for i, port, out in result]
-        slow_out = [
-            (i, port, out)
-            for i, packet in enumerate(window)
-            for port, out in slow.handle_packet(packet)
-        ]
+
+        def slow_apply():
+            return [
+                (i, port, out)
+                for i, packet in enumerate(window)
+                for port, out in slow.handle_packet(packet)
+            ]
+
+        fast_out, fast_error = refused_or(lambda: list(kernel_apply(fast, window)[0]))
+        slow_out, slow_error = refused_or(slow_apply)
+        assert len(replays) == 1
+        # A flushed sum the value field cannot hold refuses the round on both
+        # twins, at the same flush, with the same error.
+        assert fast_error == slow_error
+        if seeded_with == "a flushed sum leaving the field":
+            assert fast_error == f"value {2**31} does not fit in 4 bytes"
+        if fast_error is not None:
+            return
         # Positions, packets and their order; values with their types.
         assert fast_out == slow_out
         assert [strict(out.pairs) for _i, _port, out in fast_out] == [
             strict(out.pairs) for _i, _port, out in slow_out
         ]
-        falls_back = trigger is not None and seeded_with != "a key only the per-pair loop saw"
-        assert len(fallbacks) == falls_back
         fast_state, slow_state = fast.tree(7), slow.tree(7)
         assert strict(fast_state.spillover.peek()) == strict(slow_state.spillover.peek())
         assert_twins_identical(fast, slow)
@@ -522,10 +542,28 @@ class TestSpillStream:
             if reliable:
                 window_of, index = fast_state._sent.unacked[out.seq]
                 assert window_of[index] is out
-        assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
-            end_packet_for(config)
+        assert refused_or(lambda: fast.handle_packet(end_packet_for(config))) == refused_or(
+            lambda: slow.handle_packet(end_packet_for(config))
         )
         assert_twins_identical(fast, slow)
+
+    @pytest.mark.parametrize("value", UNCARRIED_VALUES, ids=repr)
+    def test_the_bucket_is_never_seeded_with_what_the_field_cannot_hold(self, value):
+        # The packet that would store one of these is refused by the
+        # constructor and by the packetizer, so no bucket ever holds one.
+        config = DaietConfig(register_slots=1, pairs_per_packet=3)
+        with pytest.raises(PacketFormatError, match="value"):
+            DaietPacket(tree_id=7, src="h0", dst="h1", pairs=(("spill1", value),), config=config)
+        with pytest.raises(PacketFormatError, match="value"):
+            data_packets([("spill1", 1), ("spill1", value)], config)
+
+
+def refused_or(run):
+    """``(run(), None)``, or ``(None, message)`` when it raises ``PacketFormatError``."""
+    try:
+        return run(), None
+    except PacketFormatError as exc:
+        return None, str(exc)
 
 
 def sequenced_packets(pairs, config: DaietConfig, seq_start: int = 0) -> PacketWindow:
@@ -614,12 +652,15 @@ def register_walk(engine: DaietAggregationEngine) -> list:
     """The pairs the final flush's walk emits, read without touching the state.
 
     Spillover first, then each occupied slot from the last one claimed down,
-    valued at its cell plus its pending kernel delta.
+    valued at its cell plus its pending kernel delta (a SUM tree's).
     """
     state = engine.tree(7)
-    kids, cells = state.key_register, state.value_register._cells
+    kids, cells, delta = state.key_register, state.value_register._cells, state._vec_delta
     return list(state.spillover.peek()) + [
-        (interning.keys_of([kids[slot]])[0], cells[slot] + int(state._vec_delta[slot]))
+        (
+            interning.keys_of([kids[slot]])[0],
+            cells[slot] + (0 if delta is None else int(delta[slot])),
+        )
         for slot in reversed(state.index_stack.peek_all())
     ]
 
@@ -634,7 +675,7 @@ def flushed_pairs(emissions) -> list:
 
 
 class TestColumnFlush:
-    """A ``_vec`` tree's final flush is cut from the kernel's own columns."""
+    """A tree's final flush is cut from its registers' own columns."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -644,7 +685,8 @@ class TestColumnFlush:
             st.tuples(
                 st.booleans(),
                 st.lists(
-                    st.tuples(st.integers(0, 30), st.integers(-(2**40), 2**40)),
+                    # 72 values of at most 2**24: no sum leaves the field.
+                    st.tuples(st.integers(0, 30), st.integers(-(2**24), 2**24)),
                     min_size=1,
                     max_size=12,
                 ),
@@ -661,7 +703,7 @@ class TestColumnFlush:
         for through_kernel, pairs in bursts:
             window = data_packets([(f"col{k}", v) for k, v in pairs], config)
             if through_kernel:
-                assert kernel_apply(engine, window) != [None]
+                kernel_apply(engine, window)
             else:
                 feed_slow(engine, [window])
         state = engine.tree(7)
@@ -669,9 +711,9 @@ class TestColumnFlush:
         out = engine._flush_all(state)
         [(_port, window)] = out
         if type(window) is PacketWindow:  # not the lone END of empty registers
-            assert window.columns.kids is not None  # cut from columns, not pairs
+            assert type(window.pairs) is _ColumnPairs  # cut from columns, not pairs
         assert flushed_pairs(out) == walk
-        assert len(state.index_stack.peek_all()) == 0 and state._vec_mass == 0
+        assert len(state.index_stack.peek_all()) == 0 and not state._vec_pending
         assert set(state.key_register.tolist()) == {-1}
         assert set(state.value_register._cells) == {None}
 
@@ -692,22 +734,32 @@ class TestColumnFlush:
         walk = register_walk(engine)
         out = engine._flush_all(engine.tree(7))
         [(_port, window)] = out
-        assert window.columns.kids is not None  # cut from the kid register
+        assert type(window.pairs) is _ColumnPairs  # cut from the kid register
         assert flushed_pairs(out) == walk
 
-    def test_a_float_value_takes_the_walk(self):
-        # A cell the kernel cannot hold as int64 sends the final flush down
-        # the walk over the index stack, which maps each kid to its key.
+    @pytest.mark.parametrize("function", ["min", "max", "or", "and", "count"])
+    def test_every_tree_drains_from_columns(self, function):
+        # The constructor refuses a float, and every function's cells hold
+        # ints within int64 (MIN, MAX, OR and AND of 4-byte ints stay 4-byte
+        # ints), so the trees the kernel never runs drain from the key
+        # register and their value cells too.
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
-        engine = make_engine(config)
-        engine.handle_packet(
+        with pytest.raises(PacketFormatError, match="value 2.5 is a float"):
             DaietPacket(tree_id=7, src="h0", dst="h1", pairs=(("colf", 2.5),), config=config)
+        engine = DaietAggregationEngine("tor")
+        engine.configure_tree(
+            tree_id=7, function=function, num_children=1, egress_port=0,
+            next_hop_dst="h1", config=config,
         )
-        feed_slow(engine, [data_packets([("col1", 2), ("col2", 5)], config)])
+        rng = random.Random(function)
+        pairs = [(f"col{rng.randrange(12)}", rng.randrange(-(2**31), 2**31)) for _ in range(40)]
+        if function == "count":
+            pairs = [(key, 1) for key, _value in pairs]
+        feed_slow(engine, [data_packets(pairs, config)])
         walk = register_walk(engine)
         out = engine._flush_all(engine.tree(7))
         [(_port, window)] = out
-        assert window.columns.kids is None  # built from pairs by the walk
+        assert type(window.pairs) is _ColumnPairs  # cut from the kid register
         assert flushed_pairs(out) == walk
         state = engine.tree(7)
         assert set(state.key_register.tolist()) == {-1}

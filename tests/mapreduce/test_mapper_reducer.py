@@ -46,12 +46,19 @@ class TestMapTask:
             (("k", 2**40), "value 1099511627776 does not fit in 4 bytes"),
             (("k", 2**31), "value 2147483648 does not fit in 4 bytes"),
             (("k", -(2**31) - 1), "value -2147483649 does not fit in 4 bytes"),
+            (("k", 2.5), "value 2.5 is a float; values are int"),
+            (("k", 1.0), "value 1.0 is a float; values are int"),
+            (("k", True), "value True is a bool; values are int"),
         ],
-        ids=["long-key", "long-utf8-key", "value-2**40", "value-2**31", "value-below-int32"],
+        ids=[
+            "long-key", "long-utf8-key", "value-2**40", "value-2**31", "value-below-int32",
+            "value-float", "value-float-integral", "value-bool",
+        ],
     )
     def test_a_pair_outside_the_wire_format_is_refused(self, spec, pair, message):
-        # The shuffle sizes every pair as key_width + value_width bytes, so
-        # the map task is where a pair that does not fit is refused.
+        # The shuffle sizes every pair as key_width + 4 value bytes, so the
+        # map task refuses a pair that does not fit, by the packet format's
+        # own rule (check_pair), before any shuffle sees it.
         task = MapTask(mapper_id=0, host="w0", spec=replace(spec, map_function=lambda r: [r]))
         with pytest.raises(PacketFormatError, match=re.escape(message)):
             task.run([("ok", 1), pair])

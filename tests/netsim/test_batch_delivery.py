@@ -28,6 +28,7 @@ import pytest
 from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
+from repro.core.errors import PacketFormatError
 from repro.core.packet import DaietAck, DaietPacket, PacketWindow
 from repro.netsim.devices import SwitchDevice
 from repro.netsim.simulator import SimulatorConfig
@@ -175,9 +176,10 @@ class TestBatchDeliveryEquivalence:
         slow = self.collision_heavy_run(False, observables, observe_at)
         assert fast == slow
 
-    def test_vector_ineligible_packets_identical(self, observables):
-        # Bool values are outside the kernel's domain: the plan marks those
-        # packets ineligible and they ride the per-item path mid-burst.
+    def test_values_at_the_field_edges_identical(self, observables):
+        # The packetizer refuses bool values on both twins, so every DATA
+        # item is the kernel's; values at the edges of the 4-byte field are
+        # held exactly on both.
         config = DaietConfig(register_slots=32, pairs_per_packet=2)
         results = []
         for fast in (True, False):
@@ -185,16 +187,17 @@ class TestBatchDeliveryEquivalence:
             if not fast:
                 system.simulator._fast_burst = False
             system.install_job(mappers=["h0", "h1"], reducers=["h2"])
-            for mapper in ("h0", "h1"):
+            with pytest.raises(PacketFormatError, match="value True is a bool"):
+                system.send_pairs("h0", "h2", [("a", 1), ("b", True)])
+            for mapper, top, bottom in (("h0", 2**31 - 1, -(2**31)), ("h1", -(2**31), 2**31 - 1)):
+                # Sums pass the edges on the way; the flushed ones fit.
                 system.send_pairs(
-                    mapper,
-                    "h2",
-                    [("a", 1), ("b", True), ("a", 2), ("c", True), ("b", 3)],
+                    mapper, "h2", [("a", 1), ("b", top), ("a", 2), ("c", bottom), ("b", 3)]
                 )
             events = system.run()
             results.append(observables(system, "h2", events))
         assert results[0] == results[1]
-        assert results[0]["result"] == {"a": 6, "b": 8, "c": 2}
+        assert results[0]["result"] == {"a": 6, "b": 5, "c": -1}
 
     def test_until_bound_cuts_burst_identically(self, observables):
         # A run(until=...) bound lands inside the burst window; the burst
@@ -341,7 +344,7 @@ def register_contents(system: DaietSystem) -> dict:
         for tree_id in sorted(engine.counters()):
             state = engine.tree(tree_id)
             values = list(state.value_register._cells)
-            if state._vec_mass:
+            if state._vec_pending:
                 for slot in np.flatnonzero(state._vec_delta).tolist():
                     values[slot] += int(state._vec_delta[slot])
             contents[name, tree_id] = (state.key_register.tolist(), values)
@@ -693,18 +696,17 @@ def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_sn
     ``rounds`` is one ``(values, lone)`` per round: ``values(rng)`` draws a
     value, and ``lone`` sends each mapper's pairs one packet per window (no
     plan: the per-pair loop claims the slots) instead of as one window.
-    ``flushed`` collects ``(round, took the column flush)`` per final flush
-    of a non-empty register file. Returns the observables after each round.
+    ``flushed`` collects the round of each final flush of a non-empty
+    register file (every one is cut from the registers' columns). Returns
+    the observables after each round.
     """
     drain = _DRAIN_COLUMNS
     current = [0]
 
     def spy_drain(engine, state, spilled):
-        occupied = len(state.index_stack.peek_all())
-        columns = drain(engine, state, spilled)
-        if occupied:
-            flushed.append((current[0], columns is not None))
-        return columns
+        if state.index_stack.peek_all():
+            flushed.append(current[0])
+        return drain(engine, state, spilled)
 
     monkeypatch.setattr(DaietAggregationEngine, "_drain_columns", spy_drain)
     config = DaietConfig(
@@ -844,34 +846,37 @@ class TestSwitchFlushWindows:
 
     def test_slots_change_hands_across_rounds(self, monkeypatch, traffic_snapshot):
         # The kid the final flush reads for a slot is that of whatever
-        # claimed it this round: the per-pair loop (one-packet windows), the
-        # kernel (a window), or nothing the columns can hold (float values:
-        # the fallback walk). No kid may outlive its round.
+        # claimed it this round: the per-pair loop (one-packet windows) or
+        # the kernel (a window), with small values or ones near the field's
+        # edge. No kid may outlive its round.
         def ints(rng):
             return rng.randrange(-9, 9)
 
-        def halves(rng):
-            return rng.randrange(-9, 9) / 2
+        def wide(rng):
+            # At most 2**26 each: no flushed sum of a round leaves the field.
+            return rng.randrange(-(2**26), 2**26)
 
-        rounds = [(ints, True), (ints, False), (halves, False), (ints, False), (ints, True)]
+        rounds = [(ints, True), (ints, False), (wide, False), (wide, True), (ints, True)]
         flushed = {True: [], False: []}
         fast = _multi_round_twin(True, rounds, monkeypatch, flushed[True], traffic_snapshot)
         slow = _multi_round_twin(False, rounds, monkeypatch, flushed[False], traffic_snapshot)
         assert fast == slow
         assert flushed[True] == flushed[False]
-        by_round = {}
-        for index, columns in flushed[True]:
-            by_round.setdefault(index, set()).add(columns)
-        assert by_round == {0: {True}, 1: {True}, 2: {False}, 3: {True}, 4: {True}}
+        assert set(flushed[True]) == {0, 1, 2, 3, 4}
 
-    def test_float_and_bool_values_take_the_fallback_flush(self, monkeypatch, traffic_snapshot):
-        def mixed(rng):
-            return rng.choice([True, False, 0.5, 2, -1.5])
-
-        flushed = {True: [], False: []}
-        rounds = [(mixed, False)]
-        fast = _multi_round_twin(True, rounds, monkeypatch, flushed[True], traffic_snapshot)
-        slow = _multi_round_twin(False, rounds, monkeypatch, flushed[False], traffic_snapshot)
-        assert fast == slow
-        assert flushed[True] == flushed[False]
-        assert flushed[True] and not any(columns for _round, columns in flushed[True])
+    @pytest.mark.parametrize("value", [True, False, 0.5, -1.5])
+    def test_float_and_bool_values_are_refused_at_send(self, value):
+        # The packetizer refuses the partition on both twins, before
+        # anything is sent.
+        config = DaietConfig(
+            register_slots=32, pairs_per_packet=4, reliability=True, retransmit_timeout=1e-4
+        )
+        for fast in (True, False):
+            system = DaietSystem(leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3), config)
+            if not fast:
+                system.simulator._fast_burst = False
+            system.install_job(mappers=["h0", "h1"], reducers=["h6"])
+            with pytest.raises(PacketFormatError, match="values are int"):
+                system.send_pairs("h0", "h6", [("k0", 2), ("k1", value)])
+            assert system.run() == 0
+            assert system.simulator.stats.total_link_packets() == 0
