@@ -34,12 +34,14 @@ from repro.core.functions import SUM, AggregationFunction, get as get_function
 #: eligible for the vectorized scatter-add kernel.
 _SUM_COMBINE = SUM.combine
 from repro.core.packet import (
+    BurstPlan,
     DaietAck,
     DaietPacket,
     DaietPacketType,
     PacketWindow,
     RetransmitBuffer,
     SeenWindow,
+    gather_pairs,
     packetize_columns,
     packetize_pairs,
     packets_of,
@@ -55,6 +57,9 @@ _KID_UNKNOWN = -3
 _KID_COLLIDING = -1
 #: What an empty key register cell holds (no kid is negative).
 _EMPTY = -1
+
+#: Hoisted enum member for the DATA/END dispatch.
+_DATA = DaietPacketType.DATA
 
 #: Runs an iterator to its end in C: ``_consume(map(cells.__setitem__, ...))``
 #: writes a column of register cells without a Python-level loop.
@@ -311,20 +316,49 @@ class DaietAggregationEngine(Extern):
         """Per-tree counters."""
         return {tree_id: state.counters for tree_id, state in self._trees.items()}
 
+    def wipe(self) -> None:
+        """Lose every tree's state, as a crashed switch's SRAM does."""
+        self._trees.clear()
+
     # ------------------------------------------------------------------ #
     # Data-plane entry points
     # ------------------------------------------------------------------ #
-    def handle_packet(self, packet: DaietPacket) -> list[tuple[int, Any]]:
-        """Consume one packet; return ``(egress_port, packet)`` emissions.
+    def consume(self, packet: DaietPacket | DaietAck) -> list[tuple[int, Any]]:
+        """Consume one steered packet or ACK; return ``(egress_port, out)`` emissions.
 
-        This is the full data-plane behaviour: parent-bound flushes plus any
-        child-bound reliability ACKs, each flush window cut into its packets.
+        This is the full data-plane behaviour: parent-bound flushes, each as
+        one window, plus any child-bound reliability ACKs.
         """
+        if type(packet) is DaietAck:
+            return self.handle_ack(packet)
         state = self.tree(packet.tree_id)
         state.counters.packets_received += 1
-        if packet.packet_type is DaietPacketType.DATA:
-            return packets_of(self._process_data(state, packet))
-        return packets_of(self._process_end(state, packet))
+        if packet.packet_type is _DATA:
+            return self._process_data(state, packet)
+        return self._process_end(state, packet)
+
+    def handle_packet(self, packet: DaietPacket) -> list[tuple[int, Any]]:
+        """:meth:`consume`, each flush window cut into its packets."""
+        return packets_of(self.consume(packet))
+
+    def start_batch(self, plan: BurstPlan, offset: int, fits: Any) -> "WindowBatch | None":
+        """A :class:`WindowBatch` headed by item ``offset`` of ``plan``, or ``None``.
+
+        ``None`` unless the plan's tree is a ``_vec`` tree here, the item is
+        shape-eligible and its source's stream admits it (:meth:`_fresh_run`).
+        ``fits(plan, ingress)`` is the switch's budget test for a window
+        that asks to join.
+        """
+        window = plan.window
+        state = self._trees.get(window.tree_id)
+        if (
+            state is None
+            or not state._vec
+            or not plan.shape_ok[offset]
+            or not self._fresh_run(state, window, plan.items[offset : offset + 1])
+        ):
+            return None
+        return WindowBatch(self, state, fits, plan, offset)
 
     def handle_ack(self, ack: DaietAck) -> list[tuple[int, Any]]:
         """Process a reliability ACK arriving at this switch.
@@ -477,11 +511,11 @@ class DaietAggregationEngine(Extern):
         ``kids``/``vals`` are the burst's interned key ids and values as
         int64 arrays in packet order, ``n`` the number of packets, ``bounds``
         their cumulative pair counts (so emissions can be tagged with the
-        packet index they followed). The simulator's burst plan assembles
-        these at send time (``_BurstPlan.kernel_input``); the caller
-        guarantees every packet is a DATA packet of this ``_vec`` tree that
-        :meth:`_fresh_run` admitted, and advances the streams with
-        :meth:`_accept_run` once this returns.
+        packet index they followed). A window's burst plan assembles
+        these at send time (``BurstPlan.kernel_input``); the caller
+        (:meth:`WindowBatch.take`) guarantees every packet is a DATA packet
+        of this ``_vec`` tree that :meth:`_fresh_run` admitted, and advances
+        the streams with :meth:`_accept_run` once this returns.
 
         Resident keys resolve to register slots through the ``_vec_kid_slot``
         memo and are scatter-added into ``_vec_delta`` in one ``np.add.at``.
@@ -871,3 +905,95 @@ class DaietAggregationEngine(Extern):
                 zip(range(seq_start, seq_start + count), zip(repeat(window), range(count)))
             )
         return window
+
+
+class WindowBatch:
+    """Queued windows of one tree that one register-kernel call takes together.
+
+    A switch's burst handler opens a batch for a window's head item
+    (:meth:`DaietAggregationEngine.start_batch`) and offers it, in
+    ``(time, seq)`` order, what else is queued for the switch: a window
+    asks to :meth:`join`, a packet whether the batch :meth:`passes` it.
+    The first refusal cuts the batch, which then :meth:`take` s a prefix of
+    the windows' merged candidate items.
+    """
+
+    __slots__ = ("engine", "state", "fits", "plans", "offsets", "sources")
+
+    def __init__(self, engine: Any, state: TreeState, fits: Any, plan: BurstPlan, offset: int):
+        self.engine, self.state, self.fits = engine, state, fits
+        self.plans, self.offsets, self.sources = [plan], [offset], {plan.window.src}
+
+    def join(self, plan: BurstPlan, offset: int, ingress: int) -> bool:
+        """Add ``plan``'s items from ``offset`` on (arriving on ``ingress``) if
+        they are this tree's, within the switch's budgets and from a source
+        not in the batch yet: a source's later window queues behind its
+        earlier one on the same uplink."""
+        window = plan.window
+        if (
+            window.tree_id != self.state.tree_id
+            or window.src in self.sources
+            or not self.fits(plan, ingress)
+        ):
+            return False
+        self.plans.append(plan)
+        self.offsets.append(offset)
+        self.sources.add(window.src)
+        return True
+
+    @staticmethod
+    def passes(packet: Any) -> bool:
+        """Whether a batch may pass ``packet``: a plain ACK only releases
+        flushes sent before it, which the batch cannot have sent."""
+        return type(packet) is DaietAck and not packet.pull
+
+    def take(self, merged: Any) -> tuple[list[int], int, dict[int, list[tuple[int, Any]]]]:
+        """Apply a prefix of the merged candidates through the register kernel.
+
+        ``merged`` holds, in ``(time, seq)`` order, the batch index of the
+        window each candidate belongs to; a window's candidates are its next
+        items from its offset on. The kernel takes them up to the first one
+        that is not shape-eligible or that its source's stream refuses
+        (:meth:`DaietAggregationEngine._fresh_run`); the head was admitted,
+        so it takes at least one. Each source's stream then advances over
+        its share (:meth:`DaietAggregationEngine._accept_run`).
+
+        Returns each window's count of taken items, their wire bytes, and
+        what each taken item emitted, by merged position: spillover flushes,
+        then its ACK, as ``_process_data`` emits them.
+        """
+        engine, state = self.engine, self.state
+        shares = [_np.flatnonzero(merged == j) for j in range(len(self.plans))]
+        cut = len(merged)
+        for plan, offset, share in zip(self.plans, self.offsets, shares):
+            ok = plan.shape_ok[offset : offset + len(share)]
+            admit = len(ok) if ok.all() else int(_np.argmax(~ok))
+            admit = engine._fresh_run(state, plan.window, plan.items[offset : offset + admit])
+            if admit < len(share):
+                cut = min(cut, int(share[admit]))
+        counts = [int(_np.searchsorted(share, cut)) for share in shares]
+        kid_parts, val_parts, len_parts = [], [], []
+        local = _np.empty(cut, dtype=_np.int64)
+        nbytes = base = 0
+        for plan, offset, share, count in zip(self.plans, self.offsets, shares, counts):
+            if count:
+                kids, vals, _count, _bounds = plan.kernel_input(offset, count)
+                kid_parts.append(kids)
+                val_parts.append(vals)
+                len_parts.append(plan.npairs[offset : offset + count])
+                local[share[:count]] = _np.arange(base, base + count, dtype=_np.int64)
+                base += count
+                nbytes += plan.nbytes_cum[offset + count] - plan.nbytes_cum[offset]
+        lens = _np.concatenate(len_parts)
+        starts = _np.cumsum(lens) - lens
+        kids, vals, bounds = gather_pairs(
+            _np.concatenate(kid_parts), _np.concatenate(val_parts), starts[local], lens[local]
+        )
+        emitted: dict[int, list[tuple[int, Any]]] = {}
+        for pkt_i, port, out in engine._vector_apply(state, kids, vals, cut, bounds):
+            emitted.setdefault(pkt_i, []).append((port, out))
+        for plan, offset, share, count in zip(self.plans, self.offsets, shares, counts):
+            items = plan.items[offset : offset + count]
+            for i, port, ack in engine._accept_run(state, plan.window, items):
+                emitted.setdefault(int(share[i]), []).append((port, ack))
+        return counts, nbytes, emitted

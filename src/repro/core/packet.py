@@ -38,6 +38,7 @@ import enum
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 from typing import Any, Iterable, Iterator
 
 import numpy as _np
@@ -192,6 +193,16 @@ DAIET_ACK_SACK_BYTES = 4
 DAIET_ACK_MAX_SACK = 32
 
 
+def steer_ops(npairs: int) -> int:
+    """The op cost of a steered packet carrying ``npairs`` pairs.
+
+    Parsing 1, the ``daiet_steer`` lookup 1, the bound action 1, and one per
+    pair, at least one: a DATA packet costs ``3 + max(1, npairs)``, an END
+    or an ACK 4 (see :mod:`repro.dataplane.switch`).
+    """
+    return 3 + (npairs if npairs > 1 else 1)
+
+
 class DaietPacketType(enum.Enum):
     """The two packet kinds of the DAIET protocol."""
 
@@ -339,6 +350,10 @@ class DaietPacket:
         """
         return _FRAME_BYTES + self._payload_bytes
 
+    def op_cost(self) -> int:
+        """Operations a switch spends on this packet when it steers it."""
+        return steer_ops(len(self.pairs))
+
 #: Each slot's own setter, in field order. A frozen dataclass refuses
 #: ``setattr`` and ``object.__setattr__`` looks the name up on every call;
 #: :func:`_assemble` runs once per packet of every partition.
@@ -467,6 +482,114 @@ class PacketWindow(Sequence):
     def payload_bytes(self) -> int:
         """Total DAIET payload size of the window's packets."""
         return sum(self.sizes) - _FRAME_BYTES * len(self.sizes)
+
+    def burst_plan(self) -> "BurstPlan | None":
+        """This window's :class:`BurstPlan`, or ``None`` for a window without DATA.
+
+        Every DATA item is shape-eligible (the packetizer checked the columns
+        at send); the engine decides at delivery whether its stream admits it.
+        """
+        columns = self.columns
+        if self.first * columns.per >= len(self.pairs):
+            return None
+        return BurstPlan(self, columns)
+
+
+class BurstPlan:
+    """A window's items as a switch's register kernel takes them, planned at send.
+
+    To the simulator a plan is a window of the items still in flight:
+    ``len(plan)``, ``plan.sizes`` and ``plan[i]`` (built only for a consumer
+    that needs the packet); :meth:`drop` removes the items a link lost. To
+    the engine it is the kernel's input, all from the window's arithmetic:
+    per-item shape eligibility (a DATA packet carries pairs, the END does
+    not), each item's pair extent in the window's kid/value arrays (views of
+    its partition's columns), the cumulative byte ledger and the most any
+    item needs of a switch's budgets (``max_nbytes`` parsed, ``max_cost``
+    operations). ``items`` are the window indexes the plan still carries.
+    """
+
+    __slots__ = (
+        "window", "items", "sizes", "nbytes_cum", "shape_ok", "max_nbytes", "max_cost",
+        "kids", "vals", "pair_start", "npairs",
+    )
+
+    def __init__(self, window: PacketWindow, columns: PairColumns) -> None:
+        n = len(window)
+        per = columns.per
+        first = window.first
+        # The window's DATA items, then (at most) its END.
+        data_stop = min(first + n, -(-len(window.pairs) // per))
+        ndata = data_stop - first
+        self.npairs = npairs = _np.full(n, per, dtype=_np.int64)
+        npairs[ndata - 1] = min(per, len(window.pairs) - (data_stop - 1) * per)
+        npairs[ndata:] = 0
+        self.shape_ok = npairs > 0
+        self.pair_start = _np.arange(0, n * per, per, dtype=_np.int64)
+        lo = first * per
+        hi = lo + (ndata - 1) * per + int(npairs[ndata - 1])
+        self.kids = columns.kids[lo:hi]
+        self.vals = columns.vals[lo:hi]
+        self.window = window
+        self.items: Any = range(n)
+        self.sizes = window.sizes
+        self.nbytes_cum = list(accumulate(self.sizes, initial=0))
+        self.max_nbytes = max(self.sizes[:ndata])
+        self.max_cost = steer_ops(int(npairs[0]))
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, offset: int) -> Any:
+        """The packet of item ``offset``, built if nothing built it yet."""
+        return self.window[self.items[offset]]
+
+    def kernel_input(self, offset: int, count: int) -> tuple[Any, Any, int, Any]:
+        """``_vector_apply``'s arguments for items ``offset .. offset + count``.
+
+        ``(kids, vals, count, bounds)``; every item in the range must
+        be shape-eligible. Their pairs are one slice of the plan's arrays
+        unless a lost item sat between them.
+        """
+        end = offset + count
+        lens = self.npairs[offset:end]
+        starts = self.pair_start[offset:end]
+        bounds = _np.cumsum(lens)
+        lo = int(starts[0])
+        hi = lo + int(bounds[-1])
+        if starts[-1] + lens[-1] == hi:
+            return self.kids[lo:hi], self.vals[lo:hi], count, bounds
+        kids, vals, bounds = gather_pairs(self.kids, self.vals, starts, lens)
+        return kids, vals, count, bounds
+
+    def drop(self, lost: list[int]) -> None:
+        """Remove the items at the ascending indexes ``lost`` (lost in flight).
+
+        The survivors keep their pair extents in the plan's arrays.
+        """
+        keep = _np.ones(len(self.items), dtype=bool)
+        keep[lost] = False
+        kept = _np.flatnonzero(keep).tolist()
+        self.items = [self.items[i] for i in kept]
+        self.sizes = [self.sizes[i] for i in kept]
+        self.npairs = self.npairs[keep]
+        self.shape_ok = self.shape_ok[keep]
+        self.pair_start = self.pair_start[keep]
+        self.nbytes_cum = list(accumulate(self.sizes, initial=0))
+
+
+def gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, Any, Any]:
+    """Pull packets' pairs out of concatenated pair arrays, in packet order.
+
+    ``starts``/``lens`` are each packet's extent in ``kids``/``vals``.
+    Returns the gathered key ids and values plus the cumulative per-packet
+    pair counts (``bounds``) the register kernel tags emissions with.
+    """
+    bounds = _np.cumsum(lens)
+    pair_idx = _np.repeat(starts - (bounds - lens), lens) + _np.arange(
+        int(bounds[-1]), dtype=_np.int64
+    )
+    return kids[pair_idx], vals[pair_idx], bounds
 
 
 def packetize_pairs(
@@ -875,3 +998,7 @@ class DaietAck:
     def parse_depth_bytes(self) -> int:
         """Total parseable bytes (every ACK header is parseable)."""
         return self.wire_bytes()
+
+    def op_cost(self) -> int:
+        """Operations a switch spends on this ACK when it steers it."""
+        return steer_ops(0)

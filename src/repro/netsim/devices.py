@@ -15,7 +15,6 @@ from typing import Any, Callable
 
 from repro.checks.registry import fastpath
 from repro.core.errors import PipelineError, TopologyError
-from repro.core.packet import DaietAck, DaietPacket, DaietPacketType, PacketWindow
 from repro.dataplane.switch import (
     DAIET_TABLE,
     FORWARDING_TABLE,
@@ -26,9 +25,6 @@ from repro.dataplane.tables import MatchActionTable
 
 #: Signature of an application-level packet receiver installed on a host.
 PacketReceiver = Callable[[Any], None]
-
-#: Hoisted enum member for the fast-path DATA/END dispatch.
-_DAIET_DATA = DaietPacketType.DATA
 
 
 @dataclass(slots=True)
@@ -126,21 +122,14 @@ class SwitchDevice(Device):
         entry = self._daiet_tbl._exact_index.get((("tree_id", tree_id),))
         return None if entry is None else entry.action
 
-    def _batch_tree_state(self, tree_id: int) -> tuple[Any, Any] | None:
-        """Resolve ``(engine, state)`` for the vectorized burst delivery path.
-
-        Shares :meth:`deliver`'s steering resolution, then additionally
-        requires the tree state to exist and be vectorizable
-        (``TreeState._vec``). Any miss returns ``None`` and the caller
-        delivers per packet.
-        """
-        engine = self._resolve_steering(tree_id)
-        if engine is None:
-            return None
-        state = engine._trees.get(tree_id)
-        if state is None or not state._vec:
-            return None
-        return engine, state
+    def _fits(self, plan: Any, ingress_port: int) -> bool:
+        """Whether every item of a burst plan fits this switch's parse and op
+        budgets, arriving on ``ingress_port``."""
+        return (
+            plan.max_nbytes <= self._max_parse
+            and plan.max_cost <= self._max_ops
+            and 0 <= ingress_port < self.switch.num_ports
+        )
 
     @fastpath("switch-delivery", oracle="tests/netsim/test_steered_delivery.py")
     def deliver(self, packet: Any, ingress_port: int, nbytes: int) -> list[tuple[int, Any]]:
@@ -153,13 +142,11 @@ class SwitchDevice(Device):
         transport packets — goes to the switch's forwarding stage.
 
         Raises :class:`~repro.core.errors.ResourceExhaustedError` for a
-        steered packet over the parse or op budget (a DATA packet costs
-        ``3 + max(1, npairs)`` operations, an ACK 4), and whatever the
-        forwarding stage raises for the rest.
+        steered packet over the parse or op budget (``packet.op_cost()``),
+        and whatever the forwarding stage raises for the rest.
         """
-        packet_type = type(packet)
-        if packet_type is DaietPacket or packet_type is DaietAck:
-            tree_id = packet.tree_id
+        tree_id = getattr(packet, "tree_id", None)
+        if tree_id is not None:
             engine = self._resolve_steering(tree_id)
             if engine is not None:
                 switch = self.switch
@@ -176,44 +163,47 @@ class SwitchDevice(Device):
                     self._sw_parser.bytes_parsed += parsed
                 else:
                     self._sw_parser.charge(packet)  # raises the parse-depth error
-                if packet_type is DaietPacket:
-                    npairs = len(packet.pairs)
-                    ops = 3 + (npairs if npairs > 1 else 1)
-                else:
-                    ops = 4
+                ops = packet.op_cost()
                 if ops > self._max_ops:
                     raise over_op_budget(ops, self._max_ops)
                 self._daiet_tbl.hit_count += 1
-                # DaietAggregationEngine.handle_packet, inlined.
-                state = engine._trees.get(tree_id)
-                if state is None:
-                    out = (
-                        engine.handle_packet(packet)
-                        if packet_type is DaietPacket
-                        else engine.handle_ack(packet)
-                    )
-                elif packet_type is DaietPacket:
-                    state.counters.packets_received += 1
-                    if packet.packet_type is _DAIET_DATA:
-                        out = engine._process_data(state, packet)
-                    else:
-                        out = engine._process_end(state, packet)
-                else:
-                    out = engine.handle_ack(packet)
+                out = engine.consume(packet)
                 if out:
-                    self._count_emitted(out)
+                    self.count_emitted(out)
                 return out
         return self.switch.receive(packet, ingress_port, nbytes)
 
-    def _count_emitted(self, out: list[tuple[int, Any]]) -> None:
+    def start_batch(self, plan: Any, offset: int, ingress_port: int) -> Any:
+        """The engine's batch for item ``offset`` of a burst plan arriving on
+        ``ingress_port`` (``DaietAggregationEngine.start_batch``), or ``None``
+        when the plan is over budget or its tree not steered here: the item
+        then takes :meth:`deliver`."""
+        if not self._fits(plan, ingress_port):
+            return None
+        engine = self._resolve_steering(plan.window.tree_id)
+        return None if engine is None else engine.start_batch(plan, offset, self._fits)
+
+    def take_batch(self, batch: Any, merged: Any) -> tuple[list[int], dict[int, Any]]:
+        """``WindowBatch.take``, counted as :meth:`deliver` counts a steered
+        packet; the emissions are counted when they leave (:meth:`count_emitted`)."""
+        counts, nbytes, emitted = batch.take(merged)
+        taken = sum(counts)
+        counters = self._sw_counters
+        counters.packets_in += taken
+        counters.bytes_in += nbytes
+        self._sw_parser.bytes_parsed += nbytes
+        self._daiet_tbl.hit_count += taken
+        return counts, emitted
+
+    def count_emitted(self, out: list[tuple[int, Any]]) -> None:
         """Count what the aggregation extern emitted: a window, each of its packets."""
         counters = self._sw_counters
         for _port, out_packet in out:
-            if type(out_packet) is PacketWindow:
+            try:
+                count, nbytes = 1, out_packet.wire_bytes()
+            except AttributeError:
                 sizes = out_packet.sizes
                 count, nbytes = len(sizes), sum(sizes)
-            else:
-                count, nbytes = 1, out_packet.wire_bytes()
             counters.packets_generated += count
             counters.packets_out += count
             counters.bytes_out += nbytes

@@ -315,7 +315,7 @@ class FaultInjector:
         self.sim.notify_wipe(device)
         engine = device.switch.externs.get("daiet")
         if engine is not None:
-            engine._trees.clear()
+            engine.wipe()
         device.daiet_table.clear()
         device.forwarding_table.clear()
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Iterable
 
@@ -28,7 +27,6 @@ import numpy as _np
 
 from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError, TableError, TopologyError
-from repro.core.packet import DaietAck, PacketWindow, PairColumns, packets_of
 from repro.netsim.devices import (
     Host,
     SwitchDevice,
@@ -64,142 +62,24 @@ OBSERVER_HOOKS = (
 )
 
 
-class _BurstPlan:
-    """Send-time precomputation for one window's burst delivery fast path.
+@dataclass(slots=True, eq=False)
+class _Burst:
+    """One window in flight to a switch's burst handler, as ONE queue entry.
 
-    Built from a :class:`~repro.core.packet.PacketWindow` a host sends
-    (:meth:`NetworkSimulator.send_burst`) or a switch flushes towards a
-    switch (``_transmit_window``), so that the burst delivery
-    handler can batch the window's DATA packets without building them:
-    per-item eligibility (a DATA packet carries pairs, the END does not),
-    the window's interned-key/value arrays (views of its partition's
-    columns), per-item pair extents and the cumulative byte ledger all
-    come from the window's arithmetic. ``items`` are the window indexes
-    the plan still carries; ``packet(k)`` builds one only for a consumer
-    that needs it. The wire-dependent fields (arrival ``times``, the
-    ``seq0`` base, delivery ``target``/``ingress``) are filled in by
-    ``_transmit_burst`` when the burst hits its link, which also drops the
-    items lost or tail-dropped on it. Items before ``next`` are delivered; a
-    batch stores what such an item emitted in ``deferred`` until the queue
-    reaches the item's own position.
+    ``plan`` (``PacketWindow.burst_plan()``) is opaque here; the wire adds
+    the surviving items' arrival ``times``, the ``seq0`` base of their
+    reserved sequence numbers and the delivery ``target``/``ingress``. Items
+    before ``next`` are delivered; ``deferred`` holds what a batch made such
+    an item emit until the queue reaches the item's own position.
     """
 
-    __slots__ = (
-        "window",
-        "items",
-        "nbytes",
-        "shape_ok",
-        "max_nbytes",
-        "max_cost",
-        "kids",
-        "vals",
-        "pair_start",
-        "npairs",
-        "nbytes_cum",
-        "times",
-        "seq0",
-        "target",
-        "ingress",
-        "next",
-        "deferred",
-    )
-
-    def __init__(self, window: PacketWindow, columns: PairColumns) -> None:
-        n = len(window)
-        per = columns.per
-        first = window.first
-        # The window's DATA items, then (at most) its END.
-        data_stop = min(first + n, -(-len(window.pairs) // per))
-        ndata = data_stop - first
-        self.npairs = npairs = _np.full(n, per, dtype=_np.int64)
-        npairs[ndata - 1] = min(per, len(window.pairs) - (data_stop - 1) * per)
-        npairs[ndata:] = 0
-        self.shape_ok = npairs > 0
-        self.pair_start = _np.arange(0, n * per, per, dtype=_np.int64)
-        lo = first * per
-        hi = lo + (ndata - 1) * per + int(npairs[ndata - 1])
-        self.kids = columns.kids[lo:hi]
-        self.vals = columns.vals[lo:hi]
-        self.window = window
-        self.items: Any = range(n)
-        self.nbytes = window.sizes
-        self.nbytes_cum = list(accumulate(self.nbytes, initial=0))
-        self.max_nbytes = max(self.nbytes[:ndata])
-        self.max_cost = 3 + int(npairs[0])
-        self.times = None
-        self.seq0 = -1
-        self.target = None
-        self.ingress = -1
-        self.next = 0
-        self.deferred = {}
-
-    def packet(self, offset: int) -> Any:
-        """The packet of item ``offset``, built if nothing built it yet."""
-        return self.window[self.items[offset]]
-
-    def kernel_input(self, offset: int, count: int) -> tuple[Any, Any, int, Any]:
-        """``_vector_apply``'s arguments for items ``offset .. offset + count``.
-
-        ``(kids, vals, count, bounds)``; every item in the range must
-        be shape-eligible. Their pairs are one slice of the plan's arrays
-        unless a lost item sat between them.
-        """
-        end = offset + count
-        lens = self.npairs[offset:end]
-        starts = self.pair_start[offset:end]
-        bounds = _np.cumsum(lens)
-        lo = int(starts[0])
-        hi = lo + int(bounds[-1])
-        if starts[-1] + lens[-1] == hi:
-            return self.kids[lo:hi], self.vals[lo:hi], count, bounds
-        kids, vals, bounds = _gather_pairs(self.kids, self.vals, starts, lens)
-        return kids, vals, count, bounds
-
-    def drop(self, lost: list[int]) -> None:
-        """Remove the items at the ascending indexes ``lost`` (lost in flight).
-
-        The survivors keep their pair extents in the plan's arrays.
-        """
-        keep = _np.ones(len(self.items), dtype=bool)
-        keep[lost] = False
-        kept = _np.flatnonzero(keep).tolist()
-        self.items = [self.items[i] for i in kept]
-        self.nbytes = [self.nbytes[i] for i in kept]
-        self.npairs = self.npairs[keep]
-        self.shape_ok = self.shape_ok[keep]
-        self.pair_start = self.pair_start[keep]
-        self.nbytes_cum = list(accumulate(self.nbytes, initial=0))
-
-
-def _gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, Any, Any]:
-    """Pull packets' pairs out of concatenated plan arrays, in packet order.
-
-    ``starts``/``lens`` are each packet's extent in ``kids``/``vals``.
-    Returns the gathered key ids and values plus the cumulative per-packet
-    pair counts (``bounds``) the register kernel tags emissions with.
-    """
-    bounds = _np.cumsum(lens)
-    pair_idx = _np.repeat(starts - (bounds - lens), lens) + _np.arange(
-        int(bounds[-1]), dtype=_np.int64
-    )
-    return kids[pair_idx], vals[pair_idx], bounds
-
-
-def _plan_burst(window: PacketWindow) -> _BurstPlan | None:
-    """A :class:`_BurstPlan` for ``window``, or ``None``.
-
-    Every DATA item of a window is *shape-eligible*: the packetizer checked
-    its partition's columns at send. Sequenced or not, the engine decides at
-    delivery whether its stream lets the kernel take it
-    (``DaietAggregationEngine._fresh_run``). The switch-specific budget
-    checks are applied once per burst by the burst handler via the
-    precomputed ``max_nbytes``/``max_cost``. ``None`` for a window without
-    DATA.
-    """
-    columns = window.columns
-    if window.first * columns.per >= len(window.pairs):
-        return None
-    return _BurstPlan(window, columns)
+    plan: Any
+    times: list[float]
+    seq0: int
+    target: Any
+    ingress: int
+    next: int = 0
+    deferred: dict[int, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -414,7 +294,7 @@ class NetworkSimulator:
                     try:
                         size = out_packet.wire_bytes()
                     except AttributeError:
-                        if type(out_packet) is PacketWindow:
+                        if hasattr(out_packet, "sizes"):
                             transmit_window(name, egress_port, out_packet)
                             continue
                         size = packet_wire_bytes(out_packet)
@@ -428,262 +308,139 @@ class NetworkSimulator:
     ) -> tuple[Any, Any]:
         """The burst-entry callback and delivery handler for one switch.
 
-        The callback (``burst_sink``) takes one item at its own queue
-        position. An item a batch already delivered (before ``plan.next``)
-        only transmits what it emitted. Otherwise the entry's head item goes
-        through the per-packet sink and the rest of the window is
-        re-enqueued at its own ``(time, seq)``, so foreign events interleave
-        exactly as they would against a per-packet schedule. The handler
-        calls it for items the kernel cannot take; the scheduler calls it
-        directly when the handler registry was rebuilt while burst entries
-        were queued.
+        A burst entry (a :class:`_Burst`) stands for a whole window, a
+        host's partition or a child switch's flush alike. The callback
+        (``burst_sink``) takes one item at its own queue position: an item a
+        batch already delivered (before ``burst.next``) only transmits what
+        it emitted; otherwise the item goes through the per-packet sink and
+        the rest of the window is re-enqueued at its own ``(time, seq)``, so
+        foreign events interleave exactly as against a per-packet schedule.
 
-        A burst entry stands for a whole window, a host's partition or a
-        child switch's flush alike: its plan carries the eligibility mask,
-        pair arrays and exact cumulative ledgers computed when the window
-        was sent, and ``_transmit_burst`` filled in per-item arrival times
-        plus the reserved sequence-number range. The handler
-        takes a *batch*: the items of this switch's burst entries that
-        arrive within one lookahead of the head, the shortest propagation
-        delay of the switch's links. Anything not yet queued for this switch
-        arrives later than that, so the queue already holds every event that
-        could touch the switch within the batch. The batch is cut before the
-        first of them (an END, a retransmission, a pull, other trees'
-        traffic, a timer or anything else not in ``transparent``: deliveries
-        to other devices and transmissions, which never read this switch,
-        and plain ACKs, which only release flushes sent before them), before
-        the first item that is not shape-eligible or that its
-        source's stream refuses (``DaietAggregationEngine._fresh_run``) and
-        past ``until``. Within reach of the event budget there is no batch:
-        the head goes alone, so a run cut by the budget stops between whole
-        per-packet events. The merged ``(time, seq)``
-        prefix goes through the vectorized register kernel and each source's
-        stream advances over its share (``_accept_run``). What an item emits
-        (spillover flushes, then its ACK, as ``_process_data`` emits them) is
-        transmitted by an entry at that item's own ``(time, seq)``, so
-        transmissions, their loss draws and everything they cause interleave
-        with the other devices' events exactly as in a per-packet schedule.
-        Each burst's un-consumed tail is re-enqueued at its own position.
+        The handler batches what arrives within one lookahead of the head
+        (the shortest propagation delay of the switch's links, and no
+        further than ``until``): anything not yet queued for the switch
+        arrives later, so the queue already holds every event that could
+        touch it. Deliveries to other devices and transmissions
+        (``transparent``) never do; any other foreign entry cuts the batch.
+        It asks the switch three questions: may the head start a batch
+        (``SwitchDevice.start_batch``); in ``(time, seq)`` order, may each
+        window queued for it join and each packet be passed (the batch's
+        ``join`` / ``passes``, the first refusal cuts the batch); and, given
+        the merged ``(time, seq)`` candidates up to the cut, how many it
+        took and what each emitted (``SwitchDevice.take_batch``). An item's
+        emissions leave from an entry at its own ``(time, seq)``, so they
+        and everything they cause interleave as in a per-packet schedule.
+        Within reach of the event budget the head goes alone, so a run cut
+        by the budget stops between whole per-packet events.
         """
         scheduler = self.scheduler
         name = device.name
         transmit = self._transmit
         transmit_window = self._transmit_window
-        count_emitted = device._count_emitted
-        resolve = device._batch_tree_state
         links = self._port_links[name]
-        num_ports = device.switch.num_ports
-        max_ops = device._max_ops
-        max_parse = device._max_parse
-        counters = device._sw_counters
-        parser = device._sw_parser
-        daiet_tbl = device._daiet_tbl
+        start_batch = device.start_batch
+        take_batch = device.take_batch
+        count_emitted = device.count_emitted
 
-        def within_budgets(plan: _BurstPlan) -> bool:
-            return (
-                plan.max_nbytes <= max_parse
-                and plan.max_cost <= max_ops
-                and 0 <= plan.ingress < num_ports
-            )
-
-        def burst_sink(plan: _BurstPlan, offset: int) -> None:
-            if offset < plan.next:
-                emitted = plan.deferred.pop(offset)
+        def burst_sink(burst: _Burst, offset: int) -> None:
+            if offset < burst.next:
+                emitted = burst.deferred.pop(offset)
                 if emitted:
                     count_emitted(emitted)
                     for port, out in emitted:
-                        if type(out) is PacketWindow:
+                        try:
+                            size = out.wire_bytes()
+                        except AttributeError:
                             transmit_window(name, port, out)
                         else:
-                            transmit(name, port, out, out.wire_bytes())
+                            transmit(name, port, out, size)
                 return
-            sink(plan.target, plan.ingress, plan.packet(offset), plan.nbytes[offset])
-            nxt = plan.next = offset + 1
-            if nxt < len(plan.items):
+            plan = burst.plan
+            sink(burst.target, burst.ingress, plan[offset], plan.sizes[offset])
+            nxt = burst.next = offset + 1
+            if nxt < len(plan):
                 scheduler.push_entry(
-                    (plan.times[nxt], plan.seq0 + nxt, burst_sink, (plan, nxt))
+                    (burst.times[nxt], burst.seq0 + nxt, burst_sink, (burst, nxt))
                 )
 
         def handler(
             time: float, args: tuple, until: float | None, budget: int | None
         ) -> int:
-            plan, offset = args
-            if offset < plan.next:
-                burst_sink(plan, offset)
+            head, offset = args
+            if offset < head.next:
+                burst_sink(head, offset)
                 return 1
-            resolved = resolve(plan.window.tree_id) if plan.shape_ok[offset] else None
-            if (
-                resolved is None
-                or not within_budgets(plan)
-                or not resolved[0]._fresh_run(
-                    resolved[1], plan.window, plan.items[offset : offset + 1]
-                )
-            ):
-                # Head item is not kernel-eligible: per-packet delivery.
-                burst_sink(plan, offset)
+            batch = start_batch(head.plan, offset, head.ingress)
+            if batch is None:
+                burst_sink(head, offset)
                 return 1
-            engine, state = resolved
-            tree_id = plan.window.tree_id
             limit = time + min(link.propagation_s for link in links.values())
             if until is not None and until < limit:
                 limit = until
-            # The earliest entry due by the limit that could touch the switch
-            # bounds the batch; so does a source's later window, which
-            # queues behind its earlier one on the same uplink.
+            # The earliest foreign entry due by the limit that could touch
+            # the switch bounds the batch; the switch's own entries are
+            # offered to it below.
             cutoff = None
-            mergeable = []
+            own = []
             queued = scheduler.entries_through(limit)
             for entry in queued:
                 callback = entry[2]
                 if callback is burst_sink:
-                    p2, o2 = entry[3]
-                    if o2 < p2.next:
-                        continue  # a delivered item's emissions
-                    if p2.window.tree_id == tree_id and within_budgets(p2):
-                        mergeable.append(entry)
-                        continue
+                    if entry[3][1] >= entry[3][0].next:
+                        own.append(entry)
+                    # else: a delivered item's emissions
                 elif callback is sink:
-                    packet = entry[3][2]
-                    if type(packet) is DaietAck and not packet.pull:
-                        continue  # releases flushes the batch cannot have sent
-                elif callback in transparent:
-                    continue
-                if cutoff is None or entry[:2] < cutoff[:2]:
+                    own.append(entry)
+                elif callback not in transparent and (
+                    cutoff is None or entry[:2] < cutoff[:2]
+                ):
                     cutoff = entry
-            bursts: list[tuple[_BurstPlan, int]] = [(plan, offset)]
-            sources = {plan.window.src}
-            mergeable.sort(key=itemgetter(0, 1))
-            for entry in mergeable:
+            bursts = [(head, offset)]
+            join, passes = batch.join, batch.passes
+            own.sort(key=itemgetter(0, 1))
+            for entry in own:
                 if cutoff is not None and entry[:2] > cutoff[:2]:
                     break
-                p2, o2 = entry[3]
-                if p2.window.src in sources:
-                    cutoff = entry
-                    break
-                bursts.append((p2, o2))
-                sources.add(p2.window.src)
-            stops = [bisect_right(p.times, limit, o) for p, o in bursts]
+                args = entry[3]
+                if entry[2] is burst_sink:
+                    burst, at = args
+                    if join(burst.plan, at, burst.ingress):
+                        bursts.append(args)
+                        continue
+                elif passes(args[2]):
+                    continue
+                cutoff = entry
+                break
+            stops = [bisect_right(b.times, limit, o) for b, o in bursts]
             # The event budget must not run out inside the batch, where its
             # items are applied but their entries still wait in the queue. It
             # must cover the items, every entry batched past and one more
             # event each of those may schedule within the lookahead; short of
             # that, the head goes alone.
             if budget is not None and budget < 2 * (
-                len(queued) + sum(stops) - sum(o for _p, o in bursts)
+                len(queued) + sum(stops) - sum(o for _b, o in bursts)
             ):
-                burst_sink(plan, offset)
+                burst_sink(head, offset)
                 return 1
-            # Merge the collected bursts' candidate items by (time, seq).
-            # Each burst's internal order is already sorted, so the stable
-            # lexsort preserves it and every burst's consumed share is a
-            # prefix of its remaining items.
-            k = len(bursts)
-            if k == 1:
-                stop = stops[0]
-                times_m = _np.array(plan.times[offset:stop], dtype=_np.float64)
-                seqs_m = _np.arange(plan.seq0 + offset, plan.seq0 + stop, dtype=_np.int64)
-                ok_m = plan.shape_ok[offset:stop]
-                bid = None
-            else:
-                times_m = _np.concatenate(
-                    [
-                        _np.array(p.times[o:e], dtype=_np.float64)
-                        for (p, o), e in zip(bursts, stops)
-                    ]
-                )
-                seqs_m = _np.concatenate(
-                    [
-                        _np.arange(p.seq0 + o, p.seq0 + e, dtype=_np.int64)
-                        for (p, o), e in zip(bursts, stops)
-                    ]
-                )
-                ok_m = _np.concatenate(
-                    [p.shape_ok[o:e] for (p, o), e in zip(bursts, stops)]
-                )
-                bid = _np.concatenate(
-                    [
-                        _np.full(e - o, j, dtype=_np.int64)
-                        for j, ((p, o), e) in enumerate(zip(bursts, stops))
-                    ]
-                )
-                perm = _np.lexsort((seqs_m, times_m))
-                times_m = times_m[perm]
-                seqs_m = seqs_m[perm]
-                ok_m = ok_m[perm]
-                bid = bid[perm]
-            eligible = ok_m
+            # Merge the bursts' candidate items by (time, seq). Each burst's
+            # internal order is already sorted, so the stable lexsort keeps
+            # it and every burst's share is a prefix of its remaining items.
+            spans = [(b, o, e) for (b, o), e in zip(bursts, stops)]
+            times_m = _np.concatenate([b.times[o:e] for b, o, e in spans])
+            seqs_m = _np.concatenate([_np.arange(b.seq0 + o, b.seq0 + e) for b, o, e in spans])
+            bid = _np.repeat(_np.arange(len(spans)), [e - o for _b, o, e in spans])
+            perm = _np.lexsort((seqs_m, times_m))
+            times_m, seqs_m, bid = times_m[perm], seqs_m[perm], bid[perm]
             if cutoff is not None:
-                ct = cutoff[0]
-                cs = cutoff[1]
-                eligible = eligible & (
-                    (times_m < ct) | ((times_m == ct) & (seqs_m < cs))
-                )
-            cut = len(eligible) if eligible.all() else int(_np.argmax(~eligible))
-            # Each source's stream takes a prefix of its share: cut before
-            # the first item one refuses. The head item was admitted and is
-            # the earliest, so the cut keeps at least one item.
-            counts = [cut] if k == 1 else _np.bincount(bid[:cut], minlength=k).tolist()
-            refused = cut
-            for j, (p, o) in enumerate(bursts):
-                c = counts[j]
-                fresh = engine._fresh_run(state, p.window, p.items[o : o + c]) if c else 0
-                if fresh < c:
-                    at = fresh if k == 1 else int(_np.flatnonzero(bid[:cut] == j)[fresh])
-                    refused = min(refused, at)
-            if refused < cut:
-                cut = refused
-                counts = [cut] if k == 1 else _np.bincount(bid[:cut], minlength=k).tolist()
-            if k == 1:
-                kernel_input = plan.kernel_input(offset, cut)
-                shares = None
-            else:
-                # Each burst's consumed items, by merged position.
-                shares = [bid[:cut] == j for j in range(k)]
-                local = _np.empty(cut, dtype=_np.int64)
-                kid_parts, val_parts, len_parts = [], [], []
-                base = 0
-                for (p, o), c, share in zip(bursts, counts, shares):
-                    if c:
-                        kids_j, vals_j, _c, _bounds = p.kernel_input(o, c)
-                        kid_parts.append(kids_j)
-                        val_parts.append(vals_j)
-                        len_parts.append(p.npairs[o : o + c])
-                        local[share] = _np.arange(base, base + c, dtype=_np.int64)
-                        base += c
-                lens = _np.concatenate(len_parts)
-                starts = _np.cumsum(lens) - lens
-                kids, vals, bounds = _gather_pairs(
-                    _np.concatenate(kid_parts),
-                    _np.concatenate(val_parts),
-                    starts[local],
-                    lens[local],
-                )
-                kernel_input = (kids, vals, cut, bounds)
-            result = engine._vector_apply(state, *kernel_input)
-            nbytes_total = 0
-            for (p, o), c in zip(bursts, counts):
+                ct, cs = cutoff[:2]
+                bid = bid[: _np.count_nonzero((times_m < ct) | ((times_m == ct) & (seqs_m < cs)))]
+            counts, emitted = take_batch(batch, bid)
+            cut = sum(counts)
+            for (b, o), c in zip(bursts, counts):
                 if c:
-                    nbytes_total += p.nbytes_cum[o + c] - p.nbytes_cum[o]
-                    nxt = p.next = o + c
-                    if nxt < len(p.items):
-                        scheduler.push_entry(
-                            (p.times[nxt], p.seq0 + nxt, burst_sink, (p, nxt))
-                        )
-            counters.packets_in += cut
-            counters.bytes_in += nbytes_total
-            parser.bytes_parsed += nbytes_total
-            daiet_tbl.hit_count += cut
-            # What each item emits, by merged position: spillover flushes,
-            # then its ACK.
-            emitted: dict[int, list[tuple[int, Any]]] = {}
-            for pkt_i, port, out in result:
-                emitted.setdefault(pkt_i, []).append((port, out))
-            for j, (p, o) in enumerate(bursts):
-                acks = engine._accept_run(state, p.window, p.items[o : o + counts[j]])
-                if acks:
-                    at = range(cut) if k == 1 else _np.flatnonzero(shares[j]).tolist()
-                    for i, port, ack in acks:
-                        emitted.setdefault(at[i], []).append((port, ack))
+                    nxt = b.next = o + c
+                    if nxt < len(b.plan):
+                        scheduler.push_entry((b.times[nxt], b.seq0 + nxt, burst_sink, (b, nxt)))
             # An item that emits transmits at its own queue position, as the
             # batch's last item does (so the clock ends where a per-packet
             # schedule leaves it); that item's event is counted there. A
@@ -691,19 +448,16 @@ class NetworkSimulator:
             # position.
             emitted.setdefault(cut - 1, [])
             waiting = 0
-            for j in range(1, k):
+            for j in range(1, len(bursts)):
                 if counts[j]:
-                    first = int(_np.argmax(shares[j]))
-                    bursts[j][0].deferred[bursts[j][1]] = emitted.pop(first, [])
+                    b, o = bursts[j]
+                    b.deferred[o] = emitted.pop(int(_np.argmax(bid == j)), [])
                     waiting += 1
-            for pkt_i, emissions in emitted.items():
-                if k == 1:
-                    p, i = plan, offset + pkt_i
-                else:
-                    j = int(bid[pkt_i])
-                    p, i = bursts[j][0], int(seqs_m[pkt_i]) - bursts[j][0].seq0
-                p.deferred[i] = emissions
-                scheduler.push_entry((p.times[i], p.seq0 + i, burst_sink, (p, i)))
+            for at, emissions in emitted.items():
+                b = bursts[int(bid[at])][0]
+                i = int(seqs_m[at]) - b.seq0
+                b.deferred[i] = emissions
+                scheduler.push_entry((b.times[i], b.seq0 + i, burst_sink, (b, i)))
             return cut - waiting - len(emitted)
 
         return burst_sink, handler
@@ -786,13 +540,12 @@ class NetworkSimulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         plan = None
-        if isinstance(packets, PacketWindow):
-            sizes = packets.sizes
-            if self._fast_burst and len(sizes) > 1:
-                plan = _plan_burst(packets)
-        else:
+        sizes = getattr(packets, "sizes", None)
+        if sizes is None:
             packets = list(packets)
             sizes = [packet_wire_bytes(packet) for packet in packets]
+        elif self._fast_burst and len(sizes) > 1:
+            plan = packets.burst_plan()
         if not sizes:
             return 0
         # The window is accounted once (integer counters, so exactly what
@@ -806,13 +559,13 @@ class NetworkSimulator:
         )
         return len(sizes)
 
-    def _transmit_window(self, from_device: str, egress_port: int, window: PacketWindow) -> None:
+    def _transmit_window(self, from_device: str, egress_port: int, window: Any) -> None:
         """Put a switch's flush window on its egress link, planned if a switch takes it."""
         plan = None
         if self._fast_burst:
             info = self._port_info[from_device].get(egress_port)
             if info is not None and info[7] is not None:
-                plan = _plan_burst(window)
+                plan = window.burst_plan()
         self._transmit_burst(from_device, egress_port, window, window.sizes, plan)
 
     def _transmit_burst(
@@ -821,7 +574,7 @@ class NetworkSimulator:
         egress_port: int,
         packets: Any,
         sizes: list[int],
-        plan: _BurstPlan | None = None,
+        plan: Any = None,
         carried: int = 0,
     ) -> None:
         """Put a whole window of packets on one link (a host's or a switch's), in order.
@@ -841,7 +594,8 @@ class NetworkSimulator:
         schedule; the burst handler re-expands any tail that foreign events
         interleave. On a switch egress it applies ``_transmit``'s congestion
         model per item: a tail drop leaves the plan as a loss does, and a CE
-        mark builds and marks the packet, which ``_fresh_run`` then refuses.
+        mark builds and marks the packet, which the switch then refuses to
+        batch.
         Every other window goes through the per-packet transmit.
         """
         n = len(sizes)
@@ -885,16 +639,14 @@ class NetworkSimulator:
                 else:
                     times.append(busy_end + propagation)
             traffic.packets += n - tail_dropped
-            traffic.bytes += plan.nbytes_cum[n] - tail_dropped_bytes
+            traffic.bytes += sum(sizes) - tail_dropped_bytes
             busy[busy_key] = busy_end
             if times:
                 if lost:
                     plan.drop(lost)
-                plan.times = times
-                plan.seq0 = seq = scheduler.reserve_seqs(len(times))
-                plan.target = target
-                plan.ingress = other_port
-                scheduler.push_entry((times[0], seq, burst_sink, (plan, 0)))
+                seq = scheduler.reserve_seqs(len(times))
+                burst = _Burst(plan, times, seq, target, other_port)
+                scheduler.push_entry((times[0], seq, burst_sink, (burst, 0)))
             return
         transmit = self._transmit_entry
         for i, nbytes in enumerate(sizes):
@@ -1020,7 +772,11 @@ class NetworkSimulator:
             for on_deliver in hooks["on_deliver"]:
                 on_deliver(packet)
             return
-        outputs = packets_of(device.deliver(packet, ingress_port, nbytes))
+        outputs = [
+            (port, item)
+            for port, out in device.deliver(packet, ingress_port, nbytes)
+            for item in (out if hasattr(out, "sizes") else (out,))
+        ]
         for on_switch in hooks["on_switch"]:
             on_switch(packet, outputs)
         transmit = self._transmit_entry

@@ -108,14 +108,16 @@ class TestCleanTree:
 
     def test_switch_device_internals_stay_in_the_device(self):
         # SwitchDevice's private attributes (its bound tables, counters and
-        # budgets, its steering helpers) are read in netsim/devices.py and in
-        # the burst handler that shares the compiled path
-        # (NetworkSimulator._compile_switch_burst), nowhere else: the
-        # controller and the fault injector change tables, not the device.
-        # (The parent of the change that added this gate had three hits: the
-        # steering memo cleared in core/controller.py and both lookup memos
-        # cleared in netsim/faults.py.) Forwarding is the switch's own public
-        # stage, ProgrammableSwitch.receive, not a device helper.
+        # budgets, its steering helpers) are read in netsim/devices.py,
+        # nowhere else: the controller and the fault injector change tables,
+        # not the device, and the simulator's burst handler asks the device's
+        # public batch methods. (The parent of the change that added this
+        # gate had three hits: the steering memo cleared in
+        # core/controller.py and both lookup memos cleared in
+        # netsim/faults.py. Until the window seam, the burst handler,
+        # NetworkSimulator._compile_switch_burst, was exempt; it read seven.)
+        # Forwarding is the switch's own public stage,
+        # ProgrammableSwitch.receive, not a device helper.
         from repro.netsim.devices import SwitchDevice
 
         private = {
@@ -123,22 +125,58 @@ class TestCleanTree:
             for name in (*vars(SwitchDevice), *vars(SwitchDevice("probe")))
             if name.startswith("_") and not name.startswith("__")
         }
-        assert {"_daiet_tbl", "_resolve_steering", "_batch_tree_state"} <= private
+        assert {"_daiet_tbl", "_resolve_steering", "_max_ops", "_fits"} <= private
         offenders = []
         for relative, tree in _package_trees():
             if relative == "netsim/devices.py":
                 continue
-            burst_handler: set[int] = set()
-            if relative == "netsim/simulator.py":
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.FunctionDef) and node.name == "_compile_switch_burst":
-                        burst_handler = set(range(node.lineno, node.end_lineno + 1))
             for node in ast.walk(tree):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr in private
-                    and node.lineno not in burst_handler
-                ):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    offenders.append(f"{relative}:{node.lineno} .{node.attr}")
+        assert offenders == []
+
+    def test_the_network_simulator_knows_no_daiet(self):
+        # Aggregation is a switch program on an ordinary network: netsim/
+        # carries opaque windows and asks a switch about them through the
+        # device's public methods. From repro.core it imports only the
+        # errors, and it names no private attribute of the aggregation
+        # engine or its tree state. (The parent of the change that added
+        # this gate had 12 hits: the repro.core.packet imports at
+        # simulator.py:31 and devices.py:18; ._trees at devices.py:140 and
+        # 188 and faults.py:318 (a crash wipe's ._trees.clear()); ._vec at
+        # devices.py:141; ._process_data and ._process_end at devices.py:198
+        # and 200; and the burst handler's ._fresh_run at simulator.py:518
+        # and 629, ._vector_apply at 662 and ._accept_run at 682.)
+        from repro.core.aggregation import DaietAggregationEngine, TreeState
+
+        engine = DaietAggregationEngine("probe")
+        state = engine.configure_tree(1, "sum", 1, 0, "h0")
+        private = {
+            name
+            for name in (
+                *vars(DaietAggregationEngine), *vars(engine), *vars(TreeState), *vars(state)
+            )
+            if name.startswith("_") and not name.startswith("__")
+        }
+        assert {"_trees", "_fresh_run", "_vector_apply", "_accept_run", "_vec"} <= private
+        offenders = []
+        for relative, tree in _package_trees():
+            if not relative.startswith("netsim/"):
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    modules = (
+                        [node.module] if isinstance(node, ast.ImportFrom)
+                        else [alias.name for alias in node.names]
+                    )
+                    offenders += [
+                        f"{relative}:{node.lineno} import {module}"
+                        for module in modules
+                        if module
+                        and module.startswith("repro.core")
+                        and module != "repro.core.errors"
+                    ]
+                elif isinstance(node, ast.Attribute) and node.attr in private:
                     offenders.append(f"{relative}:{node.lineno} .{node.attr}")
         assert offenders == []
 
@@ -413,11 +451,13 @@ class TestCleanTree:
     def test_burst_eligibility_is_one_predicate(self):
         # Whether the register kernel may take a DATA packet is decided at
         # delivery by its source's stream (DaietAggregationEngine._fresh_run)
-        # and by the burst plan's shape, nowhere else: the simulator's burst
-        # planning and transmit path never ask whether a packet is sequenced
-        # or an uplink lossless. (The parent of the change that added this
-        # gate had one of each: _plan_burst admitted only `packet.seq is
-        # None`, and _transmit_burst only `link.loss_rate == 0.0`.)
+        # and by the burst plan's shape, nowhere else: burst planning
+        # (PacketWindow.burst_plan, BurstPlan) and the simulator's transmit
+        # path never ask whether a packet is sequenced or an uplink lossless.
+        # (The parent of the change that added this gate had one of each in
+        # the simulator: _plan_burst admitted only `packet.seq is None`, and
+        # _transmit_burst only `link.loss_rate == 0.0`. Planning has since
+        # moved to core/packet.py, and the gate with it.)
         def names(node):
             return {getattr(part, "attr", getattr(part, "id", None)) for part in ast.walk(node)}
 
@@ -425,10 +465,21 @@ class TestCleanTree:
             return isinstance(node, ast.Constant) and node.value == 0
 
         offenders = []
+        planners = []
         for relative, tree in _package_trees():
-            if relative != "netsim/simulator.py":
+            if relative == "core/packet.py":
+                scopes = [
+                    node
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name in {"BurstPlan", "burst_plan"}
+                ]
+                planners += [scope.name for scope in scopes]
+            elif relative == "netsim/simulator.py":
+                scopes = [tree]
+            else:
                 continue
-            for node in ast.walk(tree):
+            for node in (node for scope in scopes for node in ast.walk(scope)):
                 if not isinstance(node, ast.Compare):
                     continue
                 sides = [node.left, *node.comparators]
@@ -443,6 +494,7 @@ class TestCleanTree:
                 )
                 if forked:
                     offenders.append(f"{relative}:{node.lineno} {ast.unparse(node)}")
+        assert sorted(planners) == ["BurstPlan", "burst_plan"]
         assert offenders == []
 
     def test_host_windows_build_no_packets(self):

@@ -795,7 +795,7 @@ class TestPacketizerCounts:
             built.append(self)
 
         windows, alone = [], []
-        count_emitted = SwitchDevice._count_emitted
+        count_emitted = SwitchDevice.count_emitted
 
         def spy_emitted(device, out):
             for _port, item in out:
@@ -804,7 +804,7 @@ class TestPacketizerCounts:
 
         monkeypatch.setattr(packet_module, "_assemble", counting_assemble)
         monkeypatch.setattr(DaietPacket, "__init__", counting_construct)
-        monkeypatch.setattr(SwitchDevice, "_count_emitted", spy_emitted)
+        monkeypatch.setattr(SwitchDevice, "count_emitted", spy_emitted)
         delivered_to_reducer = []
         host_deliver = Host.deliver
 

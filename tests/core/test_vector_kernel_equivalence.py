@@ -10,8 +10,8 @@ observable state: register cells (the key register holds kids), spillover
 bucket order, index-stack order, per-tree counters and the exact emission
 sequence.
 
-The kernel's input arrays come from the simulator's burst plan
-(``_plan_burst`` / ``_BurstPlan.kernel_input``) of a packet window, the one
+The kernel's input arrays come from a packet window's burst plan
+(``PacketWindow.burst_plan()`` / ``BurstPlan.kernel_input``), the one
 assembler of that format, exactly as ``send_burst`` builds them.
 """
 
@@ -38,7 +38,6 @@ from repro.core.packet import (
 )
 from repro.dataplane import interning
 from repro.dataplane.registers import IndexStack
-from repro.netsim.simulator import _plan_burst
 from repro.netsim.topology import leaf_spine
 
 np = pytest.importorskip("numpy")
@@ -70,7 +69,7 @@ def kernel_apply(engine: DaietAggregationEngine, burst: PacketWindow, slices=Non
 
     Returns the calls' results; a slice is ``(offset, count)`` into the plan.
     """
-    plan = _plan_burst(burst)
+    plan = burst.burst_plan()
     assert plan is not None and plan.shape_ok.all()
     state = engine.tree(7)
     return [
@@ -626,7 +625,7 @@ class TestSequencedStreamAdmission:
             if packet.seq not in (0, 17):
                 slow_out.extend(slow.handle_packet(packet))
         state = fast.tree(7)
-        plan = _plan_burst(window)
+        plan = window.burst_plan()
         plan.drop([0, 17])  # lost in flight, as ``_transmit_burst`` drops them
         # Holes do not stop a run: every number is above the ones before it.
         assert fast._fresh_run(state, window, plan.items) == len(plan.items)

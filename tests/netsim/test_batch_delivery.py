@@ -1,7 +1,7 @@
 """Twin-run equivalence for burst delivery, the one vectorized way into a switch.
 
 ``switch-burst-delivery``: a whole window rides ONE queue entry carrying a
-precomputed :class:`_BurstPlan`; the handler merges concurrent bursts by
+precomputed :class:`~repro.core.packet.BurstPlan`; the handler merges concurrent bursts by
 ``(time, seq)`` and feeds the pair arrays straight into the vectorized
 register kernel. A mapper's send window and a child switch's flush window
 ride it alike. Sequenced windows ride it as unsequenced ones do, over lossy
@@ -22,14 +22,17 @@ loss stream's state and the ACKs each mapper hears, in order and in time.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from repro.core.aggregation import DaietAggregationEngine
+from repro.core.aggregation import DaietAggregationEngine, WindowBatch
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
-from repro.core.errors import PacketFormatError
-from repro.core.packet import DaietAck, DaietPacket, PacketWindow
+from repro.core.errors import PacketFormatError, ResourceExhaustedError
+from repro.core.packet import DaietAck, DaietPacket, PacketWindow, steer_ops
+from repro.dataplane import switch as switch_module
+from repro.dataplane.resources import SwitchResources
 from repro.netsim.devices import SwitchDevice
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
@@ -118,6 +121,42 @@ class TestBatchDeliveryEquivalence:
         assert fast_obs["result"] == truth
         if fabric == "leaf_spine":
             assert len(fast_obs["counters"]) > 1  # the tree really has two levels
+
+    def test_a_window_at_the_op_budget_is_batched_and_one_over_raises(
+        self, monkeypatch, observables
+    ):
+        # The plan's max_cost and a steered packet's op_cost() read one rule
+        # (steer_ops): a DATA packet of ten pairs costs 3 + 10, so a switch
+        # whose budget is exactly that batches the windows, and one an op
+        # short refuses the head, which then raises from the per-packet path.
+        ops = steer_ops(10)
+        taken = []
+        take = WindowBatch.take
+        monkeypatch.setattr(
+            WindowBatch, "take", lambda batch, merged: taken.append(batch) or take(batch, merged)
+        )
+
+        def budgeted(max_ops: int, fast: bool):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    switch_module,
+                    "SwitchResources",
+                    lambda: SwitchResources(max_ops_per_packet=max_ops),
+                )
+                return wordcount_system(fast)
+
+        fast_sys, reducer, truth = budgeted(ops, True)
+        fast_obs = observables(fast_sys, reducer, fast_sys.run())
+        slow_sys, _, _ = budgeted(ops, False)
+        assert fast_obs == observables(slow_sys, reducer, slow_sys.run())
+        assert fast_obs["result"] == truth
+        assert taken
+        taken.clear()
+        for fast in (True, False):
+            system, _, _ = budgeted(ops - 1, fast)
+            with pytest.raises(ResourceExhaustedError, match=re.escape(f"({ops} > {ops - 1})")):
+                system.run()
+        assert taken == []
 
     def test_calendar_backend_identical(self, monkeypatch, observables):
         # The burst handler looks at and takes queue heads through the
@@ -541,7 +580,7 @@ class TestWhoTakesThePerPairLoop:
         # (holding them keeps their ids from being reused).
         windows: dict[str, list] = {}
         alone: dict[int, DaietPacket] = {}
-        count_emitted = SwitchDevice._count_emitted
+        count_emitted = SwitchDevice.count_emitted
 
         def spy_emitted(device, out):
             for _port, item in out:
@@ -569,7 +608,7 @@ class TestWhoTakesThePerPairLoop:
                 calls.append((window_item, refused))
             return process_data(engine, state, packet)
 
-        monkeypatch.setattr(SwitchDevice, "_count_emitted", spy_emitted)
+        monkeypatch.setattr(SwitchDevice, "count_emitted", spy_emitted)
         monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
         counts = {}
         for fast in (False, True):
