@@ -185,13 +185,8 @@ class ErrorBoundTracker:
     @staticmethod
     def _register_pairs(device: Any, tree_id: int) -> list[tuple[Any, Any]]:
         """Pairs currently parked in one switch's registers for one tree."""
-        switch = getattr(device, "switch", None)
-        if switch is None:
-            return []
-        engine = switch.externs.get("daiet")
-        if engine is None:
-            return []
-        state = engine._trees.get(tree_id)
+        engine = device.switch.externs.get("daiet")
+        state = None if engine is None else dict(engine.trees()).get(tree_id)
         if state is None:
             return []
         # Vectorized trees park part of each slot's value in a delta array
@@ -208,7 +203,7 @@ class ErrorBoundTracker:
         engine = device.switch.externs.get("daiet")
         if engine is None:
             return
-        for tree_id in sorted(engine._trees):
+        for tree_id, _state in engine.trees():
             ledger = self._ledger(tree_id)
             if ledger is None:
                 continue

@@ -150,7 +150,7 @@ def check_switch(
         findings += check_table(table, path=path)
 
     engine = switch.externs.get("daiet")
-    trees = engine._trees if engine is not None else {}
+    trees = dict(engine.trees()) if engine is not None else {}
 
     # Steering entries must point at configured trees on live ports.
     steer = tables.get("daiet_steer")

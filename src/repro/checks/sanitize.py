@@ -23,9 +23,10 @@ instance:
 The ledger is an observer (:meth:`NetworkSimulator.add_observer`): the
 simulator tells it of every send, delivery, switch pass, drop (with its
 reason) and ECN mark, so it infers nothing and wraps nothing, and it reads
-the same whatever else is attached and in whatever order. Cost model: when
-the sanitizer is off no observer exists and the per-packet path consults
-none — the mode is compiled out by construction, not by an ``if``.
+the same whatever else is attached and in whatever order. Cost model: its
+hooks are compiled into the shipped sinks, so it checks the code plain runs
+use, and when it is off none is bound. Its ``on_switch`` notice takes the
+batch handlers away (every switch pass is seen), so windows go item by item.
 """
 
 from __future__ import annotations
@@ -258,10 +259,8 @@ class SimulatorSanitizer:
                 self.check_backend_invariant()
         if until is not None and until > scheduler.now:
             scheduler.now = until
-        extra = sim._synthetic_events
-        if extra:
-            sim._synthetic_events = 0
-            executed += extra
+        executed += sim._synthetic_events
+        sim._synthetic_events = 0
         self.check()
         return executed
 
@@ -314,8 +313,8 @@ class SimulatorSanitizer:
             engine = device.switch.externs.get("daiet")
             if engine is None:
                 continue
-            for tree_id in sorted(engine._trees):
-                self._check_tree(device.name, tree_id, engine._trees[tree_id])
+            for tree_id, state in engine.trees():
+                self._check_tree(device.name, tree_id, state)
 
     def _check_tree(self, switch_name: str, tree_id: int, state: Any) -> None:
         where = f"switch {switch_name!r} tree {tree_id}"
@@ -346,11 +345,11 @@ class SimulatorSanitizer:
                     f"{where}: slot {index} holds a key but no value"
                 )
         # After a completed round — the final flush ran and no new round has
-        # started — every slot must have rearmed to the empty state.
+        # started (no child's END counted yet) — every slot must have rearmed
+        # to the empty state.
         round_complete = (
             state.counters.final_flushes > 0
             and state.remaining_children == state.num_children
-            and not state._ended_sources
         )
         if round_complete:
             if occupied:

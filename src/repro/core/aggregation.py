@@ -316,6 +316,10 @@ class DaietAggregationEngine(Extern):
         """Per-tree counters."""
         return {tree_id: state.counters for tree_id, state in self._trees.items()}
 
+    def trees(self) -> list[tuple[int, TreeState]]:
+        """Every configured tree as ``(tree_id, state)``, in id order."""
+        return [(tree_id, self._trees[tree_id]) for tree_id in sorted(self._trees)]
+
     def wipe(self) -> None:
         """Lose every tree's state, as a crashed switch's SRAM does."""
         self._trees.clear()

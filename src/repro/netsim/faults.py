@@ -23,12 +23,14 @@ scheduler and enforces it on the data path:
 
 The injector enforces the plan as a simulator observer
 (:meth:`NetworkSimulator.add_observer`) holding the two veto hooks: the
-simulator asks it before every transmission and every delivery, and turns
-a veto into a ``fault`` drop. Every packet destroyed by a fault is thus
-*counted*, never silently dropped: it lands in ``TrafficStats.fault_drops``
-and every other observer is told (the sanitizer files it under ``faulted``,
-so ``REPRO_SANITIZE=1`` churn runs still balance exactly; the error-bound
-tracker adds its mass to the tree's deficit).
+simulator asks it before every packet transmission and delivery, once per
+window put on a link and once per batch delivered to a switch, and turns a
+veto into a ``fault`` drop (each item of a vetoed window, in order). Every
+packet destroyed by a fault is thus *counted*, never silently dropped: it
+lands in ``TrafficStats.fault_drops`` and every other observer is told (the
+sanitizer files it under ``faulted``, so ``REPRO_SANITIZE=1`` churn runs
+still balance exactly; the error-bound tracker adds its mass to the tree's
+deficit).
 """
 
 from __future__ import annotations

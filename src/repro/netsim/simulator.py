@@ -11,8 +11,10 @@ tracker) attach through one seam, :meth:`NetworkSimulator.add_observer`. An
 observer is any object defining some of the hooks in :data:`OBSERVER_HOOKS`.
 The simulator fixes the order they run in, whatever order they were added
 in: a host's ``on_send`` notice, then the vetoes, then the transmission or
-delivery itself, then the notices of what became of the packet. With no
-observer attached none of this exists on the per-packet path.
+delivery itself, then the notices of what became of the packet. The hooks
+are compiled into the sinks and transmits when the port maps are built, so
+attaching an observer changes which hooks they call, not which code a
+packet or a window runs; with none attached they are the plain closures.
 """
 
 from __future__ import annotations
@@ -68,15 +70,14 @@ class _Burst:
 
     ``plan`` (``PacketWindow.burst_plan()``) is opaque here; the wire adds
     the surviving items' arrival ``times``, the ``seq0`` base of their
-    reserved sequence numbers and the delivery ``target``/``ingress``. Items
-    before ``next`` are delivered; ``deferred`` holds what a batch made such
-    an item emit until the queue reaches the item's own position.
+    reserved sequence numbers and the ``ingress`` port. Items before
+    ``next`` are delivered; ``deferred`` holds what a batch made such an
+    item emit until the queue reaches the item's own position.
     """
 
     plan: Any
     times: list[float]
     seq0: int
-    target: Any
     ingress: int
     next: int = 0
     deferred: dict[int, Any] = field(default_factory=dict)
@@ -119,20 +120,14 @@ class NetworkSimulator:
         self.routes: RoutingState | None = None
         self._port_links: dict[str, dict[int, Link]] = {}
         #: Hot-path lookup: device -> port -> (link, link name, delivery
-        #: callback, delivery target, neighbour port, the link's traffic
-        #: record, busy key, burst delivery callback or ``None``).
-        #: Everything static about a hop — including which specialized
-        #: delivery routine the far end needs — is resolved once here
-        #: instead of on every transmission.
+        #: callback, neighbour port, the link's traffic record, busy key,
+        #: burst delivery callback or ``None``). Everything static about a
+        #: hop — including which specialized delivery routine the far end
+        #: needs — is resolved once here instead of on every transmission.
         self._port_info: dict[
             str,
-            dict[
-                int,
-                tuple[Link, str, Any, Any, int, LinkTraffic, tuple[str, str], Any],
-            ],
+            dict[int, tuple[Link, str, Any, int, LinkTraffic, tuple[str, str], Any]],
         ] = {}
-        #: Direct reference to the topology's device table (hot-path lookup).
-        self._devices = topology.devices
         #: Per-direction link occupancy: (link name, sender) -> time the link
         #: becomes free. Transmissions on the same direction are serialized so
         #: packets cannot overtake each other (FIFO links).
@@ -153,15 +148,11 @@ class NetworkSimulator:
             if isinstance(device, SwitchDevice)
         )
         #: Extra logical events carried by burst transmissions: a burst of N
-        #: packets is ONE scheduler event whose callback performs N
-        #: injections, and the N-1 "saved" events are accounted here so
-        #: ``run()`` keeps returning the same event count a per-packet
-        #: schedule would have produced (reports and benches stay
-        #: comparable across PRs).
+        #: packets is ONE scheduler event, and the N-1 events it saves are
+        #: counted here, so ``run()`` returns a per-packet schedule's count.
         self._synthetic_events = 0
-        #: Attached observers and, per hook name, their bound hooks (see
+        #: Per hook name, the attached observers' bound hooks (see
         #: :meth:`add_observer`).
-        self._observers: list[Any] = []
         self._hooks: dict[str, list[Any]] = {name: [] for name in OBSERVER_HOOKS}
         stats = self.stats
         self._drop_recorders = {
@@ -180,14 +171,10 @@ class NetworkSimulator:
         self.fault_injector = None
         self._build_port_maps()
         self.install_routes()
+        from repro.checks.sanitize import install_sanitizer, sanitize_enabled_in_env
+
         sanitize = self.config.sanitize
-        if sanitize is None:
-            from repro.checks.sanitize import sanitize_enabled_in_env
-
-            sanitize = sanitize_enabled_in_env()
-        if sanitize:
-            from repro.checks.sanitize import install_sanitizer
-
+        if sanitize or (sanitize is None and sanitize_enabled_in_env()):
             install_sanitizer(self)
 
     def add_observer(self, observer: Any) -> None:
@@ -196,7 +183,6 @@ class NetworkSimulator:
         Attach before injecting traffic: events already queued keep the
         callbacks they were scheduled with.
         """
-        self._observers.append(observer)
         for name, hooks in self._hooks.items():
             hook = getattr(observer, name, None)
             if hook is not None:
@@ -207,14 +193,12 @@ class NetworkSimulator:
         for name in self.topology.devices:
             self._port_links[name] = {}
             self._port_info[name] = {}
-        # The one place that decides what being observed costs. Observers see
-        # individual transmissions and deliveries, so with any attached every
-        # device is delivered through ``_deliver``, transmissions enter
-        # through ``_observed_transmit``, and burst delivery (which bypasses
-        # both) stands down. With none, nothing below consults an observer.
-        observed = bool(self._observers)
-        self._fast_burst = not observed
-        self._transmit_entry = self._observed_transmit if observed else self._transmit
+        # Observers bind here: each hook one defines is compiled into the
+        # sinks and the transmit that need it (a window asks ``_vetoed``).
+        # With ``on_switch`` hooked no switch gets a batch handler, so every
+        # item a switch takes passes the notice in its sink.
+        transmit = self._gated_transmit = self._compile_transmit()
+        batched = not self._hooks["on_switch"]
         link_traffic = self.stats.link_traffic
         batch_handlers: dict[Any, Any] = {}
         # One compiled sink per receiving device (not per link end): the
@@ -225,7 +209,7 @@ class NetworkSimulator:
         #: The callbacks a burst handler may batch past (see
         #: ``_compile_switch_burst``): every compiled delivery (its own
         #: excepted), every host transmission and every switch's emissions.
-        transparent: set[Any] = {self._transmit, self._transmit_burst}
+        transparent: set[Any] = {transmit, self._transmit_burst}
         for link in self.topology.links:
             # The link's one traffic record, bound into both directions' port
             # info and kept across rebuilds.
@@ -239,26 +223,23 @@ class NetworkSimulator:
                 # so per-packet delivery needs no device lookup, type
                 # dispatch or simulator attribute traffic.
                 device = self.topology.devices[other.device]
-                target: Any = device
                 callback = sinks.get(other.device)
-                if observed:
-                    callback = self._deliver
-                    target = other.device
-                elif callback is None:
+                if callback is None:
                     if isinstance(device, Host):
                         callback = self._compile_host_sink(device)
                     else:
-                        callback = self._compile_switch_sink(device)
-                        bsink, batch_handlers[bsink] = self._compile_switch_burst(
-                            device, callback, transparent
+                        callback = self._compile_switch_sink(device, transmit)
+                        bsink, handler = self._compile_switch_burst(
+                            device, callback, transmit, transparent
                         )
+                        if batched:
+                            batch_handlers[bsink] = handler
                         burst_sinks[other.device] = bsink
                     sinks[other.device] = callback
                 self._port_info[end.device][end.port] = (
                     link,
                     link.name,
                     callback,
-                    target,
                     other.port,
                     traffic,
                     (link.name, end.device),
@@ -267,27 +248,102 @@ class NetworkSimulator:
         transparent.update(sinks.values(), burst_sinks.values())
         self.scheduler.set_batch_handlers(batch_handlers)
 
+    def _compile_transmit(self) -> Any:
+        """The per-packet transmit the sinks and :meth:`send` bind:
+        ``_transmit`` itself, or behind :meth:`_vetoed` when an observer
+        defines ``on_send`` or ``veto_transmit``."""
+        transmit = self._transmit
+        if not (self._hooks["on_send"] or self._hooks["veto_transmit"]):
+            return transmit
+        vetoed = self._vetoed
+
+        def gated(from_device: str, egress_port: int, packet: Any, nbytes: int) -> None:
+            if not vetoed(from_device, egress_port, (packet,)):
+                transmit(from_device, egress_port, packet, nbytes)
+
+        return gated
+
+    def _vetoed(self, from_device: str, egress_port: int, packets: Any) -> bool:
+        """Whether the observers stop ``packets`` leaving ``from_device``.
+
+        A host's packets are first told to the ``on_send`` notices. A
+        ``veto_transmit`` hook naming where they die makes each a ``fault``
+        drop, in order, and no loss is drawn for them.
+        """
+        hooks = self._hooks
+        if hooks["on_send"] and from_device not in self._switch_names:
+            for packet in packets:
+                for on_send in hooks["on_send"]:
+                    on_send(packet)
+        link = self._port_links[from_device].get(egress_port)
+        for veto in hooks["veto_transmit"]:
+            where = veto(from_device, link)
+            if where is not None:
+                for packet in packets:
+                    self._drop("fault", where, packet)
+                return True
+        return False
+
+    def _gated_sink(self, name: str, sink: Any) -> Any:
+        """``sink`` behind the ``veto_deliver`` hooks when any is attached: a
+        packet reaching a device a veto reports down dies there as a
+        ``fault`` drop, and the device never sees (or counts) it."""
+        vetoes = tuple(self._hooks["veto_deliver"])
+        if not vetoes:
+            return sink
+        drop = self._drop
+
+        def gated(ingress_port: int, packet: Any, nbytes: int) -> None:
+            for is_down in vetoes:
+                if is_down(name):
+                    drop("fault", name, packet)
+                    return
+            sink(ingress_port, packet, nbytes)
+
+        return gated
+
     def _compile_host_sink(self, host: Host) -> Any:
         """A delivery closure for one host (which counts what it receives)."""
         deliver = host.deliver
+        notices = tuple(self._hooks["on_deliver"])
 
-        def sink(_target: Any, _ingress_port: int, packet: Any, nbytes: int) -> None:
+        def sink(_ingress_port: int, packet: Any, nbytes: int) -> None:
             deliver(packet, nbytes)
 
-        return sink
+        def noticed(_ingress_port: int, packet: Any, nbytes: int) -> None:
+            deliver(packet, nbytes)
+            for on_deliver in notices:
+                on_deliver(packet)
 
-    def _compile_switch_sink(self, device: SwitchDevice) -> Any:
+        return self._gated_sink(host.name, noticed if notices else sink)
+
+    def _compile_switch_sink(self, device: SwitchDevice, transmit: Any) -> Any:
         """A delivery closure for one switch: deliver + re-transmit.
 
         Forwarded traffic shares it, so only an output without ``wire_bytes()``
         (a flush window, a packet sized by ``length``) is asked what it is.
+        Each pass is told to the ``on_switch`` notices, a flush window as
+        its packets (for the notice only: it still leaves as one window).
         """
         name = device.name
         deliver = device.deliver
-        transmit = self._transmit
         transmit_window = self._transmit_window
+        notices = tuple(self._hooks["on_switch"])
+        if notices:
+            passes = deliver
 
-        def sink(_target: Any, ingress_port: int, packet: Any, nbytes: int) -> None:
+            def deliver(packet: Any, ingress_port: int, nbytes: int) -> Any:
+                outputs = passes(packet, ingress_port, nbytes)
+                items = [
+                    (port, item)
+                    for port, out in outputs
+                    for item in (out if hasattr(out, "sizes") else (out,))
+                ]
+                for on_switch in notices:
+                    on_switch(packet, items)
+                return outputs
+
+        def sink(ingress_port: int, packet: Any, nbytes: int) -> None:
             outputs = deliver(packet, ingress_port, nbytes)
             if outputs:
                 for egress_port, out_packet in outputs:
@@ -300,11 +356,11 @@ class NetworkSimulator:
                         size = packet_wire_bytes(out_packet)
                     transmit(name, egress_port, out_packet, size)
 
-        return sink
+        return self._gated_sink(name, sink)
 
     @fastpath("switch-burst-delivery", oracle="tests/netsim/test_batch_delivery.py")
     def _compile_switch_burst(
-        self, device: SwitchDevice, sink: Any, transparent: set
+        self, device: SwitchDevice, sink: Any, transmit: Any, transparent: set
     ) -> tuple[Any, Any]:
         """The burst-entry callback and delivery handler for one switch.
 
@@ -331,11 +387,13 @@ class NetworkSimulator:
         emissions leave from an entry at its own ``(time, seq)``, so they
         and everything they cause interleave as in a per-packet schedule.
         Within reach of the event budget the head goes alone, so a run cut
-        by the budget stops between whole per-packet events.
+        by the budget stops between whole per-packet events. A switch a
+        ``veto_deliver`` hook reports down starts no batch (the sink drops
+        the head); fault events are not ``transparent``, so they cut batches.
         """
         scheduler = self.scheduler
         name = device.name
-        transmit = self._transmit
+        vetoes = tuple(self._hooks["veto_deliver"])
         transmit_window = self._transmit_window
         links = self._port_links[name]
         start_batch = device.start_batch
@@ -356,7 +414,7 @@ class NetworkSimulator:
                             transmit(name, port, out, size)
                 return
             plan = burst.plan
-            sink(burst.target, burst.ingress, plan[offset], plan.sizes[offset])
+            sink(burst.ingress, plan[offset], plan.sizes[offset])
             nxt = burst.next = offset + 1
             if nxt < len(plan):
                 scheduler.push_entry(
@@ -367,10 +425,8 @@ class NetworkSimulator:
             time: float, args: tuple, until: float | None, budget: int | None
         ) -> int:
             head, offset = args
-            if offset < head.next:
-                burst_sink(head, offset)
-                return 1
-            batch = start_batch(head.plan, offset, head.ingress)
+            alone = offset < head.next or (vetoes and any(down(name) for down in vetoes))
+            batch = None if alone else start_batch(head.plan, offset, head.ingress)
             if batch is None:
                 burst_sink(head, offset)
                 return 1
@@ -407,7 +463,7 @@ class NetworkSimulator:
                     if join(burst.plan, at, burst.ingress):
                         bursts.append(args)
                         continue
-                elif passes(args[2]):
+                elif passes(args[1]):
                     continue
                 cutoff = entry
                 break
@@ -487,38 +543,40 @@ class NetworkSimulator:
     # ------------------------------------------------------------------ #
     # Data plane
     # ------------------------------------------------------------------ #
-    def send(self, src_host: str, packet: Any, delay: float = 0.0) -> None:
-        """Inject a packet from a host NIC into the network."""
-        device = self._devices.get(src_host)
+    def _sender(self, src_host: str, delay: float, entry: str) -> Host:
+        """The host ``src_host``, checked as the source of an injection."""
+        device = self.topology.devices.get(src_host)
         if device is None:
             raise TopologyError(f"unknown device {src_host!r}")
         if not isinstance(device, Host):
-            raise SimulationError(f"send() source {src_host!r} is not a host")
+            raise SimulationError(f"{entry}() source {src_host!r} is not a host")
         if 0 not in self._port_info[src_host]:
             raise TopologyError(f"host {src_host!r} has no uplink")
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        return device
+
+    def send(self, src_host: str, packet: Any, delay: float = 0.0) -> None:
+        """Inject a packet from a host NIC into the network."""
+        device = self._sender(src_host, delay, "send")
         # The wire size is computed once here and threaded through every hop
-        # (``_transmit``/``_deliver`` below) instead of being re-derived 3-5
-        # times per hop as before.
+        # (``_transmit`` and the compiled sinks) instead of being re-derived
+        # at each one.
         nbytes = packet_wire_bytes(packet)
         device.note_sent(packet, nbytes)
         self.scheduler.push_at(
             self.scheduler.now + delay,
-            self._transmit_entry,
+            self._gated_transmit,
             (src_host, 0, packet, nbytes),
         )
 
     def send_burst(self, src_host: str, packets: Iterable[Any], delay: float = 0.0) -> int:
         """Inject a window of packets from one host as a single wire event.
 
-        Semantically identical to calling :meth:`send` once per packet — the
+        Semantically identical to calling :meth:`send` once per packet (the
         packets hit the wire in order at the same simulated time, with
-        identical loss draws, link serialization and statistics — but the
-        whole window costs one scheduler entry instead of N. Senders with
-        bursty windows (map-output packetization, retransmission rounds)
-        use this to keep the event queue proportional to in-flight traffic
-        rather than to send-call volume.
+        identical loss draws, link serialization and statistics), but the
+        whole window costs one scheduler entry instead of N.
 
         ``packets`` is a :class:`~repro.core.packet.PacketWindow` (what the
         packetizer returns) or any iterable of packets. A window is sized by
@@ -530,21 +588,13 @@ class NetworkSimulator:
         Each burst member still counts as one logical event in the totals
         reported by :meth:`run`. Returns the number of packets injected.
         """
-        device = self._devices.get(src_host)
-        if device is None:
-            raise TopologyError(f"unknown device {src_host!r}")
-        if not isinstance(device, Host):
-            raise SimulationError(f"send_burst() source {src_host!r} is not a host")
-        if 0 not in self._port_info[src_host]:
-            raise TopologyError(f"host {src_host!r} has no uplink")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        device = self._sender(src_host, delay, "send_burst")
         plan = None
         sizes = getattr(packets, "sizes", None)
         if sizes is None:
             packets = list(packets)
             sizes = [packet_wire_bytes(packet) for packet in packets]
-        elif self._fast_burst and len(sizes) > 1:
+        elif len(sizes) > 1:
             plan = packets.burst_plan()
         if not sizes:
             return 0
@@ -561,11 +611,8 @@ class NetworkSimulator:
 
     def _transmit_window(self, from_device: str, egress_port: int, window: Any) -> None:
         """Put a switch's flush window on its egress link, planned if a switch takes it."""
-        plan = None
-        if self._fast_burst:
-            info = self._port_info[from_device].get(egress_port)
-            if info is not None and info[7] is not None:
-                plan = window.burst_plan()
+        info = self._port_info[from_device].get(egress_port)
+        plan = None if info is None or info[6] is None else window.burst_plan()
         self._transmit_burst(from_device, egress_port, window, window.sizes, plan)
 
     def _transmit_burst(
@@ -582,27 +629,31 @@ class NetworkSimulator:
         ``carried`` counts the extra logical events the call stands for: a
         host's burst entry replaces one ``_transmit`` event per packet.
 
-        A window with a burst plan, into a switch that still has its burst
-        sink (no observer is watching individual transmissions, see
-        ``_build_port_maps``), becomes ONE queue entry: arrival times come
-        from the same busy-chain arithmetic ``_transmit`` performs, the loss
-        decisions are drawn back to back exactly as its per-packet loop draws
-        them (nothing else runs inside this callback), each lost item is
-        charged its serialization and dropped from the plan, and the
-        survivors consume the sequence-number range their per-packet pushes
-        would have, so global event order is bit-identical to a per-packet
-        schedule; the burst handler re-expands any tail that foreign events
-        interleave. On a switch egress it applies ``_transmit``'s congestion
-        model per item: a tail drop leaves the plan as a loss does, and a CE
-        mark builds and marks the packet, which the switch then refuses to
-        batch.
-        Every other window goes through the per-packet transmit.
+        Nothing else runs inside this callback, and a window has one sender,
+        one link and one instant: the observers are asked once per window
+        (:meth:`_vetoed`), and loss is drawn back to back exactly as the
+        per-packet loop draws it. A window with a burst plan, into a switch,
+        becomes ONE queue entry: arrival times come from ``_transmit``'s
+        busy-chain arithmetic, each lost item is charged its serialization
+        and dropped from the plan, and the survivors consume the
+        sequence-number range their per-packet pushes would have, so event
+        order is bit-identical to a per-packet schedule; the burst handler
+        re-expands any tail that foreign events interleave. On a switch
+        egress it applies ``_transmit``'s congestion model per item: a tail
+        drop leaves the plan as a loss does, and a CE mark builds and marks
+        the packet, which the switch then refuses to batch. Every other
+        window goes through the per-packet transmit.
         """
         n = len(sizes)
         self._synthetic_events += carried
+        hooks = self._hooks
+        if (hooks["on_send"] or hooks["veto_transmit"]) and self._vetoed(
+            from_device, egress_port, packets
+        ):
+            return
         info = self._port_info[from_device].get(egress_port)
-        if plan is not None and info is not None and info[7] is not None:
-            link, link_name, _callback, target, other_port, traffic, busy_key, burst_sink = info
+        if plan is not None and info is not None and info[6] is not None:
+            link, link_name, _callback, other_port, traffic, busy_key, burst_sink = info
             busy = self._link_busy_until
             scheduler = self.scheduler
             now = scheduler.now
@@ -645,33 +696,12 @@ class NetworkSimulator:
                 if lost:
                     plan.drop(lost)
                 seq = scheduler.reserve_seqs(len(times))
-                burst = _Burst(plan, times, seq, target, other_port)
+                burst = _Burst(plan, times, seq, other_port)
                 scheduler.push_entry((times[0], seq, burst_sink, (burst, 0)))
             return
-        transmit = self._transmit_entry
+        transmit = self._transmit
         for i, nbytes in enumerate(sizes):
             transmit(from_device, egress_port, packets[i], nbytes)
-
-    def _observed_transmit(
-        self, from_device: str, egress_port: int, packet: Any, nbytes: int
-    ) -> None:
-        """The transmit entry while observers are attached.
-
-        A transmission by anything but a switch is a host handing the packet
-        to its NIC, the ``on_send`` notice. A veto naming where the packet
-        dies makes it a ``fault`` drop; otherwise ``_transmit`` runs and
-        reports what became of the packet through ``_drop`` / ``_mark``.
-        """
-        hooks = self._hooks
-        if from_device not in self._switch_names:
-            for on_send in hooks["on_send"]:
-                on_send(packet)
-        for veto in hooks["veto_transmit"]:
-            where = veto(from_device, self._port_links[from_device].get(egress_port))
-            if where is not None:
-                self._drop("fault", where, packet)
-                return
-        self._transmit(from_device, egress_port, packet, nbytes)
 
     def _drop(self, reason: str, where: str, packet: Any) -> None:
         """Count a packet that leaves the network at ``where``, and tell why.
@@ -707,7 +737,7 @@ class NetworkSimulator:
         if info is None:
             self._drop("unconnected", from_device, packet)
             return
-        link, link_name, callback, target, other_port, traffic, busy_key, _burst = info
+        link, link_name, callback, other_port, traffic, busy_key, _burst = info
         if self._congestion_enabled and from_device in self._switch_names:
             # Switch egress queue model: the backlog is the serialization
             # time already committed to this link direction, expressed in
@@ -751,37 +781,8 @@ class NetworkSimulator:
         scheduler.push_at(
             start + serialization + link.propagation_s,
             callback,
-            (target, other_port, packet, nbytes),
+            (other_port, packet, nbytes),
         )
-
-    def _deliver(self, device_name: str, ingress_port: int, packet: Any, nbytes: int) -> None:
-        """Delivery while observers are attached, through the observer hooks.
-
-        Calls the same ``deliver`` a compiled sink calls. A packet reaching a
-        device a ``veto_deliver`` hook reports down dies there as a ``fault``
-        drop; the device never sees it, so it does not count it.
-        """
-        hooks = self._hooks
-        for is_down in hooks["veto_deliver"]:
-            if is_down(device_name):
-                self._drop("fault", device_name, packet)
-                return
-        device = self._devices[device_name]
-        if isinstance(device, Host):
-            device.deliver(packet, nbytes)
-            for on_deliver in hooks["on_deliver"]:
-                on_deliver(packet)
-            return
-        outputs = [
-            (port, item)
-            for port, out in device.deliver(packet, ingress_port, nbytes)
-            for item in (out if hasattr(out, "sizes") else (out,))
-        ]
-        for on_switch in hooks["on_switch"]:
-            on_switch(packet, outputs)
-        transmit = self._transmit_entry
-        for egress_port, out_packet in outputs:
-            transmit(device_name, egress_port, out_packet, packet_wire_bytes(out_packet))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -795,10 +796,8 @@ class NetworkSimulator:
         sender batched its window.
         """
         executed = self.scheduler.run(until=until, max_events=MAX_EVENTS)
-        extra = self._synthetic_events
-        if extra:
-            self._synthetic_events = 0
-            executed += extra
+        executed += self._synthetic_events
+        self._synthetic_events = 0
         return executed
 
     # ------------------------------------------------------------------ #

@@ -100,7 +100,12 @@ class TestConservationLedger:
             config=system.config,
         )
         # A delivery event with no matching send: negative in-flight balance.
-        system.simulator._deliver("h3", 0, packet, 64)
+        # It goes through h3's compiled sink, as bound at the ToR's port.
+        sim = system.simulator
+        link = sim.topology.link_between("tor", "h3")
+        tor_end = link.a if link.a.device == "tor" else link.b
+        _link, _name, sink, ingress, *_rest = sim._port_info["tor"][tor_end.port]
+        sink(ingress, packet, 64)
         with pytest.raises(SanitizerError, match="conservation violated"):
             sanitizer.check()
 

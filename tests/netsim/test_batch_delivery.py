@@ -12,20 +12,24 @@ no END stashed) while duplicates, gap-fills, ENDs and ACKs go one by one
 through the compiled per-packet sink, as do single-packet windows and
 retransmissions.
 
-Standing burst delivery down (the ``_fast_burst`` gate, what attaching an
-observer does: no plan is built, so no burst entry is ever queued) must
-change *nothing* observable: aggregation results, every traffic counter,
-per-tree counters, every stream window, event totals, simulated time, the
-loss stream's state and the ACKs each mapper hears, in order and in time.
+Standing burst delivery down on the test side (:func:`burst_delivery`: no
+window is planned, so no burst entry is ever queued) must change *nothing*
+observable: aggregation results, every traffic counter, per-tree counters,
+every stream window, event totals, simulated time, the loss stream's state
+and the ACKs each mapper hears, in order and in time. Attaching an observer
+stands nothing down: it changes which hooks the sinks call, not which code
+a window runs.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from contextlib import contextmanager
 
 import pytest
 
+from repro.analysis.error_bounds import install_error_tracker
 from repro.core.aggregation import DaietAggregationEngine, WindowBatch
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
@@ -34,14 +38,29 @@ from repro.core.packet import DaietAck, DaietPacket, PacketWindow, steer_ops
 from repro.dataplane import switch as switch_module
 from repro.dataplane.resources import SwitchResources
 from repro.netsim.devices import SwitchDevice
+from repro.netsim.faults import SWITCH_RESTART, FaultEvent, FaultPlan, install_faults
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
 
 np = pytest.importorskip("numpy")
 
 
+@contextmanager
+def burst_delivery(fast: bool):
+    """Burst delivery as shipped (``fast``), or stood down for the block.
+
+    ``PacketWindow.burst_plan()`` is asked only by ``send_burst`` and a
+    switch's flush transmit, so with it answering ``None`` every window is
+    planless: every packet is its own queue entry and takes the per-packet
+    sink. Build and run a twin inside the block.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if not fast:
+            patch.setattr(PacketWindow, "burst_plan", lambda self: None)
+        yield
+
+
 def wordcount_system(
-    fast: bool,
     num_mappers: int = 6,
     pairs_per_mapper: int = 300,
     vocabulary: int = 80,
@@ -63,10 +82,6 @@ def wordcount_system(
             num_leaves=3, num_spines=2, hosts_per_leaf=(num_mappers + 3) // 3
         )
     system = DaietSystem(topology, config=config)
-    if not fast:
-        # Stand burst delivery down: no burst plans are built, every packet
-        # is its own queue entry and is dispatched on its own.
-        system.simulator._fast_burst = False
     mappers = [f"h{i}" for i in range(num_mappers)]
     reducer = f"h{num_mappers}"
     system.install_job(mappers=mappers, reducers=[reducer])
@@ -109,14 +124,12 @@ class TestBatchDeliveryEquivalence:
     @pytest.mark.parametrize("fabric", ["rack", "leaf_spine"])
     @pytest.mark.parametrize("reliability", [False, True])
     def test_fast_and_slow_runs_identical(self, reliability, fabric, observables):
-        fast_sys, reducer, truth = wordcount_system(
-            True, reliability=reliability, fabric=fabric
-        )
-        fast_events = fast_sys.run()
-        slow_sys, _, _ = wordcount_system(False, reliability=reliability, fabric=fabric)
-        slow_events = slow_sys.run()
-        fast_obs = observables(fast_sys, reducer, fast_events)
-        slow_obs = observables(slow_sys, reducer, slow_events)
+        runs = []
+        for fast in (True, False):
+            with burst_delivery(fast):
+                system, reducer, truth = wordcount_system(reliability=reliability, fabric=fabric)
+                runs.append(observables(system, reducer, system.run()))
+        fast_obs, slow_obs = runs
         assert fast_obs == slow_obs
         assert fast_obs["result"] == truth
         if fabric == "leaf_spine":
@@ -136,26 +149,32 @@ class TestBatchDeliveryEquivalence:
             WindowBatch, "take", lambda batch, merged: taken.append(batch) or take(batch, merged)
         )
 
-        def budgeted(max_ops: int, fast: bool):
+        def budgeted(max_ops: int):
             with monkeypatch.context() as patch:
                 patch.setattr(
                     switch_module,
                     "SwitchResources",
                     lambda: SwitchResources(max_ops_per_packet=max_ops),
                 )
-                return wordcount_system(fast)
+                return wordcount_system()
 
-        fast_sys, reducer, truth = budgeted(ops, True)
-        fast_obs = observables(fast_sys, reducer, fast_sys.run())
-        slow_sys, _, _ = budgeted(ops, False)
-        assert fast_obs == observables(slow_sys, reducer, slow_sys.run())
+        runs = []
+        for fast in (True, False):
+            with burst_delivery(fast):
+                system, reducer, truth = budgeted(ops)
+                runs.append(observables(system, reducer, system.run()))
+        fast_obs, slow_obs = runs
+        assert fast_obs == slow_obs
         assert fast_obs["result"] == truth
         assert taken
         taken.clear()
         for fast in (True, False):
-            system, _, _ = budgeted(ops - 1, fast)
-            with pytest.raises(ResourceExhaustedError, match=re.escape(f"({ops} > {ops - 1})")):
-                system.run()
+            with burst_delivery(fast):
+                system, _, _ = budgeted(ops - 1)
+                with pytest.raises(
+                    ResourceExhaustedError, match=re.escape(f"({ops} > {ops - 1})")
+                ):
+                    system.run()
         assert taken == []
 
     def test_calendar_backend_identical(self, monkeypatch, observables):
@@ -164,16 +183,18 @@ class TestBatchDeliveryEquivalence:
         # the same run as the heap twin. Spillover flushes are pushed while
         # the handler holds a peeked head, so tiny registers are used.
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
-        with monkeypatch.context() as patch:
-            patch.setattr("repro.netsim.events.CALENDAR_THRESHOLD", 1)
-            fast_sys, reducer, truth = wordcount_system(True, config=config)
-        slow_sys, _, _ = wordcount_system(False, config=config)
-        fast_events = fast_sys.run()
-        slow_events = slow_sys.run()
-        assert fast_sys.simulator.scheduler.calendar_active
-        assert not slow_sys.simulator.scheduler.calendar_active
-        fast_obs = observables(fast_sys, reducer, fast_events)
-        assert fast_obs == observables(slow_sys, reducer, slow_events)
+        runs = []
+        for fast in (True, False):
+            with burst_delivery(fast):
+                with monkeypatch.context() as patch:
+                    if fast:
+                        patch.setattr("repro.netsim.events.CALENDAR_THRESHOLD", 1)
+                    system, reducer, truth = wordcount_system(config=config)
+                events = system.run()
+                assert system.simulator.scheduler.calendar_active is fast
+                runs.append(observables(system, reducer, events))
+        fast_obs, slow_obs = runs
+        assert fast_obs == slow_obs
         assert fast_obs["result"] == truth
 
     def test_collision_heavy_tree_identical(self, observables):
@@ -187,23 +208,22 @@ class TestBatchDeliveryEquivalence:
         fast: bool, observables, observe_at: float | None = None
     ) -> dict:
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
-        system = DaietSystem.single_rack(num_hosts=4, config=config)
-        if not fast:
-            system.simulator._fast_burst = False
-        system.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"])
-        rng = random.Random(5)
-        for mapper in ("h0", "h1", "h2"):
-            system.send_pairs(
-                mapper,
-                "h3",
-                [(f"k{rng.randrange(40)}", 1) for _ in range(120)],
-            )
-        events = 0
-        if observe_at is not None:
-            events += system.run(until=observe_at)
-            system.simulator.add_observer(object())
-        events += system.run()
-        return observables(system, "h3", events)
+        with burst_delivery(fast):
+            system = DaietSystem.single_rack(num_hosts=4, config=config)
+            system.install_job(mappers=["h0", "h1", "h2"], reducers=["h3"])
+            rng = random.Random(5)
+            for mapper in ("h0", "h1", "h2"):
+                system.send_pairs(
+                    mapper,
+                    "h3",
+                    [(f"k{rng.randrange(40)}", 1) for _ in range(120)],
+                )
+            events = 0
+            if observe_at is not None:
+                events += system.run(until=observe_at)
+                system.simulator.add_observer(object())
+            events += system.run()
+            return observables(system, "h3", events)
 
     @pytest.mark.parametrize("observe_at", [0.5e-6, 1e-6, 2e-6, 4e-6])
     def test_port_map_rebuild_mid_burst_keeps_order(self, observe_at, observables):
@@ -222,43 +242,41 @@ class TestBatchDeliveryEquivalence:
         config = DaietConfig(register_slots=32, pairs_per_packet=2)
         results = []
         for fast in (True, False):
-            system = DaietSystem.single_rack(num_hosts=3, config=config)
-            if not fast:
-                system.simulator._fast_burst = False
-            system.install_job(mappers=["h0", "h1"], reducers=["h2"])
-            with pytest.raises(PacketFormatError, match="value True is a bool"):
-                system.send_pairs("h0", "h2", [("a", 1), ("b", True)])
-            for mapper, top, bottom in (("h0", 2**31 - 1, -(2**31)), ("h1", -(2**31), 2**31 - 1)):
-                # Sums pass the edges on the way; the flushed ones fit.
-                system.send_pairs(
-                    mapper, "h2", [("a", 1), ("b", top), ("a", 2), ("c", bottom), ("b", 3)]
-                )
-            events = system.run()
-            results.append(observables(system, "h2", events))
+            with burst_delivery(fast):
+                system = DaietSystem.single_rack(num_hosts=3, config=config)
+                system.install_job(mappers=["h0", "h1"], reducers=["h2"])
+                with pytest.raises(PacketFormatError, match="value True is a bool"):
+                    system.send_pairs("h0", "h2", [("a", 1), ("b", True)])
+                for mapper, top, bottom in (
+                    ("h0", 2**31 - 1, -(2**31)),
+                    ("h1", -(2**31), 2**31 - 1),
+                ):
+                    # Sums pass the edges on the way; the flushed ones fit.
+                    system.send_pairs(
+                        mapper, "h2", [("a", 1), ("b", top), ("a", 2), ("c", bottom), ("b", 3)]
+                    )
+                events = system.run()
+                results.append(observables(system, "h2", events))
         assert results[0] == results[1]
         assert results[0]["result"] == {"a": 6, "b": 5, "c": -1}
 
     def test_until_bound_cuts_burst_identically(self, observables):
         # A run(until=...) bound lands inside the burst window; the burst
         # handler must stop at the same packet the per-item schedule would.
-        fast_sys, reducer, _ = wordcount_system(True, num_mappers=3)
-        slow_sys, _, _ = wordcount_system(False, num_mappers=3)
         until = 2e-6  # mid-burst for 30 packets on the default link speed
-        fast_events = fast_sys.run(until=until)
-        slow_events = slow_sys.run(until=until)
-        assert observables(fast_sys, reducer, fast_events) == observables(
-            slow_sys, reducer, slow_events
-        )
-        # ... and finishing the run afterwards still converges identically.
-        fast_events = fast_sys.run()
-        slow_events = slow_sys.run()
-        assert observables(fast_sys, reducer, fast_events) == observables(
-            slow_sys, reducer, slow_events
-        )
+        runs = []
+        for fast in (True, False):
+            with burst_delivery(fast):
+                system, reducer, _ = wordcount_system(num_mappers=3)
+                cut = observables(system, reducer, system.run(until=until))
+                # ... and finishing the run afterwards still converges.
+                runs.append((cut, observables(system, reducer, system.run())))
+        (fast_cut, fast_end), (slow_cut, slow_end) = runs
+        assert fast_cut == slow_cut
+        assert fast_end == slow_end
 
 
 def sequenced_twin(
-    fast: bool,
     *,
     fabric: str = "rack",
     num_mappers: int = 6,
@@ -274,6 +292,8 @@ def sequenced_twin(
     switch_buffer_bytes: int | None = None,
 ):
     """A reliable wordcount round and the ACK stream each mapper hears.
+
+    Build and run it inside :func:`burst_delivery`.
 
     ``lossy`` names the links that drop: ``"all"``, ``"uplinks"`` (every
     host's link) or a host name (that host's link only). ``staggered``
@@ -306,8 +326,6 @@ def sequenced_twin(
             switch_buffer_bytes=switch_buffer_bytes,
         ),
     )
-    if not fast:
-        system.simulator._fast_burst = False
     mappers = [f"h{i}" for i in range(num_mappers)]
     reducer = f"h{num_mappers}"
     system.install_job(mappers=mappers, reducers=[reducer])
@@ -363,12 +381,13 @@ def _twins(sequenced_observables, until: float | None = None, **kwargs) -> list[
     """Run the fast and the stood-down twin; their observables, in that order."""
     results = []
     for fast in (True, False):
-        system, reducer, truth, acks = sequenced_twin(fast, **kwargs)
-        events = system.run(until=until)
-        results.append(sequenced_observables(system, reducer, events, acks))
-        if until is not None:
-            events = system.run()
+        with burst_delivery(fast):
+            system, reducer, truth, acks = sequenced_twin(**kwargs)
+            events = system.run(until=until)
             results.append(sequenced_observables(system, reducer, events, acks))
+            if until is not None:
+                events = system.run()
+                results.append(sequenced_observables(system, reducer, events, acks))
         assert results[-1]["result"] == truth
     return results
 
@@ -490,20 +509,22 @@ class TestSequencedWindowsEquivalence:
         # whose events are still queued there: the cut leaves what that many
         # per-packet events leave, registers included, and the rest of the
         # run still converges.
-        system, *_ = sequenced_twin(False)
-        total = system.run()
+        with burst_delivery(False):
+            system, *_ = sequenced_twin()
+            total = system.run()
         finished = []
         for cap in [total * k // 8 for k in range(1, 8)]:
             runs = []
             for fast in (True, False):
-                system, reducer, _truth, acks = sequenced_twin(fast)
-                monkeypatch.setattr("repro.netsim.simulator.MAX_EVENTS", cap)
-                events = system.run()
-                cut = sequenced_observables(system, reducer, events, acks)
-                cut["registers"] = register_contents(system)
-                monkeypatch.undo()
-                events = system.run()
-                runs.append((cut, sequenced_observables(system, reducer, events, acks)))
+                with burst_delivery(fast):
+                    system, reducer, _truth, acks = sequenced_twin()
+                    monkeypatch.setattr("repro.netsim.simulator.MAX_EVENTS", cap)
+                    events = system.run()
+                    cut = sequenced_observables(system, reducer, events, acks)
+                    cut["registers"] = register_contents(system)
+                    monkeypatch.undo()
+                    events = system.run()
+                    runs.append((cut, sequenced_observables(system, reducer, events, acks)))
             assert runs[0] == runs[1], cap
             finished.append(runs[0][0]["done"])
         assert not finished[0]
@@ -538,19 +559,20 @@ class TestWhoTakesThePerPairLoop:
         counts = {}
         for fast in (False, True):
             calls.clear()
-            system, reducer, truth, _acks = sequenced_twin(fast, num_mappers=8)
-            resent: set[int] = set()
-            for mapper in system.tree_for(reducer).mappers:
-                channel = system.agent(mapper).sender(system.tree_for(reducer).tree_id)
-                transmit = channel._transmit
+            with burst_delivery(fast):
+                system, reducer, truth, _acks = sequenced_twin(num_mappers=8)
+                resent: set[int] = set()
+                for mapper in system.tree_for(reducer).mappers:
+                    channel = system.agent(mapper).sender(system.tree_for(reducer).tree_id)
+                    transmit = channel._transmit
 
-                def spy_transmit(slots, retransmit, transmit=transmit):
-                    if retransmit:
-                        resent.update(id(window[index]) for window, index in slots)
-                    transmit(slots, retransmit)
+                    def spy_transmit(slots, retransmit, transmit=transmit):
+                        if retransmit:
+                            resent.update(id(window[index]) for window, index in slots)
+                        transmit(slots, retransmit)
 
-                channel._engine._emit = spy_transmit
-            system.run()
+                    channel._engine._emit = spy_transmit
+                system.run()
             assert system.receiver(reducer).result() == truth
             refused = sum(1 for fresh, _id in calls if not fresh)
             lone = [ident for fresh, ident in calls if fresh]
@@ -615,10 +637,11 @@ class TestWhoTakesThePerPairLoop:
             windows.clear()
             alone.clear()
             calls.clear()
-            system, reducer, truth, _acks = sequenced_twin(
-                fast, fabric="leaf_spine", num_mappers=8, loss_rate=0.02, register_slots=256
-            )
-            system.run()
+            with burst_delivery(fast):
+                system, reducer, truth, _acks = sequenced_twin(
+                    fabric="leaf_spine", num_mappers=8, loss_rate=0.02, register_slots=256
+                )
+                system.run()
             assert system.receiver(reducer).result() == truth
             fresh_window_items = [c for c in calls if c[0] and not c[1]]
             if fast:
@@ -673,29 +696,29 @@ class TestCeMarkedRetransmissions:
         for fast in (True, False):
             flushed.clear()
             marked_resends.clear()
-            system, reducer, truth, acks = sequenced_twin(
-                fast,
-                fabric="leaf_spine",
-                loss_rate=0.02,
-                register_slots=32,
-                pairs_per_packet=4,
-                ecn_threshold_bytes=300,
-            )
-            tree_id = system.tree_for(reducer).tree_id
-            for mapper in system.tree_for(reducer).mappers:
-                engine = system.agent(mapper).sender(tree_id)._engine
-                transmit = engine._emit
+            with burst_delivery(fast):
+                system, reducer, truth, acks = sequenced_twin(
+                    fabric="leaf_spine",
+                    loss_rate=0.02,
+                    register_slots=32,
+                    pairs_per_packet=4,
+                    ecn_threshold_bytes=300,
+                )
+                tree_id = system.tree_for(reducer).tree_id
+                for mapper in system.tree_for(reducer).mappers:
+                    engine = system.agent(mapper).sender(tree_id)._engine
+                    transmit = engine._emit
 
-                def spy(slots, retransmit, transmit=transmit):
-                    if retransmit:
-                        for window, index in slots:
-                            packet = window[index]
-                            assert packet is window[index]
-                            assert resent.setdefault((window, index), packet) is packet
-                    transmit(slots, retransmit)
+                    def spy(slots, retransmit, transmit=transmit):
+                        if retransmit:
+                            for window, index in slots:
+                                packet = window[index]
+                                assert packet is window[index]
+                                assert resent.setdefault((window, index), packet) is packet
+                        transmit(slots, retransmit)
 
-                engine._emit = spy
-            events = system.run()
+                    engine._emit = spy
+                events = system.run()
             observed = sequenced_observables(system, reducer, events, acks)
             observed["registers"] = register_contents(system)
             assert observed["result"] == truth
@@ -754,47 +777,46 @@ def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_sn
     topology = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3)
     for link in topology.links:
         link.loss_rate = 0.01
-    system = DaietSystem(topology, config, SimulatorConfig(loss_seed=11))
-    if not fast:
-        system.simulator._fast_burst = False
-    mappers = [f"h{i}" for i in range(6)]
-    system.install_job(mappers=mappers, reducers=["h6"])
-    rng = random.Random(3)
-    truth: dict = {}
-    observed = []
-    for index, (values, lone) in enumerate(rounds):
-        current[0] = index
-        for mapper in mappers:
-            pairs = [(f"k{rng.randrange(40)}", values(rng)) for _ in range(24)]
-            for key, value in pairs:
-                truth[key] = truth.get(key, 0) + value
-            if lone:
-                for at in range(0, len(pairs), config.pairs_per_packet):
-                    chunk = pairs[at : at + config.pairs_per_packet]
-                    system.send_pairs(mapper, "h6", chunk, include_end=False)
-                system.send_pairs(mapper, "h6", [], include_end=True)
-            else:
-                system.send_pairs(mapper, "h6", pairs)
-        events = system.run()
-        result = system.receiver("h6").result()
-        assert result == truth
-        observed.append(
-            {
-                "events": events,
-                "now": system.simulator.now,
-                "result": result,
-                "traffic": traffic_snapshot(system.simulator),
-                "registers": register_contents(system),
-                "counters": {
-                    (name, tree_id): engine.tree(tree_id).counters.snapshot()
-                    for name, engine in system.controller.engines.items()
-                    for tree_id in sorted(engine.counters())
-                },
-                "loss_rng": system.simulator._loss_rng.getstate(),
-                "reliability": system.reliability_stats(),
-            }
-        )
-    return observed
+    with burst_delivery(fast):
+        system = DaietSystem(topology, config, SimulatorConfig(loss_seed=11))
+        mappers = [f"h{i}" for i in range(6)]
+        system.install_job(mappers=mappers, reducers=["h6"])
+        rng = random.Random(3)
+        truth: dict = {}
+        observed = []
+        for index, (values, lone) in enumerate(rounds):
+            current[0] = index
+            for mapper in mappers:
+                pairs = [(f"k{rng.randrange(40)}", values(rng)) for _ in range(24)]
+                for key, value in pairs:
+                    truth[key] = truth.get(key, 0) + value
+                if lone:
+                    for at in range(0, len(pairs), config.pairs_per_packet):
+                        chunk = pairs[at : at + config.pairs_per_packet]
+                        system.send_pairs(mapper, "h6", chunk, include_end=False)
+                    system.send_pairs(mapper, "h6", [], include_end=True)
+                else:
+                    system.send_pairs(mapper, "h6", pairs)
+            events = system.run()
+            result = system.receiver("h6").result()
+            assert result == truth
+            observed.append(
+                {
+                    "events": events,
+                    "now": system.simulator.now,
+                    "result": result,
+                    "traffic": traffic_snapshot(system.simulator),
+                    "registers": register_contents(system),
+                    "counters": {
+                        (name, tree_id): engine.tree(tree_id).counters.snapshot()
+                        for name, engine in system.controller.engines.items()
+                        for tree_id in sorted(engine.counters())
+                    },
+                    "loss_rng": system.simulator._loss_rng.getstate(),
+                    "reliability": system.reliability_stats(),
+                }
+            )
+        return observed
 
 
 class TestKernelSpillWindows:
@@ -833,14 +855,14 @@ class TestKernelSpillWindows:
         for fast in (True, False):
             spilled.clear()
             resent.clear()
-            system, reducer, truth, acks = sequenced_twin(
-                fast,
-                register_slots=8,
-                pairs_per_packet=4,
-                loss_rate=0.03,
-                ecn_threshold_bytes=300,
-            )
-            events = system.run()
+            with burst_delivery(fast):
+                system, reducer, truth, acks = sequenced_twin(
+                    register_slots=8,
+                    pairs_per_packet=4,
+                    loss_rate=0.03,
+                    ecn_threshold_bytes=300,
+                )
+                events = system.run()
             observed = sequenced_observables(system, reducer, events, acks)
             observed["registers"] = register_contents(system)
             assert observed["result"] == truth
@@ -864,14 +886,14 @@ class TestSwitchFlushWindows:
         # they are tail-dropped out of the plan and recovered by reliability.
         results = []
         for fast in (True, False):
-            system, reducer, truth, acks = sequenced_twin(
-                fast,
-                fabric="leaf_spine",
-                loss_rate=0.0,
-                ecn_threshold_bytes=500,
-                switch_buffer_bytes=4_000,
-            )
-            events = system.run()
+            with burst_delivery(fast):
+                system, reducer, truth, acks = sequenced_twin(
+                    fabric="leaf_spine",
+                    loss_rate=0.0,
+                    ecn_threshold_bytes=500,
+                    switch_buffer_bytes=4_000,
+                )
+                events = system.run()
             observed = sequenced_observables(system, reducer, events, acks)
             observed["registers"] = register_contents(system)
             assert observed["result"] == truth
@@ -911,11 +933,94 @@ class TestSwitchFlushWindows:
             register_slots=32, pairs_per_packet=4, reliability=True, retransmit_timeout=1e-4
         )
         for fast in (True, False):
-            system = DaietSystem(leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3), config)
-            if not fast:
-                system.simulator._fast_burst = False
-            system.install_job(mappers=["h0", "h1"], reducers=["h6"])
-            with pytest.raises(PacketFormatError, match="values are int"):
-                system.send_pairs("h0", "h6", [("k0", 2), ("k1", value)])
-            assert system.run() == 0
-            assert system.simulator.stats.total_link_packets() == 0
+            with burst_delivery(fast):
+                topology = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3)
+                system = DaietSystem(topology, config)
+                system.install_job(mappers=["h0", "h1"], reducers=["h6"])
+                with pytest.raises(PacketFormatError, match="values are int"):
+                    system.send_pairs("h0", "h6", [("k0", 2), ("k1", value)])
+                assert system.run() == 0
+                assert system.simulator.stats.total_link_packets() == 0
+
+
+class TestChurnOnTheKernel:
+    """Fault-injected, error-tracked rounds take burst delivery and the kernel.
+
+    The fault injector's vetoes are asked once per window and once per
+    batch, so a churn round with the error tracker attached runs the code a
+    plain round runs, and must leave what its stood-down twin leaves.
+    """
+
+    @staticmethod
+    def churn_round(fast: bool, policy: str, faults: bool, traffic_snapshot, until=None):
+        """A leaf-spine wordcount with the error tracker attached and, with
+        ``faults``, leaf1 crashed and restarted mid-round and the tree's
+        leaf0 uplink flapped (times are fractions of ``until``, the
+        fault-free completion time). Returns the observables and the
+        number of register-kernel calls."""
+        kernel_calls = []
+        vector_apply = DaietAggregationEngine._vector_apply
+
+        def counted(engine, *args):
+            kernel_calls.append(engine.switch_name)
+            return vector_apply(engine, *args)
+
+        with burst_delivery(fast), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DaietAggregationEngine, "_vector_apply", counted)
+            config = DaietConfig(
+                register_slots=64,
+                pairs_per_packet=10,
+                reliability=True,
+                retransmit_timeout=1e-4,
+                reliability_policy=policy,
+            )
+            topology = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3)
+            system = DaietSystem(topology, config, SimulatorConfig(loss_seed=7))
+            mappers = [f"h{i}" for i in range(6)]
+            system.install_job(mappers=mappers, reducers=["h6"])
+            sim = system.simulator
+            injector = None
+            if faults:
+                (spine,) = [
+                    node.name
+                    for node in system.tree_for("h6").switches()
+                    if node.name.startswith("spine")
+                ]
+                plan = FaultPlan([FaultEvent(0.5 * until, SWITCH_RESTART, "leaf1")])
+                plan.switch_crash(0.05 * until, "leaf1")
+                plan.link_flap(0.03 * until, "leaf0", spine, duration=0.05 * until)
+                injector = install_faults(sim, plan)
+            tracker = install_error_tracker(system)
+            rng = random.Random(2017)
+            for mapper in mappers:
+                pairs = [(f"w{rng.randrange(300)}", rng.randrange(1, 9)) for _ in range(2_000)]
+                system.send_pairs(mapper, "h6", pairs)
+            events = system.run()
+        observed = {
+            "events": events,
+            "now": sim.now,
+            "result": system.receiver("h6").result(),
+            "traffic": traffic_snapshot(sim),
+            "fault_drops": dict(sim.stats.fault_drops),
+            "ledgers": dict(tracker.ledgers),
+            "bounds": {tree_id: tracker.bound(tree_id) for tree_id in sorted(tracker.ledgers)},
+            "log": None if injector is None else list(injector.log),
+        }
+        return observed, kernel_calls
+
+    @pytest.mark.parametrize("policy", ["best_effort", "sampled"])
+    def test_crash_restart_and_flap_identical(self, policy, traffic_snapshot):
+        fault_free, _calls = self.churn_round(True, policy, False, traffic_snapshot)
+        until = fault_free["now"]
+        fast, fast_calls = self.churn_round(True, policy, True, traffic_snapshot, until)
+        slow, slow_calls = self.churn_round(False, policy, True, traffic_snapshot, until)
+        assert fast == slow
+        assert len(fast["log"]) == 4  # crash, restart, link down, link up
+        assert sum(fast["fault_drops"].values()) > 0
+        assert fast["result"] != fault_free["result"]  # the crash cost mass
+        assert any(ledger.wiped_pairs for ledger in fast["ledgers"].values())
+        # The batched arm applied windows with the kernel (the parent of
+        # this test sent every observed delivery through the per-pair loop).
+        assert len(fast_calls) > 0
+        assert slow_calls == []
+
