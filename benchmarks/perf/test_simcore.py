@@ -91,9 +91,10 @@ class TestSimulatorCoreThroughput:
     def test_sanitizer_off_costs_nothing(self, monkeypatch):
         """With REPRO_SANITIZE unset the hot path carries zero checker cost.
 
-        The sanitizer wraps send/deliver and replaces the run loop only when
-        enabled; disabled, the simulator must run the exact same compiled
-        paths as before the checks subsystem existed. Gate: throughput stays
+        The sanitizer is an observer attached only when enabled; disabled,
+        no hook is bound and the simulator runs the plain compiled paths,
+        with nothing checked per event but the scheduler's own monotonicity
+        comparison. Gate: throughput stays
         above half the trajectory recorded in BENCH_simcore.json (falling
         back to the seed-era smoke floor on a fresh checkout).
         """

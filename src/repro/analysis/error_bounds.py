@@ -144,11 +144,10 @@ class ErrorBoundTracker:
     # Installation
     # ------------------------------------------------------------------ #
     def install(self) -> "ErrorBoundTracker":
-        """Attach to the simulator's drop and wipe notices and to teardowns."""
+        """Attach to the simulator's drop and wipe notices."""
         if self._installed:
             return self
         self.sim.add_observer(self)
-        self._hook_teardown(self.system.controller)
         self.system.error_tracker = self
         self._installed = True
         return self
@@ -161,26 +160,22 @@ class ErrorBoundTracker:
                 if ledger is not None:
                     ledger.record_lost_packet(packet.pairs)
 
-    def _hook_teardown(self, controller: Any) -> None:
-        """Capture register mass a tree teardown (re-plan) discards.
+    def record_teardown(self, tree: Any) -> None:
+        """Book the register mass a re-plan is about to discard.
 
         ``replan_tree`` tears the old epoch down on every *surviving*
         switch; partial aggregates still parked in its registers are
         destroyed without any link event, exactly like a crash wipe.
+        Called by :meth:`repro.core.failover.FailoverManager.move_tree`
+        just before the re-plan.
         """
-        real_teardown = controller._teardown_tree
-
-        def teardown(tree: Any) -> None:
-            ledger = self._ledger(tree.tree_id)
-            if ledger is not None:
-                for node in tree.switches():
-                    device = self.sim.topology.get(node.name)
-                    pairs = self._register_pairs(device, tree.tree_id)
-                    if pairs:
-                        ledger.record_wiped(pairs)
-            real_teardown(tree)
-
-        controller._teardown_tree = teardown
+        ledger = self._ledger(tree.tree_id)
+        if ledger is not None:
+            for node in tree.switches():
+                device = self.sim.topology.get(node.name)
+                pairs = self._register_pairs(device, tree.tree_id)
+                if pairs:
+                    ledger.record_wiped(pairs)
 
     @staticmethod
     def _register_pairs(device: Any, tree_id: int) -> list[tuple[Any, Any]]:

@@ -10,11 +10,11 @@ The package has two halves:
   (:mod:`repro.checks.dataplane`). :mod:`repro.checks.lint` drives all
   three for the CLI.
 * **Runtime sanitizer** (``REPRO_SANITIZE=1`` or ``--sanitize``):
-  :mod:`repro.checks.sanitize` wraps one :class:`~repro.netsim.simulator.
-  NetworkSimulator` with a packet-conservation ledger, scheduler
-  monotonicity/heap-invariant checks and register-leak detection. Nothing
-  here touches the hot path when the sanitizer is off — the wrappers are
-  only installed on an opted-in simulator instance.
+  :mod:`repro.checks.sanitize` attaches to one :class:`~repro.netsim.
+  simulator.NetworkSimulator` as an observer: a packet-conservation ledger,
+  scheduler heap/calendar invariant checks and register-leak detection.
+  Nothing here touches the hot path when the sanitizer is off — the
+  observer is only attached to an opted-in simulator instance.
 
 This module deliberately imports only the lightweight pieces (the registry
 and the finding record); the lint driver and the sanitizer are imported on

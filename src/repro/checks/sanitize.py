@@ -12,10 +12,10 @@ instance:
   :mod:`repro.netsim.faults`), and ``unprotected`` counts drops on trees
   deliberately run under a reduced reliability policy (``sampled`` /
   ``best_effort``);
-* **sim-time monotonicity** and **dispatch-order** checks on every event,
-  plus periodic **backend structural invariants** (binary-heap property on
-  the heap backend; bucket filing and per-bucket heap property on the
-  calendar backend);
+* periodic **backend structural invariants** (binary-heap property on the
+  heap backend; bucket filing and per-bucket heap property on the calendar
+  backend), every :data:`HEAP_CHECK_INTERVAL` ledger notices and when a run
+  stops (sim-time monotonicity is the scheduler's own check, on every run);
 * **register-leak detection**: occupied aggregation cells must exactly
   match the index stack, and after a round completes (final flush done, no
   round in progress) every slot must have rearmed to empty.
@@ -23,10 +23,11 @@ instance:
 The ledger is an observer (:meth:`NetworkSimulator.add_observer`): the
 simulator tells it of every send, delivery, switch pass, drop (with its
 reason) and ECN mark, so it infers nothing and wraps nothing, and it reads
-the same whatever else is attached and in whatever order. Cost model: its
-hooks are compiled into the shipped sinks, so it checks the code plain runs
-use, and when it is off none is bound. Its ``on_switch`` notice takes the
-batch handlers away (every switch pass is seen), so windows go item by item.
+the same whatever else is attached and in whatever order. ``run()`` ends
+with :meth:`SimulatorSanitizer.check`. Cost model: its hooks are compiled
+into the shipped sinks and batch handlers, and a window or a batch is one
+notice, so a sanitized run takes the plain run loop, window delivery and
+the register kernel; when it is off none is bound.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.errors import SanitizerError
-from repro.netsim.simulator import MAX_EVENTS
+from repro.core.packet import DaietPacket, PacketWindow
 
 __all__ = [
     "ConservationLedger",
@@ -52,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Environment switch; truthy values enable the sanitizer.
 SANITIZE_ENV = "REPRO_SANITIZE"
+
+#: Structural backend checks are O(pending events), so they run once every
+#: this many ledger notices rather than on each one.
+HEAP_CHECK_INTERVAL = 4096
 
 
 def sanitize_enabled_in_env() -> bool:
@@ -95,9 +100,19 @@ class ConservationLedger:
 
     @staticmethod
     def count(table: dict[str, int], packet: Any) -> None:
-        """Add ``packet`` to one counter table, under its class name."""
-        cls = type(packet).__name__
-        table[cls] = table.get(cls, 0) + 1
+        """Add ``packet`` to one counter table, under its class name.
+
+        A window counts as its ``len`` DAIET packets, and an int as that
+        many (a batch takes window DATA items only), so a notice told per
+        window or per batch counts what per-packet notices would.
+        """
+        if isinstance(packet, int):
+            cls, n = DaietPacket.__name__, packet
+        elif isinstance(packet, PacketWindow):
+            cls, n = DaietPacket.__name__, len(packet)
+        else:
+            cls, n = type(packet).__name__, 1
+        table[cls] = table.get(cls, 0) + n
 
     def classes(self) -> list[str]:
         """Every packet class seen by any counter, sorted."""
@@ -165,104 +180,50 @@ class ConservationLedger:
 
 
 class SimulatorSanitizer:
-    """Installs and drives every runtime check on one simulator instance."""
+    """Every runtime check on one simulator instance, fed by its notices."""
 
-    def __init__(self, sim: "NetworkSimulator", heap_check_interval: int = 4096) -> None:
+    def __init__(self, sim: "NetworkSimulator") -> None:
         self.sim = sim
         self.ledger = ConservationLedger()
-        #: Structural backend checks are O(pending events), so they run every
-        #: ``heap_check_interval`` dispatched events rather than on each one.
-        self.heap_check_interval = heap_check_interval
-        self._installed = False
-
-    # ------------------------------------------------------------------ #
-    # Installation
-    # ------------------------------------------------------------------ #
-    def install(self) -> "SimulatorSanitizer":
-        """Attach the ledger to the simulator and take over its run loop."""
-        if self._installed:
-            return self
-        sim = self.sim
-        sim.add_observer(self)
-        sim.run = self._run
-        sim.sanitizer = self
-        self._installed = True
-        return self
+        self._notices = 0
 
     # ------------------------------------------------------------------ #
     # Observer hooks feeding the conservation ledger
     # ------------------------------------------------------------------ #
+    def _tally(self, table: dict[str, int], packet: Any) -> None:
+        """Count one notice; every :data:`HEAP_CHECK_INTERVAL` notices, check
+        the scheduler's backend structure too."""
+        self.ledger.count(table, packet)
+        self._notices += 1
+        if self._notices % HEAP_CHECK_INTERVAL == 0:
+            self.check_backend_invariant()
+
     def on_send(self, packet: Any) -> None:
-        self.ledger.count(self.ledger.sent, packet)
+        self._tally(self.ledger.sent, packet)
 
     def on_deliver(self, packet: Any) -> None:
-        self.ledger.count(self.ledger.delivered, packet)
+        self._tally(self.ledger.delivered, packet)
 
-    def on_switch(self, packet: Any, outputs: Any) -> None:
+    def on_switch(self, taken: Any, outputs: Any) -> None:
         ledger = self.ledger
-        ledger.count(ledger.switch_in, packet)
-        for _port, out_packet in outputs:
-            ledger.count(ledger.switch_out, out_packet)
+        for _port, out in outputs:
+            ledger.count(ledger.switch_out, out)
+        self._tally(ledger.switch_in, taken)
 
     def on_drop(self, reason: str, where: str, packet: Any) -> None:
         ledger = self.ledger
         policy = self.sim.tree_policies.get(getattr(packet, "tree_id", None), "exact")
         if reason == "fault":
-            ledger.count(ledger.faulted, packet)
+            self._tally(ledger.faulted, packet)
         elif policy != "exact":
             # Drops on a tree that *chose* reduced reliability file under
             # ``unprotected`` — accepted approximation loss, not damage.
-            ledger.count(ledger.unprotected, packet)
+            self._tally(ledger.unprotected, packet)
         else:
-            ledger.count(ledger.lost_or_dropped, packet)
+            self._tally(ledger.lost_or_dropped, packet)
 
     def on_mark(self, link_name: str, packet: Any) -> None:
-        self.ledger.count(self.ledger.marked, packet)
-
-    # ------------------------------------------------------------------ #
-    # Sanitized run loop
-    # ------------------------------------------------------------------ #
-    def _run(self, until: float | None = None) -> int:
-        """Step-by-step replacement for :meth:`NetworkSimulator.run`.
-
-        Mirrors the scheduler's ``run`` semantics (stop past ``until``,
-        honour ``MAX_EVENTS``, advance the clock to ``until`` at the end)
-        while checking monotonicity and dispatch order on every event and
-        the backend structure periodically.
-        """
-        sim = self.sim
-        scheduler = sim.scheduler
-        interval = self.heap_check_interval
-        executed = 0
-        last_time = scheduler.now
-        while executed < MAX_EVENTS:
-            next_time = scheduler.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                break
-            if next_time < last_time:
-                raise SanitizerError(
-                    f"sim-time monotonicity violated: next event at "
-                    f"{next_time!r} lies before the current time {last_time!r}"
-                )
-            if not scheduler.step():
-                break
-            if scheduler.now != next_time:
-                raise SanitizerError(
-                    f"dispatch-order violation: peeked head at {next_time!r} "
-                    f"but the scheduler executed an event at {scheduler.now!r}"
-                )
-            last_time = scheduler.now
-            executed += 1
-            if executed % interval == 0:
-                self.check_backend_invariant()
-        if until is not None and until > scheduler.now:
-            scheduler.now = until
-        executed += sim._synthetic_events
-        sim._synthetic_events = 0
-        self.check()
-        return executed
+        self._tally(self.ledger.marked, packet)
 
     # ------------------------------------------------------------------ #
     # Invariant checks
@@ -381,5 +342,9 @@ class SimulatorSanitizer:
 
 
 def install_sanitizer(sim: "NetworkSimulator") -> SimulatorSanitizer:
-    """Create and install a :class:`SimulatorSanitizer` on ``sim``."""
-    return SimulatorSanitizer(sim).install()
+    """Attach a :class:`SimulatorSanitizer` to ``sim``: its ledger takes the
+    simulator's notices, and ``sim.run()`` ends with its :meth:`check`."""
+    sanitizer = SimulatorSanitizer(sim)
+    sim.add_observer(sanitizer)
+    sim.sanitizer = sanitizer
+    return sanitizer

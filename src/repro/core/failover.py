@@ -183,6 +183,9 @@ class FailoverManager:
         old_id = old_tree.tree_id
         policy = system.tree_policy(old_id)
         excluded = sorted(set(exclude))
+        tracker = getattr(system, "error_tracker", None)
+        if tracker is not None:
+            tracker.record_teardown(old_tree)
         try:
             tree = system.controller.replan_tree(
                 job, reducer, exclude=excluded, policy=policy
@@ -193,7 +196,6 @@ class FailoverManager:
             )
             return None
         system.register_tree_policy(tree.tree_id, policy)
-        tracker = getattr(system, "error_tracker", None)
         if tracker is not None:
             # The logical aggregate spans the whole epoch lineage: carry the
             # dead epoch's loss ledger over to the replacement tree id.

@@ -520,22 +520,6 @@ class EventScheduler:
             self._pending_handles.discard(entry[1])
         return entry
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the next pending event, or ``None`` when idle."""
-        entry = self.peek_entry()
-        return entry[0] if entry is not None else None
-
-    def step(self) -> bool:
-        """Execute the next pending event; returns ``False`` when idle."""
-        entry = self.pop_entry()
-        if entry is None:
-            return False
-        time, _seq, callback, args = entry
-        self.now = time
-        callback(*args)
-        self.events_executed += 1
-        return True
-
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Drain the queue.
 
@@ -550,8 +534,17 @@ class EventScheduler:
         -------
         int
             Number of events executed by this call.
+
+        Raises
+        ------
+        SimulationError
+            When a popped entry lies before the one popped last (or before
+            ``now`` when the call starts): some path queued an event in the
+            past. One float comparison per pop; an entry popped out of order
+            surfaces here too, as the earlier entry it skipped.
         """
         executed = 0
+        last = self.now
         pending = self._pending_handles
         batch = self._batch_handlers
         bounded = max_events is not None
@@ -580,6 +573,12 @@ class EventScheduler:
                         else:
                             # Hot path: nothing to filter, pop straight away.
                             time, seq, callback, args = pop(queue)
+                        if time < last:
+                            raise SimulationError(
+                                f"sim-time monotonicity violated: an event at "
+                                f"{time!r} was popped after time {last!r}"
+                            )
+                        last = time
                         if pending:
                             # Executing a handle-carrying event: a later
                             # cancel() of its handle must be a no-op, not
@@ -616,6 +615,12 @@ class EventScheduler:
                     if entry is None:
                         break
                     time, seq, callback, args = entry
+                    if time < last:
+                        raise SimulationError(
+                            f"sim-time monotonicity violated: an event at "
+                            f"{time!r} was popped after time {last!r}"
+                        )
+                    last = time
                     if pending:
                         pending.discard(seq)
                     if batch and (handler := batch.get(callback)) is not None:

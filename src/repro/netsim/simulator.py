@@ -194,11 +194,9 @@ class NetworkSimulator:
             self._port_links[name] = {}
             self._port_info[name] = {}
         # Observers bind here: each hook one defines is compiled into the
-        # sinks and the transmit that need it (a window asks ``_vetoed``).
-        # With ``on_switch`` hooked no switch gets a batch handler, so every
-        # item a switch takes passes the notice in its sink.
+        # sinks, the batch handlers and the transmit that need it (a window
+        # asks ``_vetoed``).
         transmit = self._gated_transmit = self._compile_transmit()
-        batched = not self._hooks["on_switch"]
         link_traffic = self.stats.link_traffic
         batch_handlers: dict[Any, Any] = {}
         # One compiled sink per receiving device (not per link end): the
@@ -232,8 +230,7 @@ class NetworkSimulator:
                         bsink, handler = self._compile_switch_burst(
                             device, callback, transmit, transparent
                         )
-                        if batched:
-                            batch_handlers[bsink] = handler
+                        batch_handlers[bsink] = handler
                         burst_sinks[other.device] = bsink
                     sinks[other.device] = callback
                 self._port_info[end.device][end.port] = (
@@ -266,13 +263,14 @@ class NetworkSimulator:
     def _vetoed(self, from_device: str, egress_port: int, packets: Any) -> bool:
         """Whether the observers stop ``packets`` leaving ``from_device``.
 
-        A host's packets are first told to the ``on_send`` notices. A
-        ``veto_transmit`` hook naming where they die makes each a ``fault``
-        drop, in order, and no loss is drawn for them.
+        A host's packets are first told to the ``on_send`` notices: a window
+        once, a list packet by packet. A ``veto_transmit`` hook naming where
+        they die makes each a ``fault`` drop, in order, and no loss is drawn
+        for them.
         """
         hooks = self._hooks
         if hooks["on_send"] and from_device not in self._switch_names:
-            for packet in packets:
+            for packet in (packets,) if hasattr(packets, "sizes") else packets:
                 for on_send in hooks["on_send"]:
                     on_send(packet)
         link = self._port_links[from_device].get(egress_port)
@@ -322,8 +320,8 @@ class NetworkSimulator:
 
         Forwarded traffic shares it, so only an output without ``wire_bytes()``
         (a flush window, a packet sized by ``length``) is asked what it is.
-        Each pass is told to the ``on_switch`` notices, a flush window as
-        its packets (for the notice only: it still leaves as one window).
+        Each pass is told to the ``on_switch`` notices with its outputs as
+        they leave (a flush window as one output).
         """
         name = device.name
         deliver = device.deliver
@@ -334,13 +332,8 @@ class NetworkSimulator:
 
             def deliver(packet: Any, ingress_port: int, nbytes: int) -> Any:
                 outputs = passes(packet, ingress_port, nbytes)
-                items = [
-                    (port, item)
-                    for port, out in outputs
-                    for item in (out if hasattr(out, "sizes") else (out,))
-                ]
                 for on_switch in notices:
-                    on_switch(packet, items)
+                    on_switch(packet, outputs)
                 return outputs
 
         def sink(ingress_port: int, packet: Any, nbytes: int) -> None:
@@ -390,10 +383,13 @@ class NetworkSimulator:
         by the budget stops between whole per-packet events. A switch a
         ``veto_deliver`` hook reports down starts no batch (the sink drops
         the head); fault events are not ``transparent``, so they cut batches.
+        A batch is told to the ``on_switch`` notices once, as the number of
+        items taken and every emission (a flush window as one output).
         """
         scheduler = self.scheduler
         name = device.name
         vetoes = tuple(self._hooks["veto_deliver"])
+        notices = tuple(self._hooks["on_switch"])
         transmit_window = self._transmit_window
         links = self._port_links[name]
         start_batch = device.start_batch
@@ -492,6 +488,10 @@ class NetworkSimulator:
                 bid = bid[: _np.count_nonzero((times_m < ct) | ((times_m == ct) & (seqs_m < cs)))]
             counts, emitted = take_batch(batch, bid)
             cut = sum(counts)
+            if notices:
+                outputs = [out for emissions in emitted.values() for out in emissions]
+                for on_switch in notices:
+                    on_switch(cut, outputs)
             for (b, o), c in zip(bursts, counts):
                 if c:
                     nxt = b.next = o + c
@@ -793,11 +793,14 @@ class NetworkSimulator:
         Returns the number of logical events executed: scheduler dispatches
         plus the extra injections carried by burst events (see
         :meth:`send_burst`), so event totals are independent of whether a
-        sender batched its window.
+        sender batched its window. With a sanitizer installed, its checks
+        run once the scheduler stops.
         """
         executed = self.scheduler.run(until=until, max_events=MAX_EVENTS)
         executed += self._synthetic_events
         self._synthetic_events = 0
+        if self.sanitizer is not None:
+            self.sanitizer.check()
         return executed
 
     # ------------------------------------------------------------------ #

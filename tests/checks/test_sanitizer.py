@@ -13,7 +13,7 @@ from repro.checks.sanitize import (
 )
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
-from repro.core.errors import SanitizerError
+from repro.core.errors import SanitizerError, SimulationError
 from repro.core.packet import DaietPacket
 from repro.dataplane import interning
 from repro.dataplane.tables import FlowRule
@@ -135,7 +135,7 @@ class TestConservationLedger:
         sim.host("h1").set_receiver(received.append)
         for _ in range(3):
             sim.send("h0", UdpDatagram(src="h0", dst="h1", payload_bytes=64))
-        monkeypatch.setattr("repro.checks.sanitize.MAX_EVENTS", 2)
+        monkeypatch.setattr("repro.netsim.simulator.MAX_EVENTS", 2)
         assert sim.run() == 2  # packets still in flight balance the ledger
         assert received == []
         monkeypatch.undo()
@@ -202,7 +202,7 @@ class TestDropReasons:
         if setup is not None:
             setup(sim)
         sim.send_burst("h0", frames)
-        sim.run()  # the sanitized run loop checks conservation at quiescence
+        sim.run()  # a sanitized run() ends by checking conservation
         if isinstance(where, tuple):
             where = topo.link_between(*where).name
         counted = {
@@ -272,15 +272,21 @@ class TestUnprotectedBucket:
 
 
 class TestSchedulerChecks:
-    def test_past_scheduled_event_trips_monotonicity(self):
-        system = build_system(sanitize=True)
+    @pytest.mark.parametrize("calendar", [False, True], ids=["heap", "calendar"])
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+    def test_past_scheduled_event_trips_monotonicity(self, sanitize, calendar):
+        # The scheduler checks every pop, sanitized or not, on either
+        # backend (SanitizerError is a SimulationError).
+        system = build_system(sanitize=sanitize)
         sim = system.simulator
         sim.scheduler.now = 5.0
         # Seed a poisoned entry directly into the heap, bypassing the
         # schedule-time validation (models a buggy fast path).
         heappush(sim.scheduler._queue, (1.0, sim.scheduler._seq, lambda: None, ()))
         sim.scheduler._seq += 1
-        with pytest.raises(SanitizerError, match="monotonicity"):
+        if calendar:
+            sim.scheduler._activate_calendar()
+        with pytest.raises(SimulationError, match="monotonicity"):
             sim.run()
 
     def test_corrupt_heap_is_detected(self):

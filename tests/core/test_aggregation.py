@@ -8,8 +8,13 @@ from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
 from repro.core.errors import AggregationError, PacketFormatError
 from repro.core.daiet import DaietSystem
-from repro.core.packet import DaietPacket, DaietPacketType, end_packet, packetize_pairs
-from repro.netsim.simulator import SimulatorConfig
+from repro.core.packet import (
+    DaietPacket,
+    DaietPacketType,
+    PacketWindow,
+    end_packet,
+    packetize_pairs,
+)
 from repro.netsim.topology import single_rack
 
 
@@ -233,14 +238,17 @@ class TestSpillover:
 
 class TestRegisterOverflow:
     """A register holds a 4-byte value: a round whose flushed SUM leaves
-    that range raises from ``run()``, on the kernel and on the per-pair loop."""
+    that range raises from ``run()``, on the kernel and on the per-pair loop
+    (burst delivery stood down: with no burst plan every packet takes the
+    per-packet sink)."""
 
     @staticmethod
-    def _round(sanitize: bool, register_slots: int, partitions: list) -> tuple:
+    def _round(per_pair: bool, register_slots: int, partitions: list, monkeypatch=None) -> tuple:
+        if per_pair:
+            monkeypatch.setattr(PacketWindow, "burst_plan", lambda self: None)
         system = DaietSystem(
             single_rack(3),
             DaietConfig(register_slots=register_slots, pairs_per_packet=2),
-            SimulatorConfig(sanitize=sanitize),
         )
         system.install_job(mappers=["h0", "h1"], reducers=["h2"])
         calls = []
@@ -251,29 +259,30 @@ class TestRegisterOverflow:
             system.send_pairs(mapper, "h2", pairs)
         return system, calls
 
-    @pytest.mark.parametrize("sanitize", [False, True], ids=["kernel", "per-pair"])
-    def test_a_final_flush_past_the_field_refuses_the_round(self, sanitize):
-        system, calls = self._round(sanitize, 64, [[("a", 2**31 - 1)], [("a", 2**31 - 1)]])
+    @pytest.mark.parametrize("per_pair", [False, True], ids=["kernel", "per-pair"])
+    def test_a_final_flush_past_the_field_refuses_the_round(self, per_pair, monkeypatch):
+        partitions = [[("a", 2**31 - 1)], [("a", 2**31 - 1)]]
+        system, calls = self._round(per_pair, 64, partitions, monkeypatch)
         with pytest.raises(PacketFormatError, match=f"value {2**32 - 2} does not fit in 4 bytes"):
             system.run()
-        # The burst kernel took the mappers' windows, or (sanitized) the
+        # The burst kernel took the mappers' windows, or (stood down) the
         # per-pair loop took every packet.
-        assert bool(calls) is not sanitize
+        assert bool(calls) is not per_pair
 
-    @pytest.mark.parametrize("sanitize", [False, True], ids=["kernel", "per-pair"])
-    def test_a_spillover_flush_past_the_field_refuses_the_round(self, sanitize):
+    @pytest.mark.parametrize("per_pair", [False, True], ids=["kernel", "per-pair"])
+    def test_a_spillover_flush_past_the_field_refuses_the_round(self, per_pair, monkeypatch):
         # One register slot: "r" holds it, "a" collides and merges in the
         # bucket past the field, and "b" fills the bucket, which flushes
         # before any final flush could.
         partitions = [[("r", 1), ("a", 2**31 - 1)], [("a", 2**31 - 1), ("b", 1)]]
-        system, calls = self._round(sanitize, 1, partitions)
+        system, calls = self._round(per_pair, 1, partitions, monkeypatch)
         engine = system.engine("tor")
         final_flushes = []
         flush_all = engine._flush_all
         engine._flush_all = lambda state: final_flushes.append(1) or flush_all(state)
         with pytest.raises(PacketFormatError, match=f"value {2**32 - 2} does not fit in 4 bytes"):
             system.run()
-        assert bool(calls) is not sanitize
+        assert bool(calls) is not per_pair
         assert final_flushes == []
 
     def test_a_sum_back_inside_the_field_flushes_exact(self):

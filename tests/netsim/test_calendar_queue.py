@@ -231,7 +231,7 @@ class TestCalendarScheduler:
         scheduler = self._calendar_scheduler()
         seen = []
         scheduler.schedule(10.0, seen.append, "late")
-        assert scheduler.peek_time() == pytest.approx(scheduler.now + 10.0)
+        assert scheduler.peek_entry()[0] == pytest.approx(scheduler.now + 10.0)
         scheduler.schedule(5.0, seen.append, "early")
         scheduler.run()
         assert seen == ["early", "late"]
@@ -256,15 +256,15 @@ class TestCalendarScheduler:
         scheduler.run()
         assert len(fired) == 1
 
-    def test_step_on_calendar_backend(self):
+    def test_one_event_at_a_time_on_calendar_backend(self):
         scheduler = self._calendar_scheduler()
         seen = []
         scheduler.schedule(1.0, seen.append, "a")
         scheduler.schedule(2.0, seen.append, "b")
-        assert scheduler.step() is True
+        assert scheduler.run(max_events=1) == 1
         assert seen == ["a"]
-        assert scheduler.step() is True
-        assert scheduler.step() is False
+        assert scheduler.run(max_events=1) == 1
+        assert scheduler.run(max_events=1) == 0
         assert seen == ["a", "b"]
 
     def test_resize_growth_and_shrink(self):

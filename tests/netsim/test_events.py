@@ -78,10 +78,10 @@ class TestEventScheduler:
     def test_len_and_peek(self):
         scheduler = EventScheduler()
         assert len(scheduler) == 0
-        assert scheduler.peek_time() is None
+        assert scheduler.peek_entry() is None
         scheduler.schedule(3.0, lambda: None)
         assert len(scheduler) == 1
-        assert scheduler.peek_time() == pytest.approx(3.0)
+        assert scheduler.peek_entry()[0] == pytest.approx(3.0)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=40))
     def test_execution_times_are_monotone(self, delays):
@@ -153,12 +153,12 @@ class TestCancelledEventCompaction:
         assert seen == ["kept"]
         assert scheduler.events_executed == 1
 
-    def test_peek_time_skips_cancelled_head(self):
+    def test_peek_skips_cancelled_head(self):
         scheduler = EventScheduler()
         head = scheduler.schedule(1.0, lambda: None)
         scheduler.schedule(5.0, lambda: None)
         head.cancel()
-        assert scheduler.peek_time() == 5.0
+        assert scheduler.peek_entry()[0] == 5.0
 
     def test_cancel_after_execution_is_a_noop(self):
         scheduler = EventScheduler()

@@ -486,7 +486,7 @@ class TestSanitizedChurn:
     def test_faulted_bucket_balances_conservation(self, monkeypatch):
         # Under REPRO_SANITIZE=1 the conservation ledger must account every
         # gated packet in its ``faulted`` bucket — the run completing at all
-        # proves conservation held at every event.
+        # proves conservation held when the run stopped.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         crash_time = 0.35 * _fault_free_time(reliability=True)
         system, _job = _churn_system(reliability=True)

@@ -3,36 +3,51 @@
 ``NetworkSimulator.add_observer`` compiles each hook an observer defines into
 the sinks and transmits that need it (``_build_port_maps``). An observer
 that defines none of the per-packet hooks leaves every compiled callback the
-plain one, and one that defines the per-packet notices still runs the window
-delivery code, item by item, so that every switch pass is told to it.
+plain one, and one that defines the per-packet notices keeps the batch
+handlers and the register kernel: a window is told once, a batch once.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.analysis.error_bounds import install_error_tracker
+from repro.core.aggregation import DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.netsim.faults import FaultPlan, install_faults
-from repro.netsim.topology import single_rack
+from repro.netsim.simulator import SimulatorConfig
+from repro.netsim.topology import leaf_spine, single_rack
 
 
-def smoke_rack_burst() -> tuple[DaietSystem, list[str], str]:
+def smoke_rack_burst(sanitize: bool = False) -> tuple[DaietSystem, list[str], str]:
     """``rack_burst`` at its ``--smoke`` sizes: 4 mappers, 200 pairs each,
     100 words, 1,024 register slots, reliability off."""
     config = DaietConfig(register_slots=1_024, pairs_per_packet=10)
-    system = DaietSystem(single_rack(5), config)
+    system = DaietSystem(single_rack(5), config, SimulatorConfig(sanitize=sanitize))
     mappers = [f"h{i}" for i in range(4)]
     system.install_job(mappers=mappers, reducers=["h4"])
     return system, mappers, "h4"
 
 
-def send_smoke_pairs(system: DaietSystem, mappers: list[str], reducer: str) -> None:
+def small_fabric_round(sanitize: bool = False) -> tuple[DaietSystem, list[str], str]:
+    """A two-level tree: 2 leaves, 1 spine, 5 mappers and the reducer ``h5``."""
+    config = DaietConfig(register_slots=256, pairs_per_packet=10)
+    system = DaietSystem(leaf_spine(2, 1, 3), config, SimulatorConfig(sanitize=sanitize))
+    mappers = [f"h{i}" for i in range(5)]
+    system.install_job(mappers=mappers, reducers=["h5"])
+    return system, mappers, "h5"
+
+
+def send_smoke_pairs(
+    system: DaietSystem, mappers: list[str], reducer: str, pairs: int = 200, words: int = 100
+) -> None:
     rng = random.Random(2017)
     for mapper in mappers:
-        pairs = [(f"w{rng.randrange(100)}", rng.randrange(1, 9)) for _ in range(200)]
-        system.send_pairs(mapper, reducer, pairs)
+        sent = [(f"w{rng.randrange(words)}", rng.randrange(1, 9)) for _ in range(pairs)]
+        system.send_pairs(mapper, reducer, sent)
 
 
 def compiled_code(system: DaietSystem) -> dict:
@@ -65,6 +80,14 @@ class DropsOnly:
         self.wipes += 1
 
 
+def packets_in(told) -> int:
+    """How many packets a notice stands for: a batch's count, a window's
+    length, or one packet."""
+    if isinstance(told, int):
+        return told
+    return len(told) if hasattr(told, "sizes") else 1
+
+
 class PassCounter:
     """Counts every send, switch pass and delivery it is told of."""
 
@@ -72,14 +95,14 @@ class PassCounter:
         self.sent = self.delivered = self.switch_in = self.switch_out = self.dropped = 0
 
     def on_send(self, packet) -> None:
-        self.sent += 1
+        self.sent += packets_in(packet)
 
     def on_deliver(self, packet) -> None:
         self.delivered += 1
 
-    def on_switch(self, packet, outputs) -> None:
-        self.switch_in += 1
-        self.switch_out += len(outputs)
+    def on_switch(self, taken, outputs) -> None:
+        self.switch_in += packets_in(taken)
+        self.switch_out += sum(packets_in(out) for _port, out in outputs)
 
     def on_drop(self, reason, where, packet) -> None:
         self.dropped += 1
@@ -114,15 +137,15 @@ class TestObserversCostWhatTheyUse:
         ]
 
     def test_per_packet_notices_balance_under_the_plain_run_loop(self, traffic_snapshot):
-        # on_switch takes every batch handler away, so no window item can be
-        # applied without passing the notice; the run loop is the plain one.
+        # on_switch keeps the batch handlers: a batch is told once, as the
+        # number of items it took, and a window once, as itself.
         plain, mappers, reducer = smoke_rack_burst()
         send_smoke_pairs(plain, mappers, reducer)
         plain_events = plain.run()
         system, mappers, reducer = smoke_rack_burst()
         counter = PassCounter()
         system.simulator.add_observer(counter)
-        assert compiled_code(system)["handlers"] == []
+        assert compiled_code(system)["handlers"] == compiled_code(plain)["handlers"]
         send_smoke_pairs(system, mappers, reducer)
         assert system.run() == plain_events
         sim = system.simulator
@@ -138,3 +161,46 @@ class TestObserversCostWhatTheyUse:
             counter.delivered + counter.switch_in + counter.dropped
         )
         assert counter.sent > len(mappers)  # windows of many packets
+
+
+class TestSanitizedRunsTakeTheKernel:
+    """``REPRO_SANITIZE=1`` checks the shipped loop, batch handlers and kernel."""
+
+    @pytest.mark.parametrize(
+        "build, pairs, words",
+        [(smoke_rack_burst, 200, 100), (small_fabric_round, 400, 300)],
+        ids=["rack", "leaf_spine"],
+    )
+    def test_sanitized_run_makes_the_plain_kernel_calls(
+        self, monkeypatch, traffic_snapshot, build, pairs, words
+    ):
+        calls = []
+        vector_apply = DaietAggregationEngine._vector_apply
+
+        def counted(engine, *args):
+            calls.append(engine.switch_name)
+            return vector_apply(engine, *args)
+
+        monkeypatch.setattr(DaietAggregationEngine, "_vector_apply", counted)
+        runs = []
+        for sanitize in (False, True):
+            calls.clear()
+            system, mappers, reducer = build(sanitize)
+            send_smoke_pairs(system, mappers, reducer, pairs, words)
+            events = system.run()  # a sanitized run() ends with its checks
+            sim = system.simulator
+            runs.append(
+                (system.receiver(reducer).result(), events, traffic_snapshot(sim), list(calls))
+            )
+        plain, sanitized = runs
+        assert sanitized == plain
+        assert plain[3]  # the kernel ran
+        ledger = sim.sanitizer.ledger
+        assert all(ledger.in_flight(cls) == 0 for cls in ledger.classes())
+        # The ledger counts what every packet's one owner counts.
+        hosts = list(sim.topology.hosts())
+        switches = [device.switch.counters for device in sim.topology.switches()]
+        assert sum(ledger.sent.values()) == sum(h.counters.packets_sent for h in hosts)
+        assert sum(ledger.delivered.values()) == sum(h.counters.packets_received for h in hosts)
+        assert sum(ledger.switch_in.values()) == sum(c.packets_in for c in switches)
+        assert sum(ledger.switch_out.values()) == sum(c.packets_out for c in switches)
