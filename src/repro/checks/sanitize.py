@@ -14,8 +14,10 @@ instance:
   ``best_effort``);
 * periodic **backend structural invariants** (binary-heap property on the
   heap backend; bucket filing and per-bucket heap property on the calendar
-  backend), every :data:`HEAP_CHECK_INTERVAL` ledger notices and when a run
-  stops (sim-time monotonicity is the scheduler's own check, on every run);
+  backend; every dead-set mark names a queued entry), each time the packets
+  the ledger has counted cross a multiple of :data:`HEAP_CHECK_INTERVAL` and
+  when a run stops (sim-time monotonicity is the scheduler's own check, on
+  every run);
 * **register-leak detection**: occupied aggregation cells must exactly
   match the index stack, and after a round completes (final flush done, no
   round in progress) every slot must have rearmed to empty.
@@ -55,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SANITIZE_ENV = "REPRO_SANITIZE"
 
 #: Structural backend checks are O(pending events), so they run once every
-#: this many ledger notices rather than on each one.
+#: this many packets counted by the ledger rather than on each notice.
 HEAP_CHECK_INTERVAL = 4096
 
 
@@ -99,8 +101,9 @@ class ConservationLedger:
         self.marked: dict[str, int] = {}
 
     @staticmethod
-    def count(table: dict[str, int], packet: Any) -> None:
-        """Add ``packet`` to one counter table, under its class name.
+    def count(table: dict[str, int], packet: Any) -> int:
+        """Add ``packet`` to one counter table, under its class name, and
+        return how many packets that was.
 
         A window counts as its ``len`` DAIET packets, and an int as that
         many (a batch takes window DATA items only), so a notice told per
@@ -113,6 +116,7 @@ class ConservationLedger:
         else:
             cls, n = type(packet).__name__, 1
         table[cls] = table.get(cls, 0) + n
+        return n
 
     def classes(self) -> list[str]:
         """Every packet class seen by any counter, sorted."""
@@ -185,17 +189,18 @@ class SimulatorSanitizer:
     def __init__(self, sim: "NetworkSimulator") -> None:
         self.sim = sim
         self.ledger = ConservationLedger()
-        self._notices = 0
+        #: Packets counted by :meth:`_tally` so far.
+        self._packets = 0
 
     # ------------------------------------------------------------------ #
     # Observer hooks feeding the conservation ledger
     # ------------------------------------------------------------------ #
     def _tally(self, table: dict[str, int], packet: Any) -> None:
-        """Count one notice; every :data:`HEAP_CHECK_INTERVAL` notices, check
-        the scheduler's backend structure too."""
-        self.ledger.count(table, packet)
-        self._notices += 1
-        if self._notices % HEAP_CHECK_INTERVAL == 0:
+        """Count one notice; when the packets counted cross a multiple of
+        :data:`HEAP_CHECK_INTERVAL`, check the scheduler's backend too."""
+        before = self._packets
+        self._packets = before + self.ledger.count(table, packet)
+        if self._packets // HEAP_CHECK_INTERVAL != before // HEAP_CHECK_INTERVAL:
             self.check_backend_invariant()
 
     def on_send(self, packet: Any) -> None:
@@ -229,7 +234,9 @@ class SimulatorSanitizer:
     # Invariant checks
     # ------------------------------------------------------------------ #
     def check_backend_invariant(self) -> None:
-        """Structural invariants of the active scheduler backend."""
+        """Structural invariants of the active scheduler backend, and that
+        every dead-set mark names an entry still queued (a stray mark would
+        skip a future event and skew ``len(scheduler)``)."""
         scheduler = self.sim.scheduler
         cal = scheduler._cal
         if cal is None:
@@ -242,6 +249,7 @@ class SimulatorSanitizer:
                         f"t={queue[i][0]!r} sorts before its parent "
                         f"t={queue[parent][0]!r}"
                     )
+            self._check_dead_set(queue)
             return
         total = 0
         inv = cal.inv_width
@@ -266,6 +274,15 @@ class SimulatorSanitizer:
             raise SanitizerError(
                 f"calendar count {cal.count} does not match the "
                 f"{total} entries actually stored"
+            )
+        self._check_dead_set(entry for bucket in cal.buckets for entry in bucket)
+
+    def _check_dead_set(self, entries: Any) -> None:
+        dead = self.sim.scheduler._cancelled
+        if dead and (stray := dead.difference(entry[1] for entry in entries)):
+            raise SanitizerError(
+                f"dead-set marks {sorted(stray)} name no queued entry: they "
+                "would skip a future event and skew the pending count"
             )
 
     def check_registers(self) -> None:

@@ -15,7 +15,7 @@ from repro.netsim.devices import (
     SwitchDevice,
     packet_wire_bytes,
 )
-from repro.netsim.events import Event, EventScheduler, Timer
+from repro.netsim.events import EventScheduler, Timer
 from repro.netsim.links import (
     DEFAULT_BANDWIDTH_BPS,
     DEFAULT_PROPAGATION_S,
@@ -39,7 +39,6 @@ __all__ = [
     "HostCounters",
     "SwitchDevice",
     "packet_wire_bytes",
-    "Event",
     "EventScheduler",
     "Timer",
     "DEFAULT_BANDWIDTH_BPS",

@@ -19,26 +19,21 @@ Which backend is active is this module's business alone: a caller that
 builds its own entries (the simulator's burst delivery) goes through
 ``reserve_seqs`` / ``push_entry`` / ``entries_through``.
 
-Cancellation is tracked in a side set of sequence numbers instead of
-per-event flag objects. Cancelled entries are removed lazily: they are
-skipped when they surface at the top of the queue, and the whole queue is
-compacted once more than half of it is cancelled litter (restartable
-:class:`Timer` objects, as used by the reliability layer's retransmission
-timers, re-arm constantly and would otherwise grow the queue without bound).
-``len(scheduler)`` is O(1).
+Plain events cannot be cancelled. A :class:`Timer` owns its deadline and
+keeps at most one live queue entry, which a later re-arm leaves in place
+(it re-queues itself at the armed key when it surfaces, which is not an
+event); a cancel or an earlier re-arm marks it in the scheduler's dead set,
+so it is discarded unrun when it surfaces. ``len(scheduler)`` is O(1).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.checks.registry import fastpath
 from repro.core.errors import SimulationError
-
-#: Compaction is considered once the cancellation set grows past this size
-#: (tiny queues are not worth rebuilding).
-_COMPACT_MIN_CANCELLED = 64
 
 #: Pending-entry count at which the scheduler migrates its heap into a
 #: calendar queue. Below this, the C-implemented ``heapq`` wins on constant
@@ -88,13 +83,9 @@ class CalendarQueue:
     )
 
     def __init__(self, entries: list[tuple], floor_time: float) -> None:
-        self.count = 0
         self.floor_time = floor_time
         self._rebuild(entries)
 
-    # ------------------------------------------------------------------ #
-    # Sizing
-    # ------------------------------------------------------------------ #
     def _rebuild(self, entries: list[tuple]) -> None:
         """(Re)distribute ``entries`` over a freshly sized bucket array."""
         count = len(entries)
@@ -132,14 +123,11 @@ class CalendarQueue:
     def _maybe_resize(self) -> None:
         nbuckets = self.mask + 1
         count = self.count
-        if count > 4 * nbuckets and nbuckets < _MAX_BUCKETS:
-            self._rebuild([entry for bucket in self.buckets for entry in bucket])
-        elif count < nbuckets >> 3 and nbuckets > 256:
+        if (count > 4 * nbuckets and nbuckets < _MAX_BUCKETS) or (
+            count < nbuckets >> 3 and nbuckets > 256
+        ):
             self._rebuild([entry for bucket in self.buckets for entry in bucket])
 
-    # ------------------------------------------------------------------ #
-    # Core operations
-    # ------------------------------------------------------------------ #
     def push(self, entry: tuple) -> None:
         """Insert one ``(time, seq, callback, args)`` entry."""
         heappush(self.buckets[int(entry[0] * self.inv_width) & self.mask], entry)
@@ -205,7 +193,7 @@ class CalendarQueue:
     def peek(self, cancelled: set[int]) -> tuple | None:
         """The earliest pending entry (not removed), or ``None`` when empty.
 
-        Cancelled litter is discarded as it surfaces. The scan position is
+        Dead entries are discarded as they surface. The scan position is
         *not* advanced (only an executed pop may advance it): peeking does
         not move the scheduler's clock, so a later push may still land
         earlier than the peeked entry.
@@ -262,47 +250,8 @@ class CalendarQueue:
             days = [buckets[day & mask] for day in range(first, last + 1)]
         return [entry for bucket in days for entry in bucket if entry[0] <= limit]
 
-    def compact(self, cancelled: set[int]) -> None:
-        """Drop every cancelled entry and rebuild the buckets in place."""
-        live = [
-            entry
-            for bucket in self.buckets
-            for entry in bucket
-            if entry[1] not in cancelled
-        ]
-        cancelled.clear()
-        self._rebuild(live)
-
     def __len__(self) -> int:
         return self.count
-
-
-class Event:
-    """Handle to a scheduled callback, supporting cancellation.
-
-    The handle is deliberately detached from the queue entry: cancelling adds
-    the entry's sequence number to the scheduler's cancellation set, and the
-    scheduler drops the entry lazily when it surfaces (or during compaction).
-    """
-
-    __slots__ = ("time", "seq", "_scheduler", "_cancelled")
-
-    def __init__(self, scheduler: "EventScheduler", time: float, seq: int) -> None:
-        self.time = time
-        self.seq = seq
-        self._scheduler = scheduler
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Mark the event so the scheduler skips it when it comes due."""
-        if not self._cancelled:
-            self._cancelled = True
-            self._scheduler._cancel(self.seq)
 
 
 class EventScheduler:
@@ -310,8 +259,8 @@ class EventScheduler:
 
     Starts on the binary-heap backend; once the pending-entry count reaches
     ``calendar_threshold`` the whole queue migrates into a
-    :class:`CalendarQueue` (and stays there until :meth:`reset`). Event
-    dispatch order is identical on both backends.
+    :class:`CalendarQueue`, which serves for the rest of the scheduler's
+    life. Event dispatch order is identical on both backends.
     """
 
     def __init__(self, calendar_threshold: int | None = None) -> None:
@@ -322,22 +271,17 @@ class EventScheduler:
         self._threshold = (
             CALENDAR_THRESHOLD if calendar_threshold is None else calendar_threshold
         )
-        #: Sequence numbers of cancelled-but-not-yet-removed entries.
+        #: The dead set: sequence numbers of queued entries that must never
+        #: run (a cancelled timer's entry, or one its timer re-armed
+        #: earlier). Each names an entry still in the queue; it leaves the
+        #: set when that entry surfaces and is discarded.
         self._cancelled: set[int] = set()
-        #: Sequence numbers of handle-carrying (cancellable) entries still in
-        #: the queue. Lets ``_cancel`` ignore a late cancel of an event that
-        #: already executed instead of poisoning the cancellation set (which
-        #: would skew ``__len__``). Hot-path ``push_at`` events never enter
-        #: this set, so the per-pop discard below is usually a no-op.
-        self._pending_handles: set[int] = set()
         #: callback -> batch handler. When ``run()`` pops an entry whose
-        #: callback has a registered handler, it delegates the entry — and
-        #: implicitly any same-callback entries at the queue head — to the
-        #: handler, which returns how many events it consumed (>= 1). The
-        #: simulator registers its per-switch burst sinks here (see
-        #: :meth:`set_batch_handlers`) so concurrent send windows into one
-        #: switch become one vectorized kernel call.
-        self._batch_handlers: dict[Callable[..., None], Any] = {}
+        #: callback has a handler, it delegates the entry to the handler,
+        #: which returns how many events it consumed: a burst sink's may take
+        #: a switch's concurrent windows as one kernel call (see
+        #: :meth:`set_batch_handlers`), a timer's re-queue is 0 events.
+        self._batch_handlers: dict[Callable[..., None], Any] = dict(_TIMER_HANDLER)
         self._seq = 0
         self.now = 0.0
         self.events_executed = 0
@@ -353,11 +297,8 @@ class EventScheduler:
     def _activate_calendar(self) -> None:
         """Migrate every pending heap entry into a fresh calendar queue."""
         cancelled = self._cancelled
-        if cancelled:
-            entries = [entry for entry in self._queue if entry[1] not in cancelled]
-            cancelled.clear()
-        else:
-            entries = list(self._queue)
+        entries = [entry for entry in self._queue if entry[1] not in cancelled]
+        cancelled.clear()
         # Mutated in place so local aliases held by a running ``run()`` loop
         # observe the drain and hand control to the calendar loop.
         self._queue.clear()
@@ -366,9 +307,8 @@ class EventScheduler:
     def push_entry(self, entry: tuple) -> None:
         """Queue a ready-made ``(time, seq, callback, args)`` entry.
 
-        The sequence number must come from :meth:`reserve_seqs` (or from an
-        entry :meth:`pop_entry` returned), and ``time`` must not lie in the
-        past.
+        The sequence number must come from :meth:`reserve_seqs` (or a
+        popped entry), and ``time`` must not lie in the past.
         """
         cal = self._cal
         if cal is not None:
@@ -379,12 +319,13 @@ class EventScheduler:
                 self._activate_calendar()
 
     def set_batch_handlers(self, handlers: dict[Callable[..., None], Any]) -> None:
-        """Replace the callback -> batch handler map.
+        """Replace the callback -> batch handler map (timers keep theirs).
 
         The map is refilled in place, so the alias a running ``run()`` loop
         holds stays current.
         """
         self._batch_handlers.clear()
+        self._batch_handlers.update(_TIMER_HANDLER)
         self._batch_handlers.update(handlers)
 
     def reserve_seqs(self, count: int) -> int:
@@ -392,7 +333,8 @@ class EventScheduler:
 
         A burst entry stands for ``count`` packets and re-enqueues its tail
         under the number each packet would have drawn from ``push_at``, so
-        the global ``(time, seq)`` order matches a per-packet schedule.
+        the global ``(time, seq)`` order matches a per-packet schedule. A
+        :class:`Timer` reserves one per arming for the same reason.
         """
         seq = self._seq
         self._seq = seq + count
@@ -401,28 +343,16 @@ class EventScheduler:
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self.push_entry((time, seq, callback, args))
-        self._pending_handles.add(seq)
-        return Event(self, time, seq)
+        self.push_at(self.now + delay, callback, args)
 
     def push_at(self, time: float, callback: Callable[..., None], args: tuple[Any, ...]) -> None:
-        """Hot-path schedule: absolute time, no cancellation handle.
+        """Hot-path schedule at an absolute time (no delay validation).
 
-        The simulator's per-packet transmissions never cancel, so skipping the
-        handle allocation (and the delay validation already done by the
-        caller) is free throughput. ``time`` must not lie in the past.
+        ``time`` must not lie in the past.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -435,40 +365,8 @@ class EventScheduler:
             if len(queue) >= self._threshold:
                 self._activate_calendar()
 
-    def _cancel(self, seq: int) -> None:
-        """Record one cancelled entry; compact when litter dominates.
-
-        Cancelling an event that already executed (or was already removed)
-        is a harmless no-op, exactly like the old per-event flag.
-        """
-        pending = self._pending_handles
-        if seq not in pending:
-            return
-        pending.discard(seq)
-        cancelled = self._cancelled
-        cancelled.add(seq)
-        if len(cancelled) >= _COMPACT_MIN_CANCELLED:
-            cal = self._cal
-            if cal is not None:
-                if 2 * len(cancelled) > cal.count:
-                    cal.compact(cancelled)
-            elif 2 * len(cancelled) > len(self._queue):
-                self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled heap entry and re-heapify (amortized O(n)).
-
-        The queue list and cancellation set are mutated *in place* so that
-        local aliases held by a running ``run()`` loop stay valid.
-        """
-        cancelled = self._cancelled
-        queue = self._queue
-        queue[:] = [entry for entry in queue if entry[1] not in cancelled]
-        heapify(queue)
-        cancelled.clear()
-
     def __len__(self) -> int:
-        """Number of pending (non-cancelled) events; O(1)."""
+        """Number of pending (live) events; O(1)."""
         cal = self._cal
         backlog = cal.count if cal is not None else len(self._queue)
         return backlog - len(self._cancelled)
@@ -476,7 +374,10 @@ class EventScheduler:
     def entries_through(self, limit: float) -> list[tuple]:
         """Every pending entry with ``time <= limit``, in no particular order.
 
-        Nothing is removed and the clock does not move.
+        A timer's entry is listed at the timer's armed ``(deadline, seq)``,
+        and only when that is due by ``limit``: what the queue would hold
+        with one entry per arming. Nothing is removed and the clock does not
+        move.
         """
         cal = self._cal
         if cal is not None:
@@ -486,14 +387,22 @@ class EventScheduler:
         cancelled = self._cancelled
         if cancelled:
             found = [entry for entry in found if entry[1] not in cancelled]
+        surface = Timer._surface
+        if surface in map(itemgetter(2), found):
+            timers = [entry[3] for entry in found if entry[2] is surface]
+            found = [entry for entry in found if entry[2] is not surface]
+            for args in timers:
+                if args[0]._deadline <= limit:
+                    found.append((args[0]._deadline, args[0]._seq, surface, args))
         return found
 
     def peek_entry(self) -> tuple | None:
-        """The next pending entry, left in the queue; ``None`` when idle.
+        """The next queued live entry, left in the queue; ``None`` when idle.
 
-        Cancelled litter is discarded as it surfaces. Peeking never moves
-        the clock or the calendar's scan position, so entries pushed
-        afterwards may still sort before the peeked one.
+        Dead entries are discarded as they surface; a timer's entry is shown
+        under the key it is queued at. Peeking never moves the clock or the
+        calendar's scan position, so entries pushed afterwards may still
+        sort before the peeked one.
         """
         cal = self._cal
         if cal is not None:
@@ -506,46 +415,29 @@ class EventScheduler:
         return queue[0] if queue else None
 
     def pop_entry(self) -> tuple | None:
-        """Remove and return the next pending entry; ``None`` when idle."""
+        """Remove and return the next queued live entry; ``None`` when idle."""
         cal = self._cal
         if cal is not None:
-            entry = cal.pop(None, self._cancelled)
-        else:
-            entry = self.peek_entry()
-            if entry is not None:
-                heappop(self._queue)
-        if entry is not None and self._pending_handles:
-            # A handle-carrying entry left the queue: a later cancel() of
-            # its handle must be a no-op, not queue litter.
-            self._pending_handles.discard(entry[1])
+            return cal.pop(None, self._cancelled)
+        entry = self.peek_entry()
+        if entry is not None:
+            heappop(self._queue)
         return entry
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drain the queue.
+        """Drain the queue, stopping before the first event later than
+        ``until`` or once ``max_events`` events ran (a safety valve against
+        runaway simulations); returns the events this call executed (a
+        timer's re-queue is none).
 
-        Parameters
-        ----------
-        until:
-            Stop once the next event would be later than this time.
-        max_events:
-            Safety valve against runaway simulations.
-
-        Returns
-        -------
-        int
-            Number of events executed by this call.
-
-        Raises
-        ------
-        SimulationError
-            When a popped entry lies before the one popped last (or before
-            ``now`` when the call starts): some path queued an event in the
-            past. One float comparison per pop; an entry popped out of order
-            surfaces here too, as the earlier entry it skipped.
+        Raises :class:`SimulationError` when a popped entry lies before the
+        one popped last (or before ``now`` when the call starts): some path
+        queued an event in the past. One float comparison per pop; an entry
+        popped out of order surfaces here too, as the earlier entry it
+        skipped.
         """
         executed = 0
         last = self.now
-        pending = self._pending_handles
         batch = self._batch_handlers
         bounded = max_events is not None
         timed = until is not None
@@ -560,7 +452,7 @@ class EventScheduler:
                             break
                         if timed or cancelled:
                             # Peek before popping: the head may be beyond
-                            # ``until`` or cancelled litter to be discarded.
+                            # ``until`` or a dead entry to be discarded.
                             entry = queue[0]
                             if cancelled and entry[1] in cancelled:
                                 cancelled.discard(entry[1])
@@ -579,27 +471,18 @@ class EventScheduler:
                                 f"{time!r} was popped after time {last!r}"
                             )
                         last = time
-                        if pending:
-                            # Executing a handle-carrying event: a later
-                            # cancel() of its handle must be a no-op, not
-                            # queue litter.
-                            pending.discard(seq)
-                        if batch and (handler := batch.get(callback)) is not None:
+                        if (handler := batch.get(callback)) is not None:
                             self.now = time
-                            executed += handler(
-                                time,
-                                args,
-                                until,
-                                max_events - executed if bounded else None,
-                            )
+                            budget = max_events - executed if bounded else None
+                            executed += handler(time, args, until, budget)
                             continue
                         self.now = time
                         callback(*args)
                         executed += 1
-                        # Local aliases stay valid across callbacks:
-                        # compaction mutates the queue and cancellation set
-                        # in place; migration drains the queue in place and
-                        # lets this loop exit into the calendar loop below.
+                        # Local aliases stay valid across callbacks: the dead
+                        # set is mutated in place, and migration drains the
+                        # queue in place and lets this loop exit into the
+                        # calendar loop below.
                     if self._cal is None:
                         break
                     # A callback's push crossed the calendar threshold:
@@ -621,16 +504,10 @@ class EventScheduler:
                             f"{time!r} was popped after time {last!r}"
                         )
                     last = time
-                    if pending:
-                        pending.discard(seq)
-                    if batch and (handler := batch.get(callback)) is not None:
+                    if (handler := batch.get(callback)) is not None:
                         self.now = time
-                        executed += handler(
-                            time,
-                            args,
-                            until,
-                            max_events - executed if bounded else None,
-                        )
+                        budget = max_events - executed if bounded else None
+                        executed += handler(time, args, until, budget)
                         continue
                     self.now = time
                     callback(*args)
@@ -648,35 +525,84 @@ class EventScheduler:
 class Timer:
     """A restartable one-shot timer bound to an :class:`EventScheduler`.
 
-    The reliability layer uses these as retransmission and delayed-ACK
-    timers: ``start`` (re)arms the timer, ``cancel`` disarms it, and the
-    callback runs at most once per arming. Restarting an armed timer cancels
-    the previous deadline, so only the latest one fires. Cancelled deadlines
-    are cleaned out of the scheduler's queue by its lazy compaction, so
-    constant re-arming does not grow the queue without bound.
+    The reliability layer's retransmission, pull and delayed-ACK timers:
+    ``start`` (re)arms the timer, ``cancel`` disarms it, and the callback
+    runs at most once per arming, at the last armed deadline. Such timers
+    are nearly always restarted or stopped before they expire (Varghese &
+    Lauck, SOSP '87), so a restart is not a queue operation; the timer owns
+    its deadline and keeps at most one live queue entry:
+
+    * each ``start`` reserves the sequence number ``push_at`` would draw, so
+      the armed key ``(deadline, seq)`` and every other entry's key are what
+      one queue entry per arming would give;
+    * a re-arm at or after the live entry's key only records the new key; a
+      re-arm earlier, or a ``cancel``, marks the live entry dead;
+    * a live entry that surfaces under a stale key re-queues itself at the
+      armed key, which is not an event: ``run()`` neither counts it nor
+      charges it to ``max_events``.
+
+    A cancelled entry is marked dead rather than left to surface as a no-op:
+    it outlives the last real event of every reliable round, and draining it
+    would move the final clock out by up to one timeout.
     """
+
+    __slots__ = ("_scheduler", "_callback", "_deadline", "_seq", "_queued")
 
     def __init__(self, scheduler: EventScheduler, callback: Callable[[], None]) -> None:
         self._scheduler = scheduler
         self._callback = callback
-        self._event: Event | None = None
+        self._deadline = 0.0
+        #: Sequence number of the armed deadline; ``None`` while disarmed.
+        self._seq: int | None = None
+        #: ``(time, seq)`` of the timer's one live queue entry, or ``None``.
+        self._queued: tuple[float, int] | None = None
 
     @property
     def active(self) -> bool:
         """True while an armed deadline is pending."""
-        return self._event is not None and not self._event.cancelled
+        return self._seq is not None
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._scheduler.schedule(delay, self._fire)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        scheduler = self._scheduler
+        self._deadline = scheduler.now + delay
+        self._seq = scheduler.reserve_seqs(1)
+        queued = self._queued
+        if queued is not None:
+            if self._deadline >= queued[0]:
+                return
+            scheduler._cancelled.add(queued[1])
+        self._push_armed()
 
     def cancel(self) -> None:
         """Disarm the timer; a cancelled deadline never fires."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        if self._queued is not None:
+            self._scheduler._cancelled.add(self._queued[1])
+            self._queued = None
+        self._seq = None
 
-    def _fire(self) -> None:
-        self._event = None
+    def _push_armed(self) -> None:
+        entry = (self._deadline, self._seq, Timer._surface, (self,))
+        self._queued = entry[:2]
+        self._scheduler.push_entry(entry)
+
+    def _surface(self) -> int:
+        """The live entry came due: fire (1 event), or move to the armed
+        key (0 events); returns that count."""
+        if self._seq != self._queued[1]:
+            self._push_armed()
+            return 0
+        self._seq = self._queued = None
         self._callback()
+        return 1
+
+
+def _surface_timer(time: float, args: tuple, until: float | None, budget: int | None) -> int:
+    """Batch handler of a timer's entry (see :meth:`Timer._surface`)."""
+    return args[0]._surface()
+
+
+#: The batch handler every scheduler keeps for timer entries.
+_TIMER_HANDLER = {Timer._surface: _surface_timer}

@@ -15,7 +15,6 @@ from typing import Any, Callable
 
 from repro.core.errors import TransportError
 from repro.core.packet import SeenWindow
-from repro.netsim.events import Timer
 from repro.netsim.simulator import NetworkSimulator
 from repro.transport.packets import MessagePayload, UdpDatagram
 from repro.transport.window import TransportTuning, WindowedSender, sender_on
@@ -184,7 +183,7 @@ class ReliableUdpTransport(UdpTransport):
         self._windows: defaultdict[tuple[str, str, int], SeenWindow] = defaultdict(
             SeenWindow
         )
-        self._delayed_acks: dict[tuple[str, str, int], Timer] = {}
+        self._delayed_acks: dict[tuple[str, str, int], Any] = {}
         self._apps: dict[tuple[str, int], Callable[[str, MessagePayload], None]] = {}
         #: CE bit of the datagram currently being dispatched (the listener
         #: callback only sees ``(src, payload)``, so the receiver stashes the
@@ -255,9 +254,8 @@ class ReliableUdpTransport(UdpTransport):
             # ack_window would otherwise only be recovered by the sender's
             # (much longer) retransmission timeout.
             if key not in self._delayed_acks:
-                self._delayed_acks[key] = Timer(
-                    self.simulator.scheduler,
-                    lambda: self._flush_delayed_ack(host, src, port),
+                self._delayed_acks[key] = self.simulator.timer(
+                    lambda: self._flush_delayed_ack(host, src, port)
                 )
             if not self._delayed_acks[key].active:
                 self._delayed_acks[key].start(self.retransmit_timeout / 2)

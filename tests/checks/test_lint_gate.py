@@ -69,7 +69,6 @@ class TestCleanTree:
             "_activate_calendar",
             "_batch_handlers",
             "_seq",
-            "_pending_handles",
         }
         allowed = {"netsim/events.py", "checks/sanitize.py"}
         offenders = []

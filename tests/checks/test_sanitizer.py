@@ -7,7 +7,9 @@ from heapq import heappush
 import pytest
 
 from repro.checks.sanitize import (
+    HEAP_CHECK_INTERVAL,
     SANITIZE_ENV,
+    SimulatorSanitizer,
     install_sanitizer,
     sanitize_enabled_in_env,
 )
@@ -327,6 +329,54 @@ class TestSchedulerChecks:
         scheduler._cal.count += 3
         with pytest.raises(SanitizerError, match="does not match"):
             system.simulator.sanitizer.check_backend_invariant()
+
+    @pytest.mark.parametrize("calendar", [False, True], ids=["heap", "calendar"])
+    def test_stray_dead_mark_is_detected(self, calendar):
+        system = build_system(sanitize=True)
+        scheduler = system.simulator.scheduler
+        timer = system.simulator.timer(lambda: None)
+        timer.start(2.0)
+        timer.start(1.0)  # earlier: the entry at 2.0 is marked dead
+        scheduler.push_at(3.0, lambda: None, ())
+        if calendar:
+            scheduler._activate_calendar()
+            timer.start(0.5)
+        system.simulator.sanitizer.check_backend_invariant()
+        # A mark for a sequence number nothing queued carries.
+        scheduler._cancelled.add(scheduler.reserve_seqs(1))
+        with pytest.raises(SanitizerError, match="dead-set marks"):
+            system.simulator.sanitizer.check_backend_invariant()
+
+    def test_sweeps_follow_packets_not_notices(self, monkeypatch):
+        """A window or a batch is one notice; the periodic backend sweep
+        still runs once per HEAP_CHECK_INTERVAL packets counted."""
+        sweeps = []
+        check = SimulatorSanitizer.check_backend_invariant
+
+        def counted(sanitizer):
+            sweeps.append(sanitizer.sim.now)
+            check(sanitizer)
+
+        monkeypatch.setattr(SimulatorSanitizer, "check_backend_invariant", counted)
+        mappers = [f"h{i}" for i in range(16)]
+        system = DaietSystem.single_rack(
+            17,
+            config=DaietConfig(register_slots=1_024, pairs_per_packet=10),
+            simulator_config=SimulatorConfig(sanitize=True),
+        )
+        system.install_job(mappers=mappers, reducers=["h16"])
+        for m, mapper in enumerate(mappers):
+            system.send_pairs(
+                mapper, "h16", [(f"w{(m * 7 + i) % 100}", 1) for i in range(8_000)]
+            )
+        system.run()
+        snapshot = system.simulator.sanitizer.ledger.snapshot()
+        del snapshot["switch_out"]  # counted with its batch, not tallied
+        packets = sum(sum(table.values()) for table in snapshot.values())
+        assert packets // HEAP_CHECK_INTERVAL >= 5
+        # The sweeps in the run, plus the one check() makes as it stops.
+        assert len(sweeps) >= packets // HEAP_CHECK_INTERVAL + 1
+        assert system.receiver("h16").result() == {f"w{i}": 1_280 for i in range(100)}
 
 
 class TestRegisterLeaks:

@@ -5,7 +5,9 @@ queue, never *which order* they come off in. Every test here runs the same
 workload on a heap-only scheduler (threshold too high to ever migrate), a
 calendar-from-the-start scheduler (threshold 1) and a mid-run migrator, and
 asserts the observable execution traces are identical — including
-cancellations, same-time ties and events scheduled from inside callbacks.
+same-time ties and events scheduled from inside callbacks. Timers (re-arms,
+cancels, dead entries) have their own oracle, ``test_timers.py``, which runs
+on the same three backends.
 """
 
 from __future__ import annotations
@@ -37,31 +39,6 @@ def _assert_equivalent(workload) -> None:
 
 
 class TestBackendEquivalence:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-                st.booleans(),  # cancel this event?
-            ),
-            max_size=60,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_randomized_schedules_and_cancellations(self, spec):
-        def workload(scheduler, trace):
-            events = []
-            for i, (delay, _) in enumerate(spec):
-                events.append(
-                    scheduler.schedule(
-                        delay, lambda i=i: trace.append((scheduler.now, i))
-                    )
-                )
-            for event, (_, cancel) in zip(events, spec):
-                if cancel:
-                    event.cancel()
-
-        _assert_equivalent(workload)
-
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_same_time_ties_stay_fifo(self, times):
@@ -129,43 +106,69 @@ class TestBackendEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
         times=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 4.0, 9.0]), max_size=40),
-        cancel=st.sets(st.integers(0, 39)),
-        pops=st.integers(0, 10),
-        limit=st.sampled_from([0.0, 1.0, 1.7, 4.0, 100.0]),
+        starts=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), max_size=6),
+        rearms=st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from([None, 0.0, 0.3, 1.0, 2.5, 8.0])),
+            max_size=12,
+        ),
+        advance=st.sampled_from([0.0, 0.5, 1.0, 1.7]),
+        horizon=st.sampled_from([0.0, 0.4, 1.0, 2.7, 100.0]),
     )
     def test_entries_through_lists_what_is_due(
-        self, times, cancel, pops, limit
+        self, times, starts, rearms, advance, horizon
     ):
         """What the burst handler scans: every live entry due by ``limit``,
-        with nothing taken."""
+        a re-armed timer's at its armed deadline, with nothing taken. The
+        listed keys, in order, are what ``run(until=limit)`` then does."""
         for threshold in (HEAP_ONLY, 1, 7):
             scheduler = EventScheduler(calendar_threshold=threshold)
-            events = [scheduler.schedule(t, lambda: None) for t in times]
-            for index in cancel:
-                if index < len(events):
-                    events[index].cancel()
-            for _ in range(pops):
-                scheduler.pop_entry()
-            due = sorted(scheduler.entries_through(limit))
+            trace: list[object] = []
+            for i, t in enumerate(times):
+                scheduler.push_at(t, trace.append, (i,))
+            timers = [
+                Timer(scheduler, lambda j=j: trace.append(("timer", j)))
+                for j in range(len(starts))
+            ]
+            labels = {id(timer): ("timer", j) for j, timer in enumerate(timers)}
+            for timer, delay in zip(timers, starts):
+                timer.start(delay)
+            scheduler.run(until=advance)
+            armed = {j: delay for j, delay in enumerate(starts) if delay > advance}
+            for j, delay in rearms:
+                if j >= len(timers):
+                    continue
+                if delay is None:
+                    timers[j].cancel()
+                    armed.pop(j, None)
+                else:
+                    timers[j].start(delay)
+                    armed[j] = scheduler.now + delay
+            limit = scheduler.now + horizon
+            due = sorted(scheduler.entries_through(limit), key=lambda e: e[:2])
+            assert sorted(e[0] for e in due) == sorted(
+                [t for t in times if advance < t <= limit]
+                + [t for t in armed.values() if t <= limit]
+            )
             pending = len(scheduler)
-            rest = []
-            while (entry := scheduler.pop_entry()) is not None:
-                rest.append(entry)
-            assert due == [entry for entry in rest if entry[0] <= limit]
-            assert len(rest) == pending
+            del trace[:]
+            scheduler.run(until=limit)
+            assert trace == [labels.get(id(e[3][0]), e[3][0]) for e in due]
+            assert pending == len(scheduler) + len(due)
 
     def test_pop_entry_takes_heads_in_dispatch_order(self):
         for threshold in (HEAP_ONLY, 1):
             scheduler = EventScheduler(calendar_threshold=threshold)
-            events = [scheduler.schedule(t, lambda: None) for t in (3.0, 1.0, 2.0, 1.0)]
-            events[2].cancel()
+            for t in (3.0, 1.0):
+                scheduler.push_at(t, lambda: None, ())
+            timer = Timer(scheduler, lambda: None)
+            timer.start(2.0)
+            timer.cancel()  # seq 2: a dead entry, never taken
+            scheduler.push_at(1.0, lambda: None, ())
             taken = []
             while (entry := scheduler.pop_entry()) is not None:
                 taken.append(entry[:2])
             assert taken == [(1.0, 1), (1.0, 3), (3.0, 0)]
             assert scheduler.peek_entry() is None
-            # A taken entry is gone: cancelling its handle later is a no-op.
-            events[0].cancel()
             assert len(scheduler) == 0
 
     def test_sparse_far_future_events(self):
@@ -235,26 +238,6 @@ class TestCalendarScheduler:
         scheduler.schedule(5.0, seen.append, "early")
         scheduler.run()
         assert seen == ["early", "late"]
-
-    def test_cancelled_events_skipped_and_len_exact(self):
-        scheduler = self._calendar_scheduler()
-        events = [scheduler.schedule(1.0 + i, lambda: None) for i in range(10)]
-        for event in events[:4]:
-            event.cancel()
-        assert len(scheduler) == 6
-        executed = scheduler.run()
-        assert executed == 6
-
-    def test_timer_litter_is_compacted(self):
-        scheduler = self._calendar_scheduler()
-        fired = []
-        timer = Timer(scheduler, lambda: fired.append(scheduler.now))
-        for _ in range(5_000):
-            timer.start(1.0)
-        assert len(scheduler) == 1
-        assert scheduler._cal is not None and scheduler._cal.count < 200
-        scheduler.run()
-        assert len(fired) == 1
 
     def test_one_event_at_a_time_on_calendar_backend(self):
         scheduler = self._calendar_scheduler()

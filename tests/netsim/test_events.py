@@ -32,16 +32,6 @@ class TestEventScheduler:
         with pytest.raises(SimulationError):
             scheduler.schedule(-0.1, lambda: None)
 
-    def test_cancelled_events_are_skipped(self):
-        scheduler = EventScheduler()
-        seen = []
-        event = scheduler.schedule(1.0, seen.append, "cancelled")
-        scheduler.schedule(2.0, seen.append, "kept")
-        event.cancel()
-        executed = scheduler.run()
-        assert seen == ["kept"]
-        assert executed == 1
-
     def test_run_until_stops_before_future_events(self):
         scheduler = EventScheduler()
         seen = []
@@ -92,82 +82,3 @@ class TestEventScheduler:
         scheduler.run()
         assert times == sorted(times)
 
-
-class TestCancelledEventCompaction:
-    """The cancelled-Timer litter fix: the heap must not grow without bound."""
-
-    def test_len_is_exact_with_cancelled_events(self):
-        scheduler = EventScheduler()
-        events = [scheduler.schedule(1.0 + i, lambda: None) for i in range(10)]
-        for event in events[:4]:
-            event.cancel()
-        assert len(scheduler) == 6
-
-    def test_cancel_is_idempotent(self):
-        scheduler = EventScheduler()
-        event = scheduler.schedule(1.0, lambda: None)
-        kept = scheduler.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert len(scheduler) == 1
-        seen = []
-        scheduler.schedule(3.0, seen.append, "x")
-        scheduler.run()
-        assert seen == ["x"]
-        assert not kept.cancelled
-
-    def test_heap_compacts_when_mostly_cancelled(self):
-        scheduler = EventScheduler()
-        live = [scheduler.schedule(1e6 + i, lambda: None) for i in range(10)]
-        litter = [scheduler.schedule(10.0 + i, lambda: None) for i in range(500)]
-        for event in litter:
-            event.cancel()
-        # Lazy compaction must have dropped (most of) the cancelled litter
-        # without waiting for the events to come due.
-        assert len(scheduler._queue) < 100
-        assert len(scheduler) == len(live)
-
-    def test_restartable_timer_rearm_does_not_leak(self):
-        from repro.netsim.events import Timer
-
-        scheduler = EventScheduler()
-        fired = []
-        timer = Timer(scheduler, lambda: fired.append(scheduler.now))
-        for _ in range(5_000):
-            timer.start(1.0)  # each restart cancels the previous deadline
-        # Only the latest arming may remain pending (plus bounded litter).
-        assert len(scheduler) == 1
-        assert len(scheduler._queue) < 200
-        scheduler.run()
-        assert len(fired) == 1
-
-    def test_cancelled_events_skipped_after_compaction(self):
-        scheduler = EventScheduler()
-        seen = []
-        cancelled = [scheduler.schedule(1.0, seen.append, i) for i in range(200)]
-        scheduler.schedule(2.0, seen.append, "kept")
-        for event in cancelled:
-            event.cancel()
-        executed = scheduler.run()
-        assert executed == 1
-        assert seen == ["kept"]
-        assert scheduler.events_executed == 1
-
-    def test_peek_skips_cancelled_head(self):
-        scheduler = EventScheduler()
-        head = scheduler.schedule(1.0, lambda: None)
-        scheduler.schedule(5.0, lambda: None)
-        head.cancel()
-        assert scheduler.peek_entry()[0] == 5.0
-
-    def test_cancel_after_execution_is_a_noop(self):
-        scheduler = EventScheduler()
-        event = scheduler.schedule(1.0, lambda: None)
-        scheduler.run()
-        event.cancel()  # late cancel of an executed event: harmless
-        assert len(scheduler) == 0
-        seen = []
-        scheduler.schedule(2.0, seen.append, "later")
-        assert len(scheduler) == 1
-        scheduler.run()
-        assert seen == ["later"]
