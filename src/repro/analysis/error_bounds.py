@@ -184,14 +184,11 @@ class ErrorBoundTracker:
         state = None if engine is None else dict(engine.trees()).get(tree_id)
         if state is None:
             return []
-        # Vectorized trees park part of each slot's value in a delta array
-        # until flush; fold it in before reading the cells.
-        state.materialize()
-        slots = state.index_stack.peek_all()
-        keys = keys_of(state.key_register[list(slots)].tolist())
-        pairs = list(zip(keys, map(state.value_register._cells.__getitem__, slots)))
-        pairs.extend(state.spillover.peek())
-        return pairs
+        slots = list(state.index_stack.peek_all())
+        spilled = state.spillover.peek()
+        kids = state.key_register[slots].tolist() + [kid for kid, _value in spilled]
+        values = state.value_register[slots].tolist() + [value for _kid, value in spilled]
+        return list(zip(keys_of(kids), values))
 
     def on_wipe(self, device: Any) -> None:
         """A crash is about to destroy ``device``'s registers: book their mass."""

@@ -231,14 +231,14 @@ def _check_tree_resources(
 ) -> list[Finding]:
     findings: list[Finding] = []
     slots = config.register_slots
-    if len(state.key_register) != slots or len(state.value_register) != slots:
+    if state.key_register.shape != (slots,) or state.value_register.shape != (slots,):
         findings.append(
             Finding(
                 rule="register-capacity-mismatch",
                 path=path,
                 line=0,
                 message=f"tree {tree_id} registers hold "
-                f"{len(state.key_register)}/{len(state.value_register)} cells "
+                f"{state.key_register.size}/{state.value_register.size} cells "
                 f"but the config declares {slots} slots",
             )
         )

@@ -19,8 +19,9 @@ instance:
   when a run stops (sim-time monotonicity is the scheduler's own check, on
   every run);
 * **register-leak detection**: occupied aggregation cells must exactly
-  match the index stack, and after a round completes (final flush done, no
-  round in progress) every slot must have rearmed to empty.
+  match the index stack, a free cell must hold no value, and after a round
+  completes (final flush done, no round in progress) every slot must have
+  rearmed to empty.
 
 The ledger is an observer (:meth:`NetworkSimulator.add_observer`): the
 simulator tells it of every send, delivery, switch pass, drop (with its
@@ -317,11 +318,12 @@ class SimulatorSanitizer:
                 f"{where}: index stack records slots {sorted(orphaned)} whose "
                 "key cells are empty; the final flush would read empty slots"
             )
-        for index in sorted(occupied):
-            if state.value_register.is_empty(index):
-                raise SanitizerError(
-                    f"{where}: slot {index} holds a key but no value"
-                )
+        stray = np.flatnonzero((state.key_register < 0) & (state.value_register != 0))
+        if len(stray):
+            raise SanitizerError(
+                f"{where}: free slots {stray.tolist()} hold a value that a "
+                "flush or rearm left behind"
+            )
         # After a completed round — the final flush ran and no new round has
         # started (no child's END counted yet) — every slot must have rearmed
         # to the empty state.

@@ -1,13 +1,14 @@
 """In-switch aggregation engine (Algorithm 1 of the paper).
 
-For each aggregation tree a switch keeps two register arrays (keys, as
-interned key ids, and values) managed as a hash table with single-element
-buckets, an index stack of used slots, and a spillover bucket for colliding
-pairs. Each received DATA packet
-updates this state pair by pair; an END packet decrements the
-remaining-children counter and, when it reaches zero, the aggregated state is
-flushed towards the next node of the tree, as one
-:class:`~repro.core.packet.PacketWindow`.
+For each aggregation tree a switch keeps one register file in kid space
+(interned key ids, see ``dataplane/interning.py``): a key register and a
+value register, two int64 arrays managed as a hash table with single-element
+buckets, an index stack of used slots, and a spillover bucket of colliding
+``(kid, value)`` pairs. Two walkers update it: the per-pair walk takes one
+DATA packet at a time, the register kernel a burst of them, and both leave
+the same state. An END packet decrements the remaining-children counter and,
+when it reaches zero, the aggregated state is flushed towards the next node
+of the tree, as one :class:`~repro.core.packet.PacketWindow`.
 
 :class:`DaietAggregationEngine` hosts the per-tree state of one switch; the
 controller binds it as the ``aggregate`` action of the switch's
@@ -18,21 +19,26 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as _np
 
 from repro.checks.registry import fastpath
 from repro.core.config import DaietConfig
 from repro.core.errors import AggregationError
-from repro.core.functions import SUM, AggregationFunction, get as get_function
-
-#: The sum combiner: only trees that merge with it (integer ``+``) are
-#: eligible for the vectorized scatter-add kernel.
-_SUM_COMBINE = SUM.combine
+from repro.core.functions import (
+    BITWISE_AND,
+    BITWISE_OR,
+    COUNT,
+    MAX,
+    MIN,
+    SUM,
+    AggregationFunction,
+    get as get_function,
+)
 from repro.core.packet import (
     BurstPlan,
     DaietAck,
@@ -43,17 +49,15 @@ from repro.core.packet import (
     SeenWindow,
     gather_pairs,
     packetize_columns,
-    packetize_pairs,
     packets_of,
 )
 from repro.dataplane import interning as _interning
 from repro.dataplane.actions import Extern
-from repro.dataplane.registers import IndexStack, RegisterArray, SpilloverBucket
+from repro.dataplane.registers import IndexStack, SpilloverBucket
 
-#: ``_vec_kid_slot`` sentinel: key id not yet resolved for the current round.
+#: Kid -> slot memo sentinel: key id not yet judged in the current round.
 _KID_UNKNOWN = -3
-#: ``_vec_kid_slot`` / ``_slot_of`` sentinel: the key collides with a resident
-#: key this round.
+#: Kid -> slot memo sentinel: the key collides with a resident key this round.
 _KID_COLLIDING = -1
 #: What an empty key register cell holds (no kid is negative).
 _EMPTY = -1
@@ -61,9 +65,25 @@ _EMPTY = -1
 #: Hoisted enum member for the DATA/END dispatch.
 _DATA = DaietPacketType.DATA
 
-#: Runs an iterator to its end in C: ``_consume(map(cells.__setitem__, ...))``
-#: writes a column of register cells without a Python-level loop.
-_consume = deque(maxlen=0).extend
+#: The numpy ufunc each registered function applies to a value register. A
+#: claimed cell starts at the function's ``identity``; MIN, MAX and AND have
+#: none, so their cells start at the first value, which is idempotent under
+#: them (applying it again changes nothing). The registers hold no other
+#: function.
+_UFUNCS = {
+    SUM: _np.add,
+    COUNT: _np.add,
+    MIN: _np.minimum,
+    MAX: _np.maximum,
+    BITWISE_OR: _np.bitwise_or,
+    BITWISE_AND: _np.bitwise_and,
+}
+
+
+def _columns(pairs: list[tuple[int, int]]) -> tuple[Any, Any]:
+    """``(kid, value)`` pairs as their int64 kid and value columns."""
+    table = _np.array(pairs, dtype=_np.int64).reshape(-1, 2)
+    return table[:, 0], table[:, 1]
 
 
 def hash_key(key: str | bytes, slots: int) -> int:
@@ -130,13 +150,12 @@ class TreeState:
     #: ``best_effort`` emits plain unsequenced flushes with no buffering.
     policy: str = "exact"
     #: The kid (interned key id, see ``dataplane/interning.py``) each slot
-    #: holds, ``_EMPTY`` (-1) when the slot is free: one int64 array, read
-    #: and written by the per-pair loop and by the register kernel alike.
+    #: holds, ``_EMPTY`` (-1) when the slot is free.
     key_register: Any = field(init=False)
-    #: Each occupied slot's aggregated value (``None`` when free). A
-    #: ``_vec`` tree's cells lag by their pending ``_vec_delta``.
-    value_register: RegisterArray = field(init=False)
+    #: Each slot's aggregated value, as int64; 0 when the slot is free.
+    value_register: Any = field(init=False)
     index_stack: IndexStack = field(init=False)
+    #: Colliding pairs as ``(kid, value)``, one packet's worth at most.
     spillover: SpilloverBucket = field(init=False)
     remaining_children: int = field(init=False)
     counters: TreeCounters = field(default_factory=TreeCounters)
@@ -158,24 +177,14 @@ class TreeState:
     _ack_every: int = field(default=0, repr=False)
     #: Whether emissions towards the parent are sequenced and buffered.
     _reliable_emit: bool = field(default=False, repr=False)
-    #: The per-pair loop's memo for the current round: key -> the register
-    #: slot that holds it, or ``_KID_COLLIDING`` when another key holds its
-    #: slot. A verdict cannot change within a round (cells are only freed
-    #: by :meth:`rearm`, which clears the memo), so a repeated key (the whole
-    #: point of aggregation) costs one dict probe and no register read.
-    _slot_of: dict[Any, int] = field(default_factory=dict, repr=False)
-    #: True when this tree accepts the vectorized batch kernel (the SUM
-    #: function). The per-pair path stays valid either way.
-    _vec: bool = field(default=False, repr=False)
-    #: int64 per-slot value deltas pending materialization into the cells.
-    _vec_delta: Any = field(default=None, repr=False)
-    #: kid -> register slot memo for the current round (``_KID_UNKNOWN`` /
-    #: ``_KID_COLLIDING`` sentinels); reset by :meth:`rearm`.
-    _vec_kid_slot: Any = field(default=None, repr=False)
-    #: Whether ``_vec_delta`` holds deltas not yet folded into the cells.
-    #: Every value is a 4-byte int, so an int64 delta would need more than
-    #: 2**32 pairs on one slot in one round to overflow.
-    _vec_pending: bool = field(default=False, repr=False)
+    #: The tree function's ufunc (``_UFUNCS``).
+    _ufunc: Any = field(init=False, repr=False)
+    #: Both walkers' memo for the current round: kid -> the register slot
+    #: that holds it, ``_KID_COLLIDING`` when another key holds its slot, or
+    #: ``_KID_UNKNOWN``. A verdict cannot change within a round (cells are
+    #: only freed by :meth:`rearm`, which resets the memo), so a repeated
+    #: key (the whole point of aggregation) costs one lookup.
+    _kid_slot: Any = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_children <= 0:
@@ -183,46 +192,36 @@ class TreeState:
                 f"tree {self.tree_id} on switch {self.switch_name!r} must have "
                 "at least one child"
             )
+        self._ufunc = _UFUNCS.get(self.function)
+        if self._ufunc is None:
+            raise AggregationError(
+                f"tree {self.tree_id} on switch {self.switch_name!r}: the registers "
+                f"apply only the registered functions, not {self.function.name!r}"
+            )
         slots = self.config.register_slots
-        self.value_register = RegisterArray(slots, name=f"tree{self.tree_id}.values")
         self.key_register = _np.full(slots, _EMPTY, dtype=_np.int64)
+        self.value_register = _np.zeros(slots, dtype=_np.int64)
         self.index_stack = IndexStack(capacity=slots)
         self.spillover = SpilloverBucket(capacity=self.config.pairs_per_packet)
         self.remaining_children = self.num_children
         stride = self.config.sampled_ack_stride if self.policy == "sampled" else 1
         self._ack_every = self.config.ack_window * stride
         self._reliable_emit = self.config.reliability and self.policy != "best_effort"
-        if self.function.combine is _SUM_COMBINE:
-            self._vec = True
-            self._vec_delta = _np.zeros(slots, dtype=_np.int64)
-            self._vec_kid_slot = _np.full(
-                max(64, _interning.pool_size()), _KID_UNKNOWN, dtype=_np.int64
-            )
+        self._kid_slot = _np.full(max(64, _interning.pool_size()), _KID_UNKNOWN, dtype=_np.int64)
 
     def window(self, src: str) -> SeenWindow:
         """The sequence-number window tracking one child's stream."""
         return self._seen[src]
 
-    def materialize(self) -> None:
-        """Fold pending vectorized value deltas into the register cells.
-
-        The batch kernel scatter-adds into :attr:`_vec_delta` instead of the
-        per-slot cells, so a reader of cell *values* (the error tracker,
-        tests) must fold first; the final flush adds the deltas itself
-        (:meth:`DaietAggregationEngine._drain_columns`). No-op when nothing
-        is pending; the per-pair path never dirties the delta array, so mixed
-        traffic stays exact (integer addition is associative, and only SUM
-        trees are vectorized).
-        """
-        if not self._vec_pending:
-            return
-        delta = self._vec_delta
-        cells = self.value_register._cells
-        touched = _np.flatnonzero(delta).tolist()
-        for idx, pending in zip(touched, delta[touched].tolist()):
-            cells[idx] = cells[idx] + pending
-        delta.fill(0)
-        self._vec_pending = False
+    def memo(self) -> Any:
+        """The kid -> slot memo, grown to cover every kid interned so far."""
+        memo = self._kid_slot
+        size = _interning.pool_size()
+        if size > len(memo):
+            grown = _np.full(max(size, 2 * len(memo)), _KID_UNKNOWN, dtype=_np.int64)
+            grown[: len(memo)] = memo
+            self._kid_slot = memo = grown
+        return memo
 
     def rearm(self) -> None:
         """Reset the tree state for the next aggregation round.
@@ -239,19 +238,12 @@ class TreeState:
         """
         held = list(self.index_stack.drain())
         self.key_register[held] = _EMPTY
-        _consume(map(self.value_register._cells.__setitem__, held, repeat(None)))
+        self.value_register[held] = 0
         self.spillover.flush()
         self.remaining_children = self.num_children
         self._ended_sources.clear()
-        # Cells were just released, so every key -> slot verdict is stale.
-        self._slot_of.clear()
-        if self._vec:
-            # Discarded deltas (a rearm outside the flush path) die with the
-            # cells they were pending for.
-            if self._vec_pending:
-                self._vec_delta.fill(0)
-                self._vec_pending = False
-            self._vec_kid_slot.fill(_KID_UNKNOWN)
+        # Cells were just released, so every kid -> slot verdict is stale.
+        self._kid_slot.fill(_KID_UNKNOWN)
 
 
 class DaietAggregationEngine(Extern):
@@ -279,7 +271,9 @@ class DaietAggregationEngine(Extern):
         """Install (or replace) the state for one aggregation tree.
 
         ``policy`` overrides the config's ``reliability_policy`` for this
-        tree (per-tree selective reliability); ``None`` inherits it.
+        tree (per-tree selective reliability); ``None`` inherits it. A
+        function outside the registry (``core/functions.py``) is refused
+        with :class:`AggregationError`: the registers apply only those.
         """
         if isinstance(function, str):
             function = get_function(function)
@@ -348,7 +342,7 @@ class DaietAggregationEngine(Extern):
     def start_batch(self, plan: BurstPlan, offset: int, fits: Any) -> "WindowBatch | None":
         """A :class:`WindowBatch` headed by item ``offset`` of ``plan``, or ``None``.
 
-        ``None`` unless the plan's tree is a ``_vec`` tree here, the item is
+        ``None`` unless the plan's tree is configured here, the item is
         shape-eligible and its source's stream admits it (:meth:`_fresh_run`).
         ``fits(plan, ingress)`` is the switch's budget test for a window
         that asks to join.
@@ -357,7 +351,6 @@ class DaietAggregationEngine(Extern):
         state = self._trees.get(window.tree_id)
         if (
             state is None
-            or not state._vec
             or not plan.shape_ok[offset]
             or not self._fresh_run(state, window, plan.items[offset : offset + 1])
         ):
@@ -427,59 +420,14 @@ class DaietAggregationEngine(Extern):
     # Algorithm 1
     # ------------------------------------------------------------------ #
     def _process_data(self, state: TreeState, packet: DaietPacket) -> list[tuple[int, Any]]:
-        emitted: list[tuple[int, Any]] = []
         if packet.seq is not None:
             window = state.window(packet.src)
             if not window.observe(packet.seq):
                 # Retransmission of something already aggregated: idempotent.
                 state.counters.duplicate_packets += 1
                 return self._ack_child(state, packet.src, window)
-        # Hot loop of Algorithm 1: it runs once per pair per hop. A key's
-        # verdict for the round (its slot, or a collision) is one subscript
-        # of the tree's memo, and ``combine`` skips the AggregationFunction
-        # __call__ indirection.
-        counters = state.counters
-        key_register = state.key_register
-        value_cells = state.value_register._cells
-        slots = state.config.register_slots
-        slot_of = state._slot_of
-        combine = state.function.combine
-        spillover = state.spillover
-        pairs = packet.pairs
-        inserted = 0
-        aggregated = 0
-        # Hit first: the KeyError path only runs on a key's first appearance
-        # in the round, which interns it, hashes it and reads its cell.
-        for key, value in pairs:
-            try:
-                idx = slot_of[key]
-            except KeyError:
-                kid = _interning.intern_key(key)
-                idx = _interning.crc_of(kid) % slots
-                held = key_register[idx]
-                if held == _EMPTY:
-                    key_register[idx] = kid
-                    value_cells[idx] = value
-                    state.index_stack.push(idx)
-                    slot_of[key] = idx
-                    inserted += 1
-                    continue
-                if held != kid:
-                    idx = _KID_COLLIDING
-                slot_of[key] = idx
-            if idx >= 0:
-                value_cells[idx] = combine(value_cells[idx], value)
-                aggregated += 1
-            else:
-                counters.collisions += 1
-                if spillover.store(key, value, state.function):
-                    if spillover.is_full:
-                        emitted.extend(self._flush_spillover(state))
-                else:
-                    counters.spillover_merges += 1
-        counters.pairs_received += len(pairs)
-        counters.pairs_inserted += inserted
-        counters.pairs_aggregated += aggregated
+        pairs = packet.vector_pairs()
+        emitted = [] if pairs is None else self._walk_pairs(state, *pairs)
         if packet.seq is not None:
             src = packet.src
             # A CE-marked fresh packet is acknowledged immediately: the
@@ -496,6 +444,65 @@ class DaietAggregationEngine(Extern):
                 # A retransmitted DATA packet filled the last gap before a
                 # previously stashed END: the child's stream is now complete.
                 emitted.extend(self._accept_end(state, src))
+        return emitted
+
+    def _walk_pairs(self, state: TreeState, kids: Any, vals: Any) -> list[tuple[int, Any]]:
+        """Algorithm 1 over one packet's pairs, in order: the per-pair walk.
+
+        ``kids``/``vals`` are the packet's columns (``vector_pairs()``). A
+        pair whose kid the memo places aggregates into its slot. A kid's
+        first pair in the round hashes it and claims its empty slot, finds
+        it resident, or collides; a claimed cell starts as the kernel's do
+        (``_UFUNCS``). A colliding pair goes into the spillover bucket,
+        which flushes when it holds a packet's worth. The resident values,
+        claimants' included, then land in one ufunc call: claims never
+        read a value and collisions never touch one, so the order of the
+        verdicts is all the walk must keep.
+        """
+        memo = state.memo()
+        counters = state.counters
+        placed = memo[kids]
+        verdicts = placed.tolist()
+        inserted = spilled = 0
+        emitted: list[tuple[int, Any]] = []
+        if min(verdicts) < 0:  # a kid to judge, or a collision: pair by pair
+            key_register = state.key_register
+            slots = state.config.register_slots
+            identity = state.function.identity
+            combine = state.function.combine
+            spillover = state.spillover
+            for kid, value, idx in zip(kids.tolist(), vals.tolist(), verdicts):
+                if idx == _KID_UNKNOWN:
+                    # An earlier pair of this packet may have judged the kid.
+                    idx = memo.item(kid)
+                    if idx == _KID_UNKNOWN:
+                        idx = _interning.crc_of(kid) % slots
+                        held = key_register.item(idx)
+                        if held == _EMPTY:
+                            state.index_stack.push(idx)
+                            key_register[idx] = kid
+                            state.value_register[idx] = value if identity is None else identity
+                            memo[kid] = idx
+                            inserted += 1
+                            continue
+                        if held != kid:
+                            idx = _KID_COLLIDING
+                        memo[kid] = idx
+                if idx < 0:
+                    spilled += 1
+                    if spillover.store(kid, value, combine):
+                        if spillover.is_full:
+                            emitted.extend(self._flush_spillover(state))
+                    else:
+                        counters.spillover_merges += 1
+            counters.collisions += spilled
+            placed = memo[kids]
+            resident = placed >= 0
+            placed, vals = placed[resident], vals[resident]
+        state._ufunc.at(state.value_register, placed, vals)
+        counters.pairs_received += len(verdicts)
+        counters.pairs_inserted += inserted
+        counters.pairs_aggregated += len(verdicts) - inserted - spilled
         return emitted
 
     @fastpath(
@@ -518,31 +525,23 @@ class DaietAggregationEngine(Extern):
         packet index they followed). A window's burst plan assembles
         these at send time (``BurstPlan.kernel_input``); the caller
         (:meth:`WindowBatch.take`) guarantees every packet is a DATA packet
-        of this ``_vec`` tree that :meth:`_fresh_run` admitted, and advances
+        of this tree that :meth:`_fresh_run` admitted, and advances
         the streams with :meth:`_accept_run` once this returns.
 
-        Resident keys resolve to register slots through the ``_vec_kid_slot``
-        memo and are scatter-added into ``_vec_delta`` in one ``np.add.at``.
-        Kids the memo has no verdict for claim slots, are found resident or
-        collide in array operations that give the per-pair loop's verdicts
-        (:meth:`_claim_slots`), and the colliding pairs replay the
-        ``SpilloverBucket``'s store/flush order over kids
-        (:meth:`_spill_columns`).
+        Resident keys resolve to register slots through the tree's kid ->
+        slot memo and are applied to the value register in one call of the
+        tree function's ufunc (``ufunc.at``). Kids the memo has no verdict
+        for claim slots, are found resident or collide in array operations
+        that give the per-pair walk's verdicts (:meth:`_claim_slots`), and
+        the colliding pairs replay the ``SpilloverBucket``'s store/flush
+        order (:meth:`_spill_columns`).
 
         Returns emissions as ``(packet_index, egress_port, packet)`` so the
         caller can restore each spillover flush (an item of the call's one
         flush window) to its packet's delivery time.
         """
-        kid_slot = state._vec_kid_slot
-        size = kid_slot.shape[0]
-        top = int(kids.max())
-        if top >= size:
-            while size <= top:
-                size *= 2
-            grown = _np.full(size, _KID_UNKNOWN, dtype=_np.int64)
-            grown[: kid_slot.shape[0]] = kid_slot
-            state._vec_kid_slot = kid_slot = grown
-        st = kid_slot[kids]
+        memo = state.memo()
+        st = memo[kids]
         counters = state.counters
         emissions: list[tuple[int, int, Any]] = []
         inserted = 0
@@ -552,15 +551,19 @@ class DaietAggregationEngine(Extern):
             neg_kids = kids[neg_pos]
             # Phase A: the kids with no verdict yet claim, find or miss
             # their slots (colliding kids already have theirs).
-            fresh = neg_kids[kid_slot[neg_kids] == _KID_UNKNOWN]
-            if len(fresh):
-                inserted = self._claim_slots(state, fresh)
+            unjudged = _np.flatnonzero(memo[neg_kids] == _KID_UNKNOWN)
+            if len(unjudged):
+                inserted = self._claim_slots(
+                    state, neg_kids[unjudged], vals[neg_pos[unjudged]]
+                )
             # Phase B: re-gather — every formerly unknown occurrence now
             # maps to its slot or to _KID_COLLIDING.
-            st_neg = kid_slot[neg_kids]
+            st_neg = memo[neg_kids]
             st[neg_pos] = st_neg
+            resident = st >= 0
+            state._ufunc.at(state.value_register, st[resident], vals[resident])
             # Phase C: the true collisions, in original pair order, through
-            # the spillover bucket. The resident scatter-add and this stream
+            # the spillover bucket. The resident values and this stream
             # are independent: claims never read the spillover, collisions
             # never touch the cells.
             coll_rel = _np.flatnonzero(st_neg == _KID_COLLIDING)
@@ -577,11 +580,8 @@ class DaietAggregationEngine(Extern):
                     ).tolist()
                 emissions = self._spill_columns(state, coll_kids, coll_vals, coll_pkt)
                 counters.collisions += spilled
-            resident = st >= 0
-            _np.add.at(state._vec_delta, st[resident], vals[resident])
         else:
-            _np.add.at(state._vec_delta, st, vals)
-        state._vec_pending = True
+            state._ufunc.at(state.value_register, st, vals)
         total = int(bounds[-1])
         counters.packets_received += n
         counters.pairs_received += total
@@ -589,30 +589,33 @@ class DaietAggregationEngine(Extern):
         counters.pairs_aggregated += total - spilled - inserted
         return emissions
 
-    def _claim_slots(self, state: TreeState, fresh: Any) -> int:
+    def _claim_slots(self, state: TreeState, fresh: Any, fresh_vals: Any) -> int:
         """Phase A of :meth:`_vector_apply`: verdicts for kids the memo lacks.
 
-        ``fresh`` holds the occurrences of those kids in pair order. Each
-        distinct kid is judged once, in first-occurrence order, as the
-        per-pair loop judges a key at its first occurrence: its slot (crc
-        modulo the slots) already holds it (resident), is empty and it is
-        the first of the call to want that slot (it claims it), or else it
-        collides. A verdict cannot change within a round: cells are only
-        freed by ``rearm()``, which also resets the memo. The claimed slots
-        go onto the index stack in claim order, in one push; their value
-        cells start at 0, the values arriving as deltas. Records every
-        verdict in ``_vec_kid_slot`` and returns the number of claims.
+        ``fresh`` holds the occurrences of those kids in pair order, and
+        ``fresh_vals`` their values. Each distinct kid is judged once, in
+        first-occurrence order, as the per-pair walk judges a kid at its
+        first occurrence: its slot (crc modulo the slots) already holds it
+        (resident), is empty and it is the first of the call to want that
+        slot (it claims it), or else it collides. A verdict cannot change
+        within a round: cells are only freed by ``rearm()``, which also
+        resets the memo. The claimed slots go onto the index stack in claim
+        order, in one push; their value cells start at the function's
+        identity, or at the kid's first value when it has none (see
+        ``_UFUNCS``), and every occurrence then applies as a resident one.
+        Records every verdict in the memo and returns the number of claims.
         """
-        kid_slot = state._vec_kid_slot
+        memo = state._kid_slot
         # First occurrences, in order: each occurrence's position goes into
         # its kid's memo cell by a min-scatter, coded below every sentinel;
         # an occurrence whose code stuck is its kid's first. The memo is
         # the work space (no pool-sized array per call), restored at once.
         n = len(fresh)
         codes = _np.arange(-n - 4, -4, dtype=_np.int64)
-        _np.minimum.at(kid_slot, fresh, codes)
-        kids = fresh[kid_slot[fresh] == codes]
-        kid_slot[kids] = _KID_UNKNOWN
+        _np.minimum.at(memo, fresh, codes)
+        firsts = memo[fresh] == codes
+        kids = fresh[firsts]
+        memo[kids] = _KID_UNKNOWN
         slots = state.config.register_slots
         home = _interning.crcs_of(kids) % slots
         register = state.key_register
@@ -627,36 +630,38 @@ class DaietAggregationEngine(Extern):
         claimed = home[winners]
         state.index_stack.push_many(claimed.tolist())
         register[claimed] = kids[winners]
+        identity = state.function.identity
+        start = fresh_vals[firsts][winners] if identity is None else identity
+        state.value_register[claimed] = start
         verdict[winners] = claimed
-        kid_slot[kids] = verdict
-        _consume(map(state.value_register._cells.__setitem__, claimed.tolist(), repeat(0)))
+        memo[kids] = verdict
         return len(winners)
 
     def _spill_columns(
         self, state: TreeState, kids: list[int], vals: list[int], at: list[int]
     ) -> list[tuple[int, int, Any]]:
-        """Phase C of :meth:`_vector_apply` in kid space.
+        """Phase C of :meth:`_vector_apply`.
 
         Replays the colliding pairs (``kids``/``vals`` in pair order, ``at``
         the index of the packet each came in) as ``SpilloverBucket.store``
-        does for a SUM tree: a kid already held merges into its entry, a new
-        one is appended, and the pair that fills the bucket (one packet's
-        worth) flushes it. The replay starts from what the tree's bucket
-        holds, stores of the per-pair loop included, and leaves the bucket
-        holding what is left over, so both paths keep sharing it. The
-        call's flushes are cut by one :func:`packetize_columns` into one
-        window; flush ``j`` leaves as ``window[j]``, tagged with the packet
-        whose pair filled it. A flushed sum outside the value field's
-        range refuses the round there (the register-overflow rule).
+        does: a kid already held merges into its entry with the tree's
+        function, a new one is appended, and the pair that fills the bucket
+        (one packet's worth) flushes it. The replay starts from what the
+        tree's bucket holds, stores of the per-pair walk included, and
+        leaves the bucket holding what is left over, so both walkers keep
+        sharing it. The call's flushes are cut by one
+        :func:`packetize_columns` into one window; flush ``j`` leaves as
+        ``window[j]``, tagged with the packet whose pair filled it. A
+        flushed value outside the value field's range refuses the round
+        there (the register-overflow rule).
         """
         spillover = state.spillover
         held = spillover.peek()
-        sums = [value for _key, value in held]
-        # Every key that reaches a switch is interned (the per-pair loop
-        # interns what it stores), so this looks the held keys up.
-        order = [_interning.intern_key(key) for key, _value in held]
+        order = [kid for kid, _value in held]
+        sums = [value for _kid, value in held]
         slot = dict(zip(order, range(len(order))))
         capacity = spillover.capacity
+        combine = state.function.combine
         cut_kids: list[int] = []
         cut_vals: list[int] = []
         cut_at: list[int] = []
@@ -664,7 +669,7 @@ class DaietAggregationEngine(Extern):
         for kid, value, pkt_i in zip(kids, vals, at):
             i = slot.get(kid)
             if i is not None:
-                sums[i] += value
+                sums[i] = combine(sums[i], value)
                 merges += 1
                 continue
             slot[kid] = len(order)
@@ -676,13 +681,17 @@ class DaietAggregationEngine(Extern):
                 cut_at.append(pkt_i)
                 order, sums, slot = [], [], {}
         spillover.flush()
-        for key, value in zip(_interning.keys_of(order), sums):
-            spillover.store(key, value)
+        for kid, value in zip(order, sums):
+            spillover.store(kid, value)
         state.counters.spillover_merges += merges
         if not cut_at:
             return []
-        columns = (_np.array(cut_kids, dtype=_np.int64), _np.array(cut_vals, dtype=_np.int64))
-        window = self._packetize(state, False, columns=columns)
+        window = self._packetize(
+            state,
+            False,
+            _np.array(cut_kids, dtype=_np.int64),
+            _np.array(cut_vals, dtype=_np.int64),
+        )
         state.counters.spillover_flushes += len(cut_at)
         port = state.egress_port
         return [(cut_at[j], port, window[j]) for j in range(len(cut_at))]
@@ -820,70 +829,52 @@ class DaietAggregationEngine(Extern):
         if not pairs:
             return []
         state.counters.spillover_flushes += 1
-        return self._emit_pairs(state, pairs, include_end=False)
+        return self._emit_pairs(state, False, *_columns(pairs))
 
     def _flush_all(self, state: TreeState) -> list[tuple[int, Any]]:
         """Flush spillover first, then the aggregated registers, then END."""
         state.counters.final_flushes += 1
-        columns = self._drain_columns(state, state.spillover.flush())
-        return self._emit_pairs(state, (), include_end=True, columns=columns)
+        kids, vals = self._drain_columns(state, state.spillover.flush())
+        return self._emit_pairs(state, True, kids, vals)
 
     def _drain_columns(
-        self, state: TreeState, spilled: list[tuple[Any, Any]]
+        self, state: TreeState, spilled: list[tuple[int, int]]
     ) -> tuple[Any, Any]:
         """The final flush's pairs as int64 columns: ``spilled`` first, then
         each occupied slot from the last one claimed down.
 
-        Values are cells plus pending kernel deltas; kids are the key
-        register's cells. Drains the registers. Every tree drains here:
-        SUM and COUNT values are sums of 4-byte ints, and MIN, MAX, OR and
-        AND of 4-byte ints stay 4-byte ints, so every value fits int64.
+        Kids are the key register's cells, values the value register's, read
+        along the index stack. Drains the registers.
         """
         index_stack = state.index_stack
-        value_cells = state.value_register._cells
-        slots = index_stack.peek_all()[::-1]
-        at = _np.array(slots, dtype=_np.int64)
+        at = _np.array(index_stack.peek_all()[::-1], dtype=_np.int64)
         held = state.key_register[at]
         if (held == _EMPTY).any():
             raise AggregationError(
                 f"index stack of tree {state.tree_id} pointed at an empty slot"
             )
-        values = [value for _key, value in spilled]
-        values += map(value_cells.__getitem__, slots)
-        vals = _np.array(values, dtype=_np.int64)
-        spilled_kids = _interning.intern_keys([key for key, _value in spilled])[0]
+        spilled_kids, spilled_vals = _columns(spilled)
         kids = _np.concatenate((spilled_kids, held))
-        if state._vec_pending:
-            vals[len(spilled) :] += state._vec_delta[at]
-            state._vec_delta[at] = 0
-            state._vec_pending = False
+        vals = _np.concatenate((spilled_vals, state.value_register[at]))
         state.key_register[at] = _EMPTY
-        _consume(map(value_cells.__setitem__, slots, repeat(None)))
+        state.value_register[at] = 0
         index_stack.clear()
         return kids, vals
 
     def _emit_pairs(
-        self,
-        state: TreeState,
-        pairs: Iterable[tuple[str, int]],
-        include_end: bool,
-        columns: tuple[Any, Any] | None = None,
+        self, state: TreeState, include_end: bool, kids: Any, vals: Any
     ) -> list[tuple[int, Any]]:
-        """Cut one flush (``pairs``, or ``columns``) into ``[(port, window)]``.
+        """Cut one flush (its kid and value columns) into ``[(port, window)]``.
 
         A one-packet flush gets no burst plan, so it leaves as its packet.
         """
-        window = self._packetize(state, include_end, pairs, columns)
+        window = self._packetize(state, include_end, kids, vals)
         return [(state.egress_port, window[0] if len(window) == 1 else window)]
 
     def _packetize(
-        self,
-        state: TreeState,
-        include_end: bool,
-        pairs: Iterable[tuple[str, int]] = (),
-        columns: tuple[Any, Any] | None = None,
+        self, state: TreeState, include_end: bool, kids: Any, vals: Any
     ) -> PacketWindow:
-        """Cut flushed ``pairs`` (or ``columns``) into one window; count and buffer it.
+        """Cut a flush's columns into one window; count and buffer it.
 
         The window is never iterated: its counts are arithmetic, and it is
         buffered as ``(window, index)`` slots, which give back the packet
@@ -895,11 +886,10 @@ class DaietAggregationEngine(Extern):
         # because switches have no timers). Best-effort trees skip this
         # entirely: plain unsequenced flushes, nothing buffered.
         seq_start = state._next_seq if state._reliable_emit else None
-        header = (state.tree_id, self.switch_name, state.next_hop_dst, state.config)
-        if columns is not None:
-            window = packetize_columns(*columns, *header, include_end, seq_start)
-        else:
-            window = packetize_pairs(pairs, *header, include_end, seq_start)
+        window = packetize_columns(
+            kids, vals, state.tree_id, self.switch_name, state.next_hop_dst,
+            state.config, include_end, seq_start,
+        )
         count = len(window)
         state.counters.packets_emitted += count
         state.counters.pairs_emitted += len(window.pairs)

@@ -609,9 +609,9 @@ def packetize_pairs(
     the packets (END included) carry consecutive sequence numbers starting
     there, as required by the reliability layer.
 
-    The one packetizer: hosts (reliable or not), the UDP baseline and the
-    switch's per-pair spillover flushes all cut their packets here (or,
-    holding columns, in :func:`packetize_columns`). The keys are interned in
+    The one packetizer for pairs: hosts (reliable or not) and the UDP
+    baseline cut their packets here; a switch, which holds columns, cuts
+    every flush in :func:`packetize_columns`. The keys are interned in
     one pass into the partition's kid column and the values checked in one
     pass into its value column; the window's :class:`PairColumns` holds
     both. When the intern pool can vouch for every key (a key is measured

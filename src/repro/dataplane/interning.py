@@ -1,9 +1,9 @@
-"""Global key interning for the vectorized register kernel.
+"""Global key interning for the switch register file.
 
-The vectorized data plane (see ``dataplane/README.md``) operates on *key
-ids* — small dense integers — instead of the key objects themselves, so a
-whole burst of key-value pairs can be hashed, occupancy-checked and
-scatter-added with numpy array operations. This module owns the process-wide
+The data plane (see ``dataplane/README.md``) operates on *key ids* — small
+dense integers — instead of the key objects themselves, so a whole burst of
+key-value pairs can be hashed, occupancy-checked and applied to the
+registers with numpy array operations. This module owns the process-wide
 ``key -> kid`` mapping and the per-key metadata the fast paths need:
 
 * ``crc``      — ``zlib.crc32`` of the encoded key, so a register index is
@@ -19,20 +19,21 @@ and a switch's key register hold kids instead of key objects. Only exact
 ``str``/``bytes`` keys are interned, which is exactly what a
 ``DaietPacket`` may carry: every key that reaches a switch has a kid.
 
-Two callers. The packetizer (``core/packet.py::packetize_pairs``) interns a
-whole partition in one pass through :func:`intern_keys`, which returns the
-partition's kid column as an int64 array and answers the two questions a
-window's size arithmetic asks (widest key, any NUL suffix) by array lookups
-in the pool's per-kid metadata; a lone packet's columns intern through the
-same function. The per-pair loop (``core/aggregation.py``) interns a key
-the first time a tree's round sees it and reads its ``crc`` with
-:func:`crc_of`; the register kernel hashes a column of kids with
-:func:`crcs_of`. Both store kids in the key register, and read key objects
-back (:func:`keys_of`) only where pairs leave the switch. A flush cut from
-kids (the kernel's spillover stream, a final flush) is measured by
-:func:`measure_kids`. The containers below are named
-nowhere else (``tests/checks/test_lint_gate.py`` holds that), so the pool
-can be re-homed by editing this file alone.
+Keys are interned where they become packets. The packetizer
+(``core/packet.py::packetize_pairs``) interns a whole partition in one pass
+through :func:`intern_keys`, which returns the partition's kid column as an
+int64 array and answers the two questions a window's size arithmetic asks
+(widest key, any NUL suffix) by array lookups in the pool's per-kid
+metadata; a lone packet's columns (``DaietPacket.vector_pairs()``) intern
+through the same function. A switch (``core/aggregation.py``) interns
+nothing: both of its walkers read a packet's kid column, the per-pair walk
+hashes a kid with :func:`crc_of` and the register kernel a column of kids
+with :func:`crcs_of`, and its registers and spillover bucket hold only
+kids. Every flush it cuts (a spillover flush, a final flush) is measured by
+:func:`measure_kids`, and key objects come back (:func:`keys_of`) only when
+a flushed packet is built. The containers below are named nowhere else
+(``tests/checks/test_lint_gate.py`` holds that), so the pool can be
+re-homed by editing this file alone.
 """
 
 from __future__ import annotations

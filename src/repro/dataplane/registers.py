@@ -3,17 +3,15 @@
 The DAIET design (Section 4 of the paper) keeps, per aggregation tree:
 
 * a *key register array* and a *value register array*, managed together as a
-  hash table with single-element buckets (``core/aggregation.py`` keeps the
-  key register as an int64 array of interned key ids; the value register
-  is a :class:`RegisterArray`),
+  hash table with single-element buckets (``core/aggregation.py`` keeps
+  both as int64 arrays: interned key ids, "kids", and their values),
 * an *index stack* recording which slots are in use, so flushing does not
   require scanning the whole array,
 * a *spillover bucket*, a small queue that absorbs hash collisions and is
   flushed to the next node whenever it fills up.
 
-These structures are modelled here independently of the aggregation algorithm
-so that they can be unit-tested and reused (e.g. by the ablation benches that
-sweep register sizes).
+The index stack and the spillover bucket are modelled here independently of
+the aggregation algorithm so that they can be unit-tested on their own.
 """
 
 from __future__ import annotations
@@ -21,42 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.core.errors import AggregationError, ResourceExhaustedError
-
-
-@dataclass
-class RegisterArray:
-    """A fixed-size array of register cells, as exposed by P4 targets.
-
-    Cells hold arbitrary Python values; ``None`` marks an empty cell, matching
-    the paper's "cell is empty" check in Algorithm 1.
-    """
-
-    size: int
-    name: str = "register"
-    _cells: list[Any] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ResourceExhaustedError(
-                f"register array {self.name!r} must have a positive size"
-            )
-        self._cells = [None] * self.size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def is_empty(self, index: int) -> bool:
-        """Return ``True`` when the cell holds no value."""
-        self._check_index(index)
-        return self._cells[index] is None
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise AggregationError(
-                f"index {index} out of range for register array "
-                f"{self.name!r} of size {self.size}"
-            )
+from repro.core.errors import ResourceExhaustedError
 
 
 @dataclass
@@ -109,6 +72,9 @@ class IndexStack:
 class SpilloverBucket:
     """Queue of key-value pairs that collided in the hash-indexed registers.
 
+    A switch stores ``(kid, value)`` pairs here: its registers live in kid
+    space, and a flush is cut from kid and value columns.
+
     The bucket holds as many pairs as fit in one DAIET packet (a tree's
     capacity is its ``pairs_per_packet``); when full, its contents must be
     flushed (sent to the next node in the aggregation tree) as one packet.
@@ -118,10 +84,10 @@ class SpilloverBucket:
     A key → slot dictionary rides alongside the FIFO pair list so that the
     merge check in :meth:`store` is O(1) instead of a scan over the whole
     bucket on every collision; flush order stays strictly FIFO. The per-pair
-    loop stores into it one pair at a time; the register kernel replays a
-    whole call's collisions over key ids with the same rules, starting from
-    what the bucket holds (:meth:`peek`), and leaves it holding what is left
-    over (``DaietAggregationEngine._spill_columns``).
+    walk stores into it one pair at a time; the register kernel replays a
+    whole call's collisions with the same rules, starting from what the
+    bucket holds (:meth:`peek`), and leaves it holding what is left over
+    (``DaietAggregationEngine._spill_columns``).
     """
 
     capacity: int

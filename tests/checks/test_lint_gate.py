@@ -205,7 +205,7 @@ class TestCleanTree:
             if name.startswith("_") and not name.startswith("__")
         }
         assert {
-            "_trees", "_ended_sources", "_fresh_run", "_vector_apply", "_accept_run", "_vec"
+            "_trees", "_ended_sources", "_fresh_run", "_vector_apply", "_accept_run", "_kid_slot"
         } <= private
         offenders = []
         for relative, tree in _package_trees():
@@ -501,6 +501,31 @@ class TestCleanTree:
                     ]
                     found.append("_vector_apply")
         assert found == ["_vector_apply"]
+
+    def test_a_switch_holds_only_kids(self):
+        # A switch's register file and spillover bucket live in kid space,
+        # and every flush is cut from kid and value columns, so the engine
+        # neither interns a key nor reads one back: core/aggregation.py
+        # imports no packetize_pairs and calls neither it nor intern_key,
+        # intern_keys or keys_of. (The parent of the change that added this gate had six
+        # hits: the packetize_pairs import at line 46, intern_key in the
+        # per-pair loop at 457 and in _spill_columns at 657, keys_of in
+        # _spill_columns at 679, intern_keys in _drain_columns at 854 and
+        # the packetize_pairs call in _packetize at 902.)
+        key_space = {"packetize_pairs", "intern_key", "intern_keys", "keys_of"}
+        found = []
+        for relative, tree in _package_trees():
+            if relative != "core/aggregation.py":
+                continue
+            found.append(relative)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.alias) and node.name == "packetize_pairs":
+                    found.append(f"import packetize_pairs at line {node.lineno}")
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in key_space:
+                        found.append(f"{name} at line {node.lineno}")
+        assert found == ["core/aggregation.py"]
 
     def test_burst_eligibility_is_one_predicate(self):
         # Whether the register kernel may take a DATA packet is decided at

@@ -388,7 +388,7 @@ class TestRegisterLeaks:
         system = build_system(sanitize=True)
         tree = self._tree(system)
         tree.key_register[7] = interning.intern_key("leaked-key")
-        tree.value_register._cells[7] = 1
+        tree.value_register[7] = 1
         with pytest.raises(SanitizerError, match="not recorded on the index stack"):
             system.simulator.sanitizer.check_registers()
 
@@ -399,12 +399,11 @@ class TestRegisterLeaks:
         with pytest.raises(SanitizerError, match="key cells are empty"):
             system.simulator.sanitizer.check_registers()
 
-    def test_key_without_value_is_detected(self):
+    def test_value_without_key_is_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.key_register[2] = interning.intern_key("k")
-        tree.index_stack.push(2)
-        with pytest.raises(SanitizerError, match="holds a key but no value"):
+        tree.value_register[2] = 5
+        with pytest.raises(SanitizerError, match=r"free slots \[2\] hold a value"):
             system.simulator.sanitizer.check_registers()
 
     def test_slots_must_rearm_after_round(self):
@@ -416,7 +415,7 @@ class TestRegisterLeaks:
         system.simulator.sanitizer.check_registers()
         # ...but a slot that failed to rearm is caught.
         tree.key_register[5] = interning.intern_key("stale")
-        tree.value_register._cells[5] = 9
+        tree.value_register[5] = 9
         tree.index_stack.push(5)
         with pytest.raises(SanitizerError, match="did not rearm"):
             system.simulator.sanitizer.check_registers()
@@ -425,7 +424,7 @@ class TestRegisterLeaks:
         system = build_system(sanitize=True)
         run_job(system)
         tree = self._tree(system)
-        tree.spillover.store("stale", 1)
+        tree.spillover.store(interning.intern_key("stale"), 1)
         with pytest.raises(SanitizerError, match="spillover bucket still holds"):
             system.simulator.sanitizer.check_registers()
 
@@ -433,7 +432,7 @@ class TestRegisterLeaks:
         system = build_system(sanitize=True)
         tree = self._tree(system)
         tree.key_register[4] = interning.intern_key("k")
-        tree.value_register._cells[4] = 1
+        tree.value_register[4] = 1
         tree.index_stack.push(4)
         tree.index_stack.push(4)
         with pytest.raises(SanitizerError, match="duplicate slots"):

@@ -8,6 +8,7 @@ from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
 from repro.core.errors import AggregationError, PacketFormatError
 from repro.core.daiet import DaietSystem
+from repro.core.functions import AggregationFunction
 from repro.core.packet import (
     DaietPacket,
     DaietPacketType,
@@ -15,6 +16,7 @@ from repro.core.packet import (
     end_packet,
     packetize_pairs,
 )
+from repro.dataplane import interning
 from repro.netsim.topology import single_rack
 
 
@@ -113,7 +115,7 @@ class TestAlgorithm1:
         assert state.key_register.tolist() != [-1] and len(state.spillover) == 1
         state.rearm()
         assert state.key_register.tolist() == [-1]
-        assert state.value_register._cells == [None]
+        assert state.value_register.tolist() == [0]
         assert state.index_stack.peek_all() == () and len(state.spillover) == 0
         flushed(engine, data_packet([("b", 5)], config))
         out = flushed(engine, end_packet(1, "m0", "r0", config))
@@ -155,6 +157,16 @@ class TestAlgorithm1:
         engine.remove_tree(1)
         with pytest.raises(AggregationError):
             engine.tree(1)
+
+    def test_an_unregistered_function_is_refused(self):
+        # The registers apply only the registered functions' ufuncs: a
+        # lookalike of SUM with its own combine is not one of them.
+        engine = DaietAggregationEngine("sw0")
+        lookalike = AggregationFunction(name="sum", combine=lambda a, b: a + b, identity=0)
+        with pytest.raises(AggregationError, match="registered functions"):
+            engine.configure_tree(
+                tree_id=1, function=lookalike, num_children=1, egress_port=0, next_hop_dst="r0"
+            )
 
     def test_tree_requires_children(self):
         engine = DaietAggregationEngine("sw0")
@@ -221,7 +233,7 @@ class TestSpillover:
         state = engine.tree(1)
         assert out == [], "the 2-entry bucket never filled"
         assert len(state.spillover) == 1
-        assert state.spillover.peek() == ((keys[1], 9),)
+        assert state.spillover.peek() == ((interning.intern_key(keys[1]), 9),)
         assert state.counters.spillover_merges == 2
         assert state.counters.spillover_flushes == 0
 

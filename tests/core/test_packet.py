@@ -856,8 +856,9 @@ class TestPacketizerCounts:
         # Lossless rack, 16-slot registers against a 300-word vocabulary:
         # hundreds of spillover flushes, all cut by the register kernel
         # from kids. Once the partitions are packetized, the round calls
-        # the pool's interning entry point at most once per final flush
-        # (the walk's leftover bucket), not once per spillover flush.
+        # the pool's interning entry point at most once per final flush,
+        # not once per spillover flush (the switch's bucket holds kids, so
+        # its final flush interns nothing either).
         calls = []
         intern_keys = interning.intern_keys
         monkeypatch.setattr(

@@ -1,14 +1,14 @@
-"""Twin-switch equivalence: the vectorized register kernel vs the per-pair oracle.
+"""Twin-switch equivalence: the vectorized register kernel vs the per-pair walk.
 
 The ``vector-register-kernel`` fast path (``DaietAggregationEngine.
 _vector_apply``) applies a whole burst of DATA packets with numpy array
-operations — gather, first-occurrence resolve, scatter-add — while the
-original per-pair loop (``_process_data``) remains the bit-exactness oracle.
-These tests drive two identically configured engines, one through the
-kernel and one through the per-pair path, and require *bit-identical*
-observable state: register cells (the key register holds kids), spillover
-bucket order, index-stack order, per-tree counters and the exact emission
-sequence.
+operations — gather, first-occurrence resolve, the tree function's
+``ufunc.at`` — while the per-pair walk (``_process_data``) remains the
+bit-exactness oracle. Both walk one register file in kid space. These tests
+drive two identically configured engines, one through the kernel and one
+through the per-pair walk, for every registered function, and require
+*bit-identical* observable state: key and value registers, spillover bucket
+order, index-stack order, per-tree counters and the exact emission sequence.
 
 The kernel's input arrays come from a packet window's burst plan
 (``PacketWindow.burst_plan()`` / ``BurstPlan.kernel_input``), the one
@@ -28,6 +28,7 @@ from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError, ResourceExhaustedError
+from repro.core.functions import aggregate_pairs, get as get_function
 from repro.core.packet import (
     DaietPacket,
     _ColumnPairs,
@@ -43,11 +44,15 @@ from repro.netsim.topology import leaf_spine
 np = pytest.importorskip("numpy")
 
 
-def make_engine(config: DaietConfig) -> DaietAggregationEngine:
+#: Every registered aggregation function: each one takes the kernel.
+FUNCTIONS = ["sum", "count", "min", "max", "or", "and"]
+
+
+def make_engine(config: DaietConfig, function: str = "sum") -> DaietAggregationEngine:
     engine = DaietAggregationEngine("tor")
     engine.configure_tree(
         tree_id=7,
-        function="sum",
+        function=function,
         num_children=1,
         egress_port=0,
         next_hop_dst="h1",
@@ -105,11 +110,15 @@ def feed_slow(engine: DaietAggregationEngine, bursts) -> list:
     return emitted
 
 
+def kid(key: str) -> int:
+    """The kid a switch holds for ``key`` (interned on first sight)."""
+    return interning.intern_key(key)
+
+
 def assert_twins_identical(fast: DaietAggregationEngine, slow: DaietAggregationEngine):
     fast_state, slow_state = fast.tree(7), slow.tree(7)
-    fast_state.materialize()  # fold pending deltas so cells are comparable
     assert fast_state.key_register.tolist() == slow_state.key_register.tolist()
-    assert fast_state.value_register._cells == slow_state.value_register._cells
+    assert fast_state.value_register.tolist() == slow_state.value_register.tolist()
     assert fast_state.spillover._pairs == slow_state.spillover._pairs
     assert fast_state.index_stack._items == slow_state.index_stack._items
     assert fast_state.counters == slow_state.counters
@@ -127,9 +136,14 @@ def end_packet_for(config: DaietConfig) -> DaietPacket:
 
 class TestVectorKernelEquivalence:
     def run_twins(
-        self, pair_bursts, config: DaietConfig, finish: bool = True, split: bool = False
+        self,
+        pair_bursts,
+        config: DaietConfig,
+        finish: bool = True,
+        split: bool = False,
+        function: str = "sum",
     ):
-        fast, slow = make_engine(config), make_engine(config)
+        fast, slow = make_engine(config, function), make_engine(config, function)
         bursts = [data_packets(pairs, config) for pairs in pair_bursts]
         fast_out = feed_fast(fast, bursts, split)
         slow_out = feed_slow(slow, bursts)
@@ -138,14 +152,20 @@ class TestVectorKernelEquivalence:
         if finish:
             # The final flush drains the index stack in insertion order, so
             # identical END emissions also pin the stack order bit-for-bit.
-            assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
-                end_packet_for(config)
-            )
+            end_out = fast.handle_packet(end_packet_for(config))
+            assert end_out == slow.handle_packet(end_packet_for(config))
             assert_twins_identical(fast, slow)
+            # Both walkers apply the function's ufunc, so what the round
+            # flushed is also checked against the plain fold of its pairs.
+            fold = get_function(function)
+            assert aggregate_pairs(flushed_pairs(fast_out + end_out), fold) == aggregate_pairs(
+                [pair for pairs in pair_bursts for pair in pairs], fold
+            )
         return fast, slow
 
+    @pytest.mark.parametrize("function", FUNCTIONS)
     @pytest.mark.parametrize("split", [False, True])
-    def test_random_bursts(self, split):
+    def test_random_bursts(self, split, function):
         rng = random.Random(2017)
         config = DaietConfig(register_slots=64, pairs_per_packet=8)
         bursts = [
@@ -155,9 +175,10 @@ class TestVectorKernelEquivalence:
             ]
             for _ in range(12)
         ]
-        self.run_twins(bursts, config, split=split)
+        self.run_twins(bursts, config, split=split, function=function)
 
-    def test_collision_heavy_keys(self):
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_collision_heavy_keys(self, function):
         # 4 slots against a 50-word vocabulary: nearly everything collides,
         # exercising the Phase C spillover stream and its merge handling.
         rng = random.Random(7)
@@ -166,24 +187,26 @@ class TestVectorKernelEquivalence:
             [(f"key{rng.randrange(50)}", rng.randrange(1, 10)) for _ in range(30)]
             for _ in range(8)
         ]
-        fast, _slow = self.run_twins(bursts, config)
+        fast, _slow = self.run_twins(bursts, config, function=function)
         assert fast.tree(7).counters.spillover_flushes > 0
 
-    def test_spillover_overflow_emission_order(self):
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_spillover_overflow_emission_order(self, function):
         # Force many in-burst flushes and check the emitted flush packets
         # come out identically (content *and* position in the stream).
         config = DaietConfig(register_slots=2, pairs_per_packet=2)
-        bursts = [[(f"k{i % 17}", 1) for i in range(64)]]
-        fast, _slow = self.run_twins(bursts, config)
+        bursts = [[(f"k{i % 17}", i % 5 - 2) for i in range(64)]]
+        fast, _slow = self.run_twins(bursts, config, function=function)
         assert fast.tree(7).counters.collisions > 0
 
-    def test_mixed_vector_and_per_pair_traffic(self):
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_mixed_vector_and_per_pair_traffic(self, function):
         # A packet of its own (built by the constructor, handed to
-        # handle_packet: the per-pair loop) interleaves with kernel bursts on
-        # the SAME tree: the per-pair path must coexist with the kernel's
-        # pending deltas without losing exactness.
+        # handle_packet: the per-pair walk) interleaves with kernel bursts on
+        # the SAME tree: both walkers share one register file without losing
+        # exactness.
         config = DaietConfig(register_slots=16, pairs_per_packet=4)
-        fast, slow = make_engine(config), make_engine(config)
+        fast, slow = make_engine(config, function), make_engine(config, function)
         eligible_a = data_packets([(f"m{i % 9}", i) for i in range(24)], config)
         oddball = DaietPacket(
             tree_id=7,
@@ -204,11 +227,12 @@ class TestVectorKernelEquivalence:
         assert fast_out == slow_out
         assert_twins_identical(fast, slow)
 
-    def test_round_rearm_then_next_round(self):
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_round_rearm_then_next_round(self, function):
         # END flushes and rearms; a second round must start from a clean
         # kid -> slot memo (stale memos would resurrect freed cells).
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
-        fast, slow = make_engine(config), make_engine(config)
+        fast, slow = make_engine(config, function), make_engine(config, function)
         round1 = [data_packets([(f"r{i % 12}", i + 1) for i in range(32)], config)]
         assert feed_fast(fast, round1) == feed_slow(slow, round1)
         assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
@@ -220,9 +244,9 @@ class TestVectorKernelEquivalence:
 
     def test_a_sum_leaving_the_value_field_refuses_the_round(self):
         # A value past the 4-byte field never reaches the kernel: it is
-        # refused at send, so the int64 deltas need no guard. In-range values
-        # whose sum outgrows the field are held exactly by the kernel's
-        # int64 deltas and the per-pair loop's cells alike, and the final
+        # refused at send, so the int64 register needs no guard. In-range
+        # values whose sum outgrows the field are held exactly by the int64
+        # value register, whichever walker applied them, and the final
         # flush refuses the round on both (the register-overflow rule).
         config = DaietConfig(register_slots=8, pairs_per_packet=2)
         for huge in (2**62 - 1, 2**31):
@@ -235,7 +259,7 @@ class TestVectorKernelEquivalence:
         for _ in range(2):
             assert feed_fast(fast, [top]) == feed_slow(slow, [top])
         assert_twins_identical(fast, slow)
-        assert fast.tree(7).value_register._cells[hash_key("a", 8)] == 2 * (2**31 - 1) + 5
+        assert fast.tree(7).value_register[hash_key("a", 8)] == 2 * (2**31 - 1) + 5
         errors = []
         for engine in (fast, slow):
             with pytest.raises(PacketFormatError) as refused:
@@ -264,7 +288,7 @@ def held_keys(engine: DaietAggregationEngine) -> dict[int, str]:
 
 
 class TestPhaseA:
-    """The kernel's slot claims, as array operations, against the per-pair loop.
+    """The kernel's slot claims, as array operations, against the per-pair walk.
 
     Each case ends with the twins agreeing on the kid register, the value
     cells, the index-stack order, the spillover order, the counters and
@@ -288,9 +312,31 @@ class TestPhaseA:
         assert_twins_identical(fast, slow)
         assert held_keys(fast) == {slot: b, other_slot: c}
         assert fast.tree(7).index_stack._items == [slot, other_slot]
-        assert fast.tree(7).spillover._pairs == [(a, 7)]
+        assert fast.tree(7).spillover._pairs == [(kid(a), 7)]
         counters = fast.tree(7).counters
         assert (counters.pairs_inserted, counters.collisions) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "function, values",
+        [
+            ("min", [3, 8, 5, 3]),
+            ("max", [9, -4, 9, 0]),
+            ("and", [0b0110, 0b1111, 0b0111, 0b0110]),
+        ],
+    )
+    def test_a_claim_without_identity_keeps_its_first_value(self, function, values):
+        # MIN, MAX and AND have no identity: a claimed cell starts at the
+        # kid's first value, and the ufunc applies that value again with the
+        # rest, which changes nothing. Here the first value is the answer.
+        config = DaietConfig(register_slots=self.SLOTS, pairs_per_packet=4)
+        fast, slow = make_engine(config, function), make_engine(config, function)
+        slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pf")
+        burst = [data_packets([(a, value) for value in values] + [(b, 1)], config)]
+        assert feed_fast(fast, burst) == feed_slow(slow, burst)
+        assert_twins_identical(fast, slow)
+        assert fast.tree(7).value_register[slot] == values[0]
+        assert fast.tree(7).spillover._pairs == [(kid(b), 1)]
+        assert fast.tree(7).counters.pairs_inserted == 1
 
     def test_two_new_kids_contend_across_two_packets_of_one_burst(self):
         slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pb")
@@ -304,11 +350,11 @@ class TestPhaseA:
             assert feed_fast(fast, burst, split) == feed_slow(slow, burst)
             assert_twins_identical(fast, slow)
             assert held_keys(fast)[slot] == b
-            assert fast.tree(7).value_register._cells[slot] == 6
-            assert fast.tree(7).spillover._pairs == [(a, 3)]
+            assert fast.tree(7).value_register[slot] == 6
+            assert fast.tree(7).spillover._pairs == [(kid(a), 3)]
 
     def test_a_slot_the_per_pair_loop_claimed(self):
-        # The per-pair loop claims a's slot; the kernel then finds a resident
+        # The per-pair walk claims a's slot; the kernel then finds a resident
         # (it aggregates) and b, which wants the same slot, colliding.
         config, fast, slow = self.twins(per=4)
         slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pp")
@@ -319,9 +365,9 @@ class TestPhaseA:
         assert feed_fast(fast, burst) == feed_slow(slow, burst)
         assert_twins_identical(fast, slow)
         assert held_keys(fast) == {slot: a}
-        assert fast.tree(7).value_register._cells[slot] == 16
-        assert fast.tree(7).spillover._pairs == [(b, 4)]
-        # And back: the per-pair loop sees the kernel's verdicts in the cells.
+        assert fast.tree(7).value_register[slot] == 16
+        assert fast.tree(7).spillover._pairs == [(kid(b), 4)]
+        # And back: the per-pair walk sees the kernel's verdicts in the memo.
         after = DaietPacket(tree_id=7, src="h0", dst="h1", pairs=((a, 1), (b, 1)), config=config)
         assert fast.handle_packet(after) == slow.handle_packet(after)
         assert_twins_identical(fast, slow)
@@ -347,7 +393,7 @@ class TestPhaseA:
         assert feed_fast(fast, round2) == feed_slow(slow, round2)
         assert_twins_identical(fast, slow)
         assert held_keys(fast) == {slot: b}
-        assert fast.tree(7).spillover._pairs == [(a, 6)]
+        assert fast.tree(7).spillover._pairs == [(kid(a), 6)]
         assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
             end_packet_for(config)
         )
@@ -362,7 +408,7 @@ class TestPhaseA:
             kernel_apply(fast, burst)
         assert state.index_stack._items == []
         assert set(state.key_register.tolist()) == {-1}
-        assert set(state._vec_kid_slot.tolist()) == {-3}  # no verdict was kept
+        assert set(state._kid_slot.tolist()) == {-3}  # no verdict was kept
 
 
 class TestPhaseAIsArrayWork:
@@ -435,9 +481,10 @@ def resident_keys(slots: int) -> list[str]:
 _fresh_names = itertools.count()
 
 #: What a seeded bucket may hold besides keys the kernel's windows interned.
-#: A key that reached the switch in a packet of its own was interned by the
-#: per-pair loop; values at the field's edges are held exactly; a sum that
-#: leaves the field refuses the round on both twins, with the same error.
+#: A key that reached the switch in a packet of its own was interned when
+#: the per-pair walk read the packet's columns; values at the field's edges
+#: are held exactly; a sum that leaves the field refuses the round on both
+#: twins, with the same error.
 BUCKET_SEEDS = {
     "plain ints": None,
     "a key only the per-pair loop saw": lambda: (f"unseen{next(_fresh_names)}", 1),
@@ -447,7 +494,7 @@ BUCKET_SEEDS = {
 }
 
 #: What the bucket cannot be seeded with: the constructor refuses the packet
-#: that would carry it, so Phase C needs no replay over keys for them.
+#: that would carry it, so no bucket holds one.
 UNCARRIED_VALUES = [True, 2.5, 2**62, -(2**62) - 7]
 
 
@@ -457,11 +504,12 @@ def strict(pairs) -> list:
 
 
 class TestSpillStream:
-    """The kernel's Phase C in kid space against the per-pair replay."""
+    """The kernel's Phase C against the per-pair walk's stores."""
 
     @pytest.mark.parametrize("seeded_with", list(BUCKET_SEEDS))
     @settings(max_examples=25, deadline=None)
     @given(
+        function=st.sampled_from(FUNCTIONS),
         per=st.integers(2, 5),
         slots=st.integers(1, 4),
         reliable=st.booleans(),
@@ -471,20 +519,21 @@ class TestSpillStream:
         ),
     )
     def test_kid_space_phase_c_is_the_per_pair_replay(
-        self, seeded_with, per, slots, reliable, seed, stream
+        self, seeded_with, function, per, slots, reliable, seed, stream
     ):
-        # Residents claim every slot through the per-pair loop, whose stores
+        # Residents claim every slot through the per-pair walk, whose stores
         # then seed the bucket (less than a packet's worth, so it holds them
         # when the kernel starts); every pair of the kernel's burst collides.
         interning.intern_keys([f"spill{k}" for k in range(12)])
         config = DaietConfig(register_slots=slots, pairs_per_packet=per, reliability=reliable)
-        fast, slow = make_engine(config), make_engine(config)
+        fast, slow = make_engine(config, function), make_engine(config, function)
         trigger = BUCKET_SEEDS[seeded_with]
         held = dict([trigger()] if trigger is not None else [])
         for k, value in seed:
             held.setdefault(f"spill{k}", value)
         held = list(held.items())[: per - 1]
-        if seeded_with == "a flushed sum leaving the field":
+        overflows = seeded_with == "a flushed sum leaving the field" and function in {"sum", "count"}
+        if overflows:
             # spill0 merges and its entry flushes within the call.
             stream = [(0, 1), *((k, 1) for k in range(1, per + 1)), *stream]
         # Phase C has one path: every collision of the call goes through
@@ -505,7 +554,9 @@ class TestSpillStream:
                 engine.handle_packet(
                     DaietPacket(tree_id=7, src="h0", dst="h1", pairs=tuple(held), config=config)
                 )
-        assert strict(fast.tree(7).spillover.peek()) == strict(held)
+        assert strict(fast.tree(7).spillover.peek()) == strict(
+            [(kid(key), value) for key, value in held]
+        )
         window = data_packets([(f"spill{k}", v) for k, v in stream], config)
 
         def slow_apply():
@@ -521,7 +572,7 @@ class TestSpillStream:
         # A flushed sum the value field cannot hold refuses the round on both
         # twins, at the same flush, with the same error.
         assert fast_error == slow_error
-        if seeded_with == "a flushed sum leaving the field":
+        if overflows:
             assert fast_error == f"value {2**31} does not fit in 4 bytes"
         if fast_error is not None:
             return
@@ -651,17 +702,14 @@ def register_walk(engine: DaietAggregationEngine) -> list:
     """The pairs the final flush's walk emits, read without touching the state.
 
     Spillover first, then each occupied slot from the last one claimed down,
-    valued at its cell plus its pending kernel delta (a SUM tree's).
+    valued at its value register cell.
     """
     state = engine.tree(7)
-    kids, cells, delta = state.key_register, state.value_register._cells, state._vec_delta
-    return list(state.spillover.peek()) + [
-        (
-            interning.keys_of([kids[slot]])[0],
-            cells[slot] + (0 if delta is None else int(delta[slot])),
-        )
-        for slot in reversed(state.index_stack.peek_all())
-    ]
+    slots = list(reversed(state.index_stack.peek_all()))
+    spilled = state.spillover.peek()
+    kids = [kid for kid, _value in spilled] + state.key_register[slots].tolist()
+    values = [value for _kid, value in spilled] + state.value_register[slots].tolist()
+    return list(zip(interning.keys_of(kids), values))
 
 
 def flushed_pairs(emissions) -> list:
@@ -696,7 +744,7 @@ class TestColumnFlush:
     def test_column_flush_emits_what_the_walk_emits(self, slots, per, bursts):
         # Kernel bursts and per-pair packets claim slots in any mix; the
         # flush emits the walk's pairs in the walk's order, and leaves the
-        # registers as the walk leaves them.
+        # registers free.
         config = DaietConfig(register_slots=slots, pairs_per_packet=per)
         engine = make_engine(config)
         for through_kernel, pairs in bursts:
@@ -712,14 +760,14 @@ class TestColumnFlush:
         if type(window) is PacketWindow:  # not the lone END of empty registers
             assert type(window.pairs) is _ColumnPairs  # cut from columns, not pairs
         assert flushed_pairs(out) == walk
-        assert len(state.index_stack.peek_all()) == 0 and not state._vec_pending
+        assert len(state.index_stack.peek_all()) == 0
         assert set(state.key_register.tolist()) == {-1}
-        assert set(state.value_register._cells) == {None}
+        assert set(state.value_register.tolist()) == {0}
 
     def test_a_key_only_the_per_pair_loop_saw_flushes_from_columns(self):
-        # A packet the constructor built (no window interned its keys): the
-        # per-pair loop interns the key as it claims the slot, so the final
-        # flush reads its kid from the key register like any other.
+        # A packet the constructor built (no window interned its keys): its
+        # columns intern the key when the per-pair walk reads them, so the
+        # final flush reads its kid from the key register like any other.
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
         engine = make_engine(config)
         fresh = f"col-only{next(_fresh_names)}"
@@ -740,8 +788,7 @@ class TestColumnFlush:
     def test_every_tree_drains_from_columns(self, function):
         # The constructor refuses a float, and every function's cells hold
         # ints within int64 (MIN, MAX, OR and AND of 4-byte ints stay 4-byte
-        # ints), so the trees the kernel never runs drain from the key
-        # register and their value cells too.
+        # ints), so every tree drains from its key and value registers.
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
         with pytest.raises(PacketFormatError, match="value 2.5 is a float"):
             DaietPacket(tree_id=7, src="h0", dst="h1", pairs=(("colf", 2.5),), config=config)
@@ -762,4 +809,4 @@ class TestColumnFlush:
         assert flushed_pairs(out) == walk
         state = engine.tree(7)
         assert set(state.key_register.tolist()) == {-1}
-        assert set(state.value_register._cells) == {None}
+        assert set(state.value_register.tolist()) == {0}

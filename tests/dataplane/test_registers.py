@@ -5,31 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.errors import AggregationError, ResourceExhaustedError
-from repro.dataplane.registers import IndexStack, RegisterArray, SpilloverBucket
-
-
-class TestRegisterArray:
-    def test_starts_empty(self):
-        array = RegisterArray(8)
-        assert len(array) == 8
-        assert all(array.is_empty(i) for i in range(8))
-
-    def test_a_written_cell_is_occupied(self):
-        array = RegisterArray(4)
-        array._cells[2] = "value"
-        assert [i for i in range(4) if not array.is_empty(i)] == [2]
-
-    def test_out_of_range_read_raises(self):
-        array = RegisterArray(4)
-        with pytest.raises(AggregationError):
-            array.is_empty(4)
-        with pytest.raises(AggregationError):
-            array.is_empty(-1)
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ResourceExhaustedError):
-            RegisterArray(0)
+from repro.core.errors import ResourceExhaustedError
+from repro.dataplane.registers import IndexStack, SpilloverBucket
 
 
 class TestIndexStack:

@@ -34,6 +34,7 @@ from repro.core.aggregation import DaietAggregationEngine, WindowBatch
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError, ResourceExhaustedError
+from repro.core.functions import aggregate_pairs, get as get_function
 from repro.core.packet import DaietAck, DaietPacket, PacketWindow, steer_ops
 from repro.dataplane import switch as switch_module
 from repro.dataplane.resources import SwitchResources
@@ -41,8 +42,6 @@ from repro.netsim.devices import SwitchDevice
 from repro.netsim.faults import SWITCH_RESTART, FaultEvent, FaultPlan, install_faults
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
-
-np = pytest.importorskip("numpy")
 
 
 @contextmanager
@@ -68,6 +67,7 @@ def wordcount_system(
     seed: int = 2017,
     fabric: str = "rack",
     config: DaietConfig | None = None,
+    function: str = "sum",
 ):
     if config is None:
         config = DaietConfig(
@@ -84,18 +84,17 @@ def wordcount_system(
     system = DaietSystem(topology, config=config)
     mappers = [f"h{i}" for i in range(num_mappers)]
     reducer = f"h{num_mappers}"
-    system.install_job(mappers=mappers, reducers=[reducer])
+    system.install_job(mappers=mappers, reducers=[reducer], function=function)
     rng = random.Random(seed)
-    truth: dict[str, int] = {}
+    sent = []
     for mapper in mappers:
         pairs = [
             (f"word{rng.randrange(vocabulary)}", rng.randrange(-50, 50))
             for _ in range(pairs_per_mapper)
         ]
-        for key, value in pairs:
-            truth[key] = truth.get(key, 0) + value
+        sent += pairs
         system.send_pairs(mapper, reducer, pairs)
-    return system, reducer, truth
+    return system, reducer, aggregate_pairs(sent, get_function(function))
 
 
 @pytest.fixture()
@@ -134,6 +133,37 @@ class TestBatchDeliveryEquivalence:
         assert fast_obs["result"] == truth
         if fabric == "leaf_spine":
             assert len(fast_obs["counters"]) > 1  # the tree really has two levels
+
+    @pytest.mark.parametrize("function", ["count", "min"])
+    def test_every_function_takes_the_kernel(self, function, observables, monkeypatch):
+        # A COUNT job and a MIN job take burst delivery and the register
+        # kernel like a SUM job (the parent of this test sent every pair of
+        # theirs through the per-pair walk), and leave what their twin with
+        # burst delivery stood down leaves.
+        calls = []
+        vector_apply = DaietAggregationEngine._vector_apply
+
+        def counted(engine, *args):
+            calls.append(engine.switch_name)
+            return vector_apply(engine, *args)
+
+        monkeypatch.setattr(DaietAggregationEngine, "_vector_apply", counted)
+        config = DaietConfig(register_slots=32, pairs_per_packet=10)
+        runs = []
+        for fast in (True, False):
+            calls.clear()
+            with burst_delivery(fast):
+                system, reducer, truth = wordcount_system(
+                    fabric="leaf_spine", config=config, function=function
+                )
+                runs.append(observables(system, reducer, system.run()))
+                runs[-1]["kernel_calls"] = len(calls)
+        fast_obs, slow_obs = runs
+        assert fast_obs.pop("kernel_calls") > 0
+        assert slow_obs.pop("kernel_calls") == 0
+        assert fast_obs == slow_obs
+        assert fast_obs["result"] == truth
+        assert sum(c.collisions for c in fast_obs["counters"].values()) > 0
 
     def test_a_window_at_the_op_budget_is_batched_and_one_over_raises(
         self, monkeypatch, observables
@@ -393,19 +423,15 @@ def _twins(sequenced_observables, until: float | None = None, **kwargs) -> list[
 
 
 def register_contents(system: DaietSystem) -> dict:
-    """Every tree's key and value cells, pending kernel deltas folded in.
-
-    Reads without materializing, so the run it inspects goes on unchanged.
-    """
+    """Every tree's key and value registers."""
     contents = {}
     for name, engine in system.controller.engines.items():
         for tree_id in sorted(engine.counters()):
             state = engine.tree(tree_id)
-            values = list(state.value_register._cells)
-            if state._vec_pending:
-                for slot in np.flatnonzero(state._vec_delta).tolist():
-                    values[slot] += int(state._vec_delta[slot])
-            contents[name, tree_id] = (state.key_register.tolist(), values)
+            contents[name, tree_id] = (
+                state.key_register.tolist(),
+                state.value_register.tolist(),
+            )
     return contents
 
 
@@ -677,8 +703,8 @@ class TestCeMarkedRetransmissions:
         emit = DaietAggregationEngine._emit_pairs
         flushed = []
 
-        def spy_emit(engine, state, pairs, include_end, columns=None):
-            emitted = emit(engine, state, pairs, include_end, columns)
+        def spy_emit(engine, state, include_end, kids, vals):
+            emitted = emit(engine, state, include_end, kids, vals)
             flushed.extend(out for _port, out in emitted)
             return emitted
 
