@@ -185,9 +185,9 @@ class ErrorBoundTracker:
         if state is None:
             return []
         slots = list(state.index_stack.peek_all())
-        spilled = state.spillover.peek()
-        kids = state.key_register[slots].tolist() + [kid for kid, _value in spilled]
-        values = state.value_register[slots].tolist() + [value for _kid, value in spilled]
+        spilled = state.spillover
+        kids = state.key_register[slots].tolist() + list(spilled)
+        values = state.value_register[slots].tolist() + list(spilled.values())
         return list(zip(keys_of(kids), values))
 
     def on_wipe(self, device: Any) -> None:

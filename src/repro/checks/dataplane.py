@@ -12,7 +12,7 @@ loss or resource corruption long before any assertion fires:
 * tables must have no duplicate canonical keys;
 * the parser byte budget must cover the largest DAIET packet the
   configured job can produce (``parse_depth_bytes``);
-* register-file and spillover capacities must agree with the
+* register-file capacities must agree with the
   :mod:`repro.dataplane.resources` ledger and the job config.
 
 The checker is read-only; it never mutates the simulator.
@@ -250,17 +250,6 @@ def _check_tree_resources(
                 line=0,
                 message=f"tree {tree_id} index stack capacity "
                 f"{state.index_stack.capacity} != register slots {slots}",
-            )
-        )
-    if state.spillover.capacity != config.pairs_per_packet:
-        findings.append(
-            Finding(
-                rule="spillover-capacity-mismatch",
-                path=path,
-                line=0,
-                message=f"tree {tree_id} spillover capacity "
-                f"{state.spillover.capacity} != pairs_per_packet "
-                f"{config.pairs_per_packet}: a flush must be one whole packet",
             )
         )
 

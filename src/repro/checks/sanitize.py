@@ -318,6 +318,13 @@ class SimulatorSanitizer:
                 f"{where}: index stack records slots {sorted(orphaned)} whose "
                 "key cells are empty; the final flush would read empty slots"
             )
+        held = len(state.spillover)
+        if held >= state.config.pairs_per_packet:
+            raise SanitizerError(
+                f"{where}: spillover bucket holds {held} pairs, a packet's worth "
+                f"({state.config.pairs_per_packet}) or more: a full bucket must "
+                "already have flushed"
+            )
         stray = np.flatnonzero((state.key_register < 0) & (state.value_register != 0))
         if len(stray):
             raise SanitizerError(
@@ -337,11 +344,10 @@ class SimulatorSanitizer:
                     f"{where}: slots {sorted(occupied)} did not rearm to "
                     "empty after the round's final flush"
                 )
-            if len(state.spillover):
+            if held:
                 raise SanitizerError(
-                    f"{where}: spillover bucket still holds "
-                    f"{len(state.spillover)} pairs after the round's final "
-                    "flush"
+                    f"{where}: spillover bucket still holds {held} pairs after "
+                    "the round's final flush"
                 )
 
     def check(self) -> None:

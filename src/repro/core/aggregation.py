@@ -4,9 +4,10 @@ For each aggregation tree a switch keeps one register file in kid space
 (interned key ids, see ``dataplane/interning.py``): a key register and a
 value register, two int64 arrays managed as a hash table with single-element
 buckets, an index stack of used slots, and a spillover bucket of colliding
-``(kid, value)`` pairs. Two walkers update it: the per-pair walk takes one
-DATA packet at a time, the register kernel a burst of them, and both leave
-the same state. An END packet decrements the remaining-children counter and,
+pairs (kid -> value, in insertion order). One walker updates it: the
+register kernel (:meth:`DaietAggregationEngine._vector_apply`) applies every
+DATA packet's pairs, a lone packet's as a call of one and a queued burst's
+in one call. An END packet decrements the remaining-children counter and,
 when it reaches zero, the aggregated state is flushed towards the next node
 of the tree, as one :class:`~repro.core.packet.PacketWindow`.
 
@@ -53,7 +54,7 @@ from repro.core.packet import (
 )
 from repro.dataplane import interning as _interning
 from repro.dataplane.actions import Extern
-from repro.dataplane.registers import IndexStack, SpilloverBucket
+from repro.dataplane.registers import IndexStack
 
 #: Kid -> slot memo sentinel: key id not yet judged in the current round.
 _KID_UNKNOWN = -3
@@ -78,12 +79,6 @@ _UFUNCS = {
     BITWISE_OR: _np.bitwise_or,
     BITWISE_AND: _np.bitwise_and,
 }
-
-
-def _columns(pairs: list[tuple[int, int]]) -> tuple[Any, Any]:
-    """``(kid, value)`` pairs as their int64 kid and value columns."""
-    table = _np.array(pairs, dtype=_np.int64).reshape(-1, 2)
-    return table[:, 0], table[:, 1]
 
 
 def hash_key(key: str | bytes, slots: int) -> int:
@@ -155,8 +150,10 @@ class TreeState:
     #: Each slot's aggregated value, as int64; 0 when the slot is free.
     value_register: Any = field(init=False)
     index_stack: IndexStack = field(init=False)
-    #: Colliding pairs as ``(kid, value)``, one packet's worth at most.
-    spillover: SpilloverBucket = field(init=False)
+    #: Colliding pairs, kid -> value in first-insertion order: the paper's
+    #: spillover bucket. It flushes as one packet the moment it holds a
+    #: packet's worth (``pairs_per_packet``), so it never holds that many.
+    spillover: dict[int, int] = field(init=False, default_factory=dict)
     remaining_children: int = field(init=False)
     counters: TreeCounters = field(default_factory=TreeCounters)
     #: Children whose END was accepted in the current round (idempotence).
@@ -179,7 +176,7 @@ class TreeState:
     _reliable_emit: bool = field(default=False, repr=False)
     #: The tree function's ufunc (``_UFUNCS``).
     _ufunc: Any = field(init=False, repr=False)
-    #: Both walkers' memo for the current round: kid -> the register slot
+    #: The kernel's memo for the current round: kid -> the register slot
     #: that holds it, ``_KID_COLLIDING`` when another key holds its slot, or
     #: ``_KID_UNKNOWN``. A verdict cannot change within a round (cells are
     #: only freed by :meth:`rearm`, which resets the memo), so a repeated
@@ -202,7 +199,6 @@ class TreeState:
         self.key_register = _np.full(slots, _EMPTY, dtype=_np.int64)
         self.value_register = _np.zeros(slots, dtype=_np.int64)
         self.index_stack = IndexStack(capacity=slots)
-        self.spillover = SpilloverBucket(capacity=self.config.pairs_per_packet)
         self.remaining_children = self.num_children
         stride = self.config.sampled_ack_stride if self.policy == "sampled" else 1
         self._ack_every = self.config.ack_window * stride
@@ -239,7 +235,7 @@ class TreeState:
         held = list(self.index_stack.drain())
         self.key_register[held] = _EMPTY
         self.value_register[held] = 0
-        self.spillover.flush()
+        self.spillover.clear()
         self.remaining_children = self.num_children
         self._ended_sources.clear()
         # Cells were just released, so every kid -> slot verdict is stale.
@@ -427,7 +423,11 @@ class DaietAggregationEngine(Extern):
                 state.counters.duplicate_packets += 1
                 return self._ack_child(state, packet.src, window)
         pairs = packet.vector_pairs()
-        emitted = [] if pairs is None else self._walk_pairs(state, *pairs)
+        emitted = (
+            []
+            if pairs is None
+            else [(port, out) for _i, port, out in self._vector_apply(state, *pairs, 1, None)]
+        )
         if packet.seq is not None:
             src = packet.src
             # A CE-marked fresh packet is acknowledged immediately: the
@@ -446,65 +446,6 @@ class DaietAggregationEngine(Extern):
                 emitted.extend(self._accept_end(state, src))
         return emitted
 
-    def _walk_pairs(self, state: TreeState, kids: Any, vals: Any) -> list[tuple[int, Any]]:
-        """Algorithm 1 over one packet's pairs, in order: the per-pair walk.
-
-        ``kids``/``vals`` are the packet's columns (``vector_pairs()``). A
-        pair whose kid the memo places aggregates into its slot. A kid's
-        first pair in the round hashes it and claims its empty slot, finds
-        it resident, or collides; a claimed cell starts as the kernel's do
-        (``_UFUNCS``). A colliding pair goes into the spillover bucket,
-        which flushes when it holds a packet's worth. The resident values,
-        claimants' included, then land in one ufunc call: claims never
-        read a value and collisions never touch one, so the order of the
-        verdicts is all the walk must keep.
-        """
-        memo = state.memo()
-        counters = state.counters
-        placed = memo[kids]
-        verdicts = placed.tolist()
-        inserted = spilled = 0
-        emitted: list[tuple[int, Any]] = []
-        if min(verdicts) < 0:  # a kid to judge, or a collision: pair by pair
-            key_register = state.key_register
-            slots = state.config.register_slots
-            identity = state.function.identity
-            combine = state.function.combine
-            spillover = state.spillover
-            for kid, value, idx in zip(kids.tolist(), vals.tolist(), verdicts):
-                if idx == _KID_UNKNOWN:
-                    # An earlier pair of this packet may have judged the kid.
-                    idx = memo.item(kid)
-                    if idx == _KID_UNKNOWN:
-                        idx = _interning.crc_of(kid) % slots
-                        held = key_register.item(idx)
-                        if held == _EMPTY:
-                            state.index_stack.push(idx)
-                            key_register[idx] = kid
-                            state.value_register[idx] = value if identity is None else identity
-                            memo[kid] = idx
-                            inserted += 1
-                            continue
-                        if held != kid:
-                            idx = _KID_COLLIDING
-                        memo[kid] = idx
-                if idx < 0:
-                    spilled += 1
-                    if spillover.store(kid, value, combine):
-                        if spillover.is_full:
-                            emitted.extend(self._flush_spillover(state))
-                    else:
-                        counters.spillover_merges += 1
-            counters.collisions += spilled
-            placed = memo[kids]
-            resident = placed >= 0
-            placed, vals = placed[resident], vals[resident]
-        state._ufunc.at(state.value_register, placed, vals)
-        counters.pairs_received += len(verdicts)
-        counters.pairs_inserted += inserted
-        counters.pairs_aggregated += len(verdicts) - inserted - spilled
-        return emitted
-
     @fastpath(
         "vector-register-kernel",
         oracle="tests/core/test_vector_kernel_equivalence.py",
@@ -517,73 +458,61 @@ class DaietAggregationEngine(Extern):
         n: int,
         bounds: Any,
     ) -> list[tuple[int, int, Any]]:
-        """Apply the pairs of a burst of DATA packets as one vectorized op.
+        """Algorithm 1 over the pairs of ``n`` DATA packets, as array work.
 
-        ``kids``/``vals`` are the burst's interned key ids and values as
-        int64 arrays in packet order, ``n`` the number of packets, ``bounds``
-        their cumulative pair counts (so emissions can be tagged with the
-        packet index they followed). A window's burst plan assembles
-        these at send time (``BurstPlan.kernel_input``); the caller
-        (:meth:`WindowBatch.take`) guarantees every packet is a DATA packet
-        of this tree that :meth:`_fresh_run` admitted, and advances
-        the streams with :meth:`_accept_run` once this returns.
+        ``kids``/``vals`` are the packets' interned key ids and values as
+        int64 arrays in packet order, ``bounds`` their cumulative pair
+        counts (so emissions can be tagged with the packet index they
+        followed; unread when ``n`` is 1). A lone packet's columns
+        (``vector_pairs()``) come from :meth:`_process_data`; a burst's are
+        assembled at send time (``BurstPlan.kernel_input``) and come from
+        :meth:`WindowBatch.take`, which takes only DATA packets of this tree
+        that :meth:`_fresh_run` admitted and advances their streams with
+        :meth:`_accept_run` once this returns. Whoever receives the packets
+        counts them.
 
-        Resident keys resolve to register slots through the tree's kid ->
-        slot memo and are applied to the value register in one call of the
-        tree function's ufunc (``ufunc.at``). Kids the memo has no verdict
-        for claim slots, are found resident or collide in array operations
-        that give the per-pair walk's verdicts (:meth:`_claim_slots`), and
-        the colliding pairs replay the ``SpilloverBucket``'s store/flush
-        order (:meth:`_spill_columns`).
+        The columns resolve to register slots through the tree's kid ->
+        slot memo in one gather. When some kid has no verdict yet, those
+        kids claim slots, are found resident or collide (:meth:`_claim_slots`)
+        and the columns gather again. The resident pairs then land in one
+        call of the tree function's ufunc (``ufunc.at``), and the colliding
+        ones, in pair order, go through the spillover bucket
+        (:meth:`_spill_columns`): claims never read a value and collisions
+        never touch a cell, so the order of the verdicts is all the kernel
+        must keep. ``tests/core/register_walk_model.py`` states the same
+        rule pair by pair; it is this kernel's oracle.
 
         Returns emissions as ``(packet_index, egress_port, packet)`` so the
         caller can restore each spillover flush (an item of the call's one
         flush window) to its packet's delivery time.
         """
         memo = state.memo()
-        st = memo[kids]
+        slot = memo[kids]
         counters = state.counters
         emissions: list[tuple[int, int, Any]] = []
-        inserted = 0
-        spilled = 0
-        neg_pos = _np.flatnonzero(st < 0)
-        if len(neg_pos):
-            neg_kids = kids[neg_pos]
-            # Phase A: the kids with no verdict yet claim, find or miss
-            # their slots (colliding kids already have theirs).
-            unjudged = _np.flatnonzero(memo[neg_kids] == _KID_UNKNOWN)
-            if len(unjudged):
-                inserted = self._claim_slots(
-                    state, neg_kids[unjudged], vals[neg_pos[unjudged]]
-                )
-            # Phase B: re-gather — every formerly unknown occurrence now
-            # maps to its slot or to _KID_COLLIDING.
-            st_neg = memo[neg_kids]
-            st[neg_pos] = st_neg
-            resident = st >= 0
-            state._ufunc.at(state.value_register, st[resident], vals[resident])
-            # Phase C: the true collisions, in original pair order, through
-            # the spillover bucket. The resident values and this stream
-            # are independent: claims never read the spillover, collisions
-            # never touch the cells.
-            coll_rel = _np.flatnonzero(st_neg == _KID_COLLIDING)
-            spilled = len(coll_rel)
+        total = len(kids)
+        inserted = spilled = 0
+        # (argmin and item cost about half of min's fixed cost on a packet.)
+        lowest = slot.item(slot.argmin())
+        if lowest < 0:
+            if lowest == _KID_UNKNOWN:
+                unjudged = slot < _KID_COLLIDING  # the one sentinel below it
+                inserted = self._claim_slots(state, kids[unjudged], vals[unjudged])
+                slot = memo[kids]
+            colliding = slot < 0
+            spill_kids = kids[colliding].tolist()
+            spilled = len(spill_kids)
             if spilled:
-                coll_pos = neg_pos[coll_rel]
-                coll_kids = neg_kids[coll_rel].tolist()
-                coll_vals = vals[coll_pos].tolist()
-                if n == 1:
-                    coll_pkt = [0] * spilled
-                else:
-                    coll_pkt = _np.searchsorted(
-                        bounds, coll_pos, side="right"
-                    ).tolist()
-                emissions = self._spill_columns(state, coll_kids, coll_vals, coll_pkt)
+                at = (
+                    [0] * spilled
+                    if n == 1
+                    else _np.searchsorted(bounds, colliding.nonzero()[0], side="right").tolist()
+                )
+                emissions = self._spill_columns(state, spill_kids, vals[colliding].tolist(), at)
                 counters.collisions += spilled
-        else:
-            state._ufunc.at(state.value_register, st, vals)
-        total = int(bounds[-1])
-        counters.packets_received += n
+                resident = ~colliding
+                slot, vals = slot[resident], vals[resident]
+        state._ufunc.at(state.value_register, slot, vals)
         counters.pairs_received += total
         counters.pairs_inserted += inserted
         counters.pairs_aggregated += total - spilled - inserted
@@ -593,96 +522,79 @@ class DaietAggregationEngine(Extern):
         """Phase A of :meth:`_vector_apply`: verdicts for kids the memo lacks.
 
         ``fresh`` holds the occurrences of those kids in pair order, and
-        ``fresh_vals`` their values. Each distinct kid is judged once, in
-        first-occurrence order, as the per-pair walk judges a kid at its
-        first occurrence: its slot (crc modulo the slots) already holds it
-        (resident), is empty and it is the first of the call to want that
-        slot (it claims it), or else it collides. A verdict cannot change
-        within a round: cells are only freed by ``rearm()``, which also
-        resets the memo. The claimed slots go onto the index stack in claim
-        order, in one push; their value cells start at the function's
-        identity, or at the kid's first value when it has none (see
-        ``_UFUNCS``), and every occurrence then applies as a resident one.
-        Records every verdict in the memo and returns the number of claims.
+        ``fresh_vals`` their values. Every occurrence wants its kid's home
+        slot (crc modulo the slots). A home that holds the kid makes it
+        resident. Of the occurrences that want an empty home, the first
+        claims it for its kid: as Algorithm 1 walks the pairs in order, the
+        first pair that reaches an empty cell takes it, and a later kid that
+        wants it collides. A verdict cannot change within a round: cells are
+        only freed by ``rearm()``, which also resets the memo. The claimed
+        slots go onto the index stack in claim order, in one push; their
+        value cells start at the function's identity, or at the claimant's
+        value when it has none (see ``_UFUNCS``), and every occurrence then
+        applies as a resident one. Records every verdict in the memo and
+        returns the number of claims.
         """
-        memo = state._kid_slot
-        # First occurrences, in order: each occurrence's position goes into
-        # its kid's memo cell by a min-scatter, coded below every sentinel;
-        # an occurrence whose code stuck is its kid's first. The memo is
-        # the work space (no pool-sized array per call), restored at once.
-        n = len(fresh)
-        codes = _np.arange(-n - 4, -4, dtype=_np.int64)
-        _np.minimum.at(memo, fresh, codes)
-        firsts = memo[fresh] == codes
-        kids = fresh[firsts]
-        memo[kids] = _KID_UNKNOWN
-        slots = state.config.register_slots
-        home = _interning.crcs_of(kids) % slots
         register = state.key_register
-        held = register[home]
-        verdict = _np.where(held == kids, home, _KID_COLLIDING)
-        # The first claimant of each empty slot, by the same min-scatter.
-        wanted = _np.flatnonzero(held == _EMPTY)
-        order = _np.arange(len(wanted), dtype=_np.int64)
-        first = _np.full(slots, len(wanted), dtype=_np.int64)
-        _np.minimum.at(first, home[wanted], order)
-        winners = wanted[first[home[wanted]] == order]
-        claimed = home[winners]
-        state.index_stack.push_many(claimed.tolist())
-        register[claimed] = kids[winners]
-        identity = state.function.identity
-        start = fresh_vals[firsts][winners] if identity is None else identity
-        state.value_register[claimed] = start
-        verdict[winners] = claimed
-        memo[kids] = verdict
-        return len(winners)
+        home = _interning.crcs_of(fresh) % state.config.register_slots
+        wanted = (register[home] == _EMPTY).nonzero()[0]
+        claims = len(wanted)
+        if claims:
+            # The first occurrence that wants each empty cell, by a
+            # min-scatter of ascending codes below every kid into the cells
+            # themselves: the occurrence whose code stuck claims the cell.
+            # The cells are emptied again before the push, which refuses
+            # an overflow with nothing claimed.
+            cells = home[wanted]
+            codes = _np.arange(-claims - 2, -2, dtype=_np.int64)
+            _np.minimum.at(register, cells, codes)
+            winners = wanted[register[cells] == codes]
+            register[cells] = _EMPTY
+            claimed = home[winners]
+            state.index_stack.push_many(claimed.tolist())
+            register[claimed] = fresh[winners]
+            identity = state.function.identity
+            state.value_register[claimed] = fresh_vals[winners] if identity is None else identity
+            claims = len(winners)
+        home[register[home] != fresh] = _KID_COLLIDING  # now each occurrence's verdict
+        state._kid_slot[fresh] = home
+        return claims
 
     def _spill_columns(
         self, state: TreeState, kids: list[int], vals: list[int], at: list[int]
     ) -> list[tuple[int, int, Any]]:
-        """Phase C of :meth:`_vector_apply`.
+        """Phase C of :meth:`_vector_apply`: the colliding pairs, through the bucket.
 
-        Replays the colliding pairs (``kids``/``vals`` in pair order, ``at``
-        the index of the packet each came in) as ``SpilloverBucket.store``
-        does: a kid already held merges into its entry with the tree's
-        function, a new one is appended, and the pair that fills the bucket
-        (one packet's worth) flushes it. The replay starts from what the
-        tree's bucket holds, stores of the per-pair walk included, and
-        leaves the bucket holding what is left over, so both walkers keep
-        sharing it. The call's flushes are cut by one
+        ``kids``/``vals`` are the call's colliding pairs in pair order,
+        ``at`` the index of the packet each came in. A kid the bucket
+        already holds merges into its entry with the tree's function; a new
+        one is appended, and the pair that fills the bucket (one packet's
+        worth) flushes it. The bucket is edited in place and keeps what is
+        left over for the next call. The call's flushes are cut by one
         :func:`packetize_columns` into one window; flush ``j`` leaves as
         ``window[j]``, tagged with the packet whose pair filled it. A
         flushed value outside the value field's range refuses the round
         there (the register-overflow rule).
         """
-        spillover = state.spillover
-        held = spillover.peek()
-        order = [kid for kid, _value in held]
-        sums = [value for _kid, value in held]
-        slot = dict(zip(order, range(len(order))))
-        capacity = spillover.capacity
+        bucket = state.spillover
+        capacity = state.config.pairs_per_packet
         combine = state.function.combine
         cut_kids: list[int] = []
         cut_vals: list[int] = []
         cut_at: list[int] = []
         merges = 0
         for kid, value, pkt_i in zip(kids, vals, at):
-            i = slot.get(kid)
-            if i is not None:
-                sums[i] = combine(sums[i], value)
+            held = bucket.get(kid)
+            if held is not None:
+                bucket[kid] = combine(held, value)
                 merges += 1
-                continue
-            slot[kid] = len(order)
-            order.append(kid)
-            sums.append(value)
-            if len(order) == capacity:
-                cut_kids += order
-                cut_vals += sums
-                cut_at.append(pkt_i)
-                order, sums, slot = [], [], {}
-        spillover.flush()
-        for kid, value in zip(order, sums):
-            spillover.store(kid, value)
+            else:
+                bucket[kid] = value
+                if len(bucket) == capacity:
+                    cut_kids += bucket
+                    cut_vals += bucket.values()
+                    cut_at.append(pkt_i)
+                    bucket.clear()
         state.counters.spillover_merges += merges
         if not cut_at:
             return []
@@ -824,27 +736,17 @@ class DaietAggregationEngine(Extern):
     # ------------------------------------------------------------------ #
     # Flushing
     # ------------------------------------------------------------------ #
-    def _flush_spillover(self, state: TreeState) -> list[tuple[int, Any]]:
-        pairs = state.spillover.flush()
-        if not pairs:
-            return []
-        state.counters.spillover_flushes += 1
-        return self._emit_pairs(state, False, *_columns(pairs))
-
     def _flush_all(self, state: TreeState) -> list[tuple[int, Any]]:
         """Flush spillover first, then the aggregated registers, then END."""
         state.counters.final_flushes += 1
-        kids, vals = self._drain_columns(state, state.spillover.flush())
-        return self._emit_pairs(state, True, kids, vals)
+        return self._emit_pairs(state, True, *self._drain_columns(state))
 
-    def _drain_columns(
-        self, state: TreeState, spilled: list[tuple[int, int]]
-    ) -> tuple[Any, Any]:
-        """The final flush's pairs as int64 columns: ``spilled`` first, then
-        each occupied slot from the last one claimed down.
+    def _drain_columns(self, state: TreeState) -> tuple[Any, Any]:
+        """The final flush's pairs as int64 columns: the spillover bucket's
+        first, then each occupied slot from the last one claimed down.
 
         Kids are the key register's cells, values the value register's, read
-        along the index stack. Drains the registers.
+        along the index stack. Drains the bucket and the registers.
         """
         index_stack = state.index_stack
         at = _np.array(index_stack.peek_all()[::-1], dtype=_np.int64)
@@ -853,9 +755,12 @@ class DaietAggregationEngine(Extern):
             raise AggregationError(
                 f"index stack of tree {state.tree_id} pointed at an empty slot"
             )
-        spilled_kids, spilled_vals = _columns(spilled)
-        kids = _np.concatenate((spilled_kids, held))
-        vals = _np.concatenate((spilled_vals, state.value_register[at]))
+        bucket = state.spillover
+        kids = _np.concatenate((_np.fromiter(bucket, _np.int64, len(bucket)), held))
+        vals = _np.concatenate(
+            (_np.fromiter(bucket.values(), _np.int64, len(bucket)), state.value_register[at])
+        )
+        bucket.clear()
         state.key_register[at] = _EMPTY
         state.value_register[at] = 0
         index_stack.clear()
@@ -983,6 +888,7 @@ class WindowBatch:
         kids, vals, bounds = gather_pairs(
             _np.concatenate(kid_parts), _np.concatenate(val_parts), starts[local], lens[local]
         )
+        state.counters.packets_received += cut
         emitted: dict[int, list[tuple[int, Any]]] = {}
         for pkt_i, port, out in engine._vector_apply(state, kids, vals, cut, bounds):
             emitted.setdefault(pkt_i, []).append((port, out))

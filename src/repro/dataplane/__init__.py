@@ -1,7 +1,7 @@
 """Programmable data-plane substrate (RMT/P4-style switch model).
 
 This subpackage models the "network machine architecture" the paper targets:
-index stacks and spillover buckets (:mod:`registers`), the
+index stacks (:mod:`registers`), the
 resource limits of the ASIC (:mod:`resources`), exact-match tables with
 declared action sets and flow rules (:mod:`tables`, :mod:`actions`), the
 parse-depth budget (:mod:`parser`) and the switch running DAIET's one
@@ -10,7 +10,7 @@ program, steer then forward (:mod:`switch`).
 
 from repro.dataplane.actions import EcmpAction, Extern, ForwardAction
 from repro.dataplane.parser import HeaderParser
-from repro.dataplane.registers import IndexStack, SpilloverBucket
+from repro.dataplane.registers import IndexStack
 from repro.dataplane.resources import ResourceLedger, SwitchResources
 from repro.dataplane.switch import ProgrammableSwitch, SwitchCounters
 from repro.dataplane.tables import FlowRule, MatchActionTable, TableEntry
@@ -21,7 +21,6 @@ __all__ = [
     "ForwardAction",
     "HeaderParser",
     "IndexStack",
-    "SpilloverBucket",
     "ResourceLedger",
     "SwitchResources",
     "ProgrammableSwitch",

@@ -26,10 +26,9 @@ int64 array and answers the two questions a window's size arithmetic asks
 (widest key, any NUL suffix) by array lookups in the pool's per-kid
 metadata; a lone packet's columns (``DaietPacket.vector_pairs()``) intern
 through the same function. A switch (``core/aggregation.py``) interns
-nothing: both of its walkers read a packet's kid column, the per-pair walk
-hashes a kid with :func:`crc_of` and the register kernel a column of kids
-with :func:`crcs_of`, and its registers and spillover bucket hold only
-kids. Every flush it cuts (a spillover flush, a final flush) is measured by
+nothing: its register kernel reads a packet's (or a burst's) kid column
+and hashes it with :func:`crcs_of`, and its registers and spillover bucket
+hold only kids. Every flush it cuts (a spillover flush, a final flush) is measured by
 :func:`measure_kids`, and key objects come back (:func:`keys_of`) only when
 a flushed packet is built. The containers below are named nowhere else
 (``tests/checks/test_lint_gate.py`` holds that), so the pool can be
@@ -118,11 +117,6 @@ def measure_kids(kids: Any) -> tuple[int, bool]:
 def keys_of(kids: Iterable[int]) -> list[Any]:
     """The key objects of ``kids``, in order."""
     return list(map(_kid_key.__getitem__, kids))
-
-
-def crc_of(kid: int) -> int:
-    """``zlib.crc32`` of a kid's encoded key (register index = crc % slots)."""
-    return int(_kid_crc[kid])
 
 
 def crcs_of(kids: Any) -> Any:

@@ -187,12 +187,6 @@ class TestResourceChecks:
         findings = check_simulator(system.simulator)
         assert any(f.rule == "parser-budget-exceeded" for f in findings)
 
-    def test_spillover_capacity_mismatch_is_flagged(self, system):
-        tree = system.engine("tor").tree(next(iter(system.engine("tor")._trees)))
-        tree.spillover.capacity = 99
-        findings = check_simulator(system.simulator)
-        assert any(f.rule == "spillover-capacity-mismatch" for f in findings)
-
     def test_index_stack_capacity_mismatch_is_flagged(self, system):
         tree = system.engine("tor").tree(next(iter(system.engine("tor")._trees)))
         tree.index_stack.capacity = 16

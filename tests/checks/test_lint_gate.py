@@ -450,8 +450,8 @@ class TestCleanTree:
 
     def test_the_intern_pool_is_reached_through_its_functions(self):
         # The pool's containers are named in dataplane/interning.py and
-        # nowhere else: packetizers and kernels go through intern_key /
-        # intern_keys / measure_kids / keys_of / crc_of / crcs_of /
+        # nowhere else: packetizers and the register kernel go through
+        # intern_key / intern_keys / measure_kids / keys_of / crcs_of /
         # pool_size, so the pool can be re-homed (ROADMAP item 4) by editing
         # one file. The CRC, width and NUL-suffix metadata are numpy arrays,
         # which crcs_of, intern_keys and measure_kids read by kid column.
@@ -482,25 +482,59 @@ class TestCleanTree:
     def test_the_kernel_cuts_its_spillover_in_kid_space(self):
         # The register kernel replays its collisions over kids and cuts all
         # of a call's spillover flushes as one window from kid and value
-        # columns: _vector_apply neither flushes the bucket a packet at a
-        # time nor packetizes pairs. (The parent of the change that added
-        # this gate called _flush_spillover, which packetizes the bucket's
-        # pairs, once per full bucket.)
+        # columns: _spill_columns packetizes once, from columns, and neither
+        # it nor _vector_apply packetizes pairs. (The parent of the change
+        # that added this gate called _flush_spillover, since deleted, which
+        # packetized the bucket's pairs once per full bucket.)
         found = []
         for relative, tree in _package_trees():
             if relative != "core/aggregation.py":
                 continue
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "_vector_apply":
+                if isinstance(node, ast.FunctionDef) and node.name in {
+                    "_vector_apply",
+                    "_spill_columns",
+                }:
                     found += [
-                        f"{relative}:{call.lineno} {name}"
+                        f"{node.name} {name}"
                         for call in ast.walk(node)
                         if isinstance(call, ast.Call)
                         for name in [getattr(call.func, "attr", getattr(call.func, "id", None))]
-                        if name in {"_flush_spillover", "packetize_pairs"}
+                        if name in {"_packetize", "packetize_pairs", "packetize_columns"}
                     ]
-                    found.append("_vector_apply")
-        assert found == ["_vector_apply"]
+        assert found == ["_spill_columns _packetize"]
+
+    def test_one_function_applies_the_tree_function(self):
+        # Algorithm 1 is stated once under src/: the tree function's ufunc
+        # (TreeState._ufunc), the register write, is applied (called, or
+        # one of its methods called) in exactly one function, the register
+        # kernel; the pair-by-pair walk that is its oracle lives in
+        # tests/core/register_walk_model.py. (The parent of the change that
+        # added this gate had two: _walk_pairs and _vector_apply in
+        # core/aggregation.py.)
+        def applies_ufunc(call: ast.Call) -> bool:
+            func = call.func
+            while isinstance(func, ast.Attribute):
+                if func.attr == "_ufunc":
+                    return True
+                func = func.value
+            return False
+
+        found = []
+        for relative, tree in _package_trees():
+            owner: dict[int, str] = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for line in range(node.lineno, node.end_lineno + 1):
+                        owner.setdefault(line, node.name)
+            found += sorted(
+                {
+                    (relative, owner.get(node.lineno, "<module>"))
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and applies_ufunc(node)
+                }
+            )
+        assert found == [("core/aggregation.py", "_vector_apply")]
 
     def test_a_switch_holds_only_kids(self):
         # A switch's register file and spillover bucket live in kid space,

@@ -395,7 +395,7 @@ class TestRegisterLeaks:
     def test_orphaned_stack_slot_is_detected(self):
         system = build_system(sanitize=True)
         tree = self._tree(system)
-        tree.index_stack.push(3)
+        tree.index_stack.push_many([3])
         with pytest.raises(SanitizerError, match="key cells are empty"):
             system.simulator.sanitizer.check_registers()
 
@@ -416,7 +416,7 @@ class TestRegisterLeaks:
         # ...but a slot that failed to rearm is caught.
         tree.key_register[5] = interning.intern_key("stale")
         tree.value_register[5] = 9
-        tree.index_stack.push(5)
+        tree.index_stack.push_many([5])
         with pytest.raises(SanitizerError, match="did not rearm"):
             system.simulator.sanitizer.check_registers()
 
@@ -424,8 +424,21 @@ class TestRegisterLeaks:
         system = build_system(sanitize=True)
         run_job(system)
         tree = self._tree(system)
-        tree.spillover.store(interning.intern_key("stale"), 1)
+        tree.spillover[interning.intern_key("stale")] = 1
         with pytest.raises(SanitizerError, match="spillover bucket still holds"):
+            system.simulator.sanitizer.check_registers()
+
+    def test_a_full_spillover_bucket_is_detected(self):
+        # The bucket flushes the moment it holds a packet's worth, so it
+        # never holds that many between packets, in a round or after one.
+        system = build_system(sanitize=True)
+        tree = self._tree(system)
+        per = tree.config.pairs_per_packet
+        kids = interning.intern_keys([f"spilled{i}" for i in range(per)])[0].tolist()
+        tree.spillover.update(dict.fromkeys(kids[:-1], 1))
+        system.simulator.sanitizer.check_registers()  # one short of a packet
+        tree.spillover[kids[-1]] = 1
+        with pytest.raises(SanitizerError, match="a full bucket must already have flushed"):
             system.simulator.sanitizer.check_registers()
 
     def test_duplicate_stack_entries_are_detected(self):
@@ -433,7 +446,7 @@ class TestRegisterLeaks:
         tree = self._tree(system)
         tree.key_register[4] = interning.intern_key("k")
         tree.value_register[4] = 1
-        tree.index_stack.push(4)
-        tree.index_stack.push(4)
+        tree.index_stack.push_many([4])
+        tree.index_stack.push_many([4])
         with pytest.raises(SanitizerError, match="duplicate slots"):
             system.simulator.sanitizer.check_registers()

@@ -18,6 +18,7 @@ from repro.core.packet import (
 )
 from repro.dataplane import interning
 from repro.netsim.topology import single_rack
+from register_walk_model import walk_pairs
 
 
 def make_engine(
@@ -233,7 +234,7 @@ class TestSpillover:
         state = engine.tree(1)
         assert out == [], "the 2-entry bucket never filled"
         assert len(state.spillover) == 1
-        assert state.spillover.peek() == ((interning.intern_key(keys[1]), 9),)
+        assert list(state.spillover.items()) == [(interning.intern_key(keys[1]), 9)]
         assert state.counters.spillover_merges == 2
         assert state.counters.spillover_flushes == 0
 
@@ -250,14 +251,15 @@ class TestSpillover:
 
 class TestRegisterOverflow:
     """A register holds a 4-byte value: a round whose flushed SUM leaves
-    that range raises from ``run()``, on the kernel and on the per-pair loop
-    (burst delivery stood down: with no burst plan every packet takes the
-    per-packet sink)."""
+    that range raises from ``run()``, on the kernel and on the pair-by-pair
+    model of it (``register_walk_model.py``, with burst delivery stood down:
+    with no burst plan every packet takes the per-packet sink)."""
 
     @staticmethod
     def _round(per_pair: bool, register_slots: int, partitions: list, monkeypatch=None) -> tuple:
         if per_pair:
             monkeypatch.setattr(PacketWindow, "burst_plan", lambda self: None)
+            monkeypatch.setattr(DaietAggregationEngine, "_vector_apply", walk_pairs)
         system = DaietSystem(
             single_rack(3),
             DaietConfig(register_slots=register_slots, pairs_per_packet=2),
@@ -266,7 +268,7 @@ class TestRegisterOverflow:
         calls = []
         engine = system.engine("tor")
         vector_apply = engine._vector_apply
-        engine._vector_apply = lambda *args: calls.append(1) or vector_apply(*args)
+        engine._vector_apply = lambda *args: calls.append(vector_apply) or vector_apply(*args)
         for mapper, pairs in zip(("h0", "h1"), partitions):
             system.send_pairs(mapper, "h2", pairs)
         return system, calls
@@ -278,8 +280,8 @@ class TestRegisterOverflow:
         with pytest.raises(PacketFormatError, match=f"value {2**32 - 2} does not fit in 4 bytes"):
             system.run()
         # The burst kernel took the mappers' windows, or (stood down) the
-        # per-pair loop took every packet.
-        assert bool(calls) is not per_pair
+        # model took every packet.
+        assert calls and all((apply.__func__ is walk_pairs) is per_pair for apply in calls)
 
     @pytest.mark.parametrize("per_pair", [False, True], ids=["kernel", "per-pair"])
     def test_a_spillover_flush_past_the_field_refuses_the_round(self, per_pair, monkeypatch):
@@ -294,7 +296,7 @@ class TestRegisterOverflow:
         engine._flush_all = lambda state: final_flushes.append(1) or flush_all(state)
         with pytest.raises(PacketFormatError, match=f"value {2**32 - 2} does not fit in 4 bytes"):
             system.run()
-        assert bool(calls) is not per_pair
+        assert calls and all((apply.__func__ is walk_pairs) is per_pair for apply in calls)
         assert final_flushes == []
 
     def test_a_sum_back_inside_the_field_flushes_exact(self):

@@ -30,10 +30,22 @@ class TestDaietConfig:
 
     def test_spillover_holds_one_packet(self):
         from repro.core.aggregation import DaietAggregationEngine
+        from repro.core.packet import DaietPacket
 
+        # One register slot: the first key claims it and every other key
+        # collides; the seventh colliding key fills the bucket, which
+        # flushes as one packet of seven pairs.
+        config = DaietConfig(register_slots=1, pairs_per_packet=7)
         engine = DaietAggregationEngine("sw")
-        state = engine.configure_tree(1, "sum", 1, 0, "r", DaietConfig(pairs_per_packet=7))
-        assert state.spillover.capacity == 7
+        state = engine.configure_tree(1, "sum", 1, 0, "r", config)
+        pairs = tuple((f"one{i}", i) for i in range(7))
+        assert engine.handle_packet(DaietPacket(1, "m", "sw", pairs=pairs, config=config)) == []
+        assert len(state.spillover) == 6
+        [(_port, flush)] = engine.handle_packet(
+            DaietPacket(1, "m", "sw", pairs=(("one7", 7),), config=config)
+        )
+        assert flush.pairs == pairs[1:] + (("one7", 7),)
+        assert len(state.spillover) == 0
 
     @pytest.mark.parametrize(
         "kwargs",

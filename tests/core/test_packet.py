@@ -932,7 +932,6 @@ class TestPacketizerCounts:
         assert len(interning._kid_ends_nul) == len(interning._kid_crc) == 128
         crcs = [zlib.crc32(key.encode()) for key in keys]
         assert interning.crcs_of(np.arange(100)).tolist() == crcs
-        assert [interning.crc_of(kid) for kid in range(100)] == crcs
         assert interning._kid_enc_len[:100].tolist() == [len(key) for key in keys]
         assert interning._kid_ends_nul[:100].tolist() == [key.endswith("\x00") for key in keys]
         assert interning.intern_keys(keys[10:20])[1:] == (11, False)

@@ -1,14 +1,16 @@
-"""Twin-switch equivalence: the vectorized register kernel vs the per-pair walk.
+"""Twin-switch equivalence: the register kernel vs the pair-by-pair model.
 
 The ``vector-register-kernel`` fast path (``DaietAggregationEngine.
-_vector_apply``) applies a whole burst of DATA packets with numpy array
-operations — gather, first-occurrence resolve, the tree function's
-``ufunc.at`` — while the per-pair walk (``_process_data``) remains the
-bit-exactness oracle. Both walk one register file in kid space. These tests
-drive two identically configured engines, one through the kernel and one
-through the per-pair walk, for every registered function, and require
-*bit-identical* observable state: key and value registers, spillover bucket
-order, index-stack order, per-tree counters and the exact emission sequence.
+_vector_apply``) applies every DATA packet's pairs with numpy array
+operations — gather, claim, the tree function's ``ufunc.at`` — a burst's in
+one call and a lone packet's in a call of one. Its oracle is
+``register_walk_model.py``: Algorithm 1 pair by pair over the same register
+file, patched in for the kernel on the slow twin (:func:`make_engine` with
+``walk``). These tests drive the fast twin through the kernel, burst by
+burst, and the slow one packet by packet through ``handle_packet`` and the
+model, for every registered function, and require *bit-identical*
+observable state: key and value registers, spillover bucket order,
+index-stack order, per-tree counters and the exact emission sequence.
 
 The kernel's input arrays come from a packet window's burst plan
 (``PacketWindow.burst_plan()`` / ``BurstPlan.kernel_input``), the one
@@ -40,6 +42,7 @@ from repro.core.packet import (
 from repro.dataplane import interning
 from repro.dataplane.registers import IndexStack
 from repro.netsim.topology import leaf_spine
+from register_walk_model import walking_engine
 
 np = pytest.importorskip("numpy")
 
@@ -48,7 +51,10 @@ np = pytest.importorskip("numpy")
 FUNCTIONS = ["sum", "count", "min", "max", "or", "and"]
 
 
-def make_engine(config: DaietConfig, function: str = "sum") -> DaietAggregationEngine:
+def make_engine(
+    config: DaietConfig, function: str = "sum", walk: bool = False
+) -> DaietAggregationEngine:
+    """A switch's engine with tree 7; with ``walk``, the model applies its pairs."""
     engine = DaietAggregationEngine("tor")
     engine.configure_tree(
         tree_id=7,
@@ -59,7 +65,12 @@ def make_engine(config: DaietConfig, function: str = "sum") -> DaietAggregationE
         config=config,
         child_ports={"h0": 1},
     )
-    return engine
+    return walking_engine(engine) if walk else engine
+
+
+def twins(config: DaietConfig, function: str = "sum"):
+    """``(fast, slow)``: the kernel's engine and the model's."""
+    return make_engine(config, function), make_engine(config, function, walk=True)
 
 
 def data_packets(pairs, config: DaietConfig) -> PacketWindow:
@@ -73,21 +84,23 @@ def kernel_apply(engine: DaietAggregationEngine, burst: PacketWindow, slices=Non
     """One kernel call per slice of ``burst`` (default: the whole burst).
 
     Returns the calls' results; a slice is ``(offset, count)`` into the plan.
+    The packets are counted as ``WindowBatch.take`` counts what it takes.
     """
     plan = burst.burst_plan()
     assert plan is not None and plan.shape_ok.all()
     state = engine.tree(7)
-    return [
-        engine._vector_apply(state, *plan.kernel_input(offset, count))
-        for offset, count in slices or [(0, len(burst))]
-    ]
+    results = []
+    for offset, count in slices or [(0, len(burst))]:
+        state.counters.packets_received += count
+        results.append(engine._vector_apply(state, *plan.kernel_input(offset, count)))
+    return results
 
 
 def feed_fast(engine: DaietAggregationEngine, bursts, split: bool = False) -> list:
     """Apply bursts through the kernel; returns (port, packet) emissions.
 
     The kernel emits each spillover flush as a window; it is cut into its
-    packets here, as the per-pair oracle's ``handle_packet`` cuts them.
+    packets here, as ``handle_packet`` cuts them.
 
     With ``split`` a multi-packet burst takes two calls — its first packet
     alone, then the rest from a non-zero plan offset — the way an ``until``
@@ -102,7 +115,7 @@ def feed_fast(engine: DaietAggregationEngine, bursts, split: bool = False) -> li
 
 
 def feed_slow(engine: DaietAggregationEngine, bursts) -> list:
-    """Apply the same packets one at a time through the per-pair oracle."""
+    """Apply the same packets one at a time through ``handle_packet``."""
     emitted = []
     for burst in bursts:
         for packet in burst:
@@ -119,7 +132,7 @@ def assert_twins_identical(fast: DaietAggregationEngine, slow: DaietAggregationE
     fast_state, slow_state = fast.tree(7), slow.tree(7)
     assert fast_state.key_register.tolist() == slow_state.key_register.tolist()
     assert fast_state.value_register.tolist() == slow_state.value_register.tolist()
-    assert fast_state.spillover._pairs == slow_state.spillover._pairs
+    assert list(fast_state.spillover.items()) == list(slow_state.spillover.items())
     assert fast_state.index_stack._items == slow_state.index_stack._items
     assert fast_state.counters == slow_state.counters
 
@@ -143,7 +156,7 @@ class TestVectorKernelEquivalence:
         split: bool = False,
         function: str = "sum",
     ):
-        fast, slow = make_engine(config, function), make_engine(config, function)
+        fast, slow = twins(config, function)
         bursts = [data_packets(pairs, config) for pairs in pair_bursts]
         fast_out = feed_fast(fast, bursts, split)
         slow_out = feed_slow(slow, bursts)
@@ -155,8 +168,8 @@ class TestVectorKernelEquivalence:
             end_out = fast.handle_packet(end_packet_for(config))
             assert end_out == slow.handle_packet(end_packet_for(config))
             assert_twins_identical(fast, slow)
-            # Both walkers apply the function's ufunc, so what the round
-            # flushed is also checked against the plain fold of its pairs.
+            # What the round flushed is also checked against the plain fold
+            # of its pairs.
             fold = get_function(function)
             assert aggregate_pairs(flushed_pairs(fast_out + end_out), fold) == aggregate_pairs(
                 [pair for pairs in pair_bursts for pair in pairs], fold
@@ -200,13 +213,12 @@ class TestVectorKernelEquivalence:
         assert fast.tree(7).counters.collisions > 0
 
     @pytest.mark.parametrize("function", FUNCTIONS)
-    def test_mixed_vector_and_per_pair_traffic(self, function):
+    def test_a_lone_packet_between_bursts(self, function):
         # A packet of its own (built by the constructor, handed to
-        # handle_packet: the per-pair walk) interleaves with kernel bursts on
-        # the SAME tree: both walkers share one register file without losing
-        # exactness.
+        # handle_packet: a kernel call of one) interleaves with kernel
+        # bursts on the SAME tree without losing exactness.
         config = DaietConfig(register_slots=16, pairs_per_packet=4)
-        fast, slow = make_engine(config, function), make_engine(config, function)
+        fast, slow = twins(config, function)
         eligible_a = data_packets([(f"m{i % 9}", i) for i in range(24)], config)
         oddball = DaietPacket(
             tree_id=7,
@@ -232,7 +244,7 @@ class TestVectorKernelEquivalence:
         # END flushes and rearms; a second round must start from a clean
         # kid -> slot memo (stale memos would resurrect freed cells).
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
-        fast, slow = make_engine(config, function), make_engine(config, function)
+        fast, slow = twins(config, function)
         round1 = [data_packets([(f"r{i % 12}", i + 1) for i in range(32)], config)]
         assert feed_fast(fast, round1) == feed_slow(slow, round1)
         assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
@@ -246,13 +258,13 @@ class TestVectorKernelEquivalence:
         # A value past the 4-byte field never reaches the kernel: it is
         # refused at send, so the int64 register needs no guard. In-range
         # values whose sum outgrows the field are held exactly by the int64
-        # value register, whichever walker applied them, and the final
-        # flush refuses the round on both (the register-overflow rule).
+        # value register, on both twins, and the final flush refuses the
+        # round on both (the register-overflow rule).
         config = DaietConfig(register_slots=8, pairs_per_packet=2)
         for huge in (2**62 - 1, 2**31):
             with pytest.raises(PacketFormatError, match=f"value {huge} does not fit"):
                 data_packets([("a", huge)], config)
-        fast, slow = make_engine(config), make_engine(config)
+        fast, slow = twins(config)
         small = data_packets([("a", 5), ("b", 7)], config)
         assert feed_fast(fast, [small]) == feed_slow(slow, [small])
         top = data_packets([("a", 2**31 - 1), ("b", -(2**31))], config)
@@ -288,7 +300,7 @@ def held_keys(engine: DaietAggregationEngine) -> dict[int, str]:
 
 
 class TestPhaseA:
-    """The kernel's slot claims, as array operations, against the per-pair walk.
+    """The kernel's slot claims, as array operations, against the model.
 
     Each case ends with the twins agreeing on the kid register, the value
     cells, the index-stack order, the spillover order, the counters and
@@ -299,7 +311,7 @@ class TestPhaseA:
 
     def twins(self, per: int = 4):
         config = DaietConfig(register_slots=self.SLOTS, pairs_per_packet=per)
-        return config, make_engine(config), make_engine(config)
+        return (config, *twins(config))
 
     def test_two_new_kids_contend_for_one_slot_in_one_packet(self):
         config, fast, slow = self.twins(per=6)
@@ -312,7 +324,7 @@ class TestPhaseA:
         assert_twins_identical(fast, slow)
         assert held_keys(fast) == {slot: b, other_slot: c}
         assert fast.tree(7).index_stack._items == [slot, other_slot]
-        assert fast.tree(7).spillover._pairs == [(kid(a), 7)]
+        assert list(fast.tree(7).spillover.items()) == [(kid(a), 7)]
         counters = fast.tree(7).counters
         assert (counters.pairs_inserted, counters.collisions) == (2, 2)
 
@@ -329,13 +341,13 @@ class TestPhaseA:
         # kid's first value, and the ufunc applies that value again with the
         # rest, which changes nothing. Here the first value is the answer.
         config = DaietConfig(register_slots=self.SLOTS, pairs_per_packet=4)
-        fast, slow = make_engine(config, function), make_engine(config, function)
+        fast, slow = twins(config, function)
         slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pf")
         burst = [data_packets([(a, value) for value in values] + [(b, 1)], config)]
         assert feed_fast(fast, burst) == feed_slow(slow, burst)
         assert_twins_identical(fast, slow)
         assert fast.tree(7).value_register[slot] == values[0]
-        assert fast.tree(7).spillover._pairs == [(kid(b), 1)]
+        assert list(fast.tree(7).spillover.items()) == [(kid(b), 1)]
         assert fast.tree(7).counters.pairs_inserted == 1
 
     def test_two_new_kids_contend_across_two_packets_of_one_burst(self):
@@ -351,11 +363,12 @@ class TestPhaseA:
             assert_twins_identical(fast, slow)
             assert held_keys(fast)[slot] == b
             assert fast.tree(7).value_register[slot] == 6
-            assert fast.tree(7).spillover._pairs == [(kid(a), 3)]
+            assert list(fast.tree(7).spillover.items()) == [(kid(a), 3)]
 
-    def test_a_slot_the_per_pair_loop_claimed(self):
-        # The per-pair walk claims a's slot; the kernel then finds a resident
-        # (it aggregates) and b, which wants the same slot, colliding.
+    def test_a_slot_a_lone_packet_claimed(self):
+        # A lone packet claims a's slot (a kernel call of one); a burst then
+        # finds a resident (it aggregates) and b, which wants the same slot,
+        # colliding.
         config, fast, slow = self.twins(per=4)
         slot, (a, b) = keys_in_one_slot(self.SLOTS, 2, "pp")
         lone = DaietPacket(tree_id=7, src="h0", dst="h1", pairs=((a, 10),), config=config)
@@ -366,8 +379,8 @@ class TestPhaseA:
         assert_twins_identical(fast, slow)
         assert held_keys(fast) == {slot: a}
         assert fast.tree(7).value_register[slot] == 16
-        assert fast.tree(7).spillover._pairs == [(kid(b), 4)]
-        # And back: the per-pair walk sees the kernel's verdicts in the memo.
+        assert list(fast.tree(7).spillover.items()) == [(kid(b), 4)]
+        # And back: a lone packet sees the burst's verdicts in the memo.
         after = DaietPacket(tree_id=7, src="h0", dst="h1", pairs=((a, 1), (b, 1)), config=config)
         assert fast.handle_packet(after) == slow.handle_packet(after)
         assert_twins_identical(fast, slow)
@@ -393,7 +406,7 @@ class TestPhaseA:
         assert feed_fast(fast, round2) == feed_slow(slow, round2)
         assert_twins_identical(fast, slow)
         assert held_keys(fast) == {slot: b}
-        assert fast.tree(7).spillover._pairs == [(kid(a), 6)]
+        assert list(fast.tree(7).spillover.items()) == [(kid(a), 6)]
         assert fast.handle_packet(end_packet_for(config)) == slow.handle_packet(
             end_packet_for(config)
         )
@@ -414,13 +427,16 @@ class TestPhaseA:
 class TestPhaseAIsArrayWork:
     def test_the_kernel_calls_no_per_key_function(self, monkeypatch):
         # A leaf-spine round with reliability on: the kernel claims slots,
-        # finds residents and collides on every switch, and calls neither
-        # the pool's per-kid CRC lookup nor the index stack's one-slot push.
-        # The pool has no kid -> key lookup for one kid any more: a key
-        # comes back only through keys_of, a column at a time.
+        # finds residents and collides on every switch, and pushes the
+        # claimed slots one call at a time, not one slot at a time (the
+        # index stack has no one-slot push). The pool has no per-kid lookup
+        # either: a key comes back only through keys_of and a home slot only
+        # through crcs_of, a column at a time.
         assert not hasattr(interning, "key_of")
+        assert not hasattr(interning, "crc_of")
+        assert not hasattr(IndexStack, "push")
         inside = [0]
-        calls = {"crc_of": 0, "push": 0, "push_many": 0}
+        calls = {"push_many": 0}
         kernel_calls = [0]
         apply = DaietAggregationEngine._vector_apply
 
@@ -441,8 +457,6 @@ class TestPhaseAIsArrayWork:
             return wrapper
 
         monkeypatch.setattr(DaietAggregationEngine, "_vector_apply", traced_apply)
-        monkeypatch.setattr(interning, "crc_of", counting("crc_of", interning.crc_of))
-        monkeypatch.setattr(IndexStack, "push", counting("push", IndexStack.push))
         monkeypatch.setattr(IndexStack, "push_many", counting("push_many", IndexStack.push_many))
         config = DaietConfig(register_slots=64, pairs_per_packet=10, reliability=True)
         system = DaietSystem(leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3), config)
@@ -465,8 +479,7 @@ class TestPhaseAIsArrayWork:
         ]
         assert sum(c.pairs_inserted for c in counters) > 0
         assert sum(c.collisions for c in counters) > 0
-        assert calls.pop("push_many") > 0  # the kernel claimed slots
-        assert calls == {"crc_of": 0, "push": 0}
+        assert 0 < calls["push_many"] <= kernel_calls[0]  # the kernel claimed slots
 
 
 def resident_keys(slots: int) -> list[str]:
@@ -482,12 +495,12 @@ _fresh_names = itertools.count()
 
 #: What a seeded bucket may hold besides keys the kernel's windows interned.
 #: A key that reached the switch in a packet of its own was interned when
-#: the per-pair walk read the packet's columns; values at the field's edges
-#: are held exactly; a sum that leaves the field refuses the round on both
+#: the switch read the packet's columns; values at the field's edges are
+#: held exactly; a sum that leaves the field refuses the round on both
 #: twins, with the same error.
 BUCKET_SEEDS = {
     "plain ints": None,
-    "a key only the per-pair loop saw": lambda: (f"unseen{next(_fresh_names)}", 1),
+    "a key only a lone packet carried": lambda: (f"unseen{next(_fresh_names)}", 1),
     "a value at the field's top": lambda: ("spill3", 2**31 - 1),
     "a value at the field's bottom": lambda: ("spill4", -(2**31)),
     "a flushed sum leaving the field": lambda: ("spill0", 2**31 - 1),
@@ -504,7 +517,7 @@ def strict(pairs) -> list:
 
 
 class TestSpillStream:
-    """The kernel's Phase C against the per-pair walk's stores."""
+    """The kernel's Phase C against the model's stores."""
 
     @pytest.mark.parametrize("seeded_with", list(BUCKET_SEEDS))
     @settings(max_examples=25, deadline=None)
@@ -521,12 +534,12 @@ class TestSpillStream:
     def test_kid_space_phase_c_is_the_per_pair_replay(
         self, seeded_with, function, per, slots, reliable, seed, stream
     ):
-        # Residents claim every slot through the per-pair walk, whose stores
-        # then seed the bucket (less than a packet's worth, so it holds them
-        # when the kernel starts); every pair of the kernel's burst collides.
+        # Residents claim every slot through lone packets, whose stores then
+        # seed the bucket (less than a packet's worth, so it holds them when
+        # the kernel starts); every pair of the kernel's burst collides.
         interning.intern_keys([f"spill{k}" for k in range(12)])
         config = DaietConfig(register_slots=slots, pairs_per_packet=per, reliability=reliable)
-        fast, slow = make_engine(config, function), make_engine(config, function)
+        fast, slow = twins(config, function)
         trigger = BUCKET_SEEDS[seeded_with]
         held = dict([trigger()] if trigger is not None else [])
         for k, value in seed:
@@ -536,11 +549,6 @@ class TestSpillStream:
         if overflows:
             # spill0 merges and its entry flushes within the call.
             stream = [(0, 1), *((k, 1) for k in range(1, per + 1)), *stream]
-        # Phase C has one path: every collision of the call goes through
-        # one kid-space replay.
-        replays = []
-        spill_columns = fast._spill_columns
-        fast._spill_columns = lambda *args: replays.append(1) or spill_columns(*args)
         residents = resident_keys(slots)
         for engine in (fast, slow):
             for start in range(0, slots, per):
@@ -554,10 +562,16 @@ class TestSpillStream:
                 engine.handle_packet(
                     DaietPacket(tree_id=7, src="h0", dst="h1", pairs=tuple(held), config=config)
                 )
-        assert strict(fast.tree(7).spillover.peek()) == strict(
-            [(kid(key), value) for key, value in held]
-        )
+        for engine in (fast, slow):
+            assert strict(engine.tree(7).spillover.items()) == strict(
+                [(kid(key), value) for key, value in held]
+            )
         window = data_packets([(f"spill{k}", v) for k, v in stream], config)
+        # Phase C has one path: every collision of the call goes through
+        # one kid-space replay.
+        replays = []
+        spill_columns = fast._spill_columns
+        fast._spill_columns = lambda *args: replays.append(1) or spill_columns(*args)
 
         def slow_apply():
             return [
@@ -582,7 +596,7 @@ class TestSpillStream:
             strict(out.pairs) for _i, _port, out in slow_out
         ]
         fast_state, slow_state = fast.tree(7), slow.tree(7)
-        assert strict(fast_state.spillover.peek()) == strict(slow_state.spillover.peek())
+        assert strict(fast_state.spillover.items()) == strict(slow_state.spillover.items())
         assert_twins_identical(fast, slow)
         assert fast_state._next_seq == slow_state._next_seq
         assert {seq: w[i] for seq, (w, i) in fast_state._sent.unacked.items()} == {
@@ -663,14 +677,15 @@ class TestSequencedStreamAdmission:
     def test_kernel_plus_accept_run_is_process_data(self, ack_window):
         # A window that starts behind a hole (seq 0 lost) and has a second
         # hole further on; small registers so spillover flushes interleave
-        # with the ACKs.
+        # with the ACKs. The fast twin takes the window as a switch's burst
+        # handler does, in one batch; the slow one packet by packet.
         config = DaietConfig(
             register_slots=8, pairs_per_packet=3, reliability=True, ack_window=ack_window
         )
         rng = random.Random(ack_window)
         pairs = [(f"k{rng.randrange(40)}", rng.randrange(-9, 9)) for _ in range(150)]
         window = sequenced_packets(pairs, config)
-        fast, slow = make_engine(config), make_engine(config)
+        fast, slow = twins(config)
         slow_out = []
         for packet in window:
             if packet.seq not in (0, 17):
@@ -680,13 +695,11 @@ class TestSequencedStreamAdmission:
         plan.drop([0, 17])  # lost in flight, as ``_transmit_burst`` drops them
         # Holes do not stop a run: every number is above the ones before it.
         assert fast._fresh_run(state, window, plan.items) == len(plan.items)
-        result = fast._vector_apply(state, *plan.kernel_input(0, len(plan.items)))
-        emitted = [(i, 0, port, out) for i, port, out in result]
-        acks = fast._accept_run(state, window, plan.items)
-        emitted += [(i, 1, port, ack) for i, port, ack in acks]
-        fast_out = packets_of(
-            (port, out) for _i, _kind, port, out in sorted(emitted, key=lambda e: e[:2])
-        )
+        batch = fast.start_batch(plan, 0, fits=None)
+        counts, _nbytes, emitted = batch.take(np.zeros(len(plan.items), dtype=np.int64))
+        assert counts == [len(plan.items)]
+        # Spillover flushes, then the ACK, per item: as _process_data emits.
+        fast_out = packets_of(out for i in sorted(emitted) for out in emitted[i])
         assert fast_out == slow_out
         assert any(out.__class__.__name__ == "DaietAck" for _port, out in fast_out)
         assert_twins_identical(fast, slow)
@@ -706,9 +719,9 @@ def register_walk(engine: DaietAggregationEngine) -> list:
     """
     state = engine.tree(7)
     slots = list(reversed(state.index_stack.peek_all()))
-    spilled = state.spillover.peek()
-    kids = [kid for kid, _value in spilled] + state.key_register[slots].tolist()
-    values = [value for _kid, value in spilled] + state.value_register[slots].tolist()
+    spilled = state.spillover
+    kids = list(spilled) + state.key_register[slots].tolist()
+    values = list(spilled.values()) + state.value_register[slots].tolist()
     return list(zip(interning.keys_of(kids), values))
 
 
@@ -742,8 +755,8 @@ class TestColumnFlush:
         ),
     )
     def test_column_flush_emits_what_the_walk_emits(self, slots, per, bursts):
-        # Kernel bursts and per-pair packets claim slots in any mix; the
-        # flush emits the walk's pairs in the walk's order, and leaves the
+        # Kernel bursts and lone packets claim slots in any mix; the flush
+        # emits the walk's pairs in the walk's order, and leaves the
         # registers free.
         config = DaietConfig(register_slots=slots, pairs_per_packet=per)
         engine = make_engine(config)
@@ -764,10 +777,10 @@ class TestColumnFlush:
         assert set(state.key_register.tolist()) == {-1}
         assert set(state.value_register.tolist()) == {0}
 
-    def test_a_key_only_the_per_pair_loop_saw_flushes_from_columns(self):
+    def test_a_key_only_a_lone_packet_carried_flushes_from_columns(self):
         # A packet the constructor built (no window interned its keys): its
-        # columns intern the key when the per-pair walk reads them, so the
-        # final flush reads its kid from the key register like any other.
+        # columns intern the key when the switch reads them, so the final
+        # flush reads its kid from the key register like any other.
         config = DaietConfig(register_slots=8, pairs_per_packet=4)
         engine = make_engine(config)
         fresh = f"col-only{next(_fresh_names)}"

@@ -10,22 +10,27 @@ tail drops) drop items from the plan, and the kernel takes every DATA packet
 its stream admits (fresh: above the stream's high-water mark, not CE-marked,
 no END stashed) while duplicates, gap-fills, ENDs and ACKs go one by one
 through the compiled per-packet sink, as do single-packet windows and
-retransmissions.
+retransmissions. A lone DATA packet's pairs take the same kernel, as a call
+of one.
 
 Standing burst delivery down on the test side (:func:`burst_delivery`: no
-window is planned, so no burst entry is ever queued) must change *nothing*
-observable: aggregation results, every traffic counter, per-tree counters,
-every stream window, event totals, simulated time, the loss stream's state
-and the ACKs each mapper hears, in order and in time. Attaching an observer
-stands nothing down: it changes which hooks the sinks call, not which code
-a window runs.
+window is planned, so no burst entry is ever queued, and the register walk
+of ``tests/core/register_walk_model.py`` stands in for the kernel) must
+change *nothing* observable: aggregation results, every traffic counter,
+per-tree counters, every stream window, event totals, simulated time, the
+loss stream's state and the ACKs each mapper hears, in order and in time.
+The twins so compare two implementations of Algorithm 1, not the kernel
+with itself. Attaching an observer stands nothing down: it changes which
+hooks the sinks call, not which code a window runs.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -43,19 +48,26 @@ from repro.netsim.faults import SWITCH_RESTART, FaultEvent, FaultPlan, install_f
 from repro.netsim.simulator import SimulatorConfig
 from repro.netsim.topology import leaf_spine, single_rack
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from register_walk_model import walk_pairs  # noqa: E402
+
 
 @contextmanager
 def burst_delivery(fast: bool):
-    """Burst delivery as shipped (``fast``), or stood down for the block.
+    """Burst delivery and the register kernel as shipped (``fast``), or
+    stood down for the block.
 
     ``PacketWindow.burst_plan()`` is asked only by ``send_burst`` and a
     switch's flush transmit, so with it answering ``None`` every window is
     planless: every packet is its own queue entry and takes the per-packet
-    sink. Build and run a twin inside the block.
+    sink. There each packet's pairs reach ``_vector_apply``, which the
+    pair-by-pair model replaces for the block. Build and run a twin inside
+    the block; a spy on the kernel goes on before it.
     """
     with pytest.MonkeyPatch.context() as patch:
         if not fast:
             patch.setattr(PacketWindow, "burst_plan", lambda self: None)
+            patch.setattr(DaietAggregationEngine, "_vector_apply", walk_pairs)
         yield
 
 
@@ -137,9 +149,8 @@ class TestBatchDeliveryEquivalence:
     @pytest.mark.parametrize("function", ["count", "min"])
     def test_every_function_takes_the_kernel(self, function, observables, monkeypatch):
         # A COUNT job and a MIN job take burst delivery and the register
-        # kernel like a SUM job (the parent of this test sent every pair of
-        # theirs through the per-pair walk), and leave what their twin with
-        # burst delivery stood down leaves.
+        # kernel like a SUM job, and leave what their twin leaves: burst
+        # delivery stood down and the pair-by-pair model for the kernel.
         calls = []
         vector_apply = DaietAggregationEngine._vector_apply
 
@@ -564,12 +575,57 @@ class TestSequencedWindowsEquivalence:
         assert counters.spillover_flushes > 50
 
 
-class TestWhoTakesThePerPairLoop:
+class TestOneRegisterWalker:
+    def test_every_pair_a_switch_receives_reaches_the_kernel(self, monkeypatch):
+        """A lossy reliable leaf-spine round with small registers: windows,
+        lone packets, retransmissions, gap-fills and collisions all occur,
+        and every pair a tree counts as received went through the register
+        kernel. (At the parent of the change that added this test the
+        per-pair walk took every DATA packet that arrived alone.)"""
+        handed = []
+        vector_apply = DaietAggregationEngine._vector_apply
+
+        def counted(engine, state, kids, vals, n, bounds):
+            handed.append(len(kids))
+            return vector_apply(engine, state, kids, vals, n, bounds)
+
+        gap_fills = []
+        process_data = DaietAggregationEngine._process_data
+
+        def spy(engine, state, packet):
+            stream = state._seen.get(packet.src)
+            behind = stream is not None and packet.seq is not None and packet.seq < stream.high_water
+            duplicates = state.counters.duplicate_packets
+            out = process_data(engine, state, packet)
+            gap_fills.append(behind and state.counters.duplicate_packets == duplicates)
+            return out
+
+        monkeypatch.setattr(DaietAggregationEngine, "_vector_apply", counted)
+        monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
+        with burst_delivery(True):
+            system, reducer, truth, _acks = sequenced_twin(
+                fabric="leaf_spine", num_mappers=8, loss_rate=0.02, register_slots=32
+            )
+            system.run()
+        assert system.receiver(reducer).result() == truth
+        counters = [
+            engine.tree(tree_id).counters
+            for engine in system.controller.engines.values()
+            for tree_id in engine.counters()
+        ]
+        assert sum(c.retransmitted_packets for c in counters) > 0
+        assert sum(c.collisions for c in counters) > 0
+        assert any(gap_fills) and not all(gap_fills)
+        assert sum(handed) == sum(c.pairs_received for c in counters)
+
+
+class TestWhoArrivesAlone:
     def test_only_refused_arrivals_and_lone_retransmissions(self, monkeypatch):
         """On a lossy reliable rack ``_process_data`` runs for the DATA
-        arrivals the kernel may not take (duplicates, gap-fills: not above
-        the stream's high-water mark) and for retransmissions, which go out
-        as packets and so with no plan. Every DATA arrival took it before."""
+        arrivals a batch may not take (duplicates, gap-fills: not above the
+        stream's high-water mark) and for retransmissions, which go out as
+        packets and so with no plan. Without bursts every DATA arrival
+        takes it."""
         calls: list[tuple[bool, int]] = []
         process_data = DaietAggregationEngine._process_data
 
@@ -623,7 +679,7 @@ class TestWhoTakesThePerPairLoop:
         refuses it (a duplicate, a gap-fill, CE-marked, behind a stashed
         END). A fresh item of a flush the switch emitted as a window, and so
         put on the link as one burst entry, always rides the parent's
-        register kernel; without bursts every item took the per-pair loop."""
+        register kernel; without bursts every item arrived alone."""
         # What each switch put on its links: windows, and packets by id
         # (holding them keeps their ids from being reused).
         windows: dict[str, list] = {}
@@ -783,7 +839,7 @@ def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_sn
 
     ``rounds`` is one ``(values, lone)`` per round: ``values(rng)`` draws a
     value, and ``lone`` sends each mapper's pairs one packet per window (no
-    plan: the per-pair loop claims the slots) instead of as one window.
+    plan: kernel calls of one claim the slots) instead of as one window.
     ``flushed`` collects the round of each final flush of a non-empty
     register file (every one is cut from the registers' columns). Returns
     the observables after each round.
@@ -791,10 +847,10 @@ def _multi_round_twin(fast: bool, rounds, monkeypatch, flushed: list, traffic_sn
     drain = _DRAIN_COLUMNS
     current = [0]
 
-    def spy_drain(engine, state, spilled):
+    def spy_drain(engine, state):
         if state.index_stack.peek_all():
             flushed.append(current[0])
-        return drain(engine, state, spilled)
+        return drain(engine, state)
 
     monkeypatch.setattr(DaietAggregationEngine, "_drain_columns", spy_drain)
     config = DaietConfig(
@@ -933,8 +989,8 @@ class TestSwitchFlushWindows:
 
     def test_slots_change_hands_across_rounds(self, monkeypatch, traffic_snapshot):
         # The kid the final flush reads for a slot is that of whatever
-        # claimed it this round: the per-pair loop (one-packet windows) or
-        # the kernel (a window), with small values or ones near the field's
+        # claimed it this round: a lone packet (one-packet windows) or a
+        # window, with small values or ones near the field's
         # edge. No kid may outlive its round.
         def ints(rng):
             return rng.randrange(-9, 9)
@@ -991,37 +1047,38 @@ class TestChurnOnTheKernel:
             kernel_calls.append(engine.switch_name)
             return vector_apply(engine, *args)
 
-        with burst_delivery(fast), pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(DaietAggregationEngine, "_vector_apply", counted)
-            config = DaietConfig(
-                register_slots=64,
-                pairs_per_packet=10,
-                reliability=True,
-                retransmit_timeout=1e-4,
-                reliability_policy=policy,
-            )
-            topology = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3)
-            system = DaietSystem(topology, config, SimulatorConfig(loss_seed=7))
-            mappers = [f"h{i}" for i in range(6)]
-            system.install_job(mappers=mappers, reducers=["h6"])
-            sim = system.simulator
-            injector = None
-            if faults:
-                (spine,) = [
-                    node.name
-                    for node in system.tree_for("h6").switches()
-                    if node.name.startswith("spine")
-                ]
-                plan = FaultPlan([FaultEvent(0.5 * until, SWITCH_RESTART, "leaf1")])
-                plan.switch_crash(0.05 * until, "leaf1")
-                plan.link_flap(0.03 * until, "leaf0", spine, duration=0.05 * until)
-                injector = install_faults(sim, plan)
-            tracker = install_error_tracker(system)
-            rng = random.Random(2017)
-            for mapper in mappers:
-                pairs = [(f"w{rng.randrange(300)}", rng.randrange(1, 9)) for _ in range(2_000)]
-                system.send_pairs(mapper, "h6", pairs)
-            events = system.run()
+            with burst_delivery(fast):
+                config = DaietConfig(
+                    register_slots=64,
+                    pairs_per_packet=10,
+                    reliability=True,
+                    retransmit_timeout=1e-4,
+                    reliability_policy=policy,
+                )
+                topology = leaf_spine(num_leaves=3, num_spines=2, hosts_per_leaf=3)
+                system = DaietSystem(topology, config, SimulatorConfig(loss_seed=7))
+                mappers = [f"h{i}" for i in range(6)]
+                system.install_job(mappers=mappers, reducers=["h6"])
+                sim = system.simulator
+                injector = None
+                if faults:
+                    (spine,) = [
+                        node.name
+                        for node in system.tree_for("h6").switches()
+                        if node.name.startswith("spine")
+                    ]
+                    plan = FaultPlan([FaultEvent(0.5 * until, SWITCH_RESTART, "leaf1")])
+                    plan.switch_crash(0.05 * until, "leaf1")
+                    plan.link_flap(0.03 * until, "leaf0", spine, duration=0.05 * until)
+                    injector = install_faults(sim, plan)
+                tracker = install_error_tracker(system)
+                rng = random.Random(2017)
+                for mapper in mappers:
+                    pairs = [(f"w{rng.randrange(300)}", rng.randrange(1, 9)) for _ in range(2_000)]
+                    system.send_pairs(mapper, "h6", pairs)
+                events = system.run()
         observed = {
             "events": events,
             "now": sim.now,
@@ -1045,8 +1102,8 @@ class TestChurnOnTheKernel:
         assert sum(fast["fault_drops"].values()) > 0
         assert fast["result"] != fault_free["result"]  # the crash cost mass
         assert any(ledger.wiped_pairs for ledger in fast["ledgers"].values())
-        # The batched arm applied windows with the kernel (the parent of
-        # this test sent every observed delivery through the per-pair loop).
+        # The batched arm applied windows with the kernel; the stood-down
+        # arm never called it (the model stood in).
         assert len(fast_calls) > 0
         assert slow_calls == []
 
