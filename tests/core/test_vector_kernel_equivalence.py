@@ -84,7 +84,8 @@ def kernel_apply(engine: DaietAggregationEngine, burst: PacketWindow, slices=Non
     """One kernel call per slice of ``burst`` (default: the whole burst).
 
     Returns the calls' results; a slice is ``(offset, count)`` into the plan.
-    The packets are counted as ``WindowBatch.take`` counts what it takes.
+    The packets are counted as ``WindowBatch.take`` counts what it takes. The
+    kernel is called even on an engine the model walks for its lone packets.
     """
     plan = burst.burst_plan()
     assert plan is not None and plan.shape_ok.all()
@@ -92,7 +93,9 @@ def kernel_apply(engine: DaietAggregationEngine, burst: PacketWindow, slices=Non
     results = []
     for offset, count in slices or [(0, len(burst))]:
         state.counters.packets_received += count
-        results.append(engine._vector_apply(state, *plan.kernel_input(offset, count)))
+        results.append(
+            DaietAggregationEngine._vector_apply(engine, state, *plan.kernel_input(offset, count))
+        )
     return results
 
 
@@ -755,11 +758,12 @@ class TestColumnFlush:
         ),
     )
     def test_column_flush_emits_what_the_walk_emits(self, slots, per, bursts):
-        # Kernel bursts and lone packets claim slots in any mix; the flush
-        # emits the walk's pairs in the walk's order, and leaves the
-        # registers free.
+        # Kernel bursts and packets the model walks claim slots in any mix
+        # (the model keeps no memo; the kernel judges a kid it has no
+        # verdict for from the key register). The flush emits the walk's
+        # pairs in the walk's order, and leaves the registers free.
         config = DaietConfig(register_slots=slots, pairs_per_packet=per)
-        engine = make_engine(config)
+        engine = make_engine(config, walk=True)
         for through_kernel, pairs in bursts:
             window = data_packets([(f"col{k}", v) for k, v in pairs], config)
             if through_kernel:
