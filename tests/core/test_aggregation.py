@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import DaietAggregationEngine, hash_key
 from repro.core.config import DaietConfig
@@ -247,6 +249,96 @@ class TestSpillover:
             emitted.extend(flushed(engine, packet))
         totals = collect_pairs(emitted)
         assert totals == {key: value for key, value in pairs}
+
+
+class TestSpilloverBucket:
+    """The bucket as Phase C of the kernel (``_spill_columns``) edits it,
+    checked against hand-written contents rather than against the model:
+    the twin suites compare the kernel with ``register_walk_model.py``, and
+    these pin what both must do."""
+
+    @staticmethod
+    def spill(engine, pairs, at=None):
+        """Hand ``pairs`` (key, value) to Phase C; return ``[(at, pairs)]``."""
+        state = engine.tree(1)
+        kids = [interning.intern_key(key) for key, _value in pairs]
+        vals = [value for _key, value in pairs]
+        out = engine._spill_columns(state, kids, vals, at or [0] * len(pairs))
+        assert all(port == state.egress_port for _at, port, _packet in out)
+        return [(pkt_i, list(packet.pairs)) for pkt_i, _port, packet in out]
+
+    @staticmethod
+    def held(engine) -> list[tuple[str, int]]:
+        bucket = engine.tree(1).spillover
+        return list(zip(interning.keys_of(bucket), bucket.values()))
+
+    def test_store_until_full(self):
+        engine, _config = make_engine(pairs_per_packet=3)
+        assert self.spill(engine, [("a", 1), ("b", 2)]) == []
+        assert self.held(engine) == [("a", 1), ("b", 2)]
+        assert self.spill(engine, [("c", 3)]) == [(0, [("a", 1), ("b", 2), ("c", 3)])]
+        assert self.held(engine) == []
+        assert engine.tree(1).counters.spillover_flushes == 1
+
+    def test_flush_returns_fifo_order(self):
+        engine, _config = make_engine(pairs_per_packet=3)
+        out = self.spill(engine, [("c", 1), ("a", 2), ("b", 3)])
+        assert out == [(0, [("c", 1), ("a", 2), ("b", 3)])]
+
+    def test_a_partial_bucket_waits_for_the_next_call(self):
+        engine, _config = make_engine(pairs_per_packet=3)
+        assert self.spill(engine, [("x", 9)]) == []
+        assert self.held(engine) == [("x", 9)]  # kept, not sent
+        out = self.spill(engine, [("y", 1), ("x", 1), ("z", 2)])
+        assert out == [(0, [("x", 10), ("y", 1), ("z", 2)])]
+
+    def test_combine_merges_in_place_keeping_fifo_order(self):
+        engine, _config = make_engine(pairs_per_packet=3)
+        assert self.spill(engine, [("a", 1), ("b", 2), ("a", 10), ("b", 20)]) == []
+        assert self.held(engine) == [("a", 11), ("b", 22)]
+        assert engine.tree(1).counters.spillover_merges == 2
+
+    @pytest.mark.parametrize("function, merged", [("max", 9), ("min", 3)])
+    def test_a_merge_applies_the_tree_function(self, function, merged):
+        engine, _config = make_engine(function=function, pairs_per_packet=3)
+        self.spill(engine, [("a", 5), ("a", 3), ("a", 9)])
+        assert self.held(engine) == [("a", merged)]
+
+    def test_slot_index_resets_after_flush(self):
+        engine, _config = make_engine(pairs_per_packet=2)
+        assert len(self.spill(engine, [("a", 1), ("b", 2)])) == 1
+        assert self.spill(engine, [("a", 7)]) == []  # a fresh entry, not a merge
+        assert self.held(engine) == [("a", 7)]
+        assert engine.tree(1).counters.spillover_merges == 0
+
+    def test_each_flush_is_tagged_with_the_packet_that_filled_it(self):
+        engine, _config = make_engine(pairs_per_packet=2)
+        pairs = [("a", 1), ("b", 2), ("c", 3), ("c", 4), ("d", 5), ("e", 6)]
+        out = self.spill(engine, pairs, at=[0, 0, 1, 1, 3, 3])
+        assert out == [(0, [("a", 1), ("b", 2)]), (3, [("c", 7), ("d", 5)])]
+        assert self.held(engine) == [("e", 6)]
+
+    @given(
+        st.lists(st.tuples(st.sampled_from("abcdefg"), st.integers(-50, 50)), max_size=40),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flush_preserves_all_stored_pairs(self, pairs, capacity):
+        engine, _config = make_engine(pairs_per_packet=capacity)
+        flushes = [flush for _at, flush in self.spill(engine, pairs)]
+        left = self.held(engine)
+        assert all(len(flush) == capacity for flush in flushes)
+        assert len(left) < capacity
+        for packet_pairs in flushes + [left]:
+            keys = [key for key, _value in packet_pairs]
+            assert len(keys) == len(set(keys))  # one entry per key
+        sent: dict[str, int] = {}
+        for key, value in [pair for flush in flushes for pair in flush] + left:
+            sent[key] = sent.get(key, 0) + value
+        totals: dict[str, int] = {}
+        for key, value in pairs:
+            totals[key] = totals.get(key, 0) + value
+        assert sent == totals
 
 
 class TestRegisterOverflow:
