@@ -33,7 +33,7 @@ the fault injector and the sanitizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.packet import DaietPacket, DaietPacketType

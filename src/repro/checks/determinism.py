@@ -17,6 +17,14 @@ Python simulators are each a mechanical pattern:
 * ``mutable-default`` — a mutable default argument shares state across
   simulator instances, leaking one run's state into the next.
 
+One hygiene rule rides the same pass, since ruff (whose F401 it stands in
+for) is not part of the toolchain:
+
+* ``unused-import`` — a name a module imports and never reads. An
+  ``__init__.py`` re-exports what it imports, and a name listed in
+  ``__all__`` is exported, so neither is flagged. A name read only in a
+  string annotation counts as read.
+
 The linter is flow-insensitive and deliberately conservative: it flags only
 patterns it can prove from the AST, so a clean tree stays clean without
 suppression comments.
@@ -33,6 +41,7 @@ RULE_UNSEEDED_RANDOM = "unseeded-random"
 RULE_WALL_CLOCK = "wall-clock"
 RULE_SET_ITERATION = "set-iteration"
 RULE_MUTABLE_DEFAULT = "mutable-default"
+RULE_UNUSED_IMPORT = "unused-import"
 
 #: Files (matched by path suffix) where wall-clock reads are the point:
 #: they measure host-side wall time and never feed simulation state.
@@ -304,6 +313,65 @@ def _scan_mutable_defaults(tree: ast.Module, display_path: str) -> list[Finding]
     return findings
 
 
+def _annotation_names(annotation: ast.expr) -> set[str]:
+    """Names an annotation reads, those inside string annotations included."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(sub.id for sub in ast.walk(quoted) if isinstance(sub, ast.Name))
+    return names
+
+
+def unused_imports(tree: ast.Module, display_path: str) -> list[Finding]:
+    """``unused-import`` findings: names ``tree`` imports and never reads.
+
+    Flow-insensitive: a name counts as read if the module reads it
+    anywhere, so only an import nothing could use is flagged. Nothing in
+    an ``__init__.py`` is (its imports are the package's re-exports).
+    """
+    if display_path.endswith("__init__.py"):
+        return []
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            read |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            read |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+            if "__all__" in names and isinstance(node.value, (ast.List, ast.Tuple)):
+                read.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return [
+        Finding(
+            rule=RULE_UNUSED_IMPORT,
+            path=display_path,
+            line=line,
+            message=f"{name!r} is imported but never read; delete the import",
+        )
+        for name, line in imported.items()
+        if name not in read
+    ]
+
+
 def lint_source(
     source: str, display_path: str, *, wall_clock_allowed: bool = False
 ) -> list[Finding]:
@@ -324,6 +392,7 @@ def lint_source(
     findings = visitor.findings
     findings += _scan_set_iteration(tree, display_path)
     findings += _scan_mutable_defaults(tree, display_path)
+    findings += unused_imports(tree, display_path)
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings
 

@@ -1,7 +1,7 @@
 """The ``repro lint`` driver: determinism + parity + dataplane checks.
 
 The default run lints the whole ``src/repro`` tree with the determinism
-linter, verifies fast-path/oracle parity, and builds three small reference
+linter (whose AST pass also flags unused imports), verifies fast-path/oracle parity, and builds three small reference
 DAIET systems (unreliable and reliable single-rack jobs, and a leaf-spine
 job) to run the dataplane config checker against real constructed
 switches. Passing an

@@ -461,7 +461,8 @@ class DaietAggregationEngine(Extern):
         """Algorithm 1 over the pairs of ``n`` DATA packets, as array work.
 
         ``kids``/``vals`` are the packets' interned key ids and values as
-        int64 arrays in packet order, ``bounds`` their cumulative pair
+        integer arrays in packet order (a host's ``int32`` columns, a
+        switch flush's ``int64`` ones), ``bounds`` their cumulative pair
         counts (so emissions can be tagged with the packet index they
         followed; unread when ``n`` is 1). A lone packet's columns
         (``vector_pairs()``) come from :meth:`_process_data`; a burst's are
@@ -479,8 +480,10 @@ class DaietAggregationEngine(Extern):
         ones, in pair order, go through the spillover bucket
         (:meth:`_spill_columns`): claims never read a value and collisions
         never touch a cell, so the order of the verdicts is all the kernel
-        must keep. ``tests/core/register_walk_model.py`` states the same
-        rule pair by pair; it is this kernel's oracle.
+        must keep. ``ufunc.at`` gets the values widened to the register's
+        dtype: given narrower ones it takes NumPy's casting loop (about 25x
+        slower on a 6,000-pair call). ``tests/core/register_walk_model.py``
+        states the same rule pair by pair; it is this kernel's oracle.
 
         Returns emissions as ``(packet_index, egress_port, packet)`` so the
         caller can restore each spillover flush (an item of the call's one
@@ -512,7 +515,8 @@ class DaietAggregationEngine(Extern):
                 counters.collisions += spilled
                 resident = ~colliding
                 slot, vals = slot[resident], vals[resident]
-        state._ufunc.at(state.value_register, slot, vals)
+        register = state.value_register
+        state._ufunc.at(register, slot, vals.astype(register.dtype, copy=False))
         counters.pairs_received += total
         counters.pairs_inserted += inserted
         counters.pairs_aggregated += total - spilled - inserted
@@ -882,7 +886,7 @@ class WindowBatch:
                 len_parts.append(plan.npairs[offset : offset + count])
                 local[share[:count]] = _np.arange(base, base + count, dtype=_np.int64)
                 base += count
-                nbytes += plan.nbytes_cum[offset + count] - plan.nbytes_cum[offset]
+                nbytes += (plan.nbytes_cum[offset + count] - plan.nbytes_cum[offset]).item()
         lens = _np.concatenate(len_parts)
         starts = _np.cumsum(lens) - lens
         kids, vals, bounds = gather_pairs(

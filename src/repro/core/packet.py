@@ -38,7 +38,6 @@ import enum
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate
 from typing import Any, Iterable, Iterator
 
 import numpy as _np
@@ -103,36 +102,43 @@ def check_pair(key: Any, value: Any, key_width: int) -> bool:
     return ends_nul
 
 
+#: The value field as a column dtype: a 4-byte value is an ``int32``.
+_VALUE_DTYPE = _np.dtype(f"int{8 * VALUE_WIDTH}")
+
+
 def _fits(vals: Any) -> bool:
-    """Whether every value of the int64 column ``vals`` fits the value field."""
+    """Whether every value of the register column ``vals`` fits the value field."""
     return not len(vals) or (vals.min() >= VALUE_MIN and vals.max() < VALUE_LIMIT)
 
 
 def _value_column(values: list[Any]) -> Any:
-    """``values`` as an int64 column; ``None`` when one breaks the contract.
+    """``values`` as a value-field column; ``None`` when one breaks the contract.
 
-    The bulk form of :func:`check_pair`'s value rule: one type scan, one
-    conversion and one range test per partition.
+    The bulk form of :func:`check_pair`'s value rule: one type scan and one
+    conversion per partition. The column is as wide as the value field, so
+    the conversion is the range test: NumPy refuses a value the field cannot
+    hold.
     """
     if values and set(map(type, values)) != {int}:
         return None
     try:
-        vals = _np.fromiter(values, dtype=_np.int64, count=len(values))
+        return _np.fromiter(values, dtype=_VALUE_DTYPE, count=len(values))
     except OverflowError:
         return None
-    return vals if _fits(vals) else None
 
 
 class PairColumns:
     """One partition's pairs as the register kernel reads them.
 
-    ``kids`` and ``vals`` are int64 arrays over the partition's pairs in
-    order (interned key ids, see :mod:`repro.dataplane.interning`, and
-    values, each within the value field's range); packet ``i`` of the
-    partition owns the ``per`` pairs from ``i * per`` on (fewer in the last
-    packet). A host's partition holds the kid column the packetizer interned
-    and the value column it checked; a switch's flush holds the register
-    kernel's own kids and values.
+    ``kids`` and ``vals`` are arrays over the partition's pairs in order
+    (interned key ids, see :mod:`repro.dataplane.interning`, and values,
+    each within the value field's range); packet ``i`` of the partition
+    owns the ``per`` pairs from ``i * per`` on (fewer in the last packet).
+    A host's partition holds the ``int32`` kid column the packetizer
+    interned and the ``int32`` value column it checked: four bytes a pair
+    each, the width of the header's value field. A switch's flush holds the
+    register kernel's own ``int64`` kids and values, range-checked at the
+    cut.
     """
 
     __slots__ = ("kids", "vals", "per")
@@ -145,28 +151,27 @@ class PairColumns:
 
 
 class _ColumnPairs(Sequence):
-    """A column window's pairs, read back from the columns when first asked.
+    """A column window's pairs, read back from its columns as asked.
 
-    All at once: a flush whose packets are built (a spillover flush, one
-    towards a host) builds every one of them.
+    Nothing is kept: a packet built from the window reads only its own
+    slice, keys from the intern pool and values as Python ints.
     """
 
-    __slots__ = ("_kids", "_vals", "_pairs")
+    __slots__ = ("_kids", "_vals")
 
     def __init__(self, kids: Any, vals: Any) -> None:
         self._kids = kids
         self._vals = vals
-        self._pairs: list[tuple[Any, int]] | None = None
 
     def __len__(self) -> int:
         return len(self._kids)
 
     def __getitem__(self, index: Any) -> Any:
-        pairs = self._pairs
-        if pairs is None:
-            keys = _interning.keys_of(self._kids.tolist())
-            pairs = self._pairs = list(zip(keys, self._vals.tolist()))
-        return pairs[index]
+        if isinstance(index, slice):
+            return tuple(
+                zip(_interning.keys_of(self._kids[index].tolist()), self._vals[index].tolist())
+            )
+        return _interning.keys_of((self._kids[index].item(),))[0], self._vals[index].item()
 
 
 #: Ethernet + IPv4 + UDP: what every frame carries besides its DAIET payload.
@@ -285,7 +290,7 @@ class DaietPacket:
         """The packet's pairs as ``(kids, vals)``, or ``None`` when it has none.
 
         ``kids`` and ``vals`` are this packet's slices of its partition's
-        int64 columns (views, not copies). A packet its window built points
+        columns (views, not copies). A packet its window built points
         into the partition's :class:`PairColumns`; any other packet is a
         partition of one, built here on first use from pairs the
         constructor checked.
@@ -296,7 +301,7 @@ class DaietPacket:
         if columns is _VEC_UNSET:
             columns = PairColumns(
                 _interning.intern_keys([key for key, _value in self.pairs])[0],
-                _np.array([value for _key, value in self.pairs], dtype=_np.int64),
+                _np.array([value for _key, value in self.pairs], dtype=_VALUE_DTYPE),
                 len(self.pairs),
             )
             object.__setattr__(self, "_vec_cache", columns)
@@ -430,7 +435,8 @@ class PacketWindow(Sequence):
     src: str
     dst: str
     config: DaietConfig
-    #: The partition's pairs (read back from the columns, if cut from them).
+    #: The partition's pairs: read back from the columns, unless the
+    #: validating constructor built every DATA packet from the caller's.
     pairs: Sequence[tuple[Any, int]]
     columns: PairColumns
     #: Sequence number of item 0 (``None``: an unsequenced window).
@@ -504,9 +510,9 @@ class BurstPlan:
     the engine it is the kernel's input, all from the window's arithmetic:
     per-item shape eligibility (a DATA packet carries pairs, the END does
     not), each item's pair extent in the window's kid/value arrays (views of
-    its partition's columns), the cumulative byte ledger and the most any
-    item needs of a switch's budgets (``max_nbytes`` parsed, ``max_cost``
-    operations). ``items`` are the window indexes the plan still carries.
+    its partition's columns), the cumulative byte ledger (an array) and the
+    most any item needs of a switch's budgets (``max_nbytes`` parsed,
+    ``max_cost`` operations). ``items`` are the window indexes the plan still carries.
     """
 
     __slots__ = (
@@ -533,7 +539,7 @@ class BurstPlan:
         self.window = window
         self.items: Any = range(n)
         self.sizes = window.sizes
-        self.nbytes_cum = list(accumulate(self.sizes, initial=0))
+        self.nbytes_cum = _np.cumsum([0, *self.sizes])
         self.max_nbytes = max(self.sizes[:ndata])
         self.max_cost = steer_ops(int(npairs[0]))
 
@@ -575,7 +581,7 @@ class BurstPlan:
         self.npairs = self.npairs[keep]
         self.shape_ok = self.shape_ok[keep]
         self.pair_start = self.pair_start[keep]
-        self.nbytes_cum = list(accumulate(self.sizes, initial=0))
+        self.nbytes_cum = _np.cumsum([0, *self.sizes])
 
 
 def gather_pairs(kids: Any, vals: Any, starts: Any, lens: Any) -> tuple[Any, Any, Any]:
@@ -616,8 +622,9 @@ def packetize_pairs(
     pass into its value column; the window's :class:`PairColumns` holds
     both. When the intern pool can vouch for every key (a key is measured
     once, when the pool first interns it) and every value fits, sizes follow
-    arithmetically and the DATA packets are built later, if anything asks.
-    Otherwise (a pair the header cannot carry, a negative tree id, a
+    arithmetically and the DATA packets are built later, if anything asks,
+    each reading its pairs back from the columns (keys from the pool): the
+    window keeps no pair list. Otherwise (a pair the header cannot carry, a negative tree id, a
     sequence number that would not fit, a NUL-suffixed key) the validating
     :class:`DaietPacket` constructor builds them here: it refuses the first
     offending pair with :func:`check_pair`'s message, before anything is
@@ -631,7 +638,9 @@ def packetize_pairs(
     except (TypeError, ValueError):
         kids = vals = None
     vouched = vals is not None and widest <= config.key_width and not any_nul
-    return _window(pairs, kids, vals, vouched, tree_id, src, dst, config, include_end, seq_start)
+    return _window(
+        kids, vals, tree_id, src, dst, config, include_end, seq_start, None if vouched else pairs
+    )
 
 
 def packetize_columns(
@@ -644,9 +653,10 @@ def packetize_columns(
     include_end: bool = True,
     seq_start: int | None = None,
 ) -> PacketWindow:
-    """:func:`packetize_pairs` for pairs held as int64 columns (interned
-    kids, values): a switch's final flush, or the spillover flushes of one
-    register-kernel call, cut without building a pair.
+    """:func:`packetize_pairs` for pairs held as a switch's ``int64``
+    columns (interned kids, values): a switch's final flush, or the
+    spillover flushes of one register-kernel call, cut without building a
+    pair.
 
     The values are register contents, so the value check here is the
     register-overflow rule: a flushed value outside the value field's range
@@ -655,29 +665,33 @@ def packetize_columns(
     """
     widest, any_nul = _interning.measure_kids(kids)
     vouched = _fits(vals) and widest <= config.key_width and not any_nul
-    pairs = _ColumnPairs(kids, vals)
-    return _window(pairs, kids, vals, vouched, tree_id, src, dst, config, include_end, seq_start)
+    pairs = None if vouched else _ColumnPairs(kids, vals)
+    return _window(kids, vals, tree_id, src, dst, config, include_end, seq_start, pairs)
 
 
 def _window(
-    pairs: Sequence[tuple[Any, int]],
     kids: Any,
     vals: Any,
-    vouched: bool,
     tree_id: int,
     src: str,
     dst: str,
     config: DaietConfig,
     include_end: bool,
     seq_start: int | None,
+    pairs: Sequence[tuple[Any, int]] | None = None,
 ) -> PacketWindow:
-    """The window over ``pairs`` and their columns, sized by arithmetic.
+    """The window over a partition's columns, sized by arithmetic.
 
-    Unless the columns could not vouch for every pair, or the header
-    fields refuse the window (a negative tree id, DATA sequence numbers
-    past the 32-bit field): then the validating constructor builds the
-    DATA packets, refusing the first offending pair or field.
+    Its pairs are read back from the columns when a packet is built.
+    ``pairs`` is given when the columns could not vouch for every pair:
+    then, as when the header fields refuse the window (a negative tree id,
+    DATA sequence numbers past the 32-bit field), the validating
+    constructor builds the DATA packets here, refusing the first offending
+    pair or field.
     """
+    vouched = pairs is None
+    if vouched:
+        pairs = _ColumnPairs(kids, vals)
     per_packet = config.pairs_per_packet
     count = -(-len(pairs) // per_packet)
     if not vouched or tree_id < 0 or not 0 <= (seq_start or 0) <= 2**32 - count:

@@ -22,17 +22,18 @@ and a switch's key register hold kids instead of key objects. Only exact
 Keys are interned where they become packets. The packetizer
 (``core/packet.py::packetize_pairs``) interns a whole partition in one pass
 through :func:`intern_keys`, which returns the partition's kid column as an
-int64 array and answers the two questions a window's size arithmetic asks
-(widest key, any NUL suffix) by array lookups in the pool's per-kid
-metadata; a lone packet's columns (``DaietPacket.vector_pairs()``) intern
-through the same function. A switch (``core/aggregation.py``) interns
-nothing: its register kernel reads a packet's (or a burst's) kid column
-and hashes it with :func:`crcs_of`, and its registers and spillover bucket
-hold only kids. Every flush it cuts (a spillover flush, a final flush) is measured by
-:func:`measure_kids`, and key objects come back (:func:`keys_of`) only when
-a flushed packet is built. The containers below are named nowhere else
-(``tests/checks/test_lint_gate.py`` holds that), so the pool can be
-re-homed by editing this file alone.
+``int32`` array (kids stay below ``2**31``) and answers the two questions a
+window's size arithmetic asks (widest key, any NUL suffix) by array lookups
+in the pool's per-kid metadata; a lone packet's columns
+(``DaietPacket.vector_pairs()``) intern through the same function. A switch
+(``core/aggregation.py``) interns nothing: its register kernel reads a
+packet's (or a burst's) kid column and hashes it with :func:`crcs_of`, and
+its registers and spillover bucket hold only kids. Every flush it cuts (a
+spillover flush, a final flush) is measured by :func:`measure_kids`. A
+window, a host's or a switch's, keeps no key objects: they come back
+(:func:`keys_of`) only when one of its packets is built. The containers
+below are named nowhere else (``tests/checks/test_lint_gate.py`` holds
+that), so the pool can be re-homed by editing this file alone.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def intern_key(key: Any) -> int:
 def intern_keys(keys: Sequence[Any]) -> tuple[Any, int, bool]:
     """Intern a partition's keys in one pass: ``(kids, widest, any_nul)``.
 
-    ``kids`` is the keys' int64 kid column, in order; ``widest`` is the
+    ``kids`` is the keys' ``int32`` kid column, in order; ``widest`` is the
     largest encoded length and ``any_nul`` whether any encoded key ends in a
     NUL byte (see :func:`measure_kids`). A key is encoded and hashed only the
     first time the process sees it. Raises ``TypeError`` like
@@ -96,16 +97,17 @@ def intern_keys(keys: Sequence[Any]) -> tuple[Any, int, bool]:
     """
     lookup = _key_to_kid.__getitem__
     try:
-        kids = _np.fromiter(map(lookup, keys), dtype=_np.int64, count=len(keys))
-    except KeyError:  # first sight of some key: intern each distinct key once
+        kids = _np.fromiter(map(lookup, keys), dtype=_np.int32, count=len(keys))
+    except KeyError:  # first sight of some key: intern each unseen key once
         for key in dict.fromkeys(keys):
-            intern_key(key)
-        kids = _np.fromiter(map(lookup, keys), dtype=_np.int64, count=len(keys))
+            if key not in _key_to_kid:
+                intern_key(key)
+        kids = _np.fromiter(map(lookup, keys), dtype=_np.int32, count=len(keys))
     return (kids, *measure_kids(kids))
 
 
 def measure_kids(kids: Any) -> tuple[int, bool]:
-    """``(widest, any_nul)`` over an int64 column of interned kids.
+    """``(widest, any_nul)`` over a column of interned kids.
 
     Two array lookups in the per-kid metadata: no key is encoded again.
     """

@@ -20,7 +20,6 @@ packet or a window runs; with none attached they are the plain closures.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Iterable
@@ -69,14 +68,15 @@ class _Burst:
     """One window in flight to a switch's burst handler, as ONE queue entry.
 
     ``plan`` (``PacketWindow.burst_plan()``) is opaque here; the wire adds
-    the surviving items' arrival ``times``, the ``seq0`` base of their
+    the surviving items' arrival ``times`` (a float array: a time enters a
+    queue entry as a Python float, ``.item()``), the ``seq0`` base of their
     reserved sequence numbers and the ``ingress`` port. Items before
     ``next`` are delivered; ``deferred`` holds what a batch made such an
     item emit until the queue reaches the item's own position.
     """
 
     plan: Any
-    times: list[float]
+    times: Any
     seq0: int
     ingress: int
     next: int = 0
@@ -414,7 +414,7 @@ class NetworkSimulator:
             nxt = burst.next = offset + 1
             if nxt < len(plan):
                 scheduler.push_entry(
-                    (burst.times[nxt], burst.seq0 + nxt, burst_sink, (burst, nxt))
+                    (burst.times[nxt].item(), burst.seq0 + nxt, burst_sink, (burst, nxt))
                 )
 
         def handler(
@@ -463,7 +463,7 @@ class NetworkSimulator:
                     continue
                 cutoff = entry
                 break
-            stops = [bisect_right(b.times, limit, o) for b, o in bursts]
+            stops = [max(o, int(b.times.searchsorted(limit, "right"))) for b, o in bursts]
             # The event budget must not run out inside the batch, where its
             # items are applied but their entries still wait in the queue. It
             # must cover the items, every entry batched past and one more
@@ -496,7 +496,9 @@ class NetworkSimulator:
                 if c:
                     nxt = b.next = o + c
                     if nxt < len(b.plan):
-                        scheduler.push_entry((b.times[nxt], b.seq0 + nxt, burst_sink, (b, nxt)))
+                        scheduler.push_entry(
+                            (b.times[nxt].item(), b.seq0 + nxt, burst_sink, (b, nxt))
+                        )
             # An item that emits transmits at its own queue position, as the
             # batch's last item does (so the clock ends where a per-packet
             # schedule leaves it); that item's event is counted there. A
@@ -513,7 +515,7 @@ class NetworkSimulator:
                 b = bursts[int(bid[at])][0]
                 i = int(seqs_m[at]) - b.seq0
                 b.deferred[i] = emissions
-                scheduler.push_entry((b.times[i], b.seq0 + i, burst_sink, (b, i)))
+                scheduler.push_entry((b.times[i].item(), b.seq0 + i, burst_sink, (b, i)))
             return cut - waiting - len(emitted)
 
         return burst_sink, handler
@@ -696,7 +698,7 @@ class NetworkSimulator:
                 if lost:
                     plan.drop(lost)
                 seq = scheduler.reserve_seqs(len(times))
-                burst = _Burst(plan, times, seq, other_port)
+                burst = _Burst(plan, _np.array(times), seq, other_port)
                 scheduler.push_entry((times[0], seq, burst_sink, (burst, 0)))
             return
         transmit = self._transmit

@@ -55,7 +55,6 @@ from repro.core.packet import (
 from repro.transport.window import (
     MAX_BACKOFF_FACTOR,
     TransportTuning,
-    WindowedSender,
     sender_on,
 )
 

@@ -10,6 +10,7 @@ from repro.checks.determinism import (
     RULE_MUTABLE_DEFAULT,
     RULE_SET_ITERATION,
     RULE_UNSEEDED_RANDOM,
+    RULE_UNUSED_IMPORT,
     RULE_WALL_CLOCK,
     lint_paths,
     lint_source,
@@ -23,6 +24,7 @@ FIXTURE_RULES = {
     "bad_wall_clock.py": RULE_WALL_CLOCK,
     "bad_set_iteration.py": RULE_SET_ITERATION,
     "bad_mutable_default.py": RULE_MUTABLE_DEFAULT,
+    "bad_unused_import.py": RULE_UNUSED_IMPORT,
 }
 
 
@@ -58,6 +60,16 @@ class TestFixtureCorpus:
         findings = lint_paths(FIXTURES / "bad_mutable_default.py")
         assert len(findings) == 3
         assert {"'__init__'" in f.message for f in findings} == {True, False}
+
+    def test_unused_import_covers_plain_dotted_aliased_and_from_imports(self):
+        # Flagged: a dotted import (it binds ``collections``), an aliased
+        # one, a plain one and one name of a from-import. Not flagged: the
+        # __future__ import, a name read only in a string annotation, one
+        # listed in __all__ and one the module calls.
+        findings = lint_paths(FIXTURES / "bad_unused_import.py")
+        flagged = sorted(f.message.split("'")[1] for f in findings)
+        assert flagged == ["codec", "collections", "os"]
+        assert [f.line for f in findings] == [5, 6, 7]
 
     @pytest.mark.parametrize("filename", sorted(FIXTURE_RULES))
     def test_cli_exits_nonzero_on_fixture(self, filename, capsys):
@@ -128,6 +140,22 @@ class TestCleanCode:
             "        for m in marks:\n"
             "            yield m\n"
             "    return sorted(marks), inner\n"
+        )
+        assert lint_source(source, "clean.py") == []
+
+    def test_a_package_init_re_exports_what_it_imports(self):
+        source = "from repro.core.packet import DaietPacket\n"
+        assert lint_source(source, "repro/core/__init__.py") == []
+        assert [f.rule for f in lint_source(source, "repro/core/view.py")] == [
+            RULE_UNUSED_IMPORT
+        ]
+
+    def test_an_import_read_in_another_scope_is_used(self):
+        source = (
+            "import zlib\n"
+            "def outer():\n"
+            "    from bisect import bisect_left\n"
+            "    return lambda xs: bisect_left(xs, zlib.crc32(b''))\n"
         )
         assert lint_source(source, "clean.py") == []
 

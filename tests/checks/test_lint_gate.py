@@ -2,8 +2,9 @@
 
 This is the "clean-tree run proving zero findings" required alongside the
 seeded-violation corpus: a lint regression anywhere in ``src/repro``
-(nondeterministic draw, unregistered fast path, misconfigured reference
-pipeline) fails the test suite, not just the CLI.
+(nondeterministic draw, unused import, unregistered fast path, misconfigured
+reference pipeline) fails the test suite, not just the CLI. The
+unused-import rule holds ``tests/`` too.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import fields
 
+from repro.checks.determinism import unused_imports
 from repro.checks.lint import run_lint
 from repro.checks.parity import REQUIRED_FASTPATHS, check_fastpath_parity, repo_root
 from repro.checks.registry import registered_fastpaths
@@ -47,6 +49,18 @@ class TestCleanTree:
             "fastpath-parity",
             "dataplane-config",
         )
+
+    def test_the_tests_import_only_what_they_read(self):
+        # ``repro lint`` holds src/repro to the unused-import rule; the
+        # tests are held to it here. The seeded-violation corpus is exempt.
+        tests = repo_root() / "tests"
+        findings = []
+        for path in sorted(tests.rglob("*.py")):
+            relative = path.relative_to(repo_root()).as_posix()
+            if not relative.startswith("tests/checks/fixtures/"):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                findings += [f.render() for f in unused_imports(tree, relative)]
+        assert findings == []
 
     def test_all_shipped_fastpaths_are_registered(self):
         assert check_fastpath_parity() == []

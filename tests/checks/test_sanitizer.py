@@ -10,7 +10,6 @@ from repro.checks.sanitize import (
     HEAP_CHECK_INTERVAL,
     SANITIZE_ENV,
     SimulatorSanitizer,
-    install_sanitizer,
     sanitize_enabled_in_env,
 )
 from repro.core.config import DaietConfig

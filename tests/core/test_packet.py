@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from daiet_codec import decode, encode
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DaietConfig
-from repro.core.aggregation import DaietAggregationEngine
 from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError
 from repro.core.functions import SUM, aggregate_pairs
@@ -631,6 +631,38 @@ class TestPacketWindow:
                 assert list(view) == built[lo:]
                 assert view[0] is window[lo]
 
+    def test_a_built_packet_carries_the_callers_pairs_from_the_pool(self, monkeypatch):
+        # A vouched window keeps columns, not the caller's pairs: a packet
+        # built from it reads its own slice back, keys from the intern pool
+        # (equal to the caller's, of the same type) and values as ints.
+        keys = ["pool-a", b"pool-b", "pool-\u00e9", b"pool-\xff"]
+        values = [0, -1, 2**31 - 1, -(2**31), 7, 1, 2, 3, 4, 5]
+        pairs = [
+            ("".join(["pool-", "a"]) if i % 4 == 0 else keys[i % 4], value)
+            for i, value in enumerate(values)
+        ]
+        window = packetize_pairs(
+            pairs, tree_id=1, src="m", dst="r", config=DaietConfig(pairs_per_packet=4)
+        )
+        read = []
+        keys_of = interning.keys_of
+        monkeypatch.setattr(
+            interning, "keys_of", lambda kids: read.append(len(kids)) or keys_of(kids)
+        )
+        built = window[1]
+        assert read == [4]  # its own slice, not the window's ten pairs
+        assert built.pairs == tuple(pairs[4:8])
+        packets = list(window)[:-1]
+        carried = [pair for packet in packets for pair in packet.pairs]
+        assert carried == pairs
+        assert [tuple(map(type, pair)) for pair in carried] == [
+            tuple(map(type, pair)) for pair in pairs
+        ]
+        pooled = keys_of(window.columns.kids.tolist())
+        assert all(key is held for (key, _value), held in zip(carried, pooled))
+        # The caller passed three "pool-a" objects; the packets carry one.
+        assert pairs[4][0] is not pairs[0][0] and carried[4][0] is carried[0][0]
+
     def test_a_view_shares_the_packets_built(self):
         window = packetize_pairs(
             [(f"k{i}", i) for i in range(10)], tree_id=1, src="m", dst="r",
@@ -904,6 +936,44 @@ class TestPacketizerCounts:
         assert interning._kid_enc_len is metadata[0]
         assert interning._kid_ends_nul is metadata[1]
         assert second == first
+
+    def test_only_unseen_keys_reach_intern_key(self, monkeypatch):
+        # A partition that mixes keys the pool holds with new ones encodes
+        # and hashes only the new ones, each once, in first-seen order.
+        seen = [f"unseen-old{i}" for i in range(30)]
+        interning.intern_keys(seen)
+        fresh = [f"unseen-new{i}" for i in range(12)]
+        keys = [key for pair in zip(seen, fresh * 3) for key in pair] + seen[::-1]
+        encoded = []
+        intern_key = interning.intern_key
+        monkeypatch.setattr(
+            interning, "intern_key", lambda key: encoded.append(key) or intern_key(key)
+        )
+        before = interning.pool_size()
+        kids = interning.intern_keys(keys)[0]
+        assert encoded == fresh
+        assert interning.pool_size() == before + len(fresh)
+        assert interning.keys_of(kids.tolist()) == keys
+
+    def test_a_window_and_its_plan_keep_about_four_bytes_a_column_a_pair(self):
+        # The benchmark's partition size and packet size. The window keeps
+        # the partition's kid and value columns, four bytes a pair each, and
+        # per packet a size; the plan per packet its extent and its ledger
+        # entry. No pair list and no per-item Python list: 30.7 bytes a pair
+        # when the window kept the caller's pairs beside int64 columns and
+        # the plan its byte ledger as a list of ints.
+        pairs = _vocabulary_partition("kept-", pairs=60_000, vocabulary=16)
+        interning.intern_keys([key for key, _value in pairs])
+        tracemalloc.start()
+        try:
+            window = packetize_pairs(pairs, tree_id=1, src="m", dst="r", config=self.CONFIG)
+            plan = window.burst_plan()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(plan) == 6_001
+        assert kept / len(pairs) <= 12
+        assert window.columns.kids.dtype == window.columns.vals.dtype == np.int32
 
     def test_the_pool_metadata_grows_by_doubling(self, monkeypatch):
         # On a pool of its own (the process's pool is append-only and every

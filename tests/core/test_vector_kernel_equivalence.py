@@ -485,6 +485,37 @@ class TestPhaseAIsArrayWork:
         assert 0 < calls["push_many"] <= kernel_calls[0]  # the kernel claimed slots
 
 
+class TestValueWidening:
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_ufunc_at_takes_values_of_the_registers_dtype(self, function):
+        # A host's value column is as wide as the value field (4 bytes) and
+        # the value register 8: the kernel widens a call's values once, so
+        # ufunc.at never takes NumPy's casting loop (about 25x slower). A
+        # burst's columns and a lone packet's both reach it widened.
+        config = DaietConfig(register_slots=8, pairs_per_packet=4)
+        engine = make_engine(config, function)
+        state = engine.tree(7)
+        ufunc = state._ufunc
+        given = []
+
+        class Recording:
+            @staticmethod
+            def at(register, slot, vals):
+                given.append((register.dtype, vals.dtype))
+                return ufunc.at(register, slot, vals)
+
+        state._ufunc = Recording
+        pairs = [(f"widen{i % 5}", 1 if function == "count" else i) for i in range(20)]
+        window = data_packets(pairs, config)
+        assert window.columns.vals.dtype == np.int32
+        kernel_apply(engine, window)
+        engine.handle_packet(
+            DaietPacket(tree_id=7, src="h0", dst="h1", pairs=(("widen0", 1),), config=config)
+        )
+        assert len(given) == 2
+        assert set(given) == {(np.dtype(np.int64), np.dtype(np.int64))}
+
+
 def resident_keys(slots: int) -> list[str]:
     """One key per register slot: once they are in, every other key collides."""
     found: dict[int, str] = {}

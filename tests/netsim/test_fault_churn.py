@@ -20,8 +20,6 @@ nothing when no fault is planned.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.config import DaietConfig
