@@ -801,7 +801,7 @@ class DaietAggregationEngine(Extern):
         )
         count = len(window)
         state.counters.packets_emitted += count
-        state.counters.pairs_emitted += len(window.pairs)
+        state.counters.pairs_emitted += len(kids)
         if seq_start is not None:
             state._next_seq += count
             state._sent.unacked.update(

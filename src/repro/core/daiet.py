@@ -15,7 +15,7 @@ its aggregation with a handful of calls:
 >>> system.run() > 0  # events processed
 True
 >>> system.receiver("h3").result()
-{'ant': 6, 'bee': 2, 'cat': 7}
+{'bee': 2, 'cat': 7, 'ant': 6}
 
 The facade builds its own simulator by default. An application that already
 owns one (the MapReduce cluster, shared with the TCP and UDP shuffles) passes
@@ -28,13 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.aggregation import DaietAggregationEngine
+import numpy as _np
+
+from repro.core.aggregation import _UFUNCS, DaietAggregationEngine
 from repro.core.config import DaietConfig
 from repro.core.controller import DaietController, InstalledJob
-from repro.core.errors import ConfigurationError, ControllerError
+from repro.core.errors import AggregationError, ConfigurationError, ControllerError
 from repro.core.functions import AggregationFunction, get as get_function
 from repro.core.packet import DaietPacket, DaietPacketType, PacketWindow, packetize_pairs
 from repro.core.tree import AggregationTree
+from repro.dataplane import interning as _interning
 from repro.netsim.simulator import NetworkSimulator, SimulatorConfig
 from repro.netsim.topology import Topology, single_rack
 
@@ -43,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core <-> transport)
 
 #: Sentinel distinguishing "key absent" from a stored ``None`` value.
 _MISSING = object()
+
+#: The most pairs a receiver holds unfolded. Every value fits 4 signed
+#: bytes, so an ``int64`` sum of fewer than ``2**32`` of them is exact.
+_FOLD_PAIRS = 2**32 - 1
 
 
 @dataclass(slots=True)
@@ -65,6 +72,16 @@ class DaietReceiver:
     intermediate switches may emit several partial values for the same key
     (spillover flushes, multiple switches on different branches), and the
     reducer merging them is exactly what preserves end-to-end correctness.
+
+    A flush reaches it as columns and stays columns until :meth:`result`:
+    :meth:`receive` keeps each DATA packet's extent of its partition's kid
+    and value columns (``DaietPacket.pair_columns()``), extending the last
+    extent when the packet is the next slice of the same columns, as a
+    window's packets arrive. :meth:`result` folds what is pending, in
+    arrival order, with the tree function's ufunc, and only then are the
+    keys read back from the intern pool: once per key, in the order each
+    first arrived, with Python ``int`` values. A packet never needs its
+    pair tuples here.
     """
 
     host: str
@@ -74,6 +91,20 @@ class DaietReceiver:
     counters: ReceiverCounters = field(default_factory=ReceiverCounters)
     _values: dict[str, Any] = field(default_factory=dict)
     _ends_seen: int = 0
+    #: Column extents received and not yet folded, in arrival order:
+    #: ``[kids, vals, lo, hi]`` each.
+    _pending: list[list[Any]] = field(default_factory=list)
+    #: Pairs in ``_pending`` (folded before they reach ``_FOLD_PAIRS``).
+    _pending_pairs: int = 0
+    _ufunc: Any = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._ufunc = _UFUNCS.get(self.function)
+        if self._ufunc is None:
+            raise AggregationError(
+                f"receiver at {self.host!r}: DAIET aggregates only the registered "
+                f"functions, not {self.function.name!r}"
+            )
 
     def receive(self, packet: Any) -> None:
         """Host receiver callback; ignores traffic for other trees."""
@@ -88,10 +119,43 @@ class DaietReceiver:
             self._ends_seen += 1
             return
         counters.data_packets += 1
-        counters.pairs += len(packet.pairs)
+        kids, vals, lo, hi = packet.pair_columns()
+        counters.pairs += hi - lo
+        if hi == lo:
+            return
+        if self._pending_pairs + hi - lo > _FOLD_PAIRS:
+            self._fold()
+        self._pending_pairs += hi - lo
+        pending = self._pending
+        if pending:
+            last = pending[-1]
+            if last[3] == lo and last[0] is kids and last[1] is vals:
+                last[3] = hi
+                return
+        pending.append([kids, vals, lo, hi])
+
+    def _fold(self) -> None:
+        """Fold the pending extents into the key-value map, in arrival order."""
+        pending = self._pending
+        if not pending:
+            return
+        kids = _np.concatenate([k[lo:hi] for k, _v, lo, hi in pending])
+        vals = _np.concatenate([v[lo:hi] for _k, v, lo, hi in pending], dtype=_np.int64)
+        pending.clear()
+        self._pending_pairs = 0
+        # Group each kid's values (a stable sort keeps arrival order within
+        # a group), fold every group, then take the groups in the order
+        # their kids first arrived.
+        order = _np.argsort(kids, kind="stable")
+        grouped = kids[order]
+        starts = _np.flatnonzero(_np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        folded = self._ufunc.reduceat(vals[order], starts)
+        arrival = _np.argsort(order[starts])
         values = self._values
         combine = self.function.combine
-        for key, value in packet.pairs:
+        for key, value in zip(
+            _interning.keys_of(grouped[starts][arrival].tolist()), folded[arrival].tolist()
+        ):
             current = values.get(key, _MISSING)
             values[key] = value if current is _MISSING else combine(current, value)
 
@@ -102,6 +166,7 @@ class DaietReceiver:
 
     def result(self) -> dict[str, Any]:
         """The aggregated key-value map received so far."""
+        self._fold()
         return dict(self._values)
 
     def reset(self, tree_id: int, expected_ends: int) -> None:
@@ -115,6 +180,8 @@ class DaietReceiver:
         self.tree_id = tree_id
         self.expected_ends = expected_ends
         self._values.clear()
+        self._pending.clear()
+        self._pending_pairs = 0
         self._ends_seen = 0
 
 

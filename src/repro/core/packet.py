@@ -168,10 +168,13 @@ class _ColumnPairs(Sequence):
 
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, slice):
-            return tuple(
-                zip(_interning.keys_of(self._kids[index].tolist()), self._vals[index].tolist())
-            )
+            return _pairs_of(self._kids[index], self._vals[index])
         return _interning.keys_of((self._kids[index].item(),))[0], self._vals[index].item()
+
+
+def _pairs_of(kids: Any, vals: Any) -> tuple[tuple[Any, int], ...]:
+    """Kid and value columns as pair tuples: keys from the pool, values as ints."""
+    return tuple(zip(_interning.keys_of(kids.tolist()), vals.tolist()))
 
 
 #: Ethernet + IPv4 + UDP: what every frame carries besides its DAIET payload.
@@ -224,6 +227,14 @@ class DaietPacket:
     size profile — is computed once in ``__post_init__`` (or lazily, for the
     parser profile) and cached in slots. ``wire_bytes()`` in particular is
     read on every hop, every stats record and every retransmission.
+
+    A packet its :class:`PacketWindow` built holds no pair tuple: its pairs
+    are its slice of the partition's columns (:meth:`pair_columns`), which
+    is all a switch's kernel, a switch's budget check and the reducer's
+    :class:`~repro.core.daiet.DaietReceiver` read. ``pairs`` comes back as
+    tuples (keys from the intern pool) the first time something reads it,
+    and is kept; equality, ``hash``, ``repr`` and ``dataclasses.replace``
+    read it too, so they see what the constructor-built twin holds.
     """
 
     tree_id: int
@@ -256,22 +267,23 @@ class DaietPacket:
             raise PacketFormatError("tree_id must be non-negative")
         if self.seq is not None and not 0 <= self.seq < 2**32:
             raise PacketFormatError("seq must fit an unsigned 32-bit field")
-        if self.packet_type is DaietPacketType.END and self.pairs:
+        pairs = _get_pairs(self)
+        if self.packet_type is DaietPacketType.END and pairs:
             raise PacketFormatError("END packets must not carry key-value pairs")
         config = self.config
-        if len(self.pairs) > config.pairs_per_packet:
+        if len(pairs) > config.pairs_per_packet:
             raise PacketFormatError(
-                f"packet carries {len(self.pairs)} pairs but the configuration "
+                f"packet carries {len(pairs)} pairs but the configuration "
                 f"allows at most {config.pairs_per_packet}"
             )
         # One pass over the pairs checks each one against the contract and
         # finds whether any key needs its explicit length byte.
         key_width = config.key_width
         keylen_needed = False
-        for key, value in self.pairs:
+        for key, value in pairs:
             if check_pair(key, value, key_width):
                 keylen_needed = True
-        num_pairs = len(self.pairs)
+        num_pairs = len(pairs)
         pair_bytes = num_pairs * config.pair_bytes
         if keylen_needed:
             pair_bytes += num_pairs
@@ -286,34 +298,54 @@ class DaietPacket:
     # ------------------------------------------------------------------ #
     # Vectorized-kernel view
     # ------------------------------------------------------------------ #
+    def pair_columns(self) -> tuple[Any, Any, int, int]:
+        """``(kids, vals, lo, hi)``: the packet's pairs as the extent
+        ``[lo, hi)`` of its partition's kid and value columns.
+
+        A packet its window built points into the partition's
+        :class:`PairColumns`; any other packet is a partition of one, built
+        here on first use from pairs the constructor checked. Consecutive
+        packets of one window hold consecutive extents of the same columns.
+        """
+        columns = self._vec_cache
+        if columns is _VEC_UNSET:
+            pairs = _get_pairs(self)
+            columns = PairColumns(
+                _interning.intern_keys([key for key, _value in pairs])[0],
+                _np.array([value for _key, value in pairs], dtype=_VALUE_DTYPE),
+                len(pairs),
+            )
+            _set_vec_cache(self, columns)
+        lo = self._vec_at * columns.per
+        return columns.kids, columns.vals, lo, min(lo + columns.per, len(columns.kids))
+
     def vector_pairs(self):
         """The packet's pairs as ``(kids, vals)``, or ``None`` when it has none.
 
         ``kids`` and ``vals`` are this packet's slices of its partition's
-        columns (views, not copies). A packet its window built points
-        into the partition's :class:`PairColumns`; any other packet is a
-        partition of one, built here on first use from pairs the
-        constructor checked.
+        columns (views, not copies, see :meth:`pair_columns`). Pairs come
+        back as tuples only where something reads :attr:`pairs`.
         """
-        if not self.pairs:
+        if not self._pair_count():
             return None
+        kids, vals, lo, hi = self.pair_columns()
+        return kids[lo:hi], vals[lo:hi]
+
+    def _pair_count(self) -> int:
+        """How many pairs the packet carries, without building a pair."""
+        pairs = _get_pairs(self)
+        if pairs is not None:
+            return len(pairs)
         columns = self._vec_cache
-        if columns is _VEC_UNSET:
-            columns = PairColumns(
-                _interning.intern_keys([key for key, _value in self.pairs])[0],
-                _np.array([value for _key, value in self.pairs], dtype=_VALUE_DTYPE),
-                len(self.pairs),
-            )
-            object.__setattr__(self, "_vec_cache", columns)
-        lo = self._vec_at * columns.per
-        return columns.kids[lo : lo + len(self.pairs)], columns.vals[lo : lo + len(self.pairs)]
+        return min(columns.per, len(columns.kids) - self._vec_at * columns.per)
 
     def restamped(self, tree_id: int, seq: int) -> "DaietPacket":
         """This packet under another tree id and sequence number.
 
         Failover replay sends a retained packet again through a re-planned
         tree. The pairs are unchanged, so the copy keeps the measured sizes
-        and the vector view; only the sequence field may be new on the wire.
+        and the vector view (a packet its window built stays without a pair
+        tuple); only the sequence field may be new on the wire.
         """
         if tree_id < 0:
             raise PacketFormatError("tree_id must be non-negative")
@@ -325,7 +357,7 @@ class DaietPacket:
             self.src,
             self.dst,
             self.packet_type,
-            self.pairs,
+            _get_pairs(self),
             self.config,
             seq,
             self.ecn,
@@ -357,7 +389,8 @@ class DaietPacket:
 
     def op_cost(self) -> int:
         """Operations a switch spends on this packet when it steers it."""
-        return steer_ops(len(self.pairs))
+        return steer_ops(self._pair_count())
+
 
 #: Each slot's own setter, in field order. A frozen dataclass refuses
 #: ``setattr`` and ``object.__setattr__`` looks the name up on every call;
@@ -376,6 +409,23 @@ class DaietPacket:
     _set_vec_cache,
     _set_vec_at,
 ) = (vars(DaietPacket)[spec.name].__set__ for spec in fields(DaietPacket))
+#: The ``pairs`` slot as stored: a tuple, or ``None`` in a packet its window
+#: built until something reads :attr:`DaietPacket.pairs`.
+_get_pairs = vars(DaietPacket)["pairs"].__get__
+
+
+def _read_pairs(packet: DaietPacket) -> tuple[tuple[Any, int], ...]:
+    pairs = _get_pairs(packet)
+    if pairs is None:
+        kids, vals, lo, hi = packet.pair_columns()
+        pairs = _pairs_of(kids[lo:hi], vals[lo:hi])
+        _set_pairs(packet, pairs)
+    return pairs
+
+
+DaietPacket.pairs = property(  # type: ignore[assignment]
+    _read_pairs, _set_pairs, doc="The packet's pairs, built from its columns on first read."
+)
 
 
 def _assemble(
@@ -383,7 +433,7 @@ def _assemble(
     src: str,
     dst: str,
     packet_type: DaietPacketType,
-    pairs: tuple[tuple[str, int], ...],
+    pairs: tuple[tuple[str, int], ...] | None,
     config: DaietConfig,
     seq: int | None,
     ecn: bool,
@@ -395,7 +445,8 @@ def _assemble(
     """Build a packet without ``__post_init__``.
 
     For callers that already hold what validation would establish and
-    measurement would compute: every field is taken as given.
+    measurement would compute: every field is taken as given. ``pairs``
+    is ``None`` for a packet whose pairs are its extent of ``vec_cache``.
     """
     packet = object.__new__(DaietPacket)
     _set_tree_id(packet, tree_id)
@@ -435,8 +486,7 @@ class PacketWindow(Sequence):
     src: str
     dst: str
     config: DaietConfig
-    #: The partition's pairs: read back from the columns, unless the
-    #: validating constructor built every DATA packet from the caller's.
+    #: The partition's pairs, read back from the columns when asked.
     pairs: Sequence[tuple[Any, int]]
     columns: PairColumns
     #: Sequence number of item 0 (``None``: an unsequenced window).
@@ -471,10 +521,10 @@ class PacketWindow(Sequence):
         at = self.first + index
         packet = self.built.get(at)
         if packet is None:
-            per = self.config.pairs_per_packet
+            # Only a vouched window gets here: the validating constructor
+            # built every DATA packet of any other.
             packet = self.built[at] = _assemble(
-                self.tree_id, self.src, self.dst, DaietPacketType.DATA,
-                tuple(self.pairs[at * per : at * per + per]), self.config,
+                self.tree_id, self.src, self.dst, DaietPacketType.DATA, None, self.config,
                 None if self.seq_start is None else self.seq_start + index,
                 False, False, self.sizes[index] - _FRAME_BYTES, self.columns, at,
             )
@@ -568,7 +618,7 @@ class BurstPlan:
         kids, vals, bounds = gather_pairs(self.kids, self.vals, starts, lens)
         return kids, vals, count, bounds
 
-    def drop(self, lost: list[int]) -> None:
+    def drop(self, lost: Any) -> None:
         """Remove the items at the ascending indexes ``lost`` (lost in flight).
 
         The survivors keep their pair extents in the plan's arrays.
@@ -623,15 +673,17 @@ def packetize_pairs(
     both. When the intern pool can vouch for every key (a key is measured
     once, when the pool first interns it) and every value fits, sizes follow
     arithmetically and the DATA packets are built later, if anything asks,
-    each reading its pairs back from the columns (keys from the pool): the
-    window keeps no pair list. Otherwise (a pair the header cannot carry, a negative tree id, a
+    each holding its extent of the columns: the window keeps no pair list,
+    and a packet's pairs come back as tuples (keys from the pool) only when
+    something reads them. Otherwise (a pair the header cannot carry, a negative tree id, a
     sequence number that would not fit, a NUL-suffixed key) the validating
     :class:`DaietPacket` constructor builds them here: it refuses the first
     offending pair with :func:`check_pair`'s message, before anything is
-    sent, and measures the rest.
+    sent, and measures the rest. A list ``pairs`` is read, not copied.
     """
     config = config or DaietConfig()
-    pairs = list(pairs)
+    if type(pairs) is not list:
+        pairs = list(pairs)
     try:
         kids, widest, any_nul = _interning.intern_keys([key for key, _value in pairs])
         vals = _value_column([value for _key, value in pairs])
@@ -682,16 +734,17 @@ def _window(
 ) -> PacketWindow:
     """The window over a partition's columns, sized by arithmetic.
 
-    Its pairs are read back from the columns when a packet is built.
+    Its pairs are read back from the columns, and only where asked.
     ``pairs`` is given when the columns could not vouch for every pair:
     then, as when the header fields refuse the window (a negative tree id,
     DATA sequence numbers past the 32-bit field), the validating
     constructor builds the DATA packets here, refusing the first offending
-    pair or field.
+    pair or field. The window keeps no reference to ``pairs``.
     """
+    read_back = _ColumnPairs(kids, vals)
     vouched = pairs is None
     if vouched:
-        pairs = _ColumnPairs(kids, vals)
+        pairs = read_back
     per_packet = config.pairs_per_packet
     count = -(-len(pairs) // per_packet)
     if not vouched or tree_id < 0 or not 0 <= (seq_start or 0) <= 2**32 - count:
@@ -716,7 +769,7 @@ def _window(
         )
         sizes.append(end.wire_bytes())
     columns = PairColumns(kids, vals, per_packet)
-    return PacketWindow(tree_id, src, dst, config, pairs, columns, seq_start, sizes, built)
+    return PacketWindow(tree_id, src, dst, config, read_back, columns, seq_start, sizes, built)
 
 
 def packets_of(emissions: Iterable[tuple[int, Any]]) -> list[tuple[int, Any]]:

@@ -47,6 +47,10 @@ from repro.netsim.topology import Topology
 #: Safety valve: the most events a single ``run`` may execute.
 MAX_EVENTS = 50_000_000
 
+#: The egress limits of a sender without a queue model: nothing is dropped
+#: or marked.
+_UNQUEUED = (_np.inf, _np.inf)
+
 #: Every hook an observer may define (``src/repro/netsim/README.md`` lists
 #: who consumes each). ``veto_transmit(from_device, link)`` names the device
 #: or link a transmission dies at (or ``None``) and ``veto_deliver(device)``
@@ -146,6 +150,16 @@ class NetworkSimulator:
             name
             for name, device in topology.devices.items()
             if isinstance(device, SwitchDevice)
+        )
+        #: The same model for a window: per switch, the backlog in bytes
+        #: above which an item is tail-dropped and above which it is
+        #: CE-marked (infinite where nothing is modelled).
+        limits = tuple(
+            _np.inf if bound is None else bound
+            for bound in (self._switch_buffer, self._ecn_threshold)
+        )
+        self._egress_limits = dict.fromkeys(
+            self._switch_names if self._congestion_enabled else (), limits
         )
         #: Extra logical events carried by burst transmissions: a burst of N
         #: packets is ONE scheduler event, and the N-1 events it saves are
@@ -635,16 +649,22 @@ class NetworkSimulator:
         one link and one instant: the observers are asked once per window
         (:meth:`_vetoed`), and loss is drawn back to back exactly as the
         per-packet loop draws it. A window with a burst plan, into a switch,
-        becomes ONE queue entry: arrival times come from ``_transmit``'s
-        busy-chain arithmetic, each lost item is charged its serialization
-        and dropped from the plan, and the survivors consume the
-        sequence-number range their per-packet pushes would have, so event
-        order is bit-identical to a per-packet schedule; the burst handler
-        re-expands any tail that foreign events interleave. On a switch
-        egress it applies ``_transmit``'s congestion model per item: a tail
-        drop leaves the plan as a loss does, and a CE mark builds and marks
-        the packet, which the switch then refuses to batch. Every other
-        window goes through the per-packet transmit.
+        becomes ONE queue entry, and its link arithmetic is array work with
+        ``_transmit``'s results, bit for bit. Arrival times are one
+        sequential accumulation from the busy end over each item's
+        serialization. On a switch egress ``_transmit``'s congestion model
+        applies per item: the clock stands still within the callback and the
+        busy end only grows, so once an item finds the buffer over its limit
+        every later item does too, and a tail drop is the window's suffix; a
+        CE mark goes to each earlier item whose backlog before it is over the
+        threshold (the packet is built and marked, and the switch then
+        refuses to batch it). One loss draw is taken per item that reaches
+        the link, in order. Drops and marks are told to the hooks in item
+        order, a lost or tail-dropped item leaves the plan, and the survivors
+        consume the sequence-number range their per-packet pushes would
+        have, so event order is bit-identical to a per-packet schedule; the
+        burst handler re-expands any tail that foreign events interleave.
+        Every other window goes through the per-packet transmit.
         """
         n = len(sizes)
         self._synthetic_events += carried
@@ -659,47 +679,46 @@ class NetworkSimulator:
             busy = self._link_busy_until
             scheduler = self.scheduler
             now = scheduler.now
-            busy_end = busy.get(busy_key, 0.0)
-            if now > busy_end:
-                busy_end = now
+            start = busy.get(busy_key, 0.0)
+            if now > start:
+                start = now
             bandwidth = link.bandwidth_bps
-            propagation = link.propagation_s
-            loss_rate = link.loss_rate
-            draw = self._loss_rng.random
-            congested = self._congestion_enabled and from_device in self._switch_names
-            limit = self._switch_buffer
-            threshold = self._ecn_threshold
-            times: list[float] = []
-            lost: list[int] = []
-            tail_dropped = tail_dropped_bytes = 0
-            for i, nbytes in enumerate(sizes):
-                if congested and busy_end > now:
-                    backlog_bytes = (busy_end - now) * bandwidth
-                    if limit is not None and backlog_bytes > limit:
-                        lost.append(i)
-                        tail_dropped += 1
-                        tail_dropped_bytes += nbytes
-                        self._drop("queue", link_name, packets[i])
-                        continue
-                    if threshold is not None and backlog_bytes > threshold:
-                        packet = packets[i]
-                        if packet.ecn is False:
-                            self._mark(link_name, packet)
-                busy_end = busy_end + nbytes / bandwidth
-                if loss_rate > 0.0 and draw() < loss_rate:
-                    lost.append(i)
+            # chain[i] is the busy end before item i, chain[i + 1] after it.
+            chain = _np.empty(n + 1)
+            chain[0] = start
+            chain[1:] = sizes
+            chain[1:] /= bandwidth
+            chain = _np.add.accumulate(chain)
+            limit, threshold = self._egress_limits.get(from_device, _UNQUEUED)
+            queued = chain[:n] > now
+            backlog = (chain[:n] - now) * bandwidth
+            over = _np.flatnonzero(queued & (backlog > limit))
+            kept = int(over[0]) if len(over) else n
+            marked = queued[:kept] & (backlog[:kept] > threshold)
+            if link.loss_rate > 0.0:
+                draw = self._loss_rng.random
+                lost = _np.array([draw() for _ in range(kept)]) < link.loss_rate
+            else:
+                lost = _np.zeros(kept, dtype=bool)
+            for i in _np.flatnonzero(marked | lost).tolist():
+                if marked[i]:
+                    packet = packets[i]
+                    if packet.ecn is False:
+                        self._mark(link_name, packet)
+                if lost[i]:
                     self._drop("loss", link_name, packets[i])
-                else:
-                    times.append(busy_end + propagation)
-            traffic.packets += n - tail_dropped
-            traffic.bytes += sum(sizes) - tail_dropped_bytes
-            busy[busy_key] = busy_end
-            if times:
-                if lost:
-                    plan.drop(lost)
+            for i in range(kept, n):
+                self._drop("queue", link_name, packets[i])
+            traffic.packets += kept
+            traffic.bytes += sum(sizes[:kept])
+            busy[busy_key] = chain[kept].item()
+            times = chain[1 : kept + 1][~lost] + link.propagation_s
+            if len(times):
+                if len(times) < n:
+                    plan.drop(_np.concatenate((_np.flatnonzero(lost), _np.arange(kept, n))))
                 seq = scheduler.reserve_seqs(len(times))
-                burst = _Burst(plan, _np.array(times), seq, other_port)
-                scheduler.push_entry((times[0], seq, burst_sink, (burst, 0)))
+                burst = _Burst(plan, times, seq, other_port)
+                scheduler.push_entry((times[0].item(), seq, burst_sink, (burst, 0)))
             return
         transmit = self._transmit
         for i, nbytes in enumerate(sizes):

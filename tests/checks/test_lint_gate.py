@@ -40,6 +40,54 @@ def _is_self(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
 
 
+#: Where a flush is columns, from the register kernel to the reducer: whole
+#: modules, or (``module``, class) for one class of a module.
+_COLUMN_PATH = (
+    "core/aggregation.py",
+    "netsim/simulator.py",
+    "netsim/devices.py",
+    ("core/daiet.py", "DaietReceiver"),
+)
+
+#: ``.pairs`` reads the column path may make, ``(module, scope, expression)``
+#: -> why it is not a packet's pairs.
+_PAIRS_READS_ALLOWED = {
+    ("core/daiet.py", "DaietReceiver.receive", "counters.pairs"): (
+        "ReceiverCounters.pairs is the receiver's pair count, an int"
+    ),
+}
+
+
+def _pairs_reads(relative: str, tree: ast.Module, allowed=_PAIRS_READS_ALLOWED) -> list[str]:
+    """Every ``.pairs`` read on the column path in one module, but the allowed."""
+    scopes = []
+    for entry in _COLUMN_PATH:
+        if entry == relative:
+            scopes.append(("", tree))
+        elif entry[0] == relative:
+            scopes += [
+                (node.name, node)
+                for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == entry[1]
+            ]
+
+    def reads(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (*_DEFS, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Attribute) and child.attr == "pairs":
+                yield inner, ast.unparse(child), child.lineno
+            yield from reads(child, inner)
+
+    return [
+        f"{relative}:{line} {scope} {expression}"
+        for name, node in scopes
+        for scope, expression, line in reads(node, name)
+        if (relative, scope, expression) not in allowed
+    ]
+
+
 class TestCleanTree:
     def test_repo_tree_lints_clean(self):
         report = run_lint()
@@ -525,7 +573,9 @@ class TestCleanTree:
         # kernel; the pair-by-pair walk that is its oracle lives in
         # tests/core/register_walk_model.py. (The parent of the change that
         # added this gate had two: _walk_pairs and _vector_apply in
-        # core/aggregation.py.)
+        # core/aggregation.py.) The one other application is not a register
+        # write: the reducer's DaietReceiver._fold merges the flushed values
+        # that reach the host, once per result().
         def applies_ufunc(call: ast.Call) -> bool:
             func = call.func
             while isinstance(func, ast.Attribute):
@@ -548,7 +598,7 @@ class TestCleanTree:
                     if isinstance(node, ast.Call) and applies_ufunc(node)
                 }
             )
-        assert found == [("core/aggregation.py", "_vector_apply")]
+        assert found == [("core/aggregation.py", "_vector_apply"), ("core/daiet.py", "_fold")]
 
     def test_a_switch_holds_only_kids(self):
         # A switch's register file and spillover bucket live in kid space,
@@ -574,6 +624,47 @@ class TestCleanTree:
                     if name in key_space:
                         found.append(f"{name} at line {node.lineno}")
         assert found == ["core/aggregation.py"]
+
+    def test_a_flush_stays_columns_to_the_reducer(self):
+        # A packet a window built holds no pair tuples until something reads
+        # .pairs, and the switch kernel, the budget check, the link and the
+        # reducer's fold read columns (pair_columns / vector_pairs) instead:
+        # no .pairs read on the column path, in core/aggregation.py,
+        # netsim/simulator.py, netsim/devices.py or DaietReceiver, but the
+        # allowed. (The parent of the change that added this gate had three:
+        # len(window.pairs) in _packetize, and len(packet.pairs) and the
+        # pair loop in DaietReceiver.receive.)
+        offenders = [
+            hit for relative, tree in _package_trees() for hit in _pairs_reads(relative, tree)
+        ]
+        assert offenders == []
+        # Every allowed read is still made: a stale entry is a hole.
+        made = {
+            (relative, *hit.split(maxsplit=2)[1:])
+            for relative, tree in _package_trees()
+            for hit in _pairs_reads(relative, tree, allowed={})
+        }
+        assert set(_PAIRS_READS_ALLOWED) <= made
+
+    def test_the_column_path_gate_fires(self):
+        seeded = ast.parse(
+            "class DaietSystem:\n"
+            "    def send(self, packet):\n"
+            "        return packet.pairs\n"
+            "class DaietReceiver:\n"
+            "    def receive(self, packet, counters):\n"
+            "        counters.pairs += len(packet.pairs)\n"
+            "        return [pair for pair in packet.pairs]\n"
+        )
+        assert _pairs_reads("core/daiet.py", seeded) == [
+            "core/daiet.py:6 DaietReceiver.receive packet.pairs",
+            "core/daiet.py:7 DaietReceiver.receive packet.pairs",
+        ]
+        module = ast.parse("def transmit(window):\n    return len(window.pairs)\n")
+        assert _pairs_reads("netsim/simulator.py", module) == [
+            "netsim/simulator.py:2 transmit window.pairs"
+        ]
+        assert _pairs_reads("core/packet.py", module) == []
 
     def test_burst_eligibility_is_one_predicate(self):
         # Whether the register kernel may take a DATA packet is decided at

@@ -633,8 +633,9 @@ class TestPacketWindow:
 
     def test_a_built_packet_carries_the_callers_pairs_from_the_pool(self, monkeypatch):
         # A vouched window keeps columns, not the caller's pairs: a packet
-        # built from it reads its own slice back, keys from the intern pool
-        # (equal to the caller's, of the same type) and values as ints.
+        # built from it holds no pairs until one reads them, and then reads
+        # its own slice back, keys from the intern pool (equal to the
+        # caller's, of the same type) and values as ints.
         keys = ["pool-a", b"pool-b", "pool-\u00e9", b"pool-\xff"]
         values = [0, -1, 2**31 - 1, -(2**31), 7, 1, 2, 3, 4, 5]
         pairs = [
@@ -650,8 +651,10 @@ class TestPacketWindow:
             interning, "keys_of", lambda kids: read.append(len(kids)) or keys_of(kids)
         )
         built = window[1]
-        assert read == [4]  # its own slice, not the window's ten pairs
+        assert read == []  # building the packet reads no key
         assert built.pairs == tuple(pairs[4:8])
+        assert read == [4]  # its own slice, not the window's ten pairs
+        assert built.pairs is built.pairs and read == [4]  # read back once
         packets = list(window)[:-1]
         carried = [pair for packet in packets for pair in packet.pairs]
         assert carried == pairs
@@ -662,6 +665,41 @@ class TestPacketWindow:
         assert all(key is held for (key, _value), held in zip(carried, pooled))
         # The caller passed three "pool-a" objects; the packets carry one.
         assert pairs[4][0] is not pairs[0][0] and carried[4][0] is carried[0][0]
+
+    def test_a_built_packet_holds_no_pairs_until_they_are_read(self, monkeypatch):
+        # What the kernel, the budget check and the reducer read of a
+        # window's packet is its extent of the columns; equality, hash,
+        # repr and replace read the pairs, which are then built once and
+        # are the constructor-built twin's.
+        config = DaietConfig(pairs_per_packet=4)
+        pairs = [(f"lazy-{i % 5}", i - 4) for i in range(10)] + [(b"lazy-b", 2**31 - 1)]
+        window = packetize_pairs(pairs, tree_id=2, src="m", dst="r", config=config, seq_start=9)
+        read = []
+        keys_of = interning.keys_of
+        monkeypatch.setattr(
+            interning, "keys_of", lambda kids: read.append(list(kids)) or keys_of(kids)
+        )
+        packets = [window[j] for j in range(3)]
+        restamped = packets[1].restamped(7, 40)
+        kids, vals, lo, hi = packets[2].pair_columns()
+        assert (kids is window.columns.kids, vals is window.columns.vals, lo, hi) == (
+            True, True, 8, 11
+        )
+        assert [packet.op_cost() for packet in packets] == [7, 7, 6]
+        assert [len(packet.vector_pairs()[0]) for packet in (*packets, restamped)] == [4, 4, 3, 4]
+        assert read == []
+        twins = [
+            DaietPacket(2, "m", "r", DaietPacketType.DATA, tuple(pairs[at : at + 4]), config, 9 + j)
+            for j, at in enumerate(range(0, 11, 4))
+        ]
+        assert packets[2] == twins[2]
+        assert read == [window.columns.kids[8:11].tolist()]  # exactly its slice
+        assert hash(packets[0]) == hash(twins[0]) and repr(packets[1]) == repr(twins[1])
+        assert len(read) == 3
+        assert replace(packets[1], seq=3) == replace(twins[1], seq=3)
+        assert restamped.pairs == twins[1].pairs and len(read) == 4  # its own read
+        assert [packet.pairs for packet in packets] == [twin.pairs for twin in twins]
+        assert len(read) == 4  # each packet read its keys once
 
     def test_a_view_shares_the_packets_built(self):
         window = packetize_pairs(
