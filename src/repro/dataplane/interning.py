@@ -30,8 +30,10 @@ in the pool's per-kid metadata; a lone packet's columns
 packet's (or a burst's) kid column and hashes it with :func:`crcs_of`, and
 its registers and spillover bucket hold only kids. Every flush it cuts (a
 spillover flush, a final flush) is measured by :func:`measure_kids`. A
-window, a host's or a switch's, keeps no key objects: they come back
-(:func:`keys_of`) only when one of its packets is built. The containers
+window, a host's or a switch's, keeps no key objects, and neither does a
+packet it builds: keys come back (:func:`keys_of`) only where something
+reads a packet's ``pairs``, and at the reducer, once per key, when
+``DaietReceiver.result()`` folds what arrived. The containers
 below are named nowhere else (``tests/checks/test_lint_gate.py`` holds
 that), so the pool can be re-homed by editing this file alone.
 """
