@@ -317,7 +317,9 @@ class DaietPacket:
             )
             _set_vec_cache(self, columns)
         lo = self._vec_at * columns.per
-        return columns.kids, columns.vals, lo, min(lo + columns.per, len(columns.kids))
+        hi = lo + columns.per
+        end = len(columns.kids)
+        return columns.kids, columns.vals, lo, hi if hi < end else end
 
     def vector_pairs(self):
         """The packet's pairs as ``(kids, vals)``, or ``None`` when it has none.
@@ -326,18 +328,10 @@ class DaietPacket:
         columns (views, not copies, see :meth:`pair_columns`). Pairs come
         back as tuples only where something reads :attr:`pairs`.
         """
-        if not self._pair_count():
+        if self._vec_cache is _VEC_UNSET and not _get_pairs(self):
             return None
         kids, vals, lo, hi = self.pair_columns()
-        return kids[lo:hi], vals[lo:hi]
-
-    def _pair_count(self) -> int:
-        """How many pairs the packet carries, without building a pair."""
-        pairs = _get_pairs(self)
-        if pairs is not None:
-            return len(pairs)
-        columns = self._vec_cache
-        return min(columns.per, len(columns.kids) - self._vec_at * columns.per)
+        return (kids[lo:hi], vals[lo:hi]) if hi > lo else None
 
     def restamped(self, tree_id: int, seq: int) -> "DaietPacket":
         """This packet under another tree id and sequence number.
@@ -389,7 +383,11 @@ class DaietPacket:
 
     def op_cost(self) -> int:
         """Operations a switch spends on this packet when it steers it."""
-        return steer_ops(self._pair_count())
+        columns = self._vec_cache
+        if columns is _VEC_UNSET:
+            return steer_ops(len(_get_pairs(self)))
+        left = len(columns.kids) - self._vec_at * columns.per
+        return steer_ops(left if left < columns.per else columns.per)
 
 
 #: Each slot's own setter, in field order. A frozen dataclass refuses
