@@ -168,13 +168,10 @@ class _ColumnPairs(Sequence):
 
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, slice):
-            return _pairs_of(self._kids[index], self._vals[index])
+            return tuple(
+                zip(_interning.keys_of(self._kids[index].tolist()), self._vals[index].tolist())
+            )
         return _interning.keys_of((self._kids[index].item(),))[0], self._vals[index].item()
-
-
-def _pairs_of(kids: Any, vals: Any) -> tuple[tuple[Any, int], ...]:
-    """Kid and value columns as pair tuples: keys from the pool, values as ints."""
-    return tuple(zip(_interning.keys_of(kids.tolist()), vals.tolist()))
 
 
 #: Ethernet + IPv4 + UDP: what every frame carries besides its DAIET payload.
@@ -416,7 +413,7 @@ def _read_pairs(packet: DaietPacket) -> tuple[tuple[Any, int], ...]:
     pairs = _get_pairs(packet)
     if pairs is None:
         kids, vals, lo, hi = packet.pair_columns()
-        pairs = _pairs_of(kids[lo:hi], vals[lo:hi])
+        pairs = _ColumnPairs(kids, vals)[lo:hi]
         _set_pairs(packet, pairs)
     return pairs
 

@@ -47,10 +47,6 @@ from repro.netsim.topology import Topology
 #: Safety valve: the most events a single ``run`` may execute.
 MAX_EVENTS = 50_000_000
 
-#: The egress limits of a sender without a queue model: nothing is dropped
-#: or marked.
-_UNQUEUED = (_np.inf, _np.inf)
-
 #: Every hook an observer may define (``src/repro/netsim/README.md`` lists
 #: who consumes each). ``veto_transmit(from_device, link)`` names the device
 #: or link a transmission dies at (or ``None``) and ``veto_deliver(device)``
@@ -152,8 +148,7 @@ class NetworkSimulator:
             if isinstance(device, SwitchDevice)
         )
         #: The same model for a window: per switch, the backlog in bytes
-        #: above which an item is tail-dropped and above which it is
-        #: CE-marked (infinite where nothing is modelled).
+        #: above which an item is tail-dropped, and above which it is marked.
         limits = tuple(
             _np.inf if bound is None else bound
             for bound in (self._switch_buffer, self._ecn_threshold)
@@ -649,22 +644,18 @@ class NetworkSimulator:
         one link and one instant: the observers are asked once per window
         (:meth:`_vetoed`), and loss is drawn back to back exactly as the
         per-packet loop draws it. A window with a burst plan, into a switch,
-        becomes ONE queue entry, and its link arithmetic is array work with
-        ``_transmit``'s results, bit for bit. Arrival times are one
-        sequential accumulation from the busy end over each item's
-        serialization. On a switch egress ``_transmit``'s congestion model
-        applies per item: the clock stands still within the callback and the
-        busy end only grows, so once an item finds the buffer over its limit
-        every later item does too, and a tail drop is the window's suffix; a
-        CE mark goes to each earlier item whose backlog before it is over the
-        threshold (the packet is built and marked, and the switch then
-        refuses to batch it). One loss draw is taken per item that reaches
-        the link, in order. Drops and marks are told to the hooks in item
-        order, a lost or tail-dropped item leaves the plan, and the survivors
-        consume the sequence-number range their per-packet pushes would
-        have, so event order is bit-identical to a per-packet schedule; the
-        burst handler re-expands any tail that foreign events interleave.
-        Every other window goes through the per-packet transmit.
+        becomes ONE queue entry, and its link arithmetic is array work that
+        gives ``_transmit``'s results bit for bit: arrival times are one
+        sequential accumulation from the busy end. On a switch egress the
+        congestion model applies per item; the clock stands still and the
+        busy end only grows, so a tail drop is the window's suffix, and a CE
+        mark builds and marks the packet (the switch then refuses to batch
+        it). Loss draws, drops and marks come in item order, a lost item
+        leaves the plan, and the survivors consume the sequence-number range
+        their per-packet pushes would have, so event order is bit-identical
+        to a per-packet schedule; the burst handler re-expands any tail that
+        foreign events interleave. Every other window goes through the
+        per-packet transmit.
         """
         n = len(sizes)
         self._synthetic_events += carried
@@ -689,7 +680,7 @@ class NetworkSimulator:
             chain[1:] = sizes
             chain[1:] /= bandwidth
             chain = _np.add.accumulate(chain)
-            limit, threshold = self._egress_limits.get(from_device, _UNQUEUED)
+            limit, threshold = self._egress_limits.get(from_device, (_np.inf, _np.inf))
             queued = chain[:n] > now
             backlog = (chain[:n] - now) * bandwidth
             over = _np.flatnonzero(queued & (backlog > limit))
