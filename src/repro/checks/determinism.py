@@ -5,8 +5,11 @@ seeds. The four things that historically break that class of guarantee in
 Python simulators are each a mechanical pattern:
 
 * ``unseeded-random`` — draws from the module-level :mod:`random` RNG (or a
-  ``random.Random()`` constructed without a seed). Repo idiom is an
-  explicit ``random.Random(seed)`` instance per stream.
+  ``random.Random()`` constructed without a seed), and NumPy generators
+  constructed without a seed (``np.random.default_rng()``,
+  ``np.random.RandomState()``, or either named as a dataclass field's
+  ``default_factory``). Repo idiom is an explicit ``random.Random(seed)``
+  or ``np.random.default_rng(seed)`` instance per stream.
 * ``wall-clock`` — ``time.time()`` / ``time.perf_counter()`` and friends
   feeding simulation state. Wall-clock reads are only legitimate in the
   allowlisted measurement sites (reducer wall-time metrics, the round
@@ -67,6 +70,9 @@ _TIME_WALL_FNS = frozenset(
 #: Wall-clock constructors reached through the :mod:`datetime` module.
 _DATETIME_WALL_FNS = frozenset({"now", "utcnow", "today"})
 
+#: NumPy's generator constructors, seeded from OS entropy when called bare.
+_NUMPY_GENERATORS = frozenset({"default_rng", "RandomState"})
+
 #: Callables producing a fresh mutable object when used as a default.
 _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
 
@@ -117,6 +123,11 @@ class _CallVisitor(ast.NodeVisitor):
         #: local name -> original name, for ``from random import ...``.
         self._random_funcs: dict[str, str] = {}
         self._time_funcs: dict[str, str] = {}
+        #: Local names of ``numpy`` and of ``numpy.random``, and of the
+        #: generator constructors ``from numpy.random import ...`` binds.
+        self._numpy_modules: set[str] = set()
+        self._numpy_random_modules: set[str] = set()
+        self._numpy_funcs: dict[str, str] = {}
 
     def _flag(self, rule: str, line: int, message: str) -> None:
         self.findings.append(Finding(rule=rule, path=self.display_path, line=line, message=message))
@@ -130,6 +141,10 @@ class _CallVisitor(ast.NodeVisitor):
                 self._time_modules.add(local)
             elif alias.name == "datetime":
                 self._datetime_modules.add(local)
+            elif alias.name == "numpy" or (alias.name == "numpy.random" and not alias.asname):
+                self._numpy_modules.add(local)
+            elif alias.name == "numpy.random":
+                self._numpy_random_modules.add(local)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -143,10 +158,43 @@ class _CallVisitor(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in ("datetime", "date"):
                     self._datetime_modules.add(alias.asname or alias.name)
+        elif node.module == "numpy":
+            for alias in node.names:
+                if alias.name == "random":
+                    self._numpy_random_modules.add(alias.asname or alias.name)
+        elif node.module == "numpy.random":
+            for alias in node.names:
+                if alias.name in _NUMPY_GENERATORS:
+                    self._numpy_funcs[alias.asname or alias.name] = alias.name
         self.generic_visit(node)
+
+    def _numpy_generator(self, node: ast.AST) -> str | None:
+        """The NumPy generator constructor ``node`` names, or ``None``."""
+        dotted = _dotted_name(node)
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        if head in self._numpy_modules and rest.startswith("random."):
+            rest = rest[len("random.") :]
+        elif head not in self._numpy_random_modules:
+            return self._numpy_funcs.get(dotted)
+        return rest if rest in _NUMPY_GENERATORS else None
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
+        # A generator constructor called bare, or named as a zero-argument
+        # factory, seeds itself from OS entropy.
+        unseeded = [(node, func)] if not node.args and not node.keywords else []
+        unseeded += [(kw.value, kw.value) for kw in node.keywords if kw.arg == "default_factory"]
+        for where, target in unseeded:
+            generator = self._numpy_generator(target)
+            if generator is not None:
+                self._flag(
+                    RULE_UNSEEDED_RANDOM,
+                    where.lineno,
+                    f"np.random.{generator}() constructed without a seed; pass an "
+                    "explicit seed so the stream is reproducible",
+                )
         dotted = _dotted_name(func)
         if dotted is not None:
             head, _, rest = dotted.partition(".")

@@ -6,8 +6,9 @@ value register, two int64 arrays managed as a hash table with single-element
 buckets, an index stack of used slots, and a spillover bucket of colliding
 pairs (kid -> value, in insertion order). One walker updates it: the
 register kernel (:meth:`DaietAggregationEngine._vector_apply`) applies every
-DATA packet's pairs, a lone packet's as a call of one and a queued burst's
-in one call. An END packet decrements the remaining-children counter and,
+DATA packet's pairs: a batch's (queued windows and lone packets,
+:class:`WindowBatch`) in one call, a packet its stream refuses to a batch
+as a call of one. An END packet decrements the remaining-children counter and,
 when it reaches zero, the aggregated state is flushed towards the next node
 of the tree, as one :class:`~repro.core.packet.PacketWindow`.
 
@@ -335,23 +336,44 @@ class DaietAggregationEngine(Extern):
         """:meth:`consume`, each flush window cut into its packets."""
         return packets_of(self.consume(packet))
 
-    def start_batch(self, plan: BurstPlan, offset: int, fits: Any) -> "WindowBatch | None":
+    def start_batch(
+        self, plan: BurstPlan, offset: int, ingress: int, fits: Any
+    ) -> "WindowBatch | None":
         """A :class:`WindowBatch` headed by item ``offset`` of ``plan``, or ``None``.
 
-        ``None`` unless the plan's tree is configured here, the item is
-        shape-eligible and its source's stream admits it (:meth:`_fresh_run`).
-        ``fits(plan, ingress)`` is the switch's budget test for a window
-        that asks to join.
+        ``None`` unless the plan's tree is configured here, the window fits
+        the switch's budgets (``fits(nbytes, cost, ingress)``, the switch's
+        test for whatever asks to join), the item is shape-eligible and its
+        source's stream admits it (:meth:`_fresh_run`).
         """
         window = plan.window
         state = self._trees.get(window.tree_id)
-        if (
-            state is None
-            or not plan.shape_ok[offset]
-            or not self._fresh_run(state, window, plan.items[offset : offset + 1])
-        ):
+        if state is None or not plan.shape_ok[offset]:
             return None
-        return WindowBatch(self, state, fits, plan, offset)
+        batch = WindowBatch(self, state, fits)
+        if not batch.join(plan, offset, ingress) or self._fresh_run(
+            state, window.src, [_window_run(plan, offset, (0,))]
+        ) is not None:
+            return None
+        return batch
+
+    def start_packet_batch(
+        self, packet: Any, ingress: int, fits: Any
+    ) -> "WindowBatch | None":
+        """:meth:`start_batch` for a lone DATA packet at the head: ``None``
+        unless it may join a batch of its tree (:meth:`WindowBatch.join_packet`)
+        and its source's stream admits it."""
+        if type(packet) is not DaietPacket:
+            return None
+        state = self._trees.get(packet.tree_id)
+        if state is None:
+            return None
+        batch = WindowBatch(self, state, fits)
+        if not batch.join_packet(packet, ingress) or self._fresh_run(
+            state, packet.src, [_packet_run(packet, 0)]
+        ) is not None:
+            return None
+        return batch
 
     def handle_ack(self, ack: DaietAck) -> list[tuple[int, Any]]:
         """Process a reliability ACK arriving at this switch.
@@ -464,13 +486,14 @@ class DaietAggregationEngine(Extern):
         integer arrays in packet order (a host's ``int32`` columns, a
         switch flush's ``int64`` ones), ``bounds`` their cumulative pair
         counts (so emissions can be tagged with the packet index they
-        followed; unread when ``n`` is 1). A lone packet's columns
-        (``vector_pairs()``) come from :meth:`_process_data`; a burst's are
-        assembled at send time (``BurstPlan.kernel_input``) and come from
-        :meth:`WindowBatch.take`, which takes only DATA packets of this tree
-        that :meth:`_fresh_run` admitted and advances their streams with
-        :meth:`_accept_run` once this returns. Whoever receives the packets
-        counts them.
+        followed; unread when ``n`` is 1). A refused packet's columns
+        (``vector_pairs()``) come from :meth:`_process_data`; a batch's come
+        from :meth:`WindowBatch.take`: each window's assembled at send time
+        (``BurstPlan.kernel_input``), each lone packet's its own column
+        extent (``pair_columns()``), gathered in arrival order. The batch
+        takes only DATA packets of this tree that :meth:`_fresh_run`
+        admitted and advances their streams with :meth:`_accept_run` once
+        this returns. Whoever receives the packets counts them.
 
         The columns resolve to register slots through the tree's kid ->
         slot memo in one gather. When some kid has no verdict yet, those
@@ -612,49 +635,55 @@ class DaietAggregationEngine(Extern):
         port = state.egress_port
         return [(cut_at[j], port, window[j]) for j in range(len(cut_at))]
 
-    def _fresh_run(self, state: TreeState, window: PacketWindow, items: Any) -> int:
-        """How many of ``window``'s DATA items ``items`` the kernel may take.
+    def _fresh_run(self, state: TreeState, src: str, runs: list[tuple]) -> int | None:
+        """Where the kernel must stop taking ``src``'s arrivals in a batch:
+        the merged position of the first one its stream refuses, or ``None``.
 
-        ``items`` are ascending window indexes, in arrival order; the kernel
-        may take the prefix of the length returned. An unsequenced run
-        always qualifies. A sequenced packet qualifies while it is not
-        CE-marked, its number is above every number the source's stream has
-        seen (its high-water mark) and the stream holds no stashed END: then
-        the stream side of :meth:`_process_data` only records it, counts it
-        towards the cadence and owes an ACK on the cadence or a fresh hole,
-        which :meth:`_accept_run` does for the run. A window's numbers
-        ascend, so only its first item can fall behind the high-water mark,
-        and only a packet already built can carry the CE bit. Duplicates,
-        gap-fills and the arrivals that complete a stream stay with
-        :meth:`_process_data`.
+        ``runs`` are the source's members of the batch (a window's
+        candidate items, a lone packet) in arrival order, each as
+        :func:`_window_run` or :func:`_packet_run` gives it: ``(positions,
+        seq of item 0 or None, item indexes, admitted)``. ``admitted``
+        counts the items from the first that are shape-eligible and, when
+        sequenced, not CE-marked.
+        An unsequenced run qualifies up to there. A sequenced packet
+        qualifies while it is not CE-marked, its number is above every
+        number the source's stream has seen (its high-water mark, raised by
+        the source's earlier arrivals in the batch) and the stream holds no
+        stashed END: then the stream side of :meth:`_process_data` only
+        records it, counts it towards the cadence and owes an ACK on the
+        cadence or a fresh hole, which :meth:`_accept_run` does for the
+        source's whole share. A window's numbers ascend, so only its first
+        item can fall behind the mark; a run that starts among an earlier
+        run's items is refused there too. Duplicates, gap-fills and the
+        arrivals that complete a stream stay with :meth:`_process_data`.
         """
-        if window.seq_start is None or not items:
-            return len(items)
-        stream = state._seen.get(window.src)
-        if stream is not None and (
-            stream.end_seq is not None or window.seq_start + items[0] <= stream.high_water
-        ):
-            return 0
-        marked = (i - window.first for i, packet in window.built.items() if packet.ecn)
-        for index in sorted(marked):
-            at = bisect_left(items, index)
-            if at < len(items) and items[at] == index:
-                return at
-        return len(items)
+        stream = state._seen.get(src)
+        floor = -1 if stream is None else stream.high_water
+        stashed = stream is not None and stream.end_seq is not None
+        last = -1
+        for positions, base, items, admitted in runs:
+            if base is not None:
+                if stashed or positions[0] < last or base + items[0] <= floor:
+                    return int(positions[0])
+                floor = base + items[-1]
+                last = positions[-1]
+            if admitted < len(positions):
+                return int(positions[admitted])
+        return None
 
     def _accept_run(
-        self, state: TreeState, window: PacketWindow, items: Any
+        self, state: TreeState, src: str, seqs: list[int]
     ) -> list[tuple[int, int, DaietAck]]:
-        """Advance the source's stream over ``window``'s items the kernel just applied.
+        """Advance ``src``'s stream over the arrivals the kernel just applied.
 
-        ``items`` are their window indexes, as :meth:`_fresh_run` admitted
-        them. Returns the ACKs :meth:`_process_data` would have emitted for
-        them, as ``(position in items, port, ack)``.
+        ``seqs`` are their sequence numbers in arrival order, as
+        :meth:`_fresh_run` admitted them. Returns the ACKs
+        :meth:`_process_data` would have emitted for them, as ``(position in
+        seqs, port, ack)``.
         """
-        first, src = window.seq_start, window.src
-        if first is None or not items:
+        if not seqs:
             return []
-        owed = state._seen[src].accept_run([first + i for i in items], state._ack_every)
+        owed = state._seen[src].accept_run(seqs, state._ack_every)
         port = state.child_ports.get(src)
         counters = state.counters
         if port is None:
@@ -811,37 +840,61 @@ class DaietAggregationEngine(Extern):
 
 
 class WindowBatch:
-    """Queued windows of one tree that one register-kernel call takes together.
+    """What one register-kernel call of a switch takes together: queued
+    windows of one tree and the tree's lone DATA packets.
 
-    A switch's burst handler opens a batch for a window's head item
-    (:meth:`DaietAggregationEngine.start_batch`) and offers it, in
-    ``(time, seq)`` order, what else is queued for the switch: a window
-    asks to :meth:`join`, a packet whether the batch :meth:`passes` it.
-    The first refusal cuts the batch, which then :meth:`take` s a prefix of
-    the windows' merged candidate items.
+    A switch's burst handler opens a batch for its head, a window's item
+    (:meth:`DaietAggregationEngine.start_batch`) or a lone packet
+    (:meth:`DaietAggregationEngine.start_packet_batch`), and offers it, in
+    ``(time, seq)`` order, what else is queued for the switch: a window asks
+    to :meth:`join`, a lone packet to :meth:`join_packet`, any other packet
+    whether the batch :meth:`passes` it. The first refusal cuts the batch,
+    which then :meth:`take` s a prefix of its members' merged candidate
+    items. Members are numbered windows first, then lone packets, each in
+    the order they joined. A source may have several members (a spine's
+    hundreds of spillover flushes into the reducer's leaf): its stream
+    takes them in arrival order, as :meth:`DaietAggregationEngine._fresh_run`
+    states.
     """
 
-    __slots__ = ("engine", "state", "fits", "plans", "offsets", "sources")
+    __slots__ = ("engine", "state", "fits", "plans", "offsets", "packets", "extents")
 
-    def __init__(self, engine: Any, state: TreeState, fits: Any, plan: BurstPlan, offset: int):
+    def __init__(self, engine: Any, state: TreeState, fits: Any) -> None:
         self.engine, self.state, self.fits = engine, state, fits
-        self.plans, self.offsets, self.sources = [plan], [offset], {plan.window.src}
+        self.plans: list[BurstPlan] = []
+        self.offsets: list[int] = []
+        self.packets: list[DaietPacket] = []
+        #: Each lone packet's ``pair_columns()``: its kernel input.
+        self.extents: list[tuple[Any, Any, int, int]] = []
 
     def join(self, plan: BurstPlan, offset: int, ingress: int) -> bool:
         """Add ``plan``'s items from ``offset`` on (arriving on ``ingress``) if
-        they are this tree's, within the switch's budgets and from a source
-        not in the batch yet: a source's later window queues behind its
-        earlier one on the same uplink."""
-        window = plan.window
-        if (
-            window.tree_id != self.state.tree_id
-            or window.src in self.sources
-            or not self.fits(plan, ingress)
+        they are this tree's and within the switch's budgets."""
+        if plan.window.tree_id != self.state.tree_id or not self.fits(
+            plan.max_nbytes, plan.max_cost, ingress
         ):
             return False
         self.plans.append(plan)
         self.offsets.append(offset)
-        self.sources.add(window.src)
+        return True
+
+    def join_packet(self, packet: Any, ingress: int) -> bool:
+        """Add a lone packet (arriving on ``ingress``) if it is a DATA packet
+        of this tree that carries pairs and fits the switch's budgets.
+        Anything else goes through ``_process_data`` or the forwarding
+        stage on its own."""
+        if (
+            type(packet) is not DaietPacket
+            or packet.packet_type is not _DATA
+            or packet.tree_id != self.state.tree_id
+            or not self.fits(packet.parse_depth_bytes(), packet.op_cost(), ingress)
+        ):
+            return False
+        extent = packet.pair_columns()
+        if extent[3] <= extent[2]:
+            return False
+        self.packets.append(packet)
+        self.extents.append(extent)
         return True
 
     @staticmethod
@@ -853,32 +906,47 @@ class WindowBatch:
     def take(self, merged: Any) -> tuple[list[int], int, dict[int, list[tuple[int, Any]]]]:
         """Apply a prefix of the merged candidates through the register kernel.
 
-        ``merged`` holds, in ``(time, seq)`` order, the batch index of the
-        window each candidate belongs to; a window's candidates are its next
-        items from its offset on. The kernel takes them up to the first one
-        that is not shape-eligible or that its source's stream refuses
-        (:meth:`DaietAggregationEngine._fresh_run`); the head was admitted,
-        so it takes at least one. Each source's stream then advances over
-        its share (:meth:`DaietAggregationEngine._accept_run`).
+        ``merged`` holds, in ``(time, seq)`` order, the member number of the
+        item each candidate is; a window's candidates are its next items
+        from its offset on, a lone packet is one. The kernel takes them up
+        to the first one that is not shape-eligible or that its source's
+        stream refuses (:meth:`DaietAggregationEngine._fresh_run`); the
+        head was admitted, so it takes at least one. Each source's stream
+        then advances over its share
+        (:meth:`DaietAggregationEngine._accept_run`).
 
-        Returns each window's count of taken items, their wire bytes, and
+        Returns each member's count of taken items, their wire bytes, and
         what each taken item emitted, by merged position: spillover flushes,
         then its ACK, as ``_process_data`` emits them.
         """
         engine, state = self.engine, self.state
-        shares = [_np.flatnonzero(merged == j) for j in range(len(self.plans))]
+        plans, offsets, packets = self.plans, self.offsets, self.packets
+        nwin = len(plans)
+        shares = [_np.flatnonzero(merged == j) for j in range(nwin)]
+        lone_at: list[int] = []
+        if packets:
+            lone = _np.flatnonzero(merged >= nwin)
+            at_of = _np.full(len(packets), len(merged), dtype=_np.int64)
+            at_of[merged[lone] - nwin] = lone
+            lone_at = at_of.tolist()
+        runs: defaultdict[str, list[tuple]] = defaultdict(list)
+        for plan, offset, share in zip(plans, offsets, shares):
+            runs[plan.window.src].append(_window_run(plan, offset, share))
+        for packet, at in zip(packets, lone_at):
+            runs[packet.src].append(_packet_run(packet, at))
         cut = len(merged)
-        for plan, offset, share in zip(self.plans, self.offsets, shares):
-            ok = plan.shape_ok[offset : offset + len(share)]
-            admit = len(ok) if ok.all() else int(_np.argmax(~ok))
-            admit = engine._fresh_run(state, plan.window, plan.items[offset : offset + admit])
-            if admit < len(share):
-                cut = min(cut, int(share[admit]))
+        for src, held in runs.items():
+            if len(held) > 1:
+                held.sort(key=lambda run: run[0][0])  # arrival order
+            refused = engine._fresh_run(state, src, held)
+            if refused is not None and refused < cut:
+                cut = refused
         counts = [int(_np.searchsorted(share, cut)) for share in shares]
+        counts += [int(at < cut) for at in lone_at]
         kid_parts, val_parts, len_parts = [], [], []
         local = _np.empty(cut, dtype=_np.int64)
         nbytes = base = 0
-        for plan, offset, share, count in zip(self.plans, self.offsets, shares, counts):
+        for plan, offset, share, count in zip(plans, offsets, shares, counts):
             if count:
                 kids, vals, _count, _bounds = plan.kernel_input(offset, count)
                 kid_parts.append(kids)
@@ -887,6 +955,17 @@ class WindowBatch:
                 local[share[:count]] = _np.arange(base, base + count, dtype=_np.int64)
                 base += count
                 nbytes += (plan.nbytes_cum[offset + count] - plan.nbytes_cum[offset]).item()
+        lone_lens = []
+        for packet, (kids, vals, lo, hi), at in zip(packets, self.extents, lone_at):
+            if at < cut:
+                kid_parts.append(kids[lo:hi])
+                val_parts.append(vals[lo:hi])
+                lone_lens.append(hi - lo)
+                local[at] = base
+                base += 1
+                nbytes += packet.wire_bytes()
+        if lone_lens:
+            len_parts.append(_np.array(lone_lens, dtype=_np.int64))
         lens = _np.concatenate(len_parts)
         starts = _np.cumsum(lens) - lens
         kids, vals, bounds = gather_pairs(
@@ -896,8 +975,54 @@ class WindowBatch:
         emitted: dict[int, list[tuple[int, Any]]] = {}
         for pkt_i, port, out in engine._vector_apply(state, kids, vals, cut, bounds):
             emitted.setdefault(pkt_i, []).append((port, out))
-        for plan, offset, share, count in zip(self.plans, self.offsets, shares, counts):
-            items = plan.items[offset : offset + count]
-            for i, port, ack in engine._accept_run(state, plan.window, items):
-                emitted.setdefault(int(share[i]), []).append((port, ack))
+        for src, held in runs.items():
+            if held[0][1] is None:  # an unsequenced source owes no ACK
+                continue
+            seqs: list[int] = []
+            at: list[int] = []
+            for positions, first, items, _admitted in held:
+                if positions[0] >= cut:
+                    break
+                count = (
+                    len(positions)
+                    if positions[-1] < cut
+                    else int(_np.searchsorted(positions, cut))
+                )
+                if count == 1:
+                    seqs.append(first + items[0])
+                    at.append(positions[0])
+                else:
+                    seqs += [first + i for i in items[:count]]
+                    at += positions[:count].tolist()
+            for i, port, ack in engine._accept_run(state, src, seqs):
+                emitted.setdefault(int(at[i]), []).append((port, ack))
         return counts, nbytes, emitted
+
+
+def _window_run(plan: BurstPlan, offset: int, positions: Any) -> tuple:
+    """A window's candidate items from ``offset`` on, at merged
+    ``positions``, as :meth:`DaietAggregationEngine._fresh_run` reads a run.
+
+    Its items are admitted while shape-eligible and, when sequenced, not
+    CE-marked: only a packet already built can carry the CE bit.
+    """
+    window = plan.window
+    count = len(positions)
+    items = plan.items[offset : offset + count]
+    ok = plan.shape_ok[offset : offset + count]
+    admitted = count if ok.all() else int(ok.argmin())
+    if window.seq_start is not None:
+        marked = (i - window.first for i, packet in window.built.items() if packet.ecn)
+        for index in sorted(marked):
+            at = bisect_left(items, index, 0, admitted)
+            if at < admitted and items[at] == index:
+                admitted = at
+                break
+    return positions, window.seq_start, items, admitted
+
+
+def _packet_run(packet: DaietPacket, at: int) -> tuple:
+    """A lone DATA packet at merged position ``at``, as a run of one."""
+    seq = packet.seq
+    return (at,), seq, (0,), int(seq is None or not packet.ecn)
+

@@ -18,7 +18,7 @@ available offline (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class Dataset:
     labels: np.ndarray
     name: str = "synthetic-mnist"
     num_classes: int = NUM_CLASSES
-    _rng: np.random.Generator = field(default_factory=np.random.default_rng, repr=False)
 
     def __post_init__(self) -> None:
         if self.images.ndim != 2:

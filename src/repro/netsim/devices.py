@@ -122,12 +122,13 @@ class SwitchDevice(Device):
         entry = self._daiet_tbl._exact_index.get((("tree_id", tree_id),))
         return None if entry is None else entry.action
 
-    def _fits(self, plan: Any, ingress_port: int) -> bool:
-        """Whether every item of a burst plan fits this switch's parse and op
-        budgets, arriving on ``ingress_port``."""
+    def _fits(self, nbytes: int, cost: int, ingress_port: int) -> bool:
+        """Whether a packet parsed to ``nbytes`` that costs ``cost`` operations
+        (for a window: its largest item's) fits this switch's budgets,
+        arriving on ``ingress_port``."""
         return (
-            plan.max_nbytes <= self._max_parse
-            and plan.max_cost <= self._max_ops
+            nbytes <= self._max_parse
+            and cost <= self._max_ops
             and 0 <= ingress_port < self.switch.num_ports
         )
 
@@ -178,10 +179,31 @@ class SwitchDevice(Device):
         ``ingress_port`` (``DaietAggregationEngine.start_batch``), or ``None``
         when the plan is over budget or its tree not steered here: the item
         then takes :meth:`deliver`."""
-        if not self._fits(plan, ingress_port):
-            return None
         engine = self._resolve_steering(plan.window.tree_id)
-        return None if engine is None else engine.start_batch(plan, offset, self._fits)
+        return (
+            None
+            if engine is None
+            else engine.start_batch(plan, offset, ingress_port, self._fits)
+        )
+
+    @staticmethod
+    def steers(packet: Any) -> bool:
+        """Whether packets of ``packet``'s type reach the steering stage at
+        all: they carry a tree id (a DAIET packet or ACK). Every other
+        packet goes straight to the forwarding stage."""
+        return hasattr(packet, "tree_id")
+
+    def start_packet_batch(self, packet: Any, ingress_port: int) -> Any:
+        """:meth:`start_batch` for a packet that arrives alone, one the
+        switch :meth:`steers` (``DaietAggregationEngine.start_packet_batch``):
+        ``None`` for a packet of no tree steered here, which then takes
+        :meth:`deliver` like everything the engine does not batch."""
+        engine = self._resolve_steering(getattr(packet, "tree_id", None))
+        return (
+            None
+            if engine is None
+            else engine.start_packet_batch(packet, ingress_port, self._fits)
+        )
 
     def take_batch(self, batch: Any, merged: Any) -> tuple[list[int], dict[int, Any]]:
         """``WindowBatch.take``, counted as :meth:`deliver` counts a steered

@@ -277,9 +277,10 @@ class EventScheduler:
         #: set when that entry surfaces and is discarded.
         self._cancelled: set[int] = set()
         #: callback -> batch handler. When ``run()`` pops an entry whose
-        #: callback has a handler, it delegates the entry to the handler,
-        #: which returns how many events it consumed: a burst sink's may take
-        #: a switch's concurrent windows as one kernel call (see
+        #: callback has a handler, it delegates the entry to the handler as
+        #: ``handler(time, seq, args, until, budget)``, which returns how
+        #: many events it consumed: a switch's burst or packet sink's may
+        #: take the switch's concurrent arrivals as one kernel call (see
         #: :meth:`set_batch_handlers`), a timer's re-queue is 0 events.
         self._batch_handlers: dict[Callable[..., None], Any] = dict(_TIMER_HANDLER)
         self._seq = 0
@@ -474,7 +475,7 @@ class EventScheduler:
                         if (handler := batch.get(callback)) is not None:
                             self.now = time
                             budget = max_events - executed if bounded else None
-                            executed += handler(time, args, until, budget)
+                            executed += handler(time, seq, args, until, budget)
                             continue
                         self.now = time
                         callback(*args)
@@ -507,7 +508,7 @@ class EventScheduler:
                     if (handler := batch.get(callback)) is not None:
                         self.now = time
                         budget = max_events - executed if bounded else None
-                        executed += handler(time, args, until, budget)
+                        executed += handler(time, seq, args, until, budget)
                         continue
                     self.now = time
                     callback(*args)
@@ -599,7 +600,9 @@ class Timer:
         return 1
 
 
-def _surface_timer(time: float, args: tuple, until: float | None, budget: int | None) -> int:
+def _surface_timer(
+    time: float, seq: int, args: tuple, until: float | None, budget: int | None
+) -> int:
     """Batch handler of a timer's entry (see :meth:`Timer._surface`)."""
     return args[0]._surface()
 

@@ -236,10 +236,11 @@ class NetworkSimulator:
                         callback = self._compile_host_sink(device)
                     else:
                         callback = self._compile_switch_sink(device, transmit)
-                        bsink, handler = self._compile_switch_burst(
+                        bsink, handler, lone = self._compile_switch_burst(
                             device, callback, transmit, transparent
                         )
                         batch_handlers[bsink] = handler
+                        batch_handlers[callback] = lone
                         burst_sinks[other.device] = bsink
                     sinks[other.device] = callback
                 self._port_info[end.device][end.port] = (
@@ -363,8 +364,8 @@ class NetworkSimulator:
     @fastpath("switch-burst-delivery", oracle="tests/netsim/test_batch_delivery.py")
     def _compile_switch_burst(
         self, device: SwitchDevice, sink: Any, transmit: Any, transparent: set
-    ) -> tuple[Any, Any]:
-        """The burst-entry callback and delivery handler for one switch.
+    ) -> tuple[Any, Any, Any]:
+        """The burst-entry callback and the two batch handlers of one switch.
 
         A burst entry (a :class:`_Burst`) stands for a whole window, a
         host's partition or a child switch's flush alike. The callback
@@ -373,27 +374,38 @@ class NetworkSimulator:
         it emitted; otherwise the item goes through the per-packet sink and
         the rest of the window is re-enqueued at its own ``(time, seq)``, so
         foreign events interleave exactly as against a per-packet schedule.
+        A packet that arrives alone (a spillover flush, a one-packet flush,
+        a resend) is a ``sink`` entry; ``sink`` gets a handler too
+        (``lone_handler``), so a batch may start at either.
 
-        The handler batches what arrives within one lookahead of the head
-        (the shortest propagation delay of the switch's links, and no
-        further than ``until``): anything not yet queued for the switch
-        arrives later, so the queue already holds every event that could
-        touch it. Deliveries to other devices and transmissions
-        (``transparent``) never do; any other foreign entry cuts the batch.
-        It asks the switch three questions: may the head start a batch
-        (``SwitchDevice.start_batch``); in ``(time, seq)`` order, may each
-        window queued for it join and each packet be passed (the batch's
-        ``join`` / ``passes``, the first refusal cuts the batch); and, given
-        the merged ``(time, seq)`` candidates up to the cut, how many it
-        took and what each emitted (``SwitchDevice.take_batch``). An item's
-        emissions leave from an entry at its own ``(time, seq)``, so they
-        and everything they cause interleave as in a per-packet schedule.
-        Within reach of the event budget the head goes alone, so a run cut
-        by the budget stops between whole per-packet events. A switch a
+        A batch takes what arrives within one lookahead of the head (the
+        shortest propagation delay of the switch's links, and no further
+        than ``until``): anything not yet queued for the switch arrives
+        later, so the queue already holds every event that could touch it.
+        Deliveries to other devices and transmissions (``transparent``)
+        never do; any other foreign entry cuts the batch. It asks the switch
+        three questions: may the head start a batch
+        (``SwitchDevice.start_batch`` for a window's item,
+        ``start_packet_batch`` for a lone packet); in ``(time, seq)`` order,
+        may each window and each lone packet queued for it join and each
+        other packet be passed (the batch's ``join`` / ``join_packet`` /
+        ``passes``, the first refusal cuts the batch); and, given the merged
+        ``(time, seq)`` candidates up to the cut, how many it took and what
+        each emitted (``SwitchDevice.take_batch``). An item's emissions
+        leave from an entry at its own ``(time, seq)``, so they and
+        everything they cause interleave as in a per-packet schedule: a
+        window's item through ``burst.deferred``, a lone packet's entry
+        through ``taken``, keyed by its queue key (a window memoises its
+        packets, so a resend can be the very object still queued). Within
+        reach of the event budget the head goes alone, so a run cut by the
+        budget stops between whole per-packet events. A switch a
         ``veto_deliver`` hook reports down starts no batch (the sink drops
-        the head); fault events are not ``transparent``, so they cut batches.
-        A batch is told to the ``on_switch`` notices once, as the number of
-        items taken and every emission (a flush window as one output).
+        the head); fault events are not ``transparent``, so they cut
+        batches. A batch is told to the ``on_switch`` notices once, as the
+        number of items taken and every emission (a flush window as one
+        output). A packet of a type the switch never steers (a datagram, a
+        segment) costs the handler one lookup by its type before it takes
+        the sink.
         """
         scheduler = self.scheduler
         name = device.name
@@ -402,21 +414,31 @@ class NetworkSimulator:
         transmit_window = self._transmit_window
         links = self._port_links[name]
         start_batch = device.start_batch
+        start_packet_batch = device.start_packet_batch
         take_batch = device.take_batch
         count_emitted = device.count_emitted
+        #: ``(time, seq)`` of a lone entry a batch took -> what it emitted,
+        #: transmitted when the entry surfaces.
+        taken: dict[tuple[float, int], list] = {}
+        #: Packet type -> whether the switch steers packets of it
+        #: (``SwitchDevice.steers``): a packet it only forwards costs the
+        #: handler this one lookup.
+        steers: dict[type, bool] = {}
+
+        def emit(emitted: list) -> None:
+            if emitted:
+                count_emitted(emitted)
+                for port, out in emitted:
+                    try:
+                        size = out.wire_bytes()
+                    except AttributeError:
+                        transmit_window(name, port, out)
+                    else:
+                        transmit(name, port, out, size)
 
         def burst_sink(burst: _Burst, offset: int) -> None:
             if offset < burst.next:
-                emitted = burst.deferred.pop(offset)
-                if emitted:
-                    count_emitted(emitted)
-                    for port, out in emitted:
-                        try:
-                            size = out.wire_bytes()
-                        except AttributeError:
-                            transmit_window(name, port, out)
-                        else:
-                            transmit(name, port, out, size)
+                emit(burst.deferred.pop(offset))
                 return
             plan = burst.plan
             sink(burst.ingress, plan[offset], plan.sizes[offset])
@@ -427,14 +449,54 @@ class NetworkSimulator:
                 )
 
         def handler(
-            time: float, args: tuple, until: float | None, budget: int | None
+            time: float, seq: int, args: tuple, until: float | None, budget: int | None
         ) -> int:
             head, offset = args
             alone = offset < head.next or (vetoes and any(down(name) for down in vetoes))
             batch = None if alone else start_batch(head.plan, offset, head.ingress)
-            if batch is None:
-                burst_sink(head, offset)
-                return 1
+            if batch is not None:
+                events = run_batch(time, batch, [args], [], until, budget)
+                if events is not None:
+                    return events
+            burst_sink(head, offset)
+            return 1
+
+        def lone_handler(
+            time: float, seq: int, args: tuple, until: float | None, budget: int | None
+        ) -> int:
+            kind = type(args[1])
+            steered = steers.get(kind)
+            if steered is None:
+                steered = steers[kind] = device.steers(args[1])
+            if steered:
+                if taken:
+                    emitted = taken.pop((time, seq), None)
+                    if emitted is not None:
+                        emit(emitted)
+                        return 1
+                if not (vetoes and any(down(name) for down in vetoes)):
+                    batch = start_packet_batch(args[1], args[0])
+                    if batch is not None:
+                        events = run_batch(
+                            time, batch, [], [(time, seq, sink, args)], until, budget
+                        )
+                        if events is not None:
+                            return events
+            sink(*args)
+            return 1
+
+        def run_batch(
+            time: float,
+            batch: Any,
+            bursts: list,
+            lones: list,
+            until: float | None,
+            budget: int | None,
+        ) -> int | None:
+            """Take the batch the head (``bursts[0]`` or ``lones[0]``)
+            opened; the events it stands for, or ``None`` when the head must
+            go alone."""
+            lone_head = not bursts
             limit = time + min(link.propagation_s for link in links.values())
             if until is not None and until < limit:
                 limit = until
@@ -451,13 +513,13 @@ class NetworkSimulator:
                         own.append(entry)
                     # else: a delivered item's emissions
                 elif callback is sink:
-                    own.append(entry)
+                    if entry[:2] not in taken:
+                        own.append(entry)
                 elif callback not in transparent and (
                     cutoff is None or entry[:2] < cutoff[:2]
                 ):
                     cutoff = entry
-            bursts = [(head, offset)]
-            join, passes = batch.join, batch.passes
+            join, join_packet, passes = batch.join, batch.join_packet, batch.passes
             own.sort(key=itemgetter(0, 1))
             for entry in own:
                 if cutoff is not None and entry[:2] > cutoff[:2]:
@@ -468,6 +530,9 @@ class NetworkSimulator:
                     if join(burst.plan, at, burst.ingress):
                         bursts.append(args)
                         continue
+                elif join_packet(args[1], args[0]):
+                    lones.append(entry)
+                    continue
                 elif passes(args[1]):
                     continue
                 cutoff = entry
@@ -478,18 +543,26 @@ class NetworkSimulator:
             # must cover the items, every entry batched past and one more
             # event each of those may schedule within the lookahead; short of
             # that, the head goes alone.
-            if budget is not None and budget < 2 * (
-                len(queued) + sum(stops) - sum(o for _b, o in bursts)
-            ):
-                burst_sink(head, offset)
-                return 1
-            # Merge the bursts' candidate items by (time, seq). Each burst's
-            # internal order is already sorted, so the stable lexsort keeps
-            # it and every burst's share is a prefix of its remaining items.
+            items = sum(stops) - sum(o for _b, o in bursts) + len(lones)
+            if budget is not None and budget < 2 * (len(queued) + items):
+                return None
+            # Merge the members' candidate items by (time, seq): each
+            # window's next items, then the lone packets. Each window's
+            # internal order is already sorted, so the stable lexsort keeps it
+            # and every window's share is a prefix of its remaining items.
             spans = [(b, o, e) for (b, o), e in zip(bursts, stops)]
-            times_m = _np.concatenate([b.times[o:e] for b, o, e in spans])
-            seqs_m = _np.concatenate([_np.arange(b.seq0 + o, b.seq0 + e) for b, o, e in spans])
-            bid = _np.repeat(_np.arange(len(spans)), [e - o for _b, o, e in spans])
+            times_m = _np.concatenate(
+                [b.times[o:e] for b, o, e in spans]
+                + [_np.array([entry[0] for entry in lones])]
+            )
+            seqs_m = _np.concatenate(
+                [_np.arange(b.seq0 + o, b.seq0 + e) for b, o, e in spans]
+                + [_np.array([entry[1] for entry in lones], dtype=_np.int64)]
+            )
+            nwin = len(spans)
+            bid = _np.repeat(
+                _np.arange(nwin + len(lones)), [e - o for _b, o, e in spans] + [1] * len(lones)
+            )
             perm = _np.lexsort((seqs_m, times_m))
             times_m, seqs_m, bid = times_m[perm], seqs_m[perm], bid[perm]
             if cutoff is not None:
@@ -511,23 +584,35 @@ class NetworkSimulator:
             # An item that emits transmits at its own queue position, as the
             # batch's last item does (so the clock ends where a per-packet
             # schedule leaves it); that item's event is counted there. A
-            # collected burst's entry already sits at its first item's
-            # position.
+            # member other than the head already has an entry at its first
+            # item's position.
             emitted.setdefault(cut - 1, [])
             waiting = 0
-            for j in range(1, len(bursts)):
+            for j in range(1 - lone_head, nwin):
                 if counts[j]:
                     b, o = bursts[j]
                     b.deferred[o] = emitted.pop(int(_np.argmax(bid == j)), [])
                     waiting += 1
+            if len(lones) > lone_head:
+                lone_at = _np.flatnonzero(bid >= nwin)
+                for at, k in zip(lone_at.tolist(), (bid[lone_at] - nwin).tolist()):
+                    if (k or not lone_head) and counts[nwin + k]:
+                        taken[lones[k][:2]] = emitted.pop(at, [])
+                        waiting += 1
             for at, emissions in emitted.items():
-                b = bursts[int(bid[at])][0]
-                i = int(seqs_m[at]) - b.seq0
-                b.deferred[i] = emissions
-                scheduler.push_entry((b.times[i].item(), b.seq0 + i, burst_sink, (b, i)))
+                j = int(bid[at])
+                if j < nwin:
+                    b = bursts[j][0]
+                    i = int(seqs_m[at]) - b.seq0
+                    b.deferred[i] = emissions
+                    scheduler.push_entry((b.times[i].item(), b.seq0 + i, burst_sink, (b, i)))
+                else:  # the lone head
+                    entry = lones[j - nwin]
+                    taken[entry[:2]] = emissions
+                    scheduler.push_entry(entry)
             return cut - waiting - len(emitted)
 
-        return burst_sink, handler
+        return burst_sink, handler, lone_handler
 
     # ------------------------------------------------------------------ #
     # Control plane

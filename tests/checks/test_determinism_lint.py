@@ -42,6 +42,13 @@ class TestFixtureCorpus:
         assert "random.randint()" in messages
         assert "without a seed" in messages
         assert "SystemRandom" in messages
+        # NumPy's generators, called bare or named as a field's factory.
+        numpy = sorted((f.line, f.message.split("(")[0]) for f in findings if "np." in f.message)
+        assert numpy == [
+            (28, "np.random.RandomState"),
+            (28, "np.random.default_rng"),
+            (33, "np.random.default_rng"),
+        ]
 
     def test_wall_clock_covers_module_and_from_imports(self):
         findings = lint_paths(FIXTURES / "bad_wall_clock.py")

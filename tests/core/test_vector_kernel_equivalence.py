@@ -26,18 +26,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregation import DaietAggregationEngine, hash_key
+from repro.core.aggregation import (
+    DaietAggregationEngine,
+    WindowBatch,
+    _packet_run,
+    _window_run,
+    hash_key,
+)
 from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError, ResourceExhaustedError
 from repro.core.functions import aggregate_pairs, get as get_function
 from repro.core.packet import (
+    DaietAck,
     DaietPacket,
     _ColumnPairs,
     DaietPacketType,
     PacketWindow,
     packetize_pairs,
     packets_of,
+    steer_ops,
 )
 from repro.dataplane import interning
 from repro.dataplane.registers import IndexStack
@@ -690,22 +698,44 @@ class TestSequencedStreamAdmission:
         # One window numbered 0..19: item i carries sequence number i.
         stream = sequenced_packets([("k", 1)] * 40, self.CONFIG)
 
+        def run_of(seqs, at=0):
+            """The window's items ``seqs`` (the rest lost in flight), at
+            merged positions from ``at`` on."""
+            plan = stream.burst_plan()
+            plan.drop([i for i in range(len(stream)) if i not in seqs])
+            return _window_run(plan, 0, range(at, at + len(seqs)))
+
+        def refused(*runs):
+            return engine._fresh_run(state, "h0", list(runs))
+
         def admitted(*seqs):
-            return engine._fresh_run(state, stream, list(seqs))
+            at = refused(run_of(seqs))
+            return len(seqs) if at is None else at
 
         assert window.high_water == 7
         assert admitted(8, 9, 12) == 3  # the items lost in between do not count
-        assert engine._fresh_run(state, stream, range(8, 20)) == 12
+        assert admitted(*range(8, 20)) == 12
         assert admitted(7) == 0  # the highest number seen: a duplicate
         assert admitted(5, 8) == 0  # a gap-fill
         unsequenced = data_packets([("k", 1)] * 6, self.CONFIG)
-        assert engine._fresh_run(state, unsequenced, range(3)) == 3
+        assert engine._fresh_run(
+            state, "h0", [_window_run(unsequenced.burst_plan(), 0, range(3))]
+        ) is None
         assert unsequenced.built == {}  # answered without building a packet
+        # A source's lone packets and windows, in arrival order: each number
+        # above the ones before it, none among another run's positions.
+        assert refused(_packet_run(stream[8], 0), _packet_run(stream[9], 1)) is None
+        assert refused(_packet_run(stream[9], 0), _packet_run(stream[8], 1)) == 1
+        assert refused(run_of((8, 9)), _packet_run(stream[12], 2)) is None
+        assert refused(run_of((8, 9)), _packet_run(stream[9], 2)) == 2  # a duplicate
+        assert refused(run_of((8, 10)), _packet_run(stream[9], 1)) == 1  # interleaved
         object.__setattr__(stream[10], "ecn", True)
         assert admitted(8, 10, 11) == 1
         assert admitted(8, 9, 11) == 3  # the marked packet is not in this run
+        assert refused(_packet_run(stream[8], 0), _packet_run(stream[10], 1)) == 1
         window.end_seq = 15  # a stashed END: the stream waits for its gap
         assert admitted(8) == 0
+        assert refused(_packet_run(stream[8], 0)) == 0
 
     @pytest.mark.parametrize("ack_window", [1, 3, 8])
     def test_kernel_plus_accept_run_is_process_data(self, ack_window):
@@ -728,8 +758,8 @@ class TestSequencedStreamAdmission:
         plan = window.burst_plan()
         plan.drop([0, 17])  # lost in flight, as ``_transmit_burst`` drops them
         # Holes do not stop a run: every number is above the ones before it.
-        assert fast._fresh_run(state, window, plan.items) == len(plan.items)
-        batch = fast.start_batch(plan, 0, fits=None)
+        assert fast._fresh_run(state, "h0", [_window_run(plan, 0, plan.items)]) is None
+        batch = fast.start_batch(plan, 0, 0, fits=lambda nbytes, cost, ingress: True)
         counts, _nbytes, emitted = batch.take(np.zeros(len(plan.items), dtype=np.int64))
         assert counts == [len(plan.items)]
         # Spillover flushes, then the ACK, per item: as _process_data emits.
@@ -743,6 +773,128 @@ class TestSequencedStreamAdmission:
             slow_window.out_of_order,
             slow_window.since_ack,
         )
+
+
+class TestLonePacketBatches:
+    """Lone DATA packets in a batch: which ones join, where their stream
+    cuts the batch, and that a batch leaves what per-packet delivery leaves."""
+
+    CONFIG = DaietConfig(register_slots=8, pairs_per_packet=3, reliability=True, ack_window=2)
+
+    @staticmethod
+    def fits(max_ops: int | None = None):
+        return lambda nbytes, cost, ingress: max_ops is None or cost <= max_ops
+
+    def lone(self, count: int, seq_start: int = 0, tree_id: int = 7) -> list[DaietPacket]:
+        """``count`` packets of a sequenced window, each sent alone."""
+        rng = random.Random(seq_start)
+        pairs = [(f"k{rng.randrange(30)}", rng.randrange(1, 9)) for _ in range(3 * count)]
+        window = packetize_pairs(
+            pairs, tree_id=tree_id, src="h0", dst="h1", config=self.CONFIG,
+            include_end=False, seq_start=seq_start,
+        )
+        return [window[i] for i in range(count)]
+
+    def take_twins(self, head, members, monkeypatch):
+        """Batch ``members`` behind ``head`` on one engine, deliver each
+        packet alone on its twin; return both engines and what each packet
+        emitted (the batch's per merged position), plus the batch's counts
+        and kernel calls."""
+        calls = []
+        vector_apply = DaietAggregationEngine._vector_apply
+        monkeypatch.setattr(
+            DaietAggregationEngine,
+            "_vector_apply",
+            lambda engine, *args: calls.append(args[3]) or vector_apply(engine, *args),
+        )
+        fast, slow = twins(self.CONFIG)
+        batch = fast.start_packet_batch(head, 1, self.fits())
+        assert batch is not None
+        assert all(batch.join_packet(packet, 1) for packet in members)
+        counts, nbytes, emitted = batch.take(np.arange(1 + len(members)))
+        taken = sum(counts)
+        assert nbytes == sum(packet.wire_bytes() for packet in [head, *members][:taken])
+        fast_out = [packets_of(emitted.get(i, [])) for i in range(taken)]
+        fast_out += [fast.handle_packet(packet) for packet in members[taken - 1 :]]
+        slow_out = [slow.handle_packet(packet) for packet in [head, *members]]
+        assert fast_out == slow_out
+        assert_twins_identical(fast, slow)
+        fast_stream, slow_stream = fast.tree(7).window("h0"), slow.tree(7).window("h0")
+        assert vars_of(fast_stream) == vars_of(slow_stream)
+        return counts, calls
+
+    def test_a_run_of_one_sources_lone_packets_is_one_kernel_call(self, monkeypatch):
+        packets = self.lone(7)
+        counts, calls = self.take_twins(packets[0], packets[1:], monkeypatch)
+        assert counts == [1] * 7
+        assert calls == [7]  # the twin walks its packets one by one
+
+    @pytest.mark.parametrize("case", ["ce_marked", "duplicate", "gap_fill"])
+    def test_the_stream_cuts_the_batch_at_a_refused_member(self, case, monkeypatch):
+        packets = self.lone(6)
+        if case == "ce_marked":
+            object.__setattr__(packets[3], "ecn", True)
+            members = packets[1:4]
+        elif case == "duplicate":
+            members = [packets[1], packets[2], packets[2]]
+        else:  # a gap-fill: 3 arrives before 2
+            members = [packets[1], packets[3], packets[2]]
+        counts, _calls = self.take_twins(packets[0], members, monkeypatch)
+        assert counts == [1, 1, 1, 0]
+
+    @pytest.mark.parametrize("case", ["ce_marked", "duplicate", "gap_fill", "stashed_end"])
+    def test_a_refused_packet_starts_no_batch(self, case):
+        engine = make_engine(self.CONFIG)
+        packets = self.lone(6)
+        stream = engine.tree(7).window("h0")
+        for seq in (0, 1, 3):
+            stream.observe(seq)
+        head = {
+            "ce_marked": packets[4],
+            "duplicate": packets[1],
+            "gap_fill": packets[2],
+            "stashed_end": packets[4],
+        }[case]
+        if case == "ce_marked":
+            object.__setattr__(head, "ecn", True)
+        if case == "stashed_end":
+            stream.end_seq = 5
+        assert engine.start_packet_batch(head, 1, self.fits()) is None
+        fresh_starts = engine.start_packet_batch(packets[5], 1, self.fits()) is not None
+        assert fresh_starts == (case != "stashed_end")
+
+    def test_what_a_batch_refuses_to_join_or_start(self):
+        engine = make_engine(self.CONFIG)
+        engine.configure_tree(8, "sum", 1, 0, "h1", config=self.CONFIG, child_ports={"h0": 1})
+        head, fresh = self.lone(2)
+        budget = self.fits(max_ops=steer_ops(2))  # one op short of three pairs
+        end = DaietPacket(
+            tree_id=7, src="h0", dst="h1", packet_type=DaietPacketType.END,
+            config=self.CONFIG, seq=9,
+        )
+        ack = DaietAck(tree_id=7, src="h1", dst="tor", cumulative=0)
+        pull = DaietAck(tree_id=7, src="h1", dst="tor", pull=True)
+        other_tree = self.lone(1, seq_start=4, tree_id=8)[0]
+        for packet in (end, ack, pull):
+            assert engine.start_packet_batch(packet, 1, self.fits()) is None
+        assert engine.start_packet_batch(head, 1, budget) is None  # over budget
+        batch = engine.start_packet_batch(head, 1, self.fits())
+        for packet in (end, ack, pull, other_tree):
+            assert not batch.join_packet(packet, 1)
+        assert batch.passes(ack) and not batch.passes(pull)
+        assert not WindowBatch(engine, engine.tree(7), budget).join_packet(fresh, 1)
+        assert batch.join_packet(fresh, 1)
+
+
+def vars_of(stream) -> tuple:
+    """A stream window's whole state."""
+    return (
+        stream.cumulative,
+        tuple(stream.out_of_order),
+        stream.end_seq,
+        stream.since_ack,
+        stream.edge,
+    )
 
 
 def register_walk(engine: DaietAggregationEngine) -> list:

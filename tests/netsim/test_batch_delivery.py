@@ -8,14 +8,15 @@ ride it alike. Sequenced windows ride it as unsequenced ones do, over lossy
 links too: the link's loss draws (and, on a congested switch egress, its
 tail drops) drop items from the plan, and the kernel takes every DATA packet
 its stream admits (fresh: above the stream's high-water mark, not CE-marked,
-no END stashed) while duplicates, gap-fills, ENDs and ACKs go one by one
-through the compiled per-packet sink, as do single-packet windows and
-retransmissions. A lone DATA packet's pairs take the same kernel, as a call
-of one.
+no END stashed). A DATA packet that arrives alone (a spillover flush, a
+one-packet flush, a retransmission) heads or joins a batch by the same
+rule, while duplicates, gap-fills, ENDs and ACKs go one by one through the
+compiled per-packet sink, their pairs through the kernel as a call of one.
 
 Standing burst delivery down on the test side (:func:`burst_delivery`: no
-window is planned, so no burst entry is ever queued, and the register walk
-of ``tests/core/register_walk_model.py`` stands in for the kernel) must
+window is planned, so no burst entry is ever queued, no lone packet starts
+a batch, and the register walk of ``tests/core/register_walk_model.py``
+stands in for the kernel) must
 change *nothing* observable: aggregation results, every traffic counter,
 per-tree counters, every stream window, event totals, simulated time, the
 loss stream's state and the ACKs each mapper hears, in order and in time.
@@ -40,7 +41,7 @@ from repro.core.config import DaietConfig
 from repro.core.daiet import DaietSystem
 from repro.core.errors import PacketFormatError, ResourceExhaustedError
 from repro.core.functions import aggregate_pairs, get as get_function
-from repro.core.packet import DaietAck, DaietPacket, PacketWindow, steer_ops
+from repro.core.packet import DaietAck, DaietPacket, PacketWindow, packetize_pairs, steer_ops
 from repro.dataplane import switch as switch_module
 from repro.dataplane.resources import SwitchResources
 from repro.netsim.devices import SwitchDevice
@@ -59,14 +60,19 @@ def burst_delivery(fast: bool):
 
     ``PacketWindow.burst_plan()`` is asked only by ``send_burst`` and a
     switch's flush transmit, so with it answering ``None`` every window is
-    planless: every packet is its own queue entry and takes the per-packet
-    sink. There each packet's pairs reach ``_vector_apply``, which the
-    pair-by-pair model replaces for the block. Build and run a twin inside
-    the block; a spy on the kernel goes on before it.
+    planless: every packet is its own queue entry. With
+    ``start_packet_batch`` answering ``None`` no such packet starts a batch
+    either, and every one takes the per-packet sink. There each packet's
+    pairs reach ``_vector_apply``, which the pair-by-pair model replaces
+    for the block. Build and run a twin inside the block; a spy on the
+    kernel goes on before it.
     """
     with pytest.MonkeyPatch.context() as patch:
         if not fast:
             patch.setattr(PacketWindow, "burst_plan", lambda self: None)
+            patch.setattr(
+                DaietAggregationEngine, "start_packet_batch", lambda *_args: None
+            )
             patch.setattr(DaietAggregationEngine, "_vector_apply", walk_pairs)
         yield
 
@@ -619,22 +625,40 @@ class TestOneRegisterWalker:
         assert sum(handed) == sum(c.pairs_received for c in counters)
 
 
+def spy_lone_members(monkeypatch) -> list:
+    """Record every lone packet a batch takes (``WindowBatch.take``)."""
+    taken: list = []
+    take = WindowBatch.take
+
+    def spy(batch, merged):
+        counts, nbytes, emitted = take(batch, merged)
+        lone = counts[len(batch.plans) :]
+        taken.extend(packet for packet, count in zip(batch.packets, lone) if count)
+        return counts, nbytes, emitted
+
+    monkeypatch.setattr(WindowBatch, "take", spy)
+    return taken
+
+
 class TestWhoArrivesAlone:
-    def test_only_refused_arrivals_and_lone_retransmissions(self, monkeypatch):
-        """On a lossy reliable rack ``_process_data`` runs for the DATA
+    def test_only_refused_arrivals(self, monkeypatch):
+        """On a lossy reliable rack ``_process_data`` runs only for the DATA
         arrivals a batch may not take (duplicates, gap-fills: not above the
-        stream's high-water mark) and for retransmissions, which go out as
-        packets and so with no plan. Without bursts every DATA arrival
-        takes it."""
-        calls: list[tuple[bool, int]] = []
+        stream's high-water mark). A fresh arrival rides a batch whether it
+        is a window's item or arrives alone (a retransmission goes out as a
+        packet, with no plan: see :class:`TestLonePacketsJoinBatches`).
+        Without bursts every DATA arrival takes ``_process_data``. (Before
+        lone packets joined batches, a fresh lone retransmission took it
+        too.)"""
+        calls: list[bool] = []
         process_data = DaietAggregationEngine._process_data
 
         def spy(engine, state, packet):
             window = state._seen.get(packet.src)
-            fresh = window is None or (
-                packet.seq > window.high_water and window.end_seq is None and not packet.ecn
+            calls.append(
+                window is None
+                or (packet.seq > window.high_water and window.end_seq is None and not packet.ecn)
             )
-            calls.append((fresh, id(packet)))
             return process_data(engine, state, packet)
 
         monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
@@ -643,43 +667,29 @@ class TestWhoArrivesAlone:
             calls.clear()
             with burst_delivery(fast):
                 system, reducer, truth, _acks = sequenced_twin(num_mappers=8)
-                resent: set[int] = set()
-                for mapper in system.tree_for(reducer).mappers:
-                    channel = system.agent(mapper).sender(system.tree_for(reducer).tree_id)
-                    transmit = channel._transmit
-
-                    def spy_transmit(slots, retransmit, transmit=transmit):
-                        if retransmit:
-                            resent.update(id(window[index]) for window, index in slots)
-                        transmit(slots, retransmit)
-
-                    channel._engine._emit = spy_transmit
                 system.run()
             assert system.receiver(reducer).result() == truth
-            refused = sum(1 for fresh, _id in calls if not fresh)
-            lone = [ident for fresh, ident in calls if fresh]
-            if fast:
-                assert set(lone) <= resent
-            counts[fast] = len(calls), refused, len(lone)
-        (slow_calls, slow_refused, _), (fast_calls, fast_refused, fast_lone) = (
+            counts[fast] = len(calls), calls.count(False), calls.count(True)
+        (slow_calls, slow_refused, slow_fresh), (fast_calls, fast_refused, fast_fresh) = (
             counts[False],
             counts[True],
         )
         data_arrivals = slow_calls  # every one took the loop without bursts
-        assert fast_refused == slow_refused
-        assert fast_calls == slow_refused + fast_lone
+        assert slow_fresh > 0 and slow_refused > 0
+        assert fast_fresh == 0
+        assert fast_calls == fast_refused == slow_refused
         assert fast_calls < data_arrivals // 20
-
 
     def test_switch_flushes_ride_the_parents_kernel(self, monkeypatch):
         """On a lossy reliable leaf-spine round ``_process_data`` runs for an
-        item of a child switch's flush only when the item crossed the link
-        as its own queue entry (a spillover flush, a one-packet flush, a
-        resend: the switch emitted it as a packet) or when its stream
-        refuses it (a duplicate, a gap-fill, CE-marked, behind a stashed
-        END). A fresh item of a flush the switch emitted as a window, and so
-        put on the link as one burst entry, always rides the parent's
-        register kernel; without bursts every item arrived alone."""
+        item of a child switch's flush only when its stream refuses it (a
+        duplicate, a gap-fill, CE-marked, behind a stashed END). A fresh
+        item rides the parent's register kernel whether the switch emitted
+        it in a window (one burst entry on the link) or as a packet of its
+        own (a spillover flush, a one-packet flush, a resend: a queue entry
+        each); without bursts every item arrived alone and took
+        ``_process_data``. (Before lone packets joined batches, the fresh
+        ones the switch emitted as packets took it too.)"""
         # What each switch put on its links: windows, and packets by id
         # (holding them keeps their ids from being reused).
         windows: dict[str, list] = {}
@@ -699,38 +709,38 @@ class TestWhoArrivesAlone:
 
         def spy(engine, state, packet):
             if packet.src in windows or id(packet) in alone:  # a switch's flush
-                window_item = id(packet) not in alone and any(
-                    built is packet
-                    for window in windows.get(packet.src, ())
-                    for built in window.built.values()
-                )
                 stream = state._seen.get(packet.src)
                 refused = packet.ecn or (
                     stream is not None
                     and (packet.seq <= stream.high_water or stream.end_seq is not None)
                 )
-                calls.append((window_item, refused))
+                calls.append((id(packet) in alone, refused))
             return process_data(engine, state, packet)
 
         monkeypatch.setattr(SwitchDevice, "count_emitted", spy_emitted)
         monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
+        batched = spy_lone_members(monkeypatch)
         counts = {}
         for fast in (False, True):
             windows.clear()
             alone.clear()
             calls.clear()
+            batched.clear()
             with burst_delivery(fast):
                 system, reducer, truth, _acks = sequenced_twin(
                     fabric="leaf_spine", num_mappers=8, loss_rate=0.02, register_slots=256
                 )
                 system.run()
             assert system.receiver(reducer).result() == truth
-            fresh_window_items = [c for c in calls if c[0] and not c[1]]
+            fresh = [c for c in calls if not c[1]]
             if fast:
-                assert fresh_window_items == []
-                assert any(not item for item, _refused in calls)  # spillover flushes
-                assert any(refused for _item, refused in calls)  # repairs
-            counts[fast] = len(calls), len(fresh_window_items)
+                assert fresh == []
+                assert any(refused for _lone, refused in calls)  # repairs
+                # the switches' lone flushes reach the parent's kernel
+                assert any(id(packet) in alone for packet in batched)
+            else:
+                assert any(lone for lone, _refused in calls if not _refused)
+            counts[fast] = len(calls), len(fresh)
         tree = system.tree_for(reducer)
         multi_to_switch = [
             window
@@ -741,10 +751,136 @@ class TestWhoArrivesAlone:
         ]
         assert multi_to_switch  # leaves flush multi-packet windows to the spine
         (slow_calls, slow_fresh), (fast_calls, _) = counts[False], counts[True]
-        # The twins see the same losses, repairs and spillover flushes: the
-        # fresh items of flush windows are all the kernel took over.
+        # The twins see the same losses, repairs and spillover flushes: every
+        # fresh item is what the kernel took over.
         assert slow_fresh > 0
         assert fast_calls == slow_calls - slow_fresh
+
+    def test_no_fresh_lone_arrival_takes_process_data(self, monkeypatch, observables):
+        """An unsequenced leaf-spine round with small registers: the
+        leaves' spillover flushes reach the spine as lone packets, and not
+        one reaches ``_process_data``; the stood-down twin sends every DATA
+        arrival there."""
+        config = DaietConfig(register_slots=16, pairs_per_packet=4)
+        process_data = DaietAggregationEngine._process_data
+        calls: list[str] = []
+
+        def spy(engine, state, packet):
+            calls.append(engine.switch_name)
+            return process_data(engine, state, packet)
+
+        monkeypatch.setattr(DaietAggregationEngine, "_process_data", spy)
+        batched = spy_lone_members(monkeypatch)
+        runs = {}
+        for fast in (True, False):
+            calls.clear()
+            batched.clear()
+            with burst_delivery(fast):
+                system, reducer, truth = wordcount_system(fabric="leaf_spine", config=config)
+                runs[fast] = observables(system, reducer, system.run())
+            runs[fast]["process_data"] = len(calls)
+            runs[fast]["lone_batched"] = len(batched)
+            assert runs[fast]["result"] == truth
+        assert runs[True].pop("process_data") == 0
+        assert runs[False].pop("process_data") > 0
+        assert runs[True].pop("lone_batched") > 0
+        assert runs[False].pop("lone_batched") == 0
+        assert runs[True] == runs[False]
+
+
+class TestLonePacketsJoinBatches:
+    """A packet that arrives at a switch alone may head a batch or join one."""
+
+    @pytest.mark.parametrize(
+        "fabric, loss_rate, lossy",
+        [("leaf_spine", 0.0, "all"), ("leaf_spine", 0.02, "uplinks"), ("rack", 0.01, "all")],
+    )
+    def test_twins_identical(self, fabric, loss_rate, lossy, sequenced_observables, monkeypatch):
+        # Small registers: the leaves' spillover flushes reach the spine as
+        # lone packets. Registers are compared mid-round and at the end.
+        batched = spy_lone_members(monkeypatch)
+        runs = []
+        for fast in (True, False):
+            batched.clear()
+            with burst_delivery(fast):
+                system, reducer, truth, acks = sequenced_twin(
+                    fabric=fabric, num_mappers=8, loss_rate=loss_rate, lossy=lossy,
+                    register_slots=32,
+                )
+                cut = sequenced_observables(system, reducer, system.run(until=8e-6), acks)
+                cut["registers"] = register_contents(system)
+                end = sequenced_observables(system, reducer, system.run(), acks)
+                end["registers"] = register_contents(system)
+            runs.append((cut, end, len(batched)))
+            assert end["result"] == truth
+        (fast_cut, fast_end, fast_lone), (slow_cut, slow_end, slow_lone) = runs
+        assert fast_cut == slow_cut
+        assert fast_end == slow_end
+        assert slow_lone == 0
+        if fabric == "leaf_spine":
+            assert fast_lone > 0
+
+    def test_a_fresh_lone_resend_rides_a_batch(self, sequenced_observables, monkeypatch):
+        # Only h0's link drops, and it drops h0's last DATA packet and its
+        # END: nothing above the stream's high-water mark arrives, so the
+        # timeout's resend of that DATA packet is fresh. It goes out as a
+        # packet of its own and is taken by a batch, not by _process_data.
+        rate, n = 0.05, 201
+        seed = _first_draws(lambda d: d[n - 2] < rate and d[n - 1] < rate, n)
+        batched = spy_lone_members(monkeypatch)
+        runs = []
+        for fast in (True, False):
+            batched.clear()
+            with burst_delivery(fast):
+                system, reducer, truth, acks = sequenced_twin(
+                    lossy="h0", loss_rate=rate, loss_seed=seed
+                )
+                runs.append(sequenced_observables(system, reducer, system.run(), acks))
+            assert runs[-1]["result"] == truth
+            taken = [(packet.src, packet.seq) for packet in batched]
+            assert (("h0", n - 2) in taken) is fast
+        assert runs[0] == runs[1]
+
+    def test_a_resend_that_is_the_queued_packet_itself(self, traffic_snapshot, monkeypatch):
+        """A window memoises its packets, so a resend can be the very object
+        still queued at the switch. A batch marks what it took by queue key:
+        the second copy joins the first one's batch, which its stream cuts
+        there; it then arrives as a duplicate and is counted as one, as
+        without batches."""
+        config = DaietConfig(register_slots=64, pairs_per_packet=4, reliability=True)
+        takes = []
+        take = WindowBatch.take
+
+        def spy(batch, merged):
+            counts, nbytes, emitted = take(batch, merged)
+            takes.append(([packet.seq for packet in batch.packets], counts))
+            return counts, nbytes, emitted
+
+        monkeypatch.setattr(WindowBatch, "take", spy)
+        runs = []
+        for fast in (True, False):
+            with burst_delivery(fast):
+                system = DaietSystem.single_rack(num_hosts=3, config=config)
+                system.install_job(mappers=["h0", "h1"], reducers=["h2"])
+                sim = system.simulator
+                heard = []
+                sim.host("h0").set_receiver(lambda ack: heard.append((sim.now, ack)))
+                window = packetize_pairs(
+                    [(f"k{i}", i) for i in range(12)],
+                    tree_id=system.tree_for("h2").tree_id, src="h0", dst="h2",
+                    config=config, include_end=False, seq_start=0,
+                )
+                for index in (0, 0, 1, 2):
+                    sim.send("h0", window[index])
+                events = system.run()
+            (counters,) = system.controller.engines["tor"].counters().values()
+            runs.append(
+                (events, counters, heard, register_contents(system), traffic_snapshot(sim))
+            )
+            assert counters.duplicate_packets == 1
+            assert counters.packets_received == 4
+        assert takes == [([0, 0, 1, 2], [1, 0, 0, 0]), ([1, 2], [1, 1])]
+        assert runs[0] == runs[1]
 
 
 class TestCeMarkedRetransmissions:
