@@ -170,6 +170,13 @@ class NetworkSimulator:
             "unconnected": stats.record_drop,
             "fault": stats.record_fault_drop,
         }
+        #: Each switch's burst sink -> its entry callback for a packet it
+        #: steers, which has the switch's packet batch handler; and packet
+        #: type -> whether switches steer packets of it
+        #: (``SwitchDevice.steers``). ``_transmit`` picks the entry callback
+        #: with one lookup by type.
+        self._lone_sinks: dict[Any, Any] = {}
+        self._steered: dict[type, bool] = {}
         #: tree id -> reliability policy, filled by ``DaietSystem``: lets an
         #: observer that only sees the simulator classify a dropped packet.
         self.tree_policies: dict[int, str] = {}
@@ -213,6 +220,8 @@ class NetworkSimulator:
         # identity, so all links into one switch must share its sinks.
         sinks: dict[str, Any] = {}
         burst_sinks: dict[str, Any] = {}
+        lone_sinks = self._lone_sinks
+        lone_sinks.clear()
         #: The callbacks a burst handler may batch past (see
         #: ``_compile_switch_burst``): every compiled delivery (its own
         #: excepted), every host transmission and every switch's emissions.
@@ -236,11 +245,12 @@ class NetworkSimulator:
                         callback = self._compile_host_sink(device)
                     else:
                         callback = self._compile_switch_sink(device, transmit)
-                        bsink, handler, lone = self._compile_switch_burst(
+                        bsink, handler, lone, lone_handler = self._compile_switch_burst(
                             device, callback, transmit, transparent
                         )
                         batch_handlers[bsink] = handler
-                        batch_handlers[callback] = lone
+                        batch_handlers[lone] = lone_handler
+                        lone_sinks[bsink] = lone
                         burst_sinks[other.device] = bsink
                     sinks[other.device] = callback
                 self._port_info[end.device][end.port] = (
@@ -252,7 +262,7 @@ class NetworkSimulator:
                     (link.name, end.device),
                     burst_sinks.get(other.device),
                 )
-        transparent.update(sinks.values(), burst_sinks.values())
+        transparent.update(sinks.values(), burst_sinks.values(), lone_sinks.values())
         self.scheduler.set_batch_handlers(batch_handlers)
 
     def _compile_transmit(self) -> Any:
@@ -364,8 +374,9 @@ class NetworkSimulator:
     @fastpath("switch-burst-delivery", oracle="tests/netsim/test_batch_delivery.py")
     def _compile_switch_burst(
         self, device: SwitchDevice, sink: Any, transmit: Any, transparent: set
-    ) -> tuple[Any, Any, Any]:
-        """The burst-entry callback and the two batch handlers of one switch.
+    ) -> tuple[Any, Any, Any, Any]:
+        """The burst-entry and lone-entry callbacks of one switch, each with
+        its batch handler.
 
         A burst entry (a :class:`_Burst`) stands for a whole window, a
         host's partition or a child switch's flush alike. The callback
@@ -374,9 +385,12 @@ class NetworkSimulator:
         it emitted; otherwise the item goes through the per-packet sink and
         the rest of the window is re-enqueued at its own ``(time, seq)``, so
         foreign events interleave exactly as against a per-packet schedule.
-        A packet that arrives alone (a spillover flush, a one-packet flush,
-        a resend) is a ``sink`` entry; ``sink`` gets a handler too
-        (``lone_handler``), so a batch may start at either.
+        A packet the switch steers (``SwitchDevice.steers``) that arrives
+        alone (a spillover flush, a one-packet flush, a resend, an ACK) is a
+        ``lone_sink`` entry, with a handler of its own (``lone_handler``),
+        so a batch may start at either; ``_transmit`` picks that callback by
+        the packet's type. Any other packet (a datagram, a segment) is a
+        plain ``sink`` entry, which no handler sees.
 
         A batch takes what arrives within one lookahead of the head (the
         shortest propagation delay of the switch's links, and no further
@@ -403,9 +417,7 @@ class NetworkSimulator:
         the head); fault events are not ``transparent``, so they cut
         batches. A batch is told to the ``on_switch`` notices once, as the
         number of items taken and every emission (a flush window as one
-        output). A packet of a type the switch never steers (a datagram, a
-        segment) costs the handler one lookup by its type before it takes
-        the sink.
+        output).
         """
         scheduler = self.scheduler
         name = device.name
@@ -420,10 +432,6 @@ class NetworkSimulator:
         #: ``(time, seq)`` of a lone entry a batch took -> what it emitted,
         #: transmitted when the entry surfaces.
         taken: dict[tuple[float, int], list] = {}
-        #: Packet type -> whether the switch steers packets of it
-        #: (``SwitchDevice.steers``): a packet it only forwards costs the
-        #: handler this one lookup.
-        steers: dict[type, bool] = {}
 
         def emit(emitted: list) -> None:
             if emitted:
@@ -461,27 +469,25 @@ class NetworkSimulator:
             burst_sink(head, offset)
             return 1
 
+        def lone_sink(ingress_port: int, packet: Any, nbytes: int) -> None:
+            sink(ingress_port, packet, nbytes)
+
         def lone_handler(
             time: float, seq: int, args: tuple, until: float | None, budget: int | None
         ) -> int:
-            kind = type(args[1])
-            steered = steers.get(kind)
-            if steered is None:
-                steered = steers[kind] = device.steers(args[1])
-            if steered:
-                if taken:
-                    emitted = taken.pop((time, seq), None)
-                    if emitted is not None:
-                        emit(emitted)
-                        return 1
-                if not (vetoes and any(down(name) for down in vetoes)):
-                    batch = start_packet_batch(args[1], args[0])
-                    if batch is not None:
-                        events = run_batch(
-                            time, batch, [], [(time, seq, sink, args)], until, budget
-                        )
-                        if events is not None:
-                            return events
+            if taken:
+                emitted = taken.pop((time, seq), None)
+                if emitted is not None:
+                    emit(emitted)
+                    return 1
+            if not (vetoes and any(down(name) for down in vetoes)):
+                batch = start_packet_batch(args[1], args[0])
+                if batch is not None:
+                    events = run_batch(
+                        time, batch, [], [(time, seq, lone_sink, args)], until, budget
+                    )
+                    if events is not None:
+                        return events
             sink(*args)
             return 1
 
@@ -512,9 +518,12 @@ class NetworkSimulator:
                     if entry[3][1] >= entry[3][0].next:
                         own.append(entry)
                     # else: a delivered item's emissions
-                elif callback is sink:
+                elif callback is lone_sink:
                     if entry[:2] not in taken:
                         own.append(entry)
+                    # else: a taken packet's emissions
+                elif callback is sink:
+                    own.append(entry)
                 elif callback not in transparent and (
                     cutoff is None or entry[:2] < cutoff[:2]
                 ):
@@ -612,7 +621,7 @@ class NetworkSimulator:
                     scheduler.push_entry(entry)
             return cut - waiting - len(emitted)
 
-        return burst_sink, handler, lone_handler
+        return burst_sink, handler, lone_sink, lone_handler
 
     # ------------------------------------------------------------------ #
     # Control plane
@@ -834,7 +843,7 @@ class NetworkSimulator:
         if info is None:
             self._drop("unconnected", from_device, packet)
             return
-        link, link_name, callback, other_port, traffic, busy_key, _burst = info
+        link, link_name, callback, other_port, traffic, busy_key, burst = info
         if self._congestion_enabled and from_device in self._switch_names:
             # Switch egress queue model: the backlog is the serialization
             # time already committed to this link direction, expressed in
@@ -875,6 +884,14 @@ class NetworkSimulator:
             # The packet is lost in flight: it never reaches the other end.
             self._drop("loss", link_name, packet)
             return
+        if burst is not None:
+            # Into a switch: a packet it steers is a lone entry, which its
+            # batch handler may take with others.
+            steered = self._steered.get(type(packet))
+            if steered is None:
+                steered = self._steered[type(packet)] = SwitchDevice.steers(packet)
+            if steered:
+                callback = self._lone_sinks[burst]
         scheduler.push_at(
             start + serialization + link.propagation_s,
             callback,
