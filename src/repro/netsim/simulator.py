@@ -488,7 +488,7 @@ class NetworkSimulator:
                     )
                     if events is not None:
                         return events
-            sink(*args)
+            lone_sink(*args)
             return 1
 
         def run_batch(
